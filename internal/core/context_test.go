@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"polytm/internal/raceflag"
 	"polytm/internal/stm"
 )
 
@@ -15,7 +16,7 @@ import (
 // zero; the budget of one absorbs a sync.Pool miss after a GC) — the
 // PR-3 allocation wins must survive the API redesign.
 func TestAtomicCtxBackgroundAllocs(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("race instrumentation inflates closure escapes; the alloc budget is asserted in non-race CI runs")
 	}
 	tm := NewDefault()

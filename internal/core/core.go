@@ -263,10 +263,30 @@ func (tm *TM) resolve(opts []Option) txnOpts {
 }
 
 // Tx is the handle passed to a transaction body. It is bound to one
-// goroutine and must not escape the body.
+// goroutine and is INVALID once the body returns: the handle lives on
+// the pooled engine transaction it wraps (one Tx per stm.Txn shell,
+// for the shell's whole life), so after the run ends the same *Tx is
+// handed to whichever transaction draws that shell next. A body that
+// leaks its *Tx — to a goroutine, a field, a channel — ends up driving
+// a stranger's transaction. Transactions live at the same time never
+// share a handle: a tm.Atomic started inside a body draws its own
+// shell, and an escalated run draws one after the optimistic run has
+// released its own.
 type Tx struct {
 	tm    *TM
 	inner *stm.Txn
+}
+
+// handleOf returns the Tx riding on itx, attaching one the first time
+// a shell is seen. A TM owns its engine and the engine its shell pool,
+// so a handle found here was attached by this TM.
+func (tm *TM) handleOf(itx *stm.Txn) *Tx {
+	if h, ok := itx.Handle().(*Tx); ok {
+		return h
+	}
+	h := &Tx{tm: tm, inner: itx}
+	itx.SetHandle(h)
+	return h
 }
 
 // Inner exposes the engine-level transaction (schedule executors and
@@ -333,9 +353,7 @@ func (tm *TM) AtomicAsCtx(ctx context.Context, sem Semantics, fn func(*Tx) error
 	return tm.atomic(ctx, txnOpts{sem: sem}, fn)
 }
 
-// atomic is the shared Atomic body with resolved options. The Tx
-// handle lives here, outside the retry loop, and is re-pointed at the
-// engine transaction each attempt.
+// atomic is the shared Atomic body with resolved options.
 func (tm *TM) atomic(ctx context.Context, o txnOpts, fn func(*Tx) error) error {
 	sem := o.sem
 	// The run bound is the per-transaction WithMaxAttempts bound unless
@@ -347,7 +365,6 @@ func (tm *TM) atomic(ctx context.Context, o txnOpts, fn func(*Tx) error) error {
 		bound = tm.escalateAfter
 		escalate = true
 	}
-	h := Tx{tm: tm}
 	for {
 		err := tm.eng.RunOpts(ctx, sem, stm.RunOptions{
 			CM:          o.cm,
@@ -355,8 +372,7 @@ func (tm *TM) atomic(ctx context.Context, o txnOpts, fn func(*Tx) error) error {
 			Observer:    o.observer,
 			Label:       o.label,
 		}, func(itx *stm.Txn) error {
-			h.inner = itx
-			return fn(&h)
+			return fn(tm.handleOf(itx))
 		})
 		switch {
 		case errors.Is(err, ErrEscalated) && sem != Irrevocable:

@@ -42,7 +42,7 @@ type lockState struct {
 type Manager struct {
 	mu      sync.Mutex
 	locks   map[any]*lockState
-	waitFor map[uint64]uint64 // waiting owner -> owner it waits on
+	waitFor map[uint64]*lockState // waiting owner -> lock it waits on
 
 	acquired  uint64
 	contended uint64
@@ -53,7 +53,7 @@ type Manager struct {
 func NewManager() *Manager {
 	return &Manager{
 		locks:   make(map[any]*lockState),
-		waitFor: make(map[uint64]uint64),
+		waitFor: make(map[uint64]*lockState),
 	}
 }
 
@@ -94,25 +94,30 @@ func (m *Manager) Acquire(owner uint64, key any) error {
 			return ErrDeadlock
 		}
 		m.contended++
-		m.waitFor[owner] = ls.holder
+		m.waitFor[owner] = ls
 		ls.cond.Wait()
 		delete(m.waitFor, owner)
 	}
 }
 
 // wouldDeadlock walks the waits-for chain from holder; each owner waits
-// on at most one other owner, so the graph is a union of chains.
+// on at most one lock, so the graph is a union of chains. An edge is
+// the CURRENT holder of the lock a waiter sleeps on, read here rather
+// than remembered from when it went to sleep: Release wakes one waiter,
+// so a lock can change hands past the others, and an edge still naming
+// the old holder hid the cycle through the new one (both slept forever).
+// A free lock whose waiter has not run yet ends the chain.
 func (m *Manager) wouldDeadlock(requester, holder uint64) bool {
 	seen := 0
 	for cur := holder; ; {
 		if cur == requester {
 			return true
 		}
-		next, ok := m.waitFor[cur]
-		if !ok {
+		ls, ok := m.waitFor[cur]
+		if !ok || ls.holder == 0 {
 			return false
 		}
-		cur = next
+		cur = ls.holder
 		if seen++; seen > len(m.waitFor)+1 {
 			return true // defensive: malformed graph treated as cycle
 		}

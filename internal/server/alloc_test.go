@@ -1,0 +1,102 @@
+package server_test
+
+import (
+	"fmt"
+	"hash/fnv"
+	"testing"
+
+	"polytm/internal/raceflag"
+	"polytm/internal/server"
+	"polytm/internal/server/client"
+	"polytm/internal/wire"
+)
+
+// TestRoundTripAllocs holds one request's whole round trip — client
+// encode, both sockets, server decode, the transaction, server encode,
+// client decode — to an allocation budget, over a real loopback server.
+// AllocsPerRun counts every malloc in the process, so the server's
+// handler goroutine is inside the figure. These are the "after" numbers
+// of README's "Where the allocations go" table: a change that gives one
+// back fails here, not in a benchmark someone has to remember to run.
+//
+// GET, SCAN and SET are the per-site arithmetic of that table; the MGET
+// and TXN budgets are what the same change measured.
+func TestRoundTripAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation inflates allocation counts; budgets are asserted in the non-race CI step")
+	}
+	const keys = 256
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%05d", i)) }
+	val := []byte("0123456789abcdef0123456789abcdef")
+	// shardOf mirrors the store's routing on a never-resharded table:
+	// FNV-1a of the key, modulo the shard count.
+	shardOf := func(k []byte, n int) int {
+		h := fnv.New64a()
+		h.Write(k)
+		return int(h.Sum64() % uint64(n))
+	}
+
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			_, addr := startServer(t, server.Config{StoreShards: shards})
+			cl := dialTest(t, addr, client.WithPoolSize(1))
+			for i := 0; i < keys; i++ {
+				if err := cl.Set(key(i), val); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// near shares key(0)'s shard, far does not (on one shard
+			// every key is near).
+			near, far := key(1), key(1)
+			for i := keys - 1; i > 0; i-- {
+				if shardOf(key(i), shards) == shardOf(key(0), shards) {
+					near = key(i)
+				} else {
+					far = key(i)
+				}
+			}
+
+			get := &wire.Request{Op: wire.OpGet, Sem: wire.SemDefault, Key: key(0)}
+			scan := &wire.Request{Op: wire.OpScan, Sem: wire.SemDefault, From: key(16), Limit: 16}
+			set := &wire.Request{Op: wire.OpSet, Sem: wire.SemDefault, Key: key(0), Val: val}
+			mget := &wire.Request{Op: wire.OpMGet, Sem: wire.SemDefault, Keys: [][]byte{key(0), near}}
+			mgetX := &wire.Request{Op: wire.OpMGet, Sem: wire.SemDefault, Keys: [][]byte{key(0), far}}
+			txn := &wire.Request{Op: wire.OpTxn, Sem: wire.SemDefault, Batch: []wire.Request{
+				{Op: wire.OpGet, Key: key(0)}, {Op: wire.OpGet, Key: near},
+				{Op: wire.OpSet, Key: key(0), Val: val}, {Op: wire.OpSet, Key: near, Val: val},
+			}}
+			cases := []struct {
+				name   string
+				req    *wire.Request
+				budget float64
+				on     int // shard count the case runs on (0 = both)
+			}{
+				{"GET", get, 2, 0},
+				{"SCAN16", scan, 3, 1},
+				{"SET-overwrite", set, 5, 0},
+				{"MGET2", mget, 3, 0},
+				{"MGET2-cross-shard", mgetX, 5, 4},
+				{"TXN4", txn, 9, 0},
+			}
+			for _, c := range cases {
+				if c.on != 0 && c.on != shards {
+					continue
+				}
+				do := func() {
+					rs, err := cl.Do(c.req)
+					if err != nil || rs[0].Status != wire.StatusOK {
+						t.Fatalf("%s: %v %+v", c.name, err, rs)
+					}
+				}
+				for i := 0; i < 64; i++ { // pools, buffers and read sets reach steady state
+					do()
+				}
+				if avg := testing.AllocsPerRun(500, do); avg > c.budget {
+					t.Errorf("%s: %.2f allocs per round trip, budget %.0f", c.name, avg, c.budget)
+				} else {
+					t.Logf("%s: %.2f allocs per round trip (budget %.0f)", c.name, avg, c.budget)
+				}
+			}
+		})
+	}
+}

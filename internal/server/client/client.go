@@ -240,6 +240,29 @@ func (cl *Client) Close() error {
 // steady state.
 var encBufs = sync.Pool{New: func() any { return new([]byte) }}
 
+// reply is the storage a single-request batch's result is carved from:
+// the slice Do returns, the Response it points at and the sub-opcode
+// scratch a TXN reply is decoded against — one allocation where the
+// three used to be separate.
+type reply struct {
+	ptr    [1]*wire.Response
+	resp   [1]wire.Response
+	subOps [4]wire.Op
+}
+
+// newReply returns the result slice, the Response values its entries
+// will point at, and an empty sub-opcode scratch for a batch of n. A
+// batch of one (every convenience method) is one allocation; a
+// pipelined batch is two, whatever its length. The scratch is shared by
+// the batch's TXNs and grows only past its inline capacity.
+func newReply(n int) ([]*wire.Response, []wire.Response, []wire.Op) {
+	if n == 1 {
+		rp := new(reply)
+		return rp.ptr[:], rp.resp[:], rp.subOps[:0]
+	}
+	return make([]*wire.Response, n), make([]wire.Response, n), nil
+}
+
 // Do sends reqs pipelined over one pooled connection — all frames
 // written back-to-back, then all responses read in order — and returns
 // one response per request. A transport error poisons the connection
@@ -322,7 +345,7 @@ func (cl *Client) DoCtx(ctx context.Context, reqs ...*wire.Request) ([]*wire.Res
 		cl.discard(cn)
 		return nil, werr
 	}
-	out := make([]*wire.Response, len(reqs))
+	out, resps, subOps := newReply(len(reqs))
 	for i, r := range reqs {
 		// Response payloads are freshly read per frame (not pooled):
 		// the decoded Response aliases the raw payload and escapes to
@@ -333,20 +356,18 @@ func (cl *Client) DoCtx(ctx context.Context, reqs ...*wire.Request) ([]*wire.Res
 			cl.discard(cn)
 			return nil, fmt.Errorf("client: response %d/%d: %w", i+1, len(reqs), err)
 		}
-		var subOps []wire.Op
+		subOps = subOps[:0]
 		if r.Op == wire.OpTxn {
-			subOps = make([]wire.Op, len(r.Batch))
 			for j := range r.Batch {
-				subOps[j] = r.Batch[j].Op
+				subOps = append(subOps, r.Batch[j].Op)
 			}
 		}
-		resp, err := wire.DecodeResponse(raw, r.Op, subOps)
-		if err != nil {
+		if err := wire.DecodeResponseInto(&resps[i], raw, r.Op, subOps); err != nil {
 			finish()
 			cl.discard(cn)
 			return nil, fmt.Errorf("client: response %d/%d: %w", i+1, len(reqs), err)
 		}
-		out[i] = resp
+		out[i] = &resps[i]
 	}
 	if !finish() {
 		// Cancellation raced the batch's completion: the responses are

@@ -522,8 +522,11 @@ func (s *Store) EnableDurability(d Durability) (*RecoverSummary, error) {
 	// directory forward to the journaled table (the crash merely beat
 	// the manifest rewrite); no COMMIT means the copy never finished —
 	// roll it back. Either way the manifest is rewritten before traffic.
+	// The committed arms below grow or shrink results (and its parallel
+	// slices) while this loop walks it, so the bound is re-read every
+	// iteration and each arm steps i past the shift it caused.
 	sawReshard := false
-	for i := range results {
+	for i := 0; i < len(results); i++ {
 		var begin *wal.ReshardEvent
 		committed := false
 		for k := range results[i].Reshards {
@@ -596,6 +599,9 @@ func (s *Store) EnableDurability(d Durability) (*RecoverSummary, error) {
 			logs = insertAt(logs, at, dlog)
 			results = insertAt(results, at, dres)
 			man.Shards = insertAt(man.Shards, at, manifestShard{ID: r.Dst, Mod: r.Mod2, Res: r.Res2, Dir: r.Dir})
+			if at <= i {
+				i++ // this shard's entry moved one to the right
+			}
 			if r.Dst+1 > man.NextID {
 				man.NextID = r.Dst + 1
 			}
@@ -630,6 +636,9 @@ func (s *Store) EnableDurability(d Durability) (*RecoverSummary, error) {
 			logs = removeAt(logs, bPos)
 			results = removeAt(results, bPos)
 			man.Shards = removeAt(man.Shards, bPos)
+			if bPos <= i {
+				i-- // the entries after bPos moved one to the left
+			}
 			aPos = man.posByID(r.Dst)
 			slices[aPos] = hashSlice{mod: r.Mod, res: r.Res}
 			man.Shards[aPos].Mod, man.Shards[aPos].Res = r.Mod, r.Res

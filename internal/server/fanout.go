@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"polytm/internal/core"
@@ -23,14 +24,18 @@ import (
 // put those keys in a TXN of GETs (which commits through the
 // cross-shard protocol and serializes against writers).
 
-// mget answers a batch of point reads. Single shard (or a sharded
-// store whose keys all hash to one shard): one transaction, the
-// historical path. Otherwise: group keys by shard, pre-create one
-// sub-response slot per key so the per-shard transactions write
-// disjoint slots, and fan out.
+// mget answers a batch of point reads into one pre-created sub-response
+// slot per key. Single shard (or a sharded store whose keys all hash to
+// one shard): one transaction on the caller's goroutine. Otherwise the
+// keys are grouped by owning shard and the per-shard transactions, which
+// write disjoint slots, fan out.
 func (s *Store) mget(ctx context.Context, keys [][]byte, sem core.Semantics, resp *wire.Response) {
 	tab := s.tab()
-	var only *shard
+	resp.Batch = resp.Batch[:0]
+	for range keys {
+		appendSub(resp)
+	}
+	only := tab.shards[0]
 	if len(tab.shards) > 1 && len(keys) > 0 {
 		only = tab.shardFor(hashKey(keys[0]))
 		for _, k := range keys[1:] {
@@ -40,87 +45,104 @@ func (s *Store) mget(ctx context.Context, keys [][]byte, sem core.Semantics, res
 			}
 		}
 	}
-	if len(tab.shards) == 1 || len(keys) == 0 {
-		only = tab.shards[0]
-	}
+	var err error
 	if only != nil {
-		only.routed.Add(uint64(len(keys)))
-		err := only.tm.AtomicAsCtx(ctx, sem, func(tx *core.Tx) error {
-			resp.Batch = resp.Batch[:0]
-			for _, key := range keys {
-				v, ok, err := only.m.GetTx(tx, lookupKey(key))
-				if err != nil {
-					return err
-				}
-				sub := appendSub(resp)
-				if ok && !only.expiredNow(key) {
-					sub.Status = wire.StatusOK
-					sub.Val = append(sub.Val, v...)
-				} else {
-					sub.Status = wire.StatusNotFound
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			errInto(resp, err)
-			return
-		}
-		resp.Status = wire.StatusOK
+		err = s.mgetShard(ctx, only, 0, nil, keys, sem, resp)
+	} else {
+		err = s.mgetFanout(ctx, tab, keys, sem, resp)
+	}
+	if err != nil {
+		resp.Batch = resp.Batch[:0]
+		errInto(resp, err)
 		return
 	}
+	resp.Status = wire.StatusOK
+}
 
-	resp.Batch = resp.Batch[:0]
-	for range keys {
-		appendSub(resp)
+// mgetFan is the state one cross-shard MGET's per-shard transactions
+// share: owner[j] is the table position owning keys[j], errs[si] the
+// outcome on position si. The inline arrays cover the usual request —
+// a handful of shards, a screenful of keys — and a larger one spills
+// to the heap.
+type mgetFan struct {
+	wg       sync.WaitGroup
+	owner    []uint32
+	errs     []error
+	ownerBuf [32]uint32
+	errBuf   [8]error
+}
+
+// mgetFanout runs one transaction per touched shard and returns the
+// first error in table order. One allocation (the mgetFan) holds
+// everything the transactions share and each spawned goroutine costs
+// one more for its closure; the last touched shard runs on the caller's
+// goroutine, so the common two-shard MGET starts exactly one.
+func (s *Store) mgetFanout(ctx context.Context, tab *routingTable, keys [][]byte, sem core.Semantics, resp *wire.Response) error {
+	f := &mgetFan{}
+	f.owner = f.ownerBuf[:0]
+	for _, k := range keys {
+		f.owner = append(f.owner, uint32(tab.pos(hashKey(k))))
 	}
-	groups := make([][]int, len(tab.shards))
-	for i, k := range keys {
-		si := tab.pos(hashKey(k))
-		groups[si] = append(groups[si], i)
+	if n := len(tab.shards); n <= len(f.errBuf) {
+		f.errs = f.errBuf[:n]
+	} else {
+		f.errs = make([]error, n)
 	}
-	errs := make([]error, len(tab.shards))
-	var wg sync.WaitGroup
-	for si, idxs := range groups {
-		if len(idxs) == 0 {
+	last := slices.Max(f.owner)
+	for si := uint32(0); si < last; si++ {
+		if !slices.Contains(f.owner, si) {
 			continue
 		}
-		sh := tab.shards[si]
-		sh.routed.Add(uint64(len(idxs)))
-		wg.Add(1)
-		go func(si int, sh *shard, idxs []int) {
-			defer wg.Done()
-			errs[si] = sh.tm.AtomicAsCtx(ctx, sem, func(tx *core.Tx) error {
-				for _, j := range idxs {
-					v, ok, err := sh.m.GetTx(tx, lookupKey(keys[j]))
-					if err != nil {
-						return err
-					}
-					// Distinct slots per goroutine; a retried body rewrites
-					// only its own. Scrub the slot again here: the first
-					// attempt may have half-filled it.
-					sub := &resp.Batch[j]
-					sub.Val = sub.Val[:0]
-					if ok && !sh.expiredNow(keys[j]) {
-						sub.Status = wire.StatusOK
-						sub.Val = append(sub.Val, v...)
-					} else {
-						sub.Status = wire.StatusNotFound
-					}
-				}
-				return nil
-			})
-		}(si, sh, idxs)
+		si := si // captured by value: an argument would cost the go statement a second closure
+		f.wg.Add(1)
+		go func() {
+			defer f.wg.Done()
+			f.errs[si] = s.mgetShard(ctx, tab.shards[si], si, f.owner, keys, sem, resp)
+		}()
 	}
-	wg.Wait()
-	for _, err := range errs {
+	f.errs[last] = s.mgetShard(ctx, tab.shards[last], last, f.owner, keys, sem, resp)
+	f.wg.Wait()
+	for _, err := range f.errs {
 		if err != nil {
-			resp.Batch = resp.Batch[:0]
-			errInto(resp, err)
-			return
+			return err
 		}
 	}
-	resp.Status = wire.StatusOK
+	return nil
+}
+
+// mgetShard reads, in one transaction on sh, the keys whose owner entry
+// is si — every key when owner is nil — into their slots of resp.Batch.
+func (s *Store) mgetShard(ctx context.Context, sh *shard, si uint32, owner []uint32, keys [][]byte, sem core.Semantics, resp *wire.Response) error {
+	mine := func(j int) bool { return owner == nil || owner[j] == si }
+	n := uint64(0)
+	for j := range keys {
+		if mine(j) {
+			n++
+		}
+	}
+	sh.routed.Add(n)
+	return sh.tm.AtomicAsCtx(ctx, sem, func(tx *core.Tx) error {
+		for j, key := range keys {
+			if !mine(j) {
+				continue
+			}
+			v, ok, err := sh.m.GetTx(tx, lookupKey(key))
+			if err != nil {
+				return err
+			}
+			// Scrub the slot again: a retried body may have half-filled
+			// it on its first attempt.
+			sub := &resp.Batch[j]
+			sub.Val = sub.Val[:0]
+			if ok && !sh.expiredNow(key) {
+				sub.Status = wire.StatusOK
+				sub.Val = append(sub.Val, v...)
+			} else {
+				sub.Status = wire.StatusNotFound
+			}
+		}
+		return nil
+	})
 }
 
 // kvPair is one shard-local scan result awaiting the merge.

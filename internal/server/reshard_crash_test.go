@@ -17,19 +17,25 @@ import (
 )
 
 // Online-resharding crash windows: SIGKILL a durable store inside the
-// two windows of the split protocol and prove recovery restores the
-// exact acknowledged prefix in both.
+// two windows of the split protocol and the two of the merge protocol,
+// and prove recovery restores the exact acknowledged prefix in all four.
 //
-//   - "begin" window: the process dies the instant the RESHARD BEGIN
-//     record is durable — the new shard never went live and no routing
-//     change was ever visible. Recovery must roll the split back: the
-//     original shard count, the original epoch, the new shard's
-//     directory gone, every acknowledged key intact.
-//   - "commit" window: the process dies the instant the RESHARD COMMIT
+//   - "begin" windows: the process dies the instant the RESHARD BEGIN
+//     record is durable — no routing change was ever visible. Recovery
+//     must roll the reshard back: the table and epoch it started from,
+//     a split's new shard directory gone, every acknowledged key intact.
+//   - "commit" windows: the process dies the instant the RESHARD COMMIT
 //     record is durable — the cutover reached its commit point but the
-//     crash beat the MANIFEST rewrite. Recovery must roll the split
-//     forward: adopt the grown table from the journal, rewrite the
+//     crash beat the MANIFEST rewrite. Recovery must roll the reshard
+//     forward: adopt the journaled table (grown by a split, shrunk by a
+//     merge, the absorbed shard's directory removed), rewrite the
 //     manifest, and surface every acknowledged key.
+//
+// The merge modes first SPLIT shard 0 to completion (three shards,
+// epoch 1) and then die inside the MERGE that would fold the new shard
+// back. Rolling a committed merge forward removes an entry from the
+// per-shard recovery state while recovery is walking it, which once
+// indexed past the end (ROADMAP item 0).
 //
 // Like the 2PC gate, the kill is injected through the WAL's
 // OnDurableRecord hook — on the flusher goroutine, after the record is
@@ -42,13 +48,36 @@ const (
 	reshardCrashKeys    = 96
 )
 
-// reshardCrashChild seeds an acknowledged keyspace, arms the kill hook
-// on the journal record for its window, then starts a SPLIT — and dies
-// mid-protocol.
+// reshardCrashModes lists the four kill windows with the state recovery
+// must reach from each: pinned is the manifest's shard count as the
+// crash left it, shards/epoch the recovered table, and goneDir a shard
+// directory recovery must have removed.
+var reshardCrashModes = []struct {
+	name    string
+	merge   bool
+	record  byte // first byte of the journal record the kill waits for
+	pinned  int
+	shards  int
+	epoch   uint64
+	goneDir string
+}{
+	{name: "begin", record: 0x13, pinned: 2, shards: 2, epoch: 0, goneDir: "shard-0002"},
+	{name: "commit", record: 0x14, pinned: 2, shards: 3, epoch: 1},
+	{name: "merge-begin", merge: true, record: 0x13, pinned: 3, shards: 3, epoch: 1},
+	{name: "merge-commit", merge: true, record: 0x14, pinned: 3, shards: 2, epoch: 2, goneDir: "shard-0002"},
+}
+
+// reshardCrashChild seeds an acknowledged keyspace (and, for a merge
+// window, completes the split the merge will undo), arms the kill hook
+// on the journal record for its window, then starts the reshard — and
+// dies mid-protocol.
 func reshardCrashChild(dir, mode string) {
-	target := byte(0x13) // RESHARD BEGIN
-	if mode == "commit" {
-		target = 0x14 // RESHARD COMMIT
+	var target byte
+	merge := false
+	for _, m := range reshardCrashModes {
+		if m.name == mode {
+			target, merge = m.record, m.merge
+		}
 	}
 	var armed atomic.Bool
 	st := newSharded(reshardCrashShards)
@@ -72,43 +101,53 @@ func reshardCrashChild(dir, mode string) {
 			os.Exit(1)
 		}
 	}
+	if merge {
+		if _, err := st.Split(context.Background(), 0, 0); err != nil {
+			fmt.Printf("CHILD-ERR split before merge: %v\n", err)
+			os.Exit(1)
+		}
+	}
 	fmt.Println("SEEDED")
 	armed.Store(true)
-	st.Split(context.Background(), 0, 0)
+	if merge {
+		st.Merge(context.Background(), 1, 0, 2)
+	} else {
+		st.Split(context.Background(), 0, 0)
+	}
 	fmt.Println("CHILD-ERR survived the kill window")
 	os.Exit(1)
 }
 
-// TestReshardCrashRecovery kills a child process in each split window
-// and verifies the recovered directory. CI runs it -count=10 for the
-// 20-kill acceptance gate.
+// TestReshardCrashRecovery kills a child process in each window and
+// verifies the recovered directory. CI runs it -count=10 for the
+// 40-kill acceptance gate.
 func TestReshardCrashRecovery(t *testing.T) {
 	if dir := os.Getenv(reshardCrashDirEnv); dir != "" {
 		reshardCrashChild(dir, os.Getenv(reshardCrashModeEnv)) // never returns
 	}
-	for _, mode := range []string{"begin", "commit"} {
-		t.Run(mode, func(t *testing.T) {
+	for _, mode := range reshardCrashModes {
+		t.Run(mode.name, func(t *testing.T) {
 			dir := t.TempDir()
 			cmd := exec.Command(os.Args[0], "-test.run=TestReshardCrashRecovery$", "-test.v")
-			cmd.Env = append(os.Environ(), reshardCrashDirEnv+"="+dir, reshardCrashModeEnv+"="+mode)
+			cmd.Env = append(os.Environ(), reshardCrashDirEnv+"="+dir, reshardCrashModeEnv+"="+mode.name)
 			timer := time.AfterFunc(30*time.Second, func() { cmd.Process.Kill() })
 			out, _ := cmd.CombinedOutput() // dies by SIGKILL: error by design
 			timer.Stop()
 			if s := string(out); strings.Contains(s, "CHILD-ERR") || !strings.Contains(s, "SEEDED") {
-				t.Fatalf("crash child (mode=%s):\n%s", mode, s)
+				t.Fatalf("crash child (mode=%s):\n%s", mode.name, s)
 			}
 
-			// The crash in BOTH windows beat the MANIFEST rewrite, so the
-			// pinned count is still the pre-split one — recovery itself
-			// decides whether the table grows.
+			// The crash in EVERY window beat the MANIFEST rewrite, so the
+			// pinned count is still the pre-reshard one — recovery itself
+			// decides whether the table changes.
 			pinned, err := WALShardCount(dir)
 			if err != nil {
 				t.Fatalf("WALShardCount: %v", err)
 			}
-			if pinned != reshardCrashShards {
-				t.Fatalf("pinned shard count = %d, want %d", pinned, reshardCrashShards)
+			if pinned != mode.pinned {
+				t.Fatalf("pinned shard count = %d, want %d", pinned, mode.pinned)
 			}
-			st := newSharded(reshardCrashShards)
+			st := newSharded(pinned)
 			res, err := st.EnableDurability(Durability{Dir: dir, Fsync: wal.ModeAlways, CheckpointEvery: -1})
 			if err != nil {
 				t.Fatalf("recovery: %v", err)
@@ -116,26 +155,19 @@ func TestReshardCrashRecovery(t *testing.T) {
 			defer st.CloseDurability()
 			t.Logf("recovery: %s", res)
 
-			switch mode {
-			case "begin":
-				// Rolled back: original table, no trace of the new shard.
-				if st.NumShards() != reshardCrashShards || st.RoutingEpoch() != 0 {
-					t.Fatalf("begin-window crash left shards=%d epoch=%d", st.NumShards(), st.RoutingEpoch())
-				}
-				if fileExists(filepath.Join(dir, "shard-0002")) {
-					t.Fatal("rolled-back split left the new shard's directory")
-				}
-			case "commit":
-				// Rolled forward: the journaled table, manifest healed.
-				if st.NumShards() != reshardCrashShards+1 || st.RoutingEpoch() != 1 {
-					t.Fatalf("commit-window crash recovered to shards=%d epoch=%d", st.NumShards(), st.RoutingEpoch())
-				}
-				if n, err := WALShardCount(dir); err != nil || n != reshardCrashShards+1 {
-					t.Fatalf("manifest not healed after roll-forward: n=%d err=%v", n, err)
-				}
+			// Rolled back or forward: the table this window resolves to,
+			// and a manifest that says the same.
+			if st.NumShards() != mode.shards || st.RoutingEpoch() != mode.epoch {
+				t.Fatalf("recovered to shards=%d epoch=%d, want shards=%d epoch=%d", st.NumShards(), st.RoutingEpoch(), mode.shards, mode.epoch)
+			}
+			if n, err := WALShardCount(dir); err != nil || n != mode.shards {
+				t.Fatalf("manifest after recovery: n=%d err=%v, want %d", n, err, mode.shards)
+			}
+			if mode.goneDir != "" && fileExists(filepath.Join(dir, mode.goneDir)) {
+				t.Fatalf("recovery left %s behind", mode.goneDir)
 			}
 
-			// Both windows: the exact acknowledged prefix, no more, no less.
+			// Every window: the exact acknowledged prefix, no more, no less.
 			got := scanAll(t, st)
 			if len(got) != reshardCrashKeys {
 				t.Fatalf("recovered %d keys, want %d", len(got), reshardCrashKeys)

@@ -300,9 +300,11 @@ func TestWatchPushBasics(t *testing.T) {
 	if err := w.Add([]byte("exact"), false); err != nil {
 		t.Fatalf("Add: %v", err)
 	}
-	waitCond(t, 2*time.Second, "watch ack", func() bool {
-		st, err := cl.Stats()
-		return err == nil && st["watch_sessions"] == 1
+	// Add does not wait for WATCH-OK, so wait for the registration
+	// itself (the session count was already 1 and proves nothing): a
+	// SET committed before it would rightly go unseen.
+	waitCond(t, 2*time.Second, "second watch registered", func() bool {
+		return srv.Store().Sessions().ActiveWatches() == 2
 	})
 	mustSet("exact", "v")
 	if err := cl.SetEx([]byte("w:ttl"), []byte("v"), 30*time.Millisecond); err != nil {

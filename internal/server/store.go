@@ -581,9 +581,10 @@ func errInto(resp *wire.Response, err error) {
 }
 
 // lookupKey views a wire key as a string without copying. Safe only
-// for operations that compare the key and never retain it (lookups,
-// deletes, range bounds): the skip map stores the keys it inserts, so
-// every insertion path converts with a real copy instead.
+// for operations that compare the key and never retain it: lookups,
+// deletes, range bounds, and TSkipMap.PutTx, whose key is borrowed (an
+// insert clones it; an overwrite never stores it). Values are retained
+// and always convert with a real copy.
 func lookupKey(b []byte) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }
@@ -662,7 +663,7 @@ func (s *Store) set(ctx context.Context, sh *shard, key, val []byte, sem core.Se
 		if !s.ownsKey(sh, key) {
 			return errMovedKey
 		}
-		if _, err := sh.m.PutTx(tx, string(key), string(val)); err != nil {
+		if _, err := sh.m.PutTx(tx, lookupKey(key), string(val)); err != nil {
 			return err
 		}
 		cp.set(key, val)
@@ -705,7 +706,7 @@ func (s *Store) cas(ctx context.Context, sh *shard, key, old, val []byte, sem co
 			resp.Val = append(resp.Val[:0], cur...)
 			return nil
 		}
-		if _, err := sh.m.PutTx(tx, string(key), string(val)); err != nil {
+		if _, err := sh.m.PutTx(tx, lookupKey(key), string(val)); err != nil {
 			return err
 		}
 		resp.Status = wire.StatusOK
@@ -808,7 +809,7 @@ func (s *Store) incr(ctx context.Context, sh *shard, key []byte, delta uint64, n
 		}
 		nv := n + d
 		val := strconv.FormatInt(nv, 10)
-		if _, err := sh.m.PutTx(tx, string(key), val); err != nil {
+		if _, err := sh.m.PutTx(tx, lookupKey(key), val); err != nil {
 			return err
 		}
 		resp.Status = wire.StatusOK
@@ -843,7 +844,7 @@ func (s *Store) setex(ctx context.Context, sh *shard, key, val []byte, ttl time.
 		if !s.ownsKey(sh, key) {
 			return errMovedKey
 		}
-		if _, err := sh.m.PutTx(tx, string(key), string(val)); err != nil {
+		if _, err := sh.m.PutTx(tx, lookupKey(key), string(val)); err != nil {
 			return err
 		}
 		cp.setOpts(key, val, ttl, false)
@@ -975,7 +976,7 @@ func applySubOp(tx *core.Tx, sh *shard, sub *wire.Request, out *wire.Response, r
 			out.Status = wire.StatusNotFound
 		}
 	case wire.OpSet:
-		if _, err := sh.m.PutTx(tx, string(sub.Key), string(sub.Val)); err != nil {
+		if _, err := sh.m.PutTx(tx, lookupKey(sub.Key), string(sub.Val)); err != nil {
 			return err
 		}
 		out.Status = wire.StatusOK
@@ -992,7 +993,7 @@ func applySubOp(tx *core.Tx, sh *shard, sub *wire.Request, out *wire.Response, r
 			out.Status = wire.StatusCASMismatch
 			out.Val = append(out.Val, cur...)
 		default:
-			if _, err := sh.m.PutTx(tx, string(sub.Key), string(sub.Val)); err != nil {
+			if _, err := sh.m.PutTx(tx, lookupKey(sub.Key), string(sub.Val)); err != nil {
 				return err
 			}
 			out.Status = wire.StatusOK

@@ -22,7 +22,7 @@ type Registry struct {
 	pushed atomic.Uint64 // events buffered to a session (events_pushed)
 	lost   atomic.Uint64 // events dropped on overflowed sessions (events_lost)
 
-	mu       sync.RWMutex
+	mu       sync.Mutex // guards sessions; serializes Publish (see there)
 	sessions map[*Session]struct{}
 }
 
@@ -73,8 +73,12 @@ func (r *Registry) Publish(op wire.EventOp, key string) {
 	if r.watches.Load() == 0 {
 		return
 	}
+	// Numbering and fan-out are one critical section: shards publish
+	// concurrently, and a publisher that drew seq n but reached a
+	// session's buffer after the publisher of n+1 would hand that
+	// watcher its events out of seq order.
+	r.mu.Lock()
 	seq := r.seq.Add(1)
-	r.mu.RLock()
 	for s := range r.sessions {
 		pushed, lost := s.offer(op, key, seq)
 		if pushed > 0 {
@@ -84,7 +88,7 @@ func (r *Registry) Publish(op wire.EventOp, key string) {
 			r.lost.Add(lost)
 		}
 	}
-	r.mu.RUnlock()
+	r.mu.Unlock()
 }
 
 // watch is one registered interest of a session.

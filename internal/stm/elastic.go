@@ -67,22 +67,13 @@ func (tx *Txn) lastUnpinned() int {
 // pinned anchor and the most recent unpinned read (the incoming read's
 // γ partner).
 func (tx *Txn) validateElasticCut() bool {
-	check := func(e *readEntry) bool {
-		if e.v.head.Load() != e.ver {
-			return false
-		}
-		if owner, locked := e.v.lockedBy(); locked && owner != tx.id {
-			return false
-		}
-		return true
-	}
 	for i := range tx.rset {
-		if tx.rset[i].pinned && !check(&tx.rset[i]) {
+		if tx.rset[i].pinned && !tx.rset[i].current(tx.id) {
 			return false
 		}
 	}
 	if li := tx.lastUnpinned(); li >= 0 {
-		return check(&tx.rset[li])
+		return tx.rset[li].current(tx.id)
 	}
 	return true
 }

@@ -148,7 +148,21 @@ type Txn struct {
 	// elasticFloor is the read-set index below which elastic window
 	// sliding may not drop entries (they belong to enclosing scopes).
 	elasticFloor int
+
+	// handle belongs to the layer wrapping the engine (see Handle).
+	handle any
 }
+
+// Handle returns the value the wrapping layer attached with SetHandle,
+// nil if none. The slot exists so that layer's per-transaction handle
+// (core's *Tx) can live as long as the pooled Txn shell it wraps and
+// need not be allocated per run; the engine never reads it, and
+// recycle deliberately keeps it — what it points at describes the
+// shell, not a run.
+func (tx *Txn) Handle() any { return tx.handle }
+
+// SetHandle attaches h to the shell; see Handle.
+func (tx *Txn) SetHandle(h any) { tx.handle = h }
 
 // txnIDBlock is how many attempt ids a transaction draws from the
 // engine's global counter at a time. Blocks amortize the global
@@ -605,16 +619,30 @@ func (tx *Txn) extend() bool {
 	return true
 }
 
-// validateReads checks every tracked read: the observed version must
-// still be the head and the variable must not be locked by another
-// transaction.
+// current reports whether the read is still valid for transaction id
+// self: the variable is not locked by another transaction and the
+// observed version is still its head — checked in THAT order. A
+// committer holds the lock from before its clock tick until after it
+// has replaced the head, so "unlocked, then head unchanged" proves
+// every commit that replaces this head locked the variable — and hence
+// ticked — after the lock-word load, i.e. after the timestamp the
+// caller sampled before validating. The opposite order has a hole: the
+// head is loaded while a committer whose tick PRECEDES that sample
+// still holds the lock, the committer publishes and unlocks, and the
+// lock-word load then sees nothing — the caller moves its read
+// timestamp past a commit it has half observed
+// (TestOpacityNoTornCommit, whenever the variable ids sort q before p).
+func (e *readEntry) current(self uint64) bool {
+	if owner, locked := e.v.lockedBy(); locked && owner != self {
+		return false
+	}
+	return e.v.head.Load() == e.ver
+}
+
+// validateReads checks that every tracked read is still current.
 func (tx *Txn) validateReads() bool {
 	for i := range tx.rset {
-		e := &tx.rset[i]
-		if e.v.head.Load() != e.ver {
-			return false
-		}
-		if owner, locked := e.v.lockedBy(); locked && owner != tx.id {
+		if !tx.rset[i].current(tx.id) {
 			return false
 		}
 	}

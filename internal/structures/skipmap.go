@@ -2,6 +2,7 @@ package structures
 
 import (
 	"context"
+	"strings"
 	"sync/atomic"
 
 	"polytm/internal/core"
@@ -107,6 +108,14 @@ func (m *TSkipMap) GetTx(tx *core.Tx, key string) (string, bool, error) {
 
 // PutTx inserts or overwrites key inside tx, reporting whether the key
 // already existed.
+//
+// key is BORROWED: PutTx only compares it, and the insert branch stores
+// a private copy (strings.Clone), so the caller may pass a string that
+// views bytes it goes on to reuse — the server passes a zero-copy view
+// of the request buffer and so pays for a key only when one is really
+// inserted, not on every overwrite. The bytes must stay unchanged until
+// the enclosing transaction's run returns (a retried body searches with
+// them again). val is retained as passed and must be immutable.
 func (m *TSkipMap) PutTx(tx *core.Tx, key, val string) (bool, error) {
 	// The per-level search results live on the stack: search only fills
 	// the slices, so they never escape and the per-op make()s this path
@@ -120,7 +129,7 @@ func (m *TSkipMap) PutTx(tx *core.Tx, key, val string) (bool, error) {
 		return true, core.Set(tx, succs[0].val, val)
 	}
 	lvl := m.randLevel()
-	n := &smNode{key: key, val: core.NewTVar(m.tm, val), next: make([]*core.TVar[*smNode], lvl)}
+	n := &smNode{key: strings.Clone(key), val: core.NewTVar(m.tm, val), next: make([]*core.TVar[*smNode], lvl)}
 	for i := 0; i < lvl; i++ {
 		n.next[i] = core.NewTVar(m.tm, succs[i])
 	}

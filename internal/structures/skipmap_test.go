@@ -6,8 +6,10 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"polytm/internal/core"
+	"polytm/internal/raceflag"
 )
 
 func TestSkipMapBasic(t *testing.T) {
@@ -292,5 +294,79 @@ func TestSkipMapSnapshotAllConsistent(t *testing.T) {
 	}
 	if n != 3 {
 		t.Fatalf("walk continued past failing callback: %d", n)
+	}
+}
+
+// TestSkipMapPutOverwriteAllocs: an overwrite costs the boxed value, the
+// committed Version and (for a caller that builds the value) nothing
+// else — at most 3 with a pool miss; in particular no key is copied.
+func TestSkipMapPutOverwriteAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation inflates allocation counts; budgets are asserted in the non-race CI step")
+	}
+	m := NewTSkipMap(core.NewDefault())
+	for i := 0; i < 64; i++ {
+		m.Put(fmt.Sprintf("k%03d", i), "v", core.Def)
+	}
+	for i := 0; i < 64; i++ {
+		m.Put("k007", "w", core.Def)
+	}
+	if avg := testing.AllocsPerRun(500, func() {
+		if !m.Put("k007", "w", core.Def) {
+			t.Fatal("overwrite reported a fresh insert")
+		}
+	}); avg > 3 {
+		t.Errorf("Put overwrite: %.2f allocs/op, want <= 3", avg)
+	}
+}
+
+// TestSkipMapPutBorrowsKey pins PutTx's borrowed-key contract: the key
+// handed in may view bytes the caller reuses the moment the transaction
+// returns. Every key goes in through ONE buffer — inserted, overwritten,
+// then scribbled over — from several goroutines at once (each with its
+// own buffer), and afterwards every key must read back intact, in
+// order, with Len exact.
+func TestSkipMapPutBorrowsKey(t *testing.T) {
+	const goroutines, perG = 4, 500
+	m := NewTSkipMap(core.NewDefault())
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			buf := make([]byte, 0, 32)
+			for i := 0; i < perG; i++ {
+				buf = fmt.Appendf(buf[:0], "g%d-key-%04d", g, i)
+				borrowed := unsafe.String(unsafe.SliceData(buf), len(buf))
+				if m.Put(borrowed, "first", core.Def) {
+					t.Errorf("insert of %q reported an existing key", buf)
+				}
+				if !m.Put(borrowed, fmt.Sprintf("val-%d-%d", g, i), core.Def) {
+					t.Errorf("overwrite of %q reported a fresh insert", buf)
+				}
+				for j := range buf {
+					buf[j] = 'X'
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := m.Len(); n != goroutines*perG {
+		t.Fatalf("Len = %d, want %d", n, goroutines*perG)
+	}
+	all := m.Range("", "", 0, core.Snapshot)
+	if len(all) != goroutines*perG {
+		t.Fatalf("Range returned %d pairs, want %d", len(all), goroutines*perG)
+	}
+	for g := 0; g < goroutines; g++ {
+		for i := 0; i < perG; i++ {
+			k := fmt.Sprintf("g%d-key-%04d", g, i)
+			if kv := all[g*perG+i]; kv.Key != k || kv.Val != fmt.Sprintf("val-%d-%d", g, i) {
+				t.Fatalf("pair %d = %q:%q, want key %q", g*perG+i, kv.Key, kv.Val, k)
+			}
+			if v, ok := m.Get(k, core.Snapshot); !ok || v != fmt.Sprintf("val-%d-%d", g, i) {
+				t.Fatalf("Get(%q) = %q,%v", k, v, ok)
+			}
+		}
 	}
 }

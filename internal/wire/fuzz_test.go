@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"reflect"
 	"testing"
 
 	"polytm/internal/stm"
@@ -129,10 +130,13 @@ func FuzzDecodeRequest(f *testing.F) {
 	})
 }
 
-// FuzzDecodeResponse throws arbitrary payloads at the response decoder
-// under every opcode it could answer.
-func FuzzDecodeResponse(f *testing.F) {
-	txnSubs := []Op{OpGet, OpSet, OpCAS, OpDel}
+// txnSubs is the sub-opcode list the response fuzz targets decode TXN
+// replies against.
+var txnSubs = []Op{OpGet, OpSet, OpCAS, OpDel}
+
+// addResponseSeeds seeds a response fuzz target with one valid payload
+// per response shape plus the hostile counts.
+func addResponseSeeds(f *testing.F) {
 	for _, c := range []struct {
 		op   Op
 		resp *Response
@@ -164,15 +168,27 @@ func FuzzDecodeResponse(f *testing.F) {
 	}
 	f.Add(byte(OpScan), append([]byte{byte(StatusOK)}, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01))
 	f.Add(byte(OpTxn), []byte{byte(StatusOK), 4})
+}
+
+// fuzzedOp maps a fuzzed byte to a decodable opcode and the sub-opcode
+// list its reply is decoded against.
+func fuzzedOp(opByte byte) (Op, []Op) {
+	op := Op(opByte)
+	if !op.Valid() {
+		op = OpGet
+	}
+	if op == OpTxn {
+		return op, txnSubs
+	}
+	return op, nil
+}
+
+// FuzzDecodeResponse throws arbitrary payloads at the response decoder
+// under every opcode it could answer.
+func FuzzDecodeResponse(f *testing.F) {
+	addResponseSeeds(f)
 	f.Fuzz(func(t *testing.T, opByte byte, data []byte) {
-		op := Op(opByte)
-		if !op.Valid() {
-			op = OpGet
-		}
-		var subOps []Op
-		if op == OpTxn {
-			subOps = txnSubs
-		}
+		op, subOps := fuzzedOp(opByte)
 		resp, err := DecodeResponse(data, op, subOps)
 		if err != nil {
 			return
@@ -187,6 +203,32 @@ func FuzzDecodeResponse(f *testing.F) {
 		}
 		if _, err := AppendResponse(nil, op, resp); err != nil {
 			t.Fatalf("decoded %v response does not re-encode: %v (%+v)", op, err, resp)
+		}
+	})
+}
+
+// FuzzDecodeResponseInto decodes every payload twice — into a fresh
+// Response and into a dirty one whose every field a previous reply
+// filled — and demands the same verdict and, when accepted, the same
+// value: nothing of the earlier Msg, N, Int, Val, Pairs, Batch or
+// Counters may survive into a reply that does not set it.
+func FuzzDecodeResponseInto(f *testing.F) {
+	addResponseSeeds(f)
+	f.Fuzz(func(t *testing.T, opByte byte, data []byte) {
+		op, subOps := fuzzedOp(opByte)
+		fresh, freshErr := DecodeResponse(data, op, subOps)
+		dirty := Response{
+			Status: StatusErr, Val: []byte("stale"), N: 99, Int: -99, Msg: "stale", SubOp: OpCAS,
+			Pairs:    []KV{{Key: []byte("stale"), Val: []byte("stale")}},
+			Batch:    []Response{{Status: StatusErr, Msg: "stale", Val: []byte("stale")}, {N: 7}},
+			Counters: []Counter{{Name: "stale", Value: 1}},
+		}
+		err := DecodeResponseInto(&dirty, data, op, subOps)
+		if (err == nil) != (freshErr == nil) {
+			t.Fatalf("%v: into a dirty Response err=%v, into a fresh one err=%v", op, err, freshErr)
+		}
+		if err == nil && !reflect.DeepEqual(&dirty, fresh) {
+			t.Fatalf("%v: dirty decode differs from fresh:\n dirty %+v\n fresh %+v", op, dirty, *fresh)
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"testing"
+	"testing/iotest"
 )
 
 // TestReadFrameBufLimits proves the reusable-buffer read path keeps
@@ -195,5 +196,58 @@ func TestDecodeRequestIntoNoStaleState(t *testing.T) {
 	}
 	if string(req.Key) == "solo" {
 		t.Fatal("failed decode kept the previous request's key")
+	}
+}
+
+// TestReadFrameBufHeader pins the in-place header read: the four length
+// bytes are peeked out of the bufio.Reader rather than read into a
+// local array, which must change nothing a caller can see. A header cut
+// after 1, 2 or 3 bytes is io.ErrUnexpectedEOF, however few bytes each
+// underlying Read delivers; a hostile length is refused with nothing
+// allocated; and a frame read into a buffer that fits it allocates
+// nothing at all — the allocation the old `var hdr [4]byte` cost every
+// frame on both sides of every connection.
+func TestReadFrameBufHeader(t *testing.T) {
+	var frame bytes.Buffer
+	if err := WriteFrame(&frame, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	for cut := 1; cut < 4; cut++ {
+		br := bufio.NewReader(iotest.OneByteReader(bytes.NewReader(frame.Bytes()[:cut])))
+		if _, err := ReadFrameBuf(br, nil, 0); err != io.ErrUnexpectedEOF {
+			t.Errorf("header cut after %d bytes: err = %v, want io.ErrUnexpectedEOF", cut, err)
+		}
+	}
+	br := bufio.NewReader(iotest.OneByteReader(bytes.NewReader(frame.Bytes())))
+	if got, err := ReadFrameBuf(br, nil, 0); err != nil || string(got) != "payload" {
+		t.Errorf("frame through a one-byte reader = %q, %v", got, err)
+	}
+
+	// Allocation checks reuse one reader over one repeating stream.
+	stream := bytes.Repeat(frame.Bytes(), 8)
+	src := bytes.NewReader(stream)
+	br = bufio.NewReader(src)
+	buf := make([]byte, 0, 64)
+	if avg := testing.AllocsPerRun(100, func() {
+		src.Reset(stream)
+		br.Reset(src)
+		for i := 0; i < 8; i++ {
+			var err error
+			if buf, err = ReadFrameBuf(br, buf, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); avg != 0 {
+		t.Errorf("8 frames into a reused buffer: %.2f allocs, want 0", avg)
+	}
+	hostile := []byte{0xFF, 0xFF, 0xFF, 0xFF, 'x'}
+	if avg := testing.AllocsPerRun(100, func() {
+		src.Reset(hostile)
+		br.Reset(src)
+		if _, err := ReadFrameBuf(br, nil, 1<<20); err != ErrFrameTooLarge {
+			t.Fatalf("hostile length: err = %v, want ErrFrameTooLarge", err)
+		}
+	}); avg != 0 {
+		t.Errorf("refusing a hostile length: %.2f allocs, want 0", avg)
 	}
 }

@@ -570,11 +570,20 @@ func ReadFrameBuf(br *bufio.Reader, buf []byte, maxFrame int) ([]byte, error) {
 	if maxFrame <= 0 {
 		maxFrame = MaxFrame
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	// The header is read in place from br's own buffer: a local
+	// [4]byte handed to io.ReadFull escapes through the io.Reader
+	// interface and costs a heap allocation per frame.
+	hdr, err := br.Peek(4)
+	if err != nil {
+		// io.ReadFull's contract: a clean end between frames is
+		// io.EOF, one inside the header io.ErrUnexpectedEOF.
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
+	br.Discard(4) // cannot fail: Peek just buffered these bytes
 	// Compare in uint64: a maxFrame above 4GiB must not wrap to a tiny
 	// (or zero) cap and start rejecting everything.
 	if uint64(n) > uint64(maxFrame) {
@@ -998,11 +1007,12 @@ func decodeResponseBody(rd *reader, op Op, r *Response, subOps []Op) error {
 			if err != nil {
 				return err
 			}
-			sub := Response{Status: Status(st)}
-			if err := decodeResponseBody(rd, OpGet, &sub, nil); err != nil {
+			// Decode in place: a local sub-response would escape through
+			// the recursive call and cost an allocation per key.
+			r.Batch = append(r.Batch, Response{Status: Status(st)})
+			if err := decodeResponseBody(rd, OpGet, &r.Batch[i], nil); err != nil {
 				return err
 			}
-			r.Batch = append(r.Batch, sub)
 		}
 	case OpTxn:
 		var n uint64
@@ -1052,21 +1062,34 @@ func decodeResponseBody(rd *reader, op Op, r *Response, subOps []Op) error {
 	return err
 }
 
-// DecodeResponse parses one response payload answering opcode op. For
-// OpTxn, subOps must list the batch's sub-opcodes in order (the client
-// knows them from the request it sent).
+// DecodeResponse parses one response payload answering opcode op into
+// a fresh Response. For OpTxn, subOps must list the batch's sub-opcodes
+// in order (the client knows them from the request it sent).
 func DecodeResponse(payload []byte, op Op, subOps []Op) (*Response, error) {
-	rd := &reader{buf: payload}
-	st, err := rd.byte1()
-	if err != nil {
-		return nil, err
-	}
-	r := &Response{Status: Status(st)}
-	if err := decodeResponseBody(rd, op, r, subOps); err != nil {
-		return nil, err
-	}
-	if err := rd.done(); err != nil {
+	r := new(Response)
+	if err := DecodeResponseInto(r, payload, op, subOps); err != nil {
 		return nil, err
 	}
 	return r, nil
+}
+
+// DecodeResponseInto is DecodeResponse into caller-owned storage, so a
+// caller that already has somewhere to put the Response (the client
+// carves a batch's responses out of one allocation) does not pay for
+// one each. r's previous contents are discarded, never reused: every
+// decoded slice either aliases payload or is freshly allocated, so a
+// Response handed out earlier is never written through. On error r
+// holds partially decoded state. subOps is only read, not retained.
+func DecodeResponseInto(r *Response, payload []byte, op Op, subOps []Op) error {
+	*r = Response{}
+	rd := reader{buf: payload}
+	st, err := rd.byte1()
+	if err != nil {
+		return err
+	}
+	r.Status = Status(st)
+	if err := decodeResponseBody(&rd, op, r, subOps); err != nil {
+		return err
+	}
+	return rd.done()
 }
