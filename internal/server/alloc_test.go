@@ -8,6 +8,7 @@ import (
 	"polytm/internal/raceflag"
 	"polytm/internal/server"
 	"polytm/internal/server/client"
+	"polytm/internal/wal"
 	"polytm/internal/wire"
 )
 
@@ -20,7 +21,10 @@ import (
 // back fails here, not in a benchmark someone has to remember to run.
 //
 // GET, SCAN and SET are the per-site arithmetic of that table; the MGET
-// and TXN budgets are what the same change measured.
+// and TXN budgets are what the same change measured. The durable rows
+// (fsync off, so the disk adds no noise) and the cross-shard TXN are the
+// write paths of the kv-durable-write and txn-zipf-2pc workloads: every
+// captured mutation and every 2PC participant goes through them.
 func TestRoundTripAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation inflates allocation counts; budgets are asserted in the non-race CI step")
@@ -36,9 +40,19 @@ func TestRoundTripAllocs(t *testing.T) {
 		return int(h.Sum64() % uint64(n))
 	}
 
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			_, addr := startServer(t, server.Config{StoreShards: shards})
+	for _, tc := range []struct {
+		shards  int
+		durable bool
+	}{{1, false}, {4, false}, {1, true}} {
+		shards := tc.shards
+		t.Run(fmt.Sprintf("shards=%d/durable=%v", shards, tc.durable), func(t *testing.T) {
+			srv, addr := startServer(t, server.Config{StoreShards: shards})
+			if tc.durable {
+				if _, err := srv.Store().EnableDurability(server.Durability{Dir: t.TempDir(), Fsync: wal.ModeOff, CheckpointEvery: -1}); err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { srv.Store().CloseDurability() })
+			}
 			cl := dialTest(t, addr, client.WithPoolSize(1))
 			for i := 0; i < keys; i++ {
 				if err := cl.Set(key(i), val); err != nil {
@@ -65,18 +79,31 @@ func TestRoundTripAllocs(t *testing.T) {
 				{Op: wire.OpGet, Key: key(0)}, {Op: wire.OpGet, Key: near},
 				{Op: wire.OpSet, Key: key(0), Val: val}, {Op: wire.OpSet, Key: near, Val: val},
 			}}
-			cases := []struct {
+			txnX := &wire.Request{Op: wire.OpTxn, Sem: wire.SemDefault, Batch: []wire.Request{
+				{Op: wire.OpGet, Key: key(0)}, {Op: wire.OpGet, Key: far},
+				{Op: wire.OpSet, Key: key(0), Val: val}, {Op: wire.OpSet, Key: far, Val: val},
+			}}
+			incr := &wire.Request{Op: wire.OpIncr, Sem: wire.SemDefault, Key: []byte("counter"), Delta: 1}
+			type row struct {
 				name   string
 				req    *wire.Request
 				budget float64
 				on     int // shard count the case runs on (0 = both)
-			}{
+			}
+			cases := []row{
 				{"GET", get, 2, 0},
 				{"SCAN16", scan, 3, 1},
 				{"SET-overwrite", set, 5, 0},
 				{"MGET2", mget, 3, 0},
 				{"MGET2-cross-shard", mgetX, 5, 4},
 				{"TXN4", txn, 9, 0},
+				{"TXN4-cross-shard", txnX, 38, 4}, // 47 before the 2PC participants shared the capture
+			}
+			if tc.durable {
+				cases = []row{
+					{"durable-SET-overwrite", set, 7, 0},
+					{"durable-INCR", incr, 6, 0},
+				}
 			}
 			for _, c := range cases {
 				if c.on != 0 && c.on != shards {

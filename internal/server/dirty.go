@@ -40,16 +40,6 @@ func (d *dirtySet) mark(key []byte) {
 	d.mu.Unlock()
 }
 
-// markString is mark for keys already held as strings.
-func (d *dirtySet) markString(key string) {
-	d.mu.Lock()
-	if d.keys == nil {
-		d.keys = make(map[string]struct{})
-	}
-	d.keys[key] = struct{}{}
-	d.mu.Unlock()
-}
-
 // markFlush records a whole-keyspace clear: the next checkpoint must be
 // a full base.
 func (d *dirtySet) markFlush() {

@@ -10,10 +10,7 @@ import (
 	"time"
 
 	"polytm/internal/core"
-	"polytm/internal/session"
-	"polytm/internal/stm"
 	"polytm/internal/wal"
-	"polytm/internal/wire"
 )
 
 // Durability configures a Store's write-ahead log. A sharded store
@@ -151,266 +148,11 @@ func WALShardCount(dir string) (int, error) {
 	}
 }
 
-// writeManifest durably pins dir's shard count (the legacy v1 shape;
-// resharded stores write v2 through writeStoreManifest).
-func writeManifest(dir string, n int) error {
-	return writeStoreManifest(dir, legacyManifest(n))
-}
-
 // syncDirBestEffort fsyncs a directory entry; some filesystems refuse.
 func syncDirBestEffort(dir string) {
 	if d, err := os.Open(dir); err == nil {
 		d.Sync()
 		d.Close()
-	}
-}
-
-// walCapture carries one mutation's side effects from the transaction
-// body to the systems that consume them after commit: the shard's
-// write-ahead log (durable stores) and its session notifier (watch
-// events + TTL effects, when any session state is live). Both follow
-// the same two-phase protocol (see wal.Log and session.Notifier):
-//
-//   - the transaction body builds the WAL record into buf, collects
-//     session changes, and reserves both while the body is still
-//     running — under the shard's irrevocable token, so reservation
-//     order is exactly commit order;
-//   - the capture is also the transaction's stm.Observer: OnCommit
-//     confirms the reservations, OnAbort tombstones them. A record or
-//     event can therefore never outlive an aborted transaction.
-//
-// Captures are pooled per shard; one capture serves one ExecuteCtx.
-// On a non-durable store (sh.wal nil) the log half is a no-op and the
-// capture exists only while sessions make it necessary (see
-// shard.capture).
-type walCapture struct {
-	sh       *shard
-	next     stm.Observer // the engine-wide observer, still owed its events
-	buf      []byte
-	seq      uint64 // last reserved log position (meaningful while logged)
-	reserved bool   // log reservation outstanding, awaiting OnCommit/OnAbort
-	logged   bool   // this execution reserved a record: wait() has a target
-
-	track    bool             // collect session changes this execution
-	changes  []session.Change // the collected changes, in mutation order
-	slot     uint64           // reserved notifier slot (meaningful while slotUsed)
-	slotRes  bool             // slot reservation outstanding
-	slotUsed bool             // this execution reserved a slot: waitDelivered has a target
-}
-
-// reset readies a pooled capture for one ExecuteCtx, resolving the
-// session gate for this execution: changes are collected only when a
-// watch is live or the shard has armed TTL deadlines (a SETEX forces
-// tracking on top — it is what arms the first deadline).
-func (c *walCapture) reset() {
-	c.buf = c.buf[:0]
-	c.seq = 0
-	c.reserved = false
-	c.logged = false
-	c.track = c.sh.sess.ActiveWatches() > 0 || c.sh.ttl.Len() > 0
-	c.changes = c.changes[:0]
-	c.slotRes = false
-	c.slotUsed = false
-}
-
-// begin resets the capture for one transaction attempt. It is called
-// at the top of the transaction body, so a re-executed body (which
-// cannot happen under irrevocable semantics, but costs nothing to
-// tolerate) rebuilds its record from scratch.
-func (c *walCapture) begin() {
-	if c == nil {
-		return
-	}
-	c.buf = c.buf[:0]
-	c.changes = c.changes[:0]
-}
-
-// set/del/flush/rebuild append operations to the record under
-// construction. All are nil-safe no-ops so the non-durable execution
-// path shares the call sites.
-func (c *walCapture) set(key, val []byte) {
-	c.setOpts(key, val, 0, false)
-}
-
-// setOpts is set with the session-side TTL decision spelled out: ttl>0
-// arms a deadline (SETEX), ttl==0 disarms any existing one (a plain
-// SET means "no expiry") unless keep preserves it (INCR/DECR). The WAL
-// record is identical in all cases — TTL never persists or replicates;
-// only the reaper's eventual delete does.
-func (c *walCapture) setOpts(key, val []byte, ttl time.Duration, keep bool) {
-	if c == nil {
-		return
-	}
-	if c.sh.wal != nil {
-		c.buf = wal.AppendSet(c.buf, key, val)
-		c.sh.dirty.mark(key)
-	}
-	if c.sh.resharding.Load() {
-		c.sh.rdirty.mark(key)
-	}
-	if c.track {
-		c.changes = append(c.changes, session.Change{Op: wire.EventSet, Key: string(key), TTL: ttl, KeepTTL: keep})
-	}
-}
-
-func (c *walCapture) del(key []byte) {
-	if c == nil {
-		return
-	}
-	if c.sh.wal != nil {
-		c.buf = wal.AppendDel(c.buf, key)
-		c.sh.dirty.mark(key)
-	}
-	if c.sh.resharding.Load() {
-		c.sh.rdirty.mark(key)
-	}
-	if c.track {
-		c.changes = append(c.changes, session.Change{Op: wire.EventDel, Key: string(key)})
-	}
-}
-
-// expire is the reaper's delete: logged and replicated as an ordinary
-// delete (recovery and followers converge without ever re-deciding
-// expiry), surfaced to watchers as EventExpire.
-func (c *walCapture) expire(key string) {
-	if c == nil {
-		return
-	}
-	if c.sh.wal != nil {
-		c.buf = wal.AppendDel(c.buf, []byte(key))
-		c.sh.dirty.mark([]byte(key))
-	}
-	if c.sh.resharding.Load() {
-		c.sh.rdirty.markString(key)
-	}
-	if c.track {
-		c.changes = append(c.changes, session.Change{Op: wire.EventExpire, Key: key})
-	}
-}
-
-func (c *walCapture) flush() {
-	if c == nil {
-		return
-	}
-	if c.sh.wal != nil {
-		c.buf = wal.AppendFlush(c.buf)
-		c.sh.dirty.markFlush()
-	}
-	if c.sh.resharding.Load() {
-		// The copy protocol's shipped set is void (see the delta loop in
-		// reshard.go).
-		c.sh.rdirty.markFlush()
-	}
-	if c.track {
-		c.changes = append(c.changes, session.Change{Op: wire.EventFlush})
-	}
-}
-
-func (c *walCapture) rebuild() {
-	if c == nil {
-		return
-	}
-	if c.sh.wal != nil {
-		c.buf = wal.AppendRebuild(c.buf)
-	}
-	// No session change: REBUILD re-levels the index but every key and
-	// value survives — watchers see nothing, deadlines stay armed.
-}
-
-// appendOp is the generic sink form of set/del, shared with the
-// cross-shard prepare builder through applySubOp.
-func (c *walCapture) appendOp(kind wal.OpKind, key, val []byte) {
-	if c == nil {
-		return
-	}
-	switch kind {
-	case wal.OpSet:
-		c.set(key, val)
-	case wal.OpDel:
-		c.del(key)
-	}
-}
-
-// reserve queues the built record (if any) at the log's next position
-// and the collected changes (if any) at the notifier's. Called as the
-// body's final step: nothing after it can abort the transaction
-// (irrevocable commit cannot fail), and nothing before it has fixed
-// the order.
-func (c *walCapture) reserve() {
-	if c == nil {
-		return
-	}
-	if len(c.buf) > 0 && c.sh.wal != nil {
-		c.seq = c.sh.wal.Reserve(c.buf)
-		c.reserved = true
-		c.logged = true
-	}
-	if len(c.changes) > 0 {
-		c.slot = c.sh.notif.Reserve()
-		c.slotRes = true
-		c.slotUsed = true
-	}
-}
-
-// wait blocks until the reserved record (if any) is durable under the
-// log's fsync mode — the acknowledgement gate of every durable
-// mutation. Called after the transaction has committed (so the record
-// is already confirmed).
-func (c *walCapture) wait() error {
-	if c == nil || !c.logged {
-		return nil
-	}
-	return c.sh.wal.WaitDurable(c.seq)
-}
-
-// waitDelivered blocks until the reserved notifier slot (if any) has
-// delivered: the mutation's events are buffered to every matching
-// session and its TTL effects applied before the client sees the ack.
-func (c *walCapture) waitDelivered() {
-	if c == nil || !c.slotUsed {
-		return
-	}
-	c.sh.notif.Wait(c.slot)
-}
-
-// OnCommit / OnAbort / OnWait implement stm.Observer. A per-
-// transaction observer REPLACES the engine-wide one, so the capture
-// forwards every event to the observer the TM was configured with —
-// enabling durability must not silently cut the write path out of an
-// operator's metrics.
-func (c *walCapture) OnCommit(ev stm.TxnEvent) {
-	if c.reserved {
-		c.sh.wal.Commit(c.seq)
-		c.reserved = false
-	}
-	if c.slotRes {
-		c.sh.notif.Commit(c.slot, c.changes)
-		c.slotRes = false
-	}
-	if c.next != nil {
-		c.next.OnCommit(ev)
-	}
-}
-
-func (c *walCapture) OnAbort(ev stm.TxnEvent) {
-	if c.reserved {
-		c.sh.wal.Cancel(c.seq)
-		c.reserved = false
-		c.logged = false
-	}
-	if c.slotRes {
-		c.sh.notif.Cancel(c.slot)
-		c.slotRes = false
-		c.slotUsed = false
-	}
-	if c.next != nil {
-		c.next.OnAbort(ev)
-	}
-}
-
-func (c *walCapture) OnWait(ev stm.TxnEvent) {
-	if c.next != nil {
-		c.next.OnWait(ev)
 	}
 }
 
@@ -423,10 +165,13 @@ func (c *walCapture) OnWait(ev stm.TxnEvent) {
 // background checkpointer. It must be called before the store serves
 // traffic, and pairs with CloseDurability.
 //
-// The directory's shard count is pinned at creation (MANIFEST): keys
-// hash to shards, so reopening N shard logs as M shards would scatter
-// records to the wrong stores. A mismatch is an error naming the
-// pinned count; WALShardCount lets callers adopt it up front.
+// The directory's MANIFEST records the routing table its logs were
+// written under — shard ids, hash slices, log directories — and the
+// store adopts it: keys hash to shards, so the logs only make sense
+// under that table. The store must be built with the manifest's shard
+// count (a mismatch is an error naming it; WALShardCount lets callers
+// adopt it up front); SPLIT and MERGE change the count afterwards and
+// rewrite the MANIFEST with it.
 func (s *Store) EnableDurability(d Durability) (*RecoverSummary, error) {
 	if s.durable() {
 		return nil, fmt.Errorf("server: durability already enabled")
@@ -494,9 +239,7 @@ func (s *Store) EnableDurability(d Durability) (*RecoverSummary, error) {
 			// the chain already covers them).
 			shOpts := opts
 			shOpts.OnReplayOps = func(ops []wal.Op) { sh.dirty.markOps(ops) }
-			logs[i], results[i], errs[i] = wal.Open(filepath.Join(d.Dir, man.Shards[i].Dir), shOpts, func(ops []wal.Op) error {
-				return s.applyOps(sh, ops)
-			})
+			logs[i], results[i], errs[i] = wal.Open(filepath.Join(d.Dir, man.Shards[i].Dir), shOpts, s.recoverInto(sh))
 		}(i)
 	}
 	wg.Wait()
@@ -505,6 +248,9 @@ func (s *Store) EnableDurability(d Durability) (*RecoverSummary, error) {
 			if l != nil {
 				l.Close()
 			}
+		}
+		for _, sh := range shards {
+			sh.wal = nil
 		}
 	}
 	for _, err := range errs {
@@ -574,9 +320,7 @@ func (s *Store) EnableDurability(d Durability) (*RecoverSummary, error) {
 			dst := s.newShard(r.Dst, s.mkTM())
 			dOpts := opts
 			dOpts.OnReplayOps = func(ops []wal.Op) { dst.dirty.markOps(ops) }
-			dlog, dres, derr := wal.Open(filepath.Join(d.Dir, r.Dir), dOpts, func(ops []wal.Op) error {
-				return s.applyOps(dst, ops)
-			})
+			dlog, dres, derr := wal.Open(filepath.Join(d.Dir, r.Dir), dOpts, s.recoverInto(dst))
 			if derr != nil {
 				closeAll()
 				return nil, fmt.Errorf("server: rolling forward split epoch=%d: %w", begin.Epoch, derr)
@@ -656,12 +400,21 @@ func (s *Store) EnableDurability(d Durability) (*RecoverSummary, error) {
 	// Resolve in-doubt prepares: a shard whose log ends in a PREPARE
 	// crashed inside a cross-shard commit. The coordinator's durable
 	// DECISION set is the truth — present: the commit point was
-	// reached, apply and re-log the operations as a plain record (so
-	// the next recovery replays them without needing the decision to
-	// still exist); absent: the transaction never committed anywhere,
-	// and no client was acknowledged — drop it. Coordinators are named
-	// by STABLE shard id, which pre-resharding equals the position —
-	// legacy logs resolve unchanged.
+	// reached, replay the operations as a mutation of its own — applied
+	// and re-logged as a plain record, so the next recovery replays them
+	// without needing the decision to still exist; absent: the
+	// transaction never committed anywhere, and no client was
+	// acknowledged — drop it. Coordinators are named by STABLE shard id,
+	// which pre-resharding equals the position — legacy logs resolve
+	// unchanged.
+	//
+	// The logs attach first: the capture pool (sh.caps, wired at store
+	// construction) reads the log through the shard, so from here every
+	// mutation's capture routes to the WAL — including captures pooled
+	// earlier by session traffic on the then-non-durable store.
+	for i, sh := range shards {
+		sh.wal = logs[i]
+	}
 	sum := &RecoverSummary{Shards: results}
 	var decisions map[int]map[uint64]bool
 	for i, res := range results {
@@ -684,15 +437,10 @@ func (s *Store) EnableDurability(d Durability) (*RecoverSummary, error) {
 			committed = decisions[pp.Coord][pp.Epoch]
 		}
 		if committed {
-			if err := s.applyOps(shards[i], pp.Ops); err != nil {
+			if err := s.applyOps(context.Background(), shards[i], pp.Ops, mutOpts{quiet: true}); err != nil {
 				closeAll()
-				return nil, fmt.Errorf("server: shard %d: applying in-doubt prepare epoch=%d: %w", shards[i].idx, pp.Epoch, err)
+				return nil, fmt.Errorf("server: shard %d: replaying in-doubt prepare epoch=%d: %w", shards[i].idx, pp.Epoch, err)
 			}
-			if err := logs[i].Append(wal.AppendOps(nil, pp.Ops)); err != nil {
-				closeAll()
-				return nil, fmt.Errorf("server: shard %d: re-logging in-doubt prepare epoch=%d: %w", shards[i].idx, pp.Epoch, err)
-			}
-			shards[i].dirty.markOps(pp.Ops)
 			sum.Committed++
 			if d.Logf != nil {
 				d.Logf("polyserve: shard %d: in-doubt prepare epoch=%d committed (decision found on shard %d)", shards[i].idx, pp.Epoch, pp.Coord)
@@ -732,13 +480,6 @@ func (s *Store) EnableDurability(d Durability) (*RecoverSummary, error) {
 	s.incarnation = uint64(time.Now().UnixNano())
 	s.walDir = d.Dir
 	s.walOpts = opts
-	// The capture pool (sh.caps, wired at store construction) reads the
-	// log through the shard, so attaching it here routes every
-	// subsequent mutation's capture to the WAL — including captures
-	// pooled earlier by session traffic on the then-non-durable store.
-	for i, sh := range shards {
-		sh.wal = logs[i]
-	}
 	// Publish the recovered table (its epoch may exceed tab0's if a
 	// journal rolled forward), then scrub reshard leftovers: a shard can
 	// hold keys it no longer owns — a split source the lazy cleanup
@@ -787,6 +528,16 @@ func posOfID(shards []*shard, id int) int {
 		}
 	}
 	return -1
+}
+
+// recoverInto is sh's wal.Open apply callback: each recovered record
+// replays as one quiet mutation. The log is not attached yet, so
+// nothing is re-logged; per-shard recovery is single-threaded and
+// in-process, so plain def semantics suffice.
+func (s *Store) recoverInto(sh *shard) func(ops []wal.Op) error {
+	return func(ops []wal.Op) error {
+		return s.applyOps(context.Background(), sh, ops, mutOpts{quiet: true})
+	}
 }
 
 // durable reports whether the store's shards carry write-ahead logs
@@ -1036,36 +787,4 @@ func (s *Store) emitKeys(ctx context.Context, sh *shard, keys []string, emit fun
 		}
 	}
 	return nil
-}
-
-// applyOps replays one recovered record — one atomic operation group —
-// into a shard as a single transaction, exactly as the original
-// mutation committed. Per-shard recovery is single-threaded and
-// in-process, so plain def semantics suffice.
-func (s *Store) applyOps(sh *shard, ops []wal.Op) error {
-	return sh.tm.AtomicAs(core.Def, func(tx *core.Tx) error {
-		for _, op := range ops {
-			switch op.Kind {
-			case wal.OpSet:
-				if _, err := sh.m.PutTx(tx, op.Key, op.Val); err != nil {
-					return err
-				}
-			case wal.OpDel:
-				if _, err := sh.m.DeleteTx(tx, op.Key); err != nil {
-					return err
-				}
-			case wal.OpFlush:
-				if _, err := sh.m.ClearTx(tx); err != nil {
-					return err
-				}
-			case wal.OpRebuild:
-				if _, err := sh.m.RebuildTx(tx); err != nil {
-					return err
-				}
-			default:
-				return fmt.Errorf("server: unknown wal op kind %v", op.Kind)
-			}
-		}
-		return nil
-	})
 }

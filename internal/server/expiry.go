@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"polytm/internal/core"
+	"polytm/internal/wal"
 )
 
 // DefaultReapEvery is the background TTL reaper cadence when the
@@ -95,11 +96,8 @@ func (s *Store) reapShard(ctx context.Context, sh *shard) (int, error) {
 	if len(candidates) == 0 {
 		return 0, nil
 	}
-	cp, sem := sh.captureForce()
-	defer sh.caps.Put(cp)
 	reaped := 0
-	err := sh.atomicMut(ctx, sem, cp, func(tx *core.Tx) error {
-		cp.begin()
+	err := s.mutate(ctx, sh, core.Irrevocable, mutOpts{force: true}, func(tx *core.Tx, cp *walCapture) error {
 		reaped = 0
 		// A reshard may have retired or shrunk this shard since the pass
 		// started: a merged-away shard's log is closing, and a split
@@ -123,20 +121,15 @@ func (s *Store) reapShard(ctx context.Context, sh *shard) (int, error) {
 			if d, ok := sh.ttl.deadline(k); !ok || d > now {
 				continue // re-armed or disarmed since collection
 			}
-			removed, err := sh.m.DeleteTx(tx, k)
+			// Nothing removed means a deadline armed with no entry — a lost
+			// race with a delete whose disarm is mid-delivery; the disarm
+			// will land.
+			n, err := sh.applyOp(tx, cp, wal.OpDel, viewBytes(k), "", effect{expire: true})
 			if err != nil {
 				return err
 			}
-			if removed {
-				cp.expire(k)
-				reaped++
-			} else {
-				// Deadline armed but no entry — a lost race with a delete
-				// whose disarm is mid-delivery; the disarm will land.
-				continue
-			}
+			reaped += n
 		}
-		cp.reserve()
 		return nil
 	})
 	if err != nil {

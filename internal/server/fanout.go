@@ -126,19 +126,8 @@ func (s *Store) mgetShard(ctx context.Context, sh *shard, si uint32, owner []uin
 			if !mine(j) {
 				continue
 			}
-			v, ok, err := sh.m.GetTx(tx, lookupKey(key))
-			if err != nil {
+			if err := s.keyOp(tx, sh, nil, wire.OpGet, key, nil, nil, &resp.Batch[j]); err != nil {
 				return err
-			}
-			// Scrub the slot again: a retried body may have half-filled
-			// it on its first attempt.
-			sub := &resp.Batch[j]
-			sub.Val = sub.Val[:0]
-			if ok && !sh.expiredNow(key) {
-				sub.Status = wire.StatusOK
-				sub.Val = append(sub.Val, v...)
-			} else {
-				sub.Status = wire.StatusNotFound
 			}
 		}
 		return nil

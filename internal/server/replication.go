@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"net"
 
-	"polytm/internal/core"
 	"polytm/internal/repl"
 	"polytm/internal/wal"
 	"polytm/internal/wire"
@@ -250,8 +249,8 @@ func (s *Store) DeltaShard(ctx context.Context, i int, applied uint64, emit func
 // ApplyShardOps applies one replicated operation group to shard i as a
 // single atomic transaction (repl.FollowerStore). It bypasses the
 // follower write gate — replication is the one legitimate writer on a
-// follower. On a durable store the group is re-logged through the
-// shard's own WAL exactly like a client mutation, so the follower's
+// follower. It is a mutation like a client's: on a durable store the
+// group is re-logged through the shard's own WAL, so the follower's
 // durable state tracks what it has applied and survives its own
 // crashes; a non-durable follower applies in memory only.
 //
@@ -265,52 +264,7 @@ func (s *Store) ApplyShardOps(i int, ops []wal.Op) error {
 	if i < 0 || i >= len(tab.shards) {
 		return fmt.Errorf("server: apply to shard %d of %d", i, len(tab.shards))
 	}
-	sh := tab.shards[i]
-	if sh.wal == nil && sh.sess.ActiveWatches() == 0 && sh.ttl.Len() == 0 {
-		return s.applyOps(sh, ops)
-	}
-	cp := sh.caps.Get().(*walCapture)
-	cp.reset()
-	defer sh.caps.Put(cp)
-	err := sh.tm.Atomic(func(tx *core.Tx) error {
-		cp.begin()
-		for _, op := range ops {
-			switch op.Kind {
-			case wal.OpSet:
-				if _, err := sh.m.PutTx(tx, op.Key, op.Val); err != nil {
-					return err
-				}
-				cp.set([]byte(op.Key), []byte(op.Val))
-			case wal.OpDel:
-				if _, err := sh.m.DeleteTx(tx, op.Key); err != nil {
-					return err
-				}
-				cp.del([]byte(op.Key))
-			case wal.OpFlush:
-				if _, err := sh.m.ClearTx(tx); err != nil {
-					return err
-				}
-				cp.flush()
-			case wal.OpRebuild:
-				if _, err := sh.m.RebuildTx(tx); err != nil {
-					return err
-				}
-				cp.rebuild()
-			default:
-				return fmt.Errorf("server: unknown wal op kind %v", op.Kind)
-			}
-		}
-		cp.reserve()
-		return nil
-	}, core.WithSemantics(core.Irrevocable), core.WithObserver(cp), core.WithLabel("repl-apply"))
-	if err != nil {
-		return err
-	}
-	if err := cp.wait(); err != nil {
-		return err
-	}
-	cp.waitDelivered()
-	return nil
+	return s.applyOps(context.Background(), tab.shards[i], ops, mutOpts{label: "repl-apply"})
 }
 
 // ResumeEpoch raises the store's cross-shard epoch counter to at least

@@ -462,40 +462,6 @@ func TestPromotedFollowerServesFeeds(t *testing.T) {
 	})
 }
 
-// TestApplyShardOpsDurable: a durable follower re-logs what it
-// applies — restart the follower store over its own WAL directory and
-// the applied keys recover.
-func TestApplyShardOpsDurable(t *testing.T) {
-	dir := t.TempDir()
-	st := NewStore(core.NewDefault())
-	if _, err := st.EnableDurability(Durability{Dir: dir, Fsync: wal.ModeAlways, CheckpointEvery: -1}); err != nil {
-		t.Fatal(err)
-	}
-	st.BecomeFollower("x:1")
-	if err := st.ApplyShardOps(0, []wal.Op{
-		{Kind: wal.OpSet, Key: "r1", Val: "a"},
-		{Kind: wal.OpSet, Key: "r2", Val: "b"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.ApplyShardOps(0, []wal.Op{{Kind: wal.OpDel, Key: "r1"}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.CloseDurability(); err != nil {
-		t.Fatal(err)
-	}
-
-	st2 := NewStore(core.NewDefault())
-	if _, err := st2.EnableDurability(Durability{Dir: dir, Fsync: wal.ModeAlways, CheckpointEvery: -1}); err != nil {
-		t.Fatal(err)
-	}
-	defer st2.CloseDurability()
-	got := scanAll(t, st2)
-	if len(got) != 1 || got["r2"] != "b" {
-		t.Fatalf("recovered follower state = %v, want {r2:b}", got)
-	}
-}
-
 // TestClientDialsWithDeadPrimary pins the cold-start-after-failover
 // path: a replica set configured with a dead primary address must still
 // come up when replicas are listed — reads route to the replicas and

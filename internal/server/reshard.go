@@ -126,7 +126,7 @@ func (s *Store) Split(ctx context.Context, wantEpoch uint64, srcID int) (uint64,
 		if err := os.MkdirAll(path, 0o755); err != nil {
 			return 0, err
 		}
-		dlog, _, err := wal.Open(path, s.walOpts, func(ops []wal.Op) error { return s.applyOps(dst, ops) })
+		dlog, _, err := wal.Open(path, s.walOpts, s.recoverInto(dst))
 		if err != nil {
 			os.RemoveAll(path)
 			return 0, err
@@ -178,13 +178,18 @@ func (s *Store) Split(ctx context.Context, wantEpoch uint64, srcID int) (uint64,
 	// slice, so keys a lazy cleanup left from an EARLIER reshard can
 	// never match (they fail src's current slice, hence dst's too).
 	owns := func(k string) bool { return hashKeyStr(k)%dstMod == dstRes }
-	sink := func(ops []wal.Op) error { return s.splitApply(dst, ops) }
+	// Copy batches land on dst as quiet mutations — the values are not
+	// new, they moved. dst is not yet routable: no concurrent writer, so
+	// no token beyond what its own log's ordering takes.
+	sink := func(ops []wal.Op) error {
+		return s.applyOps(bctx, dst, ops, mutOpts{quiet: true, label: "reshard-copy"})
+	}
 	pendingTTL := make(map[string]int64)
 
 	if err := s.copyPhase(bctx, src, owns, sink, pendingTTL, func() error {
 		// A concurrent FLUSH voided everything shipped so far.
 		clear(pendingTTL)
-		return s.splitApply(dst, []wal.Op{{Kind: wal.OpFlush}})
+		return sink([]wal.Op{{Kind: wal.OpFlush}})
 	}); err != nil {
 		return abort(err)
 	}
@@ -199,7 +204,7 @@ func (s *Store) Split(ctx context.Context, wantEpoch uint64, srcID int) (uint64,
 		var finals []wal.Op
 		if flushed {
 			clear(pendingTTL)
-			if err := s.splitApply(dst, []wal.Op{{Kind: wal.OpFlush}}); err != nil {
+			if err := sink([]wal.Op{{Kind: wal.OpFlush}}); err != nil {
 				return err
 			}
 			if err := src.m.RangeTx(tx, "", "", 0, func(k, v string) bool {
@@ -229,7 +234,7 @@ func (s *Store) Split(ctx context.Context, wantEpoch uint64, srcID int) (uint64,
 			}
 		}
 		if len(finals) > 0 {
-			if err := s.splitApply(dst, finals); err != nil {
+			if err := sink(finals); err != nil {
 				return err
 			}
 		}
@@ -347,7 +352,12 @@ func (s *Store) Merge(ctx context.Context, wantEpoch uint64, aID, bID int) (uint
 	// an earlier split may hash into the survivor's half of the merged
 	// slice, and copying its stale value would clobber a's live one.
 	owns := func(k string) bool { return hashKeyStr(k)%bsl.mod == bsl.res }
-	sink := func(ops []wal.Op) error { return s.mergeApply(bctx, a, ops) }
+	// Copy batches land on a — a live shard with concurrent writers and
+	// 2PC records in its log — under its token (force), as quiet
+	// mutations: the values are not new, they moved.
+	sink := func(ops []wal.Op) error {
+		return s.applyOps(bctx, a, ops, mutOpts{force: true, quiet: true, label: "reshard-copy"})
+	}
 	pendingTTL := make(map[string]int64)
 
 	if err := s.copyPhase(bctx, b, owns, sink, pendingTTL, func() error {
@@ -615,66 +625,18 @@ func trackTTL(src *shard, k string, del bool, pendingTTL map[string]int64) {
 	}
 }
 
-// splitApply lands one copy batch on a split's NEW shard: log first,
-// then memory. The shard is not yet routable — no concurrent writer, no
-// token needed, and its log can hold no 2PC window a plain append could
-// interleave.
-func (s *Store) splitApply(dst *shard, ops []wal.Op) error {
-	if dst.wal != nil {
-		if err := dst.wal.Append(wal.AppendOps(nil, ops)); err != nil {
-			return err
-		}
-		dst.dirty.markOps(ops)
-	}
-	return s.applyOps(dst, ops)
-}
-
-// mergeApply lands one copy batch on a merge's SURVIVOR — a live shard
-// with concurrent writers and 2PC records in its log, so both the
-// memory effect and the append run under its irrevocable token as one
-// unit.
-func (s *Store) mergeApply(ctx context.Context, a *shard, ops []wal.Op) error {
-	return a.tm.AtomicCtx(ctx, func(tx *core.Tx) error {
-		for _, op := range ops {
-			switch op.Kind {
-			case wal.OpSet:
-				if _, err := a.m.PutTx(tx, op.Key, op.Val); err != nil {
-					return err
-				}
-			case wal.OpDel:
-				if _, err := a.m.DeleteTx(tx, op.Key); err != nil {
-					return err
-				}
-			}
-		}
-		if a.wal != nil {
-			if err := a.wal.Append(wal.AppendOps(nil, ops)); err != nil {
-				return err
-			}
-			a.dirty.markOps(ops)
-		}
-		return nil
-	}, core.WithSemantics(core.Irrevocable), core.WithLabel("reshard-copy"))
-}
-
 // cleanShard deletes, in bounded batches, every key sh holds but no
 // longer owns under the current table — the moved half a split retains
 // until this lazy pass, or merge-copy pollution a recovery rolled back.
-// The deletes go through the shard's WAL like any mutation (so the next
-// recovery starts cleaner) but publish no session events: the keys'
-// values live on, on the owning shard. Returns how many were removed.
+// The deletes are mutations like any other (through the WAL, so the
+// next recovery starts cleaner) but quiet: the keys' values live on, on
+// the owning shard. Returns how many were removed.
 func (s *Store) cleanShard(ctx context.Context, sh *shard) (int, error) {
 	tab := s.tab()
 	if tab.epoch == 0 {
 		return 0, nil
 	}
-	pos := -1
-	for i, t := range tab.shards {
-		if t == sh {
-			pos = i
-			break
-		}
-	}
+	pos := tab.posByID(sh.idx)
 	if pos < 0 {
 		return 0, nil // absorbed by a merge; nothing to scrub
 	}
@@ -694,7 +656,7 @@ func (s *Store) cleanShard(ctx context.Context, sh *shard) (int, error) {
 		end := min(start+copyBatch, len(stale))
 		chunk := stale[start:end]
 		done := false
-		err := sh.tm.AtomicCtx(ctx, func(tx *core.Tx) error {
+		err := s.mutate(ctx, sh, core.Irrevocable, mutOpts{force: true, quiet: true, label: "reshard-clean"}, func(tx *core.Tx, cp *walCapture) error {
 			// Re-resolve ownership INSIDE the token: the collection walk
 			// above ran lock-free, and a concurrent MERGE may since have
 			// folded the moved half back onto this shard (or a SPLIT
@@ -704,45 +666,25 @@ func (s *Store) cleanShard(ctx context.Context, sh *shard) (int, error) {
 			// lazy scrub racing a merge deletes keys the shard owns
 			// again, durably.
 			cur := s.tab()
-			pos := -1
-			for i, t := range cur.shards {
-				if t == sh {
-					pos = i
-					break
-				}
-			}
+			pos := cur.posByID(sh.idx)
 			if pos < 0 {
 				done = true // absorbed mid-scrub; nothing left to scrub
 				return nil
 			}
 			csl := cur.slices[pos]
-			var rec []byte
-			var deleted []string
 			for _, k := range chunk {
 				if hashKeyStr(k)%csl.mod == csl.res {
 					continue // owned again — a reshape brought it back
 				}
-				ok, err := sh.m.DeleteTx(tx, k)
+				n, err := sh.applyOp(tx, cp, wal.OpDel, viewBytes(k), "", effect{})
 				if err != nil {
 					return err
 				}
-				if ok {
-					rec = wal.AppendDel(rec, []byte(k))
-					deleted = append(deleted, k)
-					removed++
-				}
+				removed += n
 				sh.ttl.clear(k)
 			}
-			if sh.wal != nil && len(rec) > 0 {
-				if err := sh.wal.Append(rec); err != nil {
-					return err
-				}
-				for _, k := range deleted {
-					sh.dirty.markString(k)
-				}
-			}
 			return nil
-		}, core.WithSemantics(core.Irrevocable), core.WithLabel("reshard-clean"))
+		})
 		if err != nil {
 			return removed, err
 		}
@@ -795,7 +737,7 @@ func (s *Store) AdoptRouting(epoch uint64, topo []wire.ReplShardSlice) error {
 				if err := os.MkdirAll(path, 0o755); err != nil {
 					return err
 				}
-				dlog, _, err := wal.Open(path, s.walOpts, func(ops []wal.Op) error { return s.applyOps(sh, ops) })
+				dlog, _, err := wal.Open(path, s.walOpts, s.recoverInto(sh))
 				if err != nil {
 					return err
 				}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"polytm/internal/core"
 	"polytm/internal/wal"
 	"polytm/internal/wire"
 )
@@ -75,6 +76,69 @@ func TestSplitMovesKeys(t *testing.T) {
 	sm := statsMap(t, st)
 	if sm["routing_epoch"] != 1 || sm["reshard_splits"] != 1 {
 		t.Fatalf("stats: routing_epoch=%d reshard_splits=%d", sm["routing_epoch"], sm["reshard_splits"])
+	}
+}
+
+// TestReadMissOnMovedKeyReroutes: a read that was routed on the
+// pre-split table (here: handed the pre-split owner) and runs after the
+// cutover AND after the scrub has removed the moved half from that
+// shard must not answer "not found" — the miss is a routing race, and
+// the request comes back as the moved-key signal ExecuteCtx retries on.
+// GET always did; MGET and a single-shard TXN's GET reported the key
+// absent.
+func TestReadMissOnMovedKeyReroutes(t *testing.T) {
+	ctx := context.Background()
+	st := newSharded(1)
+	var moved []byte // a key the split hands to the new shard
+	for i := 0; i < 64; i++ {
+		execOK(t, st, &wire.Request{Op: wire.OpSet, Sem: wire.SemDefault, Key: tkey(i), Val: []byte("v")})
+		if hashKey(tkey(i))%2 == 1 {
+			moved = tkey(i)
+		}
+	}
+	src := st.tab().shards[0]
+	if _, err := st.Split(ctx, 0, 0); err != nil {
+		t.Fatalf("Split: %v", err)
+	}
+	// The lazy scrub, run to completion here (it is idempotent with the
+	// goroutine Split started).
+	st.reshardMu.Lock()
+	_, err := st.cleanShard(ctx, src)
+	st.reshardMu.Unlock()
+	if err != nil {
+		t.Fatalf("cleanShard: %v", err)
+	}
+	if _, ok := src.m.Get(string(moved), core.Snapshot); ok {
+		t.Fatalf("scrub left %q on the old owner: the reads below would not miss", moved)
+	}
+
+	for _, tc := range []struct {
+		name string
+		run  func(resp *wire.Response)
+	}{
+		{"GET", func(resp *wire.Response) { st.get(ctx, src, moved, core.Snapshot, resp) }},
+		{"MGET", func(resp *wire.Response) {
+			appendSub(resp)
+			if err := st.mgetShard(ctx, src, 0, nil, [][]byte{moved}, core.Snapshot, resp); err != nil {
+				errInto(resp, err) // what mget does with it
+			}
+		}},
+		{"TXN-GET", func(resp *wire.Response) {
+			st.txnShard(ctx, src, []wire.Request{{Op: wire.OpGet, Key: moved}}, core.Def, resp)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp := new(wire.Response)
+			tc.run(resp)
+			if resp.Status != wire.StatusErr || resp.Msg != errMovedKey.Error() {
+				t.Fatalf("stale-routed read of a moved key answered %v %q %+v, want the moved-key retry signal",
+					resp.Status, resp.Msg, resp.Batch)
+			}
+		})
+	}
+	// Through the front door the same key is simply found.
+	if resp := execOK(t, st, &wire.Request{Op: wire.OpMGet, Sem: wire.SemDefault, Keys: [][]byte{moved}}); string(resp.Batch[0].Val) != "v" {
+		t.Fatalf("MGET after split: %+v", resp.Batch[0])
 	}
 }
 

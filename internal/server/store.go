@@ -135,68 +135,6 @@ type shard struct {
 	routed atomic.Uint64 // operations routed here (STATS distribution row)
 }
 
-// capture returns the shard's pooled walCapture (escalating sem to the
-// irrevocable class) when the mutation has side effects to order —
-// durability, live watches, or armed TTL deadlines — nil (and sem
-// unchanged) otherwise. The escalation holds in every captured case,
-// even over an explicit weaker override: both the log and the session
-// notifier need a total order matching commit order, the shard's
-// irrevocable token is that order, and it guarantees a reserved
-// record's (and slot's) transaction commits. Session-free non-durable
-// mutations keep the historical un-escalated hot path.
-func (sh *shard) capture(sem core.Semantics) (*walCapture, core.Semantics) {
-	if sh.wal == nil && sh.sess.ActiveWatches() == 0 && sh.ttl.Len() == 0 &&
-		!sh.resharding.Load() {
-		return nil, sem
-	}
-	cp := sh.caps.Get().(*walCapture)
-	cp.reset()
-	return cp, core.Irrevocable
-}
-
-// captureForce is capture with the session gate forced open: SETEX
-// must track its change even on an idle store (arming the first
-// deadline is what opens the gate for everyone else), and the reaper
-// must emit EventExpire regardless of who is watching.
-func (sh *shard) captureForce() (*walCapture, core.Semantics) {
-	cp := sh.caps.Get().(*walCapture)
-	cp.reset()
-	cp.track = true
-	return cp, core.Irrevocable
-}
-
-// atomicMut runs one single-shard mutating transaction. The non-durable
-// path is the historical hot path, untouched. The durable path runs fn
-// with the capture as the transaction's observer — confirming or
-// tombstoning the record the body reserved — and gates the
-// acknowledgement on the record being durable.
-func (sh *shard) atomicMut(ctx context.Context, sem core.Semantics, cp *walCapture, fn func(tx *core.Tx) error) error {
-	if cp == nil {
-		return sh.tm.AtomicAsCtx(ctx, sem, fn)
-	}
-	err := sh.tm.AtomicCtx(ctx, fn, core.WithSemantics(sem), core.WithObserver(cp))
-	if err != nil {
-		return err
-	}
-	if err := cp.wait(); err != nil {
-		return err
-	}
-	// Session delivery gate: an acked mutation's events are buffered to
-	// every matching watcher and its TTL effects applied before the
-	// client sees OK.
-	cp.waitDelivered()
-	// Sync-ack replication: the record is locally durable; additionally
-	// wait for a follower ack covering it. (Cross-shard commits go
-	// through twopc.go, not here — they acknowledge on local durability
-	// only; see the replication doc.)
-	if cp.logged {
-		if w := sh.replWait.Load(); w != nil {
-			return (*w)(ctx, cp.seq)
-		}
-	}
-	return nil
-}
-
 // Store is the server's keyspace: an ordered transactional map
 // hash-partitioned across one or more shards. Single-key requests
 // route to exactly one shard by key hash; MGET and SCAN fan out and
@@ -435,13 +373,14 @@ func (s *Store) route(key []byte) *shard {
 	return sh
 }
 
-// errMovedKey is the internal retry signal for a mutation that raced a
-// reshard cutover: the request routed through the pre-cutover table,
-// but by the time its transaction body ran (serialized behind the
-// cutover barrier on the frozen shard's token) the key's owner had
-// changed. The body aborts with this sentinel before writing anything
-// and ExecuteCtx re-routes through the published table — the caller
-// never sees a failure, only the bounded barrier latency.
+// errMovedKey is the internal retry signal for a request that raced a
+// reshard cutover: it routed through the pre-cutover table, but by the
+// time its transaction body ran (a write: serialized behind the cutover
+// barrier on the frozen shard's token) the key's owner had changed. The
+// body aborts with this sentinel — a write before writing anything, a
+// read instead of reporting a miss (see keyOp) — and ExecuteCtx
+// re-routes through the published table: the caller never sees a
+// failure, only the bounded barrier latency.
 var errMovedKey = errors.New("server: key moved by concurrent reshard")
 
 // ownsKey re-checks, inside a transaction body, that sh still owns key
@@ -482,9 +421,9 @@ func (s *Store) ExecuteInto(req *wire.Request, resp *wire.Response) {
 // once begun they ignore cancellation, mirroring the irrevocable
 // contract they ride.)
 func (s *Store) ExecuteCtx(ctx context.Context, req *wire.Request, resp *wire.Response) {
-	// A mutation that raced a reshard cutover aborts with errMovedKey
-	// before writing anything; re-dispatching routes it through the
-	// published table. Bounded: each retry needs another cutover to
+	// A request that raced a reshard cutover aborts with errMovedKey
+	// before writing or answering anything; re-dispatching routes it
+	// through the published table. Bounded: each retry needs another cutover to
 	// land inside the request's own window, and reshards serialize.
 	for attempt := 0; ; attempt++ {
 		s.executeOnce(ctx, req, resp)
@@ -513,12 +452,8 @@ func (s *Store) executeOnce(ctx context.Context, req *wire.Request, resp *wire.R
 	switch req.Op {
 	case wire.OpGet:
 		s.get(ctx, s.route(req.Key), req.Key, sem, resp)
-	case wire.OpSet:
-		s.set(ctx, s.route(req.Key), req.Key, req.Val, sem, resp)
-	case wire.OpCAS:
-		s.cas(ctx, s.route(req.Key), req.Key, req.Old, req.Val, sem, resp)
-	case wire.OpDel:
-		s.del(ctx, s.route(req.Key), req.Key, sem, resp)
+	case wire.OpSet, wire.OpCAS, wire.OpDel:
+		s.write(ctx, s.route(req.Key), req, sem, resp)
 	case wire.OpScan:
 		s.scan(ctx, req.From, req.To, req.Limit, sem, resp)
 	case wire.OpMGet:
@@ -539,9 +474,9 @@ func (s *Store) executeOnce(ctx context.Context, req *wire.Request, resp *wire.R
 	case wire.OpStats:
 		s.stats(resp)
 	case wire.OpFlush:
-		s.flush(ctx, sem, resp)
+		s.admin(ctx, wal.OpFlush, sem, resp)
 	case wire.OpRebuild:
-		s.rebuild(ctx, sem, resp)
+		s.admin(ctx, wal.OpRebuild, sem, resp)
 	case wire.OpPing:
 		// Liveness probe: no transaction, no routing; followers answer
 		// too. The response is the health signal.
@@ -624,135 +559,17 @@ func appendSub(resp *wire.Response) *wire.Response {
 
 func (s *Store) get(ctx context.Context, sh *shard, key []byte, sem core.Semantics, resp *wire.Response) {
 	err := sh.tm.AtomicAsCtx(ctx, sem, func(tx *core.Tx) error {
-		v, ok, err := sh.m.GetTx(tx, lookupKey(key))
-		if err != nil {
-			return err
-		}
-		// Lazy expiry: a key past its armed deadline reads as absent even
-		// before the reaper's delete lands (the reaper is the only thing
-		// that mutates here — reads never write).
-		if !ok || sh.expiredNow(key) {
-			// A miss on a shard that no longer owns the key is a routing
-			// race with a reshard cutover, not an answer: the value may
-			// live on the new owner. Re-route instead of reporting absent.
-			if !s.ownsKey(sh, key) {
-				return errMovedKey
-			}
-			resp.Status = wire.StatusNotFound
-			resp.Val = resp.Val[:0]
-			return nil
-		}
-		resp.Status = wire.StatusOK
-		resp.Val = append(resp.Val[:0], v...)
-		return nil
+		return s.keyOp(tx, sh, nil, wire.OpGet, key, nil, nil, resp)
 	})
 	if err != nil {
 		errInto(resp, err)
 	}
 }
 
-func (s *Store) set(ctx context.Context, sh *shard, key, val []byte, sem core.Semantics, resp *wire.Response) {
-	g := s.grace.enter()
-	defer s.grace.exit(g)
-	cp, sem := sh.capture(sem)
-	if cp != nil {
-		defer sh.caps.Put(cp)
-	}
-	err := sh.atomicMut(ctx, sem, cp, func(tx *core.Tx) error {
-		cp.begin()
-		if !s.ownsKey(sh, key) {
-			return errMovedKey
-		}
-		if _, err := sh.m.PutTx(tx, lookupKey(key), string(val)); err != nil {
-			return err
-		}
-		cp.set(key, val)
-		cp.reserve()
-		return nil
-	})
-	if err != nil {
-		errInto(resp, err)
-		return
-	}
-	resp.Status = wire.StatusOK
-}
-
-// cas is an atomic compare-and-swap: mismatches and misses COMMIT as
-// read-only transactions (they are legitimate outcomes, not failures),
-// so wire-level CAS misses never inflate the engine's abort counters.
-func (s *Store) cas(ctx context.Context, sh *shard, key, old, val []byte, sem core.Semantics, resp *wire.Response) {
-	g := s.grace.enter()
-	defer s.grace.exit(g)
-	cp, sem := sh.capture(sem)
-	if cp != nil {
-		defer sh.caps.Put(cp)
-	}
-	err := sh.atomicMut(ctx, sem, cp, func(tx *core.Tx) error {
-		cp.begin()
-		if !s.ownsKey(sh, key) {
-			return errMovedKey
-		}
-		cur, ok, err := sh.m.GetTx(tx, lookupKey(key))
-		if err != nil {
-			return err
-		}
-		if !ok || sh.expiredNow(key) {
-			resp.Status = wire.StatusNotFound
-			resp.Val = resp.Val[:0]
-			return nil
-		}
-		if cur != lookupKey(old) {
-			resp.Status = wire.StatusCASMismatch
-			resp.Val = append(resp.Val[:0], cur...)
-			return nil
-		}
-		if _, err := sh.m.PutTx(tx, lookupKey(key), string(val)); err != nil {
-			return err
-		}
-		resp.Status = wire.StatusOK
-		resp.Val = resp.Val[:0]
-		// Only a successful swap mutates state; misses and mismatches
-		// reserve nothing and the log stays untouched.
-		cp.set(key, val)
-		cp.reserve()
-		return nil
-	})
-	if err != nil {
-		errInto(resp, err)
-	}
-}
-
-func (s *Store) del(ctx context.Context, sh *shard, key []byte, sem core.Semantics, resp *wire.Response) {
-	g := s.grace.enter()
-	defer s.grace.exit(g)
-	cp, sem := sh.capture(sem)
-	if cp != nil {
-		defer sh.caps.Put(cp)
-	}
-	err := sh.atomicMut(ctx, sem, cp, func(tx *core.Tx) error {
-		cp.begin()
-		if !s.ownsKey(sh, key) {
-			return errMovedKey
-		}
-		// An expired entry is absent to DEL too; its physical removal
-		// stays with the reaper so expiry reaches the WAL (and every
-		// follower) exactly once, as the reaper's delete.
-		if sh.expiredNow(key) {
-			resp.Status = wire.StatusNotFound
-			return nil
-		}
-		removed, err := sh.m.DeleteTx(tx, lookupKey(key))
-		if err != nil {
-			return err
-		}
-		if removed {
-			resp.Status = wire.StatusOK
-			cp.del(key)
-			cp.reserve()
-		} else {
-			resp.Status = wire.StatusNotFound
-		}
-		return nil
+// write serves SET, CAS and DEL: one key-op as one mutation.
+func (s *Store) write(ctx context.Context, sh *shard, req *wire.Request, sem core.Semantics, resp *wire.Response) {
+	err := s.mutate(ctx, sh, sem, mutOpts{}, func(tx *core.Tx, cp *walCapture) error {
+		return s.keyOp(tx, sh, cp, req.Op, req.Key, req.Old, req.Val, resp)
 	})
 	if err != nil {
 		errInto(resp, err)
@@ -765,9 +582,9 @@ func (s *Store) del(ctx context.Context, sh *shard, key []byte, sem core.Semanti
 // zero; a non-integer value is a clean StatusErr committed read-only
 // (like a CAS mismatch, it is an outcome, not an engine failure). The
 // new value rides back in resp.Int. Counters keep an armed TTL ticking
-// (KeepTTL) — touching a counter neither re-arms nor disarms it —
-// except when the increment revives an expired entry, which must not
-// inherit the dead deadline.
+// (keepTTL) — touching a counter neither re-arms nor disarms it —
+// except when the increment starts from zero: a revived expired entry
+// must not inherit the dead deadline.
 func (s *Store) incr(ctx context.Context, sh *shard, key []byte, delta uint64, negate bool, sem core.Semantics, resp *wire.Response) {
 	if delta > math.MaxInt64 {
 		errInto(resp, fmt.Errorf("server: INCR delta %d overflows int64", delta))
@@ -777,24 +594,16 @@ func (s *Store) incr(ctx context.Context, sh *shard, key []byte, delta uint64, n
 	if negate {
 		d = -d
 	}
-	g := s.grace.enter()
-	defer s.grace.exit(g)
-	cp, sem := sh.capture(sem)
-	if cp != nil {
-		defer sh.caps.Put(cp)
-	}
-	err := sh.atomicMut(ctx, sem, cp, func(tx *core.Tx) error {
-		cp.begin()
+	err := s.mutate(ctx, sh, sem, mutOpts{}, func(tx *core.Tx, cp *walCapture) error {
 		if !s.ownsKey(sh, key) {
 			return errMovedKey
 		}
-		cur, ok, err := sh.m.GetTx(tx, lookupKey(key))
+		cur, ok, err := sh.live(tx, key)
 		if err != nil {
 			return err
 		}
-		expired := ok && sh.expiredNow(key)
 		var n int64
-		if ok && !expired {
+		if ok {
 			n, err = strconv.ParseInt(cur, 10, 64)
 			if err != nil {
 				resp.Status = wire.StatusErr
@@ -807,16 +616,10 @@ func (s *Store) incr(ctx context.Context, sh *shard, key []byte, delta uint64, n
 			resp.Msg = fmt.Sprintf("server: counter %d%+d overflows int64", n, d)
 			return nil
 		}
-		nv := n + d
-		val := strconv.FormatInt(nv, 10)
-		if _, err := sh.m.PutTx(tx, lookupKey(key), val); err != nil {
-			return err
-		}
 		resp.Status = wire.StatusOK
-		resp.Int = nv
-		cp.setOpts(key, []byte(val), 0, !expired)
-		cp.reserve()
-		return nil
+		resp.Int = n + d
+		_, err = sh.applyOp(tx, cp, wal.OpSet, key, strconv.FormatInt(resp.Int, 10), effect{keepTTL: ok})
+		return err
 	})
 	if err != nil {
 		errInto(resp, err)
@@ -835,27 +638,16 @@ func (s *Store) setex(ctx context.Context, sh *shard, key, val []byte, ttl time.
 		errInto(resp, wire.ErrZeroTTL)
 		return
 	}
-	g := s.grace.enter()
-	defer s.grace.exit(g)
-	cp, sem := sh.captureForce()
-	defer sh.caps.Put(cp)
-	err := sh.atomicMut(ctx, sem, cp, func(tx *core.Tx) error {
-		cp.begin()
+	err := s.mutate(ctx, sh, core.Irrevocable, mutOpts{force: true}, func(tx *core.Tx, cp *walCapture) error {
 		if !s.ownsKey(sh, key) {
 			return errMovedKey
 		}
-		if _, err := sh.m.PutTx(tx, lookupKey(key), string(val)); err != nil {
-			return err
-		}
-		cp.setOpts(key, val, ttl, false)
-		cp.reserve()
-		return nil
+		_, err := sh.applyOp(tx, cp, wal.OpSet, key, string(val), effect{ttl: ttl})
+		return err
 	})
 	if err != nil {
 		errInto(resp, err)
-		return
 	}
-	resp.Status = wire.StatusOK
 }
 
 func (s *Store) scan(ctx context.Context, from, to []byte, limit uint64, sem core.Semantics, resp *wire.Response) {
@@ -922,102 +714,29 @@ func (s *Store) txn(ctx context.Context, batch []wire.Request, sem core.Semantic
 		}
 		sh = tab.shards[pos]
 	}
+	s.txnShard(ctx, sh, batch, sem, resp)
+}
+
+// txnShard runs a batch whose keys all routed to sh as one mutation.
+// The whole batch is ONE record: its operations replay in one
+// transaction, atomic exactly as they committed.
+func (s *Store) txnShard(ctx context.Context, sh *shard, batch []wire.Request, sem core.Semantics, resp *wire.Response) {
 	sh.routed.Add(uint64(len(batch)))
-	g := s.grace.enter()
-	defer s.grace.exit(g)
-	cp, sem := sh.capture(sem)
-	if cp != nil {
-		defer sh.caps.Put(cp)
-	}
-	err := sh.atomicMut(ctx, sem, cp, func(tx *core.Tx) error {
-		cp.begin()
-		for i := range batch {
-			if batch[i].Op != wire.OpGet && !s.ownsKey(sh, batch[i].Key) {
-				return errMovedKey
-			}
-		}
+	err := s.mutate(ctx, sh, sem, mutOpts{}, func(tx *core.Tx, cp *walCapture) error {
 		resp.Batch = resp.Batch[:0]
 		for i := range batch {
 			sub := &batch[i]
 			out := appendSub(resp)
 			out.SubOp = sub.Op
-			if err := applySubOp(tx, sh, sub, out, cp.appendOp); err != nil {
+			if err := s.keyOp(tx, sh, cp, sub.Op, sub.Key, sub.Old, sub.Val, out); err != nil {
 				return err
 			}
 		}
-		// The whole batch is ONE record: its operations replay in one
-		// transaction, atomic exactly as they committed.
-		cp.reserve()
 		return nil
 	})
 	if err != nil {
 		errInto(resp, err)
-		return
 	}
-	resp.Status = wire.StatusOK
-}
-
-// applySubOp runs one TXN sub-operation against a shard inside tx,
-// filling out and reporting each mutation to record (nil-safe via the
-// walCapture-style sink). It is shared by the single-shard TXN path
-// (sink = the shard's walCapture) and the cross-shard prepare bodies
-// (sink = the participant's prepare record under construction).
-func applySubOp(tx *core.Tx, sh *shard, sub *wire.Request, out *wire.Response, record func(kind wal.OpKind, key, val []byte)) error {
-	switch sub.Op {
-	case wire.OpGet:
-		v, ok, err := sh.m.GetTx(tx, lookupKey(sub.Key))
-		if err != nil {
-			return err
-		}
-		if ok && !sh.expiredNow(sub.Key) {
-			out.Status = wire.StatusOK
-			out.Val = append(out.Val, v...)
-		} else {
-			out.Status = wire.StatusNotFound
-		}
-	case wire.OpSet:
-		if _, err := sh.m.PutTx(tx, lookupKey(sub.Key), string(sub.Val)); err != nil {
-			return err
-		}
-		out.Status = wire.StatusOK
-		record(wal.OpSet, sub.Key, sub.Val)
-	case wire.OpCAS:
-		cur, ok, err := sh.m.GetTx(tx, lookupKey(sub.Key))
-		if err != nil {
-			return err
-		}
-		switch {
-		case !ok || sh.expiredNow(sub.Key):
-			out.Status = wire.StatusNotFound
-		case cur != lookupKey(sub.Old):
-			out.Status = wire.StatusCASMismatch
-			out.Val = append(out.Val, cur...)
-		default:
-			if _, err := sh.m.PutTx(tx, lookupKey(sub.Key), string(sub.Val)); err != nil {
-				return err
-			}
-			out.Status = wire.StatusOK
-			record(wal.OpSet, sub.Key, sub.Val)
-		}
-	case wire.OpDel:
-		if sh.expiredNow(sub.Key) {
-			out.Status = wire.StatusNotFound
-			break
-		}
-		removed, err := sh.m.DeleteTx(tx, lookupKey(sub.Key))
-		if err != nil {
-			return err
-		}
-		if removed {
-			out.Status = wire.StatusOK
-			record(wal.OpDel, sub.Key, nil)
-		} else {
-			out.Status = wire.StatusNotFound
-		}
-	default:
-		return wire.ErrBadSubOp
-	}
-	return nil
 }
 
 // stats snapshots the aggregated engine counters — including the
@@ -1138,75 +857,29 @@ func (s *Store) stats(resp *wire.Response) {
 	resp.Counters = cs
 }
 
-func (s *Store) flush(ctx context.Context, sem core.Semantics, resp *wire.Response) {
+// admin serves FLUSH (kind wal.OpFlush) and REBUILD (wal.OpRebuild),
+// reporting the entries touched in resp.N: one mutation on a single
+// shard, one cross-shard commit over all of them otherwise.
+func (s *Store) admin(ctx context.Context, kind wal.OpKind, sem core.Semantics, resp *wire.Response) {
 	tab := s.tab()
 	if len(tab.shards) > 1 {
-		s.adminCross(ctx, tab, wal.OpFlush, resp)
+		s.adminCross(ctx, tab, kind, resp)
 		return
 	}
 	sh := tab.shards[0]
 	sh.routed.Add(1)
-	g := s.grace.enter()
-	defer s.grace.exit(g)
-	cp, sem := sh.capture(sem)
-	if cp != nil {
-		defer sh.caps.Put(cp)
-	}
-	err := sh.atomicMut(ctx, sem, cp, func(tx *core.Tx) error {
-		cp.begin()
-		// Freshness: a split racing this flush may have published a
+	err := s.mutate(ctx, sh, sem, mutOpts{}, func(tx *core.Tx, cp *walCapture) error {
+		// Freshness: a split racing this request may have published a
 		// second shard this body would miss — retry through the new
 		// table so FLUSH stays whole-store atomic.
 		if s.tab() != tab {
 			return errMovedKey
 		}
-		n, err := sh.m.ClearTx(tx)
-		if err != nil {
-			return err
-		}
+		n, err := sh.applyOp(tx, cp, kind, nil, "", effect{})
 		resp.N = uint64(n)
-		cp.flush()
-		cp.reserve()
-		return nil
+		return err
 	})
 	if err != nil {
 		errInto(resp, err)
-		return
 	}
-	resp.Status = wire.StatusOK
-}
-
-func (s *Store) rebuild(ctx context.Context, sem core.Semantics, resp *wire.Response) {
-	tab := s.tab()
-	if len(tab.shards) > 1 {
-		s.adminCross(ctx, tab, wal.OpRebuild, resp)
-		return
-	}
-	sh := tab.shards[0]
-	sh.routed.Add(1)
-	g := s.grace.enter()
-	defer s.grace.exit(g)
-	cp, sem := sh.capture(sem)
-	if cp != nil {
-		defer sh.caps.Put(cp)
-	}
-	err := sh.atomicMut(ctx, sem, cp, func(tx *core.Tx) error {
-		cp.begin()
-		if s.tab() != tab {
-			return errMovedKey
-		}
-		n, err := sh.m.RebuildTx(tx)
-		if err != nil {
-			return err
-		}
-		resp.N = uint64(n)
-		cp.rebuild()
-		cp.reserve()
-		return nil
-	})
-	if err != nil {
-		errInto(resp, err)
-		return
-	}
-	resp.Status = wire.StatusOK
 }

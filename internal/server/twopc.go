@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"polytm/internal/core"
-	"polytm/internal/session"
 	"polytm/internal/wal"
 	"polytm/internal/wire"
 )
@@ -60,11 +59,11 @@ var errXShardAbort = errors.New("server: cross-shard transaction aborted")
 
 // xpart is one shard's share of a cross-shard commit. apply runs
 // inside the shard's irrevocable transaction; it applies the shard's
-// operations to memory, appends their redo form to rec, and returns
-// the grown record (empty = nothing to log for this shard).
+// operations to memory, recording them through cp like any mutation
+// body (nothing recorded = nothing to log for this shard).
 type xpart struct {
 	sh    *shard
-	apply func(tx *core.Tx, rec []byte) ([]byte, error)
+	apply func(tx *core.Tx, cp *walCapture) error
 }
 
 // crossShard commits parts — which MUST be in ascending shard order —
@@ -80,7 +79,6 @@ func (s *Store) crossShard(ctx context.Context, parts []xpart, label string) err
 	s.xshardTxns.Add(1)
 	n := len(parts)
 	epoch := s.epoch.Add(1)
-	durable := s.durable()
 	coord := parts[0].sh.idx
 	bctx := context.WithoutCancel(ctx)
 
@@ -108,19 +106,25 @@ func (s *Store) crossShard(ctx context.Context, parts []xpart, label string) err
 		begin := func() { began.Do(func() { close(begun[i]) }) }
 		vote := func(err error) { voted.Do(func() { votes <- err }) }
 
+		// The participant records through a capture like any mutation,
+		// with two differences: the record goes out as a PREPARE inside
+		// the body (cp.prepare), and the capture resets under the token
+		// rather than before it — participants do not enter the grace
+		// gate, so only there is the reshard flag it reads stable.
+		cp := p.sh.caps.Get().(*walCapture)
+		defer p.sh.caps.Put(cp)
+
 		if i > 0 {
 			<-begun[i-1]
 		}
 		err := p.sh.tm.AtomicCtx(bctx, func(tx *core.Tx) error {
 			begin()
-			rec, aerr := p.apply(tx, nil)
+			cp.reset(mutOpts{})
+			aerr := p.apply(tx, cp)
 			logged := false
-			if aerr == nil && durable && len(rec) > 0 {
-				// Append blocks until the record is durable: a PREPARE is
-				// only a vote once it cannot be lost.
-				if aerr = p.sh.wal.Append(wal.AppendPrepare(nil, epoch, coord, rec)); aerr == nil {
+			if aerr == nil {
+				if logged, aerr = cp.prepare(epoch, coord); logged {
 					prepares.Add(1)
-					logged = true
 				}
 			}
 			vote(aerr)
@@ -135,7 +139,7 @@ func (s *Store) crossShard(ctx context.Context, parts []xpart, label string) err
 						ferr = verr
 					}
 				}
-				if ferr == nil && durable && prepares.Load() > 0 {
+				if ferr == nil && prepares.Load() > 0 {
 					// The commit point. If this append fails the outcome
 					// is unknown on disk; abort in memory — recovery will
 					// roll the participants' prepares back, matching.
@@ -172,7 +176,7 @@ func (s *Store) crossShard(ctx context.Context, parts []xpart, label string) err
 			}
 			done <- struct{}{}
 			return nil
-		}, core.WithSemantics(core.Irrevocable), core.WithLabel(label))
+		}, core.WithSemantics(core.Irrevocable), core.WithObserver(cp), core.WithLabel(label))
 
 		// If the engine refused the transaction outright the body never
 		// ran: the chain, the vote, and (for the coordinator) the
@@ -184,6 +188,11 @@ func (s *Store) crossShard(ctx context.Context, parts []xpart, label string) err
 				decision = err
 				close(decided)
 			})
+		}
+		if err == nil {
+			// Like a single-shard ack: watchers and TTL tables have this
+			// share's changes before the client sees OK.
+			cp.waitDelivered()
 		}
 		return err
 	}
@@ -215,66 +224,6 @@ func (s *Store) crossShard(ctx context.Context, parts []xpart, label string) err
 	return errXShardAbort
 }
 
-// sessionTrack reports whether cross-shard commits must collect
-// session changes: a watch is live, or some shard has armed TTL
-// deadlines a SET/DEL/FLUSH would have to disarm.
-func (s *Store) sessionTrack(tab *routingTable) bool {
-	if s.sessions.ActiveWatches() > 0 {
-		return true
-	}
-	for _, sh := range tab.shards {
-		if sh.ttl.Len() > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// partSess is one cross-shard participant's session side: the changes
-// its share collected and the notifier slot its body reserved (under
-// its token, so the slot sits at the participant's commit position).
-// The slots resolve after crossShard returns — Commit on success,
-// Cancel on abort — exactly the walCapture lifecycle, hand-rolled
-// because cross-shard bodies build prepare records, not captures.
-type partSess struct {
-	sh   *shard
-	chs  []session.Change
-	slot uint64
-	on   bool
-}
-
-// reserve takes the participant's notifier slot if it collected any
-// changes. Called as the apply body's last step, under the token.
-func (ps *partSess) reserve() {
-	if ps != nil && len(ps.chs) > 0 {
-		ps.slot = ps.sh.notif.Reserve()
-		ps.on = true
-	}
-}
-
-// resolveSess resolves every reserved participant slot: delivery on
-// commit (waiting until watchers and TTL tables have it, like a
-// single-shard ack), tombstone on abort.
-func resolveSess(parts []*partSess, commit bool) {
-	for _, ps := range parts {
-		if !ps.on {
-			continue
-		}
-		if commit {
-			ps.sh.notif.Commit(ps.slot, ps.chs)
-		} else {
-			ps.sh.notif.Cancel(ps.slot)
-		}
-	}
-	if commit {
-		for _, ps := range parts {
-			if ps.on {
-				ps.sh.notif.Wait(ps.slot)
-			}
-		}
-	}
-}
-
 // txnCross commits a TXN batch spanning shards of the snapshot table.
 // Sub-responses are pre-created so the per-shard bodies write disjoint
 // slots. Each participant re-checks table freshness under its token: a
@@ -293,9 +242,7 @@ func (s *Store) txnCross(ctx context.Context, tab *routingTable, batch []wire.Re
 		si := tab.pos(hashKey(batch[i].Key))
 		groups[si] = append(groups[si], i)
 	}
-	track := s.sessionTrack(tab)
 	parts := make([]xpart, 0, len(tab.shards))
-	sess := make([]*partSess, 0, len(tab.shards))
 	for si, idxs := range groups {
 		if len(idxs) == 0 {
 			continue
@@ -303,52 +250,24 @@ func (s *Store) txnCross(ctx context.Context, tab *routingTable, batch []wire.Re
 		sh := tab.shards[si]
 		sh.routed.Add(uint64(len(idxs)))
 		idxs := idxs
-		ps := &partSess{sh: sh}
-		sess = append(sess, ps)
-		parts = append(parts, xpart{sh: sh, apply: func(tx *core.Tx, rec []byte) ([]byte, error) {
+		parts = append(parts, xpart{sh: sh, apply: func(tx *core.Tx, cp *walCapture) error {
 			if s.tab() != tab {
-				return rec, errMovedKey
+				return errMovedKey
 			}
-			resharding := sh.resharding.Load()
 			for _, j := range idxs {
-				out := &resp.Batch[j]
-				out.Status = wire.StatusOK
-				out.Val = out.Val[:0]
-				err := applySubOp(tx, sh, &batch[j], out, func(kind wal.OpKind, key, val []byte) {
-					switch kind {
-					case wal.OpSet:
-						rec = wal.AppendSet(rec, key, val)
-						if track {
-							ps.chs = append(ps.chs, session.Change{Op: wire.EventSet, Key: string(key)})
-						}
-					case wal.OpDel:
-						rec = wal.AppendDel(rec, key)
-						if track {
-							ps.chs = append(ps.chs, session.Change{Op: wire.EventDel, Key: string(key)})
-						}
-					}
-					if sh.wal != nil {
-						sh.dirty.mark(key)
-					}
-					if resharding {
-						sh.rdirty.mark(key)
-					}
-				})
-				if err != nil {
-					return rec, err
+				sub := &batch[j]
+				if err := s.keyOp(tx, sh, cp, sub.Op, sub.Key, sub.Old, sub.Val, &resp.Batch[j]); err != nil {
+					return err
 				}
 			}
-			ps.reserve()
-			return rec, nil
+			return nil
 		}})
 	}
 	if err := s.crossShard(ctx, parts, "xshard-txn"); err != nil {
-		resolveSess(sess, false)
 		resp.Batch = resp.Batch[:0]
 		errInto(resp, err)
 		return
 	}
-	resolveSess(sess, true)
 	resp.Status = wire.StatusOK
 }
 
@@ -358,51 +277,17 @@ func (s *Store) txnCross(ctx context.Context, tab *routingTable, batch []wire.Re
 // so a FLUSH can never miss a shard a concurrent split just published.
 func (s *Store) adminCross(ctx context.Context, tab *routingTable, kind wal.OpKind, resp *wire.Response) {
 	var total atomic.Uint64
-	track := s.sessionTrack(tab)
 	parts := make([]xpart, len(tab.shards))
-	sess := make([]*partSess, len(tab.shards))
 	for i, sh := range tab.shards {
 		sh.routed.Add(1)
 		sh := sh
-		ps := &partSess{sh: sh}
-		sess[i] = ps
-		parts[i] = xpart{sh: sh, apply: func(tx *core.Tx, rec []byte) ([]byte, error) {
+		parts[i] = xpart{sh: sh, apply: func(tx *core.Tx, cp *walCapture) error {
 			if s.tab() != tab {
-				return rec, errMovedKey
+				return errMovedKey
 			}
-			var n int
-			var err error
-			if kind == wal.OpFlush {
-				n, err = sh.m.ClearTx(tx)
-			} else {
-				n, err = sh.m.RebuildTx(tx)
-			}
-			if err != nil {
-				return rec, err
-			}
+			n, err := sh.applyOp(tx, cp, kind, nil, "", effect{})
 			total.Add(uint64(n))
-			if kind == wal.OpFlush {
-				// A flush empties the delta vocabulary's hands — force the
-				// next checkpoint to a full base (see dirtySet).
-				if sh.wal != nil {
-					sh.dirty.markFlush()
-				}
-				if sh.resharding.Load() {
-					// Tell the copy protocol everything it shipped so far
-					// is void (see the delta loop in reshard.go).
-					sh.rdirty.markFlush()
-				}
-				if track {
-					// Every participant's change clears its own TTL table;
-					// only shard 0's delivery publishes the single FLUSH
-					// event watchers see (see applyChanges).
-					ps.chs = append(ps.chs, session.Change{Op: wire.EventFlush})
-				}
-				ps.reserve()
-				return wal.AppendFlush(rec), nil
-			}
-			// REBUILD keeps every key: no events, deadlines stay armed.
-			return wal.AppendRebuild(rec), nil
+			return err
 		}}
 	}
 	label := "xshard-flush"
@@ -410,11 +295,9 @@ func (s *Store) adminCross(ctx context.Context, tab *routingTable, kind wal.OpKi
 		label = "xshard-rebuild"
 	}
 	if err := s.crossShard(ctx, parts, label); err != nil {
-		resolveSess(sess, false)
 		errInto(resp, err)
 		return
 	}
-	resolveSess(sess, true)
 	resp.N = total.Load()
 	resp.Status = wire.StatusOK
 }
