@@ -25,8 +25,9 @@ import (
 //   - applyOps, the replayer: a recovered, shipped or copied []wal.Op
 //     group as one mutate body over applyOp.
 //
-// Cross-shard commits (twopc.go) keep their own protocol around the
-// participants' transactions but record through the same capture.
+// Cross-shard commits (twopc.go) nest one such transaction per shard and
+// keep their own protocol in the innermost one, but record through the
+// same capture.
 
 // mutOpts are a mutation's real differences from a plain client write.
 type mutOpts struct {
@@ -116,6 +117,7 @@ type walCapture struct {
 	next stm.Observer // the engine-wide observer, still owed its events
 
 	buf      []byte
+	ctl      []byte // scratch for a cross-shard commit's control records (see control)
 	seq      uint64 // last reserved log position (meaningful while logged)
 	reserved bool   // log reservation outstanding, awaiting OnCommit/OnAbort
 	logged   bool   // this execution reserved a record: wait() has a target
@@ -165,21 +167,28 @@ func (c *walCapture) reserve() {
 	c.reserveSlot()
 }
 
-// prepare is reserve for a cross-shard participant: the record goes out
-// now, framed as a PREPARE — a vote only counts once it cannot be lost,
-// so the append blocks until durable — and the coordinator's decision,
+// prepare is reserve for a cross-shard participant: the built record (if
+// any) is queued framed as a PREPARE, and the coordinator's decision,
 // not this transaction's commit, resolves it. It reports whether a
-// PREPARE was written. The notifier slot is the ordinary one: the
-// participant's own commit or abort resolves it.
-func (c *walCapture) prepare(epoch uint64, coord int) (bool, error) {
-	c.reserveSlot()
+// PREPARE was queued; wait() then blocks until it is durable — a vote
+// only counts once it cannot be lost. The frame wraps buf, so it is
+// built in the capture's second scratch buffer.
+func (c *walCapture) prepare(epoch uint64, coord int) bool {
 	if len(c.buf) == 0 || c.sh.wal == nil {
-		return false, nil
+		return false
 	}
-	if err := c.sh.wal.Append(wal.AppendPrepare(nil, epoch, coord, c.buf)); err != nil {
-		return false, err
-	}
-	return true, nil
+	c.control(wal.AppendPrepare(c.ctl[:0], epoch, coord, c.buf))
+	return true
+}
+
+// control queues rec — a 2PC control record, built on c.ctl — on the
+// shard's log as already committed: the protocol, not the enclosing
+// transaction, decides its fate. wait() then blocks on it.
+func (c *walCapture) control(rec []byte) {
+	c.ctl = rec
+	c.seq = c.sh.wal.Reserve(rec)
+	c.sh.wal.Commit(c.seq)
+	c.logged = true
 }
 
 // reserveSlot takes the next notifier slot for the collected changes,

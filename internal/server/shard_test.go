@@ -157,45 +157,75 @@ func TestCrossShardTxn(t *testing.T) {
 	}
 }
 
-// TestCrossShardTxnConcurrent: many goroutines hammer cross-shard
-// TXNs over a shared key pair; the two keys move in lockstep, so any
-// torn commit shows up as a mismatched pair. Run with -race in CI.
+// TestCrossShardTxnConcurrent: many goroutines hammer cross-shard TXNs
+// on a durable 9-shard store (more shards than any inline array the
+// commit path uses) while everything else that wants the same tokens
+// runs beside them. Pair p's two keys live on shards p and p+1 — the
+// last pair wraps round to shard 0 — so neighbouring pairs share a
+// shard, the shard sets form a ring, and each pair is written with its
+// keys in either order: only taking tokens in shard order keeps the
+// ring from closing into a deadlock. A pair's keys move in lockstep, so
+// a torn commit shows up as a mismatched pair. Single-shard writers keep
+// every shard's token busy, and half-way through one FLUSH takes all
+// nine at once. Run with -race and a short -timeout in CI: a hang is
+// the failure mode.
 func TestCrossShardTxnConcurrent(t *testing.T) {
-	st := newSharded(4)
-	a, b := tkey(0), []byte(nil)
-	for i := 1; b == nil; i++ {
-		if st.shardIdx(tkey(i)) != st.shardIdx(a) {
-			b = tkey(i)
+	const shards, per = 9, 25
+	st, _ := newShardedDurable(t, t.TempDir(), shards, wal.ModeOff)
+	defer st.CloseDurability()
+	// onShard returns the nth test key owned by shard position p.
+	onShard := func(p, nth int) []byte {
+		for i := 0; ; i++ {
+			if st.shardIdx(tkey(i)) == p {
+				if nth == 0 {
+					return tkey(i)
+				}
+				nth--
+			}
 		}
 	}
-	execOK(t, st, &wire.Request{Op: wire.OpTxn, Sem: wire.SemDefault, Batch: []wire.Request{
-		{Op: wire.OpSet, Key: a, Val: []byte("0")},
-		{Op: wire.OpSet, Key: b, Val: []byte("0")},
-	}})
-	const workers, per = 8, 25
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				v := []byte(fmt.Sprintf("%d-%d", w, i))
-				execOK(t, st, &wire.Request{Op: wire.OpTxn, Sem: wire.SemDefault, Batch: []wire.Request{
-					{Op: wire.OpSet, Key: a, Val: v},
-					{Op: wire.OpSet, Key: b, Val: v},
-				}})
-				// Reading both through a cross-shard TXN of GETs serializes
-				// against the writers above, so the pair must match.
-				resp := execOK(t, st, &wire.Request{Op: wire.OpTxn, Sem: wire.SemDefault, Batch: []wire.Request{
-					{Op: wire.OpGet, Key: a},
-					{Op: wire.OpGet, Key: b},
-				}})
-				if string(resp.Batch[0].Val) != string(resp.Batch[1].Val) {
-					t.Errorf("torn pair: %q vs %q", resp.Batch[0].Val, resp.Batch[1].Val)
-					return
+	for p := 0; p < shards; p++ {
+		a, b := onShard(p, 0), onShard((p+1)%shards, 1)
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func(p, w int) {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					if p == 0 && w == 0 && i == per/2 {
+						execOK(t, st, &wire.Request{Op: wire.OpFlush, Sem: wire.SemDefault})
+					}
+					v := []byte(fmt.Sprintf("%d-%d-%d", p, w, i))
+					k1, k2 := a, b
+					if (i+w)%2 == 1 {
+						k1, k2 = b, a
+					}
+					execOK(t, st, &wire.Request{Op: wire.OpTxn, Sem: wire.SemDefault, Batch: []wire.Request{
+						{Op: wire.OpSet, Key: k1, Val: v},
+						{Op: wire.OpSet, Key: k2, Val: v},
+					}})
+					// Reading both through a cross-shard TXN of GETs serializes
+					// against the writers above (and the FLUSH), so the pair
+					// must match: the same value, or both gone.
+					resp := execOK(t, st, &wire.Request{Op: wire.OpTxn, Sem: wire.SemDefault, Batch: []wire.Request{
+						{Op: wire.OpGet, Key: k2},
+						{Op: wire.OpGet, Key: k1},
+					}})
+					if g1, g2 := resp.Batch[0], resp.Batch[1]; g1.Status != g2.Status || string(g1.Val) != string(g2.Val) {
+						t.Errorf("torn pair %d: %v %q vs %v %q", p, g1.Status, g1.Val, g2.Status, g2.Val)
+						return
+					}
 				}
+			}(p, w)
+		}
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			k := onShard(p, 2)
+			for i := 0; i < per; i++ {
+				execOK(t, st, &wire.Request{Op: wire.OpSet, Sem: wire.SemDefault, Key: k, Val: []byte("solo")})
 			}
-		}(w)
+		}(p)
 	}
 	wg.Wait()
 }

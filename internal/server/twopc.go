@@ -2,9 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
-	"sync"
-	"sync/atomic"
 
 	"polytm/internal/core"
 	"polytm/internal/wal"
@@ -16,22 +13,34 @@ import (
 // A TXN whose keys span shards — and FLUSH/REBUILD, which span all of
 // them — must be failure-atomic: after any crash, recovery surfaces
 // either every shard's share of the transaction or none of it. The
-// store gets this from a two-phase commit built on the pieces the
-// polymorphic engine already provides:
+// store gets this from a two-phase commit that is nothing but the
+// polymorphic engine's own composition: one IRREVOCABLE transaction per
+// participating shard, each opened inside the body of the previous one,
+// all on the caller's goroutine.
 //
-//   - Each participating shard runs its share inside one IRREVOCABLE
-//     transaction. The irrevocable token is held from the moment the
-//     body starts until the transaction finishes, so a participant
-//     that has applied its operations cannot be aborted by contention,
-//     and nothing else can write that shard's log in between.
-//   - Durable stores write a PREPARE record (epoch, coordinator shard,
-//     redo operations) to each participating shard's log, under that
-//     shard's token, and wait for it to be durable.
-//   - The COORDINATOR — the lowest participating shard — collects all
-//     votes and appends a DECISION record (the epoch alone) to ITS log.
-//     That single durable append is the commit point.
-//   - Each participant then appends a COMMIT mark to its own log,
-//     still under its token, and the acknowledgement waits for it.
+//   - Participant i's body applies its share to memory and then opens
+//     participant i+1's transaction on the next shard's engine. The
+//     irrevocable token is held from the moment a body starts until its
+//     transaction finishes, so by the time the innermost frame is
+//     reached every participant holds its token, every share is applied
+//     and none can be aborted by contention; nothing else can write any
+//     participating shard's log in between.
+//   - The innermost frame does the protocol's log work for everyone
+//     (durable stores; see xcommit.seal). A PREPARE record (epoch,
+//     coordinator shard, redo operations) is queued on each shard's log
+//     and only then are they awaited together, so the per-shard flushes
+//     and fsyncs overlap.
+//   - The COORDINATOR — the lowest participating shard, the outermost
+//     frame — then gets a DECISION record (the epoch alone) appended to
+//     ITS log. That single durable append is the commit point.
+//   - Each other participant then gets a COMMIT mark on its own log,
+//     queued together and awaited together, still under every token.
+//   - Unwinding the stack is the outcome: returning nil commits every
+//     share, inner shards first and the coordinator last; returning an
+//     error — a share's own, a log's — aborts them all in the same
+//     order, and that error is what the caller sees. A share that fails
+//     does so before the first PREPARE is queued, so a live abort leaves
+//     no record in any log.
 //
 // Recovery (wal.Open + EnableDurability) resolves the crash windows:
 // a PREPARE followed in its own log by its COMMIT mark (or, on the
@@ -42,228 +51,203 @@ import (
 // never durably decided — roll back, which is correct because no
 // acknowledgement was sent without the decision being durable.
 //
-// Deadlock freedom: participants enter their transactions in
-// ascending shard order, each waiting until the previous
-// participant's body is running (and therefore holds its token).
-// Two concurrent cross-shard commits contending for the same tokens
-// acquire them in the same global order, so one always drains.
+// Deadlock freedom: tokens are taken by nesting, in ascending shard
+// order — a frame asks for the next token only while holding every
+// lower one. Two concurrent cross-shard commits contending for the same
+// tokens acquire them in the same global order, so one always drains.
 //
 // The coordinator keeps holding its token until every participant's
-// COMMIT mark is durable. A checkpoint rotation on the coordinator
-// shard needs that token, so a DECISION record can never be truncated
-// out of the log while any participant's prepare might still need it.
+// COMMIT mark is durable — its frame is the last to unwind. A
+// checkpoint rotation on the coordinator shard needs that token, so a
+// DECISION record can never be truncated out of the log while any
+// participant's prepare might still need it.
 
-// errXShardAbort is the internal "another participant failed" abort;
-// crossShard unwraps it to the real cause before returning.
-var errXShardAbort = errors.New("server: cross-shard transaction aborted")
+// xshare applies sh's share of a cross-shard commit inside sh's
+// irrevocable transaction, recording through cp like any mutation body
+// (nothing recorded = nothing to log for this shard).
+type xshare func(tx *core.Tx, sh *shard, cp *walCapture) error
 
-// xpart is one shard's share of a cross-shard commit. apply runs
-// inside the shard's irrevocable transaction; it applies the shard's
-// operations to memory, recording them through cp like any mutation
-// body (nothing recorded = nothing to log for this shard).
-type xpart struct {
-	sh    *shard
-	apply func(tx *core.Tx, cp *walCapture) error
+// xcommit is one cross-shard commit on its way down the stack: the
+// participants and the captures drawn so far. It lives on crossShard's
+// frame, and so does everything a caller's share closes over — which
+// is why the context, the label and the share travel as arguments: the
+// compiler tracks what a struct points to as one unit, the first two do
+// reach the heap (the engine keeps them for the run), and as fields they
+// would take the callers' inline arrays there with them.
+// TestRoundTripAllocs holds a cross-shard TXN to a one-shard TXN's count.
+type xcommit struct {
+	s      *Store
+	shards []*shard
+	epoch  uint64
+	caps   []*walCapture // caps[i] records shards[i]'s share; nil until frame i is entered
 }
 
-// crossShard commits parts — which MUST be in ascending shard order —
-// as one atomic unit, with parts[0].sh as coordinator. It returns nil
-// iff every shard's share committed; on error nothing committed.
+// crossShard commits share over shards — which MUST be in ascending
+// shard order — as one atomic unit, with shards[0] as coordinator. It
+// returns nil iff every shard's share committed; on error nothing
+// committed, and the error is the one that stopped it.
 //
-// The caller's context is honoured only up to the point the protocol
-// begins: once tokens are being taken the commit ignores cancellation
-// (context.WithoutCancel), mirroring the irrevocable contract it
-// rides — a hung-up client must not strand held tokens or a prepare
-// with no outcome.
-func (s *Store) crossShard(ctx context.Context, parts []xpart, label string) error {
+// The caller's context is honoured while tokens are being taken: a
+// cancellation seen before a frame begins unwinds the frames above it,
+// which have logged nothing yet. After the last token is taken nothing
+// looks at the context again, mirroring the irrevocable contract the
+// commit rides — a hung-up client cannot strand a prepare with no
+// outcome.
+func (s *Store) crossShard(ctx context.Context, shards []*shard, share xshare, label string) error {
 	s.xshardTxns.Add(1)
-	n := len(parts)
-	epoch := s.epoch.Add(1)
-	coord := parts[0].sh.idx
-	bctx := context.WithoutCancel(ctx)
-
-	var (
-		votes    = make(chan error, n)
-		done     = make(chan struct{}, n)
-		decided  = make(chan struct{})
-		decide   sync.Once
-		commit   atomic.Bool
-		decision error // the vote that aborted (or the decision append error); written before decided closes
-
-		// begun[i] closes when participant i's body is running — i.e.
-		// its shard token is held. Participant i+1 enters only then.
-		begun = make([]chan struct{}, n)
-
-		prepares atomic.Uint64 // PREPARE records written (durable stores)
-	)
-	for i := range begun {
-		begun[i] = make(chan struct{})
+	// The inline array covers the usual store — a handful of shards —
+	// and a larger one spills to the heap.
+	var capBuf [8]*walCapture
+	caps := capBuf[:]
+	if len(shards) > len(caps) {
+		caps = make([]*walCapture, len(shards))
 	}
-
-	run := func(i int) error {
-		p := parts[i]
-		var began, voted sync.Once
-		begin := func() { began.Do(func() { close(begun[i]) }) }
-		vote := func(err error) { voted.Do(func() { votes <- err }) }
-
-		// The participant records through a capture like any mutation,
-		// with two differences: the record goes out as a PREPARE inside
-		// the body (cp.prepare), and the capture resets under the token
-		// rather than before it — participants do not enter the grace
-		// gate, so only there is the reshard flag it reads stable.
-		cp := p.sh.caps.Get().(*walCapture)
-		defer p.sh.caps.Put(cp)
-
-		if i > 0 {
-			<-begun[i-1]
-		}
-		err := p.sh.tm.AtomicCtx(bctx, func(tx *core.Tx) error {
-			begin()
-			cp.reset(mutOpts{})
-			aerr := p.apply(tx, cp)
-			logged := false
-			if aerr == nil {
-				if logged, aerr = cp.prepare(epoch, coord); logged {
-					prepares.Add(1)
-				}
-			}
-			vote(aerr)
-
-			if i == 0 {
-				// Coordinator: collect every vote (its own included),
-				// decide, and make the decision durable before anyone
-				// learns it.
-				var ferr error
-				for j := 0; j < n; j++ {
-					if verr := <-votes; verr != nil && ferr == nil {
-						ferr = verr
-					}
-				}
-				if ferr == nil && prepares.Load() > 0 {
-					// The commit point. If this append fails the outcome
-					// is unknown on disk; abort in memory — recovery will
-					// roll the participants' prepares back, matching.
-					ferr = p.sh.wal.Append(wal.AppendDecision(nil, epoch))
-				}
-				decide.Do(func() {
-					decision = ferr
-					commit.Store(ferr == nil)
-					close(decided)
-				})
-				if ferr != nil {
-					return ferr // aborts the coordinator's own share
-				}
-				// Hold the token until every participant's COMMIT mark is
-				// durable (see the package comment on truncation safety).
-				for j := 1; j < n; j++ {
-					<-done
-				}
-				return nil
-			}
-
-			<-decided
-			if !commit.Load() {
-				return errXShardAbort // aborts this shard's share
-			}
-			if logged {
-				// The decision already committed this prepare; the mark
-				// only spares the next recovery a coordinator lookup. An
-				// append failure here is NOT an abort — log and move on,
-				// the wal's sticky error will surface loudly enough.
-				if werr := p.sh.wal.Append(wal.AppendCommitMark(nil, epoch)); werr != nil && s.logf != nil {
-					s.logf("polyserve: shard %d: commit mark epoch=%d: %v", p.sh.idx, epoch, werr)
-				}
-			}
-			done <- struct{}{}
-			return nil
-		}, core.WithSemantics(core.Irrevocable), core.WithObserver(cp), core.WithLabel(label))
-
-		// If the engine refused the transaction outright the body never
-		// ran: the chain, the vote, and (for the coordinator) the
-		// decision are still owed, or everyone else hangs.
-		begin()
-		vote(err)
-		if i == 0 {
-			decide.Do(func() {
-				decision = err
-				close(decided)
-			})
+	caps = caps[:len(shards)]
+	x := xcommit{s: s, shards: shards, epoch: s.epoch.Add(1), caps: caps}
+	err := x.enter(ctx, label, share, 0)
+	for i, cp := range caps {
+		if cp == nil {
+			break
 		}
 		if err == nil {
-			// Like a single-shard ack: watchers and TTL tables have this
+			// Like a single-shard ack: watchers and TTL tables have every
 			// share's changes before the client sees OK.
 			cp.waitDelivered()
 		}
-		return err
+		shards[i].caps.Put(cp)
 	}
+	if err != nil {
+		s.xshardAborts.Add(1)
+	}
+	return err
+}
 
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 1; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = run(i)
-		}(i)
+// enter runs participant i's irrevocable transaction — its share, then
+// everything deeper — and past the last participant, the log work.
+//
+// The participant records through a capture like any mutation, with two
+// differences: the record goes out as a PREPARE (seal), and the capture
+// resets under the token rather than before it — participants do not
+// enter the grace gate, so only there is the reshard flag it reads
+// stable. The capture is the transaction's observer, so the notifier
+// slot it reserves is resolved by this frame's own commit or abort.
+func (x *xcommit) enter(ctx context.Context, label string, share xshare, i int) error {
+	if i == len(x.shards) {
+		return x.seal()
 	}
-	errs[0] = run(0)
-	wg.Wait()
-
-	if commit.Load() {
-		return nil
-	}
-	s.xshardAborts.Add(1)
-	if decision != nil {
-		return decision
-	}
-	for _, err := range errs {
-		if err != nil && !errors.Is(err, errXShardAbort) {
+	sh := x.shards[i]
+	cp := sh.caps.Get().(*walCapture)
+	x.caps[i] = cp
+	return sh.tm.AtomicCtx(ctx, func(tx *core.Tx) error {
+		cp.reset(mutOpts{})
+		if err := share(tx, sh, cp); err != nil {
 			return err
 		}
+		cp.reserveSlot()
+		return x.enter(ctx, label, share, i+1)
+	}, core.WithSemantics(core.Irrevocable), core.WithObserver(cp), core.WithLabel(label))
+}
+
+// seal is the innermost frame: every token held, every share applied.
+// It makes the commit durable — PREPAREs, the coordinator's DECISION,
+// COMMIT marks — and its return value is the commit's outcome. A
+// volatile store, or a commit that changed nothing, logs nothing and
+// commits by unwinding alone.
+func (x *xcommit) seal() error {
+	coord := x.caps[0]
+	prepared := false
+	for _, cp := range x.caps {
+		if cp.prepare(x.epoch, coord.sh.idx) {
+			prepared = true
+		}
 	}
-	return errXShardAbort
+	if !prepared {
+		return nil
+	}
+	// A vote only counts once it cannot be lost.
+	var err error
+	for _, cp := range x.caps {
+		if werr := cp.wait(); werr != nil && err == nil {
+			err = werr
+		}
+	}
+	if err != nil {
+		return err
+	}
+	// The commit point. If this append fails the outcome is unknown on
+	// disk; abort in memory — recovery will roll the participants'
+	// prepares back, matching.
+	coord.control(wal.AppendDecision(coord.ctl[:0], x.epoch))
+	if err := coord.wait(); err != nil {
+		return err
+	}
+	// The decision already committed every prepare; a mark only spares
+	// the next recovery a coordinator lookup. A failure here is NOT an
+	// abort — log and move on, the wal's sticky error will surface
+	// loudly enough.
+	marks := x.caps[1:]
+	for _, cp := range marks {
+		if cp.logged {
+			cp.control(wal.AppendCommitMark(cp.ctl[:0], x.epoch))
+		}
+	}
+	for _, cp := range marks {
+		if werr := cp.wait(); werr != nil && x.s.logf != nil {
+			x.s.logf("polyserve: shard %d: commit mark epoch=%d: %v", cp.sh.idx, x.epoch, werr)
+		}
+	}
+	return nil
 }
 
 // txnCross commits a TXN batch spanning shards of the snapshot table.
-// Sub-responses are pre-created so the per-shard bodies write disjoint
-// slots. Each participant re-checks table freshness under its token: a
+// Sub-responses are pre-created so a retried share rewrites its own
+// slots; owner[j] is the table position owning batch[j], and each
+// participant's share is the sub-operations it owns, in batch order.
+// Each participant re-checks table freshness under its token: a
 // cutover that published a newer table between grouping and commit
 // means some key may have a new owner (or FLUSH would miss a brand-new
 // shard), so the whole unit aborts with errMovedKey and the dispatcher
-// retries through the current table.
+// retries through the current table. The inline arrays cover the usual
+// batch — a screenful of keys over a handful of shards — as mgetFan's do.
 func (s *Store) txnCross(ctx context.Context, tab *routingTable, batch []wire.Request, resp *wire.Response) {
 	resp.Batch = resp.Batch[:0]
+	var ownerBuf [32]uint32
+	owner := ownerBuf[:0]
 	for i := range batch {
 		sub := appendSub(resp)
 		sub.SubOp = batch[i].Op
+		owner = append(owner, uint32(tab.pos(hashKey(batch[i].Key))))
 	}
-	groups := make([][]int, len(tab.shards))
-	for i := range batch {
-		si := tab.pos(hashKey(batch[i].Key))
-		groups[si] = append(groups[si], i)
-	}
-	parts := make([]xpart, 0, len(tab.shards))
-	for si, idxs := range groups {
-		if len(idxs) == 0 {
-			continue
+	var shardBuf [8]*shard
+	shards := shardBuf[:0]
+	for si, sh := range tab.shards {
+		n := uint64(0)
+		for _, o := range owner {
+			if int(o) == si {
+				n++
+			}
 		}
-		sh := tab.shards[si]
-		sh.routed.Add(uint64(len(idxs)))
-		idxs := idxs
-		parts = append(parts, xpart{sh: sh, apply: func(tx *core.Tx, cp *walCapture) error {
-			if s.tab() != tab {
-				return errMovedKey
-			}
-			for _, j := range idxs {
-				sub := &batch[j]
-				if err := s.keyOp(tx, sh, cp, sub.Op, sub.Key, sub.Old, sub.Val, &resp.Batch[j]); err != nil {
-					return err
-				}
-			}
-			return nil
-		}})
+		if n > 0 {
+			sh.routed.Add(n)
+			shards = append(shards, sh)
+		}
 	}
-	if err := s.crossShard(ctx, parts, "xshard-txn"); err != nil {
+	err := s.crossShard(ctx, shards, func(tx *core.Tx, sh *shard, cp *walCapture) error {
+		if s.tab() != tab {
+			return errMovedKey
+		}
+		for j := range batch {
+			if tab.shards[owner[j]] != sh {
+				continue
+			}
+			sub := &batch[j]
+			if err := s.keyOp(tx, sh, cp, sub.Op, sub.Key, sub.Old, sub.Val, &resp.Batch[j]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, "xshard-txn")
+	if err != nil {
 		resp.Batch = resp.Batch[:0]
 		errInto(resp, err)
 		return
@@ -275,29 +259,29 @@ func (s *Store) txnCross(ctx context.Context, tab *routingTable, batch []wire.Re
 // cross-shard commit, summing the per-shard counts into resp.N. Like
 // txnCross, each participant re-checks table freshness under its token
 // so a FLUSH can never miss a shard a concurrent split just published.
+// The shards are visited one after another, lowest first, each holding
+// its token until the whole store is done.
 func (s *Store) adminCross(ctx context.Context, tab *routingTable, kind wal.OpKind, resp *wire.Response) {
-	var total atomic.Uint64
-	parts := make([]xpart, len(tab.shards))
-	for i, sh := range tab.shards {
-		sh.routed.Add(1)
-		sh := sh
-		parts[i] = xpart{sh: sh, apply: func(tx *core.Tx, cp *walCapture) error {
-			if s.tab() != tab {
-				return errMovedKey
-			}
-			n, err := sh.applyOp(tx, cp, kind, nil, "", effect{})
-			total.Add(uint64(n))
-			return err
-		}}
-	}
 	label := "xshard-flush"
 	if kind == wal.OpRebuild {
 		label = "xshard-rebuild"
 	}
-	if err := s.crossShard(ctx, parts, label); err != nil {
+	for _, sh := range tab.shards {
+		sh.routed.Add(1)
+	}
+	var total uint64
+	err := s.crossShard(ctx, tab.shards, func(tx *core.Tx, sh *shard, cp *walCapture) error {
+		if s.tab() != tab {
+			return errMovedKey
+		}
+		n, err := sh.applyOp(tx, cp, kind, nil, "", effect{})
+		total += uint64(n)
+		return err
+	}, label)
+	if err != nil {
 		errInto(resp, err)
 		return
 	}
-	resp.N = total.Load()
+	resp.N = total
 	resp.Status = wire.StatusOK
 }

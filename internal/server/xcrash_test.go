@@ -14,8 +14,8 @@ import (
 	"polytm/internal/wire"
 )
 
-// Cross-shard crash atomicity: SIGKILL a durable sharded store inside
-// the two crash windows of the commit protocol and prove recovery
+// Cross-shard crash atomicity: SIGKILL a durable sharded store at each
+// durable-record boundary of the commit protocol and prove recovery
 // never surfaces a half-applied multi-shard TXN.
 //
 //   - "prepare" window: the process dies the instant the first PREPARE
@@ -27,6 +27,12 @@ import (
 //     Recovery must commit the whole transaction (the commit point was
 //     reached), resolving the participants' in-doubt prepares against
 //     the coordinator's decision set.
+//   - "commit" window: the process dies the instant the first COMMIT
+//     mark is durable — one participant marked, the coordinator's
+//     frame not yet unwound, no client acknowledged. The commit point
+//     is behind it, so recovery must commit the whole transaction: the
+//     marked participant replays by its own log, the coordinator by
+//     its DECISION.
 //
 // The kill is injected through the WAL's OnDurableRecord hook, which
 // runs on the flusher goroutine after the record is on stable storage
@@ -53,10 +59,7 @@ func xcrashPair(st *Store) (a, b []byte) {
 // xcrashChild seeds a cross-shard pair, arms the kill hook, then runs
 // a cross-shard TXN moving both keys — and dies mid-protocol.
 func xcrashChild(dir, mode string) {
-	target := byte(0x10) // PREPARE
-	if mode == "decision" {
-		target = 0x11 // DECISION
-	}
+	target := map[string]byte{"prepare": recPrepare, "decision": recDecision, "commit": recCommit}[mode]
 	var armed atomic.Bool
 	st := newSharded(xcrashShards)
 	_, err := st.EnableDurability(Durability{
@@ -93,12 +96,12 @@ func xcrashChild(dir, mode string) {
 
 // TestCrossShardCrashAtomicity kills a child process in each window
 // and verifies the recovered pair moved in lockstep. CI runs it
-// -count=10 per mode for the 20-kill acceptance gate.
+// -count=10 per mode for the 30-kill acceptance gate.
 func TestCrossShardCrashAtomicity(t *testing.T) {
 	if dir := os.Getenv(xcrashChildEnv); dir != "" {
 		xcrashChild(dir, os.Getenv(xcrashModeEnv)) // never returns
 	}
-	for _, mode := range []string{"prepare", "decision"} {
+	for _, mode := range []string{"prepare", "decision", "commit"} {
 		t.Run(mode, func(t *testing.T) {
 			dir := t.TempDir()
 			cmd := exec.Command(os.Args[0], "-test.run=TestCrossShardCrashAtomicity$", "-test.v")
@@ -131,14 +134,17 @@ func TestCrossShardCrashAtomicity(t *testing.T) {
 				if va != "init" {
 					t.Fatalf("prepare-window crash surfaced the unacknowledged txn: %q", va)
 				}
-			case "decision":
+			case "decision", "commit":
 				// The commit point was durable: recovery must finish the
-				// transaction, resolving in-doubt prepares via the
-				// coordinator's decision set.
+				// transaction.
 				if va != "after" {
 					t.Fatalf("decision was durable but recovery rolled back: %q", va)
 				}
-				if res.Committed == 0 {
+				// Killed at the decision, the other participant's prepare
+				// ends its log: only the coordinator's decision set can
+				// commit it. Killed at the mark, every prepare is resolved
+				// by its own log.
+				if mode == "decision" && res.Committed == 0 {
 					t.Fatalf("expected at least one in-doubt prepare committed via the decision set: %s", res)
 				}
 			}
