@@ -50,26 +50,18 @@ type FollowerConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// followerShard is one shard's apply-side state. The live stream is the
-// same grammar recovery replays, so the same state machine runs over
-// it: a PREPARE is held pending and resolved by the next record in that
-// shard's stream (the primary holds the shard's irrevocable token
-// across a cross-shard commit, so nothing can legitimately intervene);
-// DECISION epochs are remembered so prepares still pending at
-// promotion resolve exactly as recovery resolves in-doubt prepares.
+// followerShard is one shard's apply-side state: the ack position and
+// the shard's shipped record stream, stepped by the same wal.Replay
+// machine recovery steps over a log tail. id is the shard's stable id
+// on the primary (its table position until a TOPOLOGY frame says
+// otherwise) — what PREPARE records name their coordinator by.
 type followerShard struct {
+	id       int
 	ackSeq   uint64
 	ackBytes uint64
-	pending  *wal.PendingPrepare
-	decided  map[uint64]bool
+	replay   wal.Replay
 	cleared  bool // this connection's snapshot clear happened
 }
-
-// maxDecided bounds a shard's remembered decision set. A pending
-// prepare's decision is logged within the same commit window, so only
-// recent epochs can ever be needed; pruning old ones keeps a
-// long-running follower's memory flat.
-const maxDecided = 4096
 
 // Follower maintains the replication link to a primary: it dials,
 // subscribes, applies the catch-up snapshot and the live tail, acks its
@@ -86,9 +78,10 @@ type Follower struct {
 	applRecs   atomic.Uint64
 	applBytes  atomic.Uint64
 
-	mu       sync.Mutex
-	shards   []followerShard
-	topo     []wire.ReplShardSlice // adopted routing table, in position order
+	mu     sync.Mutex
+	shards []followerShard
+	// maxEpoch is the largest 2PC epoch any shard's stream has shown,
+	// kept across the snapshot clears and reshapes that reset a stream.
 	maxEpoch uint64
 	// primaryInc is the primary incarnation the last completed catch-up
 	// spoke to (from SNAP-DONE). The next HELLO echoes it so the primary
@@ -114,6 +107,13 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("repl: follower needs a store")
 	}
+	f := newFollower(cfg)
+	go f.run()
+	return f, nil
+}
+
+// newFollower builds the link state without starting its goroutine.
+func newFollower(cfg FollowerConfig) *Follower {
 	f := &Follower{
 		cfg:     cfg,
 		tm:      cfg.Timeouts.WithDefaults(),
@@ -123,8 +123,10 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 		done:    make(chan struct{}),
 	}
 	f.shards = make([]followerShard, f.nshards)
-	go f.run()
-	return f, nil
+	for i := range f.shards {
+		f.shards[i].id = i
+	}
+	return f
 }
 
 // State reports the link's position in its connection state machine.
@@ -310,8 +312,7 @@ func (f *Follower) linkOnce() (streamed bool, err error) {
 				// old link is already embodied in the shipped values, so
 				// drop it; byte accounting restarts with the new feed.
 				sh := &f.shards[shard]
-				sh.pending = nil
-				sh.decided = nil
+				sh.replay = wal.Replay{}
 				sh.ackBytes = 0
 			} else if !f.shards[shard].cleared {
 				// An empty shard sends no SNAP-BATCH; the clear still must
@@ -368,21 +369,22 @@ func (f *Follower) adoptTopology(frame *wire.ReplFrame) error {
 		if n != f.nshards {
 			return fmt.Errorf("repl: primary has %d shards at epoch %d, follower store has %d — shard counts must match", n, frame.Epoch, f.nshards)
 		}
+	} else {
+		if err := f.cfg.Store.AdoptRouting(frame.Epoch, frame.Topo); err != nil {
+			return fmt.Errorf("repl: adopting routing epoch %d: %w", frame.Epoch, err)
+		}
 		f.mu.Lock()
-		f.topo = append(f.topo[:0], frame.Topo...)
+		f.shards = make([]followerShard, n)
+		f.primaryInc = 0 // old positions are void; the next HELLO asks for snapshots
 		f.mu.Unlock()
-		return nil
-	}
-	if err := f.cfg.Store.AdoptRouting(frame.Epoch, frame.Topo); err != nil {
-		return fmt.Errorf("repl: adopting routing epoch %d: %w", frame.Epoch, err)
+		f.nshards = n
+		f.logf("repl: adopted routing epoch %d (%d shards)", frame.Epoch, n)
 	}
 	f.mu.Lock()
-	f.topo = append(f.topo[:0], frame.Topo...)
-	f.shards = make([]followerShard, n)
-	f.primaryInc = 0 // old positions are void; the next HELLO asks for snapshots
+	for i := range f.shards {
+		f.shards[i].id = int(frame.Topo[i].ID)
+	}
 	f.mu.Unlock()
-	f.nshards = n
-	f.logf("repl: adopted routing epoch %d (%d shards)", frame.Epoch, n)
 	return nil
 }
 
@@ -396,8 +398,7 @@ func (f *Follower) clearShard(shard int) error {
 	f.mu.Lock()
 	sh := &f.shards[shard]
 	sh.cleared = true
-	sh.pending = nil
-	sh.decided = nil
+	sh.replay = wal.Replay{}
 	sh.ackSeq = 0
 	sh.ackBytes = 0
 	f.mu.Unlock()
@@ -457,8 +458,8 @@ func (f *Follower) applyDeltaBatch(frame *wire.ReplFrame, ops *[]wal.Op) error {
 	return nil
 }
 
-// applyWALBatch runs the recovery state machine over one WAL-BATCH
-// frame's records, in order.
+// applyWALBatch steps one WAL-BATCH frame's records, in order, through
+// the shard's stream and applies what each step releases.
 func (f *Follower) applyWALBatch(frame *wire.ReplFrame, ops *[]wal.Op) error {
 	shard := int(frame.Shard)
 	if shard < 0 || shard >= f.nshards {
@@ -474,46 +475,12 @@ func (f *Follower) applyWALBatch(frame *wire.ReplFrame, ops *[]wal.Op) error {
 		}
 		f.mu.Lock()
 		sh := &f.shards[shard]
-		if rec.Kind != wal.RecordOps && rec.Epoch > f.maxEpoch {
-			f.maxEpoch = rec.Epoch
-		}
-		var applyNow []wal.Op
-		if sh.pending != nil {
-			if (rec.Kind == wal.RecordCommit || rec.Kind == wal.RecordDecision) && rec.Epoch == sh.pending.Epoch {
-				applyNow = sh.pending.Ops
-			}
-			sh.pending = nil
-		}
-		switch rec.Kind {
-		case wal.RecordPrepare:
-			sh.pending = &wal.PendingPrepare{
-				Epoch: rec.Epoch,
-				Coord: rec.Coord,
-				Ops:   append([]wal.Op(nil), rec.Ops...),
-			}
-		case wal.RecordDecision:
-			if sh.decided == nil {
-				sh.decided = make(map[uint64]bool)
-			}
-			sh.decided[rec.Epoch] = true
-			if len(sh.decided) > maxDecided {
-				min := f.maxEpoch - maxDecided/2
-				for e := range sh.decided {
-					if e < min {
-						delete(sh.decided, e)
-					}
-				}
-			}
-		}
+		group := sh.replay.Step(rec)
+		f.maxEpoch = max(f.maxEpoch, sh.replay.MaxEpoch)
 		f.mu.Unlock()
 
-		if applyNow != nil {
-			if err := f.cfg.Store.ApplyShardOps(shard, applyNow); err != nil {
-				return fmt.Errorf("repl: shard %d seq %d: applying resolved prepare: %w", shard, r.Seq, err)
-			}
-		}
-		if rec.Kind == wal.RecordOps {
-			if err := f.cfg.Store.ApplyShardOps(shard, rec.Ops); err != nil {
+		if group != nil {
+			if err := f.cfg.Store.ApplyShardOps(shard, group); err != nil {
 				return fmt.Errorf("repl: shard %d seq %d: %w", shard, r.Seq, err)
 			}
 		}
@@ -526,23 +493,6 @@ func (f *Follower) applyWALBatch(frame *wire.ReplFrame, ops *[]wal.Op) error {
 		f.applBytes.Add(uint64(len(r.Payload)))
 	}
 	return nil
-}
-
-// posOfID maps a stable shard id to its table position (-1 when
-// absent). Before any topology was adopted ids equal positions.
-func (f *Follower) posOfID(id int) int {
-	if len(f.topo) == 0 {
-		if id >= 0 && id < f.nshards {
-			return id
-		}
-		return -1
-	}
-	for p, e := range f.topo {
-		if int(e.ID) == id {
-			return p
-		}
-	}
-	return -1
 }
 
 // sendAck writes one ACK frame carrying every shard's position.
@@ -599,38 +549,32 @@ type PromoteResult struct {
 }
 
 // Promote ends the link and finalizes the follower's state for taking
-// writes: pending prepares resolve against the decision sets exactly
-// as recovery resolves in-doubt prepares, and the store's epoch
+// writes: prepares still pending resolve by wal.ResolveInDoubt, the
+// rule recovery resolves in-doubt prepares by, and the store's epoch
 // counter resumes above every epoch the old primary used. The caller
 // flips the store's role to primary afterwards.
 func (f *Follower) Promote() (PromoteResult, error) {
 	f.halt()
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var res PromoteResult
-	res.MaxEpoch = f.maxEpoch
+	res := PromoteResult{MaxEpoch: f.maxEpoch}
+	streams := make([]wal.Stream, len(f.shards))
 	for i := range f.shards {
-		sh := &f.shards[i]
-		pp := sh.pending
-		sh.pending = nil
-		if pp == nil {
-			continue
+		streams[i] = wal.Stream{ID: f.shards[i].id, Replay: &f.shards[i].replay}
+	}
+	var err error
+	res.Committed, res.RolledBack, err = wal.ResolveInDoubt(streams, func(i int, pp *wal.PendingPrepare, commit bool) error {
+		f.shards[i].replay.InDoubt = nil
+		if !commit {
+			return nil
 		}
-		committed := false
-		// A prepare's Coord is the coordinator's STABLE shard id; the
-		// decision sets are per table position. Pre-reshard the two
-		// coincide; once a topology was adopted, map id → position.
-		if p := f.posOfID(pp.Coord); p >= 0 && p < len(f.shards) {
-			committed = f.shards[p].decided[pp.Epoch]
+		if err := f.cfg.Store.ApplyShardOps(i, pp.Ops); err != nil {
+			return fmt.Errorf("repl: promote: applying pending prepare epoch=%d on shard %d: %w", pp.Epoch, i, err)
 		}
-		if committed {
-			if err := f.cfg.Store.ApplyShardOps(i, pp.Ops); err != nil {
-				return res, fmt.Errorf("repl: promote: applying pending prepare epoch=%d on shard %d: %w", pp.Epoch, i, err)
-			}
-			res.Committed++
-		} else {
-			res.RolledBack++
-		}
+		return nil
+	})
+	if err != nil {
+		return res, err
 	}
 	f.cfg.Store.ResumeEpoch(f.maxEpoch)
 	return res, nil

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -157,313 +158,62 @@ func syncDirBestEffort(dir string) {
 }
 
 // EnableDurability attaches one write-ahead log per shard to the
-// store: it recovers the directory's durable state INTO the store —
-// every shard in parallel, each replaying its newest valid checkpoint
-// plus its log tail — resolves any in-doubt cross-shard prepares
-// against the coordinator shard's decision set, then routes every
-// subsequent mutation through its shard's log and starts the
-// background checkpointer. It must be called before the store serves
-// traffic, and pairs with CloseDurability.
+// store: it recovers the directory's durable state INTO the store,
+// then routes every subsequent mutation through its shard's log and
+// starts the background checkpointer. It must be called before the
+// store serves traffic, and pairs with CloseDurability.
 //
 // The directory's MANIFEST records the routing table its logs were
-// written under — shard ids, hash slices, log directories — and the
-// store adopts it: keys hash to shards, so the logs only make sense
-// under that table. The store must be built with the manifest's shard
-// count (a mismatch is an error naming it; WALShardCount lets callers
-// adopt it up front); SPLIT and MERGE change the count afterwards and
-// rewrite the MANIFEST with it.
-func (s *Store) EnableDurability(d Durability) (*RecoverSummary, error) {
+// written under, and the store adopts it: keys hash to shards, so the
+// logs only make sense under that table. The store must be built with
+// the manifest's shard count (a mismatch is an error naming it;
+// WALShardCount lets callers adopt it up front); SPLIT and MERGE
+// change the count afterwards and rewrite the MANIFEST with it.
+//
+// On any error every log opened so far is closed and detached again.
+func (s *Store) EnableDurability(d Durability) (sum *RecoverSummary, err error) {
 	if s.durable() {
 		return nil, fmt.Errorf("server: durability already enabled")
 	}
 	if d.Dir == "" {
 		return nil, fmt.Errorf("server: durability needs a directory")
 	}
-	tab0 := s.tab()
-	n := len(tab0.shards)
-	man, err := openManifest(d.Dir)
+	n := s.NumShards()
+	man, err := pinManifest(d.Dir, n)
 	if err != nil {
 		return nil, err
 	}
-	if man != nil && len(man.Shards) != n {
-		return nil, fmt.Errorf("server: %s holds a %d-shard log but the store has %d shards — restart with -store-shards=%d, or point at a fresh directory", d.Dir, len(man.Shards), n, len(man.Shards))
-	}
-	if err := os.MkdirAll(d.Dir, 0o755); err != nil {
+	s.walDir, s.walOpts, s.logf = d.Dir, d.walOptions(n), d.Logf
+
+	tab, results, err := s.openShards(man)
+	defer func() {
+		if err == nil {
+			return
+		}
+		for _, sh := range tab.shards {
+			if sh.wal != nil {
+				sh.wal.Close()
+				sh.wal = nil
+			}
+		}
+	}()
+	if err != nil {
 		return nil, err
 	}
-	if man == nil {
-		man = legacyManifest(n)
-		if err := writeStoreManifest(d.Dir, man); err != nil {
-			return nil, err
-		}
+	if tab, err = s.resolveReshard(tab, results); err != nil {
+		return nil, err
 	}
-
-	// Adopt the manifest's table: stable ids, hash slices, next id. A
-	// fresh or never-resharded directory matches the constructor's
-	// defaults exactly; a resharded one (v2) reassigns them. Safe to
-	// mutate the shard structs here — EnableDurability runs before the
-	// store serves traffic.
-	shards := append([]*shard(nil), tab0.shards...)
-	slices := make([]hashSlice, n)
-	for i, e := range man.Shards {
-		shards[i].idx = e.ID
-		shards[i].walName = e.Dir
-		slices[i] = hashSlice{mod: e.Mod, res: e.Res}
+	if sum, err = s.resolveInDoubt(tab, results); err != nil {
+		return nil, err
 	}
-	s.nextID = man.NextID
-
-	// Scale the batch-fsync window by the shard count: each shard's log
-	// has its own background syncer against its own file, so N shards at
-	// the base cadence would fsync the disk N times as often as one
-	// shard did — on a small machine that alone erases the sharding win.
-	// Stretching each window to N× the base keeps the store's TOTAL
-	// fsync rate constant; the machine-crash loss bound becomes at most
-	// one (stretched) window per shard.
-	window := d.BatchWindow
-	if d.Fsync == wal.ModeBatch && window <= 0 && n > 1 {
-		window = time.Duration(n) * 2 * time.Millisecond
-	}
-	opts := wal.Options{Mode: d.Fsync, BatchWindow: window, Logf: d.Logf, OnDurableRecord: d.onDurableRecord}
-	logs := make([]*wal.Log, n)
-	results := make([]*wal.RecoverResult, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := range shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sh := shards[i]
-			// Replayed tail records seed the dirty set: those keys changed
-			// past the checkpoint chain's head, so the first delta cut
-			// after a restart must carry them (chain loads do not mark —
-			// the chain already covers them).
-			shOpts := opts
-			shOpts.OnReplayOps = func(ops []wal.Op) { sh.dirty.markOps(ops) }
-			logs[i], results[i], errs[i] = wal.Open(filepath.Join(d.Dir, man.Shards[i].Dir), shOpts, s.recoverInto(sh))
-		}(i)
-	}
-	wg.Wait()
-	closeAll := func() {
-		for _, l := range logs {
-			if l != nil {
-				l.Close()
-			}
-		}
-		for _, sh := range shards {
-			sh.wal = nil
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			closeAll()
-			return nil, err
-		}
-	}
-
-	// ---- reshard journal resolution ----
-	//
-	// A crash inside a SPLIT/MERGE left a RESHARD BEGIN with an epoch
-	// past the manifest's. Its own log tells the outcome: a matching
-	// COMMIT means the cutover reached its commit point — roll the
-	// directory forward to the journaled table (the crash merely beat
-	// the manifest rewrite); no COMMIT means the copy never finished —
-	// roll it back. Either way the manifest is rewritten before traffic.
-	// The committed arms below grow or shrink results (and its parallel
-	// slices) while this loop walks it, so the bound is re-read every
-	// iteration and each arm steps i past the shift it caused.
-	sawReshard := false
-	for i := 0; i < len(results); i++ {
-		var begin *wal.ReshardEvent
-		committed := false
-		for k := range results[i].Reshards {
-			ev := &results[i].Reshards[k]
-			sawReshard = true
-			switch ev.Kind {
-			case wal.RecordReshardBegin:
-				begin, committed = ev, false
-			case wal.RecordReshardCommit:
-				if begin != nil && ev.Epoch == begin.Epoch {
-					committed = true
-				}
-			}
-		}
-		if begin == nil || begin.Epoch <= man.Epoch {
-			continue // no journal, or one the manifest already reflects
-		}
-		r := begin.Reshard
-		switch {
-		case !committed && r.Op == wal.ReshardSplit:
-			// Roll back: the new shard never went live; whatever partial
-			// copy it holds was never acknowledged to anyone.
-			if r.Dir != "" && r.Dir != "." {
-				if err := os.RemoveAll(filepath.Join(d.Dir, r.Dir)); err != nil {
-					closeAll()
-					return nil, fmt.Errorf("server: rolling back split epoch=%d: %w", begin.Epoch, err)
-				}
-			}
-			if d.Logf != nil {
-				d.Logf("polyserve: rolled back uncommitted split epoch=%d (shard %d never went live)", begin.Epoch, r.Dst)
-			}
-		case !committed && r.Op == wal.ReshardMerge:
-			// Roll back: nothing on disk to undo — the copy appended
-			// ordinary records to the survivor's log, and the routing
-			// filter below deletes those not-owned keys again.
-			if d.Logf != nil {
-				d.Logf("polyserve: rolled back uncommitted merge epoch=%d (shard %d stays)", begin.Epoch, r.Src)
-			}
-		case committed && r.Op == wal.ReshardSplit:
-			srcPos := man.posByID(r.Src)
-			if srcPos < 0 {
-				closeAll()
-				return nil, fmt.Errorf("server: split journal epoch=%d names unknown shard %d", begin.Epoch, r.Src)
-			}
-			dst := s.newShard(r.Dst, s.mkTM())
-			dOpts := opts
-			dOpts.OnReplayOps = func(ops []wal.Op) { dst.dirty.markOps(ops) }
-			dlog, dres, derr := wal.Open(filepath.Join(d.Dir, r.Dir), dOpts, s.recoverInto(dst))
-			if derr != nil {
-				closeAll()
-				return nil, fmt.Errorf("server: rolling forward split epoch=%d: %w", begin.Epoch, derr)
-			}
-			dst.wal = dlog
-			dst.walName = r.Dir
-			// Insert the new shard in residue order and shrink the source's
-			// slice to its journaled half.
-			slices[srcPos] = hashSlice{mod: r.Mod, res: r.Res}
-			man.Shards[srcPos].Mod, man.Shards[srcPos].Res = r.Mod, r.Res
-			at := len(shards)
-			for k := range slices {
-				if slices[k].res > r.Res2 {
-					at = k
-					break
-				}
-			}
-			shards = insertAt(shards, at, dst)
-			slices = insertAt(slices, at, hashSlice{mod: r.Mod2, res: r.Res2})
-			logs = insertAt(logs, at, dlog)
-			results = insertAt(results, at, dres)
-			man.Shards = insertAt(man.Shards, at, manifestShard{ID: r.Dst, Mod: r.Mod2, Res: r.Res2, Dir: r.Dir})
-			if at <= i {
-				i++ // this shard's entry moved one to the right
-			}
-			if r.Dst+1 > man.NextID {
-				man.NextID = r.Dst + 1
-			}
-			man.Epoch = begin.Epoch
-			s.nextID = man.NextID
-			if err := writeStoreManifest(d.Dir, man); err != nil {
-				closeAll()
-				return nil, fmt.Errorf("server: rolling forward split epoch=%d: %w", begin.Epoch, err)
-			}
-			if d.Logf != nil {
-				d.Logf("polyserve: rolled forward committed split epoch=%d (shard %d adopted)", begin.Epoch, r.Dst)
-			}
-		case committed && r.Op == wal.ReshardMerge:
-			// The absorbed shard's keys were durably copied into the
-			// survivor's log before the COMMIT, so its replayed state is
-			// already in the survivor; drop the shard and its directory.
-			bPos := man.posByID(r.Src)
-			aPos := man.posByID(r.Dst)
-			if bPos < 0 || aPos < 0 {
-				closeAll()
-				return nil, fmt.Errorf("server: merge journal epoch=%d names unknown shards %d/%d", begin.Epoch, r.Src, r.Dst)
-			}
-			logs[bPos].Close()
-			if bd := man.Shards[bPos].Dir; bd != "" && bd != "." {
-				if err := os.RemoveAll(filepath.Join(d.Dir, bd)); err != nil {
-					closeAll()
-					return nil, fmt.Errorf("server: rolling forward merge epoch=%d: %w", begin.Epoch, err)
-				}
-			}
-			shards = removeAt(shards, bPos)
-			slices = removeAt(slices, bPos)
-			logs = removeAt(logs, bPos)
-			results = removeAt(results, bPos)
-			man.Shards = removeAt(man.Shards, bPos)
-			if bPos <= i {
-				i-- // the entries after bPos moved one to the left
-			}
-			aPos = man.posByID(r.Dst)
-			slices[aPos] = hashSlice{mod: r.Mod, res: r.Res}
-			man.Shards[aPos].Mod, man.Shards[aPos].Res = r.Mod, r.Res
-			man.Epoch = begin.Epoch
-			if err := writeStoreManifest(d.Dir, man); err != nil {
-				closeAll()
-				return nil, fmt.Errorf("server: rolling forward merge epoch=%d: %w", begin.Epoch, err)
-			}
-			if d.Logf != nil {
-				d.Logf("polyserve: rolled forward committed merge epoch=%d (shard %d absorbed into %d)", begin.Epoch, r.Src, r.Dst)
-			}
-		}
-	}
-
-	// Resolve in-doubt prepares: a shard whose log ends in a PREPARE
-	// crashed inside a cross-shard commit. The coordinator's durable
-	// DECISION set is the truth — present: the commit point was
-	// reached, replay the operations as a mutation of its own — applied
-	// and re-logged as a plain record, so the next recovery replays them
-	// without needing the decision to still exist; absent: the
-	// transaction never committed anywhere, and no client was
-	// acknowledged — drop it. Coordinators are named by STABLE shard id,
-	// which pre-resharding equals the position — legacy logs resolve
-	// unchanged.
-	//
-	// The logs attach first: the capture pool (sh.caps, wired at store
-	// construction) reads the log through the shard, so from here every
-	// mutation's capture routes to the WAL — including captures pooled
-	// earlier by session traffic on the then-non-durable store.
-	for i, sh := range shards {
-		sh.wal = logs[i]
-	}
-	sum := &RecoverSummary{Shards: results}
-	var decisions map[int]map[uint64]bool
-	for i, res := range results {
-		pp := res.InDoubt
-		if pp == nil {
-			continue
-		}
-		committed := false
-		if coordPos := posOfID(shards, pp.Coord); coordPos >= 0 {
-			if decisions == nil {
-				decisions = make(map[int]map[uint64]bool)
-			}
-			if decisions[pp.Coord] == nil {
-				m := make(map[uint64]bool, len(results[coordPos].Decisions))
-				for _, e := range results[coordPos].Decisions {
-					m[e] = true
-				}
-				decisions[pp.Coord] = m
-			}
-			committed = decisions[pp.Coord][pp.Epoch]
-		}
-		if committed {
-			if err := s.applyOps(context.Background(), shards[i], pp.Ops, mutOpts{quiet: true}); err != nil {
-				closeAll()
-				return nil, fmt.Errorf("server: shard %d: replaying in-doubt prepare epoch=%d: %w", shards[i].idx, pp.Epoch, err)
-			}
-			sum.Committed++
-			if d.Logf != nil {
-				d.Logf("polyserve: shard %d: in-doubt prepare epoch=%d committed (decision found on shard %d)", shards[i].idx, pp.Epoch, pp.Coord)
-			}
-		} else {
-			sum.RolledBack++
-			if d.Logf != nil {
-				d.Logf("polyserve: shard %d: in-doubt prepare epoch=%d rolled back (no decision on shard %d)", shards[i].idx, pp.Epoch, pp.Coord)
-			}
-		}
-	}
-
 	// New cross-shard epochs must clear everything still resolvable
 	// from any surviving record.
 	var maxEpoch uint64
-	for _, res := range results {
-		if res.MaxEpoch > maxEpoch {
-			maxEpoch = res.MaxEpoch
-		}
+	for _, res := range sum.Shards {
+		maxEpoch = max(maxEpoch, res.MaxEpoch)
 	}
 	s.epoch.Store(maxEpoch)
 
-	s.logf = d.Logf
 	// Resolve the chain policy and stamp this process's incarnation: WAL
 	// seqs are per-process, so a follower's applied position is only
 	// comparable to a chain's cover points within one primary lifetime —
@@ -478,21 +228,16 @@ func (s *Store) EnableDurability(d Durability) (*RecoverSummary, error) {
 		s.ckptRatio = 0.5
 	}
 	s.incarnation = uint64(time.Now().UnixNano())
-	s.walDir = d.Dir
-	s.walOpts = opts
-	// Publish the recovered table (its epoch may exceed tab0's if a
+	// Publish the recovered table (its epoch exceeds the manifest's if a
 	// journal rolled forward), then scrub reshard leftovers: a shard can
 	// hold keys it no longer owns — a split source the lazy cleanup
-	// never finished, or merge-copy pollution rolled back above. The
-	// scrub deletes them through the WAL like any mutation, so the next
-	// recovery starts cleaner.
-	s.table.Store(newRoutingTable(man.Epoch, shards, slices))
-	if man.Epoch > 0 || sawReshard {
-		for _, sh := range shards {
-			if _, err := s.cleanShard(context.Background(), sh); err != nil {
-				closeAll()
-				return nil, fmt.Errorf("server: shard %d: reshard scrub: %w", sh.idx, err)
-			}
+	// never finished, or merge-copy pollution a rollback left in the
+	// survivor's log. The scrub deletes them through the WAL like any
+	// mutation, so the next recovery starts cleaner.
+	s.table.Store(tab)
+	for _, sh := range tab.shards {
+		if _, err := s.cleanShard(context.Background(), sh); err != nil {
+			return nil, fmt.Errorf("server: shard %d: reshard scrub: %w", sh.idx, err)
 		}
 	}
 	every := d.CheckpointEvery
@@ -507,37 +252,151 @@ func (s *Store) EnableDurability(d Durability) (*RecoverSummary, error) {
 	return sum, nil
 }
 
-// insertAt returns sl with v inserted at position i.
-func insertAt[T any](sl []T, i int, v T) []T {
-	sl = append(sl, v)
-	copy(sl[i+1:], sl[i:])
-	sl[i] = v
-	return sl
+// pinManifest reads dir's MANIFEST for a store of n shards; a fresh
+// directory is created and pinned to the n-shard v1 layout.
+func pinManifest(dir string, n int) (*storeManifest, error) {
+	man, err := openManifest(dir)
+	if err != nil {
+		return nil, err
+	}
+	if man != nil && len(man.Shards) != n {
+		return nil, fmt.Errorf("server: %s holds a %d-shard log but the store has %d shards — restart with -store-shards=%d, or point at a fresh directory", dir, len(man.Shards), n, len(man.Shards))
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	if man == nil {
+		man = legacyManifest(n)
+		err = writeStoreManifest(dir, man)
+	}
+	return man, err
 }
 
-// removeAt returns sl with position i removed.
-func removeAt[T any](sl []T, i int) []T {
-	return append(sl[:i:i], sl[i+1:]...)
+// walOptions renders d as the options every shard's log opens with.
+// The batch-fsync window scales with the shard count: each shard's log
+// has its own background syncer against its own file, so n shards at
+// the base cadence would fsync the disk n times as often as one shard
+// did — on a small machine that alone erases the sharding win.
+// Stretching each window to n× the base keeps the store's TOTAL fsync
+// rate constant; the machine-crash loss bound becomes at most one
+// (stretched) window per shard.
+func (d Durability) walOptions(n int) wal.Options {
+	window := d.BatchWindow
+	if d.Fsync == wal.ModeBatch && window <= 0 && n > 1 {
+		window = time.Duration(n) * 2 * time.Millisecond
+	}
+	return wal.Options{Mode: d.Fsync, BatchWindow: window, Logf: d.Logf, OnDurableRecord: d.onDurableRecord}
 }
 
-// posOfID returns the position of the shard with the given stable id.
-func posOfID(shards []*shard, id int) int {
+// openShards adopts the manifest's table onto the store's shards —
+// stable ids, hash slices, next id; a fresh or never-resharded
+// directory matches the constructor's defaults exactly — and recovers
+// every shard's log into its shard, all shards in parallel. Results are
+// keyed by stable shard id. The table comes back on error too: the
+// caller's cleanup walks it.
+func (s *Store) openShards(man *storeManifest) (*routingTable, map[int]*wal.RecoverResult, error) {
+	shards := append([]*shard(nil), s.tab().shards...)
+	slices := make([]hashSlice, len(shards))
+	res := make([]*wal.RecoverResult, len(shards))
+	errs := make([]error, len(shards))
+	var wg sync.WaitGroup
+	for i, e := range man.Shards {
+		shards[i].idx = e.ID
+		slices[i] = hashSlice{mod: e.Mod, res: e.Res}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res[i], errs[i] = s.openShardLog(shards[i], e.Dir)
+		}()
+	}
+	wg.Wait()
+	s.nextID = man.NextID
+	results := make(map[int]*wal.RecoverResult, len(shards))
 	for i, sh := range shards {
-		if sh.idx == id {
-			return i
-		}
+		results[sh.idx] = res[i]
 	}
-	return -1
+	return newRoutingTable(man.Epoch, shards, slices), results, errors.Join(errs...)
 }
 
-// recoverInto is sh's wal.Open apply callback: each recovered record
-// replays as one quiet mutation. The log is not attached yet, so
-// nothing is re-logged; per-shard recovery is single-threaded and
-// in-process, so plain def semantics suffice.
-func (s *Store) recoverInto(sh *shard) func(ops []wal.Op) error {
-	return func(ops []wal.Op) error {
+// openShardLog recovers the log directory name (relative to the WAL
+// root) into sh — its newest valid checkpoint chain plus the log tail,
+// each record replayed as one quiet mutation — and attaches the log.
+// Nothing is re-logged: the log attaches only once the replay is over.
+// Replayed TAIL records seed the dirty set: those keys changed past the
+// checkpoint chain's head, so the first delta cut after a restart must
+// carry them (chain loads do not mark — the chain already covers them).
+func (s *Store) openShardLog(sh *shard, name string) (*wal.RecoverResult, error) {
+	opts := s.walOpts
+	opts.OnReplayOps = func(ops []wal.Op) { sh.dirty.markOps(ops) }
+	log, res, err := wal.Open(filepath.Join(s.walDir, name), opts, func(ops []wal.Op) error {
 		return s.applyOps(context.Background(), sh, ops, mutOpts{quiet: true})
+	})
+	if err != nil {
+		return nil, err
 	}
+	sh.wal, sh.walName = log, name
+	return res, nil
+}
+
+// freshShard builds the shard a SPLIT or an adopted topology adds and,
+// on a durable store, its log under a directory named by the stable
+// id. Ids are never reused, so the name cannot collide with a live
+// shard's; whatever already sits there is the leftover of a reshard
+// that died before its BEGIN was journaled — nothing references it, and
+// it is removed rather than replayed.
+func (s *Store) freshShard(id int) (*shard, error) {
+	sh := s.newShard(id, s.mkTM())
+	if !s.durable() {
+		return sh, nil
+	}
+	name := fmt.Sprintf("shard-%04d", id)
+	if err := s.removeLogDir(name); err != nil {
+		return nil, err
+	}
+	if _, err := s.openShardLog(sh, name); err != nil {
+		s.removeLogDir(name)
+		return nil, err
+	}
+	return sh, nil
+}
+
+// removeLogDir deletes a shard's log directory, unless the shard logs
+// to the WAL root itself ("." — the single-shard layout, whose files
+// sit beside the MANIFEST) or to nothing at all.
+func (s *Store) removeLogDir(name string) error {
+	if name == "" || name == "." {
+		return nil
+	}
+	return os.RemoveAll(filepath.Join(s.walDir, name))
+}
+
+// resolveInDoubt settles every shard whose log ends in a PREPARE — the
+// crash landed inside a cross-shard commit. A committed prepare replays
+// as a mutation of its own: applied and re-logged as a plain record
+// (the logs are attached by now), so the next recovery replays it
+// without needing the decision to still exist.
+func (s *Store) resolveInDoubt(tab *routingTable, results map[int]*wal.RecoverResult) (*RecoverSummary, error) {
+	sum := &RecoverSummary{Shards: make([]*wal.RecoverResult, len(tab.shards))}
+	streams := make([]wal.Stream, len(tab.shards))
+	for i, sh := range tab.shards {
+		sum.Shards[i] = results[sh.idx]
+		streams[i] = wal.Stream{ID: sh.idx, Replay: &results[sh.idx].Replay}
+	}
+	var err error
+	sum.Committed, sum.RolledBack, err = wal.ResolveInDoubt(streams, func(i int, pp *wal.PendingPrepare, commit bool) error {
+		sh := tab.shards[i]
+		if s.logf != nil {
+			s.logf("polyserve: shard %d: in-doubt prepare epoch=%d, coordinator shard %d decided: %v", sh.idx, pp.Epoch, pp.Coord, commit)
+		}
+		if !commit {
+			return nil
+		}
+		if err := s.applyOps(context.Background(), sh, pp.Ops, mutOpts{quiet: true}); err != nil {
+			return fmt.Errorf("server: shard %d: replaying in-doubt prepare epoch=%d: %w", sh.idx, pp.Epoch, err)
+		}
+		return nil
+	})
+	return sum, err
 }
 
 // durable reports whether the store's shards carry write-ahead logs
@@ -552,11 +411,10 @@ func (s *Store) Durable() bool { return s.durable() }
 // tests.
 func (s *Store) WAL() *wal.Log { return s.tab().shards[0].wal }
 
-// ShardWAL returns the log of the shard at table position i (nil when
-// not durable) — tests.
-// ShardWAL returns the log at table position i, or nil when a
-// concurrent reshard shrank the table below i — callers (the repl hub)
-// pin a topology before iterating and must tolerate the nil.
+// ShardWAL returns the log of the shard at table position i: nil when
+// the store is not durable, and nil when a concurrent reshard shrank
+// the table below i — callers (the repl hub) pin a topology before
+// iterating and must tolerate the nil.
 func (s *Store) ShardWAL(i int) *wal.Log {
 	t := s.tab()
 	if i < 0 || i >= len(t.shards) {

@@ -76,16 +76,6 @@ func (m *storeManifest) legacyShaped() bool {
 	return true
 }
 
-// posByID returns the index of the entry with stable id, -1 if absent.
-func (m *storeManifest) posByID(id int) int {
-	for i := range m.Shards {
-		if m.Shards[i].ID == id {
-			return i
-		}
-	}
-	return -1
-}
-
 // openManifest reads dir's MANIFEST (nil when the file is absent — a
 // fresh directory) and sweeps a stale MANIFEST.tmp left by a crashed
 // rewrite. Every malformed shape is an explicit error.

@@ -3,8 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
+	"slices"
 
 	"polytm/internal/core"
 	"polytm/internal/wal"
@@ -37,8 +36,8 @@ import (
 // RESHARD COMMIT at the cutover's commit point — both to the log that
 // survives the reshard (the split source's; the merge survivor's), both
 // under that shard's token so they can never interleave a 2PC
-// PREPARE/COMMIT window. Recovery (EnableDurability) resolves a
-// mid-reshard crash from that journal: BEGIN without COMMIT rolls back,
+// PREPARE/COMMIT window. Recovery resolves a mid-reshard crash from
+// that journal (reshard_recover.go): BEGIN without COMMIT rolls back,
 // BEGIN+COMMIT past the MANIFEST's epoch rolls forward. ckptHold pauses
 // the hosting log's checkpoints meanwhile, so rotation cannot truncate
 // the BEGIN a crash would need.
@@ -110,29 +109,9 @@ func (s *Store) Split(ctx context.Context, wantEpoch uint64, srcID int) (uint64,
 	dstID := s.nextID
 	durable := s.durable()
 
-	// Build the new shard and, when durable, its log. The directory is
-	// named by the stable id — ids are never reused, so the name cannot
-	// collide with a live shard's; a leftover from a split that crashed
-	// before journaling BEGIN is provably dead (nothing references it)
-	// and is removed rather than replayed.
-	dst := s.newShard(dstID, s.mkTM())
-	var dstDir string
-	if durable {
-		dstDir = fmt.Sprintf("shard-%04d", dstID)
-		path := filepath.Join(s.walDir, dstDir)
-		if err := os.RemoveAll(path); err != nil {
-			return 0, err
-		}
-		if err := os.MkdirAll(path, 0o755); err != nil {
-			return 0, err
-		}
-		dlog, _, err := wal.Open(path, s.walOpts, s.recoverInto(dst))
-		if err != nil {
-			os.RemoveAll(path)
-			return 0, err
-		}
-		dst.wal = dlog
-		dst.walName = dstDir
+	dst, err := s.freshShard(dstID)
+	if err != nil {
+		return 0, err
 	}
 	abort := func(err error) (uint64, error) {
 		// Live rollback: the new shard never went live and nothing was
@@ -143,9 +122,7 @@ func (s *Store) Split(ctx context.Context, wantEpoch uint64, srcID int) (uint64,
 		if dst.wal != nil {
 			dst.wal.Close()
 		}
-		if dstDir != "" {
-			os.RemoveAll(filepath.Join(s.walDir, dstDir))
-		}
+		s.removeLogDir(dst.walName)
 		return 0, err
 	}
 
@@ -163,8 +140,8 @@ func (s *Store) Split(ctx context.Context, wantEpoch uint64, srcID int) (uint64,
 	// Journal BEGIN under src's token. The fence also serializes after
 	// any mutation that was mid-commit at the gate flip.
 	rs := &wal.Reshard{Op: wal.ReshardSplit, Src: srcID, Dst: dstID,
-		Mod: srcMod, Res: srcRes, Mod2: dstMod, Res2: dstRes, Dir: dstDir}
-	err := src.tm.AtomicCtx(bctx, func(*core.Tx) error {
+		Mod: srcMod, Res: srcRes, Mod2: dstMod, Res2: dstRes, Dir: dst.walName}
+	err = src.tm.AtomicCtx(bctx, func(*core.Tx) error {
 		if durable {
 			return src.wal.Append(wal.AppendReshardBegin(nil, newEpoch, rs))
 		}
@@ -467,10 +444,8 @@ func (s *Store) Merge(ctx context.Context, wantEpoch uint64, aID, bID int) (uint
 		if berr != nil && s.logf != nil {
 			s.logf("polyserve: closing merged shard %d's log: %v", bID, berr)
 		}
-		if b.walName != "" && b.walName != "." {
-			if err := os.RemoveAll(filepath.Join(s.walDir, b.walName)); err != nil && s.logf != nil {
-				s.logf("polyserve: removing merged shard %d's log dir: %v", bID, err)
-			}
+		if err := s.removeLogDir(b.walName); err != nil && s.logf != nil {
+			s.logf("polyserve: removing merged shard %d's log dir: %v", bID, err)
 		}
 	}
 	return newEpoch, nil
@@ -479,30 +454,26 @@ func (s *Store) Merge(ctx context.Context, wantEpoch uint64, aID, bID int) (uint
 // splitTable derives the split's published table: src's slice halved in
 // place, dst inserted at its residue-order position.
 func splitTable(tab *routingTable, srcPos int, dst *shard, srcMod, srcRes, dstMod, dstRes uint64, epoch uint64) *routingTable {
-	shards := append([]*shard(nil), tab.shards...)
-	slices := append([]hashSlice(nil), tab.slices...)
-	slices[srcPos] = hashSlice{mod: srcMod, res: srcRes}
-	at := len(slices)
-	for i := range slices {
-		if slices[i].res > dstRes {
+	hs := slices.Clone(tab.slices)
+	hs[srcPos] = hashSlice{mod: srcMod, res: srcRes}
+	at := len(hs)
+	for i := range hs {
+		if hs[i].res > dstRes {
 			at = i
 			break
 		}
 	}
-	shards = insertAt(shards, at, dst)
-	slices = insertAt(slices, at, hashSlice{mod: dstMod, res: dstRes})
-	return newRoutingTable(epoch, shards, slices)
+	hs = slices.Insert(hs, at, hashSlice{mod: dstMod, res: dstRes})
+	return newRoutingTable(epoch, slices.Insert(slices.Clone(tab.shards), at, dst), hs)
 }
 
 // mergeTable derives the merge's published table: b removed, a's slice
 // widened in place (a's residue is unchanged, so the order holds).
 func mergeTable(tab *routingTable, aPos, bPos int, mod, res uint64, epoch uint64) *routingTable {
-	shards := append([]*shard(nil), tab.shards...)
-	slices := append([]hashSlice(nil), tab.slices...)
-	slices[aPos] = hashSlice{mod: mod, res: res}
-	shards = removeAt(shards, bPos)
-	slices = removeAt(slices, bPos)
-	return newRoutingTable(epoch, shards, slices)
+	hs := slices.Clone(tab.slices)
+	hs[aPos] = hashSlice{mod: mod, res: res}
+	hs = slices.Delete(hs, bPos, bPos+1)
+	return newRoutingTable(epoch, slices.Delete(slices.Clone(tab.shards), bPos, bPos+1), hs)
 }
 
 // manifestFor renders a routing table as the manifest to persist with
@@ -715,7 +686,6 @@ func (s *Store) AdoptRouting(epoch uint64, topo []wire.ReplShardSlice) error {
 	if len(topo) == 0 {
 		return fmt.Errorf("server: empty routing topology for epoch %d", epoch)
 	}
-	durable := s.durable()
 	shards := make([]*shard, len(topo))
 	slices := make([]hashSlice, len(topo))
 	maxID := s.nextID
@@ -724,24 +694,10 @@ func (s *Store) AdoptRouting(epoch uint64, topo []wire.ReplShardSlice) error {
 			return fmt.Errorf("server: routing topology for epoch %d not in residue order", epoch)
 		}
 		slices[i] = hashSlice{mod: e.Mod, res: e.Res}
-		if sh := tab.byID(int(e.ID)); sh != nil {
-			shards[i] = sh
-		} else {
-			sh := s.newShard(int(e.ID), s.mkTM())
-			if durable {
-				sh.walName = fmt.Sprintf("shard-%04d", e.ID)
-				path := filepath.Join(s.walDir, sh.walName)
-				if err := os.RemoveAll(path); err != nil {
-					return err
-				}
-				if err := os.MkdirAll(path, 0o755); err != nil {
-					return err
-				}
-				dlog, _, err := wal.Open(path, s.walOpts, s.recoverInto(sh))
-				if err != nil {
-					return err
-				}
-				sh.wal = dlog
+		if shards[i] = tab.byID(int(e.ID)); shards[i] == nil {
+			sh, err := s.freshShard(int(e.ID))
+			if err != nil {
+				return err
 			}
 			shards[i] = sh
 		}
@@ -763,15 +719,11 @@ func (s *Store) AdoptRouting(epoch uint64, topo []wire.ReplShardSlice) error {
 			if err := old.wal.Close(); err != nil && s.logf != nil {
 				s.logf("polyserve: closing dropped shard %d's log: %v", old.idx, err)
 			}
-			if old.walName != "" && old.walName != "." {
-				os.RemoveAll(filepath.Join(s.walDir, old.walName))
-			}
+			s.removeLogDir(old.walName)
 		}
 	}
-	if durable {
-		if err := writeStoreManifest(s.walDir, s.manifestFor(next, maxID)); err != nil {
-			return err
-		}
+	if s.durable() {
+		return writeStoreManifest(s.walDir, s.manifestFor(next, maxID))
 	}
 	return nil
 }

@@ -6,7 +6,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -48,11 +50,11 @@ const (
 	reshardCrashKeys    = 96
 )
 
-// reshardCrashModes lists the four kill windows with the state recovery
-// must reach from each: pinned is the manifest's shard count as the
-// crash left it, shards/epoch the recovered table, and goneDir a shard
-// directory recovery must have removed.
-var reshardCrashModes = []struct {
+// reshardCrashMode is one kill window with the state recovery must
+// reach from it: pinned is the manifest's shard count as the crash left
+// it, shards/epoch the recovered table, and goneDir a shard directory
+// recovery must have removed.
+type reshardCrashMode struct {
 	name    string
 	merge   bool
 	record  byte // first byte of the journal record the kill waits for
@@ -60,7 +62,9 @@ var reshardCrashModes = []struct {
 	shards  int
 	epoch   uint64
 	goneDir string
-}{
+}
+
+var reshardCrashModes = []reshardCrashMode{
 	{name: "begin", record: 0x13, pinned: 2, shards: 2, epoch: 0, goneDir: "shard-0002"},
 	{name: "commit", record: 0x14, pinned: 2, shards: 3, epoch: 1},
 	{name: "merge-begin", merge: true, record: 0x13, pinned: 3, shards: 3, epoch: 1},
@@ -147,35 +151,30 @@ func TestReshardCrashRecovery(t *testing.T) {
 			if pinned != mode.pinned {
 				t.Fatalf("pinned shard count = %d, want %d", pinned, mode.pinned)
 			}
-			st := newSharded(pinned)
-			res, err := st.EnableDurability(Durability{Dir: dir, Fsync: wal.ModeAlways, CheckpointEvery: -1})
-			if err != nil {
-				t.Fatalf("recovery: %v", err)
+			st, _, _ := recoverReshardCrash(t, dir, &mode)
+			manifest, entries := reshardCrashLayout(t, dir)
+			if err := st.CloseDurability(); err != nil {
+				t.Fatal(err)
 			}
+
+			// Recovery is idempotent: a second pass over the directory the
+			// first one left finds the same table and the same keys, heals
+			// nothing (same MANIFEST bytes, same shard directories), resolves
+			// no prepare, and rolls nothing forward — a roll-forward moved
+			// the MANIFEST to the journal's epoch, which settles the journal.
+			// (A BEGIN without COMMIT stays in its log until a checkpoint
+			// truncates it, so the begin windows plan the same rollback
+			// again; it has nothing left to remove.)
+			st, res, logged := recoverReshardCrash(t, dir, &mode)
 			defer st.CloseDurability()
-			t.Logf("recovery: %s", res)
-
-			// Rolled back or forward: the table this window resolves to,
-			// and a manifest that says the same.
-			if st.NumShards() != mode.shards || st.RoutingEpoch() != mode.epoch {
-				t.Fatalf("recovered to shards=%d epoch=%d, want shards=%d epoch=%d", st.NumShards(), st.RoutingEpoch(), mode.shards, mode.epoch)
+			if res.Committed != 0 || res.RolledBack != 0 {
+				t.Fatalf("second recovery resolved prepares: committed=%d rolled back=%d", res.Committed, res.RolledBack)
 			}
-			if n, err := WALShardCount(dir); err != nil || n != mode.shards {
-				t.Fatalf("manifest after recovery: n=%d err=%v, want %d", n, err, mode.shards)
+			if strings.Contains(logged, "rolled forward") {
+				t.Fatalf("second recovery rolled forward again:\n%s", logged)
 			}
-			if mode.goneDir != "" && fileExists(filepath.Join(dir, mode.goneDir)) {
-				t.Fatalf("recovery left %s behind", mode.goneDir)
-			}
-
-			// Every window: the exact acknowledged prefix, no more, no less.
-			got := scanAll(t, st)
-			if len(got) != reshardCrashKeys {
-				t.Fatalf("recovered %d keys, want %d", len(got), reshardCrashKeys)
-			}
-			for i := 0; i < reshardCrashKeys; i++ {
-				if got[string(tkey(i))] != fmt.Sprintf("v%d", i) {
-					t.Fatalf("key %d: %q", i, got[string(tkey(i))])
-				}
+			if m, e := reshardCrashLayout(t, dir); m != manifest || !reflect.DeepEqual(e, entries) {
+				t.Fatalf("second recovery changed the directory:\nMANIFEST %q -> %q\nentries %v -> %v", manifest, m, entries, e)
 			}
 			// And the recovered store serves writes on every shard.
 			for i := 0; i < 32; i++ {
@@ -183,4 +182,70 @@ func TestReshardCrashRecovery(t *testing.T) {
 			}
 		})
 	}
+}
+
+// recoverReshardCrash opens dir with the shard count its MANIFEST pins
+// and checks the state the mode's window must resolve to: the table, a
+// manifest that says the same, the removed directory, and the exact
+// acknowledged prefix — no more, no less. It returns the open store,
+// the recovery summary and everything recovery logged.
+func recoverReshardCrash(t *testing.T, dir string, mode *reshardCrashMode) (*Store, *RecoverSummary, string) {
+	t.Helper()
+	pinned, err := WALShardCount(dir)
+	if err != nil {
+		t.Fatalf("WALShardCount: %v", err)
+	}
+	var mu sync.Mutex // the shards' logs recover, and log, in parallel
+	var logged strings.Builder
+	st := newSharded(pinned)
+	res, err := st.EnableDurability(Durability{Dir: dir, Fsync: wal.ModeAlways, CheckpointEvery: -1,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			fmt.Fprintf(&logged, format+"\n", args...)
+		}})
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	t.Logf("recovery: %s", res)
+	if st.NumShards() != mode.shards || st.RoutingEpoch() != mode.epoch {
+		t.Fatalf("recovered to shards=%d epoch=%d, want shards=%d epoch=%d", st.NumShards(), st.RoutingEpoch(), mode.shards, mode.epoch)
+	}
+	if n, err := WALShardCount(dir); err != nil || n != mode.shards {
+		t.Fatalf("manifest after recovery: n=%d err=%v, want %d", n, err, mode.shards)
+	}
+	if mode.goneDir != "" && fileExists(filepath.Join(dir, mode.goneDir)) {
+		t.Fatalf("recovery left %s behind", mode.goneDir)
+	}
+	got := scanAll(t, st)
+	if len(got) != reshardCrashKeys {
+		t.Fatalf("recovered %d keys, want %d", len(got), reshardCrashKeys)
+	}
+	for i := 0; i < reshardCrashKeys; i++ {
+		if got[string(tkey(i))] != fmt.Sprintf("v%d", i) {
+			t.Fatalf("key %d: %q", i, got[string(tkey(i))])
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	return st, res, logged.String()
+}
+
+// reshardCrashLayout reads what a recovery may heal: the MANIFEST's
+// bytes and the names in the store directory.
+func reshardCrashLayout(t *testing.T, dir string) (string, []string) {
+	t.Helper()
+	manifest, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return string(manifest), names
 }

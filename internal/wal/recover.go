@@ -46,51 +46,10 @@ type RecoverResult struct {
 	// DroppedSegments counts segments beyond the truncation point that
 	// were discarded entirely (they are past the durable prefix).
 	DroppedSegments int
-	// InDoubt is a PREPARE record still pending at the end of the log:
-	// the crash landed inside a cross-shard commit, after this shard
-	// prepared but before its outcome record. It was NOT applied; the
-	// caller resolves it against the coordinator shard's decision set
-	// (see Record) and either applies or discards its operations.
-	InDoubt *PendingPrepare
-	// Decisions lists the epochs whose DECISION record lives in this
-	// log — the commit points this shard coordinated. Other shards'
-	// in-doubt prepares naming this shard as coordinator commit iff
-	// their epoch is here.
-	Decisions []uint64
-	// MaxEpoch is the largest cross-shard epoch seen in any 2PC control
-	// record. The store resumes its epoch counter above the maximum
-	// across all shards, so a new epoch can never collide with one
-	// still resolvable from a surviving record. (Reshard records carry
-	// routing epochs — a separate counter — and do not feed this.)
-	MaxEpoch uint64
-	// Reshards lists the RESHARD-BEGIN/COMMIT records of this log in
-	// log order. The store resolves the last BEGIN against a matching
-	// later COMMIT and the MANIFEST's epoch: committed but not yet in
-	// the MANIFEST rolls forward, uncommitted rolls back.
-	Reshards []ReshardEvent
-	// AbortedPrepares counts PREPARE records that were superseded by a
-	// non-matching next record — transactions aborted live after
-	// preparing. Their operations were dropped.
-	AbortedPrepares int
-}
-
-// PendingPrepare is an unresolved PREPARE at the end of a recovered
-// log: epoch, coordinator shard id, and the operations that commit
-// iff the coordinator decided.
-type PendingPrepare struct {
-	Epoch uint64
-	Coord int
-	Ops   []Op
-}
-
-// ReshardEvent is one RESHARD-BEGIN or RESHARD-COMMIT record seen
-// during replay: Kind is RecordReshardBegin or RecordReshardCommit,
-// Epoch the routing epoch the reshard publishes, and Reshard the
-// journaled description (BEGIN only).
-type ReshardEvent struct {
-	Kind    RecordKind
-	Epoch   uint64
-	Reshard Reshard
+	// Replay is the tail's record-stream state as the replay left it:
+	// the in-doubt PREPARE the log ends in, the decision set, the 2PC
+	// epoch floor, the reshard journal and the aborted-prepare count.
+	Replay
 }
 
 // String summarizes the recovery for logs.
@@ -320,7 +279,6 @@ func Open(dir string, opts Options, apply func(ops []Op) error) (*Log, *RecoverR
 		expect = 1
 	}
 	var ops []Op
-	var pending *PendingPrepare
 	for _, seg := range segs {
 		if seg > maxSeg {
 			maxSeg = seg
@@ -379,44 +337,15 @@ func Open(dir string, opts Options, apply func(ops []Op) error) (*Log, *RecoverR
 				}
 				break
 			}
-			isReshard := rec.Kind == RecordReshardBegin || rec.Kind == RecordReshardCommit
-			if rec.Kind != RecordOps && !isReshard && rec.Epoch > res.MaxEpoch {
-				res.MaxEpoch = rec.Epoch
+			aborted := res.AbortedPrepares
+			group := res.Step(rec)
+			if res.AbortedPrepares != aborted && logf != nil {
+				logf("wal: segment %d: prepare superseded by %v — dropped as aborted", seg, rec.Kind)
 			}
-			// A pending PREPARE is resolved by the record that follows
-			// it (tokens are held across a cross-shard commit, so
-			// nothing can legitimately intervene): its matching outcome
-			// — COMMIT on a participant, DECISION on the coordinator —
-			// applies it; any other record means the transaction
-			// aborted after preparing, and the prepare is dropped.
-			if pending != nil {
-				if (rec.Kind == RecordCommit || rec.Kind == RecordDecision) && rec.Epoch == pending.Epoch {
-					if err := applyTail(pending.Ops); err != nil {
-						return nil, nil, fmt.Errorf("wal: applying segment %d: %w", seg, err)
-					}
-				} else {
-					res.AbortedPrepares++
-					if logf != nil {
-						logf("wal: segment %d: prepare epoch=%d superseded by %v — dropped as aborted", seg, pending.Epoch, rec.Kind)
-					}
-				}
-				pending = nil
-			}
-			switch rec.Kind {
-			case RecordOps:
-				if err := applyTail(rec.Ops); err != nil {
+			if group != nil {
+				if err := applyTail(group); err != nil {
 					return nil, nil, fmt.Errorf("wal: applying segment %d: %w", seg, err)
 				}
-			case RecordPrepare:
-				pending = &PendingPrepare{
-					Epoch: rec.Epoch,
-					Coord: rec.Coord,
-					Ops:   append([]Op(nil), rec.Ops...),
-				}
-			case RecordDecision:
-				res.Decisions = append(res.Decisions, rec.Epoch)
-			case RecordReshardBegin, RecordReshardCommit:
-				res.Reshards = append(res.Reshards, ReshardEvent{Kind: rec.Kind, Epoch: rec.Epoch, Reshard: rec.Reshard})
 			}
 			if rec.Ops != nil {
 				ops = rec.Ops // keep the grown buffer for the next record
@@ -425,10 +354,6 @@ func Open(dir string, opts Options, apply func(ops []Op) error) (*Log, *RecoverR
 			rest = next
 		}
 	}
-
-	// A prepare still pending at the very end of the log is in-doubt:
-	// surface it for the caller to resolve against the coordinator.
-	res.InDoubt = pending
 
 	l, err := openLog(dir, opts, maxSeg+1, chain)
 	if err != nil {

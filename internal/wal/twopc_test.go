@@ -187,3 +187,31 @@ func mustAppend(t *testing.T, l *Log, payload []byte) {
 		t.Fatal(err)
 	}
 }
+
+// TestReplayKeepsNewestDecisions: a stream stepped without end keeps a
+// bounded decision set, and it is the newest decisions that stay — the
+// only ones an in-doubt prepare can still ask for.
+func TestReplayKeepsNewestDecisions(t *testing.T) {
+	var coord, part Replay
+	const n = 3*maxDecisions + 7
+	for e := uint64(1); e <= n; e++ {
+		coord.Step(Record{Kind: RecordDecision, Epoch: e})
+	}
+	if len(coord.Decisions) > maxDecisions || len(coord.Decisions) < maxDecisions/2 {
+		t.Fatalf("kept %d decisions, want between %d and %d", len(coord.Decisions), maxDecisions/2, maxDecisions)
+	}
+	if last := coord.Decisions[len(coord.Decisions)-1]; last != n || coord.MaxEpoch != n {
+		t.Fatalf("newest decision kept = %d, MaxEpoch = %d, want %d", last, coord.MaxEpoch, n)
+	}
+	part.Step(Record{Kind: RecordPrepare, Epoch: n, Coord: 4, Ops: []Op{{Kind: OpSet, Key: "k", Val: "v"}}})
+	streams := []Stream{{ID: 9, Replay: &part}, {ID: 4, Replay: &coord}}
+	committed, rolledBack, err := ResolveInDoubt(streams, func(i int, pp *PendingPrepare, commit bool) error {
+		if i != 0 || pp.Epoch != n || !commit {
+			t.Fatalf("resolve(%d, epoch %d, commit=%v), want stream 0, epoch %d, commit", i, pp.Epoch, commit, n)
+		}
+		return nil
+	})
+	if err != nil || committed != 1 || rolledBack != 0 {
+		t.Fatalf("ResolveInDoubt = %d committed, %d rolled back, err %v", committed, rolledBack, err)
+	}
+}
