@@ -1,9 +1,7 @@
 package repl
 
 import (
-	"bufio"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,14 +61,13 @@ type followerShard struct {
 	cleared  bool // this connection's snapshot clear happened
 }
 
-// Follower maintains the replication link to a primary: it dials,
-// subscribes, applies the catch-up snapshot and the live tail, acks its
-// positions, and reconnects with backoff when the link dies. One
-// Follower owns one goroutine; Close or Promote end it.
+// Follower is the client side of a feed: Redial keeps one Link to the
+// primary up, and each link's lifetime (linkOnce) subscribes, applies
+// the catch-up snapshot and the live tail, and acks its positions —
+// an ACK is also its answer to PING. One Follower owns one goroutine;
+// Close or Promote end it.
 type Follower struct {
 	cfg     FollowerConfig
-	tm      Timeouts
-	bo      Backoff
 	nshards int
 
 	state      atomic.Int32
@@ -89,12 +86,14 @@ type Follower struct {
 	// own — the gate for churn-bounded delta catch-up.
 	primaryInc uint64
 
-	stop     chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
+	stop chan struct{}
+	done chan struct{}
 
-	connMu sync.Mutex
-	conn   net.Conn // live connection, for teardown
+	// linkMu orders halt against a fresh link's installation, so every
+	// link either sees the halt or is cut by it.
+	linkMu sync.Mutex
+	link   *Link
+	halted bool
 }
 
 // StartFollower starts the replication link. The store should already
@@ -116,8 +115,6 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 func newFollower(cfg FollowerConfig) *Follower {
 	f := &Follower{
 		cfg:     cfg,
-		tm:      cfg.Timeouts.WithDefaults(),
-		bo:      cfg.Backoff.WithDefaults(),
 		nshards: cfg.Store.NumShards(),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
@@ -155,204 +152,134 @@ func (f *Follower) logf(format string, args ...any) {
 	}
 }
 
-// run is the reconnect loop: each attempt runs one link lifecycle; the
-// backoff resets once a link reaches the streaming state.
+// run keeps the link up until halt.
 func (f *Follower) run() {
 	defer close(f.done)
-	attempt := 0
-	for {
-		select {
-		case <-f.stop:
-			return
-		default:
-		}
-		streamed, err := f.linkOnce()
-		f.state.Store(int32(StateDisconnected))
-		select {
-		case <-f.stop:
-			return
-		default:
-		}
+	Redial(f.stop, f.cfg.Backoff, f.linkOnce, func(err error, retryIn time.Duration) {
 		f.reconnects.Add(1)
-		if streamed {
-			attempt = 0
-		}
-		delay := f.bo.Delay(attempt)
-		attempt++
-		f.logf("repl: link to %s down (%v); retrying in %v", f.cfg.Primary, err, delay)
-		select {
-		case <-f.stop:
-			return
-		case <-time.After(delay):
-		}
+		f.logf("repl: link to %s down (%v); retrying in %v", f.cfg.Primary, err, retryIn)
+	})
+}
+
+// adopt makes l the link halt will cut, unless halt already ran.
+func (f *Follower) adopt(l *Link) bool {
+	f.linkMu.Lock()
+	defer f.linkMu.Unlock()
+	if f.halted {
+		return false
 	}
+	f.link = l
+	return true
 }
 
 // linkOnce runs one connection lifecycle: dial, subscribe, catch up,
 // stream. It returns whether the link reached streaming, and the error
 // that ended it (always non-nil).
 func (f *Follower) linkOnce() (streamed bool, err error) {
+	defer f.state.Store(int32(StateDisconnected))
 	f.state.Store(int32(StateConnecting))
-	conn, err := net.DialTimeout("tcp", f.cfg.Primary, f.tm.Connect)
+	l, resp, err := Dial(f.cfg.Primary, f.cfg.Timeouts, &wire.Request{Op: wire.OpSubscribeWAL, Sem: wire.SemDefault})
 	if err != nil {
 		return false, err
 	}
-	f.connMu.Lock()
-	f.conn = conn
-	f.connMu.Unlock()
-	defer func() {
-		f.connMu.Lock()
-		f.conn = nil
-		f.connMu.Unlock()
-		conn.Close()
-	}()
-
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-
-	// Subscribe handshake, all under the Connect budget: one request
-	// frame out, one response frame in.
-	conn.SetDeadline(time.Now().Add(f.tm.Connect))
-	sub, err := wire.AppendRequestFrame(nil, &wire.Request{Op: wire.OpSubscribeWAL, Sem: wire.SemDefault})
-	if err != nil {
-		return false, err
-	}
-	if _, err := bw.Write(sub); err != nil {
-		return false, err
-	}
-	if err := bw.Flush(); err != nil {
-		return false, err
-	}
-	payload, err := wire.ReadFrame(br, wire.MaxFrame)
-	if err != nil {
-		return false, err
-	}
-	resp, err := wire.DecodeResponse(payload, wire.OpSubscribeWAL, nil)
-	if err != nil {
-		return false, err
-	}
-	if err := resp.Err(); err != nil {
-		return false, err
+	defer l.Close()
+	if !f.adopt(l) {
+		return false, ErrLinkClosed
 	}
 	if resp.N == 0 {
 		return false, fmt.Errorf("repl: primary reports zero shards")
 	}
-	// A count mismatch is no longer fatal here: the TOPOLOGY frame the
-	// primary sends after HELLO carries the authoritative routing table,
-	// and the follower reshapes to it (resharding moves shard counts).
+	// A count that differs from ours is not an error: the TOPOLOGY frame
+	// the primary sends after HELLO carries the authoritative routing
+	// table, and the follower reshapes to it.
 
 	// HELLO: announce the incarnation we last caught up against, the
 	// routing epoch our table embodies, and our per-shard applied
 	// positions, so the primary can choose a churn-bounded delta
-	// catch-up over a full snapshot.
-	hello := wire.ReplFrame{Kind: wire.ReplHello}
-	hello.Epoch = f.cfg.Store.RoutingEpoch()
+	// catch-up over a full snapshot. Fresh connection: the snapshot
+	// phase restarts on every shard.
+	hello := wire.ReplFrame{Kind: wire.ReplHello, Epoch: f.cfg.Store.RoutingEpoch()}
 	f.mu.Lock()
 	hello.Incarnation = f.primaryInc
 	for i := range f.shards {
 		hello.Acks = append(hello.Acks, wire.ReplAckEntry{Shard: uint64(i), Seq: f.shards[i].ackSeq})
+		f.shards[i].cleared = false
 	}
 	f.mu.Unlock()
 	out, err := wire.AppendReplFrame(nil, &hello)
 	if err != nil {
 		return false, err
 	}
-	if _, err := bw.Write(out); err != nil {
+	if err := l.Write(out); err != nil {
 		return false, err
 	}
-	if err := bw.Flush(); err != nil {
-		return false, err
-	}
-	conn.SetDeadline(time.Time{})
-
-	// Fresh connection: the snapshot phase restarts on every shard.
-	f.mu.Lock()
-	for i := range f.shards {
-		f.shards[i].cleared = false
-	}
-	f.mu.Unlock()
 
 	f.state.Store(int32(StateCatchingUp))
 	var frame wire.ReplFrame
 	var ops []wal.Op
-	var ackBuf []byte
 	snapsDone := 0
-	for {
-		select {
-		case <-f.stop:
-			return streamed, fmt.Errorf("repl: follower stopped")
-		default:
-		}
-		conn.SetReadDeadline(time.Now().Add(f.tm.readBudget()))
-		payload, err = wire.ReadFrameBuf(br, payload, wire.MaxFrame)
-		if err != nil {
-			return streamed, err
-		}
+	err = l.Recv(func(payload []byte) error {
 		if err := wire.DecodeReplFrame(&frame, payload); err != nil {
-			return streamed, err
+			return err
+		}
+		// Frames that name no shard decode with Shard 0.
+		if frame.Shard >= uint64(f.nshards) {
+			return fmt.Errorf("repl: %v for shard %d of %d", frame.Kind, frame.Shard, f.nshards)
 		}
 		switch frame.Kind {
 		case wire.ReplTopology:
-			if err := f.adoptTopology(&frame); err != nil {
-				return streamed, err
-			}
+			return f.adoptTopology(&frame)
 		case wire.ReplSnapBatch:
-			if err := f.applySnapBatch(&frame, &ops); err != nil {
-				return streamed, err
-			}
+			return f.applySnapBatch(&frame, &ops)
+		case wire.ReplDeltaBatch:
+			return f.applyDeltaBatch(&frame, &ops)
 		case wire.ReplSnapDone:
-			shard := int(frame.Shard)
-			if shard < 0 || shard >= f.nshards {
-				return streamed, fmt.Errorf("repl: SNAP-DONE for shard %d of %d", shard, f.nshards)
+			if err := f.finishCatchUp(&frame); err != nil {
+				return err
 			}
-			f.mu.Lock()
-			if frame.Mode == wire.ReplCatchupDelta {
-				// Delta catch-up layered churn onto this shard's surviving
-				// contents: no data clear. Apply-side 2PC state from the
-				// old link is already embodied in the shipped values, so
-				// drop it; byte accounting restarts with the new feed.
-				sh := &f.shards[shard]
-				sh.replay = wal.Replay{}
-				sh.ackBytes = 0
-			} else if !f.shards[shard].cleared {
-				// An empty shard sends no SNAP-BATCH; the clear still must
-				// happen so stale keys from a previous link don't survive.
-				f.mu.Unlock()
-				if err := f.clearShard(shard); err != nil {
-					return streamed, err
-				}
-				f.mu.Lock()
-			}
-			f.shards[shard].ackSeq = frame.CoverSeq
-			f.primaryInc = frame.Incarnation
-			f.mu.Unlock()
-			snapsDone++
-			if snapsDone == f.nshards {
+			if snapsDone++; snapsDone == f.nshards {
 				f.state.Store(int32(StateStreaming))
 				streamed = true
 			}
-			if ackBuf, err = f.sendAck(conn, bw, ackBuf); err != nil {
-				return streamed, err
-			}
-		case wire.ReplDeltaBatch:
-			if err := f.applyDeltaBatch(&frame, &ops); err != nil {
-				return streamed, err
-			}
 		case wire.ReplWALBatch:
 			if err := f.applyWALBatch(&frame, &ops); err != nil {
-				return streamed, err
-			}
-			if ackBuf, err = f.sendAck(conn, bw, ackBuf); err != nil {
-				return streamed, err
+				return err
 			}
 		case wire.ReplPing:
-			if ackBuf, err = f.sendAck(conn, bw, ackBuf); err != nil {
-				return streamed, err
-			}
 		default:
-			return streamed, fmt.Errorf("repl: unexpected %v frame from primary", frame.Kind)
+			return fmt.Errorf("repl: unexpected %v frame from primary", frame.Kind)
 		}
+		return f.sendAck(l, &out)
+	})
+	return streamed, err
+}
+
+// finishCatchUp handles SNAP-DONE: the shard's catch-up — snapshot or
+// delta — is complete up to the frame's cover seq.
+func (f *Follower) finishCatchUp(frame *wire.ReplFrame) error {
+	shard := int(frame.Shard)
+	f.mu.Lock()
+	sh := &f.shards[shard]
+	if frame.Mode == wire.ReplCatchupDelta {
+		// Delta catch-up layered churn onto this shard's surviving
+		// contents: no data clear. Apply-side 2PC state from the old
+		// link is already embodied in the shipped values, so drop it;
+		// byte accounting restarts with the new feed.
+		sh.replay = wal.Replay{}
+		sh.ackBytes = 0
+	} else if !sh.cleared {
+		// An empty shard sends no SNAP-BATCH; the clear still must
+		// happen so stale keys from a previous link don't survive.
+		f.mu.Unlock()
+		if err := f.clearShard(shard); err != nil {
+			return err
+		}
+		f.mu.Lock()
 	}
+	sh.ackSeq = frame.CoverSeq
+	f.primaryInc = frame.Incarnation
+	f.mu.Unlock()
+	return nil
 }
 
 // adoptTopology handles the TOPOLOGY frame a subscription opens with.
@@ -409,9 +336,6 @@ func (f *Follower) clearShard(shard int) error {
 // of SETs.
 func (f *Follower) applySnapBatch(frame *wire.ReplFrame, ops *[]wal.Op) error {
 	shard := int(frame.Shard)
-	if shard < 0 || shard >= f.nshards {
-		return fmt.Errorf("repl: SNAP-BATCH for shard %d of %d", shard, f.nshards)
-	}
 	f.mu.Lock()
 	cleared := f.shards[shard].cleared
 	f.mu.Unlock()
@@ -438,9 +362,6 @@ func (f *Follower) applySnapBatch(frame *wire.ReplFrame, ops *[]wal.Op) error {
 // of the shard's surviving contents (delta catch-up never clears).
 func (f *Follower) applyDeltaBatch(frame *wire.ReplFrame, ops *[]wal.Op) error {
 	shard := int(frame.Shard)
-	if shard < 0 || shard >= f.nshards {
-		return fmt.Errorf("repl: DELTA-BATCH for shard %d of %d", shard, f.nshards)
-	}
 	if len(frame.Deltas) == 0 {
 		return nil
 	}
@@ -462,9 +383,6 @@ func (f *Follower) applyDeltaBatch(frame *wire.ReplFrame, ops *[]wal.Op) error {
 // the shard's stream and applies what each step releases.
 func (f *Follower) applyWALBatch(frame *wire.ReplFrame, ops *[]wal.Op) error {
 	shard := int(frame.Shard)
-	if shard < 0 || shard >= f.nshards {
-		return fmt.Errorf("repl: WAL-BATCH for shard %d of %d", shard, f.nshards)
-	}
 	for _, r := range frame.Recs {
 		rec, err := wal.DecodeRecord((*ops)[:0], r.Payload)
 		if err != nil {
@@ -495,8 +413,9 @@ func (f *Follower) applyWALBatch(frame *wire.ReplFrame, ops *[]wal.Op) error {
 	return nil
 }
 
-// sendAck writes one ACK frame carrying every shard's position.
-func (f *Follower) sendAck(conn net.Conn, bw *bufio.Writer, buf []byte) ([]byte, error) {
+// sendAck writes one ACK frame carrying every shard's position,
+// encoded into buf's storage.
+func (f *Follower) sendAck(l *Link, buf *[]byte) error {
 	frame := wire.ReplFrame{Kind: wire.ReplAck}
 	f.mu.Lock()
 	for i := range f.shards {
@@ -507,31 +426,25 @@ func (f *Follower) sendAck(conn net.Conn, bw *bufio.Writer, buf []byte) ([]byte,
 		})
 	}
 	f.mu.Unlock()
-	out, err := wire.AppendReplFrame(buf[:0], &frame)
-	if err != nil {
-		return buf, err
+	var err error
+	if *buf, err = wire.AppendReplFrame((*buf)[:0], &frame); err != nil {
+		return err
 	}
-	conn.SetWriteDeadline(time.Now().Add(f.tm.Reply))
-	if _, err := bw.Write(out); err != nil {
-		return out, err
-	}
-	if err := bw.Flush(); err != nil {
-		return out, err
-	}
-	conn.SetWriteDeadline(time.Time{})
-	return out, nil
+	return l.Write(*buf)
 }
 
 // halt stops the link goroutine and waits for it.
 func (f *Follower) halt() {
-	f.stopOnce.Do(func() { close(f.stop) })
-	f.connMu.Lock()
-	if f.conn != nil {
-		f.conn.SetDeadline(time.Now().Add(-time.Second))
+	f.linkMu.Lock()
+	if !f.halted {
+		f.halted = true
+		close(f.stop)
+		if f.link != nil {
+			f.link.Cut(ErrLinkClosed)
+		}
 	}
-	f.connMu.Unlock()
+	f.linkMu.Unlock()
 	<-f.done
-	f.state.Store(int32(StateDisconnected))
 }
 
 // Close stops the link without promotion.

@@ -3,12 +3,12 @@ package repl
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"polytm/internal/wal"
 	"polytm/internal/wire"
@@ -107,29 +107,30 @@ type shipRec struct {
 	payload []byte
 }
 
-// feed is one follower's connection: taps on every shard's log feed its
-// bounded buffer; a writer goroutine drains the buffer into WAL-BATCH
-// frames (after streaming the catch-up snapshot) and heartbeats on
-// idle; a reader goroutine consumes ACK frames.
+// feed is one follower's connection, a Link speaking the replication
+// vocabulary: taps on every shard's log fill its bounded buffer; drain
+// turns the buffer into WAL-BATCH frames (after the catch-up phase) and
+// onFrame folds the follower's ACKs into the hub. The buffer counts
+// payload bytes and overflow cuts the link — there is no frame to say
+// "you fell behind"; the follower learns it by reconnecting into a full
+// catch-up.
 type feed struct {
 	h    *Hub
 	id   uint64
-	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
+	link *Link
 
 	// The routing view this feed was subscribed under; a reshard
 	// invalidates it and cuts the feed.
 	epoch uint64
 	topo  []wire.ReplShardSlice
 
+	wake chan struct{}
+	out  []byte         // the writer's frame-encoding scratch
+	in   wire.ReplFrame // the reader's decode scratch
+
 	mu       sync.Mutex
 	buf      []shipRec
 	bufBytes int
-	broken   error // set once; the feed is beyond repair (overflow, I/O)
-	wake     chan struct{}
-	stop     chan struct{}
-	stopOnce sync.Once
 
 	// Per-shard positions, all under mu: shipped high-water vs the
 	// follower's acked offsets (from its ACK frames).
@@ -149,13 +150,10 @@ func (h *Hub) ServeFeed(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error
 	n := len(topo)
 	f := &feed{
 		h:            h,
-		conn:         conn,
-		br:           br,
-		bw:           bw,
+		link:         NewLink(conn, br, bw, h.tm, wire.MaxFrame),
 		epoch:        epoch,
 		topo:         topo,
 		wake:         make(chan struct{}, 1),
-		stop:         make(chan struct{}),
 		shippedSeq:   make([]uint64, n),
 		shippedBytes: make([]uint64, n),
 		ackSeq:       make([]uint64, n),
@@ -164,7 +162,7 @@ func (h *Hub) ServeFeed(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
-		return fmt.Errorf("repl: hub closed")
+		return errHubClosed
 	}
 	f.id = h.nextID
 	h.nextID++
@@ -177,13 +175,46 @@ func (h *Hub) ServeFeed(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error
 	delete(h.feeds, f)
 	// The feed set changed: sync-ack waiters must re-check whether any
 	// follower remains to wait for.
-	close(h.ackCh)
-	h.ackCh = make(chan struct{})
+	h.wakeWaiters()
 	h.mu.Unlock()
 	if h.logf != nil {
 		h.logf("repl: follower %d (%v) gone: %v", f.id, conn.RemoteAddr(), err)
 	}
 	return err
+}
+
+var errHubClosed = errors.New("repl: hub closed")
+
+// wakeWaiters releases every WaitAcked caller to re-check its
+// condition; h.mu must be held.
+func (h *Hub) wakeWaiters() {
+	close(h.ackCh)
+	h.ackCh = make(chan struct{})
+}
+
+// liveFeeds snapshots the feed set in subscription order; h.mu must be
+// held.
+func (h *Hub) liveFeeds() []*feed {
+	feeds := make([]*feed, 0, len(h.feeds))
+	for f := range h.feeds {
+		feeds = append(feeds, f)
+	}
+	sort.Slice(feeds, func(i, j int) bool { return feeds[i].id < feeds[j].id })
+	return feeds
+}
+
+// cutFeeds changes the hub's state through edit, under h.mu, and then
+// cuts every feed that was live at that moment for the given reason;
+// sync-ack waiters wake to see the new state.
+func (h *Hub) cutFeeds(reason error, edit func()) {
+	h.mu.Lock()
+	edit()
+	feeds := h.liveFeeds()
+	h.wakeWaiters()
+	h.mu.Unlock()
+	for _, f := range feeds {
+		f.link.Cut(reason)
+	}
 }
 
 // WaitAcked blocks until some follower's ack covers (shard, seq), no
@@ -233,8 +264,7 @@ func (h *Hub) noteAck(f *feed, acks []wire.ReplAckEntry) {
 	}
 	f.mu.Unlock()
 	if advanced {
-		close(h.ackCh)
-		h.ackCh = make(chan struct{})
+		h.wakeWaiters()
 	}
 	h.mu.Unlock()
 }
@@ -245,12 +275,8 @@ func (h *Hub) noteAck(f *feed, acks []wire.ReplAckEntry) {
 // oldest live feed), so the rows are stable while the set is.
 func (h *Hub) Counters() []wire.Counter {
 	h.mu.Lock()
-	feeds := make([]*feed, 0, len(h.feeds))
-	for f := range h.feeds {
-		feeds = append(feeds, f)
-	}
+	feeds := h.liveFeeds()
 	h.mu.Unlock()
-	sort.Slice(feeds, func(i, j int) bool { return feeds[i].id < feeds[j].id })
 	sync := uint64(0)
 	if h.syncAck {
 		sync = 1
@@ -293,35 +319,15 @@ func (h *Hub) LagBytes() uint64 {
 // repositioned shard; waiters wake and observe no followers (sync
 // replication degrades to async until followers re-subscribe).
 func (h *Hub) CutAll(reason string) {
-	h.mu.Lock()
-	feeds := make([]*feed, 0, len(h.feeds))
-	for f := range h.feeds {
-		feeds = append(feeds, f)
-	}
-	h.acked = make([]uint64, h.store.NumShards())
-	close(h.ackCh)
-	h.ackCh = make(chan struct{})
-	h.mu.Unlock()
-	for _, f := range feeds {
-		f.fail(fmt.Errorf("repl: feed cut: %s", reason))
-	}
+	h.cutFeeds(fmt.Errorf("repl: feed cut: %s", reason), func() {
+		h.acked = make([]uint64, h.store.NumShards())
+	})
 }
 
 // Close tears down every feed. In-flight ServeFeed calls return; new
 // subscriptions are refused.
 func (h *Hub) Close() {
-	h.mu.Lock()
-	h.closed = true
-	feeds := make([]*feed, 0, len(h.feeds))
-	for f := range h.feeds {
-		feeds = append(feeds, f)
-	}
-	close(h.ackCh)
-	h.ackCh = make(chan struct{})
-	h.mu.Unlock()
-	for _, f := range feeds {
-		f.fail(fmt.Errorf("repl: hub closed"))
-	}
+	h.cutFeeds(errHubClosed, func() { h.closed = true })
 }
 
 // offsets sums a feed's acked records and its lag (shipped − acked
@@ -338,71 +344,43 @@ func (f *feed) offsets() (ackedRecs, lagBytes uint64) {
 	return ackedRecs, lagBytes
 }
 
-// fail marks the feed broken and unblocks both of its loops.
-func (f *feed) fail(err error) {
-	f.mu.Lock()
-	if f.broken == nil {
-		f.broken = err
-	}
-	f.mu.Unlock()
-	f.stopOnce.Do(func() { close(f.stop) })
-	f.conn.SetDeadline(time.Now().Add(-time.Second))
-}
-
-// failure returns the first recorded failure.
-func (f *feed) failure() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.broken
-}
-
 // offer is the tap function: it runs on the shard's WAL flusher with
 // the log mutex held, so it only appends to the feed's bounded buffer.
-// Overflow breaks the feed instead of blocking the primary's commit
-// path or growing without bound.
+// Overflow cuts the feed instead of blocking the primary's commit path
+// or growing without bound.
 func (f *feed) offer(shard int, seq uint64, payload []byte) {
-	f.mu.Lock()
-	if f.broken != nil {
-		f.mu.Unlock()
+	if f.link.Cause() != nil {
 		return
 	}
+	f.mu.Lock()
 	if f.bufBytes+len(payload) > f.h.maxBuf {
-		f.broken = fmt.Errorf("repl: follower %d fell behind (buffer over %d bytes)", f.id, f.h.maxBuf)
 		f.mu.Unlock()
-		f.wakeup()
+		f.link.Cut(fmt.Errorf("repl: follower %d fell behind (buffer over %d bytes)", f.id, f.h.maxBuf))
 		return
 	}
 	f.buf = append(f.buf, shipRec{shard: shard, seq: seq, payload: payload})
 	f.bufBytes += len(payload)
 	f.mu.Unlock()
-	f.wakeup()
-}
-
-func (f *feed) wakeup() {
 	select {
 	case f.wake <- struct{}{}:
 	default:
 	}
 }
 
-// take swaps out the queued records (nil when empty or broken).
-func (f *feed) take() ([]shipRec, error) {
+// take swaps out the queued records (nil when empty).
+func (f *feed) take() []shipRec {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.broken != nil {
-		return nil, f.broken
-	}
-	if len(f.buf) == 0 {
-		return nil, nil
-	}
 	recs := f.buf
 	f.buf = nil
 	f.bufBytes = 0
-	return recs, nil
+	return recs
 }
 
-// run is the feed lifecycle: attach taps, stream catch-up, drain the
-// live tail; a reader goroutine consumes ACKs concurrently throughout.
+// run is the feed lifecycle: attach taps, read HELLO, send TOPOLOGY,
+// stream catch-up, then pump the live tail against the follower's ACKs.
+// ACKs sent during catch-up (one per shard) wait in the socket until the
+// pump's reader starts.
 func (f *feed) run() error {
 	n := len(f.topo)
 
@@ -415,111 +393,71 @@ func (f *feed) run() error {
 	// a reshard racing this attach is caught by the epoch re-check below
 	// (and would cut the feed moments later anyway).
 	covers := make([]uint64, n)
-	taps := make([]*wal.Tap, n)
-	logs := make([]*wal.Log, n)
-	for i := 0; i < n; i++ {
-		shard := i
-		logs[i] = f.h.store.ShardWAL(i)
-		if logs[i] == nil {
-			err := fmt.Errorf("repl: shard %d's log vanished during subscribe (concurrent reshard)", i)
-			f.fail(err)
-			for j := 0; j < i; j++ {
-				logs[j].DetachTap(taps[j])
-			}
-			return f.failure()
-		}
-		taps[i], covers[i] = logs[i].AttachTap(func(seq uint64, payload []byte) {
-			f.offer(shard, seq, payload)
-		})
-	}
+	taps := make([]*wal.Tap, 0, n)
+	logs := make([]*wal.Log, 0, n)
 	defer func() {
 		for i, t := range taps {
 			logs[i].DetachTap(t)
 		}
 	}()
+	for i := 0; i < n; i++ {
+		shard := i
+		log := f.h.store.ShardWAL(i)
+		if log == nil {
+			return f.link.Cut(fmt.Errorf("repl: shard %d's log vanished during subscribe (concurrent reshard)", i))
+		}
+		tap, cover := log.AttachTap(func(seq uint64, payload []byte) {
+			f.offer(shard, seq, payload)
+		})
+		logs, taps, covers[i] = append(logs, log), append(taps, tap), cover
+	}
 	if e, _ := f.h.store.Routing(); e != f.epoch {
-		err := fmt.Errorf("repl: routing epoch changed during subscribe (%d -> %d)", f.epoch, e)
-		f.fail(err)
-		return f.failure()
+		return f.link.Cut(fmt.Errorf("repl: routing epoch changed during subscribe (%d -> %d)", f.epoch, e))
 	}
 
 	// The follower's HELLO (incarnation + per-shard applied positions)
-	// is the first frame on the wire; read it here, before the ack
-	// reader goroutine owns the read side.
-	hello, err := f.readHello()
+	// is the first frame on the wire.
+	payload, err := f.link.Read(nil)
 	if err != nil {
-		f.fail(err)
-		return f.failure()
+		return f.link.Cut(fmt.Errorf("repl: hello read: %w", err))
+	}
+	var hello wire.ReplFrame
+	if err := wire.DecodeReplFrame(&hello, payload); err != nil {
+		return f.link.Cut(fmt.Errorf("repl: hello decode: %w", err))
+	}
+	if hello.Kind != wire.ReplHello {
+		return f.link.Cut(fmt.Errorf("repl: expected HELLO from follower, got %v", hello.Kind))
 	}
 
 	// Tell the follower the topology it is about to receive, so it can
 	// reshape its table (create/drop shards) before the first batch.
-	topoFrame := wire.ReplFrame{Kind: wire.ReplTopology, Epoch: f.epoch, Topo: f.topo}
-	out, err := wire.AppendReplFrame(nil, &topoFrame)
+	if err := f.send(&wire.ReplFrame{Kind: wire.ReplTopology, Epoch: f.epoch, Topo: f.topo}); err != nil {
+		return f.link.Cut(err)
+	}
+	if err := f.catchUp(covers, &hello); err != nil {
+		return f.link.Cut(err)
+	}
+	ping, err := wire.AppendReplFrame(nil, &wire.ReplFrame{Kind: wire.ReplPing})
 	if err != nil {
-		f.fail(err)
-		return f.failure()
+		return f.link.Cut(err)
 	}
-	if err := f.writeFrames(out); err != nil {
-		f.fail(err)
-		return f.failure()
-	}
-
-	readerDone := make(chan struct{})
-	go func() {
-		defer close(readerDone)
-		f.readAcks()
-	}()
-	defer func() {
-		f.stopOnce.Do(func() { close(f.stop) })
-		f.conn.SetDeadline(time.Now().Add(-time.Second))
-		<-readerDone
-	}()
-
-	if err := f.catchUp(covers, hello); err != nil {
-		f.fail(err)
-		return f.failure()
-	}
-	if err := f.tail(); err != nil {
-		f.fail(err)
-	}
-	return f.failure()
+	return f.link.Serve(f.wake, ping, f.drain, f.onFrame)
 }
 
-// writeFrames writes encoded frames under the Reply budget.
-func (f *feed) writeFrames(frames []byte) error {
-	f.conn.SetWriteDeadline(time.Now().Add(f.h.tm.Reply))
-	if _, err := f.bw.Write(frames); err != nil {
+// send encodes one frame into the writer's scratch and writes it.
+func (f *feed) send(frame *wire.ReplFrame) error {
+	var err error
+	if f.out, err = wire.AppendReplFrame(f.out[:0], frame); err != nil {
 		return err
 	}
-	return f.bw.Flush()
-}
-
-// snapFlushAt bounds one SNAP-BATCH / DELTA-BATCH frame's payload bytes.
-const snapFlushAt = 256 << 10
-
-// readHello reads the follower's mandatory HELLO frame.
-func (f *feed) readHello() (*wire.ReplFrame, error) {
-	f.conn.SetReadDeadline(time.Now().Add(f.h.tm.readBudget()))
-	payload, err := wire.ReadFrameBuf(f.br, nil, wire.MaxFrame)
-	if err != nil {
-		return nil, fmt.Errorf("repl: hello read: %w", err)
-	}
-	hello := new(wire.ReplFrame)
-	if err := wire.DecodeReplFrame(hello, payload); err != nil {
-		return nil, fmt.Errorf("repl: hello decode: %w", err)
-	}
-	if hello.Kind != wire.ReplHello {
-		return nil, fmt.Errorf("repl: expected HELLO from follower, got %v", hello.Kind)
-	}
-	return hello, nil
+	return f.link.Write(f.out)
 }
 
 // catchUp brings each shard current — a churn-bounded delta stream when
 // the follower's HELLO proves a usable position within this
 // incarnation, a full snapshot otherwise — then marks it with SNAP-DONE
 // carrying the cover seq, the mode, and the primary's incarnation. Live
-// records buffered meanwhile are shipped by tail.
+// records buffered meanwhile are shipped by drain.
 func (f *feed) catchUp(covers []uint64, hello *wire.ReplFrame) error {
 	ctx := context.Background()
 	inc := f.h.store.Incarnation()
@@ -536,14 +474,10 @@ func (f *feed) catchUp(covers []uint64, hello *wire.ReplFrame) error {
 			}
 		}
 	}
-	var out []byte
 	for shard := 0; shard < n; shard++ {
-		if err := f.failure(); err != nil {
-			return err
-		}
 		mode := wire.ReplCatchupSnap
 		if canDelta {
-			ok, err := f.streamDelta(ctx, shard, applied[shard], &out)
+			ok, err := f.streamDelta(ctx, shard, applied[shard])
 			if err != nil {
 				return fmt.Errorf("repl: delta shard %d: %w", shard, err)
 			}
@@ -555,198 +489,134 @@ func (f *feed) catchUp(covers []uint64, hello *wire.ReplFrame) error {
 		if mode == wire.ReplCatchupSnap {
 			// Safe even after a partial delta emission above: the
 			// snapshot path clears the follower's shard before loading.
-			if err := f.streamSnapshot(ctx, shard, &out); err != nil {
-				return err
+			if err := f.streamSnapshot(ctx, shard); err != nil {
+				return fmt.Errorf("repl: snapshot shard %d: %w", shard, err)
 			}
 		}
 		done := wire.ReplFrame{
 			Kind: wire.ReplSnapDone, Shard: uint64(shard),
 			CoverSeq: covers[shard], Mode: mode, Incarnation: inc,
 		}
-		var err error
-		if out, err = wire.AppendReplFrame(out[:0], &done); err != nil {
-			return err
-		}
-		if err := f.writeFrames(out); err != nil {
+		if err := f.send(&done); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// streamSnapshot ships one shard's full snapshot as SNAP-BATCH frames.
-func (f *feed) streamSnapshot(ctx context.Context, shard int, out *[]byte) error {
-	frame := wire.ReplFrame{Kind: wire.ReplSnapBatch, Shard: uint64(shard)}
-	bytes := 0
-	flush := func() error {
-		if len(frame.Pairs) == 0 {
-			return nil
-		}
-		var err error
-		if *out, err = wire.AppendReplFrame((*out)[:0], &frame); err != nil {
-			return err
-		}
-		frame.Pairs = frame.Pairs[:0]
-		bytes = 0
-		return f.writeFrames(*out)
+// batchFlushAt bounds one catch-up or WAL-BATCH frame's payload bytes.
+const batchFlushAt = 256 << 10
+
+// batch accumulates one shard's catch-up frame — SNAP-BATCH pairs or
+// DELTA-BATCH deltas, appended by the caller — and writes it out every
+// batchFlushAt payload bytes.
+type batch struct {
+	f     *feed
+	frame wire.ReplFrame
+	bytes int
+}
+
+// added accounts n payload bytes just appended to the frame.
+func (b *batch) added(n int) error {
+	if b.bytes += n; b.bytes < batchFlushAt {
+		return nil
 	}
+	return b.flush()
+}
+
+// flush writes the frame if it holds anything and empties it.
+func (b *batch) flush() error {
+	if len(b.frame.Pairs)+len(b.frame.Deltas) == 0 {
+		return nil
+	}
+	err := b.f.send(&b.frame)
+	b.frame.Pairs, b.frame.Deltas, b.bytes = b.frame.Pairs[:0], b.frame.Deltas[:0], 0
+	return err
+}
+
+// streamSnapshot ships one shard's full snapshot as SNAP-BATCH frames.
+func (f *feed) streamSnapshot(ctx context.Context, shard int) error {
+	b := batch{f: f, frame: wire.ReplFrame{Kind: wire.ReplSnapBatch, Shard: uint64(shard)}}
 	err := f.h.store.SnapshotShard(ctx, shard, func(k, v string) error {
-		if err := f.failure(); err != nil {
-			return err
-		}
 		// Copy: the emitted strings are only valid per contract of the
 		// snapshot walk, and the frame encode happens across calls.
-		frame.Pairs = append(frame.Pairs, wire.KV{Key: []byte(k), Val: []byte(v)})
-		bytes += len(k) + len(v)
-		if bytes >= snapFlushAt {
-			return flush()
-		}
-		return nil
+		b.frame.Pairs = append(b.frame.Pairs, wire.KV{Key: []byte(k), Val: []byte(v)})
+		return b.added(len(k) + len(v))
 	})
 	if err != nil {
-		return fmt.Errorf("repl: snapshot shard %d: %w", shard, err)
+		return err
 	}
-	return flush()
+	return b.flush()
 }
 
 // streamDelta ships one shard's churn since applied as DELTA-BATCH
 // frames. ok=false means the store could not prove delta completeness
 // (frames already sent are harmless — the snapshot fallback clears the
 // shard first); a non-nil error is a dead feed.
-func (f *feed) streamDelta(ctx context.Context, shard int, applied uint64, out *[]byte) (bool, error) {
-	frame := wire.ReplFrame{Kind: wire.ReplDeltaBatch, Shard: uint64(shard)}
-	bytes := 0
-	flush := func() error {
-		if len(frame.Deltas) == 0 {
-			return nil
-		}
-		var err error
-		if *out, err = wire.AppendReplFrame((*out)[:0], &frame); err != nil {
-			return err
-		}
-		frame.Deltas = frame.Deltas[:0]
-		bytes = 0
-		return f.writeFrames(*out)
-	}
+func (f *feed) streamDelta(ctx context.Context, shard int, applied uint64) (bool, error) {
+	b := batch{f: f, frame: wire.ReplFrame{Kind: wire.ReplDeltaBatch, Shard: uint64(shard)}}
 	ok, err := f.h.store.DeltaShard(ctx, shard, applied, func(k, v string, del bool) error {
-		if err := f.failure(); err != nil {
-			return err
-		}
 		d := wire.ReplDelta{Key: []byte(k), Del: del}
 		if !del {
 			d.Val = []byte(v)
 		}
-		frame.Deltas = append(frame.Deltas, d)
-		bytes += len(k) + len(v)
-		if bytes >= snapFlushAt {
-			return flush()
-		}
-		return nil
+		b.frame.Deltas = append(b.frame.Deltas, d)
+		return b.added(len(k) + len(v))
 	})
 	if err != nil || !ok {
 		return false, err
 	}
-	return true, flush()
+	return true, b.flush()
 }
 
-// batchFlushAt bounds one WAL-BATCH frame's payload bytes.
-const batchFlushAt = 256 << 10
-
-// tail is the live loop: drain buffered records into WAL-BATCH frames
-// (one frame per run of same-shard records), heartbeat when idle.
-func (f *feed) tail() error {
-	idle := time.NewTimer(f.h.tm.Idle)
-	defer idle.Stop()
-	var out []byte
-	var frame wire.ReplFrame
-	for {
-		recs, err := f.take()
-		if err != nil {
-			return err
-		}
-		if recs == nil {
-			select {
-			case <-f.wake:
-				continue
-			case <-idle.C:
-				ping := wire.ReplFrame{Kind: wire.ReplPing}
-				if out, err = wire.AppendReplFrame(out[:0], &ping); err != nil {
-					return err
-				}
-				if err := f.writeFrames(out); err != nil {
-					return err
-				}
-				idle.Reset(f.h.tm.Idle)
-				continue
-			case <-f.stop:
-				return fmt.Errorf("repl: feed stopped")
-			}
-		}
-		out = out[:0]
-		var recCount, byteCount uint64
-		i := 0
-		for i < len(recs) {
-			shard := recs[i].shard
-			frame.Kind, frame.Shard = wire.ReplWALBatch, uint64(shard)
-			frame.Recs = frame.Recs[:0]
-			bytes := 0
-			for i < len(recs) && recs[i].shard == shard && bytes < batchFlushAt {
-				frame.Recs = append(frame.Recs, wire.ReplRec{Seq: recs[i].seq, Payload: recs[i].payload})
-				bytes += len(recs[i].payload)
-				f.mu.Lock()
-				f.shippedSeq[shard] = recs[i].seq
-				f.shippedBytes[shard] += uint64(len(recs[i].payload))
-				f.mu.Unlock()
-				recCount++
-				byteCount += uint64(len(recs[i].payload))
-				i++
-			}
-			if out, err = wire.AppendReplFrame(out, &frame); err != nil {
-				return err
-			}
-		}
-		if err := f.writeFrames(out); err != nil {
-			return err
-		}
-		f.h.shippedRecs.Add(recCount)
-		f.h.shippedBytes.Add(byteCount)
-		if !idle.Stop() {
-			select {
-			case <-idle.C:
-			default:
-			}
-		}
-		idle.Reset(f.h.tm.Idle)
+// drain is the live tail: everything the taps queued goes out as
+// WAL-BATCH frames, one frame per run of same-shard records, in one
+// write.
+func (f *feed) drain() error {
+	recs := f.take()
+	if recs == nil {
+		return nil
 	}
-}
-
-// readAcks consumes the follower's ACK frames until the link dies. The
-// read deadline is the Idle+Reply budget: a follower acks every batch
-// and answers every ping, so a silent follower past the budget is dead.
-func (f *feed) readAcks() {
-	var payload []byte
-	var frame wire.ReplFrame
-	for {
-		select {
-		case <-f.stop:
-			return
-		default:
+	f.out = f.out[:0]
+	frame := wire.ReplFrame{Kind: wire.ReplWALBatch}
+	var recCount, byteCount uint64
+	for i := 0; i < len(recs); {
+		shard := recs[i].shard
+		frame.Shard, frame.Recs = uint64(shard), frame.Recs[:0]
+		bytes := 0
+		f.mu.Lock()
+		for ; i < len(recs) && recs[i].shard == shard && bytes < batchFlushAt; i++ {
+			frame.Recs = append(frame.Recs, wire.ReplRec{Seq: recs[i].seq, Payload: recs[i].payload})
+			bytes += len(recs[i].payload)
+			f.shippedSeq[shard] = recs[i].seq
 		}
-		f.conn.SetReadDeadline(time.Now().Add(f.h.tm.readBudget()))
+		f.shippedBytes[shard] += uint64(bytes)
+		f.mu.Unlock()
+		recCount += uint64(len(frame.Recs))
+		byteCount += uint64(bytes)
 		var err error
-		payload, err = wire.ReadFrameBuf(f.br, payload, wire.MaxFrame)
-		if err != nil {
-			f.fail(fmt.Errorf("repl: ack read: %w", err))
-			return
+		if f.out, err = wire.AppendReplFrame(f.out, &frame); err != nil {
+			return err
 		}
-		if err := wire.DecodeReplFrame(&frame, payload); err != nil {
-			f.fail(fmt.Errorf("repl: ack decode: %w", err))
-			return
-		}
-		if frame.Kind != wire.ReplAck {
-			f.fail(fmt.Errorf("repl: unexpected %v frame from follower", frame.Kind))
-			return
-		}
-		f.h.noteAck(f, frame.Acks)
 	}
+	if err := f.link.Write(f.out); err != nil {
+		return err
+	}
+	f.h.shippedRecs.Add(recCount)
+	f.h.shippedBytes.Add(byteCount)
+	return nil
+}
+
+// onFrame consumes the follower's half of the link: ACK frames only. A
+// follower acks every batch and answers every ping with one, which is
+// what keeps the link's read budget fed.
+func (f *feed) onFrame(payload []byte) error {
+	if err := wire.DecodeReplFrame(&f.in, payload); err != nil {
+		return fmt.Errorf("repl: ack decode: %w", err)
+	}
+	if f.in.Kind != wire.ReplAck {
+		return fmt.Errorf("repl: unexpected %v frame from follower", f.in.Kind)
+	}
+	f.h.noteAck(f, f.in.Acks)
+	return nil
 }

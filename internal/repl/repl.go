@@ -20,7 +20,9 @@
 // socket deadline — follows the HSMS pattern (secs4go): Connect bounds
 // dial+handshake (T5-style), Reply bounds one expected frame exchange
 // (T3-style), Idle bounds link silence before a heartbeat is owed
-// (T6-style linktest).
+// (T6-style linktest). It is written once, in link.go, and the watch
+// sessions of internal/server ride the same Link with their own frame
+// vocabulary.
 package repl
 
 import (
@@ -39,8 +41,9 @@ type Timeouts struct {
 	// Reply bounds one expected frame exchange — a write reaching the
 	// peer, or the answer to a frame that demands one (T3-style).
 	Reply time.Duration
-	// Idle is how long a link may stay silent before a heartbeat is
-	// owed; a peer silent for Idle+Reply is declared dead (T6-style).
+	// Idle is the heartbeat cadence: how long a link may stay silent
+	// before a heartbeat is owed. A peer silent for Idle + 2×Reply is
+	// declared dead (T6-style).
 	Idle time.Duration
 }
 
@@ -59,8 +62,9 @@ func (t Timeouts) WithDefaults() Timeouts {
 }
 
 // readBudget is the deadline for one blocking frame read on a live
-// link: the peer may legitimately stay silent for Idle, then owes a
-// heartbeat within Reply; any longer and the peer is dead.
+// link: the peer may legitimately stay silent for Idle, then a
+// heartbeat has Reply to reach it and its answer Reply to come back;
+// any longer and the peer is dead.
 func (t Timeouts) readBudget() time.Duration { return t.Idle + 2*t.Reply }
 
 // Backoff is the reconnection policy: exponential delay between

@@ -1,12 +1,9 @@
 package client
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
-	"time"
 
 	"polytm/internal/repl"
 	"polytm/internal/wire"
@@ -64,8 +61,10 @@ type watchSpec struct {
 	prefix bool
 }
 
-// Watcher owns one dedicated session connection pushing watch events.
-// Events arrive on Events() in server commit order; within one session
+// Watcher is the client side of a watch session: repl.Redial keeps one
+// repl.Link to the server up, and each link's lifetime (session)
+// subscribes the current watch set and reads the push stream. Events
+// arrive on Events() in server commit order; within one session
 // delivery is exactly-once (the server cuts the session rather than
 // drop silently). Across a reconnect the watcher re-subscribes its
 // current watch set, but events committed while the link was down are
@@ -83,20 +82,13 @@ type Watcher struct {
 	// firstID is set once by Watch before run starts.
 	firstID uint64
 
-	// wmu serializes writes: Add/Unwatch/Ping race the reader's PONG
-	// replies for the connection's write half. It also guards the
-	// connection swap on reconnect (br is only read by run).
-	wmu sync.Mutex
-	bw  *bufio.Writer
-	br  *bufio.Reader
-	c   net.Conn
-
 	mu      sync.Mutex
+	link    *repl.Link           // the live session's; Add/Unwatch/Ping and PONG write on it
 	specs   map[uint64]watchSpec // acked watches, by current session id
 	pending []watchSpec          // SessWatch sent, WATCH-OK not yet seen
 	lost    uint64
 	err     error
-	closed  bool
+	ended   bool // stop is closed: Close ran or the session met a terminal end
 }
 
 // Watch dials a dedicated session connection and registers the first
@@ -107,22 +99,18 @@ func Watch(addr string, key []byte, prefix bool, opts ...WatchOption) (*Watcher,
 		addr:    addr,
 		chanCap: 256,
 		stop:    make(chan struct{}),
-		specs:   make(map[uint64]watchSpec),
 	}
 	for _, o := range opts {
 		o(w)
 	}
-	w.tv = w.tv.WithDefaults()
-	w.backoff = w.backoff.WithDefaults()
 	w.events = make(chan WatchEvent, w.chanCap)
 
-	first := watchSpec{key: string(key), prefix: prefix}
-	id, err := w.connect([]watchSpec{first})
+	l, id, err := w.connect([]watchSpec{{key: string(key), prefix: prefix}})
 	if err != nil {
 		return nil, err
 	}
 	w.firstID = id
-	go w.run()
+	go w.run(l)
 	return w, nil
 }
 
@@ -177,193 +165,136 @@ func (w *Watcher) Ping() error {
 // Close ends the watcher: the connection drops, Events closes, Err
 // stays nil.
 func (w *Watcher) Close() error {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return nil
-	}
-	w.closed = true
-	w.mu.Unlock()
-	close(w.stop)
-	w.wmu.Lock()
-	if w.c != nil {
-		w.c.Close()
-	}
-	w.wmu.Unlock()
+	w.end(nil)
 	return nil
 }
 
+// end latches the watcher's terminal state — only the first call's err
+// is what Err reports — stops the redial loop and cuts the live link.
+// It returns err, for a frame handler to end its session with.
+func (w *Watcher) end(err error) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if !w.ended {
+		w.ended, w.err = true, err
+		close(w.stop)
+		if w.link != nil {
+			w.link.Cut(ErrClosed)
+		}
+	}
+	return err
+}
+
 func (w *Watcher) send(f *wire.SessFrame) error {
-	w.wmu.Lock()
-	defer w.wmu.Unlock()
-	if w.c == nil {
+	w.mu.Lock()
+	l := w.link
+	w.mu.Unlock()
+	if l == nil {
 		return ErrClosed
 	}
 	buf, err := wire.AppendSessFrame(nil, f)
 	if err != nil {
 		return err
 	}
-	w.c.SetWriteDeadline(time.Now().Add(w.tv.Reply))
-	if _, err := w.bw.Write(buf); err != nil {
-		return err
-	}
-	return w.bw.Flush()
+	return l.Write(buf)
 }
 
-// connect dials and performs the session handshake: a WATCH request for
-// specs[0] (whose OK carries the first watch id), then a SessWatch
-// frame per remaining spec (their WATCH-OKs arrive in order on the
-// session stream). On success the watcher's connection fields and
-// spec-tracking state are installed.
-func (w *Watcher) connect(specs []watchSpec) (uint64, error) {
+// connect opens one session: the WATCH handshake for specs[0] (whose OK
+// carries the first watch id), then a SessWatch frame per remaining
+// spec (their WATCH-OKs arrive in order on the session stream). The
+// link becomes the watcher's live one — unless the watcher ended while
+// it was being dialed, in which case it is closed here, not leaked.
+func (w *Watcher) connect(specs []watchSpec) (*repl.Link, uint64, error) {
 	if len(specs) == 0 {
-		return 0, errors.New("client: watcher has no watches to subscribe")
+		return nil, 0, errors.New("client: watcher has no watches to subscribe")
 	}
-	c, err := net.DialTimeout("tcp", w.addr, w.tv.Connect)
-	if err != nil {
-		return 0, err
-	}
-	if tc, ok := c.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
-	br := bufio.NewReader(c)
-	bw := bufio.NewWriter(c)
-
 	req := wire.Request{Op: wire.OpWatch, Sem: wire.SemDefault, Key: []byte(specs[0].key), Prefix: specs[0].prefix}
-	buf, err := wire.AppendRequestFrame(nil, &req)
+	l, resp, err := repl.Dial(w.addr, w.tv, &req)
 	if err != nil {
-		c.Close()
-		return 0, err
+		return nil, 0, err
 	}
-	c.SetDeadline(time.Now().Add(w.tv.Reply))
-	if _, err := bw.Write(buf); err != nil {
-		c.Close()
-		return 0, err
-	}
+	var more []byte
 	for _, sp := range specs[1:] {
 		f := wire.SessFrame{Kind: wire.SessWatch, Key: []byte(sp.key), Prefix: sp.prefix}
-		if buf, err = wire.AppendSessFrame(buf[:0], &f); err != nil {
-			c.Close()
-			return 0, err
-		}
-		if _, err := bw.Write(buf); err != nil {
-			c.Close()
-			return 0, err
+		if more, err = wire.AppendSessFrame(more, &f); err != nil {
+			break
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		c.Close()
-		return 0, err
+	if err == nil {
+		err = l.Write(more)
 	}
-	raw, err := wire.ReadFrame(br, 0)
-	if err != nil {
-		c.Close()
-		return 0, err
-	}
-	resp, err := wire.DecodeResponse(raw, wire.OpWatch, nil)
-	if err != nil {
-		c.Close()
-		return 0, err
-	}
-	if err := resp.Err(); err != nil {
-		c.Close()
-		return 0, err
-	}
-	c.SetDeadline(time.Time{})
-
-	w.wmu.Lock()
-	w.c, w.bw, w.br = c, bw, br
-	w.wmu.Unlock()
 	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err == nil && w.ended {
+		err = ErrClosed
+	}
+	if err != nil {
+		l.Close()
+		return nil, 0, err
+	}
+	w.link = l
 	w.specs = map[uint64]watchSpec{resp.N: specs[0]}
 	w.pending = append(w.pending[:0], specs[1:]...)
-	w.mu.Unlock()
-	return resp.N, nil
+	return l, resp.N, nil
 }
 
-// run reads the session stream, delivering events and answering pings,
-// reconnecting (unless disabled) when the transport dies. Terminal
-// server frames — EVENT-LOST, ERR — end the watcher; so does Close.
-func (w *Watcher) run() {
+// run keeps a session up until the watcher ends; first is the session
+// Watch opened.
+func (w *Watcher) run(first *repl.Link) {
 	defer close(w.events)
-	attempt := 0
-	var payload []byte
-	var f wire.SessFrame
-	for {
-		c, br := w.conn()
-		if c == nil {
-			return // closed
-		}
-		c.SetReadDeadline(time.Now().Add(w.tv.Idle + 2*w.tv.Reply))
-		var err error
-		payload, err = wire.ReadFrameBuf(br, payload, 0)
-		if err == nil {
-			err = wire.DecodeSessFrame(&f, payload)
-			if err != nil {
-				w.fail(fmt.Errorf("client: session frame: %w", err))
-				return
-			}
-			attempt = 0
-			switch f.Kind {
-			case wire.SessEvent:
-				ev := WatchEvent{WatchID: f.WatchID, Seq: f.Seq, Op: f.Op, Key: string(f.Key)}
-				select {
-				case w.events <- ev:
-				case <-w.stop:
-					w.fail(nil)
-					return
-				}
-			case wire.SessEventLost:
-				w.mu.Lock()
-				w.lost += f.Dropped
-				w.mu.Unlock()
-				w.fail(ErrEventsLost)
-				return
-			case wire.SessWatchOK:
-				w.ackWatch(f.WatchID)
-			case wire.SessPing:
-				w.send(&wire.SessFrame{Kind: wire.SessPong})
-			case wire.SessPong:
-				// liveness only
-			case wire.SessErr:
-				pe := &wire.ProtocolError{Code: f.Code, Detail: string(f.Detail)}
-				w.fail(fmt.Errorf("client: session ended by server: %w", pe))
-				return
-			}
-			continue
-		}
-		// Transport failure: closed watcher ends quietly, otherwise
-		// redial and resubscribe whatever the watch set is now.
-		select {
-		case <-w.stop:
-			w.fail(nil)
-			return
-		default:
-		}
-		if w.noReconnect {
-			w.fail(fmt.Errorf("client: session read: %w", err))
-			return
-		}
-		c.Close()
-		for {
-			select {
-			case <-time.After(w.backoff.Delay(attempt)):
-			case <-w.stop:
-				w.fail(nil)
-				return
-			}
-			attempt++
-			if _, err := w.connect(w.snapshotSpecs()); err == nil {
-				break
-			}
-			select {
-			case <-w.stop:
-				w.fail(nil)
-				return
-			default:
-			}
+	repl.Redial(w.stop, w.backoff, func() (bool, error) {
+		l := first
+		first = nil
+		return w.session(l)
+	}, nil)
+}
+
+// session runs one link's lifetime — dialing and resubscribing whatever
+// the watch set is now, unless handed a link that already is — and
+// reports whether the server said anything on it. A transport failure
+// returns to the redial loop; terminal server frames (EVENT-LOST, ERR),
+// Close, and any failure under WithoutReconnect end the watcher.
+func (w *Watcher) session(l *repl.Link) (streamed bool, err error) {
+	if l == nil {
+		if l, _, err = w.connect(w.snapshotSpecs()); err != nil {
+			return false, err
 		}
 	}
+	defer l.Close()
+	var f wire.SessFrame
+	err = l.Recv(func(payload []byte) error {
+		if err := wire.DecodeSessFrame(&f, payload); err != nil {
+			return w.end(fmt.Errorf("client: session frame: %w", err))
+		}
+		streamed = true
+		switch f.Kind {
+		case wire.SessEvent:
+			select {
+			case w.events <- WatchEvent{WatchID: f.WatchID, Seq: f.Seq, Op: f.Op, Key: string(f.Key)}:
+			case <-w.stop:
+				return ErrClosed
+			}
+		case wire.SessEventLost:
+			w.mu.Lock()
+			w.lost += f.Dropped
+			w.mu.Unlock()
+			return w.end(ErrEventsLost)
+		case wire.SessWatchOK:
+			w.ackWatch(f.WatchID)
+		case wire.SessPing:
+			return w.send(&wire.SessFrame{Kind: wire.SessPong})
+		case wire.SessPong:
+			// liveness only
+		case wire.SessErr:
+			pe := &wire.ProtocolError{Code: f.Code, Detail: string(f.Detail)}
+			return w.end(fmt.Errorf("client: session ended by server: %w", pe))
+		}
+		return nil
+	})
+	if w.noReconnect {
+		w.end(fmt.Errorf("client: session read: %w", err))
+	}
+	return streamed, err
 }
 
 // ackWatch maps the next pending spec to its server-issued id.
@@ -387,29 +318,4 @@ func (w *Watcher) snapshotSpecs() []watchSpec {
 	}
 	out = append(out, w.pending...)
 	return out
-}
-
-// conn returns the live connection pair, or nils after Close.
-func (w *Watcher) conn() (net.Conn, *bufio.Reader) {
-	select {
-	case <-w.stop:
-		return nil, nil
-	default:
-	}
-	w.wmu.Lock()
-	defer w.wmu.Unlock()
-	return w.c, w.br
-}
-
-func (w *Watcher) fail(err error) {
-	w.mu.Lock()
-	if w.err == nil {
-		w.err = err
-	}
-	w.mu.Unlock()
-	w.wmu.Lock()
-	if w.c != nil {
-		w.c.Close()
-	}
-	w.wmu.Unlock()
 }

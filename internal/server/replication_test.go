@@ -505,3 +505,38 @@ func TestClientDialsWithDeadPrimary(t *testing.T) {
 		t.Fatal("single-endpoint dead set should fail to dial")
 	}
 }
+
+// TestShutdownCutsLiveLinks: a primary with a streaming follower feed
+// and a live watch session shuts down inside its graceful phase — both
+// links end by their cut latch; nothing waits out a read budget (23 s
+// at these defaults) or needs the forced close.
+func TestShutdownCutsLiveLinks(t *testing.T) {
+	psrv, paddr := startReplServer(t, Config{},
+		&Durability{Dir: t.TempDir(), Fsync: wal.ModeOff, CheckpointEvery: -1}, &ReplConfig{})
+	fsrv, _ := startReplServer(t, Config{}, nil,
+		&ReplConfig{Follow: paddr, Backoff: repl.Backoff{Min: 10 * time.Millisecond}})
+	waitCond(t, 10*time.Second, "follower streaming", func() bool {
+		fl := fsrv.Follower()
+		return fl != nil && fl.State() == repl.StateStreaming
+	})
+	w, err := client.Watch(paddr, []byte("k"), true, client.WithoutReconnect())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	waitCond(t, 5*time.Second, "watch session", func() bool { return psrv.Store().Sessions().Sessions() == 1 })
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := psrv.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown with a live feed and a live watch session: %v", err)
+	}
+	select {
+	case _, ok := <-w.Events():
+		if ok {
+			t.Fatal("event from a server that shut down")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("watcher did not see its session end")
+	}
+}

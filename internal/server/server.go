@@ -76,7 +76,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	ln       net.Listener
-	conns    map[net.Conn]struct{}
+	conns    map[net.Conn]*repl.Link // nil until a watch session takes the connection over
 	shutdown bool
 
 	// Replication wiring (see replication.go): a primary owns a hub
@@ -116,7 +116,7 @@ func New(cfg Config) *Server {
 		slots:       make(chan struct{}, cfg.MaxConns),
 		serveCtx:    ctx,
 		cancelServe: cancel,
-		conns:       make(map[net.Conn]struct{}),
+		conns:       make(map[net.Conn]*repl.Link),
 	}
 	srv.store.StartTTLReaper(cfg.TTLReapEvery)
 	return srv
@@ -204,7 +204,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			c.Close()
 			return ErrServerClosed
 		}
-		s.conns[c] = struct{}{}
+		s.conns[c] = nil
 		s.mu.Unlock()
 
 		s.wg.Add(1)
@@ -338,10 +338,10 @@ func (s *Server) handle(c net.Conn) {
 }
 
 // isExpectedClose reports whether err is a normal connection-end: EOF,
-// a closed socket, or the read deadline Shutdown uses to unblock
-// handlers.
+// a closed socket, the read deadline Shutdown uses to unblock handlers
+// or the cause it cuts watch sessions with.
 func isExpectedClose(err error) bool {
-	if errors.Is(err, net.ErrClosed) || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+	if errors.Is(err, net.ErrClosed) || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, ErrServerClosed) {
 		return true
 	}
 	var ne net.Error
@@ -373,9 +373,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	// A read deadline in the past makes every handler's next blocking
 	// read return a timeout; handlers finish the request they are on,
-	// flush, and exit.
-	for c := range s.conns {
-		c.SetReadDeadline(time.Now().Add(-time.Second))
+	// flush, and exit. A watch session re-arms its read deadline frame
+	// by frame, so it is cut through its link instead.
+	for c, l := range s.conns {
+		if l != nil {
+			l.Cut(ErrServerClosed)
+		} else {
+			c.SetReadDeadline(time.Now().Add(-time.Second))
+		}
 	}
 	s.mu.Unlock()
 

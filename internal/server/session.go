@@ -2,191 +2,146 @@ package server
 
 import (
 	"bufio"
+	"errors"
 	"net"
-	"time"
 
 	"polytm/internal/repl"
 	"polytm/internal/session"
 	"polytm/internal/wire"
 )
 
-// serveWatch converts a connection into a watch session. The WATCH
-// request's OK response (carrying the first watch id) is the last frame
-// written by the request pipeline; after it, the connection is duplex:
-//
-//   - a writer goroutine owns bw and pushes session frames — EVENT in
-//     commit order, control acknowledgements (WATCH-OK, PONG), PING on
-//     an idle push half, and the terminal EVENT-LOST/ERR;
-//   - this goroutine becomes the reader, decoding client session frames
-//     (WATCH, UNWATCH, PING, PONG) and feeding the session's control
-//     queue. It never writes, so reader and writer never race on bw.
-//
-// Liveness is symmetric and uses the repl timeout taxonomy: the writer
-// PINGs every Idle, and the reader cuts the session when
-// Idle + 2×Reply passes without any client frame (a live client echoes
-// PONG, so a healthy link always has traffic inside the budget).
+// errSessionOver ends a session's pump once its terminal frame — ERR or
+// EVENT-LOST — has been written.
+var errSessionOver = errors.New("server: watch session over, terminal frame sent")
+
+// serveWatch converts a connection into a watch session: a repl.Link
+// speaking the session vocabulary. The WATCH request's OK response
+// (carrying the first watch id) is the last frame of the request
+// pipeline; from then on the link's pump pushes what the session queues
+// (watchLink.drain) and decodes what the client sends
+// (watchLink.onFrame). The reader half never writes: what it owes the
+// client (WATCH-OK, PONG, a terminal ERR) it queues on the session, so
+// the writer sends everything in one order.
 func (s *Server) serveWatch(c net.Conn, br *bufio.Reader, bw *bufio.Writer, req *wire.Request) {
-	tv := s.cfg.SessionTimeouts.WithDefaults()
-	sess := s.store.Sessions().NewSession(s.cfg.WatchBuffer)
-	defer sess.Close()
+	w := watchLink{
+		l:    repl.NewLink(c, br, bw, s.cfg.SessionTimeouts, s.cfg.MaxFrame),
+		sess: s.store.Sessions().NewSession(s.cfg.WatchBuffer),
+	}
+	defer w.sess.Close()
+	// From here on Shutdown ends the connection by cutting the link.
+	s.mu.Lock()
+	down := s.shutdown
+	s.conns[c] = w.l
+	s.mu.Unlock()
+	if down {
+		return
+	}
 
 	// Register the first watch BEFORE the OK is written: the id must be
 	// known for the response, and any commit from here on is buffered
 	// behind it — the client can't see an event before its ack because
-	// the writer goroutine doesn't exist yet.
-	first := sess.Watch(string(req.Key), req.Prefix)
-	resp := wire.Response{Status: wire.StatusOK, N: first}
-	out, err := wire.AppendResponseFrame(nil, wire.OpWatch, &resp)
+	// the pump has not started yet.
+	first := w.sess.Watch(string(req.Key), req.Prefix)
+	out, err := wire.AppendResponseFrame(nil, wire.OpWatch, &wire.Response{Status: wire.StatusOK, N: first})
+	if err != nil || w.l.Write(out) != nil {
+		return
+	}
+	ping, err := wire.AppendSessFrame(nil, &wire.SessFrame{Kind: wire.SessPing})
 	if err != nil {
 		return
 	}
-	if _, err := bw.Write(out); err != nil {
-		return
-	}
-	if err := bw.Flush(); err != nil {
-		return
-	}
-
-	done := make(chan struct{})
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		s.sessionWriter(c, bw, sess, tv, done)
-	}()
-	s.sessionReader(c, br, sess, tv)
-	close(done)
-	<-writerDone
-}
-
-// sessionWriter owns the session connection's write half: it parks on
-// the session's wake channel and drains queued output. It exits when
-// the session is cut (overflow → EVENT-LOST, protocol error → ERR),
-// when a write fails, or when the reader ends (done) — after one final
-// drain so a terminal ERR the reader queued still reaches the client.
-// It closes the connection on exit, which unblocks the reader.
-func (s *Server) sessionWriter(c net.Conn, bw *bufio.Writer, sess *session.Session, tv repl.Timeouts, done <-chan struct{}) {
-	defer c.Close()
-	ping := time.NewTicker(tv.Idle)
-	defer ping.Stop()
-	var (
-		out    []byte
-		keybuf []byte
-		evs    []session.Event
-		ctrls  []session.Ctrl
-	)
-	writeFrame := func(f *wire.SessFrame) bool {
-		var err error
-		out, err = wire.AppendSessFrame(out[:0], f)
-		if err != nil {
-			return false
-		}
-		c.SetWriteDeadline(time.Now().Add(tv.Reply))
-		_, err = bw.Write(out)
-		return err == nil
-	}
-	// drain sends everything the session has queued: control frames
-	// first (a WATCH-OK must precede the watch's first event — the
-	// session buffers them in that order and Take preserves it), then
-	// events, then the terminal EVENT-LOST if the session overflowed.
-	// Returns false when the writer must exit.
-	drain := func() bool {
-		var dropped uint64
-		var cut bool
-		evs, ctrls, dropped, cut = sess.Take(evs, ctrls)
-		for i := range ctrls {
-			ct := &ctrls[i]
-			f := wire.SessFrame{Kind: ct.Kind, WatchID: ct.WatchID, Code: ct.Code}
-			ok := writeFrame(&f)
-			if ct.Kind == wire.SessErr {
-				bw.Flush()
-				return false
-			}
-			if !ok {
-				return false
-			}
-		}
-		for i := range evs {
-			ev := &evs[i]
-			keybuf = append(keybuf[:0], ev.Key...)
-			f := wire.SessFrame{Kind: wire.SessEvent, WatchID: ev.WatchID, Seq: ev.Seq, Op: ev.Op, Key: keybuf}
-			if !writeFrame(&f) {
-				return false
-			}
-		}
-		if cut {
-			// Buffered events above were delivered; the client knows
-			// exactly how many it lost and that the session is over.
-			writeFrame(&wire.SessFrame{Kind: wire.SessEventLost, Dropped: dropped})
-			bw.Flush()
-			return false
-		}
-		return bw.Flush() == nil
-	}
-	for {
-		select {
-		case <-done:
-			drain() // a terminal ERR queued by the reader still goes out
-			return
-		case <-sess.Wake():
-			if !drain() {
-				return
-			}
-		case <-ping.C:
-			if !writeFrame(&wire.SessFrame{Kind: wire.SessPing}) || bw.Flush() != nil {
-				return
-			}
-		}
+	if err := w.l.Serve(w.sess.Wake(), ping, w.drain, w.onFrame); !isExpectedClose(err) {
+		s.logf("polyserve: %v: session: %v", c.RemoteAddr(), err)
 	}
 }
 
-// sessionReader consumes the client half of a session connection. A
-// protocol violation (undecodable frame, a kind only the server may
-// send) queues a terminal ERR for the writer and returns; the writer's
-// final drain delivers it.
-func (s *Server) sessionReader(c net.Conn, br *bufio.Reader, sess *session.Session, tv repl.Timeouts) {
-	budget := tv.Idle + 2*tv.Reply
-	var (
-		payload []byte
-		f       wire.SessFrame
-	)
-	for {
-		// Deadline first, shutdown check second: if Shutdown runs before
-		// the check we exit here; if it runs after, its past deadline
-		// overwrites this one and the read below wakes immediately.
-		c.SetReadDeadline(time.Now().Add(budget))
-		s.mu.Lock()
-		down := s.shutdown
-		s.mu.Unlock()
-		if down {
-			return
+// watchLink is one session's link plus the scratch its two halves reuse
+// from frame to frame.
+type watchLink struct {
+	l    *repl.Link
+	sess *session.Session
+
+	// The writer's: what Take handed over, and its encoding.
+	evs    []session.Event
+	ctrls  []session.Ctrl
+	keybuf []byte
+	out    []byte
+
+	in wire.SessFrame // the reader's
+}
+
+// push encodes one more frame of the current drain.
+func (w *watchLink) push(f *wire.SessFrame) (err error) {
+	w.out, err = wire.AppendSessFrame(w.out, f)
+	return err
+}
+
+// drain sends everything the session has queued, in one write: control
+// frames first (a WATCH-OK must precede the watch's first event — the
+// session buffers them in that order and Take preserves it), then
+// events, then the terminal EVENT-LOST if the session overflowed — the
+// buffered events went out ahead of it, so the client knows exactly how
+// many it lost and that the session is over.
+func (w *watchLink) drain() error {
+	var dropped uint64
+	var cut bool
+	w.evs, w.ctrls, dropped, cut = w.sess.Take(w.evs, w.ctrls)
+	w.out = w.out[:0]
+	var over error
+	for i := 0; i < len(w.ctrls) && over == nil; i++ {
+		ct := &w.ctrls[i]
+		if err := w.push(&wire.SessFrame{Kind: ct.Kind, WatchID: ct.WatchID, Code: ct.Code}); err != nil {
+			return err
 		}
-		var err error
-		payload, err = wire.ReadFrameBuf(br, payload, s.cfg.MaxFrame)
-		if err != nil {
-			if !isExpectedClose(err) {
-				s.logf("polyserve: %v: session read: %v", c.RemoteAddr(), err)
-			}
-			return
-		}
-		if err := wire.DecodeSessFrame(&f, payload); err != nil {
-			sess.EnqueueErr(wire.ProtoMalformed)
-			return
-		}
-		switch f.Kind {
-		case wire.SessWatch:
-			// Registration and WATCH-OK under one lock: the ack always
-			// precedes the new watch's first event.
-			sess.WatchAck(string(f.Key), f.Prefix)
-		case wire.SessUnwatch:
-			sess.Unwatch(f.WatchID)
-		case wire.SessPing:
-			sess.EnqueueCtrl(wire.SessPong, 0)
-		case wire.SessPong:
-			// The read itself proved liveness; nothing to queue.
-		default:
-			// EVENT, EVENT-LOST, WATCH-OK, ERR are server→client only.
-			sess.EnqueueErr(wire.ProtoBadSession)
-			return
+		if ct.Kind == wire.SessErr {
+			over = errSessionOver
 		}
 	}
+	for i := 0; i < len(w.evs) && over == nil; i++ {
+		ev := &w.evs[i]
+		w.keybuf = append(w.keybuf[:0], ev.Key...)
+		if err := w.push(&wire.SessFrame{Kind: wire.SessEvent, WatchID: ev.WatchID, Seq: ev.Seq, Op: ev.Op, Key: w.keybuf}); err != nil {
+			return err
+		}
+	}
+	if cut && over == nil {
+		if err := w.push(&wire.SessFrame{Kind: wire.SessEventLost, Dropped: dropped}); err != nil {
+			return err
+		}
+		over = errSessionOver
+	}
+	if err := w.l.Write(w.out); err != nil {
+		return err
+	}
+	return over
+}
+
+// onFrame consumes one client frame. A protocol violation (undecodable
+// frame, a kind only the server may send) queues a terminal ERR and
+// ends the reader; the pump's last drain delivers it.
+func (w *watchLink) onFrame(payload []byte) error {
+	if err := wire.DecodeSessFrame(&w.in, payload); err != nil {
+		return w.violation(wire.ProtoMalformed)
+	}
+	switch w.in.Kind {
+	case wire.SessWatch:
+		// Registration and WATCH-OK under one lock: the ack always
+		// precedes the new watch's first event.
+		w.sess.WatchAck(string(w.in.Key), w.in.Prefix)
+	case wire.SessUnwatch:
+		w.sess.Unwatch(w.in.WatchID)
+	case wire.SessPing:
+		w.sess.EnqueueCtrl(wire.SessPong, 0)
+	case wire.SessPong:
+		// The read itself proved liveness; nothing to queue.
+	default:
+		// EVENT, EVENT-LOST, WATCH-OK, ERR are server→client only.
+		return w.violation(wire.ProtoBadSession)
+	}
+	return nil
+}
+
+func (w *watchLink) violation(code wire.ProtoCode) error {
+	w.sess.EnqueueErr(code)
+	return &wire.ProtocolError{Code: code}
 }

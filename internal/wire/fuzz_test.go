@@ -286,3 +286,108 @@ func FuzzDecodeSessFrame(f *testing.F) {
 		}
 	})
 }
+
+// replSeedFrames is one valid frame per replication kind (the frames of
+// TestReplFrameRoundTrip, plus TOPOLOGY); testdata/fuzz/FuzzDecodeReplFrame
+// holds the same payloads as files.
+var replSeedFrames = []*ReplFrame{
+	{Kind: ReplWALBatch, Shard: 3, Recs: []ReplRec{
+		{Seq: 1, Payload: []byte("rec-one")},
+		{Seq: 2, Payload: []byte("")},
+		{Seq: 9000, Payload: []byte("rec-three")},
+	}},
+	{Kind: ReplAck, Acks: []ReplAckEntry{{Shard: 0, Seq: 17, Bytes: 4096}, {Shard: 1}}},
+	{Kind: ReplSnapBatch, Shard: 2, Pairs: []KV{{Key: []byte("a"), Val: []byte("1")}, {}}},
+	{Kind: ReplSnapDone, Shard: 1, CoverSeq: 77, Mode: ReplCatchupDelta, Incarnation: 1723400000000000000},
+	{Kind: ReplPing},
+	{Kind: ReplHello, Incarnation: 42, Epoch: 3, Acks: []ReplAckEntry{{Shard: 0, Seq: 9}, {Shard: 3}}},
+	{Kind: ReplDeltaBatch, Shard: 2, Deltas: []ReplDelta{
+		{Key: []byte("k1"), Val: []byte("v1")},
+		{Key: []byte("gone"), Del: true},
+	}},
+	{Kind: ReplTopology, Epoch: 4, Topo: []ReplShardSlice{{ID: 0, Mod: 2, Res: 0}, {ID: 2, Mod: 2, Res: 1}}},
+}
+
+// normReplFrame maps empty slices to nil, the one difference a reused
+// decode target may show.
+func normReplFrame(f ReplFrame) ReplFrame {
+	if len(f.Recs) == 0 {
+		f.Recs = nil
+	}
+	if len(f.Pairs) == 0 {
+		f.Pairs = nil
+	}
+	if len(f.Acks) == 0 {
+		f.Acks = nil
+	}
+	if len(f.Deltas) == 0 {
+		f.Deltas = nil
+	}
+	if len(f.Topo) == 0 {
+		f.Topo = nil
+	}
+	return f
+}
+
+// FuzzDecodeReplFrame throws arbitrary payloads at the replication-frame
+// decoder: it must not panic, must not decode more elements than the
+// payload has bytes, must accept only what the encoder reproduces
+// (decode → AppendReplFrame → decode is a fixed point), and must decode
+// into a ReplFrame a previous frame dirtied exactly as into a fresh one
+// (the feed loops keep one per connection).
+func FuzzDecodeReplFrame(f *testing.F) {
+	for _, rf := range replSeedFrames {
+		frame, err := AppendReplFrame(nil, rf)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame[4:]) // payload only: kind | body
+	}
+	// Hostile seeds (TestReplFrameHostileInput has the full table).
+	f.Add([]byte{})
+	f.Add([]byte{99})                             // unknown kind
+	f.Add([]byte{byte(ReplWALBatch), 0, 2})       // count > remaining bytes
+	f.Add([]byte{byte(ReplSnapDone), 1, 7, 9})    // unknown catch-up mode
+	f.Add([]byte{byte(ReplPing), 0})              // trailing byte
+	f.Add([]byte{byte(ReplAck), 0xFF, 0xFF})      // unterminated uvarint count
+	f.Add([]byte{byte(ReplDeltaBatch), 0, 1, 2})  // unknown entry kind
+	f.Add([]byte{byte(ReplTopology), 1, 1, 0, 0}) // slice with modulus 0
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var fresh ReplFrame
+		freshErr := DecodeReplFrame(&fresh, data)
+		if n := len(fresh.Recs) + len(fresh.Pairs) + len(fresh.Acks) + len(fresh.Deltas) + len(fresh.Topo); n > len(data) {
+			t.Fatalf("%d elements decoded from %d bytes", n, len(data))
+		}
+
+		dirty := ReplFrame{
+			Kind: ReplSnapDone, Shard: 9, CoverSeq: 9, Mode: ReplCatchupDelta, Incarnation: 9, Epoch: 9,
+			Recs:   []ReplRec{{Seq: 9, Payload: []byte("stale")}},
+			Pairs:  []KV{{Key: []byte("stale"), Val: []byte("stale")}},
+			Acks:   []ReplAckEntry{{Shard: 9, Seq: 9, Bytes: 9}},
+			Deltas: []ReplDelta{{Key: []byte("stale"), Del: true}},
+			Topo:   []ReplShardSlice{{ID: 9, Mod: 9, Res: 8}},
+		}
+		err := DecodeReplFrame(&dirty, data)
+		if (err == nil) != (freshErr == nil) {
+			t.Fatalf("into a dirty ReplFrame err=%v, into a fresh one err=%v", err, freshErr)
+		}
+		if err != nil {
+			return
+		}
+		if got, want := normReplFrame(dirty), normReplFrame(fresh); !reflect.DeepEqual(got, want) {
+			t.Fatalf("dirty decode differs from fresh:\n dirty %+v\n fresh %+v", got, want)
+		}
+
+		enc, err := AppendReplFrame(nil, &fresh)
+		if err != nil {
+			t.Fatalf("decoded replication frame does not re-encode: %v (%+v)", err, fresh)
+		}
+		var again ReplFrame
+		if err := DecodeReplFrame(&again, enc[4:]); err != nil {
+			t.Fatalf("re-encoded replication frame does not decode: %v", err)
+		}
+		if got, want := normReplFrame(again), normReplFrame(fresh); !reflect.DeepEqual(got, want) {
+			t.Fatalf("decode → encode → decode moved:\n first  %+v\n second %+v", want, got)
+		}
+	})
+}

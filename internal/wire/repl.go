@@ -8,10 +8,10 @@
 //
 //	kind(1) | body
 //
-// with the per-kind layouts documented on the ReplKind constants. The
-// same frame family is the substrate a future watch/subscribe session
-// layer rides on — a subscription is just a feed whose records are
-// filtered, so the framing is designed once here.
+// with the per-kind layouts documented on the ReplKind constants. This
+// file is the vocabulary only. What a taken-over connection needs
+// besides — deadlines, heartbeat cadence, the cut, redial — lives in
+// repl.Link, which the watch-session family (sess.go) rides as well.
 package wire
 
 import (
@@ -53,9 +53,8 @@ const (
 	// the primary can tell whether the follower's applied positions are
 	// comparable to its own chain (seqs restart at 1 per process).
 	ReplSnapDone ReplKind = 4
-	// ReplPing is the link heartbeat (primary → follower, sent when the
-	// feed has been idle past its budget). Body: empty. The follower
-	// answers with a ReplAck.
+	// ReplPing is the link heartbeat (primary → follower, sent every
+	// Idle). Body: empty. The follower answers with a ReplAck.
 	ReplPing ReplKind = 5
 	// ReplHello introduces a (re)connecting follower (follower →
 	// primary, sent once right after the SUBSCRIBE-WAL response). Body:

@@ -8,7 +8,7 @@
 //
 // with the per-kind layouts documented on the SessKind constants. The
 // server pushes EVENT frames for commits matching the session's
-// watches and PING frames when the link has been idle; the client may
+// watches and a PING frame every Idle; the client may
 // register further watches, drop them, and must answer PING with PONG
 // so the server can cut dead sessions instead of buffering for them.
 package wire
@@ -36,10 +36,10 @@ const (
 	// dropped — events discarded beyond the buffer. The client must
 	// reconnect and re-register; it cannot assume it saw every event.
 	SessEventLost SessKind = 2
-	// SessPing is the link heartbeat (server → client, sent when the
-	// session has pushed nothing past its idle budget). Body: empty. The
-	// client answers with SessPong within the reply budget or the server
-	// cuts the session.
+	// SessPing is the link heartbeat (server → client, sent every Idle
+	// however busy the push half is — PONG is all a quiet watcher ever
+	// sends). Body: empty. The client answers with SessPong within the
+	// reply budget or the server cuts the session.
 	SessPing SessKind = 3
 	// SessPong answers SessPing (client → server). Body: empty.
 	SessPong SessKind = 4
