@@ -149,14 +149,6 @@ func WALShardCount(dir string) (int, error) {
 	}
 }
 
-// syncDirBestEffort fsyncs a directory entry; some filesystems refuse.
-func syncDirBestEffort(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-}
-
 // EnableDurability attaches one write-ahead log per shard to the
 // store: it recovers the directory's durable state INTO the store,
 // then routes every subsequent mutation through its shard's log and

@@ -3,9 +3,12 @@ package server
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
+
+	"polytm/internal/wal"
 )
 
 // The MANIFEST pins what a durable directory's logs mean. Two formats:
@@ -22,12 +25,14 @@ import (
 // every shard's id, slice, and directory are explicit. The shard lines
 // are in table order (ascending residue).
 //
-// The file is replaced atomically (tmp + rename + dir sync). A crash
-// can strand the .tmp — openManifest sweeps it, since the rename
-// either happened (MANIFEST is the new content) or did not (MANIFEST
-// is the old content); the orphan is dead either way. Malformed
-// content is always a loud error: silently opening N shard logs under
-// a wrong table scatters keys to the wrong stores.
+// The file is replaced atomically by wal.InstallFile (tmp + fsync +
+// rename + dir sync), so a power cut leaves the old table or the new
+// one, never an empty file. A crash can strand the .tmp — openManifest
+// sweeps it, since the rename either happened (MANIFEST is the new
+// content) or did not (MANIFEST is the old content); the orphan is dead
+// either way. Malformed content is always a loud error: silently
+// opening N shard logs under a wrong table scatters keys to the wrong
+// stores.
 
 // manifestShard is one shard entry: stable id, hash slice, and the log
 // directory (relative to the store dir; "." = the root itself).
@@ -154,17 +159,11 @@ func writeStoreManifest(dir string, m *storeManifest) error {
 			fmt.Fprintf(&b, "shard %d mod=%d res=%d dir=%s\n", e.ID, e.Mod, e.Res, e.Dir)
 		}
 	}
-	path := filepath.Join(dir, manifestName)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(b.String()), 0o644); err != nil {
+	_, err := wal.InstallFile(filepath.Join(dir, manifestName), func(w io.Writer) error {
+		_, err := io.WriteString(w, b.String())
 		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	syncDirBestEffort(dir)
-	return nil
+	})
+	return err
 }
 
 // fileExists reports whether path exists (any kind).

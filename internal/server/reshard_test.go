@@ -566,3 +566,38 @@ func TestManifestCorruption(t *testing.T) {
 		}
 	})
 }
+
+// TestManifestFailedInstall (satellite): a MANIFEST rewrite that cannot
+// write its tmp file fails loudly, leaves the previous MANIFEST
+// byte-identical — the table the logs were written under — and leaves
+// no MANIFEST.tmp behind.
+func TestManifestFailedInstall(t *testing.T) {
+	dir := t.TempDir()
+	if err := writeStoreManifest(dir, legacyManifest(2)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, manifestName)
+	before, err := os.ReadFile(path)
+	if err != nil || string(before) != "polyserve-wal shards=2\n" {
+		t.Fatalf("first install wrote %q (%v)", before, err)
+	}
+	// The tmp name resolves into a directory that does not exist, so
+	// creating it fails whoever the test runs as.
+	if err := os.Symlink(filepath.Join(dir, "absent", "x"), path+".tmp"); err != nil {
+		t.Skipf("no symlinks here: %v", err)
+	}
+	grown := legacyManifest(2)
+	grown.Epoch, grown.NextID = 1, 3
+	if err := writeStoreManifest(dir, grown); err == nil {
+		t.Fatal("install through an unwritable tmp succeeded")
+	}
+	if after, err := os.ReadFile(path); err != nil || string(after) != string(before) {
+		t.Fatalf("failed install changed MANIFEST: %q (%v)", after, err)
+	}
+	if _, err := os.Lstat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("MANIFEST.tmp left behind: %v", err)
+	}
+	if m, err := openManifest(dir); err != nil || m.Epoch != 0 || len(m.Shards) != 2 {
+		t.Fatalf("reopen after the failed install: %+v, %v", m, err)
+	}
+}

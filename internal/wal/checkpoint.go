@@ -1,44 +1,118 @@
 package wal
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 )
 
-// Checkpoint file format:
-//
-//	magic(8) | { 0x01 | key | val }* | 0x00 | crc32c(4, BE)
-//
-// where key/val are uvarint-length-prefixed and the checksum covers
-// every preceding byte, magic included. Entries stream — no upfront
-// count — so the writer never needs the whole snapshot in memory; the
-// loader validates the checksum over the full file before applying
-// anything, so a torn checkpoint (crash mid-install never produces one
-// thanks to the tmp-file + rename protocol, but a corrupted disk can)
-// is rejected whole and recovery falls back to an older checkpoint or
-// a bare log replay.
+// This file is the Log's checkpoint surface: the live chain (one full
+// checkpoint plus the deltas hanging off it), the two installs, and the
+// cleanup each install triggers. The files themselves — both kinds — are
+// written and read by the one codec in snapfile.go.
 
-var ckptMagic = [8]byte{'P', 'L', 'Y', 'C', 'K', 'P', 'T', '1'}
+// ckptName formats a checkpoint file name. checkpoint-N holds every
+// mutation of segments < N (and possibly a prefix of N): recovery loads
+// it and replays segments >= N.
+func ckptName(seq uint64) string { return fmt.Sprintf("checkpoint-%08d.ckpt", seq) }
+
+// deltaName formats a delta checkpoint file name. delta-N covers every
+// mutation of segments < N back to its parent's cover point: recovery
+// loads base + chain and replays segments >= the chain head.
+func deltaName(seq uint64) string { return fmt.Sprintf("delta-%08d.ckpt", seq) }
+
+// CkptKind identifies a checkpoint's kind (the STATS ckpt_last_kind
+// vocabulary: 0 none, 1 full, 2 delta).
+type CkptKind uint8
 
 const (
-	ckptEntry = 0x01
-	ckptEnd   = 0x00
+	CkptNone CkptKind = iota
+	CkptFull
+	CkptDelta
 )
 
-// crcWriter updates a running CRC-32C over everything written through.
-type crcWriter struct {
-	w   *bufio.Writer
-	crc uint32
+// String names the kind.
+func (k CkptKind) String() string {
+	switch k {
+	case CkptNone:
+		return "none"
+	case CkptFull:
+		return "full"
+	case CkptDelta:
+		return "delta"
+	default:
+		return fmt.Sprintf("CkptKind(%d)", int(k))
+	}
 }
 
-func (c *crcWriter) Write(p []byte) (int, error) {
-	c.crc = crc32.Update(c.crc, crcTable, p)
-	return c.w.Write(p)
+// ChainDelta is one delta checkpoint of a live chain.
+type ChainDelta struct {
+	// Seg is the delta's segment number (file delta-<Seg>.ckpt).
+	Seg uint64
+	// Cover is the WAL seq sealed by the rotation that cut this delta —
+	// 0 when the delta was recovered from disk (seqs are per-process).
+	Cover uint64
+	// Bytes is the installed file's size.
+	Bytes uint64
+}
+
+// Chain is a snapshot of a log's checkpoint chain: at most one base
+// plus its deltas in chain (= apply) order. The zero Chain means no
+// checkpoint exists yet.
+type Chain struct {
+	// BaseSeg is the full checkpoint's segment number (0 = none).
+	BaseSeg uint64
+	// BaseCover is the WAL seq the base's rotation sealed (0 when the
+	// base was recovered from disk).
+	BaseCover uint64
+	// BaseBytes is the base file's size.
+	BaseBytes uint64
+	// Deltas chains off the base, oldest first.
+	Deltas []ChainDelta
+}
+
+// Len is the chain length (delta count).
+func (c *Chain) Len() int { return len(c.Deltas) }
+
+// DeltaBytes sums the chain's delta file sizes.
+func (c *Chain) DeltaBytes() uint64 {
+	var n uint64
+	for _, d := range c.Deltas {
+		n += d.Bytes
+	}
+	return n
+}
+
+// Head is the newest chain element's segment (the base when the chain
+// is empty, 0 when there is no checkpoint at all): recovery replays
+// segments >= Head.
+func (c *Chain) Head() uint64 {
+	if n := len(c.Deltas); n > 0 {
+		return c.Deltas[n-1].Seg
+	}
+	return c.BaseSeg
+}
+
+// clone deep-copies the chain.
+func (c *Chain) clone() Chain {
+	out := *c
+	out.Deltas = append([]ChainDelta(nil), c.Deltas...)
+	return out
+}
+
+// Chain returns a snapshot of the log's live checkpoint chain.
+func (l *Log) Chain() Chain {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.chain.clone()
+}
+
+// LastCheckpointKind reports the kind of the most recent checkpoint
+// install (or recovery-time chain head).
+func (l *Log) LastCheckpointKind() CkptKind {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.lastKind
 }
 
 // WriteCheckpoint atomically installs checkpoint-<seg>: snapshot is
@@ -51,72 +125,45 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 // checkpoints, and deltas older than seg are removed — the log's
 // truncation, and the start of a fresh chain.
 func (l *Log) WriteCheckpoint(seg, cover uint64, snapshot func(emit func(key, val string) error) error) error {
-	tmp := filepath.Join(l.dir, ckptName(seg)+".tmp")
-	f, err := os.Create(tmp)
+	size, err := writeSnapshot(filepath.Join(l.dir, ckptName(seg)), nil, func(emit func(key, val string, del bool) error) error {
+		return snapshot(func(key, val string) error { return emit(key, val, false) })
+	})
 	if err != nil {
-		return fmt.Errorf("wal: checkpoint create: %w", err)
-	}
-	defer os.Remove(tmp) // no-op after the rename succeeds
-
-	cw := &crcWriter{w: bufio.NewWriterSize(f, 1<<16)}
-	var scratch [binary.MaxVarintLen64]byte
-	writeField := func(s string) error {
-		n := binary.PutUvarint(scratch[:], uint64(len(s)))
-		if _, err := cw.Write(scratch[:n]); err != nil {
-			return err
-		}
-		_, err := cw.Write([]byte(s))
-		return err
-	}
-	werr := func() error {
-		if _, err := cw.Write(ckptMagic[:]); err != nil {
-			return err
-		}
-		if err := snapshot(func(key, val string) error {
-			if _, err := cw.Write([]byte{ckptEntry}); err != nil {
-				return err
-			}
-			if err := writeField(key); err != nil {
-				return err
-			}
-			return writeField(val)
-		}); err != nil {
-			return err
-		}
-		if _, err := cw.Write([]byte{ckptEnd}); err != nil {
-			return err
-		}
-		var crc [4]byte
-		binary.BigEndian.PutUint32(crc[:], cw.crc)
-		if _, err := cw.w.Write(crc[:]); err != nil {
-			return err
-		}
-		if err := cw.w.Flush(); err != nil {
-			return err
-		}
-		return f.Sync()
-	}()
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("wal: checkpoint write: %w", werr)
-	}
-	final := filepath.Join(l.dir, ckptName(seg))
-	if err := os.Rename(tmp, final); err != nil {
-		return fmt.Errorf("wal: checkpoint install: %w", err)
-	}
-	syncDir(l.dir)
-	var size uint64
-	if fi, err := os.Stat(final); err == nil {
-		size = uint64(fi.Size())
+		return fmt.Errorf("wal: checkpoint %d: %w", seg, err)
 	}
 	l.statCheckpoints.Add(1)
 	l.mu.Lock()
-	l.chain = Chain{BaseSeg: seg, BaseCover: cover, BaseBytes: size}
+	l.chain = Chain{BaseSeg: seg, BaseCover: cover, BaseBytes: uint64(size)}
 	l.lastKind = CkptFull
 	l.mu.Unlock()
 	l.cleanup(seg, seg)
+	return nil
+}
+
+// WriteDeltaCheckpoint atomically installs delta-<seg>, chained to the
+// current chain head: snapshot is called once with an emit function and
+// must stream every key that changed since the chain head was cut —
+// current value for live keys, del=true for keys that no longer exist.
+// cover is the WAL seq Rotate sealed. On success, segments older than
+// seg and checkpoint files older than the chain's base are removed; the
+// base and the chain stay, recovery needs them.
+func (l *Log) WriteDeltaCheckpoint(seg, cover uint64, snapshot func(emit func(key, val string, del bool) error) error) error {
+	l.mu.Lock()
+	hdr := &snapHeader{Self: seg, Base: l.chain.BaseSeg, Parent: l.chain.Head(), Cover: cover}
+	l.mu.Unlock()
+	if hdr.Base == 0 {
+		return fmt.Errorf("wal: delta checkpoint needs a base checkpoint")
+	}
+	size, err := writeSnapshot(l.DeltaPath(seg), hdr, snapshot)
+	if err != nil {
+		return fmt.Errorf("wal: delta %d: %w", seg, err)
+	}
+	l.statCheckpoints.Add(1)
+	l.mu.Lock()
+	l.chain.Deltas = append(l.chain.Deltas, ChainDelta{Seg: seg, Cover: cover, Bytes: uint64(size)})
+	l.lastKind = CkptDelta
+	l.mu.Unlock()
+	l.cleanup(seg, hdr.Base)
 	return nil
 }
 
@@ -135,215 +182,26 @@ func (l *Log) cleanup(keepSeg, keepCkpt uint64) {
 		case parseName(e.Name(), "wal-", ".log", &n) && n < keepSeg,
 			parseName(e.Name(), "checkpoint-", ".ckpt", &n) && n < keepCkpt,
 			parseName(e.Name(), "delta-", ".ckpt", &n) && n < keepCkpt:
-			if err := os.Remove(filepath.Join(l.dir, e.Name())); err != nil && l.logf != nil {
+			if err := os.Remove(filepath.Join(l.dir, e.Name())); err != nil {
 				l.logf("wal: cleanup %s: %v", e.Name(), err)
 			}
 		}
 	}
 }
 
-// ckptReader streams one checkpoint's entry section through a bounded
-// buffer, so loading never holds more than one entry in memory no
-// matter how large the file is. body is the byte count between the
-// magic and the trailing checksum.
-type ckptReader struct {
-	br   *bufio.Reader
-	body int64  // entry-section bytes left to consume
-	kbuf []byte // reusable key storage
-	vbuf []byte // reusable value storage
+// ReadDelta validates one delta checkpoint file end to end and streams
+// its entries — del marks tombstones. The replication hub uses it to
+// ship chain deltas to a follower whose applied position covers the
+// chain's base.
+func ReadDelta(path string, emit func(key, val string, del bool) error) error {
+	_, _, err := readSnapshot(path, true, func(k, v []byte, del bool) error {
+		return emit(string(k), string(v), del)
+	})
+	return err
 }
 
-// readByte consumes one entry-section byte.
-func (c *ckptReader) readByte() (byte, error) {
-	if c.body < 1 {
-		return 0, &errCorrupt{"checkpoint: truncated entry section"}
-	}
-	b, err := c.br.ReadByte()
-	if err != nil {
-		return 0, err
-	}
-	c.body--
-	return b, nil
-}
-
-// readField consumes one uvarint-length-prefixed field into buf.
-func (c *ckptReader) readField(buf []byte) ([]byte, error) {
-	var n uint64
-	for shift := uint(0); ; shift += 7 {
-		if shift >= 64 {
-			return nil, &errCorrupt{"checkpoint: bad field length"}
-		}
-		b, err := c.readByte()
-		if err != nil {
-			return nil, err
-		}
-		n |= uint64(b&0x7F) << shift
-		if b < 0x80 {
-			break
-		}
-	}
-	if int64(n) > c.body {
-		return nil, &errCorrupt{"checkpoint: field overruns entry section"}
-	}
-	if uint64(cap(buf)) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(c.br, buf); err != nil {
-		return nil, err
-	}
-	c.body -= int64(n)
-	return buf, nil
-}
-
-// loadCheckpoint reads and fully validates one checkpoint file —
-// checksum AND grammar — then streams its entries to apply as OpSet
-// operations. Nothing is applied from a checkpoint that does not
-// validate end to end, so a corrupt checkpoint never half-applies.
-//
-// Both the validation pass and the apply pass stream the file through
-// a bufio.Reader: recovery memory is O(largest entry), not O(file), so
-// a multi-GB checkpoint replays in constant space per shard.
-func loadCheckpoint(path string, apply func(ops []Op) error) (keys int, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	size := fi.Size()
-	if size < int64(len(ckptMagic))+1+4 {
-		return 0, &errCorrupt{"checkpoint: bad magic or size"}
-	}
-
-	// Pass 1: stream the whole file once, checking the magic, the
-	// entry grammar, and the running CRC against the stored trailer.
-	// Pass 2: seek back and stream again, applying entries in batches —
-	// each apply call is one atomic group on the store side (one
-	// transaction), and per-key transactions would make restarting a
-	// large keyspace pay a full begin/commit cycle per entry. The batch
-	// size is a throughput knob only: the whole file was validated by
-	// pass 1, so atomicity granularity is free to choose here.
-	const applyBatch = 256
-	br := bufio.NewReaderSize(f, 1<<16)
-	cr := &ckptReader{br: br}
-	for pass := 0; pass < 2; pass++ {
-		if pass == 1 {
-			if _, err := f.Seek(0, io.SeekStart); err != nil {
-				return 0, err
-			}
-			br.Reset(f)
-		}
-		var magic [8]byte
-		if _, err := io.ReadFull(br, magic[:]); err != nil {
-			return keys, err
-		}
-		if magic != ckptMagic {
-			return keys, &errCorrupt{"checkpoint: bad magic or size"}
-		}
-		crc := crc32.Checksum(magic[:], crcTable)
-		// Wrap the section reads in a CRC-updating tee on pass 0 only:
-		// once the checksum has held, the apply pass skips the rework.
-		cr.body = size - int64(len(ckptMagic)) - 4
-		if pass == 0 {
-			sum := &crcReader{r: io.LimitReader(br, cr.body), crc: crc}
-			sbr := bufio.NewReaderSize(sum, 1<<16)
-			vcr := &ckptReader{br: sbr, body: cr.body, kbuf: cr.kbuf, vbuf: cr.vbuf}
-			if err := vcr.walk(nil); err != nil {
-				return 0, err
-			}
-			cr.kbuf, cr.vbuf = vcr.kbuf, vcr.vbuf
-			var tail [4]byte
-			if _, err := io.ReadFull(br, tail[:]); err != nil {
-				return 0, err
-			}
-			if sum.crc != binary.BigEndian.Uint32(tail[:]) {
-				return 0, &errCorrupt{"checkpoint: checksum mismatch"}
-			}
-			continue
-		}
-		var ops []Op
-		flush := func() error {
-			if len(ops) == 0 {
-				return nil
-			}
-			if err := apply(ops); err != nil {
-				return err
-			}
-			keys += len(ops)
-			ops = ops[:0]
-			return nil
-		}
-		err := cr.walk(func(k, v []byte) error {
-			ops = append(ops, Op{Kind: OpSet, Key: string(k), Val: string(v)})
-			if len(ops) >= applyBatch {
-				return flush()
-			}
-			return nil
-		})
-		if err != nil {
-			return keys, err
-		}
-		if err := flush(); err != nil {
-			return keys, err
-		}
-	}
-	return keys, nil
-}
-
-// walk streams the entry section, calling emit (when non-nil) per
-// entry, and checks the grammar: entries, a terminator, nothing after.
-func (c *ckptReader) walk(emit func(k, v []byte) error) error {
-	for {
-		marker, err := c.readByte()
-		if err != nil {
-			return err
-		}
-		if marker == ckptEnd {
-			if c.body != 0 {
-				return &errCorrupt{"checkpoint: trailing bytes"}
-			}
-			return nil
-		}
-		if marker != ckptEntry {
-			return &errCorrupt{"checkpoint: bad entry marker"}
-		}
-		if c.kbuf, err = c.readField(c.kbuf[:0]); err != nil {
-			return err
-		}
-		if c.vbuf, err = c.readField(c.vbuf[:0]); err != nil {
-			return err
-		}
-		if emit != nil {
-			if err := emit(c.kbuf, c.vbuf); err != nil {
-				return err
-			}
-		}
-	}
-}
-
-// crcReader tees a running CRC-32C over everything read through it.
-type crcReader struct {
-	r   io.Reader
-	crc uint32
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.crc = crc32.Update(c.crc, crcTable, p[:n])
-	return n, err
-}
-
-// syncDir fsyncs a directory so a just-renamed file's directory entry
-// is durable. Best-effort: some filesystems reject directory fsync.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	d.Sync()
-	d.Close()
+// DeltaPath returns the path of the chain delta with segment seg —
+// the repl hub's bridge from Chain() to ReadDelta.
+func (l *Log) DeltaPath(seg uint64) string {
+	return filepath.Join(l.dir, deltaName(seg))
 }

@@ -1,8 +1,16 @@
 // Package wal is polyserve's durability subsystem: an append-only,
-// checksummed, length-prefixed write-ahead log of committed mutations,
-// periodic compact checkpoints of the whole keyspace, and startup
-// recovery that loads the newest valid checkpoint and replays the log
-// tail, truncating at the first torn or corrupt record.
+// checksummed, length-prefixed write-ahead log of committed mutations
+// (wal.go, record.go), periodic snapshot files — full checkpoints of
+// the whole keyspace and delta checkpoints of what changed since the
+// previous one, one file grammar under two magics (snapfile.go,
+// checkpoint.go) — and startup recovery in three stages (recover.go):
+// scan the directory, load the newest valid checkpoint and the delta
+// chain hanging off it, replay the log tail, truncating at the first
+// torn or corrupt record.
+//
+// Durable files reach the disk through two choke points: segment
+// append (openSegment + the flusher's write) and InstallFile, which
+// every snapshot file and the server's MANIFEST are installed by.
 //
 // The log records logical mutations, not physical state: each record is
 // one atomic group of operations (a single SET/DEL, a whole TXN batch,

@@ -107,7 +107,8 @@ type ShipRec struct {
 }
 
 // Log is the append-only write-ahead log of one directory: a sequence
-// of numbered segment files plus at most one live checkpoint.
+// of numbered segment files plus at most one live checkpoint chain (a
+// full checkpoint and the deltas hanging off it; see checkpoint.go).
 //
 // Appending is a two-phase protocol mirroring the transaction that
 // produces the record:
@@ -141,7 +142,7 @@ type Log struct {
 	closed    bool
 	// chain is the live checkpoint chain (base + deltas); lastKind is
 	// what the most recent install (or recovery) left as the newest
-	// element. Both under mu; see delta.go.
+	// element. Both under mu; see checkpoint.go.
 	chain    Chain
 	lastKind CkptKind
 
@@ -166,16 +167,16 @@ type Log struct {
 // segName formats a segment file name; segments sort by number.
 func segName(seq uint64) string { return fmt.Sprintf("wal-%08d.log", seq) }
 
-// ckptName formats a checkpoint file name. checkpoint-N holds every
-// mutation of segments < N (and possibly a prefix of N): recovery loads
-// it and replays segments >= N.
-func ckptName(seq uint64) string { return fmt.Sprintf("checkpoint-%08d.ckpt", seq) }
+// openSegment opens segment seg of dir for appending, creating it.
+func openSegment(dir string, seg uint64) (*os.File, error) {
+	return os.OpenFile(filepath.Join(dir, segName(seg)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+}
 
 // openLog creates the Log around an opened segment and starts its
 // background goroutines. Recovery (scanning, replay, truncation) has
 // already happened in Open; chain is what it reassembled.
 func openLog(dir string, opts Options, seg uint64, chain Chain) (*Log, error) {
-	f, err := os.OpenFile(filepath.Join(dir, segName(seg)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := openSegment(dir, seg)
 	if err != nil {
 		return nil, err
 	}
@@ -469,7 +470,7 @@ func (l *Log) syncDirty() {
 	err := f.Sync()
 	l.fileMu.Unlock()
 	l.statFsyncs.Add(1)
-	if err != nil && l.logf != nil {
+	if err != nil {
 		l.logf("wal: background fsync: %v", err)
 	}
 }
@@ -519,7 +520,7 @@ func (l *Log) Rotate() (seg, cover uint64, err error) {
 		}
 		l.statFsyncs.Add(1)
 	}
-	f, err := os.OpenFile(filepath.Join(l.dir, segName(newSeg)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := openSegment(l.dir, newSeg)
 	if err != nil {
 		return 0, 0, fmt.Errorf("wal: rotate open: %w", err)
 	}
