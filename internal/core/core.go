@@ -23,6 +23,7 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 
 	"polytm/internal/stm"
 )
@@ -451,35 +452,68 @@ func (tx *Tx) AtomicAsCtx(ctx context.Context, sem Semantics, fn func(*Tx) error
 	return nil
 }
 
-// TVar is a typed transactional variable.
+// TVar is a typed transactional variable: one object holding the engine
+// variable by value. It must not be copied once initialised (go vet's
+// copylocks check enforces it).
 type TVar[T any] struct {
-	v *stm.Var
+	v stm.Var
+}
+
+// cell is the committed version record of a non-pointer T: the engine's
+// record and the value it holds in one allocation (see stm.Version).
+type cell[T any] struct {
+	stm.Version
+	v T
+}
+
+// record allocates the version record of one write of val. Which shape
+// it takes depends on T alone, so every record of a TVar[T] has the same
+// one: a pointer-shaped T (boxing it is free) rides in a plain
+// stm.Version, anything else in a cell whose record holds &cell.v.
+func record[T any](val T) *stm.Version {
+	switch reflect.TypeFor[T]().Kind() {
+	case reflect.Pointer, reflect.Map, reflect.Chan, reflect.Func, reflect.UnsafePointer:
+		return new(stm.Version).Hold(val)
+	}
+	c := &cell[T]{v: val}
+	return c.Hold(&c.v)
+}
+
+// value recovers the T a record made by record[T] holds.
+func value[T any](raw any) T {
+	if p, ok := raw.(*T); ok {
+		return *p
+	}
+	return raw.(T)
 }
 
 // NewTVar allocates a typed transactional variable in tm holding init.
 func NewTVar[T any](tm *TM, init T) *TVar[T] {
-	return &TVar[T]{v: tm.eng.NewVar(init)}
+	tv := new(TVar[T])
+	tv.Init(tm, init)
+	return tv
 }
 
-// Var exposes the untyped engine variable.
-func (tv *TVar[T]) Var() *stm.Var { return tv.v }
+// Init makes the zero TVar tv — an element of a by-value array, a field
+// of the caller's node — a variable of tm holding init.
+func (tv *TVar[T]) Init(tm *TM, init T) { tm.eng.InitVar(&tv.v, record(init)) }
 
 // LoadDirect reads the committed value outside any transaction (tests,
 // quiescent inspection).
-func (tv *TVar[T]) LoadDirect() T { return tv.v.LoadDirect().(T) }
+func (tv *TVar[T]) LoadDirect() T { return value[T](tv.v.LoadDirect()) }
 
 // StoreDirect overwrites the value outside any transaction; safe only
 // when no transaction is live.
-func (tv *TVar[T]) StoreDirect(val T) { tv.v.StoreDirect(val) }
+func (tv *TVar[T]) StoreDirect(val T) { tv.v.StoreVersionDirect(record(val)) }
 
 // Get reads tv inside tx under the semantics in effect.
 func Get[T any](tx *Tx, tv *TVar[T]) (T, error) {
-	raw, err := tx.inner.Read(tv.v)
+	raw, err := tx.inner.Read(&tv.v)
 	if err != nil {
 		var zero T
 		return zero, err
 	}
-	return raw.(T), nil
+	return value[T](raw), nil
 }
 
 // GetAnchored reads tv inside tx with an anchored (pinned) entry: under
@@ -489,17 +523,17 @@ func Get[T any](tx *Tx, tv *TVar[T]) (T, error) {
 // elastic operation must observe consistently with its write, while the
 // traversal below stays elastic.
 func GetAnchored[T any](tx *Tx, tv *TVar[T]) (T, error) {
-	raw, err := tx.inner.ReadPinned(tv.v)
+	raw, err := tx.inner.ReadPinned(&tv.v)
 	if err != nil {
 		var zero T
 		return zero, err
 	}
-	return raw.(T), nil
+	return value[T](raw), nil
 }
 
 // Set writes val to tv inside tx.
 func Set[T any](tx *Tx, tv *TVar[T], val T) error {
-	return tx.inner.Write(tv.v, val)
+	return tx.inner.WriteVersion(&tv.v, record(val))
 }
 
 // Modify applies f to tv's current value inside tx.

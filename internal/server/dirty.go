@@ -29,15 +29,25 @@ type dirtySet struct {
 	flushed bool
 }
 
-// mark records one mutated key. The []byte converts to string only on
-// first insertion (the map lookup itself does not allocate).
+// mark records one mutated key. Go elides the []byte-to-string
+// conversion for a map lookup but not for an assignment, so the lookup
+// guards the insert: re-marking a key already in the set (a third of
+// durable writes inside one checkpoint cycle) allocates nothing, and the
+// key string is built only on first insertion.
 func (d *dirtySet) mark(key []byte) {
 	d.mu.Lock()
+	if _, ok := d.keys[string(key)]; !ok {
+		d.insert(string(key))
+	}
+	d.mu.Unlock()
+}
+
+// insert adds key to the set; the caller holds mu.
+func (d *dirtySet) insert(key string) {
 	if d.keys == nil {
 		d.keys = make(map[string]struct{})
 	}
-	d.keys[string(key)] = struct{}{}
-	d.mu.Unlock()
+	d.keys[key] = struct{}{}
 }
 
 // markFlush records a whole-keyspace clear: the next checkpoint must be
@@ -57,10 +67,7 @@ func (d *dirtySet) markOps(ops []wal.Op) {
 	for _, op := range ops {
 		switch op.Kind {
 		case wal.OpSet, wal.OpDel:
-			if d.keys == nil {
-				d.keys = make(map[string]struct{})
-			}
-			d.keys[op.Key] = struct{}{}
+			d.insert(op.Key)
 		case wal.OpFlush:
 			d.flushed = true
 		}
@@ -105,12 +112,8 @@ func (d *dirtySet) take() (keys map[string]struct{}, flushed bool) {
 // losing taken keys would carve them out of every future delta.
 func (d *dirtySet) restore(keys map[string]struct{}, flushed bool) {
 	d.mu.Lock()
-	if d.keys == nil {
-		d.keys = keys
-	} else {
-		for k := range keys {
-			d.keys[k] = struct{}{}
-		}
+	for k := range keys {
+		d.insert(k)
 	}
 	d.flushed = d.flushed || flushed
 	d.mu.Unlock()

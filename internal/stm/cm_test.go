@@ -110,6 +110,11 @@ func TestKarmaKillsLowerPriority(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A contention manager only ever meets registered lock owners (the
+	// caller registers before it fights for its first lock), and that is
+	// where karma is published for rivals.
+	victim.registerLive()
+	attacker.registerLive()
 	cm := NewKarma()()
 	if res := cm.OnLockBusy(attacker, victim, 0); res != ResolutionKillEnemy {
 		t.Fatalf("high-karma attacker got %v, want KillEnemy", res)

@@ -58,8 +58,7 @@ func (tx *Txn) commitIrrevocable() {
 	wv := tx.eng.clock.Tick()
 	needed := tx.eng.snaps.minActive()
 	for i := range tx.wset {
-		e := &tx.wset[i]
-		e.v.head.Store(&Version{val: e.val, ver: wv, prev: retainHistory(e.v.head.Load(), wv, needed)})
+		tx.wset[i].v.install(tx.wset[i].rec, wv, needed)
 	}
 	for _, el := range tx.encLocks {
 		if tx.findWrite(el.v) >= 0 {

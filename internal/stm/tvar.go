@@ -22,15 +22,33 @@ type Var struct {
 }
 
 // NewVar allocates a transactional variable owned by engine e holding
-// initial value v at version 0 (committed "before the beginning of
-// time", so it is visible to every transaction). Ids come from the
-// engine's striped wells, so concurrent allocators never contend.
+// initial value v; see InitVar.
 func (e *Engine) NewVar(v any) *Var {
-	tv := &Var{eng: e, id: e.newVarID()}
-	tv.head.Store(&Version{val: v, ver: 0})
-	tv.lw.Store(packVersion(0))
-	e.stats.add(stripeHint(), statVarsAllocated)
+	tv := new(Var)
+	e.InitVar(tv, &Version{val: v})
 	return tv
+}
+
+// InitVar makes the zero Var v — typically a field of the caller's own
+// object, which is how core.TVar comes to be one allocation — a variable
+// of engine e whose first version is the fresh record first, at version
+// 0 (committed "before the beginning of time", so it is visible to every
+// transaction). Ids come from the engine's striped wells, so concurrent
+// allocators never contend. A Var must not be copied once initialised.
+func (e *Engine) InitVar(v *Var, first *Version) {
+	v.eng, v.id = e, e.newVarID()
+	v.install(first, 0, 0)
+	e.stats.add(stripeHint(), statVarsAllocated)
+}
+
+// install stamps rec with commit timestamp wv, links behind it what of
+// the overwritten chain snapshot readers may still need (needed is the
+// registry's minActive), and makes it v's head. It is the only place a
+// committed head is built; every caller but InitVar holds v's lock word
+// and releases it afterwards.
+func (v *Var) install(rec *Version, wv, needed uint64) {
+	rec.ver, rec.prev = wv, retainHistory(v.head.Load(), wv, needed)
+	v.head.Store(rec)
 }
 
 // ID returns the variable's engine-unique identity. Commit-time locking
@@ -59,14 +77,16 @@ func (v *Var) LoadDirect() any { return v.head.Load().val }
 // loudly with a panic instead of silently splicing a stale head into
 // the version chain. A race against purely optimistic readers remains
 // undetectable; the precondition stands.
-func (v *Var) StoreDirect(val any) {
+func (v *Var) StoreDirect(val any) { v.StoreVersionDirect(&Version{val: val}) }
+
+// StoreVersionDirect is StoreDirect for a record the caller allocated.
+func (v *Var) StoreVersionDirect(rec *Version) {
 	w := v.lw.Load()
 	if isLocked(w) || !v.lw.CompareAndSwap(w, packOwner(directStoreOwner)) {
 		panic("stm: Var.StoreDirect raced with a live transaction (lock word held)")
 	}
 	wv := v.eng.clock.Tick()
-	old := v.head.Load()
-	v.head.Store(&Version{val: val, ver: wv, prev: retainHistory(old, wv, v.eng.snaps.minActive())})
+	v.install(rec, wv, v.eng.snaps.minActive())
 	v.lw.Store(packVersion(wv))
 }
 

@@ -29,10 +29,11 @@ type readEntry struct {
 }
 
 // writeEntry buffers one pending write (lazy versioning: writes become
-// visible only at commit).
+// visible only at commit): the variable and the unstamped record the
+// writer handed over, which commit installs as is (Var.install).
 type writeEntry struct {
 	v      *Var
-	val    any
+	rec    *Version
 	prevLW uint64 // pre-lock word, meaningful once locked
 	locked bool
 }
@@ -123,17 +124,17 @@ type Txn struct {
 	written bool
 
 	// karma accumulates accesses across attempts for the karma manager.
-	// Deliberately a plain field despite rival reads (karma.OnLockBusy
-	// inspects a lock owner's karma through a registry pointer): it is
-	// incremented on EVERY transactional access, and any atomic form —
-	// LOCK-prefixed add or XCHG store — measured 20-30% on the read
-	// fast path. The word-sized unsynchronized read is the same
-	// exposure the seed engine had (pooling's zeroing in recycle is
-	// owner-side, like the increments), and a misread can only steer
-	// the karma heuristic toward a safe outcome: abort-self is always
-	// safe, and kill delivery is attempt-exact (killedID), so even a
-	// wrong kill expires against a finished attempt.
-	karma uint64
+	// It is owner-side only: it is incremented on EVERY transactional
+	// access, and any atomic form — LOCK-prefixed add or XCHG store —
+	// measured 20-30% on the read fast path. Rivals (karma.OnLockBusy
+	// inspects a lock owner through a registry pointer) read karmaSeen,
+	// the copy published when the attempt registers as a lock owner
+	// (registerLive). That is the only state a rival can meet it in, and
+	// the copy is as good as the original there: an optimistic committer
+	// performs no access after it, and an irrevocable owner cannot be
+	// killed whatever its karma.
+	karma     uint64
+	karmaSeen atomic.Uint64
 
 	attempt int
 
@@ -369,6 +370,7 @@ func (tx *Txn) begin() {
 // register — that is the point: the registry is off the read fast path.
 func (tx *Txn) registerLive() {
 	if !tx.liveRegistered {
+		tx.karmaSeen.Store(tx.karma)
 		tx.eng.live.store(tx.id, tx)
 		tx.liveRegistered = true
 	}
@@ -400,8 +402,10 @@ func (tx *Txn) Birth() uint64 { return tx.birth.Load() }
 // Attempt returns the 1-based attempt number.
 func (tx *Txn) Attempt() int { return tx.attempt }
 
-// Karma returns the accumulated access count across attempts.
-func (tx *Txn) Karma() uint64 { return tx.karma }
+// Karma returns the access count accumulated across attempts, as of the
+// current attempt's registration as a lock owner — exact for the caller
+// of OnLockBusy and for the enemy it is handed (see the karma field).
+func (tx *Txn) Karma() uint64 { return tx.karmaSeen.Load() }
 
 // Semantics returns the transaction's semantic parameter p.
 func (tx *Txn) Semantics() Semantics { return tx.sem }
@@ -488,7 +492,7 @@ func (tx *Txn) Read(v *Var) (any, error) {
 	// Read-your-writes.
 	if len(tx.wset) > 0 {
 		if i := tx.findWrite(v); i >= 0 {
-			return tx.wset[i].val, nil
+			return tx.wset[i].rec.val, nil
 		}
 	}
 
@@ -520,7 +524,7 @@ func (tx *Txn) ReadPinned(v *Var) (any, error) {
 	tx.karma++
 	if len(tx.wset) > 0 {
 		if i := tx.findWrite(v); i >= 0 {
-			return tx.wset[i].val, nil
+			return tx.wset[i].rec.val, nil
 		}
 	}
 	switch sem := tx.effective(); {
@@ -651,6 +655,14 @@ func (tx *Txn) validateReads() bool {
 
 // Write buffers a transactional write of val to v.
 func (tx *Txn) Write(v *Var, val any) error {
+	return tx.WriteVersion(v, &Version{val: val})
+}
+
+// WriteVersion buffers a transactional write to v of the value held by
+// rec, a fresh record the caller allocated (see Version): if the attempt
+// commits, rec itself becomes v's head. A later write to v in the same
+// transaction replaces it, and an aborted attempt drops it.
+func (tx *Txn) WriteVersion(v *Var, rec *Version) error {
 	if err := tx.checkLive(); err != nil {
 		return err
 	}
@@ -677,10 +689,10 @@ func (tx *Txn) Write(v *Var, val any) error {
 	}
 
 	if i := tx.findWrite(v); i >= 0 {
-		tx.wset[i].val = val
+		tx.wset[i].rec = rec
 		return nil
 	}
-	tx.wset = append(tx.wset, writeEntry{v: v, val: val})
+	tx.wset = append(tx.wset, writeEntry{v: v, rec: rec})
 	tx.noteWrite(len(tx.wset) - 1)
 	return nil
 }
@@ -842,7 +854,7 @@ func (tx *Txn) publish(wv uint64) {
 	needed := tx.eng.snaps.minActive()
 	for i := range tx.wset {
 		e := &tx.wset[i]
-		e.v.head.Store(&Version{val: e.val, ver: wv, prev: retainHistory(e.v.head.Load(), wv, needed)})
+		e.v.install(e.rec, wv, needed)
 		e.v.unlockTo(packVersion(wv))
 		e.locked = false
 	}

@@ -9,10 +9,33 @@ package stm
 // versioned transaction does not backup data when overwriting it". In
 // this engine every writer backs up the overwritten version for as long
 // as any active snapshot transaction may need it.
+//
+// The record is allocated by whoever writes, not by commit: a write hands
+// the engine a fresh, unstamped record (Txn.WriteVersion; Txn.Write and
+// NewVar make one for an untyped value), it rides the write set, and
+// commit stamps and installs that very record (Var.install, the one
+// place a record gets its timestamp and its link). A record belongs to
+// one write of one variable: it must never be handed to the engine
+// twice, and its value and timestamp never change once it is installed.
+// An attempt that aborts simply drops its records.
+//
+// Because the writer allocates, the record may be the first field of a
+// larger typed cell that also stores the value: package core embeds
+// Version in cell[T]{Version; v T} and Holds &cell.v, so a committed
+// write of a non-pointer T is one heap object instead of a Version plus
+// the box behind val. The engine never looks past the Version header; a
+// chain freely mixes cells and plain records.
 type Version struct {
 	val  any
 	ver  uint64
 	prev *Version
+}
+
+// Hold sets the value of a record that has not been handed to the engine
+// yet, and returns the record.
+func (v *Version) Hold(val any) *Version {
+	v.val = val
+	return v
 }
 
 // Value returns the committed value held by this version.

@@ -32,19 +32,30 @@ type TSkipMap struct {
 	seed atomic.Uint64
 }
 
+// smNode owns its tower by value — one backing array, not a pointer per
+// level; val stays a pointer because RebuildTx carries value variables
+// over to the nodes it builds.
 type smNode struct {
 	key  string
 	val  *core.TVar[string]
-	next []*core.TVar[*smNode]
+	next []core.TVar[*smNode]
+}
+
+// newSMNode builds an unlinked node of height lvl whose level-l link
+// points at succs[l].
+func (m *TSkipMap) newSMNode(key string, val *core.TVar[string], lvl int, succs []*smNode) *smNode {
+	n := &smNode{key: key, val: val, next: make([]core.TVar[*smNode], lvl)}
+	for l := range n.next {
+		n.next[l].Init(m.tm, succs[l])
+	}
+	return n
 }
 
 // NewTSkipMap creates an empty ordered map.
 func NewTSkipMap(tm *core.TM) *TSkipMap {
-	head := &smNode{next: make([]*core.TVar[*smNode], skipMaxLevel)}
-	for i := range head.next {
-		head.next[i] = core.NewTVar[*smNode](tm, nil)
-	}
-	m := &TSkipMap{tm: tm, head: head, size: core.NewTVar(tm, 0)}
+	m := &TSkipMap{tm: tm, size: core.NewTVar(tm, 0)}
+	var nils [skipMaxLevel]*smNode
+	m.head = m.newSMNode("", nil, skipMaxLevel, nils[:])
 	m.seed.Store(0x9e3779b97f4a7c15)
 	return m
 }
@@ -74,12 +85,12 @@ func (m *TSkipMap) search(tx *core.Tx, key string, preds, succs []*smNode) (*smN
 	var curr *smNode
 	for lvl := skipMaxLevel - 1; lvl >= 0; lvl-- {
 		var err error
-		curr, err = core.Get(tx, pred.next[lvl])
+		curr, err = core.Get(tx, &pred.next[lvl])
 		if err != nil {
 			return nil, err
 		}
 		for curr != nil && curr.key < key {
-			next, err := core.Get(tx, curr.next[lvl])
+			next, err := core.Get(tx, &curr.next[lvl])
 			if err != nil {
 				return nil, err
 			}
@@ -129,12 +140,9 @@ func (m *TSkipMap) PutTx(tx *core.Tx, key, val string) (bool, error) {
 		return true, core.Set(tx, succs[0].val, val)
 	}
 	lvl := m.randLevel()
-	n := &smNode{key: strings.Clone(key), val: core.NewTVar(m.tm, val), next: make([]*core.TVar[*smNode], lvl)}
+	n := m.newSMNode(strings.Clone(key), core.NewTVar(m.tm, val), lvl, succs)
 	for i := 0; i < lvl; i++ {
-		n.next[i] = core.NewTVar(m.tm, succs[i])
-	}
-	for i := 0; i < lvl; i++ {
-		if err := core.Set(tx, preds[i].next[i], n); err != nil {
+		if err := core.Set(tx, &preds[i].next[i], n); err != nil {
 			return false, err
 		}
 	}
@@ -156,11 +164,11 @@ func (m *TSkipMap) DeleteTx(tx *core.Tx, key string) (bool, error) {
 		if preds[i] == nil || succs[i] != target {
 			continue
 		}
-		next, err := core.Get(tx, target.next[i])
+		next, err := core.Get(tx, &target.next[i])
 		if err != nil {
 			return false, err
 		}
-		if err := core.Set(tx, preds[i].next[i], next); err != nil {
+		if err := core.Set(tx, &preds[i].next[i], next); err != nil {
 			return false, err
 		}
 	}
@@ -178,19 +186,19 @@ func (m *TSkipMap) RangeTx(tx *core.Tx, from, to string, limit int, fn func(key,
 	// Descend to the bottom-level predecessor of `from`.
 	pred := m.head
 	for lvl := skipMaxLevel - 1; lvl >= 0; lvl-- {
-		curr, err := core.Get(tx, pred.next[lvl])
+		curr, err := core.Get(tx, &pred.next[lvl])
 		if err != nil {
 			return err
 		}
 		for curr != nil && curr.key < from {
-			next, err := core.Get(tx, curr.next[lvl])
+			next, err := core.Get(tx, &curr.next[lvl])
 			if err != nil {
 				return err
 			}
 			pred, curr = curr, next
 		}
 	}
-	curr, err := core.Get(tx, pred.next[0])
+	curr, err := core.Get(tx, &pred.next[0])
 	if err != nil {
 		return err
 	}
@@ -207,7 +215,7 @@ func (m *TSkipMap) RangeTx(tx *core.Tx, from, to string, limit int, fn func(key,
 			return nil
 		}
 		n++
-		curr, err = core.Get(tx, curr.next[0])
+		curr, err = core.Get(tx, &curr.next[0])
 		if err != nil {
 			return err
 		}
@@ -256,7 +264,7 @@ func (m *TSkipMap) ClearTx(tx *core.Tx) (int, error) {
 		return 0, err
 	}
 	for i := range m.head.next {
-		if err := core.Set(tx, m.head.next[i], nil); err != nil {
+		if err := core.Set(tx, &m.head.next[i], nil); err != nil {
 			return 0, err
 		}
 	}
@@ -275,13 +283,13 @@ func (m *TSkipMap) RebuildTx(tx *core.Tx) (int, error) {
 		val *core.TVar[string]
 	}
 	var all []kn
-	curr, err := core.Get(tx, m.head.next[0])
+	curr, err := core.Get(tx, &m.head.next[0])
 	if err != nil {
 		return 0, err
 	}
 	for curr != nil {
 		all = append(all, kn{key: curr.key, val: curr.val})
-		curr, err = core.Get(tx, curr.next[0])
+		curr, err = core.Get(tx, &curr.next[0])
 		if err != nil {
 			return 0, err
 		}
@@ -291,14 +299,13 @@ func (m *TSkipMap) RebuildTx(tx *core.Tx) (int, error) {
 	tails := make([]*smNode, skipMaxLevel)
 	for i := len(all) - 1; i >= 0; i-- {
 		lvl := m.randLevel()
-		n := &smNode{key: all[i].key, val: all[i].val, next: make([]*core.TVar[*smNode], lvl)}
+		n := m.newSMNode(all[i].key, all[i].val, lvl, tails)
 		for l := 0; l < lvl; l++ {
-			n.next[l] = core.NewTVar(m.tm, tails[l])
 			tails[l] = n
 		}
 	}
 	for l := 0; l < skipMaxLevel; l++ {
-		if err := core.Set(tx, m.head.next[l], tails[l]); err != nil {
+		if err := core.Set(tx, &m.head.next[l], tails[l]); err != nil {
 			return 0, err
 		}
 	}
