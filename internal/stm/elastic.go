@@ -113,7 +113,7 @@ func (tx *Txn) readElastic(v *Var, pinned bool) (any, error) {
 		if !tx.validateElasticCut() {
 			tx.stat(statReadAborts)
 			tx.abortCleanup()
-			return nil, tx.abortConflict("elastic window invalidated", v.id)
+			return nil, tx.abortConflict("elastic window invalidated", v.ID())
 		}
 		tx.cutUnpinned()
 		tx.rv = now

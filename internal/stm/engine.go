@@ -28,10 +28,10 @@ type Config struct {
 
 	// Shards is the stripe count for the engine's internal
 	// synchronization state (event counters, the live-transaction
-	// registry, the snapshot registry, the variable-id wells). It is
-	// rounded up to a power of two and capped at 256; <= 0 derives the
-	// count from GOMAXPROCS at engine construction. One shard reproduces
-	// the old centralized behaviour exactly.
+	// registry, the snapshot registry). It is rounded up to a power of
+	// two and capped at 256; <= 0 derives the count from GOMAXPROCS at
+	// engine construction. One shard reproduces the old centralized
+	// behaviour exactly.
 	Shards int
 
 	// Observer, when non-nil, receives transaction lifecycle events
@@ -54,27 +54,17 @@ func (c Config) withDefaults() Config {
 }
 
 // Engine is one transactional memory: a global version clock, an
-// identity space for variables and transactions, a snapshot registry,
-// and the irrevocability token. Engines are independent; variables must
-// not flow between them.
+// identity space for transactions, a snapshot registry, and the
+// irrevocability token. Engines are independent; variables must not
+// flow between them.
 //
 // All per-attempt bookkeeping — counters, the live registry, the
-// snapshot registry, id allocation — is sharded (see shard.go), so the
-// only state every committing writer still serializes on is the version
-// clock itself, which defines commit order and is irreducible.
+// snapshot registry — is sharded (see shard.go), so the only state every
+// committing writer still serializes on is the version clock itself,
+// which defines commit order and is irreducible.
 type Engine struct {
 	cfg   Config
 	clock Clock
-
-	// shardMask selects a stripe from a stripeHint; stripe counts are
-	// powers of two.
-	shardMask uint64
-
-	// varIDs are striped id wells: well w issues ids w+1, w+1+S,
-	// w+1+2S, … (S = shard count), so NewVar calls on different stripes
-	// never contend while ids stay engine-unique and totally ordered —
-	// all that commit-time lock ordering requires.
-	varIDs []idWell
 
 	// nextTxnID is the source of per-Txn attempt-id blocks: each Txn
 	// draws txnIDBlock ids at a time (see Txn.nextAttemptID), so this
@@ -101,18 +91,10 @@ type Engine struct {
 	stats Stats
 }
 
-// idWell is one padded stripe of an id space.
-type idWell struct {
-	ctr atomic.Uint64
-	_   [cacheLine - 8]byte
-}
-
 // NewEngine creates an engine with the given configuration.
 func NewEngine(cfg Config) *Engine {
 	e := &Engine{cfg: cfg.withDefaults()}
 	shards := e.cfg.Shards
-	e.shardMask = uint64(shards - 1)
-	e.varIDs = make([]idWell, shards)
 	e.snaps.init(shards)
 	e.live.init(shards)
 	e.stats.init(shards)
@@ -141,13 +123,6 @@ func (e *Engine) ResetStats() { e.stats.reset() }
 // Clock exposes the engine's global version clock (read-mostly; tests
 // and the schedule executors use it).
 func (e *Engine) Clock() *Clock { return &e.clock }
-
-// newVarID draws a fresh variable id from one of the striped wells.
-func (e *Engine) newVarID() uint64 {
-	w := uint64(stripeHint()) & e.shardMask
-	k := e.varIDs[w].ctr.Add(1)
-	return (k-1)*uint64(len(e.varIDs)) + w + 1
-}
 
 // lookupTxn resolves a live transaction by id, or nil.
 func (e *Engine) lookupTxn(id uint64) *Txn {

@@ -88,8 +88,8 @@ type AbortError struct {
 	ByRival bool
 	// Reason is the human-readable abort site, e.g. "read validation".
 	Reason string
-	// VarID is the variable involved in a conflict abort, 0 if not
-	// applicable.
+	// VarID is the identity (Var.ID, its address) of the variable
+	// involved in a conflict abort, 0 if not applicable.
 	VarID uint64
 }
 

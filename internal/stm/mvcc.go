@@ -35,7 +35,7 @@ func (tx *Txn) readSnapshot(v *Var) (any, error) {
 		// never trim versions a registered reader needs), but fail safe.
 		tx.stat(statReadAborts)
 		tx.abortCleanup()
-		return nil, tx.abortConflict("snapshot history trimmed", v.id)
+		return nil, tx.abortConflict("snapshot history trimmed", v.ID())
 	}
 	if res != h {
 		tx.stat(statSnapshotReads)

@@ -7,10 +7,10 @@ import (
 
 // Sharding support for the engine's hot-path synchronization state.
 //
-// Event counters, the live-transaction registry, the snapshot registry
-// and the variable-id space are all striped across a power-of-two
-// number of shards so that concurrent transactions touch disjoint cache
-// lines. The stripe count is a Config knob (Config.Shards); the default
+// Event counters, the live-transaction registry and the snapshot
+// registry are all striped across a power-of-two number of shards so
+// that concurrent transactions touch disjoint cache lines. The stripe
+// count is a Config knob (Config.Shards); the default
 // is derived from GOMAXPROCS at engine construction.
 //
 // Two global atomics deliberately remain: the version clock (it defines
@@ -22,8 +22,8 @@ import (
 // already-accepted cost that the timestamp contention manager's birth
 // "age" order is creation order per id block, not global creation
 // order. Ids remain engine-unique and totally ordered, which is what
-// deadlock-free lock ordering and priority arbitration actually
-// require.
+// priority arbitration actually requires. (Variables draw no ids at
+// all: a variable's identity is its address, see Var.ID.)
 
 // cacheLine is the assumed cache-line size, used to pad shard entries so
 // neighbouring stripes never false-share.
@@ -69,6 +69,6 @@ func shardOf(id, mask uint64) uint64 {
 // the runtime, so concurrent callers never contend here, and goroutines
 // running on distinct Ps — the only ones that can actually race — are
 // steered toward distinct stripes. The hint need not be stable across
-// calls: callers use it to *distribute* updates (striped counters, id
-// wells), never to *find* them again.
+// calls: callers use it to *distribute* updates (striped counters),
+// never to *find* them again.
 func stripeHint() uint32 { return rand.Uint32() }

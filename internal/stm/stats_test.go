@@ -241,35 +241,94 @@ func TestTxnIDBlocksUniqueAndNonzero(t *testing.T) {
 	}
 }
 
-// TestVarIDsUniqueAcrossStripes checks the striped var-id wells:
-// concurrent NewVar calls must yield distinct, nonzero ids.
-func TestVarIDsUniqueAcrossStripes(t *testing.T) {
-	e := NewEngine(Config{Shards: 8})
-	const workers = 8
-	const perWorker = 500
-	idsCh := make(chan []uint64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ids := make([]uint64, 0, perWorker)
-			for n := 0; n < perWorker; n++ {
-				ids = append(ids, e.NewVar(n).ID())
-			}
-			idsCh <- ids
-		}()
-	}
-	wg.Wait()
-	close(idsCh)
-	seen := make(map[uint64]bool)
-	for ids := range idsCh {
-		for _, id := range ids {
-			if id == 0 || seen[id] {
-				t.Fatalf("var id %d duplicated or zero", id)
-			}
-			seen[id] = true
+// TestVarIdentity checks what replaced the id wells: a variable's ID is
+// its address, so it must be non-zero, distinct from every other live
+// variable's and stable for as long as the variable is reachable —
+// whether the variable was allocated singly or lives by value inside a
+// caller's array (the skip structures' towers).
+func TestVarIdentity(t *testing.T) {
+	e := NewDefaultEngine()
+	const total, arrayLen = 100_000, 8
+	vars := make([]*Var, 0, total)
+	for len(vars) < total/2 {
+		tower := make([]Var, arrayLen)
+		for i := range tower {
+			e.InitVar(&tower[i], &Version{val: i})
+			vars = append(vars, &tower[i])
 		}
+	}
+	for len(vars) < total {
+		vars = append(vars, e.NewVar(len(vars)))
+	}
+	ids := make([]uint64, len(vars))
+	seen := make(map[uint64]bool, len(vars))
+	for i, v := range vars {
+		id := v.ID()
+		if id == 0 || seen[id] {
+			t.Fatalf("var %d: id %#x duplicated or zero", i, id)
+		}
+		seen[id], ids[i] = true, id
+	}
+	for cycle := 0; cycle < 2; cycle++ {
+		runtime.GC()
+		for i, v := range vars {
+			if v.ID() != ids[i] {
+				t.Fatalf("var %d: id moved %#x -> %#x across GC %d", i, ids[i], v.ID(), cycle+1)
+			}
+		}
+	}
+}
+
+// TestCommitLockOrder: two goroutines increment the same two variables
+// in opposite program order. Commit sorts the write set by address, so
+// both take the locks in one order whatever the body's order was and
+// whichever of the two the allocator placed first — neighbours in one
+// array or two separate objects. Every transaction must commit and no
+// increment may be lost. Run with -race at GOMAXPROCS=2.
+func TestCommitLockOrder(t *testing.T) {
+	const perG = 10_000
+	e := NewDefaultEngine()
+	var pair [2]Var
+	e.InitVar(&pair[0], &Version{val: 0})
+	e.InitVar(&pair[1], &Version{val: 0})
+	for name, vars := range map[string][2]*Var{
+		"one-array": {&pair[0], &pair[1]},
+		"apart":     {e.NewVar(0), e.NewVar(0)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			incr := func(tx *Txn, v *Var) error {
+				n, err := tx.Read(v)
+				if err != nil {
+					return err
+				}
+				return tx.Write(v, n.(int)+1)
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < 2; g++ {
+				first, second := vars[g], vars[1-g]
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for n := 0; n < perG; n++ {
+						if err := e.Run(SemanticsDef, func(tx *Txn) error {
+							if err := incr(tx, first); err != nil {
+								return err
+							}
+							return incr(tx, second)
+						}); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			for i, v := range vars {
+				if got := v.LoadDirect().(int); got != 2*perG {
+					t.Errorf("var %d = %d, want %d", i, got, 2*perG)
+				}
+			}
+		})
 	}
 }
 

@@ -1,6 +1,9 @@
 package stm
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"unsafe"
+)
 
 // Var is an untyped transactional variable: one shared register of the
 // paper's model. All access must go through a transaction (Txn.Read,
@@ -10,7 +13,6 @@ import "sync/atomic"
 // Typed access is provided by the generic wrappers in package core.
 type Var struct {
 	eng *Engine
-	id  uint64
 
 	// lw is the versioned lock word; see lockword.go.
 	lw atomic.Uint64
@@ -33,10 +35,11 @@ func (e *Engine) NewVar(v any) *Var {
 // object, which is how core.TVar comes to be one allocation — a variable
 // of engine e whose first version is the fresh record first, at version
 // 0 (committed "before the beginning of time", so it is visible to every
-// transaction). Ids come from the engine's striped wells, so concurrent
-// allocators never contend. A Var must not be copied once initialised.
+// transaction). Initialisation touches nothing shared but a striped
+// counter, so concurrent allocators never contend. A Var must not be
+// copied once initialised: its address is its identity (see ID).
 func (e *Engine) InitVar(v *Var, first *Version) {
-	v.eng, v.id = e, e.newVarID()
+	v.eng = e
 	v.install(first, 0, 0)
 	e.stats.add(stripeHint(), statVarsAllocated)
 }
@@ -51,10 +54,16 @@ func (v *Var) install(rec *Version, wv, needed uint64) {
 	v.head.Store(rec)
 }
 
-// ID returns the variable's engine-unique identity. Commit-time locking
+// ID returns the variable's identity: its address, which is how TL2
+// orders its commit locks. A Var that ever enters a read or write set
+// has escaped to the heap (the set stores its pointer), and Go's heap
+// does not move objects, so from then on the ID is non-zero, distinct
+// from every other reachable variable's and stable. Commit-time locking
 // acquires locks in increasing ID order, which makes transactional
-// deadlock impossible.
-func (v *Var) ID() uint64 { return v.id }
+// deadlock impossible; the write-set probe table hashes it and
+// AbortError.VarID reports it. This is the package's only use of unsafe,
+// and the integer is never converted back to a pointer.
+func (v *Var) ID() uint64 { return uint64(uintptr(unsafe.Pointer(v))) }
 
 // Engine returns the engine that owns this variable.
 func (v *Var) Engine() *Engine { return v.eng }

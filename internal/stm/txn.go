@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"cmp"
 	"context"
 	"runtime"
 	"slices"
@@ -197,8 +198,9 @@ func (tx *Txn) nextAttemptID() uint64 {
 const wsetLinearScan = 8
 
 // wtabHash spreads a variable id over the probe table. Ids are
-// sequential per stripe well (see Engine.newVarID), so they need mixing
-// before masking; Fibonacci hashing's high bits do it in one multiply.
+// addresses (see Var.ID) — multiples of eight, evenly spaced within a
+// tower or a size class — so they need mixing before masking; Fibonacci
+// hashing's high bits do it in one multiply.
 func wtabHash(id uint64) uint64 { return id * 0x9E3779B97F4A7C15 >> 32 }
 
 // findWrite returns the wset index buffering v, or -1.
@@ -212,7 +214,7 @@ func (tx *Txn) findWrite(v *Var) int {
 		return -1
 	}
 	mask := uint64(len(tx.wtab) - 1)
-	for h := wtabHash(v.id); ; h++ {
+	for h := wtabHash(v.ID()); ; h++ {
 		slot := tx.wtab[h&mask]
 		if slot == 0 {
 			return -1
@@ -261,7 +263,7 @@ func (tx *Txn) rebuildWtab() {
 // free slot; rebuildWtab maintains the load factor).
 func (tx *Txn) insertWtab(i int) {
 	mask := uint64(len(tx.wtab) - 1)
-	for h := wtabHash(tx.wset[i].v.id); ; h++ {
+	for h := wtabHash(tx.wset[i].v.ID()); ; h++ {
 		if tx.wtab[h&mask] == 0 {
 			tx.wtab[h&mask] = int32(i + 1)
 			return
@@ -606,7 +608,7 @@ func (tx *Txn) readDefSlow(v *Var) (any, error) {
 		if !tx.extend() {
 			tx.stat(statReadAborts)
 			tx.abortCleanup()
-			return nil, tx.abortConflict("read validation", v.id)
+			return nil, tx.abortConflict("read validation", v.ID())
 		}
 	}
 }
@@ -635,7 +637,8 @@ func (tx *Txn) extend() bool {
 // still holds the lock, the committer publishes and unlocks, and the
 // lock-word load then sees nothing — the caller moves its read
 // timestamp past a commit it has half observed
-// (TestOpacityNoTornCommit, whenever the variable ids sort q before p).
+// (TestOpacityNoTornCommit, whenever q's address sorts before p's, so
+// that commits publish q first).
 func (e *readEntry) current(self uint64) bool {
 	if owner, locked := e.v.lockedBy(); locked && owner != self {
 		return false
@@ -757,17 +760,11 @@ func (tx *Txn) Commit() error {
 	// About to take locks: become resolvable as a lock owner first.
 	tx.registerLive()
 
-	// Acquire commit-time locks in variable-id order (deadlock-free).
-	// slices.SortFunc, unlike sort.Slice, costs no allocation.
+	// Acquire commit-time locks in variable-id (address) order, which is
+	// deadlock-free. slices.SortFunc, unlike sort.Slice, costs no
+	// allocation.
 	slices.SortFunc(tx.wset, func(a, b writeEntry) int {
-		switch {
-		case a.v.id < b.v.id:
-			return -1
-		case a.v.id > b.v.id:
-			return 1
-		default:
-			return 0
-		}
+		return cmp.Compare(a.v.ID(), b.v.ID())
 	})
 	// The sort invalidates a spilled wtab, and that is fine: the engine
 	// performs no write-set lookups after this point, and the next
@@ -831,7 +828,7 @@ func (tx *Txn) lockForCommit(e *writeEntry) error {
 		case ResolutionAbortSelf:
 			tx.stat(statLockAborts)
 			tx.abortCleanup()
-			return tx.abortConflict("lock busy", e.v.id)
+			return tx.abortConflict("lock busy", e.v.ID())
 		case ResolutionKillEnemy:
 			if enemy == nil || enemy.kill(owner) {
 				runtime.Gosched()
@@ -840,7 +837,7 @@ func (tx *Txn) lockForCommit(e *writeEntry) error {
 			// Enemy is unkillable (irrevocable): yield the fight.
 			tx.stat(statLockAborts)
 			tx.abortCleanup()
-			return tx.abortConflict("lock busy (irrevocable owner)", e.v.id)
+			return tx.abortConflict("lock busy (irrevocable owner)", e.v.ID())
 		case ResolutionRetryLock:
 			runtime.Gosched()
 		}

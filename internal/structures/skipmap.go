@@ -32,51 +32,25 @@ type TSkipMap struct {
 	seed atomic.Uint64
 }
 
-// smNode owns its tower by value — one backing array, not a pointer per
-// level; val stays a pointer because RebuildTx carries value variables
-// over to the nodes it builds.
+// smNode owns its tower by value (newTower); val stays a pointer because
+// RebuildTx carries value variables over to the nodes it builds.
 type smNode struct {
 	key  string
 	val  *core.TVar[string]
 	next []core.TVar[*smNode]
 }
 
-// newSMNode builds an unlinked node of height lvl whose level-l link
-// points at succs[l].
-func (m *TSkipMap) newSMNode(key string, val *core.TVar[string], lvl int, succs []*smNode) *smNode {
-	n := &smNode{key: key, val: val, next: make([]core.TVar[*smNode], lvl)}
-	for l := range n.next {
-		n.next[l].Init(m.tm, succs[l])
-	}
-	return n
-}
-
 // NewTSkipMap creates an empty ordered map.
 func NewTSkipMap(tm *core.TM) *TSkipMap {
 	m := &TSkipMap{tm: tm, size: core.NewTVar(tm, 0)}
 	var nils [skipMaxLevel]*smNode
-	m.head = m.newSMNode("", nil, skipMaxLevel, nils[:])
+	m.head = &smNode{next: newTower(tm, skipMaxLevel, nils[:])}
 	m.seed.Store(0x9e3779b97f4a7c15)
 	return m
 }
 
 // TM returns the owning transactional memory.
 func (m *TSkipMap) TM() *core.TM { return m.tm }
-
-// randLevel draws a geometric(1/2) height in [1, skipMaxLevel] from a
-// lock-free splitmix64 stream.
-func (m *TSkipMap) randLevel() int {
-	x := m.seed.Add(0x9e3779b97f4a7c15)
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
-	lvl := 1
-	for x&1 == 1 && lvl < skipMaxLevel {
-		lvl++
-		x >>= 1
-	}
-	return lvl
-}
 
 // search fills preds/succs per level for key inside tx. Either slice may
 // be nil when only succs[0] (via the return value) is needed.
@@ -139,8 +113,8 @@ func (m *TSkipMap) PutTx(tx *core.Tx, key, val string) (bool, error) {
 	if succs[0] != nil && succs[0].key == key {
 		return true, core.Set(tx, succs[0].val, val)
 	}
-	lvl := m.randLevel()
-	n := m.newSMNode(strings.Clone(key), core.NewTVar(m.tm, val), lvl, succs)
+	lvl := randLevel(&m.seed)
+	n := &smNode{key: strings.Clone(key), val: core.NewTVar(m.tm, val), next: newTower(m.tm, lvl, succs)}
 	for i := 0; i < lvl; i++ {
 		if err := core.Set(tx, &preds[i].next[i], n); err != nil {
 			return false, err
@@ -298,8 +272,8 @@ func (m *TSkipMap) RebuildTx(tx *core.Tx) (int, error) {
 	// an already-built node.
 	tails := make([]*smNode, skipMaxLevel)
 	for i := len(all) - 1; i >= 0; i-- {
-		lvl := m.randLevel()
-		n := m.newSMNode(all[i].key, all[i].val, lvl, tails)
+		lvl := randLevel(&m.seed)
+		n := &smNode{key: all[i].key, val: all[i].val, next: newTower(m.tm, lvl, tails)}
 		for l := 0; l < lvl; l++ {
 			tails[l] = n
 		}
@@ -381,7 +355,13 @@ func (m *TSkipMap) Range(from, to string, limit int, sem core.Semantics) []KV {
 // RangeCtx is Range bounded by ctx; cancellation surfaces as an error
 // matching stm.ErrCancelled with no pairs returned.
 func (m *TSkipMap) RangeCtx(ctx context.Context, from, to string, limit int, sem core.Semantics) ([]KV, error) {
+	// Sized once, outside the body: a bounded range then costs one
+	// allocation however often the body retries, instead of one per
+	// doubling.
 	var out []KV
+	if limit > 0 {
+		out = make([]KV, 0, min(limit, 256))
+	}
 	err := m.tm.AtomicAsCtx(ctx, sem, func(tx *core.Tx) error {
 		out = out[:0]
 		return m.RangeTx(tx, from, to, limit, func(k, v string) bool {

@@ -3,13 +3,16 @@ package structures
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
 	"polytm/internal/core"
 	"polytm/internal/raceflag"
+	"polytm/internal/stm"
 )
 
 func TestSkipMapBasic(t *testing.T) {
@@ -369,5 +372,142 @@ func TestSkipMapPutBorrowsKey(t *testing.T) {
 				t.Fatalf("Get(%q) = %q,%v", k, v, ok)
 			}
 		}
+	}
+}
+
+// preloadAscending builds a map of n 16-byte keys inserted in ascending
+// order, all sharing one value string — the shape of the benchmark's
+// preload, and the worst case for the index: every link is rewritten
+// once, so every link ends on an allocated record.
+func preloadAscending(n int) *TSkipMap {
+	m := NewTSkipMap(core.NewDefault())
+	for i := 0; i < n; i++ {
+		m.Put(fmt.Sprintf("key-%012d", i), "v", core.Def)
+	}
+	return m
+}
+
+// TestSkipMapFootprint is the referee for what a key costs: live heap
+// bytes and objects per key around a 100k-key preload, and the size of
+// the variable every link and value is made of. Its -v output is the
+// "What a key costs" table of the README.
+func TestSkipMapFootprint(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation changes object sizes; the footprint is asserted in the non-race CI step")
+	}
+	if sz := unsafe.Sizeof(stm.Var{}); sz != 24 {
+		t.Errorf("sizeof(stm.Var) = %d, want 24", sz)
+	}
+	if sz := unsafe.Sizeof(core.TVar[string]{}); sz != 24 {
+		t.Errorf("sizeof(core.TVar[string]) = %d, want 24", sz)
+	}
+	const n = 100_000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m := preloadAscending(n)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	bytesPerKey := float64(after.HeapAlloc-before.HeapAlloc) / n
+	objsPerKey := float64(after.HeapObjects-before.HeapObjects) / n
+
+	links := 0
+	for nd := m.head.next[0].LoadDirect(); nd != nil; nd = nd.next[0].LoadDirect() {
+		links += len(nd.next)
+	}
+	// The fixed objects are their Go sizes (all exact size classes); the
+	// tower row is what is left, since a 72-byte tower rounds up to 80.
+	node, tvar, rec := float64(unsafe.Sizeof(smNode{})), float64(unsafe.Sizeof(core.TVar[string]{})), float64(unsafe.Sizeof(stm.Version{}))
+	cell, key := rec+float64(unsafe.Sizeof("")), 16.0
+	linkRecs := rec * float64(links) / n
+	t.Logf("%d ascending 16-byte keys, %.3f links/key: %.1f B/key in %.2f objects/key", n, float64(links)/n, bytesPerKey, objsPerKey)
+	t.Logf("node %.0f | value TVar %.0f | value cell %.0f | key bytes %.0f | tower %.1f mean | link records %.1f mean",
+		node, tvar, cell, key, bytesPerKey-node-tvar-cell-key-linkRecs, linkRecs)
+	if bytesPerKey > 216 {
+		t.Errorf("%.1f B/key, want <= 216", bytesPerKey)
+	}
+	if objsPerKey > 6.5 {
+		t.Errorf("%.2f objects/key, want <= 6.5", objsPerKey)
+	}
+	runtime.KeepAlive(m)
+}
+
+// TestSkipMapInsertAllocs: a fresh insert allocates the node, its tower,
+// the key clone, the value TVar and its cell, the size cell, and a first
+// record plus a write record per level — 8.67 expected at p = 1/4.
+func TestSkipMapInsertAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation inflates allocation counts; budgets are asserted in the non-race CI step")
+	}
+	const n = 10_000
+	m := NewTSkipMap(core.NewDefault())
+	keys := make([]string, n+1)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%012d", i)
+	}
+	m.Put(keys[0], "v", core.Def)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, k := range keys[1:] {
+		m.Put(k, "v", core.Def)
+	}
+	runtime.ReadMemStats(&after)
+	if mean := float64(after.Mallocs-before.Mallocs) / n; mean > 9 {
+		t.Errorf("fresh Put: %.2f allocs/op, want <= 9", mean)
+	} else {
+		t.Logf("fresh Put: %.2f allocs/op", mean)
+	}
+}
+
+// TestSkipMapRangeAllocs: a bounded Range allocates its result once, not
+// once per doubling.
+func TestSkipMapRangeAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation inflates allocation counts; budgets are asserted in the non-race CI step")
+	}
+	m := preloadAscending(64)
+	if avg := testing.AllocsPerRun(200, func() {
+		if got := m.Range("key-000000000010", "", 32, core.Snapshot); len(got) != 32 {
+			t.Fatalf("Range returned %d pairs, want 32", len(got))
+		}
+	}); avg > 1 {
+		t.Errorf("32-pair Range: %.2f allocs/op, want <= 1", avg)
+	}
+}
+
+// TestSkipMapLevels pins the tower distribution and what it costs a
+// reader: three towers in four have one link, none outgrows the
+// sentinel, and a snapshot Get on a 100k-key map reads at most 45
+// variables on average — so a change that lengthens the walk fails here
+// rather than on a clock.
+func TestSkipMapLevels(t *testing.T) {
+	const draws = 100_000
+	var seed atomic.Uint64
+	ones := 0
+	for i := 0; i < draws; i++ {
+		switch lvl := randLevel(&seed); {
+		case lvl < 1 || lvl > skipMaxLevel:
+			t.Fatalf("draw %d: level %d outside [1, %d]", i, lvl, skipMaxLevel)
+		case lvl == 1:
+			ones++
+		}
+	}
+	if share := float64(ones) / draws; share < 0.74 || share > 0.76 {
+		t.Errorf("share of height-1 towers = %.4f, want 0.75 ± 0.01", share)
+	}
+
+	const n, gets = 100_000, 2_000
+	m := preloadAscending(n)
+	before := m.TM().Stats().Reads
+	for i := 0; i < gets; i++ {
+		k := fmt.Sprintf("key-%012d", i*(n/gets)+7)
+		if _, ok := m.Get(k, core.Snapshot); !ok {
+			t.Fatalf("Get(%q) missed", k)
+		}
+	}
+	if mean := float64(m.TM().Stats().Reads-before) / gets; mean > 45 {
+		t.Errorf("snapshot Get on %d keys: %.1f reads/op, want <= 45", n, mean)
+	} else {
+		t.Logf("snapshot Get on %d keys: %.1f reads/op", n, mean)
 	}
 }
