@@ -24,6 +24,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"unsafe"
 
 	"polytm/internal/stm"
 )
@@ -479,6 +480,80 @@ func record[T any](val T) *stm.Version {
 	return c.Hold(&c.v)
 }
 
+// bytesCell is cell[string] with the string's bytes in the same object:
+// the record Holds &s, and s points into b. One committed write of a
+// borrowed []byte is then one allocation — the record is the value and
+// the value's storage — where cell[string] needs the bytes cloned into
+// an object of their own first.
+type bytesCell[A any] struct {
+	stm.Version
+	s string
+	b A // [N]byte
+}
+
+// newBytesCell copies val, which must fit A, into a fresh bytesCell[A]
+// and returns its record. This is the package's one use of unsafe: s is
+// an interior pointer into its own object, which the collector treats
+// like any other pointer — it keeps the whole cell alive for as long as
+// the string (or a substring a reader kept) is reachable, and Go objects
+// never move. b is written only here, before the record is handed to the
+// engine, so the string is as immutable as any other.
+func newBytesCell[A any](val []byte) *stm.Version {
+	c := new(bytesCell[A])
+	p := (*byte)(unsafe.Pointer(&c.b))
+	c.s = unsafe.String(p, copy(unsafe.Slice(p, unsafe.Sizeof(c.b)), val))
+	return c.Hold(&c.s)
+}
+
+// maxInlineBytes is the longest value bytesRecord stores inline: the
+// cell's header is 48 bytes (Version 32 + string 16), so 208 inline
+// bytes make a 256-byte object.
+const maxInlineBytes = 208
+
+// bytesRecord allocates the version record of one write of a copy of
+// val. The array lengths are the malloc classes N for which 48+N is a
+// class too, so the one merged object is never larger than the two it
+// replaces: class(48+N) = 48+N <= 48+class(len) whenever class(len) = N
+// (64 B: 112 = 48+64; 128 B: 176 = 48+128). That holds for every length
+// up to 208 but two ranges. 1..8 bytes would be an 8-byte class on
+// paper, but an allocation under 16 bytes is carved from a 16-byte tiny
+// block that stays live as long as any tenant does, so it is counted as
+// 16 and merged. 17..24 bytes have a real 24-byte class (72 < 80), so
+// they fall back to clone + plain cell, as does anything over 208 bytes,
+// where classes are 32 apart and half the lengths would lose 16 bytes.
+func bytesRecord(val []byte) *stm.Version {
+	switch n := len(val); {
+	case n == 0 || n > maxInlineBytes || (n > 16 && n <= 24):
+		return record(string(val))
+	case n <= 16:
+		return newBytesCell[[16]byte](val)
+	case n <= 32:
+		return newBytesCell[[32]byte](val)
+	case n <= 48:
+		return newBytesCell[[48]byte](val)
+	case n <= 64:
+		return newBytesCell[[64]byte](val)
+	case n <= 80:
+		return newBytesCell[[80]byte](val)
+	case n <= 96:
+		return newBytesCell[[96]byte](val)
+	case n <= 112:
+		return newBytesCell[[112]byte](val)
+	case n <= 128:
+		return newBytesCell[[128]byte](val)
+	case n <= 144:
+		return newBytesCell[[144]byte](val)
+	case n <= 160:
+		return newBytesCell[[160]byte](val)
+	case n <= 176:
+		return newBytesCell[[176]byte](val)
+	case n <= 192:
+		return newBytesCell[[192]byte](val)
+	default:
+		return newBytesCell[[maxInlineBytes]byte](val)
+	}
+}
+
 // value recovers the T a record made by record[T] holds.
 func value[T any](raw any) T {
 	if p, ok := raw.(*T); ok {
@@ -497,6 +572,14 @@ func NewTVar[T any](tm *TM, init T) *TVar[T] {
 // Init makes the zero TVar tv — an element of a by-value array, a field
 // of the caller's node — a variable of tm holding init.
 func (tv *TVar[T]) Init(tm *TM, init T) { tm.eng.InitVar(&tv.v, record(init)) }
+
+// NewTVarBytes is NewTVar for a BORROWED initial value: the variable
+// holds a private copy of init (see SetBytes).
+func NewTVarBytes(tm *TM, init []byte) *TVar[string] {
+	tv := new(TVar[string])
+	tm.eng.InitVar(&tv.v, bytesRecord(init))
+	return tv
+}
 
 // LoadDirect reads the committed value outside any transaction (tests,
 // quiescent inspection).
@@ -534,6 +617,19 @@ func GetAnchored[T any](tx *Tx, tv *TVar[T]) (T, error) {
 // Set writes val to tv inside tx.
 func Set[T any](tx *Tx, tv *TVar[T], val T) error {
 	return tx.inner.WriteVersion(&tv.v, record(val))
+}
+
+// SetBytes is Set for a BORROWED value: it writes a private copy of val,
+// which the caller may reuse as soon as SetBytes returns. The copy lives
+// inside the version record itself (up to maxInlineBytes; see
+// bytesRecord), so the write allocates one object where
+// Set(tx, tv, string(val)) allocates two. A string later read from tv
+// may therefore alias its record: keeping it keeps the record — and
+// whatever older versions the record still links for snapshot readers —
+// reachable, so a holder that outlives its transaction by long should
+// clone it.
+func SetBytes(tx *Tx, tv *TVar[string], val []byte) error {
+	return tx.inner.WriteVersion(&tv.v, bytesRecord(val))
 }
 
 // Modify applies f to tv's current value inside tx.

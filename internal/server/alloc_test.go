@@ -20,15 +20,18 @@ import (
 // of README's "Where the allocations go" table: a change that gives one
 // back fails here, not in a benchmark someone has to remember to run.
 //
-// GET, SCAN and SET are the per-site arithmetic of that table; the MGET
-// and TXN budgets are what the same change measured. A committed write
-// is ONE allocation in the engine — the typed version cell that is both
-// the record and the value (core.Set) — so SET is the value's string
-// copy plus that cell over GET's two, and TXN4 pays it twice. The durable rows
-// (fsync off, so the disk adds no noise) and the cross-shard TXN are the
-// write paths of the kv-durable-write and txn-zipf-2pc workloads: every
-// captured mutation and every 2PC participant goes through them, and
-// the durable 4-shard case adds the protocol's own records.
+// Every row is what outlives the request and nothing else. GET is the
+// one object client.Do hands its caller (slice, Response and frame in
+// one). A committed write adds ONE allocation — the version record that
+// is also the value and the value's bytes (core.SetBytes) — so SET is 2
+// and TXN4, with two writes and its decoded Batch, is 4. SCAN16 keeps
+// its frame and its Pairs slice beside the reply: they are the reply.
+// The durable rows (fsync off, so the disk adds no noise) and the
+// cross-shard TXN are the write paths of the kv-durable-write and
+// txn-zipf-2pc workloads: the log's queue copies records into shared
+// chunks (TestReserveAllocs) and the dirty sets keep the map's own key
+// (TestDirtySetMarkAllocs), so logging costs these rows nothing — the
+// 2PC protocol's four control records included.
 func TestRoundTripAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation inflates allocation counts; budgets are asserted in the non-race CI step")
@@ -95,27 +98,22 @@ func TestRoundTripAllocs(t *testing.T) {
 				on     int // shard count the case runs on (0 = both)
 			}
 			cases := []row{
-				{"GET", get, 2, 0},
+				{"GET", get, 1, 0},
 				{"SCAN16", scan, 3, 1},
-				{"SET-overwrite", set, 4, 0},
-				{"MGET2", mget, 3, 0},
-				{"MGET2-cross-shard", mgetX, 5, 4},
-				{"TXN4", txn, 7, 0},
+				{"SET-overwrite", set, 2, 0},
+				{"MGET2", mget, 2, 0},
+				{"MGET2-cross-shard", mgetX, 4, 4},
+				{"TXN4", txn, 4, 0},
 				// A cross-shard TXN costs what a one-shard TXN costs: the
 				// participants nest on the caller's stack, and so does
 				// everything the commit path groups them with.
-				{"TXN4-cross-shard", txnX, 7, 4},
+				{"TXN4-cross-shard", txnX, 4, 4},
 			}
 			if tc.durable {
 				cases = []row{
-					{"durable-SET-overwrite", set, 5, 1},
-					{"durable-INCR", incr, 4, 1},
-					// 50 on the parent of the nested commit. What is left over
-					// the volatile 7 is the logs' own copies of the records
-					// (2 PREPARE, DECISION, COMMIT mark); re-marking the two
-					// keys in the dirty sets costs nothing
-					// (TestDirtySetMarkAllocs).
-					{"durable-TXN4-cross-shard", txnX, 11, 4},
+					{"durable-SET-overwrite", set, 2, 1},
+					{"durable-INCR", incr, 2, 1},
+					{"durable-TXN4-cross-shard", txnX, 4, 4},
 				}
 			}
 			for _, c := range cases {
@@ -138,5 +136,97 @@ func TestRoundTripAllocs(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPipelinedBatchAllocs pins the client side of a pipelined batch:
+// its frames are bumped off shared chunks of at most 4 KB, so 64
+// pipelined GETs (which cost the server nothing) are the result slice,
+// the Responses and one chunk — not a payload apiece.
+func TestPipelinedBatchAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation inflates allocation counts; budgets are asserted in the non-race CI step")
+	}
+	_, addr := startServer(t, server.Config{})
+	cl := dialTest(t, addr, client.WithPoolSize(1))
+	val := []byte("0123456789abcdef0123456789abcdef")
+	reqs := make([]*wire.Request, 64)
+	for i := range reqs {
+		key := []byte(fmt.Sprintf("key-%05d", i))
+		if err := cl.Set(key, val); err != nil {
+			t.Fatal(err)
+		}
+		reqs[i] = &wire.Request{Op: wire.OpGet, Sem: wire.SemDefault, Key: key}
+	}
+	do := func() {
+		rs, err := cl.Do(reqs...)
+		if err != nil || len(rs) != len(reqs) || string(rs[len(rs)-1].Val) != string(val) {
+			t.Fatalf("pipelined GETs: %v, %d responses", err, len(rs))
+		}
+	}
+	for i := 0; i < 16; i++ {
+		do()
+	}
+	if avg := testing.AllocsPerRun(100, do); avg > 3 {
+		t.Errorf("%d pipelined GETs: %.2f allocs per batch, budget 3", len(reqs), avg)
+	} else {
+		t.Logf("%d pipelined GETs: %.2f allocs per batch (budget 3)", len(reqs), avg)
+	}
+}
+
+// TestPipelinedResponsesSurviveReuse: the responses of a pipelined batch
+// alias the chunks their frames were read into, so those chunks must be
+// the batch's own. Values of every size class — inline in a chunk,
+// straddling a chunk boundary, too big to share one — are read back in
+// one batch and must still be whole after the same connection has
+// carried further batches, and after a caller has appended to one of
+// them: a frame's slices are capped at the frame.
+func TestPipelinedResponsesSurviveReuse(t *testing.T) {
+	_, addr := startServer(t, server.Config{})
+	cl := dialTest(t, addr, client.WithPoolSize(1))
+	sizes := []int{0, 1, 40, 700, 700, 700, 700, 700, 700, 2000, 3, 5000, 900, 900, 900, 900, 900, 12}
+	want := make([][]byte, len(sizes))
+	reqs := make([]*wire.Request, len(sizes))
+	for i, n := range sizes {
+		key := []byte(fmt.Sprintf("reuse-%02d", i))
+		want[i] = make([]byte, n)
+		for j := range want[i] {
+			want[i][j] = byte('a' + i)
+		}
+		if err := cl.Set(key, want[i]); err != nil {
+			t.Fatal(err)
+		}
+		reqs[i] = &wire.Request{Op: wire.OpGet, Sem: wire.SemDefault, Key: key}
+	}
+	first, err := cl.Do(reqs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range first {
+		_ = append(first[i].Val, "overrun"...)
+	}
+	for round := 0; round < 3; round++ {
+		for i := range sizes {
+			for j := range want[i] {
+				want[i][j] = '#' // the server's copies change, the first batch must not
+			}
+			if err := cl.Set(reqs[i].Key, want[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := cl.Do(reqs...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, n := range sizes {
+		got := first[i].Val
+		if first[i].Status != wire.StatusOK || len(got) != n {
+			t.Fatalf("response %d: status %v, %d bytes, want %d", i, first[i].Status, len(got), n)
+		}
+		for j := range got {
+			if got[j] != byte('a'+i) {
+				t.Fatalf("response %d (%d bytes) changed at byte %d after its connection was reused: %q", i, n, j, got[j])
+			}
+		}
 	}
 }

@@ -241,26 +241,43 @@ func (cl *Client) Close() error {
 var encBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // reply is the storage a single-request batch's result is carved from:
-// the slice Do returns, the Response it points at and the sub-opcode
-// scratch a TXN reply is decoded against — one allocation where the
-// three used to be separate.
+// the slice Do returns, the Response it points at, the sub-opcode
+// scratch a TXN reply is decoded against and the frame the Response
+// aliases — one allocation where the four used to be separate.
 type reply struct {
 	ptr    [1]*wire.Response
 	resp   [1]wire.Response
 	subOps [4]wire.Op
+	frame  [replyInline]byte
 }
 
+// replyInline sizes reply.frame so the struct fills a malloc class with
+// no padding: 8 + 144 + 4 + 164 = 320. A GET of a 64-byte value used to
+// be a 160-byte reply plus its 67-byte frame in an 80-byte object; it is
+// one 320-byte object now, as are the ledger's MGET2 and TXN4 replies
+// and every write's ack. A longer frame is allocated on its own.
+const replyInline = 164
+
+// pipeChunk caps the chunks a pipelined batch's frames are bumped off
+// (wire.ReadFrameBump sizes each from the frame that opens it and the
+// frames still to come): a 64-deep pipeline of one-byte write acks reads
+// into one 64-byte chunk instead of making 64 payloads, 64 GETs of a
+// 64-byte value into two. A chunk is never reused — the Responses alias
+// it.
+const pipeChunk = 4 << 10
+
 // newReply returns the result slice, the Response values its entries
-// will point at, and an empty sub-opcode scratch for a batch of n. A
-// batch of one (every convenience method) is one allocation; a
-// pipelined batch is two, whatever its length. The scratch is shared by
-// the batch's TXNs and grows only past its inline capacity.
-func newReply(n int) ([]*wire.Response, []wire.Response, []wire.Op) {
+// will point at, an empty sub-opcode scratch and the storage the first
+// frame is read into, for a batch of n. A batch of one (every
+// convenience method) is one allocation; a pipelined batch is two plus
+// its chunks, whatever its length. The scratch is shared by the batch's
+// TXNs and grows only past its inline capacity.
+func newReply(n int) ([]*wire.Response, []wire.Response, []wire.Op, []byte) {
 	if n == 1 {
 		rp := new(reply)
-		return rp.ptr[:], rp.resp[:], rp.subOps[:0]
+		return rp.ptr[:], rp.resp[:], rp.subOps[:0], rp.frame[:]
 	}
-	return make([]*wire.Response, n), make([]wire.Response, n), nil
+	return make([]*wire.Response, n), make([]wire.Response, n), nil, nil
 }
 
 // Do sends reqs pipelined over one pooled connection — all frames
@@ -345,12 +362,12 @@ func (cl *Client) DoCtx(ctx context.Context, reqs ...*wire.Request) ([]*wire.Res
 		cl.discard(cn)
 		return nil, werr
 	}
-	out, resps, subOps := newReply(len(reqs))
+	// Response frames are bumped off storage the batch owns (never
+	// pooled): the decoded Response aliases its frame and escapes to the
+	// caller, so the storage must outlive this call.
+	out, resps, subOps, free := newReply(len(reqs))
 	for i, r := range reqs {
-		// Response payloads are freshly read per frame (not pooled):
-		// the decoded Response aliases the raw payload and escapes to
-		// the caller, so its storage must outlive this call.
-		raw, err := wire.ReadFrame(cn.br, 0)
+		raw, err := wire.ReadFrameBump(cn.br, &free, len(reqs)-i, pipeChunk)
 		if err != nil {
 			finish()
 			cl.discard(cn)

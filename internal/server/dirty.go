@@ -29,16 +29,13 @@ type dirtySet struct {
 	flushed bool
 }
 
-// mark records one mutated key. Go elides the []byte-to-string
-// conversion for a map lookup but not for an assignment, so the lookup
-// guards the insert: re-marking a key already in the set (a third of
-// durable writes inside one checkpoint cycle) allocates nothing, and the
-// key string is built only on first insertion.
-func (d *dirtySet) mark(key []byte) {
+// mark records one mutated key. The set keeps key itself, so the caller
+// passes a string that never changes — applyOp hands over the map's own
+// copy of the key, which makes a key's first mark in a checkpoint cycle
+// (most durable writes) as free as a repeat.
+func (d *dirtySet) mark(key string) {
 	d.mu.Lock()
-	if _, ok := d.keys[string(key)]; !ok {
-		d.insert(string(key))
-	}
+	d.insert(key)
 	d.mu.Unlock()
 }
 

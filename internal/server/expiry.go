@@ -124,7 +124,7 @@ func (s *Store) reapShard(ctx context.Context, sh *shard) (int, error) {
 			// Nothing removed means a deadline armed with no entry — a lost
 			// race with a delete whose disarm is mid-delivery; the disarm
 			// will land.
-			n, err := sh.applyOp(tx, cp, wal.OpDel, viewBytes(k), "", effect{expire: true})
+			n, err := sh.applyOp(tx, cp, wal.OpDel, viewBytes(k), nil, effect{expire: true})
 			if err != nil {
 				return err
 			}

@@ -262,11 +262,11 @@ func (c *walCapture) OnWait(ev stm.TxnEvent) {
 	}
 }
 
-// touched records that key changed: into the checkpointer's dirty set
-// (durable stores), a running reshard's, and — when this execution
-// tracks session changes — as ch, keyed by an owned copy (wire buffers
-// are reused).
-func (c *walCapture) touched(key []byte, ch session.Change) {
+// touched records that key — the map's own copy (see PutBytesTx), so
+// remembering it costs no clone — changed: into the checkpointer's dirty
+// set (durable stores), a running reshard's, and — when this execution
+// tracks session changes — as ch.
+func (c *walCapture) touched(key string, ch session.Change) {
 	sh := c.sh
 	if sh.wal != nil {
 		sh.dirty.mark(key)
@@ -275,7 +275,7 @@ func (c *walCapture) touched(key []byte, ch session.Change) {
 		sh.rdirty.mark(key)
 	}
 	if c.track {
-		ch.Key = string(key)
+		ch.Key = key
 		c.changes = append(c.changes, ch)
 	}
 }
@@ -300,23 +300,25 @@ type effect struct {
 // sets, the session change. It is the only place the map is written and
 // the only place a side effect is recorded, so every writer — client
 // request, TXN sub-op, cross-shard participant, reaper, replay — leaves
-// the same trail. key is borrowed (see lookupKey), val is retained. It
-// returns how many entries the operation touched: a DEL of a missing
-// key touches none and records nothing.
-func (sh *shard) applyOp(tx *core.Tx, cp *walCapture, kind wal.OpKind, key []byte, val string, eff effect) (int, error) {
+// the same trail. key and val are both borrowed (see lookupKey): the map
+// clones a key it inserts and the value's version record stores its own
+// copy of val. It returns how many entries the operation touched: a DEL
+// of a missing key touches none and records nothing.
+func (sh *shard) applyOp(tx *core.Tx, cp *walCapture, kind wal.OpKind, key, val []byte, eff effect) (int, error) {
 	logs := sh.wal != nil
 	switch kind {
 	case wal.OpSet:
-		if _, err := sh.m.PutTx(tx, lookupKey(key), val); err != nil {
+		stored, _, err := sh.m.PutBytesTx(tx, lookupKey(key), val)
+		if err != nil {
 			return 0, err
 		}
 		if logs {
-			cp.buf = wal.AppendSet(cp.buf, key, viewBytes(val))
+			cp.buf = wal.AppendSet(cp.buf, key, val)
 		}
-		cp.touched(key, session.Change{Op: wire.EventSet, TTL: eff.ttl, KeepTTL: eff.keepTTL})
+		cp.touched(stored, session.Change{Op: wire.EventSet, TTL: eff.ttl, KeepTTL: eff.keepTTL})
 		return 1, nil
 	case wal.OpDel:
-		removed, err := sh.m.DeleteTx(tx, lookupKey(key))
+		stored, removed, err := sh.m.DeleteTx(tx, lookupKey(key))
 		if err != nil || !removed {
 			return 0, err
 		}
@@ -327,7 +329,7 @@ func (sh *shard) applyOp(tx *core.Tx, cp *walCapture, kind wal.OpKind, key []byt
 		if eff.expire {
 			ev = wire.EventExpire
 		}
-		cp.touched(key, session.Change{Op: ev})
+		cp.touched(stored, session.Change{Op: ev})
 		return 1, nil
 	case wal.OpFlush:
 		n, err := sh.m.ClearTx(tx)
@@ -376,7 +378,7 @@ func (sh *shard) applyOp(tx *core.Tx, cp *walCapture, kind wal.OpKind, key []byt
 func (s *Store) applyOps(ctx context.Context, sh *shard, ops []wal.Op, o mutOpts) error {
 	return s.mutate(ctx, sh, core.Def, o, func(tx *core.Tx, cp *walCapture) error {
 		for _, op := range ops {
-			if _, err := sh.applyOp(tx, cp, op.Kind, viewBytes(op.Key), op.Val, effect{}); err != nil {
+			if _, err := sh.applyOp(tx, cp, op.Kind, viewBytes(op.Key), viewBytes(op.Val), effect{}); err != nil {
 				return err
 			}
 		}
@@ -433,7 +435,7 @@ func (s *Store) keyOp(tx *core.Tx, sh *shard, cp *walCapture, op wire.Op, key, o
 		}
 		out.Val = append(out.Val, v...)
 	case wire.OpSet:
-		_, err := sh.applyOp(tx, cp, wal.OpSet, key, string(val), effect{})
+		_, err := sh.applyOp(tx, cp, wal.OpSet, key, val, effect{})
 		return err
 	case wire.OpCAS:
 		cur, ok, err := sh.live(tx, key)
@@ -449,7 +451,7 @@ func (s *Store) keyOp(tx *core.Tx, sh *shard, cp *walCapture, op wire.Op, key, o
 			out.Val = append(out.Val, cur...)
 			return nil
 		}
-		_, err = sh.applyOp(tx, cp, wal.OpSet, key, string(val), effect{})
+		_, err = sh.applyOp(tx, cp, wal.OpSet, key, val, effect{})
 		return err
 	case wire.OpDel:
 		// An expired entry is absent to DEL too; its physical removal
@@ -459,7 +461,7 @@ func (s *Store) keyOp(tx *core.Tx, sh *shard, cp *walCapture, op wire.Op, key, o
 			out.Status = wire.StatusNotFound
 			return nil
 		}
-		n, err := sh.applyOp(tx, cp, wal.OpDel, key, "", effect{})
+		n, err := sh.applyOp(tx, cp, wal.OpDel, key, nil, effect{})
 		if err != nil {
 			return err
 		}
@@ -473,8 +475,8 @@ func (s *Store) keyOp(tx *core.Tx, sh *shard, cp *walCapture, op wire.Op, key, o
 }
 
 // viewBytes views a string as bytes without copying — lookupKey's
-// inverse, for handing replayed keys and retained values to code that
-// only reads them (the record encoder, the dirty sets' lookups).
+// inverse, for handing replayed keys and values to code that only reads
+// them (applyOp borrows both).
 func viewBytes(s string) []byte {
 	return unsafe.Slice(unsafe.StringData(s), len(s))
 }

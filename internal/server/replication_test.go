@@ -433,6 +433,18 @@ func TestPromotedFollowerServesFeeds(t *testing.T) {
 	if err := pcl.Set([]byte("handed-down"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
+	// Replication is asynchronous here (no SyncAck): the primary's ack
+	// does not mean the follower has the write, and Shutdown cuts the
+	// feeds first, so wait for it before taking the primary away.
+	fcl, err := client.Dial(faddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fcl.Close()
+	waitCond(t, 10*time.Second, "follower to receive the key", func() bool {
+		v, ok, err := fcl.Get([]byte("handed-down"))
+		return err == nil && ok && string(v) == "v"
+	})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	psrv.Shutdown(ctx)

@@ -555,6 +555,12 @@ func (s *Store) copyPhase(ctx context.Context, src *shard, owns func(string) boo
 // machinery checkpoint deltas and replication catch-up share) and
 // applies them through sink, tracking TTL deadlines as it goes.
 func (s *Store) copyKeys(ctx context.Context, src *shard, keys []string, pendingTTL map[string]int64, sink func([]wal.Op) error) error {
+	// The batch keeps value strings past the snapshot transaction that
+	// read them, and each may alias src's version record (core.SetBytes).
+	// That pin is bounded — at most copyBatch records, dropped as soon as
+	// the sink, which copies every value into the receiver's own cells,
+	// returns — so the values are not cloned a second time here. The
+	// cutover barriers' final deltas (finals) are the same case.
 	var ops []wal.Op
 	flush := func() error {
 		if len(ops) == 0 {
@@ -647,7 +653,7 @@ func (s *Store) cleanShard(ctx context.Context, sh *shard) (int, error) {
 				if hashKeyStr(k)%csl.mod == csl.res {
 					continue // owned again — a reshape brought it back
 				}
-				n, err := sh.applyOp(tx, cp, wal.OpDel, viewBytes(k), "", effect{})
+				n, err := sh.applyOp(tx, cp, wal.OpDel, viewBytes(k), nil, effect{})
 				if err != nil {
 					return err
 				}

@@ -517,9 +517,8 @@ func errInto(resp *wire.Response, err error) {
 
 // lookupKey views a wire key as a string without copying. Safe only
 // for operations that compare the key and never retain it: lookups,
-// deletes, range bounds, and TSkipMap.PutTx, whose key is borrowed (an
-// insert clones it; an overwrite never stores it). Values are retained
-// and always convert with a real copy.
+// deletes, range bounds, and TSkipMap's puts, whose key is borrowed (an
+// insert clones it; an overwrite never stores it).
 func lookupKey(b []byte) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }
@@ -618,7 +617,8 @@ func (s *Store) incr(ctx context.Context, sh *shard, key []byte, delta uint64, n
 		}
 		resp.Status = wire.StatusOK
 		resp.Int = n + d
-		_, err = sh.applyOp(tx, cp, wal.OpSet, key, strconv.FormatInt(resp.Int, 10), effect{keepTTL: ok})
+		var digits [20]byte // the longest int64, sign included
+		_, err = sh.applyOp(tx, cp, wal.OpSet, key, strconv.AppendInt(digits[:0], resp.Int, 10), effect{keepTTL: ok})
 		return err
 	})
 	if err != nil {
@@ -642,7 +642,7 @@ func (s *Store) setex(ctx context.Context, sh *shard, key, val []byte, ttl time.
 		if !s.ownsKey(sh, key) {
 			return errMovedKey
 		}
-		_, err := sh.applyOp(tx, cp, wal.OpSet, key, string(val), effect{ttl: ttl})
+		_, err := sh.applyOp(tx, cp, wal.OpSet, key, val, effect{ttl: ttl})
 		return err
 	})
 	if err != nil {
@@ -875,7 +875,7 @@ func (s *Store) admin(ctx context.Context, kind wal.OpKind, sem core.Semantics, 
 		if s.tab() != tab {
 			return errMovedKey
 		}
-		n, err := sh.applyOp(tx, cp, kind, nil, "", effect{})
+		n, err := sh.applyOp(tx, cp, kind, nil, nil, effect{})
 		resp.N = uint64(n)
 		return err
 	})

@@ -274,7 +274,7 @@ func (s *Store) adminCross(ctx context.Context, tab *routingTable, kind wal.OpKi
 		if s.tab() != tab {
 			return errMovedKey
 		}
-		n, err := sh.applyOp(tx, cp, kind, nil, "", effect{})
+		n, err := sh.applyOp(tx, cp, kind, nil, nil, effect{})
 		total += uint64(n)
 		return err
 	}, label)

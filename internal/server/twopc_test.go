@@ -70,7 +70,7 @@ func TestCrossShardAbortLeavesNoTrace(t *testing.T) {
 			if sh == fail {
 				return boom
 			}
-			_, err := sh.applyOp(tx, cp, wal.OpSet, keyOf[sh], val, effect{})
+			_, err := sh.applyOp(tx, cp, wal.OpSet, keyOf[sh], []byte(val), effect{})
 			return err
 		}
 	}

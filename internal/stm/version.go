@@ -23,8 +23,10 @@ package stm
 // larger typed cell that also stores the value: package core embeds
 // Version in cell[T]{Version; v T} and Holds &cell.v, so a committed
 // write of a non-pointer T is one heap object instead of a Version plus
-// the box behind val. The engine never looks past the Version header; a
-// chain freely mixes cells and plain records.
+// the box behind val (a string written from borrowed bytes goes one
+// further: core.SetBytes keeps the bytes in the cell too). The engine
+// never looks past the Version header; a chain freely mixes cells and
+// plain records.
 type Version struct {
 	val  any
 	ver  uint64

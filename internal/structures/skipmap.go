@@ -78,7 +78,9 @@ func (m *TSkipMap) search(tx *core.Tx, key string, preds, succs []*smNode) (*smN
 	return curr, nil
 }
 
-// GetTx looks key up inside tx, under tx's semantics.
+// GetTx looks key up inside tx, under tx's semantics. The string returned
+// for a value written through PutBytesTx aliases its version record (see
+// core.SetBytes): copy it rather than hold it long past the transaction.
 func (m *TSkipMap) GetTx(tx *core.Tx, key string) (string, bool, error) {
 	n, err := m.search(tx, key, nil, nil)
 	if err != nil || n == nil || n.key != key {
@@ -102,37 +104,65 @@ func (m *TSkipMap) GetTx(tx *core.Tx, key string) (string, bool, error) {
 // the enclosing transaction's run returns (a retried body searches with
 // them again). val is retained as passed and must be immutable.
 func (m *TSkipMap) PutTx(tx *core.Tx, key, val string) (bool, error) {
-	// The per-level search results live on the stack: search only fills
-	// the slices, so they never escape and the per-op make()s this path
-	// used to pay are gone.
-	var predsArr, succsArr [skipMaxLevel]*smNode
-	preds, succs := predsArr[:], succsArr[:]
-	if _, err := m.search(tx, key, preds, succs); err != nil {
+	// The per-level search results live on the stack: search and link
+	// only read and fill the slices, so they never escape and the per-op
+	// make()s this path used to pay are gone.
+	var preds, succs [skipMaxLevel]*smNode
+	n, err := m.search(tx, key, preds[:], succs[:])
+	if err != nil {
 		return false, err
 	}
-	if succs[0] != nil && succs[0].key == key {
-		return true, core.Set(tx, succs[0].val, val)
+	if n != nil && n.key == key {
+		return true, core.Set(tx, n.val, val)
 	}
-	lvl := randLevel(&m.seed)
-	n := &smNode{key: strings.Clone(key), val: core.NewTVar(m.tm, val), next: newTower(m.tm, lvl, succs)}
-	for i := 0; i < lvl; i++ {
-		if err := core.Set(tx, &preds[i].next[i], n); err != nil {
-			return false, err
-		}
-	}
-	return false, core.Modify(tx, m.size, func(v int) int { return v + 1 })
+	_, err = m.link(tx, key, core.NewTVar(m.tm, val), preds[:], succs[:])
+	return false, err
 }
 
-// DeleteTx removes key inside tx, reporting whether it was present.
-func (m *TSkipMap) DeleteTx(tx *core.Tx, key string) (bool, error) {
+// PutBytesTx is PutTx with val BORROWED as well: the map keeps a copy
+// the version record itself stores (core.SetBytes), so val may be
+// rewritten as soon as the call returns, and a string a later GetTx or
+// RangeTx returns for this key may alias that record — see SetBytes
+// before holding one for long. It also returns the map's own copy of
+// the key — the existing node's on an overwrite, the fresh clone on an
+// insert — for callers that must remember which key they wrote.
+func (m *TSkipMap) PutBytesTx(tx *core.Tx, key string, val []byte) (stored string, existed bool, err error) {
+	var preds, succs [skipMaxLevel]*smNode
+	n, err := m.search(tx, key, preds[:], succs[:])
+	if err != nil {
+		return "", false, err
+	}
+	if n != nil && n.key == key {
+		return n.key, true, core.SetBytes(tx, n.val, val)
+	}
+	stored, err = m.link(tx, key, core.NewTVarBytes(m.tm, val), preds[:], succs[:])
+	return stored, false, err
+}
+
+// link inserts a node holding val for key, which search just placed
+// between preds and succs, and returns the node's own copy of the key.
+func (m *TSkipMap) link(tx *core.Tx, key string, val *core.TVar[string], preds, succs []*smNode) (string, error) {
+	lvl := randLevel(&m.seed)
+	n := &smNode{key: strings.Clone(key), val: val, next: newTower(m.tm, lvl, succs)}
+	for i := 0; i < lvl; i++ {
+		if err := core.Set(tx, &preds[i].next[i], n); err != nil {
+			return "", err
+		}
+	}
+	return n.key, core.Modify(tx, m.size, func(v int) int { return v + 1 })
+}
+
+// DeleteTx removes key inside tx, reporting whether it was present and,
+// if so, the map's own copy of the key (see PutBytesTx).
+func (m *TSkipMap) DeleteTx(tx *core.Tx, key string) (stored string, removed bool, err error) {
 	var predsArr, succsArr [skipMaxLevel]*smNode
 	preds, succs := predsArr[:], succsArr[:]
 	if _, err := m.search(tx, key, preds, succs); err != nil {
-		return false, err
+		return "", false, err
 	}
 	target := succs[0]
 	if target == nil || target.key != key {
-		return false, nil
+		return "", false, nil
 	}
 	for i := 0; i < len(target.next); i++ {
 		if preds[i] == nil || succs[i] != target {
@@ -140,16 +170,16 @@ func (m *TSkipMap) DeleteTx(tx *core.Tx, key string) (bool, error) {
 		}
 		next, err := core.Get(tx, &target.next[i])
 		if err != nil {
-			return false, err
+			return "", false, err
 		}
 		if err := core.Set(tx, &preds[i].next[i], next); err != nil {
-			return false, err
+			return "", false, err
 		}
 	}
 	if err := core.Modify(tx, m.size, func(v int) int { return v - 1 }); err != nil {
-		return false, err
+		return "", false, err
 	}
-	return true, nil
+	return target.key, true, nil
 }
 
 // RangeTx walks keys in [from, to) in order inside tx, calling fn for
@@ -338,7 +368,7 @@ func (m *TSkipMap) DeleteCtx(ctx context.Context, key string, sem core.Semantics
 	var removed bool
 	err := m.tm.AtomicAsCtx(ctx, sem, func(tx *core.Tx) error {
 		var err error
-		removed, err = m.DeleteTx(tx, key)
+		_, removed, err = m.DeleteTx(tx, key)
 		return err
 	})
 	return removed, err

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -372,6 +373,70 @@ func TestSkipMapPutBorrowsKey(t *testing.T) {
 				t.Fatalf("Get(%q) = %q,%v", k, v, ok)
 			}
 		}
+	}
+}
+
+// TestSkipMapPutBytes pins PutBytesTx's contract on both branches: key
+// and value are borrowed (one buffer each, scribbled on after every
+// call), the key it returns is the map's own — the same string an
+// overwrite and the delete of that key return, unmoved by the caller's
+// buffer — and an overwrite is the one merged version cell.
+func TestSkipMapPutBytes(t *testing.T) {
+	m := NewTSkipMap(core.NewDefault())
+	kb, vb := make([]byte, 0, 32), make([]byte, 0, 64)
+	put := func(key, val string) (stored string, existed bool) {
+		t.Helper()
+		kb, vb = append(kb[:0], key...), append(vb[:0], val...)
+		if err := m.TM().AtomicAs(core.Def, func(tx *core.Tx) error {
+			var err error
+			stored, existed, err = m.PutBytesTx(tx, unsafe.String(unsafe.SliceData(kb), len(kb)), vb)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for i := range kb {
+			kb[i] = '#'
+		}
+		for i := range vb {
+			vb[i] = '#'
+		}
+		return stored, existed
+	}
+	for i := 0; i < 100; i++ {
+		k := fmt.Sprintf("key-%03d", i)
+		ins, existed := put(k, "first")
+		if existed || ins != k {
+			t.Fatalf("insert of %q returned %q, existed %v", k, ins, existed)
+		}
+		over, existed := put(k, fmt.Sprintf("value-%03d-%.*s", i, i, strings.Repeat("x", 100)))
+		if !existed || over != k || unsafe.StringData(over) != unsafe.StringData(ins) {
+			t.Fatalf("overwrite of %q returned %q (existed %v), want the node's own key", k, over, existed)
+		}
+	}
+	for i, kv := range m.Range("", "", 0, core.Snapshot) {
+		if want := fmt.Sprintf("value-%03d-%.*s", i, i, strings.Repeat("x", 100)); kv.Key != fmt.Sprintf("key-%03d", i) || kv.Val != want {
+			t.Fatalf("pair %d = %q:%q, want value %q", i, kv.Key, kv.Val, want)
+		}
+	}
+	if err := m.TM().AtomicAs(core.Def, func(tx *core.Tx) error {
+		stored, removed, err := m.DeleteTx(tx, "key-042")
+		if err == nil && (!removed || stored != "key-042") {
+			t.Errorf("DeleteTx = %q, %v; want the removed node's key", stored, removed)
+		}
+		if stored, removed, _ := m.DeleteTx(tx, "absent"); removed || stored != "" {
+			t.Errorf("DeleteTx of a missing key = %q, %v", stored, removed)
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if raceflag.Enabled {
+		return
+	}
+	val := []byte(strings.Repeat("v", 64))
+	body := func(tx *core.Tx) error { _, _, err := m.PutBytesTx(tx, "key-007", val); return err }
+	if avg := testing.AllocsPerRun(500, func() { _ = m.TM().AtomicAs(core.Def, body) }); avg > 1 {
+		t.Errorf("PutBytesTx overwrite: %.2f allocs/op, want <= 1", avg)
 	}
 }
 

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 )
@@ -116,6 +117,50 @@ func TestTapNoGapUnderConcurrentAppend(t *testing.T) {
 		}
 		if !offered[seq] {
 			t.Fatalf("seq %d > coverSeq %d but was never offered", seq, cover)
+		}
+	}
+}
+
+// TestTapRetainedPayloadSurvivesChunkTurnover: the tap contract says an
+// offered payload is owned by the log and may be retained. Payloads are
+// slices of shared chunks now, so the contract needs chunks that are
+// dropped when full, never rewound: a retained payload must read the
+// same after the log has filled three further chunks.
+func TestTapRetainedPayloadSurvivesChunkTurnover(t *testing.T) {
+	l, _, err := Open(t.TempDir(), Options{Mode: ModeOff}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var kept [][]byte
+	tap, _ := l.AttachTap(func(seq uint64, payload []byte) {
+		if len(kept) < 4 {
+			kept = append(kept, payload)
+		}
+	})
+	defer l.DetachTap(tap)
+
+	want := make([][]byte, 4)
+	for i := range want {
+		want[i] = bytes.Repeat([]byte{0x01, byte('a' + i)}, 85)
+		if err := l.Append(want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fill := bytes.Repeat([]byte{0x01, 0xff}, 85)
+	for written := 0; written < 3*slabSize+len(fill); written += len(fill) {
+		if err := l.Append(fill); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.mu.Lock() // the tap ran under mu
+	defer l.mu.Unlock()
+	if len(kept) != len(want) {
+		t.Fatalf("tap kept %d payloads, want %d", len(kept), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(kept[i], want[i]) {
+			t.Fatalf("retained payload %d changed after its chunk was left behind", i)
 		}
 	}
 }

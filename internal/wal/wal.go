@@ -118,8 +118,8 @@ type ShipRec struct {
 //	l.Commit(seq)              // from Observer.OnCommit
 //	l.WaitDurable(seq)         // before acknowledging the client
 //
-// Reserve copies the payload into an in-memory queue and assigns the
-// record its position; the flusher goroutine writes records strictly in
+// Reserve copies the payload into the log's slab and queues it at the
+// next position; the flusher goroutine writes records strictly in
 // reservation order, waiting for each to be decided — committed
 // (written) or cancelled (skipped) — so the on-disk order is exactly
 // the commit order and no aborted transaction is ever logged.
@@ -131,9 +131,10 @@ type Log struct {
 	onDurable func(byte)
 
 	mu        sync.Mutex
-	flushCond *sync.Cond // flusher wake-up: head record decided, or close
-	ackCond   *sync.Cond // append wake-up: ackSeq advanced, or error
-	pending   []pendingRec
+	flushCond *sync.Cond   // flusher wake-up: head record decided, or close
+	ackCond   *sync.Cond   // append wake-up: ackSeq advanced, or error
+	pending   []pendingRec // contiguous seqs: pending[i].seq == pending[0].seq+i
+	slab      []byte       // the chunk queued payloads are bumped into (see own)
 	taps      []*Tap
 	nextSeq   uint64 // next reservation
 	ackSeq    uint64 // every seq <= ackSeq is written (ModeAlways: synced)
@@ -241,25 +242,47 @@ func (l *Log) Reserve(payload []byte) uint64 {
 	l.mu.Lock()
 	seq := l.nextSeq
 	l.nextSeq++
-	l.pending = append(l.pending, pendingRec{
-		seq:     seq,
-		payload: append([]byte(nil), payload...),
-	})
+	l.pending = append(l.pending, pendingRec{seq: seq, payload: l.own(payload)})
 	l.mu.Unlock()
 	return seq
 }
 
+// slabSize is the chunk queued payloads are copied into: one allocation
+// per ~380 records of a 128-byte SET instead of one per record. A
+// payload over slabSize/4 gets an allocation of its own, so a chunk's
+// abandoned tail stays under a quarter of it.
+const slabSize = 64 << 10
+
+// own returns the log's copy of payload, bumped off the current chunk
+// and capped at its own length so no append can reach a neighbour. A
+// chunk that cannot take the next payload is dropped, never recycled:
+// the queue, the flusher's batch and every tap that retained a payload
+// (see AttachTap) hold plain slices of it, and the collector frees it
+// when the last of them lets go. Caller holds mu.
+func (l *Log) own(payload []byte) []byte {
+	if len(payload) > slabSize/4 {
+		return append([]byte(nil), payload...)
+	}
+	if len(payload) > cap(l.slab)-len(l.slab) {
+		l.slab = make([]byte, 0, slabSize)
+	}
+	off := len(l.slab)
+	l.slab = append(l.slab, payload...)
+	return l.slab[off:len(l.slab):len(l.slab)]
+}
+
 // decide marks a reservation and wakes the flusher when the head of the
-// queue becomes decided.
+// queue becomes decided. Queued sequences are contiguous, so the record
+// sits at seq's distance from the head; one already flushed (or never
+// reserved) is out of range and ignored.
 func (l *Log) decide(seq uint64, st recState) {
 	l.mu.Lock()
-	for i := range l.pending {
-		if l.pending[i].seq == seq {
+	if len(l.pending) > 0 {
+		if i := seq - l.pending[0].seq; i < uint64(len(l.pending)) {
 			l.pending[i].state = st
 			if i == 0 {
 				l.flushCond.Signal()
 			}
-			break
 		}
 	}
 	l.mu.Unlock()
@@ -354,14 +377,15 @@ func (l *Log) flusher() {
 	var ship []ShipRec // committed records of the batch, for the taps
 	l.mu.Lock()
 	for {
-		for l.decidedPrefix() == 0 && !l.closed {
+		for l.decidedPrefix() == 0 && !l.closed && l.err == nil {
 			l.flushCond.Wait()
 		}
 		n := l.decidedPrefix()
-		if n == 0 {
-			// Closed with nothing flushable. Undecided records can only
-			// remain if a producing transaction was abandoned mid-flight;
-			// their waiters are released by Close's broadcast.
+		if n == 0 || l.err != nil {
+			// Closed with nothing flushable, or poisoned by the syncer (see
+			// syncDirty). Undecided records can only remain if a producing
+			// transaction was abandoned mid-flight; their waiters are
+			// released by Close's (or the syncer's) broadcast.
 			l.mu.Unlock()
 			return
 		}
@@ -406,12 +430,16 @@ func (l *Log) flusher() {
 		}
 
 		l.mu.Lock()
-		l.pending = l.pending[:copy(l.pending, l.pending[n:])]
+		// Popped slots and the ship list are cleared, not just truncated:
+		// a stale payload slice would pin its whole chunk.
+		rest := copy(l.pending, l.pending[n:])
+		clear(l.pending[rest:])
+		l.pending = l.pending[:rest]
 		if werr != nil {
 			if l.err == nil {
 				l.err = fmt.Errorf("wal: append: %w", werr)
 			}
-		} else {
+		} else if l.err == nil { // not poisoned mid-write: see syncDirty
 			l.ackSeq = target
 			if len(enc) > 0 && l.mode != ModeAlways {
 				l.dirty = true
@@ -427,6 +455,7 @@ func (l *Log) flusher() {
 				}
 			}
 		}
+		clear(ship)
 		l.ackCond.Broadcast()
 		if l.err != nil {
 			l.mu.Unlock()
@@ -456,22 +485,36 @@ func (l *Log) syncer() {
 }
 
 // syncDirty fsyncs the current segment if bytes were written since the
-// last sync.
+// last sync. A failed fsync poisons the log exactly as a failed write
+// does: the kernel may already have dropped the dirty pages, so the next
+// fsync would succeed over a hole and acknowledged records would be lost
+// in silence. Nothing is acknowledged past the failure — every waiter,
+// the flusher and Close get the sticky error instead.
 func (l *Log) syncDirty() {
+	// fileMu first: a Rotate that swapped and closed the segment between
+	// picking f and syncing it would read as a failed fsync.
+	l.fileMu.Lock()
 	l.mu.Lock()
 	need := l.dirty && l.err == nil
 	l.dirty = false
 	f := l.f
 	l.mu.Unlock()
 	if !need {
+		l.fileMu.Unlock()
 		return
 	}
-	l.fileMu.Lock()
 	err := f.Sync()
 	l.fileMu.Unlock()
 	l.statFsyncs.Add(1)
 	if err != nil {
 		l.logf("wal: background fsync: %v", err)
+		l.mu.Lock()
+		if l.err == nil {
+			l.err = fmt.Errorf("wal: background fsync: %w", err)
+		}
+		l.flushCond.Broadcast()
+		l.ackCond.Broadcast()
+		l.mu.Unlock()
 	}
 }
 

@@ -251,3 +251,85 @@ func TestReadFrameBufHeader(t *testing.T) {
 		t.Errorf("refusing a hostile length: %.2f allocs, want 0", avg)
 	}
 }
+
+// TestReadFrameBump pins the keep-every-payload read path: the first
+// frame lands in the storage handed in, a frame that does not fit opens
+// a chunk sized for the frames still to come (64 one-byte acks are one
+// 64-byte chunk, not 4 KB and not 64 payloads), a frame over a quarter
+// of the cap is allocated alone without disturbing the chunk, payloads
+// never overlap and are capped at their own length, and hostile input
+// is refused exactly as ReadFrame refuses it.
+func TestReadFrameBump(t *testing.T) {
+	const maxChunk = 4 << 10
+	var stream bytes.Buffer
+	sizes := []int{3, 1, 1, 2000, 1, 700, 700, 0, 700}
+	for i, n := range sizes {
+		if err := WriteFrame(&stream, bytes.Repeat([]byte{byte('a' + i)}, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	br := bufio.NewReader(bytes.NewReader(stream.Bytes()))
+	inline := make([]byte, 4)
+	free := inline
+	var got, rest [][]byte // each payload, and what was left of *free after it
+	for i := range sizes {
+		p, err := ReadFrameBump(br, &free, len(sizes)-i, maxChunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, rest = append(got, p), append(rest, free)
+	}
+	if &got[0][0] != &inline[0] || &got[1][0] != &inline[3] {
+		t.Error("the first frames did not land in the storage handed in")
+	}
+	// Frame 2 (1 byte, 7 to come) opened a 7-byte chunk; frame 3 is too
+	// big to share, frame 4 follows frame 2 in the same chunk.
+	if len(rest[2]) != 6 || &got[4][0] != &rest[2][0] {
+		t.Error("a frame allocated on its own disturbed the open chunk")
+	}
+	if cap(got[3]) != 2000 {
+		t.Errorf("a 2000-byte frame got %d bytes of storage, want its own 2000", cap(got[3]))
+	}
+	for _, p := range got {
+		_ = append(p, "overrun"...)
+	}
+	for i, p := range got {
+		if len(p) != sizes[i] || cap(p) != len(p) || !bytes.Equal(p, bytes.Repeat([]byte{byte('a' + i)}, sizes[i])) {
+			t.Errorf("frame %d: %d bytes (cap %d) %q, want %d of %q", i, len(p), cap(p), p, sizes[i], 'a'+i)
+		}
+	}
+
+	acks := bytes.Repeat([]byte{0, 0, 0, 1, 0x00}, 64)
+	src := bytes.NewReader(acks)
+	br = bufio.NewReader(src)
+	if avg := testing.AllocsPerRun(100, func() {
+		src.Reset(acks)
+		br.Reset(src)
+		var free []byte
+		for i := 0; i < 64; i++ {
+			if _, err := ReadFrameBump(br, &free, 64-i, maxChunk); err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 && cap(free) != 63 {
+				t.Fatalf("64 one-byte acks opened a chunk with %d bytes left, want 63", cap(free))
+			}
+		}
+	}); avg != 1 {
+		t.Errorf("64 one-byte acks: %.2f allocs, want 1", avg)
+	}
+
+	free = nil
+	for _, tc := range []struct {
+		in   []byte
+		want error
+	}{
+		{[]byte{0xFF, 0xFF, 0xFF, 0xFF, 'x'}, ErrFrameTooLarge},
+		{[]byte{0, 0, 0, 9, 'x'}, io.ErrUnexpectedEOF},
+		{[]byte{0, 0}, io.ErrUnexpectedEOF},
+		{nil, io.EOF},
+	} {
+		if _, err := ReadFrameBump(bufio.NewReader(bytes.NewReader(tc.in)), &free, 2, maxChunk); !errors.Is(err, tc.want) {
+			t.Errorf("ReadFrameBump(%x) = %v, want %v", tc.in, err, tc.want)
+		}
+	}
+}

@@ -567,6 +567,43 @@ func ReadFrame(br *bufio.Reader, maxFrame int) ([]byte, error) {
 // hostile length cannot force an allocation, and a truncated body
 // surfaces io.ErrUnexpectedEOF.
 func ReadFrameBuf(br *bufio.Reader, buf []byte, maxFrame int) ([]byte, error) {
+	n, err := readFrameLen(br, maxFrame)
+	if err != nil {
+		return nil, err
+	}
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	return readFrameBody(br, buf[:n])
+}
+
+// ReadFrameBump reads one frame (at most MaxFrame) for a caller that
+// keeps every payload of a batch: the payload is carved off the head of
+// *free, which is advanced past it, and is capped at its own length so
+// an append through it cannot reach the next frame. A frame that does
+// not fit starts a new *free sized for itself and the more-1 frames still
+// to come, taken to be like it, up to maxChunk; one over a quarter of
+// maxChunk is allocated on its own and leaves *free alone. Storage is
+// never reused: whatever aliases a payload keeps its chunk alive.
+func ReadFrameBump(br *bufio.Reader, free *[]byte, more, maxChunk int) ([]byte, error) {
+	n, err := readFrameLen(br, 0)
+	if err != nil {
+		return nil, err
+	}
+	if n > len(*free) {
+		if n > maxChunk/4 || more <= 1 {
+			return readFrameBody(br, make([]byte, n))
+		}
+		*free = make([]byte, min(n*more, maxChunk))
+	}
+	payload := (*free)[:n:n]
+	*free = (*free)[n:]
+	return readFrameBody(br, payload)
+}
+
+// readFrameLen consumes a frame's length prefix, refusing one above
+// maxFrame (<= 0 means MaxFrame) before anything is allocated for it.
+func readFrameLen(br *bufio.Reader, maxFrame int) (int, error) {
 	if maxFrame <= 0 {
 		maxFrame = MaxFrame
 	}
@@ -580,21 +617,21 @@ func ReadFrameBuf(br *bufio.Reader, buf []byte, maxFrame int) ([]byte, error) {
 		if err == io.EOF && len(hdr) > 0 {
 			err = io.ErrUnexpectedEOF
 		}
-		return nil, err
+		return 0, err
 	}
 	n := binary.BigEndian.Uint32(hdr)
 	br.Discard(4) // cannot fail: Peek just buffered these bytes
 	// Compare in uint64: a maxFrame above 4GiB must not wrap to a tiny
 	// (or zero) cap and start rejecting everything.
 	if uint64(n) > uint64(maxFrame) {
-		return nil, ErrFrameTooLarge
+		return 0, ErrFrameTooLarge
 	}
-	var payload []byte
-	if uint32(cap(buf)) >= n {
-		payload = buf[:n]
-	} else {
-		payload = make([]byte, n)
-	}
+	return int(n), nil
+}
+
+// readFrameBody fills payload with the frame body that follows a length
+// prefix; a stream that ends inside it is io.ErrUnexpectedEOF.
+func readFrameBody(br *bufio.Reader, payload []byte) ([]byte, error) {
 	if _, err := io.ReadFull(br, payload); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
