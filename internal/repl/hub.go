@@ -220,14 +220,16 @@ func (h *Hub) cutFeeds(reason error, edit func()) {
 // WaitAcked blocks until some follower's ack covers (shard, seq), no
 // follower is connected (sync replication degrades to async rather
 // than stalling the primary's write path), the hub closes, or ctx
-// ends. It is a no-op unless the hub was configured with SyncAck.
+// ends — or a reshard shrank the table under the waiter and its position
+// is gone (see CutAll). It is a no-op unless the hub was configured with
+// SyncAck.
 func (h *Hub) WaitAcked(ctx context.Context, shard int, seq uint64) error {
 	if !h.syncAck {
 		return nil
 	}
 	for {
 		h.mu.Lock()
-		if h.acked[shard] >= seq || len(h.feeds) == 0 || h.closed {
+		if shard >= len(h.acked) || h.acked[shard] >= seq || len(h.feeds) == 0 || h.closed {
 			h.mu.Unlock()
 			return nil
 		}

@@ -346,6 +346,11 @@ func TestHubFollowerCatchUpAndTail(t *testing.T) {
 	if got := ff.snapshot(0)["sync-key"]; got != "sync-val" {
 		t.Fatalf("after WaitAcked, follower has %q for sync-key", got)
 	}
+	// A position past the table — a waiter whose shard a MERGE retired —
+	// is released, not indexed.
+	if err := h.WaitAcked(ctx, shards, seq); err != nil {
+		t.Fatalf("WaitAcked on a position past the table: %v", err)
+	}
 
 	// Wait out the remaining tail, then compare shard-for-shard.
 	lastSeqs := make([]uint64, shards)

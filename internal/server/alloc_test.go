@@ -142,35 +142,60 @@ func TestRoundTripAllocs(t *testing.T) {
 // TestPipelinedBatchAllocs pins the client side of a pipelined batch:
 // its frames are bumped off shared chunks of at most 4 KB, so 64
 // pipelined GETs (which cost the server nothing) are the result slice,
-// the Responses and one chunk — not a payload apiece.
+// the Responses and one chunk — not a payload apiece. The durable row is
+// the same batch of SETs against a log (fsync off, so the disk adds no
+// noise): a version record apiece on top of the client's three, and
+// nothing for the gates the connection holds until its flush — their
+// storage is the connection's, reused.
 func TestPipelinedBatchAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation inflates allocation counts; budgets are asserted in the non-race CI step")
 	}
-	_, addr := startServer(t, server.Config{})
-	cl := dialTest(t, addr, client.WithPoolSize(1))
 	val := []byte("0123456789abcdef0123456789abcdef")
-	reqs := make([]*wire.Request, 64)
-	for i := range reqs {
-		key := []byte(fmt.Sprintf("key-%05d", i))
-		if err := cl.Set(key, val); err != nil {
-			t.Fatal(err)
-		}
-		reqs[i] = &wire.Request{Op: wire.OpGet, Sem: wire.SemDefault, Key: key}
-	}
-	do := func() {
-		rs, err := cl.Do(reqs...)
-		if err != nil || len(rs) != len(reqs) || string(rs[len(rs)-1].Val) != string(val) {
-			t.Fatalf("pipelined GETs: %v, %d responses", err, len(rs))
-		}
-	}
-	for i := 0; i < 16; i++ {
-		do()
-	}
-	if avg := testing.AllocsPerRun(100, do); avg > 3 {
-		t.Errorf("%d pipelined GETs: %.2f allocs per batch, budget 3", len(reqs), avg)
-	} else {
-		t.Logf("%d pipelined GETs: %.2f allocs per batch (budget 3)", len(reqs), avg)
+	for _, tc := range []struct {
+		name    string
+		op      wire.Op
+		durable bool
+		budget  float64
+	}{{"GETs", wire.OpGet, false, 3}, {"durable-SETs", wire.OpSet, true, 67}} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, addr := startServer(t, server.Config{})
+			if tc.durable {
+				if _, err := srv.Store().EnableDurability(server.Durability{Dir: t.TempDir(), Fsync: wal.ModeOff, CheckpointEvery: -1}); err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { srv.Store().CloseDurability() })
+			}
+			cl := dialTest(t, addr, client.WithPoolSize(1))
+			reqs := make([]*wire.Request, 64)
+			for i := range reqs {
+				key := []byte(fmt.Sprintf("key-%05d", i))
+				if err := cl.Set(key, val); err != nil {
+					t.Fatal(err)
+				}
+				reqs[i] = &wire.Request{Op: tc.op, Sem: wire.SemDefault, Key: key}
+				if tc.op == wire.OpSet {
+					reqs[i].Val = val
+				}
+			}
+			do := func() {
+				rs, err := cl.Do(reqs...)
+				if err != nil || len(rs) != len(reqs) || rs[len(rs)-1].Status != wire.StatusOK {
+					t.Fatalf("pipelined %s: %v, %d responses", tc.name, err, len(rs))
+				}
+				if last := rs[len(rs)-1]; tc.op == wire.OpGet && string(last.Val) != string(val) {
+					t.Fatalf("pipelined GET read %q", last.Val)
+				}
+			}
+			for i := 0; i < 16; i++ {
+				do()
+			}
+			if avg := testing.AllocsPerRun(100, do); avg > tc.budget {
+				t.Errorf("%d pipelined %s: %.2f allocs per batch, budget %.0f", len(reqs), tc.name, avg, tc.budget)
+			} else {
+				t.Logf("%d pipelined %s: %.2f allocs per batch (budget %.0f)", len(reqs), tc.name, avg, tc.budget)
+			}
+		})
 	}
 }
 

@@ -284,7 +284,10 @@ func newReply(n int) ([]*wire.Response, []wire.Response, []wire.Op, []byte) {
 // written back-to-back, then all responses read in order — and returns
 // one response per request. A transport error poisons the connection
 // (it is discarded, not pooled) and is returned; wire-level failures
-// arrive as StatusErr responses instead.
+// arrive as StatusErr responses instead. Pipelined durable writes share
+// a group commit: the server runs the whole batch and waits for its
+// records (fsyncs, follower acks) once, before the first reply leaves,
+// so every reply still means durable.
 func (cl *Client) Do(reqs ...*wire.Request) ([]*wire.Response, error) {
 	return cl.DoCtx(context.Background(), reqs...)
 }
@@ -664,7 +667,8 @@ func (cl *Client) reshard(req *wire.Request) (uint64, error) {
 }
 
 // Pipeline accumulates requests to send in one pipelined batch over one
-// connection. Not safe for concurrent use.
+// connection (see Do: its durable writes share one group commit). Not
+// safe for concurrent use.
 type Pipeline struct {
 	cl   *Client
 	reqs []*wire.Request

@@ -1,0 +1,104 @@
+package server
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
+	"syscall"
+	"testing"
+
+	"polytm/internal/wal"
+	"polytm/internal/wire"
+)
+
+// poisonLog makes every further write to l's open segment fail, the way
+// wal's TestBackgroundFsyncErrorPoisons swaps the file for one that
+// refuses: the segment's descriptor is replaced, in place, by a read-only
+// one. The first record the flusher then writes poisons the log.
+func poisonLog(t *testing.T, l *wal.Log) {
+	t.Helper()
+	seg := filepath.Join(l.Dir(), fmt.Sprintf("wal-%08d.log", l.Segment()))
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd to find the segment's descriptor in: %v", err)
+	}
+	ro, err := os.Open(os.DevNull)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	for _, e := range fds {
+		if path, _ := os.Readlink(filepath.Join("/proc/self/fd", e.Name())); path == seg {
+			fd, _ := strconv.Atoi(e.Name())
+			if err := syscall.Dup3(int(ro.Fd()), fd, 0); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+	}
+	t.Fatalf("segment %s is not open", seg)
+}
+
+// TestPipelinedAckGateFailure: a gate that fails to close costs its own
+// request its OK and nothing else. One shard's log is poisoned; a
+// pipeline writing to both shards, with reads in between, gets one reply
+// per request — the typed error an inline wait would have produced for
+// each write on the poisoned shard, the staged reply unchanged for
+// everything else — and the connection goes on serving.
+func TestPipelinedAckGateFailure(t *testing.T) {
+	srv, addr := startReplServer(t, Config{StoreShards: 2}, &Durability{Dir: t.TempDir(), Fsync: wal.ModeBatch, CheckpointEvery: -1}, nil)
+	st := srv.Store()
+	cl := dialGate(t, addr)
+	doOK(t, cl, gateSet(0))
+	poisonLog(t, st.tab().shards[1].wal)
+
+	var reqs []*wire.Request
+	for i := 1; i <= 16; i++ {
+		reqs = append(reqs, gateSet(i))
+		if i%4 == 0 {
+			reqs = append(reqs, gateGet(0))
+		}
+	}
+	rs, err := cl.Do(reqs...)
+	if err != nil || len(rs) != len(reqs) {
+		t.Fatalf("pipeline of %d over a poisoned shard: %d replies, %v", len(reqs), len(rs), err)
+	}
+	failed, msg := 0, ""
+	for i, r := range reqs {
+		switch {
+		case r.Op == wire.OpGet:
+			if rs[i].Status != wire.StatusOK || string(rs[i].Val) != string(gateSet(0).Val) {
+				t.Errorf("reply %d: a read came back %v %q", i, rs[i].Status, rs[i].Val)
+			}
+		case st.shardIdx(r.Key) == 0:
+			if rs[i].Status != wire.StatusOK {
+				t.Errorf("reply %d: a write to the healthy shard came back %v %s", i, rs[i].Status, rs[i].Msg)
+			}
+		default:
+			failed++
+			if rs[i].Status != wire.StatusErr || (msg != "" && rs[i].Msg != msg) {
+				t.Errorf("reply %d: a write to the poisoned shard came back %v %q (others: %q)", i, rs[i].Status, rs[i].Msg, msg)
+			}
+			msg = rs[i].Msg
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no key of the pipeline routed to the poisoned shard")
+	}
+
+	// The same connection (the pool holds one) still answers, and a
+	// depth-1 write to the poisoned shard gets the pipeline's error.
+	stats, err := cl.Stats()
+	if err != nil || stats["store_shards"] != 2 {
+		t.Fatalf("STATS after the failed gates: %v, %v", stats["store_shards"], err)
+	}
+	for i := 1; ; i++ {
+		if st.shardIdx(gateKey(i)) == 1 {
+			if rs, err := cl.Do(gateSet(i)); err != nil || rs[0].Status != wire.StatusErr || rs[0].Msg != msg {
+				t.Fatalf("inline write to the poisoned shard: %v %+v, pipelined: %q", err, rs, msg)
+			}
+			break
+		}
+	}
+}

@@ -53,8 +53,9 @@ type mutOpts struct {
 // order, the token is that order, and it guarantees a reserved record's
 // (and slot's) transaction commits. The acknowledgement then waits for
 // the record to be durable, for its events to be delivered, and (sync-
-// ack replication) for a follower ack covering it. Otherwise body runs
-// under sem with nothing recorded.
+// ack replication) for a follower ack covering it — here, unless ctx is
+// a connection's, which holds the gate until it next writes (gate.go).
+// Otherwise body runs under sem with nothing recorded.
 //
 // Cross-shard commits go through twopc.go, not here — they
 // acknowledge on local durability only; see the replication doc.
@@ -79,19 +80,14 @@ func (s *Store) mutate(ctx context.Context, sh *shard, sem core.Semantics, o mut
 		return sh.tm.AtomicAsCtx(ctx, sem, run)
 	}
 	err := sh.tm.AtomicCtx(ctx, run, core.WithSemantics(core.Irrevocable), core.WithObserver(cp), core.WithLabel(o.label))
-	if err != nil {
+	if err != nil || !(cp.logged || cp.slotUsed) {
 		return err
 	}
-	if err := cp.wait(); err != nil {
-		return err
+	if g, ok := ctx.(*connGate); ok {
+		g.hold(cp.ackPos)
+		return nil
 	}
-	cp.waitDelivered()
-	if cp.logged {
-		if w := sh.replWait.Load(); w != nil {
-			return (*w)(ctx, cp.seq)
-		}
-	}
-	return nil
+	return cp.close(ctx)
 }
 
 // walCapture carries one mutation's side effects from the transaction
@@ -113,20 +109,16 @@ func (s *Store) mutate(ctx context.Context, sh *shard, sem core.Semantics, o mut
 // Captures are pooled per shard; one capture serves one mutate call or
 // one cross-shard participant.
 type walCapture struct {
-	sh   *shard
-	next stm.Observer // the engine-wide observer, still owed its events
+	ackPos              // the shard, and what this execution reserved on it
+	next   stm.Observer // the engine-wide observer, still owed its events
 
 	buf      []byte
 	ctl      []byte // scratch for a cross-shard commit's control records (see control)
-	seq      uint64 // last reserved log position (meaningful while logged)
 	reserved bool   // log reservation outstanding, awaiting OnCommit/OnAbort
-	logged   bool   // this execution reserved a record: wait() has a target
 
-	track    bool             // collect session changes this execution
-	changes  []session.Change // the collected changes, in mutation order
-	slot     uint64           // reserved notifier slot (meaningful while slotUsed)
-	slotRes  bool             // slot reservation outstanding
-	slotUsed bool             // this execution reserved a slot: waitDelivered has a target
+	track   bool             // collect session changes this execution
+	changes []session.Change // the collected changes, in mutation order
+	slotRes bool             // slot reservation outstanding
 }
 
 // reset readies a pooled capture for one execution, resolving the
@@ -198,26 +190,6 @@ func (c *walCapture) reserveSlot() {
 		c.slot = c.sh.notif.Reserve()
 		c.slotRes = true
 		c.slotUsed = true
-	}
-}
-
-// wait blocks until the reserved record (if any) is durable under the
-// log's fsync mode — the acknowledgement gate of every durable
-// mutation. Called after the transaction has committed (so the record
-// is already confirmed).
-func (c *walCapture) wait() error {
-	if !c.logged {
-		return nil
-	}
-	return c.sh.wal.WaitDurable(c.seq)
-}
-
-// waitDelivered blocks until the reserved notifier slot (if any) has
-// delivered: the mutation's events are buffered to every matching
-// session and its TTL effects applied before the client sees the ack.
-func (c *walCapture) waitDelivered() {
-	if c.slotUsed {
-		c.sh.notif.Wait(c.slot)
 	}
 }
 

@@ -437,6 +437,11 @@ func (s *Store) Merge(ctx context.Context, wantEpoch uint64, aID, bID int) (uint
 	s.grace.synchronize()
 	b.resharding.Store(false)
 	b.ckptHold.Store(false)
+	// A connection may still hold an ack gate on b (gates are waited
+	// outside the grace period): its log wait is answered by the Close
+	// below, and its sync-ack wait must not run at all — b's position no
+	// longer names it, and followers re-sync the merged shard whole.
+	b.replWait.Store(nil)
 	if durable {
 		berr := b.tm.AtomicCtx(bctx, func(*core.Tx) error {
 			return b.wal.Close()

@@ -212,17 +212,22 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// handle runs one connection's request loop: read frame, execute, queue
-// the response, flushing whenever the pipeline drains (the response
-// writer is buffered so pipelined requests batch their replies).
+// handle runs one connection's request loop: read frame, execute, stage
+// the response, flushing whenever the pipeline drains or the staged
+// replies outgrow stageLimit, so pipelined requests batch their replies
+// — and, through the connection's gate, their acknowledgement waits: a
+// durable write's handler moves on to the next pipelined request at once
+// and the flush is what waits (see connGate). Nothing is written to the
+// socket anywhere else while the loop runs.
 //
 // The loop owns one payload buffer, one decoded Request, one Response
-// and one response-frame encoding buffer, all reused for every request
-// on the connection — steady-state request handling performs no
-// per-frame allocation at this layer. The reuse is safe because the
-// pipeline is strictly sequential: a request is fully executed and its
-// response fully encoded into the write buffer before the next frame is
-// read over the payload storage.
+// and the staging buffer, all reused for every request on the connection
+// — steady-state request handling performs no per-frame allocation at
+// this layer. The reuse is safe because the pipeline is strictly
+// sequential: a request is fully executed and its response fully encoded
+// before the next frame is read over the payload storage. A frame or
+// reply over keepBuf gives all of it back after the flush that follows,
+// so one huge value does not pin its size to an idle connection.
 func (s *Server) handle(c net.Conn) {
 	defer func() {
 		c.Close()
@@ -245,12 +250,12 @@ func (s *Server) handle(c net.Conn) {
 	defer cancel()
 
 	br := bufio.NewReader(c)
-	bw := bufio.NewWriter(c)
+	g := &connGate{Context: ctx}
 	var (
 		payload []byte        // reusable frame payload storage
 		req     wire.Request  // reusable decoded request
 		resp    wire.Response // reusable response
-		out     []byte        // reusable response-frame encoding
+		big     bool          // a frame or reply since the last flush outgrew keepBuf
 	)
 	for {
 		var err error
@@ -259,16 +264,15 @@ func (s *Server) handle(c net.Conn) {
 			// Responses already executed (and committed) must reach the
 			// client even when the read that follows them fails — e.g. a
 			// shutdown deadline landing on a partially received frame.
-			bw.Flush()
+			g.flush(c)
 			if errors.Is(err, wire.ErrFrameTooLarge) {
 				// The stream cannot be resynchronized past an oversize
 				// length prefix, so the connection must end — but the
 				// client still gets one typed refusal before the cut.
 				resetResponse(&resp)
 				errInto(&resp, &wire.ProtocolError{Code: wire.ProtoOversize, Detail: err.Error()})
-				if fr, e := wire.AppendResponseFrame(out[:0], wire.OpGet, &resp); e == nil {
-					bw.Write(fr)
-					bw.Flush()
+				if fr, e := wire.AppendResponseFrame(nil, wire.OpGet, &resp); e == nil {
+					c.Write(fr)
 				}
 				s.logf("polyserve: %v: read: %v", c.RemoteAddr(), err)
 				return
@@ -280,62 +284,71 @@ func (s *Server) handle(c net.Conn) {
 			}
 			return
 		}
-		var op wire.Op
-		if err := wire.DecodeRequestInto(&req, payload); err != nil {
+		op := wire.OpGet
+		g.reply = len(g.stage)
+		switch err := wire.DecodeRequestInto(&req, payload); {
+		case err != nil:
 			// A malformed frame still gets a 1:1 typed reply: the framing
 			// survived, so the pipeline stays aligned and the connection
 			// lives on. Unknown opcodes get their own code so clients can
 			// tell "server too old" from "I sent garbage".
-			op = wire.OpGet
 			resetResponse(&resp)
 			code := wire.ProtoMalformed
 			if errors.Is(err, wire.ErrBadOp) {
 				code = wire.ProtoUnknownOp
 			}
 			errInto(&resp, &wire.ProtocolError{Code: code, Detail: err.Error()})
-		} else if req.Op == wire.OpWatch {
-			// WATCH takes the connection over: the OK response carries the
+		case req.Op == wire.OpWatch:
+			// WATCH takes the connection over, once the replies still owed
+			// are out (and their gates closed): the OK response carries the
 			// first watch id, then the session's writer goroutine pushes
 			// EVENT frames until either side cuts (see session.go).
-			s.serveWatch(c, br, bw, &req)
+			if g.flush(c) == nil {
+				s.serveWatch(c, br, bufio.NewWriter(c), &req)
+			}
 			return
-		} else if req.Op == wire.OpSubscribeWAL {
-			// A replication subscribe takes the connection over: answer
-			// the handshake, then the hub streams frames until either
-			// side drops. With no hub, fall through to the execution
+		case req.Op == wire.OpSubscribeWAL:
+			// A replication subscribe takes the connection over the same
+			// way: answer the handshake, then the hub streams frames until
+			// either side drops. With no hub, fall through to the execution
 			// path's typed refusal like any other request.
 			if h := s.replHub(); h != nil {
-				s.serveSubscribe(c, br, bw, h)
+				if g.flush(c) == nil {
+					s.serveSubscribe(c, br, bufio.NewWriter(c), h)
+				}
 				return
 			}
+			fallthrough
+		default:
 			op = req.Op
-			s.store.ExecuteCtx(ctx, &req, &resp)
-		} else {
-			op = req.Op
-			s.store.ExecuteCtx(ctx, &req, &resp)
+			s.store.ExecuteCtx(g, &req, &resp)
 		}
-		out, err = wire.AppendResponseFrame(out[:0], op, &resp)
+		g.stage, err = wire.AppendResponseFrame(g.stage, op, &resp)
 		if err != nil {
 			resetResponse(&resp)
 			errInto(&resp, err)
-			out, _ = wire.AppendResponseFrame(out[:0], op, &resp)
+			g.stage, _ = wire.AppendResponseFrame(g.stage, op, &resp)
 		}
-		if _, err := bw.Write(out); err != nil {
-			s.logf("polyserve: %v: write: %v", c.RemoteAddr(), err)
-			return
-		}
+		big = big || len(payload) > keepBuf || len(g.stage)-g.reply > keepBuf
 		// Flush before the next read would block: everything the client
 		// pipelined is answered in one burst.
-		if br.Buffered() == 0 {
-			if err := bw.Flush(); err != nil {
+		if br.Buffered() == 0 || len(g.stage) >= stageLimit {
+			if err := g.flush(c); err != nil {
 				if !isExpectedClose(err) {
-					s.logf("polyserve: %v: flush: %v", c.RemoteAddr(), err)
+					s.logf("polyserve: %v: write: %v", c.RemoteAddr(), err)
 				}
 				return
+			}
+			if big {
+				payload, req, resp, g.stage, big = nil, wire.Request{}, wire.Response{}, nil, false
 			}
 		}
 	}
 }
+
+// keepBuf is the most a connection's reusable buffers may have been asked
+// to hold and still be kept across a flush.
+const keepBuf = 64 << 10
 
 // isExpectedClose reports whether err is a normal connection-end: EOF,
 // a closed socket, the read deadline Shutdown uses to unblock handlers

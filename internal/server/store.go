@@ -247,7 +247,7 @@ func NewShardedStore(tms []*core.TM) *Store {
 func (s *Store) newShard(id int, tm *core.TM) *shard {
 	sh := &shard{idx: id, tm: tm, m: structures.NewTSkipMap(tm), sess: s.sessions}
 	sh.notif = session.NewNotifier(func(cs []session.Change) { s.applyChanges(sh, cs) })
-	sh.caps.New = func() any { return &walCapture{sh: sh, next: sh.tm.Engine().Observer()} }
+	sh.caps.New = func() any { return &walCapture{ackPos: ackPos{sh: sh}, next: sh.tm.Engine().Observer()} }
 	return sh
 }
 
@@ -796,7 +796,7 @@ func (s *Store) stats(resp *wire.Response) {
 		cs = append(cs, (*fn)()...)
 	}
 	if s.durable() {
-		var bytes, records, fsyncs, checkpoints uint64
+		var bytes, records, fsyncs, checkpoints, writes uint64
 		var chainLen, deltaBytes, baseBytes uint64
 		for _, sh := range tab.shards {
 			b, r, f, c := sh.wal.Stats()
@@ -804,6 +804,7 @@ func (s *Store) stats(resp *wire.Response) {
 			records += r
 			fsyncs += f
 			checkpoints += c
+			writes += sh.wal.Writes()
 			ch := sh.wal.Chain()
 			if n := uint64(ch.Len()); n > chainLen {
 				chainLen = n // the longest chain bounds restart work
@@ -814,6 +815,7 @@ func (s *Store) stats(resp *wire.Response) {
 		cs = append(cs,
 			wire.Counter{Name: "wal_bytes", Value: bytes},
 			wire.Counter{Name: "wal_records", Value: records},
+			wire.Counter{Name: "wal_writes", Value: writes},
 			wire.Counter{Name: "wal_fsyncs", Value: fsyncs},
 			wire.Counter{Name: "wal_checkpoints", Value: checkpoints},
 			wire.Counter{Name: "wal_segment", Value: tab.shards[0].wal.Segment()},
@@ -844,6 +846,7 @@ func (s *Store) stats(resp *wire.Response) {
 				cs = append(cs,
 					wire.Counter{Name: fmt.Sprintf("shard%d.wal_bytes", sh.idx), Value: b},
 					wire.Counter{Name: fmt.Sprintf("shard%d.wal_records", sh.idx), Value: r},
+					wire.Counter{Name: fmt.Sprintf("shard%d.wal_writes", sh.idx), Value: sh.wal.Writes()},
 					wire.Counter{Name: fmt.Sprintf("shard%d.wal_fsyncs", sh.idx), Value: f},
 					wire.Counter{Name: fmt.Sprintf("shard%d.ckpt_chain_len", sh.idx), Value: uint64(ch.Len())},
 					wire.Counter{Name: fmt.Sprintf("shard%d.ckpt_delta_bytes", sh.idx), Value: ch.DeltaBytes()},

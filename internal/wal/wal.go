@@ -141,6 +141,7 @@ type Log struct {
 	dirty     bool   // bytes written since the last fsync
 	err       error  // sticky I/O error: the log is poisoned
 	closed    bool
+	drained   bool // closed and the flusher has exited: nothing more will be acknowledged
 	// chain is the live checkpoint chain (base + deltas); lastKind is
 	// what the most recent install (or recovery) left as the newest
 	// element. Both under mu; see checkpoint.go.
@@ -161,6 +162,7 @@ type Log struct {
 	// Counters for the server's STATS surface.
 	statBytes       atomic.Uint64
 	statRecords     atomic.Uint64
+	statWrites      atomic.Uint64
 	statFsyncs      atomic.Uint64
 	statCheckpoints atomic.Uint64
 }
@@ -234,6 +236,10 @@ func (l *Log) Stats() (bytes, records, fsyncs, checkpoints uint64) {
 	return l.statBytes.Load(), l.statRecords.Load(), l.statFsyncs.Load(), l.statCheckpoints.Load()
 }
 
+// Writes reports the flusher's write calls: records per write is the
+// group commit.
+func (l *Log) Writes() uint64 { return l.statWrites.Load() }
+
 // Reserve assigns payload the next position in the log and queues it
 // undecided. It must be called where the mutation order is already
 // fixed (polyserve calls it inside the transaction body, under the
@@ -299,12 +305,15 @@ func (l *Log) Cancel(seq uint64) { l.decide(seq, recCancelled) }
 
 // WaitDurable blocks until the record is durable under the log's mode
 // (written for batch/off; fsynced for always), the log fails, or the
-// log closes. A non-nil return means durability of this record is
-// unknown at best: the server surfaces it as an error without retrying.
+// log closes — and Close flushes every decided record first, so a waiter
+// it overtakes (an acknowledgement held back to the connection's flush,
+// on a shard a MERGE retires) still gets its record's own verdict. A
+// non-nil return means durability of this record is unknown at best:
+// the server surfaces it as an error without retrying.
 func (l *Log) WaitDurable(seq uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for l.ackSeq < seq && l.err == nil && !l.closed {
+	for l.ackSeq < seq && l.err == nil && !l.drained {
 		l.ackCond.Wait()
 	}
 	if l.ackSeq >= seq {
@@ -415,6 +424,7 @@ func (l *Log) flusher() {
 		if len(enc) > 0 {
 			l.fileMu.Lock()
 			_, werr = f.Write(enc)
+			l.statWrites.Add(1)
 			if werr == nil && l.mode == ModeAlways {
 				werr = f.Sync()
 				l.statFsyncs.Add(1)
@@ -586,10 +596,13 @@ func (l *Log) Close() error {
 	}
 	l.closed = true
 	l.flushCond.Broadcast()
-	l.ackCond.Broadcast()
 	l.mu.Unlock()
 
 	<-l.flusherDone
+	l.mu.Lock()
+	l.drained = true
+	l.ackCond.Broadcast()
+	l.mu.Unlock()
 	if l.syncerStop != nil {
 		close(l.syncerStop)
 		<-l.syncerDone

@@ -2,12 +2,14 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 )
 
 // memStore replays into a plain map, recording every record group so
@@ -571,5 +573,40 @@ func TestCheckpointBatchedApply(t *testing.T) {
 	}
 	if len(st.records) >= n {
 		t.Fatalf("checkpoint applied %d groups for %d entries — batching is off", len(st.records), n)
+	}
+}
+
+// TestCloseAcknowledgesDecidedRecords: Close flushes every decided
+// record, so a waiter it overtakes — blocked in WaitDurable when Close
+// begins — gets its record's verdict, not ErrClosed. (A connection holds
+// its acknowledgement waits back to its flush, so a MERGE retiring the
+// shard can close the log under a waiter.) The flusher is held inside
+// the hook after writing the first record; both records are committed.
+func TestCloseAcknowledgesDecidedRecords(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	l, _, _ := openT(t, t.TempDir(), Options{Mode: ModeBatch, OnDurableRecord: func(byte) {
+		once.Do(func() { close(entered); <-release })
+	}})
+	first := l.Reserve([]byte{0x01, 'a'})
+	l.Commit(first)
+	<-entered
+	second := l.Reserve([]byte{0x01, 'b'})
+	l.Commit(second)
+	waited, closed := make(chan error, 1), make(chan error, 1)
+	go func() { waited <- l.WaitDurable(second) }()
+	go func() { closed <- l.Close() }()
+	// Not a synchronisation: it only gives Close the time to overtake the
+	// waiter, which is the order that used to answer ErrClosed.
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	if err := <-waited; err != nil {
+		t.Fatalf("WaitDurable of a committed record across Close: %v", err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := l.WaitDurable(second + 1); !errors.Is(err, ErrClosed) {
+		t.Fatalf("WaitDurable of a record never reserved, after Close: %v, want ErrClosed", err)
 	}
 }
