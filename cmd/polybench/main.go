@@ -2,7 +2,10 @@
 // from the shell: the integer-set micro-benchmarks (B1 list, B3 skip
 // list), the resize experiment (B2), the snapshot-scan experiment (B4),
 // the contention-manager ablation (B5), the engine-scalability
-// experiment (B7), and the polyserve loopback server experiment (B8).
+// experiment (B7), and the loopback polyserve experiments the ledger
+// (bench/) has not absorbed yet: replica, recover, session, reshard. The
+// plain GET/SCAN/SET server mix is the ledger's: bash bench/run.sh
+// --workload kv-read-mostly | kv-durable-write | txn-zipf-2pc.
 //
 // Usage:
 //
@@ -12,8 +15,7 @@
 //	polybench -bench scan  -workers 4
 //	polybench -bench cm    -workers 8
 //	polybench -bench scale -workers 1,2,4,8 -shards 0
-//	polybench -bench server -workers 1,4,8 -get-pct 80 -scan-pct 10
-//	polybench -bench server -replica -workers 4 -get-pct 90 -scan-pct 5
+//	polybench -bench replica -workers 4 -get-pct 90 -scan-pct 5
 //	polybench -bench recover -recover-keys 200000
 //	polybench -bench session -workers 1,4,8
 //	polybench -bench all
@@ -26,13 +28,6 @@
 // count (0 = GOMAXPROCS-derived default, 1 = the old centralized
 // layout, for A/B comparison).
 //
-// -bench server starts an in-process polyserve on a loopback listener
-// and drives it through the wire client with a configurable
-// GET/SCAN/SET mix (-get-pct, -scan-pct; the remainder is SETs, each
-// worker one pipelined connection), reporting txns/s and the
-// per-semantics abort breakdown from the engine's sharded stats — the
-// paper's polymorphism measured as live network traffic.
-//
 // -bench recover is the checkpoint + restart-cost experiment behind
 // incremental checkpoints: a -recover-keys store is filled, base-
 // checkpointed, churned at 1% and 10%, checkpointed again under the
@@ -43,21 +38,23 @@
 // under test is that the incremental ckpt_bytes track churn while the
 // full ones track keyspace size.
 //
-// -bench server -replica runs the replication read-split experiment
-// instead: a durable batch-fsync primary measured alone, with a
-// streaming follower attached, and with the replica-aware client
-// splitting GET/SCAN across the follower while SETs stay pinned to the
-// primary. JSON rows carry the topology and the replication lag in
-// bytes sampled at the end of the measured window.
+// -bench replica runs the replication read-split experiment: an
+// in-process durable batch-fsync primary on a loopback listener, driven
+// through the wire client with a GET/SCAN/SET mix (-get-pct, -scan-pct;
+// the remainder is SETs), measured alone, with a streaming follower
+// attached, and with the replica-aware client splitting GET/SCAN across
+// the follower while SETs stay pinned to the primary. JSON rows carry
+// the topology and the replication lag in bytes sampled at the end of
+// the measured window.
 //
 // -json switches the output to a JSON array of result records (name,
 // workers, ops, txns/s, aborts, per-semantics classes) for recording
 // BENCH_*.json trajectories; an unknown -bench exits nonzero.
 //
-// The scale and server experiments additionally record allocator cost
+// The scale and replica experiments additionally record allocator cost
 // (allocs/op and B/op, from runtime.MemStats deltas across the measured
-// section, all goroutines included — for the server experiment that
-// means client and server side together). -allocs prints those columns
+// section, all goroutines included — for the replica experiment that
+// means client and servers together). -allocs prints those columns
 // in table mode; JSON records always carry them.
 package main
 
@@ -272,25 +269,22 @@ func (r *report) flush() {
 }
 
 func main() {
-	bench := flag.String("bench", "all", "which experiment: list, hash, skip, scan, cm, scale, server, recover, session, reshard, all")
+	bench := flag.String("bench", "all", "which experiment: list, hash, skip, scan, cm, scale, replica, recover, session, reshard, all")
 	updates := flag.Int("updates", 10, "update percentage")
 	keyRange := flag.Uint64("range", 512, "key range (steady-state size is half)")
 	workersFlag := flag.String("workers", "1,2,4,8", "comma-separated worker counts")
 	dur := flag.Duration("dur", 200*time.Millisecond, "duration per configuration")
 	resizeEvery := flag.Duration("resize-every", 10*time.Millisecond, "resize cadence for -bench hash")
 	seed := flag.Int64("seed", 1, "workload seed")
-	shards := flag.Int("shards", 0, "engine shard count for -bench scale/server (0 = GOMAXPROCS default)")
-	storeShards := flag.Int("store-shards", 1, "keyspace shard count for -bench server (0 = GOMAXPROCS, capped at 16)")
-	dist := flag.String("dist", "uniform", "key distribution for -bench server: uniform, zipfian (YCSB theta=0.99)")
-	getPct := flag.Int("get-pct", 80, "GET percentage for -bench server")
-	scanPct := flag.Int("scan-pct", 10, "SCAN percentage for -bench server (remainder is SETs)")
-	scanLimit := flag.Uint64("scan-limit", 16, "SCAN window for -bench server")
-	durable := flag.Bool("durable", false, "for -bench server: also run durable variants (one per fsync mode, fresh temp wal dir each)")
-	replica := flag.Bool("replica", false, "for -bench server: run the replication read-split experiment instead (durable primary, streaming follower, replica-aware client)")
+	shards := flag.Int("shards", 0, "engine shard count for -bench scale and the loopback servers (0 = GOMAXPROCS default)")
+	storeShards := flag.Int("store-shards", 1, "keyspace shard count for -bench replica/session/reshard (0 = GOMAXPROCS, capped at 16)")
+	getPct := flag.Int("get-pct", 80, "GET percentage for -bench replica/reshard")
+	scanPct := flag.Int("scan-pct", 10, "SCAN percentage for -bench replica/reshard (remainder is SETs)")
+	scanLimit := flag.Uint64("scan-limit", 16, "SCAN window for -bench replica/reshard")
 	recoverKeys := flag.Int("recover-keys", 200000, "key count for -bench recover")
-	fsyncFlag := flag.String("fsync", "", "restrict -durable to one fsync mode (always, batch, off); empty = all three")
+	fsyncFlag := flag.String("fsync", "", "fsync mode of -bench replica's primary (always, batch, off); empty = batch")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON results instead of tables")
-	allocs := flag.Bool("allocs", false, "print allocs/op and B/op columns for -bench scale/server table output")
+	allocs := flag.Bool("allocs", false, "print allocs/op and B/op columns for -bench scale/replica table output")
 	flag.Parse()
 
 	var workers []int
@@ -305,15 +299,6 @@ func main() {
 	if *getPct < 0 || *scanPct < 0 || *getPct+*scanPct > 100 {
 		fmt.Fprintf(os.Stderr, "polybench: bad mix: -get-pct %d -scan-pct %d (must be >= 0 and sum <= 100)\n",
 			*getPct, *scanPct)
-		os.Exit(2)
-	}
-	// Validate -dist up front for every bench: a typo'd distribution must
-	// exit 2 immediately, not silently run a different bench's default
-	// (only some benches consume it).
-	switch *dist {
-	case "uniform", "zipfian":
-	default:
-		fmt.Fprintf(os.Stderr, "polybench: unknown -dist %q (valid: uniform, zipfian)\n", *dist)
 		os.Exit(2)
 	}
 	mix := workload.Mix{UpdatePct: *updates, KeyRange: *keyRange}
@@ -341,12 +326,8 @@ func main() {
 		{"scan", func() { benchScan(ctx, rep, base, workers) }},
 		{"cm", func() { benchCM(ctx, rep, base, workers) }},
 		{"scale", func() { benchScale(ctx, rep, base, workers, *shards) }},
-		{"server", func() {
-			if *replica {
-				benchReplica(ctx, rep, base, workers, *shards, *storeShards, *getPct, *scanPct, *scanLimit, *fsyncFlag)
-				return
-			}
-			benchServer(ctx, rep, base, workers, *shards, *storeShards, *getPct, *scanPct, *scanLimit, *durable, *dist, *fsyncFlag)
+		{"replica", func() {
+			benchReplica(ctx, rep, base, workers, *shards, *storeShards, *getPct, *scanPct, *scanLimit, *fsyncFlag)
 		}},
 		{"recover", func() { benchRecover(ctx, rep, *recoverKeys) }},
 		{"session", func() { benchSession(ctx, rep, base, workers, *shards, *storeShards) }},
@@ -669,61 +650,6 @@ func benchCM(ctx context.Context, rep *report, base harness.Config, workers []in
 	}
 }
 
-// benchServer is the polyserve loopback experiment (B8): an in-process
-// server driven through real wire connections with a GET/SCAN/SET mix,
-// one pipelined connection per worker. Throughput is wire round trips
-// per second; the per-semantics abort breakdown from the engine's
-// sharded stats shows the polymorphic mapping at work (snapshot GETs
-// never abort regardless of write pressure).
-//
-// With durable, the experiment re-runs once per fsync mode against a
-// durable server on a fresh temp WAL directory (B9): the cost of the
-// write-ahead log — group commit, irrevocable escalation of the SET
-// share, background checkpoints — measured against the non-durable
-// baseline of the same box.
-//
-// -store-shards partitions the keyspace (B10): each worker's keys hash
-// across independent engine+map+WAL shards, so durable writes stop
-// contending on one irrevocable token and one fsync queue. -dist picks
-// the key popularity: uniform, or zipfian (YCSB theta=0.99) where a few
-// hot keys absorb most of the traffic — the skew that makes single-token
-// serialization hurt and routing pay off.
-func benchServer(ctx context.Context, rep *report, base harness.Config, workers []int, shards, storeShards, getPct, scanPct int, scanLimit uint64, durable bool, dist, fsync string) {
-	modes := []wal.Mode{wal.ModeAlways, wal.ModeBatch, wal.ModeOff}
-	if fsync != "" {
-		m, err := wal.ParseMode(fsync)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "polybench: %v\n", err)
-			os.Exit(2)
-		}
-		modes = []wal.Mode{m}
-	}
-	variants := []struct {
-		label string
-		dur   *server.Durability // nil = non-durable baseline
-	}{{label: "baseline"}}
-	if durable {
-		for _, mode := range modes {
-			variants = append(variants, struct {
-				label string
-				dur   *server.Durability
-			}{
-				label: "durable-" + mode.String(),
-				dur:   &server.Durability{Fsync: mode, CheckpointEvery: 200 * time.Millisecond},
-			})
-		}
-	}
-	if storeShards <= 0 {
-		storeShards = runtime.GOMAXPROCS(0)
-		if storeShards > 16 {
-			storeShards = 16
-		}
-	}
-	for _, v := range variants {
-		benchServerVariant(ctx, rep, base, workers, shards, storeShards, getPct, scanPct, scanLimit, v.label, dist, v.dur)
-	}
-}
-
 // zipfGen draws keys from a zipfian popularity distribution over
 // [0, n) with the YCSB constant theta=0.99, using the standard
 // Gray et al. rejection-free inversion: the generator is immutable
@@ -771,140 +697,6 @@ func (z *zipfGen) next(u float64) uint64 {
 		k = z.n - 1
 	}
 	return k
-}
-
-func benchServerVariant(ctx context.Context, rep *report, base harness.Config, workers []int, shards, storeShards, getPct, scanPct int, scanLimit uint64, label, dist string, dur *server.Durability) {
-	rep.printf("== B8: polyserve loopback [%s], %d%% GET / %d%% SCAN / %d%% SET, range %d, store-shards %d, dist %s ==\n",
-		label, getPct, scanPct, 100-getPct-scanPct, base.Mix.KeyRange, storeShards, dist)
-	key := func(k uint64) []byte {
-		return []byte(fmt.Sprintf("k%08d", k%base.Mix.KeyRange))
-	}
-	var zipf *zipfGen
-	if dist == "zipfian" {
-		zipf = newZipfGen(base.Mix.KeyRange)
-	}
-	for _, w := range workers {
-		if ctx.Err() != nil {
-			return
-		}
-		srv := server.New(server.Config{Shards: shards, StoreShards: storeShards})
-		if dur != nil {
-			d := *dur
-			tmp, err := os.MkdirTemp("", "polybench-wal-*")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "polybench: wal dir: %v\n", err)
-				os.Exit(1)
-			}
-			defer os.RemoveAll(tmp)
-			d.Dir = tmp
-			if _, err := srv.Store().EnableDurability(d); err != nil {
-				fmt.Fprintf(os.Stderr, "polybench: durability: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "polybench: server listen: %v\n", err)
-			os.Exit(1)
-		}
-		serveDone := make(chan error, 1)
-		go func() { serveDone <- srv.Serve(ln) }()
-
-		// Prefill half the key range.
-		pre, err := client.Dial(ln.Addr().String())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "polybench: dial: %v\n", err)
-			os.Exit(1)
-		}
-		for k := uint64(0); k < base.Mix.KeyRange; k += 2 {
-			if err := pre.Set(key(k), []byte("0")); err != nil {
-				fmt.Fprintf(os.Stderr, "polybench: prefill: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		srv.Store().ResetStats()
-
-		var ops atomic.Uint64
-		stop := make(chan struct{})
-		ready := make(chan struct{})
-		var wg sync.WaitGroup
-		for i := 0; i < w; i++ {
-			wg.Add(1)
-			go func(seed uint64) {
-				defer wg.Done()
-				cl, err := client.Dial(ln.Addr().String(), client.WithPoolSize(1))
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "polybench: worker dial: %v\n", err)
-					return
-				}
-				defer cl.Close()
-				r := seed*0x9E3779B97F4A7C15 + 1
-				var n uint64
-				<-ready
-				for {
-					select {
-					case <-stop:
-						ops.Add(n)
-						return
-					default:
-					}
-					r = r*6364136223846793005 + 1442695040888963407
-					var k uint64
-					if zipf != nil {
-						k = zipf.next(float64(r>>11) / (1 << 53))
-					} else {
-						k = (r >> 33) % base.Mix.KeyRange
-					}
-					var opErr error
-					switch roll := int((r >> 16) % 100); {
-					case roll < getPct:
-						_, _, opErr = cl.Get(key(k))
-					case roll < getPct+scanPct:
-						_, opErr = cl.Scan(key(k), nil, scanLimit)
-					default:
-						opErr = cl.Set(key(k), []byte(strconv.FormatUint(r&0xFFFF, 10)))
-					}
-					if opErr != nil {
-						fmt.Fprintf(os.Stderr, "polybench: worker op: %v\n", opErr)
-						return
-					}
-					n++
-				}
-			}(uint64(base.Seed)*7919 + uint64(i+1))
-		}
-		m0 := readMem()
-		start := time.Now()
-		close(ready)
-		sleepCtx(ctx, base.Duration)
-		close(stop)
-		wg.Wait()
-		el := time.Since(start)
-		m1 := readMem()
-		pre.Close()
-
-		s := srv.Stats()
-		total := ops.Load()
-		mem := m0.perOp(m1, total)
-		rep.printf("  workers=%-3d %12.0f txns/s  abort-rate=%.3f%s\n",
-			w, float64(total)/el.Seconds(), s.AbortRate(), rep.memSuffix(mem))
-		rep.printf("      per-semantics: %s\n", s.PerSemString())
-		name := fmt.Sprintf("server-shards%d-store%d-%s", srv.TM().Engine().Shards(), storeShards, dist)
-		if dur != nil {
-			name = fmt.Sprintf("server-%s-shards%d-store%d-%s", label, srv.TM().Engine().Shards(), storeShards, dist)
-		}
-		rep.addWithStats("server", name, w, el, total, s, mem)
-		rep.tagLast(storeShards, dist)
-
-		sdCtx, cancel := shutdownContext()
-		if err := srv.Shutdown(sdCtx); err != nil {
-			fmt.Fprintf(os.Stderr, "polybench: shutdown: %v\n", err)
-		}
-		cancel()
-		<-serveDone
-		if err := srv.Store().CloseDurability(); err != nil {
-			fmt.Fprintf(os.Stderr, "polybench: wal close: %v\n", err)
-		}
-	}
 }
 
 // kvConn is the slice of the client surface the replica experiment

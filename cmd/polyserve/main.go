@@ -89,7 +89,7 @@ func main() {
 	ttlReapEvery := flag.Duration("ttl-reap-every", 0, "background TTL reaper cadence (0 = 250ms default, <0 disables; lazy expiry still hides expired keys)")
 	watchBuffer := flag.Int("watch-buffer", 0, "per-session watch event buffer; overflow cuts the session with EVENT-LOST (0 = 1024 default)")
 	splitShard := flag.Int("split-shard", -1, "admin: SPLIT the shard with this stable id on the server at -addr, print the new routing epoch, and exit")
-	mergeShards := flag.String("merge-shards", "", "admin: MERGE buddy shards \"a,b\" (stable ids; a survives) on the server at -addr, print the new routing epoch, and exit")
+	mergeShards := flag.String("merge-shards", "", "admin: MERGE buddy shards \"a,b\" (stable ids, either order; the lower-residue one survives) on the server at -addr, print the new routing epoch, and exit")
 	flag.Parse()
 
 	// Admin-client modes: the binary doubles as the resharding CLI so an

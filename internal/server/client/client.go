@@ -68,6 +68,7 @@ type conn struct {
 // Client is a pooled polyserve client. It is safe for concurrent use;
 // each request batch holds one pooled connection for its duration.
 type Client struct {
+	ops         // the typed operations, over roundTrip
 	addr        string
 	size        int
 	dialTimeout time.Duration
@@ -85,6 +86,7 @@ type Client struct {
 // dialed eagerly so misconfiguration fails fast.
 func Dial(addr string, opts ...Option) (*Client, error) {
 	cl := &Client{addr: addr, size: 4, dialTimeout: 5 * time.Second, pingReply: 2 * time.Second, waitCh: make(chan struct{}, 1)}
+	cl.send = cl.roundTrip
 	for _, o := range opts {
 		o(cl)
 	}
@@ -407,46 +409,65 @@ func (cl *Client) DoCtx(ctx context.Context, reqs ...*wire.Request) ([]*wire.Res
 	return out, nil
 }
 
-// do1 is the single-request path.
-func (cl *Client) do1(r *wire.Request) (*wire.Response, error) {
-	rs, err := cl.Do(r)
+// roundTrip is the Client's transport: one request, one pooled round trip.
+func (cl *Client) roundTrip(ctx context.Context, r *wire.Request) (*wire.Response, error) {
+	rs, err := cl.DoCtx(ctx, r)
 	if err != nil {
 		return nil, err
 	}
 	return rs[0], nil
 }
 
-// Get reads key (server default: snapshot semantics). ok reports
-// whether the key exists.
-func (cl *Client) Get(key []byte) (val []byte, ok bool, err error) {
-	r, err := cl.do1(&wire.Request{Op: wire.OpGet, Sem: wire.SemDefault, Key: key})
+// ops is the typed vocabulary, written once over a transport: how one
+// request reaches a server and its reply comes back. Client embeds it
+// over a pooled round trip (DoCtx), ReplicaSet over its routing (see
+// ReplicaSet.route), so the two expose the same operations because they
+// run the same code.
+type ops struct {
+	send func(ctx context.Context, req *wire.Request) (*wire.Response, error)
+}
+
+// call sends req and decides its outcome, once for every operation: a
+// transport failure and a StatusErr reply both come back as the error.
+func (o ops) call(ctx context.Context, req *wire.Request) (*wire.Response, error) {
+	r, err := o.send(ctx, req)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// Get reads key (server default: snapshot semantics). ok reports
+// whether the key exists.
+func (o ops) Get(key []byte) (val []byte, ok bool, err error) {
+	r, err := o.call(context.Background(), &wire.Request{Op: wire.OpGet, Sem: wire.SemDefault, Key: key})
+	if err != nil {
 		return nil, false, err
 	}
 	return r.Val, r.Status == wire.StatusOK, nil
 }
 
 // Set writes key (server default: def semantics).
-func (cl *Client) Set(key, val []byte) error {
-	r, err := cl.do1(&wire.Request{Op: wire.OpSet, Sem: wire.SemDefault, Key: key, Val: val})
-	if err != nil {
-		return err
-	}
-	return r.Err()
+func (o ops) Set(key, val []byte) error {
+	return o.SetCtx(context.Background(), key, val)
+}
+
+// SetCtx is Set bounded by ctx (on a ReplicaSet the budget covers
+// redirects and failover retries).
+func (o ops) SetCtx(ctx context.Context, key, val []byte) error {
+	_, err := o.call(ctx, &wire.Request{Op: wire.OpSet, Sem: wire.SemDefault, Key: key, Val: val})
+	return err
 }
 
 // CAS atomically replaces key's value with new if it currently equals
 // old. swapped reports success; on mismatch, current carries the value
 // found. A missing key reports swapped=false with found=false.
-func (cl *Client) CAS(key, old, new []byte) (swapped, found bool, current []byte, err error) {
-	r, err := cl.do1(&wire.Request{Op: wire.OpCAS, Sem: wire.SemDefault, Key: key, Old: old, Val: new})
+func (o ops) CAS(key, old, new []byte) (swapped, found bool, current []byte, err error) {
+	r, err := o.call(context.Background(), &wire.Request{Op: wire.OpCAS, Sem: wire.SemDefault, Key: key, Old: old, Val: new})
 	if err != nil {
-		return false, false, nil, err
-	}
-	if err := r.Err(); err != nil {
 		return false, false, nil, err
 	}
 	switch r.Status {
@@ -460,12 +481,9 @@ func (cl *Client) CAS(key, old, new []byte) (swapped, found bool, current []byte
 }
 
 // Del removes key, reporting whether it existed.
-func (cl *Client) Del(key []byte) (bool, error) {
-	r, err := cl.do1(&wire.Request{Op: wire.OpDel, Sem: wire.SemDefault, Key: key})
+func (o ops) Del(key []byte) (bool, error) {
+	r, err := o.call(context.Background(), &wire.Request{Op: wire.OpDel, Sem: wire.SemDefault, Key: key})
 	if err != nil {
-		return false, err
-	}
-	if err := r.Err(); err != nil {
 		return false, err
 	}
 	return r.Status == wire.StatusOK, nil
@@ -473,12 +491,9 @@ func (cl *Client) Del(key []byte) (bool, error) {
 
 // Scan walks [from, to) in key order (server default: weak/elastic
 // semantics). An empty `to` scans to the end; limit 0 is unbounded.
-func (cl *Client) Scan(from, to []byte, limit uint64) ([]wire.KV, error) {
-	r, err := cl.do1(&wire.Request{Op: wire.OpScan, Sem: wire.SemDefault, From: from, To: to, Limit: limit})
+func (o ops) Scan(from, to []byte, limit uint64) ([]wire.KV, error) {
+	r, err := o.call(context.Background(), &wire.Request{Op: wire.OpScan, Sem: wire.SemDefault, From: from, To: to, Limit: limit})
 	if err != nil {
-		return nil, err
-	}
-	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	return r.Pairs, nil
@@ -486,12 +501,9 @@ func (cl *Client) Scan(from, to []byte, limit uint64) ([]wire.KV, error) {
 
 // MGet reads many keys in one transaction (server default: snapshot
 // semantics). vals[i] is nil when found[i] is false.
-func (cl *Client) MGet(keys ...[]byte) (vals [][]byte, found []bool, err error) {
-	r, err := cl.do1(&wire.Request{Op: wire.OpMGet, Sem: wire.SemDefault, Keys: keys})
+func (o ops) MGet(keys ...[]byte) (vals [][]byte, found []bool, err error) {
+	r, err := o.call(context.Background(), &wire.Request{Op: wire.OpMGet, Sem: wire.SemDefault, Keys: keys})
 	if err != nil {
-		return nil, nil, err
-	}
-	if err := r.Err(); err != nil {
 		return nil, nil, err
 	}
 	vals = make([][]byte, len(r.Batch))
@@ -507,12 +519,9 @@ func (cl *Client) MGet(keys ...[]byte) (vals [][]byte, found []bool, err error) 
 
 // Txn runs sub (GET/SET/CAS/DEL requests) as ONE transaction and
 // returns the per-operation responses.
-func (cl *Client) Txn(sub ...wire.Request) ([]wire.Response, error) {
-	r, err := cl.do1(&wire.Request{Op: wire.OpTxn, Sem: wire.SemDefault, Batch: sub})
+func (o ops) Txn(sub ...wire.Request) ([]wire.Response, error) {
+	r, err := o.call(context.Background(), &wire.Request{Op: wire.OpTxn, Sem: wire.SemDefault, Batch: sub})
 	if err != nil {
-		return nil, err
-	}
-	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	return r.Batch, nil
@@ -521,24 +530,18 @@ func (cl *Client) Txn(sub ...wire.Request) ([]wire.Response, error) {
 // Incr atomically adds delta to the integer at key (missing keys start
 // at 0; def semantics server-side, one round trip) and returns the new
 // value. A non-integer value or int64 overflow is a StatusErr.
-func (cl *Client) Incr(key []byte, delta uint64) (int64, error) {
-	r, err := cl.do1(&wire.Request{Op: wire.OpIncr, Sem: wire.SemDefault, Key: key, Delta: delta})
-	if err != nil {
-		return 0, err
-	}
-	if err := r.Err(); err != nil {
-		return 0, err
-	}
-	return r.Int, nil
+func (o ops) Incr(key []byte, delta uint64) (int64, error) {
+	return o.counter(wire.OpIncr, key, delta)
 }
 
 // Decr is Incr with a negative delta.
-func (cl *Client) Decr(key []byte, delta uint64) (int64, error) {
-	r, err := cl.do1(&wire.Request{Op: wire.OpDecr, Sem: wire.SemDefault, Key: key, Delta: delta})
+func (o ops) Decr(key []byte, delta uint64) (int64, error) {
+	return o.counter(wire.OpDecr, key, delta)
+}
+
+func (o ops) counter(op wire.Op, key []byte, delta uint64) (int64, error) {
+	r, err := o.call(context.Background(), &wire.Request{Op: op, Sem: wire.SemDefault, Key: key, Delta: delta})
 	if err != nil {
-		return 0, err
-	}
-	if err := r.Err(); err != nil {
 		return 0, err
 	}
 	return r.Int, nil
@@ -548,35 +551,27 @@ func (cl *Client) Decr(key []byte, delta uint64) (int64, error) {
 // reads as absent (lazy expiry) and is eventually deleted by the
 // server's reaper. TTLs below one millisecond are an error server-side
 // (the wire carries whole milliseconds).
-func (cl *Client) SetEx(key, val []byte, ttl time.Duration) error {
-	r, err := cl.do1(&wire.Request{Op: wire.OpSetEx, Sem: wire.SemDefault, Key: key, Val: val, TTLMillis: uint64(ttl / time.Millisecond)})
-	if err != nil {
-		return err
-	}
-	return r.Err()
+func (o ops) SetEx(key, val []byte, ttl time.Duration) error {
+	_, err := o.call(context.Background(), &wire.Request{Op: wire.OpSetEx, Sem: wire.SemDefault, Key: key, Val: val, TTLMillis: uint64(ttl / time.Millisecond)})
+	return err
 }
 
 // Ping runs one liveness round trip (no transaction server-side).
-func (cl *Client) Ping() error {
-	return cl.PingCtx(context.Background())
+func (o ops) Ping() error {
+	return o.PingCtx(context.Background())
 }
 
 // PingCtx is Ping bounded by ctx.
-func (cl *Client) PingCtx(ctx context.Context) error {
-	rs, err := cl.DoCtx(ctx, &wire.Request{Op: wire.OpPing, Sem: wire.SemDefault})
-	if err != nil {
-		return err
-	}
-	return rs[0].Err()
+func (o ops) PingCtx(ctx context.Context) error {
+	_, err := o.call(ctx, &wire.Request{Op: wire.OpPing, Sem: wire.SemDefault})
+	return err
 }
 
-// Stats fetches the engine counters as a name→value map.
-func (cl *Client) Stats() (map[string]uint64, error) {
-	r, err := cl.do1(&wire.Request{Op: wire.OpStats, Sem: wire.SemDefault})
+// Stats fetches the engine counters as a name→value map (a
+// ReplicaSet's come from its current primary).
+func (o ops) Stats() (map[string]uint64, error) {
+	r, err := o.call(context.Background(), &wire.Request{Op: wire.OpStats, Sem: wire.SemDefault})
 	if err != nil {
-		return nil, err
-	}
-	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	m := make(map[string]uint64, len(r.Counters))
@@ -588,25 +583,19 @@ func (cl *Client) Stats() (map[string]uint64, error) {
 
 // Flush removes every key (admin; irrevocable semantics), returning the
 // removed count.
-func (cl *Client) Flush() (uint64, error) {
-	r, err := cl.do1(&wire.Request{Op: wire.OpFlush, Sem: wire.SemDefault})
-	if err != nil {
-		return 0, err
-	}
-	if err := r.Err(); err != nil {
-		return 0, err
-	}
-	return r.N, nil
+func (o ops) Flush() (uint64, error) {
+	return o.admin(wire.OpFlush)
 }
 
 // Rebuild re-levels the store's index (admin; irrevocable semantics),
 // returning the key count.
-func (cl *Client) Rebuild() (uint64, error) {
-	r, err := cl.do1(&wire.Request{Op: wire.OpRebuild, Sem: wire.SemDefault})
+func (o ops) Rebuild() (uint64, error) {
+	return o.admin(wire.OpRebuild)
+}
+
+func (o ops) admin(op wire.Op) (uint64, error) {
+	r, err := o.call(context.Background(), &wire.Request{Op: op, Sem: wire.SemDefault})
 	if err != nil {
-		return 0, err
-	}
-	if err := r.Err(); err != nil {
 		return 0, err
 	}
 	return r.N, nil
@@ -633,8 +622,8 @@ func (cl *Client) Split(shard uint64) (uint64, error) {
 }
 
 // Merge asks the server to merge buddy shards a and b (stable ids,
-// admin) back into a, returning the new routing epoch. Epoch contract
-// as in Split.
+// admin, either order) into the one holding the lower hash residue,
+// returning the new routing epoch. Epoch contract as in Split.
 func (cl *Client) Merge(a, b uint64) (uint64, error) {
 	return cl.reshard(&wire.Request{Op: wire.OpMerge, Sem: wire.SemDefault, Shard: a, Shard2: b})
 }
@@ -649,11 +638,7 @@ func (cl *Client) reshard(req *wire.Request) (uint64, error) {
 	var lastErr error
 	for attempt := 0; attempt < 4; attempt++ {
 		req.Epoch = epoch
-		r, err := cl.do1(req)
-		if err != nil {
-			return 0, err
-		}
-		err = r.Err()
+		r, err := cl.call(context.Background(), req)
 		if err == nil {
 			return r.N, nil
 		}

@@ -78,21 +78,23 @@ func (e *endpoint) drop() {
 }
 
 // ReplicaSet is a topology-aware client over one primary and any
-// number of follower replicas:
+// number of follower replicas. It serves Client's typed operations —
+// the same code (ops), over a transport that routes by opcode:
 //
-//   - snapshot-class reads (Get/MGet/Scan) load-balance round-robin
+//   - snapshot-class reads (GET/MGET/SCAN) load-balance round-robin
 //     across the replicas, falling back to the primary when a replica
 //     is down (or none are configured);
-//   - writes pin to the primary. A *wire.NotPrimaryError redirect is
-//     followed to the address it names; a transport error triggers
-//     failover — the set walks its known endpoints with backoff until
-//     one accepts the write (a promoted follower) — both bounded by
-//     MaxHops.
+//   - everything else pins to the primary. A *wire.NotPrimaryError
+//     redirect is followed to the address it names; a transport error
+//     triggers failover — the set walks its known endpoints with
+//     backoff until one accepts the request (a promoted follower) —
+//     both bounded by MaxHops.
 //
 // The consistency contract matches the server's: replica reads are
 // prefix-consistent snapshots (possibly slightly stale), exactly what
 // snapshot/weak semantics already promise on the primary.
 type ReplicaSet struct {
+	ops  // the typed operations, over route
 	cfg  ReplicaSetConfig
 	opts []Option
 
@@ -125,6 +127,7 @@ func DialReplicaSet(primary string, replicas []string, cfg ReplicaSetConfig) (*R
 		opts = append(opts, WithIdlePing(cfg.IdlePing, 0))
 	}
 	rs := &ReplicaSet{cfg: cfg, opts: opts}
+	rs.send = rs.route
 	rs.endpoints = append(rs.endpoints, &endpoint{addr: primary})
 	for _, r := range replicas {
 		if r == "" || r == primary {
@@ -226,7 +229,17 @@ func (rs *ReplicaSet) nextReplica() *endpoint {
 	return nil
 }
 
-// write sends one mutating request to the primary, following
+// route is the set's transport: the opcodes a follower may answer go to
+// a replica, every other to the primary.
+func (rs *ReplicaSet) route(ctx context.Context, req *wire.Request) (*wire.Response, error) {
+	switch req.Op {
+	case wire.OpGet, wire.OpMGet, wire.OpScan:
+		return rs.read(ctx, req)
+	}
+	return rs.write(ctx, req)
+}
+
+// write sends one request to the primary, following
 // NotPrimary redirects and failing over past dead endpoints, bounded
 // by MaxHops.
 func (rs *ReplicaSet) write(ctx context.Context, req *wire.Request) (*wire.Response, error) {
@@ -239,10 +252,9 @@ func (rs *ReplicaSet) write(ctx context.Context, req *wire.Request) (*wire.Respo
 		ep := rs.primaryEndpoint()
 		cl, err := ep.client(rs.opts)
 		if err == nil {
-			var resps []*wire.Response
-			resps, err = cl.DoCtx(ctx, req)
+			var resp *wire.Response
+			resp, err = cl.roundTrip(ctx, req)
 			if err == nil {
-				resp := resps[0]
 				var np *wire.NotPrimaryError
 				if err := resp.Err(); errors.As(err, &np) {
 					// The follower told us who leads: go there. With no
@@ -280,8 +292,8 @@ func (rs *ReplicaSet) write(ctx context.Context, req *wire.Request) (*wire.Respo
 func (rs *ReplicaSet) read(ctx context.Context, req *wire.Request) (*wire.Response, error) {
 	if ep := rs.nextReplica(); ep != nil {
 		if cl, err := ep.client(rs.opts); err == nil {
-			if resps, err := cl.DoCtx(ctx, req); err == nil {
-				return resps[0], nil
+			if resp, err := cl.roundTrip(ctx, req); err == nil {
+				return resp, nil
 			}
 			ep.drop()
 		}
@@ -291,105 +303,7 @@ func (rs *ReplicaSet) read(ctx context.Context, req *wire.Request) (*wire.Respon
 	if err != nil {
 		return nil, err
 	}
-	resps, err := cl.DoCtx(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	return resps[0], nil
-}
-
-// Get reads key from a replica (snapshot semantics; prefix-consistent,
-// possibly stale).
-func (rs *ReplicaSet) Get(key []byte) (val []byte, ok bool, err error) {
-	r, err := rs.read(context.Background(), &wire.Request{Op: wire.OpGet, Sem: wire.SemDefault, Key: key})
-	if err != nil {
-		return nil, false, err
-	}
-	if err := r.Err(); err != nil {
-		return nil, false, err
-	}
-	return r.Val, r.Status == wire.StatusOK, nil
-}
-
-// MGet reads many keys in one snapshot transaction on a replica.
-func (rs *ReplicaSet) MGet(keys ...[]byte) (vals [][]byte, found []bool, err error) {
-	r, err := rs.read(context.Background(), &wire.Request{Op: wire.OpMGet, Sem: wire.SemDefault, Keys: keys})
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := r.Err(); err != nil {
-		return nil, nil, err
-	}
-	vals = make([][]byte, len(r.Batch))
-	found = make([]bool, len(r.Batch))
-	for i := range r.Batch {
-		if r.Batch[i].Status == wire.StatusOK {
-			vals[i] = r.Batch[i].Val
-			found[i] = true
-		}
-	}
-	return vals, found, nil
-}
-
-// Scan walks [from, to) on a replica.
-func (rs *ReplicaSet) Scan(from, to []byte, limit uint64) ([]wire.KV, error) {
-	r, err := rs.read(context.Background(), &wire.Request{Op: wire.OpScan, Sem: wire.SemDefault, From: from, To: to, Limit: limit})
-	if err != nil {
-		return nil, err
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return r.Pairs, nil
-}
-
-// Set writes key on the primary.
-func (rs *ReplicaSet) Set(key, val []byte) error {
-	return rs.SetCtx(context.Background(), key, val)
-}
-
-// SetCtx is Set bounded by ctx (the budget covers redirects and
-// failover retries).
-func (rs *ReplicaSet) SetCtx(ctx context.Context, key, val []byte) error {
-	r, err := rs.write(ctx, &wire.Request{Op: wire.OpSet, Sem: wire.SemDefault, Key: key, Val: val})
-	if err != nil {
-		return err
-	}
-	return r.Err()
-}
-
-// Del removes key on the primary, reporting whether it existed.
-func (rs *ReplicaSet) Del(key []byte) (bool, error) {
-	r, err := rs.write(context.Background(), &wire.Request{Op: wire.OpDel, Sem: wire.SemDefault, Key: key})
-	if err != nil {
-		return false, err
-	}
-	if err := r.Err(); err != nil {
-		return false, err
-	}
-	return r.Status == wire.StatusOK, nil
-}
-
-// Txn runs sub as one transaction on the primary.
-func (rs *ReplicaSet) Txn(sub ...wire.Request) ([]wire.Response, error) {
-	r, err := rs.write(context.Background(), &wire.Request{Op: wire.OpTxn, Sem: wire.SemDefault, Batch: sub})
-	if err != nil {
-		return nil, err
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return r.Batch, nil
-}
-
-// Stats fetches the primary's counters.
-func (rs *ReplicaSet) Stats() (map[string]uint64, error) {
-	ep := rs.primaryEndpoint()
-	cl, err := ep.client(rs.opts)
-	if err != nil {
-		return nil, err
-	}
-	return cl.Stats()
+	return cl.roundTrip(ctx, req)
 }
 
 // ReplicaStats fetches each replica endpoint's counters, keyed by

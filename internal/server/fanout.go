@@ -29,9 +29,8 @@ import (
 // one shard): one transaction on the caller's goroutine. Otherwise the
 // keys are grouped by owning shard and the per-shard transactions, which
 // write disjoint slots, fan out.
-func (s *Store) mget(ctx context.Context, keys [][]byte, sem core.Semantics, resp *wire.Response) {
+func (s *Store) mget(ctx context.Context, keys [][]byte, sem core.Semantics, resp *wire.Response) error {
 	tab := s.tab()
-	resp.Batch = resp.Batch[:0]
 	for range keys {
 		appendSub(resp)
 	}
@@ -45,18 +44,10 @@ func (s *Store) mget(ctx context.Context, keys [][]byte, sem core.Semantics, res
 			}
 		}
 	}
-	var err error
 	if only != nil {
-		err = s.mgetShard(ctx, only, 0, nil, keys, sem, resp)
-	} else {
-		err = s.mgetFanout(ctx, tab, keys, sem, resp)
+		return s.mgetShard(ctx, only, 0, nil, keys, sem, resp)
 	}
-	if err != nil {
-		resp.Batch = resp.Batch[:0]
-		errInto(resp, err)
-		return
-	}
-	resp.Status = wire.StatusOK
+	return s.mgetFanout(ctx, tab, keys, sem, resp)
 }
 
 // mgetFan is the state one cross-shard MGET's per-shard transactions
@@ -145,7 +136,7 @@ type kvPair struct {
 // slices into resp.Pairs, stopping at limit. Shard count is small (a
 // handful, bounded by cores), so the linear min-pick per emitted pair
 // beats a heap on real sizes.
-func (s *Store) scanFanout(ctx context.Context, tab *routingTable, from, to []byte, limit uint64, sem core.Semantics, resp *wire.Response) {
+func (s *Store) scanFanout(ctx context.Context, tab *routingTable, from, to []byte, limit uint64, sem core.Semantics, resp *wire.Response) error {
 	n := len(tab.shards)
 	results := make([][]kvPair, n)
 	errs := make([]error, n)
@@ -186,11 +177,9 @@ func (s *Store) scanFanout(ctx context.Context, tab *routingTable, from, to []by
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			errInto(resp, err)
-			return
+			return err
 		}
 	}
-	resp.Pairs = resp.Pairs[:0]
 	heads := make([]int, n)
 	for limit == 0 || uint64(len(resp.Pairs)) < limit {
 		best := -1
@@ -209,5 +198,5 @@ func (s *Store) scanFanout(ctx context.Context, tab *routingTable, from, to []by
 		appendPair(resp, p.k, p.v)
 		heads[best]++
 	}
-	resp.Status = wire.StatusOK
+	return nil
 }

@@ -125,13 +125,15 @@ func (g *connGate) flush(c net.Conn) error {
 func (g *connGate) restage(errs []error) {
 	old, from := g.stage, 0
 	out := make([]byte, 0, len(old))
+	var resp wire.Response
 	for i, err := range errs {
 		at := g.open[i].reply
 		if err == nil || at < from {
 			continue
 		}
 		out = append(out, old[from:at]...)
-		out, _ = wire.AppendResponseFrame(out, wire.OpGet, &wire.Response{Status: wire.StatusErr, Msg: err.Error()})
+		errInto(&resp, err)
+		out, _ = wire.AppendResponseFrame(out, wire.OpGet, &resp)
 		from = at + 4 + int(binary.BigEndian.Uint32(old[at:]))
 	}
 	g.stage = append(out, old[from:]...)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -101,4 +102,80 @@ func TestPipelinedAckGateFailure(t *testing.T) {
 			break
 		}
 	}
+}
+
+// TestErrorReplyIsScrubbed: an error reply is its message and nothing
+// else, wherever the error became a reply. A Response (and a connection)
+// that last carried a 16-pair SCAN and a 4-slot TXN is handed requests
+// that fail before, inside and — on the pipelined connection, whose ack
+// gate fails after the OK reply was staged — after their handler filled
+// it in.
+func TestErrorReplyIsScrubbed(t *testing.T) {
+	srv, addr := startReplServer(t, Config{StoreShards: 2}, &Durability{Dir: t.TempDir(), Fsync: wal.ModeBatch, CheckpointEvery: -1}, nil)
+	st := srv.Store()
+	cl := dialGate(t, addr)
+	doOK(t, cl, gateSets(16)...)
+	var on1 [][]byte // keys of the shard whose log gets poisoned
+	for i := 0; len(on1) < 2; i++ {
+		if st.shardIdx(gateKey(i)) == 1 {
+			on1 = append(on1, gateKey(i))
+		}
+	}
+	scan := &wire.Request{Op: wire.OpScan, Sem: wire.SemDefault, Limit: 16}
+	txn := &wire.Request{Op: wire.OpTxn, Sem: wire.SemDefault, Batch: []wire.Request{
+		{Op: wire.OpGet, Key: on1[0]}, {Op: wire.OpGet, Key: on1[1]},
+		{Op: wire.OpSet, Key: on1[0], Val: []byte("x")}, {Op: wire.OpSet, Key: on1[1], Val: []byte("y")},
+	}}
+	scrubbed := func(t *testing.T, what string, r *wire.Response) {
+		t.Helper()
+		if r.Status != wire.StatusErr || r.Msg == "" {
+			t.Fatalf("%s: answered %v %q, want an error", what, r.Status, r.Msg)
+		}
+		if len(r.Val)+len(r.Pairs)+len(r.Batch)+len(r.Counters) != 0 || r.N != 0 || r.Int != 0 {
+			t.Errorf("%s: the error reply still carries %+v", what, r)
+		}
+	}
+
+	t.Run("ExecuteInto", func(t *testing.T) {
+		cancelled, cancel := context.WithCancel(context.Background())
+		cancel()
+		resp := new(wire.Response)
+		for _, tc := range []struct {
+			name string
+			ctx  context.Context
+			req  *wire.Request
+		}{
+			// Refused by the dispatcher, by the handler's own check, and by
+			// the engine after MGET had laid out its four slots.
+			{"TXN bad sub-op", context.Background(), &wire.Request{Op: wire.OpTxn, Sem: wire.SemDefault, Batch: []wire.Request{{Op: wire.OpGet, Key: on1[0]}, {Op: wire.OpScan}}}},
+			{"INCR overflow", context.Background(), &wire.Request{Op: wire.OpIncr, Sem: wire.SemDefault, Key: on1[0], Delta: 1 << 63}},
+			{"MGET cancelled", cancelled, &wire.Request{Op: wire.OpMGet, Sem: wire.SemDefault, Keys: [][]byte{on1[0], on1[1], gateKey(0), gateKey(1)}}},
+		} {
+			if st.ExecuteInto(scan, resp); len(resp.Pairs) != 16 {
+				t.Fatalf("SCAN 16 answered %d pairs", len(resp.Pairs))
+			}
+			if st.ExecuteInto(txn, resp); len(resp.Batch) != 4 {
+				t.Fatalf("TXN4 answered %d slots", len(resp.Batch))
+			}
+			st.ExecuteCtx(tc.ctx, tc.req, resp)
+			scrubbed(t, tc.name, resp)
+		}
+	})
+
+	t.Run("restage", func(t *testing.T) {
+		poisonLog(t, st.tab().shards[1].wal)
+		incr := &wire.Request{Op: wire.OpIncr, Sem: wire.SemDefault, Key: []byte("ctr-" + string(on1[0])), Delta: 1}
+		for st.shardIdx(incr.Key) != 1 {
+			incr.Key = append(incr.Key, '+')
+		}
+		rs, err := cl.Do(scan, txn, incr, gateGet(0))
+		if err != nil || len(rs) != 4 {
+			t.Fatalf("pipeline over a poisoned shard: %d replies, %v", len(rs), err)
+		}
+		if rs[0].Status != wire.StatusOK || len(rs[0].Pairs) != 16 || rs[3].Status != wire.StatusOK {
+			t.Fatalf("the reads around the failed gates came back %v (%d pairs) and %v", rs[0].Status, len(rs[0].Pairs), rs[3].Status)
+		}
+		scrubbed(t, "TXN4 whose gate failed", rs[1])
+		scrubbed(t, "INCR behind it", rs[2])
+	})
 }

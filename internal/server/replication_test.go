@@ -411,6 +411,140 @@ func TestClientFailover(t *testing.T) {
 	}
 }
 
+// typedOps is the typed vocabulary both client types must expose: the
+// assignments in TestReplicaSetSharesClientOps fail to compile if
+// either grows an operation the other lacks.
+type typedOps interface {
+	Get(key []byte) ([]byte, bool, error)
+	Set(key, val []byte) error
+	SetCtx(ctx context.Context, key, val []byte) error
+	CAS(key, old, new []byte) (swapped, found bool, current []byte, err error)
+	Del(key []byte) (bool, error)
+	Scan(from, to []byte, limit uint64) ([]wire.KV, error)
+	MGet(keys ...[]byte) ([][]byte, []bool, error)
+	Txn(sub ...wire.Request) ([]wire.Response, error)
+	Incr(key []byte, delta uint64) (int64, error)
+	Decr(key []byte, delta uint64) (int64, error)
+	SetEx(key, val []byte, ttl time.Duration) error
+	Ping() error
+	PingCtx(ctx context.Context) error
+	Stats() (map[string]uint64, error)
+	Flush() (uint64, error)
+	Rebuild() (uint64, error)
+}
+
+// TestReplicaSetSharesClientOps: a ReplicaSet serves Client's whole
+// typed vocabulary — the same code over a routing transport — so every
+// operation gives the result a plain primary connection gives, GET/
+// MGET/SCAN are served by the follower and everything else (CAS, INCR,
+// SETEX, FLUSH, STATS: none of which a ReplicaSet could issue before)
+// by the primary.
+func TestReplicaSetSharesClientOps(t *testing.T) {
+	_, paddr := startReplServer(t, Config{StoreShards: 2},
+		&Durability{Dir: t.TempDir(), Fsync: wal.ModeOff, CheckpointEvery: -1},
+		&ReplConfig{SyncAck: true}) // a write's ack means the follower has it
+	fsrv, faddr := startReplServer(t, Config{StoreShards: 2},
+		&Durability{Dir: t.TempDir(), Fsync: wal.ModeOff, CheckpointEvery: -1},
+		&ReplConfig{Follow: paddr, Backoff: repl.Backoff{Min: 10 * time.Millisecond}})
+	waitCond(t, 10*time.Second, "follower streaming", func() bool {
+		fl := fsrv.Follower()
+		return fl != nil && fl.State() == repl.StateStreaming
+	})
+	dial := func(addr string) *client.Client {
+		cl, err := client.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		return cl
+	}
+	pcl, fcl := dial(paddr), dial(faddr)
+	rs, err := client.DialReplicaSet(paddr, []string{faddr}, client.ReplicaSetConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+
+	// routed sums an endpoint's shardN.ops rows: the requests its store
+	// routed (a follower's apply stream and its refusals route nothing).
+	routed := func(cl *client.Client) (n uint64) {
+		m, err := cl.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []int{0, 1} {
+			n += m[fmt.Sprintf("shard%d.ops", id)]
+		}
+		return n
+	}
+	const onPrimary, onFollower, unrouted = "primary", "follower", ""
+	k, ctr, val := []byte("k"), []byte("ctr"), []byte("v1")
+	// Run in order from an empty store, the table is deterministic and
+	// ends on FLUSH, so a second run starts where the first did.
+	table := []struct {
+		name string
+		on   string
+		run  func(c typedOps) string
+	}{
+		{"Set", onPrimary, func(c typedOps) string { return fmt.Sprint(c.Set(k, val)) }},
+		{"SetCtx", onPrimary, func(c typedOps) string { return fmt.Sprint(c.SetCtx(context.Background(), []byte("k2"), val)) }},
+		{"Get", onFollower, func(c typedOps) string { return fmt.Sprint(c.Get(k)) }},
+		{"Get-miss", onFollower, func(c typedOps) string { return fmt.Sprint(c.Get([]byte("nope"))) }},
+		{"MGet", onFollower, func(c typedOps) string { return fmt.Sprint(c.MGet(k, []byte("nope"), []byte("k2"))) }},
+		{"Scan", onFollower, func(c typedOps) string { return fmt.Sprint(c.Scan(nil, nil, 0)) }},
+		{"CAS", onPrimary, func(c typedOps) string { return fmt.Sprint(c.CAS(k, val, []byte("v2"))) }},
+		{"CAS-mismatch", onPrimary, func(c typedOps) string { return fmt.Sprint(c.CAS(k, val, []byte("v3"))) }},
+		{"Incr", onPrimary, func(c typedOps) string { return fmt.Sprint(c.Incr(ctr, 5)) }},
+		{"Decr", onPrimary, func(c typedOps) string { return fmt.Sprint(c.Decr(ctr, 2)) }},
+		{"Incr-non-integer", onPrimary, func(c typedOps) string { return fmt.Sprint(c.Incr(k, 1)) }},
+		{"SetEx", onPrimary, func(c typedOps) string { return fmt.Sprint(c.SetEx([]byte("ttl"), val, time.Hour)) }},
+		{"SetEx-zero", unrouted, func(c typedOps) string { return fmt.Sprint(c.SetEx([]byte("ttl"), val, 0)) }},
+		{"Txn", onPrimary, func(c typedOps) string {
+			return fmt.Sprint(c.Txn(wire.Request{Op: wire.OpGet, Key: ctr}, wire.Request{Op: wire.OpSet, Key: []byte("k3"), Val: val}))
+		}},
+		{"Del", onPrimary, func(c typedOps) string { return fmt.Sprint(c.Del([]byte("k2"))) }},
+		{"Ping", unrouted, func(c typedOps) string { return fmt.Sprint(c.Ping(), c.PingCtx(context.Background())) }},
+		{"Stats", unrouted, func(c typedOps) string {
+			m, err := c.Stats()
+			return fmt.Sprint(Role(m["repl_role"]), m["store_shards"], err)
+		}},
+		{"Rebuild", onPrimary, func(c typedOps) string { return fmt.Sprint(c.Rebuild()) }},
+		{"Flush", onPrimary, func(c typedOps) string { return fmt.Sprint(c.Flush()) }},
+	}
+	want := make([]string, len(table))
+	for i, row := range table {
+		want[i] = row.run(pcl)
+	}
+	if want[len(want)-3] != fmt.Sprint(RolePrimary, 2, error(nil)) {
+		t.Fatalf("Stats over the primary connection: %s", want[len(want)-3])
+	}
+	for i, row := range table {
+		p0, f0 := routed(pcl), routed(fcl)
+		got := row.run(rs)
+		p, f := routed(pcl)-p0, routed(fcl)-f0
+		if got != want[i] {
+			t.Errorf("%s: ReplicaSet answered %s, Client %s", row.name, got, want[i])
+		}
+		if (p > 0) != (row.on == onPrimary) || (f > 0) != (row.on == onFollower) {
+			t.Errorf("%s: routed %d requests on the primary and %d on the follower, want them on %q", row.name, p, f, row.on)
+		}
+	}
+
+	// A set pointed at the follower still gets its writes through: the
+	// NotPrimaryError names the primary and the request follows it.
+	astray, err := client.DialReplicaSet(faddr, nil, client.ReplicaSetConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer astray.Close()
+	if n, err := astray.Incr(ctr, 7); err != nil || n != 7 {
+		t.Fatalf("INCR through a set pointed at the follower: %d %v", n, err)
+	}
+	if astray.PrimaryAddr() != paddr || astray.Failovers() != 1 {
+		t.Fatalf("after the redirect the set points at %q (%d re-points), want %q", astray.PrimaryAddr(), astray.Failovers(), paddr)
+	}
+}
+
 // TestPromotedFollowerServesFeeds: a promoted durable follower starts
 // its own hub, so a new follower can chain off it.
 func TestPromotedFollowerServesFeeds(t *testing.T) {

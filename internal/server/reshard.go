@@ -62,28 +62,6 @@ func (t *routingTable) posByID(id int) int {
 	return -1
 }
 
-// splitOp serves the SPLIT admin request.
-func (s *Store) splitOp(ctx context.Context, req *wire.Request, resp *wire.Response) {
-	epoch, err := s.Split(ctx, req.Epoch, int(req.Shard))
-	if err != nil {
-		errInto(resp, err)
-		return
-	}
-	resp.N = epoch
-	resp.Status = wire.StatusOK
-}
-
-// mergeOp serves the MERGE admin request.
-func (s *Store) mergeOp(ctx context.Context, req *wire.Request, resp *wire.Response) {
-	epoch, err := s.Merge(ctx, req.Epoch, int(req.Shard), int(req.Shard2))
-	if err != nil {
-		errInto(resp, err)
-		return
-	}
-	resp.N = epoch
-	resp.Status = wire.StatusOK
-}
-
 // Split halves the hash slice of the shard with stable id srcID onto a
 // brand-new shard, live. wantEpoch must match the current routing epoch
 // (the admin client's view — a stale view gets *wire.WrongEpochError

@@ -114,25 +114,22 @@ func TestReadMissOnMovedKeyReroutes(t *testing.T) {
 
 	for _, tc := range []struct {
 		name string
-		run  func(resp *wire.Response)
+		run  func(resp *wire.Response) error
 	}{
-		{"GET", func(resp *wire.Response) { st.get(ctx, src, moved, core.Snapshot, resp) }},
-		{"MGET", func(resp *wire.Response) {
+		{"GET", func(resp *wire.Response) error { return st.get(ctx, src, moved, core.Snapshot, resp) }},
+		{"MGET", func(resp *wire.Response) error {
 			appendSub(resp)
-			if err := st.mgetShard(ctx, src, 0, nil, [][]byte{moved}, core.Snapshot, resp); err != nil {
-				errInto(resp, err) // what mget does with it
-			}
+			return st.mgetShard(ctx, src, 0, nil, [][]byte{moved}, core.Snapshot, resp)
 		}},
-		{"TXN-GET", func(resp *wire.Response) {
-			st.txnShard(ctx, src, []wire.Request{{Op: wire.OpGet, Key: moved}}, core.Def, resp)
+		{"TXN-GET", func(resp *wire.Response) error {
+			return st.txnShard(ctx, src, []wire.Request{{Op: wire.OpGet, Key: moved}}, core.Def, resp)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp := new(wire.Response)
-			tc.run(resp)
-			if resp.Status != wire.StatusErr || resp.Msg != errMovedKey.Error() {
-				t.Fatalf("stale-routed read of a moved key answered %v %q %+v, want the moved-key retry signal",
-					resp.Status, resp.Msg, resp.Batch)
+			if err := tc.run(resp); !errors.Is(err, errMovedKey) {
+				t.Fatalf("stale-routed read of a moved key returned %v (reply %v %+v), want the moved-key retry signal",
+					err, resp.Status, resp.Batch)
 			}
 		})
 	}
@@ -208,6 +205,33 @@ func TestMergeRoundTrip(t *testing.T) {
 	// Merging the last shard with itself (or a ghost) is rejected.
 	if _, err := st.Merge(ctx, 3, 0, 0); err == nil {
 		t.Fatal("self-merge accepted")
+	}
+}
+
+// TestMergeSurvivorIsLowerResidue: MERGE keeps the buddy holding the
+// lower hash residue whichever argument names it — (a, b) and (b, a)
+// are the same request — and answers with the epoch it published.
+func TestMergeSurvivorIsLowerResidue(t *testing.T) {
+	for _, order := range [][2]uint64{{0, 2}, {2, 0}} {
+		t.Run(fmt.Sprintf("MERGE %d,%d", order[0], order[1]), func(t *testing.T) {
+			st := newSharded(2)
+			// id 0 keeps (4,0); the new shard, id 2, takes (4,2).
+			if _, err := st.Split(context.Background(), 0, 0); err != nil {
+				t.Fatalf("Split: %v", err)
+			}
+			resp := execOK(t, st, &wire.Request{Op: wire.OpMerge, Sem: wire.SemDefault, Epoch: 1, Shard: order[0], Shard2: order[1]})
+			if resp.N != 2 {
+				t.Fatalf("MERGE answered epoch %d, want 2", resp.N)
+			}
+			tab := st.tab()
+			pos := tab.posByID(0)
+			if pos < 0 || tab.posByID(2) >= 0 || len(tab.shards) != 2 {
+				t.Fatalf("after MERGE: shard 0 at %d, shard 2 at %d of %d shards; want 0 to survive", pos, tab.posByID(2), len(tab.shards))
+			}
+			if sl := tab.slices[pos]; sl.mod != 2 || sl.res != 0 {
+				t.Fatalf("survivor owns (%d,%d), want (2,0)", sl.mod, sl.res)
+			}
+		})
 	}
 }
 

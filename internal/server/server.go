@@ -269,7 +269,6 @@ func (s *Server) handle(c net.Conn) {
 				// The stream cannot be resynchronized past an oversize
 				// length prefix, so the connection must end — but the
 				// client still gets one typed refusal before the cut.
-				resetResponse(&resp)
 				errInto(&resp, &wire.ProtocolError{Code: wire.ProtoOversize, Detail: err.Error()})
 				if fr, e := wire.AppendResponseFrame(nil, wire.OpGet, &resp); e == nil {
 					c.Write(fr)
@@ -292,7 +291,6 @@ func (s *Server) handle(c net.Conn) {
 			// survived, so the pipeline stays aligned and the connection
 			// lives on. Unknown opcodes get their own code so clients can
 			// tell "server too old" from "I sent garbage".
-			resetResponse(&resp)
 			code := wire.ProtoMalformed
 			if errors.Is(err, wire.ErrBadOp) {
 				code = wire.ProtoUnknownOp
@@ -325,7 +323,6 @@ func (s *Server) handle(c net.Conn) {
 		}
 		g.stage, err = wire.AppendResponseFrame(g.stage, op, &resp)
 		if err != nil {
-			resetResponse(&resp)
 			errInto(&resp, err)
 			g.stage, _ = wire.AppendResponseFrame(g.stage, op, &resp)
 		}

@@ -425,74 +425,77 @@ func (s *Store) ExecuteCtx(ctx context.Context, req *wire.Request, resp *wire.Re
 	// before writing or answering anything; re-dispatching routes it
 	// through the published table. Bounded: each retry needs another cutover to
 	// land inside the request's own window, and reshards serialize.
-	for attempt := 0; ; attempt++ {
-		s.executeOnce(ctx, req, resp)
-		if attempt < 3 && resp.Status == wire.StatusErr && resp.Msg == errMovedKey.Error() {
-			continue
-		}
-		return
+	err := s.executeOnce(ctx, req, resp)
+	for attempt := 0; attempt < 3 && errors.Is(err, errMovedKey); attempt++ {
+		err = s.executeOnce(ctx, req, resp)
+	}
+	if err != nil {
+		errInto(resp, err)
 	}
 }
 
-func (s *Store) executeOnce(ctx context.Context, req *wire.Request, resp *wire.Response) {
+// executeOnce dispatches req to its handler. A handler fills resp with
+// its outcome — OK unless it says otherwise — or returns the error that
+// stopped it; turning that error into a reply is ExecuteCtx's job alone.
+func (s *Store) executeOnce(ctx context.Context, req *wire.Request, resp *wire.Response) error {
 	resetResponse(resp)
 	// The follower role gate runs before semantics resolution and before
 	// any routing: a mutating request on a follower gets exactly one
 	// clean StatusErr carrying the primary's address, with zero engine
 	// transactions started.
 	if req.Op.Mutates() && Role(s.role.Load()) == RoleFollower {
-		errInto(resp, &wire.NotPrimaryError{Primary: s.PrimaryAddr()})
-		return
+		return &wire.NotPrimaryError{Primary: s.PrimaryAddr()}
 	}
 	sem, err := resolveSemantics(req)
 	if err != nil {
-		errInto(resp, err)
-		return
+		return err
 	}
 	switch req.Op {
 	case wire.OpGet:
-		s.get(ctx, s.route(req.Key), req.Key, sem, resp)
+		return s.get(ctx, s.route(req.Key), req.Key, sem, resp)
 	case wire.OpSet, wire.OpCAS, wire.OpDel:
-		s.write(ctx, s.route(req.Key), req, sem, resp)
+		return s.write(ctx, s.route(req.Key), req, sem, resp)
 	case wire.OpScan:
-		s.scan(ctx, req.From, req.To, req.Limit, sem, resp)
+		return s.scan(ctx, req.From, req.To, req.Limit, sem, resp)
 	case wire.OpMGet:
-		s.mget(ctx, req.Keys, sem, resp)
+		return s.mget(ctx, req.Keys, sem, resp)
 	case wire.OpTxn:
-		s.txn(ctx, req.Batch, sem, resp)
+		return s.txn(ctx, req.Batch, sem, resp)
 	case wire.OpIncr:
-		s.incr(ctx, s.route(req.Key), req.Key, req.Delta, false, sem, resp)
+		return s.incr(ctx, s.route(req.Key), req.Key, req.Delta, false, sem, resp)
 	case wire.OpDecr:
-		s.incr(ctx, s.route(req.Key), req.Key, req.Delta, true, sem, resp)
+		return s.incr(ctx, s.route(req.Key), req.Key, req.Delta, true, sem, resp)
 	case wire.OpSetEx:
-		s.setex(ctx, s.route(req.Key), req.Key, req.Val, time.Duration(req.TTLMillis)*time.Millisecond, resp)
+		return s.setex(ctx, s.route(req.Key), req.Key, req.Val, time.Duration(req.TTLMillis)*time.Millisecond)
 	case wire.OpWatch:
 		// A watch reaching the execution path means no session-capable
 		// connection intercepted it (in-process store, or a server bug):
 		// there is nowhere to push events to.
-		errInto(resp, &wire.ProtocolError{Code: wire.ProtoBadSession, Detail: "WATCH needs a server connection to push events on"})
+		return &wire.ProtocolError{Code: wire.ProtoBadSession, Detail: "WATCH needs a server connection to push events on"}
 	case wire.OpStats:
 		s.stats(resp)
 	case wire.OpFlush:
-		s.admin(ctx, wal.OpFlush, sem, resp)
+		return s.admin(ctx, wal.OpFlush, sem, resp)
 	case wire.OpRebuild:
-		s.admin(ctx, wal.OpRebuild, sem, resp)
+		return s.admin(ctx, wal.OpRebuild, sem, resp)
 	case wire.OpPing:
 		// Liveness probe: no transaction, no routing; followers answer
 		// too. The response is the health signal.
-		resp.Status = wire.StatusOK
 	case wire.OpSubscribeWAL:
 		// A subscribe reaching the execution path means no replication
 		// hub intercepted it (server not replication-enabled, or an
 		// in-process store with no server at all).
-		errInto(resp, errReplicationDisabled)
+		return errReplicationDisabled
 	case wire.OpSplit:
-		s.splitOp(ctx, req, resp)
+		resp.N, err = s.Split(ctx, req.Epoch, int(req.Shard))
+		return err
 	case wire.OpMerge:
-		s.mergeOp(ctx, req, resp)
+		resp.N, err = s.Merge(ctx, req.Epoch, int(req.Shard), int(req.Shard2))
+		return err
 	default:
-		errInto(resp, wire.ErrBadOp)
+		return wire.ErrBadOp
 	}
+	return nil
 }
 
 // resetResponse scrubs resp for reuse, truncating (not freeing) its
@@ -509,8 +512,11 @@ func resetResponse(r *wire.Response) {
 	r.SubOp = 0
 }
 
-// errInto folds err into resp as a StatusErr response.
+// errInto makes resp the StatusErr reply for err — the one place an
+// error becomes a reply. Scrubbed first: whatever a handler half-filled
+// before it failed, an error reply carries its message and nothing else.
 func errInto(resp *wire.Response, err error) {
+	resetResponse(resp)
 	resp.Status = wire.StatusErr
 	resp.Msg = err.Error()
 }
@@ -556,23 +562,17 @@ func appendSub(resp *wire.Response) *wire.Response {
 	return sub
 }
 
-func (s *Store) get(ctx context.Context, sh *shard, key []byte, sem core.Semantics, resp *wire.Response) {
-	err := sh.tm.AtomicAsCtx(ctx, sem, func(tx *core.Tx) error {
+func (s *Store) get(ctx context.Context, sh *shard, key []byte, sem core.Semantics, resp *wire.Response) error {
+	return sh.tm.AtomicAsCtx(ctx, sem, func(tx *core.Tx) error {
 		return s.keyOp(tx, sh, nil, wire.OpGet, key, nil, nil, resp)
 	})
-	if err != nil {
-		errInto(resp, err)
-	}
 }
 
 // write serves SET, CAS and DEL: one key-op as one mutation.
-func (s *Store) write(ctx context.Context, sh *shard, req *wire.Request, sem core.Semantics, resp *wire.Response) {
-	err := s.mutate(ctx, sh, sem, mutOpts{}, func(tx *core.Tx, cp *walCapture) error {
+func (s *Store) write(ctx context.Context, sh *shard, req *wire.Request, sem core.Semantics, resp *wire.Response) error {
+	return s.mutate(ctx, sh, sem, mutOpts{}, func(tx *core.Tx, cp *walCapture) error {
 		return s.keyOp(tx, sh, cp, req.Op, req.Key, req.Old, req.Val, resp)
 	})
-	if err != nil {
-		errInto(resp, err)
-	}
 }
 
 // incr is the server-side counter: one def-class read-modify-write
@@ -584,10 +584,9 @@ func (s *Store) write(ctx context.Context, sh *shard, req *wire.Request, sem cor
 // (keepTTL) — touching a counter neither re-arms nor disarms it —
 // except when the increment starts from zero: a revived expired entry
 // must not inherit the dead deadline.
-func (s *Store) incr(ctx context.Context, sh *shard, key []byte, delta uint64, negate bool, sem core.Semantics, resp *wire.Response) {
+func (s *Store) incr(ctx context.Context, sh *shard, key []byte, delta uint64, negate bool, sem core.Semantics, resp *wire.Response) error {
 	if delta > math.MaxInt64 {
-		errInto(resp, fmt.Errorf("server: INCR delta %d overflows int64", delta))
-		return
+		return fmt.Errorf("server: INCR delta %d overflows int64", delta)
 	}
 	d := int64(delta)
 	if negate {
@@ -621,11 +620,10 @@ func (s *Store) incr(ctx context.Context, sh *shard, key []byte, delta uint64, n
 		_, err = sh.applyOp(tx, cp, wal.OpSet, key, strconv.AppendInt(digits[:0], resp.Int, 10), effect{keepTTL: ok})
 		return err
 	})
-	if err != nil {
-		errInto(resp, err)
-		return
+	if err == nil {
+		s.incrOps.Add(1)
 	}
-	s.incrOps.Add(1)
+	return err
 }
 
 // setex is SET with a TTL: the write is logged and replicated as an
@@ -633,32 +631,27 @@ func (s *Store) incr(ctx context.Context, sh *shard, key []byte, delta uint64, n
 // shard's in-memory table, applied through the notifier so it lands in
 // commit order before the ack. The capture is forced: arming the first
 // deadline is what turns the session gate on.
-func (s *Store) setex(ctx context.Context, sh *shard, key, val []byte, ttl time.Duration, resp *wire.Response) {
+func (s *Store) setex(ctx context.Context, sh *shard, key, val []byte, ttl time.Duration) error {
 	if ttl <= 0 {
-		errInto(resp, wire.ErrZeroTTL)
-		return
+		return wire.ErrZeroTTL
 	}
-	err := s.mutate(ctx, sh, core.Irrevocable, mutOpts{force: true}, func(tx *core.Tx, cp *walCapture) error {
+	return s.mutate(ctx, sh, core.Irrevocable, mutOpts{force: true}, func(tx *core.Tx, cp *walCapture) error {
 		if !s.ownsKey(sh, key) {
 			return errMovedKey
 		}
 		_, err := sh.applyOp(tx, cp, wal.OpSet, key, val, effect{ttl: ttl})
 		return err
 	})
-	if err != nil {
-		errInto(resp, err)
-	}
 }
 
-func (s *Store) scan(ctx context.Context, from, to []byte, limit uint64, sem core.Semantics, resp *wire.Response) {
+func (s *Store) scan(ctx context.Context, from, to []byte, limit uint64, sem core.Semantics, resp *wire.Response) error {
 	tab := s.tab()
 	if len(tab.shards) > 1 {
-		s.scanFanout(ctx, tab, from, to, limit, sem, resp)
-		return
+		return s.scanFanout(ctx, tab, from, to, limit, sem, resp)
 	}
 	sh := tab.shards[0]
 	sh.routed.Add(1)
-	err := sh.tm.AtomicAsCtx(ctx, sem, func(tx *core.Tx) error {
+	return sh.tm.AtomicAsCtx(ctx, sem, func(tx *core.Tx) error {
 		resp.Pairs = resp.Pairs[:0]
 		rangeLimit := int(limit)
 		if sh.ttl.Len() > 0 {
@@ -674,11 +667,6 @@ func (s *Store) scan(ctx context.Context, from, to []byte, limit uint64, sem cor
 			return limit == 0 || uint64(len(resp.Pairs)) < limit
 		})
 	})
-	if err != nil {
-		errInto(resp, err)
-		return
-	}
-	resp.Status = wire.StatusOK
 }
 
 // txn executes the batch's sub-operations in ONE atomic unit: all
@@ -686,15 +674,14 @@ func (s *Store) scan(ctx context.Context, from, to []byte, limit uint64, sem cor
 // a single transaction under the resolved semantics (the historical
 // path); a batch spanning shards commits through the cross-shard
 // protocol, one irrevocable transaction per participating shard.
-func (s *Store) txn(ctx context.Context, batch []wire.Request, sem core.Semantics, resp *wire.Response) {
+func (s *Store) txn(ctx context.Context, batch []wire.Request, sem core.Semantics, resp *wire.Response) error {
 	// Validate before grouping: an unknown sub-op fails the whole batch
 	// before any transaction starts on any shard.
 	for i := range batch {
 		switch batch[i].Op {
 		case wire.OpGet, wire.OpSet, wire.OpCAS, wire.OpDel:
 		default:
-			errInto(resp, wire.ErrBadSubOp)
-			return
+			return wire.ErrBadSubOp
 		}
 	}
 	tab := s.tab()
@@ -709,20 +696,19 @@ func (s *Store) txn(ctx context.Context, batch []wire.Request, sem core.Semantic
 			}
 		}
 		if !single {
-			s.txnCross(ctx, tab, batch, resp)
-			return
+			return s.txnCross(ctx, tab, batch, resp)
 		}
 		sh = tab.shards[pos]
 	}
-	s.txnShard(ctx, sh, batch, sem, resp)
+	return s.txnShard(ctx, sh, batch, sem, resp)
 }
 
 // txnShard runs a batch whose keys all routed to sh as one mutation.
 // The whole batch is ONE record: its operations replay in one
 // transaction, atomic exactly as they committed.
-func (s *Store) txnShard(ctx context.Context, sh *shard, batch []wire.Request, sem core.Semantics, resp *wire.Response) {
+func (s *Store) txnShard(ctx context.Context, sh *shard, batch []wire.Request, sem core.Semantics, resp *wire.Response) error {
 	sh.routed.Add(uint64(len(batch)))
-	err := s.mutate(ctx, sh, sem, mutOpts{}, func(tx *core.Tx, cp *walCapture) error {
+	return s.mutate(ctx, sh, sem, mutOpts{}, func(tx *core.Tx, cp *walCapture) error {
 		resp.Batch = resp.Batch[:0]
 		for i := range batch {
 			sub := &batch[i]
@@ -734,9 +720,6 @@ func (s *Store) txnShard(ctx context.Context, sh *shard, batch []wire.Request, s
 		}
 		return nil
 	})
-	if err != nil {
-		errInto(resp, err)
-	}
 }
 
 // stats snapshots the aggregated engine counters — including the
@@ -856,22 +839,20 @@ func (s *Store) stats(resp *wire.Response) {
 			}
 		}
 	}
-	resp.Status = wire.StatusOK
 	resp.Counters = cs
 }
 
 // admin serves FLUSH (kind wal.OpFlush) and REBUILD (wal.OpRebuild),
 // reporting the entries touched in resp.N: one mutation on a single
 // shard, one cross-shard commit over all of them otherwise.
-func (s *Store) admin(ctx context.Context, kind wal.OpKind, sem core.Semantics, resp *wire.Response) {
+func (s *Store) admin(ctx context.Context, kind wal.OpKind, sem core.Semantics, resp *wire.Response) error {
 	tab := s.tab()
 	if len(tab.shards) > 1 {
-		s.adminCross(ctx, tab, kind, resp)
-		return
+		return s.adminCross(ctx, tab, kind, resp)
 	}
 	sh := tab.shards[0]
 	sh.routed.Add(1)
-	err := s.mutate(ctx, sh, sem, mutOpts{}, func(tx *core.Tx, cp *walCapture) error {
+	return s.mutate(ctx, sh, sem, mutOpts{}, func(tx *core.Tx, cp *walCapture) error {
 		// Freshness: a split racing this request may have published a
 		// second shard this body would miss — retry through the new
 		// table so FLUSH stays whole-store atomic.
@@ -882,7 +863,4 @@ func (s *Store) admin(ctx context.Context, kind wal.OpKind, sem core.Semantics, 
 		resp.N = uint64(n)
 		return err
 	})
-	if err != nil {
-		errInto(resp, err)
-	}
 }

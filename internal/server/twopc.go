@@ -209,8 +209,7 @@ func (x *xcommit) seal() error {
 // shard), so the whole unit aborts with errMovedKey and the dispatcher
 // retries through the current table. The inline arrays cover the usual
 // batch — a screenful of keys over a handful of shards — as mgetFan's do.
-func (s *Store) txnCross(ctx context.Context, tab *routingTable, batch []wire.Request, resp *wire.Response) {
-	resp.Batch = resp.Batch[:0]
+func (s *Store) txnCross(ctx context.Context, tab *routingTable, batch []wire.Request, resp *wire.Response) error {
 	var ownerBuf [32]uint32
 	owner := ownerBuf[:0]
 	for i := range batch {
@@ -232,7 +231,7 @@ func (s *Store) txnCross(ctx context.Context, tab *routingTable, batch []wire.Re
 			shards = append(shards, sh)
 		}
 	}
-	err := s.crossShard(ctx, shards, func(tx *core.Tx, sh *shard, cp *walCapture) error {
+	return s.crossShard(ctx, shards, func(tx *core.Tx, sh *shard, cp *walCapture) error {
 		if s.tab() != tab {
 			return errMovedKey
 		}
@@ -247,12 +246,6 @@ func (s *Store) txnCross(ctx context.Context, tab *routingTable, batch []wire.Re
 		}
 		return nil
 	}, "xshard-txn")
-	if err != nil {
-		resp.Batch = resp.Batch[:0]
-		errInto(resp, err)
-		return
-	}
-	resp.Status = wire.StatusOK
 }
 
 // adminCross runs FLUSH or REBUILD across every shard as one
@@ -261,7 +254,7 @@ func (s *Store) txnCross(ctx context.Context, tab *routingTable, batch []wire.Re
 // so a FLUSH can never miss a shard a concurrent split just published.
 // The shards are visited one after another, lowest first, each holding
 // its token until the whole store is done.
-func (s *Store) adminCross(ctx context.Context, tab *routingTable, kind wal.OpKind, resp *wire.Response) {
+func (s *Store) adminCross(ctx context.Context, tab *routingTable, kind wal.OpKind, resp *wire.Response) error {
 	label := "xshard-flush"
 	if kind == wal.OpRebuild {
 		label = "xshard-rebuild"
@@ -269,19 +262,12 @@ func (s *Store) adminCross(ctx context.Context, tab *routingTable, kind wal.OpKi
 	for _, sh := range tab.shards {
 		sh.routed.Add(1)
 	}
-	var total uint64
-	err := s.crossShard(ctx, tab.shards, func(tx *core.Tx, sh *shard, cp *walCapture) error {
+	return s.crossShard(ctx, tab.shards, func(tx *core.Tx, sh *shard, cp *walCapture) error {
 		if s.tab() != tab {
 			return errMovedKey
 		}
 		n, err := sh.applyOp(tx, cp, kind, nil, nil, effect{})
-		total += uint64(n)
+		resp.N += uint64(n)
 		return err
 	}, label)
-	if err != nil {
-		errInto(resp, err)
-		return
-	}
-	resp.N = total
-	resp.Status = wire.StatusOK
 }

@@ -149,7 +149,8 @@ const (
 	OpSplit Op = 17
 	// OpMerge merges two buddy shards (admin): valid only for slices
 	// (mod, r) and (mod, r+mod/2), which fold back into (mod/2, r) on
-	// the surviving first shard. Body: uvarint epoch | uvarint shard-a
+	// the shard that held (mod, r) — the lower-residue one survives,
+	// whichever argument names it. Body: uvarint epoch | uvarint shard-a
 	// | uvarint shard-b (stable shard ids). Epoch contract and response
 	// as OpSplit.
 	OpMerge Op = 18
