@@ -256,8 +256,8 @@ type reply struct {
 // replyInline sizes reply.frame so the struct fills a malloc class with
 // no padding: 8 + 144 + 4 + 164 = 320. A GET of a 64-byte value used to
 // be a 160-byte reply plus its 67-byte frame in an 80-byte object; it is
-// one 320-byte object now, as are the ledger's MGET2 and TXN4 replies
-// and every write's ack. A longer frame is allocated on its own.
+// one 320-byte object now, as is every write's ack. A longer frame is
+// allocated on its own.
 const replyInline = 164
 
 // pipeChunk caps the chunks a pipelined batch's frames are bumped off
@@ -268,18 +268,65 @@ const replyInline = 164
 // it.
 const pipeChunk = 4 << 10
 
+// batchReply is the reply of a single TXN or MGET of at most four
+// sub-requests (the ledger's shapes): a reply whose decoded Batch lives
+// beside the Response that holds it. An object with pointers over 512
+// bytes carries the allocator's 8-byte header, so the inline frame is
+// eight bytes shorter than reply's and 312 + 4·144 + 8 = 896 fills a
+// malloc class again (the ledger's MGET2 and TXN4 frames are under 140
+// bytes). A longer batch keeps the plain reply and the decoder allocates
+// its Batch.
+type batchReply struct {
+	ptr    [1]*wire.Response
+	resp   [1]wire.Response
+	subOps [4]wire.Op
+	frame  [replyInline - 8]byte
+	batch  [4]wire.Response
+}
+
+// subCount is how many sub-responses r's reply carries.
+func subCount(r *wire.Request) int {
+	switch r.Op {
+	case wire.OpTxn:
+		return len(r.Batch)
+	case wire.OpMGet:
+		return len(r.Keys)
+	}
+	return 0
+}
+
 // newReply returns the result slice, the Response values its entries
-// will point at, an empty sub-opcode scratch and the storage the first
-// frame is read into, for a batch of n. A batch of one (every
-// convenience method) is one allocation; a pipelined batch is two plus
-// its chunks, whatever its length. The scratch is shared by the batch's
-// TXNs and grows only past its inline capacity.
-func newReply(n int) ([]*wire.Response, []wire.Response, []wire.Op, []byte) {
-	if n == 1 {
+// will point at (each Batch holding the capacity its sub-responses are
+// decoded into), an empty sub-opcode scratch and the storage the first
+// frame is read into, for the replies to reqs. A batch of one (every
+// convenience method) is one allocation; a pipelined batch is two, one
+// arena for every request's sub-responses — three-index slices, so no
+// reply can grow into its neighbour — and its chunks, whatever its
+// length. The scratch is shared by the batch's TXNs and grows only past
+// its inline capacity.
+func newReply(reqs []*wire.Request) ([]*wire.Response, []wire.Response, []wire.Op, []byte) {
+	if len(reqs) == 1 {
+		if n := subCount(reqs[0]); n > 0 && n <= len(batchReply{}.batch) {
+			rp := new(batchReply)
+			rp.resp[0].Batch = rp.batch[:0]
+			return rp.ptr[:], rp.resp[:], rp.subOps[:0], rp.frame[:]
+		}
 		rp := new(reply)
 		return rp.ptr[:], rp.resp[:], rp.subOps[:0], rp.frame[:]
 	}
-	return make([]*wire.Response, n), make([]wire.Response, n), nil, nil
+	resps := make([]wire.Response, len(reqs))
+	subs := 0
+	for _, r := range reqs {
+		subs += subCount(r)
+	}
+	if subs > 0 {
+		arena := make([]wire.Response, subs)
+		for i, r := range reqs {
+			n := subCount(r)
+			resps[i].Batch, arena = arena[:0:n], arena[n:]
+		}
+	}
+	return make([]*wire.Response, len(reqs)), resps, nil, nil
 }
 
 // Do sends reqs pipelined over one pooled connection — all frames
@@ -370,21 +417,25 @@ func (cl *Client) DoCtx(ctx context.Context, reqs ...*wire.Request) ([]*wire.Res
 	// Response frames are bumped off storage the batch owns (never
 	// pooled): the decoded Response aliases its frame and escapes to the
 	// caller, so the storage must outlive this call.
-	out, resps, subOps, free := newReply(len(reqs))
+	out, resps, subOps, free := newReply(reqs)
 	for i, r := range reqs {
 		raw, err := wire.ReadFrameBump(cn.br, &free, len(reqs)-i, pipeChunk)
-		if err != nil {
-			finish()
-			cl.discard(cn)
-			return nil, fmt.Errorf("client: response %d/%d: %w", i+1, len(reqs), err)
-		}
-		subOps = subOps[:0]
-		if r.Op == wire.OpTxn {
-			for j := range r.Batch {
-				subOps = append(subOps, r.Batch[j].Op)
+		if err == nil {
+			subOps = subOps[:0]
+			if r.Op == wire.OpTxn {
+				for j := range r.Batch {
+					subOps = append(subOps, r.Batch[j].Op)
+				}
 			}
+			err = wire.DecodeResponseInto(&resps[i], raw, r.Op, subOps)
 		}
-		if err := wire.DecodeResponseInto(&resps[i], raw, r.Op, subOps); err != nil {
+		// The decoder holds a TXN reply to its request's sub-op count; an
+		// MGET reply is held to its key count here, or a short one would
+		// panic whoever indexes Batch by key.
+		if err == nil && r.Op == wire.OpMGet && resps[i].Status != wire.StatusErr && len(resps[i].Batch) != len(r.Keys) {
+			err = fmt.Errorf("MGET has %d sub-responses, expected %d", len(resps[i].Batch), len(r.Keys))
+		}
+		if err != nil {
 			finish()
 			cl.discard(cn)
 			return nil, fmt.Errorf("client: response %d/%d: %w", i+1, len(reqs), err)

@@ -10,7 +10,8 @@ import (
 )
 
 // Read fan-out: MGET and SCAN on a sharded store run one transaction
-// per participating shard, concurrently, and merge the results.
+// per participating shard — MGET's in turn on the caller's goroutine,
+// SCAN's concurrently — and merge the results.
 //
 // The consistency contract is per-shard, not global: each shard's
 // slice of the answer is internally consistent under the request's
@@ -25,76 +26,34 @@ import (
 // cross-shard protocol and serializes against writers).
 
 // mget answers a batch of point reads into one pre-created sub-response
-// slot per key. Single shard (or a sharded store whose keys all hash to
-// one shard): one transaction on the caller's goroutine. Otherwise the
-// keys are grouped by owning shard and the per-shard transactions, which
-// write disjoint slots, fan out.
+// slot per key: one transaction per shard the keys touch.
 func (s *Store) mget(ctx context.Context, keys [][]byte, sem core.Semantics, resp *wire.Response) error {
 	tab := s.tab()
 	for range keys {
 		appendSub(resp)
 	}
-	only := tab.shards[0]
-	if len(tab.shards) > 1 && len(keys) > 0 {
-		only = tab.shardFor(hashKey(keys[0]))
-		for _, k := range keys[1:] {
-			if tab.shardFor(hashKey(k)) != only {
-				only = nil
-				break
-			}
-		}
-	}
-	if only != nil {
-		return s.mgetShard(ctx, only, 0, nil, keys, sem, resp)
+	if len(tab.shards) == 1 {
+		return s.mgetShard(ctx, tab.shards[0], 0, nil, keys, sem, resp)
 	}
 	return s.mgetFanout(ctx, tab, keys, sem, resp)
 }
 
-// mgetFan is the state one cross-shard MGET's per-shard transactions
-// share: owner[j] is the table position owning keys[j], errs[si] the
-// outcome on position si. The inline arrays cover the usual request —
-// a handful of shards, a screenful of keys — and a larger one spills
-// to the heap.
-type mgetFan struct {
-	wg       sync.WaitGroup
-	owner    []uint32
-	errs     []error
-	ownerBuf [32]uint32
-	errBuf   [8]error
-}
-
-// mgetFanout runs one transaction per touched shard and returns the
-// first error in table order. One allocation (the mgetFan) holds
-// everything the transactions share and each spawned goroutine costs
-// one more for its closure; the last touched shard runs on the caller's
-// goroutine, so the common two-shard MGET starts exactly one.
+// mgetFanout runs each touched shard's share in table order on the
+// caller's goroutine and returns the first error: a point read is too
+// short to pay for a goroutine (scanFanout's range walks are not). owner[j]
+// is the table position owning keys[j]; the inline array covers the usual
+// request and a larger one spills to the heap.
 func (s *Store) mgetFanout(ctx context.Context, tab *routingTable, keys [][]byte, sem core.Semantics, resp *wire.Response) error {
-	f := &mgetFan{}
-	f.owner = f.ownerBuf[:0]
+	var ownerBuf [32]uint32
+	owner := ownerBuf[:0]
 	for _, k := range keys {
-		f.owner = append(f.owner, uint32(tab.pos(hashKey(k))))
+		owner = append(owner, uint32(tab.pos(hashKey(k))))
 	}
-	if n := len(tab.shards); n <= len(f.errBuf) {
-		f.errs = f.errBuf[:n]
-	} else {
-		f.errs = make([]error, n)
-	}
-	last := slices.Max(f.owner)
-	for si := uint32(0); si < last; si++ {
-		if !slices.Contains(f.owner, si) {
+	for si, sh := range tab.shards {
+		if !slices.Contains(owner, uint32(si)) {
 			continue
 		}
-		si := si // captured by value: an argument would cost the go statement a second closure
-		f.wg.Add(1)
-		go func() {
-			defer f.wg.Done()
-			f.errs[si] = s.mgetShard(ctx, tab.shards[si], si, f.owner, keys, sem, resp)
-		}()
-	}
-	f.errs[last] = s.mgetShard(ctx, tab.shards[last], last, f.owner, keys, sem, resp)
-	f.wg.Wait()
-	for _, err := range f.errs {
-		if err != nil {
+		if err := s.mgetShard(ctx, sh, uint32(si), owner, keys, sem, resp); err != nil {
 			return err
 		}
 	}

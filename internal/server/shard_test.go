@@ -1,6 +1,8 @@
 package server
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,6 +11,7 @@ import (
 	"testing"
 
 	"polytm/internal/core"
+	"polytm/internal/stm"
 	"polytm/internal/wal"
 	"polytm/internal/wire"
 )
@@ -173,20 +176,9 @@ func TestCrossShardTxnConcurrent(t *testing.T) {
 	const shards, per = 9, 25
 	st, _ := newShardedDurable(t, t.TempDir(), shards, wal.ModeOff)
 	defer st.CloseDurability()
-	// onShard returns the nth test key owned by shard position p.
-	onShard := func(p, nth int) []byte {
-		for i := 0; ; i++ {
-			if st.shardIdx(tkey(i)) == p {
-				if nth == 0 {
-					return tkey(i)
-				}
-				nth--
-			}
-		}
-	}
 	var wg sync.WaitGroup
 	for p := 0; p < shards; p++ {
-		a, b := onShard(p, 0), onShard((p+1)%shards, 1)
+		a, b := keyOn(st, p, 0), keyOn(st, (p+1)%shards, 1)
 		for w := 0; w < 2; w++ {
 			wg.Add(1)
 			go func(p, w int) {
@@ -221,13 +213,189 @@ func TestCrossShardTxnConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			k := onShard(p, 2)
+			k := keyOn(st, p, 2)
 			for i := 0; i < per; i++ {
 				execOK(t, st, &wire.Request{Op: wire.OpSet, Sem: wire.SemDefault, Key: k, Val: []byte("solo")})
 			}
 		}(p)
 	}
 	wg.Wait()
+}
+
+// keyOn returns the nth test key owned by table position p.
+func keyOn(st *Store, p, nth int) []byte {
+	for i := 0; ; i++ {
+		if st.shardIdx(tkey(i)) == p {
+			if nth == 0 {
+				return tkey(i)
+			}
+			nth--
+		}
+	}
+}
+
+// TestCrossShardMGet pins what a cross-shard MGET answers now that its
+// shares run one after another on the caller: every key's slot, whatever
+// shard read it and in whatever order the shards were visited.
+func TestCrossShardMGet(t *testing.T) {
+	ctx := context.Background()
+	st := newSharded(4)
+	for p := 0; p < 4; p++ {
+		for nth := 0; nth < 12; nth++ {
+			k := keyOn(st, p, nth)
+			execOK(t, st, &wire.Request{Op: wire.OpSet, Sem: wire.SemDefault, Key: k, Val: append([]byte("v-"), k...)})
+		}
+	}
+	miss := func(p int) []byte { return keyOn(st, p, 12) } // owned by p, never written
+	check := func(t *testing.T, keys [][]byte, absent map[int]bool) {
+		t.Helper()
+		resp := execOK(t, st, &wire.Request{Op: wire.OpMGet, Sem: wire.SemDefault, Keys: keys})
+		if len(resp.Batch) != len(keys) {
+			t.Fatalf("%d sub-responses for %d keys", len(resp.Batch), len(keys))
+		}
+		for j, k := range keys {
+			sub := resp.Batch[j]
+			if absent[j] {
+				if sub.Status != wire.StatusNotFound || len(sub.Val) != 0 {
+					t.Fatalf("slot %d (%s, absent): %v %q", j, k, sub.Status, sub.Val)
+				}
+			} else if sub.Status != wire.StatusOK || string(sub.Val) != "v-"+string(k) {
+				t.Fatalf("slot %d (%s): %v %q", j, k, sub.Status, sub.Val)
+			}
+		}
+	}
+
+	t.Run("slot order, hits and misses over three shards", func(t *testing.T) {
+		// Descending table order, so slot order is not visit order.
+		check(t, [][]byte{keyOn(st, 3, 0), miss(1), keyOn(st, 0, 0), keyOn(st, 3, 1), miss(0), keyOn(st, 1, 0)},
+			map[int]bool{1: true, 4: true})
+	})
+	t.Run("the same key twice", func(t *testing.T) {
+		check(t, [][]byte{keyOn(st, 2, 0), keyOn(st, 0, 0), keyOn(st, 2, 0), miss(0), miss(0)}, map[int]bool{3: true, 4: true})
+	})
+	t.Run("40 keys, past the inline owner scratch", func(t *testing.T) {
+		var keys [][]byte
+		absent := map[int]bool{}
+		for j := 0; j < 40; j++ {
+			keys = append(keys, keyOn(st, j%4, j/4)) // j/4 < 12: written
+			if j%7 == 3 {
+				absent[len(keys)] = true
+				keys = append(keys, miss(j%4))
+			}
+		}
+		check(t, keys, absent)
+	})
+	t.Run("a cancelled context starts no share", func(t *testing.T) {
+		cctx, cancel := context.WithCancel(ctx)
+		cancel()
+		before := st.Stats().Starts
+		resp := new(wire.Response)
+		st.ExecuteCtx(cctx, &wire.Request{Op: wire.OpMGet, Sem: wire.SemDefault, Keys: [][]byte{keyOn(st, 0, 0), keyOn(st, 1, 0), keyOn(st, 2, 0)}}, resp)
+		if resp.Status != wire.StatusErr || !strings.Contains(resp.Msg, "cancel") || len(resp.Batch) != 0 {
+			t.Fatalf("cancelled MGET answered %v %q %+v", resp.Status, resp.Msg, resp.Batch)
+		}
+		if after := st.Stats().Starts; after != before {
+			t.Fatalf("cancelled MGET started %d transactions", after-before)
+		}
+	})
+	t.Run("a key moved mid-table stops the walk and the retry answers", func(t *testing.T) {
+		// Position 1's shard splits; a request still holding the old
+		// table finds the moved half gone from it once the scrub ran.
+		old := st.tab()
+		src := old.shards[1]
+		var stayed, moved []byte
+		for nth := 0; stayed == nil || moved == nil; nth++ {
+			if k := keyOn(st, 1, nth); hashKey(k)%8 == 1 {
+				stayed = k
+			} else {
+				moved = k
+			}
+		}
+		if _, err := st.Split(ctx, 0, src.idx); err != nil {
+			t.Fatalf("Split: %v", err)
+		}
+		st.reshardMu.Lock()
+		_, err := st.cleanShard(ctx, src)
+		st.reshardMu.Unlock()
+		if err != nil {
+			t.Fatalf("cleanShard: %v", err)
+		}
+		keys := [][]byte{keyOn(st, 3, 0), moved, keyOn(st, 0, 0), stayed, keyOn(st, 2, 0)}
+		var routed [4]uint64
+		for i, sh := range old.shards {
+			routed[i] = sh.routed.Load()
+		}
+		resp := new(wire.Response)
+		for range keys {
+			appendSub(resp)
+		}
+		if err := st.mgetFanout(ctx, old, keys, core.Snapshot, resp); !errors.Is(err, errMovedKey) {
+			t.Fatalf("MGET through the pre-split table returned %v, want the moved-key retry signal", err)
+		}
+		for i, want := range []uint64{1, 2, 0, 0} { // shares 0 and 1 ran, 1 failed, 2 and 3 never started
+			if got := old.shards[i].routed.Load() - routed[i]; got != want {
+				t.Fatalf("position %d read %d keys after the walk stopped at position 1, want %d", i, got, want)
+			}
+		}
+		// What ExecuteCtx does with that signal: the same request through
+		// the published table.
+		check(t, keys, nil)
+	})
+}
+
+// TestCrossShardMGetUnderTxnWriter: snapshot MGETs beside conflicting
+// cross-shard TXNs over the same keys — the ledger's txn-zipf-2pc, and
+// the paper's Figure 1 — never abort, and each shard's share of the
+// answer is one snapshot: the two keys a TXN writes together on one
+// shard are never seen apart, whatever the third key on another shard
+// shows.
+func TestCrossShardMGetUnderTxnWriter(t *testing.T) {
+	st := newSharded(4)
+	a1, a2, b := keyOn(st, 1, 0), keyOn(st, 1, 1), keyOn(st, 3, 0)
+	write := func(v []byte) {
+		execOK(t, st, &wire.Request{Op: wire.OpTxn, Sem: wire.SemDefault, Batch: []wire.Request{
+			{Op: wire.OpSet, Key: a1, Val: v}, {Op: wire.OpSet, Key: b, Val: v}, {Op: wire.OpSet, Key: a2, Val: v},
+		}})
+	}
+	write([]byte("0"))
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(stop)
+		for i := 1; i <= 300; i++ {
+			write([]byte(fmt.Sprint(i)))
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req := &wire.Request{Op: wire.OpMGet, Sem: wire.SemDefault, Keys: [][]byte{a1, b, a2}}
+			resp := new(wire.Response)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				st.ExecuteInto(req, resp)
+				if resp.Status != wire.StatusOK || len(resp.Batch) != 3 {
+					t.Errorf("MGET: %v %q", resp.Status, resp.Msg)
+					return
+				}
+				if x, y := resp.Batch[0].Val, resp.Batch[2].Val; string(x) != string(y) {
+					t.Errorf("one shard's share is torn: %s=%q %s=%q", a1, x, a2, y)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := st.Stats().Sem(stm.SemanticsSnapshot).Aborts; n != 0 {
+		t.Fatalf("aborts.snapshot = %d, want 0", n)
+	}
 }
 
 // TestShardedDurableRestart: a sharded durable store replays every
@@ -344,5 +512,47 @@ func TestShardedStats(t *testing.T) {
 	}
 	if counters["commits"] == 0 {
 		t.Fatal("aggregate engine counters missing")
+	}
+}
+
+// BenchmarkMGetCross states what running a cross-shard MGET's shares in
+// turn trades away: in-process, four shards of 25k keys each, the keys
+// of one request spread evenly over all four. Run with -cpu 1,2 against
+// the parent commit (README "Routing" holds the table): two keys are
+// what the ledger and the typed client send, 64 is where overlapping the
+// shares could start to pay.
+func BenchmarkMGetCross(b *testing.B) {
+	st := newSharded(4)
+	val := []byte(strings.Repeat("v", 64))
+	var on [4][][]byte
+	for i := 0; i < 100_000; i++ {
+		k := []byte(fmt.Sprintf("key-%06d", i))
+		p := st.shardIdx(k)
+		on[p] = append(on[p], k)
+		st.Execute(&wire.Request{Op: wire.OpSet, Sem: wire.SemDefault, Key: k, Val: val})
+	}
+	for _, n := range []int{2, 16, 64} {
+		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
+			// 1024 requests, walked with a stride: the keys differ from
+			// one request to the next, as a server's do.
+			reqs := make([]wire.Request, 1024)
+			for r := range reqs {
+				keys := make([][]byte, n)
+				for j := range keys {
+					shard := on[(r+j)%4]
+					keys[j] = shard[(r*131+j*17)%len(shard)]
+				}
+				reqs[r] = wire.Request{Op: wire.OpMGet, Sem: wire.SemDefault, Keys: keys}
+			}
+			resp := new(wire.Response)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st.ExecuteInto(&reqs[i%len(reqs)], resp)
+				if resp.Status != wire.StatusOK || len(resp.Batch) != n {
+					b.Fatalf("MGET: %v %q", resp.Status, resp.Msg)
+				}
+			}
+		})
 	}
 }

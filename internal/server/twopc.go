@@ -208,7 +208,8 @@ func (x *xcommit) seal() error {
 // means some key may have a new owner (or FLUSH would miss a brand-new
 // shard), so the whole unit aborts with errMovedKey and the dispatcher
 // retries through the current table. The inline arrays cover the usual
-// batch — a screenful of keys over a handful of shards — as mgetFan's do.
+// batch — a screenful of keys over a handful of shards — as mgetFanout's
+// does.
 func (s *Store) txnCross(ctx context.Context, tab *routingTable, batch []wire.Request, resp *wire.Response) error {
 	var ownerBuf [32]uint32
 	owner := ownerBuf[:0]

@@ -6,6 +6,7 @@ import (
 	"io"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"polytm/internal/stm"
 )
@@ -207,30 +208,67 @@ func FuzzDecodeResponse(f *testing.F) {
 	})
 }
 
-// FuzzDecodeResponseInto decodes every payload twice — into a fresh
-// Response and into a dirty one whose every field a previous reply
-// filled — and demands the same verdict and, when accepted, the same
-// value: nothing of the earlier Msg, N, Int, Val, Pairs, Batch or
-// Counters may survive into a reply that does not set it.
+// FuzzDecodeResponseInto decodes every payload into a fresh Response and
+// into dirty ones whose every field a previous reply filled — the Batch
+// populated to a capacity of 0, 2, 4 and 8, so the decoder is lent too
+// little, exactly enough and too much — and demands the same verdict and,
+// when accepted, the same value: nothing of the earlier Msg, N, Int, Val,
+// Pairs, Batch or Counters may survive into a reply that does not set it,
+// a reply that carries no batch decodes to Batch == nil whatever it was
+// lent, and a sub-response's Val aliases the new payload, never the stale
+// slot it was decoded over.
 func FuzzDecodeResponseInto(f *testing.F) {
 	addResponseSeeds(f)
 	f.Fuzz(func(t *testing.T, opByte byte, data []byte) {
 		op, subOps := fuzzedOp(opByte)
 		fresh, freshErr := DecodeResponse(data, op, subOps)
-		dirty := Response{
-			Status: StatusErr, Val: []byte("stale"), N: 99, Int: -99, Msg: "stale", SubOp: OpCAS,
-			Pairs:    []KV{{Key: []byte("stale"), Val: []byte("stale")}},
-			Batch:    []Response{{Status: StatusErr, Msg: "stale", Val: []byte("stale")}, {N: 7}},
-			Counters: []Counter{{Name: "stale", Value: 1}},
-		}
-		err := DecodeResponseInto(&dirty, data, op, subOps)
-		if (err == nil) != (freshErr == nil) {
-			t.Fatalf("%v: into a dirty Response err=%v, into a fresh one err=%v", op, err, freshErr)
-		}
-		if err == nil && !reflect.DeepEqual(&dirty, fresh) {
-			t.Fatalf("%v: dirty decode differs from fresh:\n dirty %+v\n fresh %+v", op, dirty, *fresh)
+		for _, lend := range []int{0, 2, 4, 8} {
+			lent := make([]Response, lend)
+			for i := range lent {
+				lent[i] = Response{Status: StatusErr, Msg: "stale", Val: []byte("stale"), N: 7, Batch: []Response{{N: 7}}}
+			}
+			dirty := Response{
+				Status: StatusErr, Val: []byte("stale"), N: 99, Int: -99, Msg: "stale", SubOp: OpCAS,
+				Pairs:    []KV{{Key: []byte("stale"), Val: []byte("stale")}},
+				Batch:    lent,
+				Counters: []Counter{{Name: "stale", Value: 1}},
+			}
+			err := DecodeResponseInto(&dirty, data, op, subOps)
+			if (err == nil) != (freshErr == nil) {
+				t.Fatalf("%v, lent %d: into a dirty Response err=%v, into a fresh one err=%v", op, lend, err, freshErr)
+			}
+			if err != nil {
+				continue
+			}
+			if !reflect.DeepEqual(&dirty, fresh) {
+				t.Fatalf("%v, lent %d: dirty decode differs from fresh:\n dirty %+v\n fresh %+v", op, lend, dirty, *fresh)
+			}
+			for i := range dirty.Batch {
+				if v := dirty.Batch[i].Val; len(v) > 0 && !aliases(v, data) {
+					t.Fatalf("%v, lent %d: sub-response %d's Val %q is not part of the payload", op, lend, i, v)
+				}
+			}
+			if n := len(dirty.Batch); dirty.Batch != nil && lend > 0 && n <= lend {
+				if &dirty.Batch[:1][0] != &lent[0] {
+					t.Fatalf("%v: %d sub-responses fit the %d lent but were decoded elsewhere", op, n, lend)
+				}
+				for i := n; i < lend; i++ {
+					if !reflect.DeepEqual(lent[i], Response{}) {
+						t.Fatalf("%v: lent slot %d past the %d decoded was not cleared: %+v", op, i, n, lent[i])
+					}
+				}
+			}
 		}
 	})
+}
+
+// aliases reports whether b's bytes lie inside buf's.
+func aliases(b, buf []byte) bool {
+	if len(buf) == 0 {
+		return false
+	}
+	lo, at := uintptr(unsafe.Pointer(&buf[0])), uintptr(unsafe.Pointer(&b[0]))
+	return at >= lo && at+uintptr(len(b)) <= lo+uintptr(len(buf))
 }
 
 // FuzzDecodeSessFrame throws arbitrary payloads at the session-frame

@@ -537,6 +537,18 @@ func prealloc(n int) int {
 	return n
 }
 
+// batchRoom returns an empty slice with room for a reply's n declared
+// sub-responses: lent, cleared to its capacity, when they fit there —
+// a count from the wire never indexes storage it was not checked
+// against — and fresh storage, capped by prealloc, otherwise.
+func batchRoom(lent []Response, n int) []Response {
+	if lent == nil || n > cap(lent) {
+		return make([]Response, 0, prealloc(n))
+	}
+	clear(lent[:cap(lent)])
+	return lent
+}
+
 // ---- framing ----
 
 // WriteFrame writes one length-prefixed frame to w.
@@ -997,7 +1009,10 @@ func AppendResponse(dst []byte, op Op, r *Response) ([]byte, error) {
 	return appendResponseBody(dst, op, r)
 }
 
-func decodeResponseBody(rd *reader, op Op, r *Response, subOps []Op) error {
+// decodeResponseBody decodes the body of a response to op into r, whose
+// Status is already set. lent is storage the caller offers for r.Batch;
+// only the MGET and TXN arms take it.
+func decodeResponseBody(rd *reader, op Op, r *Response, subOps []Op, lent []Response) error {
 	if r.Status == StatusErr {
 		msg, err := rd.bytes()
 		if err != nil {
@@ -1034,40 +1049,28 @@ func decodeResponseBody(rd *reader, op Op, r *Response, subOps []Op) error {
 			}
 			r.Pairs = append(r.Pairs, kv)
 		}
-	case OpMGet:
+	case OpMGet, OpTxn:
 		n, err := rd.count()
 		if err != nil {
 			return err
 		}
-		r.Batch = make([]Response, 0, prealloc(n))
+		if op == OpTxn && n != len(subOps) {
+			return fmt.Errorf("wire: TXN response has %d sub-responses, expected %d", n, len(subOps))
+		}
+		r.Batch = batchRoom(lent, n)
 		for i := 0; i < n; i++ {
 			st, err := rd.byte1()
 			if err != nil {
 				return err
 			}
+			sub := OpGet
+			if op == OpTxn {
+				sub = subOps[i]
+			}
 			// Decode in place: a local sub-response would escape through
 			// the recursive call and cost an allocation per key.
 			r.Batch = append(r.Batch, Response{Status: Status(st)})
-			if err := decodeResponseBody(rd, OpGet, &r.Batch[i], nil); err != nil {
-				return err
-			}
-		}
-	case OpTxn:
-		var n uint64
-		if n, err = rd.uvarint(); err != nil {
-			return err
-		}
-		if n != uint64(len(subOps)) {
-			return fmt.Errorf("wire: TXN response has %d sub-responses, expected %d", n, len(subOps))
-		}
-		r.Batch = make([]Response, n)
-		for i := range r.Batch {
-			st, err := rd.byte1()
-			if err != nil {
-				return err
-			}
-			r.Batch[i].Status = Status(st)
-			if err := decodeResponseBody(rd, subOps[i], &r.Batch[i], nil); err != nil {
+			if err := decodeResponseBody(rd, sub, &r.Batch[i], nil, nil); err != nil {
 				return err
 			}
 		}
@@ -1114,11 +1117,16 @@ func DecodeResponse(payload []byte, op Op, subOps []Op) (*Response, error) {
 // DecodeResponseInto is DecodeResponse into caller-owned storage, so a
 // caller that already has somewhere to put the Response (the client
 // carves a batch's responses out of one allocation) does not pay for
-// one each. r's previous contents are discarded, never reused: every
-// decoded slice either aliases payload or is freshly allocated, so a
-// Response handed out earlier is never written through. On error r
-// holds partially decoded state. subOps is only read, not retained.
+// one each. The capacity r.Batch arrives with is storage the caller
+// lends: an MGET or TXN reply whose sub-responses fit decodes them there
+// (the capacity is cleared first), any other reply leaves it untouched
+// and decodes to Batch == nil. Everything else r held is discarded, and
+// every other decoded slice either aliases payload or is freshly
+// allocated, so a Response handed out earlier is written through only if
+// the caller passes its Batch back in. On error r holds partially
+// decoded state. subOps is only read, not retained.
 func DecodeResponseInto(r *Response, payload []byte, op Op, subOps []Op) error {
+	lent := r.Batch[:0]
 	*r = Response{}
 	rd := reader{buf: payload}
 	st, err := rd.byte1()
@@ -1126,7 +1134,7 @@ func DecodeResponseInto(r *Response, payload []byte, op Op, subOps []Op) error {
 		return err
 	}
 	r.Status = Status(st)
-	if err := decodeResponseBody(&rd, op, r, subOps); err != nil {
+	if err := decodeResponseBody(&rd, op, r, subOps, lent); err != nil {
 		return err
 	}
 	return rd.done()
