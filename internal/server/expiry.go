@@ -115,7 +115,7 @@ func (s *Store) reapShard(ctx context.Context, sh *shard) (int, error) {
 		// re-check below sees every earlier commit's TTL effect.
 		sh.notif.Sync()
 		for _, k := range candidates {
-			if tab.epoch > 0 && tab.shardFor(hashKeyStr(k)) != sh {
+			if tab.epoch > 0 && tab.shardFor(hashKey(viewBytes(k))) != sh {
 				continue // moved by a split; the new owner expires it
 			}
 			if d, ok := sh.ttl.deadline(k); !ok || d > now {

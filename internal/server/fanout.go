@@ -120,10 +120,10 @@ func (s *Store) scanFanout(ctx context.Context, tab *routingTable, from, to []by
 					rangeLimit = 0
 				}
 				return sh.m.RangeTx(tx, lookupKey(from), lookupKey(to), rangeLimit, func(k, v string) bool {
-					if sh.expiredNowStr(k) {
+					if sh.expiredNow(viewBytes(k)) {
 						return true
 					}
-					if tab.epoch > 0 && hashKeyStr(k)%sl.mod != sl.res {
+					if tab.epoch > 0 && !sl.owns(k) {
 						return true
 					}
 					local = append(local, kvPair{k, v})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"polytm/internal/core"
 	"polytm/internal/wal"
@@ -11,36 +12,46 @@ import (
 )
 
 // Online resharding: SPLIT and MERGE rewire the routing table while the
-// store serves traffic.
+// store serves traffic. Both are one move of a hash slice from the
+// moving shard (from) to a receiver (to) — a split's new shard, a
+// merge's survivor — and run every step through the same functions:
 //
-// Both directions follow the same copy protocol. The moving shard's
-// capture gate (shard.resharding) is flipped and a grace period waited
-// out, so every subsequent mutation on it runs under the shard's
-// irrevocable token and marks the reshard dirty set (rdirty). Then:
+//  1. BEGIN: the moving shard's capture gate (shard.resharding) is
+//     flipped and a grace period waited out, so every later mutation on
+//     it runs under its irrevocable token and marks the reshard dirty
+//     set (rdirty). A barrier then fences the host — the shard whose log
+//     takes the journal: the split source, the merge survivor — and the
+//     moving shard, and journals RESHARD BEGIN inside it.
+//  2. BULK: one snapshot walk collects the moving keys and ships them
+//     in snapshot-read batches.
+//  3. DELTA: rounds of take — rdirty.take() under the moving shard's
+//     token after a notifier Sync, so it observes no mid-flight mutation
+//     and no undelivered TTL effect — re-ship what changed since, until
+//     a round comes back small.
+//  4. CUTOVER: a barrier arms the moved deadlines, journals RESHARD
+//     COMMIT, rewrites the MANIFEST and publishes the new table
+//     (publish). Writers blocked on a token re-check ownership when they
+//     resume and retry through the published table (errMovedKey);
+//     nothing is ever acknowledged and lost.
 //
-//  1. BULK: one snapshot walk collects the moving keys (the new
-//     shard's half of a split source; the absorbed shard's whole slice
-//     for a merge) and copies them in snapshot-read batches.
-//  2. DELTA: rounds of rdirty.take() — each take fenced by an empty
-//     irrevocable transaction with a notifier Sync, so it observes no
-//     mid-flight mutation and no undelivered TTL effect — re-copy what
-//     changed since the snapshot, until a round comes back small.
-//  3. CUTOVER: a short barrier under the moving shard's token drains
-//     the final delta, journals the RESHARD COMMIT, rewrites the
-//     MANIFEST, and publishes the new table. Writers blocked on the
-//     token re-check ownership when they resume and retry through the
-//     published table (errMovedKey); nothing is ever acknowledged and
-//     lost.
+// A concurrent FLUSH voids every copy shipped so far, and a batch read
+// before it may land after it. ship holds the one rule for that: the
+// receiver loses every key of the moving slice — before the cutover only
+// copies put such keys there — and the slice is walked again.
 //
-// Durably, the reshard journals RESHARD BEGIN before copying and
-// RESHARD COMMIT at the cutover's commit point — both to the log that
-// survives the reshard (the split source's; the merge survivor's), both
-// under that shard's token so they can never interleave a 2PC
-// PREPARE/COMMIT window. Recovery resolves a mid-reshard crash from
-// that journal (reshard_recover.go): BEGIN without COMMIT rolls back,
-// BEGIN+COMMIT past the MANIFEST's epoch rolls forward. ckptHold pauses
-// the hosting log's checkpoints meanwhile, so rotation cannot truncate
-// the BEGIN a crash would need.
+// The cutover is the one real difference. A split's receiver has no
+// other writer, so its barrier holds the source's token and ships the
+// final delta inside. A merge's survivor is live and a copy into it
+// needs its token, so its barrier (both tokens) only verifies that the
+// delta is empty: a clean round publishes, a dirty one ships the delta
+// outside and tries again.
+//
+// BEGIN and COMMIT both land in the host's log under its token, so they
+// never interleave a 2PC PREPARE/COMMIT window. Recovery resolves a
+// mid-reshard crash from that journal (reshard_recover.go): BEGIN
+// without COMMIT rolls back, BEGIN+COMMIT past the MANIFEST's epoch
+// rolls forward. ckptHold pauses the host's checkpoints meanwhile, so
+// rotation cannot truncate the BEGIN a crash would need.
 
 // copyBatch bounds one applied copy batch; deltaSmall is the round size
 // under which the copy loop hands off to the cutover barrier.
@@ -85,148 +96,50 @@ func (s *Store) Split(ctx context.Context, wantEpoch uint64, srcID int) (uint64,
 	srcMod, srcRes, dstMod, dstRes := splitSlices(sl.mod, sl.res)
 	newEpoch := tab.epoch + 1
 	dstID := s.nextID
-	durable := s.durable()
 
 	dst, err := s.freshShard(dstID)
 	if err != nil {
 		return 0, err
 	}
+	// Only the new shard's half moves; it is a strict subset of src's
+	// slice, so keys a lazy cleanup left from an EARLIER reshard can
+	// never match (they fail src's current slice, hence dst's too).
+	m := s.newMove(ctx, src, src, dst, hashSlice{mod: dstMod, res: dstRes})
 	abort := func(err error) (uint64, error) {
 		// Live rollback: the new shard never went live and nothing was
 		// acknowledged against it. The journal's BEGIN (if it landed) has
 		// no COMMIT, so a crash after this point reaches the same state.
-		src.resharding.Store(false)
-		src.ckptHold.Store(false)
+		m.end()
 		if dst.wal != nil {
 			dst.wal.Close()
 		}
 		s.removeLogDir(dst.walName)
 		return 0, err
 	}
-
-	// Flip the capture gate and wait out the grace period: from here on
-	// every mutation on src holds src's token and marks rdirty.
-	// ckptHold goes first so no rotation can run between the BEGIN below
-	// and the cutover's COMMIT.
-	src.ckptHold.Store(true)
-	src.resharding.Store(true)
-	s.grace.synchronize()
-
-	// The cutover must finish even if the admin client hangs up.
-	bctx := context.WithoutCancel(ctx)
-
-	// Journal BEGIN under src's token. The fence also serializes after
-	// any mutation that was mid-commit at the gate flip.
 	rs := &wal.Reshard{Op: wal.ReshardSplit, Src: srcID, Dst: dstID,
 		Mod: srcMod, Res: srcRes, Mod2: dstMod, Res2: dstRes, Dir: dst.walName}
-	err = src.tm.AtomicCtx(bctx, func(*core.Tx) error {
-		if durable {
-			return src.wal.Append(wal.AppendReshardBegin(nil, newEpoch, rs))
+	if err := m.begin(newEpoch, rs); err != nil {
+		return abort(err)
+	}
+	if err := m.copyPhase(); err != nil {
+		return abort(err)
+	}
+	// Cutover: src's token blocks every writer, and dst has none, so the
+	// final delta ships inside the barrier — its snapshot reads need no
+	// token, and the barrier's own transaction reads nothing — and the
+	// new table is published before the token is released.
+	next := splitTable(tab, srcPos, dst, srcMod, srcRes, dstMod, dstRes, newEpoch)
+	err = barrier(m.ctx, "reshard-cutover", m.fence(), func() error {
+		if err := m.ship(m.take()); err != nil {
+			return err
 		}
-		return nil
-	}, core.WithSemantics(core.Irrevocable), core.WithLabel("reshard-begin"))
+		return m.publish(next, dstID+1)
+	})
 	if err != nil {
 		return abort(err)
 	}
-
-	// Only the new shard's half moves; it is a strict subset of src's
-	// slice, so keys a lazy cleanup left from an EARLIER reshard can
-	// never match (they fail src's current slice, hence dst's too).
-	owns := func(k string) bool { return hashKeyStr(k)%dstMod == dstRes }
-	// Copy batches land on dst as quiet mutations — the values are not
-	// new, they moved. dst is not yet routable: no concurrent writer, so
-	// no token beyond what its own log's ordering takes.
-	sink := func(ops []wal.Op) error {
-		return s.applyOps(bctx, dst, ops, mutOpts{quiet: true, label: "reshard-copy"})
-	}
-	pendingTTL := make(map[string]int64)
-
-	if err := s.copyPhase(bctx, src, owns, sink, pendingTTL, func() error {
-		// A concurrent FLUSH voided everything shipped so far.
-		clear(pendingTTL)
-		return sink([]wal.Op{{Kind: wal.OpFlush}})
-	}); err != nil {
-		return abort(err)
-	}
-
-	// Cutover barrier: src's token blocks every writer; the final delta
-	// is read through the barrier's own transaction, applied to dst
-	// (which commits immediately — dst has no concurrent writers), and
-	// the new table published before the token is released.
-	err = src.tm.AtomicCtx(bctx, func(tx *core.Tx) error {
-		src.notif.Sync()
-		taken, flushed := src.rdirty.take()
-		var finals []wal.Op
-		if flushed {
-			clear(pendingTTL)
-			if err := sink([]wal.Op{{Kind: wal.OpFlush}}); err != nil {
-				return err
-			}
-			if err := src.m.RangeTx(tx, "", "", 0, func(k, v string) bool {
-				if owns(k) {
-					finals = append(finals, wal.Op{Kind: wal.OpSet, Key: k, Val: v})
-					trackTTL(src, k, false, pendingTTL)
-				}
-				return true
-			}); err != nil {
-				return err
-			}
-		} else {
-			for k := range taken {
-				if !owns(k) {
-					continue
-				}
-				v, ok, err := src.m.GetTx(tx, k)
-				if err != nil {
-					return err
-				}
-				if ok {
-					finals = append(finals, wal.Op{Kind: wal.OpSet, Key: k, Val: v})
-				} else {
-					finals = append(finals, wal.Op{Kind: wal.OpDel, Key: k})
-				}
-				trackTTL(src, k, !ok, pendingTTL)
-			}
-		}
-		if len(finals) > 0 {
-			if err := sink(finals); err != nil {
-				return err
-			}
-		}
-		for k, d := range pendingTTL {
-			dst.ttl.set(k, d)
-		}
-		// The commit point: after this append a crash rolls FORWARD.
-		if durable {
-			if err := src.wal.Append(wal.AppendReshardCommit(nil, newEpoch)); err != nil {
-				return err
-			}
-		}
-		next := splitTable(tab, srcPos, dst, srcMod, srcRes, dstMod, dstRes, newEpoch)
-		if durable {
-			if err := writeStoreManifest(s.walDir, s.manifestFor(next, dstID+1)); err != nil && s.logf != nil {
-				// Not fatal: the journal's COMMIT already decides recovery;
-				// the next manifest rewrite heals the file.
-				s.logf("polyserve: split epoch=%d: manifest rewrite: %v (journal will roll forward)", newEpoch, err)
-			}
-		}
-		s.table.Store(next)
-		return nil
-	}, core.WithSemantics(core.Irrevocable), core.WithLabel("reshard-cutover"))
-	if err != nil {
-		return abort(err)
-	}
-
 	s.nextID = dstID + 1
-	src.resharding.Store(false)
-	src.ckptHold.Store(false)
-	s.reshardSplits.Add(1)
-	if s.logf != nil {
-		s.logf("polyserve: split shard %d -> new shard %d, routing epoch %d", srcID, dstID, newEpoch)
-	}
-	if hook := s.reshardHook.Load(); hook != nil {
-		(*hook)(newEpoch)
-	}
+	m.published(&s.reshardSplits, newEpoch, fmt.Sprintf("split shard %d -> new shard %d", srcID, dstID))
 	// Lazily scrub the moved half off src — reads already route past it.
 	// The scrub holds reshardMu for its (bounded, batched) duration: a
 	// MERGE folding the moved half back, or another SPLIT of src, must
@@ -263,9 +176,9 @@ func (s *Store) Merge(ctx context.Context, wantEpoch uint64, aID, bID int) (uint
 	if aPos < 0 || bPos < 0 {
 		return 0, fmt.Errorf("server: MERGE of unknown shard %d", map[bool]int{true: aID, false: bID}[aPos < 0])
 	}
-	// The survivor is the lower-residue shard: its token hosts the
-	// journal and the barrier, and lower-residue-first matches the 2PC
-	// token order (table order), keeping the cutover deadlock-free.
+	// The survivor is the lower-residue shard: its log hosts the journal,
+	// and lower-residue-first matches the 2PC token order (table order),
+	// keeping the barriers deadlock-free.
 	if tab.slices[aPos].res > tab.slices[bPos].res {
 		aID, bID = bID, aID
 		aPos, bPos = bPos, aPos
@@ -277,161 +190,272 @@ func (s *Store) Merge(ctx context.Context, wantEpoch uint64, aID, bID int) (uint
 	}
 	a, b := tab.shards[aPos], tab.shards[bPos]
 	newEpoch := tab.epoch + 1
-	durable := s.durable()
-
-	a.ckptHold.Store(true)
-	b.ckptHold.Store(true)
-	b.resharding.Store(true)
-	s.grace.synchronize()
-	abort := func(err error) (uint64, error) {
-		b.resharding.Store(false)
-		a.ckptHold.Store(false)
-		b.ckptHold.Store(false)
-		return 0, err
-	}
-	bctx := context.WithoutCancel(ctx)
-
-	// Journal BEGIN in the SURVIVOR's log, under its token — the copy
-	// records land in the same log after it, the COMMIT after those.
-	rs := &wal.Reshard{Op: wal.ReshardMerge, Src: bID, Dst: aID, Mod: mod, Res: res, Dir: b.walName}
-	if durable {
-		err := a.tm.AtomicCtx(bctx, func(*core.Tx) error {
-			return a.wal.Append(wal.AppendReshardBegin(nil, newEpoch, rs))
-		}, core.WithSemantics(core.Irrevocable), core.WithLabel("reshard-begin"))
-		if err != nil {
-			return abort(err)
-		}
-	}
 
 	// Only keys b currently OWNS move — a key a lazy cleanup left from
 	// an earlier split may hash into the survivor's half of the merged
 	// slice, and copying its stale value would clobber a's live one.
-	owns := func(k string) bool { return hashKeyStr(k)%bsl.mod == bsl.res }
-	// Copy batches land on a — a live shard with concurrent writers and
-	// 2PC records in its log — under its token (force), as quiet
-	// mutations: the values are not new, they moved.
-	sink := func(ops []wal.Op) error {
-		return s.applyOps(bctx, a, ops, mutOpts{force: true, quiet: true, label: "reshard-copy"})
+	m := s.newMove(ctx, a, b, a, bsl)
+	abort := func(err error) (uint64, error) {
+		m.end()
+		return 0, err
 	}
-	pendingTTL := make(map[string]int64)
-
-	if err := s.copyPhase(bctx, b, owns, sink, pendingTTL, func() error {
-		// A concurrent FLUSH was a cross-shard commit: it already cleared
-		// both a (voiding every copy shipped so far, in a's own commit
-		// order) and b. Nothing to undo — just restart the tracking.
-		clear(pendingTTL)
-		return nil
-	}); err != nil {
+	rs := &wal.Reshard{Op: wal.ReshardMerge, Src: bID, Dst: aID, Mod: mod, Res: res, Dir: b.walName}
+	if err := m.begin(newEpoch, rs); err != nil {
 		return abort(err)
 	}
-
-	// Cutover: converge-and-verify. The barrier takes a's token, then
-	// b's (ascending residue, the global token order — no deadlock with
-	// cross-shard commits), and checks that b has no undrained delta. A
-	// dirty round releases both tokens, drains it through the normal
-	// copy path, and retries; a clean round cuts over while both tokens
-	// are held, so no b-writer can slip between the check and the
-	// publish, and every copy into a has already committed.
+	if err := m.copyPhase(); err != nil {
+		return abort(err)
+	}
+	// Cutover: converge-and-verify. The barrier holds a's token, then
+	// b's, and checks that b has no undrained delta. A dirty round
+	// releases both, ships the delta — a copy into a needs a's token — and
+	// retries; a clean round publishes while both are held, so no
+	// b-writer can slip between the check and the publish, and every copy
+	// into a has already committed.
+	next := mergeTable(tab, aPos, bPos, mod, res, newEpoch)
 	for try := 0; ; try++ {
-		var residual []string
-		var flushed, done bool
-		err := a.tm.AtomicCtx(bctx, func(*core.Tx) error {
-			return b.tm.AtomicCtx(bctx, func(*core.Tx) error {
-				b.notif.Sync()
-				taken, fl := b.rdirty.take()
-				if fl || len(taken) > 0 {
-					flushed = fl
-					for k := range taken {
-						if owns(k) {
-							residual = append(residual, k)
-						}
-					}
-					if !fl && len(residual) == 0 {
-						// Only keys outside b's slice changed (cleanup
-						// tombstones) — nothing to drain after all.
-					} else {
-						return nil
-					}
-				}
-				for k, d := range pendingTTL {
-					a.ttl.set(k, d)
-				}
-				if durable {
-					if err := a.wal.Append(wal.AppendReshardCommit(nil, newEpoch)); err != nil {
-						return err
-					}
-				}
-				next := mergeTable(tab, aPos, bPos, mod, res, newEpoch)
-				if durable {
-					if err := writeStoreManifest(s.walDir, s.manifestFor(next, s.nextID)); err != nil && s.logf != nil {
-						s.logf("polyserve: merge epoch=%d: manifest rewrite: %v (journal will roll forward)", newEpoch, err)
-					}
-				}
-				s.table.Store(next)
-				done = true
+		var keys []string
+		var flushed bool
+		err := barrier(m.ctx, "reshard-cutover", m.fence(), func() error {
+			if keys, flushed = m.take(); flushed || len(keys) > 0 {
 				return nil
-			}, core.WithSemantics(core.Irrevocable), core.WithLabel("reshard-cutover"))
-		}, core.WithSemantics(core.Irrevocable), core.WithLabel("reshard-cutover"))
+			}
+			return m.publish(next, s.nextID)
+		})
 		if err != nil {
 			return abort(err)
 		}
-		if done {
+		if !flushed && len(keys) == 0 {
 			break
 		}
 		if try >= mergeBarrierN {
 			return abort(fmt.Errorf("server: MERGE of shard %d into %d could not converge under sustained write load", bID, aID))
 		}
-		if flushed {
-			clear(pendingTTL)
-			var keys []string
-			if err := b.m.SnapshotAllCtx(bctx, func(k, v string) error {
-				if owns(k) {
-					keys = append(keys, k)
-				}
-				return nil
-			}); err != nil {
-				return abort(err)
-			}
-			residual = keys
-		}
-		if err := s.copyKeys(bctx, b, residual, pendingTTL, sink); err != nil {
+		if err := m.ship(keys, flushed); err != nil {
 			return abort(err)
 		}
 	}
-
-	a.ckptHold.Store(false)
-	s.reshardMerges.Add(1)
-	if s.logf != nil {
-		s.logf("polyserve: merged shard %d into shard %d, routing epoch %d", bID, aID, newEpoch)
-	}
-	if hook := s.reshardHook.Load(); hook != nil {
-		(*hook)(newEpoch)
-	}
+	m.published(&s.reshardMerges, newEpoch, fmt.Sprintf("merged shard %d into shard %d", bID, aID))
 	// Retire b: wait out one grace period so no in-flight gated mutation
 	// still references it (each such mutation re-checks ownership before
 	// touching the log and bails with errMovedKey), then close its log
 	// under its own token — anything that held the token before us has
 	// finished its append; anything after re-checks and never appends.
 	s.grace.synchronize()
-	b.resharding.Store(false)
-	b.ckptHold.Store(false)
 	// A connection may still hold an ack gate on b (gates are waited
 	// outside the grace period): its log wait is answered by the Close
 	// below, and its sync-ack wait must not run at all — b's position no
 	// longer names it, and followers re-sync the merged shard whole.
 	b.replWait.Store(nil)
-	if durable {
-		berr := b.tm.AtomicCtx(bctx, func(*core.Tx) error {
-			return b.wal.Close()
-		}, core.WithSemantics(core.Irrevocable), core.WithLabel("reshard-retire"))
-		if berr != nil && s.logf != nil {
-			s.logf("polyserve: closing merged shard %d's log: %v", bID, berr)
+	if s.durable() {
+		if err := barrier(m.ctx, "reshard-retire", []*shard{b}, b.wal.Close); err != nil && s.logf != nil {
+			s.logf("polyserve: closing merged shard %d's log: %v", bID, err)
 		}
 		if err := s.removeLogDir(b.walName); err != nil && s.logf != nil {
 			s.logf("polyserve: removing merged shard %d's log dir: %v", bID, err)
 		}
 	}
 	return newEpoch, nil
+}
+
+// barrier runs fn holding the irrevocable tokens of shards, nested in
+// table order — the order cross-shard commits take them — so nothing
+// commits on any of them meanwhile.
+func barrier(ctx context.Context, label string, shards []*shard, fn func() error) error {
+	if len(shards) == 0 {
+		return fn()
+	}
+	return shards[0].tm.AtomicCtx(ctx, func(*core.Tx) error {
+		return barrier(ctx, label, shards[1:], fn)
+	}, core.WithSemantics(core.Irrevocable), core.WithLabel(label))
+}
+
+// move is one reshard's copy of a hash slice from one shard to another.
+type move struct {
+	s        *Store
+	ctx      context.Context
+	host     *shard           // logs the journal: the split source, the merge survivor
+	from, to *shard           // the moving shard and the receiver
+	slice    hashSlice        // the keys that move
+	ttl      map[string]int64 // their deadlines on from, armed on to at cutover
+}
+
+func (s *Store) newMove(ctx context.Context, host, from, to *shard, sl hashSlice) *move {
+	// The cutover must finish even if the admin client hangs up.
+	return &move{s: s, ctx: context.WithoutCancel(ctx), host: host, from: from, to: to, slice: sl, ttl: make(map[string]int64)}
+}
+
+// fence lists the shards BEGIN and the cutover hold, in table order:
+// the host and, when it is another shard, the moving one.
+func (m *move) fence() []*shard {
+	if m.host == m.from {
+		return []*shard{m.from}
+	}
+	return []*shard{m.host, m.from}
+}
+
+// begin flips the capture gate, waits out the grace period, and journals
+// BEGIN under the fence. The fence is what serializes the walk after a
+// mutation that was mid-commit at the flip: a cross-shard participant
+// applies its share on from before the flip without marking rdirty, and
+// holds from's token until it commits. ckptHold goes first so no
+// rotation can run between BEGIN and the cutover's COMMIT.
+func (m *move) begin(epoch uint64, rs *wal.Reshard) error {
+	m.host.ckptHold.Store(true)
+	m.from.ckptHold.Store(true)
+	m.from.resharding.Store(true)
+	m.s.grace.synchronize()
+	return barrier(m.ctx, "reshard-begin", m.fence(), func() error {
+		if !m.s.durable() {
+			return nil
+		}
+		return m.host.wal.Append(wal.AppendReshardBegin(nil, epoch, rs))
+	})
+}
+
+// end closes the capture gate and lets both logs checkpoint again.
+func (m *move) end() {
+	m.from.resharding.Store(false)
+	m.host.ckptHold.Store(false)
+	m.from.ckptHold.Store(false)
+}
+
+// copyPhase ships the whole slice, then rounds of deltas until one
+// comes back small.
+func (m *move) copyPhase() error {
+	if err := m.ship(nil, true); err != nil {
+		return err
+	}
+	for round := 0; round < deltaRounds; round++ {
+		var keys []string
+		var flushed bool
+		if err := barrier(m.ctx, "reshard-delta", []*shard{m.from}, func() error {
+			keys, flushed = m.take()
+			return nil
+		}); err != nil {
+			return err
+		}
+		if err := m.ship(keys, flushed); err != nil {
+			return err
+		}
+		if !flushed && len(keys) < deltaSmall {
+			break
+		}
+	}
+	return nil
+}
+
+// take drains from's delta down to the moving keys. The caller holds
+// from's token, so no mutation is mid-commit, and after the Sync every
+// earlier commit's TTL effect has been delivered — the deadlines ship
+// reads are exact as of the fence.
+func (m *move) take() (keys []string, flushed bool) {
+	m.from.notif.Sync()
+	taken, flushed := m.from.rdirty.take()
+	for k := range taken {
+		if m.slice.owns(k) {
+			keys = append(keys, k)
+		}
+	}
+	return keys, flushed
+}
+
+// ship copies keys from from to to. flushed means a FLUSH voided every
+// copy so far, and a batch read before it may have landed after it: the
+// deadlines are dropped, to loses every key of the slice, and the slice
+// is walked again.
+func (m *move) ship(keys []string, flushed bool) error {
+	if flushed {
+		clear(m.ttl)
+		if _, err := m.s.drop(m.ctx, m.to, m.slice.owns); err != nil {
+			return err
+		}
+		var err error
+		if keys, err = m.from.keysWhere(m.ctx, m.slice.owns); err != nil {
+			return err
+		}
+	}
+	return m.copyKeys(keys)
+}
+
+// copyKeys streams the current committed value — or a tombstone — of
+// every listed key out of from in snapshot-read batches (emitKeys, the
+// machinery checkpoint deltas and replication catch-up share) and
+// applies them to to, tracking deadlines as it goes. Copies are quiet
+// mutations — the values are not new, they moved — under to's token: a
+// merge's survivor has other writers and 2PC records in its log; a
+// split's new shard has neither, and its token costs nothing.
+func (m *move) copyKeys(keys []string) error {
+	// The batch keeps value strings past the snapshot transaction that
+	// read them, and each may alias from's version record (core.SetBytes).
+	// That pin is bounded — at most copyBatch records, dropped as soon as
+	// applyOps, which copies every value into to's own cells, returns —
+	// so the values are not cloned a second time here.
+	var ops []wal.Op
+	sink := func() error {
+		if len(ops) == 0 {
+			return nil
+		}
+		err := m.s.applyOps(m.ctx, m.to, ops, mutOpts{force: true, quiet: true, label: "reshard-copy"})
+		ops = nil
+		return err
+	}
+	err := m.s.emitKeys(m.ctx, m.from, keys, func(k, v string, del bool) error {
+		if del {
+			ops = append(ops, wal.Op{Kind: wal.OpDel, Key: k})
+		} else {
+			ops = append(ops, wal.Op{Kind: wal.OpSet, Key: k, Val: v})
+		}
+		if d, ok := m.from.ttl.deadline(k); ok && !del {
+			m.ttl[k] = d
+		} else {
+			delete(m.ttl, k)
+		}
+		if len(ops) >= copyBatch {
+			return sink()
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	return sink()
+}
+
+// publish is the commit point, run inside the cutover barrier: the
+// moved deadlines are armed on to, COMMIT goes to the host's log —
+// after it a crash rolls FORWARD — the MANIFEST is rewritten and the
+// table published.
+func (m *move) publish(next *routingTable, nextID int) error {
+	s := m.s
+	for k, d := range m.ttl {
+		m.to.ttl.set(k, d)
+	}
+	if s.durable() {
+		if err := m.host.wal.Append(wal.AppendReshardCommit(nil, next.epoch)); err != nil {
+			return err
+		}
+		if err := writeStoreManifest(s.walDir, s.manifestFor(next, nextID)); err != nil && s.logf != nil {
+			// Not fatal: the journal's COMMIT already decides recovery;
+			// the next manifest rewrite heals the file.
+			s.logf("polyserve: reshard epoch=%d: manifest rewrite: %v (journal will roll forward)", next.epoch, err)
+		}
+	}
+	s.table.Store(next)
+	return nil
+}
+
+// published is the tail of a reshard that cut over: the gate closes,
+// and STATS, the log and the replication hook learn the new epoch.
+func (m *move) published(n *atomic.Uint64, epoch uint64, what string) {
+	m.end()
+	n.Add(1)
+	if m.s.logf != nil {
+		m.s.logf("polyserve: %s, routing epoch %d", what, epoch)
+	}
+	if hook := m.s.reshardHook.Load(); hook != nil {
+		(*hook)(epoch)
+	}
 }
 
 // splitTable derives the split's published table: src's slice halved in
@@ -469,172 +493,35 @@ func (s *Store) manifestFor(t *routingTable, nextID int) *storeManifest {
 	return m
 }
 
-// copyPhase runs the bulk snapshot walk plus the delta rounds of one
-// reshard's copy protocol against source shard src. owns filters to the
-// moving keys, sink applies one batch to the receiver, onFlush resets
-// receiver-side state after a concurrent FLUSH voided prior batches.
-func (s *Store) copyPhase(ctx context.Context, src *shard, owns func(string) bool, sink func([]wal.Op) error, pendingTTL map[string]int64, onFlush func() error) error {
-	collect := func() ([]string, error) {
-		var keys []string
-		err := src.m.SnapshotAllCtx(ctx, func(k, v string) error {
-			if owns(k) {
-				keys = append(keys, k)
-			}
-			return nil
-		})
-		return keys, err
-	}
-	keys, err := collect()
-	if err != nil {
-		return err
-	}
-	if err := s.copyKeys(ctx, src, keys, pendingTTL, sink); err != nil {
-		return err
-	}
-	for round := 0; round < deltaRounds; round++ {
-		var taken map[string]struct{}
-		var flushed bool
-		// The fence: taking under src's token means no mutation is
-		// mid-commit (every gated mutation holds the token), and the Sync
-		// means every earlier commit's TTL effect has been delivered —
-		// the deadline reads below are exact as of the fence.
-		err := src.tm.AtomicCtx(ctx, func(*core.Tx) error {
-			src.notif.Sync()
-			taken, flushed = src.rdirty.take()
-			return nil
-		}, core.WithSemantics(core.Irrevocable), core.WithLabel("reshard-delta"))
-		if err != nil {
-			return err
-		}
-		keys = keys[:0]
-		if flushed {
-			if err := onFlush(); err != nil {
-				return err
-			}
-			if keys, err = collect(); err != nil {
-				return err
-			}
-		} else {
-			for k := range taken {
-				if owns(k) {
-					keys = append(keys, k)
-				}
-			}
-		}
-		if len(keys) > 0 {
-			if err := s.copyKeys(ctx, src, keys, pendingTTL, sink); err != nil {
-				return err
-			}
-		}
-		if !flushed && len(keys) < deltaSmall {
-			break
-		}
-	}
-	return nil
-}
-
-// copyKeys streams the current committed value — or a tombstone — of
-// every listed key out of src in snapshot-read batches (emitKeys, the
-// machinery checkpoint deltas and replication catch-up share) and
-// applies them through sink, tracking TTL deadlines as it goes.
-func (s *Store) copyKeys(ctx context.Context, src *shard, keys []string, pendingTTL map[string]int64, sink func([]wal.Op) error) error {
-	// The batch keeps value strings past the snapshot transaction that
-	// read them, and each may alias src's version record (core.SetBytes).
-	// That pin is bounded — at most copyBatch records, dropped as soon as
-	// the sink, which copies every value into the receiver's own cells,
-	// returns — so the values are not cloned a second time here. The
-	// cutover barriers' final deltas (finals) are the same case.
-	var ops []wal.Op
-	flush := func() error {
-		if len(ops) == 0 {
-			return nil
-		}
-		err := sink(ops)
-		ops = nil
-		return err
-	}
-	err := s.emitKeys(ctx, src, keys, func(k, v string, del bool) error {
-		if del {
-			ops = append(ops, wal.Op{Kind: wal.OpDel, Key: k})
-		} else {
-			ops = append(ops, wal.Op{Kind: wal.OpSet, Key: k, Val: v})
-		}
-		trackTTL(src, k, del, pendingTTL)
-		if len(ops) >= copyBatch {
-			return flush()
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	return flush()
-}
-
-// trackTTL records key's deadline on src (or its absence) into the
-// reshard's pending TTL map, applied to the receiver at cutover.
-func trackTTL(src *shard, k string, del bool, pendingTTL map[string]int64) {
-	if del {
-		delete(pendingTTL, k)
-		return
-	}
-	if d, ok := src.ttl.deadline(k); ok {
-		pendingTTL[k] = d
-	} else {
-		delete(pendingTTL, k)
-	}
-}
-
-// cleanShard deletes, in bounded batches, every key sh holds but no
-// longer owns under the current table — the moved half a split retains
-// until this lazy pass, or merge-copy pollution a recovery rolled back.
-// The deletes are mutations like any other (through the WAL, so the
-// next recovery starts cleaner) but quiet: the keys' values live on, on
-// the owning shard. Returns how many were removed.
-func (s *Store) cleanShard(ctx context.Context, sh *shard) (int, error) {
-	tab := s.tab()
-	if tab.epoch == 0 {
-		return 0, nil
-	}
-	pos := tab.posByID(sh.idx)
-	if pos < 0 {
-		return 0, nil // absorbed by a merge; nothing to scrub
-	}
-	sl := tab.slices[pos]
-	var stale []string
+// keysWhere walks a snapshot of sh and returns the keys keep accepts.
+func (sh *shard) keysWhere(ctx context.Context, keep func(string) bool) ([]string, error) {
+	var keys []string
 	err := sh.m.SnapshotAllCtx(ctx, func(k, v string) error {
-		if hashKeyStr(k)%sl.mod != sl.res {
-			stale = append(stale, k)
+		if keep(k) {
+			keys = append(keys, k)
 		}
 		return nil
 	})
-	if err != nil {
-		return 0, err
-	}
+	return keys, err
+}
+
+// drop deletes, in bounded batches, every key of sh that stale accepts —
+// found by a lock-free walk, and asked again under sh's token batch by
+// batch, where a table-reading predicate sees sh's slice hold still
+// (every cutover publishes under the tokens of the shards it reshapes).
+// The deletes are mutations like any other, through the WAL, but quiet:
+// the values live on, on the owning shard, or nowhere after a FLUSH.
+// Returns how many were removed.
+func (s *Store) drop(ctx context.Context, sh *shard, stale func(string) bool) (int, error) {
+	keys, err := sh.keysWhere(ctx, stale)
 	removed := 0
-	for start := 0; start < len(stale); start += copyBatch {
-		end := min(start+copyBatch, len(stale))
-		chunk := stale[start:end]
-		done := false
-		err := s.mutate(ctx, sh, core.Irrevocable, mutOpts{force: true, quiet: true, label: "reshard-clean"}, func(tx *core.Tx, cp *walCapture) error {
-			// Re-resolve ownership INSIDE the token: the collection walk
-			// above ran lock-free, and a concurrent MERGE may since have
-			// folded the moved half back onto this shard (or a SPLIT
-			// reshaped it again). Every cutover barrier publishes its
-			// table while holding this same token, so the table read
-			// here is stable for the whole batch — without this check a
-			// lazy scrub racing a merge deletes keys the shard owns
-			// again, durably.
-			cur := s.tab()
-			pos := cur.posByID(sh.idx)
-			if pos < 0 {
-				done = true // absorbed mid-scrub; nothing left to scrub
-				return nil
-			}
-			csl := cur.slices[pos]
+	for err == nil && len(keys) > 0 {
+		chunk := keys[:min(copyBatch, len(keys))]
+		keys = keys[len(chunk):]
+		err = s.mutate(ctx, sh, core.Irrevocable, mutOpts{force: true, quiet: true, label: "reshard-clean"}, func(tx *core.Tx, cp *walCapture) error {
 			for _, k := range chunk {
-				if hashKeyStr(k)%csl.mod == csl.res {
-					continue // owned again — a reshape brought it back
+				if !stale(k) {
+					continue
 				}
 				n, err := sh.applyOp(tx, cp, wal.OpDel, viewBytes(k), nil, effect{})
 				if err != nil {
@@ -645,14 +532,26 @@ func (s *Store) cleanShard(ctx context.Context, sh *shard) (int, error) {
 			}
 			return nil
 		})
-		if err != nil {
-			return removed, err
-		}
-		if done {
-			break
-		}
 	}
-	return removed, nil
+	return removed, err
+}
+
+// cleanShard deletes every key sh holds but no longer owns under the
+// current table — the moved half a split retains until this lazy pass,
+// or merge-copy pollution a recovery rolled back. Ownership is resolved
+// again under the token: a concurrent MERGE may have folded the moved
+// half back onto sh since the walk (or a SPLIT reshaped it again), and
+// without the re-check a scrub racing a merge deletes keys the shard
+// owns again, durably. Returns how many were removed.
+func (s *Store) cleanShard(ctx context.Context, sh *shard) (int, error) {
+	if s.tab().epoch == 0 {
+		return 0, nil
+	}
+	return s.drop(ctx, sh, func(k string) bool {
+		tab := s.tab()
+		pos := tab.posByID(sh.idx) // -1: absorbed by a merge, nothing to scrub
+		return pos >= 0 && !tab.slices[pos].owns(k)
+	})
 }
 
 // AdoptRouting reshapes a FOLLOWER's table to the primary's published

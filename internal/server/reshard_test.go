@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -314,6 +315,174 @@ func TestReshardUnderLiveLoad(t *testing.T) {
 				t.Fatalf("acknowledged %s=%q reads back %q", k, v, got[k])
 			}
 		}
+	}
+}
+
+// TestMergeKeepsInFlightCrossShardWrite: a cross-shard participant that
+// applied its share on the moving shard before the capture gate flipped
+// — so it marks no delta — and commits only after the reshard started
+// must still reach the receiver. The TXN {SET kb on id 2, SET kc on
+// id 3} stalls on id 3's token (held here) with its share on id 2
+// applied; then MERGE 0,2 runs and the token is released. MERGE used to
+// fence only the survivor, so its walk missed kb and the retired shard
+// took kb with it. SPLIT of id 2, whose fence always was the moving
+// shard, is the control. The two sleeps only steer toward the
+// interleaving the bug needed (share applied before the flip, walk
+// before the release); every assertion holds for any interleaving, so
+// a slow run weakens the probe but cannot fail it.
+func TestMergeKeepsInFlightCrossShardWrite(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name           string
+		durable, split bool
+	}{
+		{"merge/volatile", false, false},
+		{"merge/durable", true, false},
+		{"split/volatile", false, true},
+		{"split/durable", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := newSharded(4)
+			if tc.durable {
+				st, _ = newShardedDurable(t, t.TempDir(), 4, wal.ModeOff)
+				defer st.CloseDurability()
+			}
+			// kb lives on id 2 and is in the half a split of id 2 moves
+			// (8,6); kc lives on id 3.
+			var kb, kc []byte
+			for i := 0; kb == nil || kc == nil; i++ {
+				switch h := hashKey(tkey(i)); {
+				case kb == nil && h%8 == 6:
+					kb = tkey(i)
+				case kc == nil && h%4 == 3:
+					kc = tkey(i)
+				}
+			}
+			held, release := make(chan struct{}), make(chan struct{})
+			go st.tab().shards[3].tm.AtomicCtx(ctx, func(*core.Tx) error {
+				close(held)
+				<-release
+				return nil
+			}, core.WithSemantics(core.Irrevocable))
+			<-held
+			txn := make(chan *wire.Response, 1)
+			go func() {
+				txn <- st.Execute(&wire.Request{Op: wire.OpTxn, Sem: wire.SemDefault, Batch: []wire.Request{
+					{Op: wire.OpSet, Key: kb, Val: []byte("B")},
+					{Op: wire.OpSet, Key: kc, Val: []byte("C")},
+				}})
+			}()
+			time.Sleep(50 * time.Millisecond) // the share on id 2 is applied, id 3's token awaited
+			reshard := make(chan error, 1)
+			go func() {
+				var err error
+				if tc.split {
+					_, err = st.Split(ctx, 0, 2)
+				} else {
+					_, err = st.Merge(ctx, 0, 0, 2)
+				}
+				reshard <- err
+			}()
+			time.Sleep(50 * time.Millisecond) // the reshard is under way
+			close(release)
+			if r := <-txn; r.Status != wire.StatusOK {
+				t.Fatalf("TXN: %v %s", r.Status, r.Msg)
+			}
+			if err := <-reshard; err != nil {
+				t.Fatalf("reshard: %v", err)
+			}
+			if r := execOK(t, st, &wire.Request{Op: wire.OpGet, Sem: wire.SemDefault, Key: kb}); r.Status != wire.StatusOK || string(r.Val) != "B" {
+				t.Fatalf("GET kb after the reshard: %v %q, want OK \"B\"", r.Status, r.Val)
+			}
+		})
+	}
+}
+
+// TestReshardBesideFlush: a FLUSH racing the copy protocol voids every
+// copy shipped so far — including a batch read before it that lands
+// after it. A seeded sequential writer (SET 80%, DEL 19%, FLUSH 1%) over
+// 4000 keys keeps a model while SPLIT 0 then MERGE 0,2 (or the merge
+// alone) run, and afterwards the store must scan as exactly the model.
+// MERGE used to trust the FLUSH to have cleared the survivor, and old
+// keys came back.
+func TestReshardBesideFlush(t *testing.T) {
+	ctx := context.Background()
+	const nkeys, rounds = 4000, 8
+	for _, tc := range []struct {
+		name               string
+		durable, mergeOnly bool
+	}{
+		{"split-merge/volatile", false, false},
+		{"split-merge/durable", true, false},
+		{"merge-only/volatile", false, true},
+		{"merge-only/durable", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for round := 0; round < rounds; round++ {
+				st := newSharded(2)
+				if tc.durable {
+					st, _ = newShardedDurable(t, t.TempDir(), 2, wal.ModeOff)
+				}
+				model := make(map[string]string, nkeys)
+				for i := 0; i < nkeys; i++ {
+					execOK(t, st, &wire.Request{Op: wire.OpSet, Sem: wire.SemDefault, Key: tkey(i), Val: []byte("seed")})
+					model[string(tkey(i))] = "seed"
+				}
+				if tc.mergeOnly {
+					if _, err := st.Split(ctx, 0, 0); err != nil {
+						t.Fatalf("Split: %v", err)
+					}
+				}
+				done := make(chan error, 1)
+				go func() {
+					epoch, err := st.RoutingEpoch(), error(nil)
+					if !tc.mergeOnly {
+						epoch, err = st.Split(ctx, epoch, 0)
+					}
+					if err == nil {
+						_, err = st.Merge(ctx, epoch, 0, 2)
+					}
+					done <- err
+				}()
+				rng := rand.New(rand.NewSource(int64(round)))
+				var err error
+				for n, running := 0, true; running; n++ {
+					select {
+					case err = <-done:
+						running = false
+					default:
+					}
+					k := tkey(rng.Intn(nkeys))
+					switch p := rng.Intn(100); {
+					case p < 80:
+						v := fmt.Sprintf("%d", n)
+						execOK(t, st, &wire.Request{Op: wire.OpSet, Sem: wire.SemDefault, Key: k, Val: []byte(v)})
+						model[string(k)] = v
+					case p < 99:
+						execOK(t, st, &wire.Request{Op: wire.OpDel, Sem: wire.SemDefault, Key: k})
+						delete(model, string(k))
+					default:
+						execOK(t, st, &wire.Request{Op: wire.OpFlush, Sem: wire.SemDefault})
+						clear(model)
+					}
+				}
+				if err != nil {
+					t.Fatalf("round %d: reshard: %v", round, err)
+				}
+				got := scanAll(t, st)
+				for k, v := range model {
+					if got[k] != v {
+						t.Fatalf("round %d: %s reads %q, want %q", round, k, got[k], v)
+					}
+				}
+				if len(got) != len(model) {
+					t.Fatalf("round %d: the store holds %d keys, the model %d", round, len(got), len(model))
+				}
+				if tc.durable {
+					st.CloseDurability()
+				}
+			}
+		})
 	}
 }
 

@@ -117,19 +117,8 @@ func hashKey(key []byte) uint64 {
 	return h
 }
 
-// hashKeyStr is hashKey for keys already materialized as strings.
-func hashKeyStr(key string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return h
-}
+// owns reports whether key, as stored, falls in the slice.
+func (sl hashSlice) owns(key string) bool { return hashKey(viewBytes(key))%sl.mod == sl.res }
 
 // splitSlices derives the two child slices of splitting (mod, res):
 // the source keeps (2·mod, res), the new shard takes (2·mod, res+mod).

@@ -15,7 +15,7 @@ func TestSplitSlicesMath(t *testing.T) {
 		t.Fatalf("splitSlices(4,1) = (%d,%d),(%d,%d); want (8,1),(8,5)", sMod, sRes, dMod, dRes)
 	}
 	for i := 0; i < 4096; i++ {
-		h := hashKeyStr(fmt.Sprintf("key-%d", i))
+		h := hashKey([]byte(fmt.Sprintf("key-%d", i)))
 		parent := h%mod == res
 		src := h%sMod == sRes
 		dst := h%dMod == dRes
@@ -70,7 +70,7 @@ func TestRoutingTablePos(t *testing.T) {
 		t.Fatalf("mixed table claimed uniform %d", mixed.uniform)
 	}
 	for i := 0; i < 4096; i++ {
-		h := hashKeyStr(fmt.Sprintf("key-%d", i))
+		h := hashKey([]byte(fmt.Sprintf("key-%d", i)))
 		owners := 0
 		for _, sl := range mixed.slices {
 			if h%sl.mod == sl.res {

@@ -308,15 +308,6 @@ func (sh *shard) expiredNow(key []byte) bool {
 	return sh.ttl.expired(lookupKey(key), nowNanos())
 }
 
-// expiredNowStr is expiredNow for keys already materialized as strings
-// (scan callbacks).
-func (sh *shard) expiredNowStr(key string) bool {
-	if sh.ttl.Len() == 0 {
-		return false
-	}
-	return sh.ttl.expired(key, nowNanos())
-}
-
 // TM returns the first shard's transactional memory (stats, tests;
 // see Store.Stats for the all-shards aggregate).
 func (s *Store) TM() *core.TM { return s.tab().shards[0].tm }
@@ -660,7 +651,7 @@ func (s *Store) scan(ctx context.Context, from, to []byte, limit uint64, sem cor
 			rangeLimit = 0
 		}
 		return sh.m.RangeTx(tx, lookupKey(from), lookupKey(to), rangeLimit, func(k, v string) bool {
-			if sh.expiredNowStr(k) {
+			if sh.expiredNow(viewBytes(k)) {
 				return true
 			}
 			appendPair(resp, k, v)
