@@ -13,26 +13,25 @@ type countingObserver struct {
 	commits, aborts, waits atomic.Int64
 
 	mu        sync.Mutex
-	lastLabel string
+	waitLabel string // only a parked Retry emits OnWait
 	lastErr   error
 }
 
-func (o *countingObserver) OnCommit(ev TxnEvent) {
-	o.commits.Add(1)
-	o.mu.Lock()
-	o.lastLabel = ev.Label
-	o.mu.Unlock()
-}
+func (o *countingObserver) OnCommit(ev TxnEvent) { o.commits.Add(1) }
 
 func (o *countingObserver) OnAbort(ev TxnEvent) {
 	o.aborts.Add(1)
 	o.mu.Lock()
-	o.lastLabel = ev.Label
 	o.lastErr = ev.Err
 	o.mu.Unlock()
 }
 
-func (o *countingObserver) OnWait(ev TxnEvent) { o.waits.Add(1) }
+func (o *countingObserver) OnWait(ev TxnEvent) {
+	o.waits.Add(1)
+	o.mu.Lock()
+	o.waitLabel = ev.Label
+	o.mu.Unlock()
+}
 
 // TestObserverSeesLifecycle drives commit, user-error abort,
 // retry-then-commit and Retry-wait flows past an engine-wide observer.
@@ -113,8 +112,10 @@ func TestObserverSeesLifecycle(t *testing.T) {
 	if obs.waits.Load() == 0 {
 		t.Fatal("observer saw no OnWait for a parked Retry")
 	}
+	// The writer's unlabelled commit event may land after the woken
+	// waiter's, so read the label off the event only the waiter emits.
 	obs.mu.Lock()
-	label := obs.lastLabel
+	label := obs.waitLabel
 	obs.mu.Unlock()
 	if label != "waiter" {
 		t.Fatalf("label = %q, want %q (RunOptions.Label must travel on events)", label, "waiter")

@@ -83,7 +83,10 @@ func TestStructureCtxForms(t *testing.T) {
 		t.Fatal("cancelled remove emptied hash")
 	}
 
+	// A skip list built for weak searches still commits its updates as
+	// def: read the split from the engine's per-semantics counters.
 	sl := NewTSkipList(tm, core.Weak)
+	before := tm.Stats()
 	if added, err := sl.InsertCtx(bg, 3); err != nil || !added {
 		t.Fatalf("skiplist InsertCtx: %v %v", added, err)
 	}
@@ -92,6 +95,15 @@ func TestStructureCtxForms(t *testing.T) {
 	}
 	if _, err := sl.RemoveCtx(dead, 3); !errors.Is(err, stm.ErrCancelled) {
 		t.Fatalf("skiplist RemoveCtx(dead): %v", err)
+	}
+	if removed, err := sl.RemoveCtx(bg, 3); err != nil || !removed {
+		t.Fatalf("skiplist RemoveCtx: %v %v", removed, err)
+	}
+	after := tm.Stats()
+	def := after.Sem(core.Def).Commits - before.Sem(core.Def).Commits
+	weak := after.Sem(core.Weak).Commits - before.Sem(core.Weak).Commits
+	if def != 2 || weak != 1 {
+		t.Fatalf("skiplist (weak) insert+remove+contains committed %d def and %d weak, want 2 and 1", def, weak)
 	}
 
 	m := NewTSkipMap(tm)

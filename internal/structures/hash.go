@@ -1,10 +1,6 @@
 package structures
 
-import (
-	"context"
-
-	"polytm/internal/core"
-)
+import "polytm/internal/core"
 
 // THash is a transactional hash set that supports resize — the
 // capability whose absence from tuned lock-free hash tables motivates
@@ -22,15 +18,8 @@ import (
 // swapped it — the composition rule that keeps elastic updates
 // linearizable across resizes.
 type THash struct {
-	tm      *core.TM
-	buckets *core.TVar[[]*core.TVar[*hnode]]
-	size    *core.TVar[int]
-	sem     core.Semantics
-}
-
-type hnode struct {
-	key  uint64
-	next *core.TVar[*hnode]
+	intSet
+	buckets *core.TVar[[]*core.TVar[*listNode]]
 }
 
 // mix64 is the splitmix64 finalizer (bijective hash).
@@ -49,184 +38,28 @@ func NewTHash(tm *core.TM, sem core.Semantics, nbuckets int) *THash {
 	for n < nbuckets {
 		n <<= 1
 	}
-	bs := make([]*core.TVar[*hnode], n)
-	for i := range bs {
-		bs[i] = core.NewTVar[*hnode](tm, nil)
-	}
-	return &THash{
-		tm:      tm,
-		buckets: core.NewTVar(tm, bs),
-		size:    core.NewTVar(tm, 0),
-		sem:     sem,
-	}
+	h := &THash{buckets: core.NewTVar(tm, newBuckets(tm, n))}
+	h.intSet = newIntSet(tm, sem, sem, h)
+	return h
 }
 
-// search walks key's bucket chain, returning the bucket head TVar, the
-// predecessor node (nil if the match/insertion point is the head) and
-// the first node with key >= target.
-func (h *THash) search(tx *core.Tx, key uint64) (head *core.TVar[*hnode], pred, curr *hnode, err error) {
+// newBuckets makes n empty chain heads.
+func newBuckets(tm *core.TM, n int) []*core.TVar[*listNode] {
+	bs := make([]*core.TVar[*listNode], n)
+	for i := range bs {
+		bs[i] = core.NewTVar[*listNode](tm, nil)
+	}
+	return bs
+}
+
+// apply runs op on key's bucket chain, reached through an anchored read
+// of the bucket array.
+func (h *THash) apply(tx *core.Tx, op setOp, key uint64) (bool, error) {
 	bs, err := core.GetAnchored(tx, h.buckets)
 	if err != nil {
-		return nil, nil, nil, err
+		return false, err
 	}
-	head = bs[mix64(key)&uint64(len(bs)-1)]
-	curr, err = core.Get(tx, head)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	for curr != nil && curr.key < key {
-		next, err := core.Get(tx, curr.next)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		pred, curr = curr, next
-	}
-	return head, pred, curr, nil
-}
-
-func (h *THash) containsBody(tx *core.Tx, key uint64, out *bool) error {
-	_, _, curr, err := h.search(tx, key)
-	if err != nil {
-		return err
-	}
-	*out = curr != nil && curr.key == key
-	return nil
-}
-
-func (h *THash) insertBody(tx *core.Tx, key uint64, out *bool) error {
-	head, pred, curr, err := h.search(tx, key)
-	if err != nil {
-		return err
-	}
-	if curr != nil && curr.key == key {
-		*out = false
-		return nil
-	}
-	n := &hnode{key: key, next: core.NewTVar(h.tm, curr)}
-	if pred == nil {
-		err = core.Set(tx, head, n)
-	} else {
-		err = core.Set(tx, pred.next, n)
-	}
-	if err != nil {
-		return err
-	}
-	*out = true
-	return core.Modify(tx, h.size, func(s int) int { return s + 1 })
-}
-
-func (h *THash) removeBody(tx *core.Tx, key uint64, out *bool) error {
-	head, pred, curr, err := h.search(tx, key)
-	if err != nil {
-		return err
-	}
-	if curr == nil || curr.key != key {
-		*out = false
-		return nil
-	}
-	next, err := core.Get(tx, curr.next)
-	if err != nil {
-		return err
-	}
-	if pred == nil {
-		err = core.Set(tx, head, next)
-	} else {
-		err = core.Set(tx, pred.next, next)
-	}
-	if err != nil {
-		return err
-	}
-	// Version-bump the unlinked node (see TList.Remove).
-	if err := core.Set(tx, curr.next, next); err != nil {
-		return err
-	}
-	*out = true
-	return core.Modify(tx, h.size, func(s int) int { return s - 1 })
-}
-
-// Contains reports whether key is in the set.
-func (h *THash) Contains(key uint64) bool {
-	found, err := h.ContainsCtx(context.Background(), key)
-	must(err)
-	return found
-}
-
-// ContainsCtx is Contains bounded by ctx; cancellation surfaces as an
-// error matching stm.ErrCancelled.
-func (h *THash) ContainsCtx(ctx context.Context, key uint64) (bool, error) {
-	var found bool
-	err := h.tm.AtomicAsCtx(ctx, h.sem, func(tx *core.Tx) error {
-		return h.containsBody(tx, key, &found)
-	})
-	return found, err
-}
-
-// ContainsTx is Contains inside an enclosing transaction.
-func (h *THash) ContainsTx(tx *core.Tx, key uint64) (bool, error) {
-	var found bool
-	err := tx.AtomicAs(h.sem, func(tx *core.Tx) error {
-		return h.containsBody(tx, key, &found)
-	})
-	return found, err
-}
-
-// Insert adds key, returning false if present.
-func (h *THash) Insert(key uint64) bool {
-	added, err := h.InsertCtx(context.Background(), key)
-	must(err)
-	return added
-}
-
-// InsertCtx is Insert bounded by ctx; a cancelled insert's writes are
-// discarded, never partially applied.
-func (h *THash) InsertCtx(ctx context.Context, key uint64) (bool, error) {
-	var added bool
-	err := h.tm.AtomicAsCtx(ctx, h.sem, func(tx *core.Tx) error {
-		return h.insertBody(tx, key, &added)
-	})
-	return added, err
-}
-
-// InsertTx is Insert inside an enclosing transaction.
-func (h *THash) InsertTx(tx *core.Tx, key uint64) (bool, error) {
-	var added bool
-	err := tx.AtomicAs(h.sem, func(tx *core.Tx) error {
-		return h.insertBody(tx, key, &added)
-	})
-	return added, err
-}
-
-// Remove deletes key, returning false if absent.
-func (h *THash) Remove(key uint64) bool {
-	removed, err := h.RemoveCtx(context.Background(), key)
-	must(err)
-	return removed
-}
-
-// RemoveCtx is Remove bounded by ctx; a cancelled remove's writes are
-// discarded, never partially applied.
-func (h *THash) RemoveCtx(ctx context.Context, key uint64) (bool, error) {
-	var removed bool
-	err := h.tm.AtomicAsCtx(ctx, h.sem, func(tx *core.Tx) error {
-		return h.removeBody(tx, key, &removed)
-	})
-	return removed, err
-}
-
-// RemoveTx is Remove inside an enclosing transaction.
-func (h *THash) RemoveTx(tx *core.Tx, key uint64) (bool, error) {
-	var removed bool
-	err := tx.AtomicAs(h.sem, func(tx *core.Tx) error {
-		return h.removeBody(tx, key, &removed)
-	})
-	return removed, err
-}
-
-// Len returns the element count.
-func (h *THash) Len() int {
-	n, err := core.AtomicGet(h.tm, h.size)
-	must(err)
-	return n
+	return chainApply(tx, h.tm, bs[mix64(key)&uint64(len(bs)-1)], op, key)
 }
 
 // Buckets returns the current bucket count.
@@ -270,50 +103,20 @@ func (h *THash) Resize(grow bool) int {
 		}
 		newLen = len(bs) * 2
 		if !grow {
-			newLen = len(bs) / 2
-			if newLen < 1 {
-				newLen = 1
-			}
+			newLen = max(len(bs)/2, 1)
 		}
-		fresh := make([]*core.TVar[*hnode], newLen)
-		for i := range fresh {
-			fresh[i] = core.NewTVar[*hnode](h.tm, nil)
-		}
+		fresh := newBuckets(h.tm, newLen)
 		// Rehash every chain into the fresh array (new nodes: the old
 		// ones stay immutable for concurrent readers).
 		for _, b := range bs {
 			n, err := core.Get(tx, b)
+			for err == nil && n != nil {
+				if _, err = chainInsert(tx, h.tm, fresh[mix64(n.key)&uint64(newLen-1)], n.key); err == nil {
+					n, err = core.Get(tx, n.next)
+				}
+			}
 			if err != nil {
 				return err
-			}
-			for n != nil {
-				idx := mix64(n.key) & uint64(newLen-1)
-				old, err := core.Get(tx, fresh[idx])
-				if err != nil {
-					return err
-				}
-				// Insert sorted into the fresh chain.
-				var fpred *hnode
-				fcurr := old
-				for fcurr != nil && fcurr.key < n.key {
-					fc, err := core.Get(tx, fcurr.next)
-					if err != nil {
-						return err
-					}
-					fpred, fcurr = fcurr, fc
-				}
-				nn := &hnode{key: n.key, next: core.NewTVar(h.tm, fcurr)}
-				if fpred == nil {
-					err = core.Set(tx, fresh[idx], nn)
-				} else {
-					err = core.Set(tx, fpred.next, nn)
-				}
-				if err != nil {
-					return err
-				}
-				if n, err = core.Get(tx, n.next); err != nil {
-					return err
-				}
 			}
 		}
 		return core.Set(tx, h.buckets, fresh)

@@ -2,10 +2,12 @@
 // paper's introduction motivates, built purely on the polymorphic
 // transaction API of internal/core: a sorted linked list, a hash table
 // that — unlike Michael's lock-free one — supports resize, a skip list,
-// and a FIFO queue. Each structure takes an operation semantics at
+// an ordered string map over the same skip-list core, a FIFO queue and a
+// double-ended queue. The integer sets take an operation semantics at
 // construction, so the same code runs monomorphically (Def everywhere:
 // what a classical STM gives you) or polymorphically (Weak searches that
-// elastically cut their read prefix, exactly Figure 1's p1).
+// elastically cut their read prefix, exactly Figure 1's p1); the map
+// takes one per operation.
 //
 // Every operation runs in a transaction and retries internally on
 // conflict; operations therefore compose: call them inside an enclosing
@@ -14,7 +16,6 @@
 package structures
 
 import (
-	"context"
 	"fmt"
 
 	"polytm/internal/core"
@@ -29,104 +30,49 @@ func must(err error) {
 	}
 }
 
-// listNode is one node of the sorted singly-linked list. Nodes are
-// immutable except for their next pointer, which lives in a TVar.
+// listNode is one node of a sorted chain. Nodes are immutable except
+// for their next pointer, which lives in a TVar.
 type listNode struct {
 	key  uint64
 	next *core.TVar[*listNode]
 }
 
-// TList is a transactional sorted linked list implementing an integer
-// set — the paper's running example. With Weak operation semantics its
-// searches are elastic: the traversal keeps only a pairwise-consistent
-// window, so writers behind the search never abort it (Figure 1).
-type TList struct {
-	tm   *core.TM
-	head *core.TVar[*listNode]
-	size *core.TVar[int]
-	sem  core.Semantics
+// chainSearch walks the sorted chain at head inside tx, returning the
+// first node with key >= target (nil at the end) and the variable that
+// points at it: head itself or its predecessor's next.
+func chainSearch(tx *core.Tx, head *core.TVar[*listNode], key uint64) (link *core.TVar[*listNode], curr *listNode, err error) {
+	link = head
+	curr, err = core.Get(tx, head)
+	for err == nil && curr != nil && curr.key < key {
+		link = curr.next
+		curr, err = core.Get(tx, link)
+	}
+	return link, curr, err
 }
 
-// NewTList creates an empty list whose operations run with semantics
-// sem (core.Weak for elastic searches, core.Def for monomorphic).
-func NewTList(tm *core.TM, sem core.Semantics) *TList {
-	return &TList{
-		tm:   tm,
-		head: core.NewTVar[*listNode](tm, nil),
-		size: core.NewTVar(tm, 0),
-		sem:  sem,
+// chainInsert links a node for key into the chain at head, reporting
+// false if key was already there.
+func chainInsert(tx *core.Tx, tm *core.TM, head *core.TVar[*listNode], key uint64) (bool, error) {
+	link, curr, err := chainSearch(tx, head, key)
+	if err != nil || (curr != nil && curr.key == key) {
+		return false, err
 	}
+	return true, core.Set(tx, link, &listNode{key: key, next: core.NewTVar(tm, curr)})
 }
 
-// search walks the list inside tx, returning the last node with key <
-// target (nil if none, meaning the insertion point is the head) and the
-// first node with key >= target (nil at the end).
-func (l *TList) search(tx *core.Tx, key uint64) (pred, curr *listNode, err error) {
-	curr, err = core.Get(tx, l.head)
-	if err != nil {
-		return nil, nil, err
-	}
-	for curr != nil && curr.key < key {
-		next, err := core.Get(tx, curr.next)
-		if err != nil {
-			return nil, nil, err
-		}
-		pred, curr = curr, next
-	}
-	return pred, curr, nil
-}
-
-func (l *TList) containsBody(tx *core.Tx, key uint64, out *bool) error {
-	_, curr, err := l.search(tx, key)
-	if err != nil {
-		return err
-	}
-	*out = curr != nil && curr.key == key
-	return nil
-}
-
-func (l *TList) insertBody(tx *core.Tx, key uint64, out *bool) error {
-	pred, curr, err := l.search(tx, key)
-	if err != nil {
-		return err
-	}
-	if curr != nil && curr.key == key {
-		*out = false
-		return nil
-	}
-	n := &listNode{key: key, next: core.NewTVar(l.tm, curr)}
-	if pred == nil {
-		err = core.Set(tx, l.head, n)
-	} else {
-		err = core.Set(tx, pred.next, n)
-	}
-	if err != nil {
-		return err
-	}
-	*out = true
-	return core.Modify(tx, l.size, func(s int) int { return s + 1 })
-}
-
-func (l *TList) removeBody(tx *core.Tx, key uint64, out *bool) error {
-	pred, curr, err := l.search(tx, key)
-	if err != nil {
-		return err
-	}
-	if curr == nil || curr.key != key {
-		*out = false
-		return nil
+// chainRemove unlinks key from the chain at head, reporting false if key
+// was absent.
+func chainRemove(tx *core.Tx, head *core.TVar[*listNode], key uint64) (bool, error) {
+	link, curr, err := chainSearch(tx, head, key)
+	if err != nil || curr == nil || curr.key != key {
+		return false, err
 	}
 	next, err := core.Get(tx, curr.next)
 	if err != nil {
-		return err
+		return false, err
 	}
-	if pred == nil {
-		err = core.Set(tx, l.head, next)
-	} else {
-		err = core.Set(tx, pred.next, next)
-	}
-	if err != nil {
-		return err
+	if err := core.Set(tx, link, next); err != nil {
+		return false, err
 	}
 	// Mark the removed node by rewriting its next pointer with the same
 	// value: structurally a no-op, but it bumps the variable's version
@@ -134,99 +80,41 @@ func (l *TList) removeBody(tx *core.Tx, key uint64, out *bool) error {
 	// (e.g. a remove of curr's successor that already slid pred out of
 	// its window) conflicts and retries instead of updating an unlinked
 	// node.
-	if err := core.Set(tx, curr.next, next); err != nil {
-		return err
+	return true, core.Set(tx, curr.next, next)
+}
+
+// chainApply runs a set operation on the chain at head (see setBody).
+func chainApply(tx *core.Tx, tm *core.TM, head *core.TVar[*listNode], op setOp, key uint64) (bool, error) {
+	switch op {
+	case opInsert:
+		return chainInsert(tx, tm, head, key)
+	case opRemove:
+		return chainRemove(tx, head, key)
 	}
-	*out = true
-	return core.Modify(tx, l.size, func(s int) int { return s - 1 })
+	_, curr, err := chainSearch(tx, head, key)
+	return err == nil && curr != nil && curr.key == key, err
 }
 
-// Contains reports whether key is in the set.
-func (l *TList) Contains(key uint64) bool {
-	found, err := l.ContainsCtx(context.Background(), key)
-	must(err)
-	return found
+// TList is a transactional sorted linked list implementing an integer
+// set — the paper's running example: one sorted chain. With Weak
+// operation semantics its searches are elastic: the traversal keeps
+// only a pairwise-consistent window, so writers behind the search never
+// abort it (Figure 1).
+type TList struct {
+	intSet
+	head *core.TVar[*listNode]
 }
 
-// ContainsCtx is Contains bounded by ctx: cancellation aborts the
-// operation's retry loop and surfaces as an error matching
-// stm.ErrCancelled; the structure is untouched.
-func (l *TList) ContainsCtx(ctx context.Context, key uint64) (bool, error) {
-	var found bool
-	err := l.tm.AtomicAsCtx(ctx, l.sem, func(tx *core.Tx) error {
-		return l.containsBody(tx, key, &found)
-	})
-	return found, err
+// NewTList creates an empty list whose operations run with semantics
+// sem (core.Weak for elastic searches, core.Def for monomorphic).
+func NewTList(tm *core.TM, sem core.Semantics) *TList {
+	l := &TList{head: core.NewTVar[*listNode](tm, nil)}
+	l.intSet = newIntSet(tm, sem, sem, l)
+	return l
 }
 
-// ContainsTx is Contains inside an enclosing transaction; the operation
-// becomes a nested scope whose semantics the TM's nesting policy
-// composes from the enclosing semantics and the list's own.
-func (l *TList) ContainsTx(tx *core.Tx, key uint64) (bool, error) {
-	var found bool
-	err := tx.AtomicAs(l.sem, func(tx *core.Tx) error {
-		return l.containsBody(tx, key, &found)
-	})
-	return found, err
-}
-
-// Insert adds key, returning false if it was already present.
-func (l *TList) Insert(key uint64) bool {
-	added, err := l.InsertCtx(context.Background(), key)
-	must(err)
-	return added
-}
-
-// InsertCtx is Insert bounded by ctx; a cancelled insert's writes are
-// discarded, never partially applied.
-func (l *TList) InsertCtx(ctx context.Context, key uint64) (bool, error) {
-	var added bool
-	err := l.tm.AtomicAsCtx(ctx, l.sem, func(tx *core.Tx) error {
-		return l.insertBody(tx, key, &added)
-	})
-	return added, err
-}
-
-// InsertTx is Insert inside an enclosing transaction.
-func (l *TList) InsertTx(tx *core.Tx, key uint64) (bool, error) {
-	var added bool
-	err := tx.AtomicAs(l.sem, func(tx *core.Tx) error {
-		return l.insertBody(tx, key, &added)
-	})
-	return added, err
-}
-
-// Remove deletes key, returning false if it was absent.
-func (l *TList) Remove(key uint64) bool {
-	removed, err := l.RemoveCtx(context.Background(), key)
-	must(err)
-	return removed
-}
-
-// RemoveCtx is Remove bounded by ctx; a cancelled remove's writes are
-// discarded, never partially applied.
-func (l *TList) RemoveCtx(ctx context.Context, key uint64) (bool, error) {
-	var removed bool
-	err := l.tm.AtomicAsCtx(ctx, l.sem, func(tx *core.Tx) error {
-		return l.removeBody(tx, key, &removed)
-	})
-	return removed, err
-}
-
-// RemoveTx is Remove inside an enclosing transaction.
-func (l *TList) RemoveTx(tx *core.Tx, key uint64) (bool, error) {
-	var removed bool
-	err := tx.AtomicAs(l.sem, func(tx *core.Tx) error {
-		return l.removeBody(tx, key, &removed)
-	})
-	return removed, err
-}
-
-// Len returns the element count.
-func (l *TList) Len() int {
-	n, err := core.AtomicGet(l.tm, l.size)
-	must(err)
-	return n
+func (l *TList) apply(tx *core.Tx, op setOp, key uint64) (bool, error) {
+	return chainApply(tx, l.tm, l.head, op, key)
 }
 
 // Sum returns the sum of all keys in one atomic snapshot read — a whole

@@ -1,7 +1,7 @@
 package structures
 
 import (
-	"context"
+	"cmp"
 	"sync/atomic"
 
 	"polytm/internal/core"
@@ -30,6 +30,109 @@ func randLevel(seed *atomic.Uint64) int {
 	return lvl
 }
 
+// newTower builds the link variables of an unlinked node of height lvl,
+// level l pointing at succs[l]. A skip node owns its tower by value —
+// one backing array, not a pointer and a separate variable per level.
+func newTower[N any](tm *core.TM, lvl int, succs []*N) []core.TVar[*N] {
+	tower := make([]core.TVar[*N], lvl)
+	for l := range tower {
+		tower[l].Init(tm, succs[l])
+	}
+	return tower
+}
+
+// skipNode is one node of a skip core. val sits between key and the
+// tower so that a zero-size V (the integer set's struct{}) adds no
+// padding: the set's node is 32 bytes, the map's 48.
+type skipNode[K cmp.Ordered, V any] struct {
+	key  K
+	val  V
+	next []core.TVar[*skipNode[K, V]]
+}
+
+// The two instantiations: TSkipMap's node carries its value variable
+// (a pointer, because RebuildTx carries value variables over to the
+// nodes it builds); TSkipList's carries nothing.
+type (
+	mapNode = skipNode[string, *core.TVar[string]]
+	setNode = skipNode[uint64, struct{}]
+)
+
+// skipCore is the skip list both skip structures are made of (Pugh): the
+// sentinel, the tower-height stream, and the one search, link and unlink
+// every operation of either goes through. It keeps no size; the
+// structures count their own elements.
+type skipCore[K cmp.Ordered, V any] struct {
+	tm   *core.TM
+	head *skipNode[K, V] // sentinel; key unused
+	seed atomic.Uint64
+}
+
+func (c *skipCore[K, V]) init(tm *core.TM) {
+	var nils [skipMaxLevel]*skipNode[K, V]
+	c.tm, c.head = tm, &skipNode[K, V]{next: newTower(tm, skipMaxLevel, nils[:])}
+	c.seed.Store(0x9e3779b97f4a7c15)
+}
+
+// search descends to key inside tx and returns the first node with key
+// >= key at the bottom level (nil at the end). When preds and succs are
+// non-nil it fills them per level for a following link or unlink; a
+// lookup passes nil for both.
+func (c *skipCore[K, V]) search(tx *core.Tx, key K, preds, succs []*skipNode[K, V]) (*skipNode[K, V], error) {
+	pred := c.head
+	var curr *skipNode[K, V]
+	for lvl := skipMaxLevel - 1; lvl >= 0; lvl-- {
+		var err error
+		curr, err = core.Get(tx, &pred.next[lvl])
+		if err != nil {
+			return nil, err
+		}
+		for curr != nil && curr.key < key {
+			next, err := core.Get(tx, &curr.next[lvl])
+			if err != nil {
+				return nil, err
+			}
+			pred, curr = curr, next
+		}
+		if preds != nil {
+			preds[lvl] = pred
+			succs[lvl] = curr
+		}
+	}
+	return curr, nil
+}
+
+// link inserts a node holding key and val, which search just placed
+// between preds and succs, and returns it.
+func (c *skipCore[K, V]) link(tx *core.Tx, key K, val V, preds, succs []*skipNode[K, V]) (*skipNode[K, V], error) {
+	n := &skipNode[K, V]{key: key, val: val, next: newTower(c.tm, randLevel(&c.seed), succs)}
+	for i := range n.next {
+		if err := core.Set(tx, &preds[i].next[i], n); err != nil {
+			return nil, err
+		}
+	}
+	return n, nil
+}
+
+// unlink removes succs[0], which search just found, from every level it
+// is linked at.
+func (c *skipCore[K, V]) unlink(tx *core.Tx, preds, succs []*skipNode[K, V]) error {
+	target := succs[0]
+	for i := range target.next {
+		if succs[i] != target {
+			continue
+		}
+		next, err := core.Get(tx, &target.next[i])
+		if err != nil {
+			return err
+		}
+		if err := core.Set(tx, &preds[i].next[i], next); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // TSkipList is a transactional skip list integer set. Searches
 // (Contains) run with the structure's configured semantics — elastic
 // searches skim the index levels without dragging a read set behind
@@ -40,175 +143,37 @@ func randLevel(seed *atomic.Uint64) int {
 // like this is the paper's polymorphism put to work inside one
 // structure.
 type TSkipList struct {
-	tm   *core.TM
-	head *slNode // sentinel; key unused
-	size *core.TVar[int]
-	sem  core.Semantics
-	seed atomic.Uint64
-}
-
-// newTower builds the link variables of an unlinked node of height lvl,
-// level l pointing at succs[l]. Both skip structures' nodes own their
-// tower by value — one backing array, not a pointer and a separate
-// variable per level.
-func newTower[N any](tm *core.TM, lvl int, succs []*N) []core.TVar[*N] {
-	tower := make([]core.TVar[*N], lvl)
-	for l := range tower {
-		tower[l].Init(tm, succs[l])
-	}
-	return tower
-}
-
-type slNode struct {
-	key  uint64
-	next []core.TVar[*slNode]
+	intSet
+	skipCore[uint64, struct{}]
 }
 
 // NewTSkipList creates an empty skip list whose searches use sem.
 func NewTSkipList(tm *core.TM, sem core.Semantics) *TSkipList {
-	var nils [skipMaxLevel]*slNode
-	head := &slNode{next: newTower(tm, skipMaxLevel, nils[:])}
-	s := &TSkipList{tm: tm, head: head, size: core.NewTVar(tm, 0), sem: sem}
-	s.seed.Store(0x9e3779b97f4a7c15)
+	s := &TSkipList{}
+	s.skipCore.init(tm)
+	s.intSet = newIntSet(tm, sem, core.Def, s)
 	return s
 }
 
-// search fills preds/succs per level for key inside tx.
-func (s *TSkipList) search(tx *core.Tx, key uint64, preds []*slNode, succs []*slNode) error {
-	pred := s.head
-	for lvl := skipMaxLevel - 1; lvl >= 0; lvl-- {
-		curr, err := core.Get(tx, &pred.next[lvl])
-		if err != nil {
-			return err
-		}
-		for curr != nil && curr.key < key {
-			next, err := core.Get(tx, &curr.next[lvl])
-			if err != nil {
-				return err
-			}
-			pred, curr = curr, next
-		}
-		if preds != nil {
-			preds[lvl] = pred
-			succs[lvl] = curr
-		}
+func (s *TSkipList) apply(tx *core.Tx, op setOp, key uint64) (bool, error) {
+	if op == opContains {
+		n, err := s.search(tx, key, nil, nil)
+		return err == nil && n != nil && n.key == key, err
 	}
-	return nil
-}
-
-// Contains reports whether key is in the set.
-func (s *TSkipList) Contains(key uint64) bool {
-	found, err := s.ContainsCtx(context.Background(), key)
-	must(err)
-	return found
-}
-
-// ContainsCtx is Contains bounded by ctx; cancellation surfaces as an
-// error matching stm.ErrCancelled.
-func (s *TSkipList) ContainsCtx(ctx context.Context, key uint64) (bool, error) {
-	var found bool
-	err := s.tm.AtomicAsCtx(ctx, s.sem, func(tx *core.Tx) error {
-		pred := s.head
-		var curr *slNode
-		for lvl := skipMaxLevel - 1; lvl >= 0; lvl-- {
-			var err error
-			curr, err = core.Get(tx, &pred.next[lvl])
-			if err != nil {
-				return err
-			}
-			for curr != nil && curr.key < key {
-				next, err := core.Get(tx, &curr.next[lvl])
-				if err != nil {
-					return err
-				}
-				pred, curr = curr, next
-			}
-		}
-		found = curr != nil && curr.key == key
-		return nil
-	})
-	return found, err
-}
-
-// Insert adds key, returning false if present. Runs under Def.
-func (s *TSkipList) Insert(key uint64) bool {
-	added, err := s.InsertCtx(context.Background(), key)
-	must(err)
-	return added
-}
-
-// InsertCtx is Insert bounded by ctx; a cancelled insert's writes are
-// discarded, never partially applied.
-func (s *TSkipList) InsertCtx(ctx context.Context, key uint64) (bool, error) {
-	lvl := randLevel(&s.seed)
-	var added bool
-	err := s.tm.AtomicAsCtx(ctx, core.Def, func(tx *core.Tx) error {
-		// Stack-resident search results: search only fills the slices,
-		// so they never escape (no per-op allocation).
-		var predsArr, succsArr [skipMaxLevel]*slNode
-		preds, succs := predsArr[:], succsArr[:]
-		if err := s.search(tx, key, preds, succs); err != nil {
-			return err
-		}
-		if succs[0] != nil && succs[0].key == key {
-			added = false
-			return nil
-		}
-		n := &slNode{key: key, next: newTower(s.tm, lvl, succs)}
-		for i := 0; i < lvl; i++ {
-			if err := core.Set(tx, &preds[i].next[i], n); err != nil {
-				return err
-			}
-		}
-		added = true
-		return core.Modify(tx, s.size, func(v int) int { return v + 1 })
-	})
-	return added, err
-}
-
-// Remove deletes key, returning false if absent. Runs under Def.
-func (s *TSkipList) Remove(key uint64) bool {
-	removed, err := s.RemoveCtx(context.Background(), key)
-	must(err)
-	return removed
-}
-
-// RemoveCtx is Remove bounded by ctx; a cancelled remove's writes are
-// discarded, never partially applied.
-func (s *TSkipList) RemoveCtx(ctx context.Context, key uint64) (bool, error) {
-	var removed bool
-	err := s.tm.AtomicAsCtx(ctx, core.Def, func(tx *core.Tx) error {
-		var predsArr, succsArr [skipMaxLevel]*slNode
-		preds, succs := predsArr[:], succsArr[:]
-		if err := s.search(tx, key, preds, succs); err != nil {
-			return err
-		}
-		target := succs[0]
-		if target == nil || target.key != key {
-			removed = false
-			return nil
-		}
-		for i := 0; i < len(target.next); i++ {
-			if preds[i] == nil || succs[i] != target {
-				continue
-			}
-			next, err := core.Get(tx, &target.next[i])
-			if err != nil {
-				return err
-			}
-			if err := core.Set(tx, &preds[i].next[i], next); err != nil {
-				return err
-			}
-		}
-		removed = true
-		return core.Modify(tx, s.size, func(v int) int { return v - 1 })
-	})
-	return removed, err
-}
-
-// Len returns the element count.
-func (s *TSkipList) Len() int {
-	n, err := core.AtomicGet(s.tm, s.size)
-	must(err)
-	return n
+	// Stack-resident search results: search and link only read and fill
+	// the slices, so they never escape (no per-op allocation).
+	var preds, succs [skipMaxLevel]*setNode
+	n, err := s.search(tx, key, preds[:], succs[:])
+	if err != nil {
+		return false, err
+	}
+	found := n != nil && n.key == key
+	switch {
+	case op == opInsert && !found:
+		_, err = s.link(tx, key, struct{}{}, preds[:], succs[:])
+		return true, err
+	case op == opRemove && found:
+		return true, s.unlink(tx, preds[:], succs[:])
+	}
+	return false, nil
 }

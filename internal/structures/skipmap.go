@@ -3,7 +3,6 @@ package structures
 import (
 	"context"
 	"strings"
-	"sync/atomic"
 
 	"polytm/internal/core"
 )
@@ -26,57 +25,19 @@ type KV struct {
 // overwrite of an existing key conflicts only with accesses of that key,
 // never with the tower structure around it.
 type TSkipMap struct {
-	tm   *core.TM
-	head *smNode // sentinel; key unused
+	skipCore[string, *core.TVar[string]]
 	size *core.TVar[int]
-	seed atomic.Uint64
-}
-
-// smNode owns its tower by value (newTower); val stays a pointer because
-// RebuildTx carries value variables over to the nodes it builds.
-type smNode struct {
-	key  string
-	val  *core.TVar[string]
-	next []core.TVar[*smNode]
 }
 
 // NewTSkipMap creates an empty ordered map.
 func NewTSkipMap(tm *core.TM) *TSkipMap {
-	m := &TSkipMap{tm: tm, size: core.NewTVar(tm, 0)}
-	var nils [skipMaxLevel]*smNode
-	m.head = &smNode{next: newTower(tm, skipMaxLevel, nils[:])}
-	m.seed.Store(0x9e3779b97f4a7c15)
+	m := &TSkipMap{size: core.NewTVar(tm, 0)}
+	m.skipCore.init(tm)
 	return m
 }
 
 // TM returns the owning transactional memory.
 func (m *TSkipMap) TM() *core.TM { return m.tm }
-
-// search fills preds/succs per level for key inside tx. Either slice may
-// be nil when only succs[0] (via the return value) is needed.
-func (m *TSkipMap) search(tx *core.Tx, key string, preds, succs []*smNode) (*smNode, error) {
-	pred := m.head
-	var curr *smNode
-	for lvl := skipMaxLevel - 1; lvl >= 0; lvl-- {
-		var err error
-		curr, err = core.Get(tx, &pred.next[lvl])
-		if err != nil {
-			return nil, err
-		}
-		for curr != nil && curr.key < key {
-			next, err := core.Get(tx, &curr.next[lvl])
-			if err != nil {
-				return nil, err
-			}
-			pred, curr = curr, next
-		}
-		if preds != nil {
-			preds[lvl] = pred
-			succs[lvl] = curr
-		}
-	}
-	return curr, nil
-}
 
 // GetTx looks key up inside tx, under tx's semantics. The string returned
 // for a value written through PutBytesTx aliases its version record (see
@@ -107,7 +68,7 @@ func (m *TSkipMap) PutTx(tx *core.Tx, key, val string) (bool, error) {
 	// The per-level search results live on the stack: search and link
 	// only read and fill the slices, so they never escape and the per-op
 	// make()s this path used to pay are gone.
-	var preds, succs [skipMaxLevel]*smNode
+	var preds, succs [skipMaxLevel]*mapNode
 	n, err := m.search(tx, key, preds[:], succs[:])
 	if err != nil {
 		return false, err
@@ -115,7 +76,7 @@ func (m *TSkipMap) PutTx(tx *core.Tx, key, val string) (bool, error) {
 	if n != nil && n.key == key {
 		return true, core.Set(tx, n.val, val)
 	}
-	_, err = m.link(tx, key, core.NewTVar(m.tm, val), preds[:], succs[:])
+	_, err = m.insert(tx, key, core.NewTVar(m.tm, val), preds[:], succs[:])
 	return false, err
 }
 
@@ -127,7 +88,7 @@ func (m *TSkipMap) PutTx(tx *core.Tx, key, val string) (bool, error) {
 // the key — the existing node's on an overwrite, the fresh clone on an
 // insert — for callers that must remember which key they wrote.
 func (m *TSkipMap) PutBytesTx(tx *core.Tx, key string, val []byte) (stored string, existed bool, err error) {
-	var preds, succs [skipMaxLevel]*smNode
+	var preds, succs [skipMaxLevel]*mapNode
 	n, err := m.search(tx, key, preds[:], succs[:])
 	if err != nil {
 		return "", false, err
@@ -135,19 +96,16 @@ func (m *TSkipMap) PutBytesTx(tx *core.Tx, key string, val []byte) (stored strin
 	if n != nil && n.key == key {
 		return n.key, true, core.SetBytes(tx, n.val, val)
 	}
-	stored, err = m.link(tx, key, core.NewTVarBytes(m.tm, val), preds[:], succs[:])
+	stored, err = m.insert(tx, key, core.NewTVarBytes(m.tm, val), preds[:], succs[:])
 	return stored, false, err
 }
 
-// link inserts a node holding val for key, which search just placed
-// between preds and succs, and returns the node's own copy of the key.
-func (m *TSkipMap) link(tx *core.Tx, key string, val *core.TVar[string], preds, succs []*smNode) (string, error) {
-	lvl := randLevel(&m.seed)
-	n := &smNode{key: strings.Clone(key), val: val, next: newTower(m.tm, lvl, succs)}
-	for i := 0; i < lvl; i++ {
-		if err := core.Set(tx, &preds[i].next[i], n); err != nil {
-			return "", err
-		}
+// insert links a node holding a private copy of key and val, which
+// search just placed between preds and succs, and returns that copy.
+func (m *TSkipMap) insert(tx *core.Tx, key string, val *core.TVar[string], preds, succs []*mapNode) (string, error) {
+	n, err := m.link(tx, strings.Clone(key), val, preds, succs)
+	if err != nil {
+		return "", err
 	}
 	return n.key, core.Modify(tx, m.size, func(v int) int { return v + 1 })
 }
@@ -155,31 +113,15 @@ func (m *TSkipMap) link(tx *core.Tx, key string, val *core.TVar[string], preds, 
 // DeleteTx removes key inside tx, reporting whether it was present and,
 // if so, the map's own copy of the key (see PutBytesTx).
 func (m *TSkipMap) DeleteTx(tx *core.Tx, key string) (stored string, removed bool, err error) {
-	var predsArr, succsArr [skipMaxLevel]*smNode
-	preds, succs := predsArr[:], succsArr[:]
-	if _, err := m.search(tx, key, preds, succs); err != nil {
+	var preds, succs [skipMaxLevel]*mapNode
+	n, err := m.search(tx, key, preds[:], succs[:])
+	if err != nil || n == nil || n.key != key {
 		return "", false, err
 	}
-	target := succs[0]
-	if target == nil || target.key != key {
-		return "", false, nil
-	}
-	for i := 0; i < len(target.next); i++ {
-		if preds[i] == nil || succs[i] != target {
-			continue
-		}
-		next, err := core.Get(tx, &target.next[i])
-		if err != nil {
-			return "", false, err
-		}
-		if err := core.Set(tx, &preds[i].next[i], next); err != nil {
-			return "", false, err
-		}
-	}
-	if err := core.Modify(tx, m.size, func(v int) int { return v - 1 }); err != nil {
+	if err := m.unlink(tx, preds[:], succs[:]); err != nil {
 		return "", false, err
 	}
-	return target.key, true, nil
+	return n.key, true, core.Modify(tx, m.size, func(v int) int { return v - 1 })
 }
 
 // RangeTx walks keys in [from, to) in order inside tx, calling fn for
@@ -187,22 +129,7 @@ func (m *TSkipMap) DeleteTx(tx *core.Tx, key string) (stored string, removed boo
 // (limit <= 0 means unbounded), or the range is exhausted. An empty `to`
 // means "to the end".
 func (m *TSkipMap) RangeTx(tx *core.Tx, from, to string, limit int, fn func(key, val string) bool) error {
-	// Descend to the bottom-level predecessor of `from`.
-	pred := m.head
-	for lvl := skipMaxLevel - 1; lvl >= 0; lvl-- {
-		curr, err := core.Get(tx, &pred.next[lvl])
-		if err != nil {
-			return err
-		}
-		for curr != nil && curr.key < from {
-			next, err := core.Get(tx, &curr.next[lvl])
-			if err != nil {
-				return err
-			}
-			pred, curr = curr, next
-		}
-	}
-	curr, err := core.Get(tx, &pred.next[0])
+	curr, err := m.search(tx, from, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -300,10 +227,10 @@ func (m *TSkipMap) RebuildTx(tx *core.Tx) (int, error) {
 	}
 	// Build the new chain back-to-front so every tower links forward to
 	// an already-built node.
-	tails := make([]*smNode, skipMaxLevel)
+	tails := make([]*mapNode, skipMaxLevel)
 	for i := len(all) - 1; i >= 0; i-- {
 		lvl := randLevel(&m.seed)
-		n := &smNode{key: all[i].key, val: all[i].val, next: newTower(m.tm, lvl, tails)}
+		n := &mapNode{key: all[i].key, val: all[i].val, next: newTower(m.tm, lvl, tails)}
 		for l := 0; l < lvl; l++ {
 			tails[l] = n
 		}

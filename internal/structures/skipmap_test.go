@@ -457,6 +457,14 @@ func preloadAscending(n int) *TSkipMap {
 // the variable every link and value is made of. Its -v output is the
 // "What a key costs" table of the README.
 func TestSkipMapFootprint(t *testing.T) {
+	// Both instantiations of the one skip node keep the size their own
+	// node types had: the set's zero-size value adds nothing.
+	if sz := unsafe.Sizeof(mapNode{}); sz != 48 {
+		t.Errorf("sizeof(mapNode) = %d, want 48", sz)
+	}
+	if sz := unsafe.Sizeof(setNode{}); sz != 32 {
+		t.Errorf("sizeof(setNode) = %d, want 32", sz)
+	}
 	if raceflag.Enabled {
 		t.Skip("race instrumentation changes object sizes; the footprint is asserted in the non-race CI step")
 	}
@@ -482,7 +490,7 @@ func TestSkipMapFootprint(t *testing.T) {
 	}
 	// The fixed objects are their Go sizes (all exact size classes); the
 	// tower row is what is left, since a 72-byte tower rounds up to 80.
-	node, tvar, rec := float64(unsafe.Sizeof(smNode{})), float64(unsafe.Sizeof(core.TVar[string]{})), float64(unsafe.Sizeof(stm.Version{}))
+	node, tvar, rec := float64(unsafe.Sizeof(mapNode{})), float64(unsafe.Sizeof(core.TVar[string]{})), float64(unsafe.Sizeof(stm.Version{}))
 	cell, key := rec+float64(unsafe.Sizeof("")), 16.0
 	linkRecs := rec * float64(links) / n
 	t.Logf("%d ascending 16-byte keys, %.3f links/key: %.1f B/key in %.2f objects/key", n, float64(links)/n, bytesPerKey, objsPerKey)

@@ -1,6 +1,7 @@
 package structures
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -9,27 +10,31 @@ import (
 	"polytm/internal/core"
 )
 
-// set is the common shape of the integer sets under test.
+// set is the common shape of the integer sets under test: the front
+// end every one of them shares.
 type set interface {
 	Insert(uint64) bool
 	Remove(uint64) bool
 	Contains(uint64) bool
 	Len() int
+	InsertTx(*core.Tx, uint64) (bool, error)
+	RemoveTx(*core.Tx, uint64) (bool, error)
+	ContainsTx(*core.Tx, uint64) (bool, error)
 }
 
 // eachSet runs f on every (name, constructor) pair of transactional set.
-func eachSet(t *testing.T, f func(t *testing.T, mk func() set)) {
+func eachSet(t *testing.T, f func(t *testing.T, mk func(*core.TM) set)) {
 	t.Helper()
 	cases := []struct {
 		name string
-		mk   func() set
+		mk   func(*core.TM) set
 	}{
-		{"TList/def", func() set { return NewTList(core.NewDefault(), core.Def) }},
-		{"TList/weak", func() set { return NewTList(core.NewDefault(), core.Weak) }},
-		{"THash/def", func() set { return NewTHash(core.NewDefault(), core.Def, 8) }},
-		{"THash/weak", func() set { return NewTHash(core.NewDefault(), core.Weak, 8) }},
-		{"TSkipList/def", func() set { return NewTSkipList(core.NewDefault(), core.Def) }},
-		{"TSkipList/weak", func() set { return NewTSkipList(core.NewDefault(), core.Weak) }},
+		{"TList/def", func(tm *core.TM) set { return NewTList(tm, core.Def) }},
+		{"TList/weak", func(tm *core.TM) set { return NewTList(tm, core.Weak) }},
+		{"THash/def", func(tm *core.TM) set { return NewTHash(tm, core.Def, 8) }},
+		{"THash/weak", func(tm *core.TM) set { return NewTHash(tm, core.Weak, 8) }},
+		{"TSkipList/def", func(tm *core.TM) set { return NewTSkipList(tm, core.Def) }},
+		{"TSkipList/weak", func(tm *core.TM) set { return NewTSkipList(tm, core.Weak) }},
 	}
 	for _, c := range cases {
 		c := c
@@ -38,8 +43,8 @@ func eachSet(t *testing.T, f func(t *testing.T, mk func() set)) {
 }
 
 func TestSetBasics(t *testing.T) {
-	eachSet(t, func(t *testing.T, mk func() set) {
-		s := mk()
+	eachSet(t, func(t *testing.T, mk func(*core.TM) set) {
+		s := mk(core.NewDefault())
 		if s.Contains(5) {
 			t.Fatal("empty set contains 5")
 		}
@@ -61,10 +66,46 @@ func TestSetBasics(t *testing.T) {
 	})
 }
 
+// TestSetTxForms: every set's Tx forms are nested scopes of the
+// enclosing transaction — their writes commit with it, and vanish with
+// it when its body returns an error.
+func TestSetTxForms(t *testing.T) {
+	errVeto := errors.New("veto")
+	eachSet(t, func(t *testing.T, mk func(*core.TM) set) {
+		tm := core.NewDefault()
+		s := mk(tm)
+		s.Insert(1)
+		err := tm.Atomic(func(tx *core.Tx) error {
+			if added, err := s.InsertTx(tx, 2); err != nil || !added {
+				t.Fatalf("InsertTx(2) = %v, %v", added, err)
+			}
+			if found, err := s.ContainsTx(tx, 2); err != nil || !found {
+				t.Fatalf("ContainsTx(2) inside its transaction = %v, %v", found, err)
+			}
+			if removed, err := s.RemoveTx(tx, 1); err != nil || !removed {
+				t.Fatalf("RemoveTx(1) = %v, %v", removed, err)
+			}
+			return errVeto
+		})
+		if !errors.Is(err, errVeto) {
+			t.Fatalf("enclosing transaction = %v, want the body's error", err)
+		}
+		if s.Contains(2) || !s.Contains(1) || s.Len() != 1 {
+			t.Fatalf("vetoed transaction left a trace: contains(2)=%v contains(1)=%v len=%d", s.Contains(2), s.Contains(1), s.Len())
+		}
+		if err := tm.Atomic(func(tx *core.Tx) error {
+			_, err := s.InsertTx(tx, 3)
+			return err
+		}); err != nil || !s.Contains(3) || s.Len() != 2 {
+			t.Fatalf("committed InsertTx(3): err=%v contains=%v len=%d", err, s.Contains(3), s.Len())
+		}
+	})
+}
+
 func TestSetMatchesModel(t *testing.T) {
-	eachSet(t, func(t *testing.T, mk func() set) {
+	eachSet(t, func(t *testing.T, mk func(*core.TM) set) {
 		f := func(ops []uint16) bool {
-			s := mk()
+			s := mk(core.NewDefault())
 			model := map[uint64]bool{}
 			for _, op := range ops {
 				key := uint64(op % 32)
@@ -94,8 +135,8 @@ func TestSetMatchesModel(t *testing.T) {
 }
 
 func TestSetConcurrentDisjoint(t *testing.T) {
-	eachSet(t, func(t *testing.T, mk func() set) {
-		s := mk()
+	eachSet(t, func(t *testing.T, mk func(*core.TM) set) {
+		s := mk(core.NewDefault())
 		const workers, per = 4, 100
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -135,8 +176,8 @@ func TestSetConcurrentDisjoint(t *testing.T) {
 // and cross-checks the final state against per-key success counters —
 // the linearizability conservation argument.
 func TestSetConcurrentContended(t *testing.T) {
-	eachSet(t, func(t *testing.T, mk func() set) {
-		s := mk()
+	eachSet(t, func(t *testing.T, mk func(*core.TM) set) {
+		s := mk(core.NewDefault())
 		const workers, keys, opsPer = 4, 8, 300
 		var inserted, removed [keys]int64
 		var mu sync.Mutex
