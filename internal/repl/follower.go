@@ -58,14 +58,13 @@ type followerShard struct {
 	ackSeq   uint64
 	ackBytes uint64
 	replay   wal.Replay
-	cleared  bool // this connection's snapshot clear happened
 }
 
 // Follower is the client side of a feed: Redial keeps one Link to the
 // primary up, and each link's lifetime (linkOnce) subscribes, applies
-// the catch-up snapshot and the live tail, and acks its positions —
-// an ACK is also its answer to PING. One Follower owns one goroutine;
-// Close or Promote end it.
+// the WAL records it is shipped — catch-up, then the live tail — and
+// acks its positions — an ACK is also its answer to PING. One Follower
+// owns one goroutine; Close or Promote end it.
 type Follower struct {
 	cfg     FollowerConfig
 	nshards int
@@ -78,7 +77,7 @@ type Follower struct {
 	mu     sync.Mutex
 	shards []followerShard
 	// maxEpoch is the largest 2PC epoch any shard's stream has shown,
-	// kept across the snapshot clears and reshapes that reset a stream.
+	// kept across the catch-ups and reshapes that reset a stream.
 	maxEpoch uint64
 	// primaryInc is the primary incarnation the last completed catch-up
 	// spoke to (from SNAP-DONE). The next HELLO echoes it so the primary
@@ -196,14 +195,12 @@ func (f *Follower) linkOnce() (streamed bool, err error) {
 	// HELLO: announce the incarnation we last caught up against, the
 	// routing epoch our table embodies, and our per-shard applied
 	// positions, so the primary can choose a churn-bounded delta
-	// catch-up over a full snapshot. Fresh connection: the snapshot
-	// phase restarts on every shard.
+	// catch-up over a full one.
 	hello := wire.ReplFrame{Kind: wire.ReplHello, Epoch: f.cfg.Store.RoutingEpoch()}
 	f.mu.Lock()
 	hello.Incarnation = f.primaryInc
 	for i := range f.shards {
 		hello.Acks = append(hello.Acks, wire.ReplAckEntry{Shard: uint64(i), Seq: f.shards[i].ackSeq})
-		f.shards[i].cleared = false
 	}
 	f.mu.Unlock()
 	out, err := wire.AppendReplFrame(nil, &hello)
@@ -229,14 +226,8 @@ func (f *Follower) linkOnce() (streamed bool, err error) {
 		switch frame.Kind {
 		case wire.ReplTopology:
 			return f.adoptTopology(&frame)
-		case wire.ReplSnapBatch:
-			return f.applySnapBatch(&frame, &ops)
-		case wire.ReplDeltaBatch:
-			return f.applyDeltaBatch(&frame, &ops)
 		case wire.ReplSnapDone:
-			if err := f.finishCatchUp(&frame); err != nil {
-				return err
-			}
+			f.finishCatchUp(&frame)
 			if snapsDone++; snapsDone == f.nshards {
 				f.state.Store(int32(StateStreaming))
 				streamed = true
@@ -254,39 +245,24 @@ func (f *Follower) linkOnce() (streamed bool, err error) {
 	return streamed, err
 }
 
-// finishCatchUp handles SNAP-DONE: the shard's catch-up — snapshot or
-// delta — is complete up to the frame's cover seq.
-func (f *Follower) finishCatchUp(frame *wire.ReplFrame) error {
-	shard := int(frame.Shard)
+// finishCatchUp handles SNAP-DONE, whichever catch-up the shard got:
+// its catch-up records are applied and reflect every record up to the
+// frame's cover seq. Apply-side 2PC state from the old link is embodied
+// in the shipped state, so the stream restarts there, and byte
+// accounting restarts with the new feed.
+func (f *Follower) finishCatchUp(frame *wire.ReplFrame) {
 	f.mu.Lock()
-	sh := &f.shards[shard]
-	if frame.Mode == wire.ReplCatchupDelta {
-		// Delta catch-up layered churn onto this shard's surviving
-		// contents: no data clear. Apply-side 2PC state from the old
-		// link is already embodied in the shipped values, so drop it;
-		// byte accounting restarts with the new feed.
-		sh.replay = wal.Replay{}
-		sh.ackBytes = 0
-	} else if !sh.cleared {
-		// An empty shard sends no SNAP-BATCH; the clear still must
-		// happen so stale keys from a previous link don't survive.
-		f.mu.Unlock()
-		if err := f.clearShard(shard); err != nil {
-			return err
-		}
-		f.mu.Lock()
-	}
-	sh.ackSeq = frame.CoverSeq
+	sh := &f.shards[frame.Shard]
+	sh.replay, sh.ackSeq, sh.ackBytes = wal.Replay{}, frame.CoverSeq, 0
 	f.primaryInc = frame.Incarnation
 	f.mu.Unlock()
-	return nil
 }
 
 // adoptTopology handles the TOPOLOGY frame a subscription opens with.
 // At the epoch the store already embodies it only verifies the shape;
 // at a newer epoch it reshapes the store, resets every per-shard
 // position (table positions are meaningless across a reshard — the
-// primary will stream full snapshots), and resizes the link state.
+// primary will send full catch-ups), and resizes the link state.
 func (f *Follower) adoptTopology(frame *wire.ReplFrame) error {
 	n := len(frame.Topo)
 	if n == 0 {
@@ -302,7 +278,7 @@ func (f *Follower) adoptTopology(frame *wire.ReplFrame) error {
 		}
 		f.mu.Lock()
 		f.shards = make([]followerShard, n)
-		f.primaryInc = 0 // old positions are void; the next HELLO asks for snapshots
+		f.primaryInc = 0 // old positions are void; the next HELLO asks for full catch-ups
 		f.mu.Unlock()
 		f.nshards = n
 		f.logf("repl: adopted routing epoch %d (%d shards)", frame.Epoch, n)
@@ -315,72 +291,9 @@ func (f *Follower) adoptTopology(frame *wire.ReplFrame) error {
 	return nil
 }
 
-// clearShard wipes one shard at the start of its snapshot phase — keys
-// deleted on the primary while the follower was away must not survive —
-// and resets that shard's apply-side 2PC state.
-func (f *Follower) clearShard(shard int) error {
-	if err := f.cfg.Store.ApplyShardOps(shard, []wal.Op{{Kind: wal.OpFlush}}); err != nil {
-		return fmt.Errorf("repl: clearing shard %d: %w", shard, err)
-	}
-	f.mu.Lock()
-	sh := &f.shards[shard]
-	sh.cleared = true
-	sh.replay = wal.Replay{}
-	sh.ackSeq = 0
-	sh.ackBytes = 0
-	f.mu.Unlock()
-	return nil
-}
-
-// applySnapBatch applies one SNAP-BATCH frame as a single atomic group
-// of SETs.
-func (f *Follower) applySnapBatch(frame *wire.ReplFrame, ops *[]wal.Op) error {
-	shard := int(frame.Shard)
-	f.mu.Lock()
-	cleared := f.shards[shard].cleared
-	f.mu.Unlock()
-	if !cleared {
-		if err := f.clearShard(shard); err != nil {
-			return err
-		}
-	}
-	if len(frame.Pairs) == 0 {
-		return nil
-	}
-	*ops = (*ops)[:0]
-	for _, kv := range frame.Pairs {
-		*ops = append(*ops, wal.Op{Kind: wal.OpSet, Key: string(kv.Key), Val: string(kv.Val)})
-	}
-	if err := f.cfg.Store.ApplyShardOps(shard, *ops); err != nil {
-		return fmt.Errorf("repl: applying snapshot batch to shard %d: %w", shard, err)
-	}
-	return nil
-}
-
-// applyDeltaBatch applies one DELTA-BATCH frame as a single atomic
-// group — SETs for changed keys, DELs for tombstones — layered on top
-// of the shard's surviving contents (delta catch-up never clears).
-func (f *Follower) applyDeltaBatch(frame *wire.ReplFrame, ops *[]wal.Op) error {
-	shard := int(frame.Shard)
-	if len(frame.Deltas) == 0 {
-		return nil
-	}
-	*ops = (*ops)[:0]
-	for _, d := range frame.Deltas {
-		if d.Del {
-			*ops = append(*ops, wal.Op{Kind: wal.OpDel, Key: string(d.Key)})
-		} else {
-			*ops = append(*ops, wal.Op{Kind: wal.OpSet, Key: string(d.Key), Val: string(d.Val)})
-		}
-	}
-	if err := f.cfg.Store.ApplyShardOps(shard, *ops); err != nil {
-		return fmt.Errorf("repl: applying delta batch to shard %d: %w", shard, err)
-	}
-	return nil
-}
-
 // applyWALBatch steps one WAL-BATCH frame's records, in order, through
-// the shard's stream and applies what each step releases.
+// the shard's stream and applies what each step releases. Catch-up
+// records take the same path as live ones.
 func (f *Follower) applyWALBatch(frame *wire.ReplFrame, ops *[]wal.Op) error {
 	shard := int(frame.Shard)
 	for _, r := range frame.Recs {
@@ -403,9 +316,17 @@ func (f *Follower) applyWALBatch(frame *wire.ReplFrame, ops *[]wal.Op) error {
 			}
 		}
 
+		// A catch-up record carries seq 0, so from the first one until
+		// SNAP-DONE the shard has no position: a catch-up cut at any
+		// point is redone in full on reconnect, never continued as a
+		// delta from state it half replaced. Its bytes stay out of the
+		// acked count, which the hub sets against the live bytes it
+		// shipped to report lag.
 		f.mu.Lock()
 		f.shards[shard].ackSeq = r.Seq
-		f.shards[shard].ackBytes += uint64(len(r.Payload))
+		if r.Seq != 0 {
+			f.shards[shard].ackBytes += uint64(len(r.Payload))
+		}
 		f.mu.Unlock()
 		f.applRecs.Add(1)
 		f.applBytes.Add(uint64(len(r.Payload)))

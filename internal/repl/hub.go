@@ -15,8 +15,8 @@ import (
 )
 
 // PrimaryStore is what the Hub needs from the store it replicates: the
-// per-shard logs to tap and a consistent per-shard snapshot for
-// catch-up. polyserve's server.Store implements it.
+// per-shard logs to tap and each shard's catch-up state. polyserve's
+// server.Store implements it.
 type PrimaryStore interface {
 	NumShards() int
 	ShardWAL(i int) *wal.Log
@@ -25,19 +25,20 @@ type PrimaryStore interface {
 	// subscribe time and sends the topology to the follower; a reshard
 	// cuts every feed (CutAll), forcing renegotiation on reconnect.
 	Routing() (uint64, []wire.ReplShardSlice)
-	// SnapshotShard streams one consistent snapshot of shard i (a
-	// single snapshot-semantics range walk) through emit.
-	SnapshotShard(ctx context.Context, shard int, emit func(k, v string) error) error
 	// Incarnation identifies one durable lifetime of the store. WAL
 	// seqs restart on every process start, so a follower's applied
 	// position is only meaningful against the incarnation that issued
 	// it — delta catch-up is gated on the match.
 	Incarnation() uint64
-	// DeltaShard streams the churn since applied (checkpoint-chain
-	// deltas plus the live dirty set) as value/tombstone pairs.
-	// ok=false means the delta path cannot prove completeness and the
-	// caller must fall back to SnapshotShard.
-	DeltaShard(ctx context.Context, shard int, applied uint64, emit func(k, v string, del bool) error) (bool, error)
+	// CatchUp streams, as operations, what brings a follower whose
+	// applied position in shard is applied up to the shard's state. It
+	// owns the delta-or-full decision: delta=true means the ops were the
+	// churn since applied (SETs and DELs); otherwise they are a FLUSH
+	// followed by a consistent snapshot's pairs as SETs — a partial delta
+	// emitted before the store fell back comes before that FLUSH.
+	// applied == 0 means "no position" and always gets a full catch-up.
+	// The strings an op carries are valid only until emit returns.
+	CatchUp(ctx context.Context, shard int, applied uint64, emit func(wal.Op) error) (delta bool, err error)
 }
 
 // HubConfig parameterizes a Hub.
@@ -455,21 +456,23 @@ func (f *feed) send(frame *wire.ReplFrame) error {
 	return f.link.Write(f.out)
 }
 
-// catchUp brings each shard current — a churn-bounded delta stream when
-// the follower's HELLO proves a usable position within this
-// incarnation, a full snapshot otherwise — then marks it with SNAP-DONE
-// carrying the cover seq, the mode, and the primary's incarnation. Live
-// records buffered meanwhile are shipped by drain.
+// catchUp brings each shard current — a churn-bounded delta when the
+// follower's HELLO proves a usable position within this incarnation, a
+// full catch-up otherwise — shipped in the live tail's vocabulary, then
+// marks it with SNAP-DONE carrying the cover seq, the mode, and the
+// primary's incarnation. Live records buffered meanwhile are shipped by
+// drain.
 func (f *feed) catchUp(covers []uint64, hello *wire.ReplFrame) error {
 	ctx := context.Background()
 	inc := f.h.store.Incarnation()
 	n := len(f.topo)
+	// applied == 0 is "no position": CatchUp answers it with a full
+	// catch-up. Positions count only if the follower left this
+	// incarnation at this routing epoch — positions are table positions,
+	// meaningless across a reshard — so both gates sit behind this one
+	// argument.
 	applied := make([]uint64, n)
-	// Delta catch-up additionally requires the follower to have LEFT at
-	// the same routing epoch it is rejoining: its per-shard applied
-	// positions are table positions, meaningless across a reshard.
-	canDelta := inc != 0 && hello.Incarnation == inc && hello.Epoch == f.epoch
-	if canDelta {
+	if inc != 0 && hello.Incarnation == inc && hello.Epoch == f.epoch {
 		for _, a := range hello.Acks {
 			if int(a.Shard) < n {
 				applied[a.Shard] = a.Seq
@@ -477,23 +480,18 @@ func (f *feed) catchUp(covers []uint64, hello *wire.ReplFrame) error {
 		}
 	}
 	for shard := 0; shard < n; shard++ {
-		mode := wire.ReplCatchupSnap
-		if canDelta {
-			ok, err := f.streamDelta(ctx, shard, applied[shard])
-			if err != nil {
-				return fmt.Errorf("repl: delta shard %d: %w", shard, err)
-			}
-			if ok {
-				mode = wire.ReplCatchupDelta
-				f.h.deltaCatchups.Add(1)
-			}
+		b := catchUpBatch{f: f, frame: wire.ReplFrame{Kind: wire.ReplWALBatch, Shard: uint64(shard)}}
+		delta, err := f.h.store.CatchUp(ctx, shard, applied[shard], b.add)
+		if err == nil {
+			err = b.flush()
 		}
-		if mode == wire.ReplCatchupSnap {
-			// Safe even after a partial delta emission above: the
-			// snapshot path clears the follower's shard before loading.
-			if err := f.streamSnapshot(ctx, shard); err != nil {
-				return fmt.Errorf("repl: snapshot shard %d: %w", shard, err)
-			}
+		if err != nil {
+			return fmt.Errorf("repl: catch-up shard %d: %w", shard, err)
+		}
+		mode := wire.ReplCatchupSnap
+		if delta {
+			mode = wire.ReplCatchupDelta
+			f.h.deltaCatchups.Add(1)
 		}
 		done := wire.ReplFrame{
 			Kind: wire.ReplSnapDone, Shard: uint64(shard),
@@ -506,69 +504,39 @@ func (f *feed) catchUp(covers []uint64, hello *wire.ReplFrame) error {
 	return nil
 }
 
-// batchFlushAt bounds one catch-up or WAL-BATCH frame's payload bytes.
+// batchFlushAt bounds one catch-up record's or WAL-BATCH frame's
+// payload bytes.
 const batchFlushAt = 256 << 10
 
-// batch accumulates one shard's catch-up frame — SNAP-BATCH pairs or
-// DELTA-BATCH deltas, appended by the caller — and writes it out every
-// batchFlushAt payload bytes.
-type batch struct {
-	f     *feed
-	frame wire.ReplFrame
-	bytes int
+// catchUpBatch packs one shard's catch-up ops into a WAL record payload
+// and ships it, every batchFlushAt bytes, as a one-record WAL-BATCH
+// frame with seq 0 — so the follower applies catch-up exactly as it
+// applies the live tail, and a catch-up cut anywhere leaves the shard
+// at position 0.
+type catchUpBatch struct {
+	f       *feed
+	frame   wire.ReplFrame
+	payload []byte
 }
 
-// added accounts n payload bytes just appended to the frame.
-func (b *batch) added(n int) error {
-	if b.bytes += n; b.bytes < batchFlushAt {
+// add encodes op (copying its strings) into the record under
+// construction.
+func (b *catchUpBatch) add(op wal.Op) error {
+	if b.payload = wal.AppendOps(b.payload, []wal.Op{op}); len(b.payload) < batchFlushAt {
 		return nil
 	}
 	return b.flush()
 }
 
-// flush writes the frame if it holds anything and empties it.
-func (b *batch) flush() error {
-	if len(b.frame.Pairs)+len(b.frame.Deltas) == 0 {
+// flush ships the record if it holds anything and starts the next.
+func (b *catchUpBatch) flush() error {
+	if len(b.payload) == 0 {
 		return nil
 	}
+	b.frame.Recs = append(b.frame.Recs[:0], wire.ReplRec{Payload: b.payload})
 	err := b.f.send(&b.frame)
-	b.frame.Pairs, b.frame.Deltas, b.bytes = b.frame.Pairs[:0], b.frame.Deltas[:0], 0
+	b.payload = b.payload[:0]
 	return err
-}
-
-// streamSnapshot ships one shard's full snapshot as SNAP-BATCH frames.
-func (f *feed) streamSnapshot(ctx context.Context, shard int) error {
-	b := batch{f: f, frame: wire.ReplFrame{Kind: wire.ReplSnapBatch, Shard: uint64(shard)}}
-	err := f.h.store.SnapshotShard(ctx, shard, func(k, v string) error {
-		// Copy: the emitted strings are only valid per contract of the
-		// snapshot walk, and the frame encode happens across calls.
-		b.frame.Pairs = append(b.frame.Pairs, wire.KV{Key: []byte(k), Val: []byte(v)})
-		return b.added(len(k) + len(v))
-	})
-	if err != nil {
-		return err
-	}
-	return b.flush()
-}
-
-// streamDelta ships one shard's churn since applied as DELTA-BATCH
-// frames. ok=false means the store could not prove delta completeness
-// (frames already sent are harmless — the snapshot fallback clears the
-// shard first); a non-nil error is a dead feed.
-func (f *feed) streamDelta(ctx context.Context, shard int, applied uint64) (bool, error) {
-	b := batch{f: f, frame: wire.ReplFrame{Kind: wire.ReplDeltaBatch, Shard: uint64(shard)}}
-	ok, err := f.h.store.DeltaShard(ctx, shard, applied, func(k, v string, del bool) error {
-		d := wire.ReplDelta{Key: []byte(k), Del: del}
-		if !del {
-			d.Val = []byte(v)
-		}
-		b.frame.Deltas = append(b.frame.Deltas, d)
-		return b.added(len(k) + len(v))
-	})
-	if err != nil || !ok {
-		return false, err
-	}
-	return true, b.flush()
 }
 
 // drain is the live tail: everything the taps queued goes out as

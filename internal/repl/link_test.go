@@ -33,17 +33,25 @@ func frame(kinds ...byte) []byte {
 	return out
 }
 
-// linkTimeouts gives a read budget of 10 + 2×20 = 50ms.
-var linkTimeouts = Timeouts{Connect: time.Second, Reply: 20 * time.Millisecond, Idle: 10 * time.Millisecond}
+// Both budget sets heartbeat every 10ms. linkTimeouts gives a write 2s
+// and a read 10ms + 2×2s, so on a loaded machine a late answer cannot
+// cut a link a test expects to stay healthy. silentTimeouts gives a
+// read 10 + 2×20 = 50ms: only the test that waits for a silent peer to
+// be cut uses it.
+var (
+	linkTimeouts   = Timeouts{Connect: time.Second, Reply: 2 * time.Second, Idle: 10 * time.Millisecond}
+	silentTimeouts = Timeouts{Connect: time.Second, Reply: 20 * time.Millisecond, Idle: 10 * time.Millisecond}
+)
 
-// pipeLink returns a Link over one end of a net.Pipe and the raw other
-// end. net.Pipe is unbuffered: a Write returns only once the peer has
-// read it, so "written" below always means "reached the peer".
-func pipeLink(t *testing.T) (*Link, net.Conn) {
+// pipeLink returns a Link with budgets tm over one end of a net.Pipe
+// and the raw other end. net.Pipe is unbuffered: a Write returns only
+// once the peer has read it, so "written" below always means "reached
+// the peer".
+func pipeLink(t *testing.T, tm Timeouts) (*Link, net.Conn) {
 	t.Helper()
 	a, b := net.Pipe()
 	t.Cleanup(func() { a.Close(); b.Close() })
-	return NewLink(a, bufio.NewReader(a), bufio.NewWriter(a), linkTimeouts, 0), b
+	return NewLink(a, bufio.NewReader(a), bufio.NewWriter(a), tm, 0), b
 }
 
 // peer is the far end of a served link: it records every frame kind it
@@ -120,7 +128,7 @@ func TestLinkServe(t *testing.T) {
 		// act runs beside Serve and makes the link end.
 		act func(t *testing.T, r *rig)
 		// wantErr is matched with errors.Is; wantTimeout asks for a
-		// net.Error timeout instead.
+		// net.Error timeout instead, and runs the link on silentTimeouts.
 		wantErr     error
 		wantTimeout bool
 		// wantTail is the suffix the peer must have read, in order.
@@ -211,7 +219,11 @@ func TestLinkServe(t *testing.T) {
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			l, far := pipeLink(t)
+			tm := linkTimeouts
+			if row.wantTimeout {
+				tm = silentTimeouts
+			}
+			l, far := pipeLink(t, tm)
 			r := &rig{l: l, p: startPeer(far, row.answerPings), wake: make(chan struct{}, 1)}
 			drain := func() error {
 				if row.drain == nil {
@@ -260,7 +272,7 @@ func TestLinkServe(t *testing.T) {
 // TestLinkServeJoinsReader: Serve never returns while its reader
 // goroutine is still inside onFrame.
 func TestLinkServeJoinsReader(t *testing.T) {
-	l, far := pipeLink(t)
+	l, far := pipeLink(t, linkTimeouts)
 	startPeer(far, false) // takes the pings off the unbuffered pipe
 	entered, release := make(chan struct{}), make(chan struct{})
 	var exited atomic.Bool
@@ -294,7 +306,7 @@ func TestLinkServeJoinsReader(t *testing.T) {
 // TestLinkCutIsALatch: the first cause sticks, and nothing starts on a
 // cut link — while a read already blocked is woken with the cause.
 func TestLinkCutIsALatch(t *testing.T) {
-	l, _ := pipeLink(t)
+	l, _ := pipeLink(t, linkTimeouts)
 	blocked := make(chan error, 1)
 	go func() {
 		_, err := l.Read(nil)

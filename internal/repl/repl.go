@@ -13,7 +13,9 @@
 // (wal.Log.AttachTap) first, stream a snapshot of the shard, then the
 // live tail; every record is either covered by the snapshot (seq <=
 // coverSeq) or shipped, and replaying the overlap is idempotent because
-// records are absolute.
+// records are absolute. The catch-up itself ships as WAL records too —
+// seq 0, a FLUSH and then the snapshot's pairs as SETs, or a delta's
+// SETs and DELs — so a follower applies one thing.
 //
 // The link discipline — explicit connection states, reconnection with
 // configurable backoff, and a per-phase timeout taxonomy instead of one
@@ -112,9 +114,10 @@ const (
 	StateDisconnected ConnState = iota
 	// StateConnecting: dial + SUBSCRIBE-WAL handshake in flight.
 	StateConnecting
-	// StateCatchingUp: receiving the snapshot phase (SNAP-BATCH frames).
+	// StateCatchingUp: applying catch-up records until every shard's
+	// SNAP-DONE.
 	StateCatchingUp
-	// StateStreaming: snapshot complete on every shard; applying the
+	// StateStreaming: catch-up complete on every shard; applying the
 	// live tail.
 	StateStreaming
 )

@@ -52,12 +52,12 @@ func TestConnStateString(t *testing.T) {
 
 // fakePrimary is a minimal PrimaryStore: per-shard maps guarded by
 // per-shard mutexes, with real wal.Logs carrying the records. Writes
-// hold the shard mutex across map-update + WAL append, and
-// SnapshotShard takes the same mutex, so a snapshot is exactly a log
-// prefix — the same invariant the real store gets from commit ordering.
+// hold the shard mutex across map-update + WAL append, and CatchUp
+// takes the same mutex, so a catch-up is exactly a log prefix — the
+// same invariant the real store gets from commit ordering.
 type fakePrimary struct {
 	t     *testing.T
-	inc   uint64 // 0 = snapshot-only catch-up, like a non-durable store
+	inc   uint64 // 0 = full catch-up only, like a non-durable store
 	logs  []*wal.Log
 	mus   []sync.Mutex
 	maps  []map[string]string
@@ -103,33 +103,37 @@ func (fp *fakePrimary) Routing() (uint64, []wire.ReplShardSlice) {
 	}
 	return 0, topo
 }
-func (fp *fakePrimary) SnapshotShard(ctx context.Context, shard int, emit func(k, v string) error) error {
+
+// CatchUp follows the real store's contract. With an incarnation and a
+// position it emits every key ever touched at its current value or as a
+// DEL — a conservative superset of the real chain-plus-dirty-set walk,
+// complete for any applied position > 0. Otherwise it emits a FLUSH and
+// every pair.
+func (fp *fakePrimary) CatchUp(ctx context.Context, shard int, applied uint64, emit func(wal.Op) error) (bool, error) {
 	fp.mus[shard].Lock()
 	defer fp.mus[shard].Unlock()
-	for k, v := range fp.maps[shard] {
-		if err := emit(k, v); err != nil {
-			return err
+	delta := fp.inc != 0 && applied != 0
+	var ops []wal.Op
+	if delta {
+		for k := range fp.dirty[shard] {
+			op := wal.Op{Kind: wal.OpDel, Key: k}
+			if v, ok := fp.maps[shard][k]; ok {
+				op = wal.Op{Kind: wal.OpSet, Key: k, Val: v}
+			}
+			ops = append(ops, op)
+		}
+	} else {
+		ops = append(ops, wal.Op{Kind: wal.OpFlush})
+		for k, v := range fp.maps[shard] {
+			ops = append(ops, wal.Op{Kind: wal.OpSet, Key: k, Val: v})
 		}
 	}
-	return nil
-}
-
-// DeltaShard emits every key ever touched at its current value or as a
-// tombstone — a conservative superset of the real store's
-// chain-plus-dirty-set walk, complete for any applied position > 0.
-func (fp *fakePrimary) DeltaShard(ctx context.Context, shard int, applied uint64, emit func(k, v string, del bool) error) (bool, error) {
-	if fp.inc == 0 || applied == 0 {
-		return false, nil
-	}
-	fp.mus[shard].Lock()
-	defer fp.mus[shard].Unlock()
-	for k := range fp.dirty[shard] {
-		v, ok := fp.maps[shard][k]
-		if err := emit(k, v, !ok); err != nil {
+	for _, op := range ops {
+		if err := emit(op); err != nil {
 			return false, err
 		}
 	}
-	return true, nil
+	return delta, nil
 }
 
 // set writes one key and returns the record's WAL seq.
@@ -499,9 +503,9 @@ func TestFollowerReconnectsAfterFeedDrop(t *testing.T) {
 
 // TestDeltaCatchUpOnReconnect: a follower that reconnects to the same
 // primary incarnation with a usable applied position gets delta
-// catch-up — churn ships as DELTA-BATCH tombstones/values layered onto
-// its surviving state, with no shard clear — while the first, cold
-// connection still takes the snapshot path.
+// catch-up — churn ships as SET/DEL records layered onto its surviving
+// state, with no FLUSH — while the first, cold connection still takes
+// the full path.
 func TestDeltaCatchUpOnReconnect(t *testing.T) {
 	const shards = 2
 	fp := newFakePrimary(t, shards)
@@ -532,7 +536,7 @@ func TestDeltaCatchUpOnReconnect(t *testing.T) {
 	defer fl.Close()
 	waitFor(t, 5*time.Second, "follower streaming", func() bool { return fl.State() == StateStreaming })
 
-	// The cold connection had no position: snapshot, not delta.
+	// The cold connection had no position: full, not delta.
 	if got := counterValue(h, "repl_delta_catchups"); got != 0 {
 		t.Fatalf("cold catch-up used the delta path %d times", got)
 	}
@@ -567,7 +571,7 @@ func TestDeltaCatchUpOnReconnect(t *testing.T) {
 		fp.del(s, fmt.Sprintf("k%03d", s+2*shards))
 	}
 
-	// A key the primary never wrote: a snapshot path would clear it
+	// A key the primary never wrote: a full catch-up would clear it
 	// away, the delta path must leave it untouched.
 	ff.mu.Lock()
 	ff.maps[0]["local-survivor"] = "still-here"

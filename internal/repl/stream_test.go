@@ -216,3 +216,38 @@ func TestPromoteResolvesByStableID(t *testing.T) {
 		}
 	}
 }
+
+// TestCatchUpRecordsHoldNoPosition: a catch-up record (seq 0) steps
+// through the same stream as a live one and leaves its shard with no
+// position until SNAP-DONE sets the cover seq — so a link cut anywhere
+// in a catch-up reconnects into a full one. Its bytes are not acked
+// (the hub's lag counts live bytes only), and SNAP-DONE restarts the
+// shard's stream whichever catch-up it ends.
+func TestCatchUpRecordsHoldNoPosition(t *testing.T) {
+	store := newRecordingFollower(1)
+	f := idleFollower(store)
+	feedWAL(t, f, 0, set("stale", "1"), wal.AppendPrepare(nil, 4, 0, set("p", "1")))
+	if f.shards[0].ackSeq != 2 || f.shards[0].replay.InDoubt == nil {
+		t.Fatalf("after two live records: position %d, in doubt %v", f.shards[0].ackSeq, f.shards[0].replay.InDoubt)
+	}
+	live := f.shards[0].ackBytes
+
+	catchUp := &wire.ReplFrame{Kind: wire.ReplWALBatch, Recs: []wire.ReplRec{
+		{Payload: wal.AppendSet(wal.AppendFlush(nil), []byte("a"), []byte("1"))},
+	}}
+	var ops []wal.Op
+	if err := f.applyWALBatch(catchUp, &ops); err != nil {
+		t.Fatal(err)
+	}
+	if f.shards[0].ackSeq != 0 || f.shards[0].ackBytes != live {
+		t.Fatalf("during catch-up: position %d, acked bytes %d, want 0 and the %d live bytes", f.shards[0].ackSeq, f.shards[0].ackBytes, live)
+	}
+	if got := store.snapshot(0); !reflect.DeepEqual(got, map[string]string{"a": "1"}) {
+		t.Fatalf("shard after the catch-up record = %v", got)
+	}
+
+	f.finishCatchUp(&wire.ReplFrame{Kind: wire.ReplSnapDone, CoverSeq: 9, Mode: wire.ReplCatchupSnap, Incarnation: 5})
+	if sh := f.shards[0]; sh.ackSeq != 9 || sh.ackBytes != 0 || sh.replay.InDoubt != nil || f.primaryInc != 5 {
+		t.Fatalf("after SNAP-DONE: position %d, bytes %d, in doubt %v, incarnation %d", sh.ackSeq, sh.ackBytes, sh.replay.InDoubt, f.primaryInc)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -311,10 +312,7 @@ func TestFlushForcesFullCheckpoint(t *testing.T) {
 		Key: []byte("post-flush"), Val: []byte("1")})
 
 	// Delta catch-up cannot express "the shard was emptied": refuse.
-	ok, err := st.DeltaShard(ctx, 0, applied, func(k, v string, del bool) error { return nil })
-	if err != nil || ok {
-		t.Fatalf("DeltaShard with flush pending = %v, %v, want false, nil", ok, err)
-	}
+	wantFullCatchUp(t, "flush pending", st, applied)
 
 	if err := st.Checkpoint(ctx); err != nil {
 		t.Fatal(err)
@@ -377,17 +375,56 @@ func TestCheckpointChainStats(t *testing.T) {
 	}
 }
 
+// catchUpOps runs st.CatchUp on shard 0 and returns what it emitted.
+func catchUpOps(st *Store, applied uint64) (bool, []wal.Op, error) {
+	var ops []wal.Op
+	delta, err := st.CatchUp(context.Background(), 0, applied, func(op wal.Op) error {
+		ops = append(ops, op)
+		return nil
+	})
+	return delta, ops, err
+}
+
+// wantFullCatchUp asserts that CatchUp from applied refuses the delta
+// and sends a full catch-up: a FLUSH first, then exactly the shard's
+// contents as SETs.
+func wantFullCatchUp(t *testing.T, edge string, st *Store, applied uint64) {
+	t.Helper()
+	delta, ops, err := catchUpOps(st, applied)
+	if delta || err != nil {
+		t.Fatalf("%s: CatchUp = delta %v, %v, want a full catch-up", edge, delta, err)
+	}
+	if len(ops) == 0 || ops[0].Kind != wal.OpFlush {
+		t.Fatalf("%s: full catch-up does not open with FLUSH: %v", edge, ops)
+	}
+	checkSnapshotOps(t, edge, st, ops[1:])
+}
+
+// checkSnapshotOps asserts ops are exactly st's contents as SETs.
+func checkSnapshotOps(t *testing.T, edge string, st *Store, ops []wal.Op) {
+	t.Helper()
+	want := scanAll(t, st)
+	if len(ops) != len(want) {
+		t.Fatalf("%s: snapshot shipped %d ops, store holds %d keys", edge, len(ops), len(want))
+	}
+	for _, op := range ops {
+		if op.Kind != wal.OpSet || want[op.Key] != op.Val {
+			t.Fatalf("%s: snapshot op %v %q=%q, store has %q", edge, op.Kind, op.Key, op.Val, want[op.Key])
+		}
+	}
+}
+
 // TestDeltaShardGating walks every refusal edge of the delta catch-up
-// contract, then the success path's exact emitted set.
+// contract through the one catch-up call — each must answer with a
+// full catch-up that opens with FLUSH — then the success path's exact
+// emitted set.
 func TestDeltaShardGating(t *testing.T) {
 	ctx := context.Background()
-	sink := func(k, v string, del bool) error { return nil }
 
 	// A non-durable store has no chain and no incarnation: refuse.
 	plain := NewStore(core.NewDefault())
-	if ok, err := plain.DeltaShard(ctx, 0, 99, sink); ok || err != nil {
-		t.Fatalf("non-durable DeltaShard = %v, %v", ok, err)
-	}
+	execOK(t, plain, &wire.Request{Op: wire.OpSet, Sem: wire.SemDefault, Key: []byte("p"), Val: []byte("1")})
+	wantFullCatchUp(t, "non-durable", plain, 99)
 	if plain.Incarnation() != 0 {
 		t.Fatalf("non-durable incarnation = %d, want 0", plain.Incarnation())
 	}
@@ -397,15 +434,13 @@ func TestDeltaShardGating(t *testing.T) {
 	if st.Incarnation() == 0 {
 		t.Fatal("durable store must mint a nonzero incarnation")
 	}
-	if ok, err := st.DeltaShard(ctx, -1, 0, sink); ok || err == nil {
-		t.Fatalf("out-of-range shard = %v, %v, want error", ok, err)
+	if _, err := st.CatchUp(ctx, -1, 0, func(wal.Op) error { return nil }); err == nil {
+		t.Fatal("out-of-range shard: CatchUp succeeded")
 	}
 
 	// No base checkpoint yet: refuse.
 	fillKeys(t, st, 20, func(i int) string { return "v0" })
-	if ok, err := st.DeltaShard(ctx, 0, 999, sink); ok || err != nil {
-		t.Fatalf("no-base DeltaShard = %v, %v", ok, err)
-	}
+	wantFullCatchUp(t, "no base", st, 999)
 	if err := st.Checkpoint(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -415,46 +450,88 @@ func TestDeltaShardGating(t *testing.T) {
 	}
 
 	// A follower whose applied position predates the base may have
-	// changes buried in the base itself: refuse.
-	if ok, err := st.DeltaShard(ctx, 0, base-1, sink); ok || err != nil {
-		t.Fatalf("stale-applied DeltaShard = %v, %v", ok, err)
-	}
+	// changes buried in the base itself: refuse. Position 0 is no
+	// position at all.
+	wantFullCatchUp(t, "stale applied", st, base-1)
+	wantFullCatchUp(t, "applied 0", st, 0)
 
 	// Caught-up follower + live churn: the delta set is exactly the
-	// dirty keys at their current values, deletes as tombstones.
+	// dirty keys at their current values, deletes as DELs.
 	execOK(t, st, &wire.Request{Op: wire.OpSet, Sem: wire.SemDefault,
 		Key: []byte(ckptKeyN(0)), Val: []byte("rewritten")})
 	execOK(t, st, &wire.Request{Op: wire.OpDel, Sem: wire.SemDefault,
 		Key: []byte(ckptKeyN(1))})
-	type ent struct {
-		v   string
-		del bool
+	delta, ops, err := catchUpOps(st, base)
+	if !delta || err != nil {
+		t.Fatalf("caught-up CatchUp = delta %v, %v", delta, err)
 	}
-	got := map[string]ent{}
-	ok, err := st.DeltaShard(ctx, 0, base, func(k, v string, del bool) error {
-		got[k] = ent{v, del}
-		return nil
-	})
-	if !ok || err != nil {
-		t.Fatalf("caught-up DeltaShard = %v, %v", ok, err)
+	want := map[string]wal.Op{
+		ckptKeyN(0): {Kind: wal.OpSet, Key: ckptKeyN(0), Val: "rewritten"},
+		ckptKeyN(1): {Kind: wal.OpDel, Key: ckptKeyN(1)},
 	}
-	want := map[string]ent{
-		ckptKeyN(0): {"rewritten", false},
-		ckptKeyN(1): {"", true},
+	if len(ops) != len(want) {
+		t.Fatalf("delta ops = %v, want %v", ops, want)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("delta set = %v, want %v", got, want)
-	}
-	for k, e := range want {
-		if got[k] != e {
-			t.Fatalf("delta[%s] = %+v, want %+v", k, got[k], e)
+	for _, op := range ops {
+		if want[op.Key] != op {
+			t.Fatalf("delta op %+v, want %+v", op, want[op.Key])
 		}
 	}
 
 	// Emit errors surface to the caller (the feed must fail, not fall
 	// back, when the connection itself is the problem).
 	bang := fmt.Errorf("conn reset")
-	if ok, err := st.DeltaShard(ctx, 0, base, func(k, v string, del bool) error { return bang }); ok || err != bang {
-		t.Fatalf("emit-error DeltaShard = %v, %v, want false, %v", ok, err, bang)
+	if delta, err := st.CatchUp(ctx, 0, base, func(wal.Op) error { return bang }); delta || err != bang {
+		t.Fatalf("emit-error CatchUp = delta %v, %v, want false, %v", delta, err, bang)
 	}
+
+	// A chain file that disappears mid-stream demotes the delta after it
+	// has emitted: the FLUSH that opens the full catch-up comes after the
+	// partial delta and before the first snapshot pair, so it clears both.
+	for round := 0; round < 2; round++ {
+		churnKeys(t, st, 20, 10, fmt.Sprintf("chain%d", round))
+		if err := st.Checkpoint(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chain := st.WAL().Chain()
+	if len(chain.Deltas) != 2 || chain.Deltas[0].Cover <= base {
+		t.Fatalf("chain after two churned cuts = %+v, want two deltas past %d", chain, base)
+	}
+	var emitted []wal.Op
+	delta, err = st.CatchUp(ctx, 0, base, func(op wal.Op) error {
+		if len(emitted) == 0 {
+			if err := os.Remove(st.WAL().DeltaPath(chain.Deltas[1].Seg)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		emitted = append(emitted, op)
+		return nil
+	})
+	if delta || err != nil {
+		t.Fatalf("CatchUp over a vanished chain file = delta %v, %v, want a full catch-up", delta, err)
+	}
+	flush := slices.IndexFunc(emitted, func(op wal.Op) bool { return op.Kind == wal.OpFlush })
+	if flush < 1 {
+		t.Fatalf("FLUSH at op %d of %v, want it after the partial delta", flush, emitted)
+	}
+	checkSnapshotOps(t, "vanished chain file", st, emitted[flush+1:])
+
+	// A restarted primary recovers its base with cover 0, so position 0
+	// would pass the stale-position check — it must still mean "none".
+	dir := t.TempDir()
+	st1, _ := newDurableCfg(t, Durability{Dir: dir, Fsync: wal.ModeOff, CheckpointEvery: -1})
+	fillKeys(t, st1, 20, func(i int) string { return "v1" })
+	if err := st1.Checkpoint(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := st1.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+	st2, _ := newDurableCfg(t, Durability{Dir: dir, Fsync: wal.ModeOff, CheckpointEvery: -1})
+	defer st2.CloseDurability()
+	if chain := st2.WAL().Chain(); chain.BaseSeg == 0 || chain.BaseCover != 0 {
+		t.Fatalf("recovered chain = %+v, want a base with cover 0", chain)
+	}
+	wantFullCatchUp(t, "applied 0 on a recovered base", st2, 0)
 }

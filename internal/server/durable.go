@@ -210,7 +210,7 @@ func (s *Store) EnableDurability(d Durability) (sum *RecoverSummary, err error) 
 	// seqs are per-process, so a follower's applied position is only
 	// comparable to a chain's cover points within one primary lifetime —
 	// the incarnation is how both sides know they are talking about the
-	// same seq space (see Store.DeltaShard).
+	// same seq space (see Store.CatchUp).
 	s.ckptMaxChain = d.MaxChain
 	if s.ckptMaxChain == 0 {
 		s.ckptMaxChain = 8
@@ -610,7 +610,7 @@ func (s *Store) emitDirty(ctx context.Context, sh *shard, taken map[string]struc
 }
 
 // emitKeys is emitDirty's body over an already-flattened key list —
-// shared with replication delta catch-up (DeltaShard), which snapshots
+// shared with replication delta catch-up (CatchUp), which snapshots
 // the dirty set without consuming it.
 func (s *Store) emitKeys(ctx context.Context, sh *shard, keys []string, emit func(k, v string, del bool) error) error {
 	const batch = 256

@@ -144,20 +144,32 @@ func (s *Store) Routing() (uint64, []wire.ReplShardSlice) {
 	return tab.epoch, slices
 }
 
-// SnapshotShard streams one consistent snapshot of shard i through
-// emit (repl.PrimaryStore). The walk is a single snapshot-semantics
-// transaction, so it never aborts and never blocks writers.
-func (s *Store) SnapshotShard(ctx context.Context, i int, emit func(k, v string) error) error {
+// CatchUp streams shard i's catch-up for a follower whose applied
+// position within the CURRENT incarnation is applied
+// (repl.PrimaryStore). It tries the churn-bounded delta first (see
+// delta) and reports delta=true when that proved complete. Otherwise it
+// emits a FLUSH and then one consistent snapshot of the shard as SETs:
+// the FLUSH goes first, so it clears whatever the follower held —
+// including the SETs of a delta that gave up part-way. The snapshot is a
+// single snapshot-semantics walk, so it never aborts and never blocks
+// writers.
+func (s *Store) CatchUp(ctx context.Context, i int, applied uint64, emit func(wal.Op) error) (bool, error) {
 	tab := s.tab()
 	if i < 0 || i >= len(tab.shards) {
-		return fmt.Errorf("server: snapshot of shard %d of %d", i, len(tab.shards))
+		return false, fmt.Errorf("server: catch-up of shard %d of %d", i, len(tab.shards))
 	}
 	sh := tab.shards[i]
-	return sh.m.SnapshotAllCtx(ctx, func(k, v string) error {
+	if ok, err := s.delta(ctx, sh, applied, emit); ok || err != nil {
+		return ok, err
+	}
+	if err := emit(wal.Op{Kind: wal.OpFlush}); err != nil {
+		return false, err
+	}
+	return false, sh.m.SnapshotAllCtx(ctx, func(k, v string) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		return emit(k, v)
+		return emit(wal.Op{Kind: wal.OpSet, Key: k, Val: v})
 	})
 }
 
@@ -168,40 +180,35 @@ func (s *Store) SnapshotShard(ctx context.Context, i int, emit func(k, v string)
 // minted it; the hub gates delta catch-up on a match.
 func (s *Store) Incarnation() uint64 { return s.incarnation }
 
-// errDeltaEmit tags an error raised by DeltaShard's emit callback (the
-// feed connection) apart from chain-file read errors, which merely
-// demote the catch-up to a full snapshot.
+// errDeltaEmit tags an error raised by delta's emit callback (the feed
+// connection) apart from chain-file read errors, which merely demote
+// the catch-up to a full one.
 type errDeltaEmit struct{ err error }
 
 func (e *errDeltaEmit) Error() string { return e.err.Error() }
 
-// DeltaShard streams the churn-bounded catch-up set of shard i for a
-// follower whose applied position within the CURRENT incarnation is
-// applied (repl.PrimaryStore): every checkpoint-chain delta with a
-// cover point past applied, then the live dirty set at its current
-// committed values — each key a value or a tombstone, last writer wins
-// on the follower. Completeness: a change at seq q > applied is either
-// in the delta covering (parent, cover] with cover >= q, or — past the
-// newest cut — still in the dirty set; requiring applied >= the base's
-// cover guarantees no needed change is buried in the base itself (a
-// compaction since the follower disconnected raises the base cover
-// above applied and correctly forces the snapshot path).
+// delta emits the churn-bounded catch-up set of sh since applied: every
+// checkpoint-chain delta with a cover point past applied, then the live
+// dirty set at its current committed values — each key a SET or a DEL,
+// last writer wins on the follower. Completeness: a change at seq
+// q > applied is either in the delta covering (parent, cover] with
+// cover >= q, or — past the newest cut — still in the dirty set;
+// requiring applied >= the base's cover guarantees no needed change is
+// buried in the base itself (a compaction since the follower
+// disconnected raises the base cover above applied and correctly forces
+// the full path).
 //
-// ok=false (with nil error) means the delta path cannot prove
-// completeness — no base, a flush pending (not expressible per-key), a
+// ok=false (with nil error) means the delta cannot prove completeness —
+// no position, no base, a flush pending (not expressible per key), a
 // stale applied position, or a chain file lost to a racing compaction —
-// and the caller must fall back to a full snapshot. That fallback is
-// safe even after partial delta emission: the snapshot path clears the
-// follower's shard before loading.
-func (s *Store) DeltaShard(ctx context.Context, i int, applied uint64, emit func(k, v string, del bool) error) (bool, error) {
-	tab := s.tab()
-	if i < 0 || i >= len(tab.shards) {
-		return false, fmt.Errorf("server: delta of shard %d of %d", i, len(tab.shards))
-	}
-	if !s.durable() {
+// and the caller must send a full catch-up.
+func (s *Store) delta(ctx context.Context, sh *shard, applied uint64, emit func(wal.Op) error) (bool, error) {
+	// applied == 0 is "no position" — a follower that never finished this
+	// shard's catch-up in this incarnation, or whose catch-up was cut.
+	// It must not pass as a position: a recovered base has cover 0.
+	if applied == 0 || !s.durable() {
 		return false, nil
 	}
-	sh := tab.shards[i]
 	// Freeze the chain/dirty pair under the checkpoint lock: a cut
 	// between reading the chain and copying the dirty set would move
 	// keys into a delta this read already missed. Keys mutated after
@@ -214,18 +221,24 @@ func (s *Store) DeltaShard(ctx context.Context, i int, applied uint64, emit func
 	if chain.BaseSeg == 0 || flushPending || applied < chain.BaseCover {
 		return false, nil
 	}
+	emitKV := func(k, v string, del bool) error {
+		if del {
+			return emit(wal.Op{Kind: wal.OpDel, Key: k})
+		}
+		return emit(wal.Op{Kind: wal.OpSet, Key: k, Val: v})
+	}
 	for _, d := range chain.Deltas {
 		if d.Cover <= applied {
 			// Already applied on the follower — including recovered
 			// deltas (cover 0), whose content predates this incarnation
-			// and was covered by the follower's original snapshot.
+			// and was covered by the follower's original catch-up.
 			continue
 		}
 		err := wal.ReadDelta(sh.wal.DeltaPath(d.Seg), func(k, v string, del bool) error {
 			if err := ctx.Err(); err != nil {
 				return &errDeltaEmit{err}
 			}
-			if err := emit(k, v, del); err != nil {
+			if err := emitKV(k, v, del); err != nil {
 				return &errDeltaEmit{err}
 			}
 			return nil
@@ -236,11 +249,11 @@ func (s *Store) DeltaShard(ctx context.Context, i int, applied uint64, emit func
 				return false, ee.err
 			}
 			// The chain moved under us (a compaction removed the file) or
-			// the file failed validation: the snapshot path is the answer.
+			// the file failed validation: the full path is the answer.
 			return false, nil
 		}
 	}
-	if err := s.emitKeys(ctx, sh, dirtyKeys, emit); err != nil {
+	if err := s.emitKeys(ctx, sh, dirtyKeys, emitKV); err != nil {
 		return false, err
 	}
 	return true, nil

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -205,6 +207,94 @@ func TestReplicationCatchUpUnderChurn(t *testing.T) {
 			t.Fatalf("MGET %q: primary (%q,%v) vs follower (%q,%v)",
 				mkeys[j], pvals[j], pfound[j], fvals[j], ffound[j])
 		}
+	}
+}
+
+// cutShardOne is a follower store whose second operation group holding
+// a SET for shard 1 fails, once: the link dies part-way through that
+// shard's catch-up, after its first catch-up record landed.
+type cutShardOne struct {
+	*Store
+	mu   sync.Mutex
+	sets int
+}
+
+func (c *cutShardOne) ApplyShardOps(i int, ops []wal.Op) error {
+	if i == 1 && slices.ContainsFunc(ops, func(op wal.Op) bool { return op.Kind == wal.OpSet }) {
+		c.mu.Lock()
+		c.sets++
+		n := c.sets
+		c.mu.Unlock()
+		if n == 2 {
+			return errors.New("test: catch-up cut")
+		}
+	}
+	return c.Store.ApplyShardOps(i, ops)
+}
+
+func (c *cutShardOne) cut() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.sets >= 2
+}
+
+// TestCutCatchUpAfterRestartKeepsEveryKey: a restarted primary recovers
+// its bases with cover 0, and a follower whose catch-up is cut after
+// shard 0 finished and shard 1 was half loaded reconnects with position
+// 0 on shard 1 under a matching incarnation. Position 0 must mean "no
+// position" — a full catch-up — not a delta from the empty chain that
+// ships nothing and leaves the follower streaming with keys missing.
+func TestCutCatchUpAfterRestartKeepsEveryKey(t *testing.T) {
+	const keys = 1200
+	dur := Durability{Dir: t.TempDir(), Fsync: wal.ModeOff, CheckpointEvery: -1}
+	first := New(Config{StoreShards: 2})
+	if _, err := first.Store().EnableDurability(dur); err != nil {
+		t.Fatal(err)
+	}
+	val := strings.Repeat("v", 1024)
+	for i := 0; i < keys; i++ {
+		execOK(t, first.Store(), &wire.Request{Op: wire.OpSet, Sem: wire.SemDefault,
+			Key: []byte(fmt.Sprintf("cut-%05d", i)), Val: []byte(val)})
+	}
+	if err := first.Store().Checkpoint(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Store().CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+
+	psrv, paddr := startReplServer(t, Config{StoreShards: 2}, &dur, &ReplConfig{})
+	if c := psrv.Store().ShardWAL(1).Chain(); c.BaseSeg == 0 || c.BaseCover != 0 {
+		t.Fatalf("restarted primary's shard 1 chain = %+v, want a recovered base with cover 0", c)
+	}
+	fstore := NewShardedStore([]*core.TM{core.NewDefault(), core.NewDefault()})
+	fstore.BecomeFollower(paddr)
+	cut := &cutShardOne{Store: fstore}
+	fl, err := repl.StartFollower(repl.FollowerConfig{
+		Primary: paddr,
+		Store:   cut,
+		Backoff: repl.Backoff{Min: 10 * time.Millisecond, Max: 100 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+	waitCond(t, 10*time.Second, "the cut and a streaming reconnect", func() bool {
+		return cut.cut() && fl.State() == repl.StateStreaming
+	})
+
+	want, got := scanAll(t, psrv.Store()), scanAll(t, fstore)
+	if len(want) != keys {
+		t.Fatalf("primary holds %d keys, want %d", len(want), keys)
+	}
+	missing := 0
+	for k, v := range want {
+		if got[k] != v {
+			missing++
+		}
+	}
+	if missing != 0 || len(got) != keys {
+		t.Fatalf("follower streaming with %d of %d keys missing or wrong (%d keys held)", missing, keys, len(got))
 	}
 }
 

@@ -205,7 +205,7 @@ type Store struct {
 
 	// Incremental-checkpoint policy (EnableDurability resolves the
 	// defaults) and the process incarnation scoping this lifetime's WAL
-	// seqs for replication delta catch-up (see DeltaShard).
+	// seqs for replication delta catch-up (see CatchUp).
 	ckptMaxChain int
 	ckptRatio    float64
 	incarnation  uint64

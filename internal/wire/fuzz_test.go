@@ -325,24 +325,22 @@ func FuzzDecodeSessFrame(f *testing.F) {
 	})
 }
 
-// replSeedFrames is one valid frame per replication kind (the frames of
-// TestReplFrameRoundTrip, plus TOPOLOGY); testdata/fuzz/FuzzDecodeReplFrame
-// holds the same payloads as files.
+// replSeedFrames is one valid frame per replication kind, plus a
+// catch-up WAL-BATCH (the frames of TestReplFrameRoundTrip, plus
+// TOPOLOGY). testdata/fuzz/FuzzDecodeReplFrame holds one file per live
+// kind, and repl_snap_batch and repl_delta_batch: frames of the retired
+// kinds 3 and 7, kept as seeds the decoder must now reject.
 var replSeedFrames = []*ReplFrame{
 	{Kind: ReplWALBatch, Shard: 3, Recs: []ReplRec{
 		{Seq: 1, Payload: []byte("rec-one")},
 		{Seq: 2, Payload: []byte("")},
 		{Seq: 9000, Payload: []byte("rec-three")},
 	}},
+	{Kind: ReplWALBatch, Shard: 1, Recs: []ReplRec{{Seq: 0, Payload: []byte("catch-up")}}},
 	{Kind: ReplAck, Acks: []ReplAckEntry{{Shard: 0, Seq: 17, Bytes: 4096}, {Shard: 1}}},
-	{Kind: ReplSnapBatch, Shard: 2, Pairs: []KV{{Key: []byte("a"), Val: []byte("1")}, {}}},
 	{Kind: ReplSnapDone, Shard: 1, CoverSeq: 77, Mode: ReplCatchupDelta, Incarnation: 1723400000000000000},
 	{Kind: ReplPing},
 	{Kind: ReplHello, Incarnation: 42, Epoch: 3, Acks: []ReplAckEntry{{Shard: 0, Seq: 9}, {Shard: 3}}},
-	{Kind: ReplDeltaBatch, Shard: 2, Deltas: []ReplDelta{
-		{Key: []byte("k1"), Val: []byte("v1")},
-		{Key: []byte("gone"), Del: true},
-	}},
 	{Kind: ReplTopology, Epoch: 4, Topo: []ReplShardSlice{{ID: 0, Mod: 2, Res: 0}, {ID: 2, Mod: 2, Res: 1}}},
 }
 
@@ -352,14 +350,8 @@ func normReplFrame(f ReplFrame) ReplFrame {
 	if len(f.Recs) == 0 {
 		f.Recs = nil
 	}
-	if len(f.Pairs) == 0 {
-		f.Pairs = nil
-	}
 	if len(f.Acks) == 0 {
 		f.Acks = nil
-	}
-	if len(f.Deltas) == 0 {
-		f.Deltas = nil
 	}
 	if len(f.Topo) == 0 {
 		f.Topo = nil
@@ -388,22 +380,21 @@ func FuzzDecodeReplFrame(f *testing.F) {
 	f.Add([]byte{byte(ReplSnapDone), 1, 7, 9})    // unknown catch-up mode
 	f.Add([]byte{byte(ReplPing), 0})              // trailing byte
 	f.Add([]byte{byte(ReplAck), 0xFF, 0xFF})      // unterminated uvarint count
-	f.Add([]byte{byte(ReplDeltaBatch), 0, 1, 2})  // unknown entry kind
+	f.Add([]byte{3, 0, 1, 1, 'a', 1, '1'})        // retired SNAP-BATCH
+	f.Add([]byte{7, 2, 1, 0, 2, 'k', '1', 0})     // retired DELTA-BATCH
 	f.Add([]byte{byte(ReplTopology), 1, 1, 0, 0}) // slice with modulus 0
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var fresh ReplFrame
 		freshErr := DecodeReplFrame(&fresh, data)
-		if n := len(fresh.Recs) + len(fresh.Pairs) + len(fresh.Acks) + len(fresh.Deltas) + len(fresh.Topo); n > len(data) {
+		if n := len(fresh.Recs) + len(fresh.Acks) + len(fresh.Topo); n > len(data) {
 			t.Fatalf("%d elements decoded from %d bytes", n, len(data))
 		}
 
 		dirty := ReplFrame{
 			Kind: ReplSnapDone, Shard: 9, CoverSeq: 9, Mode: ReplCatchupDelta, Incarnation: 9, Epoch: 9,
-			Recs:   []ReplRec{{Seq: 9, Payload: []byte("stale")}},
-			Pairs:  []KV{{Key: []byte("stale"), Val: []byte("stale")}},
-			Acks:   []ReplAckEntry{{Shard: 9, Seq: 9, Bytes: 9}},
-			Deltas: []ReplDelta{{Key: []byte("stale"), Del: true}},
-			Topo:   []ReplShardSlice{{ID: 9, Mod: 9, Res: 8}},
+			Recs: []ReplRec{{Seq: 9, Payload: []byte("stale")}},
+			Acks: []ReplAckEntry{{Shard: 9, Seq: 9, Bytes: 9}},
+			Topo: []ReplShardSlice{{ID: 9, Mod: 9, Res: 8}},
 		}
 		err := DecodeReplFrame(&dirty, data)
 		if (err == nil) != (freshErr == nil) {

@@ -8,10 +8,11 @@
 //
 //	kind(1) | body
 //
-// with the per-kind layouts documented on the ReplKind constants. This
-// file is the vocabulary only. What a taken-over connection needs
-// besides — deadlines, heartbeat cadence, the cut, redial — lives in
-// repl.Link, which the watch-session family (sess.go) rides as well.
+// with the per-kind layouts documented on the ReplKind constants. There
+// is no version negotiation: primary and follower must run the same
+// build. This file is the vocabulary only. What a taken-over connection
+// needs besides — deadlines, heartbeat cadence, the cut, redial — lives
+// in repl.Link, which the watch-session family (sess.go) rides as well.
 package wire
 
 import (
@@ -23,35 +24,41 @@ import (
 type ReplKind byte
 
 const (
-	// ReplWALBatch carries committed WAL records for one shard, in log
-	// order (primary → follower). Body: uvarint shard | uvarint n |
-	// n × (uvarint seq, bytes payload). Payloads are verbatim WAL record
-	// payloads (see internal/wal); seqs are that shard's WAL sequence
-	// numbers and strictly increase within and across batches.
+	// ReplWALBatch carries WAL records for one shard, in log order
+	// (primary → follower); it is the only frame a follower applies.
+	// Body: uvarint shard | uvarint n | n × (uvarint seq, bytes payload).
+	// Payloads are WAL record payloads (see internal/wal). A live record
+	// carries its shard's WAL sequence number, and live seqs strictly
+	// increase within and across batches. Seq 0 marks a catch-up record:
+	// state the primary packed into SET/DEL/FLUSH payloads before the
+	// shard's ReplSnapDone, at no position of its log.
 	ReplWALBatch ReplKind = 1
 	// ReplAck reports the follower's applied positions (follower →
 	// primary). Body: uvarint n | n × (uvarint shard, uvarint seq,
 	// uvarint bytes): for each shard the highest contiguously applied
-	// WAL seq and the cumulative applied payload bytes. Also sent in
-	// answer to ReplPing, so the primary's idle-detection and
-	// acked-offset tracking share one frame.
+	// WAL seq (0 from a shard's first catch-up record to its
+	// ReplSnapDone) and the cumulative applied payload bytes of live
+	// records. Also sent in answer to ReplPing, so the primary's
+	// idle-detection and acked-offset tracking share one frame.
 	ReplAck ReplKind = 2
-	// ReplSnapBatch carries key/value pairs of the catch-up snapshot for
-	// one shard (primary → follower). Body: uvarint shard | uvarint n |
-	// n × (key, val). The first ReplSnapBatch for a shard implicitly
-	// clears that shard on the follower.
-	ReplSnapBatch ReplKind = 3
-	// ReplSnapDone ends one shard's catch-up — snapshot or delta. Body:
+	// Kind 3 was SNAP-BATCH (catch-up pairs). It is retired: catch-up
+	// ships as seq-0 ReplWALBatch records, DecodeReplFrame rejects the
+	// kind, and it is never reused.
+
+	// ReplSnapDone ends one shard's catch-up — full or delta. Body:
 	// uvarint shard | uvarint coverSeq | mode(1) | uvarint incarnation:
 	// every WAL record with seq <= coverSeq is already reflected in the
 	// shipped state, and every record with a larger seq will arrive in
-	// ReplWALBatch frames. mode is ReplCatchupSnap (the shard was
-	// replaced whole) or ReplCatchupDelta (churn-bounded ReplDeltaBatch
-	// frames were layered onto the follower's existing state).
-	// incarnation identifies the primary process whose WAL seq space
-	// coverSeq lives in; the follower echoes it in its next ReplHello so
-	// the primary can tell whether the follower's applied positions are
-	// comparable to its own chain (seqs restart at 1 per process).
+	// ReplWALBatch frames. mode is ReplCatchupSnap (the catch-up records
+	// opened with a FLUSH: the shard was replaced whole) or
+	// ReplCatchupDelta (they were SETs and DELs layered onto the
+	// follower's state). The follower applies both alike; the byte stays
+	// so SNAP-DONE keeps its layout and a captured feed still shows which
+	// catch-up ran. incarnation identifies the primary process whose WAL
+	// seq space coverSeq lives in; the follower echoes it in its next
+	// ReplHello so the primary can tell whether the follower's applied
+	// positions are comparable to its own chain (seqs restart at 1 per
+	// process).
 	ReplSnapDone ReplKind = 4
 	// ReplPing is the link heartbeat (primary → follower, sent every
 	// Idle). Body: empty. The follower answers with a ReplAck.
@@ -63,17 +70,13 @@ const (
 	// caught up from (0 = never), its applied position per shard within
 	// it, and the routing epoch of the topology those positions are
 	// indexed by. The primary uses the triple to choose delta catch-up
-	// over a full snapshot: positions under a different routing epoch
-	// are incomparable (shards may have split or merged), so an epoch
-	// mismatch forces snapshot catch-up for every shard.
+	// over a full one: positions under a different routing epoch are
+	// incomparable (shards may have split or merged), so an epoch
+	// mismatch forces full catch-up for every shard.
 	ReplHello ReplKind = 6
-	// ReplDeltaBatch carries churn-bounded catch-up entries for one
-	// shard (primary → follower). Body: uvarint shard | uvarint n | n ×
-	// (kind(1) | key | [val]) with kind 0 = set (key, val follow) and 1
-	// = tombstone (key only: delete). Unlike ReplSnapBatch it layers
-	// onto — never clears — the follower's existing shard state; last
-	// writer wins.
-	ReplDeltaBatch ReplKind = 7
+	// Kind 7 was DELTA-BATCH (catch-up values and tombstones), retired
+	// with kind 3 on the same terms.
+
 	// ReplTopology announces the primary's routing table (primary →
 	// follower, sent once right after reading the follower's HELLO and
 	// again never — a topology change cuts every feed, so a follower
@@ -99,16 +102,12 @@ func (k ReplKind) String() string {
 		return "WAL-BATCH"
 	case ReplAck:
 		return "ACK"
-	case ReplSnapBatch:
-		return "SNAP-BATCH"
 	case ReplSnapDone:
 		return "SNAP-DONE"
 	case ReplPing:
 		return "PING"
 	case ReplHello:
 		return "HELLO"
-	case ReplDeltaBatch:
-		return "DELTA-BATCH"
 	case ReplTopology:
 		return "TOPOLOGY"
 	default:
@@ -134,14 +133,6 @@ type ReplAckEntry struct {
 	Bytes uint64 // cumulative applied payload bytes
 }
 
-// ReplDelta is one entry of a ReplDeltaBatch frame: a key's current
-// value, or its tombstone (Del: the key was deleted).
-type ReplDelta struct {
-	Key []byte
-	Val []byte
-	Del bool
-}
-
 // ReplShardSlice is one table position of a ReplTopology frame: a
 // shard's stable id and its hash slice. A key with FNV-1a hash h
 // routes to the shard where h % Mod == Res.
@@ -154,15 +145,13 @@ type ReplShardSlice struct {
 type ReplFrame struct {
 	Kind ReplKind
 
-	Shard uint64 // WAL-BATCH, SNAP-BATCH, SNAP-DONE, DELTA-BATCH
+	Shard uint64 // WAL-BATCH, SNAP-DONE
 
 	Recs        []ReplRec        // WAL-BATCH
-	Pairs       []KV             // SNAP-BATCH
 	CoverSeq    uint64           // SNAP-DONE
 	Mode        byte             // SNAP-DONE: ReplCatchupSnap/ReplCatchupDelta
 	Incarnation uint64           // SNAP-DONE, HELLO
 	Acks        []ReplAckEntry   // ACK, HELLO
-	Deltas      []ReplDelta      // DELTA-BATCH
 	Epoch       uint64           // HELLO, TOPOLOGY: routing epoch
 	Topo        []ReplShardSlice // TOPOLOGY: table positions in order
 }
@@ -187,13 +176,6 @@ func AppendReplFrame(dst []byte, f *ReplFrame) ([]byte, error) {
 			dst = appendUvarint(dst, f.Acks[i].Seq)
 			dst = appendUvarint(dst, f.Acks[i].Bytes)
 		}
-	case ReplSnapBatch:
-		dst = appendUvarint(dst, f.Shard)
-		dst = appendUvarint(dst, uint64(len(f.Pairs)))
-		for _, kv := range f.Pairs {
-			dst = appendBytes(dst, kv.Key)
-			dst = appendBytes(dst, kv.Val)
-		}
 	case ReplSnapDone:
 		dst = appendUvarint(dst, f.Shard)
 		dst = appendUvarint(dst, f.CoverSeq)
@@ -209,20 +191,6 @@ func AppendReplFrame(dst []byte, f *ReplFrame) ([]byte, error) {
 			dst = appendUvarint(dst, f.Acks[i].Seq)
 		}
 		dst = appendUvarint(dst, f.Epoch)
-	case ReplDeltaBatch:
-		dst = appendUvarint(dst, f.Shard)
-		dst = appendUvarint(dst, uint64(len(f.Deltas)))
-		for i := range f.Deltas {
-			d := &f.Deltas[i]
-			if d.Del {
-				dst = append(dst, 1)
-				dst = appendBytes(dst, d.Key)
-			} else {
-				dst = append(dst, 0)
-				dst = appendBytes(dst, d.Key)
-				dst = appendBytes(dst, d.Val)
-			}
-		}
 	case ReplTopology:
 		dst = appendUvarint(dst, f.Epoch)
 		dst = appendUvarint(dst, uint64(len(f.Topo)))
@@ -247,9 +215,7 @@ func DecodeReplFrame(f *ReplFrame, payload []byte) error {
 	f.Mode, f.Incarnation = 0, 0
 	f.Epoch = 0
 	f.Recs = f.Recs[:0]
-	f.Pairs = f.Pairs[:0]
 	f.Acks = f.Acks[:0]
-	f.Deltas = f.Deltas[:0]
 	f.Topo = f.Topo[:0]
 	rd := &reader{buf: payload}
 	kind, err := rd.byte1()
@@ -294,24 +260,6 @@ func DecodeReplFrame(f *ReplFrame, payload []byte) error {
 			}
 			f.Acks = append(f.Acks, e)
 		}
-	case ReplSnapBatch:
-		if f.Shard, err = rd.uvarint(); err != nil {
-			return err
-		}
-		n, err := rd.count()
-		if err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			var kv KV
-			if kv.Key, err = rd.bytes(); err != nil {
-				return err
-			}
-			if kv.Val, err = rd.bytes(); err != nil {
-				return err
-			}
-			f.Pairs = append(f.Pairs, kv)
-		}
 	case ReplSnapDone:
 		if f.Shard, err = rd.uvarint(); err != nil {
 			return err
@@ -350,38 +298,6 @@ func DecodeReplFrame(f *ReplFrame, payload []byte) error {
 		}
 		if f.Epoch, err = rd.uvarint(); err != nil {
 			return err
-		}
-	case ReplDeltaBatch:
-		if f.Shard, err = rd.uvarint(); err != nil {
-			return err
-		}
-		n, err := rd.count()
-		if err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			var d ReplDelta
-			kind, err := rd.byte1()
-			if err != nil {
-				return err
-			}
-			switch kind {
-			case 0:
-				if d.Key, err = rd.bytes(); err != nil {
-					return err
-				}
-				if d.Val, err = rd.bytes(); err != nil {
-					return err
-				}
-			case 1:
-				d.Del = true
-				if d.Key, err = rd.bytes(); err != nil {
-					return err
-				}
-			default:
-				return ErrBadReplFrame
-			}
-			f.Deltas = append(f.Deltas, d)
 		}
 	case ReplTopology:
 		if f.Epoch, err = rd.uvarint(); err != nil {

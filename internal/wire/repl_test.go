@@ -33,15 +33,12 @@ func TestReplFrameRoundTrip(t *testing.T) {
 			{Seq: 9000, Payload: []byte("rec-three")},
 		}},
 		{Kind: ReplWALBatch, Shard: 0},
+		{Kind: ReplWALBatch, Shard: 1, Recs: []ReplRec{{Seq: 0, Payload: []byte("catch-up")}}},
 		{Kind: ReplAck, Acks: []ReplAckEntry{
 			{Shard: 0, Seq: 17, Bytes: 4096},
 			{Shard: 1, Seq: 0, Bytes: 0},
 		}},
 		{Kind: ReplAck},
-		{Kind: ReplSnapBatch, Shard: 2, Pairs: []KV{
-			{Key: []byte("a"), Val: []byte("1")},
-			{Key: []byte(""), Val: []byte("")},
-		}},
 		{Kind: ReplSnapDone, Shard: 5, CoverSeq: 123456},
 		{Kind: ReplSnapDone, Shard: 1, CoverSeq: 77, Mode: ReplCatchupDelta, Incarnation: 1723400000000000000},
 		{Kind: ReplPing},
@@ -50,12 +47,6 @@ func TestReplFrameRoundTrip(t *testing.T) {
 			{Shard: 3, Seq: 0},
 		}},
 		{Kind: ReplHello},
-		{Kind: ReplDeltaBatch, Shard: 2, Deltas: []ReplDelta{
-			{Key: []byte("k1"), Val: []byte("v1")},
-			{Key: []byte("gone"), Del: true},
-			{Key: []byte(""), Val: []byte("")},
-		}},
-		{Kind: ReplDeltaBatch, Shard: 0},
 	}
 	for _, f := range frames {
 		dec := roundTripReplFrame(t, f)
@@ -64,14 +55,8 @@ func TestReplFrameRoundTrip(t *testing.T) {
 			if len(c.Recs) == 0 {
 				c.Recs = nil
 			}
-			if len(c.Pairs) == 0 {
-				c.Pairs = nil
-			}
 			if len(c.Acks) == 0 {
 				c.Acks = nil
-			}
-			if len(c.Deltas) == 0 {
-				c.Deltas = nil
 			}
 			return c
 		}
@@ -106,24 +91,25 @@ func TestReplFrameDecodeReuse(t *testing.T) {
 
 func TestReplFrameHostileInput(t *testing.T) {
 	cases := [][]byte{
-		{},                                 // no kind byte
-		{99},                               // unknown kind
-		{byte(ReplWALBatch)},               // missing shard
-		{byte(ReplWALBatch), 0},            // missing count
-		{byte(ReplWALBatch), 0, 2},         // count > remaining bytes
-		{byte(ReplSnapDone), 1},            // missing coverSeq
-		{byte(ReplSnapDone), 1, 7},         // missing mode byte
-		{byte(ReplSnapDone), 1, 7, 9},      // unknown catch-up mode
-		{byte(ReplSnapDone), 1, 7, 1},      // missing incarnation
-		{byte(ReplPing), 0},                // trailing byte
-		{byte(ReplAck), 0xFF, 0xFF},        // unterminated uvarint count
-		{byte(ReplHello)},                  // missing incarnation
-		{byte(ReplHello), 5},               // missing count
-		{byte(ReplHello), 5, 2, 0, 1},      // count > remaining entries
-		{byte(ReplDeltaBatch)},             // missing shard
-		{byte(ReplDeltaBatch), 0, 1},       // count > remaining bytes
-		{byte(ReplDeltaBatch), 0, 1, 2},    // unknown entry kind
-		{byte(ReplDeltaBatch), 0, 1, 0, 1}, // set entry missing key bytes
+		{},                            // no kind byte
+		{99},                          // unknown kind
+		{byte(ReplWALBatch)},          // missing shard
+		{byte(ReplWALBatch), 0},       // missing count
+		{byte(ReplWALBatch), 0, 2},    // count > remaining bytes
+		{byte(ReplSnapDone), 1},       // missing coverSeq
+		{byte(ReplSnapDone), 1, 7},    // missing mode byte
+		{byte(ReplSnapDone), 1, 7, 9}, // unknown catch-up mode
+		{byte(ReplSnapDone), 1, 7, 1}, // missing incarnation
+		{byte(ReplPing), 0},           // trailing byte
+		{byte(ReplAck), 0xFF, 0xFF},   // unterminated uvarint count
+		{byte(ReplHello)},             // missing incarnation
+		{byte(ReplHello), 5},          // missing count
+		{byte(ReplHello), 5, 2, 0, 1}, // count > remaining entries
+		// Kinds 3 (SNAP-BATCH) and 7 (DELTA-BATCH) are retired: a frame
+		// that was well formed in their old layouts is rejected.
+		{3, 2, 1, 1, 'a', 1, '1'},           // SNAP-BATCH: shard 2, one pair
+		{7, 2, 1, 0, 2, 'k', '1', 0},        // DELTA-BATCH: shard 2, one set
+		{7, 0, 1, 1, 4, 'g', 'o', 'n', 'e'}, // DELTA-BATCH: one tombstone
 	}
 	var f ReplFrame
 	for _, payload := range cases {

@@ -77,12 +77,14 @@ const (
 	// churn-bounded checkpoint claim observable from the wire. A
 	// replicating node adds repl_role (0 primary / 1 follower) and
 	// repl_failovers (promotions performed); a primary additionally
-	// reports repl_followers, repl_sync, repl_shipped_records/bytes,
-	// repl_delta_catchups (reconnects served by churn-bounded delta
-	// catch-up instead of a full snapshot) and per-follower
-	// follower<i>.acked_records / follower<i>.lag_bytes; a follower
-	// reports repl_applied_records/bytes, repl_reconnects and
-	// repl_state (its link state-machine position). The session layer
+	// reports repl_followers, repl_sync, repl_shipped_records/bytes
+	// (live-tail records only), repl_delta_catchups (shard catch-ups
+	// served as a churn-bounded delta instead of a full one) and
+	// per-follower follower<i>.acked_records / follower<i>.lag_bytes
+	// (live-tail bytes shipped but not yet acked); a follower reports
+	// repl_applied_records/bytes (every WAL-BATCH record it applied,
+	// catch-up records included), repl_reconnects and repl_state (its
+	// link state-machine position). The session layer
 	// adds watch_sessions (live watch sessions), events_pushed /
 	// events_lost (push-buffer delivery vs overflow-cut drops),
 	// keys_expired (TTL deadlines the reaper turned into durable
