@@ -31,12 +31,13 @@ func (tx *Txn) readIrrevocable(v *Var) (any, error) {
 }
 
 // encounterLock acquires and records an encounter-time lock on v,
-// spinning until any optimistic holder releases it.
+// spinning until any optimistic holder releases it. Whether the lock is
+// already held is one lock-word load: attempt ids are engine-unique, so
+// an owner equal to tx.id can only be this attempt's own encounter lock
+// — so a walk over n variables costs O(n).
 func (tx *Txn) encounterLock(v *Var) error {
-	for _, el := range tx.encLocks {
-		if el.v == v {
-			return nil
-		}
+	if owner, locked := v.lockedBy(); locked && owner == tx.id {
+		return nil
 	}
 	// About to take a lock: become resolvable as a lock owner first.
 	tx.registerLive()
@@ -67,6 +68,7 @@ func (tx *Txn) commitIrrevocable() {
 			el.v.unlockTo(el.prevLW)
 		}
 	}
+	clear(tx.encLocks)
 	tx.encLocks = tx.encLocks[:0]
 	tx.stat(statCommits)
 	tx.statSem(semCommits)

@@ -181,6 +181,40 @@ func TestIrrevocableUserErrorReleasesLocks(t *testing.T) {
 	}
 }
 
+// TestIrrevocableDropsItsLockList: once an irrevocable transaction has
+// released its encounter locks — committing or aborting — its pooled
+// shell holds no pointer to any variable it locked. Otherwise a walk
+// over a whole structure (a FLUSH's count, a REBUILD) would keep every
+// node alive behind the lock list's capacity for as long as the shell
+// is reused.
+func TestIrrevocableDropsItsLockList(t *testing.T) {
+	e := NewDefaultEngine()
+	vars := make([]*Var, 1000)
+	for i := range vars {
+		vars[i] = e.NewVar(i)
+	}
+	for _, end := range []error{nil, errTest{}} {
+		var shell *Txn
+		err := e.Run(SemanticsIrrevocable, func(tx *Txn) error {
+			shell = tx
+			for _, v := range vars {
+				if _, err := tx.Read(v); err != nil {
+					return err
+				}
+			}
+			return end
+		})
+		if err != end {
+			t.Fatalf("Run = %v, want %v", err, end)
+		}
+		for i, el := range shell.encLocks[:cap(shell.encLocks)] {
+			if el.v != nil {
+				t.Fatalf("after Run returned %v, lock-list slot %d still holds a variable", end, i)
+			}
+		}
+	}
+}
+
 type errTest struct{}
 
 func (errTest) Error() string { return "test error" }

@@ -273,22 +273,23 @@ func (tx *Txn) insertWtab(i int) {
 
 // recycle scrubs every per-run trace from a finished transaction so a
 // pooled reuse can neither observe nor retain anything from the
-// previous lifecycle: read/write sets, encounter locks and the mode
-// stack are element-cleared (dropping their Var/Version/value
-// references for the GC) and truncated; identity, karma, attempt count
-// and the contention manager reset. Only the slice capacities, the
-// pointer-free probe table, and the remainder of the private attempt-id
-// block survive — the id block keeps ids engine-unique, and reusing it
-// is exactly the amortization the block allocator exists for (at the
-// documented cost that birth "age" order is creation order per id
-// block, not per Run).
+// previous lifecycle: read/write sets and the mode stack are
+// element-cleared (dropping their Var/Version/value references for the
+// GC) and truncated; identity, karma, attempt count and the contention
+// manager reset. Encounter locks are cleared where they are released
+// (commitIrrevocable, abortCleanup), before the slice is truncated: a
+// clear here would see an empty slice and leave every variable an
+// irrevocable walk locked pinned behind its capacity. Only the
+// slice capacities, the pointer-free probe table, and the remainder of
+// the private attempt-id block survive — the id block keeps ids
+// engine-unique, and reusing it is exactly the amortization the block
+// allocator exists for (at the documented cost that birth "age" order
+// is creation order per id block, not per Run).
 func (tx *Txn) recycle() {
 	clear(tx.rset)
 	tx.rset = tx.rset[:0]
 	clear(tx.wset)
 	tx.wset = tx.wset[:0]
-	clear(tx.encLocks)
-	tx.encLocks = tx.encLocks[:0]
 	tx.modes.stack = tx.modes.stack[:0]
 	tx.sem = 0
 	tx.cmFac = nil
@@ -722,6 +723,7 @@ func (tx *Txn) abortCleanup() {
 	for _, el := range tx.encLocks {
 		el.v.unlockTo(el.prevLW)
 	}
+	clear(tx.encLocks)
 	tx.encLocks = tx.encLocks[:0]
 	tx.stat(statAborts)
 	tx.statSem(semAborts)

@@ -8,16 +8,16 @@ import (
 
 // TDeque is a transactional double-ended queue: a doubly-linked list
 // between two sentinels, every link a TVar. Operations are short Def
-// transactions; both ends can be worked concurrently, and — being
-// transactions — operations on both ends compose atomically (e.g. a
-// rotate, or a steal that observes emptiness and both ends at one
-// point), which is where the transactional version earns its keep over
-// a two-lock deque.
+// transactions; both ends can be worked concurrently — with no size
+// variable, a push at the front and one at the back of a non-empty
+// deque share no variable — and, being transactions, operations on both
+// ends compose atomically (e.g. a rotate, or a steal that observes
+// emptiness and both ends at one point), which is where the
+// transactional version earns its keep over a two-lock deque.
 type TDeque[T any] struct {
 	tm   *core.TM
 	head *dnode[T] // sentinel; head.next is the front element
 	tail *dnode[T] // sentinel; tail.prev is the back element
-	size *core.TVar[int]
 }
 
 type dnode[T any] struct {
@@ -34,7 +34,7 @@ func NewTDeque[T any](tm *core.TM) *TDeque[T] {
 	h.next = core.NewTVar(tm, t)
 	t.prev = core.NewTVar(tm, h)
 	t.next = core.NewTVar[*dnode[T]](tm, nil)
-	return &TDeque[T]{tm: tm, head: h, tail: t, size: core.NewTVar(tm, 0)}
+	return &TDeque[T]{tm: tm, head: h, tail: t}
 }
 
 // insertBetween links n between a and b inside tx.
@@ -48,10 +48,7 @@ func (d *TDeque[T]) insertBetween(tx *core.Tx, n, a, b *dnode[T]) error {
 	if err := core.Set(tx, a.next, n); err != nil {
 		return err
 	}
-	if err := core.Set(tx, b.prev, n); err != nil {
-		return err
-	}
-	return core.Modify(tx, d.size, func(s int) int { return s + 1 })
+	return core.Set(tx, b.prev, n)
 }
 
 // unlink removes n (between its current neighbours) inside tx.
@@ -67,10 +64,7 @@ func (d *TDeque[T]) unlink(tx *core.Tx, n *dnode[T]) error {
 	if err := core.Set(tx, a.next, b); err != nil {
 		return err
 	}
-	if err := core.Set(tx, b.prev, a); err != nil {
-		return err
-	}
-	return core.Modify(tx, d.size, func(s int) int { return s - 1 })
+	return core.Set(tx, b.prev, a)
 }
 
 // PushFront adds v at the front.
@@ -187,11 +181,16 @@ func (d *TDeque[T]) Rotate() bool {
 	return moved
 }
 
-// Len returns the element count.
+// Len returns the element count: one snapshot walk from the front (see
+// snapshotLen).
 func (d *TDeque[T]) Len() int {
-	n, err := core.AtomicGet(d.tm, d.size)
-	must(err)
-	return n
+	return snapshotLen(d.tm, func(tx *core.Tx) (k int, err error) {
+		n, err := core.Get(tx, d.head.next)
+		for ; err == nil && n != d.tail; k++ {
+			n, err = core.Get(tx, n.next)
+		}
+		return k, err
+	})
 }
 
 // Drain pops everything from the front in one atomic transaction and

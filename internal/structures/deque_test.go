@@ -137,6 +137,37 @@ func TestDequeConcurrentBothEnds(t *testing.T) {
 	}
 }
 
+// TestDequeEndsDoNotConflict guards the claim that both ends can be
+// worked concurrently: once the deque holds two elements, a push at the
+// front and a push at the back share no variable, so two goroutines
+// pushing at opposite ends never abort each other. (On one P the pushes
+// rarely overlap, so this guards the claim more than it proves it.)
+func TestDequeEndsDoNotConflict(t *testing.T) {
+	tm := core.NewDefault()
+	d := NewTDeque[int](tm)
+	d.PushBack(0)
+	d.PushBack(0)
+	const per = 10_000
+	before := tm.Stats().Aborts
+	var wg sync.WaitGroup
+	for _, push := range []func(int){d.PushFront, d.PushBack} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				push(i)
+			}
+		}()
+	}
+	wg.Wait()
+	if aborts := tm.Stats().Aborts - before; aborts != 0 {
+		t.Errorf("front and back pushes aborted %d times, want 0", aborts)
+	}
+	if n := d.Len(); n != 2+2*per {
+		t.Errorf("len = %d, want %d", n, 2+2*per)
+	}
+}
+
 // TestDequeRotateConservation: concurrent rotates never lose or
 // duplicate elements.
 func TestDequeRotateConservation(t *testing.T) {

@@ -62,6 +62,15 @@ func (h *THash) apply(tx *core.Tx, op setOp, key uint64) (bool, error) {
 	return chainApply(tx, h.tm, bs[mix64(key)&uint64(len(bs)-1)], op, key)
 }
 
+// length counts every chain inside tx.
+func (h *THash) length(tx *core.Tx) (n int, err error) {
+	bs, err := core.Get(tx, h.buckets)
+	for i := 0; err == nil && i < len(bs); i++ {
+		err = chainWalk(tx, bs[i], func(uint64) { n++ })
+	}
+	return n, err
+}
+
 // Buckets returns the current bucket count.
 func (h *THash) Buckets() int {
 	bs, err := core.AtomicGet(h.tm, h.buckets)
@@ -69,20 +78,18 @@ func (h *THash) Buckets() int {
 	return len(bs)
 }
 
-// LoadFactor returns elements per bucket.
+// LoadFactor returns elements per bucket, counting every chain in one
+// snapshot walk (see snapshotLen).
 func (h *THash) LoadFactor() float64 {
 	var lf float64
-	must(h.tm.Atomic(func(tx *core.Tx) error {
+	must(h.tm.AtomicAs(core.Snapshot, func(tx *core.Tx) error {
+		n, err := h.length(tx)
+		if err != nil {
+			return err
+		}
 		bs, err := core.Get(tx, h.buckets)
-		if err != nil {
-			return err
-		}
-		n, err := core.Get(tx, h.size)
-		if err != nil {
-			return err
-		}
 		lf = float64(n) / float64(len(bs))
-		return nil
+		return err
 	}))
 	return lf
 }

@@ -30,6 +30,20 @@ func must(err error) {
 	}
 }
 
+// snapshotLen runs count as one snapshot transaction. No structure keeps
+// a size variable — one would make every two updates conflict, however
+// far apart their keys — so a count is a walk: O(n), but it never aborts
+// and records no read set.
+func snapshotLen(tm *core.TM, count func(*core.Tx) (int, error)) int {
+	var n int
+	must(tm.AtomicAs(core.Snapshot, func(tx *core.Tx) error {
+		var err error
+		n, err = count(tx)
+		return err
+	}))
+	return n
+}
+
 // listNode is one node of a sorted chain. Nodes are immutable except
 // for their next pointer, which lives in a TVar.
 type listNode struct {
@@ -48,6 +62,17 @@ func chainSearch(tx *core.Tx, head *core.TVar[*listNode], key uint64) (link *cor
 		curr, err = core.Get(tx, link)
 	}
 	return link, curr, err
+}
+
+// chainWalk calls fn on every key of the chain at head, in order, inside
+// tx.
+func chainWalk(tx *core.Tx, head *core.TVar[*listNode], fn func(key uint64)) error {
+	curr, err := core.Get(tx, head)
+	for err == nil && curr != nil {
+		fn(curr.key)
+		curr, err = core.Get(tx, curr.next)
+	}
+	return err
 }
 
 // chainInsert links a node for key into the chain at head, reporting
@@ -117,23 +142,18 @@ func (l *TList) apply(tx *core.Tx, op setOp, key uint64) (bool, error) {
 	return chainApply(tx, l.tm, l.head, op, key)
 }
 
+func (l *TList) length(tx *core.Tx) (n int, err error) {
+	err = chainWalk(tx, l.head, func(uint64) { n++ })
+	return n, err
+}
+
 // Sum returns the sum of all keys in one atomic snapshot read — a whole
 // structure scan, the kind of operation Snapshot semantics exists for.
 func (l *TList) Sum() uint64 {
 	var sum uint64
 	must(l.tm.AtomicAs(core.Snapshot, func(tx *core.Tx) error {
 		sum = 0
-		curr, err := core.Get(tx, l.head)
-		if err != nil {
-			return err
-		}
-		for curr != nil {
-			sum += curr.key
-			if curr, err = core.Get(tx, curr.next); err != nil {
-				return err
-			}
-		}
-		return nil
+		return chainWalk(tx, l.head, func(k uint64) { sum += k })
 	}))
 	return sum
 }
@@ -143,17 +163,7 @@ func (l *TList) Snapshot() []uint64 {
 	var out []uint64
 	must(l.tm.AtomicAs(core.Snapshot, func(tx *core.Tx) error {
 		out = out[:0]
-		curr, err := core.Get(tx, l.head)
-		if err != nil {
-			return err
-		}
-		for curr != nil {
-			out = append(out, curr.key)
-			if curr, err = core.Get(tx, curr.next); err != nil {
-				return err
-			}
-		}
-		return nil
+		return chainWalk(tx, l.head, func(k uint64) { out = append(out, k) })
 	}))
 	return out
 }

@@ -11,12 +11,14 @@ import (
 // run under Def semantics — they are two-to-three access transactions
 // for which elasticity buys nothing — but being transactions they
 // compose: a dequeue-then-enqueue transfer between queues is one atomic
-// step when run inside an enclosing tm.Atomic.
+// step when run inside an enclosing tm.Atomic. It keeps no size
+// variable, so an enqueue and a dequeue of a queue holding two or more
+// elements touch disjoint variables and commit side by side — the
+// concurrency the two-pointer layout exists for.
 type TQueue[T any] struct {
 	tm   *core.TM
 	head *core.TVar[*qnode[T]] // sentinel; head.next is the front
 	tail *core.TVar[*qnode[T]]
-	size *core.TVar[int]
 }
 
 type qnode[T any] struct {
@@ -31,7 +33,6 @@ func NewTQueue[T any](tm *core.TM) *TQueue[T] {
 		tm:   tm,
 		head: core.NewTVar(tm, sentinel),
 		tail: core.NewTVar(tm, sentinel),
-		size: core.NewTVar(tm, 0),
 	}
 }
 
@@ -56,10 +57,7 @@ func (q *TQueue[T]) EnqueueTx(tx *core.Tx, v T) error {
 	if err := core.Set(tx, t.next, n); err != nil {
 		return err
 	}
-	if err := core.Set(tx, q.tail, n); err != nil {
-		return err
-	}
-	return core.Modify(tx, q.size, func(s int) int { return s + 1 })
+	return core.Set(tx, q.tail, n)
 }
 
 // Dequeue removes and returns the front element, or ok=false if empty.
@@ -106,9 +104,6 @@ func (q *TQueue[T]) DequeueTx(tx *core.Tx) (v T, ok bool, err error) {
 			return v, false, err
 		}
 	}
-	if err := core.Modify(tx, q.size, func(s int) int { return s - 1 }); err != nil {
-		return v, false, err
-	}
 	return first.val, true, nil
 }
 
@@ -142,16 +137,23 @@ func (q *TQueue[T]) DequeueBlockingCtx(ctx context.Context) (T, error) {
 	return v, err
 }
 
-// Len returns the element count.
-func (q *TQueue[T]) Len() int {
-	n, err := core.AtomicGet(q.tm, q.size)
-	must(err)
-	return n
-}
+// Len returns the element count: LenTx as one snapshot walk (see
+// snapshotLen).
+func (q *TQueue[T]) Len() int { return snapshotLen(q.tm, q.LenTx) }
 
-// LenTx returns the element count inside an enclosing transaction.
-func (q *TQueue[T]) LenTx(tx *core.Tx) (int, error) {
-	return core.Get(tx, q.size)
+// LenTx counts the elements inside an enclosing transaction by walking
+// them from the front, so it sees the transaction's own pending
+// enqueues and dequeues — and, under def, conflicts with any other
+// transaction that changes the queue before this one commits.
+func (q *TQueue[T]) LenTx(tx *core.Tx) (k int, err error) {
+	n, err := core.Get(tx, q.head) // the sentinel
+	for err == nil {
+		if n, err = core.Get(tx, n.next); n == nil {
+			break
+		}
+		k++
+	}
+	return k, err
 }
 
 // Transfer atomically moves the front element of src to the back of

@@ -17,39 +17,26 @@ const (
 
 // setBody is what an integer set writes itself: one body that runs op on
 // key inside tx and reports what the operation returns — found for
-// Contains, added for Insert, removed for Remove.
+// Contains, added for Insert, removed for Remove — and one walk that
+// counts its keys inside tx.
 type setBody interface {
 	apply(tx *core.Tx, op setOp, key uint64) (bool, error)
+	length(tx *core.Tx) (int, error)
 }
 
 // intSet is the front end the integer sets share: the plain, Ctx and Tx
 // forms of Contains, Insert and Remove, and Len, written once over a
-// structure's setBody. It owns the element count. Searches run under
-// searchSem and updates under updateSem — the same semantics for
-// TList and THash, Def updates for TSkipList.
+// structure's setBody. Searches run under searchSem and updates under
+// updateSem — the same semantics for TList and THash, Def updates for
+// TSkipList.
 type intSet struct {
 	tm                   *core.TM
-	size                 *core.TVar[int]
 	searchSem, updateSem core.Semantics
 	body                 setBody
 }
 
 func newIntSet(tm *core.TM, searchSem, updateSem core.Semantics, body setBody) intSet {
-	return intSet{tm: tm, size: core.NewTVar(tm, 0), searchSem: searchSem, updateSem: updateSem, body: body}
-}
-
-// do runs op inside tx; an insert or remove that changed the set moves
-// the element count by one in the same transaction.
-func (s *intSet) do(tx *core.Tx, op setOp, key uint64) (bool, error) {
-	ok, err := s.body.apply(tx, op, key)
-	if err != nil || !ok || op == opContains {
-		return ok, err
-	}
-	d := 1
-	if op == opRemove {
-		d = -1
-	}
-	return true, core.Modify(tx, s.size, func(n int) int { return n + d })
+	return intSet{tm: tm, searchSem: searchSem, updateSem: updateSem, body: body}
 }
 
 // run runs op as its own transaction bounded by ctx or, when tx is
@@ -59,7 +46,7 @@ func (s *intSet) do(tx *core.Tx, op setOp, key uint64) (bool, error) {
 func (s *intSet) run(ctx context.Context, tx *core.Tx, sem core.Semantics, op setOp, key uint64) (out bool, err error) {
 	body := func(tx *core.Tx) error {
 		var err error
-		out, err = s.do(tx, op, key)
+		out, err = s.body.apply(tx, op, key)
 		return err
 	}
 	if tx != nil {
@@ -128,9 +115,5 @@ func (s *intSet) RemoveTx(tx *core.Tx, key uint64) (bool, error) {
 	return s.run(context.TODO(), tx, s.updateSem, opRemove, key)
 }
 
-// Len returns the element count.
-func (s *intSet) Len() int {
-	n, err := core.AtomicGet(s.tm, s.size)
-	must(err)
-	return n
-}
+// Len returns the element count: one snapshot walk (see snapshotLen).
+func (s *intSet) Len() int { return snapshotLen(s.tm, s.body.length) }

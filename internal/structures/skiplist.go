@@ -59,9 +59,9 @@ type (
 )
 
 // skipCore is the skip list both skip structures are made of (Pugh): the
-// sentinel, the tower-height stream, and the one search, link and unlink
-// every operation of either goes through. It keeps no size; the
-// structures count their own elements.
+// sentinel, the tower-height stream, and the one search, link, unlink
+// and count every operation of either goes through. It keeps no size
+// variable: a count is a walk of the bottom level (see snapshotLen).
 type skipCore[K cmp.Ordered, V any] struct {
 	tm   *core.TM
 	head *skipNode[K, V] // sentinel; key unused
@@ -131,6 +131,24 @@ func (c *skipCore[K, V]) unlink(tx *core.Tx, preds, succs []*skipNode[K, V]) err
 		}
 	}
 	return nil
+}
+
+// count walks the bottom level inside tx from n, n included (nil counts
+// nothing), and returns how many nodes it passed.
+func (c *skipCore[K, V]) count(tx *core.Tx, n *skipNode[K, V]) (k int, err error) {
+	for ; n != nil && err == nil; k++ {
+		n, err = core.Get(tx, &n.next[0])
+	}
+	return k, err
+}
+
+// length counts the keys inside tx (see setBody).
+func (c *skipCore[K, V]) length(tx *core.Tx) (int, error) {
+	first, err := core.Get(tx, &c.head.next[0])
+	if err != nil {
+		return 0, err
+	}
+	return c.count(tx, first)
 }
 
 // TSkipList is a transactional skip list integer set. Searches

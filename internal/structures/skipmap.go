@@ -26,12 +26,11 @@ type KV struct {
 // never with the tower structure around it.
 type TSkipMap struct {
 	skipCore[string, *core.TVar[string]]
-	size *core.TVar[int]
 }
 
 // NewTSkipMap creates an empty ordered map.
 func NewTSkipMap(tm *core.TM) *TSkipMap {
-	m := &TSkipMap{size: core.NewTVar(tm, 0)}
+	m := &TSkipMap{}
 	m.skipCore.init(tm)
 	return m
 }
@@ -76,7 +75,7 @@ func (m *TSkipMap) PutTx(tx *core.Tx, key, val string) (bool, error) {
 	if n != nil && n.key == key {
 		return true, core.Set(tx, n.val, val)
 	}
-	_, err = m.insert(tx, key, core.NewTVar(m.tm, val), preds[:], succs[:])
+	_, err = m.link(tx, strings.Clone(key), core.NewTVar(m.tm, val), preds[:], succs[:])
 	return false, err
 }
 
@@ -96,18 +95,11 @@ func (m *TSkipMap) PutBytesTx(tx *core.Tx, key string, val []byte) (stored strin
 	if n != nil && n.key == key {
 		return n.key, true, core.SetBytes(tx, n.val, val)
 	}
-	stored, err = m.insert(tx, key, core.NewTVarBytes(m.tm, val), preds[:], succs[:])
-	return stored, false, err
-}
-
-// insert links a node holding a private copy of key and val, which
-// search just placed between preds and succs, and returns that copy.
-func (m *TSkipMap) insert(tx *core.Tx, key string, val *core.TVar[string], preds, succs []*mapNode) (string, error) {
-	n, err := m.link(tx, strings.Clone(key), val, preds, succs)
+	n, err = m.link(tx, strings.Clone(key), core.NewTVarBytes(m.tm, val), preds[:], succs[:])
 	if err != nil {
-		return "", err
+		return "", false, err
 	}
-	return n.key, core.Modify(tx, m.size, func(v int) int { return v + 1 })
+	return n.key, false, nil
 }
 
 // DeleteTx removes key inside tx, reporting whether it was present and,
@@ -121,7 +113,7 @@ func (m *TSkipMap) DeleteTx(tx *core.Tx, key string) (stored string, removed boo
 	if err := m.unlink(tx, preds[:], succs[:]); err != nil {
 		return "", false, err
 	}
-	return n.key, true, core.Modify(tx, m.size, func(v int) int { return v - 1 })
+	return n.key, true, nil
 }
 
 // RangeTx walks keys in [from, to) in order inside tx, calling fn for
@@ -181,16 +173,19 @@ func (m *TSkipMap) SnapshotAllCtx(ctx context.Context, fn func(key, val string) 
 	return fnErr
 }
 
-// LenTx reads the element count inside tx.
-func (m *TSkipMap) LenTx(tx *core.Tx) (int, error) {
-	return core.Get(tx, m.size)
-}
-
 // ClearTx unlinks every element inside tx, returning how many were
-// removed. It touches only the sentinel's towers and the size counter,
-// so it is O(levels) regardless of map size.
+// removed. The unlink writes only the sentinel's towers; the count walks
+// the bottom level it cut loose, so ClearTx reads O(n) variables — the
+// price of a map that keeps no size variable, paid by FLUSH, an admin
+// op.
+//
+// The order is load-bearing: read head.next[0], clear the towers, then
+// count from that node. Under an explicit weak override the walk then
+// runs after the first write, so it is validated like a def read and
+// cannot miss an insert that the clear wipes. Under irrevocable and def
+// the order makes no difference.
 func (m *TSkipMap) ClearTx(tx *core.Tx) (int, error) {
-	n, err := core.Get(tx, m.size)
+	first, err := core.Get(tx, &m.head.next[0])
 	if err != nil {
 		return 0, err
 	}
@@ -199,7 +194,7 @@ func (m *TSkipMap) ClearTx(tx *core.Tx) (int, error) {
 			return 0, err
 		}
 	}
-	return n, core.Set(tx, m.size, 0)
+	return m.count(tx, first)
 }
 
 // RebuildTx re-levels the whole map inside tx: it walks the bottom
@@ -240,7 +235,7 @@ func (m *TSkipMap) RebuildTx(tx *core.Tx) (int, error) {
 			return 0, err
 		}
 	}
-	return len(all), core.Set(tx, m.size, len(all))
+	return len(all), nil
 }
 
 // Get is the one-shot form of GetTx under semantics sem.
@@ -332,13 +327,6 @@ func (m *TSkipMap) RangeCtx(ctx context.Context, from, to string, limit int, sem
 	return out, nil
 }
 
-// Len returns the element count (snapshot read; never aborts).
-func (m *TSkipMap) Len() int {
-	var n int
-	must(m.tm.AtomicAs(core.Snapshot, func(tx *core.Tx) error {
-		var err error
-		n, err = m.LenTx(tx)
-		return err
-	}))
-	return n
-}
+// Len returns the element count: one snapshot walk of the bottom level,
+// O(n) (see snapshotLen).
+func (m *TSkipMap) Len() int { return snapshotLen(m.tm, m.length) }

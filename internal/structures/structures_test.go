@@ -220,6 +220,67 @@ func TestSetConcurrentContended(t *testing.T) {
 	})
 }
 
+// TestUpdatesAtDistinctKeysCommute: an update held open while an update
+// elsewhere in the same structure commits still commits on its first
+// attempt. No structure keeps a size variable, so nothing but the keys
+// themselves can make two updates conflict — here a weak insert of 11
+// beside an insert of 91 on a 50-key set, and an enqueue beside a
+// dequeue on a 4-element queue.
+func TestUpdatesAtDistinctKeysCommute(t *testing.T) {
+	evens := func(s set) set {
+		for k := uint64(0); k < 100; k += 2 {
+			s.Insert(k)
+		}
+		return s
+	}
+	cases := []struct {
+		name string
+		sem  core.Semantics
+		// build returns the update the outer transaction holds open, the
+		// rival update that commits meanwhile, and the count both leave.
+		build func(tm *core.TM) (open func(*core.Tx) error, rival func(), count func() int, want int)
+	}{
+		{"TList/weak", core.Weak, func(tm *core.TM) (func(*core.Tx) error, func(), func() int, int) {
+			s := evens(NewTList(tm, core.Weak))
+			return func(tx *core.Tx) error { _, err := s.InsertTx(tx, 11); return err }, func() { s.Insert(91) }, s.Len, 52
+		}},
+		{"THash/weak", core.Weak, func(tm *core.TM) (func(*core.Tx) error, func(), func() int, int) {
+			s := evens(NewTHash(tm, core.Weak, 8))
+			return func(tx *core.Tx) error { _, err := s.InsertTx(tx, 11); return err }, func() { s.Insert(91) }, s.Len, 52
+		}},
+		{"TQueue", core.Def, func(tm *core.TM) (func(*core.Tx) error, func(), func() int, int) {
+			q := NewTQueue[int](tm)
+			for i := 1; i <= 4; i++ {
+				q.Enqueue(i)
+			}
+			return func(tx *core.Tx) error { return q.EnqueueTx(tx, 5) }, func() { q.Dequeue() }, q.Len, 4
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tm := core.NewDefault()
+			open, rival, count, want := c.build(tm)
+			attempts := 0
+			must(tm.AtomicAs(c.sem, func(tx *core.Tx) error {
+				attempts++
+				if err := open(tx); err != nil {
+					return err
+				}
+				if attempts == 1 {
+					rival()
+				}
+				return nil
+			}))
+			if attempts != 1 {
+				t.Errorf("outer update took %d attempts beside a commit at a distinct key, want 1", attempts)
+			}
+			if n := count(); n != want {
+				t.Errorf("count = %d, want %d", n, want)
+			}
+		})
+	}
+}
+
 func TestTListSnapshotAndSum(t *testing.T) {
 	tm := core.NewDefault()
 	l := NewTList(tm, core.Weak)
@@ -305,11 +366,17 @@ func TestTHashResizePreservesContents(t *testing.T) {
 	if h.Len() != 200 {
 		t.Fatalf("len = %d, want 200", h.Len())
 	}
+	if lf, want := h.LoadFactor(), 200/float64(before*2); lf != want {
+		t.Fatalf("load factor after grow = %v, want %v", lf, want)
+	}
 	h.Resize(false)
 	for k := uint64(0); k < 200; k++ {
 		if !h.Contains(k) {
 			t.Fatalf("key %d lost in shrink", k)
 		}
+	}
+	if lf, want := h.LoadFactor(), 200/float64(before); lf != want {
+		t.Fatalf("load factor after shrink = %v, want %v", lf, want)
 	}
 }
 
@@ -382,6 +449,23 @@ func TestTQueueFIFO(t *testing.T) {
 	}
 	if q.Len() != 5 {
 		t.Fatalf("len = %d", q.Len())
+	}
+	// LenTx walks inside the caller's transaction: it counts the
+	// transaction's own pending enqueue, and nothing else sees it.
+	errVeto := errors.New("veto")
+	if err := tm.Atomic(func(tx *core.Tx) error {
+		if err := q.EnqueueTx(tx, 6); err != nil {
+			return err
+		}
+		if n, err := q.LenTx(tx); err != nil || n != 6 {
+			t.Fatalf("LenTx after a pending enqueue = %d, %v; want 6", n, err)
+		}
+		return errVeto
+	}); !errors.Is(err, errVeto) {
+		t.Fatalf("vetoed transaction = %v", err)
+	}
+	if q.Len() != 5 {
+		t.Fatalf("len after a vetoed enqueue = %d, want 5", q.Len())
 	}
 	for i := 1; i <= 5; i++ {
 		v, ok := q.Dequeue()
