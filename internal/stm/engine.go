@@ -58,10 +58,11 @@ func (c Config) withDefaults() Config {
 // irrevocability token. Engines are independent; variables must not
 // flow between them.
 //
-// All per-attempt bookkeeping — counters, the live registry, the
-// snapshot registry — is sharded (see shard.go), so the only state every
-// committing writer still serializes on is the version clock itself,
-// which defines commit order and is irreducible.
+// All bookkeeping — counters, the live registry, the snapshot registry —
+// is paid per attempt, never per access, on sharded state (see
+// shard.go): a read writes only to its own transaction, and the only
+// state every committing writer still serializes on is the version clock
+// itself, which defines commit order and is irreducible.
 type Engine struct {
 	cfg   Config
 	clock Clock
@@ -70,6 +71,10 @@ type Engine struct {
 	// draws txnIDBlock ids at a time (see Txn.nextAttemptID), so this
 	// counter is touched once per block rather than once per attempt.
 	nextTxnID atomic.Uint64
+
+	// shells numbers the Txn shells built, so each takes the next stats
+	// stripe (see Txn.stripe).
+	shells atomic.Uint64
 
 	snaps snapshotRegistry
 
@@ -133,7 +138,7 @@ func (e *Engine) lookupTxn(id uint64) *Txn {
 // assigned on the first begin, from the transaction's first attempt-id
 // block.
 func (e *Engine) newTxn(sem Semantics, cm CMFactory) *Txn {
-	tx := &Txn{eng: e, ctx: context.Background()}
+	tx := &Txn{eng: e, ctx: context.Background(), stripe: e.shells.Add(1)}
 	tx.sem = sem
 	tx.cmFac = cm
 	return tx

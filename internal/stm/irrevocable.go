@@ -70,7 +70,5 @@ func (tx *Txn) commitIrrevocable() {
 	}
 	clear(tx.encLocks)
 	tx.encLocks = tx.encLocks[:0]
-	tx.stat(statCommits)
-	tx.statSem(semCommits)
 	tx.finish(statusCommitted)
 }

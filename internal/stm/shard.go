@@ -1,17 +1,19 @@
 package stm
 
-import (
-	"math/rand/v2"
-	"runtime"
-)
+import "runtime"
 
-// Sharding support for the engine's hot-path synchronization state.
+// Sharding support for the engine's synchronization state.
 //
 // Event counters, the live-transaction registry and the snapshot
 // registry are all striped across a power-of-two number of shards so
-// that concurrent transactions touch disjoint cache lines. The stripe
-// count is a Config knob (Config.Shards); the default
-// is derived from GOMAXPROCS at engine construction.
+// that concurrent transactions touch disjoint cache lines, and each is
+// touched once per attempt, never once per access: an attempt counts
+// its events in its own Txn and folds them into its shell's stripe
+// (Txn.stripe) when it finishes, and each registry shard is one cache
+// line of atomic slots that a registrant claims with a CAS (a
+// mutex-guarded map takes only what overflows a full shard). The stripe
+// count is a Config knob (Config.Shards); the default is derived from
+// GOMAXPROCS at engine construction.
 //
 // Two global atomics deliberately remain: the version clock (it defines
 // commit order — irreducible in a TL2-style engine, and only writing
@@ -63,12 +65,3 @@ func resolveShardCount(requested int) int {
 func shardOf(id, mask uint64) uint64 {
 	return (id * 0x9E3779B97F4A7C15) >> 32 & mask
 }
-
-// stripeHint returns a cheap quasi-per-goroutine stripe selector.
-// math/rand/v2's global generator draws from per-thread (per-P) state in
-// the runtime, so concurrent callers never contend here, and goroutines
-// running on distinct Ps — the only ones that can actually race — are
-// steered toward distinct stripes. The hint need not be stable across
-// calls: callers use it to *distribute* updates (striped counters),
-// never to *find* them again.
-func stripeHint() uint32 { return rand.Uint32() }

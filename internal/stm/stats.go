@@ -5,14 +5,14 @@ import (
 	"sync/atomic"
 )
 
-// statCounter names one engine event counter. Hot paths bump counters
-// through Stats.add with their transaction's stripe, so the enum is the
-// per-event half of the striped layout below.
+// statCounter names one engine event counter. A transaction tallies
+// its counters in plain fields of its own (Txn.tally) and folds them
+// into one stripe when the attempt finishes (Stats.flush), so the enum is
+// the per-event half of the striped layout below.
 type statCounter uint8
 
 const (
-	statStarts        statCounter = iota // transaction attempts begun
-	statCommits                          // successful commits
+	statCommits       statCounter = iota // successful commits
 	statAborts                           // aborts of any kind
 	statReadAborts                       // aborts during read validation/extension
 	statLockAborts                       // aborts acquiring commit-time locks
@@ -29,21 +29,6 @@ const (
 	numStatCounters
 )
 
-// semCounter names one per-semantics event counter. The engine keeps a
-// (semantics × event) matrix per stripe so a polymorphic workload can be
-// broken down by the paper's parameter p: how many def transactions
-// aborted while the snapshot readers all committed is precisely the
-// schedule-acceptance gap the paper claims, made observable.
-type semCounter uint8
-
-const (
-	semStarts  semCounter = iota // attempts begun under this semantics
-	semCommits                   // commits under this semantics
-	semAborts                    // aborts under this semantics
-
-	numSemCounters
-)
-
 // numSemClasses is the number of semantics classes tracked (Def, Weak,
 // Snapshot, Irrevocable). Attribution is by the transaction's root
 // parameter p — the semantics passed to start(p) — not by the effective
@@ -51,41 +36,57 @@ const (
 const numSemClasses = 4
 
 // statsStripe is one shard's worth of counters, padded out to a
-// cache-line multiple so adjacent stripes never false-share. (The
-// counter block is (14+4×3)×8 = 208 bytes; the pad rounds it to 256.)
+// cache-line multiple so adjacent stripes never false-share. Besides the
+// event counters it keeps a (semantics × outcome) matrix, indexed by
+// statCommits and statAborts, so a polymorphic workload can be broken
+// down by the paper's parameter p: how many def transactions aborted
+// while the snapshot readers all committed is precisely the
+// schedule-acceptance gap the paper claims, made observable. (The block
+// is (13+4×2)×8 = 168 bytes; the pad rounds it to 192.)
 type statsStripe struct {
 	c   [numStatCounters]atomic.Uint64
-	sem [numSemClasses][numSemCounters]atomic.Uint64
-	_   [cacheLine - ((int(numStatCounters)+numSemClasses*int(numSemCounters))*8)%cacheLine]byte
+	sem [numSemClasses][statAborts + 1]atomic.Uint64
+	_   [cacheLine - ((int(numStatCounters)+numSemClasses*int(statAborts+1))*8)%cacheLine]byte
 }
 
 // Stats holds the engine-wide event counters, striped across the
-// engine's shard count. Each increment lands on exactly one stripe, so
+// engine's shard count. Each event lands on exactly one stripe, so
 // Snapshot — which sums every stripe — is exact for every individual
 // counter: striping relaxes only *where* an event is recorded, never
-// *whether* it is. (As before, counters are mutually consistent only
-// approximately: a snapshot taken mid-flight may see a start whose
-// commit it misses.)
+// *whether* it is. An attempt is recorded when it finishes, all its
+// events at once: an open attempt's accesses are not visible until its
+// commit or abort, and Starts is the number of finished attempts
+// (Commits + Aborts). Counters are mutually consistent only
+// approximately while transactions are in flight.
 type Stats struct {
 	stripes []statsStripe
-	mask    uint32
+	mask    uint64
 }
 
 // init sizes the stripe array; shards must be a power of two.
 func (s *Stats) init(shards int) {
 	s.stripes = make([]statsStripe, shards)
-	s.mask = uint32(shards - 1)
+	s.mask = uint64(shards - 1)
 }
 
-// add bumps counter c on the given stripe.
-func (s *Stats) add(stripe uint32, c statCounter) {
-	s.stripes[stripe&s.mask].c[c].Add(1)
+// add bumps counter c on the stripe id maps to.
+func (s *Stats) add(id uint64, c statCounter) {
+	s.stripes[shardOf(id, s.mask)].c[c].Add(1)
 }
 
-// addSem bumps per-semantics counter c for semantics class p on the
-// given stripe.
-func (s *Stats) addSem(stripe uint32, p Semantics, c semCounter) {
-	s.stripes[stripe&s.mask].sem[p][c].Add(1)
+// flush folds the tally of an attempt that finished with outcome
+// (statCommits or statAborts) under root semantics p into the given
+// stripe: one atomic add per counter the attempt moved, paid once per
+// attempt rather than once per access.
+func (s *Stats) flush(stripe uint64, p Semantics, outcome statCounter, tally *[numStatCounters]uint64) {
+	st := &s.stripes[stripe&s.mask]
+	st.c[outcome].Add(1)
+	st.sem[p][outcome].Add(1)
+	for c, n := range tally {
+		if n != 0 {
+			st.c[c].Add(n)
+		}
+	}
 }
 
 // sum aggregates counter c across every stripe.
@@ -97,9 +98,9 @@ func (s *Stats) sum(c statCounter) uint64 {
 	return t
 }
 
-// sumSem aggregates per-semantics counter c of class p across every
-// stripe.
-func (s *Stats) sumSem(p Semantics, c semCounter) uint64 {
+// sumSem aggregates outcome c (statCommits or statAborts) of class p
+// across every stripe.
+func (s *Stats) sumSem(p Semantics, c statCounter) uint64 {
 	var t uint64
 	for i := range s.stripes {
 		t += s.stripes[i].sem[p][c].Load()
@@ -125,17 +126,15 @@ func (s *Stats) reset() {
 func (s *Stats) Snapshot() StatsSnapshot {
 	var per [numSemClasses]SemStats
 	for p := Semantics(0); p < numSemClasses; p++ {
-		per[p] = SemStats{
-			Starts:  s.sumSem(p, semStarts),
-			Commits: s.sumSem(p, semCommits),
-			Aborts:  s.sumSem(p, semAborts),
-		}
+		c, a := s.sumSem(p, statCommits), s.sumSem(p, statAborts)
+		per[p] = SemStats{Starts: c + a, Commits: c, Aborts: a}
 	}
+	commits, aborts := s.sum(statCommits), s.sum(statAborts)
 	return StatsSnapshot{
 		PerSemantics:  per,
-		Starts:        s.sum(statStarts),
-		Commits:       s.sum(statCommits),
-		Aborts:        s.sum(statAborts),
+		Starts:        commits + aborts,
+		Commits:       commits,
+		Aborts:        aborts,
 		ReadAborts:    s.sum(statReadAborts),
 		LockAborts:    s.sum(statLockAborts),
 		ValidateAbort: s.sum(statValidateAbort),

@@ -88,6 +88,79 @@ func TestStatsExactUnderStriping(t *testing.T) {
 	}
 }
 
+// TestStatsCountedPerAttempt pins when an attempt's events reach Stats:
+// all at once, when it commits or aborts. A read writes nothing shared,
+// so an open transaction's reads are invisible; a finished attempt's are
+// all there, whether it committed or aborted, and a Begin transaction is
+// counted at Commit or Abort.
+func TestStatsCountedPerAttempt(t *testing.T) {
+	e := NewEngine(Config{Shards: 4})
+	vars := make([]*Var, 100)
+	for i := range vars {
+		vars[i] = e.NewVar(i)
+	}
+	readAll := func(tx *Txn) error {
+		for _, v := range vars {
+			if _, err := tx.Read(v); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// moved returns how far reads, starts, commits and aborts moved since
+	// before.
+	moved := func(before StatsSnapshot) [4]uint64 {
+		s := e.Stats()
+		return [4]uint64{s.Reads - before.Reads, s.Starts - before.Starts,
+			s.Commits - before.Commits, s.Aborts - before.Aborts}
+	}
+
+	for _, commit := range []bool{true, false} {
+		before := e.Stats()
+		tx := e.Begin(SemanticsDef)
+		if err := readAll(tx); err != nil {
+			t.Fatal(err)
+		}
+		if got := moved(before); got != [4]uint64{} {
+			t.Fatalf("open Begin transaction moved reads/starts/commits/aborts by %v, want none", got)
+		}
+		want := [4]uint64{100, 1, 0, 1}
+		if commit {
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			want = [4]uint64{100, 1, 1, 0}
+		} else {
+			tx.Abort()
+		}
+		if got := moved(before); got != want {
+			t.Fatalf("commit=%v: reads/starts/commits/aborts moved by %v, want %v", commit, got, want)
+		}
+	}
+
+	// A run whose first attempt aborts after its reads: both attempts'
+	// reads are counted, each when its attempt ends.
+	before := e.Stats()
+	err := e.Run(SemanticsDef, func(tx *Txn) error {
+		if err := readAll(tx); err != nil {
+			return err
+		}
+		if got, want := e.Stats().Reads-before.Reads, uint64(100*(tx.Attempt()-1)); got != want {
+			t.Errorf("attempt %d open: Reads moved by %d, want %d (finished attempts only)", tx.Attempt(), got, want)
+		}
+		if tx.Attempt() == 1 {
+			return ErrConflict
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := moved(before), [4]uint64{200, 2, 1, 1}; got != want {
+		t.Fatalf("aborted-then-committed run moved reads/starts/commits/aborts by %v, want %v", got, want)
+	}
+}
+
 // TestStatsIdentitiesUnderContention drives heavy contention on one
 // variable (with the suicide manager so aborts are plentiful) and
 // checks the abort-side identities plus the exact commit count against

@@ -35,13 +35,14 @@ func (e *Engine) NewVar(v any) *Var {
 // object, which is how core.TVar comes to be one allocation — a variable
 // of engine e whose first version is the fresh record first, at version
 // 0 (committed "before the beginning of time", so it is visible to every
-// transaction). Initialisation touches nothing shared but a striped
-// counter, so concurrent allocators never contend. A Var must not be
-// copied once initialised: its address is its identity (see ID).
+// transaction). Initialisation touches nothing shared but the counter
+// stripe the variable's address maps to, so concurrent allocators rarely
+// meet. A Var must not be copied once initialised: its address is its
+// identity (see ID).
 func (e *Engine) InitVar(v *Var, first *Version) {
 	v.eng = e
 	v.install(first, 0, 0)
-	e.stats.add(stripeHint(), statVarsAllocated)
+	e.stats.add(v.ID(), statVarsAllocated)
 }
 
 // install stamps rec with commit timestamp wv, links behind it what of

@@ -87,8 +87,12 @@ type Txn struct {
 	// (see nextAttemptID).
 	idNext, idLimit uint64
 
-	// shard is the stripe this attempt's counter updates land on.
-	shard uint32
+	// stripe is the stats stripe this shell's attempts fold into. Shells
+	// take stripes in turn as they are built, and a pooled shell keeps
+	// its stripe across runs; sync.Pool keeps a shell on the P that last
+	// used it, so shells in use on distinct Ps mostly fold into distinct
+	// stripes and the flush does not bounce a cache line between cores.
+	stripe uint64
 
 	// rv is the read timestamp: all reads are consistent at rv.
 	rv uint64
@@ -124,20 +128,36 @@ type Txn struct {
 	// first write and must behave monomorphically from then on.
 	written bool
 
-	// karma accumulates accesses across attempts for the karma manager.
-	// It is owner-side only: it is incremented on EVERY transactional
-	// access, and any atomic form — LOCK-prefixed add or XCHG store —
-	// measured 20-30% on the read fast path. Rivals (karma.OnLockBusy
-	// inspects a lock owner through a registry pointer) read karmaSeen,
-	// the copy published when the attempt registers as a lock owner
-	// (registerLive). That is the only state a rival can meet it in, and
-	// the copy is as good as the original there: an optimistic committer
-	// performs no access after it, and an irrevocable owner cannot be
-	// killed whatever its karma.
+	// tally counts this attempt's events (reads, writes, extensions,
+	// cuts, ...) in plain fields; finish folds it into the shell's stats
+	// stripe, once per attempt. It follows karma's rule below.
+	tally [numStatCounters]uint64
+
+	// karma accumulates the accesses (reads + writes) of the run's
+	// finished attempts for the karma manager; the current attempt's are
+	// still in tally. It is owner-side only, and the rule it set now
+	// holds for every counter: an access writes nothing shared, because
+	// any atomic form on the read fast path — LOCK-prefixed add or XCHG
+	// store — measured 20-30%. Rivals (karma.OnLockBusy inspects a lock
+	// owner through a registry pointer) read karmaSeen, the sum published
+	// when the attempt registers as a lock owner (registerLive). That is
+	// the only state a rival can meet it in, and the copy is as good as
+	// the original there: an optimistic committer performs no access
+	// after it, and an irrevocable owner cannot be killed whatever its
+	// karma.
 	karma     uint64
 	karmaSeen atomic.Uint64
 
 	attempt int
+
+	// liveID is the attempt id published while the attempt is a
+	// registered lock owner: live-registry lookups match it through
+	// pointers that may be stale, so it is atomic where id is not.
+	// liveSlot and snapSlot are the registry slots the attempt holds,
+	// nil when it spilled into the shard's overflow map.
+	liveID   atomic.Uint64
+	liveSlot *atomic.Pointer[Txn]
+	snapSlot *atomic.Uint64
 
 	snapRegistered  bool
 	liveRegistered  bool
@@ -305,28 +325,29 @@ func (tx *Txn) recycle() {
 	tx.unkillable.Store(false)
 }
 
-// stat bumps one engine counter on this attempt's stripe.
-func (tx *Txn) stat(c statCounter) { tx.eng.stats.add(tx.shard, c) }
-
-// statSem bumps one per-semantics counter on this attempt's stripe,
-// attributed to the transaction's root parameter p (nested scopes do not
-// reattribute).
-func (tx *Txn) statSem(c semCounter) { tx.eng.stats.addSem(tx.shard, tx.sem, c) }
+// stat counts one event of this attempt (see tally).
+func (tx *Txn) stat(c statCounter) { tx.tally[c]++ }
 
 // begin (re)initializes the transaction for a new attempt. The
 // contention manager is built on the first attempt and reused for the
 // rest of the run — managers are values with per-lifecycle state, not
-// per-attempt factory products (see ContentionManager).
+// per-attempt factory products (see ContentionManager). The previous
+// attempt's read and write sets are cleared, not just truncated: a long
+// aborted attempt followed by a short retry would otherwise keep its
+// variables and version records reachable behind the capacity for as
+// long as the shell is reused. The cost is the previous attempt's
+// entries, nothing on a first attempt (recycle left both sets empty).
 func (tx *Txn) begin() {
 	tx.id = tx.nextAttemptID()
 	if tx.birth.Load() == 0 {
 		tx.birth.Store(tx.id)
 	}
-	tx.shard = stripeHint()
 	tx.attempt++
 	tx.status.Store(statusActive)
 	tx.unkillable.Store(tx.sem == SemanticsIrrevocable)
+	clear(tx.rset)
 	tx.rset = tx.rset[:0]
+	clear(tx.wset)
 	tx.wset = tx.wset[:0]
 	tx.written = false
 	tx.encLocks = tx.encLocks[:0]
@@ -335,8 +356,6 @@ func (tx *Txn) begin() {
 	if tx.cm == nil {
 		tx.cm = tx.cmFac()
 	}
-	tx.stat(statStarts)
-	tx.statSem(semStarts)
 
 	switch tx.sem {
 	case SemanticsIrrevocable:
@@ -354,10 +373,9 @@ func (tx *Txn) begin() {
 		// <= the bound and everything newer — a superset of what
 		// resolving at rv needs. Either way no version this snapshot
 		// requires is ever trimmed. registerSampling performs the
-		// publish and both clock samples in one shard critical section
-		// (see its comment for why the post-store sample is
-		// load-bearing).
-		tx.rv = tx.eng.snaps.registerSampling(tx.id, &tx.eng.clock)
+		// publish between the two clock samples (see its comment for
+		// why the post-store sample is load-bearing).
+		tx.rv, tx.snapSlot = tx.eng.snaps.registerSampling(tx.id, &tx.eng.clock)
 		tx.snapRegistered = true
 	default:
 		tx.rv = tx.eng.clock.Now()
@@ -373,27 +391,36 @@ func (tx *Txn) begin() {
 // register — that is the point: the registry is off the read fast path.
 func (tx *Txn) registerLive() {
 	if !tx.liveRegistered {
-		tx.karmaSeen.Store(tx.karma)
-		tx.eng.live.store(tx.id, tx)
+		tx.karmaSeen.Store(tx.karma + tx.tally[statReads] + tx.tally[statWrites])
+		tx.liveSlot = tx.eng.live.store(tx)
 		tx.liveRegistered = true
 	}
 }
 
-// finish tears down per-attempt registrations.
+// finish tears down per-attempt registrations and folds the attempt's
+// tally into the engine's stats — the one place every commit and abort
+// passes through.
 func (tx *Txn) finish(st uint32) {
 	tx.status.Store(st)
 	if tx.liveRegistered {
-		tx.eng.live.delete(tx.id)
+		tx.eng.live.delete(tx.id, tx.liveSlot)
 		tx.liveRegistered = false
 	}
 	if tx.snapRegistered {
-		tx.eng.snaps.unregister(tx.id)
+		tx.eng.snaps.unregister(tx.id, tx.snapSlot)
 		tx.snapRegistered = false
 	}
 	if tx.irrevocableHeld {
 		tx.eng.irrevocable.Unlock()
 		tx.irrevocableHeld = false
 	}
+	outcome := statAborts
+	if st == statusCommitted {
+		outcome = statCommits
+	}
+	tx.karma += tx.tally[statReads] + tx.tally[statWrites]
+	tx.eng.stats.flush(tx.stripe, tx.sem, outcome, &tx.tally)
+	tx.tally = [numStatCounters]uint64{}
 }
 
 // ID returns the current attempt's identity.
@@ -490,7 +517,6 @@ func (tx *Txn) Read(v *Var) (any, error) {
 		return nil, tx.opError(ErrCrossEngine, "cross-engine read")
 	}
 	tx.stat(statReads)
-	tx.karma++
 
 	// Read-your-writes.
 	if len(tx.wset) > 0 {
@@ -524,7 +550,6 @@ func (tx *Txn) ReadPinned(v *Var) (any, error) {
 		return nil, tx.opError(ErrCrossEngine, "cross-engine read")
 	}
 	tx.stat(statReads)
-	tx.karma++
 	if len(tx.wset) > 0 {
 		if i := tx.findWrite(v); i >= 0 {
 			return tx.wset[i].rec.val, nil
@@ -675,7 +700,6 @@ func (tx *Txn) WriteVersion(v *Var, rec *Version) error {
 		return tx.opError(ErrCrossEngine, "cross-engine write")
 	}
 	tx.stat(statWrites)
-	tx.karma++
 
 	switch tx.effective() {
 	case SemanticsSnapshot:
@@ -725,8 +749,6 @@ func (tx *Txn) abortCleanup() {
 	}
 	clear(tx.encLocks)
 	tx.encLocks = tx.encLocks[:0]
-	tx.stat(statAborts)
-	tx.statSem(semAborts)
 	tx.finish(statusAborted)
 }
 
@@ -753,8 +775,6 @@ func (tx *Txn) Commit() error {
 	// snapshot: reads resolved at the start timestamp) and commit
 	// without further work.
 	if len(tx.wset) == 0 {
-		tx.stat(statCommits)
-		tx.statSem(semCommits)
 		tx.finish(statusCommitted)
 		return nil
 	}
@@ -791,8 +811,6 @@ func (tx *Txn) Commit() error {
 	}
 
 	tx.publish(wv)
-	tx.stat(statCommits)
-	tx.statSem(semCommits)
 	tx.finish(statusCommitted)
 	return nil
 }

@@ -398,3 +398,49 @@ func TestStatsCounters(t *testing.T) {
 		t.Fatalf("starts = %d, want >= 5", s.Starts)
 	}
 }
+
+// TestRetryDropsAbortedAttemptSets: a retry holds nothing its aborted
+// attempt read or wrote. The first attempt reads 10k variables and
+// writes 16, the retry reads one and commits; afterwards the pooled
+// shell's read and write sets keep none of them reachable behind their
+// capacity, where a short retry's truncation would otherwise leave them
+// for as long as the shell is reused.
+func TestRetryDropsAbortedAttemptSets(t *testing.T) {
+	e := NewDefaultEngine()
+	vars := make([]*Var, 10_000)
+	for i := range vars {
+		vars[i] = e.NewVar(i)
+	}
+	var shell *Txn
+	err := e.Run(SemanticsDef, func(tx *Txn) error {
+		shell = tx
+		if tx.Attempt() > 1 {
+			_, err := tx.Read(vars[0])
+			return err
+		}
+		for _, v := range vars {
+			if _, err := tx.Read(v); err != nil {
+				return err
+			}
+		}
+		for _, v := range vars[:16] {
+			if err := tx.Write(v, -1); err != nil {
+				return err
+			}
+		}
+		return ErrConflict
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range shell.rset[:cap(shell.rset)] {
+		if r.v != nil || r.ver != nil {
+			t.Fatalf("read-set slot %d still holds a variable or version", i)
+		}
+	}
+	for i, w := range shell.wset[:cap(shell.wset)] {
+		if w.v != nil || w.rec != nil {
+			t.Fatalf("write-set slot %d still holds a variable or record", i)
+		}
+	}
+}
