@@ -66,7 +66,7 @@ func TestExecuteRejectsBadSemanticsByte(t *testing.T) {
 }
 
 // TestForcedShutdownCancelsInflight parks a wire request's transaction
-// on a variable held hostage by an irrevocable encounter lock, then
+// at the commit gate of an irrevocable transaction held open, then
 // asserts a forced Shutdown cancels the in-flight transaction (through
 // the per-connection context) instead of hanging on the drain.
 func TestForcedShutdownCancelsInflight(t *testing.T) {
@@ -78,9 +78,9 @@ func TestForcedShutdownCancelsInflight(t *testing.T) {
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(ln) }()
 
-	// Seed the key, then take an irrevocable encounter lock on its value
-	// variable: the handler's def SET will spin in waitUnlocked — the
-	// exact in-flight state a forced drain must be able to abandon.
+	// Seed the key, then open an irrevocable transaction that reads it:
+	// the handler's def SET will wait at the commit gate — the exact
+	// in-flight state a forced drain must be able to abandon.
 	if err := srv.TM().Atomic(func(tx *core.Tx) error {
 		_, err := srv.Store().tab().shards[0].m.PutTx(tx, "k", "seed")
 		return err
@@ -90,10 +90,10 @@ func TestForcedShutdownCancelsInflight(t *testing.T) {
 	hostage := srv.TM().Engine().Begin(stm.SemanticsIrrevocable)
 	defer hostage.Abort()
 	if _, ok, err := srv.Store().tab().shards[0].m.GetTx(core.WrapTx(srv.TM(), hostage), "k"); err != nil || !ok {
-		t.Fatalf("hostage lock: ok=%v err=%v", ok, err)
+		t.Fatalf("hostage read: ok=%v err=%v", ok, err)
 	}
 
-	// Fire a SET at the locked key over a real connection; it parks.
+	// Fire a SET at the key over a real connection; it parks.
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestForcedShutdownCancelsInflight(t *testing.T) {
 	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond) // let the handler park on the lock
+	time.Sleep(50 * time.Millisecond) // let the handler park at the gate
 
 	// Forced shutdown with a 10ms budget: the graceful phase cannot
 	// finish (the handler is parked), so Shutdown cancels the serving
@@ -121,7 +121,7 @@ func TestForcedShutdownCancelsInflight(t *testing.T) {
 			t.Fatal("forced shutdown should report the forced drain")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("forced shutdown hung on an in-flight transaction parked on a lock")
+		t.Fatal("forced shutdown hung on an in-flight transaction parked at the gate")
 	}
 	// The key keeps its seeded value: the cancelled SET never landed.
 	hostage.Abort()

@@ -30,22 +30,14 @@ func TestSuicideAbortsOnBusyLock(t *testing.T) {
 	e := NewEngine(Config{DefaultCM: NewSuicide()})
 	x := e.NewVar(0)
 
-	// Hold the lock via an irrevocable transaction (encounter locking).
-	held := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = e.Run(SemanticsIrrevocable, func(tx *Txn) error {
-			if _, err := tx.Read(x); err != nil {
-				return err
-			}
-			close(held)
-			<-release
-			return nil
-		})
-	}()
-	<-held
+	// Hold x's lock word as a committer in its publish window would.
+	holder := e.Begin(SemanticsDef)
+	defer holder.Abort()
+	prev, ok := x.tryLock(holder.ID())
+	if !ok {
+		t.Fatal("could not take x's lock word")
+	}
+	defer x.unlockTo(prev)
 
 	// A suicide-managed writer must abort immediately (retryable).
 	tx := e.Begin(SemanticsDef)
@@ -59,8 +51,6 @@ func TestSuicideAbortsOnBusyLock(t *testing.T) {
 	if e.Stats().LockAborts == 0 {
 		t.Fatal("expected a lock abort to be recorded")
 	}
-	close(release)
-	<-done
 }
 
 func TestPoliteWaitsOutShortLock(t *testing.T) {

@@ -125,16 +125,18 @@ func TestCancelRetryWait(t *testing.T) {
 	}
 }
 
-// TestCancelLockWait parks a def reader against a variable encounter-
-// locked by an irrevocable transaction and asserts a 50ms deadline
-// releases the waiting reader (waitUnlocked's spin is a cancellation
-// point).
+// TestCancelLockWait parks a def reader against a variable whose lock
+// word is held, as a committer in its publish window holds it, and
+// asserts a 50ms deadline releases the waiting reader (waitUnlocked's
+// spin is a cancellation point).
 func TestCancelLockWait(t *testing.T) {
 	e := NewDefaultEngine()
 	x := e.NewVar(0)
-	holder := e.Begin(SemanticsIrrevocable)
-	if _, err := holder.Read(x); err != nil { // encounter-locks x
-		t.Fatal(err)
+	holder := e.Begin(SemanticsDef)
+	defer holder.Abort()
+	prev, ok := x.tryLock(holder.ID())
+	if !ok {
+		t.Fatal("could not take x's lock word")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -148,8 +150,53 @@ func TestCancelLockWait(t *testing.T) {
 	if elapsed > 2*time.Second {
 		t.Fatalf("lock wait held the cancelled run for %v", elapsed)
 	}
+	x.unlockTo(prev)
+	if err := e.Run(SemanticsDef, func(tx *Txn) error { return tx.Write(x, 1) }); err != nil {
+		t.Fatalf("writer after the lock's release: %v", err)
+	}
+}
+
+// TestCancelAtIrrevocableGate parks a def writer's commit at the gate an
+// irrevocable transaction holds and asserts a 50ms deadline releases
+// it, as a kill does; the irrevocable then still commits, and neither
+// parked write lands.
+func TestCancelAtIrrevocableGate(t *testing.T) {
+	e := NewDefaultEngine()
+	x := e.NewVar(0)
+	holder := e.Begin(SemanticsIrrevocable)
+	defer holder.Abort()
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	err := e.RunCtx(ctx, SemanticsDef, func(tx *Txn) error { return tx.Write(x, 1) })
+	elapsed := time.Since(start)
+	requireCancelled(t, err, context.DeadlineExceeded)
+	if elapsed > 2*time.Second {
+		t.Fatalf("gate wait held the cancelled run for %v", elapsed)
+	}
+
+	w := e.Begin(SemanticsDef)
+	if err := w.Write(x, 2); err != nil {
+		t.Fatal(err)
+	}
+	id := w.ID()
+	committed := make(chan error, 1)
+	go func() { committed <- w.Commit() }()
+	time.Sleep(10 * time.Millisecond) // let the commit reach the gate
+	w.kill(id)
+	select {
+	case err := <-committed:
+		if !errors.Is(err, ErrKilled) {
+			t.Fatalf("killed commit at the gate: %v, want ErrKilled", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a kill did not release the commit parked at the gate")
+	}
 	if err := holder.Commit(); err != nil {
 		t.Fatalf("irrevocable holder must still commit: %v", err)
+	}
+	if got := x.LoadDirect().(int); got != 0 {
+		t.Fatalf("a parked write landed: x = %d, want 0", got)
 	}
 }
 

@@ -55,8 +55,8 @@ func (c Config) withDefaults() Config {
 
 // Engine is one transactional memory: a global version clock, an
 // identity space for transactions, a snapshot registry, and the
-// irrevocability token. Engines are independent; variables must not
-// flow between them.
+// irrevocability token and commit gate. Engines are independent;
+// variables must not flow between them.
 //
 // All bookkeeping — counters, the live registry, the snapshot registry —
 // is paid per attempt, never per access, on sharded state (see
@@ -78,8 +78,14 @@ type Engine struct {
 
 	snaps snapshotRegistry
 
-	// irrevocable serializes SemanticsIrrevocable transactions.
+	// irrevocable serializes SemanticsIrrevocable transactions, and the
+	// one holding it raises gate to shut out writing commits (see
+	// irrevocable.go). Every writing commit loads the gate, and every
+	// one ticks the clock, which would pull a gate on the clock's cache
+	// line away from the other cores; the padding keeps them apart.
+	_           [cacheLine]byte
 	irrevocable sync.Mutex
+	gate        atomic.Bool
 
 	// live resolves attempt id -> *Txn for contention managers that
 	// need to inspect or kill lock owners.

@@ -7,68 +7,91 @@ import "runtime"
 // An irrevocable transaction is guaranteed to commit on its only
 // attempt: it never validates, never aborts on conflict, and may
 // therefore perform irreversible side effects (I/O). The guarantee is
-// obtained pessimistically: a global token serializes irrevocable
-// transactions against each other, and every variable the transaction
-// touches — reads included — is locked at encounter time and held until
-// commit (strict two-phase locking). Optimistic transactions that hit
-// those locks resolve the conflict through their contention manager; the
-// engine refuses to kill an irrevocable owner, so they back off or
-// abort, preserving the liveness guarantee.
+// obtained with a commit gate, the inevitability design of Spear,
+// Michael and Scott ("Implementing and Exploiting Inevitability in
+// STMs", ICPP 2008) and of Welc, Saha and Adl-Tabatabai ("Irrevocable
+// Transactions and their Applications", SPAA 2008): the transaction
+// fences out concurrent *writing commits* rather than locking what it
+// touches.
 //
-// Deadlock cannot occur: the token means at most one irrevocable
-// transaction holds encounter locks, and optimistic committers either
-// acquire all their commit locks or abort in bounded time (their lock
-// acquisition never blocks indefinitely), after which the irrevocable
-// spinner proceeds.
+//   - begin takes the engine's token (irrevocable transactions serialize
+//     against each other), raises the gate, waits until the live
+//     registry is empty — every writing optimistic commit already past
+//     the gate has finished — and samples rv.
+//   - Its reads are one head load each, and its writes are only
+//     buffered. Nothing else can publish while the gate is up, so every
+//     read returns the state at rv.
+//   - commitIrrevocable locks the write set (nobody else can hold those
+//     locks), ticks, installs, and releases at the new version: the
+//     optimistic publish without validation. Readers wait on those
+//     locks across the tick exactly as they do for any committer.
+//   - finish lowers the gate, then releases the token.
+//
+// Why it is safe. A writing optimistic commit registers in the live
+// registry (a CAS on its slot, or an atomic add on the spill count),
+// then loads the gate (passGate). The irrevocable stores the gate, then
+// loads every slot and spill count (liveRegistry.drain). The atomics are
+// sequentially consistent, so this is a Dekker pair: at least one side
+// sees the other. Either the committer sees the gate and backs off
+// before taking a lock, or the drain sees the committer and waits for it
+// to finish. So no writing commit publishes during an irrevocable span:
+// every irrevocable read is the state at rv, and the commit at wv > rv
+// has nothing between them. The transaction is serializable, and it
+// cannot abort.
+//
+// What that costs others: readers of any semantics wait only for the
+// commit window, never for the body, and read-only commits never look
+// at the gate. A writing optimistic commit waits at the gate for the
+// whole irrevocable span. The corollary is that a *separate* writing
+// transaction started on the same engine from inside an irrevocable
+// body deadlocks: it waits for a gate its own goroutine holds.
 
-// readIrrevocable performs one irrevocable-mode read: lock the variable
-// (if not already held) and read its head, which the lock now stabilizes.
-func (tx *Txn) readIrrevocable(v *Var) (any, error) {
-	if err := tx.encounterLock(v); err != nil {
-		return nil, err
-	}
-	return v.head.Load().val, nil
+// beginIrrevocable opens an irrevocable attempt: token, gate, drain,
+// then the read timestamp.
+func (tx *Txn) beginIrrevocable() {
+	tx.eng.irrevocable.Lock()
+	tx.irrevocableHeld = true
+	tx.eng.gate.Store(true)
+	tx.eng.live.drain()
+	tx.rv = tx.eng.clock.Now()
+	tx.stat(statIrrevocables)
 }
 
-// encounterLock acquires and records an encounter-time lock on v,
-// spinning until any optimistic holder releases it. Whether the lock is
-// already held is one lock-word load: attempt ids are engine-unique, so
-// an owner equal to tx.id can only be this attempt's own encounter lock
-// — so a walk over n variables costs O(n).
-func (tx *Txn) encounterLock(v *Var) error {
-	if owner, locked := v.lockedBy(); locked && owner == tx.id {
-		return nil
-	}
-	// About to take a lock: become resolvable as a lock owner first.
-	tx.registerLive()
+// readIrrevocable performs one irrevocable-mode read. It touches no
+// lock word: the gate keeps every other writer from publishing.
+func (tx *Txn) readIrrevocable(v *Var) any { return v.head.Load().val }
+
+// passGate registers a writing optimistic commit as a lock owner — the
+// committer's half of the Dekker pair — once no irrevocable transaction
+// holds the gate. While one does, the attempt leaves the registry, so
+// the irrevocable's drain does not wait for it, and waits for the gate
+// to clear; a kill or a cancelled context ends the wait as it ends
+// waitUnlocked's.
+func (tx *Txn) passGate() error {
 	for {
-		prev, ok := v.tryLock(tx.id)
-		if ok {
-			tx.encLocks = append(tx.encLocks, encLock{v: v, prevLW: prev})
+		tx.registerLive()
+		if !tx.eng.gate.Load() {
 			return nil
 		}
-		// The holder is an optimistic committer (irrevocable peers are
-		// excluded by the token); it finishes or aborts in bounded time.
-		runtime.Gosched()
+		tx.unregisterLive()
+		for tx.eng.gate.Load() {
+			if err := tx.interrupted(); err != nil {
+				return err
+			}
+			runtime.Gosched()
+		}
 	}
 }
 
-// commitIrrevocable publishes buffered writes at a fresh commit
-// timestamp and releases every encounter lock. It cannot fail.
+// commitIrrevocable publishes the buffered writes at a fresh commit
+// timestamp. It cannot fail: the gate and the token leave no other
+// holder for any lock it takes.
 func (tx *Txn) commitIrrevocable() {
-	wv := tx.eng.clock.Tick()
-	needed := tx.eng.snaps.minActive()
 	for i := range tx.wset {
-		tx.wset[i].v.install(tx.wset[i].rec, wv, needed)
-	}
-	for _, el := range tx.encLocks {
-		if tx.findWrite(el.v) >= 0 {
-			el.v.unlockTo(packVersion(wv))
-		} else {
-			el.v.unlockTo(el.prevLW)
+		if _, ok := tx.wset[i].v.tryLock(tx.id); !ok {
+			panic("stm: irrevocable commit met a held lock (Var.StoreDirect beside a live transaction?)")
 		}
 	}
-	clear(tx.encLocks)
-	tx.encLocks = tx.encLocks[:0]
+	tx.publish(tx.eng.clock.Tick())
 	tx.finish(statusCommitted)
 }

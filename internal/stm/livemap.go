@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -8,12 +9,15 @@ import (
 // liveRegistry maps attempt id -> *Txn for the contention managers,
 // which must be able to inspect (and kill) the owner of a busy lock
 // word. Only lock *owners* can ever be looked up — an enemy is always
-// the holder of a busy lock — so registration is lazy: an attempt
-// enters the registry the first time it acquires a lock (commit-time or
-// encounter-time; see Txn.registerLive), and the read-only fast paths
-// never touch the registry at all. The registry is sharded by a mixing
-// hash of the id (shardOf — raw low bits would collapse block-allocated
-// first-attempt ids onto one shard).
+// the holder of a busy lock — so registration is commit-time only: a
+// writing optimistic commit enters the registry before its first lock
+// (Txn.passGate), and the read-only fast paths never touch it at all.
+// An irrevocable transaction never registers. The registry doubles as
+// the irrevocable gate's drain set: it holds exactly the writing commits
+// between passGate and finish, which are the ones an irrevocable
+// transaction must wait out (drain; see irrevocable.go). It is sharded
+// by a mixing hash of the id (shardOf — raw low bits would collapse
+// block-allocated first-attempt ids onto one shard).
 //
 // A shard is one cache line of slots. An owner publishes its attempt id
 // (Txn.liveID) and CASes its *Txn into a free slot; finish clears the
@@ -100,4 +104,22 @@ func (r *liveRegistry) lookup(id uint64) *Txn {
 	tx := sh.m[id]
 	sh.mu.Unlock()
 	return tx
+}
+
+// drain returns once every registration that preceded the call has
+// finished: each slot has been seen empty and each spill count zero.
+// A registration that follows the caller's gate store sees the gate and
+// leaves again (Txn.passGate), so the wait is bounded.
+func (r *liveRegistry) drain() {
+	for i := range r.shards {
+		sh := &r.shards[i]
+		for j := range sh.slots {
+			for sh.slots[j].Load() != nil {
+				runtime.Gosched()
+			}
+		}
+		for sh.spilled.Load() != 0 {
+			runtime.Gosched()
+		}
+	}
 }

@@ -19,11 +19,10 @@ package stm
 // before ticking the clock), so the current head might not yet show a
 // version the snapshot must observe. Waiting for the unlock closes that
 // window: afterwards, every in-flight commit has a timestamp greater
-// than rv and is correctly skipped by the chain resolution. Optimistic
-// committers hold their locks only across the short publish loop; an
-// irrevocable writer may hold them longer, and snapshot readers of the
-// variables it touches wait it out — the price of its no-abort
-// guarantee.
+// than rv and is correctly skipped by the chain resolution. Every
+// committer, an irrevocable one included, holds its locks only across
+// its short commit window, so a snapshot reader never waits for a
+// transaction's body.
 func (tx *Txn) readSnapshot(v *Var) (any, error) {
 	if err := tx.waitUnlocked(v); err != nil {
 		return nil, err

@@ -11,10 +11,11 @@ package stm
 //
 // Composition rules enforced here rather than by policy:
 //
-//   - An irrevocable transaction can never weaken: once accesses are
-//     performed under encounter-time locking, optimistic accesses would
-//     forfeit the no-abort guarantee, so every nested scope of an
-//     irrevocable transaction is irrevocable.
+//   - An irrevocable transaction can never weaken: its reads are
+//     untracked, made safe by the commit gate rather than by
+//     validation, and an optimistic scope's accesses could only be
+//     validated by aborting — forfeiting the no-abort guarantee — so
+//     every nested scope of an irrevocable transaction is irrevocable.
 //   - SemanticsSnapshot applies only as an outermost semantics (its read
 //     timestamp registration happens at begin); a nested snapshot scope
 //     inside an optimistic transaction is handled as SemanticsDef.

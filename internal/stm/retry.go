@@ -19,55 +19,71 @@ var ErrRetryWait = errors.New("stm: retry when read set changes")
 // ErrRetryWait — or done is closed, in which case it reports false. The
 // wait is a backoff poll: versions are compared by head identity, which
 // a commit always replaces, and the poll interval caps at one
-// millisecond, bounding both wake-up and cancellation latency. A nil
-// done channel (the context.Background fast path) keeps the historical
-// allocation-free plain sleep. A nil or empty read set returns
-// immediately (nothing can ever change; re-execution would be
-// identical, so treat it as a programming error surfaced by a fast spin
-// instead of a deadlock).
-func awaitChange(entries []readEntry, done <-chan struct{}) bool {
+// millisecond, bounding both wake-up and cancellation latency.
+//
+// An empty read set has nothing to watch. That is always the case for
+// an irrevocable body, whose reads are untracked, and re-running it at
+// once would spin hot — taking the token and raising the gate over the
+// very writer it waits for. So the wait is then one step of idle, the
+// run's own backoff, which keeps growing across the run's retries: the
+// body re-runs after 1 µs, 2 µs, ... and from then on every
+// millisecond.
+func awaitChange(entries []readEntry, idle *pollBackoff, done <-chan struct{}) bool {
 	if len(entries) == 0 {
-		return true
+		return idle.pause(done)
 	}
-	backoff := time.Microsecond
-	var timer *time.Timer
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
+	b := pollBackoff{d: time.Microsecond}
 	for {
 		for i := range entries {
 			if entries[i].v.head.Load() != entries[i].ver {
 				return true
 			}
 		}
-		if done != nil {
-			select {
-			case <-done:
-				return false
-			default:
-			}
+		if !b.pause(done) {
+			return false
 		}
-		if backoff < time.Millisecond {
-			runtime.Gosched()
-			backoff *= 2
-			continue
-		}
-		if done == nil {
-			time.Sleep(backoff)
-			continue
-		}
-		if timer == nil {
-			timer = time.NewTimer(backoff)
-		} else {
-			timer.Reset(backoff)
-		}
+	}
+}
+
+// pollBackoff is a retry wait's poll interval: 1 µs doubling to a 1 ms
+// cap, the steps below the cap yielding the processor rather than
+// sleeping. A nil done channel (the context.Background fast path) keeps
+// the allocation-free plain sleep; otherwise the timer is built on the
+// first capped step. It needs no Stop: since Go 1.23 an unreferenced
+// timer is collected whether or not it has fired.
+type pollBackoff struct {
+	d     time.Duration
+	timer *time.Timer
+}
+
+// pause waits one step and reports false if done closed first.
+func (b *pollBackoff) pause(done <-chan struct{}) bool {
+	if done != nil {
 		select {
 		case <-done:
 			return false
-		case <-timer.C:
+		default:
 		}
+	}
+	if b.d < time.Millisecond {
+		runtime.Gosched()
+		b.d *= 2
+		return true
+	}
+	if done == nil {
+		time.Sleep(b.d)
+		return true
+	}
+	if b.timer == nil {
+		b.timer = time.NewTimer(b.d)
+	} else {
+		b.timer.Reset(b.d)
+	}
+	select {
+	case <-done:
+		return false
+	case <-b.timer.C:
+		return true
 	}
 }
 
@@ -156,6 +172,7 @@ func (e *Engine) run(ctx context.Context, sem Semantics, p runParams, fn func(*T
 	tx := e.acquireTxn(sem, p.cm)
 	tx.ctx = ctx
 	defer e.releaseTxn(tx)
+	idle := pollBackoff{d: time.Microsecond}
 	for attempt := 1; ; attempt++ {
 		if done != nil {
 			if err := ctx.Err(); err != nil {
@@ -202,7 +219,7 @@ func (e *Engine) run(ctx context.Context, sem Semantics, p runParams, fn func(*T
 			if p.obs != nil {
 				p.obs.OnWait(TxnEvent{Semantics: sem, Attempts: attempt, Label: p.label})
 			}
-			if !awaitChange(waitSet, done) {
+			if !awaitChange(waitSet, &idle, done) {
 				cancelErr := &AbortError{
 					Sentinel: ErrCancelled, Cause: ctx.Err(), Semantics: sem,
 					Attempts: attempt, Reason: "context cancelled in retry wait",

@@ -35,9 +35,15 @@ const (
 
 	// SemanticsIrrevocable guarantees the transaction commits on its
 	// first and only attempt (a per-transaction liveness guarantee, one
-	// of the applications the paper lists). It is implemented with
-	// pessimistic encounter-time two-phase locking serialized by a
-	// global token, so it may only be held by one transaction at a time.
+	// of the applications the paper lists). It is implemented with a
+	// commit gate (irrevocable.go): a per-engine token admits one
+	// irrevocable transaction at a time, which shuts out writing commits,
+	// waits for those in flight, then reads without locking and locks
+	// only its write set, only for its commit window. Readers of any
+	// semantics therefore wait only for that window, never for the body;
+	// a writing optimistic commit waits at the gate for the whole span;
+	// and a separate writing transaction started on the same engine from
+	// inside an irrevocable body deadlocks on the gate.
 	SemanticsIrrevocable
 )
 

@@ -82,10 +82,10 @@ func (v *Var) LoadDirect() any { return v.head.Load().val }
 //
 // The publish is CAS-guarded: StoreDirect takes the variable's lock
 // word like any committer, under the reserved owner id 0 (transaction
-// ids start at 1), so a misuse that races a live *locking* transaction
-// — a committer, an irrevocable writer, or another StoreDirect — fails
-// loudly with a panic instead of silently splicing a stale head into
-// the version chain. A race against purely optimistic readers remains
+// ids start at 1), so a misuse that races a transaction in its commit
+// window, or another StoreDirect, fails loudly with a panic instead of
+// silently splicing a stale head into the version chain. A race against
+// readers, or against an irrevocable transaction's body, remains
 // undetectable; the precondition stands.
 func (v *Var) StoreDirect(val any) { v.StoreVersionDirect(&Version{val: val}) }
 

@@ -39,13 +39,6 @@ type writeEntry struct {
 	locked bool
 }
 
-// encLock records an encounter-time lock held by an irrevocable
-// transaction on a variable it has read (or read and written).
-type encLock struct {
-	v      *Var
-	prevLW uint64
-}
-
 // Txn is one transaction. A Txn value is reused across the attempts of
 // one Engine.Run call (so karma and birth order persist), but each
 // attempt gets a fresh id, read timestamp, and read/write sets via
@@ -110,7 +103,9 @@ type Txn struct {
 	// unkillable mirrors sem == SemanticsIrrevocable for rival
 	// transactions: kill must stay safe to call through a stale registry
 	// pointer whose Txn a pooled reuse is re-arming, so the flag is its
-	// own atomic rather than a racy read of sem.
+	// own atomic rather than a racy read of sem. An irrevocable attempt
+	// never registers as a lock owner, so no rival should reach it at
+	// all; the flag is defence in depth.
 	unkillable atomic.Bool
 
 	rset []readEntry
@@ -141,10 +136,10 @@ type Txn struct {
 	// store — measured 20-30%. Rivals (karma.OnLockBusy inspects a lock
 	// owner through a registry pointer) read karmaSeen, the sum published
 	// when the attempt registers as a lock owner (registerLive). That is
-	// the only state a rival can meet it in, and the copy is as good as
-	// the original there: an optimistic committer performs no access
-	// after it, and an irrevocable owner cannot be killed whatever its
-	// karma.
+	// the only state a rival can meet it in — only writing optimistic
+	// commits register; an irrevocable transaction never does — and the
+	// copy is as good as the original there: a committer performs no
+	// access after it.
 	karma     uint64
 	karmaSeen atomic.Uint64
 
@@ -162,7 +157,6 @@ type Txn struct {
 	snapRegistered  bool
 	liveRegistered  bool
 	irrevocableHeld bool
-	encLocks        []encLock
 
 	// modes is the nested-scope semantics stack; see nesting.go.
 	modes semStack
@@ -296,15 +290,11 @@ func (tx *Txn) insertWtab(i int) {
 // previous lifecycle: read/write sets and the mode stack are
 // element-cleared (dropping their Var/Version/value references for the
 // GC) and truncated; identity, karma, attempt count and the contention
-// manager reset. Encounter locks are cleared where they are released
-// (commitIrrevocable, abortCleanup), before the slice is truncated: a
-// clear here would see an empty slice and leave every variable an
-// irrevocable walk locked pinned behind its capacity. Only the
-// slice capacities, the pointer-free probe table, and the remainder of
-// the private attempt-id block survive — the id block keeps ids
-// engine-unique, and reusing it is exactly the amortization the block
-// allocator exists for (at the documented cost that birth "age" order
-// is creation order per id block, not per Run).
+// manager reset. Only the slice capacities, the pointer-free probe
+// table, and the remainder of the private attempt-id block survive —
+// the id block keeps ids engine-unique, and reusing it is exactly the
+// amortization the block allocator exists for (at the documented cost
+// that birth "age" order is creation order per id block, not per Run).
 func (tx *Txn) recycle() {
 	clear(tx.rset)
 	tx.rset = tx.rset[:0]
@@ -350,7 +340,6 @@ func (tx *Txn) begin() {
 	clear(tx.wset)
 	tx.wset = tx.wset[:0]
 	tx.written = false
-	tx.encLocks = tx.encLocks[:0]
 	tx.modes.stack = tx.modes.stack[:0]
 	tx.elasticFloor = 0
 	if tx.cm == nil {
@@ -359,10 +348,7 @@ func (tx *Txn) begin() {
 
 	switch tx.sem {
 	case SemanticsIrrevocable:
-		tx.eng.irrevocable.Lock()
-		tx.irrevocableHeld = true
-		tx.rv = tx.eng.clock.Now()
-		tx.stat(statIrrevocables)
+		tx.beginIrrevocable()
 	case SemanticsSnapshot:
 		// Registration order matters: publish a conservative lower
 		// bound to the registry FIRST, then sample the read timestamp.
@@ -397,20 +383,27 @@ func (tx *Txn) registerLive() {
 	}
 }
 
-// finish tears down per-attempt registrations and folds the attempt's
-// tally into the engine's stats — the one place every commit and abort
-// passes through.
-func (tx *Txn) finish(st uint32) {
-	tx.status.Store(st)
+// unregisterLive undoes registerLive, if the attempt registered.
+func (tx *Txn) unregisterLive() {
 	if tx.liveRegistered {
 		tx.eng.live.delete(tx.id, tx.liveSlot)
 		tx.liveRegistered = false
 	}
+}
+
+// finish tears down per-attempt registrations and folds the attempt's
+// tally into the engine's stats — the one place every commit and abort
+// passes through. An irrevocable attempt lowers the gate before it
+// gives up the token.
+func (tx *Txn) finish(st uint32) {
+	tx.status.Store(st)
+	tx.unregisterLive()
 	if tx.snapRegistered {
 		tx.eng.snaps.unregister(tx.id, tx.snapSlot)
 		tx.snapRegistered = false
 	}
 	if tx.irrevocableHeld {
+		tx.eng.gate.Store(false)
 		tx.eng.irrevocable.Unlock()
 		tx.irrevocableHeld = false
 	}
@@ -529,7 +522,7 @@ func (tx *Txn) Read(v *Var) (any, error) {
 	case sem == SemanticsSnapshot:
 		return tx.readSnapshot(v)
 	case sem == SemanticsIrrevocable:
-		return tx.readIrrevocable(v)
+		return tx.readIrrevocable(v), nil
 	case sem == SemanticsWeak && !tx.written:
 		return tx.readElastic(v, false)
 	default:
@@ -559,7 +552,7 @@ func (tx *Txn) ReadPinned(v *Var) (any, error) {
 	case sem == SemanticsSnapshot:
 		return tx.readSnapshot(v)
 	case sem == SemanticsIrrevocable:
-		return tx.readIrrevocable(v)
+		return tx.readIrrevocable(v), nil
 	case sem == SemanticsWeak && !tx.written:
 		return tx.readElastic(v, true)
 	default:
@@ -571,28 +564,37 @@ func (tx *Txn) ReadPinned(v *Var) (any, error) {
 // locked variable may be mid-publish by a committer whose timestamp was
 // taken BEFORE this transaction's read timestamp; trusting its (old)
 // head would tear that commit across variables — the classic TL2 locked
-// read hazard. Optimistic committers hold locks only across the publish
-// loop; an irrevocable writer may hold them for its whole span, and
-// readers of its variables wait it out (it is 2PL, after all). Returns
-// an error if this transaction is killed, or its context cancelled,
-// while waiting.
+// read hazard. Every committer, an irrevocable one included, holds its
+// locks only across its commit window (tick and publish), so the wait
+// is short. Returns an error if this transaction is killed, or its
+// context cancelled, while waiting.
 func (tx *Txn) waitUnlocked(v *Var) error {
 	for {
 		owner, locked := v.lockedBy()
 		if !locked || owner == tx.id {
 			return nil
 		}
-		if tx.isKilled() {
-			tx.stat(statKills)
-			tx.abortCleanup()
-			return tx.abortKilled()
-		}
-		if err := tx.ctx.Err(); err != nil {
-			tx.abortCleanup()
-			return tx.abortCancelled(err)
+		if err := tx.interrupted(); err != nil {
+			return err
 		}
 		runtime.Gosched()
 	}
+}
+
+// interrupted is the check every wait loop makes before it yields: if
+// the attempt was killed or its context cancelled, it aborts the
+// attempt and returns the abort's error.
+func (tx *Txn) interrupted() error {
+	if tx.isKilled() {
+		tx.stat(statKills)
+		tx.abortCleanup()
+		return tx.abortKilled()
+	}
+	if err := tx.ctx.Err(); err != nil {
+		tx.abortCleanup()
+		return tx.abortCancelled(err)
+	}
+	return nil
 }
 
 // readDef is the TL2/LSA read: wait out any in-flight commit, take the
@@ -705,10 +707,6 @@ func (tx *Txn) WriteVersion(v *Var, rec *Version) error {
 	case SemanticsSnapshot:
 		tx.abortCleanup()
 		return tx.opError(ErrSnapshotWrite, "write in read-only snapshot")
-	case SemanticsIrrevocable:
-		if err := tx.encounterLock(v); err != nil {
-			return err
-		}
 	case SemanticsWeak:
 		// From the first write on, the elastic transaction behaves
 		// monomorphically: its current consistency window anchors the
@@ -743,12 +741,6 @@ func (tx *Txn) abortCleanup() {
 			tx.wset[i].locked = false
 		}
 	}
-	// Release encounter-time locks.
-	for _, el := range tx.encLocks {
-		el.v.unlockTo(el.prevLW)
-	}
-	clear(tx.encLocks)
-	tx.encLocks = tx.encLocks[:0]
 	tx.finish(statusAborted)
 }
 
@@ -779,8 +771,11 @@ func (tx *Txn) Commit() error {
 		return nil
 	}
 
-	// About to take locks: become resolvable as a lock owner first.
-	tx.registerLive()
+	// About to take locks: become resolvable as a lock owner first, once
+	// no irrevocable transaction holds the gate.
+	if err := tx.passGate(); err != nil {
+		return err
+	}
 
 	// Acquire commit-time locks in variable-id (address) order, which is
 	// deadlock-free. slices.SortFunc, unlike sort.Slice, costs no
@@ -819,14 +814,8 @@ func (tx *Txn) Commit() error {
 // on conflict.
 func (tx *Txn) lockForCommit(e *writeEntry) error {
 	for attempt := 0; ; attempt++ {
-		if tx.isKilled() {
-			tx.stat(statKills)
-			tx.abortCleanup()
-			return tx.abortKilled()
-		}
-		if err := tx.ctx.Err(); err != nil {
-			tx.abortCleanup()
-			return tx.abortCancelled(err)
+		if err := tx.interrupted(); err != nil {
+			return err
 		}
 		prev, ok := e.v.tryLock(tx.id)
 		if ok {
