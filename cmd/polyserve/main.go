@@ -1,7 +1,7 @@
 // Command polyserve runs the network-facing transactional key-value
 // server: a TCP server whose request classes map onto the four
 // transaction semantics of the polymorphic TM (GET→snapshot,
-// SCAN→elastic, SET/CAS/DEL/TXN→def, FLUSH/REBUILD→irrevocable), each
+// SCAN→elastic, SET/CAS/DEL/TXN→def, FLUSH→irrevocable), each
 // overridable per request by the semantics byte in the frame header —
 // the paper's start(p) exposed on the wire.
 //
@@ -16,7 +16,7 @@
 // derives one per core, capped at 16), each with its own engine, map,
 // and — when durable — write-ahead log. Single-key requests route to
 // one shard; MGET/SCAN fan out and merge; a TXN spanning shards (and
-// FLUSH/REBUILD) commits through a 2PC protocol riding the per-shard
+// FLUSH) commits through a 2PC protocol riding the per-shard
 // irrevocable tokens. A durable directory pins its shard count
 // (MANIFEST); reopening it adopts the pinned count over the flag.
 //

@@ -21,7 +21,7 @@ func mallocClass(n int) int {
 }
 
 // TestBytesCellFootprint walks every value length from 0 to 600 through
-// SetBytes and NewTVarBytes and pins the four things the merged cell
+// SetBytes and InitBytes and pins the four things the merged cell
 // promises: the value reads back; the buffer it was copied from can be
 // scribbled on afterwards; a committed write is one allocation for every
 // length bytesRecord merges (two where it falls back); and the merged
@@ -41,7 +41,8 @@ func TestBytesCellFootprint(t *testing.T) {
 		if err := tm.AtomicAs(Def, write); err != nil {
 			t.Fatal(err)
 		}
-		fresh := NewTVarBytes(tm, val)
+		fresh := new(TVar[string])
+		InitBytes(tm, fresh, val)
 		for i := range val {
 			val[i] = '!'
 		}
@@ -49,7 +50,7 @@ func TestBytesCellFootprint(t *testing.T) {
 			t.Fatalf("len %d: SetBytes committed %q, want %q (source scribbled after the write)", n, got, want)
 		}
 		if got := fresh.LoadDirect(); got != want {
-			t.Fatalf("len %d: NewTVarBytes holds %q, want %q", n, got, want)
+			t.Fatalf("len %d: InitBytes holds %q, want %q", n, got, want)
 		}
 		if raceflag.Enabled {
 			continue // instrumentation inflates allocation counts
@@ -102,7 +103,8 @@ func TestBytesCellFootprint(t *testing.T) {
 // hold the string across further overwrites. Run with -race on two Ps.
 func TestCellBytesUnderBufferReuse(t *testing.T) {
 	tm := NewDefault()
-	tv := NewTVarBytes(tm, bytes.Repeat([]byte{'a'}, 40))
+	tv := new(TVar[string])
+	InitBytes(tm, tv, bytes.Repeat([]byte{'a'}, 40))
 	whole := func(s string) bool {
 		for i := 1; i < len(s); i++ {
 			if s[i] != s[0] {

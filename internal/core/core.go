@@ -573,13 +573,10 @@ func NewTVar[T any](tm *TM, init T) *TVar[T] {
 // of the caller's node — a variable of tm holding init.
 func (tv *TVar[T]) Init(tm *TM, init T) { tm.eng.InitVar(&tv.v, record(init)) }
 
-// NewTVarBytes is NewTVar for a BORROWED initial value: the variable
-// holds a private copy of init (see SetBytes).
-func NewTVarBytes(tm *TM, init []byte) *TVar[string] {
-	tv := new(TVar[string])
-	tm.eng.InitVar(&tv.v, bytesRecord(init))
-	return tv
-}
+// InitBytes is Init for a BORROWED initial value: tv holds a private
+// copy of init (see SetBytes). Like SetBytes it is a function, since a
+// method cannot belong to TVar[string] alone.
+func InitBytes(tm *TM, tv *TVar[string], init []byte) { tm.eng.InitVar(&tv.v, bytesRecord(init)) }
 
 // LoadDirect reads the committed value outside any transaction (tests,
 // quiescent inspection).

@@ -635,17 +635,7 @@ func (o ops) Stats() (map[string]uint64, error) {
 // Flush removes every key (admin; irrevocable semantics), returning the
 // removed count.
 func (o ops) Flush() (uint64, error) {
-	return o.admin(wire.OpFlush)
-}
-
-// Rebuild re-levels the store's index (admin; irrevocable semantics),
-// returning the key count.
-func (o ops) Rebuild() (uint64, error) {
-	return o.admin(wire.OpRebuild)
-}
-
-func (o ops) admin(op wire.Op) (uint64, error) {
-	r, err := o.call(context.Background(), &wire.Request{Op: op, Sem: wire.SemDefault})
+	r, err := o.call(context.Background(), &wire.Request{Op: wire.OpFlush, Sem: wire.SemDefault})
 	if err != nil {
 		return 0, err
 	}

@@ -22,7 +22,7 @@ import (
 // A FLUSH (ClearTx) cannot be expressed in the delta vocabulary — it
 // would need a tombstone per previously-live key, which nobody tracks —
 // so it raises the flushed flag instead, forcing the next checkpoint to
-// be a full base. REBUILD leaves contents untouched and marks nothing.
+// be a full base.
 type dirtySet struct {
 	mu      sync.Mutex
 	keys    map[string]struct{}

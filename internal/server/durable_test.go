@@ -79,7 +79,6 @@ func TestDurableRoundTrip(t *testing.T) {
 		{Op: wire.OpDel, Key: []byte("c")},
 		{Op: wire.OpGet, Key: []byte("a")},
 	}})
-	execOK(t, st, &wire.Request{Op: wire.OpRebuild, Sem: wire.SemDefault})
 
 	want := scanAll(t, st)
 	if err := st.CloseDurability(); err != nil {
@@ -88,9 +87,9 @@ func TestDurableRoundTrip(t *testing.T) {
 
 	st2, res2 := newDurable(t, dir, wal.ModeAlways)
 	defer st2.CloseDurability()
-	// set×3 + cas-success + del-hit + txn + rebuild = 7 records.
-	if res2.Records != 7 {
-		t.Fatalf("replayed %d records, want 7", res2.Records)
+	// set×3 + cas-success + del-hit + txn = 6 records.
+	if res2.Records != 6 {
+		t.Fatalf("replayed %d records, want 6", res2.Records)
 	}
 	got := scanAll(t, st2)
 	if len(got) != len(want) {
@@ -350,7 +349,7 @@ func TestDurableAbortNotLogged(t *testing.T) {
 func TestSnapshotWriteRejectedAtProtocol(t *testing.T) {
 	st := NewStore(core.NewDefault())
 	before := st.TM().Stats()
-	for _, op := range []wire.Op{wire.OpSet, wire.OpCAS, wire.OpDel, wire.OpTxn, wire.OpFlush, wire.OpRebuild} {
+	for _, op := range []wire.Op{wire.OpSet, wire.OpCAS, wire.OpDel, wire.OpTxn, wire.OpFlush} {
 		req := &wire.Request{Op: op, Sem: byte(core.Snapshot), Key: []byte("k"), Val: []byte("v"), Old: []byte("o")}
 		if op == wire.OpTxn {
 			req.Batch = []wire.Request{{Op: wire.OpSet, Key: []byte("k"), Val: []byte("v")}}

@@ -109,12 +109,16 @@ func TestMixedTrafficIntegration(t *testing.T) {
 						}
 					}
 				}
-				// Admin traffic (irrevocable REBUILD) rides along from one
-				// connection: content-preserving structural maintenance
-				// concurrent with everything above.
+				// An irrevocable full SCAN rides along from one
+				// connection: a whole-store walk under the admin class's
+				// semantics, concurrent with everything above.
 				if w == 0 && i%30 == 29 {
-					if _, err := cl.Rebuild(); err != nil {
-						errCh <- fmt.Errorf("conn %d: rebuild: %w", w, err)
+					rs, err := cl.Do(&wire.Request{Op: wire.OpScan, Sem: byte(core.Irrevocable)})
+					if err == nil {
+						err = rs[0].Err()
+					}
+					if err != nil {
+						errCh <- fmt.Errorf("conn %d: irrevocable scan: %w", w, err)
 						return
 					}
 				}
@@ -131,12 +135,12 @@ func TestMixedTrafficIntegration(t *testing.T) {
 
 	// Phase 2: contended def writers. Three traffic shapes overlap:
 	//
-	//   - conn 0 issues back-to-back irrevocable REBUILDs; each rebuild
-	//     commit rewrites the skip list's head towers, so any def
+	//   - conn 0 issues back-to-back irrevocable INCRs of the hot keys;
+	//     each commit changes a key the readers below hold, so any def
 	//     transaction whose span straddles it fails validation;
 	//   - conns 1..3 run LONG def TXN batches that read the hot keys and
 	//     rewrite their own keys (same values — contents stay exact); a
-	//     hot-key write or rebuild committing mid-batch aborts them;
+	//     hot-key write committing mid-batch aborts them;
 	//   - every conn CAS-increments the tiny hot set, so the hot keys
 	//     keep changing under the batch readers.
 	//
@@ -153,12 +157,19 @@ func TestMixedTrafficIntegration(t *testing.T) {
 				defer wg2.Done()
 				cl := dialTest(t, addr)
 				if w == 0 {
-					// Admin storm: irrevocable whole-store rebuilds.
+					// Irrevocable writer: INCRs of the hot keys under the
+					// irrevocable semantics byte, counted like CAS wins.
 					for i := 0; i < 10; i++ {
-						if _, err := cl.Rebuild(); err != nil {
-							errCh <- fmt.Errorf("conn %d: rebuild: %w", w, err)
+						rs, err := cl.Do(&wire.Request{Op: wire.OpIncr, Sem: byte(core.Irrevocable),
+							Key: []byte("hot" + strconv.Itoa(i%hotKeys)), Delta: 1})
+						if err == nil {
+							err = rs[0].Err()
+						}
+						if err != nil {
+							errCh <- fmt.Errorf("conn %d: irrevocable incr: %w", w, err)
 							return
 						}
+						incs[0]++
 					}
 					errCh <- nil
 					return

@@ -326,19 +326,6 @@ func (sh *shard) applyOp(tx *core.Tx, cp *walCapture, kind wal.OpKind, key, val 
 			cp.changes = append(cp.changes, session.Change{Op: wire.EventFlush})
 		}
 		return n, nil
-	case wal.OpRebuild:
-		n, err := sh.m.RebuildTx(tx)
-		if err != nil {
-			return 0, err
-		}
-		// Logged so the record stream is the full admin history, but no
-		// mark and no session change: REBUILD re-levels the index and
-		// every key and value survives — watchers see nothing, deadlines
-		// stay armed.
-		if logs {
-			cp.buf = wal.AppendRebuild(cp.buf)
-		}
-		return n, nil
 	}
 	return 0, fmt.Errorf("server: unknown wal op kind %v", kind)
 }

@@ -317,7 +317,6 @@ func TestFollowerRejectsWrites(t *testing.T) {
 		{Op: wire.OpDel, Sem: wire.SemDefault, Key: []byte("pre")},
 		{Op: wire.OpTxn, Sem: wire.SemDefault, Batch: []wire.Request{{Op: wire.OpSet, Key: []byte("k"), Val: []byte("v")}}},
 		{Op: wire.OpFlush, Sem: wire.SemDefault},
-		{Op: wire.OpRebuild, Sem: wire.SemDefault},
 	}
 	for _, req := range muts {
 		resp := st.Execute(req)
@@ -520,7 +519,6 @@ type typedOps interface {
 	PingCtx(ctx context.Context) error
 	Stats() (map[string]uint64, error)
 	Flush() (uint64, error)
-	Rebuild() (uint64, error)
 }
 
 // TestReplicaSetSharesClientOps: a ReplicaSet serves Client's whole
@@ -598,15 +596,14 @@ func TestReplicaSetSharesClientOps(t *testing.T) {
 			m, err := c.Stats()
 			return fmt.Sprint(Role(m["repl_role"]), m["store_shards"], err)
 		}},
-		{"Rebuild", onPrimary, func(c typedOps) string { return fmt.Sprint(c.Rebuild()) }},
 		{"Flush", onPrimary, func(c typedOps) string { return fmt.Sprint(c.Flush()) }},
 	}
 	want := make([]string, len(table))
 	for i, row := range table {
 		want[i] = row.run(pcl)
 	}
-	if want[len(want)-3] != fmt.Sprint(RolePrimary, 2, error(nil)) {
-		t.Fatalf("Stats over the primary connection: %s", want[len(want)-3])
+	if want[len(want)-2] != fmt.Sprint(RolePrimary, 2, error(nil)) {
+		t.Fatalf("Stats over the primary connection: %s", want[len(want)-2])
 	}
 	for i, row := range table {
 		p0, f0 := routed(pcl), routed(fcl)

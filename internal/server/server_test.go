@@ -117,11 +117,14 @@ func TestLoopbackRoundTrip(t *testing.T) {
 	if removed, err := cl.Del([]byte("ghost")); err != nil || removed {
 		t.Fatalf("Del(ghost) = %v,%v", removed, err)
 	}
-	// REBUILD preserves contents; STATS sees the irrevocable commit.
-	n, err := cl.Rebuild()
-	if err != nil || n != 3 { // k1, k2, k3
-		t.Fatalf("Rebuild = %d,%v; want 3 keys", n, err)
+	// FLUSH empties the store (k1, k2, k3) ...
+	if n, err := cl.Flush(); err != nil || n != 3 {
+		t.Fatalf("Flush = %d,%v; want 3", n, err)
 	}
+	if pairs, err := cl.Scan(nil, nil, 0); err != nil || len(pairs) != 0 {
+		t.Fatalf("Scan after flush = %v,%v; want empty", pairs, err)
+	}
+	// ... and STATS sees its irrevocable commit.
 	stats, err := cl.Stats()
 	if err != nil {
 		t.Fatalf("Stats: %v", err)
@@ -131,13 +134,6 @@ func TestLoopbackRoundTrip(t *testing.T) {
 	}
 	if stats["commits.snapshot"] == 0 || stats["aborts.snapshot"] != 0 {
 		t.Fatalf("snapshot class off: commits=%d aborts=%d", stats["commits.snapshot"], stats["aborts.snapshot"])
-	}
-	// FLUSH empties the store.
-	if n, err := cl.Flush(); err != nil || n != 3 {
-		t.Fatalf("Flush = %d,%v; want 3", n, err)
-	}
-	if pairs, err := cl.Scan(nil, nil, 0); err != nil || len(pairs) != 0 {
-		t.Fatalf("Scan after flush = %v,%v; want empty", pairs, err)
 	}
 }
 

@@ -93,15 +93,18 @@ func TestProtocolErrorsKeepConnection(t *testing.T) {
 		return pe
 	}
 
-	// Unknown opcode: op byte far beyond the defined range.
+	// Unknown opcode: op byte far beyond the defined range, and opcode
+	// 10, REBUILD until it was retired.
 	rc.sendRaw([]byte{0xEE, byte(wire.SemDefault), 'k'})
+	checkProto(rc.readResp(wire.OpGet), wire.ProtoUnknownOp)
+	rc.sendRaw([]byte{10, byte(wire.SemDefault)})
 	checkProto(rc.readResp(wire.OpGet), wire.ProtoUnknownOp)
 
 	// Malformed body: INCR with a truncated key length.
 	rc.sendRaw([]byte{byte(wire.OpIncr), byte(wire.SemDefault), 0xFF})
 	checkProto(rc.readResp(wire.OpGet), wire.ProtoMalformed)
 
-	// The connection SURVIVED both: a well-formed SET on the same
+	// The connection SURVIVED them all: a well-formed SET on the same
 	// connection round-trips.
 	buf, err := wire.AppendRequestFrame(nil, &wire.Request{Op: wire.OpSet, Sem: wire.SemDefault, Key: []byte("alive"), Val: []byte("yes")})
 	if err != nil {
@@ -332,10 +335,9 @@ func TestWatchPushBasics(t *testing.T) {
 	}
 }
 
-// TestFlushWatchTTLRegression pins the FLUSH/REBUILD contract: FLUSH
-// publishes exactly ONE FLUSH event per watch (not one per shard) and
-// clears every TTL; REBUILD is invisible to sessions and preserves
-// TTLs.
+// TestFlushWatchTTLRegression pins the FLUSH contract: FLUSH publishes
+// exactly ONE FLUSH event per watch (not one per shard) and clears
+// every TTL.
 func TestFlushWatchTTLRegression(t *testing.T) {
 	_, addr := startReplServer(t, Config{Shards: 1, StoreShards: 4, TTLReapEvery: -1}, nil, nil)
 	cl, err := client.Dial(addr)
@@ -372,31 +374,6 @@ func TestFlushWatchTTLRegression(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	if _, ok, _ := cl.Get([]byte("t1")); !ok {
 		t.Fatal("key expired from a deadline FLUSH should have cleared")
-	}
-
-	// REBUILD: silent for sessions, TTLs intact.
-	if err := cl.SetEx([]byte("t2"), []byte("v"), time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Rebuild(); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Set([]byte("after"), []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	evs = collectEvents(w, 3, 250*time.Millisecond)
-	// SET t1(immortal), SET t2, SET after — and nothing from REBUILD.
-	if len(evs) != 3 {
-		t.Fatalf("got %v, want exactly the 3 SETs around REBUILD", evs)
-	}
-	for i, k := range []string{"t1", "t2", "after"} {
-		if evs[i].Op != wire.EventSet || evs[i].Key != k {
-			t.Fatalf("event %d = %v %q, want SET %q", i, evs[i].Op, evs[i].Key, k)
-		}
-	}
-	st, _ = cl.Stats()
-	if st["ttl_armed"] != 1 {
-		t.Fatalf("REBUILD disturbed TTLs: ttl_armed = %d, want 1", st["ttl_armed"])
 	}
 }
 

@@ -34,9 +34,9 @@ import (
 //     the paper's elastic list search.
 //   - SET/CAS/DEL/TXN run under def: updates relink skip-list towers and
 //     read-modify-write values, which need full opacity.
-//   - FLUSH/REBUILD (admin) run irrevocably: whole-store operations
-//     would starve under optimistic retry against heavy traffic, so they
-//     take the guaranteed-commit semantics and serialize.
+//   - FLUSH (admin) runs irrevocably: a whole-store operation would
+//     starve under optimistic retry against heavy traffic, so it takes
+//     the guaranteed-commit semantics and serializes.
 //
 // A request may override its class's mapping with an explicit semantics
 // byte in the frame header.
@@ -46,7 +46,7 @@ func DefaultSemantics(op wire.Op) core.Semantics {
 		return core.Snapshot
 	case wire.OpScan:
 		return core.Weak
-	case wire.OpFlush, wire.OpRebuild:
+	case wire.OpFlush:
 		return core.Irrevocable
 	default: // OpSet, OpCAS, OpDel, OpTxn, OpStats
 		return core.Def
@@ -138,8 +138,8 @@ type shard struct {
 // Store is the server's keyspace: an ordered transactional map
 // hash-partitioned across one or more shards. Single-key requests
 // route to exactly one shard by key hash; MGET and SCAN fan out and
-// merge; a TXN whose keys span shards — and FLUSH/REBUILD, which span
-// all of them — commit through the cross-shard protocol in twopc.go.
+// merge; a TXN whose keys span shards — and FLUSH, which spans all of
+// them — commit through the cross-shard protocol in twopc.go.
 // All transaction-semantics policy lives in the request execution
 // path, not in the structure.
 //
@@ -466,9 +466,7 @@ func (s *Store) executeOnce(ctx context.Context, req *wire.Request, resp *wire.R
 	case wire.OpStats:
 		s.stats(resp)
 	case wire.OpFlush:
-		return s.admin(ctx, wal.OpFlush, sem, resp)
-	case wire.OpRebuild:
-		return s.admin(ctx, wal.OpRebuild, sem, resp)
+		return s.flush(ctx, sem, resp)
 	case wire.OpPing:
 		// Liveness probe: no transaction, no routing; followers answer
 		// too. The response is the health signal.
@@ -833,13 +831,13 @@ func (s *Store) stats(resp *wire.Response) {
 	resp.Counters = cs
 }
 
-// admin serves FLUSH (kind wal.OpFlush) and REBUILD (wal.OpRebuild),
-// reporting the entries touched in resp.N: one mutation on a single
-// shard, one cross-shard commit over all of them otherwise.
-func (s *Store) admin(ctx context.Context, kind wal.OpKind, sem core.Semantics, resp *wire.Response) error {
+// flush serves FLUSH, reporting the entries removed in resp.N: one
+// mutation on a single shard, one cross-shard commit over all of them
+// otherwise.
+func (s *Store) flush(ctx context.Context, sem core.Semantics, resp *wire.Response) error {
 	tab := s.tab()
 	if len(tab.shards) > 1 {
-		return s.adminCross(ctx, tab, kind, resp)
+		return s.flushCross(ctx, tab, resp)
 	}
 	sh := tab.shards[0]
 	sh.routed.Add(1)
@@ -850,7 +848,7 @@ func (s *Store) admin(ctx context.Context, kind wal.OpKind, sem core.Semantics, 
 		if s.tab() != tab {
 			return errMovedKey
 		}
-		n, err := sh.applyOp(tx, cp, kind, nil, nil, effect{})
+		n, err := sh.applyOp(tx, cp, wal.OpFlush, nil, nil, effect{})
 		resp.N = uint64(n)
 		return err
 	})

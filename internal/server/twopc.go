@@ -10,7 +10,7 @@ import (
 
 // Cross-shard commit.
 //
-// A TXN whose keys span shards — and FLUSH/REBUILD, which span all of
+// A TXN whose keys span shards — and FLUSH, which spans all of
 // them — must be failure-atomic: after any crash, recovery surfaces
 // either every shard's share of the transaction or none of it. The
 // store gets this from a two-phase commit that is nothing but the
@@ -249,17 +249,13 @@ func (s *Store) txnCross(ctx context.Context, tab *routingTable, batch []wire.Re
 	}, "xshard-txn")
 }
 
-// adminCross runs FLUSH or REBUILD across every shard as one
-// cross-shard commit, summing the per-shard counts into resp.N. Like
+// flushCross runs FLUSH across every shard as one cross-shard commit,
+// summing the per-shard counts into resp.N. Like
 // txnCross, each participant re-checks table freshness under its token
 // so a FLUSH can never miss a shard a concurrent split just published.
 // The shards are visited one after another, lowest first, each holding
 // its token until the whole store is done.
-func (s *Store) adminCross(ctx context.Context, tab *routingTable, kind wal.OpKind, resp *wire.Response) error {
-	label := "xshard-flush"
-	if kind == wal.OpRebuild {
-		label = "xshard-rebuild"
-	}
+func (s *Store) flushCross(ctx context.Context, tab *routingTable, resp *wire.Response) error {
 	for _, sh := range tab.shards {
 		sh.routed.Add(1)
 	}
@@ -267,8 +263,8 @@ func (s *Store) adminCross(ctx context.Context, tab *routingTable, kind wal.OpKi
 		if s.tab() != tab {
 			return errMovedKey
 		}
-		n, err := sh.applyOp(tx, cp, kind, nil, nil, effect{})
+		n, err := sh.applyOp(tx, cp, wal.OpFlush, nil, nil, effect{})
 		resp.N += uint64(n)
 		return err
-	}, label)
+	}, "xshard-flush")
 }

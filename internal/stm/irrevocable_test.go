@@ -34,14 +34,63 @@ func TestIrrevocableCommitsFirstAttempt(t *testing.T) {
 	}
 }
 
+// TestIrrevocableCannotBeKilled: a rival kills only an attempt it
+// resolved through the live registry. An irrevocable attempt is never
+// in it, even mid-commit with its write set locked under its id; and a
+// kill that lands late, through a stale pointer to a shell since
+// re-armed as an irrevocable, carries the old attempt's id, so the
+// irrevocable reads, writes and commits through it.
 func TestIrrevocableCannotBeKilled(t *testing.T) {
 	e := NewDefaultEngine()
-	tx := e.Begin(SemanticsIrrevocable)
-	if tx.kill(tx.ID()) {
-		t.Fatal("kill() must refuse irrevocable transactions")
-	}
-	if err := tx.Commit(); err != nil {
+	x := e.NewVar(0)
+
+	irr := e.Begin(SemanticsIrrevocable)
+	if err := irr.Write(x, 1); err != nil {
 		t.Fatal(err)
+	}
+	// What commitIrrevocable does first: lock the write set.
+	prev, ok := x.tryLock(irr.ID())
+	if !ok {
+		t.Fatal("irrevocable could not lock its write set")
+	}
+	if owner, locked := x.lockedBy(); !locked || owner != irr.ID() {
+		t.Fatalf("lock word owner %d (locked %v), want %d", owner, locked, irr.ID())
+	}
+	if e.lookupTxn(irr.ID()) != nil {
+		t.Fatal("the live registry resolves an irrevocable attempt")
+	}
+	x.unlockTo(prev)
+	if err := irr.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A def attempt registers as a lock owner (what passGate does), a
+	// rival resolves it, and it finishes; its shell is then re-armed as
+	// an irrevocable, as a pooled reuse does, before the kill lands.
+	shell := e.Begin(SemanticsDef)
+	shell.registerLive()
+	old := shell.ID()
+	stale := e.lookupTxn(old)
+	if stale != shell {
+		t.Fatal("the live registry does not resolve a registered def attempt")
+	}
+	shell.Abort()
+	shell.recycle()
+	shell.sem, shell.cmFac = SemanticsIrrevocable, e.cfg.DefaultCM
+	shell.begin()
+	stale.kill(old)
+	v, err := shell.Read(x)
+	if err != nil {
+		t.Fatalf("irrevocable read after a stale kill: %v", err)
+	}
+	if err := shell.Write(x, v.(int)+1); err != nil {
+		t.Fatal(err)
+	}
+	if err := shell.Commit(); err != nil {
+		t.Fatalf("irrevocable commit after a stale kill: %v", err)
+	}
+	if got := x.LoadDirect().(int); got != 2 {
+		t.Fatalf("x = %d, want 2", got)
 	}
 }
 
@@ -189,7 +238,7 @@ func TestIrrevocableUserErrorReleasesLocks(t *testing.T) {
 // TestIrrevocableDropsItsSets: once an irrevocable walk that also
 // writes has committed or aborted, its pooled shell holds no pointer to
 // any variable it touched. Otherwise a walk over a whole structure (a
-// FLUSH's count, a REBUILD) would keep every node alive behind the
+// FLUSH's count) would keep every node alive behind the
 // sets' capacity for as long as the shell is reused.
 func TestIrrevocableDropsItsSets(t *testing.T) {
 	e := NewDefaultEngine()

@@ -100,14 +100,6 @@ type Txn struct {
 	// no later attempt ever matches.
 	killedID atomic.Uint64
 
-	// unkillable mirrors sem == SemanticsIrrevocable for rival
-	// transactions: kill must stay safe to call through a stale registry
-	// pointer whose Txn a pooled reuse is re-arming, so the flag is its
-	// own atomic rather than a racy read of sem. An irrevocable attempt
-	// never registers as a lock owner, so no rival should reach it at
-	// all; the flag is defence in depth.
-	unkillable atomic.Bool
-
 	rset []readEntry
 	wset []writeEntry
 
@@ -312,7 +304,6 @@ func (tx *Txn) recycle() {
 	tx.written = false
 	tx.elasticFloor = 0
 	tx.killedID.Store(0)
-	tx.unkillable.Store(false)
 }
 
 // stat counts one event of this attempt (see tally).
@@ -334,7 +325,6 @@ func (tx *Txn) begin() {
 	}
 	tx.attempt++
 	tx.status.Store(statusActive)
-	tx.unkillable.Store(tx.sem == SemanticsIrrevocable)
 	clear(tx.rset)
 	tx.rset = tx.rset[:0]
 	clear(tx.wset)
@@ -440,22 +430,17 @@ func (tx *Txn) ReadTimestamp() uint64 { return tx.rv }
 func (tx *Txn) Engine() *Engine { return tx.eng }
 
 // kill requests asynchronous abort of attempt expected — the id the
-// caller observed in the busy lock word. It returns false if the
-// transaction cannot be killed (irrevocable transactions are
-// guaranteed to commit). Delivery is attempt-exact: the kill deposits
-// the expected id, and the owner honours it only while that is still
-// the current attempt, so a kill racing through a stale registry
-// pointer after the target finished (the shell may already be pooled,
-// or re-armed as a different transaction — even an unabortable-by-
-// contract snapshot reader) expires instead of landing. kill reads
-// only atomics for the same reason.
-func (tx *Txn) kill(expected uint64) bool {
-	if tx.unkillable.Load() {
-		return false
-	}
-	tx.killedID.Store(expected)
-	return true
-}
+// caller observed in the busy lock word and resolved through the live
+// registry. Delivery is attempt-exact: the kill deposits the expected
+// id, and the owner honours it only while that is still the current
+// attempt, so a kill racing through a stale registry pointer after the
+// target finished (the shell may already be pooled, or re-armed as a
+// different transaction — even an unabortable-by-contract snapshot
+// reader or irrevocable) expires instead of landing. An irrevocable
+// attempt is never the target itself: it never enters the registry, so
+// no rival resolves its id. kill touches only an atomic for the same
+// reason.
+func (tx *Txn) kill(expected uint64) { tx.killedID.Store(expected) }
 
 // isKilled reports whether a kill was delivered to the current attempt.
 func (tx *Txn) isKilled() bool { return tx.killedID.Load() == tx.id }
@@ -751,7 +736,7 @@ func (tx *Txn) Commit() error {
 	if tx.status.Load() != statusActive {
 		return tx.opError(ErrTxnDone, "finished handle")
 	}
-	if tx.isKilled() && tx.sem != SemanticsIrrevocable {
+	if tx.isKilled() {
 		tx.stat(statKills)
 		tx.abortCleanup()
 		return tx.abortKilled()
@@ -839,14 +824,10 @@ func (tx *Txn) lockForCommit(e *writeEntry) error {
 			tx.abortCleanup()
 			return tx.abortConflict("lock busy", e.v.ID())
 		case ResolutionKillEnemy:
-			if enemy == nil || enemy.kill(owner) {
-				runtime.Gosched()
-				continue
+			if enemy != nil {
+				enemy.kill(owner)
 			}
-			// Enemy is unkillable (irrevocable): yield the fight.
-			tx.stat(statLockAborts)
-			tx.abortCleanup()
-			return tx.abortConflict("lock busy (irrevocable owner)", e.v.ID())
+			runtime.Gosched()
 		case ResolutionRetryLock:
 			runtime.Gosched()
 		}

@@ -43,18 +43,17 @@ func newTower[N any](tm *core.TM, lvl int, succs []*N) []core.TVar[*N] {
 
 // skipNode is one node of a skip core. val sits between key and the
 // tower so that a zero-size V (the integer set's struct{}) adds no
-// padding: the set's node is 32 bytes, the map's 48.
+// padding: the set's node is 32 bytes, the map's 64.
 type skipNode[K cmp.Ordered, V any] struct {
 	key  K
 	val  V
 	next []core.TVar[*skipNode[K, V]]
 }
 
-// The two instantiations: TSkipMap's node carries its value variable
-// (a pointer, because RebuildTx carries value variables over to the
-// nodes it builds); TSkipList's carries nothing.
+// The two instantiations: TSkipMap's node holds its value variable by
+// value, in the node's own allocation; TSkipList's holds nothing.
 type (
-	mapNode = skipNode[string, *core.TVar[string]]
+	mapNode = skipNode[string, core.TVar[string]]
 	setNode = skipNode[uint64, struct{}]
 )
 
@@ -102,10 +101,13 @@ func (c *skipCore[K, V]) search(tx *core.Tx, key K, preds, succs []*skipNode[K, 
 	return curr, nil
 }
 
-// link inserts a node holding key and val, which search just placed
-// between preds and succs, and returns it.
-func (c *skipCore[K, V]) link(tx *core.Tx, key K, val V, preds, succs []*skipNode[K, V]) (*skipNode[K, V], error) {
-	n := &skipNode[K, V]{key: key, val: val, next: newTower(c.tm, randLevel(&c.seed), succs)}
+// link inserts a node holding key, which search just placed between
+// preds and succs, and returns it with val still zero. The caller fills
+// val in place before tx commits: every write of tx is buffered until
+// then (an irrevocable one's too), so no other transaction can reach
+// the node earlier.
+func (c *skipCore[K, V]) link(tx *core.Tx, key K, preds, succs []*skipNode[K, V]) (*skipNode[K, V], error) {
+	n := &skipNode[K, V]{key: key, next: newTower(c.tm, randLevel(&c.seed), succs)}
 	for i := range n.next {
 		if err := core.Set(tx, &preds[i].next[i], n); err != nil {
 			return nil, err
@@ -188,7 +190,7 @@ func (s *TSkipList) apply(tx *core.Tx, op setOp, key uint64) (bool, error) {
 	found := n != nil && n.key == key
 	switch {
 	case op == opInsert && !found:
-		_, err = s.link(tx, key, struct{}{}, preds[:], succs[:])
+		_, err = s.link(tx, key, preds[:], succs[:])
 		return true, err
 	case op == opRemove && found:
 		return true, s.unlink(tx, preds[:], succs[:])

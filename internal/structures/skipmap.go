@@ -17,15 +17,15 @@ type KV struct {
 // semantics of its operations: every method takes an enclosing *core.Tx,
 // so the caller picks the semantics per operation — a point lookup can
 // run as a never-abort snapshot read, a range scan elastically, an
-// update under def, and a whole-map rebuild irrevocably, all over the
+// update under def, and a whole-map clear irrevocably, all over the
 // same structure. That per-request-class choice is exactly what the
 // polyserve server maps wire opcodes onto.
 //
-// Values live in their own TVar, separate from the index links, so an
-// overwrite of an existing key conflicts only with accesses of that key,
-// never with the tower structure around it.
+// Values live in their own TVar inside the node, separate from the
+// index links, so an overwrite of an existing key conflicts only with
+// accesses of that key, never with the tower structure around it.
 type TSkipMap struct {
-	skipCore[string, *core.TVar[string]]
+	skipCore[string, core.TVar[string]]
 }
 
 // NewTSkipMap creates an empty ordered map.
@@ -46,7 +46,7 @@ func (m *TSkipMap) GetTx(tx *core.Tx, key string) (string, bool, error) {
 	if err != nil || n == nil || n.key != key {
 		return "", false, err
 	}
-	v, err := core.Get(tx, n.val)
+	v, err := core.Get(tx, &n.val)
 	if err != nil {
 		return "", false, err
 	}
@@ -73,9 +73,11 @@ func (m *TSkipMap) PutTx(tx *core.Tx, key, val string) (bool, error) {
 		return false, err
 	}
 	if n != nil && n.key == key {
-		return true, core.Set(tx, n.val, val)
+		return true, core.Set(tx, &n.val, val)
 	}
-	_, err = m.link(tx, strings.Clone(key), core.NewTVar(m.tm, val), preds[:], succs[:])
+	if n, err = m.link(tx, strings.Clone(key), preds[:], succs[:]); err == nil {
+		n.val.Init(m.tm, val)
+	}
 	return false, err
 }
 
@@ -93,12 +95,13 @@ func (m *TSkipMap) PutBytesTx(tx *core.Tx, key string, val []byte) (stored strin
 		return "", false, err
 	}
 	if n != nil && n.key == key {
-		return n.key, true, core.SetBytes(tx, n.val, val)
+		return n.key, true, core.SetBytes(tx, &n.val, val)
 	}
-	n, err = m.link(tx, strings.Clone(key), core.NewTVarBytes(m.tm, val), preds[:], succs[:])
+	n, err = m.link(tx, strings.Clone(key), preds[:], succs[:])
 	if err != nil {
 		return "", false, err
 	}
+	core.InitBytes(m.tm, &n.val, val)
 	return n.key, false, nil
 }
 
@@ -130,7 +133,7 @@ func (m *TSkipMap) RangeTx(tx *core.Tx, from, to string, limit int, fn func(key,
 		if limit > 0 && n >= limit {
 			return nil
 		}
-		v, err := core.Get(tx, curr.val)
+		v, err := core.Get(tx, &curr.val)
 		if err != nil {
 			return err
 		}
@@ -195,47 +198,6 @@ func (m *TSkipMap) ClearTx(tx *core.Tx) (int, error) {
 		}
 	}
 	return m.count(tx, first)
-}
-
-// RebuildTx re-levels the whole map inside tx: it walks the bottom
-// level, draws fresh tower heights for every node, and relinks the index
-// levels. Value TVars are carried over, so concurrent readers of a key's
-// value conflict only if the value itself changes. This is the map's
-// "resize"-class admin operation; run it under Irrevocable semantics to
-// guarantee it completes in one attempt.
-func (m *TSkipMap) RebuildTx(tx *core.Tx) (int, error) {
-	type kn struct {
-		key string
-		val *core.TVar[string]
-	}
-	var all []kn
-	curr, err := core.Get(tx, &m.head.next[0])
-	if err != nil {
-		return 0, err
-	}
-	for curr != nil {
-		all = append(all, kn{key: curr.key, val: curr.val})
-		curr, err = core.Get(tx, &curr.next[0])
-		if err != nil {
-			return 0, err
-		}
-	}
-	// Build the new chain back-to-front so every tower links forward to
-	// an already-built node.
-	tails := make([]*mapNode, skipMaxLevel)
-	for i := len(all) - 1; i >= 0; i-- {
-		lvl := randLevel(&m.seed)
-		n := &mapNode{key: all[i].key, val: all[i].val, next: newTower(m.tm, lvl, tails)}
-		for l := 0; l < lvl; l++ {
-			tails[l] = n
-		}
-	}
-	for l := 0; l < skipMaxLevel; l++ {
-		if err := core.Set(tx, &m.head.next[l], tails[l]); err != nil {
-			return 0, err
-		}
-	}
-	return len(all), nil
 }
 
 // Get is the one-shot form of GetTx under semantics sem.

@@ -45,10 +45,11 @@ const (
 	OpDel OpKind = 2
 	// OpFlush clears the whole keyspace. Body: empty.
 	OpFlush OpKind = 3
-	// OpRebuild re-levels the store's index. It changes no content and
-	// replays as a structural no-op, but is logged so the record stream
-	// is the full admin history. Body: empty.
-	OpRebuild OpKind = 4
+	// Kind 4 was REBUILD (re-level the index, no content change). It is
+	// retired: never written again, and the number is never reused. An
+	// old log may still hold it, so DecodeOps skips it: it replays as
+	// nothing instead of ending the durable prefix there.
+	opRetired OpKind = 4
 )
 
 // String names the kind.
@@ -60,8 +61,6 @@ func (k OpKind) String() string {
 		return "DEL"
 	case OpFlush:
 		return "FLUSH"
-	case OpRebuild:
-		return "REBUILD"
 	default:
 		return fmt.Sprintf("OpKind(%d)", byte(k))
 	}
@@ -107,9 +106,6 @@ func AppendDel(dst []byte, key []byte) []byte {
 
 // AppendFlush appends one FLUSH operation.
 func AppendFlush(dst []byte) []byte { return append(dst, byte(OpFlush)) }
-
-// AppendRebuild appends one REBUILD operation.
-func AppendRebuild(dst []byte) []byte { return append(dst, byte(OpRebuild)) }
 
 func appendBytes(dst, b []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(b)))
@@ -312,8 +308,6 @@ func AppendOps(dst []byte, ops []Op) []byte {
 			dst = AppendDel(dst, []byte(op.Key))
 		case OpFlush:
 			dst = AppendFlush(dst)
-		case OpRebuild:
-			dst = AppendRebuild(dst)
 		}
 	}
 	return dst
@@ -445,8 +439,9 @@ func readBytes(p []byte) (field, rest []byte, err error) {
 }
 
 // DecodeOps parses a record payload into its operation sequence,
-// appending to ops (pass nil or a reused slice). The returned strings
-// are copies; they do not alias payload.
+// appending to ops (pass nil or a reused slice). A retired kind-4 op is
+// skipped, so a group of nothing else decodes to no operations. The
+// returned strings are copies; they do not alias payload.
 func DecodeOps(ops []Op, payload []byte) ([]Op, error) {
 	if len(payload) == 0 {
 		return nil, &errCorrupt{"empty payload"}
@@ -473,8 +468,10 @@ func DecodeOps(ops []Op, payload []byte) ([]Op, error) {
 				return nil, err
 			}
 			op.Key, payload = string(k), rest
-		case OpFlush, OpRebuild:
+		case OpFlush:
 			// empty body
+		case opRetired:
+			continue // empty body, and nothing to apply
 		default:
 			return nil, &errCorrupt{fmt.Sprintf("unknown op kind %d", byte(kind))}
 		}

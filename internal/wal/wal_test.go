@@ -33,8 +33,6 @@ func (s *memStore) apply(ops []Op) error {
 			delete(s.m, op.Key)
 		case OpFlush:
 			s.m = map[string]string{}
-		case OpRebuild:
-			// structural no-op
 		default:
 			return fmt.Errorf("unknown kind %v", op.Kind)
 		}
@@ -57,7 +55,6 @@ func TestOpsRoundTrip(t *testing.T) {
 	p = AppendSet(p, []byte("k1"), []byte("v1"))
 	p = AppendDel(p, []byte("k2"))
 	p = AppendFlush(p)
-	p = AppendRebuild(p)
 	p = AppendSet(p, []byte(""), []byte("")) // empty key/val legal
 	ops, err := DecodeOps(nil, p)
 	if err != nil {
@@ -67,7 +64,6 @@ func TestOpsRoundTrip(t *testing.T) {
 		{Kind: OpSet, Key: "k1", Val: "v1"},
 		{Kind: OpDel, Key: "k2"},
 		{Kind: OpFlush},
-		{Kind: OpRebuild},
 		{Kind: OpSet},
 	}
 	if !reflect.DeepEqual(ops, want) {
@@ -81,6 +77,36 @@ func TestOpsRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeOps(nil, []byte{byte(OpSet), 200}); err == nil || !IsCorrupt(err) {
 		t.Fatalf("truncated field: err = %v, want corrupt", err)
+	}
+}
+
+// TestRetiredKindReplaysAsNoOp: kind 4 (REBUILD) is never written any
+// more, but a log from before its retirement holds it, inside a record
+// and as a record of its own. Reopening replays every SET around it and
+// truncates nothing: a decode error there would end the durable prefix
+// and drop every later record.
+func TestRetiredKindReplaysAsNoOp(t *testing.T) {
+	dir := t.TempDir()
+	l, _, _ := openT(t, dir, Options{Mode: ModeAlways})
+	for _, p := range [][]byte{
+		append(append(AppendSet(nil, []byte("a"), []byte("1")), 4), AppendSet(nil, []byte("b"), []byte("2"))...),
+		{4},
+		AppendSet(nil, []byte("c"), []byte("3")),
+	} {
+		if err := l.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, res, st := openT(t, dir, Options{})
+	defer l2.Close()
+	if res.Records != 3 || res.TruncatedSeg != 0 {
+		t.Fatalf("recover: %+v, want 3 records and nothing truncated", res)
+	}
+	if want := map[string]string{"a": "1", "b": "2", "c": "3"}; !reflect.DeepEqual(st.m, want) {
+		t.Fatalf("recovered %v, want %v", st.m, want)
 	}
 }
 

@@ -65,6 +65,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{byte(OpGet)})
 	f.Add([]byte{99, SemDefault})
+	f.Add([]byte{10, SemDefault}) // the retired REBUILD opcode
 	f.Add([]byte{byte(OpGet), 7})
 	f.Add([]byte{byte(OpGet), SemDefault, 5, 'a'})
 	f.Add([]byte{byte(OpTxn), SemDefault, 1, byte(OpFlush)})
@@ -87,7 +88,6 @@ func FuzzDecodeRequest(f *testing.F) {
 		}},
 		{Op: OpStats, Sem: SemDefault},
 		{Op: OpFlush, Sem: SemDefault},
-		{Op: OpRebuild, Sem: SemDefault},
 		{Op: OpWatch, Sem: SemDefault, Key: []byte("k")},
 		{Op: OpWatch, Sem: SemDefault, Key: []byte("user:"), Prefix: true},
 		{Op: OpIncr, Sem: SemDefault, Key: []byte("ctr"), Delta: 3},

@@ -98,6 +98,7 @@ func TestDecodeRequestIntoHostile(t *testing.T) {
 		{"empty", nil, ErrTruncated},
 		{"op only", []byte{byte(OpGet)}, ErrTruncated},
 		{"bad op", []byte{99, SemDefault}, ErrBadOp},
+		{"retired op", []byte{10, SemDefault}, ErrBadOp}, // REBUILD, never reused
 		{"bad sem", []byte{byte(OpGet), 7}, ErrBadSemantics},
 		{"truncated key", []byte{byte(OpGet), SemDefault, 5, 'a'}, ErrTruncated},
 		{"txn bad subop", []byte{byte(OpTxn), SemDefault, 1, byte(OpFlush)}, ErrBadSubOp},

@@ -103,9 +103,7 @@ const (
 	EventExpire EventOp = 2
 	// EventFlush: the whole store was cleared by FLUSH, one event per
 	// watch regardless of shard count; the event's key is empty, and
-	// every TTL was cleared with the keys. REBUILD is invisible to
-	// sessions — it re-levels the index but every key, value, and
-	// deadline survives.
+	// every TTL was cleared with the keys.
 	EventFlush EventOp = 3
 )
 

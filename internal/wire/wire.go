@@ -12,7 +12,7 @@
 // where sem is the transaction-semantics byte: one of the four
 // stm.Semantics values, or SemDefault (0xFF) to accept the server's
 // per-opcode mapping (GET/MGET → snapshot, SCAN → weak/elastic,
-// SET/CAS/DEL/TXN → def, FLUSH/REBUILD → irrevocable). The byte is the
+// SET/CAS/DEL/TXN → def, FLUSH → irrevocable). The byte is the
 // wire rendition of the paper's start(p): each request class picks the
 // semantics that fits it, and a client may override the class default
 // per request.
@@ -94,9 +94,9 @@ const (
 	// OpFlush removes every key (admin). Body: empty. OK response body:
 	// uvarint removed-count.
 	OpFlush Op = 9
-	// OpRebuild re-levels the store's skip-list index (admin; the
-	// "resize" class). Body: empty. OK response body: uvarint key-count.
-	OpRebuild Op = 10
+	// Opcode 10 was REBUILD (re-level the skip-list index). It is
+	// retired: Valid rejects it, and it is never reused.
+
 	// OpPing is a liveness probe: it touches no store state and starts no
 	// transaction. Body: empty. OK response body: empty. Clients use it to
 	// health-check pooled connections that have sat idle past their
@@ -179,8 +179,6 @@ func (o Op) String() string {
 		return "STATS"
 	case OpFlush:
 		return "FLUSH"
-	case OpRebuild:
-		return "REBUILD"
 	case OpPing:
 		return "PING"
 	case OpSubscribeWAL:
@@ -202,8 +200,8 @@ func (o Op) String() string {
 	}
 }
 
-// Valid reports whether o is a defined opcode.
-func (o Op) Valid() bool { return o >= OpGet && o <= OpMerge }
+// Valid reports whether o is a defined opcode; 10, REBUILD's, is retired.
+func (o Op) Valid() bool { return o >= OpGet && o <= OpMerge && o != 10 }
 
 // Mutates reports whether the opcode can change store state. A TXN
 // batch counts as mutating regardless of its sub-operations (a batch
@@ -212,7 +210,7 @@ func (o Op) Valid() bool { return o >= OpGet && o <= OpMerge }
 // primary — topology changes flow through the replication feed).
 func (o Op) Mutates() bool {
 	switch o {
-	case OpSet, OpCAS, OpDel, OpTxn, OpFlush, OpRebuild, OpIncr, OpDecr, OpSetEx,
+	case OpSet, OpCAS, OpDel, OpTxn, OpFlush, OpIncr, OpDecr, OpSetEx,
 		OpSplit, OpMerge:
 		return true
 	default:
@@ -374,7 +372,7 @@ type Response struct {
 	Pairs    []KV       // SCAN
 	Batch    []Response // MGET / TXN sub-responses
 	Counters []Counter  // STATS
-	N        uint64     // FLUSH / REBUILD counts; WATCH watch-id
+	N        uint64     // FLUSH count; SUBSCRIBE-WAL shards; WATCH id; SPLIT/MERGE epoch
 	Int      int64      // INCR / DECR new value
 	Msg      string     // StatusErr message
 
@@ -749,7 +747,7 @@ func appendRequestBody(dst []byte, r *Request) ([]byte, error) {
 		dst = appendUvarint(dst, r.Epoch)
 		dst = appendUvarint(dst, r.Shard)
 		dst = appendUvarint(dst, r.Shard2)
-	case OpStats, OpFlush, OpRebuild, OpPing, OpSubscribeWAL:
+	case OpStats, OpFlush, OpPing, OpSubscribeWAL:
 		// empty body
 	default:
 		return nil, ErrBadOp
@@ -888,7 +886,7 @@ func decodeRequestBody(rd *reader, r *Request) error {
 			return err
 		}
 		r.Shard2, err = rd.uvarint()
-	case OpStats, OpFlush, OpRebuild, OpPing, OpSubscribeWAL:
+	case OpStats, OpFlush, OpPing, OpSubscribeWAL:
 		// empty body
 	default:
 		return ErrBadOp
@@ -992,7 +990,7 @@ func appendResponseBody(dst []byte, op Op, r *Response) ([]byte, error) {
 			dst = appendBytes(dst, []byte(c.Name))
 			dst = appendUvarint(dst, c.Value)
 		}
-	case OpFlush, OpRebuild, OpSubscribeWAL, OpWatch, OpSplit, OpMerge:
+	case OpFlush, OpSubscribeWAL, OpWatch, OpSplit, OpMerge:
 		dst = appendUvarint(dst, r.N)
 	case OpIncr, OpDecr:
 		dst = binary.AppendVarint(dst, r.Int)
@@ -1093,7 +1091,7 @@ func decodeResponseBody(rd *reader, op Op, r *Response, subOps []Op, lent []Resp
 			}
 			r.Counters = append(r.Counters, Counter{Name: string(name), Value: v})
 		}
-	case OpFlush, OpRebuild, OpSubscribeWAL, OpWatch, OpSplit, OpMerge:
+	case OpFlush, OpSubscribeWAL, OpWatch, OpSplit, OpMerge:
 		r.N, err = rd.uvarint()
 	case OpIncr, OpDecr:
 		r.Int, err = rd.varint()

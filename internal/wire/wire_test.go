@@ -51,7 +51,6 @@ func TestRequestRoundTrip(t *testing.T) {
 		}},
 		{Op: OpStats, Sem: SemDefault},
 		{Op: OpFlush, Sem: SemDefault},
-		{Op: OpRebuild, Sem: SemDefault},
 	}
 	for _, r := range reqs {
 		dec := roundTripRequest(t, r)
@@ -124,7 +123,6 @@ func TestResponseRoundTrip(t *testing.T) {
 			{Name: "aborts.def", Value: 3},
 		}}},
 		{OpFlush, nil, &Response{Status: StatusOK, N: 123}},
-		{OpRebuild, nil, &Response{Status: StatusOK, N: 9}},
 		{OpGet, nil, &Response{Status: StatusErr, Msg: "boom"}},
 		{OpTxn, []Op{OpGet}, &Response{Status: StatusErr, Msg: "snapshot write"}},
 	}
@@ -182,6 +180,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		{"empty", nil, ErrTruncated},
 		{"op only", []byte{byte(OpGet)}, ErrTruncated},
 		{"bad op", []byte{99, SemDefault}, ErrBadOp},
+		{"retired op", []byte{10, SemDefault}, ErrBadOp}, // REBUILD, never reused
 		{"bad sem", []byte{byte(OpGet), 7}, ErrBadSemantics},
 		{"truncated key", []byte{byte(OpGet), SemDefault, 5, 'a'}, ErrTruncated},
 		{"txn bad subop", []byte{byte(OpTxn), SemDefault, 1, byte(OpFlush)}, ErrBadSubOp},
