@@ -1,7 +1,7 @@
-// Pipeline: transactional queues and deques composed into a multi-stage
-// pipeline. Every hand-off is one atomic transaction (dequeue + enqueue
-// in a single step, via structures.Transfer-style composition), so no
-// item is ever in zero or two stages at once — an invariant a snapshot
+// Pipeline: transactional queues composed into a multi-stage pipeline.
+// Every hand-off is one atomic transaction (dequeue + enqueue in a
+// single step, via structures.Transfer-style composition), so no item
+// is ever in zero or two stages at once — an invariant a snapshot
 // monitor verifies live while the pipeline runs.
 package main
 

@@ -187,14 +187,13 @@ func (tm *TM) NestingPolicy() NestingPolicy { return tm.nesting }
 
 // Option customises one transaction. It is a value, not a closure, so
 // building options on a hot path costs nothing; the variadic option
-// slice of an Atomic call stays on the caller's stack.
+// slice of an Atomic call stays on the caller's stack. The run options
+// travel to the engine as they are: an Option holds the stm.RunOptions
+// its transaction runs with.
 type Option struct {
-	sem         Semantics
-	semSet      bool
-	cm          stm.CMFactory
-	maxAttempts int
-	label       string
-	observer    Observer
+	run    stm.RunOptions
+	sem    Semantics
+	semSet bool
 }
 
 // WithSemantics is the paper's start(p): it sets the transaction's
@@ -205,7 +204,7 @@ func WithSemantics(s Semantics) Option {
 
 // WithContentionManager gives the transaction its own liveness policy.
 func WithContentionManager(f stm.CMFactory) Option {
-	return Option{cm: f}
+	return Option{run: stm.RunOptions{CM: f}}
 }
 
 // WithMaxAttempts bounds the transaction to n attempts (conflict
@@ -216,49 +215,42 @@ func WithContentionManager(f stm.CMFactory) Option {
 // and that threshold is lower, escalation to Irrevocable wins — the
 // transaction is guaranteed to commit before the bound can trip.
 func WithMaxAttempts(n int) Option {
-	return Option{maxAttempts: n}
+	return Option{run: stm.RunOptions{MaxAttempts: n}}
 }
 
 // WithLabel tags the transaction for observability: the label travels
 // on every TxnEvent the transaction emits and on nothing else — it
 // costs one string field, no allocation.
 func WithLabel(s string) Option {
-	return Option{label: s}
+	return Option{run: stm.RunOptions{Label: s}}
 }
 
 // WithObserver gives this transaction its own lifecycle observer,
 // overriding the TM-wide one for its events.
 func WithObserver(o Observer) Option {
-	return Option{observer: o}
+	return Option{run: stm.RunOptions{Observer: o}}
 }
 
-// txnOpts is an option list folded over the TM defaults.
-type txnOpts struct {
-	sem         Semantics
-	cm          stm.CMFactory
-	maxAttempts int
-	label       string
-	observer    Observer
-}
-
-// resolve folds an option list over the TM defaults.
-func (tm *TM) resolve(opts []Option) txnOpts {
-	o := txnOpts{sem: tm.def}
+// resolve folds an option list over the TM defaults into one Option:
+// the last setting of each field wins.
+func (tm *TM) resolve(opts []Option) Option {
+	o := Option{sem: tm.def}
 	for i := range opts {
-		if opts[i].semSet {
-			o.sem = opts[i].sem
+		op := &opts[i]
+		if op.semSet {
+			o.sem = op.sem
 		}
-		if opts[i].cm != nil {
-			o.cm = opts[i].cm
+		if op.run.CM != nil {
+			o.run.CM = op.run.CM
 		}
-		if opts[i].maxAttempts != 0 {
-			o.maxAttempts = opts[i].maxAttempts
+		if op.run.MaxAttempts != 0 {
+			o.run.MaxAttempts = op.run.MaxAttempts
 		}
-		if opts[i].label != "" {
-			o.label = opts[i].label
+		if op.run.Label != "" {
+			o.run.Label = op.run.Label
 		}
-		if opts[i].observer != nil {
-			o.observer = opts[i].observer
+		if op.run.Observer != nil {
+			o.run.Observer = op.run.Observer
 		}
 	}
 	return o
@@ -295,12 +287,11 @@ func (tm *TM) handleOf(itx *stm.Txn) *Tx {
 // tests need it).
 func (tx *Tx) Inner() *stm.Txn { return tx.inner }
 
-// WrapTx binds a manually-begun engine transaction (Engine.Begin /
-// BeginWith) to a core-level handle so it can drive the typed TVar and
-// structure APIs — the advanced-embedding escape hatch. The caller owns
-// the lifecycle: it must Commit or Abort the inner transaction itself,
-// and none of the run-loop conveniences (retry, escalation, options,
-// observers) apply.
+// WrapTx binds a manually-begun engine transaction (Engine.Begin) to a
+// core-level handle so it can drive the typed TVar and structure APIs —
+// the advanced-embedding escape hatch. The caller owns the lifecycle:
+// it must Commit or Abort the inner transaction itself, and none of the
+// run-loop conveniences (retry, escalation, options, observers) apply.
 func WrapTx(tm *TM, inner *stm.Txn) *Tx { return &Tx{tm: tm, inner: inner} }
 
 // Semantics returns the semantics currently in effect for this scope.
@@ -345,47 +336,36 @@ func (tm *TM) AtomicCtx(ctx context.Context, fn func(*Tx) error, opts ...Option)
 // directly — the hot-path form structure and server code uses per
 // operation.
 func (tm *TM) AtomicAs(sem Semantics, fn func(*Tx) error) error {
-	return tm.atomic(context.Background(), txnOpts{sem: sem}, fn)
+	return tm.atomic(context.Background(), Option{sem: sem}, fn)
 }
 
 // AtomicAsCtx is AtomicCtx(ctx, fn, WithSemantics(sem)) with the
 // semantics passed directly — the hot-path form for per-operation
 // semantics under a request-scoped context (polyserve's request path).
 func (tm *TM) AtomicAsCtx(ctx context.Context, sem Semantics, fn func(*Tx) error) error {
-	return tm.atomic(ctx, txnOpts{sem: sem}, fn)
+	return tm.atomic(ctx, Option{sem: sem}, fn)
 }
 
 // atomic is the shared Atomic body with resolved options.
-func (tm *TM) atomic(ctx context.Context, o txnOpts, fn func(*Tx) error) error {
-	sem := o.sem
+func (tm *TM) atomic(ctx context.Context, o Option, fn func(*Tx) error) error {
 	// The run bound is the per-transaction WithMaxAttempts bound unless
 	// the TM's escalation threshold comes first, in which case hitting
 	// it escalates to Irrevocable instead of failing.
-	bound := o.maxAttempts
-	escalate := false
-	if tm.escalateAfter > 0 && sem != Irrevocable && (bound == 0 || tm.escalateAfter < bound) {
-		bound = tm.escalateAfter
-		escalate = true
+	escalate := tm.escalateAfter > 0 && o.sem != Irrevocable &&
+		(o.run.MaxAttempts == 0 || tm.escalateAfter < o.run.MaxAttempts)
+	if escalate {
+		o.run.MaxAttempts = tm.escalateAfter
 	}
 	for {
-		err := tm.eng.RunOpts(ctx, sem, stm.RunOptions{
-			CM:          o.cm,
-			MaxAttempts: bound,
-			Observer:    o.observer,
-			Label:       o.label,
-		}, func(itx *stm.Txn) error {
+		err := tm.eng.RunOpts(ctx, o.sem, o.run, func(itx *stm.Txn) error {
 			return fn(tm.handleOf(itx))
 		})
-		switch {
-		case errors.Is(err, ErrEscalated) && sem != Irrevocable:
-			sem = Irrevocable
-			bound = 0
-		case errors.Is(err, stm.ErrTooManyAttempts) && escalate && sem != Irrevocable:
-			sem = Irrevocable
-			bound = 0
-		default:
+		escalated := errors.Is(err, ErrEscalated) || escalate && errors.Is(err, stm.ErrTooManyAttempts)
+		if !escalated || o.sem == Irrevocable {
 			return err
 		}
+		o.sem = Irrevocable
+		o.run.MaxAttempts = 0
 	}
 }
 

@@ -2,12 +2,11 @@
 // paper's introduction cites: Michael's lock-free linked list and hash
 // table ("High performance dynamic lock-free hash tables and list-based
 // sets", SPAA 2002) and Shalev & Shavit's split-ordered lists
-// ("Split-ordered lists: Lock-free extensible hash tables", JACM 2006),
-// plus a Treiber stack and a Michael–Scott queue. These structures are
-// exactly the kind of highly tuned, non-generic implementations the
-// paper contrasts with transactional ones: fast, but hard to extend
-// (Michael's hash table famously does not support resize — the
-// split-ordered list exists to fix that).
+// ("Split-ordered lists: Lock-free extensible hash tables", JACM 2006).
+// These structures are exactly the kind of highly tuned, non-generic
+// implementations the paper contrasts with transactional ones: fast,
+// but hard to extend (Michael's hash table famously does not support
+// resize — the split-ordered list exists to fix that).
 //
 // Go cannot steal pointer tag bits safely, so the Harris/Michael mark
 // bit is encoded by indirection: each node's successor field is an

@@ -167,137 +167,3 @@ func TestSplitOrderedConcurrent(t *testing.T) {
 		t.Fatalf("len = %d, want %d", got, want)
 	}
 }
-
-func TestStackLIFO(t *testing.T) {
-	var s Stack[int]
-	if _, ok := s.Pop(); ok {
-		t.Fatal("pop from empty stack succeeded")
-	}
-	for i := 1; i <= 5; i++ {
-		s.Push(i)
-	}
-	for i := 5; i >= 1; i-- {
-		v, ok := s.Pop()
-		if !ok || v != i {
-			t.Fatalf("pop = %d,%v, want %d,true", v, ok, i)
-		}
-	}
-}
-
-func TestStackConcurrentConservation(t *testing.T) {
-	var s Stack[uint64]
-	const workers, per = 8, 1000
-	var wg sync.WaitGroup
-	var popped sync.Map
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(base uint64) {
-			defer wg.Done()
-			for i := uint64(0); i < per; i++ {
-				s.Push(base + i)
-			}
-			for i := uint64(0); i < per; i++ {
-				v, ok := s.Pop()
-				if !ok {
-					t.Error("pop failed with elements outstanding")
-					return
-				}
-				if _, dup := popped.LoadOrStore(v, true); dup {
-					t.Errorf("value %d popped twice", v)
-					return
-				}
-			}
-		}(uint64(w) * 10000)
-	}
-	wg.Wait()
-	if s.Len() != 0 {
-		t.Fatalf("len = %d, want 0", s.Len())
-	}
-}
-
-func TestQueueFIFO(t *testing.T) {
-	q := NewQueue[int]()
-	if _, ok := q.Dequeue(); ok {
-		t.Fatal("dequeue from empty queue succeeded")
-	}
-	for i := 1; i <= 5; i++ {
-		q.Enqueue(i)
-	}
-	for i := 1; i <= 5; i++ {
-		v, ok := q.Dequeue()
-		if !ok || v != i {
-			t.Fatalf("dequeue = %d,%v, want %d,true", v, ok, i)
-		}
-	}
-}
-
-func TestQueuePerProducerOrder(t *testing.T) {
-	q := NewQueue[uint64]()
-	const producers, per = 4, 2000
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(id uint64) {
-			defer wg.Done()
-			for i := uint64(0); i < per; i++ {
-				q.Enqueue(id*1000000 + i)
-			}
-		}(uint64(p))
-	}
-	wg.Wait()
-	// Single consumer: each producer's elements must appear in order.
-	last := map[uint64]int64{}
-	count := 0
-	for {
-		v, ok := q.Dequeue()
-		if !ok {
-			break
-		}
-		count++
-		id, seq := v/1000000, int64(v%1000000)
-		if prev, seen := last[id]; seen && seq <= prev {
-			t.Fatalf("producer %d out of order: %d after %d", id, seq, prev)
-		}
-		last[id] = seq
-	}
-	if count != producers*per {
-		t.Fatalf("dequeued %d, want %d", count, producers*per)
-	}
-}
-
-func TestQueueConcurrentProducersConsumers(t *testing.T) {
-	q := NewQueue[uint64]()
-	const producers, consumers, per = 4, 4, 1000
-	var wg sync.WaitGroup
-	var got sync.Map
-	var consumed sync.WaitGroup
-	consumed.Add(producers * per)
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(base uint64) {
-			defer wg.Done()
-			for i := uint64(0); i < per; i++ {
-				q.Enqueue(base + i)
-			}
-		}(uint64(p) * 10000)
-	}
-	for c := 0; c < consumers; c++ {
-		go func() {
-			for {
-				v, ok := q.Dequeue()
-				if !ok {
-					continue
-				}
-				if _, dup := got.LoadOrStore(v, true); dup {
-					t.Errorf("value %d consumed twice", v)
-				}
-				consumed.Done()
-			}
-		}()
-	}
-	wg.Wait()
-	consumed.Wait()
-	if q.Len() != 0 {
-		t.Fatalf("len = %d, want 0", q.Len())
-	}
-}

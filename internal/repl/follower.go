@@ -131,9 +131,6 @@ func (f *Follower) State() ConnState { return ConnState(f.state.Load()) }
 // Primary returns the configured primary address.
 func (f *Follower) Primary() string { return f.cfg.Primary }
 
-// AppliedRecords returns how many records the follower has applied.
-func (f *Follower) AppliedRecords() uint64 { return f.applRecs.Load() }
-
 // Counters reports the follower's STATS rows.
 func (f *Follower) Counters() []wire.Counter {
 	return []wire.Counter{

@@ -305,29 +305,3 @@ func (rs *ReplicaSet) read(ctx context.Context, req *wire.Request) (*wire.Respon
 	}
 	return cl.roundTrip(ctx, req)
 }
-
-// ReplicaStats fetches each replica endpoint's counters, keyed by
-// address (for lag observation; endpoints that are down are skipped).
-func (rs *ReplicaSet) ReplicaStats() map[string]map[string]uint64 {
-	rs.mu.Lock()
-	var eps []*endpoint
-	for i, e := range rs.endpoints {
-		if i != rs.primary {
-			eps = append(eps, e)
-		}
-	}
-	rs.mu.Unlock()
-	out := make(map[string]map[string]uint64, len(eps))
-	for _, e := range eps {
-		cl, err := e.client(rs.opts)
-		if err != nil {
-			continue
-		}
-		m, err := cl.Stats()
-		if err != nil {
-			continue
-		}
-		out[e.addr] = m
-	}
-	return out
-}

@@ -28,13 +28,6 @@ var ErrEventsLost = errors.New("client: watch events lost (session cut by server
 // WatchOption configures a Watcher.
 type WatchOption func(*Watcher)
 
-// WithWatchTimeouts sets the liveness budget (zero fields take the repl
-// defaults). The watcher answers server PINGs and treats a silence of
-// Idle + 2×Reply as a dead link.
-func WithWatchTimeouts(tv repl.Timeouts) WatchOption {
-	return func(w *Watcher) { w.tv = tv }
-}
-
 // WithWatchBackoff sets the reconnect policy.
 func WithWatchBackoff(b repl.Backoff) WatchOption {
 	return func(w *Watcher) { w.backoff = b }
@@ -71,7 +64,6 @@ type watchSpec struct {
 // gone and watch ids are reissued — session-scoped, not durable.
 type Watcher struct {
 	addr        string
-	tv          repl.Timeouts
 	backoff     repl.Backoff
 	chanCap     int
 	noReconnect bool
@@ -209,7 +201,7 @@ func (w *Watcher) connect(specs []watchSpec) (*repl.Link, uint64, error) {
 		return nil, 0, errors.New("client: watcher has no watches to subscribe")
 	}
 	req := wire.Request{Op: wire.OpWatch, Sem: wire.SemDefault, Key: []byte(specs[0].key), Prefix: specs[0].prefix}
-	l, resp, err := repl.Dial(w.addr, w.tv, &req)
+	l, resp, err := repl.Dial(w.addr, repl.Timeouts{}, &req)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -149,15 +149,6 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// ListenAndServe binds addr and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
 // ErrServerClosed is returned by Serve after a Shutdown.
 var ErrServerClosed = errors.New("server: closed")
 

@@ -43,7 +43,7 @@ func TestCancelBetweenAttempts(t *testing.T) {
 	x := e.NewVar(0)
 	ctx, cancel := context.WithCancel(context.Background())
 	attempts := 0
-	err := e.RunCtx(ctx, SemanticsDef, func(tx *Txn) error {
+	err := e.RunOpts(ctx, SemanticsDef, RunOptions{}, func(tx *Txn) error {
 		attempts++
 		if err := tx.Write(x, 42); err != nil {
 			return err
@@ -141,7 +141,7 @@ func TestCancelLockWait(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := e.RunCtx(ctx, SemanticsDef, func(tx *Txn) error {
+	err := e.RunOpts(ctx, SemanticsDef, RunOptions{}, func(tx *Txn) error {
 		_, err := tx.Read(x)
 		return err
 	})
@@ -168,7 +168,7 @@ func TestCancelAtIrrevocableGate(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := e.RunCtx(ctx, SemanticsDef, func(tx *Txn) error { return tx.Write(x, 1) })
+	err := e.RunOpts(ctx, SemanticsDef, RunOptions{}, func(tx *Txn) error { return tx.Write(x, 1) })
 	elapsed := time.Since(start)
 	requireCancelled(t, err, context.DeadlineExceeded)
 	if elapsed > 2*time.Second {
@@ -207,7 +207,7 @@ func TestCancelBeforeFirstAttempt(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	err := e.RunCtx(ctx, SemanticsDef, func(tx *Txn) error {
+	err := e.RunOpts(ctx, SemanticsDef, RunOptions{}, func(tx *Txn) error {
 		ran = true
 		return nil
 	})
@@ -227,7 +227,7 @@ func TestIrrevocableIgnoresCancelMidFlight(t *testing.T) {
 	e := NewDefaultEngine()
 	x := e.NewVar(0)
 	ctx, cancel := context.WithCancel(context.Background())
-	err := e.RunCtx(ctx, SemanticsIrrevocable, func(tx *Txn) error {
+	err := e.RunOpts(ctx, SemanticsIrrevocable, RunOptions{}, func(tx *Txn) error {
 		cancel()
 		return tx.Write(x, 1)
 	})
@@ -239,9 +239,9 @@ func TestIrrevocableIgnoresCancelMidFlight(t *testing.T) {
 	}
 }
 
-// TestRunCtxBackgroundIsFastPath: RunCtx(context.Background()) must not
+// TestRunOptsBackgroundAllocs: RunOpts(context.Background()) must not
 // regress the pooled zero/one-alloc read path.
-func TestRunCtxBackgroundAllocs(t *testing.T) {
+func TestRunOptsBackgroundAllocs(t *testing.T) {
 	e := NewDefaultEngine()
 	vars := make([]*Var, 8)
 	for i := range vars {
@@ -256,16 +256,16 @@ func TestRunCtxBackgroundAllocs(t *testing.T) {
 		return nil
 	}
 	for i := 0; i < 64; i++ {
-		if err := e.RunCtx(context.Background(), SemanticsDef, body); err != nil {
+		if err := e.RunOpts(context.Background(), SemanticsDef, RunOptions{}, body); err != nil {
 			t.Fatal(err)
 		}
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		if err := e.RunCtx(context.Background(), SemanticsDef, body); err != nil {
+		if err := e.RunOpts(context.Background(), SemanticsDef, RunOptions{}, body); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if avg > 1 {
-		t.Errorf("RunCtx(Background) def read-only txn: %.2f allocs/op, want <= 1", avg)
+		t.Errorf("RunOpts(Background) def read-only txn: %.2f allocs/op, want <= 1", avg)
 	}
 }

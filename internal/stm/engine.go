@@ -12,7 +12,7 @@ type Config struct {
 	// do not carry their own. Nil means NewPolite(8).
 	DefaultCM CMFactory
 
-	// MaxAttempts bounds re-executions per Engine.Run call; 0 means
+	// MaxAttempts bounds re-executions per Engine.RunOpts call; 0 means
 	// unbounded (irrevocable fallback still guarantees progress when a
 	// transaction is escalated explicitly by the caller).
 	MaxAttempts int
@@ -177,50 +177,20 @@ func (e *Engine) releaseTxn(tx *Txn) {
 // contention manager. The returned Txn must be finished with Commit or
 // Abort, after which it must not be touched again; Begin transactions
 // are excluded from the engine's Txn pool (the caller could retain the
-// handle), so each Begin allocates. Most callers should use Run (or
+// handle), so each Begin allocates. Most callers should use RunOpts (or
 // core.Atomic) instead, which handles the retry loop and runs
 // allocation-free on the pooled lifecycle.
 func (e *Engine) Begin(sem Semantics) *Txn {
-	return e.BeginWith(sem, nil)
-}
-
-// BeginWith starts a transaction with semantics sem and a specific
-// contention manager factory (nil means the engine default).
-func (e *Engine) BeginWith(sem Semantics, cm CMFactory) *Txn {
-	if cm == nil {
-		cm = e.cfg.DefaultCM
-	}
-	tx := e.newTxn(sem, cm)
+	tx := e.newTxn(sem, e.cfg.DefaultCM)
 	tx.begin()
 	return tx
 }
 
-// Run executes fn transactionally under semantics sem, retrying on
-// conflicts until commit, a non-retryable error from fn, or the
-// configured attempt bound. It returns fn's error (aborting the
-// transaction) or nil after a successful commit.
-//
-// Run drives a pooled Txn: fn must not retain the *Txn, or anything
-// aliasing its read/write sets, beyond its return — the shell is
-// recycled for an arbitrary later Run when this call finishes.
+// Run is RunOpts with a background context and the engine's defaults:
+// the short form for a body that needs no cancellation and no per-run
+// option.
 func (e *Engine) Run(sem Semantics, fn func(*Txn) error) error {
-	return e.run(context.Background(), sem, runParams{cm: e.cfg.DefaultCM, maxAttempts: e.cfg.MaxAttempts, obs: e.cfg.Observer}, fn)
-}
-
-// RunCtx is Run bounded by ctx: cancellation aborts the transaction
-// between attempts and breaks its waits (see RunOpts for the exact
-// cancellation points). The ctx == context.Background() path is
-// identical to Run and allocates nothing extra.
-func (e *Engine) RunCtx(ctx context.Context, sem Semantics, fn func(*Txn) error) error {
-	return e.run(ctx, sem, runParams{cm: e.cfg.DefaultCM, maxAttempts: e.cfg.MaxAttempts, obs: e.cfg.Observer}, fn)
-}
-
-// RunWith is Run with an explicit contention manager factory.
-func (e *Engine) RunWith(sem Semantics, cm CMFactory, fn func(*Txn) error) error {
-	if cm == nil {
-		cm = e.cfg.DefaultCM
-	}
-	return e.run(context.Background(), sem, runParams{cm: cm, maxAttempts: e.cfg.MaxAttempts, obs: e.cfg.Observer}, fn)
+	return e.RunOpts(context.Background(), sem, RunOptions{}, fn)
 }
 
 // Quiesce returns once no snapshot transactions are live. It is a test

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestSemanticsStringAndStrength(t *testing.T) {
@@ -79,18 +80,62 @@ func TestStatsString(t *testing.T) {
 	}
 }
 
-func TestBeginWithCustomCM(t *testing.T) {
+func TestBeginUsesDefaultCM(t *testing.T) {
 	e := NewDefaultEngine()
-	tx := e.BeginWith(SemanticsDef, NewKarma())
-	if tx.cm.Name() != "karma" {
-		t.Fatalf("cm = %q, want karma", tx.cm.Name())
+	tx := e.Begin(SemanticsDef)
+	if tx.cm.Name() != "polite" {
+		t.Fatalf("default cm = %q, want polite", tx.cm.Name())
 	}
 	tx.Abort()
-	tx2 := e.BeginWith(SemanticsDef, nil)
-	if tx2.cm.Name() != "polite" {
-		t.Fatalf("default cm = %q, want polite", tx2.cm.Name())
+}
+
+// TestRunHonoursRetry: Retry has one meaning whichever entry point runs
+// the body. A plain Run body that returns ErrRetryWait parks on its read
+// set (OnWait seen) and commits once another goroutine writes what it
+// read; it never returns ErrRetryWait to the caller.
+func TestRunHonoursRetry(t *testing.T) {
+	obs := &countingObserver{}
+	e := NewEngine(Config{Observer: obs})
+	x := e.NewVar(0)
+	done := make(chan error, 1)
+	go func() {
+		done <- e.Run(SemanticsDef, func(tx *Txn) error {
+			v, err := tx.Read(x)
+			if err != nil {
+				return err
+			}
+			if v.(int) == 0 {
+				return ErrRetryWait
+			}
+			return nil
+		})
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for obs.waits.Load() == 0 {
+		select {
+		case err := <-done:
+			t.Fatalf("Run returned %v before x changed, want it parked on its read set", err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Run never parked on its read set")
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
-	tx2.Abort()
+	if err := e.Run(SemanticsDef, func(tx *Txn) error { return tx.Write(x, 1) }); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("woken Run = %v, want nil", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("parked Run never woke after x was written")
+	}
+	if got := obs.commits.Load(); got != 2 {
+		t.Fatalf("commits = %d, want 2 (the writer and the woken reader)", got)
+	}
 }
 
 func TestQuiesceAfterSnapshots(t *testing.T) {

@@ -7,7 +7,7 @@ import (
 )
 
 // Abort reasons. ErrConflict is the internal retryable sentinel: the
-// run loop in Engine.Run (and core.Atomic on top of it) re-executes the
+// run loop in Engine.RunOpts (and core.Atomic on top of it) re-executes the
 // transaction body when the commit or a read aborts with it. User errors
 // returned from the body are never retried; they abort the transaction
 // and propagate unchanged.
@@ -39,11 +39,11 @@ var (
 	// variable owned by a different engine.
 	ErrCrossEngine = errors.New("stm: variable belongs to a different engine")
 
-	// ErrTooManyAttempts is the sentinel wrapped by the Run family when a
+	// ErrTooManyAttempts is the sentinel wrapped by Engine.RunOpts when a
 	// transaction exceeded the configured maximum number of attempts.
 	ErrTooManyAttempts = errors.New("stm: transaction exceeded maximum attempts")
 
-	// ErrCancelled is the sentinel wrapped by the Run family when the
+	// ErrCancelled is the sentinel wrapped by Engine.RunOpts when the
 	// caller's context is cancelled or its deadline expires: the
 	// transaction's writes were discarded and it will not be retried.
 	// The AbortError additionally carries the context's own error as

@@ -92,7 +92,7 @@ func TestEngineErrorsAreTyped(t *testing.T) {
 	}
 
 	// Attempt bound exhausted: the error carries the attempt count.
-	err = e.RunWithOptions(SemanticsDef, nil, 3, func(tx *Txn) error {
+	err = e.RunOpts(context.Background(), SemanticsDef, RunOptions{MaxAttempts: 3}, func(tx *Txn) error {
 		return tx.abortConflict("forced", 0)
 	})
 	if !errors.Is(err, ErrTooManyAttempts) || !errors.As(err, &ae) {

@@ -129,7 +129,7 @@ func TestObserverSeesLifecycle(t *testing.T) {
 func TestObserverTerminalEventOnBoundExhaustion(t *testing.T) {
 	obs := &countingObserver{}
 	e := NewEngine(Config{Observer: obs})
-	err := e.RunWithOptions(SemanticsDef, nil, 3, func(tx *Txn) error {
+	err := e.RunOpts(context.Background(), SemanticsDef, RunOptions{MaxAttempts: 3}, func(tx *Txn) error {
 		return tx.abortConflict("forced", 0)
 	})
 	if !errors.Is(err, ErrTooManyAttempts) {
@@ -155,7 +155,7 @@ func TestObserverTerminalEventOnCancellation(t *testing.T) {
 	e := NewEngine(Config{Observer: obs})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := e.RunCtx(ctx, SemanticsDef, func(tx *Txn) error { return nil }); !errors.Is(err, ErrCancelled) {
+	if err := e.RunOpts(ctx, SemanticsDef, RunOptions{}, func(tx *Txn) error { return nil }); !errors.Is(err, ErrCancelled) {
 		t.Fatalf("err = %v", err)
 	}
 	if got := obs.aborts.Load(); got != 1 {

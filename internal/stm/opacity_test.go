@@ -12,8 +12,8 @@ import (
 // timestamp is newer than that commit could — without the lock check in
 // readDef — observe one variable's new head and another's old head from
 // the same commit, mid-transaction, without any validation failing
-// before user code runs on the torn values (this crashed the deque with
-// a nil dereference before the fix).
+// before user code runs on the torn values (this once crashed a transactional
+// deque with a nil dereference).
 //
 // Writers keep p == q invariant; def readers read both and must never
 // observe p != q *inside the body* on values the engine handed them.

@@ -102,161 +102,116 @@ type RunOptions struct {
 	Label string
 }
 
-// runParams is RunOptions after defaults resolution, plus the run-mode
-// flag, threaded through the one retry loop.
-type runParams struct {
-	cm          CMFactory
-	maxAttempts int
-	obs         Observer
-	label       string
-	block       bool // honour ErrRetryWait by sleeping on the read set
-}
-
-// RunWithRetry is Engine.Run extended with ErrRetryWait handling: when
-// the body returns ErrRetryWait, the engine blocks until the
-// transaction's read set changes, then re-executes. Conflicts retry
-// immediately as in Run.
-func (e *Engine) RunWithRetry(sem Semantics, cm CMFactory, fn func(*Txn) error) error {
-	return e.RunOpts(context.Background(), sem, RunOptions{CM: cm}, fn)
-}
-
-// RunWithOptions is the historical parameterized run entry: semantics,
-// contention-manager factory (nil = engine default), a per-call attempt
-// bound (0 = the engine's configured MaxAttempts), ErrRetryWait
-// blocking, and conflict retry. New code should prefer RunOpts, its
-// context-aware superset.
-func (e *Engine) RunWithOptions(sem Semantics, cm CMFactory, maxAttempts int, fn func(*Txn) error) error {
-	return e.RunOpts(context.Background(), sem, RunOptions{CM: cm, MaxAttempts: maxAttempts}, fn)
-}
-
-// RunOpts is the fully parameterized, context-aware run entry. The
-// context bounds the whole run: cancellation aborts the transaction
+// RunOpts executes fn transactionally under semantics sem, retrying on
+// conflicts until commit, a non-retryable error from fn, or the attempt
+// bound. It returns fn's error (aborting the transaction) or nil after
+// a successful commit. A body that returns ErrRetryWait aborts and
+// re-executes once a variable it read has changed.
+//
+// The context bounds the whole run: cancellation aborts the transaction
 // between attempts, interrupts contention-manager backoff sleeps, wakes
 // a transaction parked in Retry's wait loop, and breaks the lock-wait
 // spins — in every case the transaction's buffered writes are discarded
 // and the returned error is a *AbortError matching both ErrCancelled
-// and the context's own error. A context.Background() run takes the
-// exact historical fast path and allocates nothing extra.
+// and the context's own error. A context.Background() run allocates
+// nothing extra. One deliberate exception: an irrevocable transaction
+// that has begun is guaranteed to commit and therefore ignores
+// cancellation until it has (cancellation is still honoured before its
+// only attempt starts).
 //
-// One deliberate exception: an irrevocable transaction that has begun
-// is guaranteed to commit and therefore ignores cancellation until it
-// has (cancellation is still honoured before its only attempt starts).
+// RunOpts drives a pooled Txn: fn must not retain the *Txn, or anything
+// aliasing its read/write sets, beyond its return — the shell is
+// recycled for an arbitrary later run when this call finishes.
 func (e *Engine) RunOpts(ctx context.Context, sem Semantics, opts RunOptions, fn func(*Txn) error) error {
-	p := runParams{
-		cm:          opts.CM,
-		maxAttempts: opts.MaxAttempts,
-		obs:         opts.Observer,
-		label:       opts.Label,
-		block:       true,
+	if opts.CM == nil {
+		opts.CM = e.cfg.DefaultCM
 	}
-	if p.cm == nil {
-		p.cm = e.cfg.DefaultCM
+	if opts.MaxAttempts == 0 {
+		opts.MaxAttempts = e.cfg.MaxAttempts
 	}
-	if p.maxAttempts == 0 {
-		p.maxAttempts = e.cfg.MaxAttempts
+	if opts.Observer == nil {
+		opts.Observer = e.cfg.Observer
 	}
-	if p.obs == nil {
-		p.obs = e.cfg.Observer
-	}
-	return e.run(ctx, sem, p, fn)
+	return e.run(ctx, sem, opts, fn)
 }
 
-// run is the engine's one retry loop: every Run variant delegates here
-// with resolved options. It drives a pooled Txn through the whole
-// lifecycle — acquire, attempts, recycle — so steady-state transactions
-// allocate nothing. p.block selects the RunOpts / RunWithRetry
-// behaviour of sleeping on an ErrRetryWait read set; plain Run keeps
-// its historical behaviour of returning the error unchanged.
-func (e *Engine) run(ctx context.Context, sem Semantics, p runParams, fn func(*Txn) error) error {
+// run is the engine's one retry loop, called with resolved options. It
+// drives a pooled Txn through the whole lifecycle — acquire, attempts,
+// recycle — so steady-state transactions allocate nothing. Every run
+// ends with exactly one OnCommit or one terminal OnAbort; each retried
+// conflict reports one OnAbort before it and each Retry wait one OnWait.
+func (e *Engine) run(ctx context.Context, sem Semantics, o RunOptions, fn func(*Txn) error) error {
 	done := ctx.Done()
-	tx := e.acquireTxn(sem, p.cm)
+	tx := e.acquireTxn(sem, o.CM)
 	tx.ctx = ctx
 	defer e.releaseTxn(tx)
 	idle := pollBackoff{d: time.Microsecond}
 	for attempt := 1; ; attempt++ {
 		if done != nil {
 			if err := ctx.Err(); err != nil {
-				cancelErr := &AbortError{
+				return o.aborted(sem, attempt-1, &AbortError{
 					Sentinel: ErrCancelled, Cause: err, Semantics: sem,
 					Attempts: attempt - 1, Reason: "context cancelled",
-				}
-				// Terminal: every run ends with exactly one OnCommit or
-				// one terminal OnAbort, cancellations included.
-				if p.obs != nil {
-					p.obs.OnAbort(TxnEvent{Semantics: sem, Attempts: attempt - 1, Label: p.label, Err: cancelErr})
-				}
-				return cancelErr
+				})
 			}
 		}
 		tx.begin()
 		err := fn(tx)
+		var waitSet []readEntry
+		wait := false
 		if err == nil {
-			err = tx.Commit()
-			if err == nil {
-				if p.obs != nil {
-					p.obs.OnCommit(TxnEvent{Semantics: sem, Attempts: attempt, Label: p.label})
+			if err = tx.Commit(); err == nil {
+				if o.Observer != nil {
+					o.Observer.OnCommit(TxnEvent{Semantics: sem, Attempts: attempt, Label: o.Label})
 				}
 				return nil
 			}
-		} else if p.block && errors.Is(err, ErrRetryWait) {
-			// Capture the read set before aborting, then sleep on it.
-			// The copy is load-bearing under pooling: the Txn (and its
-			// rset storage) may be recycled the moment this run ends,
-			// and must never escape into a wait list by alias.
-			waitSet := make([]readEntry, len(tx.rset))
-			copy(waitSet, tx.rset)
-			tx.Abort()
-			if p.maxAttempts > 0 && attempt >= p.maxAttempts {
-				err := &AbortError{
-					Sentinel: ErrTooManyAttempts, Semantics: sem,
-					Attempts: attempt, Reason: "attempt bound exhausted",
-				}
-				if p.obs != nil {
-					p.obs.OnAbort(TxnEvent{Semantics: sem, Attempts: attempt, Label: p.label, Err: err})
-				}
-				return err
-			}
-			if p.obs != nil {
-				p.obs.OnWait(TxnEvent{Semantics: sem, Attempts: attempt, Label: p.label})
-			}
-			if !awaitChange(waitSet, &idle, done) {
-				cancelErr := &AbortError{
-					Sentinel: ErrCancelled, Cause: ctx.Err(), Semantics: sem,
-					Attempts: attempt, Reason: "context cancelled in retry wait",
-				}
-				if p.obs != nil {
-					p.obs.OnAbort(TxnEvent{Semantics: sem, Attempts: attempt, Label: p.label, Err: cancelErr})
-				}
-				return cancelErr
-			}
-			tx.cm.OnAbort(tx)
-			continue
 		} else {
+			if wait = errors.Is(err, ErrRetryWait); wait {
+				// Capture the read set before aborting, then sleep on
+				// it. The copy is load-bearing under pooling: the Txn
+				// (and its rset storage) may be recycled the moment this
+				// run ends, and must never escape into a wait list by
+				// alias.
+				waitSet = make([]readEntry, len(tx.rset))
+				copy(waitSet, tx.rset)
+			}
 			tx.Abort()
 		}
-		if !IsRetryable(err) {
-			if p.obs != nil {
-				p.obs.OnAbort(TxnEvent{Semantics: sem, Attempts: attempt, Label: p.label, Err: err})
-			}
-			return err
+		if !wait && !IsRetryable(err) {
+			return o.aborted(sem, attempt, err)
 		}
-		// Bound check BEFORE the contention manager's backoff: a run
-		// whose failure is already decided must not sleep one more
-		// backoff, and its one OnAbort carries the terminal error (not
-		// the retryable conflict) so observers see how the run ended.
-		if p.maxAttempts > 0 && attempt >= p.maxAttempts {
-			final := &AbortError{
+		// Bound check BEFORE the wait or the contention manager's
+		// backoff: a run whose failure is already decided must not
+		// sleep once more, and its one OnAbort carries the terminal
+		// error (not the retryable conflict) so observers see how the
+		// run ended.
+		if o.MaxAttempts > 0 && attempt >= o.MaxAttempts {
+			return o.aborted(sem, attempt, &AbortError{
 				Sentinel: ErrTooManyAttempts, Semantics: sem, Attempts: attempt,
 				ByRival: errors.Is(err, ErrKilled), Reason: "attempt bound exhausted",
-			}
-			if p.obs != nil {
-				p.obs.OnAbort(TxnEvent{Semantics: sem, Attempts: attempt, Label: p.label, Err: final})
-			}
-			return final
+			})
 		}
-		if p.obs != nil {
-			p.obs.OnAbort(TxnEvent{Semantics: sem, Attempts: attempt, Label: p.label, Err: err})
+		if !wait {
+			o.aborted(sem, attempt, err)
+		} else if o.Observer != nil {
+			o.Observer.OnWait(TxnEvent{Semantics: sem, Attempts: attempt, Label: o.Label})
+		}
+		if wait && !awaitChange(waitSet, &idle, done) {
+			return o.aborted(sem, attempt, &AbortError{
+				Sentinel: ErrCancelled, Cause: ctx.Err(), Semantics: sem,
+				Attempts: attempt, Reason: "context cancelled in retry wait",
+			})
 		}
 		tx.cm.OnAbort(tx)
 	}
+}
+
+// aborted reports an attempt's abort with err to the run's observer
+// and returns err.
+func (o *RunOptions) aborted(sem Semantics, attempts int, err error) error {
+	if o.Observer != nil {
+		o.Observer.OnAbort(TxnEvent{Semantics: sem, Attempts: attempts, Label: o.Label, Err: err})
+	}
+	return err
 }

@@ -40,12 +40,12 @@ type writeEntry struct {
 }
 
 // Txn is one transaction. A Txn value is reused across the attempts of
-// one Engine.Run call (so karma and birth order persist), but each
+// one Engine.RunOpts call (so karma and birth order persist), but each
 // attempt gets a fresh id, read timestamp, and read/write sets via
 // begin. Txn is not safe for concurrent use by multiple goroutines; the
 // paper's model runs each operation on one process.
 //
-// Txns created by the Run family are pooled: when the run ends the Txn
+// Txns driven by RunOpts are pooled: when the run ends the Txn
 // is scrubbed (recycle) and returned to the engine's pool, so the
 // common transaction costs no allocation at all. The corollary is the
 // reuse contract: a transaction body must not retain its *Txn (or any

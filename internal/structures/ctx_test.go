@@ -123,17 +123,6 @@ func TestStructureCtxForms(t *testing.T) {
 		t.Fatalf("skipmap RangeCtx: %v %v", kvs, err)
 	}
 
-	d := NewTDeque[int](tm)
-	if err := d.PushFrontCtx(bg, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.PushBackCtx(dead, 2); !errors.Is(err, stm.ErrCancelled) {
-		t.Fatalf("deque PushBackCtx(dead): %v", err)
-	}
-	if v, ok, err := d.PopBackCtx(bg); err != nil || !ok || v != 1 {
-		t.Fatalf("deque PopBackCtx: %v %v %v", v, ok, err)
-	}
-
 	if err := q0(tm, dead); err == nil {
 		t.Fatal("queue EnqueueCtx(dead) succeeded")
 	}

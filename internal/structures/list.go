@@ -2,12 +2,12 @@
 // paper's introduction motivates, built purely on the polymorphic
 // transaction API of internal/core: a sorted linked list, a hash table
 // that — unlike Michael's lock-free one — supports resize, a skip list,
-// an ordered string map over the same skip-list core, a FIFO queue and a
-// double-ended queue. The integer sets take an operation semantics at
-// construction, so the same code runs monomorphically (Def everywhere:
-// what a classical STM gives you) or polymorphically (Weak searches that
-// elastically cut their read prefix, exactly Figure 1's p1); the map
-// takes one per operation.
+// an ordered string map over the same skip-list core, and a FIFO queue.
+// The integer sets take an operation semantics at construction, so the
+// same code runs monomorphically (Def everywhere: what a classical STM
+// gives you) or polymorphically (Weak searches that elastically cut
+// their read prefix, exactly Figure 1's p1); the map takes one per
+// operation.
 //
 // Every operation runs in a transaction and retries internally on
 // conflict; operations therefore compose: call them inside an enclosing
