@@ -1,5 +1,5 @@
-// Benchmark harness: one benchmark family per experiment in the
-// EXPERIMENTS.md index. Run everything with
+// Benchmark harness: one benchmark family per experiment README
+// "Running things" lists. Run everything with
 //
 //	go test -bench=. -benchmem
 //

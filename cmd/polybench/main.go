@@ -1,11 +1,12 @@
-// Command polybench runs the throughput experiments of EXPERIMENTS.md
-// from the shell: the integer-set micro-benchmarks (B1 list, B3 skip
-// list), the resize experiment (B2), the snapshot-scan experiment (B4),
-// the contention-manager ablation (B5), the engine-scalability
-// experiment (B7), and the loopback polyserve experiments the ledger
-// (bench/) has not absorbed yet: replica, recover, session, reshard. The
-// plain GET/SCAN/SET server mix is the ledger's: bash bench/run.sh
-// --workload kv-read-mostly | kv-durable-write | txn-zipf-2pc.
+// Command polybench runs the throughput experiments listed in README
+// "Running things" from the shell: the integer-set micro-benchmarks
+// (B1 list, B3 skip list), the resize experiment (B2), the
+// snapshot-scan experiment (B4), the contention-manager ablation (B5),
+// the engine-scalability experiment (B7), and the loopback polyserve
+// experiments the ledger (bench/) has not absorbed yet: replica,
+// recover, session, reshard. The plain GET/SCAN/SET server mix is the
+// ledger's: bash bench/run.sh --workload kv-read-mostly |
+// kv-durable-write | txn-zipf-2pc.
 //
 // Usage:
 //
@@ -31,9 +32,9 @@
 // -bench recover is the checkpoint + restart-cost experiment behind
 // incremental checkpoints: a -recover-keys store is filled, base-
 // checkpointed, churned at 1% and 10%, checkpointed again under the
-// full-only policy (-ckpt-max-chain <= 0 equivalent) and the
-// incremental default, then closed and re-opened with the recovery
-// wall time measured. JSON rows carry churn_pct, ckpt_bytes (the
+// full-only policy (Durability.MaxChain < 0) and the incremental
+// default, then closed and re-opened with the recovery wall time
+// measured. JSON rows carry churn_pct, ckpt_bytes (the
 // churn checkpoint's cost), base_bytes, and restart_sec — the claim
 // under test is that the incremental ckpt_bytes track churn while the
 // full ones track keyspace size.
@@ -300,6 +301,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "polybench: bad mix: -get-pct %d -scan-pct %d (must be >= 0 and sum <= 100)\n",
 			*getPct, *scanPct)
 		os.Exit(2)
+	}
+	if *storeShards <= 0 {
+		*storeShards = min(runtime.GOMAXPROCS(0), 16)
 	}
 	mix := workload.Mix{UpdatePct: *updates, KeyRange: *keyRange}
 	base := harness.Config{Duration: *dur, Mix: mix, Seed: *seed}
@@ -721,12 +725,6 @@ type kvConn interface {
 // in the read-split rows the follower absorbs the read transactions,
 // which is the point.
 func benchReplica(ctx context.Context, rep *report, base harness.Config, workers []int, shards, storeShards, getPct, scanPct int, scanLimit uint64, fsync string) {
-	if storeShards <= 0 {
-		storeShards = runtime.GOMAXPROCS(0)
-		if storeShards > 16 {
-			storeShards = 16
-		}
-	}
 	mode := wal.ModeBatch
 	if fsync != "" {
 		m, err := wal.ParseMode(fsync)
@@ -959,12 +957,6 @@ func benchReplicaVariant(ctx context.Context, rep *report, base harness.Config, 
 //     reaper; rows carry keys_expired and the deadlines still armed at
 //     window close, showing reap keeping pace with arming.
 func benchSession(ctx context.Context, rep *report, base harness.Config, workers []int, shards, storeShards int) {
-	if storeShards <= 0 {
-		storeShards = runtime.GOMAXPROCS(0)
-		if storeShards > 16 {
-			storeShards = 16
-		}
-	}
 	rep.printf("== B13: session layer (watch fan-out, INCR contention, TTL churn), store-shards %d ==\n", storeShards)
 	for _, w := range workers {
 		if ctx.Err() != nil {
@@ -1278,12 +1270,6 @@ func benchSessionTTL(ctx context.Context, rep *report, base harness.Config, w, s
 // hot shard raises post-split throughput by halving the keyspace
 // behind its irrevocable token and fsync queue.
 func benchReshard(ctx context.Context, rep *report, base harness.Config, workers []int, shards, storeShards, getPct, scanPct int, scanLimit uint64) {
-	if storeShards <= 0 {
-		storeShards = runtime.GOMAXPROCS(0)
-		if storeShards > 16 {
-			storeShards = 16
-		}
-	}
 	rep.printf("== B14: online SPLIT of the hot shard under zipfian skew, %d%% GET / %d%% SCAN / %d%% SET, range %d, store-shards %d ==\n",
 		getPct, scanPct, 100-getPct-scanPct, base.Mix.KeyRange, storeShards)
 	for _, w := range workers {

@@ -17,8 +17,9 @@
 // and — when durable — write-ahead log. Single-key requests route to
 // one shard; MGET/SCAN fan out and merge; a TXN spanning shards (and
 // FLUSH) commits through a 2PC protocol riding the per-shard
-// irrevocable tokens. A durable directory pins its shard count
-// (MANIFEST); reopening it adopts the pinned count over the flag.
+// irrevocable tokens. The flag only sizes a store that starts empty: a
+// durable directory's MANIFEST pins the routing table its logs were
+// written under, and a follower takes its primary's.
 //
 // With -wal-dir the server is durable: it recovers each shard's
 // newest valid checkpoint plus its write-ahead-log tail on startup
@@ -29,15 +30,16 @@
 // the keyspace in the background every -checkpoint-every, truncating
 // the logs. Checkpoints are incremental: after a full base, each pass
 // writes only the keys dirtied since the last one (a delta chained to
-// the base), compacting back to a full base once the chain reaches
-// -ckpt-max-chain deltas or -ckpt-compact-ratio of the base's bytes —
-// so steady-state checkpoint I/O tracks churn, not keyspace size.
+// the base), compacting back to a full base once the chain reaches 8
+// deltas or half the base's bytes — so steady-state checkpoint I/O
+// tracks churn, not keyspace size.
 //
 // With -repl a durable server streams its per-shard WAL to followers
 // over SUBSCRIBE-WAL connections (-repl-sync additionally gates each
 // durable write ack on a follower ack). With -follow the server runs
-// as a follower instead: it adopts the primary's shard count, catches
-// up from a snapshot, applies the shipped log in commit order, serves
+// as a follower instead: it redials the primary until one answers,
+// adopts the primary's routing table, catches up from a snapshot,
+// applies the shipped log in commit order, serves
 // GET/MGET/SCAN locally, and rejects writes with a typed redirect
 // carrying the primary's address. SIGUSR1 promotes a follower to
 // primary: pending cross-shard prepares resolve against the shipped
@@ -73,7 +75,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":7535", "listen address")
 	shards := flag.Int("shards", 0, "engine shard count (0 = GOMAXPROCS default)")
-	storeShards := flag.Int("store-shards", 0, "keyspace shard count (0 = derive from GOMAXPROCS, derived default capped at 16; explicit values are honored as given; a durable directory's pinned count wins)")
+	storeShards := flag.Int("store-shards", 0, "keyspace shard count of a store that starts empty (0 = derive from GOMAXPROCS, derived default capped at 16; explicit values are honored as given; a durable directory's MANIFEST or a primary's topology wins)")
 	nesting := flag.String("nesting", "strongest", "nesting-composition policy: strongest, param, parent")
 	maxConns := flag.Int("max-conns", 1024, "max concurrently served connections")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
@@ -81,8 +83,6 @@ func main() {
 	walDir := flag.String("wal-dir", "", "write-ahead-log directory (empty = no durability)")
 	fsync := flag.String("fsync", "batch", "wal fsync policy: always, batch, off")
 	ckptEvery := flag.Duration("checkpoint-every", time.Minute, "background checkpoint cadence (<0 disables)")
-	ckptMaxChain := flag.Int("ckpt-max-chain", 8, "max delta checkpoints per base before compacting to a full one (<=0 = full checkpoints only)")
-	ckptRatio := flag.Float64("ckpt-compact-ratio", 0.5, "compact the chain once accumulated delta bytes exceed this fraction of the base")
 	replicate := flag.Bool("repl", false, "serve replication feeds to followers (requires -wal-dir)")
 	replSync := flag.Bool("repl-sync", false, "gate durable-write acks on a follower ack (implies -repl)")
 	follow := flag.String("follow", "", "run as a follower of this primary address (serves reads, rejects writes; SIGUSR1 promotes)")
@@ -111,51 +111,18 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Resolve the keyspace shard count: the flag, else one shard per
-	// core (capped — shards beyond the parallelism on the box only cost
-	// fan-out). A durable directory pins the count its logs were
-	// written with (keys hash to shards), so an existing directory's
-	// pinned count overrides the flag rather than refusing to start.
+	// Resolve the keyspace shard count of a fresh store: the flag, else
+	// one shard per core (capped — shards beyond the parallelism on the
+	// box only cost fan-out).
 	nStore := *storeShards
 	if nStore <= 0 {
-		nStore = runtime.GOMAXPROCS(0)
-		if nStore > 16 {
-			nStore = 16
-		}
+		nStore = min(runtime.GOMAXPROCS(0), 16)
 	} else if nStore > 16 {
 		// Explicit counts are honored as given — the 16 cap only tames
 		// the derived default on very wide boxes. Past it, fan-out ops
 		// (MGET/SCAN/FLUSH/2PC) touch every shard, so warn.
-		log.Printf("polyserve: -store-shards %d exceeds the derived-default cap of 16 — honoring it; expect wider fan-outs (and a MANIFEST pinned to %d)",
-			nStore, nStore)
-	}
-	// A follower's shard count must match its primary's — keys hash to
-	// shards, and the feed is per-shard. Probe the primary's STATS for
-	// its count and adopt it (retrying briefly: the pair may be starting
-	// together).
-	if *follow != "" {
-		pinned, err := probePrimaryShards(*follow, 30*time.Second)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "polyserve: probing primary %s: %v\n", *follow, err)
-			os.Exit(1)
-		}
-		if pinned != nStore {
-			log.Printf("polyserve: primary %s has %d store shards — adopting it (flags asked for %d)",
-				*follow, pinned, nStore)
-			nStore = pinned
-		}
-	}
-	if *walDir != "" {
-		pinned, err := server.WALShardCount(*walDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "polyserve: %v\n", err)
-			os.Exit(1)
-		}
-		if pinned != 0 && pinned != nStore {
-			log.Printf("polyserve: %s is pinned to %d store shards — adopting it (flags asked for %d)",
-				*walDir, pinned, nStore)
-			nStore = pinned
-		}
+		log.Printf("polyserve: -store-shards %d exceeds the derived-default cap of 16 — honoring it; expect wider fan-outs",
+			nStore)
 	}
 
 	cfg := server.Config{
@@ -177,24 +144,18 @@ func main() {
 			fmt.Fprintf(os.Stderr, "polyserve: %v\n", err)
 			os.Exit(2)
 		}
-		maxChain := *ckptMaxChain
-		if maxChain <= 0 {
-			maxChain = -1 // full checkpoints only
-		}
 		res, err := srv.Store().EnableDurability(server.Durability{
 			Dir:             *walDir,
 			Fsync:           mode,
 			CheckpointEvery: *ckptEvery,
-			MaxChain:        maxChain,
-			CompactRatio:    *ckptRatio,
 			Logf:            log.Printf,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "polyserve: durability: %v\n", err)
 			os.Exit(1)
 		}
-		log.Printf("polyserve: durable on %s (fsync=%s, checkpoint-every=%v, ckpt-max-chain=%d, ckpt-compact-ratio=%g) — recovered: %s",
-			*walDir, mode, *ckptEvery, maxChain, *ckptRatio, res)
+		log.Printf("polyserve: durable on %s (fsync=%s, checkpoint-every=%v, store-shards=%d) — recovered: %s",
+			*walDir, mode, *ckptEvery, srv.Store().NumShards(), res)
 	}
 
 	switch {
@@ -329,38 +290,4 @@ func runReshardAdmin(addr string, split int, merge string) int {
 	}
 	fmt.Printf("MERGE shards %d,%d ok: routing epoch %d\n", a, b, epoch)
 	return 0
-}
-
-// probePrimaryShards asks the primary's STATS for its store-shard
-// count, retrying (the pair may be racing each other up) until the
-// budget runs out.
-func probePrimaryShards(addr string, budget time.Duration) (int, error) {
-	deadline := time.Now().Add(budget)
-	var lastErr error
-	for {
-		n, err := func() (int, error) {
-			cl, err := client.Dial(addr, client.WithPoolSize(1), client.WithDialTimeout(2*time.Second))
-			if err != nil {
-				return 0, err
-			}
-			defer cl.Close()
-			stats, err := cl.Stats()
-			if err != nil {
-				return 0, err
-			}
-			n, ok := stats["store_shards"]
-			if !ok || n == 0 {
-				return 0, fmt.Errorf("primary reported no store_shards")
-			}
-			return int(n), nil
-		}()
-		if err == nil {
-			return n, nil
-		}
-		lastErr = err
-		if time.Now().After(deadline) {
-			return 0, lastErr
-		}
-		time.Sleep(500 * time.Millisecond)
-	}
 }

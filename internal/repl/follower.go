@@ -29,9 +29,10 @@ type FollowerStore interface {
 	// the follower's per-shard positions are comparable to its own.
 	RoutingEpoch() uint64
 	// AdoptRouting reshapes the store to the primary's published routing
-	// table (from the TOPOLOGY frame a subscription opens with). Equal
-	// epochs are a no-op; an older epoch is an error.
-	AdoptRouting(epoch uint64, topo []wire.ReplShardSlice) error
+	// table (from the TOPOLOGY frame a subscription opens with) and
+	// reports whether it did. A table of the same epoch and shape is a
+	// no-op; an older epoch is an error.
+	AdoptRouting(epoch uint64, topo []wire.ReplShardSlice) (bool, error)
 }
 
 // FollowerConfig parameterizes StartFollower.
@@ -256,35 +257,29 @@ func (f *Follower) finishCatchUp(frame *wire.ReplFrame) {
 }
 
 // adoptTopology handles the TOPOLOGY frame a subscription opens with.
-// At the epoch the store already embodies it only verifies the shape;
-// at a newer epoch it reshapes the store, resets every per-shard
-// position (table positions are meaningless across a reshard — the
-// primary will send full catch-ups), and resizes the link state.
+// When the store's table differs from the frame's — in epoch or in
+// shape — the store reshapes, and every per-shard position resets
+// (table positions are meaningless across a reshape — the primary will
+// send full catch-ups) along with the link state's size.
 func (f *Follower) adoptTopology(frame *wire.ReplFrame) error {
-	n := len(frame.Topo)
-	if n == 0 {
-		return fmt.Errorf("repl: TOPOLOGY frame with no shards")
+	reshaped, err := f.cfg.Store.AdoptRouting(frame.Epoch, frame.Topo)
+	if err != nil {
+		return fmt.Errorf("repl: adopting routing epoch %d: %w", frame.Epoch, err)
 	}
-	if frame.Epoch == f.cfg.Store.RoutingEpoch() {
-		if n != f.nshards {
-			return fmt.Errorf("repl: primary has %d shards at epoch %d, follower store has %d — shard counts must match", n, frame.Epoch, f.nshards)
-		}
-	} else {
-		if err := f.cfg.Store.AdoptRouting(frame.Epoch, frame.Topo); err != nil {
-			return fmt.Errorf("repl: adopting routing epoch %d: %w", frame.Epoch, err)
-		}
-		f.mu.Lock()
+	n := len(frame.Topo)
+	f.mu.Lock()
+	if reshaped {
 		f.shards = make([]followerShard, n)
 		f.primaryInc = 0 // old positions are void; the next HELLO asks for full catch-ups
-		f.mu.Unlock()
-		f.nshards = n
-		f.logf("repl: adopted routing epoch %d (%d shards)", frame.Epoch, n)
 	}
-	f.mu.Lock()
 	for i := range f.shards {
 		f.shards[i].id = int(frame.Topo[i].ID)
 	}
 	f.mu.Unlock()
+	if reshaped {
+		f.nshards = n
+		f.logf("repl: adopted routing epoch %d (%d shards)", frame.Epoch, n)
+	}
 	return nil
 }
 

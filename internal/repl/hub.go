@@ -41,6 +41,12 @@ type PrimaryStore interface {
 	CatchUp(ctx context.Context, shard int, applied uint64, emit func(wal.Op) error) (delta bool, err error)
 }
 
+// maxFeedBuffer caps one follower's live-tail buffer in payload bytes.
+// A follower that falls further behind than the buffer holds is cut off
+// and re-runs full catch-up on reconnect — bounded memory beats an
+// unbounded queue to a dead-slow peer.
+const maxFeedBuffer = 64 << 20
+
 // HubConfig parameterizes a Hub.
 type HubConfig struct {
 	// Timeouts is the link's per-phase budget set.
@@ -48,11 +54,6 @@ type HubConfig struct {
 	// SyncAck makes WaitAcked meaningful: the server gates durable-write
 	// acknowledgement on a follower ack covering the record.
 	SyncAck bool
-	// MaxBuffer caps one follower's live-tail buffer in payload bytes
-	// (0 = 64MB). A follower that falls further behind than the buffer
-	// holds is cut off and re-runs full catch-up on reconnect — bounded
-	// memory beats an unbounded queue to a dead-slow peer.
-	MaxBuffer int
 	// Logf, when non-nil, receives feed diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -64,7 +65,6 @@ type Hub struct {
 	store   PrimaryStore
 	tm      Timeouts
 	syncAck bool
-	maxBuf  int
 	logf    func(string, ...any)
 
 	mu     sync.Mutex
@@ -83,14 +83,10 @@ type Hub struct {
 
 // NewHub creates a hub over store.
 func NewHub(store PrimaryStore, cfg HubConfig) *Hub {
-	if cfg.MaxBuffer <= 0 {
-		cfg.MaxBuffer = 64 << 20
-	}
 	return &Hub{
 		store:   store,
 		tm:      cfg.Timeouts.WithDefaults(),
 		syncAck: cfg.SyncAck,
-		maxBuf:  cfg.MaxBuffer,
 		logf:    cfg.Logf,
 		feeds:   make(map[*feed]struct{}),
 		acked:   make([]uint64, store.NumShards()),
@@ -356,9 +352,9 @@ func (f *feed) offer(shard int, seq uint64, payload []byte) {
 		return
 	}
 	f.mu.Lock()
-	if f.bufBytes+len(payload) > f.h.maxBuf {
+	if f.bufBytes+len(payload) > maxFeedBuffer {
 		f.mu.Unlock()
-		f.link.Cut(fmt.Errorf("repl: follower %d fell behind (buffer over %d bytes)", f.id, f.h.maxBuf))
+		f.link.Cut(fmt.Errorf("repl: follower %d fell behind (buffer over %d bytes)", f.id, maxFeedBuffer))
 		return
 	}
 	f.buf = append(f.buf, shipRec{shard: shard, seq: seq, payload: payload})

@@ -217,14 +217,19 @@ func (ff *fakeFollower) ResumeEpoch(e uint64) {
 
 func (ff *fakeFollower) RoutingEpoch() uint64 { return 0 }
 
-func (ff *fakeFollower) AdoptRouting(epoch uint64, topo []wire.ReplShardSlice) error {
+// AdoptRouting reshapes when the shard count differs: the fake keeps
+// no slices, so the count is its whole shape.
+func (ff *fakeFollower) AdoptRouting(epoch uint64, topo []wire.ReplShardSlice) (bool, error) {
 	ff.mu.Lock()
 	defer ff.mu.Unlock()
+	if len(topo) == len(ff.maps) {
+		return false, nil
+	}
 	ff.maps = make([]map[string]string, len(topo))
 	for i := range ff.maps {
 		ff.maps[i] = make(map[string]string)
 	}
-	return nil
+	return true, nil
 }
 
 func (ff *fakeFollower) snapshot(shard int) map[string]string {

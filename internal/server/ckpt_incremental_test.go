@@ -15,7 +15,7 @@ import (
 )
 
 // newDurableCfg is newDurable with full control over the checkpoint
-// policy knobs (MaxChain, CompactRatio).
+// policy knobs (MaxChain, compactRatio).
 func newDurableCfg(t *testing.T, d Durability) (*Store, *wal.RecoverResult) {
 	t.Helper()
 	st := NewStore(core.NewDefault())
@@ -172,7 +172,7 @@ func TestCheckpointChainCompaction(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	st, _ := newDurableCfg(t, Durability{Dir: dir, Fsync: wal.ModeOff, CheckpointEvery: -1,
-		MaxChain: 2, CompactRatio: 1e9})
+		MaxChain: 2, compactRatio: 1e9})
 	defer st.CloseDurability()
 
 	fillKeys(t, st, 50, func(i int) string { return "v0" })
@@ -209,11 +209,11 @@ func TestCheckpointChainCompaction(t *testing.T) {
 }
 
 // TestCheckpointRatioCompaction: the byte-ratio bound compacts as soon
-// as accumulated delta bytes cross CompactRatio x base bytes.
+// as accumulated delta bytes cross compactRatio x base bytes.
 func TestCheckpointRatioCompaction(t *testing.T) {
 	ctx := context.Background()
 	st, _ := newDurableCfg(t, Durability{Dir: t.TempDir(), Fsync: wal.ModeOff, CheckpointEvery: -1,
-		MaxChain: 100, CompactRatio: 1e-12})
+		MaxChain: 100, compactRatio: 1e-12})
 	defer st.CloseDurability()
 
 	fillKeys(t, st, 50, func(i int) string { return "v0" })

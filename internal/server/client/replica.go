@@ -18,21 +18,16 @@ type ReplicaSetConfig struct {
 	PoolSize int
 	// DialTimeout bounds each connection dial (default 5s).
 	DialTimeout time.Duration
-	// IdlePing, when positive, health-checks pooled connections idle
-	// longer than this before reuse (see WithIdlePing).
-	IdlePing time.Duration
-	// MaxHops bounds one write's redirect/failover chain: how many
-	// endpoints it may try before giving up (default 6).
-	MaxHops int
 	// RetryMin/RetryMax shape the backoff between failover attempts
 	// (defaults 50ms/1s, doubling).
 	RetryMin, RetryMax time.Duration
 }
 
+// maxHops bounds one write's redirect/failover chain: how many
+// endpoints it may try before giving up.
+const maxHops = 6
+
 func (c ReplicaSetConfig) withDefaults() ReplicaSetConfig {
-	if c.MaxHops <= 0 {
-		c.MaxHops = 6
-	}
 	if c.RetryMin <= 0 {
 		c.RetryMin = 50 * time.Millisecond
 	}
@@ -88,7 +83,7 @@ func (e *endpoint) drop() {
 //     redirect is followed to the address it names; a transport error
 //     triggers failover — the set walks its known endpoints with
 //     backoff until one accepts the request (a promoted follower) —
-//     both bounded by MaxHops.
+//     both bounded by maxHops.
 //
 // The consistency contract matches the server's: replica reads are
 // prefix-consistent snapshots (possibly slightly stale), exactly what
@@ -122,9 +117,6 @@ func DialReplicaSet(primary string, replicas []string, cfg ReplicaSetConfig) (*R
 	}
 	if cfg.DialTimeout > 0 {
 		opts = append(opts, WithDialTimeout(cfg.DialTimeout))
-	}
-	if cfg.IdlePing > 0 {
-		opts = append(opts, WithIdlePing(cfg.IdlePing, 0))
 	}
 	rs := &ReplicaSet{cfg: cfg, opts: opts}
 	rs.send = rs.route
@@ -241,11 +233,11 @@ func (rs *ReplicaSet) route(ctx context.Context, req *wire.Request) (*wire.Respo
 
 // write sends one request to the primary, following
 // NotPrimary redirects and failing over past dead endpoints, bounded
-// by MaxHops.
+// by maxHops.
 func (rs *ReplicaSet) write(ctx context.Context, req *wire.Request) (*wire.Response, error) {
 	var lastErr error
 	delay := rs.cfg.RetryMin
-	for hop := 0; hop < rs.cfg.MaxHops; hop++ {
+	for hop := 0; hop < maxHops; hop++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -284,7 +276,7 @@ func (rs *ReplicaSet) write(ctx context.Context, req *wire.Request) (*wire.Respo
 			delay = rs.cfg.RetryMax
 		}
 	}
-	return nil, fmt.Errorf("client: no reachable primary after %d attempts: %w", rs.cfg.MaxHops, lastErr)
+	return nil, fmt.Errorf("client: no reachable primary after %d attempts: %w", maxHops, lastErr)
 }
 
 // read sends one snapshot-class request to a replica (round-robin),

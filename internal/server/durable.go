@@ -17,7 +17,7 @@ import (
 // Durability configures a Store's write-ahead log. A sharded store
 // owns one log per shard, laid out under Dir:
 //
-//	Dir/MANIFEST              pins the shard count the logs were written with
+//	Dir/MANIFEST              pins the routing table the logs were written under
 //	Dir/shard-0000/wal-*.log  shard 0's segments and checkpoints
 //	Dir/shard-0001/...        ...
 //
@@ -44,17 +44,17 @@ type Durability struct {
 	// disables incremental checkpoints entirely — every checkpoint is a
 	// full base, the pre-chain behaviour.
 	MaxChain int
-	// CompactRatio bounds each chain's delta-bytes/base-bytes ratio:
-	// once the chain's accumulated delta bytes reach CompactRatio × the
-	// base's bytes, the next checkpoint compacts into a full base.
-	// 0 picks the default (0.5).
-	CompactRatio float64
 	// Logf, when non-nil, receives recovery/checkpoint diagnostics.
 	Logf func(format string, args ...any)
 
 	// onDurableRecord is plumbed through to wal.Options.OnDurableRecord
 	// on every shard's log. Crash tests inject kill points through it.
 	onDurableRecord func(firstByte byte)
+	// compactRatio bounds each chain's delta-bytes/base-bytes ratio:
+	// once the chain's accumulated delta bytes reach compactRatio × the
+	// base's bytes, the next checkpoint compacts into a full base.
+	// 0 picks the default (0.5); tests move it to isolate one trigger.
+	compactRatio float64
 }
 
 // RecoverSummary is what EnableDurability reconstructed: one
@@ -105,50 +105,6 @@ func shardWALDir(dir string, i, n int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%04d", i))
 }
 
-// WALShardCount inspects a durable directory and reports the shard
-// count its logs were written with: the MANIFEST's pinned count (v1 or
-// the epoch-versioned v2 a reshard writes), the number of shard-*
-// subdirectories when the manifest is missing, 1 for a pre-manifest
-// layout (wal files at the root), or 0 for a fresh or absent
-// directory. polyserve uses it to adopt an existing directory's
-// sharding instead of refusing to start over a flag mismatch.
-func WALShardCount(dir string) (int, error) {
-	m, err := openManifest(dir)
-	if err != nil {
-		return 0, err
-	}
-	if m != nil {
-		return len(m.Shards), nil
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	shardDirs := 0
-	legacy := false
-	for _, e := range entries {
-		name := e.Name()
-		switch {
-		case e.IsDir() && strings.HasPrefix(name, "shard-"):
-			shardDirs++
-		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log"),
-			strings.HasPrefix(name, "checkpoint-") && strings.HasSuffix(name, ".ckpt"):
-			legacy = true
-		}
-	}
-	switch {
-	case shardDirs > 0:
-		return shardDirs, nil
-	case legacy:
-		return 1, nil
-	default:
-		return 0, nil
-	}
-}
-
 // EnableDurability attaches one write-ahead log per shard to the
 // store: it recovers the directory's durable state INTO the store,
 // then routes every subsequent mutation through its shard's log and
@@ -156,11 +112,11 @@ func WALShardCount(dir string) (int, error) {
 // store serves traffic, and pairs with CloseDurability.
 //
 // The directory's MANIFEST records the routing table its logs were
-// written under, and the store adopts it: keys hash to shards, so the
-// logs only make sense under that table. The store must be built with
-// the manifest's shard count (a mismatch is an error naming it;
-// WALShardCount lets callers adopt it up front); SPLIT and MERGE
-// change the count afterwards and rewrite the MANIFEST with it.
+// written under, and the store adopts it whatever shard count it was
+// built with: keys hash to shards, so the logs only make sense under
+// that table. The constructor's count only sizes a fresh directory;
+// SPLIT and MERGE change the count afterwards and rewrite the MANIFEST
+// with it.
 //
 // On any error every log opened so far is closed and detached again.
 func (s *Store) EnableDurability(d Durability) (sum *RecoverSummary, err error) {
@@ -170,12 +126,11 @@ func (s *Store) EnableDurability(d Durability) (sum *RecoverSummary, err error) 
 	if d.Dir == "" {
 		return nil, fmt.Errorf("server: durability needs a directory")
 	}
-	n := s.NumShards()
-	man, err := pinManifest(d.Dir, n)
+	man, err := pinManifest(d.Dir, s.NumShards())
 	if err != nil {
 		return nil, err
 	}
-	s.walDir, s.walOpts, s.logf = d.Dir, d.walOptions(n), d.Logf
+	s.walDir, s.walOpts, s.logf = d.Dir, d.walOptions(len(man.Shards)), d.Logf
 
 	tab, results, err := s.openShards(man)
 	defer func() {
@@ -215,7 +170,7 @@ func (s *Store) EnableDurability(d Durability) (sum *RecoverSummary, err error) 
 	if s.ckptMaxChain == 0 {
 		s.ckptMaxChain = 8
 	}
-	s.ckptRatio = d.CompactRatio
+	s.ckptRatio = d.compactRatio
 	if s.ckptRatio == 0 {
 		s.ckptRatio = 0.5
 	}
@@ -244,24 +199,36 @@ func (s *Store) EnableDurability(d Durability) (sum *RecoverSummary, err error) 
 	return sum, nil
 }
 
-// pinManifest reads dir's MANIFEST for a store of n shards; a fresh
-// directory is created and pinned to the n-shard v1 layout.
+// pinManifest reads dir's MANIFEST. Without one, the directory is
+// pinned to the v1 layout: one shard when its logs sit at the root (the
+// layout earlier releases wrote), n shards when it is fresh. Shard
+// directories without a MANIFEST are refused: the slices their logs
+// were written under are unknown, and guessing scatters keys.
 func pinManifest(dir string, n int) (*storeManifest, error) {
 	man, err := openManifest(dir)
-	if err != nil {
+	if man != nil || err != nil {
+		return man, err
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
-	if man != nil && len(man.Shards) != n {
-		return nil, fmt.Errorf("server: %s holds a %d-shard log but the store has %d shards — restart with -store-shards=%d, or point at a fresh directory", dir, len(man.Shards), n, len(man.Shards))
+	for _, e := range entries {
+		name := e.Name()
+		switch {
+		case e.IsDir() && strings.HasPrefix(name, "shard-"):
+			return nil, fmt.Errorf("server: %s holds %s but no %s — restore the %s or point at a fresh directory",
+				dir, name, manifestName, manifestName)
+		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log"),
+			strings.HasPrefix(name, "checkpoint-") && strings.HasSuffix(name, ".ckpt"):
+			n = 1
+		}
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	if man == nil {
-		man = legacyManifest(n)
-		err = writeStoreManifest(dir, man)
-	}
-	return man, err
+	man = legacyManifest(n)
+	return man, writeStoreManifest(dir, man)
 }
 
 // walOptions renders d as the options every shard's log opens with.
@@ -280,20 +247,28 @@ func (d Durability) walOptions(n int) wal.Options {
 	return wal.Options{Mode: d.Fsync, BatchWindow: window, Logf: d.Logf, OnDurableRecord: d.onDurableRecord}
 }
 
-// openShards adopts the manifest's table onto the store's shards —
-// stable ids, hash slices, next id; a fresh or never-resharded
-// directory matches the constructor's defaults exactly — and recovers
-// every shard's log into its shard, all shards in parallel. Results are
+// openShards adopts the manifest's table onto the store — stable ids,
+// hash slices, next id; a fresh or never-resharded directory matches an
+// equally sized constructor's defaults exactly — and recovers every
+// shard's log into its shard, all shards in parallel. The store is
+// empty before recovery, so a shard the manifest lacks is dropped and
+// one it adds is built with the store's engine constructor. Results are
 // keyed by stable shard id. The table comes back on error too: the
 // caller's cleanup walks it.
 func (s *Store) openShards(man *storeManifest) (*routingTable, map[int]*wal.RecoverResult, error) {
-	shards := append([]*shard(nil), s.tab().shards...)
+	built := s.tab().shards
+	shards := make([]*shard, len(man.Shards))
 	slices := make([]hashSlice, len(shards))
 	res := make([]*wal.RecoverResult, len(shards))
 	errs := make([]error, len(shards))
 	var wg sync.WaitGroup
 	for i, e := range man.Shards {
-		shards[i].idx = e.ID
+		if i < len(built) {
+			shards[i] = built[i]
+			shards[i].idx = e.ID
+		} else {
+			shards[i] = s.newShard(e.ID, s.mkTM())
+		}
 		slices[i] = hashSlice{mod: e.Mod, res: e.Res}
 		wg.Add(1)
 		go func() {

@@ -304,14 +304,8 @@ type ReplConfig struct {
 	// follower ack covering the record. Degrades to local-durability
 	// acks while no follower is connected.
 	SyncAck bool
-	// Timeouts is the link's per-phase budget set (zero fields take
-	// repl defaults).
-	Timeouts repl.Timeouts
 	// Backoff is the follower's reconnection policy.
 	Backoff repl.Backoff
-	// MaxBuffer caps one follower feed's live-tail buffer (primary;
-	// 0 = repl default).
-	MaxBuffer int
 }
 
 // EnableReplication wires the server into a replication topology. As a
@@ -330,11 +324,10 @@ func (s *Server) EnableReplication(cfg ReplConfig) error {
 	}
 	s.store.BecomeFollower(cfg.Follow)
 	fl, err := repl.StartFollower(repl.FollowerConfig{
-		Primary:  cfg.Follow,
-		Store:    s.store,
-		Timeouts: cfg.Timeouts,
-		Backoff:  cfg.Backoff,
-		Logf:     s.cfg.Logf,
+		Primary: cfg.Follow,
+		Store:   s.store,
+		Backoff: cfg.Backoff,
+		Logf:    s.cfg.Logf,
 	})
 	if err != nil {
 		return err
@@ -350,10 +343,8 @@ func (s *Server) startHubLocked() error {
 		return errors.New("server: replication primary needs a durable store (the feed streams the WAL)")
 	}
 	h := repl.NewHub(s.store, repl.HubConfig{
-		Timeouts:  s.replCfg.Timeouts,
-		SyncAck:   s.replCfg.SyncAck,
-		MaxBuffer: s.replCfg.MaxBuffer,
-		Logf:      s.cfg.Logf,
+		SyncAck: s.replCfg.SyncAck,
+		Logf:    s.cfg.Logf,
 	})
 	s.hub = h
 	s.store.setReplCounters(h.Counters)

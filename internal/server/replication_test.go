@@ -773,3 +773,108 @@ func TestShutdownCutsLiveLinks(t *testing.T) {
 		t.Fatal("watcher did not see its session end")
 	}
 }
+
+// keysHeldOnce returns every key st's shards hold, failing the test if
+// any key sits in more than one shard.
+func keysHeldOnce(t *testing.T, st *Store) map[string]string {
+	t.Helper()
+	got := map[string]string{}
+	for _, sh := range st.tab().shards {
+		err := sh.m.SnapshotAllCtx(context.Background(), func(k, v string) error {
+			if _, dup := got[k]; dup {
+				return fmt.Errorf("key %q held by two shards", k)
+			}
+			got[k] = v
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return got
+}
+
+// TestFollowerAdoptsPrimaryShape: a follower built with another shard
+// count than its primary's reshapes to the primary's routing table at
+// the same epoch, reaches streaming, and holds every primary key
+// exactly once. A durable follower's directory reopens with the adopted
+// table, whatever count the reopening store is built with.
+func TestFollowerAdoptsPrimaryShape(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		primary, follower int
+		durable           bool
+	}{
+		{"volatile-4to1", 4, 1, false},
+		{"volatile-1to4", 1, 4, false},
+		{"durable-4to1", 4, 1, true},
+		{"durable-2to4", 2, 4, true},
+		{"durable-1to3", 1, 3, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const keys = 200
+			psrv, paddr := startReplServer(t, Config{StoreShards: tc.primary},
+				&Durability{Dir: t.TempDir(), Fsync: wal.ModeOff, CheckpointEvery: -1}, &ReplConfig{})
+			for i := 0; i < keys; i++ {
+				execOK(t, psrv.Store(), &wire.Request{Op: wire.OpSet, Sem: wire.SemDefault, Key: tkey(i), Val: []byte(fmt.Sprintf("v%d", i))})
+			}
+			want := scanAll(t, psrv.Store())
+
+			fdir := t.TempDir()
+			fstore := New(Config{StoreShards: tc.follower}).Store()
+			defer fstore.StopTTLReaper()
+			if tc.durable {
+				if _, err := fstore.EnableDurability(Durability{Dir: fdir, Fsync: wal.ModeOff, CheckpointEvery: -1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fstore.BecomeFollower(paddr)
+			fl, err := repl.StartFollower(repl.FollowerConfig{
+				Primary: paddr,
+				Store:   fstore,
+				Backoff: repl.Backoff{Min: 10 * time.Millisecond, Max: 100 * time.Millisecond},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitCond(t, 10*time.Second, "a streaming follower", func() bool { return fl.State() == repl.StateStreaming })
+			fl.Close()
+
+			ptab, ftab := psrv.Store().tab(), fstore.tab()
+			if len(ftab.shards) != len(ptab.shards) {
+				t.Fatalf("follower has %d shards, primary %d", len(ftab.shards), len(ptab.shards))
+			}
+			for i, sh := range ptab.shards {
+				if ftab.shards[i].idx != sh.idx || ftab.slices[i] != ptab.slices[i] {
+					t.Fatalf("follower shard %d is id %d slice %v, primary's id %d slice %v",
+						i, ftab.shards[i].idx, ftab.slices[i], sh.idx, ptab.slices[i])
+				}
+			}
+			check := func(st *Store) {
+				t.Helper()
+				got := keysHeldOnce(t, st)
+				if len(got) != len(want) {
+					t.Fatalf("follower holds %d keys, primary %d", len(got), len(want))
+				}
+				for k, v := range want {
+					if got[k] != v {
+						t.Fatalf("follower key %q = %q, primary %q", k, got[k], v)
+					}
+				}
+			}
+			check(fstore)
+			if !tc.durable {
+				return
+			}
+			if err := fstore.CloseDurability(); err != nil {
+				t.Fatal(err)
+			}
+			reopened, _ := newShardedDurable(t, fdir, tc.follower, wal.ModeOff)
+			defer reopened.CloseDurability()
+			if reopened.NumShards() != tc.primary {
+				t.Fatalf("follower directory reopened with %d shards, want %d", reopened.NumShards(), tc.primary)
+			}
+			check(reopened)
+		})
+	}
+}

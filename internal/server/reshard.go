@@ -554,38 +554,53 @@ func (s *Store) cleanShard(ctx context.Context, sh *shard) (int, error) {
 	})
 }
 
+// shapedAs reports whether t routes exactly as topo: the same stable
+// ids owning the same hash slices, in table order.
+func (t *routingTable) shapedAs(topo []wire.ReplShardSlice) bool {
+	if len(topo) != len(t.shards) {
+		return false
+	}
+	for i, e := range topo {
+		if t.shards[i].idx != int(e.ID) || t.slices[i] != (hashSlice{mod: e.Mod, res: e.Res}) {
+			return false
+		}
+	}
+	return true
+}
+
 // AdoptRouting reshapes a FOLLOWER's table to the primary's published
-// topology. Shards are matched by stable id: survivors keep their
-// engine and state, new ids get fresh shards (filled by the per-shard
-// re-sync the hub forces after a reshard), absent ids are dropped —
-// their keys arrive through the surviving shard's stream. Durable
-// followers mirror the layout on disk: a new shard gets a log, a
-// dropped shard's directory is removed, and the MANIFEST rewritten.
-func (s *Store) AdoptRouting(epoch uint64, topo []wire.ReplShardSlice) error {
+// topology whenever its shape — stable ids and hash slices — or epoch
+// differs from the store's, and reports whether it did. Shards are
+// matched by stable id: survivors keep their engine and state, new ids
+// get fresh shards, absent ids are dropped — their keys arrive through
+// the full catch-up every reshaped shard gets. Durable followers mirror
+// the layout on disk: a new shard gets a log, a dropped shard's
+// directory is removed, and the MANIFEST rewritten.
+func (s *Store) AdoptRouting(epoch uint64, topo []wire.ReplShardSlice) (bool, error) {
 	s.reshardMu.Lock()
 	defer s.reshardMu.Unlock()
 	tab := s.tab()
-	if epoch == tab.epoch {
-		return nil
+	if epoch == tab.epoch && tab.shapedAs(topo) {
+		return false, nil
 	}
 	if epoch < tab.epoch {
-		return fmt.Errorf("server: routing epoch %d is older than adopted epoch %d", epoch, tab.epoch)
+		return false, fmt.Errorf("server: routing epoch %d is older than adopted epoch %d", epoch, tab.epoch)
 	}
 	if len(topo) == 0 {
-		return fmt.Errorf("server: empty routing topology for epoch %d", epoch)
+		return false, fmt.Errorf("server: empty routing topology for epoch %d", epoch)
 	}
 	shards := make([]*shard, len(topo))
 	slices := make([]hashSlice, len(topo))
 	maxID := s.nextID
 	for i, e := range topo {
 		if i > 0 && e.Res <= topo[i-1].Res {
-			return fmt.Errorf("server: routing topology for epoch %d not in residue order", epoch)
+			return false, fmt.Errorf("server: routing topology for epoch %d not in residue order", epoch)
 		}
 		slices[i] = hashSlice{mod: e.Mod, res: e.Res}
 		if shards[i] = tab.byID(int(e.ID)); shards[i] == nil {
 			sh, err := s.freshShard(int(e.ID))
 			if err != nil {
-				return err
+				return false, err
 			}
 			shards[i] = sh
 		}
@@ -611,7 +626,7 @@ func (s *Store) AdoptRouting(epoch uint64, topo []wire.ReplShardSlice) error {
 		}
 	}
 	if s.durable() {
-		return writeStoreManifest(s.walDir, s.manifestFor(next, maxID))
+		return true, writeStoreManifest(s.walDir, s.manifestFor(next, maxID))
 	}
-	return nil
+	return true, nil
 }

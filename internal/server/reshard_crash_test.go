@@ -144,11 +144,7 @@ func TestReshardCrashRecovery(t *testing.T) {
 			// The crash in EVERY window beat the MANIFEST rewrite, so the
 			// pinned count is still the pre-reshard one — recovery itself
 			// decides whether the table changes.
-			pinned, err := WALShardCount(dir)
-			if err != nil {
-				t.Fatalf("WALShardCount: %v", err)
-			}
-			if pinned != mode.pinned {
+			if pinned := pinnedShards(t, dir); pinned != mode.pinned {
 				t.Fatalf("pinned shard count = %d, want %d", pinned, mode.pinned)
 			}
 			st, _, _ := recoverReshardCrash(t, dir, &mode)
@@ -184,20 +180,17 @@ func TestReshardCrashRecovery(t *testing.T) {
 	}
 }
 
-// recoverReshardCrash opens dir with the shard count its MANIFEST pins
-// and checks the state the mode's window must resolve to: the table, a
-// manifest that says the same, the removed directory, and the exact
-// acknowledged prefix — no more, no less. It returns the open store,
+// recoverReshardCrash opens dir with a one-shard store, which adopts
+// the table its MANIFEST pins, and checks the state the mode's window
+// must resolve to: the table, a manifest that says the same, the
+// removed directory, and the exact acknowledged prefix — no more, no
+// less. It returns the open store,
 // the recovery summary and everything recovery logged.
 func recoverReshardCrash(t *testing.T, dir string, mode *reshardCrashMode) (*Store, *RecoverSummary, string) {
 	t.Helper()
-	pinned, err := WALShardCount(dir)
-	if err != nil {
-		t.Fatalf("WALShardCount: %v", err)
-	}
 	var mu sync.Mutex // the shards' logs recover, and log, in parallel
 	var logged strings.Builder
-	st := newSharded(pinned)
+	st := newSharded(1)
 	res, err := st.EnableDurability(Durability{Dir: dir, Fsync: wal.ModeAlways, CheckpointEvery: -1,
 		Logf: func(format string, args ...any) {
 			mu.Lock()
@@ -211,8 +204,8 @@ func recoverReshardCrash(t *testing.T, dir string, mode *reshardCrashMode) (*Sto
 	if st.NumShards() != mode.shards || st.RoutingEpoch() != mode.epoch {
 		t.Fatalf("recovered to shards=%d epoch=%d, want shards=%d epoch=%d", st.NumShards(), st.RoutingEpoch(), mode.shards, mode.epoch)
 	}
-	if n, err := WALShardCount(dir); err != nil || n != mode.shards {
-		t.Fatalf("manifest after recovery: n=%d err=%v, want %d", n, err, mode.shards)
+	if n := pinnedShards(t, dir); n != mode.shards {
+		t.Fatalf("manifest after recovery pins %d shards, want %d", n, mode.shards)
 	}
 	if mode.goneDir != "" && fileExists(filepath.Join(dir, mode.goneDir)) {
 		t.Fatalf("recovery left %s behind", mode.goneDir)

@@ -536,17 +536,10 @@ func TestDurableSplitReopen(t *testing.T) {
 		t.Fatalf("CloseDurability: %v", err)
 	}
 
-	pinned, err := WALShardCount(dir)
-	if err != nil {
-		t.Fatalf("WALShardCount: %v", err)
-	}
-	if pinned != 3 {
-		t.Fatalf("pinned shard count = %d, want 3", pinned)
-	}
-	st2, _ := newShardedDurable(t, dir, 3, wal.ModeOff)
+	st2, _ := newShardedDurable(t, dir, 1, wal.ModeOff)
 	defer st2.CloseDurability()
-	if st2.RoutingEpoch() != 1 {
-		t.Fatalf("reopened epoch = %d, want 1", st2.RoutingEpoch())
+	if st2.RoutingEpoch() != 1 || st2.NumShards() != 3 {
+		t.Fatalf("reopened at epoch %d with %d shards, want 1 and 3", st2.RoutingEpoch(), st2.NumShards())
 	}
 	got := scanAll(t, st2)
 	if len(got) != n {
@@ -589,17 +582,10 @@ func TestDurableMergeReopen(t *testing.T) {
 	if err := st.CloseDurability(); err != nil {
 		t.Fatalf("CloseDurability: %v", err)
 	}
-	pinned, err := WALShardCount(dir)
-	if err != nil {
-		t.Fatalf("WALShardCount: %v", err)
-	}
-	if pinned != 2 {
-		t.Fatalf("pinned shard count = %d, want 2", pinned)
-	}
-	st2, _ := newShardedDurable(t, dir, 2, wal.ModeOff)
+	st2, _ := newShardedDurable(t, dir, 1, wal.ModeOff)
 	defer st2.CloseDurability()
-	if st2.RoutingEpoch() != 2 {
-		t.Fatalf("reopened epoch = %d, want 2", st2.RoutingEpoch())
+	if st2.RoutingEpoch() != 2 || st2.NumShards() != 2 {
+		t.Fatalf("reopened at epoch %d with %d shards, want 2 and 2", st2.RoutingEpoch(), st2.NumShards())
 	}
 	if got := scanAll(t, st2); len(got) != n {
 		t.Fatalf("reopened store has %d keys, want %d", len(got), n)
@@ -607,32 +593,33 @@ func TestDurableMergeReopen(t *testing.T) {
 }
 
 // TestAdoptRouting: the follower-side reshape — survivors keep their
-// contents, new ids appear empty, dropped ids disappear, and a
-// regressing epoch is refused.
+// contents, new ids appear empty, dropped ids disappear, a table of the
+// same epoch and shape is a no-op, one of the same epoch but another
+// shape reshapes, and a regressing epoch is refused.
 func TestAdoptRouting(t *testing.T) {
 	st := newSharded(2)
 	for i := 0; i < 64; i++ {
 		execOK(t, st, &wire.Request{Op: wire.OpSet, Sem: wire.SemDefault, Key: tkey(i), Val: []byte("v")})
 	}
 	grown := []wire.ReplShardSlice{{ID: 0, Mod: 4, Res: 0}, {ID: 1, Mod: 2, Res: 1}, {ID: 2, Mod: 4, Res: 2}}
-	if err := st.AdoptRouting(1, grown); err != nil {
-		t.Fatalf("AdoptRouting: %v", err)
+	if ok, err := st.AdoptRouting(1, grown); err != nil || !ok {
+		t.Fatalf("AdoptRouting = %v, %v", ok, err)
 	}
 	if st.NumShards() != 3 || st.RoutingEpoch() != 1 {
 		t.Fatalf("after adopt: shards=%d epoch=%d", st.NumShards(), st.RoutingEpoch())
 	}
-	if err := st.AdoptRouting(1, grown); err != nil {
-		t.Fatalf("same-epoch adopt must be a no-op: %v", err)
+	if ok, err := st.AdoptRouting(1, grown); err != nil || ok {
+		t.Fatalf("same-epoch, same-shape adopt must be a no-op: %v, %v", ok, err)
 	}
-	if err := st.AdoptRouting(0, grown[:2]); err == nil {
+	if _, err := st.AdoptRouting(0, grown[:2]); err == nil {
 		t.Fatal("regressing epoch accepted")
 	}
-	if err := st.AdoptRouting(2, []wire.ReplShardSlice{{ID: 2, Mod: 4, Res: 2}, {ID: 0, Mod: 4, Res: 0}, {ID: 1, Mod: 2, Res: 1}}); err == nil {
+	if _, err := st.AdoptRouting(2, []wire.ReplShardSlice{{ID: 2, Mod: 4, Res: 2}, {ID: 0, Mod: 4, Res: 0}, {ID: 1, Mod: 2, Res: 1}}); err == nil {
 		t.Fatal("out-of-residue-order topology accepted")
 	}
-	// Shrink back: id 2 is dropped.
-	if err := st.AdoptRouting(2, []wire.ReplShardSlice{{ID: 0, Mod: 2, Res: 0}, {ID: 1, Mod: 2, Res: 1}}); err != nil {
-		t.Fatalf("shrinking adopt: %v", err)
+	// Shrink back at the same epoch: id 2 is dropped.
+	if ok, err := st.AdoptRouting(1, []wire.ReplShardSlice{{ID: 0, Mod: 2, Res: 0}, {ID: 1, Mod: 2, Res: 1}}); err != nil || !ok {
+		t.Fatalf("shrinking adopt = %v, %v", ok, err)
 	}
 	if st.NumShards() != 2 || st.tab().byID(2) != nil {
 		t.Fatalf("dropped shard still present")
@@ -748,16 +735,6 @@ func TestManifestCorruption(t *testing.T) {
 			t.Fatalf("v1 reopen lost data: %v", got)
 		}
 	})
-	t.Run("shard-count-mismatch", func(t *testing.T) {
-		// Opening a 3-shard directory with a 2-shard store must refuse,
-		// not scatter keys across a wrong table.
-		dir := mkSplitDir(t)
-		st := newSharded(2)
-		if _, err := st.EnableDurability(Durability{Dir: dir, Fsync: wal.ModeOff, CheckpointEvery: -1}); err == nil {
-			st.CloseDurability()
-			t.Fatal("shard-count mismatch opened silently")
-		}
-	})
 }
 
 // TestManifestFailedInstall (satellite): a MANIFEST rewrite that cannot
@@ -793,4 +770,53 @@ func TestManifestFailedInstall(t *testing.T) {
 	if m, err := openManifest(dir); err != nil || m.Epoch != 0 || len(m.Shards) != 2 {
 		t.Fatalf("reopen after the failed install: %+v, %v", m, err)
 	}
+}
+
+// TestEveryShardGetsTheConfiguredEngine: a shard the store adds after
+// construction — by SPLIT, by an adopted topology, or by adopting a
+// directory's MANIFEST — runs an engine built from the server's Config,
+// like the shards it started with.
+func TestEveryShardGetsTheConfiguredEngine(t *testing.T) {
+	cfg := Config{Shards: 1, Nesting: core.NestParam}
+	check := func(t *testing.T, st *Store, wantShards int) {
+		t.Helper()
+		if st.NumShards() != wantShards {
+			t.Fatalf("store has %d shards, want %d", st.NumShards(), wantShards)
+		}
+		for _, sh := range st.tab().shards {
+			if got := sh.tm.Engine().Shards(); got != 1 {
+				t.Errorf("shard %d: engine has %d stripes, want 1", sh.idx, got)
+			}
+			if got := sh.tm.NestingPolicy(); got != core.NestParam {
+				t.Errorf("shard %d: nesting %v, want %v", sh.idx, got, core.NestParam)
+			}
+		}
+	}
+	t.Run("split-and-adopt", func(t *testing.T) {
+		st := New(cfg).Store()
+		defer st.StopTTLReaper()
+		if _, err := st.Split(context.Background(), 0, 0); err != nil {
+			t.Fatalf("Split: %v", err)
+		}
+		check(t, st, 2)
+		topo := []wire.ReplShardSlice{{ID: 0, Mod: 4, Res: 0}, {ID: 1, Mod: 4, Res: 1}, {ID: 5, Mod: 4, Res: 2}, {ID: 6, Mod: 4, Res: 3}}
+		if _, err := st.AdoptRouting(2, topo); err != nil {
+			t.Fatalf("AdoptRouting: %v", err)
+		}
+		check(t, st, 4)
+	})
+	t.Run("manifest", func(t *testing.T) {
+		dir := t.TempDir()
+		st, _ := newShardedDurable(t, dir, 4, wal.ModeOff)
+		if err := st.CloseDurability(); err != nil {
+			t.Fatal(err)
+		}
+		st = New(cfg).Store()
+		defer st.StopTTLReaper()
+		if _, err := st.EnableDurability(Durability{Dir: dir, Fsync: wal.ModeOff, CheckpointEvery: -1}); err != nil {
+			t.Fatal(err)
+		}
+		defer st.CloseDurability()
+		check(t, st, 4)
+	})
 }

@@ -25,19 +25,16 @@ import (
 
 // Config parameterizes a Server.
 type Config struct {
-	// TM, when non-nil, is used directly and pins the store to a single
-	// keyspace shard; otherwise one TM per store shard is built from
-	// Shards and Nesting.
-	TM *core.TM
 	// Shards is the engine stripe count (0 = GOMAXPROCS default),
 	// per store shard. Distinct from StoreShards: Shards stripes one
 	// engine's metadata locks; StoreShards partitions the keyspace.
 	Shards int
-	// StoreShards is the keyspace partition count (0 or 1 = a single
-	// shard). Each store shard owns its own engine, map, and — when
-	// durable — write-ahead log; see Store.
+	// StoreShards is the keyspace partition count of a store that
+	// starts empty (0 or 1 = a single shard); a durable directory or a
+	// primary's topology overrides it. Each store shard owns its own
+	// engine, map, and — when durable — write-ahead log; see Store.
 	StoreShards int
-	// Nesting is the TM's nesting-composition policy.
+	// Nesting is every shard engine's nesting-composition policy.
 	Nesting core.NestingPolicy
 	// MaxConns bounds concurrently served connections (the handler
 	// pool); excess accepted connections wait for a slot. 0 means 1024.
@@ -52,11 +49,6 @@ type Config struct {
 	// (0 = DefaultReapEvery; negative disables the reaper — lazy expiry
 	// still hides expired keys from reads).
 	TTLReapEvery time.Duration
-	// SessionTimeouts is the watch-session liveness budget (zero fields
-	// take the repl defaults): Idle is the server's PING cadence on an
-	// otherwise-quiet session, and the session is cut when
-	// Idle + 2×Reply passes without a frame from the client.
-	SessionTimeouts repl.Timeouts
 	// Logf, when non-nil, receives connection-level diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -90,19 +82,13 @@ type Server struct {
 
 // New creates a server (not yet listening).
 func New(cfg Config) *Server {
-	n := cfg.StoreShards
-	if n <= 0 || cfg.TM != nil {
-		n = 1
+	mkTM := func() *core.TM { return core.New(core.Config{Shards: cfg.Shards, Nesting: cfg.Nesting}) }
+	tms := make([]*core.TM, max(cfg.StoreShards, 1))
+	for i := range tms {
+		tms[i] = mkTM()
 	}
-	tms := make([]*core.TM, n)
-	if cfg.TM != nil {
-		tms[0] = cfg.TM
-	} else {
-		for i := range tms {
-			tms[i] = core.New(core.Config{Shards: cfg.Shards, Nesting: cfg.Nesting})
-		}
-		cfg.TM = tms[0]
-	}
+	store := NewShardedStore(tms)
+	store.mkTM = mkTM
 	if cfg.MaxConns <= 0 {
 		cfg.MaxConns = 1024
 	}
@@ -112,7 +98,7 @@ func New(cfg Config) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	srv := &Server{
 		cfg:         cfg,
-		store:       NewShardedStore(tms),
+		store:       store,
 		slots:       make(chan struct{}, cfg.MaxConns),
 		serveCtx:    ctx,
 		cancelServe: cancel,
@@ -122,9 +108,9 @@ func New(cfg Config) *Server {
 	return srv
 }
 
-// TM returns shard 0's transactional memory (stats, tests; see Stats
-// for the all-shards aggregate).
-func (s *Server) TM() *core.TM { return s.cfg.TM }
+// TM returns the first shard's transactional memory (stats, tests;
+// see Stats for the all-shards aggregate).
+func (s *Server) TM() *core.TM { return s.store.TM() }
 
 // Stats aggregates the engine counters across every store shard.
 func (s *Server) Stats() stm.StatsSnapshot { return s.store.Stats() }

@@ -21,7 +21,7 @@ import (
 // CI matrix leg sets it to run the whole suite against a sharded store.
 func startServer(t *testing.T, cfg server.Config) (*server.Server, string) {
 	t.Helper()
-	if cfg.StoreShards == 0 && cfg.TM == nil {
+	if cfg.StoreShards == 0 {
 		if v := os.Getenv("POLYSERVE_STORE_SHARDS"); v != "" {
 			n, err := strconv.Atoi(v)
 			if err != nil {

@@ -24,7 +24,7 @@ var errSessionOver = errors.New("server: watch session over, terminal frame sent
 // the writer sends everything in one order.
 func (s *Server) serveWatch(c net.Conn, br *bufio.Reader, bw *bufio.Writer, req *wire.Request) {
 	w := watchLink{
-		l:    repl.NewLink(c, br, bw, s.cfg.SessionTimeouts, s.cfg.MaxFrame),
+		l:    repl.NewLink(c, br, bw, repl.Timeouts{}, s.cfg.MaxFrame),
 		sess: s.store.Sessions().NewSession(s.cfg.WatchBuffer),
 	}
 	defer w.sess.Close()

@@ -25,6 +25,16 @@ func rmManifest(t *testing.T, dir string) {
 	}
 }
 
+// pinnedShards reports the shard count dir's MANIFEST pins.
+func pinnedShards(t *testing.T, dir string) int {
+	t.Helper()
+	m, err := openManifest(dir)
+	if err != nil || m == nil {
+		t.Fatalf("MANIFEST of %s: %+v, %v", dir, m, err)
+	}
+	return len(m.Shards)
+}
+
 // newSharded builds an n-shard in-memory store.
 func newSharded(n int) *Store {
 	tms := make([]*core.TM, n)
@@ -427,8 +437,8 @@ func TestShardedDurableRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got, err := WALShardCount(dir); err != nil || got != 4 {
-		t.Fatalf("WALShardCount = %d, %v; want 4", got, err)
+	if got := pinnedShards(t, dir); got != 4 {
+		t.Fatalf("MANIFEST pins %d shards, want 4", got)
 	}
 
 	st2, res2 := newShardedDurable(t, dir, 4, wal.ModeAlways)
@@ -446,24 +456,47 @@ func TestShardedDurableRestart(t *testing.T) {
 	}
 }
 
-// TestShardCountMismatch: reopening a pinned directory with the wrong
-// shard count refuses, and the error names the pinned count.
-func TestShardCountMismatch(t *testing.T) {
+// TestShardCountAdopted: a store opening a directory written with a
+// different shard count adopts the MANIFEST's table — the constructor's
+// count only sizes a fresh directory — and reads every key back.
+func TestShardCountAdopted(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := newShardedDurable(t, dir, 4, wal.ModeAlways)
-	execOK(t, st, &wire.Request{Op: wire.OpSet, Sem: wire.SemDefault, Key: tkey(1), Val: []byte("v")})
+	const n = 64
+	for i := 0; i < n; i++ {
+		execOK(t, st, &wire.Request{Op: wire.OpSet, Sem: wire.SemDefault, Key: tkey(i), Val: []byte(fmt.Sprintf("v%d", i))})
+	}
 	if err := st.CloseDurability(); err != nil {
 		t.Fatal(err)
 	}
-	st2 := newSharded(2)
-	_, err := st2.EnableDurability(Durability{Dir: dir, Fsync: wal.ModeAlways, CheckpointEvery: -1})
-	if err == nil || !strings.Contains(err.Error(), "4") {
-		t.Fatalf("mismatched open: err = %v, want pinned-count error", err)
+	st2, res := newShardedDurable(t, dir, 2, wal.ModeAlways)
+	if st2.NumShards() != 4 || len(res.Shards) != 4 {
+		t.Fatalf("2-shard store on a 4-shard directory: %d shards, %d recovered", st2.NumShards(), len(res.Shards))
+	}
+	got := scanAll(t, st2)
+	if len(got) != n {
+		t.Fatalf("adopted store holds %d keys, want %d", len(got), n)
+	}
+	for i := 0; i < n; i++ {
+		if v := got[string(tkey(i))]; v != fmt.Sprintf("v%d", i) {
+			t.Fatalf("key %d = %q", i, v)
+		}
+	}
+	// Writes land on the adopted shards' logs and survive another reopen.
+	execOK(t, st2, &wire.Request{Op: wire.OpSet, Sem: wire.SemDefault, Key: tkey(n), Val: []byte("post")})
+	if err := st2.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+	st3, _ := newShardedDurable(t, dir, 1, wal.ModeAlways)
+	defer st3.CloseDurability()
+	if got := scanAll(t, st3); st3.NumShards() != 4 || len(got) != n+1 || got[string(tkey(n))] != "post" {
+		t.Fatalf("second reopen: %d shards, %d keys, post=%q", st3.NumShards(), len(got), got[string(tkey(n))])
 	}
 }
 
 // TestLegacyDirOpensAsSingleShard: a pre-manifest directory (files at
-// the root) reads back as one shard and keeps working.
+// the root) reads back as one shard, whatever count the store was
+// built with, and keeps working.
 func TestLegacyDirOpensAsSingleShard(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := newDurable(t, dir, wal.ModeAlways)
@@ -473,13 +506,45 @@ func TestLegacyDirOpensAsSingleShard(t *testing.T) {
 	}
 	// Strip the manifest: the layout earlier releases wrote.
 	rmManifest(t, dir)
-	if got, err := WALShardCount(dir); err != nil || got != 1 {
-		t.Fatalf("legacy WALShardCount = %d, %v; want 1", got, err)
-	}
-	st2, _ := newDurable(t, dir, wal.ModeAlways)
+	st2, _ := newShardedDurable(t, dir, 4, wal.ModeAlways)
 	defer st2.CloseDurability()
+	if st2.NumShards() != 1 {
+		t.Fatalf("legacy layout opened as %d shards, want 1", st2.NumShards())
+	}
 	if got := scanAll(t, st2); got["k"] != "v" {
 		t.Fatalf("legacy replay = %v", got)
+	}
+	execOK(t, st2, &wire.Request{Op: wire.OpSet, Sem: wire.SemDefault, Key: []byte("k2"), Val: []byte("v2")})
+	if got := pinnedShards(t, dir); got != 1 {
+		t.Fatalf("legacy layout pinned to %d shards, want 1", got)
+	}
+}
+
+// TestShardDirsWithoutManifestRefused: shard directories with no
+// MANIFEST beside them carry logs written under an unknown table, so
+// opening them is refused with an error naming the directory, whatever
+// the store's count.
+func TestShardDirsWithoutManifestRefused(t *testing.T) {
+	dir := t.TempDir()
+	st, _ := newShardedDurable(t, dir, 2, wal.ModeAlways)
+	execOK(t, st, &wire.Request{Op: wire.OpSet, Sem: wire.SemDefault, Key: tkey(1), Val: []byte("v")})
+	if err := st.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+	rmManifest(t, dir)
+	for _, n := range []int{1, 2} {
+		st2 := newSharded(n)
+		_, err := st2.EnableDurability(Durability{Dir: dir, Fsync: wal.ModeAlways, CheckpointEvery: -1})
+		if err == nil {
+			st2.CloseDurability()
+			t.Fatalf("%d-shard store opened shard directories without a MANIFEST", n)
+		}
+		if !strings.Contains(err.Error(), dir) {
+			t.Fatalf("refusal does not name the directory: %v", err)
+		}
+	}
+	if fileExists(filepath.Join(dir, manifestName)) {
+		t.Fatal("a refused open wrote a MANIFEST")
 	}
 }
 

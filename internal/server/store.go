@@ -164,9 +164,11 @@ type Store struct {
 	reshardSplits atomic.Uint64
 	reshardMerges atomic.Uint64
 
-	// mkTM builds the engine for a shard a split creates. server.New
-	// overrides it with the configured engine parameters; the default
-	// clones nothing and uses the engine's own defaults.
+	// mkTM builds the engine of every shard the store adds after
+	// construction: a SPLIT's, an adopted topology's, a reshard roll-
+	// forward's, a recovered MANIFEST's. server.New sets it to the
+	// constructor its initial shards came from; the default uses the
+	// engine's own defaults.
 	mkTM func() *core.TM
 
 	// reshardHook, when set (replication), runs after a reshard
@@ -223,7 +225,9 @@ func NewStore(tm *core.TM) *Store {
 
 // NewShardedStore creates an empty store with one shard per TM. Shard
 // i starts with stable id i and hash slice (N, i) — the historical
-// h % N routing — at routing epoch 0.
+// h % N routing — at routing epoch 0. The count sizes a store that
+// starts empty; EnableDurability replaces it with the table a
+// directory's MANIFEST pins, and a follower with its primary's.
 func NewShardedStore(tms []*core.TM) *Store {
 	if len(tms) == 0 {
 		panic("server: store needs at least one shard")
