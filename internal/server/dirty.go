@@ -19,14 +19,19 @@ import (
 // bodies (every durable mutation) cannot abort after reserving anyway,
 // so spurious marks are limited to pre-reserve error returns.
 //
-// A FLUSH (ClearTx) cannot be expressed in the delta vocabulary — it
-// would need a tombstone per previously-live key, which nobody tracks —
-// so it raises the flushed flag instead, forcing the next checkpoint to
-// be a full base.
+// The full flag says the next take is a full walk, so its keys are read
+// by nobody: the checkpointer writes a full base, replication catch-up
+// goes full, and a reshard walks the whole slice again. A FLUSH
+// (ClearTx) raises it, since a clear cannot be expressed in the delta
+// vocabulary — it would need a tombstone per previously-live key, which
+// nobody tracks. So does a durable shard whose recovered chain has no
+// base (a fresh store, an initial import). While it is up, mark records
+// nothing; take lowers it inside the rotation's (or the reshard
+// barrier's) token, so marks resume at exactly the cut.
 type dirtySet struct {
-	mu      sync.Mutex
-	keys    map[string]struct{}
-	flushed bool
+	mu   sync.Mutex
+	keys map[string]struct{}
+	full bool
 }
 
 // mark records one mutated key. The set keeps key itself, so the caller
@@ -35,7 +40,9 @@ type dirtySet struct {
 // (most durable writes) as free as a repeat.
 func (d *dirtySet) mark(key string) {
 	d.mu.Lock()
-	d.insert(key)
+	if !d.full {
+		d.insert(key)
+	}
 	d.mu.Unlock()
 }
 
@@ -47,11 +54,12 @@ func (d *dirtySet) insert(key string) {
 	d.keys[key] = struct{}{}
 }
 
-// markFlush records a whole-keyspace clear: the next checkpoint must be
-// a full base.
-func (d *dirtySet) markFlush() {
+// markFull records that the next cut must be a full walk — a
+// whole-keyspace clear, or no base to hang a delta off — and drops the
+// keys it makes moot.
+func (d *dirtySet) markFull() {
 	d.mu.Lock()
-	d.flushed = true
+	d.keys, d.full = nil, true
 	d.mu.Unlock()
 }
 
@@ -62,20 +70,20 @@ func (d *dirtySet) markFlush() {
 func (d *dirtySet) markOps(ops []wal.Op) {
 	d.mu.Lock()
 	for _, op := range ops {
-		switch op.Kind {
-		case wal.OpSet, wal.OpDel:
+		switch {
+		case op.Kind == wal.OpFlush:
+			d.keys, d.full = nil, true
+		case !d.full && (op.Kind == wal.OpSet || op.Kind == wal.OpDel):
 			d.insert(op.Key)
-		case wal.OpFlush:
-			d.flushed = true
 		}
 	}
 	d.mu.Unlock()
 }
 
-// peek reports the current size and flush flag without consuming them.
+// peek reports the current size and full flag without consuming them.
 func (d *dirtySet) peek() (n int, flushed bool) {
 	d.mu.Lock()
-	n, flushed = len(d.keys), d.flushed
+	n, flushed = len(d.keys), d.full
 	d.mu.Unlock()
 	return n, flushed
 }
@@ -89,18 +97,19 @@ func (d *dirtySet) snapshotKeys() (keys []string, flushed bool) {
 	for k := range d.keys {
 		keys = append(keys, k)
 	}
-	flushed = d.flushed
+	flushed = d.full
 	d.mu.Unlock()
 	return keys, flushed
 }
 
-// take consumes and returns the accumulated set. The checkpointer calls
-// it inside the empty irrevocable rotation transaction, so the cut is
-// the same commit-order boundary the rotation seals.
+// take consumes and returns the accumulated set and lowers the full
+// flag. The checkpointer calls it inside the empty irrevocable rotation
+// transaction, so the cut is the same commit-order boundary the
+// rotation seals.
 func (d *dirtySet) take() (keys map[string]struct{}, flushed bool) {
 	d.mu.Lock()
-	keys, flushed = d.keys, d.flushed
-	d.keys, d.flushed = nil, false
+	keys, flushed = d.keys, d.full
+	d.keys, d.full = nil, false
 	d.mu.Unlock()
 	return keys, flushed
 }
@@ -112,6 +121,6 @@ func (d *dirtySet) restore(keys map[string]struct{}, flushed bool) {
 	for k := range keys {
 		d.insert(k)
 	}
-	d.flushed = d.flushed || flushed
+	d.full = d.full || flushed
 	d.mu.Unlock()
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"maps"
 	"testing"
 
 	"polytm/internal/raceflag"
@@ -70,7 +71,7 @@ func TestDirtySetTakeRestore(t *testing.T) {
 		t.Fatalf("restore beside a new mark = %d keys, flushed %v; want 3, flushed", n, flushed)
 	}
 	keys, _ = d.take()
-	d.markFlush()
+	d.markFull()
 	d.restore(keys, false)
 	if n, flushed := d.peek(); n != 3 || !flushed {
 		t.Fatalf("restore under a newer flush = %d keys, flushed %v; want 3, flushed", n, flushed)
@@ -110,5 +111,172 @@ func TestDirtyKeysAreTheMapsOwn(t *testing.T) {
 	}
 	if len(keys) != 3 || flushed {
 		t.Errorf("dirty set = %v, flushed %v; want exactly the three keys written this cycle", keys, flushed)
+	}
+}
+
+// TestDirtySetFullRecordsNothing: while the next take is a full walk,
+// no key is recorded — by a mark, by a replayed group, or past a
+// replayed FLUSH — and the take that lowers the flag lets marks resume.
+// The checkpointer's set and a reshard's rdirty are this one type.
+func TestDirtySetFullRecordsNothing(t *testing.T) {
+	var d dirtySet
+	d.mark("before")
+	d.markFull()
+	d.mark("during")
+	d.markOps([]wal.Op{{Kind: wal.OpSet, Key: "replayed"}, {Kind: wal.OpDel, Key: "gone"}})
+	if n, full := d.peek(); n != 0 || !full {
+		t.Fatalf("peek under a full cut = %d, %v; want 0 keys, full", n, full)
+	}
+	if keys, full := d.take(); len(keys) != 0 || !full {
+		t.Fatalf("take = %v, %v; want no keys, full", keys, full)
+	}
+	d.mark("after")
+	if n, full := d.peek(); n != 1 || full {
+		t.Fatalf("peek after the cut = %d, %v; want the one key marked since, not full", n, full)
+	}
+	d.markOps([]wal.Op{{Kind: wal.OpSet, Key: "x"}, {Kind: wal.OpFlush}, {Kind: wal.OpSet, Key: "y"}})
+	if n, full := d.peek(); n != 0 || !full {
+		t.Fatalf("peek past a replayed FLUSH = %d, %v; want 0 keys, full", n, full)
+	}
+}
+
+// TestFreshDurableStoreTracksNothing: a fresh durable store has no base,
+// so its first cut is a full one and an initial import dirties nothing.
+func TestFreshDurableStoreTracksNothing(t *testing.T) {
+	st, _ := newDurable(t, t.TempDir(), wal.ModeOff)
+	defer st.CloseDurability()
+	fillKeys(t, st, 500, func(i int) string { return "v" })
+	execOK(t, st, &wire.Request{Op: wire.OpSet, Sem: wire.SemDefault, Key: []byte("one-more"), Val: []byte("v")})
+	for _, sh := range st.tab().shards {
+		if n, full := sh.dirty.peek(); n != 0 || !full {
+			t.Fatalf("shard %d after an import into a fresh store: peek = %d, %v; want 0, true", sh.idx, n, full)
+		}
+	}
+}
+
+// cutHook is a checkpoint context whose Err runs fire once: the second
+// time it is asked after the log has rotated. The first ask after the
+// rotation is the base walk's snapshot attempt, so fire runs between the
+// cut and the base install (inside the walk, or just before it).
+type cutHook struct {
+	context.Context
+	log  *wal.Log
+	seg  uint64
+	asks int
+	fire func()
+}
+
+func (c *cutHook) Err() error {
+	if c.fire != nil && c.log.Segment() > c.seg {
+		if c.asks++; c.asks == 2 {
+			fire := c.fire
+			c.fire = nil
+			fire()
+		}
+	}
+	return c.Context.Err()
+}
+
+// TestDirtyMarksResumeAtTheCut: a fresh store's first cut lowers the
+// full flag at the rotation, not at the base install, so a SET landing
+// between the two is marked, rides the next delta and survives a reopen
+// once the segment holding it is gone.
+func TestDirtyMarksResumeAtTheCut(t *testing.T) {
+	dir := t.TempDir()
+	st, _ := newDurableCfg(t, Durability{Dir: dir, Fsync: wal.ModeOff, CheckpointEvery: -1})
+	want := map[string]string{}
+	fillKeys(t, st, 100, func(i int) string { return "v0" })
+	for i := 0; i < 100; i++ {
+		want[ckptKeyN(i)] = "v0"
+	}
+	sh := st.tab().shards[0]
+	if n, full := sh.dirty.peek(); n != 0 || !full {
+		t.Fatalf("before the first cut: peek = %d, %v; want 0, true", n, full)
+	}
+	injected := ckptKeyN(0)
+	set := func() {
+		execOK(t, st, &wire.Request{Op: wire.OpSet, Sem: wire.SemDefault, Key: []byte(injected), Val: []byte("injected")})
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	hook := &cutHook{Context: ctx, log: sh.wal, seg: sh.wal.Segment(), fire: set}
+	if err := st.Checkpoint(hook); err != nil {
+		t.Fatal(err)
+	}
+	if hook.fire != nil {
+		t.Fatal("the SET never ran between the rotation and the base install")
+	}
+	want[injected] = "injected"
+	if n, full := sh.dirty.peek(); n != 1 || full {
+		t.Fatalf("after the first cut: peek = %d, %v; want the injected key, not full", n, full)
+	}
+	if err := st.Checkpoint(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	chain := sh.wal.Chain()
+	if len(chain.Deltas) != 1 {
+		t.Fatalf("second cut: chain %+v, want one delta", chain)
+	}
+	got := map[string]string{}
+	if err := wal.ReadDelta(sh.wal.DeltaPath(chain.Deltas[0].Seg), func(k, v string, del bool) error {
+		got[k] = v
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[injected] != "injected" {
+		t.Fatalf("second cut's delta = %v, want only %s=injected", got, injected)
+	}
+	if err := st.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+	st2, _ := newDurableCfg(t, Durability{Dir: dir, Fsync: wal.ModeOff, CheckpointEvery: -1})
+	defer st2.CloseDurability()
+	if rec := scanAll(t, st2); !maps.Equal(rec, want) {
+		t.Fatalf("reopened store holds %d keys (%s=%q), want %d (%s=injected)", len(rec), injected, rec[injected], len(want), injected)
+	}
+}
+
+// TestFlushTracksNothingUntilTheCut: after a FLUSH the next cut is a
+// full base, so SETs record no dirty key until that cut; from it on they
+// do again, and the store reopens with exactly the post-FLUSH writes.
+func TestFlushTracksNothingUntilTheCut(t *testing.T) {
+	dir := t.TempDir()
+	st, _ := newDurableCfg(t, Durability{Dir: dir, Fsync: wal.ModeOff, CheckpointEvery: -1})
+	set := func(k string) {
+		execOK(t, st, &wire.Request{Op: wire.OpSet, Sem: wire.SemDefault, Key: []byte(k), Val: []byte(k)})
+	}
+	peek := func(when string, wantN int, wantFull bool) {
+		t.Helper()
+		if n, full := st.tab().shards[0].dirty.peek(); n != wantN || full != wantFull {
+			t.Fatalf("%s: peek = %d, %v; want %d, %v", when, n, full, wantN, wantFull)
+		}
+	}
+	set("a")
+	if err := st.Checkpoint(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	set("b")
+	set("c")
+	peek("after a base", 2, false)
+	execOK(t, st, &wire.Request{Op: wire.OpFlush, Sem: wire.SemDefault})
+	set("d")
+	set("e")
+	peek("after a FLUSH", 0, true)
+	if err := st.Checkpoint(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if kind := st.WAL().LastCheckpointKind(); kind != wal.CkptFull {
+		t.Fatalf("post-flush cut kind = %v, want full", kind)
+	}
+	set("f")
+	peek("after the post-FLUSH cut", 1, false)
+	if err := st.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+	st2, _ := newDurableCfg(t, Durability{Dir: dir, Fsync: wal.ModeOff, CheckpointEvery: -1})
+	defer st2.CloseDurability()
+	if got := scanAll(t, st2); !maps.Equal(got, map[string]string{"d": "d", "e": "e", "f": "f"}) {
+		t.Fatalf("reopened after the FLUSH = %v, want d, e and f", got)
 	}
 }

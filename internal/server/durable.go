@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -292,6 +294,8 @@ func (s *Store) openShards(man *storeManifest) (*routingTable, map[int]*wal.Reco
 // Replayed TAIL records seed the dirty set: those keys changed past the
 // checkpoint chain's head, so the first delta cut after a restart must
 // carry them (chain loads do not mark — the chain already covers them).
+// A chain with no base makes the first cut a full base instead, so the
+// dirty set records nothing until that cut (see dirtySet).
 func (s *Store) openShardLog(sh *shard, name string) (*wal.RecoverResult, error) {
 	opts := s.walOpts
 	opts.OnReplayOps = func(ops []wal.Op) { sh.dirty.markOps(ops) }
@@ -300,6 +304,9 @@ func (s *Store) openShardLog(sh *shard, name string) (*wal.RecoverResult, error)
 	})
 	if err != nil {
 		return nil, err
+	}
+	if log.Chain().BaseSeg == 0 {
+		sh.dirty.markFull()
 	}
 	sh.wal, sh.walName = log, name
 	return res, nil
@@ -545,7 +552,7 @@ func (s *Store) checkpointShard(ctx context.Context, sh *shard) error {
 
 	if !full {
 		err = sh.wal.WriteDeltaCheckpoint(seg, cover, func(emit func(k, v string, del bool) error) error {
-			return s.emitDirty(ctx, sh, taken, emit)
+			return s.emitKeys(ctx, sh, slices.AppendSeq(make([]string, 0, len(taken)), maps.Keys(taken)), emit)
 		})
 	} else {
 		err = sh.wal.WriteCheckpoint(seg, cover, func(emit func(k, v string) error) error {
@@ -569,32 +576,19 @@ func (s *Store) checkpointShard(ctx context.Context, sh *shard) error {
 	return nil
 }
 
-// emitDirty streams the current committed value — or a tombstone — of
-// every taken dirty key, in snapshot-read batches (one transaction per
+// emitKeys streams the current committed value — or a tombstone — of
+// every listed key, in snapshot-read batches (one transaction per
 // batch: a single snapshot held across a large dirty set would pin the
-// multi-version window for its whole walk). Batches may observe
-// different states; that is sound because any post-cut change to an
-// emitted key also lives in segments >= the delta's own, and tail
-// replay applies AFTER the chain — last writer wins.
-func (s *Store) emitDirty(ctx context.Context, sh *shard, taken map[string]struct{}, emit func(k, v string, del bool) error) error {
-	keys := make([]string, 0, len(taken))
-	for k := range taken {
-		keys = append(keys, k)
-	}
-	return s.emitKeys(ctx, sh, keys, emit)
-}
-
-// emitKeys is emitDirty's body over an already-flattened key list —
-// shared with replication delta catch-up (CatchUp), which snapshots
-// the dirty set without consuming it.
+// multi-version window for its whole walk). A delta checkpoint emits the
+// taken dirty set through it; replication delta catch-up (CatchUp) and
+// a reshard's copy share it. Batches may observe different states; for
+// a delta that is sound because any post-cut change to an emitted key
+// also lives in segments >= the delta's own, and tail replay applies
+// AFTER the chain — last writer wins.
 func (s *Store) emitKeys(ctx context.Context, sh *shard, keys []string, emit func(k, v string, del bool) error) error {
 	const batch = 256
 	for start := 0; start < len(keys); start += batch {
-		end := start + batch
-		if end > len(keys) {
-			end = len(keys)
-		}
-		chunk := keys[start:end]
+		chunk := keys[start:min(start+batch, len(keys))]
 		err := sh.tm.AtomicAsCtx(ctx, core.Snapshot, func(tx *core.Tx) error {
 			for _, k := range chunk {
 				v, ok, err := sh.m.GetTx(tx, k)

@@ -314,10 +314,10 @@ func (sh *shard) applyOp(tx *core.Tx, cp *walCapture, kind wal.OpKind, key, val 
 		// delta loop in reshard.go).
 		if logs {
 			cp.buf = wal.AppendFlush(cp.buf)
-			sh.dirty.markFlush()
+			sh.dirty.markFull()
 		}
 		if sh.resharding.Load() {
-			sh.rdirty.markFlush()
+			sh.rdirty.markFull()
 		}
 		// Every shard's change clears its own TTL table; only shard 0's
 		// delivery publishes the one FLUSH event watchers see (see

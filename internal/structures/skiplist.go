@@ -2,7 +2,7 @@ package structures
 
 import (
 	"cmp"
-	"sync/atomic"
+	"math/rand/v2"
 
 	"polytm/internal/core"
 )
@@ -12,16 +12,14 @@ import (
 const skipMaxLevel = 16
 
 // randLevel draws a tower height in [1, skipMaxLevel], geometric with
-// p = 1/4, from the lock-free splitmix64 stream seed: each further
-// level costs two random bits, so three nodes in four have one link and
-// the mean is 1.33. Pugh's analysis gives p = 1/4 the same expected
-// search cost as p = 1/2 for a third fewer links, and here every link
-// saved is a transactional variable and its version record.
-func randLevel(seed *atomic.Uint64) int {
-	x := seed.Add(0x9e3779b97f4a7c15)
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
+// p = 1/4: each further level costs two random bits, so three nodes in
+// four have one link and the mean is 1.33. Pugh's analysis gives p = 1/4
+// the same expected search cost as p = 1/2 for a third fewer links, and
+// here every link saved is a transactional variable and its version
+// record. The bits come from the runtime's per-thread generator, so
+// inserting goroutines share no state to draw them.
+func randLevel() int {
+	x := rand.Uint64()
 	lvl := 1
 	for x&3 == 3 && lvl < skipMaxLevel {
 		lvl++
@@ -58,19 +56,18 @@ type (
 )
 
 // skipCore is the skip list both skip structures are made of (Pugh): the
-// sentinel, the tower-height stream, and the one search, link, unlink
-// and count every operation of either goes through. It keeps no size
-// variable: a count is a walk of the bottom level (see snapshotLen).
+// sentinel and the one search, link, unlink and count every operation of
+// either goes through. It keeps no size variable: a count is a walk of
+// the bottom level (see snapshotLen), and no height stream: randLevel
+// draws from the runtime's generator.
 type skipCore[K cmp.Ordered, V any] struct {
 	tm   *core.TM
 	head *skipNode[K, V] // sentinel; key unused
-	seed atomic.Uint64
 }
 
 func (c *skipCore[K, V]) init(tm *core.TM) {
 	var nils [skipMaxLevel]*skipNode[K, V]
 	c.tm, c.head = tm, &skipNode[K, V]{next: newTower(tm, skipMaxLevel, nils[:])}
-	c.seed.Store(0x9e3779b97f4a7c15)
 }
 
 // search descends to key inside tx and returns the first node with key
@@ -107,7 +104,7 @@ func (c *skipCore[K, V]) search(tx *core.Tx, key K, preds, succs []*skipNode[K, 
 // then (an irrevocable one's too), so no other transaction can reach
 // the node earlier.
 func (c *skipCore[K, V]) link(tx *core.Tx, key K, preds, succs []*skipNode[K, V]) (*skipNode[K, V], error) {
-	n := &skipNode[K, V]{key: key, next: newTower(c.tm, randLevel(&c.seed), succs)}
+	n := &skipNode[K, V]{key: key, next: newTower(c.tm, randLevel(), succs)}
 	for i := range n.next {
 		if err := core.Set(tx, &preds[i].next[i], n); err != nil {
 			return nil, err

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -614,13 +613,14 @@ func TestSkipMapRangeAllocs(t *testing.T) {
 // reader: three towers in four have one link, none outgrows the
 // sentinel, and a snapshot Get on a 100k-key map reads at most 45
 // variables on average — so a change that lengthens the walk fails here
-// rather than on a clock.
+// rather than on a clock. Tower heights are random per run, and one
+// map's few top-level nodes move its mean by a couple of reads (37 to
+// 45 over 41 single-map runs), so the mean is taken over three maps.
 func TestSkipMapLevels(t *testing.T) {
 	const draws = 100_000
-	var seed atomic.Uint64
 	ones := 0
 	for i := 0; i < draws; i++ {
-		switch lvl := randLevel(&seed); {
+		switch lvl := randLevel(); {
 		case lvl < 1 || lvl > skipMaxLevel:
 			t.Fatalf("draw %d: level %d outside [1, %d]", i, lvl, skipMaxLevel)
 		case lvl == 1:
@@ -631,18 +631,22 @@ func TestSkipMapLevels(t *testing.T) {
 		t.Errorf("share of height-1 towers = %.4f, want 0.75 ± 0.01", share)
 	}
 
-	const n, gets = 100_000, 2_000
-	m := preloadAscending(n)
-	before := m.TM().Stats().Reads
-	for i := 0; i < gets; i++ {
-		k := fmt.Sprintf("key-%012d", i*(n/gets)+7)
-		if _, ok := m.Get(k, core.Snapshot); !ok {
-			t.Fatalf("Get(%q) missed", k)
+	const n, gets, maps = 100_000, 2_000, 3
+	var reads uint64
+	for range maps {
+		m := preloadAscending(n)
+		before := m.TM().Stats().Reads
+		for i := 0; i < gets; i++ {
+			k := fmt.Sprintf("key-%012d", i*(n/gets)+7)
+			if _, ok := m.Get(k, core.Snapshot); !ok {
+				t.Fatalf("Get(%q) missed", k)
+			}
 		}
+		reads += m.TM().Stats().Reads - before
 	}
-	if mean := float64(m.TM().Stats().Reads-before) / gets; mean > 45 {
-		t.Errorf("snapshot Get on %d keys: %.1f reads/op, want <= 45", n, mean)
+	if mean := float64(reads) / (maps * gets); mean > 45 {
+		t.Errorf("snapshot Get on %d keys: %.1f reads/op over %d maps, want <= 45", n, mean, maps)
 	} else {
-		t.Logf("snapshot Get on %d keys: %.1f reads/op", n, mean)
+		t.Logf("snapshot Get on %d keys: %.1f reads/op over %d maps", n, mean, maps)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"unsafe"
 )
 
 // Snapshot files — full checkpoints and delta checkpoints — share one
@@ -124,11 +125,15 @@ func (s *snapWriter) sum() error {
 	return err
 }
 
-// field writes one uvarint-length-prefixed string.
+// field writes one uvarint-length-prefixed string. The string is never
+// copied: a []byte(f) conversion escapes through the checksum and the
+// writer, and a full checkpoint writes two strings per key. crc32 only
+// reads the view of f's bytes it is handed.
 func (s *snapWriter) field(f string) error {
 	n := binary.PutUvarint(s.scratch[:], uint64(len(f)))
 	s.Write(s.scratch[:n])
-	_, err := s.Write([]byte(f))
+	s.crc = crc32.Update(s.crc, crcTable, unsafe.Slice(unsafe.StringData(f), len(f)))
+	_, err := s.w.WriteString(f)
 	return err
 }
 

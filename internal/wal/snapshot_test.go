@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
@@ -11,6 +12,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"polytm/internal/raceflag"
 )
 
 // goldenFiles are the snapshot files (and the tail segment) under
@@ -234,5 +237,40 @@ func TestInstallFile(t *testing.T) {
 	}
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Fatalf("tmp file left behind: %v", err)
+	}
+}
+
+// TestSnapshotEncodeAllocs: encoding a checkpoint allocates a constant
+// amount, whatever its entry count. Every key and value is written and
+// checksummed where it lies, never copied to a []byte first: a full
+// checkpoint writes two strings per live key.
+func TestSnapshotEncodeAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation inflates allocation counts; budgets are asserted in the non-race CI step")
+	}
+	keys := make([]string, 10_000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%012d-with-a-value-past-the-stack-buffer", i)
+	}
+	encode := func(n int, hdr *snapHeader) float64 {
+		return testing.AllocsPerRun(5, func() {
+			err := encodeSnapshot(io.Discard, hdr, func(emit func(k, v string, del bool) error) error {
+				for _, k := range keys[:n] {
+					if err := emit(k, k, false); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, hdr := range []*snapHeader{nil, {Self: 3, Base: 2, Parent: 2, Cover: 9}} {
+		small, large := encode(10, hdr), encode(len(keys), hdr)
+		if large > small {
+			t.Errorf("delta %v: %d entries cost %.0f allocs, 10 entries %.0f; want the same", hdr != nil, len(keys), large, small)
+		}
 	}
 }

@@ -148,10 +148,13 @@ type Log struct {
 	chain    Chain
 	lastKind CkptKind
 
-	// fileMu serializes file I/O (write, sync, rotate) so no I/O ever
-	// happens under mu — appends never wait behind an fsync they did
-	// not ask for.
-	fileMu sync.Mutex
+	// fileMu guards the segment descriptor, so no I/O ever happens
+	// under mu. The flusher's write and the syncer's fsync take the read
+	// side and overlap on one descriptor (POSIX allows it; only the
+	// flusher writes), so an append never waits behind an fsync it did
+	// not ask for. Rotate and Close take the write side: they swap or
+	// close the descriptor, and wait for any write or fsync in flight.
+	fileMu sync.RWMutex
 	f      *os.File
 	seg    uint64 // current segment number
 
@@ -422,14 +425,14 @@ func (l *Log) flusher() {
 
 		var werr error
 		if len(enc) > 0 {
-			l.fileMu.Lock()
+			l.fileMu.RLock()
 			_, werr = f.Write(enc)
 			l.statWrites.Add(1)
 			if werr == nil && l.mode == ModeAlways {
 				werr = f.Sync()
 				l.statFsyncs.Add(1)
 			}
-			l.fileMu.Unlock()
+			l.fileMu.RUnlock()
 			l.statBytes.Add(uint64(len(enc)))
 			l.statRecords.Add(uint64(records))
 			if werr == nil && l.onDurable != nil {
@@ -457,11 +460,9 @@ func (l *Log) flusher() {
 			// Offer the batch to the taps in the same critical section
 			// that advances ackSeq: an AttachTap caller can never observe
 			// an ackSeq that covers records it was not offered.
-			if len(l.taps) > 0 {
-				for _, t := range l.taps {
-					for i := range ship {
-						t.fn(ship[i].Seq, ship[i].Payload)
-					}
+			for _, t := range l.taps {
+				for i := range ship {
+					t.fn(ship[i].Seq, ship[i].Payload)
 				}
 			}
 		}
@@ -480,6 +481,18 @@ func (l *Log) flusher() {
 
 // syncer is ModeBatch's background fsync: one fsync per window while
 // writes are happening, amortized over every record of the window.
+//
+// The fsync runs beside the flusher's writes (see fileMu), and batch
+// mode's contract — an acknowledged record survives a process crash, and
+// a machine crash loses at most one window — is unchanged by it. An
+// acknowledgement under ModeBatch was only ever the completed write, so
+// a write overlapping an fsync acknowledges exactly what it did before,
+// just without queueing. The window bound holds because the flusher sets
+// dirty under mu only after its write returns: either that happens
+// before syncDirty clears the flag, and the fsync starts after the write
+// completed and covers it; or after, and the flag stays armed for the
+// next tick. Either way some fsync that starts within a window of the
+// write covers it.
 func (l *Log) syncer() {
 	defer close(l.syncerDone)
 	t := time.NewTicker(l.window)
@@ -502,19 +515,19 @@ func (l *Log) syncer() {
 // the flusher and Close get the sticky error instead.
 func (l *Log) syncDirty() {
 	// fileMu first: a Rotate that swapped and closed the segment between
-	// picking f and syncing it would read as a failed fsync.
-	l.fileMu.Lock()
+	// picking f and syncing it would read as a failed fsync. Held until
+	// a failure has poisoned the log, so no Rotate slips in between.
+	l.fileMu.RLock()
+	defer l.fileMu.RUnlock()
 	l.mu.Lock()
 	need := l.dirty && l.err == nil
 	l.dirty = false
 	f := l.f
 	l.mu.Unlock()
 	if !need {
-		l.fileMu.Unlock()
 		return
 	}
 	err := f.Sync()
-	l.fileMu.Unlock()
 	l.statFsyncs.Add(1)
 	if err != nil {
 		l.logf("wal: background fsync: %v", err)

@@ -636,3 +636,41 @@ func TestCloseAcknowledgesDecidedRecords(t *testing.T) {
 		t.Fatalf("WaitDurable of a record never reserved, after Close: %v, want ErrClosed", err)
 	}
 }
+
+// TestAppendBesideInflightFsync: under ModeBatch an acknowledgement
+// needs only the write, so an append must not queue behind a background
+// fsync it never asked for. The test holds the sync side of the file
+// lock, as syncDirty does across f.Sync: an Append is acknowledged
+// meanwhile, and Rotate, which swaps the descriptor, waits for the sync.
+func TestAppendBesideInflightFsync(t *testing.T) {
+	// A window this long keeps the real syncer out of the way.
+	l, _, _ := openT(t, t.TempDir(), Options{Mode: ModeBatch, BatchWindow: time.Hour})
+	l.fileMu.RLock() // an fsync in flight
+	appended := make(chan error, 1)
+	go func() { appended <- l.Append([]byte{0x01, 'a'}) }()
+	select {
+	case err := <-appended:
+		if err != nil {
+			l.fileMu.RUnlock()
+			t.Fatalf("Append beside an in-flight fsync: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		l.fileMu.RUnlock()
+		t.Fatal("Append was not acknowledged while an fsync was in flight")
+	}
+	rotated := make(chan error, 1)
+	go func() { _, _, err := l.Rotate(); rotated <- err }()
+	select {
+	case <-rotated:
+		l.fileMu.RUnlock()
+		t.Fatal("Rotate swapped the segment under an in-flight fsync")
+	case <-time.After(50 * time.Millisecond):
+	}
+	l.fileMu.RUnlock()
+	if err := <-rotated; err != nil {
+		t.Fatalf("Rotate after the fsync: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
