@@ -214,8 +214,8 @@ func (l *Link) handshake(req *wire.Request) (*wire.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := wire.DecodeResponse(payload, req.Op, nil)
-	if err != nil {
+	resp := new(wire.Response)
+	if err := wire.DecodeResponseInto(resp, payload, req.Op, nil); err != nil {
 		return nil, err
 	}
 	return resp, resp.Err()

@@ -70,7 +70,7 @@ func startPeer(conn net.Conn, answerPings bool) *peer {
 		defer close(p.closed)
 		br := bufio.NewReader(conn)
 		for {
-			payload, err := wire.ReadFrame(br, 0)
+			payload, err := wire.ReadFrameBuf(br, nil, 0)
 			if err != nil {
 				return
 			}
@@ -446,7 +446,7 @@ func TestDialHandshake(t *testing.T) {
 					return
 				}
 				defer c.Close()
-				if _, err := wire.ReadFrame(bufio.NewReader(c), 0); err != nil {
+				if _, err := wire.ReadFrameBuf(bufio.NewReader(c), nil, 0); err != nil {
 					return
 				}
 				row.respond(c)

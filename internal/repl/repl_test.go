@@ -268,12 +268,12 @@ func serveHubFn(t *testing.T, getHub func() *Hub, shards int) string {
 				defer conn.Close()
 				br := bufio.NewReader(conn)
 				bw := bufio.NewWriter(conn)
-				payload, err := wire.ReadFrame(br, wire.MaxFrame)
+				payload, err := wire.ReadFrameBuf(br, nil, wire.MaxFrame)
 				if err != nil {
 					return
 				}
-				req, err := wire.DecodeRequest(payload)
-				if err != nil || req.Op != wire.OpSubscribeWAL {
+				var req wire.Request
+				if err := wire.DecodeRequestInto(&req, payload); err != nil || req.Op != wire.OpSubscribeWAL {
 					return
 				}
 				out, err := wire.AppendResponseFrame(nil, wire.OpSubscribeWAL,

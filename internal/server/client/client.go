@@ -42,27 +42,11 @@ func WithDialTimeout(d time.Duration) Option {
 	}
 }
 
-// WithIdlePing health-checks pooled connections: a connection idle for
-// longer than idleAfter is PINGed (under the reply budget) before
-// reuse, and silently replaced when the ping fails — so a request
-// after a long quiet period lands on a live connection instead of
-// discovering a half-dead one with its own payload. Zero idleAfter
-// disables the check (the default); zero reply means 2s.
-func WithIdlePing(idleAfter, reply time.Duration) Option {
-	return func(c *Client) {
-		c.idleAfter = idleAfter
-		if reply > 0 {
-			c.pingReply = reply
-		}
-	}
-}
-
 // conn is one pooled connection with its buffered endpoints.
 type conn struct {
-	c        net.Conn
-	br       *bufio.Reader
-	bw       *bufio.Writer
-	lastUsed time.Time
+	c  net.Conn
+	br *bufio.Reader
+	bw *bufio.Writer
 }
 
 // Client is a pooled polyserve client. It is safe for concurrent use;
@@ -72,8 +56,6 @@ type Client struct {
 	addr        string
 	size        int
 	dialTimeout time.Duration
-	idleAfter   time.Duration // ping-before-reuse threshold (0 = off)
-	pingReply   time.Duration // health-check ping budget
 
 	mu     sync.Mutex
 	closed bool
@@ -85,7 +67,7 @@ type Client struct {
 // Dial creates a client for the server at addr. The first connection is
 // dialed eagerly so misconfiguration fails fast.
 func Dial(addr string, opts ...Option) (*Client, error) {
-	cl := &Client{addr: addr, size: 4, dialTimeout: 5 * time.Second, pingReply: 2 * time.Second, waitCh: make(chan struct{}, 1)}
+	cl := &Client{addr: addr, size: 4, dialTimeout: 5 * time.Second, waitCh: make(chan struct{}, 1)}
 	cl.send = cl.roundTrip
 	for _, o := range opts {
 		o(cl)
@@ -125,15 +107,6 @@ func (cl *Client) acquire(ctx context.Context) (*conn, error) {
 			cn := cl.idle[n-1]
 			cl.idle = cl.idle[:n-1]
 			cl.mu.Unlock()
-			// Stale-connection health check: a connection idle past the
-			// threshold proves itself with a PING before carrying a real
-			// request; a dead one is dropped and the loop dials afresh.
-			if cl.idleAfter > 0 && !cn.lastUsed.IsZero() && time.Since(cn.lastUsed) >= cl.idleAfter {
-				if err := cl.pingConn(cn); err != nil {
-					cl.discard(cn)
-					continue
-				}
-			}
 			return cn, nil
 		}
 		if cl.live < cl.size {
@@ -157,39 +130,8 @@ func (cl *Client) acquire(ctx context.Context) (*conn, error) {
 	}
 }
 
-// pingConn runs one PING round trip on a specific connection under the
-// reply budget. Any failure poisons the connection for the caller.
-func (cl *Client) pingConn(cn *conn) error {
-	buf, err := wire.AppendRequestFrame(nil, &wire.Request{Op: wire.OpPing, Sem: wire.SemDefault})
-	if err != nil {
-		return err
-	}
-	if err := cn.c.SetDeadline(time.Now().Add(cl.pingReply)); err != nil {
-		return err
-	}
-	if _, err := cn.bw.Write(buf); err != nil {
-		return err
-	}
-	if err := cn.bw.Flush(); err != nil {
-		return err
-	}
-	raw, err := wire.ReadFrame(cn.br, 0)
-	if err != nil {
-		return err
-	}
-	resp, err := wire.DecodeResponse(raw, wire.OpPing, nil)
-	if err != nil {
-		return err
-	}
-	if err := resp.Err(); err != nil {
-		return err
-	}
-	return cn.c.SetDeadline(time.Time{})
-}
-
 // release returns a healthy connection to the pool.
 func (cl *Client) release(cn *conn) {
-	cn.lastUsed = time.Now()
 	cl.mu.Lock()
 	if cl.closed {
 		cl.mu.Unlock()
@@ -733,13 +675,7 @@ func (p *Pipeline) Len() int { return len(p.reqs) }
 // Exec sends the queued requests pipelined and returns their responses
 // in order, resetting the pipeline.
 func (p *Pipeline) Exec() ([]*wire.Response, error) {
-	return p.ExecCtx(context.Background())
-}
-
-// ExecCtx is Exec bounded by ctx (see Client.DoCtx for the deadline →
-// wire-timeout contract).
-func (p *Pipeline) ExecCtx(ctx context.Context) ([]*wire.Response, error) {
 	reqs := p.reqs
 	p.reqs = nil
-	return p.cl.DoCtx(ctx, reqs...)
+	return p.cl.Do(reqs...)
 }

@@ -130,13 +130,14 @@ func TestShortMGetReplyIsAnError(t *testing.T) {
 			go func() {
 				defer c.Close()
 				br := bufio.NewReader(c)
+				var raw []byte
+				var req wire.Request
 				for {
-					raw, err := wire.ReadFrame(br, 0)
-					if err != nil {
+					var err error
+					if raw, err = wire.ReadFrameBuf(br, raw, 0); err != nil {
 						return
 					}
-					req, err := wire.DecodeRequest(raw)
-					if err != nil {
+					if err := wire.DecodeRequestInto(&req, raw); err != nil {
 						return
 					}
 					resp := &wire.Response{Status: wire.StatusOK}

@@ -427,14 +427,14 @@ func TestAppendSubScrubPoisonedReuse(t *testing.T) {
 	for _, req := range reqs {
 		fresh := new(wire.Response)
 		st.ExecuteInto(req, fresh)
-		freshBytes, err := wire.AppendResponse(nil, req.Op, fresh)
+		freshBytes, err := wire.AppendResponseFrame(nil, req.Op, fresh)
 		if err != nil {
 			t.Fatalf("%v fresh encode: %v", req.Op, err)
 		}
 
 		reused := poisoned // the same poisoned Response, reused in place
 		st.ExecuteInto(req, reused)
-		reusedBytes, err := wire.AppendResponse(nil, req.Op, reused)
+		reusedBytes, err := wire.AppendResponseFrame(nil, req.Op, reused)
 		if err != nil {
 			t.Fatalf("%v reused encode: %v", req.Op, err)
 		}

@@ -54,12 +54,12 @@ func (r *rawConn) sendRaw(payload []byte) {
 // readResp reads one response frame and decodes it for op.
 func (r *rawConn) readResp(op wire.Op) *wire.Response {
 	r.t.Helper()
-	raw, err := wire.ReadFrame(r.br, 0)
+	raw, err := wire.ReadFrameBuf(r.br, nil, 0)
 	if err != nil {
 		r.t.Fatalf("raw read: %v", err)
 	}
-	resp, err := wire.DecodeResponse(raw, op, nil)
-	if err != nil {
+	resp := new(wire.Response)
+	if err := wire.DecodeResponseInto(resp, raw, op, nil); err != nil {
 		r.t.Fatalf("raw decode: %v", err)
 	}
 	return resp
@@ -524,7 +524,7 @@ func TestWatchOverflowCutsSession(t *testing.T) {
 	sawLost := false
 	nread := 0
 	for {
-		raw, err := wire.ReadFrame(rc.br, 0)
+		raw, err := wire.ReadFrameBuf(rc.br, nil, 0)
 		if err != nil {
 			if !sawLost {
 				t.Fatalf("session ended without EVENT-LOST after %d frames: %v", nread, err)

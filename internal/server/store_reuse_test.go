@@ -13,12 +13,12 @@ import (
 // Response leaks through the encoder becomes visible.
 func roundTrip(t *testing.T, op wire.Op, resp *wire.Response, subOps []wire.Op) *wire.Response {
 	t.Helper()
-	raw, err := wire.AppendResponse(nil, op, resp)
+	frame, err := wire.AppendResponseFrame(nil, op, resp)
 	if err != nil {
 		t.Fatalf("encode %v: %v", op, err)
 	}
-	dec, err := wire.DecodeResponse(raw, op, subOps)
-	if err != nil {
+	dec := new(wire.Response)
+	if err := wire.DecodeResponseInto(dec, frame[4:], op, subOps); err != nil {
 		t.Fatalf("decode %v: %v", op, err)
 	}
 	return dec
@@ -92,7 +92,7 @@ func TestExecuteIntoReuse(t *testing.T) {
 	}
 
 	// TXN batch through the reused pair, decoded with its sub-ops.
-	txnPayload, err := wire.AppendRequest(nil, &wire.Request{Op: wire.OpTxn, Sem: wire.SemDefault, Batch: []wire.Request{
+	txnFrame, err := wire.AppendRequestFrame(nil, &wire.Request{Op: wire.OpTxn, Sem: wire.SemDefault, Batch: []wire.Request{
 		{Op: wire.OpGet, Key: []byte("a")},
 		{Op: wire.OpDel, Key: []byte("b")},
 		{Op: wire.OpGet, Key: []byte("b")},
@@ -100,7 +100,7 @@ func TestExecuteIntoReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.DecodeRequestInto(&req, txnPayload); err != nil {
+	if err := wire.DecodeRequestInto(&req, txnFrame[4:]); err != nil {
 		t.Fatal(err)
 	}
 	st.ExecuteInto(&req, &resp)

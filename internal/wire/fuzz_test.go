@@ -12,54 +12,77 @@ import (
 )
 
 // The fuzz targets below are seeded from the hostile-input tests
-// (TestDecodeRejectsGarbage, TestReadFrameLimits) plus valid frames of
+// (TestDecodeRejectsGarbage, TestReadFrameBufLimits) plus valid frames of
 // every opcode, and pin the decoder properties the server depends on:
 //
 //   - no input makes a decoder panic;
 //   - no declared length or count makes a decoder allocate beyond the
 //     input's own size class (`count` bounds elements by remaining
-//     bytes, `prealloc` caps speculative element storage, ReadFrame
-//     validates the frame length before any buffer is grown);
+//     bytes, `prealloc` caps speculative element storage, the frame
+//     readers validate the frame length before any buffer is grown);
 //   - anything a decoder accepts, the encoder round-trips.
 //
 // A persisted corpus lives in testdata/fuzz/<Target>/; CI runs each
 // target for a short -fuzztime as a smoke test.
 
-// FuzzReadFrame feeds arbitrary streams to the framing layer.
+// FuzzReadFrame feeds arbitrary streams to both frame readers: the
+// server's ReadFrameBuf, through one reused buffer, and the client's
+// ReadFrameBump, whose every payload must be the stream's own bytes for
+// that frame, capped at its length.
 func FuzzReadFrame(f *testing.F) {
-	frame := func(payload []byte) []byte {
-		var buf bytes.Buffer
-		WriteFrame(&buf, payload)
-		return buf.Bytes()
-	}
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0})                        // short header
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})         // absurd length
-	f.Add([]byte{0, 0, 0, 5, 'a'})                // truncated body
-	f.Add(frame([]byte{byte(OpGet), SemDefault})) // one clean frame
-	f.Add(append(frame([]byte("abc")), frame([]byte("defg"))...))
+	f.Add([]byte{0, 0, 0})                             // short header
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})              // absurd length
+	f.Add([]byte{0, 0, 0, 5, 'a'})                     // truncated body
+	f.Add([]byte{0, 0, 0, 2, byte(OpGet), SemDefault}) // one clean frame
+	f.Add([]byte{0, 0, 0, 3, 'a', 'b', 'c', 0, 0, 0, 4, 'd', 'e', 'f', 'g'})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const maxFrame = 1 << 16
+		wantClass := func(err error) {
+			if err != io.EOF && err != io.ErrUnexpectedEOF && err != ErrFrameTooLarge {
+				t.Fatalf("unexpected error class: %v", err)
+			}
+		}
 		br := bufio.NewReader(bytes.NewReader(data))
 		var buf []byte
 		for i := 0; i < 4; i++ { // a few frames per stream exercises reuse
 			payload, err := ReadFrameBuf(br, buf, maxFrame)
 			if err != nil {
-				if err != io.EOF && err != io.ErrUnexpectedEOF && err != ErrFrameTooLarge {
-					t.Fatalf("unexpected error class: %v", err)
-				}
-				return
+				wantClass(err)
+				break
 			}
 			if len(payload) > maxFrame {
 				t.Fatalf("frame of %d bytes exceeds the %d cap", len(payload), maxFrame)
 			}
 			buf = payload
 		}
+
+		br.Reset(bytes.NewReader(data))
+		var free []byte
+		at := 0
+		for i := 0; i < 4; i++ {
+			payload, err := ReadFrameBump(br, &free, 4-i, 4<<10)
+			if err != nil {
+				wantClass(err)
+				return
+			}
+			if cap(payload) != len(payload) {
+				t.Fatalf("frame %d: %d-byte payload has cap %d", i, len(payload), cap(payload))
+			}
+			if !bytes.Equal(payload, data[at+4:at+4+len(payload)]) {
+				t.Fatalf("frame %d: payload %x is not the stream's bytes", i, payload)
+			}
+			at += 4 + len(payload)
+		}
 	})
 }
 
-// FuzzDecodeRequest throws arbitrary payloads at the request decoder,
-// and re-encodes whatever it accepts.
+// FuzzDecodeRequest throws arbitrary payloads at the request decoder
+// twice — into a fresh Request, and into one that earlier requests
+// filled, as Server.handle decodes every request on a connection into
+// the one it keeps — and demands the same verdict from both and, when
+// they accept, the same re-encoding, which must in turn decode and
+// re-encode to itself.
 func FuzzDecodeRequest(f *testing.F) {
 	// The hostile-input seeds.
 	f.Add([]byte{})
@@ -94,39 +117,66 @@ func FuzzDecodeRequest(f *testing.F) {
 		{Op: OpDecr, Sem: SemDefault, Key: []byte("ctr"), Delta: 1},
 		{Op: OpSetEx, Sem: SemDefault, Key: []byte("k"), Val: []byte("v"), TTLMillis: 1500},
 	} {
-		payload, err := AppendRequest(nil, r)
+		frame, err := AppendRequestFrame(nil, r)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(payload)
+		f.Add(frame[4:]) // payload only: op | sem | body
+	}
+	// What a connection's Request holds when the fuzzed payload arrives:
+	// an MGET's key list, then a TXN's four sub-requests with their keys,
+	// values and expected values set.
+	var earlier [][]byte
+	for _, r := range []*Request{
+		{Op: OpMGet, Sem: SemDefault, Keys: [][]byte{[]byte("m1"), []byte("m2"), []byte("m3")}},
+		{Op: OpTxn, Sem: byte(stm.SemanticsIrrevocable), Batch: []Request{
+			{Op: OpGet, Key: []byte("g")},
+			{Op: OpSet, Key: []byte("s"), Val: []byte("sv")},
+			{Op: OpCAS, Key: []byte("c"), Old: []byte("co"), Val: []byte("cn")},
+			{Op: OpDel, Key: []byte("d")},
+		}},
+	} {
+		frame, err := AppendRequestFrame(nil, r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		earlier = append(earlier, frame[4:])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := DecodeRequest(data)
-		if err != nil {
+		var fresh, reused Request
+		for _, p := range earlier {
+			if err := DecodeRequestInto(&reused, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		freshErr := DecodeRequestInto(&fresh, data)
+		reusedErr := DecodeRequestInto(&reused, data)
+		if (freshErr == nil) != (reusedErr == nil) {
+			t.Fatalf("into a fresh Request err=%v, into a reused one err=%v", freshErr, reusedErr)
+		}
+		if freshErr != nil {
 			return
 		}
-		// Accepted input must re-encode...
-		enc, err := AppendRequest(nil, req)
+		// Accepted input must re-encode, the same from either decode...
+		enc, err := AppendRequestFrame(nil, &fresh)
 		if err != nil {
-			t.Fatalf("decoded request does not re-encode: %v (%+v)", err, req)
+			t.Fatalf("decoded request does not re-encode: %v (%+v)", err, fresh)
+		}
+		if encReused, err := AppendRequestFrame(nil, &reused); err != nil || !bytes.Equal(enc, encReused) {
+			t.Fatalf("reused decode re-encodes differently (err %v):\n fresh  %x\n reused %x", err, enc, encReused)
 		}
 		// ...and the re-encoding must decode to the same thing (the
 		// encoder is canonical, so encode∘decode is a fixpoint there).
-		req2, err := DecodeRequest(enc)
-		if err != nil {
+		var again Request
+		if err := DecodeRequestInto(&again, enc[4:]); err != nil {
 			t.Fatalf("re-encoded request does not decode: %v", err)
 		}
-		enc2, err := AppendRequest(nil, req2)
+		enc2, err := AppendRequestFrame(nil, &again)
 		if err != nil {
 			t.Fatalf("second re-encode: %v", err)
 		}
 		if !bytes.Equal(enc, enc2) {
 			t.Fatalf("encode is not a fixpoint:\n first %x\nsecond %x", enc, enc2)
-		}
-		// The decoder reuse path must agree with the fresh path.
-		var into Request
-		if err := DecodeRequestInto(&into, data); err != nil {
-			t.Fatalf("DecodeRequestInto rejects what DecodeRequest accepts: %v", err)
 		}
 	})
 }
@@ -161,11 +211,11 @@ func addResponseSeeds(f *testing.F) {
 		{OpGet, &Response{Status: StatusErr, Msg: "boom"}},
 		{OpIncr, &Response{Status: StatusErr, Msg: (&ProtocolError{Code: ProtoUnknownOp}).Error()}},
 	} {
-		payload, err := AppendResponse(nil, c.op, c.resp)
+		frame, err := AppendResponseFrame(nil, c.op, c.resp)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(byte(c.op), payload)
+		f.Add(byte(c.op), frame[4:])
 	}
 	f.Add(byte(OpScan), append([]byte{byte(StatusOK)}, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01))
 	f.Add(byte(OpTxn), []byte{byte(StatusOK), 4})
@@ -190,8 +240,8 @@ func FuzzDecodeResponse(f *testing.F) {
 	addResponseSeeds(f)
 	f.Fuzz(func(t *testing.T, opByte byte, data []byte) {
 		op, subOps := fuzzedOp(opByte)
-		resp, err := DecodeResponse(data, op, subOps)
-		if err != nil {
+		var resp Response
+		if err := DecodeResponseInto(&resp, data, op, subOps); err != nil {
 			return
 		}
 		// Accepted input must re-encode. TXN sub-responses carry their
@@ -202,7 +252,7 @@ func FuzzDecodeResponse(f *testing.F) {
 				resp.Batch[i].SubOp = subOps[i]
 			}
 		}
-		if _, err := AppendResponse(nil, op, resp); err != nil {
+		if _, err := AppendResponseFrame(nil, op, &resp); err != nil {
 			t.Fatalf("decoded %v response does not re-encode: %v (%+v)", op, err, resp)
 		}
 	})
@@ -221,7 +271,8 @@ func FuzzDecodeResponseInto(f *testing.F) {
 	addResponseSeeds(f)
 	f.Fuzz(func(t *testing.T, opByte byte, data []byte) {
 		op, subOps := fuzzedOp(opByte)
-		fresh, freshErr := DecodeResponse(data, op, subOps)
+		var fresh Response
+		freshErr := DecodeResponseInto(&fresh, data, op, subOps)
 		for _, lend := range []int{0, 2, 4, 8} {
 			lent := make([]Response, lend)
 			for i := range lent {
@@ -240,8 +291,8 @@ func FuzzDecodeResponseInto(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			if !reflect.DeepEqual(&dirty, fresh) {
-				t.Fatalf("%v, lent %d: dirty decode differs from fresh:\n dirty %+v\n fresh %+v", op, lend, dirty, *fresh)
+			if !reflect.DeepEqual(dirty, fresh) {
+				t.Fatalf("%v, lent %d: dirty decode differs from fresh:\n dirty %+v\n fresh %+v", op, lend, dirty, fresh)
 			}
 			for i := range dirty.Batch {
 				if v := dirty.Batch[i].Val; len(v) > 0 && !aliases(v, data) {

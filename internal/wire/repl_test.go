@@ -14,9 +14,9 @@ func roundTripReplFrame(t *testing.T, f *ReplFrame) *ReplFrame {
 	if err != nil {
 		t.Fatalf("AppendReplFrame(%v): %v", f.Kind, err)
 	}
-	payload, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame)), 0)
+	payload, err := ReadFrameBuf(bufio.NewReader(bytes.NewReader(frame)), nil, 0)
 	if err != nil {
-		t.Fatalf("ReadFrame: %v", err)
+		t.Fatalf("ReadFrameBuf: %v", err)
 	}
 	dec := new(ReplFrame)
 	if err := DecodeReplFrame(dec, payload); err != nil {
@@ -130,26 +130,26 @@ func TestNewOpcodesRoundTrip(t *testing.T) {
 		}
 	}
 	// SUBSCRIBE-WAL's OK response carries the store-shard count.
-	payload, err := AppendResponse(nil, OpSubscribeWAL, &Response{Status: StatusOK, N: 8})
+	frame, err := AppendResponseFrame(nil, OpSubscribeWAL, &Response{Status: StatusOK, N: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := DecodeResponse(payload, OpSubscribeWAL, nil)
-	if err != nil {
+	var resp Response
+	if err := DecodeResponseInto(&resp, frame[4:], OpSubscribeWAL, nil); err != nil {
 		t.Fatal(err)
 	}
 	if resp.N != 8 {
 		t.Fatalf("shard count = %d, want 8", resp.N)
 	}
 	// PING's OK response is empty.
-	payload, err = AppendResponse(nil, OpPing, &Response{Status: StatusOK})
+	frame, err = AppendResponseFrame(nil, OpPing, &Response{Status: StatusOK})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(payload) != 1 {
-		t.Fatalf("PING response payload = %v, want bare status", payload)
+	if len(frame) != 5 {
+		t.Fatalf("PING response frame = %v, want a bare status", frame)
 	}
-	if _, err := DecodeResponse(payload, OpPing, nil); err != nil {
+	if err := DecodeResponseInto(&resp, frame[4:], OpPing, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -3,44 +3,26 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
 	"testing/iotest"
 )
 
-// TestReadFrameBufLimits proves the reusable-buffer read path keeps
-// exactly ReadFrame's rejection behaviour on hostile input: an oversize
-// announced length is refused before any buffer is grown, a truncated
-// body surfaces ErrUnexpectedEOF, and a clean EOF stays io.EOF — with a
-// pre-sized reuse buffer in play in every case.
+// TestReadFrameLimits pins the frame reader's rejection behaviour on
+// hostile input when it allocates the payload itself (no reuse buffer):
+// an oversize announced length is refused, a truncated body or header
+// surfaces ErrUnexpectedEOF, and a clean EOF stays io.EOF.
+func TestReadFrameLimits(t *testing.T) {
+	checkFrameLimits(t, nil)
+}
+
+// TestReadFrameBufLimits runs the same hostile inputs through a
+// pre-sized reuse buffer, and checks that an oversize announced length
+// is refused before any buffer is grown.
 func TestReadFrameBufLimits(t *testing.T) {
-	reuse := make([]byte, 0, 256)
-
-	// Oversize frame.
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, make([]byte, 100)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFrameBuf(bufio.NewReader(bytes.NewReader(buf.Bytes())), reuse, 50); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("oversize frame error = %v, want ErrFrameTooLarge", err)
-	}
-
-	// Truncated frame body.
-	raw := buf.Bytes()[:20]
-	if _, err := ReadFrameBuf(bufio.NewReader(bytes.NewReader(raw)), reuse, 0); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Errorf("truncated frame error = %v, want ErrUnexpectedEOF", err)
-	}
-
-	// Truncated header.
-	if _, err := ReadFrameBuf(bufio.NewReader(bytes.NewReader(raw[:2])), reuse, 0); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Errorf("truncated header error = %v, want ErrUnexpectedEOF", err)
-	}
-
-	// Clean EOF at a frame boundary.
-	if _, err := ReadFrameBuf(bufio.NewReader(bytes.NewReader(nil)), reuse, 0); !errors.Is(err, io.EOF) {
-		t.Errorf("empty stream error = %v, want EOF", err)
-	}
+	checkFrameLimits(t, make([]byte, 0, 256))
 
 	// A hostile announced length larger than maxFrame must not grow the
 	// reuse buffer: the length check runs before any allocation.
@@ -51,18 +33,33 @@ func TestReadFrameBufLimits(t *testing.T) {
 	}
 }
 
+func checkFrameLimits(t *testing.T, reuse []byte) {
+	t.Helper()
+	frame := append(binary.BigEndian.AppendUint32(nil, 100), make([]byte, 100)...)
+	if _, err := ReadFrameBuf(bufio.NewReader(bytes.NewReader(frame)), reuse, 50); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("oversize frame error = %v, want ErrFrameTooLarge", err)
+	}
+	if _, err := ReadFrameBuf(bufio.NewReader(bytes.NewReader(frame[:20])), reuse, 0); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("truncated frame error = %v, want ErrUnexpectedEOF", err)
+	}
+	if _, err := ReadFrameBuf(bufio.NewReader(bytes.NewReader(frame[:2])), reuse, 0); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("truncated header error = %v, want ErrUnexpectedEOF", err)
+	}
+	if _, err := ReadFrameBuf(bufio.NewReader(bytes.NewReader(nil)), reuse, 0); !errors.Is(err, io.EOF) {
+		t.Errorf("empty stream error = %v, want EOF", err)
+	}
+}
+
 // TestReadFrameBufReuse streams frames of varying sizes through one
 // reuse buffer and checks contents, growth-only-when-needed, and
 // aliasing (a frame that fits returns a view of the same storage).
 func TestReadFrameBufReuse(t *testing.T) {
-	var buf bytes.Buffer
+	var stream []byte
 	sizes := []int{100, 10, 0, 200, 50}
 	for i, n := range sizes {
-		if err := WriteFrame(&buf, bytes.Repeat([]byte{byte('a' + i)}, n)); err != nil {
-			t.Fatal(err)
-		}
+		stream = append(binary.BigEndian.AppendUint32(stream, uint32(n)), bytes.Repeat([]byte{byte('a' + i)}, n)...)
 	}
-	br := bufio.NewReader(&buf)
+	br := bufio.NewReader(bytes.NewReader(stream))
 	var frame []byte
 	for i, n := range sizes {
 		var err error
@@ -87,7 +84,7 @@ func TestReadFrameBufReuse(t *testing.T) {
 }
 
 // TestDecodeRequestIntoHostile drives the in-place decoder over the
-// same hostile corpus as DecodeRequest — a reused Request must reject
+// same hostile corpus as TestDecodeRejectsGarbage — a reused Request must reject
 // exactly what a fresh one rejects.
 func TestDecodeRequestIntoHostile(t *testing.T) {
 	cases := []struct {
@@ -107,12 +104,12 @@ func TestDecodeRequestIntoHostile(t *testing.T) {
 	var req Request
 	// Pre-populate the reused request with a rich decode so stale state
 	// is available to leak.
-	seed, err := AppendRequest(nil, &Request{Op: OpMGet, Sem: SemDefault,
+	seed, err := AppendRequestFrame(nil, &Request{Op: OpMGet, Sem: SemDefault,
 		Keys: [][]byte{[]byte("k1"), []byte("k2"), []byte("k3")}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := DecodeRequestInto(&req, seed); err != nil {
+	if err := DecodeRequestInto(&req, seed[4:]); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range cases {
@@ -121,11 +118,11 @@ func TestDecodeRequestIntoHostile(t *testing.T) {
 		}
 	}
 	// Trailing bytes are an error too.
-	payload, err := AppendRequest(nil, &Request{Op: OpGet, Sem: SemDefault, Key: []byte("k")})
+	frame, err := AppendRequestFrame(nil, &Request{Op: OpGet, Sem: SemDefault, Key: []byte("k")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := DecodeRequestInto(&req, append(payload, 0)); err == nil {
+	if err := DecodeRequestInto(&req, append(frame[4:], 0)); err == nil {
 		t.Error("DecodeRequestInto accepted trailing bytes")
 	}
 }
@@ -137,11 +134,11 @@ func TestDecodeRequestIntoNoStaleState(t *testing.T) {
 	var req Request
 
 	enc := func(r *Request) []byte {
-		p, err := AppendRequest(nil, r)
+		p, err := AppendRequestFrame(nil, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return p
+		return p[4:]
 	}
 
 	// 1: a TXN batch with three sub-ops.
@@ -209,23 +206,20 @@ func TestDecodeRequestIntoNoStaleState(t *testing.T) {
 // nothing at all — the allocation the old `var hdr [4]byte` cost every
 // frame on both sides of every connection.
 func TestReadFrameBufHeader(t *testing.T) {
-	var frame bytes.Buffer
-	if err := WriteFrame(&frame, []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
+	frame := append(binary.BigEndian.AppendUint32(nil, 7), "payload"...)
 	for cut := 1; cut < 4; cut++ {
-		br := bufio.NewReader(iotest.OneByteReader(bytes.NewReader(frame.Bytes()[:cut])))
+		br := bufio.NewReader(iotest.OneByteReader(bytes.NewReader(frame[:cut])))
 		if _, err := ReadFrameBuf(br, nil, 0); err != io.ErrUnexpectedEOF {
 			t.Errorf("header cut after %d bytes: err = %v, want io.ErrUnexpectedEOF", cut, err)
 		}
 	}
-	br := bufio.NewReader(iotest.OneByteReader(bytes.NewReader(frame.Bytes())))
+	br := bufio.NewReader(iotest.OneByteReader(bytes.NewReader(frame)))
 	if got, err := ReadFrameBuf(br, nil, 0); err != nil || string(got) != "payload" {
 		t.Errorf("frame through a one-byte reader = %q, %v", got, err)
 	}
 
 	// Allocation checks reuse one reader over one repeating stream.
-	stream := bytes.Repeat(frame.Bytes(), 8)
+	stream := bytes.Repeat(frame, 8)
 	src := bytes.NewReader(stream)
 	br = bufio.NewReader(src)
 	buf := make([]byte, 0, 64)
@@ -259,17 +253,15 @@ func TestReadFrameBufHeader(t *testing.T) {
 // 64-byte chunk, not 4 KB and not 64 payloads), a frame over a quarter
 // of the cap is allocated alone without disturbing the chunk, payloads
 // never overlap and are capped at their own length, and hostile input
-// is refused exactly as ReadFrame refuses it.
+// is refused exactly as ReadFrameBuf refuses it.
 func TestReadFrameBump(t *testing.T) {
 	const maxChunk = 4 << 10
-	var stream bytes.Buffer
+	var stream []byte
 	sizes := []int{3, 1, 1, 2000, 1, 700, 700, 0, 700}
 	for i, n := range sizes {
-		if err := WriteFrame(&stream, bytes.Repeat([]byte{byte('a' + i)}, n)); err != nil {
-			t.Fatal(err)
-		}
+		stream = append(binary.BigEndian.AppendUint32(stream, uint32(n)), bytes.Repeat([]byte{byte('a' + i)}, n)...)
 	}
-	br := bufio.NewReader(bytes.NewReader(stream.Bytes()))
+	br := bufio.NewReader(bytes.NewReader(stream))
 	inline := make([]byte, 4)
 	free := inline
 	var got, rest [][]byte // each payload, and what was left of *free after it

@@ -112,11 +112,11 @@ func TestSessionOpcodeCodec(t *testing.T) {
 	var got Request
 	for i := range reqs {
 		r := &reqs[i]
-		payload, err := AppendRequest(nil, r)
+		frame, err := AppendRequestFrame(nil, r)
 		if err != nil {
 			t.Fatalf("%v: encode: %v", r.Op, err)
 		}
-		if err := DecodeRequestInto(&got, payload); err != nil {
+		if err := DecodeRequestInto(&got, frame[4:]); err != nil {
 			t.Fatalf("%v: decode: %v", r.Op, err)
 		}
 		if got.Op != r.Op || !bytes.Equal(got.Key, r.Key) || !bytes.Equal(got.Val, r.Val) ||
@@ -126,15 +126,15 @@ func TestSessionOpcodeCodec(t *testing.T) {
 	}
 	// Field hygiene: a SETEX decoded into a reused Request must not leak
 	// into a following WATCH decode, and vice versa.
-	payload, _ := AppendRequest(nil, &reqs[0]) // exact-key WATCH
-	if err := DecodeRequestInto(&got, payload); err != nil {
+	frame, _ := AppendRequestFrame(nil, &reqs[0]) // exact-key WATCH
+	if err := DecodeRequestInto(&got, frame[4:]); err != nil {
 		t.Fatal(err)
 	}
 	if got.Delta != 0 || got.TTLMillis != 0 || got.Prefix {
 		t.Fatalf("stale session fields after reuse: %+v", got)
 	}
 
-	if _, err := AppendRequest(nil, &Request{Op: OpSetEx, Sem: SemDefault, Key: []byte("k"), Val: []byte("v"), TTLMillis: 1}); err != nil {
+	if _, err := AppendRequestFrame(nil, &Request{Op: OpSetEx, Sem: SemDefault, Key: []byte("k"), Val: []byte("v"), TTLMillis: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := DecodeRequestInto(&got, []byte{byte(OpSetEx), SemDefault, 1, 'k', 1, 'v', 0}); !errors.Is(err, ErrZeroTTL) {
@@ -154,12 +154,12 @@ func TestSessionOpcodeCodec(t *testing.T) {
 		{OpDecr, Response{Status: StatusOK, Int: -41}},
 		{OpSetEx, Response{Status: StatusOK}},
 	} {
-		payload, err := AppendResponse(nil, c.op, &c.resp)
+		frame, err := AppendResponseFrame(nil, c.op, &c.resp)
 		if err != nil {
 			t.Fatalf("%v: encode: %v", c.op, err)
 		}
-		dec, err := DecodeResponse(payload, c.op, nil)
-		if err != nil {
+		dec := new(Response)
+		if err := DecodeResponseInto(dec, frame[4:], c.op, nil); err != nil {
 			t.Fatalf("%v: decode: %v", c.op, err)
 		}
 		if dec.Status != c.resp.Status || dec.N != c.resp.N || dec.Int != c.resp.Int {

@@ -98,10 +98,9 @@ const (
 	// retired: Valid rejects it, and it is never reused.
 
 	// OpPing is a liveness probe: it touches no store state and starts no
-	// transaction. Body: empty. OK response body: empty. Clients use it to
-	// health-check pooled connections that have sat idle past their
-	// heartbeat budget; the replication link uses the push-frame
-	// equivalent (ReplPing).
+	// transaction. Body: empty. OK response body: empty. The client's Ping
+	// sends it; the replication link uses the push-frame equivalent
+	// (ReplPing).
 	OpPing Op = 11
 	// OpSubscribeWAL converts the connection into a replication feed.
 	// Body: empty. OK response body: uvarint store-shard count. After the
@@ -551,34 +550,16 @@ func batchRoom(lent []Response, n int) []Response {
 
 // ---- framing ----
 
-// WriteFrame writes one length-prefixed frame to w.
-func WriteFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// ReadFrame reads one frame payload from br, refusing frames larger than
-// maxFrame (<= 0 means MaxFrame). The payload is freshly allocated; a
-// loop that processes each frame before reading the next should use
-// ReadFrameBuf with a reusable buffer instead.
-func ReadFrame(br *bufio.Reader, maxFrame int) ([]byte, error) {
-	return ReadFrameBuf(br, nil, maxFrame)
-}
-
-// ReadFrameBuf is ReadFrame with caller-owned payload storage: the
-// frame is read into buf (grown only when the payload exceeds its
-// capacity) and the filled slice, which aliases buf's storage, is
-// returned. The caller passes the returned slice back on the next call
-// and must be done with a payload before reading the next frame into
-// it. Rejection behaviour is identical to ReadFrame — the frame length
-// is validated against maxFrame BEFORE any buffer is grown, so a
-// hostile length cannot force an allocation, and a truncated body
-// surfaces io.ErrUnexpectedEOF.
+// ReadFrameBuf reads one frame payload from br into caller-owned
+// storage, refusing frames larger than maxFrame (<= 0 means MaxFrame):
+// the frame is read into buf (grown only when the payload exceeds its
+// capacity; nil allocates one) and the filled slice, which aliases
+// buf's storage, is returned. The caller passes the returned slice back
+// on the next call and must be done with a payload before reading the
+// next frame into it. The frame length is validated against maxFrame
+// BEFORE any buffer is grown, so a hostile length cannot force an
+// allocation; a clean end between frames is io.EOF, and a stream cut
+// inside a frame io.ErrUnexpectedEOF.
 func ReadFrameBuf(br *bufio.Reader, buf []byte, maxFrame int) ([]byte, error) {
 	n, err := readFrameLen(br, maxFrame)
 	if err != nil {
@@ -660,34 +641,6 @@ func putFrameLen(dst []byte, start int) {
 	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
 }
 
-// AppendRequestFrame appends r's complete frame — 4-byte length prefix
-// plus payload — to dst, so a pipelined batch can be encoded into one
-// reusable buffer and written with a single Write. On error dst is
-// returned truncated to its original length.
-func AppendRequestFrame(dst []byte, r *Request) ([]byte, error) {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	out, err := AppendRequest(dst, r)
-	if err != nil {
-		return dst[:start], err
-	}
-	binary.BigEndian.PutUint32(out[start:], uint32(len(out)-start-4))
-	return out, nil
-}
-
-// AppendResponseFrame appends the complete response frame (length
-// prefix plus status | body) answering opcode op to dst.
-func AppendResponseFrame(dst []byte, op Op, r *Response) ([]byte, error) {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	out, err := AppendResponse(dst, op, r)
-	if err != nil {
-		return dst[:start], err
-	}
-	binary.BigEndian.PutUint32(out[start:], uint32(len(out)-start-4))
-	return out, nil
-}
-
 // ---- request codec ----
 
 // appendRequestBody encodes the opcode-dependent body (no op/sem bytes).
@@ -755,16 +708,21 @@ func appendRequestBody(dst []byte, r *Request) ([]byte, error) {
 	return dst, nil
 }
 
-// AppendRequest appends r's full payload (op | sem | body) to dst.
-func AppendRequest(dst []byte, r *Request) ([]byte, error) {
-	if !r.Op.Valid() {
-		return nil, ErrBadOp
-	}
+// AppendRequestFrame appends r's complete frame — 4-byte length prefix
+// plus op | sem | body — to dst, so a pipelined batch can be encoded
+// into one reusable buffer and written with a single Write. On error dst
+// is returned unchanged.
+func AppendRequestFrame(dst []byte, r *Request) ([]byte, error) {
 	if _, err := Semantics(r.Sem, 0); err != nil {
-		return nil, err
+		return dst, err
 	}
-	dst = append(dst, byte(r.Op), r.Sem)
-	return appendRequestBody(dst, r)
+	// appendRequestBody's default arm rejects every opcode Valid rejects.
+	out, err := appendRequestBody(append(dst, 0, 0, 0, 0, byte(r.Op), r.Sem), r)
+	if err != nil {
+		return dst, err
+	}
+	putFrameLen(out, len(dst))
+	return out, nil
 }
 
 func decodeRequestBody(rd *reader, r *Request) error {
@@ -894,15 +852,6 @@ func decodeRequestBody(rd *reader, r *Request) error {
 	return err
 }
 
-// DecodeRequest parses one request payload into a fresh Request.
-func DecodeRequest(payload []byte) (*Request, error) {
-	r := new(Request)
-	if err := DecodeRequestInto(r, payload); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
 // DecodeRequestInto parses one request payload into r, reusing r's
 // slice storage (MGET key lists, TXN sub-request entries) across calls
 // — the decode path of a connection loop that keeps one Request per
@@ -1002,11 +951,16 @@ func appendResponseBody(dst []byte, op Op, r *Response) ([]byte, error) {
 	return dst, nil
 }
 
-// AppendResponse appends the full response payload (status | body) for a
-// response answering opcode op.
-func AppendResponse(dst []byte, op Op, r *Response) ([]byte, error) {
-	dst = append(dst, byte(r.Status))
-	return appendResponseBody(dst, op, r)
+// AppendResponseFrame appends the complete response frame — 4-byte
+// length prefix plus status | body — answering opcode op to dst. On
+// error dst is returned unchanged.
+func AppendResponseFrame(dst []byte, op Op, r *Response) ([]byte, error) {
+	out, err := appendResponseBody(append(dst, 0, 0, 0, 0, byte(r.Status)), op, r)
+	if err != nil {
+		return dst, err
+	}
+	putFrameLen(out, len(dst))
+	return out, nil
 }
 
 // decodeResponseBody decodes the body of a response to op into r, whose
@@ -1103,9 +1057,8 @@ func decodeResponseBody(rd *reader, op Op, r *Response, subOps []Op, lent []Resp
 	return err
 }
 
-// DecodeResponse parses one response payload answering opcode op into
-// a fresh Response. For OpTxn, subOps must list the batch's sub-opcodes
-// in order (the client knows them from the request it sent).
+// DecodeResponse is DecodeResponseInto into a fresh Response, kept for
+// its one remaining caller, the benchmark module's bench/trace.go.
 func DecodeResponse(payload []byte, op Op, subOps []Op) (*Response, error) {
 	r := new(Response)
 	if err := DecodeResponseInto(r, payload, op, subOps); err != nil {
@@ -1114,17 +1067,19 @@ func DecodeResponse(payload []byte, op Op, subOps []Op) (*Response, error) {
 	return r, nil
 }
 
-// DecodeResponseInto is DecodeResponse into caller-owned storage, so a
-// caller that already has somewhere to put the Response (the client
-// carves a batch's responses out of one allocation) does not pay for
-// one each. The capacity r.Batch arrives with is storage the caller
+// DecodeResponseInto parses one response payload answering opcode op
+// into r. For OpTxn, subOps must list the batch's sub-opcodes in order
+// (the client knows them from the request it sent); it is only read,
+// not retained. A caller that already has somewhere to put the Response
+// (the client carves a batch's responses out of one allocation) pays
+// for none. The capacity r.Batch arrives with is storage the caller
 // lends: an MGET or TXN reply whose sub-responses fit decodes them there
 // (the capacity is cleared first), any other reply leaves it untouched
 // and decodes to Batch == nil. Everything else r held is discarded, and
 // every other decoded slice either aliases payload or is freshly
 // allocated, so a Response handed out earlier is written through only if
 // the caller passes its Batch back in. On error r holds partially
-// decoded state. subOps is only read, not retained.
+// decoded state.
 func DecodeResponseInto(r *Response, payload []byte, op Op, subOps []Op) error {
 	lent := r.Batch[:0]
 	*r = Response{}

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"reflect"
@@ -11,23 +12,21 @@ import (
 	"polytm/internal/stm"
 )
 
+// roundTripRequest sends r the way a client does and reads it back the
+// way the server does: AppendRequestFrame, ReadFrameBuf, DecodeRequestInto.
 func roundTripRequest(t *testing.T, r *Request) *Request {
 	t.Helper()
-	payload, err := AppendRequest(nil, r)
+	frame, err := AppendRequestFrame(nil, r)
 	if err != nil {
-		t.Fatalf("AppendRequest(%v): %v", r.Op, err)
+		t.Fatalf("AppendRequestFrame(%v): %v", r.Op, err)
 	}
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, payload); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
-	}
-	got, err := ReadFrame(bufio.NewReader(&buf), 0)
+	payload, err := ReadFrameBuf(bufio.NewReader(bytes.NewReader(frame)), nil, 0)
 	if err != nil {
-		t.Fatalf("ReadFrame: %v", err)
+		t.Fatalf("ReadFrameBuf: %v", err)
 	}
-	dec, err := DecodeRequest(got)
-	if err != nil {
-		t.Fatalf("DecodeRequest(%v): %v", r.Op, err)
+	dec := new(Request)
+	if err := DecodeRequestInto(dec, payload); err != nil {
+		t.Fatalf("DecodeRequestInto(%v): %v", r.Op, err)
 	}
 	return dec
 }
@@ -126,14 +125,25 @@ func TestResponseRoundTrip(t *testing.T) {
 		{OpGet, nil, &Response{Status: StatusErr, Msg: "boom"}},
 		{OpTxn, []Op{OpGet}, &Response{Status: StatusErr, Msg: "snapshot write"}},
 	}
+	// The server's frames back to back, read and decoded the way the
+	// client reads a pipelined batch.
+	var stream []byte
 	for _, c := range cases {
-		payload, err := AppendResponse(nil, c.op, c.resp)
-		if err != nil {
-			t.Fatalf("AppendResponse(%v): %v", c.op, err)
+		var err error
+		if stream, err = AppendResponseFrame(stream, c.op, c.resp); err != nil {
+			t.Fatalf("AppendResponseFrame(%v): %v", c.op, err)
 		}
-		dec, err := DecodeResponse(payload, c.op, c.subOps)
+	}
+	br := bufio.NewReader(bytes.NewReader(stream))
+	var free []byte
+	for i, c := range cases {
+		payload, err := ReadFrameBump(br, &free, len(cases)-i, 4<<10)
 		if err != nil {
-			t.Fatalf("DecodeResponse(%v): %v", c.op, err)
+			t.Fatalf("ReadFrameBump(%v): %v", c.op, err)
+		}
+		dec := new(Response)
+		if err := DecodeResponseInto(dec, payload, c.op, c.subOps); err != nil {
+			t.Fatalf("DecodeResponseInto(%v): %v", c.op, err)
 		}
 		// SubOp is encode-side only.
 		want := *c.resp
@@ -187,66 +197,98 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		{"mget absurd count", append([]byte{byte(OpMGet), SemDefault}, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01), ErrTruncated},
 	}
 	for _, c := range cases {
-		if _, err := DecodeRequest(c.payload); !errors.Is(err, c.wantErr) {
-			t.Errorf("%s: DecodeRequest error = %v, want %v", c.name, err, c.wantErr)
+		if err := DecodeRequestInto(new(Request), c.payload); !errors.Is(err, c.wantErr) {
+			t.Errorf("%s: DecodeRequestInto error = %v, want %v", c.name, err, c.wantErr)
 		}
 	}
 	// Trailing bytes are an error too.
-	payload, err := AppendRequest(nil, &Request{Op: OpGet, Sem: SemDefault, Key: []byte("k")})
+	frame, err := AppendRequestFrame(nil, &Request{Op: OpGet, Sem: SemDefault, Key: []byte("k")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeRequest(append(payload, 0)); err == nil {
-		t.Error("DecodeRequest accepted trailing bytes")
+	if err := DecodeRequestInto(new(Request), append(frame[4:], 0)); err == nil {
+		t.Error("DecodeRequestInto accepted trailing bytes")
 	}
 }
 
-func TestReadFrameLimits(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, make([]byte, 100)); err != nil {
+// TestAppendFrameErrors pins the frame encoders' contract: a frame's
+// length prefix counts the bytes after it, and an encode that fails —
+// however far into the body it got — hands dst back as it came, so the
+// frames already in a pipelined batch's buffer survive byte for byte.
+func TestAppendFrameErrors(t *testing.T) {
+	first, err := AppendRequestFrame(nil, &Request{Op: OpSet, Sem: SemDefault, Key: []byte("k"), Val: []byte("v")})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(buf.Bytes())), 50); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("oversize frame error = %v, want ErrFrameTooLarge", err)
+	both, err := AppendResponseFrame(append([]byte(nil), first...), OpGet, &Response{Status: StatusOK, Val: []byte("val")})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Truncated frame body.
-	raw := buf.Bytes()[:20]
-	if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(raw)), 0); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Errorf("truncated frame error = %v, want ErrUnexpectedEOF", err)
+	for _, frame := range [][]byte{first, both[len(first):]} {
+		if n := binary.BigEndian.Uint32(frame); int(n) != len(frame)-4 {
+			t.Errorf("length prefix %d on a %d-byte frame, want %d", n, len(frame), len(frame)-4)
+		}
 	}
-	// Clean EOF at a frame boundary.
-	if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(nil)), 0); !errors.Is(err, io.EOF) {
-		t.Errorf("empty stream error = %v, want EOF", err)
+
+	txn := []Request{{Op: OpSet, Key: []byte("a"), Val: []byte("1")}, {Op: OpFlush}}
+	for _, c := range []struct {
+		name string
+		enc  func(dst []byte) ([]byte, error)
+		want error
+	}{
+		{"TXN with a FLUSH sub-op", func(dst []byte) ([]byte, error) {
+			return AppendRequestFrame(dst, &Request{Op: OpTxn, Sem: SemDefault, Batch: txn})
+		}, ErrBadSubOp},
+		{"invalid opcode", func(dst []byte) ([]byte, error) {
+			return AppendRequestFrame(dst, &Request{Op: 99, Sem: SemDefault, Key: []byte("k")})
+		}, ErrBadOp},
+		{"invalid semantics byte", func(dst []byte) ([]byte, error) {
+			return AppendRequestFrame(dst, &Request{Op: OpGet, Sem: 7, Key: []byte("k")})
+		}, ErrBadSemantics},
+		{"response under an invalid op", func(dst []byte) ([]byte, error) {
+			return AppendResponseFrame(dst, 99, &Response{Status: StatusOK})
+		}, ErrBadOp},
+	} {
+		// Spare capacity lets a failing encode write past len(dst) in place.
+		dst := append(make([]byte, 0, 256), first...)
+		out, err := c.enc(dst)
+		if !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		}
+		if !bytes.Equal(out, first) {
+			t.Errorf("%s: dst came back as %x, want the first frame %x", c.name, out, first)
+		}
 	}
 }
 
 // TestPipelinedFrames writes several frames back-to-back and reads them
 // in order — the wire-level property request pipelining rests on.
 func TestPipelinedFrames(t *testing.T) {
-	var buf bytes.Buffer
-	var want [][]byte
+	var batch []byte
+	var ends []int
 	for i := 0; i < 5; i++ {
-		payload, err := AppendRequest(nil, &Request{Op: OpSet, Sem: SemDefault,
+		var err error
+		batch, err = AppendRequestFrame(batch, &Request{Op: OpSet, Sem: SemDefault,
 			Key: []byte{byte('a' + i)}, Val: bytes.Repeat([]byte{byte(i)}, i*7)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, payload)
-		if err := WriteFrame(&buf, payload); err != nil {
-			t.Fatal(err)
-		}
+		ends = append(ends, len(batch))
 	}
-	br := bufio.NewReader(&buf)
-	for i := range want {
-		got, err := ReadFrame(br, 0)
-		if err != nil {
+	br := bufio.NewReader(bytes.NewReader(batch))
+	var buf []byte
+	start := 0
+	for i, end := range ends {
+		var err error
+		if buf, err = ReadFrameBuf(br, buf, 0); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if !bytes.Equal(got, want[i]) {
+		if !bytes.Equal(buf, batch[start+4:end]) {
 			t.Fatalf("frame %d mismatch", i)
 		}
+		start = end
 	}
-	if _, err := ReadFrame(br, 0); !errors.Is(err, io.EOF) {
+	if _, err := ReadFrameBuf(br, buf, 0); !errors.Is(err, io.EOF) {
 		t.Fatalf("expected EOF after last frame, got %v", err)
 	}
 }
