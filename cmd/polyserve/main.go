@@ -7,19 +7,26 @@
 //
 // Usage:
 //
-//	polyserve -addr :7535 -shards 0 -nesting strongest -max-conns 1024
+//	polyserve -addr :7535 -shards 0 -max-conns 1024
 //	polyserve -addr :7535 -wal-dir /var/lib/polyserve -fsync batch -checkpoint-every 1m
 //	polyserve -addr :7535 -wal-dir /var/lib/polyserve -repl-sync
 //	polyserve -addr :7536 -follow primary:7535
 //
 // The keyspace is hash-partitioned across -store-shards shards (0
 // derives one per core, capped at 16), each with its own engine, map,
-// and — when durable — write-ahead log. Single-key requests route to
-// one shard; MGET/SCAN fan out and merge; a TXN spanning shards (and
-// FLUSH) commits through a 2PC protocol riding the per-shard
-// irrevocable tokens. The flag only sizes a store that starts empty: a
-// durable directory's MANIFEST pins the routing table its logs were
-// written under, and a follower takes its primary's.
+// and — when durable — write-ahead log. A request finds its shards
+// once: a single-key request routes to one, MGET and SCAN run one
+// transaction on each they touch and merge, and a TXN or FLUSH commits
+// its participants as one unit — one transaction under the request's
+// semantics when there is one, a 2PC protocol riding the per-shard
+// irrevocable tokens when there are several. The flag only sizes a
+// store that starts empty: a durable directory's MANIFEST pins the
+// routing table its logs were written under, and a follower takes its
+// primary's.
+//
+// -quiet silences every diagnostic the server would log: connections',
+// recovery's, checkpoints', reshards' and the TTL reaper's. Startup and
+// shutdown lines still print.
 //
 // With -wal-dir the server is durable: it recovers each shard's
 // newest valid checkpoint plus its write-ahead-log tail on startup
@@ -66,7 +73,6 @@ import (
 	"syscall"
 	"time"
 
-	"polytm/internal/core"
 	"polytm/internal/server"
 	"polytm/internal/server/client"
 	"polytm/internal/wal"
@@ -76,10 +82,9 @@ func main() {
 	addr := flag.String("addr", ":7535", "listen address")
 	shards := flag.Int("shards", 0, "engine shard count (0 = GOMAXPROCS default)")
 	storeShards := flag.Int("store-shards", 0, "keyspace shard count of a store that starts empty (0 = derive from GOMAXPROCS, derived default capped at 16; explicit values are honored as given; a durable directory's MANIFEST or a primary's topology wins)")
-	nesting := flag.String("nesting", "strongest", "nesting-composition policy: strongest, param, parent")
 	maxConns := flag.Int("max-conns", 1024, "max concurrently served connections")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
-	quiet := flag.Bool("quiet", false, "suppress connection diagnostics")
+	quiet := flag.Bool("quiet", false, "suppress diagnostics: connections', recovery's, checkpoints', reshards' and the TTL reaper's")
 	walDir := flag.String("wal-dir", "", "write-ahead-log directory (empty = no durability)")
 	fsync := flag.String("fsync", "batch", "wal fsync policy: always, batch, off")
 	ckptEvery := flag.Duration("checkpoint-every", time.Minute, "background checkpoint cadence (<0 disables)")
@@ -96,19 +101,6 @@ func main() {
 	// operator needs no second tool to drive a live SPLIT/MERGE.
 	if *splitShard >= 0 || *mergeShards != "" {
 		os.Exit(runReshardAdmin(*addr, *splitShard, *mergeShards))
-	}
-
-	var policy core.NestingPolicy
-	switch *nesting {
-	case "strongest":
-		policy = core.NestStrongest
-	case "param":
-		policy = core.NestParam
-	case "parent":
-		policy = core.NestParent
-	default:
-		fmt.Fprintf(os.Stderr, "polyserve: unknown -nesting %q (valid: strongest, param, parent)\n", *nesting)
-		os.Exit(2)
 	}
 
 	// Resolve the keyspace shard count of a fresh store: the flag, else
@@ -128,7 +120,6 @@ func main() {
 	cfg := server.Config{
 		Shards:       *shards,
 		StoreShards:  nStore,
-		Nesting:      policy,
 		MaxConns:     *maxConns,
 		TTLReapEvery: *ttlReapEvery,
 		WatchBuffer:  *watchBuffer,
@@ -148,7 +139,6 @@ func main() {
 			Dir:             *walDir,
 			Fsync:           mode,
 			CheckpointEvery: *ckptEvery,
-			Logf:            log.Printf,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "polyserve: durability: %v\n", err)
@@ -178,8 +168,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "polyserve: listen %s: %v\n", *addr, err)
 		os.Exit(1)
 	}
-	log.Printf("polyserve: listening on %s (store-shards=%d, engine-shards=%d, nesting=%s, max-conns=%d)",
-		ln.Addr(), srv.Store().NumShards(), srv.TM().Engine().Shards(), policy, *maxConns)
+	log.Printf("polyserve: listening on %s (store-shards=%d, engine-shards=%d, max-conns=%d)",
+		ln.Addr(), srv.Store().NumShards(), srv.TM().Engine().Shards(), *maxConns)
 
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()

@@ -251,20 +251,30 @@ func serveHub(t *testing.T, h *Hub, shards int) string {
 
 // serveHubFn is serveHub with a hub accessor, so a test can swap in a
 // fresh hub on the same address (simulating a feed drop without a
-// primary restart).
+// primary restart). Cleanup waits for every connection it served: a
+// feed the test's deferred hub Close cut still logs through t on its
+// way out, and logging after the test has completed panics.
 func serveHubFn(t *testing.T, getHub func() *Hub, shards int) string {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ln.Close() })
+	var served sync.WaitGroup
+	t.Cleanup(func() {
+		ln.Close()
+		served.Wait()
+	})
+	served.Add(1) // the accept loop: a connection is counted before the loop is uncounted
 	go func() {
+		defer served.Done()
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
+			served.Add(1)
 			go func() {
+				defer served.Done()
 				defer conn.Close()
 				br := bufio.NewReader(conn)
 				bw := bufio.NewWriter(conn)

@@ -46,8 +46,6 @@ type Durability struct {
 	// disables incremental checkpoints entirely — every checkpoint is a
 	// full base, the pre-chain behaviour.
 	MaxChain int
-	// Logf, when non-nil, receives recovery/checkpoint diagnostics.
-	Logf func(format string, args ...any)
 
 	// onDurableRecord is plumbed through to wal.Options.OnDurableRecord
 	// on every shard's log. Crash tests inject kill points through it.
@@ -74,19 +72,13 @@ type RecoverSummary struct {
 	RolledBack int
 }
 
-// String summarizes the recovery for logs.
+// String summarizes the recovery for logs, shard by shard.
 func (r *RecoverSummary) String() string {
-	if len(r.Shards) == 1 {
-		return r.Shards[0].String()
+	parts := make([]string, len(r.Shards))
+	for i, res := range r.Shards {
+		parts[i] = fmt.Sprintf("shard %d: %s", i, res)
 	}
-	var keys, records, segs int
-	for _, res := range r.Shards {
-		keys += res.CheckpointKeys
-		records += res.Records
-		segs += res.Segments
-	}
-	s := fmt.Sprintf("%d shards: checkpoint keys=%d, replayed %d records from %d segments",
-		len(r.Shards), keys, records, segs)
+	s := strings.Join(parts, "; ")
 	if r.Committed != 0 {
 		s += fmt.Sprintf(", committed %d in-doubt prepares", r.Committed)
 	}
@@ -97,15 +89,6 @@ func (r *RecoverSummary) String() string {
 }
 
 const manifestName = "MANIFEST"
-
-// shardWALDir maps a shard index to its log directory. Single-shard
-// stores use the root itself for backward compatibility.
-func shardWALDir(dir string, i, n int) string {
-	if n == 1 {
-		return dir
-	}
-	return filepath.Join(dir, fmt.Sprintf("shard-%04d", i))
-}
 
 // EnableDurability attaches one write-ahead log per shard to the
 // store: it recovers the directory's durable state INTO the store,
@@ -132,7 +115,7 @@ func (s *Store) EnableDurability(d Durability) (sum *RecoverSummary, err error) 
 	if err != nil {
 		return nil, err
 	}
-	s.walDir, s.walOpts, s.logf = d.Dir, d.walOptions(len(man.Shards)), d.Logf
+	s.walDir, s.walOpts = d.Dir, d.walOptions(len(man.Shards), s.diag)
 
 	tab, results, err := s.openShards(man)
 	defer func() {
@@ -196,7 +179,7 @@ func (s *Store) EnableDurability(d Durability) (sum *RecoverSummary, err error) 
 	if every > 0 {
 		s.ckptStop = make(chan struct{})
 		s.ckptDone = make(chan struct{})
-		go s.checkpointLoop(every, d.Logf)
+		go s.checkpointLoop(every)
 	}
 	return sum, nil
 }
@@ -240,13 +223,13 @@ func pinManifest(dir string, n int) (*storeManifest, error) {
 // did — on a small machine that alone erases the sharding win.
 // Stretching each window to n× the base keeps the store's TOTAL fsync
 // rate constant; the machine-crash loss bound becomes at most one
-// (stretched) window per shard.
-func (d Durability) walOptions(n int) wal.Options {
+// (stretched) window per shard. logf is the store's diagnostics sink.
+func (d Durability) walOptions(n int, logf func(string, ...any)) wal.Options {
 	window := d.BatchWindow
-	if d.Fsync == wal.ModeBatch && window <= 0 && n > 1 {
-		window = time.Duration(n) * 2 * time.Millisecond
+	if d.Fsync == wal.ModeBatch && window <= 0 {
+		window = time.Duration(n) * 2 * time.Millisecond // the log's own default, n times over
 	}
-	return wal.Options{Mode: d.Fsync, BatchWindow: window, Logf: d.Logf, OnDurableRecord: d.onDurableRecord}
+	return wal.Options{Mode: d.Fsync, BatchWindow: window, Logf: logf, OnDurableRecord: d.onDurableRecord}
 }
 
 // openShards adopts the manifest's table onto the store — stable ids,
@@ -359,9 +342,7 @@ func (s *Store) resolveInDoubt(tab *routingTable, results map[int]*wal.RecoverRe
 	var err error
 	sum.Committed, sum.RolledBack, err = wal.ResolveInDoubt(streams, func(i int, pp *wal.PendingPrepare, commit bool) error {
 		sh := tab.shards[i]
-		if s.logf != nil {
-			s.logf("polyserve: shard %d: in-doubt prepare epoch=%d, coordinator shard %d decided: %v", sh.idx, pp.Epoch, pp.Coord, commit)
-		}
+		s.logf("polyserve: shard %d: in-doubt prepare epoch=%d, coordinator shard %d decided: %v", sh.idx, pp.Epoch, pp.Coord, commit)
 		if !commit {
 			return nil
 		}
@@ -423,7 +404,7 @@ func (s *Store) CloseDurability() error {
 // signal, so CloseDurability is never held hostage by a long snapshot
 // walk over a big keyspace — the partial .tmp file is abandoned and
 // the log keeps its segments.
-func (s *Store) checkpointLoop(every time.Duration, logf func(string, ...any)) {
+func (s *Store) checkpointLoop(every time.Duration) {
 	defer close(s.ckptDone)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -438,8 +419,8 @@ func (s *Store) checkpointLoop(every time.Duration, logf func(string, ...any)) {
 		case <-s.ckptStop:
 			return
 		case <-t.C:
-			if err := s.Checkpoint(ctx); err != nil && logf != nil {
-				logf("polyserve: checkpoint: %v", err)
+			if err := s.Checkpoint(ctx); err != nil {
+				s.logf("polyserve: checkpoint: %v", err)
 			}
 		}
 	}
@@ -471,9 +452,6 @@ func (s *Store) Checkpoint(ctx context.Context) error {
 		return fmt.Errorf("server: store is not durable")
 	}
 	tab := s.tab()
-	if len(tab.shards) == 1 {
-		return s.checkpointShard(ctx, tab.shards[0])
-	}
 	errs := make([]error, len(tab.shards))
 	var wg sync.WaitGroup
 	for i, sh := range tab.shards {

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"fmt"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -150,7 +152,7 @@ func TestWritePathEquivalence(t *testing.T) {
 	logged := func(t *testing.T, dir string, i int) [][]wal.Op {
 		t.Helper()
 		var recs [][]wal.Op
-		l, _, err := wal.Open(shardWALDir(dir, i, shards), wal.Options{Mode: wal.ModeOff}, func(ops []wal.Op) error {
+		l, _, err := wal.Open(filepath.Join(dir, fmt.Sprintf("shard-%04d", i)), wal.Options{Mode: wal.ModeOff}, func(ops []wal.Op) error {
 			recs = append(recs, append([]wal.Op(nil), ops...))
 			return nil
 		})

@@ -54,7 +54,7 @@ func (s *Store) reapLoop(every time.Duration) {
 		case <-s.reapStop:
 			return
 		case <-t.C:
-			if _, err := s.ReapExpired(context.Background()); err != nil && s.logf != nil {
+			if _, err := s.ReapExpired(context.Background()); err != nil {
 				s.logf("polyserve: ttl reap: %v", err)
 			}
 		}

@@ -148,10 +148,8 @@ func (s *Store) Split(ctx context.Context, wantEpoch uint64, srcID int) (uint64,
 		s.reshardMu.Lock()
 		defer s.reshardMu.Unlock()
 		if n, err := s.cleanShard(context.Background(), src); err != nil {
-			if s.logf != nil {
-				s.logf("polyserve: split cleanup of shard %d: %v", srcID, err)
-			}
-		} else if n > 0 && s.logf != nil {
+			s.logf("polyserve: split cleanup of shard %d: %v", srcID, err)
+		} else if n > 0 {
 			s.logf("polyserve: split cleanup removed %d moved keys from shard %d", n, srcID)
 		}
 	}()
@@ -248,10 +246,10 @@ func (s *Store) Merge(ctx context.Context, wantEpoch uint64, aID, bID int) (uint
 	// longer names it, and followers re-sync the merged shard whole.
 	b.replWait.Store(nil)
 	if s.durable() {
-		if err := barrier(m.ctx, "reshard-retire", []*shard{b}, b.wal.Close); err != nil && s.logf != nil {
+		if err := barrier(m.ctx, "reshard-retire", []*shard{b}, b.wal.Close); err != nil {
 			s.logf("polyserve: closing merged shard %d's log: %v", bID, err)
 		}
-		if err := s.removeLogDir(b.walName); err != nil && s.logf != nil {
+		if err := s.removeLogDir(b.walName); err != nil {
 			s.logf("polyserve: removing merged shard %d's log dir: %v", bID, err)
 		}
 	}
@@ -435,7 +433,7 @@ func (m *move) publish(next *routingTable, nextID int) error {
 		if err := m.host.wal.Append(wal.AppendReshardCommit(nil, next.epoch)); err != nil {
 			return err
 		}
-		if err := writeStoreManifest(s.walDir, s.manifestFor(next, nextID)); err != nil && s.logf != nil {
+		if err := writeStoreManifest(s.walDir, s.manifestFor(next, nextID)); err != nil {
 			// Not fatal: the journal's COMMIT already decides recovery;
 			// the next manifest rewrite heals the file.
 			s.logf("polyserve: reshard epoch=%d: manifest rewrite: %v (journal will roll forward)", next.epoch, err)
@@ -450,9 +448,7 @@ func (m *move) publish(next *routingTable, nextID int) error {
 func (m *move) published(n *atomic.Uint64, epoch uint64, what string) {
 	m.end()
 	n.Add(1)
-	if m.s.logf != nil {
-		m.s.logf("polyserve: %s, routing epoch %d", what, epoch)
-	}
+	m.s.logf("polyserve: %s, routing epoch %d", what, epoch)
 	if hook := m.s.reshardHook.Load(); hook != nil {
 		(*hook)(epoch)
 	}
@@ -619,7 +615,7 @@ func (s *Store) AdoptRouting(epoch uint64, topo []wire.ReplShardSlice) (bool, er
 			continue
 		}
 		if old.wal != nil {
-			if err := old.wal.Close(); err != nil && s.logf != nil {
+			if err := old.wal.Close(); err != nil {
 				s.logf("polyserve: closing dropped shard %d's log: %v", old.idx, err)
 			}
 			s.removeLogDir(old.walName)

@@ -191,12 +191,12 @@ func recoverReshardCrash(t *testing.T, dir string, mode *reshardCrashMode) (*Sto
 	var mu sync.Mutex // the shards' logs recover, and log, in parallel
 	var logged strings.Builder
 	st := newSharded(1)
-	res, err := st.EnableDurability(Durability{Dir: dir, Fsync: wal.ModeAlways, CheckpointEvery: -1,
-		Logf: func(format string, args ...any) {
-			mu.Lock()
-			defer mu.Unlock()
-			fmt.Fprintf(&logged, format+"\n", args...)
-		}})
+	st.diag = func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		fmt.Fprintf(&logged, format+"\n", args...)
+	}
+	res, err := st.EnableDurability(Durability{Dir: dir, Fsync: wal.ModeAlways, CheckpointEvery: -1})
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}

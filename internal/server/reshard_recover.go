@@ -146,9 +146,7 @@ func (s *Store) execReshard(tab *routingTable, p reshardPlan, results map[int]*w
 				return fail(err)
 			}
 		}
-		if s.logf != nil {
-			s.logf("polyserve: rolled back uncommitted %v epoch=%d (shard %d keeps its keys)", r.Op, p.epoch, r.Src)
-		}
+		s.logf("polyserve: rolled back uncommitted %v epoch=%d (shard %d keeps its keys)", r.Op, p.epoch, r.Src)
 		return tab, nil
 	case r.Op == wal.ReshardSplit:
 		dst := s.newShard(r.Dst, s.mkTM())
@@ -172,8 +170,6 @@ func (s *Store) execReshard(tab *routingTable, p reshardPlan, results map[int]*w
 	if err := writeStoreManifest(s.walDir, s.manifestFor(tab, s.nextID)); err != nil {
 		return fail(err)
 	}
-	if s.logf != nil {
-		s.logf("polyserve: rolled forward committed %v epoch=%d (shard %d -> shard %d)", r.Op, p.epoch, r.Src, r.Dst)
-	}
+	s.logf("polyserve: rolled forward committed %v epoch=%d (shard %d -> shard %d)", r.Op, p.epoch, r.Src, r.Dst)
 	return tab, nil
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -97,7 +98,8 @@ func TestReadMissOnMovedKeyReroutes(t *testing.T) {
 			moved = tkey(i)
 		}
 	}
-	src := st.tab().shards[0]
+	old := st.tab()
+	src := old.shards[0]
 	if _, err := st.Split(ctx, 0, 0); err != nil {
 		t.Fatalf("Split: %v", err)
 	}
@@ -119,11 +121,10 @@ func TestReadMissOnMovedKeyReroutes(t *testing.T) {
 	}{
 		{"GET", func(resp *wire.Response) error { return st.get(ctx, src, moved, core.Snapshot, resp) }},
 		{"MGET", func(resp *wire.Response) error {
-			appendSub(resp)
-			return st.mgetShard(ctx, src, 0, nil, [][]byte{moved}, core.Snapshot, resp)
+			return st.mget(ctx, old, [][]byte{moved}, core.Snapshot, resp)
 		}},
 		{"TXN-GET", func(resp *wire.Response) error {
-			return st.txnShard(ctx, src, []wire.Request{{Op: wire.OpGet, Key: moved}}, core.Def, resp)
+			return st.txn(ctx, old, []wire.Request{{Op: wire.OpGet, Key: moved}}, core.Def, resp)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -137,6 +138,29 @@ func TestReadMissOnMovedKeyReroutes(t *testing.T) {
 	// Through the front door the same key is simply found.
 	if resp := execOK(t, st, &wire.Request{Op: wire.OpMGet, Sem: wire.SemDefault, Keys: [][]byte{moved}}); string(resp.Batch[0].Val) != "v" {
 		t.Fatalf("MGET after split: %+v", resp.Batch[0])
+	}
+}
+
+// TestVolatileStoreLogs: a server's Logf is its store's diagnostics sink
+// too, durable or not — a volatile server used to drop its SPLIT line.
+func TestVolatileStoreLogs(t *testing.T) {
+	var mu sync.Mutex
+	var logged []string
+	st := New(Config{Logf: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+	}}).Store()
+	defer st.StopTTLReaper()
+	epoch, err := st.Split(context.Background(), 0, 0)
+	if err != nil {
+		t.Fatalf("Split: %v", err)
+	}
+	want := fmt.Sprintf("polyserve: split shard 0 -> new shard 1, routing epoch %d", epoch)
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.Contains(logged, want) {
+		t.Fatalf("logged %q, want a line %q", logged, want)
 	}
 }
 
@@ -777,7 +801,7 @@ func TestManifestFailedInstall(t *testing.T) {
 // directory's MANIFEST — runs an engine built from the server's Config,
 // like the shards it started with.
 func TestEveryShardGetsTheConfiguredEngine(t *testing.T) {
-	cfg := Config{Shards: 1, Nesting: core.NestParam}
+	cfg := Config{Shards: 1}
 	check := func(t *testing.T, st *Store, wantShards int) {
 		t.Helper()
 		if st.NumShards() != wantShards {
@@ -786,9 +810,6 @@ func TestEveryShardGetsTheConfiguredEngine(t *testing.T) {
 		for _, sh := range st.tab().shards {
 			if got := sh.tm.Engine().Shards(); got != 1 {
 				t.Errorf("shard %d: engine has %d stripes, want 1", sh.idx, got)
-			}
-			if got := sh.tm.NestingPolicy(); got != core.NestParam {
-				t.Errorf("shard %d: nesting %v, want %v", sh.idx, got, core.NestParam)
 			}
 		}
 	}

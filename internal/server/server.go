@@ -34,8 +34,6 @@ type Config struct {
 	// primary's topology overrides it. Each store shard owns its own
 	// engine, map, and — when durable — write-ahead log; see Store.
 	StoreShards int
-	// Nesting is every shard engine's nesting-composition policy.
-	Nesting core.NestingPolicy
 	// MaxConns bounds concurrently served connections (the handler
 	// pool); excess accepted connections wait for a slot. 0 means 1024.
 	MaxConns int
@@ -49,7 +47,9 @@ type Config struct {
 	// (0 = DefaultReapEvery; negative disables the reaper — lazy expiry
 	// still hides expired keys from reads).
 	TTLReapEvery time.Duration
-	// Logf, when non-nil, receives connection-level diagnostics.
+	// Logf, when non-nil, receives the server's diagnostics: its
+	// connections', and its store's — recovery, checkpoints, reshards,
+	// the TTL reaper.
 	Logf func(format string, args ...any)
 }
 
@@ -82,13 +82,14 @@ type Server struct {
 
 // New creates a server (not yet listening).
 func New(cfg Config) *Server {
-	mkTM := func() *core.TM { return core.New(core.Config{Shards: cfg.Shards, Nesting: cfg.Nesting}) }
+	mkTM := func() *core.TM { return core.New(core.Config{Shards: cfg.Shards}) }
 	tms := make([]*core.TM, max(cfg.StoreShards, 1))
 	for i := range tms {
 		tms[i] = mkTM()
 	}
 	store := NewShardedStore(tms)
 	store.mkTM = mkTM
+	store.diag = cfg.Logf
 	if cfg.MaxConns <= 0 {
 		cfg.MaxConns = 1024
 	}

@@ -336,10 +336,7 @@ func TestCrossShardMGet(t *testing.T) {
 			routed[i] = sh.routed.Load()
 		}
 		resp := new(wire.Response)
-		for range keys {
-			appendSub(resp)
-		}
-		if err := st.mgetFanout(ctx, old, keys, core.Snapshot, resp); !errors.Is(err, errMovedKey) {
+		if err := st.mget(ctx, old, keys, core.Snapshot, resp); !errors.Is(err, errMovedKey) {
 			t.Fatalf("MGET through the pre-split table returned %v, want the moved-key retry signal", err)
 		}
 		for i, want := range []uint64{1, 2, 0, 0} { // shares 0 and 1 ran, 1 failed, 2 and 3 never started

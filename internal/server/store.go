@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -201,7 +202,7 @@ type Store struct {
 	reapStop chan struct{}
 	reapDone chan struct{}
 
-	logf     func(format string, args ...any) // diagnostics sink (durable stores)
+	diag     func(format string, args ...any) // diagnostics sink (see logf)
 	ckptStop chan struct{}
 	ckptDone chan struct{}
 
@@ -253,6 +254,13 @@ func (s *Store) newShard(id int, tm *core.TM) *shard {
 	sh.notif = session.NewNotifier(func(cs []session.Change) { s.applyChanges(sh, cs) })
 	sh.caps.New = func() any { return &walCapture{ackPos: ackPos{sh: sh}, next: sh.tm.Engine().Observer()} }
 	return sh
+}
+
+// logf emits a diagnostic to the store's sink, when it has one.
+func (s *Store) logf(format string, args ...any) {
+	if s.diag != nil {
+		s.diag(format, args...)
+	}
 }
 
 // tab snapshots the current routing table. All multi-step work —
@@ -357,13 +365,7 @@ func (s *Store) ResetStats() {
 // route returns the shard owning key under the current table, counting
 // the routing decision.
 func (s *Store) route(key []byte) *shard {
-	t := s.tab()
-	var sh *shard
-	if len(t.shards) == 1 {
-		sh = t.shards[0]
-	} else {
-		sh = t.shardFor(hashKey(key))
-	}
+	sh := s.tab().shardFor(hashKey(key))
 	sh.routed.Add(1)
 	return sh
 }
@@ -453,15 +455,15 @@ func (s *Store) executeOnce(ctx context.Context, req *wire.Request, resp *wire.R
 	case wire.OpScan:
 		return s.scan(ctx, req.From, req.To, req.Limit, sem, resp)
 	case wire.OpMGet:
-		return s.mget(ctx, req.Keys, sem, resp)
+		return s.mget(ctx, s.tab(), req.Keys, sem, resp)
 	case wire.OpTxn:
-		return s.txn(ctx, req.Batch, sem, resp)
+		return s.txn(ctx, s.tab(), req.Batch, sem, resp)
 	case wire.OpIncr:
 		return s.incr(ctx, s.route(req.Key), req.Key, req.Delta, false, sem, resp)
 	case wire.OpDecr:
 		return s.incr(ctx, s.route(req.Key), req.Key, req.Delta, true, sem, resp)
 	case wire.OpSetEx:
-		return s.setex(ctx, s.route(req.Key), req.Key, req.Val, time.Duration(req.TTLMillis)*time.Millisecond)
+		return s.setex(ctx, s.route(req.Key), req.Key, req.Val, req.TTLMillis)
 	case wire.OpWatch:
 		// A watch reaching the execution path means no session-capable
 		// connection intercepted it (in-process store, or a server bug):
@@ -619,14 +621,21 @@ func (s *Store) incr(ctx context.Context, sh *shard, key []byte, delta uint64, n
 	return err
 }
 
-// setex is SET with a TTL: the write is logged and replicated as an
-// ordinary set (TTL never persists); the armed deadline lives in the
-// shard's in-memory table, applied through the notifier so it lands in
-// commit order before the ack. The capture is forced: arming the first
-// deadline is what turns the session gate on.
-func (s *Store) setex(ctx context.Context, sh *shard, key, val []byte, ttl time.Duration) error {
-	if ttl <= 0 {
+// setex is SET with a TTL of ttlMillis: the write is logged and
+// replicated as an ordinary set (TTL never persists); the armed
+// deadline lives in the shard's in-memory table, applied through the
+// notifier so it lands in commit order before the ack. The capture is
+// forced: arming the first deadline is what turns the session gate on.
+func (s *Store) setex(ctx context.Context, sh *shard, key, val []byte, ttlMillis uint64) error {
+	if ttlMillis == 0 {
 		return wire.ErrZeroTTL
+	}
+	// A TTL past maxTTL saturates there: neither it nor its deadline,
+	// now plus the TTL in Unix nanoseconds, can wrap — a wrapped one read
+	// as already expired, or as zero.
+	ttl := maxTTL
+	if ttlMillis < uint64(maxTTL/time.Millisecond) {
+		ttl = time.Duration(ttlMillis) * time.Millisecond
 	}
 	return s.mutate(ctx, sh, core.Irrevocable, mutOpts{force: true}, func(tx *core.Tx, cp *walCapture) error {
 		if !s.ownsKey(sh, key) {
@@ -637,37 +646,13 @@ func (s *Store) setex(ctx context.Context, sh *shard, key, val []byte, ttl time.
 	})
 }
 
-func (s *Store) scan(ctx context.Context, from, to []byte, limit uint64, sem core.Semantics, resp *wire.Response) error {
-	tab := s.tab()
-	if len(tab.shards) > 1 {
-		return s.scanFanout(ctx, tab, from, to, limit, sem, resp)
-	}
-	sh := tab.shards[0]
-	sh.routed.Add(1)
-	return sh.tm.AtomicAsCtx(ctx, sem, func(tx *core.Tx) error {
-		resp.Pairs = resp.Pairs[:0]
-		rangeLimit := int(limit)
-		if sh.ttl.Len() > 0 {
-			// Expired entries are filtered below and must not consume the
-			// limit: range unbounded, stop once enough live pairs landed.
-			rangeLimit = 0
-		}
-		return sh.m.RangeTx(tx, lookupKey(from), lookupKey(to), rangeLimit, func(k, v string) bool {
-			if sh.expiredNow(viewBytes(k)) {
-				return true
-			}
-			appendPair(resp, k, v)
-			return limit == 0 || uint64(len(resp.Pairs)) < limit
-		})
-	})
-}
-
-// txn executes the batch's sub-operations in ONE atomic unit: all
-// commit together or none do. A batch whose keys live on one shard is
-// a single transaction under the resolved semantics (the historical
-// path); a batch spanning shards commits through the cross-shard
-// protocol, one irrevocable transaction per participating shard.
-func (s *Store) txn(ctx context.Context, batch []wire.Request, sem core.Semantics, resp *wire.Response) error {
+// txn executes the batch's sub-operations in ONE atomic unit under
+// tab: all commit together or none do. Each participating shard's share
+// is the sub-operations it owns, in batch order, into sub-response
+// slots created up front, so a retried share rewrites its own. The
+// whole share is ONE record: its operations replay in one transaction,
+// atomic exactly as they committed.
+func (s *Store) txn(ctx context.Context, tab *routingTable, batch []wire.Request, sem core.Semantics, resp *wire.Response) error {
 	// Validate before grouping: an unknown sub-op fails the whole batch
 	// before any transaction starts on any shard.
 	for i := range batch {
@@ -677,42 +662,27 @@ func (s *Store) txn(ctx context.Context, batch []wire.Request, sem core.Semantic
 			return wire.ErrBadSubOp
 		}
 	}
-	tab := s.tab()
-	sh := tab.shards[0]
-	if len(tab.shards) > 1 && len(batch) > 0 {
-		single := true
-		pos := tab.pos(hashKey(batch[0].Key))
-		for i := 1; i < len(batch); i++ {
-			if tab.pos(hashKey(batch[i].Key)) != pos {
-				single = false
-				break
-			}
-		}
-		if !single {
-			return s.txnCross(ctx, tab, batch, resp)
-		}
-		sh = tab.shards[pos]
+	var ownerBuf [32]uint32
+	var shardBuf [8]*shard
+	owner, shards := tab.group(len(batch), func(j int) []byte { return batch[j].Key }, ownerBuf[:0], shardBuf[:0])
+	for j := range batch {
+		appendSub(resp).SubOp = batch[j].Op
 	}
-	return s.txnShard(ctx, sh, batch, sem, resp)
-}
-
-// txnShard runs a batch whose keys all routed to sh as one mutation.
-// The whole batch is ONE record: its operations replay in one
-// transaction, atomic exactly as they committed.
-func (s *Store) txnShard(ctx context.Context, sh *shard, batch []wire.Request, sem core.Semantics, resp *wire.Response) error {
-	sh.routed.Add(uint64(len(batch)))
-	return s.mutate(ctx, sh, sem, mutOpts{}, func(tx *core.Tx, cp *walCapture) error {
-		resp.Batch = resp.Batch[:0]
-		for i := range batch {
-			sub := &batch[i]
-			out := appendSub(resp)
-			out.SubOp = sub.Op
-			if err := s.keyOp(tx, sh, cp, sub.Op, sub.Key, sub.Old, sub.Val, out); err != nil {
+	for _, sh := range shards {
+		sh.routed.Add(tab.owned(owner, sh))
+	}
+	return s.commit(ctx, tab, shards, sem, func(tx *core.Tx, sh *shard, cp *walCapture) error {
+		for j := range batch {
+			if tab.shards[owner[j]] != sh {
+				continue
+			}
+			sub := &batch[j]
+			if err := s.keyOp(tx, sh, cp, sub.Op, sub.Key, sub.Old, sub.Val, &resp.Batch[j]); err != nil {
 				return err
 			}
 		}
 		return nil
-	})
+	}, "xshard-txn")
 }
 
 // stats snapshots the aggregated engine counters — including the
@@ -835,25 +805,28 @@ func (s *Store) stats(resp *wire.Response) {
 	resp.Counters = cs
 }
 
-// flush serves FLUSH, reporting the entries removed in resp.N: one
-// mutation on a single shard, one cross-shard commit over all of them
-// otherwise.
+// flush serves FLUSH: every shard of the table clears its map in one
+// atomic unit, and resp.N reports the entries removed.
 func (s *Store) flush(ctx context.Context, sem core.Semantics, resp *wire.Response) error {
 	tab := s.tab()
-	if len(tab.shards) > 1 {
-		return s.flushCross(ctx, tab, resp)
+	for _, sh := range tab.shards {
+		sh.routed.Add(1)
 	}
-	sh := tab.shards[0]
-	sh.routed.Add(1)
-	return s.mutate(ctx, sh, sem, mutOpts{}, func(tx *core.Tx, cp *walCapture) error {
+	removed := make([]int, len(tab.shards)) // by position: a retried share rewrites its own
+	err := s.commit(ctx, tab, tab.shards, sem, func(tx *core.Tx, sh *shard, cp *walCapture) error {
 		// Freshness: a split racing this request may have published a
-		// second shard this body would miss — retry through the new
-		// table so FLUSH stays whole-store atomic.
+		// shard this FLUSH would miss — retry through the new table so
+		// FLUSH stays whole-store atomic. (commit re-checks for several
+		// participants too; a lone one has only this.)
 		if s.tab() != tab {
 			return errMovedKey
 		}
 		n, err := sh.applyOp(tx, cp, wal.OpFlush, nil, nil, effect{})
-		resp.N = uint64(n)
+		removed[slices.Index(tab.shards, sh)] = n
 		return err
-	})
+	}, "xshard-flush")
+	for _, n := range removed {
+		resp.N += uint64(n)
+	}
+	return err
 }

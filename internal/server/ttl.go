@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,3 +103,8 @@ func (t *ttlTable) collectExpired(now int64, max int) []string {
 // nowNanos is the read paths' single time source; a variable so crash
 // and race tests can pin it.
 var nowNanos = func() int64 { return time.Now().UnixNano() }
+
+// maxTTL is the longest TTL a SETEX arms, half the Unix-nanosecond
+// clock's range (≈ 146 years): a deadline now+maxTTL stays representable
+// until the year 2116. A longer TTL saturates to it.
+const maxTTL = time.Duration(math.MaxInt64 / 2)

@@ -5,7 +5,6 @@ import (
 
 	"polytm/internal/core"
 	"polytm/internal/wal"
-	"polytm/internal/wire"
 )
 
 // Cross-shard commit.
@@ -192,79 +191,9 @@ func (x *xcommit) seal() error {
 		}
 	}
 	for _, cp := range marks {
-		if werr := cp.wait(); werr != nil && x.s.logf != nil {
+		if werr := cp.wait(); werr != nil {
 			x.s.logf("polyserve: shard %d: commit mark epoch=%d: %v", cp.sh.idx, x.epoch, werr)
 		}
 	}
 	return nil
-}
-
-// txnCross commits a TXN batch spanning shards of the snapshot table.
-// Sub-responses are pre-created so a retried share rewrites its own
-// slots; owner[j] is the table position owning batch[j], and each
-// participant's share is the sub-operations it owns, in batch order.
-// Each participant re-checks table freshness under its token: a
-// cutover that published a newer table between grouping and commit
-// means some key may have a new owner (or FLUSH would miss a brand-new
-// shard), so the whole unit aborts with errMovedKey and the dispatcher
-// retries through the current table. The inline arrays cover the usual
-// batch — a screenful of keys over a handful of shards — as mgetFanout's
-// does.
-func (s *Store) txnCross(ctx context.Context, tab *routingTable, batch []wire.Request, resp *wire.Response) error {
-	var ownerBuf [32]uint32
-	owner := ownerBuf[:0]
-	for i := range batch {
-		sub := appendSub(resp)
-		sub.SubOp = batch[i].Op
-		owner = append(owner, uint32(tab.pos(hashKey(batch[i].Key))))
-	}
-	var shardBuf [8]*shard
-	shards := shardBuf[:0]
-	for si, sh := range tab.shards {
-		n := uint64(0)
-		for _, o := range owner {
-			if int(o) == si {
-				n++
-			}
-		}
-		if n > 0 {
-			sh.routed.Add(n)
-			shards = append(shards, sh)
-		}
-	}
-	return s.crossShard(ctx, shards, func(tx *core.Tx, sh *shard, cp *walCapture) error {
-		if s.tab() != tab {
-			return errMovedKey
-		}
-		for j := range batch {
-			if tab.shards[owner[j]] != sh {
-				continue
-			}
-			sub := &batch[j]
-			if err := s.keyOp(tx, sh, cp, sub.Op, sub.Key, sub.Old, sub.Val, &resp.Batch[j]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}, "xshard-txn")
-}
-
-// flushCross runs FLUSH across every shard as one cross-shard commit,
-// summing the per-shard counts into resp.N. Like
-// txnCross, each participant re-checks table freshness under its token
-// so a FLUSH can never miss a shard a concurrent split just published.
-// The shards are visited one after another, lowest first, each holding
-// its token until the whole store is done.
-func (s *Store) flushCross(ctx context.Context, tab *routingTable, resp *wire.Response) error {
-	for _, sh := range tab.shards {
-		sh.routed.Add(1)
-	}
-	return s.crossShard(ctx, tab.shards, func(tx *core.Tx, sh *shard, cp *walCapture) error {
-		if s.tab() != tab {
-			return errMovedKey
-		}
-		n, err := sh.applyOp(tx, cp, wal.OpFlush, nil, nil, effect{})
-		resp.N += uint64(n)
-		return err
-	}, "xshard-flush")
 }
