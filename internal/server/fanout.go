@@ -191,8 +191,11 @@ func (s *Store) scan(ctx context.Context, from, to []byte, limit uint64, sem cor
 
 // scanShard walks [from, to) on the shard at table position i of tab in
 // one transaction under sem, handing emit each pair the shard holds live
-// and owns, at most limit of them (0 = no limit). start runs at the top
-// of every attempt: a retried walk restarts its output.
+// and owns, at most limit of them (0 = no limit). It stops once the pairs
+// pass wire.MaxFrame bytes: that reply cannot be sent (the encoder turns
+// it into an error reply), so the rest of the walk is not worth paying
+// for. start runs at the top of every attempt: a retried walk restarts
+// its output.
 func (s *Store) scanShard(ctx context.Context, tab *routingTable, i int, from, to []byte, limit uint64, sem core.Semantics, start func(), emit func(k, v string)) error {
 	sh, sl := tab.shards[i], tab.slices[i]
 	sh.routed.Add(1)
@@ -208,14 +211,14 @@ func (s *Store) scanShard(ctx context.Context, tab *routingTable, i int, from, t
 			// keeps the merge duplicate-free.
 			rangeLimit = 0
 		}
-		emitted := uint64(0)
+		emitted, size := uint64(0), 0
 		return sh.m.RangeTx(tx, lookupKey(from), lookupKey(to), rangeLimit, func(k, v string) bool {
 			if sh.expiredNow(viewBytes(k)) || (tab.epoch > 0 && !sl.owns(k)) {
 				return true
 			}
 			emit(k, v)
-			emitted++
-			return limit == 0 || emitted < limit
+			emitted, size = emitted+1, size+len(k)+len(v)
+			return (limit == 0 || emitted < limit) && size <= wire.MaxFrame
 		})
 	})
 }

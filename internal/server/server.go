@@ -233,7 +233,7 @@ func (s *Server) handle(c net.Conn) {
 		payload []byte        // reusable frame payload storage
 		req     wire.Request  // reusable decoded request
 		resp    wire.Response // reusable response
-		big     bool          // a frame or reply since the last flush outgrew keepBuf
+		big     bool          // a frame or the stage since the last flush outgrew keepBuf
 	)
 	for {
 		var err error
@@ -304,7 +304,7 @@ func (s *Server) handle(c net.Conn) {
 			errInto(&resp, err)
 			g.stage, _ = wire.AppendResponseFrame(g.stage, op, &resp)
 		}
-		big = big || len(payload) > keepBuf || len(g.stage)-g.reply > keepBuf
+		big = big || len(payload) > keepBuf || cap(g.stage) > keepBuf
 		// Flush before the next read would block: everything the client
 		// pipelined is answered in one burst.
 		if br.Buffered() == 0 || len(g.stage) >= stageLimit {

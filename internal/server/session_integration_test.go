@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -128,6 +129,58 @@ func TestProtocolErrorsKeepConnection(t *testing.T) {
 	rc.c.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := rc.br.ReadByte(); err != io.EOF {
 		t.Fatalf("connection after oversize: %v, want EOF", err)
+	}
+}
+
+// TestOversizeReplyKeepsConnection: a reply that would outgrow
+// wire.MaxFrame — a SCAN, an MGET or a TXN of GETs over values that
+// together pass it — is answered by one StatusErr frame the reader can
+// take, and the connection stays open and in step: the next request on
+// it gets its own reply. A reply of that size was once built and sent,
+// and the client, refusing the frame, lost the connection.
+func TestOversizeReplyKeepsConnection(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			_, addr := startReplServer(t, Config{Shards: 1, StoreShards: shards}, nil, nil)
+			rc := dialRaw(t, addr)
+			roundTrip := func(req *wire.Request) *wire.Response {
+				t.Helper()
+				req.Sem = wire.SemDefault
+				buf, err := wire.AppendRequestFrame(nil, req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := rc.c.Write(buf); err != nil {
+					t.Fatalf("%v: write: %v", req.Op, err)
+				}
+				return rc.readResp(req.Op)
+			}
+			val := bytes.Repeat([]byte{'v'}, 1<<20)
+			var keys [][]byte
+			var gets []wire.Request
+			for i := range wire.MaxFrame>>20 + 1 {
+				k := []byte(fmt.Sprintf("big-%02d", i))
+				if err := roundTrip(&wire.Request{Op: wire.OpSet, Key: k, Val: val}).Err(); err != nil {
+					t.Fatalf("SET %s: %v", k, err)
+				}
+				keys, gets = append(keys, k), append(gets, wire.Request{Op: wire.OpGet, Key: k})
+			}
+			for _, req := range []*wire.Request{
+				{Op: wire.OpScan},
+				{Op: wire.OpMGet, Keys: keys},
+				{Op: wire.OpTxn, Batch: gets},
+			} {
+				if resp := roundTrip(req); resp.Status != wire.StatusErr || !strings.Contains(resp.Msg, wire.ErrFrameTooLarge.Error()) {
+					t.Fatalf("%v of %d MB: status %v %q, want a StatusErr naming the frame limit", req.Op, len(keys), resp.Status, resp.Msg)
+				}
+				if resp := roundTrip(&wire.Request{Op: wire.OpGet, Key: keys[0]}); resp.Status != wire.StatusOK || len(resp.Val) != len(val) {
+					t.Fatalf("GET after the %v: status %v, %d bytes", req.Op, resp.Status, len(resp.Val))
+				}
+			}
+			if resp := roundTrip(&wire.Request{Op: wire.OpScan, Limit: 3}); resp.Err() != nil || len(resp.Pairs) != 3 {
+				t.Fatalf("SCAN of 3: %v, %d pairs", resp.Err(), len(resp.Pairs))
+			}
+		})
 	}
 }
 

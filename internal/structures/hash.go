@@ -71,29 +71,6 @@ func (h *THash) length(tx *core.Tx) (n int, err error) {
 	return n, err
 }
 
-// Buckets returns the current bucket count.
-func (h *THash) Buckets() int {
-	bs, err := core.AtomicGet(h.tm, h.buckets)
-	must(err)
-	return len(bs)
-}
-
-// LoadFactor returns elements per bucket, counting every chain in one
-// snapshot walk (see snapshotLen).
-func (h *THash) LoadFactor() float64 {
-	var lf float64
-	must(h.tm.AtomicAs(core.Snapshot, func(tx *core.Tx) error {
-		n, err := h.length(tx)
-		if err != nil {
-			return err
-		}
-		bs, err := core.Get(tx, h.buckets)
-		lf = float64(n) / float64(len(bs))
-		return err
-	}))
-	return lf
-}
-
 // Resize doubles (grow) or halves (shrink) the bucket array in one
 // monomorphic transaction: it reads every chain, rebuilds them into a
 // fresh array of new TVars, and swaps the array variable. Because it is

@@ -3,6 +3,8 @@ package structures
 import (
 	"cmp"
 	"math/rand/v2"
+	"sync/atomic"
+	"unsafe"
 
 	"polytm/internal/core"
 )
@@ -28,24 +30,55 @@ func randLevel() int {
 	return lvl
 }
 
-// newTower builds the link variables of an unlinked node of height lvl,
-// level l pointing at succs[l]. A skip node owns its tower by value —
-// one backing array, not a pointer and a separate variable per level.
-func newTower[N any](tm *core.TM, lvl int, succs []*N) []core.TVar[*N] {
-	tower := make([]core.TVar[*N], lvl)
-	for l := range tower {
-		tower[l].Init(tm, succs[l])
-	}
-	return tower
+// skipNode is one node of a skip core: its key, its value and its
+// height. Its tower — lvl link variables, level 0 first — rides in the
+// same object right after it (see newNode): a node and its links are one
+// allocation. val sits
+// between key and lvl so that a zero-size V (the integer set's struct{})
+// adds no padding: the set's node is 16 bytes, the map's 48.
+type skipNode[K cmp.Ordered, V any] struct {
+	key K
+	val V
+	lvl int
 }
 
-// skipNode is one node of a skip core. val sits between key and the
-// tower so that a zero-size V (the integer set's struct{}) adds no
-// padding: the set's node is 32 bytes, the map's 64.
-type skipNode[K cmp.Ordered, V any] struct {
-	key  K
-	val  V
-	next []core.TVar[*skipNode[K, V]]
+// tower is the Go type a node is allocated as: the node, then an array A
+// of at least lvl links. Being a real type, its every link is a pointer
+// the collector scans, and a link's address is its variable's identity.
+type tower[K cmp.Ordered, V any, A any] struct {
+	skipNode[K, V]
+	links A
+}
+
+// next returns n's link at level l < n.lvl. It views the array newNode
+// allocated n with, which starts where the node ends, in the same idiom
+// as core's bytesCell: an interior pointer into n's own object.
+func (n *skipNode[K, V]) next(l int) *core.TVar[*skipNode[K, V]] {
+	off := unsafe.Offsetof(tower[K, V, [1]core.TVar[*skipNode[K, V]]]{}.links) + uintptr(l)*unsafe.Sizeof(core.TVar[*skipNode[K, V]]{})
+	return (*core.TVar[*skipNode[K, V]])(unsafe.Add(unsafe.Pointer(n), off))
+}
+
+// newNode allocates an unlinked node of height lvl holding key, level l
+// pointing at succs[l]. The tower array is the smallest of four that
+// fits: exact for heights 1 and 2 (15 nodes in 16), four links for 3
+// and 4, all sixteen past that (one node in 256).
+func newNode[K cmp.Ordered, V any](tm *core.TM, key K, lvl int, succs []*skipNode[K, V]) *skipNode[K, V] {
+	var n *skipNode[K, V]
+	switch {
+	case lvl == 1:
+		n = &new(tower[K, V, [1]core.TVar[*skipNode[K, V]]]).skipNode
+	case lvl == 2:
+		n = &new(tower[K, V, [2]core.TVar[*skipNode[K, V]]]).skipNode
+	case lvl <= 4:
+		n = &new(tower[K, V, [4]core.TVar[*skipNode[K, V]]]).skipNode
+	default:
+		n = &new(tower[K, V, [skipMaxLevel]core.TVar[*skipNode[K, V]]]).skipNode
+	}
+	n.key, n.lvl = key, lvl
+	for l := range lvl {
+		n.next(l).Init(tm, succs[l])
+	}
+	return n
 }
 
 // The two instantiations: TSkipMap's node holds its value variable by
@@ -56,35 +89,48 @@ type (
 )
 
 // skipCore is the skip list both skip structures are made of (Pugh): the
-// sentinel and the one search, link, unlink and count every operation of
+// sentinel and the one search, put, remove and count every operation of
 // either goes through. It keeps no size variable: a count is a walk of
 // the bottom level (see snapshotLen), and no height stream: randLevel
 // draws from the runtime's generator.
+//
+// top is a hint: the tallest tower any insert has linked, never lowered.
+// A search walks only the levels under it, not all sixteen. Each level
+// is a sublist of the one below and every walk reads and validates the
+// bottom-level links around its key, so a search may start at any level
+// at or above the bottom and answer the same: a stale top costs reads,
+// never answers. Updates are what need the levels: see put and remove.
 type skipCore[K cmp.Ordered, V any] struct {
 	tm   *core.TM
-	head *skipNode[K, V] // sentinel; key unused
+	head *skipNode[K, V] // sentinel, all sixteen levels; key unused
+	top  atomic.Int32
 }
 
 func (c *skipCore[K, V]) init(tm *core.TM) {
 	var nils [skipMaxLevel]*skipNode[K, V]
-	c.tm, c.head = tm, &skipNode[K, V]{next: newTower(tm, skipMaxLevel, nils[:])}
+	c.tm, c.head = tm, newNode(tm, *new(K), skipMaxLevel, nils[:])
 }
 
-// search descends to key inside tx and returns the first node with key
-// >= key at the bottom level (nil at the end). When preds and succs are
-// non-nil it fills them per level for a following link or unlink; a
-// lookup passes nil for both.
-func (c *skipCore[K, V]) search(tx *core.Tx, key K, preds, succs []*skipNode[K, V]) (*skipNode[K, V], error) {
+// levels is how many levels a search walks that must cover the lowest
+// h: the hint, raised to h. A lookup passes 1, so it always reads the
+// bottom level.
+func (c *skipCore[K, V]) levels(h int) int { return max(int(c.top.Load()), h) }
+
+// search descends to key inside tx from level levels-1 and returns the
+// first node with key >= key at the bottom level (nil at the end). When
+// preds and succs are non-nil it fills them for every level it walked,
+// for a following put or remove; a lookup passes nil for both.
+func (c *skipCore[K, V]) search(tx *core.Tx, key K, levels int, preds, succs []*skipNode[K, V]) (*skipNode[K, V], error) {
 	pred := c.head
 	var curr *skipNode[K, V]
-	for lvl := skipMaxLevel - 1; lvl >= 0; lvl-- {
+	for lvl := levels - 1; lvl >= 0; lvl-- {
 		var err error
-		curr, err = core.Get(tx, &pred.next[lvl])
+		curr, err = core.Get(tx, pred.next(lvl))
 		if err != nil {
 			return nil, err
 		}
 		for curr != nil && curr.key < key {
-			next, err := core.Get(tx, &curr.next[lvl])
+			next, err := core.Get(tx, curr.next(lvl))
 			if err != nil {
 				return nil, err
 			}
@@ -98,56 +144,82 @@ func (c *skipCore[K, V]) search(tx *core.Tx, key K, preds, succs []*skipNode[K, 
 	return curr, nil
 }
 
-// link inserts a node holding key, which search just placed between
-// preds and succs, and returns it with val still zero. The caller fills
-// val in place before tx commits: every write of tx is buffered until
-// then (an irrevocable one's too), so no other transaction can reach
-// the node earlier.
-func (c *skipCore[K, V]) link(tx *core.Tx, key K, preds, succs []*skipNode[K, V]) (*skipNode[K, V], error) {
-	n := &skipNode[K, V]{key: key, next: newTower(c.tm, randLevel(), succs)}
-	for i := range n.next {
-		if err := core.Set(tx, &preds[i].next[i], n); err != nil {
+// put finds key inside tx and returns the node holding it and whether
+// that node was already there. When key is absent it links a fresh node
+// of height lvl holding it, with val still zero: the caller fills val in
+// place before tx commits. Every write of tx is buffered until then (an
+// irrevocable one's too), so no other transaction can reach the node
+// earlier. The height is drawn before the search, which starts no lower
+// than it, so every level the node is linked at has its predecessor;
+// top is raised before the tower can commit, so no search that reads
+// top after an insert commits starts under the tower.
+func (c *skipCore[K, V]) put(tx *core.Tx, key K, lvl int) (n *skipNode[K, V], existed bool, err error) {
+	// Stack-resident search results: search only reads and fills the
+	// slices, so they never escape (no per-op allocation).
+	var preds, succs [skipMaxLevel]*skipNode[K, V]
+	if n, err = c.search(tx, key, c.levels(lvl), preds[:], succs[:]); err != nil || (n != nil && n.key == key) {
+		return n, err == nil, err
+	}
+	n = newNode(c.tm, key, lvl, succs[:])
+	for l := range lvl {
+		if err := core.Set(tx, preds[l].next(l), n); err != nil {
+			return nil, false, err
+		}
+	}
+	for t := c.top.Load(); int(t) < lvl; t = c.top.Load() { // raise top to lvl
+		c.top.CompareAndSwap(t, int32(lvl))
+	}
+	return n, false, nil
+}
+
+// remove unlinks key's node inside tx from every level it is linked at
+// and returns it, or nil when key is absent. A delete learns its
+// target's height only by finding it, and a search may have started
+// under it: a transaction can read top before an insert raises it and
+// still reach that insert's node. Then it searches again from the
+// target's own height, fixed before the node was published. That costs
+// a second descent only in that race, where searching all sixteen
+// levels every time would cost every delete the empty ones.
+func (c *skipCore[K, V]) remove(tx *core.Tx, key K) (*skipNode[K, V], error) {
+	var preds, succs [skipMaxLevel]*skipNode[K, V]
+	h := c.levels(1)
+	n, err := c.search(tx, key, h, preds[:], succs[:])
+	for err == nil && n != nil && n.key == key && n.lvl > h {
+		h = n.lvl
+		n, err = c.search(tx, key, h, preds[:], succs[:])
+	}
+	if err != nil || n == nil || n.key != key {
+		return nil, err
+	}
+	for l := range n.lvl {
+		if succs[l] != n {
+			continue
+		}
+		next, err := core.Get(tx, n.next(l))
+		if err != nil {
+			return nil, err
+		}
+		if err := core.Set(tx, preds[l].next(l), next); err != nil {
 			return nil, err
 		}
 	}
 	return n, nil
 }
 
-// unlink removes succs[0], which search just found, from every level it
-// is linked at.
-func (c *skipCore[K, V]) unlink(tx *core.Tx, preds, succs []*skipNode[K, V]) error {
-	target := succs[0]
-	for i := range target.next {
-		if succs[i] != target {
-			continue
-		}
-		next, err := core.Get(tx, &target.next[i])
-		if err != nil {
-			return err
-		}
-		if err := core.Set(tx, &preds[i].next[i], next); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // count walks the bottom level inside tx from n, n included (nil counts
 // nothing), and returns how many nodes it passed.
 func (c *skipCore[K, V]) count(tx *core.Tx, n *skipNode[K, V]) (k int, err error) {
 	for ; n != nil && err == nil; k++ {
-		n, err = core.Get(tx, &n.next[0])
+		n, err = core.Get(tx, n.next(0))
 	}
 	return k, err
 }
 
-// length counts the keys inside tx (see setBody).
+// length counts the keys inside tx (see setBody): the bottom level from
+// the sentinel, which is not one.
 func (c *skipCore[K, V]) length(tx *core.Tx) (int, error) {
-	first, err := core.Get(tx, &c.head.next[0])
-	if err != nil {
-		return 0, err
-	}
-	return c.count(tx, first)
+	k, err := c.count(tx, c.head)
+	return k - 1, err
 }
 
 // TSkipList is a transactional skip list integer set. Searches
@@ -173,24 +245,14 @@ func NewTSkipList(tm *core.TM, sem core.Semantics) *TSkipList {
 }
 
 func (s *TSkipList) apply(tx *core.Tx, op setOp, key uint64) (bool, error) {
-	if op == opContains {
-		n, err := s.search(tx, key, nil, nil)
+	switch op {
+	case opContains:
+		n, err := s.search(tx, key, s.levels(1), nil, nil)
 		return err == nil && n != nil && n.key == key, err
+	case opInsert:
+		_, existed, err := s.put(tx, key, randLevel())
+		return !existed, err
 	}
-	// Stack-resident search results: search and link only read and fill
-	// the slices, so they never escape (no per-op allocation).
-	var preds, succs [skipMaxLevel]*setNode
-	n, err := s.search(tx, key, preds[:], succs[:])
-	if err != nil {
-		return false, err
-	}
-	found := n != nil && n.key == key
-	switch {
-	case op == opInsert && !found:
-		_, err = s.link(tx, key, preds[:], succs[:])
-		return true, err
-	case op == opRemove && found:
-		return true, s.unlink(tx, preds[:], succs[:])
-	}
-	return false, nil
+	n, err := s.remove(tx, key)
+	return n != nil, err
 }

@@ -35,14 +35,11 @@ func NewTSkipMap(tm *core.TM) *TSkipMap {
 	return m
 }
 
-// TM returns the owning transactional memory.
-func (m *TSkipMap) TM() *core.TM { return m.tm }
-
 // GetTx looks key up inside tx, under tx's semantics. The string returned
 // for a value written through PutBytesTx aliases its version record (see
 // core.SetBytes): copy it rather than hold it long past the transaction.
 func (m *TSkipMap) GetTx(tx *core.Tx, key string) (string, bool, error) {
-	n, err := m.search(tx, key, nil, nil)
+	n, err := m.search(tx, key, m.levels(1), nil, nil)
 	if err != nil || n == nil || n.key != key {
 		return "", false, err
 	}
@@ -64,21 +61,14 @@ func (m *TSkipMap) GetTx(tx *core.Tx, key string) (string, bool, error) {
 // the enclosing transaction's run returns (a retried body searches with
 // them again). val is retained as passed and must be immutable.
 func (m *TSkipMap) PutTx(tx *core.Tx, key, val string) (bool, error) {
-	// The per-level search results live on the stack: search and link
-	// only read and fill the slices, so they never escape and the per-op
-	// make()s this path used to pay are gone.
-	var preds, succs [skipMaxLevel]*mapNode
-	n, err := m.search(tx, key, preds[:], succs[:])
-	if err != nil {
-		return false, err
-	}
-	if n != nil && n.key == key {
-		return true, core.Set(tx, &n.val, val)
-	}
-	if n, err = m.link(tx, strings.Clone(key), preds[:], succs[:]); err == nil {
+	n, existed, err := m.put(tx, key, randLevel())
+	if err == nil && existed {
+		err = core.Set(tx, &n.val, val)
+	} else if err == nil {
+		n.key = strings.Clone(key)
 		n.val.Init(m.tm, val)
 	}
-	return false, err
+	return existed, err
 }
 
 // PutBytesTx is PutTx with val BORROWED as well: the map keeps a copy
@@ -89,18 +79,14 @@ func (m *TSkipMap) PutTx(tx *core.Tx, key, val string) (bool, error) {
 // the key — the existing node's on an overwrite, the fresh clone on an
 // insert — for callers that must remember which key they wrote.
 func (m *TSkipMap) PutBytesTx(tx *core.Tx, key string, val []byte) (stored string, existed bool, err error) {
-	var preds, succs [skipMaxLevel]*mapNode
-	n, err := m.search(tx, key, preds[:], succs[:])
-	if err != nil {
+	n, existed, err := m.put(tx, key, randLevel())
+	switch {
+	case err != nil:
 		return "", false, err
-	}
-	if n != nil && n.key == key {
+	case existed:
 		return n.key, true, core.SetBytes(tx, &n.val, val)
 	}
-	n, err = m.link(tx, strings.Clone(key), preds[:], succs[:])
-	if err != nil {
-		return "", false, err
-	}
+	n.key = strings.Clone(key)
 	core.InitBytes(m.tm, &n.val, val)
 	return n.key, false, nil
 }
@@ -108,12 +94,8 @@ func (m *TSkipMap) PutBytesTx(tx *core.Tx, key string, val []byte) (stored strin
 // DeleteTx removes key inside tx, reporting whether it was present and,
 // if so, the map's own copy of the key (see PutBytesTx).
 func (m *TSkipMap) DeleteTx(tx *core.Tx, key string) (stored string, removed bool, err error) {
-	var preds, succs [skipMaxLevel]*mapNode
-	n, err := m.search(tx, key, preds[:], succs[:])
-	if err != nil || n == nil || n.key != key {
-		return "", false, err
-	}
-	if err := m.unlink(tx, preds[:], succs[:]); err != nil {
+	n, err := m.remove(tx, key)
+	if n == nil {
 		return "", false, err
 	}
 	return n.key, true, nil
@@ -124,7 +106,7 @@ func (m *TSkipMap) DeleteTx(tx *core.Tx, key string) (stored string, removed boo
 // (limit <= 0 means unbounded), or the range is exhausted. An empty `to`
 // means "to the end".
 func (m *TSkipMap) RangeTx(tx *core.Tx, from, to string, limit int, fn func(key, val string) bool) error {
-	curr, err := m.search(tx, from, nil, nil)
+	curr, err := m.search(tx, from, m.levels(1), nil, nil)
 	if err != nil {
 		return err
 	}
@@ -141,7 +123,7 @@ func (m *TSkipMap) RangeTx(tx *core.Tx, from, to string, limit int, fn func(key,
 			return nil
 		}
 		n++
-		curr, err = core.Get(tx, &curr.next[0])
+		curr, err = core.Get(tx, curr.next(0))
 		if err != nil {
 			return err
 		}
@@ -177,23 +159,24 @@ func (m *TSkipMap) SnapshotAllCtx(ctx context.Context, fn func(key, val string) 
 }
 
 // ClearTx unlinks every element inside tx, returning how many were
-// removed. The unlink writes only the sentinel's towers; the count walks
+// removed. The unlink writes only the sentinel's tower, all sixteen
+// levels: the hint may be stale (see remove). The count walks
 // the bottom level it cut loose, so ClearTx reads O(n) variables — the
 // price of a map that keeps no size variable, paid by FLUSH, an admin
 // op.
 //
-// The order is load-bearing: read head.next[0], clear the towers, then
+// The order is load-bearing: read head.next(0), clear the tower, then
 // count from that node. Under an explicit weak override the walk then
 // runs after the first write, so it is validated like a def read and
 // cannot miss an insert that the clear wipes. Under irrevocable and def
 // the order makes no difference.
 func (m *TSkipMap) ClearTx(tx *core.Tx) (int, error) {
-	first, err := core.Get(tx, &m.head.next[0])
+	first, err := core.Get(tx, m.head.next(0))
 	if err != nil {
 		return 0, err
 	}
-	for i := range m.head.next {
-		if err := core.Set(tx, &m.head.next[i], nil); err != nil {
+	for l := range skipMaxLevel {
+		if err := core.Set(tx, m.head.next(l), nil); err != nil {
 			return 0, err
 		}
 	}

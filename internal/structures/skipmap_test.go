@@ -175,7 +175,7 @@ func TestIrrevocableWalkIsLinear(t *testing.T) {
 		f    func(*core.Tx) (int, error)
 	}{{"RangeTx", rangeAll}, {"ClearTx", m.ClearTx}} {
 		start := time.Now()
-		got := runCount(m.TM(), core.Irrevocable, op.f)
+		got := runCount(m.tm, core.Irrevocable, op.f)
 		if took := time.Since(start); took > time.Second {
 			t.Errorf("irrevocable %s of %d keys took %v, want < 1s", op.name, n, took)
 		} else {
@@ -448,7 +448,7 @@ func TestSkipMapPutBytes(t *testing.T) {
 	put := func(key, val string) (stored string, existed bool) {
 		t.Helper()
 		kb, vb = append(kb[:0], key...), append(vb[:0], val...)
-		if err := m.TM().AtomicAs(core.Def, func(tx *core.Tx) error {
+		if err := m.tm.AtomicAs(core.Def, func(tx *core.Tx) error {
 			var err error
 			stored, existed, err = m.PutBytesTx(tx, unsafe.String(unsafe.SliceData(kb), len(kb)), vb)
 			return err
@@ -479,7 +479,7 @@ func TestSkipMapPutBytes(t *testing.T) {
 			t.Fatalf("pair %d = %q:%q, want value %q", i, kv.Key, kv.Val, want)
 		}
 	}
-	if err := m.TM().AtomicAs(core.Def, func(tx *core.Tx) error {
+	if err := m.tm.AtomicAs(core.Def, func(tx *core.Tx) error {
 		stored, removed, err := m.DeleteTx(tx, "key-042")
 		if err == nil && (!removed || stored != "key-042") {
 			t.Errorf("DeleteTx = %q, %v; want the removed node's key", stored, removed)
@@ -496,7 +496,7 @@ func TestSkipMapPutBytes(t *testing.T) {
 	}
 	val := []byte(strings.Repeat("v", 64))
 	body := func(tx *core.Tx) error { _, _, err := m.PutBytesTx(tx, "key-007", val); return err }
-	if avg := testing.AllocsPerRun(500, func() { _ = m.TM().AtomicAs(core.Def, body) }); avg > 1 {
+	if avg := testing.AllocsPerRun(500, func() { _ = m.tm.AtomicAs(core.Def, body) }); avg > 1 {
 		t.Errorf("PutBytesTx overwrite: %.2f allocs/op, want <= 1", avg)
 	}
 }
@@ -518,13 +518,14 @@ func preloadAscending(n int) *TSkipMap {
 // the variable every link and value is made of. Its -v output is the
 // "What a key costs" table of the README.
 func TestSkipMapFootprint(t *testing.T) {
-	// The map's node holds its value variable (key 16 + TVar 24 + tower
-	// header 24); the set's zero-size value adds nothing.
-	if sz := unsafe.Sizeof(mapNode{}); sz != 64 {
-		t.Errorf("sizeof(mapNode) = %d, want 64", sz)
+	// The map's node holds its value variable (key 16 + TVar 24 + height
+	// 8), the set's zero-size value adds nothing, and the tower follows
+	// either in the same object.
+	if sz := unsafe.Sizeof(mapNode{}); sz != 48 {
+		t.Errorf("sizeof(mapNode) = %d, want 48", sz)
 	}
-	if sz := unsafe.Sizeof(setNode{}); sz != 32 {
-		t.Errorf("sizeof(setNode) = %d, want 32", sz)
+	if sz := unsafe.Sizeof(setNode{}); sz != 16 {
+		t.Errorf("sizeof(setNode) = %d, want 16", sz)
 	}
 	if raceflag.Enabled {
 		t.Skip("race instrumentation changes object sizes; the footprint is asserted in the non-race CI step")
@@ -546,29 +547,30 @@ func TestSkipMapFootprint(t *testing.T) {
 	objsPerKey := float64(after.HeapObjects-before.HeapObjects) / n
 
 	links := 0
-	for nd := m.head.next[0].LoadDirect(); nd != nil; nd = nd.next[0].LoadDirect() {
-		links += len(nd.next)
+	for nd := m.head.next(0).LoadDirect(); nd != nil; nd = nd.next(0).LoadDirect() {
+		links += nd.lvl
 	}
 	// The fixed objects are their Go sizes (all exact size classes); the
-	// tower row is what is left, since a 72-byte tower rounds up to 80.
-	node, rec := float64(unsafe.Sizeof(mapNode{})), float64(unsafe.Sizeof(stm.Version{}))
+	// node row is what is left, since a one-link node (72 bytes) rounds up
+	// to 80 and a three-link one takes the four-link array.
+	rec := float64(unsafe.Sizeof(stm.Version{}))
 	cell, key := rec+float64(unsafe.Sizeof("")), 16.0
 	linkRecs := rec * float64(links) / n
 	t.Logf("%d ascending 16-byte keys, %.3f links/key: %.1f B/key in %.2f objects/key", n, float64(links)/n, bytesPerKey, objsPerKey)
-	t.Logf("node %.0f | value cell %.0f | key bytes %.0f | tower %.1f mean | link records %.1f mean",
-		node, cell, key, bytesPerKey-node-cell-key-linkRecs, linkRecs)
-	if bytesPerKey > 208 {
-		t.Errorf("%.1f B/key, want <= 208", bytesPerKey)
+	t.Logf("node and tower %.1f mean | value cell %.0f | key bytes %.0f | link records %.1f mean",
+		bytesPerKey-cell-key-linkRecs, cell, key, linkRecs)
+	if bytesPerKey > 198 {
+		t.Errorf("%.1f B/key, want <= 198", bytesPerKey)
 	}
-	if objsPerKey > 5.5 {
-		t.Errorf("%.2f objects/key, want <= 5.5", objsPerKey)
+	if objsPerKey > 4.5 {
+		t.Errorf("%.2f objects/key, want <= 4.5", objsPerKey)
 	}
 	runtime.KeepAlive(m)
 }
 
 // TestSkipMapInsertAllocs: a fresh insert allocates the node (its value
-// variable inside), its tower, the key clone, the value's cell, and a
-// first record plus a write record per level — 6.67 expected at p = 1/4.
+// variable and its tower inside), the key clone, the value's cell, and a
+// first record plus a write record per level — 5.67 expected at p = 1/4.
 func TestSkipMapInsertAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation inflates allocation counts; budgets are asserted in the non-race CI step")
@@ -586,8 +588,8 @@ func TestSkipMapInsertAllocs(t *testing.T) {
 		m.Put(k, "v", core.Def)
 	}
 	runtime.ReadMemStats(&after)
-	if mean := float64(after.Mallocs-before.Mallocs) / n; mean > 7 {
-		t.Errorf("fresh Put: %.2f allocs/op, want <= 7", mean)
+	if mean := float64(after.Mallocs-before.Mallocs) / n; mean > 6 {
+		t.Errorf("fresh Put: %.2f allocs/op, want <= 6", mean)
 	} else {
 		t.Logf("fresh Put: %.2f allocs/op", mean)
 	}
@@ -610,12 +612,13 @@ func TestSkipMapRangeAllocs(t *testing.T) {
 }
 
 // TestSkipMapLevels pins the tower distribution and what it costs a
-// reader: three towers in four have one link, none outgrows the
-// sentinel, and a snapshot Get on a 100k-key map reads at most 45
-// variables on average — so a change that lengthens the walk fails here
-// rather than on a clock. Tower heights are random per run, and one
-// map's few top-level nodes move its mean by a couple of reads (37 to
-// 45 over 41 single-map runs), so the mean is taken over three maps.
+// search: three towers in four have one link, none outgrows the
+// sentinel, and on a 100k-key map a snapshot Get and a def overwrite
+// Put each read at most 36 variables on average — so a change that
+// lengthens the walk, such as descending from all sixteen levels instead
+// of the list's height, fails here rather than on a clock. Tower heights
+// are random per run, and one map's few top-level nodes move its mean by
+// a couple of reads, so the mean is taken over three maps.
 func TestSkipMapLevels(t *testing.T) {
 	const draws = 100_000
 	ones := 0
@@ -631,22 +634,36 @@ func TestSkipMapLevels(t *testing.T) {
 		t.Errorf("share of height-1 towers = %.4f, want 0.75 ± 0.01", share)
 	}
 
-	const n, gets, maps = 100_000, 2_000, 3
-	var reads uint64
+	const n, ops, maps = 100_000, 2_000, 3
+	var gets, puts uint64
 	for range maps {
 		m := preloadAscending(n)
-		before := m.TM().Stats().Reads
-		for i := 0; i < gets; i++ {
-			k := fmt.Sprintf("key-%012d", i*(n/gets)+7)
+		reads := func(op func(k string)) uint64 {
+			before := m.tm.Stats().Reads
+			for i := 0; i < ops; i++ {
+				op(fmt.Sprintf("key-%012d", i*(n/ops)+7))
+			}
+			return m.tm.Stats().Reads - before
+		}
+		gets += reads(func(k string) {
 			if _, ok := m.Get(k, core.Snapshot); !ok {
 				t.Fatalf("Get(%q) missed", k)
 			}
-		}
-		reads += m.TM().Stats().Reads - before
+		})
+		puts += reads(func(k string) {
+			if !m.Put(k, "w", core.Def) {
+				t.Fatalf("Put(%q) did not find the key", k)
+			}
+		})
 	}
-	if mean := float64(reads) / (maps * gets); mean > 45 {
-		t.Errorf("snapshot Get on %d keys: %.1f reads/op over %d maps, want <= 45", n, mean, maps)
-	} else {
-		t.Logf("snapshot Get on %d keys: %.1f reads/op over %d maps", n, mean, maps)
+	for _, row := range []struct {
+		name  string
+		reads uint64
+	}{{"snapshot Get", gets}, {"def overwrite Put", puts}} {
+		if mean := float64(row.reads) / (maps * ops); mean > 36 {
+			t.Errorf("%s on %d keys: %.1f reads/op over %d maps, want <= 36", row.name, n, mean, maps)
+		} else {
+			t.Logf("%s on %d keys: %.1f reads/op over %d maps", row.name, n, mean, maps)
+		}
 	}
 }

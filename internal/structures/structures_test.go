@@ -354,9 +354,14 @@ func TestTHashResizePreservesContents(t *testing.T) {
 	for k := uint64(0); k < 200; k++ {
 		h.Insert(k)
 	}
-	before := h.Buckets()
-	if got := h.Resize(true); got != before*2 {
-		t.Fatalf("resize -> %d buckets, want %d", got, before*2)
+	buckets := func() int {
+		bs, err := core.AtomicGet(tm, h.buckets)
+		must(err)
+		return len(bs)
+	}
+	before := buckets()
+	if got := h.Resize(true); got != before*2 || buckets() != before*2 {
+		t.Fatalf("resize -> %d buckets (%d held), want %d", got, buckets(), before*2)
 	}
 	for k := uint64(0); k < 200; k++ {
 		if !h.Contains(k) {
@@ -366,17 +371,16 @@ func TestTHashResizePreservesContents(t *testing.T) {
 	if h.Len() != 200 {
 		t.Fatalf("len = %d, want 200", h.Len())
 	}
-	if lf, want := h.LoadFactor(), 200/float64(before*2); lf != want {
-		t.Fatalf("load factor after grow = %v, want %v", lf, want)
+	if got := h.Resize(false); got != before || buckets() != before {
+		t.Fatalf("shrink -> %d buckets (%d held), want %d", got, buckets(), before)
 	}
-	h.Resize(false)
 	for k := uint64(0); k < 200; k++ {
 		if !h.Contains(k) {
 			t.Fatalf("key %d lost in shrink", k)
 		}
 	}
-	if lf, want := h.LoadFactor(), 200/float64(before); lf != want {
-		t.Fatalf("load factor after shrink = %v, want %v", lf, want)
+	if h.Len() != 200 {
+		t.Fatalf("len after shrink = %d, want 200", h.Len())
 	}
 }
 

@@ -913,23 +913,16 @@ func appendResponseBody(dst []byte, op Op, r *Response) ([]byte, error) {
 			dst = appendBytes(dst, kv.Key)
 			dst = appendBytes(dst, kv.Val)
 		}
-	case OpMGet:
+	case OpMGet, OpTxn:
 		dst = appendUvarint(dst, uint64(len(r.Batch)))
 		for i := range r.Batch {
-			sub := &r.Batch[i]
-			dst = append(dst, byte(sub.Status))
-			var err error
-			if dst, err = appendResponseBody(dst, OpGet, sub); err != nil {
-				return nil, err
+			sub, subOp := &r.Batch[i], OpGet // an MGET answers GETs
+			if op == OpTxn {
+				subOp = sub.SubOp
 			}
-		}
-	case OpTxn:
-		dst = appendUvarint(dst, uint64(len(r.Batch)))
-		for i := range r.Batch {
-			sub := &r.Batch[i]
 			dst = append(dst, byte(sub.Status))
 			var err error
-			if dst, err = appendResponseBody(dst, sub.SubOp, sub); err != nil {
+			if dst, err = appendResponseBody(dst, subOp, sub); err != nil {
 				return nil, err
 			}
 		}
@@ -952,10 +945,14 @@ func appendResponseBody(dst []byte, op Op, r *Response) ([]byte, error) {
 }
 
 // AppendResponseFrame appends the complete response frame — 4-byte
-// length prefix plus status | body — answering opcode op to dst. On
-// error dst is returned unchanged.
+// length prefix plus status | body — answering opcode op to dst. A frame
+// whose payload would pass MaxFrame, which no reader takes, fails with
+// ErrFrameTooLarge. On error dst is returned unchanged.
 func AppendResponseFrame(dst []byte, op Op, r *Response) ([]byte, error) {
 	out, err := appendResponseBody(append(dst, 0, 0, 0, 0, byte(r.Status)), op, r)
+	if err == nil && len(out)-len(dst)-4 > MaxFrame {
+		err = ErrFrameTooLarge
+	}
 	if err != nil {
 		return dst, err
 	}
