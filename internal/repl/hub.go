@@ -18,12 +18,12 @@ import (
 // per-shard logs to tap and each shard's catch-up state. polyserve's
 // server.Store implements it.
 type PrimaryStore interface {
-	NumShards() int
 	ShardWAL(i int) *wal.Log
 	// Routing returns the store's routing epoch and per-shard topology
 	// (stable id + hash slice, table order). A feed pins one epoch at
 	// subscribe time and sends the topology to the follower; a reshard
-	// cuts every feed (CutAll), forcing renegotiation on reconnect.
+	// cuts every feed (CutAll), forcing renegotiation on reconnect. The
+	// stable ids are what sync-ack waits are keyed on.
 	Routing() (uint64, []wire.ReplShardSlice)
 	// Incarnation identifies one durable lifetime of the store. WAL
 	// seqs restart on every process start, so a follower's applied
@@ -70,9 +70,11 @@ type Hub struct {
 	mu     sync.Mutex
 	feeds  map[*feed]struct{}
 	nextID uint64
-	// acked is the per-shard high-water of seqs acked by ANY follower
-	// (monotonic; a dying feed does not lower it).
-	acked  []uint64
+	// acked is the high-water of seqs acked by ANY follower, per stable
+	// shard id of the current table (monotonic; a dying feed does not
+	// lower it). A feed's ACKs address table positions; its pinned
+	// topology maps them to ids.
+	acked  map[int]uint64
 	ackCh  chan struct{} // closed + replaced whenever acked advances or the feed set changes
 	closed bool
 
@@ -83,19 +85,27 @@ type Hub struct {
 
 // NewHub creates a hub over store.
 func NewHub(store PrimaryStore, cfg HubConfig) *Hub {
-	return &Hub{
+	h := &Hub{
 		store:   store,
 		tm:      cfg.Timeouts.WithDefaults(),
 		syncAck: cfg.SyncAck,
 		logf:    cfg.Logf,
 		feeds:   make(map[*feed]struct{}),
-		acked:   make([]uint64, store.NumShards()),
 		ackCh:   make(chan struct{}),
 	}
+	h.resetAcked()
+	return h
 }
 
-// SyncAck reports whether the hub was configured for synchronous acks.
-func (h *Hub) SyncAck() bool { return h.syncAck }
+// resetAcked starts a zero high-water for every shard id of the store's
+// current table; h.mu must be held (or h unpublished).
+func (h *Hub) resetAcked() {
+	_, topo := h.store.Routing()
+	h.acked = make(map[int]uint64, len(topo))
+	for _, e := range topo {
+		h.acked[int(e.ID)] = 0
+	}
+}
 
 // shipRec is one live-tail record queued for a follower.
 type shipRec struct {
@@ -129,9 +139,8 @@ type feed struct {
 	buf      []shipRec
 	bufBytes int
 
-	// Per-shard positions, all under mu: shipped high-water vs the
+	// Per-shard positions, all under mu: shipped bytes vs the
 	// follower's acked offsets (from its ACK frames).
-	shippedSeq   []uint64
 	shippedBytes []uint64
 	ackSeq       []uint64
 	ackBytes     []uint64
@@ -151,7 +160,6 @@ func (h *Hub) ServeFeed(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error
 		epoch:        epoch,
 		topo:         topo,
 		wake:         make(chan struct{}, 1),
-		shippedSeq:   make([]uint64, n),
 		shippedBytes: make([]uint64, n),
 		ackSeq:       make([]uint64, n),
 		ackBytes:     make([]uint64, n),
@@ -214,19 +222,20 @@ func (h *Hub) cutFeeds(reason error, edit func()) {
 	}
 }
 
-// WaitAcked blocks until some follower's ack covers (shard, seq), no
-// follower is connected (sync replication degrades to async rather
-// than stalling the primary's write path), the hub closes, or ctx
-// ends — or a reshard shrank the table under the waiter and its position
-// is gone (see CutAll). It is a no-op unless the hub was configured with
-// SyncAck.
-func (h *Hub) WaitAcked(ctx context.Context, shard int, seq uint64) error {
+// WaitAcked blocks until some follower's ack covers seq in the log of
+// the shard with stable id id, no follower is connected (sync
+// replication degrades to async rather than stalling the primary's
+// write path), the hub closes, or ctx ends — or the current table does
+// not hold id: a reshard retired the shard under the waiter (see
+// CutAll). It is a no-op unless the hub was configured with SyncAck.
+func (h *Hub) WaitAcked(ctx context.Context, id int, seq uint64) error {
 	if !h.syncAck {
 		return nil
 	}
 	for {
 		h.mu.Lock()
-		if shard >= len(h.acked) || h.acked[shard] >= seq || len(h.feeds) == 0 || h.closed {
+		acked, ok := h.acked[id]
+		if !ok || acked >= seq || len(h.feeds) == 0 || h.closed {
 			h.mu.Unlock()
 			return nil
 		}
@@ -240,14 +249,16 @@ func (h *Hub) WaitAcked(ctx context.Context, shard int, seq uint64) error {
 	}
 }
 
-// noteAck folds one follower's ACK frame into the hub's high-water.
+// noteAck folds one follower's ACK frame into the hub's high-water,
+// each position named by the stable id the feed's topology gives it.
+// An id the current table no longer holds is skipped.
 func (h *Hub) noteAck(f *feed, acks []wire.ReplAckEntry) {
 	h.mu.Lock()
 	advanced := false
 	f.mu.Lock()
 	for _, a := range acks {
-		sh := int(a.Shard)
-		if sh < 0 || sh >= len(h.acked) || sh >= len(f.ackSeq) {
+		sh := a.Shard
+		if sh >= uint64(len(f.ackSeq)) {
 			continue
 		}
 		if a.Seq > f.ackSeq[sh] {
@@ -256,8 +267,9 @@ func (h *Hub) noteAck(f *feed, acks []wire.ReplAckEntry) {
 		if a.Bytes > f.ackBytes[sh] {
 			f.ackBytes[sh] = a.Bytes
 		}
-		if a.Seq > h.acked[sh] {
-			h.acked[sh] = a.Seq
+		id := int(f.topo[sh].ID)
+		if acked, ok := h.acked[id]; ok && a.Seq > acked {
+			h.acked[id] = a.Seq
 			advanced = true
 		}
 	}
@@ -313,14 +325,12 @@ func (h *Hub) LagBytes() uint64 {
 
 // CutAll fails every live feed without closing the hub — a reshard
 // changed the topology, and every follower must renegotiate it through
-// a reconnect. The acked high-waters reset to the new table's shape, so
-// a stale position can never satisfy a sync-ack wait against a
-// repositioned shard; waiters wake and observe no followers (sync
-// replication degrades to async until followers re-subscribe).
+// a reconnect. The acked high-waters reset to the ids of the new table:
+// a waiter on a shard the reshard retired is released, and waiters on
+// the rest wake and observe no followers (sync replication degrades to
+// async until followers re-subscribe).
 func (h *Hub) CutAll(reason string) {
-	h.cutFeeds(fmt.Errorf("repl: feed cut: %s", reason), func() {
-		h.acked = make([]uint64, h.store.NumShards())
-	})
+	h.cutFeeds(fmt.Errorf("repl: feed cut: %s", reason), h.resetAcked)
 }
 
 // Close tears down every feed. In-flight ServeFeed calls return; new
@@ -554,7 +564,6 @@ func (f *feed) drain() error {
 		for ; i < len(recs) && recs[i].shard == shard && bytes < batchFlushAt; i++ {
 			frame.Recs = append(frame.Recs, wire.ReplRec{Seq: recs[i].seq, Payload: recs[i].payload})
 			bytes += len(recs[i].payload)
-			f.shippedSeq[shard] = recs[i].seq
 		}
 		f.shippedBytes[shard] += uint64(bytes)
 		f.mu.Unlock()

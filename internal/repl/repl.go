@@ -17,6 +17,13 @@
 // seq 0, a FLUSH and then the snapshot's pairs as SETs, or a delta's
 // SETs and DELs — so a follower applies one thing.
 //
+// Sync acks (Hub.WaitAcked) are keyed by a shard's stable id, never by
+// its table position: a feed's ACK frames carry positions, and the
+// topology the feed pinned at subscribe names each one. A reshard cuts
+// every feed and resets the acked table to the new table's ids, so a
+// waiter on a shard the reshard retired is released and no caller has
+// to re-bind anything.
+//
 // The link discipline — explicit connection states, reconnection with
 // configurable backoff, and a per-phase timeout taxonomy instead of one
 // socket deadline — follows the HSMS pattern (secs4go): Connect bounds

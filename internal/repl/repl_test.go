@@ -3,7 +3,9 @@ package repl
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"testing"
@@ -56,12 +58,17 @@ func TestConnStateString(t *testing.T) {
 // takes the same mutex, so a catch-up is exactly a log prefix — the
 // same invariant the real store gets from commit ordering.
 type fakePrimary struct {
-	t     *testing.T
-	inc   uint64 // 0 = full catch-up only, like a non-durable store
-	logs  []*wal.Log
-	mus   []sync.Mutex
-	maps  []map[string]string
-	dirty []map[string]bool
+	t    *testing.T
+	inc  uint64 // 0 = full catch-up only, like a non-durable store
+	logs []*wal.Log
+	// routeMu guards the table Routing reports: epoch 0 with ids equal
+	// to positions until a test reshapes it.
+	routeMu sync.Mutex
+	epoch   uint64
+	ids     []uint64
+	mus     []sync.Mutex
+	maps    []map[string]string
+	dirty   []map[string]bool
 }
 
 func newFakePrimary(t *testing.T, shards int) *fakePrimary {
@@ -89,19 +96,30 @@ func newFakePrimary(t *testing.T, shards int) *fakePrimary {
 	return fp
 }
 
-func (fp *fakePrimary) NumShards() int          { return len(fp.logs) }
 func (fp *fakePrimary) ShardWAL(i int) *wal.Log { return fp.logs[i] }
 func (fp *fakePrimary) Incarnation() uint64     { return fp.inc }
 
-// Routing reports a static epoch-0 uniform table: one slice per shard,
-// ids equal to positions — a legacy-shaped primary.
+// Routing reports a uniform table: one slice per shard, ids equal to
+// positions — a legacy-shaped primary — unless reshape renamed them.
 func (fp *fakePrimary) Routing() (uint64, []wire.ReplShardSlice) {
+	fp.routeMu.Lock()
+	defer fp.routeMu.Unlock()
 	topo := make([]wire.ReplShardSlice, len(fp.logs))
 	n := uint64(len(fp.logs))
 	for i := range topo {
 		topo[i] = wire.ReplShardSlice{ID: uint64(i), Mod: n, Res: uint64(i)}
+		if fp.ids != nil {
+			topo[i].ID = fp.ids[i]
+		}
 	}
-	return 0, topo
+	return fp.epoch, topo
+}
+
+// reshape publishes a new routing epoch whose positions carry ids.
+func (fp *fakePrimary) reshape(epoch uint64, ids ...uint64) {
+	fp.routeMu.Lock()
+	defer fp.routeMu.Unlock()
+	fp.epoch, fp.ids = epoch, ids
 }
 
 // CatchUp follows the real store's contract. With an incarnation and a
@@ -365,10 +383,10 @@ func TestHubFollowerCatchUpAndTail(t *testing.T) {
 	if got := ff.snapshot(0)["sync-key"]; got != "sync-val" {
 		t.Fatalf("after WaitAcked, follower has %q for sync-key", got)
 	}
-	// A position past the table — a waiter whose shard a MERGE retired —
-	// is released, not indexed.
+	// An id the table does not hold — a waiter whose shard a MERGE
+	// retired — is released.
 	if err := h.WaitAcked(ctx, shards, seq); err != nil {
-		t.Fatalf("WaitAcked on a position past the table: %v", err)
+		t.Fatalf("WaitAcked on an id the table does not hold: %v", err)
 	}
 
 	// Wait out the remaining tail, then compare shard-for-shard.
@@ -638,5 +656,62 @@ func TestWaitAckedNoFollowers(t *testing.T) {
 	defer cancel()
 	if err := h.WaitAcked(ctx, 0, 42); err != nil {
 		t.Fatalf("WaitAcked with no followers: %v", err)
+	}
+}
+
+// TestWaitAckedReleasesDroppedID: sync-ack waits are keyed by stable
+// shard id. After CutAll the hub tracks the new table's ids only: with a
+// follower connected again, a wait on the id the reshape dropped returns
+// at once, while the id now at that position waits for — and gets — its
+// follower's ack.
+func TestWaitAckedReleasesDroppedID(t *testing.T) {
+	const shards = 2
+	fp := newFakePrimary(t, shards)
+	h := NewHub(fp, HubConfig{SyncAck: true, Logf: t.Logf})
+	defer h.Close()
+	addr := serveHub(t, h, shards)
+	ff := newFakeFollower(shards)
+	fl, err := StartFollower(FollowerConfig{
+		Primary: addr,
+		Store:   ff,
+		Backoff: Backoff{Min: 10 * time.Millisecond, Max: 50 * time.Millisecond},
+		Logf:    t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+	waitFor(t, 5*time.Second, "follower streaming", func() bool { return fl.State() == StateStreaming })
+
+	// A reshard retires id 1; id 7 takes its position.
+	fp.reshape(1, 0, 7)
+	h.CutAll("routing epoch 1")
+	reconnected := func() bool {
+		var n uint64
+		for _, c := range fl.Counters() {
+			if c.Name == "repl_reconnects" {
+				n = c.Value
+			}
+		}
+		return n > 0 && fl.State() == StateStreaming && counterValue(h, "repl_followers") == 1
+	}
+	waitFor(t, 5*time.Second, "follower back on the new table", reconnected)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := h.WaitAcked(ctx, 1, math.MaxUint64); err != nil {
+		t.Fatalf("WaitAcked on the dropped id: %v", err)
+	}
+	short, cancelShort := context.WithTimeout(ctx, 50*time.Millisecond)
+	defer cancelShort()
+	if err := h.WaitAcked(short, 7, math.MaxUint64); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("WaitAcked on the new id past every ack: %v; want it waiting", err)
+	}
+	seq := fp.set(1, "after-reshape", "v")
+	if err := h.WaitAcked(ctx, 7, seq); err != nil {
+		t.Fatalf("WaitAcked on the new id: %v", err)
+	}
+	if got := ff.snapshot(1)["after-reshape"]; got != "v" {
+		t.Fatalf("after WaitAcked, follower has %q at position 1", got)
 	}
 }

@@ -105,7 +105,7 @@ func (s *Store) reapShard(ctx context.Context, sh *shard) (int, error) {
 		// their deadlines at cutover). Re-check membership under the
 		// token and expire only keys the shard still owns.
 		tab := s.tab()
-		if tab.epoch > 0 && tab.byID(sh.idx) != sh {
+		if tab.epoch > 0 && tab.posByID(sh.idx) < 0 {
 			return nil
 		}
 		// Close the extension window: a SETEX that committed before this

@@ -63,8 +63,8 @@ func (p *ackPos) close(ctx context.Context) error {
 	}
 	p.waitDelivered()
 	if p.logged {
-		if w := p.sh.replWait.Load(); w != nil {
-			return (*w)(ctx, p.seq)
+		if h := p.sh.hub.Load(); h != nil {
+			return h.WaitAcked(ctx, p.sh.idx, p.seq)
 		}
 	}
 	return nil

@@ -316,10 +316,23 @@ func TestPipelinedWritesFollowerAckedBeforeReply(t *testing.T) {
 // TestMergeRetiresShardUnderOpenGate: a connection's gates are waited
 // outside the reshard grace period, so a MERGE can retire a shard — and
 // close its log — while a gate on it is still open. Close flushes what
-// was committed, so the gate closes with the write's own verdict.
+// was committed. The primary's sync-ack hub, with a follower connected
+// that acks shard 0 only, holds the gate on shard 1 until the merge drops
+// that shard's id from the hub's table: the gate then closes with the
+// write's own verdict.
 func TestMergeRetiresShardUnderOpenGate(t *testing.T) {
-	st, _ := newShardedDurable(t, t.TempDir(), 2, wal.ModeBatch)
-	defer st.CloseDurability()
+	srv, addr := startReplServer(t, Config{StoreShards: 2},
+		&Durability{Dir: t.TempDir(), Fsync: wal.ModeBatch, CheckpointEvery: -1}, &ReplConfig{SyncAck: true})
+	st := srv.Store()
+	ackShard0(t, addr)
+	waitCond(t, 5*time.Second, "the follower's feed", func() bool {
+		for _, c := range srv.Hub().Counters() {
+			if c.Name == "repl_followers" {
+				return c.Value == 1
+			}
+		}
+		return false
+	})
 	key := tkey(0)
 	for i := 1; st.shardIdx(key) != 1; i++ {
 		key = tkey(i)
@@ -330,19 +343,70 @@ func TestMergeRetiresShardUnderOpenGate(t *testing.T) {
 	if resp.Status != wire.StatusOK || len(g.open) != 1 || g.open[0].sh.idx != 1 {
 		t.Fatalf("SET on shard 1 through a connection's context: %v %s, %d open gates", resp.Status, resp.Msg, len(g.open))
 	}
-	// A sync-ack wait installed on the shard addresses it by position;
-	// after the merge that position is gone, so the wait must be too.
-	stale := func(context.Context, uint64) error { return errors.New("sync-ack wait on a retired shard") }
-	g.open[0].sh.replWait.Store(&stale)
+	short, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if err := g.open[0].close(short); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("gate before the merge: %v; want it waiting for a follower ack", err)
+	}
 	if _, err := st.Merge(context.Background(), 0, 0, 1); err != nil {
 		t.Fatalf("Merge: %v", err)
 	}
-	if err := g.open[0].close(g); err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := g.open[0].close(ctx); err != nil {
 		t.Fatalf("gate on the retired shard: %v", err)
 	}
 	if got := execOK(t, st, &wire.Request{Op: wire.OpGet, Sem: wire.SemDefault, Key: key}); string(got.Val) != "v" {
 		t.Fatalf("after the merge the key reads %q", got.Val)
 	}
+}
+
+// ackShard0 subscribes to the primary at addr as a follower that answers
+// every batch and ping with an ACK of shard 0's live tail and never acks
+// another shard, so a sync-ack wait on shard 1 blocks while its feed
+// lives.
+func ackShard0(t *testing.T, addr string) {
+	l, _, err := repl.Dial(addr, repl.Timeouts{}, &wire.Request{Op: wire.OpSubscribeWAL, Sem: wire.SemDefault})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello, err := wire.AppendReplFrame(nil, &wire.ReplFrame{Kind: wire.ReplHello})
+	if err == nil {
+		err = l.Write(hello)
+	}
+	if err != nil {
+		l.Close()
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	t.Cleanup(func() {
+		l.Close()
+		<-done
+	})
+	go func() {
+		defer close(done)
+		var in wire.ReplFrame
+		var out []byte
+		var seq uint64
+		l.Recv(func(payload []byte) error {
+			if err := wire.DecodeReplFrame(&in, payload); err != nil {
+				return err
+			}
+			if in.Kind == wire.ReplWALBatch && in.Shard == 0 {
+				for _, r := range in.Recs {
+					seq = max(seq, r.Seq)
+				}
+			}
+			if in.Kind != wire.ReplWALBatch && in.Kind != wire.ReplPing {
+				return nil
+			}
+			var err error
+			if out, err = wire.AppendReplFrame(out[:0], &wire.ReplFrame{Kind: wire.ReplAck, Acks: []wire.ReplAckEntry{{Shard: 0, Seq: seq}}}); err != nil {
+				return err
+			}
+			return l.Write(out)
+		})
+	}()
 }
 
 // TestConnectionBuffersReturnToSize: a connection's reusable buffers are

@@ -90,51 +90,11 @@ func (s *Store) BecomePrimary() {
 // has performed.
 func (s *Store) Failovers() uint64 { return s.failovers.Load() }
 
-// setReplCounters installs the live counter source merged into STATS
-// (hub counters on a primary, link counters on a follower; nil
-// detaches).
-func (s *Store) setReplCounters(fn func() []wire.Counter) {
-	if fn == nil {
-		s.replCounters.Store(nil)
-		return
-	}
-	s.replCounters.Store(&fn)
-}
-
-// setSyncAck installs (or, with a nil hub, removes) the per-shard
-// sync-ack gate: a durable mutation's acknowledgement additionally
-// waits for a follower ack covering its record. Feed frames address
-// shards by table position, so the gate is re-installed after every
-// reshard (see the reshard hook) to rebind positions.
-func (s *Store) setSyncAck(h *repl.Hub) {
-	for pos, sh := range s.tab().shards {
-		if h == nil {
-			sh.replWait.Store(nil)
-			continue
-		}
-		shard := pos
-		fn := func(ctx context.Context, seq uint64) error {
-			return h.WaitAcked(ctx, shard, seq)
-		}
-		sh.replWait.Store(&fn)
-	}
-}
-
-// setReshardHook installs (nil removes) the function the store calls
-// right after publishing a new routing table (replication teardown on
-// topology change).
-func (s *Store) setReshardHook(fn func(epoch uint64)) {
-	if fn == nil {
-		s.reshardHook.Store(nil)
-		return
-	}
-	s.reshardHook.Store(&fn)
-}
-
 // Routing returns the store's routing epoch and the table's slices in
 // position order (repl.PrimaryStore): the hub sends this to every
 // follower right after HELLO, and all shard indices in subsequent feed
-// frames are positions in this table.
+// frames are positions in this table. The hub keys sync-ack waits on
+// the stable ids it lists.
 func (s *Store) Routing() (uint64, []wire.ReplShardSlice) {
 	tab := s.tab()
 	slices := make([]wire.ReplShardSlice, len(tab.shards))
@@ -315,7 +275,7 @@ type ReplConfig struct {
 func (s *Server) EnableReplication(cfg ReplConfig) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.hub != nil || s.follower != nil {
+	if s.Hub() != nil || s.Follower() != nil {
 		return errors.New("server: replication already enabled")
 	}
 	s.replCfg = cfg
@@ -332,8 +292,7 @@ func (s *Server) EnableReplication(cfg ReplConfig) error {
 	if err != nil {
 		return err
 	}
-	s.follower = fl
-	s.store.setReplCounters(fl.Counters)
+	s.store.follower.Store(fl)
 	return nil
 }
 
@@ -342,45 +301,18 @@ func (s *Server) startHubLocked() error {
 	if !s.store.Durable() {
 		return errors.New("server: replication primary needs a durable store (the feed streams the WAL)")
 	}
-	h := repl.NewHub(s.store, repl.HubConfig{
+	s.store.hub.Store(repl.NewHub(s.store, repl.HubConfig{
 		SyncAck: s.replCfg.SyncAck,
 		Logf:    s.cfg.Logf,
-	})
-	s.hub = h
-	s.store.setReplCounters(h.Counters)
-	if s.replCfg.SyncAck {
-		s.store.setSyncAck(h)
-	}
-	// A reshard changes the shard set mid-stream. Cutting every feed
-	// forces each follower through a fresh handshake, where it learns
-	// the new topology; rebinding the sync-ack gate repoints the shards
-	// at their new table positions.
-	syncAck := s.replCfg.SyncAck
-	s.store.setReshardHook(func(epoch uint64) {
-		h.CutAll(fmt.Sprintf("routing epoch %d", epoch))
-		if syncAck {
-			s.store.setSyncAck(h)
-		}
-	})
+	}))
 	return nil
 }
 
-// replHub returns the hub, nil when not a serving primary.
-func (s *Server) replHub() *repl.Hub {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hub
-}
-
 // Follower returns the replication link, nil when not a follower.
-func (s *Server) Follower() *repl.Follower {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.follower
-}
+func (s *Server) Follower() *repl.Follower { return s.store.follower.Load() }
 
 // Hub returns the feed hub, nil when not a replication primary.
-func (s *Server) Hub() *repl.Hub { return s.replHub() }
+func (s *Server) Hub() *repl.Hub { return s.store.hub.Load() }
 
 // Promote fails the server over from follower to primary: the link is
 // stopped, pending cross-shard prepares resolve against the shipped
@@ -389,9 +321,7 @@ func (s *Server) Hub() *repl.Hub { return s.replHub() }
 // A durable store also starts a feed hub, so further followers can
 // chain off the new primary.
 func (s *Server) Promote() (repl.PromoteResult, error) {
-	s.mu.Lock()
-	fl := s.follower
-	s.mu.Unlock()
+	fl := s.Follower()
 	if fl == nil {
 		return repl.PromoteResult{}, errors.New("server: not a follower")
 	}
@@ -402,8 +332,7 @@ func (s *Server) Promote() (repl.PromoteResult, error) {
 	s.store.BecomePrimary()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.follower = nil
-	s.store.setReplCounters(nil)
+	s.store.follower.Store(nil)
 	if s.store.Durable() {
 		if err := s.startHubLocked(); err != nil {
 			return res, err
@@ -415,12 +344,8 @@ func (s *Server) Promote() (repl.PromoteResult, error) {
 // closeReplication tears down the hub or link (used at shutdown).
 func (s *Server) closeReplication() {
 	s.mu.Lock()
-	h, fl := s.hub, s.follower
-	s.hub, s.follower = nil, nil
+	h, fl := s.store.hub.Swap(nil), s.store.follower.Swap(nil)
 	s.mu.Unlock()
-	s.store.setReshardHook(nil)
-	s.store.setSyncAck(nil)
-	s.store.setReplCounters(nil)
 	if h != nil {
 		h.Close()
 	}

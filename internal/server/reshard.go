@@ -62,17 +62,6 @@ const (
 	mergeBarrierN = 64
 )
 
-// posByID returns the table position of the shard with the given
-// stable id, -1 when absent.
-func (t *routingTable) posByID(id int) int {
-	for i, sh := range t.shards {
-		if sh.idx == id {
-			return i
-		}
-	}
-	return -1
-}
-
 // Split halves the hash slice of the shard with stable id srcID onto a
 // brand-new shard, live. wantEpoch must match the current routing epoch
 // (the admin client's view — a stale view gets *wire.WrongEpochError
@@ -242,9 +231,8 @@ func (s *Store) Merge(ctx context.Context, wantEpoch uint64, aID, bID int) (uint
 	s.grace.synchronize()
 	// A connection may still hold an ack gate on b (gates are waited
 	// outside the grace period): its log wait is answered by the Close
-	// below, and its sync-ack wait must not run at all — b's position no
-	// longer names it, and followers re-sync the merged shard whole.
-	b.replWait.Store(nil)
+	// below, and its sync-ack wait returns at once — the hub's table no
+	// longer holds b's id.
 	if s.durable() {
 		if err := barrier(m.ctx, "reshard-retire", []*shard{b}, b.wal.Close); err != nil {
 			s.logf("polyserve: closing merged shard %d's log: %v", bID, err)
@@ -444,13 +432,15 @@ func (m *move) publish(next *routingTable, nextID int) error {
 }
 
 // published is the tail of a reshard that cut over: the gate closes,
-// and STATS, the log and the replication hook learn the new epoch.
+// and STATS and the log learn the new epoch. A replication hub cuts
+// every feed, so each follower learns the new topology through a fresh
+// handshake, and its sync-ack table takes the new table's shard ids.
 func (m *move) published(n *atomic.Uint64, epoch uint64, what string) {
 	m.end()
 	n.Add(1)
 	m.s.logf("polyserve: %s, routing epoch %d", what, epoch)
-	if hook := m.s.reshardHook.Load(); hook != nil {
-		(*hook)(epoch)
+	if h := m.s.hub.Load(); h != nil {
+		h.CutAll(fmt.Sprintf("routing epoch %d", epoch))
 	}
 }
 
@@ -588,17 +578,16 @@ func (s *Store) AdoptRouting(epoch uint64, topo []wire.ReplShardSlice) (bool, er
 	shards := make([]*shard, len(topo))
 	slices := make([]hashSlice, len(topo))
 	maxID := s.nextID
+	var err error
 	for i, e := range topo {
 		if i > 0 && e.Res <= topo[i-1].Res {
 			return false, fmt.Errorf("server: routing topology for epoch %d not in residue order", epoch)
 		}
 		slices[i] = hashSlice{mod: e.Mod, res: e.Res}
-		if shards[i] = tab.byID(int(e.ID)); shards[i] == nil {
-			sh, err := s.freshShard(int(e.ID))
-			if err != nil {
-				return false, err
-			}
-			shards[i] = sh
+		if pos := tab.posByID(int(e.ID)); pos >= 0 {
+			shards[i] = tab.shards[pos]
+		} else if shards[i], err = s.freshShard(int(e.ID)); err != nil {
+			return false, err
 		}
 		if int(e.ID)+1 > maxID {
 			maxID = int(e.ID) + 1
@@ -611,7 +600,7 @@ func (s *Store) AdoptRouting(epoch uint64, topo []wire.ReplShardSlice) (bool, er
 	// retire their logs.
 	s.grace.synchronize()
 	for _, old := range tab.shards {
-		if next.byID(old.idx) != nil {
+		if next.posByID(old.idx) >= 0 {
 			continue
 		}
 		if old.wal != nil {

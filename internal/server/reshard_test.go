@@ -645,7 +645,7 @@ func TestAdoptRouting(t *testing.T) {
 	if ok, err := st.AdoptRouting(1, []wire.ReplShardSlice{{ID: 0, Mod: 2, Res: 0}, {ID: 1, Mod: 2, Res: 1}}); err != nil || !ok {
 		t.Fatalf("shrinking adopt = %v, %v", ok, err)
 	}
-	if st.NumShards() != 2 || st.tab().byID(2) != nil {
+	if st.NumShards() != 2 || st.tab().posByID(2) >= 0 {
 		t.Fatalf("dropped shard still present")
 	}
 }

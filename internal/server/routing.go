@@ -90,15 +90,15 @@ func (t *routingTable) pos(h uint64) int {
 // shardFor returns the shard owning hash h.
 func (t *routingTable) shardFor(h uint64) *shard { return t.shards[t.pos(h)] }
 
-// byID returns the table's shard with the given stable id (nil when
-// absent).
-func (t *routingTable) byID(id int) *shard {
-	for _, sh := range t.shards {
+// posByID returns the table position of the shard with the given
+// stable id, -1 when absent.
+func (t *routingTable) posByID(id int) int {
+	for i, sh := range t.shards {
 		if sh.idx == id {
-			return sh
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
 // hashKey is the routing hash: FNV-1a 64 over the key bytes. It must

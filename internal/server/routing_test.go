@@ -98,7 +98,7 @@ func TestRoutingTablePos(t *testing.T) {
 			t.Fatalf("hash %d moved across an unrelated split", h)
 		}
 	}
-	if mixed.byID(4).idx != 4 || mixed.byID(9) != nil {
-		t.Fatalf("byID lookup broken")
+	if p := mixed.posByID(4); p < 0 || mixed.shards[p].idx != 4 || mixed.posByID(9) != -1 {
+		t.Fatalf("posByID lookup broken")
 	}
 }

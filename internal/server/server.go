@@ -71,11 +71,9 @@ type Server struct {
 	conns    map[net.Conn]*repl.Link // nil until a watch session takes the connection over
 	shutdown bool
 
-	// Replication wiring (see replication.go): a primary owns a hub
-	// serving follower feeds, a follower owns the link to its primary.
-	hub      *repl.Hub
-	follower *repl.Follower
-	replCfg  ReplConfig
+	// replCfg is the replication setup EnableReplication was given; the
+	// hub or follower it starts is held by the store.
+	replCfg ReplConfig
 
 	wg sync.WaitGroup
 }
@@ -288,7 +286,7 @@ func (s *Server) handle(c net.Conn) {
 			// way: answer the handshake, then the hub streams frames until
 			// either side drops. With no hub, fall through to the execution
 			// path's typed refusal like any other request.
-			if h := s.replHub(); h != nil {
+			if h := s.Hub(); h != nil {
 				if g.flush(c) == nil {
 					s.serveSubscribe(c, br, bufio.NewWriter(c), h)
 				}

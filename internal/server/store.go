@@ -13,6 +13,7 @@ import (
 	"unsafe"
 
 	"polytm/internal/core"
+	"polytm/internal/repl"
 	"polytm/internal/session"
 	"polytm/internal/stm"
 	"polytm/internal/structures"
@@ -129,9 +130,9 @@ type shard struct {
 	dirty  dirtySet
 	ckptMu sync.Mutex
 
-	// replWait, when set (sync-ack replication), gates a durable
-	// mutation's acknowledgement on a follower ack covering its record.
-	replWait atomic.Pointer[func(ctx context.Context, seq uint64) error]
+	// hub is the store's replication hub slot, set while a primary
+	// serves feeds: the ack gate's sync-ack wait (see ackPos.close).
+	hub *atomic.Pointer[repl.Hub]
 
 	routed atomic.Uint64 // operations routed here (STATS distribution row)
 }
@@ -172,11 +173,6 @@ type Store struct {
 	// engine's own defaults.
 	mkTM func() *core.TM
 
-	// reshardHook, when set (replication), runs after a reshard
-	// publishes its new table — the hub cuts every feed so followers
-	// renegotiate topology through a reconnect.
-	reshardHook atomic.Pointer[func(epoch uint64)]
-
 	// epoch numbers cross-shard transactions; durable stores persist it
 	// through control records and resume past the recovered maximum.
 	epoch atomic.Uint64
@@ -184,13 +180,16 @@ type Store struct {
 	xshardTxns   atomic.Uint64 // cross-shard commits attempted
 	xshardAborts atomic.Uint64 // cross-shard commits that aborted
 
-	// Replication role state (see replication.go). A follower rejects
-	// every mutating request before any transaction starts; primaryAddr
-	// rides the rejection so clients can redirect.
-	role         atomic.Int32
-	failovers    atomic.Uint64
-	primaryAddr  atomic.Pointer[string]
-	replCounters atomic.Pointer[func() []wire.Counter]
+	// Replication (see replication.go). A follower rejects every
+	// mutating request before any transaction starts; primaryAddr rides
+	// the rejection so clients can redirect. At most one of hub (a
+	// primary serving feeds) and follower (the link to a primary) is
+	// set; the server installs and removes them.
+	role        atomic.Int32
+	failovers   atomic.Uint64
+	primaryAddr atomic.Pointer[string]
+	hub         atomic.Pointer[repl.Hub]
+	follower    atomic.Pointer[repl.Follower]
 
 	// Session subsystem (see internal/session): the watch registry all
 	// shards publish through, plus the STATS counters the wire reports.
@@ -250,7 +249,7 @@ func NewShardedStore(tms []*core.TM) *Store {
 // capture pool closes over the shard, so a pool is per-shard by
 // construction.
 func (s *Store) newShard(id int, tm *core.TM) *shard {
-	sh := &shard{idx: id, tm: tm, m: structures.NewTSkipMap(tm), sess: s.sessions}
+	sh := &shard{idx: id, tm: tm, m: structures.NewTSkipMap(tm), sess: s.sessions, hub: &s.hub}
 	sh.notif = session.NewNotifier(func(cs []session.Change) { s.applyChanges(sh, cs) })
 	sh.caps.New = func() any { return &walCapture{ackPos: ackPos{sh: sh}, next: sh.tm.Engine().Observer()} }
 	return sh
@@ -738,38 +737,29 @@ func (s *Store) stats(resp *wire.Response) {
 		wire.Counter{Name: "repl_role", Value: uint64(s.role.Load())},
 		wire.Counter{Name: "repl_failovers", Value: s.failovers.Load()},
 	)
-	if fn := s.replCounters.Load(); fn != nil {
-		cs = append(cs, (*fn)()...)
+	if h := s.hub.Load(); h != nil {
+		cs = append(cs, h.Counters()...)
+	} else if fl := s.follower.Load(); fl != nil {
+		cs = append(cs, fl.Counters()...)
 	}
+	var figs [][len(walStats)]uint64 // by table position, when durable
 	if s.durable() {
-		var bytes, records, fsyncs, checkpoints, writes uint64
-		var chainLen, deltaBytes, baseBytes uint64
-		for _, sh := range tab.shards {
-			b, r, f, c := sh.wal.Stats()
-			bytes += b
-			records += r
-			fsyncs += f
-			checkpoints += c
-			writes += sh.wal.Writes()
-			ch := sh.wal.Chain()
-			if n := uint64(ch.Len()); n > chainLen {
-				chainLen = n // the longest chain bounds restart work
-			}
-			deltaBytes += ch.DeltaBytes()
-			baseBytes += ch.BaseBytes
+		figs = make([][len(walStats)]uint64, len(tab.shards))
+		for i, sh := range tab.shards {
+			figs[i] = walFigures(sh.wal)
 		}
-		cs = append(cs,
-			wire.Counter{Name: "wal_bytes", Value: bytes},
-			wire.Counter{Name: "wal_records", Value: records},
-			wire.Counter{Name: "wal_writes", Value: writes},
-			wire.Counter{Name: "wal_fsyncs", Value: fsyncs},
-			wire.Counter{Name: "wal_checkpoints", Value: checkpoints},
-			wire.Counter{Name: "wal_segment", Value: tab.shards[0].wal.Segment()},
-			wire.Counter{Name: "ckpt_chain_len", Value: chainLen},
-			wire.Counter{Name: "ckpt_delta_bytes", Value: deltaBytes},
-			wire.Counter{Name: "ckpt_base_bytes", Value: baseBytes},
-			wire.Counter{Name: "ckpt_last_kind", Value: uint64(tab.shards[0].wal.LastCheckpointKind())},
-		)
+		for j, ws := range walStats {
+			v := figs[0][j]
+			for _, f := range figs[1:] {
+				switch ws.fold {
+				case '+':
+					v += f[j]
+				case 'M':
+					v = max(v, f[j])
+				}
+			}
+			cs = append(cs, wire.Counter{Name: ws.name, Value: v})
+		}
 	}
 	if len(tab.shards) > 1 {
 		cs = append(cs,
@@ -786,23 +776,43 @@ func (s *Store) stats(resp *wire.Response) {
 					wire.Counter{Name: fmt.Sprintf("shard%d.res", sh.idx), Value: tab.slices[i].res},
 				)
 			}
-			if sh.wal != nil {
-				b, r, f, _ := sh.wal.Stats()
-				ch := sh.wal.Chain()
-				cs = append(cs,
-					wire.Counter{Name: fmt.Sprintf("shard%d.wal_bytes", sh.idx), Value: b},
-					wire.Counter{Name: fmt.Sprintf("shard%d.wal_records", sh.idx), Value: r},
-					wire.Counter{Name: fmt.Sprintf("shard%d.wal_writes", sh.idx), Value: sh.wal.Writes()},
-					wire.Counter{Name: fmt.Sprintf("shard%d.wal_fsyncs", sh.idx), Value: f},
-					wire.Counter{Name: fmt.Sprintf("shard%d.ckpt_chain_len", sh.idx), Value: uint64(ch.Len())},
-					wire.Counter{Name: fmt.Sprintf("shard%d.ckpt_delta_bytes", sh.idx), Value: ch.DeltaBytes()},
-					wire.Counter{Name: fmt.Sprintf("shard%d.ckpt_base_bytes", sh.idx), Value: ch.BaseBytes},
-					wire.Counter{Name: fmt.Sprintf("shard%d.ckpt_last_kind", sh.idx), Value: uint64(sh.wal.LastCheckpointKind())},
-				)
+			for j, ws := range walStats {
+				if figs != nil && ws.shard {
+					cs = append(cs, wire.Counter{Name: fmt.Sprintf("shard%d.%s", sh.idx, ws.name), Value: figs[i][j]})
+				}
 			}
 		}
 	}
 	resp.Counters = cs
+}
+
+// walStats names the WAL and checkpoint-chain STATS rows in order: how
+// the store's row folds the shards' figures ('+' sums them, 'M' takes
+// the longest chain, which bounds restart work, '0' reports shard 0's),
+// and whether each shard also reports its own as shard<id>.<name>.
+var walStats = [...]struct {
+	name  string
+	fold  byte
+	shard bool
+}{
+	{"wal_bytes", '+', true},
+	{"wal_records", '+', true},
+	{"wal_writes", '+', true},
+	{"wal_fsyncs", '+', true},
+	{"wal_checkpoints", '+', false},
+	{"wal_segment", '0', false},
+	{"ckpt_chain_len", 'M', true},
+	{"ckpt_delta_bytes", '+', true},
+	{"ckpt_base_bytes", '+', true},
+	{"ckpt_last_kind", '0', true},
+}
+
+// walFigures reads one shard log's figures, in walStats order.
+func walFigures(l *wal.Log) [len(walStats)]uint64 {
+	b, r, f, c := l.Stats()
+	ch := l.Chain()
+	return [...]uint64{b, r, l.Writes(), f, c, l.Segment(),
+		uint64(ch.Len()), ch.DeltaBytes(), ch.BaseBytes, uint64(l.LastCheckpointKind())}
 }
 
 // flush serves FLUSH: every shard of the table clears its map in one

@@ -52,35 +52,32 @@ type Session struct {
 // Watch registers interest in a key (prefix=false) or key prefix and
 // returns the watch id events for it will carry. IDs are per-session,
 // starting at 1.
-func (s *Session) Watch(key string, prefix bool) uint64 {
-	s.mu.Lock()
-	s.nextID++
-	id := s.nextID
-	s.watches = append(s.watches, watch{id: id, key: key, prefix: prefix})
-	closed := s.closed
-	s.mu.Unlock()
-	if !closed {
-		s.reg.watches.Add(1)
-	}
-	return id
-}
+func (s *Session) Watch(key string, prefix bool) uint64 { return s.watch(key, prefix, false) }
 
 // WatchAck is Watch plus an enqueued WATCH-OK control frame, under one
 // lock: no event for the new watch can be buffered between the
 // registration and its acknowledgement, so the writer always sends
 // WATCH-OK before the watch's first event.
-func (s *Session) WatchAck(key string, prefix bool) uint64 {
+func (s *Session) WatchAck(key string, prefix bool) uint64 { return s.watch(key, prefix, true) }
+
+// watch registers one watch and, with ack, queues its WATCH-OK in the
+// same critical section.
+func (s *Session) watch(key string, prefix, ack bool) uint64 {
 	s.mu.Lock()
 	s.nextID++
 	id := s.nextID
 	s.watches = append(s.watches, watch{id: id, key: key, prefix: prefix})
-	s.ctrl = append(s.ctrl, Ctrl{Kind: wire.SessWatchOK, WatchID: id})
+	if ack {
+		s.ctrl = append(s.ctrl, Ctrl{Kind: wire.SessWatchOK, WatchID: id})
+	}
 	closed := s.closed
 	s.mu.Unlock()
 	if !closed {
 		s.reg.watches.Add(1)
 	}
-	s.wakeup()
+	if ack {
+		s.wakeup()
+	}
 	return id
 }
 
