@@ -851,7 +851,7 @@ func benchReplicaVariant(ctx context.Context, rep *report, base harness.Config, 
 
 	dial := func() (kvConn, error) {
 		if split {
-			return client.DialReplicaSet(paddr, []string{faddr}, client.ReplicaSetConfig{PoolSize: 1})
+			return client.DialReplicaSet(paddr, []string{faddr}, client.WithPoolSize(1))
 		}
 		return client.Dial(paddr, client.WithPoolSize(1))
 	}

@@ -247,7 +247,7 @@ func runReshardAdmin(addr string, split int, merge string) int {
 		fmt.Fprintln(os.Stderr, "polyserve: -split-shard and -merge-shards are mutually exclusive")
 		return 2
 	}
-	cl, err := client.Dial(addr, client.WithPoolSize(1), client.WithDialTimeout(5*time.Second))
+	cl, err := client.Dial(addr, client.WithPoolSize(1))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "polyserve: dialing %s: %v\n", addr, err)
 		return 1

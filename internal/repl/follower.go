@@ -41,8 +41,6 @@ type FollowerConfig struct {
 	Primary string
 	// Store receives the applied records.
 	Store FollowerStore
-	// Timeouts is the link's per-phase budget set.
-	Timeouts Timeouts
 	// Backoff is the reconnection policy.
 	Backoff Backoff
 	// Logf, when non-nil, receives link diagnostics.
@@ -69,6 +67,7 @@ type followerShard struct {
 type Follower struct {
 	cfg     FollowerConfig
 	nshards int
+	tm      Timeouts // every link's budgets: Budgets()
 
 	state      atomic.Int32
 	reconnects atomic.Uint64
@@ -116,6 +115,7 @@ func newFollower(cfg FollowerConfig) *Follower {
 	f := &Follower{
 		cfg:     cfg,
 		nshards: cfg.Store.NumShards(),
+		tm:      Budgets(),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -175,7 +175,7 @@ func (f *Follower) adopt(l *Link) bool {
 func (f *Follower) linkOnce() (streamed bool, err error) {
 	defer f.state.Store(int32(StateDisconnected))
 	f.state.Store(int32(StateConnecting))
-	l, resp, err := Dial(f.cfg.Primary, f.cfg.Timeouts, &wire.Request{Op: wire.OpSubscribeWAL, Sem: wire.SemDefault})
+	l, resp, err := dial(f.cfg.Primary, f.tm, &wire.Request{Op: wire.OpSubscribeWAL, Sem: wire.SemDefault})
 	if err != nil {
 		return false, err
 	}

@@ -49,8 +49,6 @@ const maxFeedBuffer = 64 << 20
 
 // HubConfig parameterizes a Hub.
 type HubConfig struct {
-	// Timeouts is the link's per-phase budget set.
-	Timeouts Timeouts
 	// SyncAck makes WaitAcked meaningful: the server gates durable-write
 	// acknowledgement on a follower ack covering the record.
 	SyncAck bool
@@ -63,7 +61,7 @@ type HubConfig struct {
 // sync mode) lets the write path wait for a follower ack.
 type Hub struct {
 	store   PrimaryStore
-	tm      Timeouts
+	tm      Timeouts // every feed's link budgets: Budgets()
 	syncAck bool
 	logf    func(string, ...any)
 
@@ -87,7 +85,7 @@ type Hub struct {
 func NewHub(store PrimaryStore, cfg HubConfig) *Hub {
 	h := &Hub{
 		store:   store,
-		tm:      cfg.Timeouts.WithDefaults(),
+		tm:      Budgets(),
 		syncAck: cfg.SyncAck,
 		logf:    cfg.Logf,
 		feeds:   make(map[*feed]struct{}),
@@ -146,23 +144,32 @@ type feed struct {
 	ackBytes     []uint64
 }
 
-// ServeFeed runs one follower feed over an already-subscribed
-// connection (the server has read the SUBSCRIBE-WAL request and written
-// its OK response through bw). It blocks until the feed ends — follower
-// gone, hub closed, or the follower fell too far behind — and always
-// returns a non-nil reason.
+// ServeFeed runs one follower feed over a connection whose SUBSCRIBE-WAL
+// request the server has just read. The OK answer, carrying the shard
+// count of the table the feed pins, goes out through the link, under
+// its reply budget like every later write. ServeFeed blocks until the
+// feed ends — follower gone, hub closed, or the follower fell too far
+// behind — and always returns a non-nil reason.
 func (h *Hub) ServeFeed(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
 	epoch, topo := h.store.Routing()
 	n := len(topo)
 	f := &feed{
 		h:            h,
-		link:         NewLink(conn, br, bw, h.tm, wire.MaxFrame),
+		link:         NewLink(conn, br, bw),
 		epoch:        epoch,
 		topo:         topo,
 		wake:         make(chan struct{}, 1),
 		shippedBytes: make([]uint64, n),
 		ackSeq:       make([]uint64, n),
 		ackBytes:     make([]uint64, n),
+	}
+	f.link.tm = h.tm
+	ok, err := wire.AppendResponseFrame(nil, wire.OpSubscribeWAL, &wire.Response{Status: wire.StatusOK, N: uint64(n)})
+	if err == nil {
+		err = f.link.Write(ok)
+	}
+	if err != nil {
+		return err
 	}
 	h.mu.Lock()
 	if h.closed {
@@ -174,7 +181,7 @@ func (h *Hub) ServeFeed(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error
 	h.feeds[f] = struct{}{}
 	h.mu.Unlock()
 
-	err := f.run()
+	err = f.run()
 
 	h.mu.Lock()
 	delete(h.feeds, f)
@@ -450,7 +457,7 @@ func (f *feed) run() error {
 	if err != nil {
 		return f.link.Cut(err)
 	}
-	return f.link.Serve(f.wake, ping, f.drain, f.onFrame)
+	return f.link.Serve(f.wake, ping, f.drain, func() error { return f.link.Recv(f.onFrame) })
 }
 
 // send encodes one frame into the writer's scratch and writes it.

@@ -25,11 +25,10 @@ var ErrLinkClosed = errors.New("repl: link closed")
 // socket is woken by a deadline in the past; nothing moves on a cut
 // link, so a loop around Read or Write needs no stop flag of its own.
 type Link struct {
-	conn     net.Conn
-	br       *bufio.Reader
-	bw       *bufio.Writer
-	tm       Timeouts
-	maxFrame int
+	conn net.Conn
+	br   *bufio.Reader
+	bw   *bufio.Writer
+	tm   Timeouts // Budgets(), unless the link's owner runs on a shorter set
 
 	// wmu serialises Write: a client's own frames race the answers its
 	// reader owes (a watcher's Add against its PONG).
@@ -42,11 +41,10 @@ type Link struct {
 	stop  chan struct{}
 }
 
-// NewLink wraps a connection whose request/response exchange is over
-// (zero Timeouts fields take the defaults; maxFrame <= 0 means
-// wire.MaxFrame). The caller still closes conn.
-func NewLink(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, tm Timeouts, maxFrame int) *Link {
-	return &Link{conn: conn, br: br, bw: bw, tm: tm.WithDefaults(), maxFrame: maxFrame, stop: make(chan struct{})}
+// NewLink wraps a connection whose request/response exchange is over;
+// the link runs on Budgets(). The caller still closes conn.
+func NewLink(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) *Link {
+	return &Link{conn: conn, br: br, bw: bw, tm: Budgets(), stop: make(chan struct{})}
 }
 
 // arm sets the deadline for one Read (the read budget: the peer may
@@ -71,7 +69,7 @@ func (l *Link) Read(buf []byte) ([]byte, error) {
 	if err := l.arm(false); err != nil {
 		return nil, err
 	}
-	payload, err := wire.ReadFrameBuf(l.br, buf, l.maxFrame)
+	payload, err := wire.ReadFrameBuf(l.br, buf)
 	if err != nil {
 		if cause := l.Cause(); cause != nil {
 			err = cause
@@ -137,26 +135,27 @@ func (l *Link) Recv(onFrame func(payload []byte) error) error {
 	}
 }
 
-// Serve is the duplex pump of the pushing side. Recv(onFrame) runs on a
-// second goroutine; the caller's goroutine is the only writer: it calls
-// drain whenever wake fires and sends the pre-encoded ping frame every
-// Idle. The heartbeat is a ticker, not an idle timer, on purpose: the
-// peer's answer is what feeds this side's read budget, and a peer that
-// only ever answers (a silent watcher) would otherwise be cut for
-// keeping quiet on a link that is busy pushing to it.
+// Serve is the duplex pump of the pushing side. recv, the reader half
+// (a Recv loop), runs on a second goroutine; the caller's goroutine is
+// the only writer: it calls drain whenever wake fires and sends the
+// pre-encoded ping frame every Idle. The heartbeat is a ticker, not an
+// idle timer, on purpose: the peer's answer is what feeds this side's
+// read budget, and a peer that only ever answers (a silent watcher)
+// would otherwise be cut for keeping quiet on a link that is busy
+// pushing to it.
 //
 // The link ends when drain or a write fails (Serve cuts it, which wakes
-// the reader), when it is cut from outside, or when the reader ends —
+// the reader), when it is cut from outside, or when recv returns —
 // then, the write half being intact, drain runs once more so that a
-// terminal frame onFrame queued on its way out still reaches the peer.
-// Serve cuts the link and returns its cause, always after the reader
-// goroutine has exited.
-func (l *Link) Serve(wake <-chan struct{}, ping []byte, drain func() error, onFrame func(payload []byte) error) error {
+// terminal frame the reader queued on its way out still reaches the
+// peer. Serve cuts the link and returns its cause, always after the
+// reader goroutine has exited.
+func (l *Link) Serve(wake <-chan struct{}, ping []byte, drain, recv func() error) error {
 	var rerr error
 	readerDone := make(chan struct{})
 	go func() {
 		defer close(readerDone)
-		rerr = l.Recv(onFrame)
+		rerr = recv()
 	}()
 	tick := time.NewTicker(l.tm.Idle)
 	defer tick.Stop()
@@ -183,13 +182,18 @@ func (l *Link) Serve(wake <-chan struct{}, ping []byte, drain func() error, onFr
 // SUBSCRIBE-WAL or WATCH request), read its response, and fail unless
 // the server said OK — dial and exchange each inside the Connect
 // budget. The returned link is the caller's to Close.
-func Dial(addr string, tm Timeouts, req *wire.Request) (*Link, *wire.Response, error) {
-	tm = tm.WithDefaults()
+func Dial(addr string, req *wire.Request) (*Link, *wire.Response, error) {
+	return dial(addr, Budgets(), req)
+}
+
+// dial is Dial on the budgets tm, which the link keeps.
+func dial(addr string, tm Timeouts, req *wire.Request) (*Link, *wire.Response, error) {
 	conn, err := net.DialTimeout("tcp", addr, tm.Connect)
 	if err != nil {
 		return nil, nil, err
 	}
-	l := NewLink(conn, bufio.NewReader(conn), bufio.NewWriter(conn), tm, 0)
+	l := NewLink(conn, bufio.NewReader(conn), bufio.NewWriter(conn))
+	l.tm = tm
 	resp, err := l.handshake(req)
 	if err != nil {
 		conn.Close()
@@ -210,7 +214,7 @@ func (l *Link) handshake(req *wire.Request) (*wire.Response, error) {
 	if err := l.bw.Flush(); err != nil {
 		return nil, err
 	}
-	payload, err := wire.ReadFrameBuf(l.br, nil, l.maxFrame)
+	payload, err := wire.ReadFrameBuf(l.br, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -51,7 +51,9 @@ func pipeLink(t *testing.T, tm Timeouts) (*Link, net.Conn) {
 	t.Helper()
 	a, b := net.Pipe()
 	t.Cleanup(func() { a.Close(); b.Close() })
-	return NewLink(a, bufio.NewReader(a), bufio.NewWriter(a), tm, 0), b
+	l := NewLink(a, bufio.NewReader(a), bufio.NewWriter(a))
+	l.tm = tm
+	return l, b
 }
 
 // peer is the far end of a served link: it records every frame kind it
@@ -70,7 +72,7 @@ func startPeer(conn net.Conn, answerPings bool) *peer {
 		defer close(p.closed)
 		br := bufio.NewReader(conn)
 		for {
-			payload, err := wire.ReadFrameBuf(br, nil, 0)
+			payload, err := wire.ReadFrameBuf(br, nil)
 			if err != nil {
 				return
 			}
@@ -239,7 +241,9 @@ func TestLinkServe(t *testing.T) {
 				return nil
 			}
 			served := make(chan error, 1)
-			go func() { served <- l.Serve(r.wake, frame(fPing), drain, onFrame) }()
+			go func() {
+				served <- l.Serve(r.wake, frame(fPing), drain, func() error { return l.Recv(onFrame) })
+			}()
 			row.act(t, r)
 
 			var err error
@@ -284,7 +288,7 @@ func TestLinkServeJoinsReader(t *testing.T) {
 	}
 	served := make(chan error, 1)
 	go func() {
-		served <- l.Serve(nil, frame(fPing), func() error { return nil }, onFrame)
+		served <- l.Serve(nil, frame(fPing), func() error { return nil }, func() error { return l.Recv(onFrame) })
 	}()
 	go far.Write(frame(fData))
 	<-entered
@@ -446,13 +450,13 @@ func TestDialHandshake(t *testing.T) {
 					return
 				}
 				defer c.Close()
-				if _, err := wire.ReadFrameBuf(bufio.NewReader(c), nil, 0); err != nil {
+				if _, err := wire.ReadFrameBuf(bufio.NewReader(c), nil); err != nil {
 					return
 				}
 				row.respond(c)
 			}()
 			tm := Timeouts{Connect: 50 * time.Millisecond, Reply: 10 * time.Second, Idle: 10 * time.Second}
-			l, resp, err := Dial(ln.Addr().String(), tm, &wire.Request{Op: wire.OpWatch, Sem: wire.SemDefault, Key: []byte("k")})
+			l, resp, err := dial(ln.Addr().String(), tm, &wire.Request{Op: wire.OpWatch, Sem: wire.SemDefault, Key: []byte("k")})
 			switch row.wantErr {
 			case "":
 				if err != nil {

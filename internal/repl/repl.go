@@ -38,11 +38,15 @@ import (
 	"time"
 )
 
-// Timeouts is the per-phase timeout taxonomy shared by the replication
-// link and the pooled client. Each phase gets its own budget, so a slow
-// dial cannot eat the budget of the reply that follows it and a long
-// idle period is not mistaken for a dead peer until a heartbeat goes
-// unanswered.
+// Timeouts is the per-phase timeout taxonomy of every push-stream link
+// — hub feeds, followers, watch sessions, watchers — and of the pooled
+// client's dial. Each phase gets its own budget, so a slow dial cannot
+// eat the budget of the reply that follows it and a long idle period is
+// not mistaken for a dead peer until a heartbeat goes unanswered.
+//
+// There is one set, Budgets, and nothing configures it: every Link
+// starts on it, and the pooled client (internal/server/client) dials
+// within its Connect.
 type Timeouts struct {
 	// Connect bounds connection establishment: dial plus the
 	// subscribe/handshake exchange (T5-style).
@@ -56,18 +60,9 @@ type Timeouts struct {
 	Idle time.Duration
 }
 
-// WithDefaults fills zero fields with the package defaults.
-func (t Timeouts) WithDefaults() Timeouts {
-	if t.Connect <= 0 {
-		t.Connect = 5 * time.Second
-	}
-	if t.Reply <= 0 {
-		t.Reply = 10 * time.Second
-	}
-	if t.Idle <= 0 {
-		t.Idle = 3 * time.Second
-	}
-	return t
+// Budgets returns the one timeout set: connect 5 s, reply 10 s, idle 3 s.
+func Budgets() Timeouts {
+	return Timeouts{Connect: 5 * time.Second, Reply: 10 * time.Second, Idle: 3 * time.Second}
 }
 
 // readBudget is the deadline for one blocking frame read on a live
@@ -100,16 +95,10 @@ func (b Backoff) WithDefaults() Backoff {
 // capped at Max.
 func (b Backoff) Delay(attempt int) time.Duration {
 	d := b.Min
-	for i := 0; i < attempt; i++ {
+	for i := 0; i < attempt && d < b.Max; i++ {
 		d *= 2
-		if d >= b.Max {
-			return b.Max
-		}
 	}
-	if d > b.Max {
-		return b.Max
-	}
-	return d
+	return min(d, b.Max)
 }
 
 // ConnState is a follower link's position in its connection state

@@ -30,7 +30,7 @@ func TestBackoffDelay(t *testing.T) {
 }
 
 func TestTimeoutsDefaults(t *testing.T) {
-	tm := Timeouts{}.WithDefaults()
+	tm := Budgets()
 	if tm.Connect != 5*time.Second || tm.Reply != 10*time.Second || tm.Idle != 3*time.Second {
 		t.Fatalf("defaults = %+v", tm)
 	}
@@ -261,10 +261,10 @@ func (ff *fakeFollower) snapshot(shard int) map[string]string {
 }
 
 // serveHub is the minimal server side of SUBSCRIBE-WAL: accept, read
-// the request, answer with the shard count, hand the connection to the
-// hub. It returns the listen address.
-func serveHub(t *testing.T, h *Hub, shards int) string {
-	return serveHubFn(t, func() *Hub { return h }, shards)
+// the request, hand the connection to the hub (which answers it). It
+// returns the listen address.
+func serveHub(t *testing.T, h *Hub) string {
+	return serveHubFn(t, func() *Hub { return h })
 }
 
 // serveHubFn is serveHub with a hub accessor, so a test can swap in a
@@ -272,7 +272,7 @@ func serveHub(t *testing.T, h *Hub, shards int) string {
 // primary restart). Cleanup waits for every connection it served: a
 // feed the test's deferred hub Close cut still logs through t on its
 // way out, and logging after the test has completed panics.
-func serveHubFn(t *testing.T, getHub func() *Hub, shards int) string {
+func serveHubFn(t *testing.T, getHub func() *Hub) string {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -295,8 +295,7 @@ func serveHubFn(t *testing.T, getHub func() *Hub, shards int) string {
 				defer served.Done()
 				defer conn.Close()
 				br := bufio.NewReader(conn)
-				bw := bufio.NewWriter(conn)
-				payload, err := wire.ReadFrameBuf(br, nil, wire.MaxFrame)
+				payload, err := wire.ReadFrameBuf(br, nil)
 				if err != nil {
 					return
 				}
@@ -304,18 +303,7 @@ func serveHubFn(t *testing.T, getHub func() *Hub, shards int) string {
 				if err := wire.DecodeRequestInto(&req, payload); err != nil || req.Op != wire.OpSubscribeWAL {
 					return
 				}
-				out, err := wire.AppendResponseFrame(nil, wire.OpSubscribeWAL,
-					&wire.Response{Status: wire.StatusOK, N: uint64(shards)})
-				if err != nil {
-					return
-				}
-				if _, err := bw.Write(out); err != nil {
-					return
-				}
-				if err := bw.Flush(); err != nil {
-					return
-				}
-				getHub().ServeFeed(conn, br, bw)
+				getHub().ServeFeed(conn, br, bufio.NewWriter(conn))
 			}()
 		}
 	}()
@@ -347,7 +335,7 @@ func TestHubFollowerCatchUpAndTail(t *testing.T) {
 
 	h := NewHub(fp, HubConfig{SyncAck: true, Logf: t.Logf})
 	defer h.Close()
-	addr := serveHub(t, h, shards)
+	addr := serveHub(t, h)
 
 	ff := newFakeFollower(shards)
 	fl, err := StartFollower(FollowerConfig{
@@ -436,21 +424,20 @@ func TestHeartbeatKeepsIdleLinkAlive(t *testing.T) {
 	fp.set(0, "a", "1")
 
 	tm := Timeouts{Connect: 2 * time.Second, Reply: 200 * time.Millisecond, Idle: 50 * time.Millisecond}
-	h := NewHub(fp, HubConfig{Timeouts: tm, Logf: t.Logf})
+	h := NewHub(fp, HubConfig{Logf: t.Logf})
+	h.tm = tm
 	defer h.Close()
-	addr := serveHub(t, h, shards)
+	addr := serveHub(t, h)
 
 	ff := newFakeFollower(shards)
-	fl, err := StartFollower(FollowerConfig{
-		Primary:  addr,
-		Store:    ff,
-		Timeouts: tm,
-		Backoff:  Backoff{Min: 10 * time.Millisecond, Max: 50 * time.Millisecond},
-		Logf:     t.Logf,
+	fl := newFollower(FollowerConfig{
+		Primary: addr,
+		Store:   ff,
+		Backoff: Backoff{Min: 10 * time.Millisecond, Max: 50 * time.Millisecond},
+		Logf:    t.Logf,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fl.tm = tm
+	go fl.run()
 	defer fl.Close()
 
 	waitFor(t, 5*time.Second, "follower streaming", func() bool { return fl.State() == StateStreaming })
@@ -482,7 +469,7 @@ func TestFollowerReconnectsAfterFeedDrop(t *testing.T) {
 	fp.set(0, "stale", "x")
 
 	h := NewHub(fp, HubConfig{Logf: t.Logf})
-	addr := serveHub(t, h, shards)
+	addr := serveHub(t, h)
 
 	ff := newFakeFollower(shards)
 	fl, err := StartFollower(FollowerConfig{
@@ -511,7 +498,7 @@ func TestFollowerReconnectsAfterFeedDrop(t *testing.T) {
 	// address is not possible either; simplest is a fresh listener and a
 	// fresh follower pointed at it, which still exercises re-clear via
 	// the first follower's state.
-	addr2 := serveHub(t, h2, shards)
+	addr2 := serveHub(t, h2)
 	fl2, err := StartFollower(FollowerConfig{
 		Primary: addr2,
 		Store:   ff, // same store: stale state from the first link must be cleared
@@ -554,7 +541,7 @@ func TestDeltaCatchUpOnReconnect(t *testing.T) {
 		defer hubMu.Unlock()
 		return h
 	}
-	addr := serveHubFn(t, getHub, shards)
+	addr := serveHubFn(t, getHub)
 
 	ff := newFakeFollower(shards)
 	fl, err := StartFollower(FollowerConfig{
@@ -669,7 +656,7 @@ func TestWaitAckedReleasesDroppedID(t *testing.T) {
 	fp := newFakePrimary(t, shards)
 	h := NewHub(fp, HubConfig{SyncAck: true, Logf: t.Logf})
 	defer h.Close()
-	addr := serveHub(t, h, shards)
+	addr := serveHub(t, h)
 	ff := newFakeFollower(shards)
 	fl, err := StartFollower(FollowerConfig{
 		Primary: addr,

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"polytm/internal/repl"
 	"polytm/internal/wire"
 )
 
@@ -33,15 +34,6 @@ func WithPoolSize(n int) Option {
 	}
 }
 
-// WithDialTimeout bounds each connection dial (default 5s).
-func WithDialTimeout(d time.Duration) Option {
-	return func(c *Client) {
-		if d > 0 {
-			c.dialTimeout = d
-		}
-	}
-}
-
 // conn is one pooled connection with its buffered endpoints.
 type conn struct {
 	c  net.Conn
@@ -52,10 +44,9 @@ type conn struct {
 // Client is a pooled polyserve client. It is safe for concurrent use;
 // each request batch holds one pooled connection for its duration.
 type Client struct {
-	ops         // the typed operations, over roundTrip
-	addr        string
-	size        int
-	dialTimeout time.Duration
+	ops  // the typed operations, over roundTrip
+	addr string
+	size int
 
 	mu     sync.Mutex
 	closed bool
@@ -67,7 +58,7 @@ type Client struct {
 // Dial creates a client for the server at addr. The first connection is
 // dialed eagerly so misconfiguration fails fast.
 func Dial(addr string, opts ...Option) (*Client, error) {
-	cl := &Client{addr: addr, size: 4, dialTimeout: 5 * time.Second, waitCh: make(chan struct{}, 1)}
+	cl := &Client{addr: addr, size: 4, waitCh: make(chan struct{}, 1)}
 	cl.send = cl.roundTrip
 	for _, o := range opts {
 		o(cl)
@@ -83,8 +74,9 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 	return cl, nil
 }
 
+// dial connects within the push links' connect budget.
 func (cl *Client) dial() (*conn, error) {
-	c, err := net.DialTimeout("tcp", cl.addr, cl.dialTimeout)
+	c, err := net.DialTimeout("tcp", cl.addr, repl.Budgets().Connect)
 	if err != nil {
 		return nil, err
 	}

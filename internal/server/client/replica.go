@@ -8,34 +8,13 @@ import (
 	"sync/atomic"
 	"time"
 
+	"polytm/internal/repl"
 	"polytm/internal/wire"
 )
-
-// ReplicaSetConfig parameterizes DialReplicaSet. Zero values take the
-// documented defaults.
-type ReplicaSetConfig struct {
-	// PoolSize is the per-endpoint connection pool cap (default 4).
-	PoolSize int
-	// DialTimeout bounds each connection dial (default 5s).
-	DialTimeout time.Duration
-	// RetryMin/RetryMax shape the backoff between failover attempts
-	// (defaults 50ms/1s, doubling).
-	RetryMin, RetryMax time.Duration
-}
 
 // maxHops bounds one write's redirect/failover chain: how many
 // endpoints it may try before giving up.
 const maxHops = 6
-
-func (c ReplicaSetConfig) withDefaults() ReplicaSetConfig {
-	if c.RetryMin <= 0 {
-		c.RetryMin = 50 * time.Millisecond
-	}
-	if c.RetryMax <= 0 {
-		c.RetryMax = time.Second
-	}
-	return c
-}
 
 // endpoint is one server in the set: its address and a lazily dialed
 // pooled client.
@@ -90,7 +69,6 @@ func (e *endpoint) drop() {
 // snapshot/weak semantics already promise on the primary.
 type ReplicaSet struct {
 	ops  // the typed operations, over route
-	cfg  ReplicaSetConfig
 	opts []Option
 
 	mu        sync.Mutex
@@ -108,17 +86,9 @@ type ReplicaSet struct {
 // primary). When the set has replicas, an unreachable primary does NOT
 // fail the dial — the cluster may have failed over before this client
 // started, so the first write probes the ring for the new primary
-// instead.
-func DialReplicaSet(primary string, replicas []string, cfg ReplicaSetConfig) (*ReplicaSet, error) {
-	cfg = cfg.withDefaults()
-	var opts []Option
-	if cfg.PoolSize > 0 {
-		opts = append(opts, WithPoolSize(cfg.PoolSize))
-	}
-	if cfg.DialTimeout > 0 {
-		opts = append(opts, WithDialTimeout(cfg.DialTimeout))
-	}
-	rs := &ReplicaSet{cfg: cfg, opts: opts}
+// instead. Every endpoint's pooled client is dialed with opts.
+func DialReplicaSet(primary string, replicas []string, opts ...Option) (*ReplicaSet, error) {
+	rs := &ReplicaSet{opts: opts}
 	rs.send = rs.route
 	rs.endpoints = append(rs.endpoints, &endpoint{addr: primary})
 	for _, r := range replicas {
@@ -236,7 +206,6 @@ func (rs *ReplicaSet) route(ctx context.Context, req *wire.Request) (*wire.Respo
 // by maxHops.
 func (rs *ReplicaSet) write(ctx context.Context, req *wire.Request) (*wire.Response, error) {
 	var lastErr error
-	delay := rs.cfg.RetryMin
 	for hop := 0; hop < maxHops; hop++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -270,10 +239,7 @@ func (rs *ReplicaSet) write(ctx context.Context, req *wire.Request) (*wire.Respo
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
-		case <-time.After(delay):
-		}
-		if delay *= 2; delay > rs.cfg.RetryMax {
-			delay = rs.cfg.RetryMax
+		case <-time.After(repl.Backoff{Min: 50 * time.Millisecond, Max: time.Second}.Delay(hop)):
 		}
 	}
 	return nil, fmt.Errorf("client: no reachable primary after %d attempts: %w", maxHops, lastErr)

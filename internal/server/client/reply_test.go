@@ -134,7 +134,7 @@ func TestShortMGetReplyIsAnError(t *testing.T) {
 				var req wire.Request
 				for {
 					var err error
-					if raw, err = wire.ReadFrameBuf(br, raw, 0); err != nil {
+					if raw, err = wire.ReadFrameBuf(br, raw); err != nil {
 						return
 					}
 					if err := wire.DecodeRequestInto(&req, raw); err != nil {

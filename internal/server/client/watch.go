@@ -28,11 +28,6 @@ var ErrEventsLost = errors.New("client: watch events lost (session cut by server
 // WatchOption configures a Watcher.
 type WatchOption func(*Watcher)
 
-// WithWatchBackoff sets the reconnect policy.
-func WithWatchBackoff(b repl.Backoff) WatchOption {
-	return func(w *Watcher) { w.backoff = b }
-}
-
 // WithWatchBuffer sets the delivery channel's capacity (default 256).
 func WithWatchBuffer(n int) WatchOption {
 	return func(w *Watcher) {
@@ -64,7 +59,7 @@ type watchSpec struct {
 // gone and watch ids are reissued — session-scoped, not durable.
 type Watcher struct {
 	addr        string
-	backoff     repl.Backoff
+	backoff     repl.Backoff // zero: repl.Redial's schedule; only tests shorten it
 	chanCap     int
 	noReconnect bool
 
@@ -201,7 +196,7 @@ func (w *Watcher) connect(specs []watchSpec) (*repl.Link, uint64, error) {
 		return nil, 0, errors.New("client: watcher has no watches to subscribe")
 	}
 	req := wire.Request{Op: wire.OpWatch, Sem: wire.SemDefault, Key: []byte(specs[0].key), Prefix: specs[0].prefix}
-	l, resp, err := repl.Dial(w.addr, repl.Timeouts{}, &req)
+	l, resp, err := repl.Dial(w.addr, &req)
 	if err != nil {
 		return nil, 0, err
 	}

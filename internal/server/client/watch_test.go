@@ -104,7 +104,7 @@ func TestWatcherReconnectResubscribes(t *testing.T) {
 	addr := ln.Addr().String()
 
 	w, err := client.Watch(addr, []byte("a:"), true,
-		client.WithWatchBackoff(repl.Backoff{Min: 2 * time.Millisecond, Max: 20 * time.Millisecond}))
+		client.WithTestBackoff(repl.Backoff{Min: 2 * time.Millisecond, Max: 20 * time.Millisecond}))
 	if err != nil {
 		t.Fatalf("Watch: %v", err)
 	}
@@ -322,7 +322,7 @@ func TestWatcherCloseDuringRedial(t *testing.T) {
 	sessions := srv.Store().Sessions().Sessions
 
 	w, err := client.Watch(proxy.ln.Addr().String(), []byte("k:"), true,
-		client.WithWatchBackoff(repl.Backoff{Min: 2 * time.Millisecond, Max: 10 * time.Millisecond}))
+		client.WithTestBackoff(repl.Backoff{Min: 2 * time.Millisecond, Max: 10 * time.Millisecond}))
 	if err != nil {
 		t.Fatalf("Watch: %v", err)
 	}

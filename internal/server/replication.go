@@ -354,22 +354,11 @@ func (s *Server) closeReplication() {
 	}
 }
 
-// serveSubscribe hands an accepted connection over to the hub after
-// answering the SUBSCRIBE-WAL request with the store's shard count.
-// The connection never returns to the request loop: from here on it
-// speaks the repl frame family until either side drops.
+// serveSubscribe hands a connection whose SUBSCRIBE-WAL request was
+// just read over to the hub, which answers it and streams the feed. The
+// connection never returns to the request loop: from here on it speaks
+// the repl frame family until either side drops.
 func (s *Server) serveSubscribe(c net.Conn, br *bufio.Reader, bw *bufio.Writer, h *repl.Hub) {
-	out, err := wire.AppendResponseFrame(nil, wire.OpSubscribeWAL,
-		&wire.Response{Status: wire.StatusOK, N: uint64(s.store.NumShards())})
-	if err != nil {
-		return
-	}
-	if _, err := bw.Write(out); err != nil {
-		return
-	}
-	if err := bw.Flush(); err != nil {
-		return
-	}
 	if err := h.ServeFeed(c, br, bw); err != nil && !isExpectedClose(err) {
 		s.logf("polyserve: %v: feed: %v", c.RemoteAddr(), err)
 	}

@@ -437,9 +437,7 @@ func TestClientFailover(t *testing.T) {
 		return fl != nil && fl.State() == repl.StateStreaming
 	})
 
-	rs, err := client.DialReplicaSet(paddr, []string{faddr}, client.ReplicaSetConfig{
-		RetryMin: 10 * time.Millisecond, RetryMax: 100 * time.Millisecond,
-	})
+	rs, err := client.DialReplicaSet(paddr, []string{faddr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +545,7 @@ func TestReplicaSetSharesClientOps(t *testing.T) {
 		return cl
 	}
 	pcl, fcl := dial(paddr), dial(faddr)
-	rs, err := client.DialReplicaSet(paddr, []string{faddr}, client.ReplicaSetConfig{})
+	rs, err := client.DialReplicaSet(paddr, []string{faddr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,7 +617,7 @@ func TestReplicaSetSharesClientOps(t *testing.T) {
 
 	// A set pointed at the follower still gets its writes through: the
 	// NotPrimaryError names the primary and the request follows it.
-	astray, err := client.DialReplicaSet(faddr, nil, client.ReplicaSetConfig{})
+	astray, err := client.DialReplicaSet(faddr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -712,10 +710,7 @@ func TestClientDialsWithDeadPrimary(t *testing.T) {
 	}
 
 	// 127.0.0.1:1 refuses immediately: the configured primary is dead.
-	rs, err := client.DialReplicaSet("127.0.0.1:1", []string{addr}, client.ReplicaSetConfig{
-		DialTimeout: time.Second,
-		RetryMin:    10 * time.Millisecond,
-	})
+	rs, err := client.DialReplicaSet("127.0.0.1:1", []string{addr})
 	if err != nil {
 		t.Fatalf("dial with dead primary: %v", err)
 	}
@@ -732,9 +727,7 @@ func TestClientDialsWithDeadPrimary(t *testing.T) {
 	}
 
 	// A set with ONLY the dead primary still fails the dial eagerly.
-	if _, err := client.DialReplicaSet("127.0.0.1:1", nil, client.ReplicaSetConfig{
-		DialTimeout: time.Second,
-	}); err == nil {
+	if _, err := client.DialReplicaSet("127.0.0.1:1", nil); err == nil {
 		t.Fatal("single-endpoint dead set should fail to dial")
 	}
 }

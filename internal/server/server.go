@@ -37,8 +37,6 @@ type Config struct {
 	// MaxConns bounds concurrently served connections (the handler
 	// pool); excess accepted connections wait for a slot. 0 means 1024.
 	MaxConns int
-	// MaxFrame caps request frame payloads; 0 means wire.MaxFrame.
-	MaxFrame int
 	// WatchBuffer bounds each watch session's event push buffer; a
 	// session that overflows it is cut with EVENT-LOST rather than ever
 	// blocking a commit. 0 means session.DefaultBuffer.
@@ -90,9 +88,6 @@ func New(cfg Config) *Server {
 	store.diag = cfg.Logf
 	if cfg.MaxConns <= 0 {
 		cfg.MaxConns = 1024
-	}
-	if cfg.MaxFrame <= 0 {
-		cfg.MaxFrame = wire.MaxFrame
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	srv := &Server{
@@ -235,7 +230,7 @@ func (s *Server) handle(c net.Conn) {
 	)
 	for {
 		var err error
-		payload, err = wire.ReadFrameBuf(br, payload, s.cfg.MaxFrame)
+		payload, err = wire.ReadFrameBuf(br, payload)
 		if err != nil {
 			// Responses already executed (and committed) must reach the
 			// client even when the read that follows them fails — e.g. a
@@ -283,7 +278,7 @@ func (s *Server) handle(c net.Conn) {
 			return
 		case req.Op == wire.OpSubscribeWAL:
 			// A replication subscribe takes the connection over the same
-			// way: answer the handshake, then the hub streams frames until
+			// way: the hub answers the handshake, then streams frames until
 			// either side drops. With no hub, fall through to the execution
 			// path's typed refusal like any other request.
 			if h := s.Hub(); h != nil {

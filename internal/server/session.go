@@ -24,7 +24,7 @@ var errSessionOver = errors.New("server: watch session over, terminal frame sent
 // the writer sends everything in one order.
 func (s *Server) serveWatch(c net.Conn, br *bufio.Reader, bw *bufio.Writer, req *wire.Request) {
 	w := watchLink{
-		l:    repl.NewLink(c, br, bw, repl.Timeouts{}, s.cfg.MaxFrame),
+		l:    repl.NewLink(c, br, bw),
 		sess: s.store.Sessions().NewSession(s.cfg.WatchBuffer),
 	}
 	defer w.sess.Close()
@@ -50,7 +50,7 @@ func (s *Server) serveWatch(c net.Conn, br *bufio.Reader, bw *bufio.Writer, req 
 	if err != nil {
 		return
 	}
-	if err := w.l.Serve(w.sess.Wake(), ping, w.drain, w.onFrame); !isExpectedClose(err) {
+	if err := w.l.Serve(w.sess.Wake(), ping, w.drain, w.recv); !isExpectedClose(err) {
 		s.logf("polyserve: %v: session: %v", c.RemoteAddr(), err)
 	}
 }
@@ -114,6 +114,17 @@ func (w *watchLink) drain() error {
 		return err
 	}
 	return over
+}
+
+// recv is the session's reader: onFrame on every client frame until a
+// read or a frame fails. An oversize length prefix fails the read
+// itself, before onFrame could see it, and is a violation like the
+// others.
+func (w *watchLink) recv() error {
+	if err := w.l.Recv(w.onFrame); !errors.Is(err, wire.ErrFrameTooLarge) {
+		return err
+	}
+	return w.violation(wire.ProtoOversize)
 }
 
 // onFrame consumes one client frame. A protocol violation (undecodable

@@ -55,7 +55,7 @@ func (r *rawConn) sendRaw(payload []byte) {
 // readResp reads one response frame and decodes it for op.
 func (r *rawConn) readResp(op wire.Op) *wire.Response {
 	r.t.Helper()
-	raw, err := wire.ReadFrameBuf(r.br, nil, 0)
+	raw, err := wire.ReadFrameBuf(r.br, nil)
 	if err != nil {
 		r.t.Fatalf("raw read: %v", err)
 	}
@@ -71,7 +71,7 @@ func (r *rawConn) readResp(op wire.Op) *wire.Response {
 // the connection keeps serving; an oversize frame gets the typed reply
 // and then the cut (the stream cannot be resynchronized).
 func TestProtocolErrorsKeepConnection(t *testing.T) {
-	srv, addr := startReplServer(t, Config{Shards: 1, MaxFrame: 1 << 16}, nil, nil)
+	srv, addr := startReplServer(t, Config{Shards: 1}, nil, nil)
 	_ = srv
 	rc := dialRaw(t, addr)
 
@@ -118,10 +118,10 @@ func TestProtocolErrorsKeepConnection(t *testing.T) {
 		t.Fatalf("post-violation set: %v", resp.Err())
 	}
 
-	// Oversize frame: a length prefix beyond MaxFrame. One typed reply,
-	// then the connection ends.
+	// Oversize frame: a length prefix beyond wire.MaxFrame, and no body.
+	// One typed reply, then the connection ends.
 	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], 1<<20)
+	binary.BigEndian.PutUint32(hdr[:], wire.MaxFrame+1)
 	if _, err := rc.c.Write(hdr[:]); err != nil {
 		t.Fatalf("oversize prefix: %v", err)
 	}
@@ -129,6 +129,57 @@ func TestProtocolErrorsKeepConnection(t *testing.T) {
 	rc.c.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := rc.br.ReadByte(); err != io.EOF {
 		t.Fatalf("connection after oversize: %v, want EOF", err)
+	}
+}
+
+// TestSessionProtocolErrors: a watch session answers a protocol
+// violation with one terminal ERR frame carrying its code, then ends.
+// An oversize length prefix fails the session's read itself, before any
+// frame is decoded, and still gets its ERR.
+func TestSessionProtocolErrors(t *testing.T) {
+	_, addr := startReplServer(t, Config{Shards: 1}, nil, nil)
+	for _, row := range []struct {
+		name string
+		send []byte
+		want wire.ProtoCode
+	}{
+		// A WATCH frame cut before its mode byte.
+		{"malformed", []byte{0, 0, 0, 1, byte(wire.SessWatch)}, wire.ProtoMalformed},
+		{"oversize", binary.BigEndian.AppendUint32(nil, wire.MaxFrame+1), wire.ProtoOversize},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			rc := dialRaw(t, addr)
+			req, err := wire.AppendRequestFrame(nil, &wire.Request{Op: wire.OpWatch, Sem: wire.SemDefault, Key: []byte("k")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rc.c.Write(req); err != nil {
+				t.Fatal(err)
+			}
+			if resp := rc.readResp(wire.OpWatch); resp.Err() != nil {
+				t.Fatalf("watch handshake: %v", resp.Err())
+			}
+			if _, err := rc.c.Write(row.send); err != nil {
+				t.Fatal(err)
+			}
+			rc.c.SetReadDeadline(time.Now().Add(5 * time.Second))
+			var f wire.SessFrame
+			for f.Kind != wire.SessErr {
+				raw, err := wire.ReadFrameBuf(rc.br, nil)
+				if err != nil {
+					t.Fatalf("session ended without ERR: %v", err)
+				}
+				if err := wire.DecodeSessFrame(&f, raw); err != nil {
+					t.Fatalf("session frame: %v", err)
+				}
+			}
+			if f.Code != row.want {
+				t.Fatalf("ERR code=%v, want %v", f.Code, row.want)
+			}
+			if _, err := rc.br.ReadByte(); err != io.EOF {
+				t.Fatalf("session after ERR: %v, want EOF", err)
+			}
+		})
 	}
 }
 
@@ -577,7 +628,7 @@ func TestWatchOverflowCutsSession(t *testing.T) {
 	sawLost := false
 	nread := 0
 	for {
-		raw, err := wire.ReadFrameBuf(rc.br, nil, 0)
+		raw, err := wire.ReadFrameBuf(rc.br, nil)
 		if err != nil {
 			if !sawLost {
 				t.Fatalf("session ended without EVENT-LOST after %d frames: %v", nread, err)

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"io"
 	"reflect"
 	"testing"
@@ -36,8 +37,8 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 5, 'a'})                     // truncated body
 	f.Add([]byte{0, 0, 0, 2, byte(OpGet), SemDefault}) // one clean frame
 	f.Add([]byte{0, 0, 0, 3, 'a', 'b', 'c', 0, 0, 0, 4, 'd', 'e', 'f', 'g'})
+	f.Add(binary.BigEndian.AppendUint32(nil, MaxFrame+1)) // one past the cap
 	f.Fuzz(func(t *testing.T, data []byte) {
-		const maxFrame = 1 << 16
 		wantClass := func(err error) {
 			if err != io.EOF && err != io.ErrUnexpectedEOF && err != ErrFrameTooLarge {
 				t.Fatalf("unexpected error class: %v", err)
@@ -46,13 +47,13 @@ func FuzzReadFrame(f *testing.F) {
 		br := bufio.NewReader(bytes.NewReader(data))
 		var buf []byte
 		for i := 0; i < 4; i++ { // a few frames per stream exercises reuse
-			payload, err := ReadFrameBuf(br, buf, maxFrame)
+			payload, err := ReadFrameBuf(br, buf)
 			if err != nil {
 				wantClass(err)
 				break
 			}
-			if len(payload) > maxFrame {
-				t.Fatalf("frame of %d bytes exceeds the %d cap", len(payload), maxFrame)
+			if len(payload) > MaxFrame {
+				t.Fatalf("frame of %d bytes exceeds the %d cap", len(payload), MaxFrame)
 			}
 			buf = payload
 		}

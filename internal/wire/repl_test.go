@@ -14,7 +14,7 @@ func roundTripReplFrame(t *testing.T, f *ReplFrame) *ReplFrame {
 	if err != nil {
 		t.Fatalf("AppendReplFrame(%v): %v", f.Kind, err)
 	}
-	payload, err := ReadFrameBuf(bufio.NewReader(bytes.NewReader(frame)), nil, 0)
+	payload, err := ReadFrameBuf(bufio.NewReader(bytes.NewReader(frame)), nil)
 	if err != nil {
 		t.Fatalf("ReadFrameBuf: %v", err)
 	}

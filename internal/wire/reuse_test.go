@@ -24,28 +24,30 @@ func TestReadFrameLimits(t *testing.T) {
 func TestReadFrameBufLimits(t *testing.T) {
 	checkFrameLimits(t, make([]byte, 0, 256))
 
-	// A hostile announced length larger than maxFrame must not grow the
+	// A hostile announced length larger than MaxFrame must not grow the
 	// reuse buffer: the length check runs before any allocation.
 	small := make([]byte, 0, 8)
-	hostile := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-	if _, err := ReadFrameBuf(bufio.NewReader(bytes.NewReader(hostile)), small, 1<<20); !errors.Is(err, ErrFrameTooLarge) {
+	hostile := binary.BigEndian.AppendUint32(nil, MaxFrame+1)
+	if _, err := ReadFrameBuf(bufio.NewReader(bytes.NewReader(hostile)), small); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("hostile length error = %v, want ErrFrameTooLarge", err)
 	}
 }
 
 func checkFrameLimits(t *testing.T, reuse []byte) {
 	t.Helper()
-	frame := append(binary.BigEndian.AppendUint32(nil, 100), make([]byte, 100)...)
-	if _, err := ReadFrameBuf(bufio.NewReader(bytes.NewReader(frame)), reuse, 50); !errors.Is(err, ErrFrameTooLarge) {
+	// An oversize frame is refused on its header alone: no body follows.
+	oversize := binary.BigEndian.AppendUint32(nil, MaxFrame+1)
+	if _, err := ReadFrameBuf(bufio.NewReader(bytes.NewReader(oversize)), reuse); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("oversize frame error = %v, want ErrFrameTooLarge", err)
 	}
-	if _, err := ReadFrameBuf(bufio.NewReader(bytes.NewReader(frame[:20])), reuse, 0); !errors.Is(err, io.ErrUnexpectedEOF) {
+	frame := append(binary.BigEndian.AppendUint32(nil, 100), make([]byte, 100)...)
+	if _, err := ReadFrameBuf(bufio.NewReader(bytes.NewReader(frame[:20])), reuse); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("truncated frame error = %v, want ErrUnexpectedEOF", err)
 	}
-	if _, err := ReadFrameBuf(bufio.NewReader(bytes.NewReader(frame[:2])), reuse, 0); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := ReadFrameBuf(bufio.NewReader(bytes.NewReader(frame[:2])), reuse); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("truncated header error = %v, want ErrUnexpectedEOF", err)
 	}
-	if _, err := ReadFrameBuf(bufio.NewReader(bytes.NewReader(nil)), reuse, 0); !errors.Is(err, io.EOF) {
+	if _, err := ReadFrameBuf(bufio.NewReader(bytes.NewReader(nil)), reuse); !errors.Is(err, io.EOF) {
 		t.Errorf("empty stream error = %v, want EOF", err)
 	}
 }
@@ -64,7 +66,7 @@ func TestReadFrameBufReuse(t *testing.T) {
 	for i, n := range sizes {
 		var err error
 		prevCap := cap(frame)
-		frame, err = ReadFrameBuf(br, frame, 0)
+		frame, err = ReadFrameBuf(br, frame)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -78,7 +80,7 @@ func TestReadFrameBufReuse(t *testing.T) {
 			t.Fatalf("frame %d: buffer reallocated (cap %d -> %d) though %d bytes fit", i, prevCap, cap(frame), n)
 		}
 	}
-	if _, err := ReadFrameBuf(br, frame, 0); !errors.Is(err, io.EOF) {
+	if _, err := ReadFrameBuf(br, frame); !errors.Is(err, io.EOF) {
 		t.Fatalf("expected EOF after last frame, got %v", err)
 	}
 }
@@ -209,12 +211,12 @@ func TestReadFrameBufHeader(t *testing.T) {
 	frame := append(binary.BigEndian.AppendUint32(nil, 7), "payload"...)
 	for cut := 1; cut < 4; cut++ {
 		br := bufio.NewReader(iotest.OneByteReader(bytes.NewReader(frame[:cut])))
-		if _, err := ReadFrameBuf(br, nil, 0); err != io.ErrUnexpectedEOF {
+		if _, err := ReadFrameBuf(br, nil); err != io.ErrUnexpectedEOF {
 			t.Errorf("header cut after %d bytes: err = %v, want io.ErrUnexpectedEOF", cut, err)
 		}
 	}
 	br := bufio.NewReader(iotest.OneByteReader(bytes.NewReader(frame)))
-	if got, err := ReadFrameBuf(br, nil, 0); err != nil || string(got) != "payload" {
+	if got, err := ReadFrameBuf(br, nil); err != nil || string(got) != "payload" {
 		t.Errorf("frame through a one-byte reader = %q, %v", got, err)
 	}
 
@@ -228,18 +230,18 @@ func TestReadFrameBufHeader(t *testing.T) {
 		br.Reset(src)
 		for i := 0; i < 8; i++ {
 			var err error
-			if buf, err = ReadFrameBuf(br, buf, 0); err != nil {
+			if buf, err = ReadFrameBuf(br, buf); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}); avg != 0 {
 		t.Errorf("8 frames into a reused buffer: %.2f allocs, want 0", avg)
 	}
-	hostile := []byte{0xFF, 0xFF, 0xFF, 0xFF, 'x'}
+	hostile := append(binary.BigEndian.AppendUint32(nil, MaxFrame+1), 'x')
 	if avg := testing.AllocsPerRun(100, func() {
 		src.Reset(hostile)
 		br.Reset(src)
-		if _, err := ReadFrameBuf(br, nil, 1<<20); err != ErrFrameTooLarge {
+		if _, err := ReadFrameBuf(br, nil); err != ErrFrameTooLarge {
 			t.Fatalf("hostile length: err = %v, want ErrFrameTooLarge", err)
 		}
 	}); avg != 0 {

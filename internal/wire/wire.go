@@ -295,9 +295,10 @@ func Semantics(b byte, def stm.Semantics) (stm.Semantics, error) {
 	return 0, &SemanticsError{Byte: b}
 }
 
-// MaxFrame is the default cap on a frame payload; a peer announcing a
-// larger frame is protocol-broken (or hostile) and the connection is
-// dropped rather than the length trusted.
+// MaxFrame is the cap on a frame payload, in both directions and on
+// every connection; a peer announcing a larger frame is protocol-broken
+// (or hostile) and the connection is dropped rather than the length
+// trusted.
 const MaxFrame = 16 << 20
 
 // Protocol errors.
@@ -551,17 +552,17 @@ func batchRoom(lent []Response, n int) []Response {
 // ---- framing ----
 
 // ReadFrameBuf reads one frame payload from br into caller-owned
-// storage, refusing frames larger than maxFrame (<= 0 means MaxFrame):
-// the frame is read into buf (grown only when the payload exceeds its
+// storage, refusing frames larger than MaxFrame: the frame is read into
+// buf (grown only when the payload exceeds its
 // capacity; nil allocates one) and the filled slice, which aliases
 // buf's storage, is returned. The caller passes the returned slice back
 // on the next call and must be done with a payload before reading the
-// next frame into it. The frame length is validated against maxFrame
+// next frame into it. The frame length is validated against MaxFrame
 // BEFORE any buffer is grown, so a hostile length cannot force an
 // allocation; a clean end between frames is io.EOF, and a stream cut
 // inside a frame io.ErrUnexpectedEOF.
-func ReadFrameBuf(br *bufio.Reader, buf []byte, maxFrame int) ([]byte, error) {
-	n, err := readFrameLen(br, maxFrame)
+func ReadFrameBuf(br *bufio.Reader, buf []byte) ([]byte, error) {
+	n, err := readFrameLen(br)
 	if err != nil {
 		return nil, err
 	}
@@ -580,7 +581,7 @@ func ReadFrameBuf(br *bufio.Reader, buf []byte, maxFrame int) ([]byte, error) {
 // maxChunk is allocated on its own and leaves *free alone. Storage is
 // never reused: whatever aliases a payload keeps its chunk alive.
 func ReadFrameBump(br *bufio.Reader, free *[]byte, more, maxChunk int) ([]byte, error) {
-	n, err := readFrameLen(br, 0)
+	n, err := readFrameLen(br)
 	if err != nil {
 		return nil, err
 	}
@@ -596,11 +597,9 @@ func ReadFrameBump(br *bufio.Reader, free *[]byte, more, maxChunk int) ([]byte, 
 }
 
 // readFrameLen consumes a frame's length prefix, refusing one above
-// maxFrame (<= 0 means MaxFrame) before anything is allocated for it.
-func readFrameLen(br *bufio.Reader, maxFrame int) (int, error) {
-	if maxFrame <= 0 {
-		maxFrame = MaxFrame
-	}
+// MaxFrame before anything is allocated for it. It is the one place the
+// cap is checked on the way in.
+func readFrameLen(br *bufio.Reader) (int, error) {
 	// The header is read in place from br's own buffer: a local
 	// [4]byte handed to io.ReadFull escapes through the io.Reader
 	// interface and costs a heap allocation per frame.
@@ -615,9 +614,7 @@ func readFrameLen(br *bufio.Reader, maxFrame int) (int, error) {
 	}
 	n := binary.BigEndian.Uint32(hdr)
 	br.Discard(4) // cannot fail: Peek just buffered these bytes
-	// Compare in uint64: a maxFrame above 4GiB must not wrap to a tiny
-	// (or zero) cap and start rejecting everything.
-	if uint64(n) > uint64(maxFrame) {
+	if n > MaxFrame {
 		return 0, ErrFrameTooLarge
 	}
 	return int(n), nil

@@ -20,7 +20,7 @@ func roundTripRequest(t *testing.T, r *Request) *Request {
 	if err != nil {
 		t.Fatalf("AppendRequestFrame(%v): %v", r.Op, err)
 	}
-	payload, err := ReadFrameBuf(bufio.NewReader(bytes.NewReader(frame)), nil, 0)
+	payload, err := ReadFrameBuf(bufio.NewReader(bytes.NewReader(frame)), nil)
 	if err != nil {
 		t.Fatalf("ReadFrameBuf: %v", err)
 	}
@@ -280,7 +280,7 @@ func TestPipelinedFrames(t *testing.T) {
 	start := 0
 	for i, end := range ends {
 		var err error
-		if buf, err = ReadFrameBuf(br, buf, 0); err != nil {
+		if buf, err = ReadFrameBuf(br, buf); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if !bytes.Equal(buf, batch[start+4:end]) {
@@ -288,7 +288,7 @@ func TestPipelinedFrames(t *testing.T) {
 		}
 		start = end
 	}
-	if _, err := ReadFrameBuf(br, buf, 0); !errors.Is(err, io.EOF) {
+	if _, err := ReadFrameBuf(br, buf); !errors.Is(err, io.EOF) {
 		t.Fatalf("expected EOF after last frame, got %v", err)
 	}
 }
