@@ -533,8 +533,14 @@ type catchUpBatch struct {
 }
 
 // add encodes op (copying its strings) into the record under
-// construction.
+// construction. A record op would carry past what one WAL-BATCH frame
+// holds ships first, without it.
 func (b *catchUpBatch) add(op wal.Op) error {
+	if len(b.payload) > 0 && wire.ReplRecSize(len(b.payload)+wal.OpHead+len(op.Key)+len(op.Val)) > wire.MaxReplBatch {
+		if err := b.flush(); err != nil {
+			return err
+		}
+	}
 	if b.payload = wal.AppendOps(b.payload, []wal.Op{op}); len(b.payload) < batchFlushAt {
 		return nil
 	}
@@ -554,7 +560,8 @@ func (b *catchUpBatch) flush() error {
 
 // drain is the live tail: everything the taps queued goes out as
 // WAL-BATCH frames, one frame per run of same-shard records, in one
-// write.
+// write. A frame closes at batchFlushAt payload bytes, and before a
+// record that would carry it past MaxFrame.
 func (f *feed) drain() error {
 	recs := f.take()
 	if recs == nil {
@@ -566,11 +573,16 @@ func (f *feed) drain() error {
 	for i := 0; i < len(recs); {
 		shard := recs[i].shard
 		frame.Shard, frame.Recs = uint64(shard), frame.Recs[:0]
-		bytes := 0
+		bytes, size := 0, 0
 		f.mu.Lock()
-		for ; i < len(recs) && recs[i].shard == shard && bytes < batchFlushAt; i++ {
+		for ; i < len(recs) && recs[i].shard == shard; i++ {
+			n := wire.ReplRecSize(len(recs[i].payload))
+			if len(frame.Recs) > 0 && (bytes >= batchFlushAt || size+n > wire.MaxReplBatch) {
+				break
+			}
 			frame.Recs = append(frame.Recs, wire.ReplRec{Seq: recs[i].seq, Payload: recs[i].payload})
 			bytes += len(recs[i].payload)
+			size += n
 		}
 		f.shippedBytes[shard] += uint64(bytes)
 		f.mu.Unlock()

@@ -73,6 +73,13 @@ func (s *Store) mutate(ctx context.Context, sh *shard, sem core.Semantics, o mut
 		if err := body(tx, cp); err != nil {
 			return err
 		}
+		// Recovery and reshard copies (quiet) move records that were
+		// logged already; only new writes are held to what replicates.
+		if !o.quiet {
+			if err := cp.fits(0); err != nil {
+				return err
+			}
+		}
 		cp.reserve()
 		return nil
 	}
@@ -157,6 +164,17 @@ func (c *walCapture) reserve() {
 		c.logged = true
 	}
 	c.reserveSlot()
+}
+
+// fits refuses, on a durable shard, a record no follower could receive:
+// one that with head more bytes of framing (a PREPARE's) cannot ship
+// alone in a WAL-BATCH frame. Logged, it would be acknowledged here
+// and wedge every feed that tried to ship it.
+func (c *walCapture) fits(head int) error {
+	if c.sh.wal != nil && wire.ReplRecSize(head+len(c.buf)) > wire.MaxReplBatch {
+		return fmt.Errorf("server: a %d-byte WAL record cannot replicate: %w", len(c.buf), wire.ErrFrameTooLarge)
+	}
+	return nil
 }
 
 // prepare is reserve for a cross-shard participant: the built record (if

@@ -149,11 +149,17 @@ func (x *xcommit) enter(ctx context.Context, label string, share xshare, i int) 
 
 // seal is the innermost frame: every token held, every share applied.
 // It makes the commit durable — PREPAREs, the coordinator's DECISION,
-// COMMIT marks — and its return value is the commit's outcome. A
-// volatile store, or a commit that changed nothing, logs nothing and
-// commits by unwinding alone.
+// COMMIT marks — and its return value is the commit's outcome: a share
+// whose PREPARE could not replicate aborts it before anything is
+// logged. A volatile store, or a commit that changed nothing, logs
+// nothing and commits by unwinding alone.
 func (x *xcommit) seal() error {
 	coord := x.caps[0]
+	for _, cp := range x.caps {
+		if err := cp.fits(wal.PrepareHead); err != nil {
+			return err
+		}
+	}
 	prepared := false
 	for _, cp := range x.caps {
 		if cp.prepare(x.epoch, coord.sh.idx) {

@@ -33,6 +33,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+
+	"polytm/internal/codec"
 )
 
 // OpKind tags one logical operation inside a record.
@@ -94,23 +96,22 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // AppendSet appends one SET operation to a payload under construction.
 func AppendSet(dst []byte, key, val []byte) []byte {
 	dst = append(dst, byte(OpSet))
-	dst = appendBytes(dst, key)
-	return appendBytes(dst, val)
+	dst = codec.AppendBytes(dst, key)
+	return codec.AppendBytes(dst, val)
 }
 
 // AppendDel appends one DEL operation.
 func AppendDel(dst []byte, key []byte) []byte {
 	dst = append(dst, byte(OpDel))
-	return appendBytes(dst, key)
+	return codec.AppendBytes(dst, key)
 }
 
 // AppendFlush appends one FLUSH operation.
 func AppendFlush(dst []byte) []byte { return append(dst, byte(OpFlush)) }
 
-func appendBytes(dst, b []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
+// OpHead bounds what an operation's encoding adds to its key and value:
+// its kind and two length prefixes.
+const OpHead = 1 + 2*binary.MaxVarintLen64
 
 // ---- cross-shard control records ----
 //
@@ -253,6 +254,10 @@ type Record struct {
 	Reshard Reshard
 }
 
+// PrepareHead bounds what AppendPrepare adds to the operations it
+// frames: its control byte, epoch and coordinator.
+const PrepareHead = 1 + 2*binary.MaxVarintLen64
+
 // AppendPrepare frames ops (an already-encoded operation sequence) as
 // one shard's PREPARE payload for the given epoch and coordinator.
 func AppendPrepare(dst []byte, epoch uint64, coord int, ops []byte) []byte {
@@ -286,7 +291,7 @@ func AppendReshardBegin(dst []byte, epoch uint64, r *Reshard) []byte {
 	dst = binary.AppendUvarint(dst, r.Res)
 	dst = binary.AppendUvarint(dst, r.Mod2)
 	dst = binary.AppendUvarint(dst, r.Res2)
-	return appendBytes(dst, []byte(r.Dir))
+	return codec.AppendBytes(dst, []byte(r.Dir))
 }
 
 // AppendReshardCommit builds a reshard's RESHARD-COMMIT payload — its
@@ -317,100 +322,45 @@ func AppendOps(dst []byte, ops []Op) []byte {
 // kinds that carry them — decoding its operations (appended to ops,
 // which may be nil or reused).
 func DecodeRecord(ops []Op, payload []byte) (Record, error) {
-	if len(payload) == 0 {
-		return Record{}, &errCorrupt{"empty payload"}
-	}
+	c := codec.New(payload, errTruncated)
 	var rec Record
-	switch payload[0] {
-	case ctlReshardBegin, ctlReshardCommit:
-		ctl := payload[0]
-		p := payload[1:]
-		epoch, n := binary.Uvarint(p)
-		if n <= 0 {
-			return Record{}, &errCorrupt{"bad reshard epoch"}
-		}
-		p = p[n:]
-		rec.Epoch = epoch
-		if ctl == ctlReshardCommit {
-			if len(p) != 0 {
-				return Record{}, &errCorrupt{"trailing bytes in reshard commit"}
-			}
-			rec.Kind = RecordReshardCommit
-			return rec, nil
-		}
-		if len(p) == 0 {
-			return Record{}, &errCorrupt{"truncated reshard begin"}
-		}
-		op := ReshardOp(p[0])
-		if op != ReshardSplit && op != ReshardMerge {
-			return Record{}, &errCorrupt{"bad reshard op"}
-		}
-		p = p[1:]
-		rec.Reshard.Op = op
-		fields := []*uint64{nil, nil, &rec.Reshard.Mod, &rec.Reshard.Res, &rec.Reshard.Mod2, &rec.Reshard.Res2}
-		var src, dst uint64
-		fields[0], fields[1] = &src, &dst
-		for _, f := range fields {
-			v, n := binary.Uvarint(p)
-			if n <= 0 {
-				return Record{}, &errCorrupt{"truncated reshard begin"}
-			}
-			*f, p = v, p[n:]
-		}
-		rec.Reshard.Src, rec.Reshard.Dst = int(src), int(dst)
-		dir, rest, err := readBytes(p)
-		if err != nil {
-			return Record{}, err
-		}
-		if len(rest) != 0 {
-			return Record{}, &errCorrupt{"trailing bytes in reshard begin"}
-		}
-		rec.Reshard.Dir = string(dir)
+	switch ctl := c.U8(); ctl {
+	case ctlReshardBegin:
 		rec.Kind = RecordReshardBegin
-		return rec, nil
-	case ctlPrepare, ctlDecision, ctlCommit:
-		ctl := payload[0]
-		p := payload[1:]
-		epoch, n := binary.Uvarint(p)
-		if n <= 0 {
-			return Record{}, &errCorrupt{"bad control epoch"}
+		rec.Epoch = c.Uvarint()
+		if rec.Reshard.Op = ReshardOp(c.U8()); rec.Reshard.Op != ReshardSplit && rec.Reshard.Op != ReshardMerge {
+			c.Fail(&errCorrupt{"bad reshard op"})
 		}
-		p = p[n:]
-		rec.Epoch = epoch
-		switch ctl {
-		case ctlDecision, ctlCommit:
-			if len(p) != 0 {
-				return Record{}, &errCorrupt{"trailing bytes in control record"}
-			}
-			if ctl == ctlDecision {
-				rec.Kind = RecordDecision
-			} else {
-				rec.Kind = RecordCommit
-			}
-			return rec, nil
-		}
-		coord, n := binary.Uvarint(p)
-		if n <= 0 {
-			return Record{}, &errCorrupt{"bad prepare coordinator"}
-		}
-		p = p[n:]
+		rec.Reshard.Src = int(c.Uvarint())
+		rec.Reshard.Dst = int(c.Uvarint())
+		rec.Reshard.Mod = c.Uvarint()
+		rec.Reshard.Res = c.Uvarint()
+		rec.Reshard.Mod2 = c.Uvarint()
+		rec.Reshard.Res2 = c.Uvarint()
+		rec.Reshard.Dir = string(c.Bytes())
+	case ctlReshardCommit:
+		rec.Kind = RecordReshardCommit
+		rec.Epoch = c.Uvarint()
+	case ctlDecision:
+		rec.Kind = RecordDecision
+		rec.Epoch = c.Uvarint()
+	case ctlCommit:
+		rec.Kind = RecordCommit
+		rec.Epoch = c.Uvarint()
+	case ctlPrepare:
 		rec.Kind = RecordPrepare
-		rec.Coord = int(coord)
-		decoded, err := DecodeOps(ops, p)
-		if err != nil {
-			return Record{}, err
-		}
-		rec.Ops = decoded
-		return rec, nil
+		rec.Epoch = c.Uvarint()
+		rec.Coord = int(c.Uvarint())
+		rec.Ops = decodeOps(&c, ops)
 	default:
-		decoded, err := DecodeOps(ops, payload)
-		if err != nil {
-			return Record{}, err
-		}
-		rec.Kind = RecordOps
-		rec.Ops = decoded
-		return rec, nil
+		// Not a control byte: the first operation's kind.
+		c = codec.New(payload, errTruncated)
+		rec.Ops = decodeOps(&c, ops)
 	}
+	if err := corrupt(c.End()); err != nil {
+		return Record{}, err
+	}
+	return rec, nil
 }
 
 // errCorrupt marks a payload that parsed wrong — distinct from a torn
@@ -419,6 +369,9 @@ type errCorrupt struct{ why string }
 
 func (e *errCorrupt) Error() string { return "wal: corrupt record: " + e.why }
 
+// errTruncated is a record payload's read past its end.
+var errTruncated = &errCorrupt{"field overruns payload"}
+
 // IsCorrupt reports whether err marks on-disk corruption (as opposed
 // to an I/O or apply failure).
 func IsCorrupt(err error) bool {
@@ -426,16 +379,13 @@ func IsCorrupt(err error) bool {
 	return errors.As(err, &c)
 }
 
-func readBytes(p []byte) (field, rest []byte, err error) {
-	n, sz := binary.Uvarint(p)
-	if sz <= 0 {
-		return nil, nil, &errCorrupt{"bad field length"}
+// corrupt is how a record layout's read ends: whatever stopped it —
+// bytes left after the last field included — is corruption.
+func corrupt(err error) error {
+	if err == nil || IsCorrupt(err) {
+		return err
 	}
-	p = p[sz:]
-	if n > uint64(len(p)) {
-		return nil, nil, &errCorrupt{"field overruns payload"}
-	}
-	return p[:n], p[n:], nil
+	return &errCorrupt{err.Error()}
 }
 
 // DecodeOps parses a record payload into its operation sequence,
@@ -443,41 +393,38 @@ func readBytes(p []byte) (field, rest []byte, err error) {
 // skipped, so a group of nothing else decodes to no operations. The
 // returned strings are copies; they do not alias payload.
 func DecodeOps(ops []Op, payload []byte) ([]Op, error) {
-	if len(payload) == 0 {
-		return nil, &errCorrupt{"empty payload"}
+	c := codec.New(payload, errTruncated)
+	ops = decodeOps(&c, ops)
+	if err := corrupt(c.End()); err != nil {
+		return nil, err
 	}
-	for len(payload) > 0 {
-		kind := OpKind(payload[0])
-		payload = payload[1:]
-		var op Op
-		op.Kind = kind
-		switch kind {
+	return ops, nil
+}
+
+// decodeOps reads operations to the end of c's payload, which must
+// hold at least one.
+func decodeOps(c *codec.Cursor, ops []Op) []Op {
+	if c.Left() == 0 {
+		c.Fail(&errCorrupt{"empty payload"})
+	}
+	for c.Left() > 0 {
+		op := Op{Kind: OpKind(c.U8())}
+		switch op.Kind {
 		case OpSet:
-			k, rest, err := readBytes(payload)
-			if err != nil {
-				return nil, err
-			}
-			v, rest, err := readBytes(rest)
-			if err != nil {
-				return nil, err
-			}
-			op.Key, op.Val, payload = string(k), string(v), rest
+			op.Key = string(c.Bytes())
+			op.Val = string(c.Bytes())
 		case OpDel:
-			k, rest, err := readBytes(payload)
-			if err != nil {
-				return nil, err
-			}
-			op.Key, payload = string(k), rest
+			op.Key = string(c.Bytes())
 		case OpFlush:
 			// empty body
 		case opRetired:
 			continue // empty body, and nothing to apply
 		default:
-			return nil, &errCorrupt{fmt.Sprintf("unknown op kind %d", byte(kind))}
+			c.Fail(&errCorrupt{fmt.Sprintf("unknown op kind %d", byte(op.Kind))})
 		}
 		ops = append(ops, op)
 	}
-	return ops, nil
+	return ops
 }
 
 // ---- on-disk record framing ----

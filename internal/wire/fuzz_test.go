@@ -18,9 +18,10 @@ import (
 //
 //   - no input makes a decoder panic;
 //   - no declared length or count makes a decoder allocate beyond the
-//     input's own size class (`count` bounds elements by remaining
-//     bytes, `prealloc` caps speculative element storage, the frame
-//     readers validate the frame length before any buffer is grown);
+//     input's own size class (`codec.Cursor.Count` bounds elements by
+//     remaining bytes, `prealloc` caps speculative element storage,
+//     the frame readers validate the frame length before any buffer is
+//     grown);
 //   - anything a decoder accepts, the encoder round-trips.
 //
 // A persisted corpus lives in testdata/fuzz/<Target>/; CI runs each

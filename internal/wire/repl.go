@@ -16,8 +16,11 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"strings"
+
+	"polytm/internal/codec"
 )
 
 // ReplKind is the first payload byte of a replication push frame.
@@ -124,6 +127,16 @@ type ReplRec struct {
 	Payload []byte
 }
 
+// MaxReplBatch is the room a WAL-BATCH frame has for its records under
+// MaxFrame, after its kind, shard and record count.
+const MaxReplBatch = MaxFrame - 1 - 2*binary.MaxVarintLen64
+
+// ReplRecSize bounds what a record with an n-byte payload takes of a
+// WAL-BATCH frame: its seq, its length prefix and the payload. A WAL
+// record that cannot ship alone, ReplRecSize(n) > MaxReplBatch, cannot
+// reach a follower at all.
+func ReplRecSize(n int) int { return 2*binary.MaxVarintLen64 + n }
+
 // ReplAckEntry is one shard's applied position in a ReplAck frame.
 // ReplHello reuses it for the follower's per-shard positions (Bytes
 // stays 0 there).
@@ -157,53 +170,52 @@ type ReplFrame struct {
 }
 
 // AppendReplFrame appends f's complete frame — 4-byte length prefix plus
-// kind | body — to dst.
+// kind | body — to dst. On error dst is returned unchanged.
 func AppendReplFrame(dst []byte, f *ReplFrame) ([]byte, error) {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, byte(f.Kind))
+	out := append(dst, 0, 0, 0, 0, byte(f.Kind))
+	var err error
 	switch f.Kind {
 	case ReplWALBatch:
-		dst = appendUvarint(dst, f.Shard)
-		dst = appendUvarint(dst, uint64(len(f.Recs)))
+		out = binary.AppendUvarint(out, f.Shard)
+		out = binary.AppendUvarint(out, uint64(len(f.Recs)))
 		for i := range f.Recs {
-			dst = appendUvarint(dst, f.Recs[i].Seq)
-			dst = appendBytes(dst, f.Recs[i].Payload)
+			out = binary.AppendUvarint(out, f.Recs[i].Seq)
+			out = codec.AppendBytes(out, f.Recs[i].Payload)
 		}
 	case ReplAck:
-		dst = appendUvarint(dst, uint64(len(f.Acks)))
+		out = binary.AppendUvarint(out, uint64(len(f.Acks)))
 		for i := range f.Acks {
-			dst = appendUvarint(dst, f.Acks[i].Shard)
-			dst = appendUvarint(dst, f.Acks[i].Seq)
-			dst = appendUvarint(dst, f.Acks[i].Bytes)
+			out = binary.AppendUvarint(out, f.Acks[i].Shard)
+			out = binary.AppendUvarint(out, f.Acks[i].Seq)
+			out = binary.AppendUvarint(out, f.Acks[i].Bytes)
 		}
 	case ReplSnapDone:
-		dst = appendUvarint(dst, f.Shard)
-		dst = appendUvarint(dst, f.CoverSeq)
-		dst = append(dst, f.Mode)
-		dst = appendUvarint(dst, f.Incarnation)
+		out = binary.AppendUvarint(out, f.Shard)
+		out = binary.AppendUvarint(out, f.CoverSeq)
+		out = append(out, f.Mode)
+		out = binary.AppendUvarint(out, f.Incarnation)
 	case ReplPing:
 		// empty body
 	case ReplHello:
-		dst = appendUvarint(dst, f.Incarnation)
-		dst = appendUvarint(dst, uint64(len(f.Acks)))
+		out = binary.AppendUvarint(out, f.Incarnation)
+		out = binary.AppendUvarint(out, uint64(len(f.Acks)))
 		for i := range f.Acks {
-			dst = appendUvarint(dst, f.Acks[i].Shard)
-			dst = appendUvarint(dst, f.Acks[i].Seq)
+			out = binary.AppendUvarint(out, f.Acks[i].Shard)
+			out = binary.AppendUvarint(out, f.Acks[i].Seq)
 		}
-		dst = appendUvarint(dst, f.Epoch)
+		out = binary.AppendUvarint(out, f.Epoch)
 	case ReplTopology:
-		dst = appendUvarint(dst, f.Epoch)
-		dst = appendUvarint(dst, uint64(len(f.Topo)))
+		out = binary.AppendUvarint(out, f.Epoch)
+		out = binary.AppendUvarint(out, uint64(len(f.Topo)))
 		for i := range f.Topo {
-			dst = appendUvarint(dst, f.Topo[i].ID)
-			dst = appendUvarint(dst, f.Topo[i].Mod)
-			dst = appendUvarint(dst, f.Topo[i].Res)
+			out = binary.AppendUvarint(out, f.Topo[i].ID)
+			out = binary.AppendUvarint(out, f.Topo[i].Mod)
+			out = binary.AppendUvarint(out, f.Topo[i].Res)
 		}
 	default:
-		return dst[:start], ErrBadReplFrame
+		err = ErrBadReplFrame
 	}
-	putFrameLen(dst, start)
-	return dst, nil
+	return closeFrame(dst, out, err)
 }
 
 // DecodeReplFrame parses one replication push payload into f, reusing
@@ -217,113 +229,56 @@ func DecodeReplFrame(f *ReplFrame, payload []byte) error {
 	f.Recs = f.Recs[:0]
 	f.Acks = f.Acks[:0]
 	f.Topo = f.Topo[:0]
-	rd := &reader{buf: payload}
-	kind, err := rd.byte1()
-	if err != nil {
-		return err
-	}
-	f.Kind = ReplKind(kind)
+	c := codec.New(payload, ErrTruncated)
+	f.Kind = ReplKind(c.U8())
 	switch f.Kind {
 	case ReplWALBatch:
-		if f.Shard, err = rd.uvarint(); err != nil {
-			return err
-		}
-		n, err := rd.count()
-		if err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
+		f.Shard = c.Uvarint()
+		for n := c.Count(); n > 0 && c.Err() == nil; n-- {
 			var rec ReplRec
-			if rec.Seq, err = rd.uvarint(); err != nil {
-				return err
-			}
-			if rec.Payload, err = rd.bytes(); err != nil {
-				return err
-			}
+			rec.Seq = c.Uvarint()
+			rec.Payload = c.Bytes()
 			f.Recs = append(f.Recs, rec)
 		}
 	case ReplAck:
-		n, err := rd.count()
-		if err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
+		for n := c.Count(); n > 0 && c.Err() == nil; n-- {
 			var e ReplAckEntry
-			if e.Shard, err = rd.uvarint(); err != nil {
-				return err
-			}
-			if e.Seq, err = rd.uvarint(); err != nil {
-				return err
-			}
-			if e.Bytes, err = rd.uvarint(); err != nil {
-				return err
-			}
+			e.Shard = c.Uvarint()
+			e.Seq = c.Uvarint()
+			e.Bytes = c.Uvarint()
 			f.Acks = append(f.Acks, e)
 		}
 	case ReplSnapDone:
-		if f.Shard, err = rd.uvarint(); err != nil {
-			return err
+		f.Shard = c.Uvarint()
+		f.CoverSeq = c.Uvarint()
+		if f.Mode = c.U8(); f.Mode != ReplCatchupSnap && f.Mode != ReplCatchupDelta {
+			c.Fail(ErrBadReplFrame)
 		}
-		if f.CoverSeq, err = rd.uvarint(); err != nil {
-			return err
-		}
-		if f.Mode, err = rd.byte1(); err != nil {
-			return err
-		}
-		if f.Mode != ReplCatchupSnap && f.Mode != ReplCatchupDelta {
-			return ErrBadReplFrame
-		}
-		if f.Incarnation, err = rd.uvarint(); err != nil {
-			return err
-		}
+		f.Incarnation = c.Uvarint()
 	case ReplPing:
 		// empty body
 	case ReplHello:
-		if f.Incarnation, err = rd.uvarint(); err != nil {
-			return err
-		}
-		n, err := rd.count()
-		if err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
+		f.Incarnation = c.Uvarint()
+		for n := c.Count(); n > 0 && c.Err() == nil; n-- {
 			var e ReplAckEntry
-			if e.Shard, err = rd.uvarint(); err != nil {
-				return err
-			}
-			if e.Seq, err = rd.uvarint(); err != nil {
-				return err
-			}
+			e.Shard = c.Uvarint()
+			e.Seq = c.Uvarint()
 			f.Acks = append(f.Acks, e)
 		}
-		if f.Epoch, err = rd.uvarint(); err != nil {
-			return err
-		}
+		f.Epoch = c.Uvarint()
 	case ReplTopology:
-		if f.Epoch, err = rd.uvarint(); err != nil {
-			return err
-		}
-		n, err := rd.count()
-		if err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
+		f.Epoch = c.Uvarint()
+		for n := c.Count(); n > 0 && c.Err() == nil; n-- {
 			var e ReplShardSlice
-			if e.ID, err = rd.uvarint(); err != nil {
-				return err
-			}
-			if e.Mod, err = rd.uvarint(); err != nil {
-				return err
-			}
-			if e.Res, err = rd.uvarint(); err != nil {
-				return err
-			}
+			e.ID = c.Uvarint()
+			e.Mod = c.Uvarint()
+			e.Res = c.Uvarint()
 			f.Topo = append(f.Topo, e)
 		}
 	default:
-		return ErrBadReplFrame
+		c.Fail(ErrBadReplFrame)
 	}
-	return rd.done()
+	return c.End()
 }
 
 // ---- not-primary redirect ----

@@ -14,9 +14,12 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
+
+	"polytm/internal/codec"
 )
 
 // SessKind is the first payload byte of a session push frame.
@@ -141,39 +144,32 @@ type SessFrame struct {
 }
 
 // AppendSessFrame appends f's complete frame — 4-byte length prefix
-// plus kind | body — to dst.
+// plus kind | body — to dst. On error dst is returned unchanged.
 func AppendSessFrame(dst []byte, f *SessFrame) ([]byte, error) {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, byte(f.Kind))
+	out := append(dst, 0, 0, 0, 0, byte(f.Kind))
+	var err error
 	switch f.Kind {
 	case SessEvent:
-		dst = appendUvarint(dst, f.WatchID)
-		dst = appendUvarint(dst, f.Seq)
-		dst = append(dst, byte(f.Op))
-		dst = appendBytes(dst, f.Key)
+		out = binary.AppendUvarint(out, f.WatchID)
+		out = binary.AppendUvarint(out, f.Seq)
+		out = append(out, byte(f.Op))
+		out = codec.AppendBytes(out, f.Key)
 	case SessEventLost:
-		dst = appendUvarint(dst, f.Dropped)
+		out = binary.AppendUvarint(out, f.Dropped)
 	case SessPing, SessPong:
 		// empty body
 	case SessWatch:
-		if f.Prefix {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
-		dst = appendBytes(dst, f.Key)
-	case SessWatchOK:
-		dst = appendUvarint(dst, f.WatchID)
-	case SessUnwatch:
-		dst = appendUvarint(dst, f.WatchID)
+		out = appendWatchMode(out, f.Prefix)
+		out = codec.AppendBytes(out, f.Key)
+	case SessWatchOK, SessUnwatch:
+		out = binary.AppendUvarint(out, f.WatchID)
 	case SessErr:
-		dst = append(dst, byte(f.Code))
-		dst = appendBytes(dst, f.Detail)
+		out = append(out, byte(f.Code))
+		out = codec.AppendBytes(out, f.Detail)
 	default:
-		return dst[:start], ErrBadSessFrame
+		err = ErrBadSessFrame
 	}
-	putFrameLen(dst, start)
-	return dst, nil
+	return closeFrame(dst, out, err)
 }
 
 // DecodeSessFrame parses one session push payload into f, reusing f
@@ -185,74 +181,32 @@ func DecodeSessFrame(f *SessFrame, payload []byte) error {
 	f.Op, f.Code = 0, 0
 	f.Key, f.Detail = nil, nil
 	f.Prefix = false
-	rd := &reader{buf: payload}
-	kind, err := rd.byte1()
-	if err != nil {
-		return err
-	}
-	f.Kind = SessKind(kind)
+	c := codec.New(payload, ErrTruncated)
+	f.Kind = SessKind(c.U8())
 	switch f.Kind {
 	case SessEvent:
-		if f.WatchID, err = rd.uvarint(); err != nil {
-			return err
+		f.WatchID = c.Uvarint()
+		f.Seq = c.Uvarint()
+		if f.Op = EventOp(c.U8()); f.Op > EventFlush {
+			c.Fail(ErrBadSessFrame)
 		}
-		if f.Seq, err = rd.uvarint(); err != nil {
-			return err
-		}
-		op, err := rd.byte1()
-		if err != nil {
-			return err
-		}
-		if EventOp(op) > EventFlush {
-			return ErrBadSessFrame
-		}
-		f.Op = EventOp(op)
-		if f.Key, err = rd.bytes(); err != nil {
-			return err
-		}
+		f.Key = c.Bytes()
 	case SessEventLost:
-		if f.Dropped, err = rd.uvarint(); err != nil {
-			return err
-		}
+		f.Dropped = c.Uvarint()
 	case SessPing, SessPong:
 		// empty body
 	case SessWatch:
-		mode, err := rd.byte1()
-		if err != nil {
-			return err
-		}
-		switch mode {
-		case 0:
-			f.Prefix = false
-		case 1:
-			f.Prefix = true
-		default:
-			return ErrBadWatchMode
-		}
-		if f.Key, err = rd.bytes(); err != nil {
-			return err
-		}
-	case SessWatchOK:
-		if f.WatchID, err = rd.uvarint(); err != nil {
-			return err
-		}
-	case SessUnwatch:
-		if f.WatchID, err = rd.uvarint(); err != nil {
-			return err
-		}
+		f.Prefix = watchMode(&c)
+		f.Key = c.Bytes()
+	case SessWatchOK, SessUnwatch:
+		f.WatchID = c.Uvarint()
 	case SessErr:
-		code, err := rd.byte1()
-		if err != nil {
-			return err
-		}
-		f.Code = ProtoCode(code)
-		if f.Detail, err = rd.bytes(); err != nil {
-			return err
-		}
+		f.Code = ProtoCode(c.U8())
+		f.Detail = c.Bytes()
 	default:
-		return ErrBadSessFrame
+		c.Fail(ErrBadSessFrame)
 	}
-	return rd.done()
+	return c.End()
 }
 
 // ---- typed protocol errors ----

@@ -33,6 +33,7 @@ import (
 	"strconv"
 	"strings"
 
+	"polytm/internal/codec"
 	"polytm/internal/stm"
 )
 
@@ -448,83 +449,6 @@ func ParseWrongEpoch(msg string) (*WrongEpochError, bool) {
 	return &WrongEpochError{Have: have, Want: want}, true
 }
 
-// ---- primitive encoding ----
-
-func appendUvarint(dst []byte, v uint64) []byte {
-	return binary.AppendUvarint(dst, v)
-}
-
-func appendBytes(dst, b []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
-
-type reader struct {
-	buf []byte
-	pos int
-}
-
-func (r *reader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf[r.pos:])
-	if n <= 0 {
-		return 0, ErrTruncated
-	}
-	r.pos += n
-	return v, nil
-}
-
-func (r *reader) varint() (int64, error) {
-	v, n := binary.Varint(r.buf[r.pos:])
-	if n <= 0 {
-		return 0, ErrTruncated
-	}
-	r.pos += n
-	return v, nil
-}
-
-func (r *reader) bytes() ([]byte, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(r.buf)-r.pos) {
-		return nil, ErrTruncated
-	}
-	b := r.buf[r.pos : r.pos+int(n)]
-	r.pos += int(n)
-	return b, nil
-}
-
-func (r *reader) byte1() (byte, error) {
-	if r.pos >= len(r.buf) {
-		return 0, ErrTruncated
-	}
-	b := r.buf[r.pos]
-	r.pos++
-	return b, nil
-}
-
-func (r *reader) done() error {
-	if r.pos != len(r.buf) {
-		return fmt.Errorf("wire: %d trailing bytes in payload", len(r.buf)-r.pos)
-	}
-	return nil
-}
-
-// count reads a collection count and sanity-bounds it against the bytes
-// actually remaining (each element costs at least one byte), so a
-// hostile count cannot demand more elements than the frame can encode.
-func (r *reader) count() (int, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if n > uint64(len(r.buf)-r.pos) {
-		return 0, ErrTruncated
-	}
-	return int(n), nil
-}
-
 // prealloc caps speculative slice allocation for a declared element
 // count: decoders start at most this big and grow with append, so a
 // count near the frame limit cannot allocate element-struct memory far
@@ -632,10 +556,20 @@ func readFrameBody(br *bufio.Reader, payload []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// putFrameLen back-fills the 4-byte length prefix of a frame whose
-// reserved header starts at `start` in dst.
-func putFrameLen(dst []byte, start int) {
-	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
+// closeFrame finishes a frame every Append*Frame opened on dst with four
+// reserved length bytes and encoded into out: it back-fills the length,
+// and it is the one place the cap is checked on the way out. A frame
+// that failed to encode (err), or whose payload would pass MaxFrame,
+// which no reader takes, leaves dst as it was.
+func closeFrame(dst, out []byte, err error) ([]byte, error) {
+	if err == nil && len(out)-len(dst)-4 > MaxFrame {
+		err = ErrFrameTooLarge
+	}
+	if err != nil {
+		return dst, err
+	}
+	binary.BigEndian.PutUint32(out[len(dst):], uint32(len(out)-len(dst)-4))
+	return out, nil
 }
 
 // ---- request codec ----
@@ -644,30 +578,28 @@ func putFrameLen(dst []byte, start int) {
 func appendRequestBody(dst []byte, r *Request) ([]byte, error) {
 	switch r.Op {
 	case OpGet, OpDel:
-		dst = appendBytes(dst, r.Key)
+		dst = codec.AppendBytes(dst, r.Key)
 	case OpSet:
-		dst = appendBytes(dst, r.Key)
-		dst = appendBytes(dst, r.Val)
+		dst = codec.AppendBytes(dst, r.Key)
+		dst = codec.AppendBytes(dst, r.Val)
 	case OpCAS:
-		dst = appendBytes(dst, r.Key)
-		dst = appendBytes(dst, r.Old)
-		dst = appendBytes(dst, r.Val)
+		dst = codec.AppendBytes(dst, r.Key)
+		dst = codec.AppendBytes(dst, r.Old)
+		dst = codec.AppendBytes(dst, r.Val)
 	case OpScan:
-		dst = appendBytes(dst, r.From)
-		dst = appendBytes(dst, r.To)
-		dst = appendUvarint(dst, r.Limit)
+		dst = codec.AppendBytes(dst, r.From)
+		dst = codec.AppendBytes(dst, r.To)
+		dst = binary.AppendUvarint(dst, r.Limit)
 	case OpMGet:
-		dst = appendUvarint(dst, uint64(len(r.Keys)))
+		dst = binary.AppendUvarint(dst, uint64(len(r.Keys)))
 		for _, k := range r.Keys {
-			dst = appendBytes(dst, k)
+			dst = codec.AppendBytes(dst, k)
 		}
 	case OpTxn:
-		dst = appendUvarint(dst, uint64(len(r.Batch)))
+		dst = binary.AppendUvarint(dst, uint64(len(r.Batch)))
 		for i := range r.Batch {
 			sub := &r.Batch[i]
-			switch sub.Op {
-			case OpGet, OpSet, OpCAS, OpDel:
-			default:
+			if !sub.Op.subOp() {
 				return nil, ErrBadSubOp
 			}
 			dst = append(dst, byte(sub.Op))
@@ -677,26 +609,22 @@ func appendRequestBody(dst []byte, r *Request) ([]byte, error) {
 			}
 		}
 	case OpWatch:
-		if r.Prefix {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
-		dst = appendBytes(dst, r.Key)
+		dst = appendWatchMode(dst, r.Prefix)
+		dst = codec.AppendBytes(dst, r.Key)
 	case OpIncr, OpDecr:
-		dst = appendBytes(dst, r.Key)
-		dst = appendUvarint(dst, r.Delta)
+		dst = codec.AppendBytes(dst, r.Key)
+		dst = binary.AppendUvarint(dst, r.Delta)
 	case OpSetEx:
-		dst = appendBytes(dst, r.Key)
-		dst = appendBytes(dst, r.Val)
-		dst = appendUvarint(dst, r.TTLMillis)
+		dst = codec.AppendBytes(dst, r.Key)
+		dst = codec.AppendBytes(dst, r.Val)
+		dst = binary.AppendUvarint(dst, r.TTLMillis)
 	case OpSplit:
-		dst = appendUvarint(dst, r.Epoch)
-		dst = appendUvarint(dst, r.Shard)
+		dst = binary.AppendUvarint(dst, r.Epoch)
+		dst = binary.AppendUvarint(dst, r.Shard)
 	case OpMerge:
-		dst = appendUvarint(dst, r.Epoch)
-		dst = appendUvarint(dst, r.Shard)
-		dst = appendUvarint(dst, r.Shard2)
+		dst = binary.AppendUvarint(dst, r.Epoch)
+		dst = binary.AppendUvarint(dst, r.Shard)
+		dst = binary.AppendUvarint(dst, r.Shard2)
 	case OpStats, OpFlush, OpPing, OpSubscribeWAL:
 		// empty body
 	default:
@@ -705,78 +633,73 @@ func appendRequestBody(dst []byte, r *Request) ([]byte, error) {
 	return dst, nil
 }
 
+// subOp reports whether o may run inside a TXN batch.
+func (o Op) subOp() bool {
+	return o == OpGet || o == OpSet || o == OpCAS || o == OpDel
+}
+
+// appendWatchMode encodes a WATCH mode byte: 0 exact, 1 prefix.
+func appendWatchMode(dst []byte, prefix bool) []byte {
+	if prefix {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
+}
+
+// watchMode reads a WATCH mode byte.
+func watchMode(c *codec.Cursor) bool {
+	switch c.U8() {
+	case 0:
+		return false
+	case 1:
+		return true
+	}
+	c.Fail(ErrBadWatchMode)
+	return false
+}
+
 // AppendRequestFrame appends r's complete frame — 4-byte length prefix
 // plus op | sem | body — to dst, so a pipelined batch can be encoded
-// into one reusable buffer and written with a single Write. On error dst
-// is returned unchanged.
+// into one reusable buffer and written with a single Write. A frame
+// whose payload would pass MaxFrame fails with ErrFrameTooLarge. On
+// error dst is returned unchanged.
 func AppendRequestFrame(dst []byte, r *Request) ([]byte, error) {
 	if _, err := Semantics(r.Sem, 0); err != nil {
 		return dst, err
 	}
 	// appendRequestBody's default arm rejects every opcode Valid rejects.
 	out, err := appendRequestBody(append(dst, 0, 0, 0, 0, byte(r.Op), r.Sem), r)
-	if err != nil {
-		return dst, err
-	}
-	putFrameLen(out, len(dst))
-	return out, nil
+	return closeFrame(dst, out, err)
 }
 
-func decodeRequestBody(rd *reader, r *Request) error {
-	var err error
+func decodeRequestBody(c *codec.Cursor, r *Request) {
 	switch r.Op {
 	case OpGet, OpDel:
-		r.Key, err = rd.bytes()
+		r.Key = c.Bytes()
 	case OpSet:
-		if r.Key, err = rd.bytes(); err != nil {
-			return err
-		}
-		r.Val, err = rd.bytes()
+		r.Key = c.Bytes()
+		r.Val = c.Bytes()
 	case OpCAS:
-		if r.Key, err = rd.bytes(); err != nil {
-			return err
-		}
-		if r.Old, err = rd.bytes(); err != nil {
-			return err
-		}
-		r.Val, err = rd.bytes()
+		r.Key = c.Bytes()
+		r.Old = c.Bytes()
+		r.Val = c.Bytes()
 	case OpScan:
-		if r.From, err = rd.bytes(); err != nil {
-			return err
-		}
-		if r.To, err = rd.bytes(); err != nil {
-			return err
-		}
-		r.Limit, err = rd.uvarint()
+		r.From = c.Bytes()
+		r.To = c.Bytes()
+		r.Limit = c.Uvarint()
 	case OpMGet:
-		n, err := rd.count()
-		if err != nil {
-			return err
-		}
 		// Grown by append from the (possibly reused) slice, never
 		// preallocated from the declared count: a hostile count cannot
 		// reserve memory beyond what its elements actually decode to.
-		for i := 0; i < n; i++ {
-			k, err := rd.bytes()
-			if err != nil {
-				return err
-			}
-			r.Keys = append(r.Keys, k)
+		for n := c.Count(); n > 0 && c.Err() == nil; n-- {
+			r.Keys = append(r.Keys, c.Bytes())
 		}
 	case OpTxn:
-		n, err := rd.count()
-		if err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			op, err := rd.byte1()
-			if err != nil {
-				return err
-			}
-			switch Op(op) {
-			case OpGet, OpSet, OpCAS, OpDel:
-			default:
-				return ErrBadSubOp
+		for n := c.Count(); n > 0 && c.Err() == nil; n-- {
+			op := Op(c.U8())
+			if !op.subOp() {
+				c.Fail(ErrBadSubOp)
+				return
 			}
 			// Reuse a retained sub-entry when the batch slice has the
 			// capacity (sub-ops never nest, so only the flat fields
@@ -785,68 +708,38 @@ func decodeRequestBody(rd *reader, r *Request) error {
 			if m := len(r.Batch); m < cap(r.Batch) {
 				r.Batch = r.Batch[:m+1]
 				sub = &r.Batch[m]
-				sub.Op, sub.Sem = Op(op), SemDefault
+				sub.Op, sub.Sem = op, SemDefault
 				sub.Key, sub.Val, sub.Old = nil, nil, nil
 			} else {
-				r.Batch = append(r.Batch, Request{Op: Op(op), Sem: SemDefault})
+				r.Batch = append(r.Batch, Request{Op: op, Sem: SemDefault})
 				sub = &r.Batch[m]
 			}
-			if err := decodeRequestBody(rd, sub); err != nil {
-				return err
-			}
+			decodeRequestBody(c, sub)
 		}
 	case OpWatch:
-		mode, err := rd.byte1()
-		if err != nil {
-			return err
-		}
-		switch mode {
-		case 0:
-			r.Prefix = false
-		case 1:
-			r.Prefix = true
-		default:
-			return ErrBadWatchMode
-		}
-		r.Key, err = rd.bytes()
-		return err
+		r.Prefix = watchMode(c)
+		r.Key = c.Bytes()
 	case OpIncr, OpDecr:
-		if r.Key, err = rd.bytes(); err != nil {
-			return err
-		}
-		r.Delta, err = rd.uvarint()
+		r.Key = c.Bytes()
+		r.Delta = c.Uvarint()
 	case OpSetEx:
-		if r.Key, err = rd.bytes(); err != nil {
-			return err
-		}
-		if r.Val, err = rd.bytes(); err != nil {
-			return err
-		}
-		if r.TTLMillis, err = rd.uvarint(); err != nil {
-			return err
-		}
-		if r.TTLMillis == 0 {
-			return ErrZeroTTL
+		r.Key = c.Bytes()
+		r.Val = c.Bytes()
+		if r.TTLMillis = c.Uvarint(); r.TTLMillis == 0 {
+			c.Fail(ErrZeroTTL)
 		}
 	case OpSplit:
-		if r.Epoch, err = rd.uvarint(); err != nil {
-			return err
-		}
-		r.Shard, err = rd.uvarint()
+		r.Epoch = c.Uvarint()
+		r.Shard = c.Uvarint()
 	case OpMerge:
-		if r.Epoch, err = rd.uvarint(); err != nil {
-			return err
-		}
-		if r.Shard, err = rd.uvarint(); err != nil {
-			return err
-		}
-		r.Shard2, err = rd.uvarint()
+		r.Epoch = c.Uvarint()
+		r.Shard = c.Uvarint()
+		r.Shard2 = c.Uvarint()
 	case OpStats, OpFlush, OpPing, OpSubscribeWAL:
 		// empty body
 	default:
-		return ErrBadOp
+		c.Fail(ErrBadOp)
 	}
-	return err
 }
 
 // DecodeRequestInto parses one request payload into r, reusing r's
@@ -863,26 +756,17 @@ func DecodeRequestInto(r *Request, payload []byte) error {
 	r.Batch = r.Batch[:0]
 	r.Delta, r.TTLMillis, r.Prefix = 0, 0, false
 	r.Epoch, r.Shard, r.Shard2 = 0, 0, 0
-	rd := &reader{buf: payload}
-	op, err := rd.byte1()
-	if err != nil {
-		return err
-	}
-	sem, err := rd.byte1()
-	if err != nil {
-		return err
-	}
-	r.Op, r.Sem = Op(op), sem
+	c := codec.New(payload, ErrTruncated)
+	r.Op = Op(c.U8())
+	r.Sem = c.U8()
 	if !r.Op.Valid() {
-		return ErrBadOp
+		c.Fail(ErrBadOp)
 	}
-	if _, err := Semantics(sem, 0); err != nil {
-		return err
+	if _, err := Semantics(r.Sem, 0); err != nil {
+		c.Fail(err)
 	}
-	if err := decodeRequestBody(rd, r); err != nil {
-		return err
-	}
-	return rd.done()
+	decodeRequestBody(&c, r)
+	return c.End()
 }
 
 // ---- response codec ----
@@ -891,27 +775,27 @@ func DecodeRequestInto(r *Request, payload []byte) error {
 // answering opcode op.
 func appendResponseBody(dst []byte, op Op, r *Response) ([]byte, error) {
 	if r.Status == StatusErr {
-		return appendBytes(dst, []byte(r.Msg)), nil
+		return codec.AppendBytes(dst, []byte(r.Msg)), nil
 	}
 	switch op {
 	case OpGet:
 		if r.Status == StatusOK {
-			dst = appendBytes(dst, r.Val)
+			dst = codec.AppendBytes(dst, r.Val)
 		}
 	case OpCAS:
 		if r.Status == StatusCASMismatch {
-			dst = appendBytes(dst, r.Val)
+			dst = codec.AppendBytes(dst, r.Val)
 		}
-	case OpSet, OpDel:
+	case OpSet, OpDel, OpPing, OpSetEx:
 		// empty body
 	case OpScan:
-		dst = appendUvarint(dst, uint64(len(r.Pairs)))
+		dst = binary.AppendUvarint(dst, uint64(len(r.Pairs)))
 		for _, kv := range r.Pairs {
-			dst = appendBytes(dst, kv.Key)
-			dst = appendBytes(dst, kv.Val)
+			dst = codec.AppendBytes(dst, kv.Key)
+			dst = codec.AppendBytes(dst, kv.Val)
 		}
 	case OpMGet, OpTxn:
-		dst = appendUvarint(dst, uint64(len(r.Batch)))
+		dst = binary.AppendUvarint(dst, uint64(len(r.Batch)))
 		for i := range r.Batch {
 			sub, subOp := &r.Batch[i], OpGet // an MGET answers GETs
 			if op == OpTxn {
@@ -924,17 +808,15 @@ func appendResponseBody(dst []byte, op Op, r *Response) ([]byte, error) {
 			}
 		}
 	case OpStats:
-		dst = appendUvarint(dst, uint64(len(r.Counters)))
+		dst = binary.AppendUvarint(dst, uint64(len(r.Counters)))
 		for _, c := range r.Counters {
-			dst = appendBytes(dst, []byte(c.Name))
-			dst = appendUvarint(dst, c.Value)
+			dst = codec.AppendBytes(dst, []byte(c.Name))
+			dst = binary.AppendUvarint(dst, c.Value)
 		}
 	case OpFlush, OpSubscribeWAL, OpWatch, OpSplit, OpMerge:
-		dst = appendUvarint(dst, r.N)
+		dst = binary.AppendUvarint(dst, r.N)
 	case OpIncr, OpDecr:
 		dst = binary.AppendVarint(dst, r.Int)
-	case OpPing, OpSetEx:
-		// empty body
 	default:
 		return nil, ErrBadOp
 	}
@@ -943,112 +825,74 @@ func appendResponseBody(dst []byte, op Op, r *Response) ([]byte, error) {
 
 // AppendResponseFrame appends the complete response frame — 4-byte
 // length prefix plus status | body — answering opcode op to dst. A frame
-// whose payload would pass MaxFrame, which no reader takes, fails with
-// ErrFrameTooLarge. On error dst is returned unchanged.
+// whose payload would pass MaxFrame fails with ErrFrameTooLarge. On
+// error dst is returned unchanged.
 func AppendResponseFrame(dst []byte, op Op, r *Response) ([]byte, error) {
 	out, err := appendResponseBody(append(dst, 0, 0, 0, 0, byte(r.Status)), op, r)
-	if err == nil && len(out)-len(dst)-4 > MaxFrame {
-		err = ErrFrameTooLarge
-	}
-	if err != nil {
-		return dst, err
-	}
-	putFrameLen(out, len(dst))
-	return out, nil
+	return closeFrame(dst, out, err)
 }
 
 // decodeResponseBody decodes the body of a response to op into r, whose
 // Status is already set. lent is storage the caller offers for r.Batch;
 // only the MGET and TXN arms take it.
-func decodeResponseBody(rd *reader, op Op, r *Response, subOps []Op, lent []Response) error {
+func decodeResponseBody(c *codec.Cursor, op Op, r *Response, subOps []Op, lent []Response) {
 	if r.Status == StatusErr {
-		msg, err := rd.bytes()
-		if err != nil {
-			return err
-		}
-		r.Msg = string(msg)
-		return nil
+		r.Msg = string(c.Bytes())
+		return
 	}
-	var err error
 	switch op {
 	case OpGet:
 		if r.Status == StatusOK {
-			r.Val, err = rd.bytes()
+			r.Val = c.Bytes()
 		}
 	case OpCAS:
 		if r.Status == StatusCASMismatch {
-			r.Val, err = rd.bytes()
+			r.Val = c.Bytes()
 		}
-	case OpSet, OpDel:
+	case OpSet, OpDel, OpPing, OpSetEx:
 		// empty body
 	case OpScan:
-		n, err := rd.count()
-		if err != nil {
-			return err
-		}
+		n := c.Count()
 		r.Pairs = make([]KV, 0, prealloc(n))
-		for i := 0; i < n; i++ {
+		for ; n > 0 && c.Err() == nil; n-- {
 			var kv KV
-			if kv.Key, err = rd.bytes(); err != nil {
-				return err
-			}
-			if kv.Val, err = rd.bytes(); err != nil {
-				return err
-			}
+			kv.Key = c.Bytes()
+			kv.Val = c.Bytes()
 			r.Pairs = append(r.Pairs, kv)
 		}
 	case OpMGet, OpTxn:
-		n, err := rd.count()
-		if err != nil {
-			return err
-		}
-		if op == OpTxn && n != len(subOps) {
-			return fmt.Errorf("wire: TXN response has %d sub-responses, expected %d", n, len(subOps))
+		n := c.Count()
+		if op == OpTxn && n != len(subOps) && c.Err() == nil {
+			c.Fail(fmt.Errorf("wire: TXN response has %d sub-responses, expected %d", n, len(subOps)))
+			return
 		}
 		r.Batch = batchRoom(lent, n)
-		for i := 0; i < n; i++ {
-			st, err := rd.byte1()
-			if err != nil {
-				return err
-			}
+		for i := 0; i < n && c.Err() == nil; i++ {
 			sub := OpGet
 			if op == OpTxn {
 				sub = subOps[i]
 			}
 			// Decode in place: a local sub-response would escape through
 			// the recursive call and cost an allocation per key.
-			r.Batch = append(r.Batch, Response{Status: Status(st)})
-			if err := decodeResponseBody(rd, sub, &r.Batch[i], nil, nil); err != nil {
-				return err
-			}
+			r.Batch = append(r.Batch, Response{Status: Status(c.U8())})
+			decodeResponseBody(c, sub, &r.Batch[i], nil, nil)
 		}
 	case OpStats:
-		n, err := rd.count()
-		if err != nil {
-			return err
-		}
+		n := c.Count()
 		r.Counters = make([]Counter, 0, prealloc(n))
-		for i := 0; i < n; i++ {
-			name, err := rd.bytes()
-			if err != nil {
-				return err
-			}
-			v, err := rd.uvarint()
-			if err != nil {
-				return err
-			}
-			r.Counters = append(r.Counters, Counter{Name: string(name), Value: v})
+		for ; n > 0 && c.Err() == nil; n-- {
+			var ctr Counter
+			ctr.Name = string(c.Bytes())
+			ctr.Value = c.Uvarint()
+			r.Counters = append(r.Counters, ctr)
 		}
 	case OpFlush, OpSubscribeWAL, OpWatch, OpSplit, OpMerge:
-		r.N, err = rd.uvarint()
+		r.N = c.Uvarint()
 	case OpIncr, OpDecr:
-		r.Int, err = rd.varint()
-	case OpPing, OpSetEx:
-		// empty body
+		r.Int = c.Varint()
 	default:
-		return ErrBadOp
+		c.Fail(ErrBadOp)
 	}
-	return err
 }
 
 // DecodeResponse is DecodeResponseInto into a fresh Response, kept for
@@ -1077,14 +921,8 @@ func DecodeResponse(payload []byte, op Op, subOps []Op) (*Response, error) {
 func DecodeResponseInto(r *Response, payload []byte, op Op, subOps []Op) error {
 	lent := r.Batch[:0]
 	*r = Response{}
-	rd := reader{buf: payload}
-	st, err := rd.byte1()
-	if err != nil {
-		return err
-	}
-	r.Status = Status(st)
-	if err := decodeResponseBody(&rd, op, r, subOps, lent); err != nil {
-		return err
-	}
-	return rd.done()
+	c := codec.New(payload, ErrTruncated)
+	r.Status = Status(c.U8())
+	decodeResponseBody(&c, op, r, subOps, lent)
+	return c.End()
 }

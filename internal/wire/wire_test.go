@@ -292,3 +292,44 @@ func TestPipelinedFrames(t *testing.T) {
 		t.Fatalf("expected EOF after last frame, got %v", err)
 	}
 }
+
+// TestAppendFrameCap: every family's frame closes through the same
+// size check. A payload of MaxFrame encodes; one byte more fails with
+// ErrFrameTooLarge and leaves dst as it was.
+func TestAppendFrameCap(t *testing.T) {
+	big := make([]byte, MaxFrame)
+	for _, c := range []struct {
+		name   string
+		extra  int // payload bytes besides the field, less 7
+		encode func(dst, field []byte) ([]byte, error)
+	}{
+		{"request", 1, func(dst, field []byte) ([]byte, error) {
+			return AppendRequestFrame(dst, &Request{Op: OpSet, Sem: SemDefault, Key: []byte("k"), Val: field})
+		}},
+		{"response", -2, func(dst, field []byte) ([]byte, error) {
+			return AppendResponseFrame(dst, OpGet, &Response{Status: StatusOK, Val: field})
+		}},
+		{"session", 1, func(dst, field []byte) ([]byte, error) {
+			return AppendSessFrame(dst, &SessFrame{Kind: SessEvent, WatchID: 1, Seq: 1, Key: field})
+		}},
+		{"replication", 1, func(dst, field []byte) ([]byte, error) {
+			return AppendReplFrame(dst, &ReplFrame{Kind: ReplWALBatch, Recs: []ReplRec{{Seq: 1, Payload: field}}})
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			n := MaxFrame - 7 - c.extra // the field that makes the payload exactly MaxFrame
+			frame, err := c.encode(nil, big[:n])
+			if err != nil || len(frame) != 4+MaxFrame {
+				t.Fatalf("payload of MaxFrame: %d bytes, %v", len(frame)-4, err)
+			}
+			dst := append(make([]byte, 0, 64), "earlier frames"...)
+			out, err := c.encode(dst, big[:n+1])
+			if !errors.Is(err, ErrFrameTooLarge) {
+				t.Fatalf("payload of MaxFrame+1: err = %v, want ErrFrameTooLarge", err)
+			}
+			if len(out) != len(dst) || &out[0] != &dst[0] || string(out) != "earlier frames" {
+				t.Fatalf("dst changed: %q", out)
+			}
+		})
+	}
+}
