@@ -20,24 +20,29 @@ import (
 	"fmt"
 )
 
-// Cursor reads the fields of one payload in order.
+// Cursor reads the fields of one payload in order. It advances an
+// index, not the slice: a decoder holds it by pointer, and moving a
+// slice through a pointer is a pointer write the collector's write
+// barrier would see on every field.
 type Cursor struct {
-	buf   []byte // what is left to read; nil after a failure
+	buf   []byte
+	pos   int // buf[pos:] is unread; len(buf) after a failure
 	err   error
 	short error // what a read past the end fails with
 }
 
 // New returns a cursor over buf whose reads past the end fail with
-// short, the owning format's truncation error.
-func New(buf []byte, short error) Cursor {
-	return Cursor{buf: buf, short: short}
+// short, the owning format's truncation error. The cursor is built in
+// place: a decoder that keeps it local allocates nothing.
+func New(buf []byte, short error) *Cursor {
+	return &Cursor{buf: buf, short: short}
 }
 
 // Fail records err unless an earlier failure already stands; every
 // later read returns a zero value.
 func (c *Cursor) Fail(err error) {
 	if c.err == nil {
-		c.err, c.buf = err, nil
+		c.err, c.pos = err, len(c.buf)
 	}
 }
 
@@ -48,45 +53,44 @@ func (c *Cursor) Err() error { return c.err }
 // End closes a layout: the first failure, else bytes left after its
 // last field.
 func (c *Cursor) End() error {
-	if len(c.buf) > 0 {
-		c.Fail(fmt.Errorf("%d trailing bytes in payload", len(c.buf)))
+	if n := c.Left(); n > 0 {
+		c.Fail(fmt.Errorf("%d trailing bytes in payload", n))
 	}
 	return c.err
 }
 
 // Left is how many bytes are still unread (0 after a failure).
-func (c *Cursor) Left() int { return len(c.buf) }
+func (c *Cursor) Left() int { return len(c.buf) - c.pos }
 
 // U8 reads one byte.
 func (c *Cursor) U8() byte {
-	if len(c.buf) == 0 {
+	if c.pos >= len(c.buf) {
 		c.Fail(c.short)
 		return 0
 	}
-	b := c.buf[0]
-	c.buf = c.buf[1:]
-	return b
+	c.pos++
+	return c.buf[c.pos-1]
 }
 
 // Uvarint reads an unsigned varint.
 func (c *Cursor) Uvarint() uint64 {
-	v, n := binary.Uvarint(c.buf)
+	v, n := binary.Uvarint(c.buf[c.pos:])
 	if n <= 0 {
 		c.Fail(c.short)
 		return 0
 	}
-	c.buf = c.buf[n:]
+	c.pos += n
 	return v
 }
 
 // Varint reads a zigzag-encoded signed varint.
 func (c *Cursor) Varint() int64 {
-	v, n := binary.Varint(c.buf)
+	v, n := binary.Varint(c.buf[c.pos:])
 	if n <= 0 {
 		c.Fail(c.short)
 		return 0
 	}
-	c.buf = c.buf[n:]
+	c.pos += n
 	return v
 }
 
@@ -95,7 +99,7 @@ func (c *Cursor) Varint() int64 {
 // holds.
 func (c *Cursor) Count() int {
 	n := c.Uvarint()
-	if n > uint64(len(c.buf)) {
+	if n > uint64(c.Left()) {
 		c.Fail(c.short)
 		return 0
 	}
@@ -106,9 +110,11 @@ func (c *Cursor) Count() int {
 // the payload.
 func (c *Cursor) Bytes() []byte {
 	n := c.Count()
-	b := c.buf[:n] // nil after a failure: buf is nil and n 0
-	c.buf = c.buf[n:]
-	return b
+	if c.err != nil {
+		return nil
+	}
+	c.pos += n
+	return c.buf[c.pos-n : c.pos]
 }
 
 // AppendBytes appends b to dst as a uvarint-length-prefixed byte

@@ -109,7 +109,7 @@ func TestCursor(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cur := New(c.payload, errShort)
-			if got := c.read(&cur); got != c.want {
+			if got := c.read(cur); got != c.want {
 				t.Errorf("read %v, want %v", got, c.want)
 			}
 			err := cur.End()

@@ -351,11 +351,12 @@ func DecodeRecord(ops []Op, payload []byte) (Record, error) {
 		rec.Kind = RecordPrepare
 		rec.Epoch = c.Uvarint()
 		rec.Coord = int(c.Uvarint())
-		rec.Ops = decodeOps(&c, ops)
+		rec.Ops = decodeOps(c, ops)
 	default:
 		// Not a control byte: the first operation's kind.
 		c = codec.New(payload, errTruncated)
-		rec.Ops = decodeOps(&c, ops)
+		rec.Kind = RecordOps
+		rec.Ops = decodeOps(c, ops)
 	}
 	if err := corrupt(c.End()); err != nil {
 		return Record{}, err
@@ -394,7 +395,7 @@ func corrupt(err error) error {
 // returned strings are copies; they do not alias payload.
 func DecodeOps(ops []Op, payload []byte) ([]Op, error) {
 	c := codec.New(payload, errTruncated)
-	ops = decodeOps(&c, ops)
+	ops = decodeOps(c, ops)
 	if err := corrupt(c.End()); err != nil {
 		return nil, err
 	}

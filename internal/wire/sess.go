@@ -196,7 +196,7 @@ func DecodeSessFrame(f *SessFrame, payload []byte) error {
 	case SessPing, SessPong:
 		// empty body
 	case SessWatch:
-		f.Prefix = watchMode(&c)
+		f.Prefix = watchMode(c)
 		f.Key = c.Bytes()
 	case SessWatchOK, SessUnwatch:
 		f.WatchID = c.Uvarint()

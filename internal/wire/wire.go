@@ -765,7 +765,7 @@ func DecodeRequestInto(r *Request, payload []byte) error {
 	if _, err := Semantics(r.Sem, 0); err != nil {
 		c.Fail(err)
 	}
-	decodeRequestBody(&c, r)
+	decodeRequestBody(c, r)
 	return c.End()
 }
 
@@ -923,6 +923,6 @@ func DecodeResponseInto(r *Response, payload []byte, op Op, subOps []Op) error {
 	*r = Response{}
 	c := codec.New(payload, ErrTruncated)
 	r.Status = Status(c.U8())
-	decodeResponseBody(&c, op, r, subOps, lent)
+	decodeResponseBody(c, op, r, subOps, lent)
 	return c.End()
 }
