@@ -330,19 +330,6 @@ func BenchmarkAcceptanceRate(b *testing.B) {
 	}
 }
 
-// Ablation: the elastic window size (ε-STM's read buffer; DESIGN.md §6).
-// Larger windows validate more on every cut and at each write anchor;
-// window 2 is the paper-faithful default.
-func BenchmarkElasticWindowSize(b *testing.B) {
-	for _, win := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("window=%d", win), func(b *testing.B) {
-			tm := core.New(core.Config{Engine: stm.Config{ElasticWindow: win}})
-			s := structures.NewTList(tm, core.Weak)
-			runIntSet(b, s, workload.Mix{UpdatePct: 20, KeyRange: 256})
-		})
-	}
-}
-
 // Ablation: where elasticity pays — the poly/mono gap versus structure
 // depth. Longer lists mean longer read prefixes for def to drag along.
 func BenchmarkListLengthSweep(b *testing.B) {

@@ -89,7 +89,7 @@ func TestCrossTMVariableRejected(t *testing.T) {
 }
 
 func TestMaxAttemptsSurfacesThroughCore(t *testing.T) {
-	tm := New(Config{Engine: stm.Config{MaxAttempts: 2}})
+	tm := NewDefault()
 	x := NewTVar(tm, 0)
 	err := tm.Atomic(func(tx *Tx) error {
 		if _, err := Get(tx, x); err != nil {
@@ -100,7 +100,7 @@ func TestMaxAttemptsSurfacesThroughCore(t *testing.T) {
 			return err
 		}
 		return Set(tx, x, 2)
-	})
+	}, WithMaxAttempts(2))
 	if !errors.Is(err, stm.ErrTooManyAttempts) {
 		t.Fatalf("err = %v, want ErrTooManyAttempts", err)
 	}

@@ -133,16 +133,12 @@ type Config struct {
 	EscalateAfter int
 	// Shards sets the stripe count for the engine's sharded
 	// synchronization state (counters, registries, id spaces); 0 keeps
-	// the engine's GOMAXPROCS-derived default. It is a convenience
-	// passthrough for Engine.Shards, which wins when both are set.
+	// the engine's GOMAXPROCS-derived default (see stm.Config.Shards).
 	Shards int
 	// Observer, when non-nil, receives lifecycle events for every
-	// transaction of this memory. It is a convenience passthrough for
-	// Engine.Observer, which wins when both are set; a per-transaction
-	// WithObserver overrides either.
+	// transaction of this memory; a per-transaction WithObserver
+	// overrides it.
 	Observer Observer
-	// Engine tunes the underlying STM engine.
-	Engine stm.Config
 }
 
 // TM is a polymorphic transactional memory.
@@ -155,14 +151,8 @@ type TM struct {
 
 // New creates a polymorphic transactional memory with cfg.
 func New(cfg Config) *TM {
-	if cfg.Shards != 0 && cfg.Engine.Shards == 0 {
-		cfg.Engine.Shards = cfg.Shards
-	}
-	if cfg.Observer != nil && cfg.Engine.Observer == nil {
-		cfg.Engine.Observer = cfg.Observer
-	}
 	return &TM{
-		eng:           stm.NewEngine(cfg.Engine),
+		eng:           stm.NewEngine(stm.Config{Shards: cfg.Shards, Observer: cfg.Observer}),
 		def:           cfg.Default,
 		nesting:       cfg.Nesting,
 		escalateAfter: cfg.EscalateAfter,
@@ -210,10 +200,10 @@ func WithContentionManager(f stm.CMFactory) Option {
 // WithMaxAttempts bounds the transaction to n attempts (conflict
 // retries and Retry waits both count); the bound exhausting surfaces as
 // an *AbortError matching stm.ErrTooManyAttempts that carries the
-// attempt count. It overrides the engine's configured MaxAttempts for
-// this transaction. When the TM is also configured with EscalateAfter
-// and that threshold is lower, escalation to Irrevocable wins — the
-// transaction is guaranteed to commit before the bound can trip.
+// attempt count; without it a transaction retries until it commits.
+// When the TM is also configured with EscalateAfter and that threshold
+// is lower, escalation to Irrevocable wins — the transaction is
+// guaranteed to commit before the bound can trip.
 func WithMaxAttempts(n int) Option {
 	return Option{run: stm.RunOptions{MaxAttempts: n}}
 }

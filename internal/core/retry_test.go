@@ -144,9 +144,9 @@ func TestEscalateAfterGuaranteesProgress(t *testing.T) {
 }
 
 // TestEscalateAfterUnsetPreservesMaxAttempts: without escalation the
-// engine bound still surfaces.
+// per-run bound surfaces as the run's error.
 func TestEscalateAfterUnsetPreservesMaxAttempts(t *testing.T) {
-	tm := New(Config{Engine: stm.Config{MaxAttempts: 2}})
+	tm := NewDefault()
 	x := NewTVar(tm, 0)
 	err := tm.Atomic(func(tx *Tx) error {
 		if _, err := Get(tx, x); err != nil {
@@ -156,16 +156,16 @@ func TestEscalateAfterUnsetPreservesMaxAttempts(t *testing.T) {
 			return err
 		}
 		return Set(tx, x, 2)
-	})
+	}, WithMaxAttempts(2))
 	if !errors.Is(err, stm.ErrTooManyAttempts) {
 		t.Fatalf("err = %v, want ErrTooManyAttempts", err)
 	}
 }
 
 // TestRetryRespectsMaxAttempts: Retry waits also count against the
-// engine attempt bound rather than blocking forever on a dead workload.
+// run's attempt bound rather than blocking forever on a dead workload.
 func TestRetryRespectsMaxAttempts(t *testing.T) {
-	tm := New(Config{Engine: stm.Config{MaxAttempts: 2}})
+	tm := NewDefault()
 	x := NewTVar(tm, 0)
 	sabotage := make(chan struct{}, 4)
 	go func() {
@@ -184,7 +184,7 @@ func TestRetryRespectsMaxAttempts(t *testing.T) {
 			return Retry
 		}
 		return nil
-	})
+	}, WithMaxAttempts(2))
 	close(sabotage)
 	// Either it observed a 1 (committed) or it hit the bound; both are
 	// legal, but it must terminate.

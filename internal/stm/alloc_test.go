@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -78,7 +79,8 @@ func TestSnapshotReadAllocs(t *testing.T) {
 // recycled into a snapshot reader — the class whose never-abort
 // guarantee the paper promises.
 func TestSnapshotNeverAbortsUnderKillStorm(t *testing.T) {
-	e := NewEngine(Config{DefaultCM: NewAggressive()})
+	e := NewDefaultEngine()
+	aggressive := RunOptions{CM: NewAggressive()}
 	vars := make([]*Var, 4)
 	for i := range vars {
 		vars[i] = e.NewVar(i)
@@ -90,7 +92,7 @@ func TestSnapshotNeverAbortsUnderKillStorm(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
 				// A writer storm with kills...
-				_ = e.Run(SemanticsDef, func(tx *Txn) error {
+				_ = e.RunOpts(context.Background(), SemanticsDef, aggressive, func(tx *Txn) error {
 					v, err := tx.Read(vars[(g+i)%len(vars)])
 					if err != nil {
 						return err
@@ -99,7 +101,7 @@ func TestSnapshotNeverAbortsUnderKillStorm(t *testing.T) {
 				})
 				// ...interleaved with snapshot readers reusing the same
 				// pooled shells.
-				if err := e.Run(SemanticsSnapshot, func(tx *Txn) error {
+				if err := e.RunOpts(context.Background(), SemanticsSnapshot, aggressive, func(tx *Txn) error {
 					for _, v := range vars {
 						if _, err := tx.Read(v); err != nil {
 							return err

@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -27,7 +28,7 @@ func TestCMNames(t *testing.T) {
 }
 
 func TestSuicideAbortsOnBusyLock(t *testing.T) {
-	e := NewEngine(Config{DefaultCM: NewSuicide()})
+	e := NewDefaultEngine()
 	x := e.NewVar(0)
 
 	// Hold x's lock word as a committer in its publish window would.
@@ -39,22 +40,22 @@ func TestSuicideAbortsOnBusyLock(t *testing.T) {
 	}
 	defer x.unlockTo(prev)
 
-	// A suicide-managed writer must abort immediately (retryable).
-	tx := e.Begin(SemanticsDef)
-	if err := tx.Write(x, 1); err != nil {
-		t.Fatal(err)
+	// A suicide-managed writer must abort its attempt at once (a
+	// retryable lock abort), so a one-attempt run ends at its bound.
+	err := e.RunOpts(context.Background(), SemanticsDef, RunOptions{CM: NewSuicide(), MaxAttempts: 1}, func(tx *Txn) error {
+		return tx.Write(x, 1)
+	})
+	if !errors.Is(err, ErrTooManyAttempts) {
+		t.Fatalf("commit against held lock: %v, want the attempt bound", err)
 	}
-	err := tx.Commit()
-	if !IsRetryable(err) {
-		t.Fatalf("commit against held lock: %v, want retryable", err)
-	}
-	if e.Stats().LockAborts == 0 {
-		t.Fatal("expected a lock abort to be recorded")
+	if e.Stats().LockAborts != 1 {
+		t.Fatalf("lock aborts = %d, want 1", e.Stats().LockAborts)
 	}
 }
 
 func TestPoliteWaitsOutShortLock(t *testing.T) {
-	e := NewEngine(Config{DefaultCM: NewPolite(20)})
+	e := NewDefaultEngine()
+	opts := RunOptions{CM: NewPolite(20)}
 	x := e.NewVar(0)
 	var wg sync.WaitGroup
 	// Two increment storms; polite spinning should let both complete.
@@ -63,7 +64,7 @@ func TestPoliteWaitsOutShortLock(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
-				if err := e.Run(SemanticsDef, func(tx *Txn) error {
+				if err := e.RunOpts(context.Background(), SemanticsDef, opts, func(tx *Txn) error {
 					v, err := tx.Read(x)
 					if err != nil {
 						return err
@@ -158,7 +159,8 @@ func TestKilledTransactionObservesKill(t *testing.T) {
 func TestAggressiveVsAggressiveProgress(t *testing.T) {
 	// Two aggressive increment storms must still terminate: the killed
 	// party observes ErrKilled, aborts, retries.
-	e := NewEngine(Config{DefaultCM: NewAggressive()})
+	e := NewDefaultEngine()
+	opts := RunOptions{CM: NewAggressive()}
 	x := e.NewVar(0)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -166,7 +168,7 @@ func TestAggressiveVsAggressiveProgress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if err := e.Run(SemanticsDef, func(tx *Txn) error {
+				if err := e.RunOpts(context.Background(), SemanticsDef, opts, func(tx *Txn) error {
 					v, err := tx.Read(x)
 					if err != nil {
 						return err
@@ -186,7 +188,8 @@ func TestAggressiveVsAggressiveProgress(t *testing.T) {
 }
 
 func TestBackoffSleepsBetweenAttempts(t *testing.T) {
-	e := NewEngine(Config{DefaultCM: NewBackoff(50*time.Microsecond, time.Millisecond)})
+	e := NewDefaultEngine()
+	opts := RunOptions{CM: NewBackoff(50*time.Microsecond, time.Millisecond)}
 	x := e.NewVar(0)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -194,7 +197,7 @@ func TestBackoffSleepsBetweenAttempts(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				if err := e.Run(SemanticsDef, func(tx *Txn) error {
+				if err := e.RunOpts(context.Background(), SemanticsDef, opts, func(tx *Txn) error {
 					v, err := tx.Read(x)
 					if err != nil {
 						return err

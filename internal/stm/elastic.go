@@ -9,7 +9,7 @@ package stm
 // — the paper's semantics s assigning r(x),r(y) to γ1 and r(y),r(z) to
 // γ2 for a sorted-list contains. Operationally (following ε-STM):
 //
-//   - The read set retains only the last ElasticWindow reads (default 2,
+//   - The read set retains only the last elasticWindow reads (two,
 //     ε-STM's read buffer) plus any pinned anchors (ReadPinned).
 //   - On a consistent read (head version <= rv) the window slides.
 //   - On an inconsistent read (head version > rv: someone committed to
@@ -28,6 +28,11 @@ package stm
 //     the reads that located the write's position, e.g. pred and curr of
 //     a sorted-list insert — remains in the read set and is validated
 //     at commit, anchoring the write's critical step.
+
+// elasticWindow is the number of trailing unpinned reads an elastic
+// transaction retains. Two is the semantics, not a tuning value: one
+// critical step covers a pair of consecutive reads.
+const elasticWindow = 2
 
 // unpinnedSince counts unpinned read-set entries at index >= floor.
 func (tx *Txn) unpinnedSince(floor int) int {
@@ -94,7 +99,6 @@ func (tx *Txn) cutUnpinned() {
 // readElastic performs one elastic-mode read. A pinned read is anchored:
 // it stays in the validated set for the rest of the transaction.
 func (tx *Txn) readElastic(v *Var, pinned bool) (any, error) {
-	keep := tx.eng.cfg.ElasticWindow
 	for {
 		if err := tx.waitUnlocked(v); err != nil {
 			return nil, err
@@ -102,7 +106,7 @@ func (tx *Txn) readElastic(v *Var, pinned bool) (any, error) {
 		h := v.head.Load()
 		if h.ver <= tx.rv {
 			tx.rset = append(tx.rset, readEntry{v: v, ver: h, pinned: pinned})
-			if tx.unpinnedSince(tx.elasticFloor) > keep {
+			if tx.unpinnedSince(tx.elasticFloor) > elasticWindow {
 				tx.dropOldestUnpinned()
 			}
 			return h.val, nil

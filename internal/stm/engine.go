@@ -6,26 +6,10 @@ import (
 	"sync/atomic"
 )
 
-// Config carries engine-wide policy knobs.
+// Config carries the engine-wide settings. A run's contention manager
+// and attempt bound are per-run choices (RunOptions): a run that names
+// neither uses NewPolite(8) and retries until it commits.
 type Config struct {
-	// DefaultCM builds the contention manager used by transactions that
-	// do not carry their own. Nil means NewPolite(8).
-	DefaultCM CMFactory
-
-	// MaxAttempts bounds re-executions per Engine.RunOpts call; 0 means
-	// unbounded (irrevocable fallback still guarantees progress when a
-	// transaction is escalated explicitly by the caller).
-	MaxAttempts int
-
-	// ElasticWindow is the number of trailing reads an elastic
-	// transaction retains before its first write (ε-STM's read buffer;
-	// default 2). Cuts validate only the most recent of them — the
-	// paper's pairwise critical steps — but at the first write the whole
-	// retained window (typically the pred/curr pair that located the
-	// write) joins the commit-validated read set. Values < 2 are
-	// treated as 2.
-	ElasticWindow int
-
 	// Shards is the stripe count for the engine's internal
 	// synchronization state (event counters, the live-transaction
 	// registry, the snapshot registry). It is rounded up to a power of
@@ -42,16 +26,8 @@ type Config struct {
 	Observer Observer
 }
 
-func (c Config) withDefaults() Config {
-	if c.DefaultCM == nil {
-		c.DefaultCM = NewPolite(8)
-	}
-	if c.ElasticWindow < 2 {
-		c.ElasticWindow = 2
-	}
-	c.Shards = resolveShardCount(c.Shards)
-	return c
-}
+// defaultCM is the contention manager of a run that names none.
+var defaultCM = NewPolite(8)
 
 // Engine is one transactional memory: a global version clock, an
 // identity space for transactions, a snapshot registry, and the
@@ -104,11 +80,11 @@ type Engine struct {
 
 // NewEngine creates an engine with the given configuration.
 func NewEngine(cfg Config) *Engine {
-	e := &Engine{cfg: cfg.withDefaults()}
-	shards := e.cfg.Shards
-	e.snaps.init(shards)
-	e.live.init(shards)
-	e.stats.init(shards)
+	cfg.Shards = resolveShardCount(cfg.Shards)
+	e := &Engine{cfg: cfg}
+	e.snaps.init(cfg.Shards)
+	e.live.init(cfg.Shards)
+	e.stats.init(cfg.Shards)
 	return e
 }
 
@@ -124,9 +100,8 @@ func (e *Engine) Shards() int { return e.cfg.Shards }
 // per-transaction observers replace, they do not chain.
 func (e *Engine) Observer() Observer { return e.cfg.Observer }
 
-// Stats returns a snapshot of the engine counters. The aggregation is
-// exact per counter (see Stats).
-func (e *Engine) Stats() StatsSnapshot { return e.stats.Snapshot() }
+// Stats returns a snapshot of the engine counters: StatsOf(e).
+func (e *Engine) Stats() StatsSnapshot { return StatsOf(e) }
 
 // ResetStats zeroes the engine counters (between benchmark phases).
 func (e *Engine) ResetStats() { e.stats.reset() }
@@ -173,20 +148,20 @@ func (e *Engine) releaseTxn(tx *Txn) {
 	e.txnPool.Put(tx)
 }
 
-// Begin starts a transaction with semantics sem and the engine's default
-// contention manager. The returned Txn must be finished with Commit or
-// Abort, after which it must not be touched again; Begin transactions
-// are excluded from the engine's Txn pool (the caller could retain the
-// handle), so each Begin allocates. Most callers should use RunOpts (or
+// Begin starts a transaction with semantics sem and the default
+// contention manager, NewPolite(8). The returned Txn must be finished
+// with Commit or Abort, after which it must not be touched again; Begin
+// transactions are excluded from the engine's Txn pool (the caller
+// could retain the handle), so each Begin allocates. Most callers should use RunOpts (or
 // core.Atomic) instead, which handles the retry loop and runs
 // allocation-free on the pooled lifecycle.
 func (e *Engine) Begin(sem Semantics) *Txn {
-	tx := e.newTxn(sem, e.cfg.DefaultCM)
+	tx := e.newTxn(sem, defaultCM)
 	tx.begin()
 	return tx
 }
 
-// Run is RunOpts with a background context and the engine's defaults:
+// Run is RunOpts with a background context and zero RunOptions:
 // the short form for a body that needs no cancellation and no per-run
 // option.
 func (e *Engine) Run(sem Semantics, fn func(*Txn) error) error {

@@ -76,7 +76,7 @@ func TestIrrevocableCannotBeKilled(t *testing.T) {
 	}
 	shell.Abort()
 	shell.recycle()
-	shell.sem, shell.cmFac = SemanticsIrrevocable, e.cfg.DefaultCM
+	shell.sem, shell.cmFac = SemanticsIrrevocable, defaultCM
 	shell.begin()
 	stale.kill(old)
 	v, err := shell.Read(x)

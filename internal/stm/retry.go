@@ -88,12 +88,11 @@ func (b *pollBackoff) pause(done <-chan struct{}) bool {
 }
 
 // RunOptions bundles the optional per-run parameters of RunOpts. The
-// zero value selects the engine defaults everywhere.
+// zero value selects the defaults everywhere.
 type RunOptions struct {
-	// CM supplies the contention manager (nil = engine default).
+	// CM supplies the contention manager (nil = NewPolite(8)).
 	CM CMFactory
-	// MaxAttempts bounds re-executions (0 = the engine's configured
-	// MaxAttempts; that default being 0 too means unbounded).
+	// MaxAttempts bounds re-executions (0 = unbounded).
 	MaxAttempts int
 	// Observer receives this run's lifecycle events (nil = the engine's
 	// configured Observer, which may itself be nil).
@@ -124,10 +123,7 @@ type RunOptions struct {
 // recycled for an arbitrary later run when this call finishes.
 func (e *Engine) RunOpts(ctx context.Context, sem Semantics, opts RunOptions, fn func(*Txn) error) error {
 	if opts.CM == nil {
-		opts.CM = e.cfg.DefaultCM
-	}
-	if opts.MaxAttempts == 0 {
-		opts.MaxAttempts = e.cfg.MaxAttempts
+		opts.CM = defaultCM
 	}
 	if opts.Observer == nil {
 		opts.Observer = e.cfg.Observer

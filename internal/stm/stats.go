@@ -51,7 +51,7 @@ type statsStripe struct {
 
 // Stats holds the engine-wide event counters, striped across the
 // engine's shard count. Each event lands on exactly one stripe, so
-// Snapshot — which sums every stripe — is exact for every individual
+// StatsOf — which sums every stripe — is exact for every individual
 // counter: striping relaxes only *where* an event is recorded, never
 // *whether* it is. An attempt is recorded when it finishes, all its
 // events at once: an open attempt's accesses are not visible until its
@@ -89,25 +89,6 @@ func (s *Stats) flush(stripe uint64, p Semantics, outcome statCounter, tally *[n
 	}
 }
 
-// sum aggregates counter c across every stripe.
-func (s *Stats) sum(c statCounter) uint64 {
-	var t uint64
-	for i := range s.stripes {
-		t += s.stripes[i].c[c].Load()
-	}
-	return t
-}
-
-// sumSem aggregates outcome c (statCommits or statAborts) of class p
-// across every stripe.
-func (s *Stats) sumSem(p Semantics, c statCounter) uint64 {
-	var t uint64
-	for i := range s.stripes {
-		t += s.stripes[i].sem[p][c].Load()
-	}
-	return t
-}
-
 // reset zeroes every counter on every stripe.
 func (s *Stats) reset() {
 	for i := range s.stripes {
@@ -122,31 +103,45 @@ func (s *Stats) reset() {
 	}
 }
 
-// Snapshot aggregates the stripes into a plain struct for reporting.
-func (s *Stats) Snapshot() StatsSnapshot {
-	var per [numSemClasses]SemStats
-	for p := Semantics(0); p < numSemClasses; p++ {
-		c, a := s.sumSem(p, statCommits), s.sumSem(p, statAborts)
-		per[p] = SemStats{Starts: c + a, Commits: c, Aborts: a}
+// StatsOf sums every stripe of every engine given into one snapshot:
+// the one place engine counters are added up. Each event lands on
+// exactly one stripe of one engine, so each sum is exact per counter.
+func StatsOf(engines ...*Engine) StatsSnapshot {
+	var c [numStatCounters]uint64
+	var sem [numSemClasses][statAborts + 1]uint64
+	for _, e := range engines {
+		for i := range e.stats.stripes {
+			st := &e.stats.stripes[i]
+			for j := range c {
+				c[j] += st.c[j].Load()
+			}
+			for p := range sem {
+				for o := range sem[p] {
+					sem[p][o] += st.sem[p][o].Load()
+				}
+			}
+		}
 	}
-	commits, aborts := s.sum(statCommits), s.sum(statAborts)
-	return StatsSnapshot{
-		PerSemantics:  per,
-		Starts:        commits + aborts,
-		Commits:       commits,
-		Aborts:        aborts,
-		ReadAborts:    s.sum(statReadAborts),
-		LockAborts:    s.sum(statLockAborts),
-		ValidateAbort: s.sum(statValidateAbort),
-		Kills:         s.sum(statKills),
-		Extensions:    s.sum(statExtensions),
-		ElasticCuts:   s.sum(statElasticCuts),
-		SnapshotReads: s.sum(statSnapshotReads),
-		Irrevocables:  s.sum(statIrrevocables),
-		VarsAllocated: s.sum(statVarsAllocated),
-		Reads:         s.sum(statReads),
-		Writes:        s.sum(statWrites),
+	s := StatsSnapshot{
+		Starts:        c[statCommits] + c[statAborts],
+		Commits:       c[statCommits],
+		Aborts:        c[statAborts],
+		ReadAborts:    c[statReadAborts],
+		LockAborts:    c[statLockAborts],
+		ValidateAbort: c[statValidateAbort],
+		Kills:         c[statKills],
+		Extensions:    c[statExtensions],
+		ElasticCuts:   c[statElasticCuts],
+		SnapshotReads: c[statSnapshotReads],
+		Irrevocables:  c[statIrrevocables],
+		VarsAllocated: c[statVarsAllocated],
+		Reads:         c[statReads],
+		Writes:        c[statWrites],
 	}
+	for p, n := range sem {
+		s.PerSemantics[p] = SemStats{Starts: n[statCommits] + n[statAborts], Commits: n[statCommits], Aborts: n[statAborts]}
+	}
+	return s
 }
 
 // SemStats is the per-semantics-class slice of a StatsSnapshot: the

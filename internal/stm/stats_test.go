@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"testing"
@@ -10,15 +11,27 @@ import (
 // striped counters: every worker counts its own Read/Write calls and
 // successful commits (including calls made on attempts that later
 // aborted — the engine counts per call, not per surviving attempt), and
-// the aggregated Snapshot must match the sums exactly. Run with -race.
+// StatsOf must match the sums exactly, over one engine's stripes and
+// over the same workload split across two engines. Run with -race.
 func TestStatsExactUnderStriping(t *testing.T) {
-	for _, shards := range []int{1, 4, 0} { // 0 = GOMAXPROCS default
-		e := NewEngine(Config{Shards: shards})
+	cases := []struct {
+		name    string
+		engines []*Engine
+	}{
+		{"shards=1", []*Engine{NewEngine(Config{Shards: 1})}},
+		{"shards=4", []*Engine{NewEngine(Config{Shards: 4})}},
+		{"shards=GOMAXPROCS", []*Engine{NewDefaultEngine()}},
+		{"two engines", []*Engine{NewEngine(Config{Shards: 2}), NewEngine(Config{Shards: 4})}},
+	}
+	for _, c := range cases {
 		const workers = 8
 		const txnsPerWorker = 300
-		vars := make([]*Var, 16)
-		for i := range vars {
-			vars[i] = e.NewVar(0)
+		vars := make([][]*Var, len(c.engines)) // an engine's variables stay its own
+		for k, e := range c.engines {
+			vars[k] = make([]*Var, 16)
+			for i := range vars[k] {
+				vars[k][i] = e.NewVar(0)
+			}
 		}
 
 		type tally struct {
@@ -31,10 +44,11 @@ func TestStatsExactUnderStriping(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				tl := &tallies[w]
+				e, vs := c.engines[w%len(c.engines)], vars[w%len(c.engines)]
 				r := uint64(w)*0x9E3779B97F4A7C15 + 1
 				for n := 0; n < txnsPerWorker; n++ {
 					r = r*6364136223846793005 + 1442695040888963407
-					i, j := int(r>>33)%len(vars), int(r>>45)%len(vars)
+					i, j := int(r>>33)%len(vs), int(r>>45)%len(vs)
 					err := e.Run(SemanticsDef, func(tx *Txn) error {
 						// The engine counts every Read/Write call it
 						// admits, including calls that then lose a
@@ -42,12 +56,12 @@ func TestStatsExactUnderStriping(t *testing.T) {
 						// successes. (With the default polite manager
 						// nothing is ever killed, so no call is
 						// rejected before being counted.)
-						v, err := tx.Read(vars[i])
+						v, err := tx.Read(vs[i])
 						tl.reads++
 						if err != nil {
 							return err
 						}
-						err = tx.Write(vars[j], v.(int)+1)
+						err = tx.Write(vs[j], v.(int)+1)
 						tl.writes++
 						return err
 					})
@@ -67,23 +81,23 @@ func TestStatsExactUnderStriping(t *testing.T) {
 			want.writes += tallies[w].writes
 			want.commits += tallies[w].commits
 		}
-		s := e.Stats()
-		if s.Commits != want.commits {
-			t.Errorf("shards=%d: Commits = %d, want exactly %d", shards, s.Commits, want.commits)
+		s := StatsOf(c.engines...)
+		if s.Commits != want.commits || s.Sem(SemanticsDef).Commits != want.commits {
+			t.Errorf("%s: Commits = %d (def %d), want exactly %d", c.name, s.Commits, s.Sem(SemanticsDef).Commits, want.commits)
 		}
 		if s.Reads != want.reads {
-			t.Errorf("shards=%d: Reads = %d, want exactly %d", shards, s.Reads, want.reads)
+			t.Errorf("%s: Reads = %d, want exactly %d", c.name, s.Reads, want.reads)
 		}
 		if s.Writes != want.writes {
-			t.Errorf("shards=%d: Writes = %d, want exactly %d", shards, s.Writes, want.writes)
+			t.Errorf("%s: Writes = %d, want exactly %d", c.name, s.Writes, want.writes)
 		}
 		// Every attempt ends in exactly one commit or one abort.
 		if s.Starts != s.Commits+s.Aborts {
-			t.Errorf("shards=%d: Starts = %d, want Commits+Aborts = %d",
-				shards, s.Starts, s.Commits+s.Aborts)
+			t.Errorf("%s: Starts = %d, want Commits+Aborts = %d",
+				c.name, s.Starts, s.Commits+s.Aborts)
 		}
-		if s.VarsAllocated != uint64(len(vars)) {
-			t.Errorf("shards=%d: VarsAllocated = %d, want %d", shards, s.VarsAllocated, len(vars))
+		if want := uint64(len(c.engines) * 16); s.VarsAllocated != want {
+			t.Errorf("%s: VarsAllocated = %d, want %d", c.name, s.VarsAllocated, want)
 		}
 	}
 }
@@ -166,7 +180,8 @@ func TestStatsCountedPerAttempt(t *testing.T) {
 // checks the abort-side identities plus the exact commit count against
 // the per-worker success tally.
 func TestStatsIdentitiesUnderContention(t *testing.T) {
-	e := NewEngine(Config{Shards: 4, DefaultCM: NewSuicide()})
+	e := NewEngine(Config{Shards: 4})
+	suicide := RunOptions{CM: NewSuicide()}
 	hot := e.NewVar(0)
 	const workers = 8
 	const txnsPerWorker = 200
@@ -177,7 +192,7 @@ func TestStatsIdentitiesUnderContention(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for n := 0; n < txnsPerWorker; n++ {
-				err := e.Run(SemanticsDef, func(tx *Txn) error {
+				err := e.RunOpts(context.Background(), SemanticsDef, suicide, func(tx *Txn) error {
 					v, err := tx.Read(hot)
 					if err != nil {
 						return err

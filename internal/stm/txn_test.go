@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -287,10 +288,10 @@ func TestRunRetriesOnConflict(t *testing.T) {
 }
 
 func TestMaxAttempts(t *testing.T) {
-	e := NewEngine(Config{MaxAttempts: 3})
+	e := NewDefaultEngine()
 	x := e.NewVar(0)
 	tries := 0
-	err := e.Run(SemanticsDef, func(tx *Txn) error {
+	err := e.RunOpts(context.Background(), SemanticsDef, RunOptions{MaxAttempts: 3}, func(tx *Txn) error {
 		tries++
 		// Force a conflict every time.
 		if _, err := tx.Read(x); err != nil {

@@ -112,7 +112,7 @@ const (
 var Retry = core.Retry
 
 // ErrTooManyAttempts matches errors returned when a transaction
-// exhausted its attempt bound (engine MaxAttempts or WithMaxAttempts).
+// exhausted its attempt bound (WithMaxAttempts).
 var ErrTooManyAttempts = stm.ErrTooManyAttempts
 
 // ErrCancelled matches errors returned when a transaction was abandoned
