@@ -223,25 +223,47 @@ func (s *Store) Merge(ctx context.Context, wantEpoch uint64, aID, bID int) (uint
 		}
 	}
 	m.published(&s.reshardMerges, newEpoch, fmt.Sprintf("merged shard %d into shard %d", bID, aID))
-	// Retire b: wait out one grace period so no in-flight gated mutation
-	// still references it (each such mutation re-checks ownership before
-	// touching the log and bails with errMovedKey), then close its log
-	// under its own token — anything that held the token before us has
-	// finished its append; anything after re-checks and never appends.
+	s.retire(m.ctx, tab, next)
+	return newEpoch, nil
+}
+
+// retire takes every shard of old that the published table next no
+// longer holds out of service; the caller holds reshardMu. One grace
+// period first, so no in-flight gated mutation still references them
+// (each re-checks ownership before touching the log and bails with
+// errMovedKey). Then each log closes under its shard's own token —
+// anything that held the token before has finished its append; anything
+// after re-checks and never appends — and its directory goes. A
+// connection may still hold an ack gate on a retired shard (gates are
+// waited outside the grace period): the Close answers its log wait, and
+// its sync-ack wait returns at once, the hub's table no longer holding
+// the shard's id. The shard's map is let go, but its engine and its
+// log's final counter rows stay in STATS: no counter falls once retire
+// returns.
+func (s *Store) retire(ctx context.Context, old, next *routingTable) {
 	s.grace.synchronize()
-	// A connection may still hold an ack gate on b (gates are waited
-	// outside the grace period): its log wait is answered by the Close
-	// below, and its sync-ack wait returns at once — the hub's table no
-	// longer holds b's id.
-	if s.durable() {
-		if err := barrier(m.ctx, "reshard-retire", []*shard{b}, b.wal.Close); err != nil {
-			s.logf("polyserve: closing merged shard %d's log: %v", bID, err)
+	r := *s.retired.Load()
+	for _, sh := range old.shards {
+		if next.posByID(sh.idx) >= 0 {
+			continue
 		}
-		if err := s.removeLogDir(b.walName); err != nil {
-			s.logf("polyserve: removing merged shard %d's log dir: %v", bID, err)
+		r.engines = append(slices.Clip(r.engines), sh.tm.Engine())
+		if sh.wal == nil {
+			continue
+		}
+		if err := barrier(ctx, "reshard-retire", []*shard{sh}, sh.wal.Close); err != nil {
+			s.logf("polyserve: closing retired shard %d's log: %v", sh.idx, err)
+		}
+		if err := s.removeLogDir(sh.walName); err != nil {
+			s.logf("polyserve: removing retired shard %d's log dir: %v", sh.idx, err)
+		}
+		for j, v := range walFigures(sh.wal) {
+			if walStats[j].counter {
+				r.wal[j] += v
+			}
 		}
 	}
-	return newEpoch, nil
+	s.retired.Store(&r)
 }
 
 // barrier runs fn holding the irrevocable tokens of shards, nested in
@@ -596,20 +618,7 @@ func (s *Store) AdoptRouting(epoch uint64, topo []wire.ReplShardSlice) (bool, er
 	next := newRoutingTable(epoch, shards, slices)
 	s.nextID = maxID
 	s.table.Store(next)
-	// Dropped shards: wait out readers still holding the old table, then
-	// retire their logs.
-	s.grace.synchronize()
-	for _, old := range tab.shards {
-		if next.posByID(old.idx) >= 0 {
-			continue
-		}
-		if old.wal != nil {
-			if err := old.wal.Close(); err != nil {
-				s.logf("polyserve: closing dropped shard %d's log: %v", old.idx, err)
-			}
-			s.removeLogDir(old.walName)
-		}
-	}
+	s.retire(context.TODO(), tab, next)
 	if s.durable() {
 		return true, writeStoreManifest(s.walDir, s.manifestFor(next, maxID))
 	}

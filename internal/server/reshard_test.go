@@ -260,6 +260,49 @@ func TestMergeSurvivorIsLowerResidue(t *testing.T) {
 	}
 }
 
+// statsGauges are the STATS rows that describe the live table rather
+// than count events, so they may fall when a shard leaves it.
+var statsGauges = map[string]bool{
+	"store_shards": true, "ttl_armed": true, "wal_segment": true, "ckpt_chain_len": true,
+	"ckpt_delta_bytes": true, "ckpt_base_bytes": true, "ckpt_last_kind": true,
+}
+
+// TestStatsMonotoneAcrossMerge: a shard merged away takes none of its
+// history with it. Every store-wide counter row — the engine's, per
+// semantics too, and the log's — reads at least what it read before the
+// MERGE, and ResetStats still zeroes the engine rows afterwards.
+func TestStatsMonotoneAcrossMerge(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(map[bool]string{false: "volatile", true: "durable"}[durable], func(t *testing.T) {
+			st := newSharded(2)
+			if durable {
+				st, _ = newShardedDurable(t, t.TempDir(), 2, wal.ModeOff)
+				defer st.CloseDurability()
+			}
+			for i := 0; i < 200; i++ {
+				execOK(t, st, &wire.Request{Op: wire.OpSet, Sem: wire.SemDefault, Key: tkey(i), Val: []byte("v")})
+			}
+			before := statsMap(t, st)
+			if _, err := st.Merge(context.Background(), 0, 0, 1); err != nil {
+				t.Fatalf("Merge: %v", err)
+			}
+			after := statsMap(t, st)
+			for name, v := range before {
+				if w, ok := after[name]; ok && !statsGauges[name] && w < v {
+					t.Errorf("%s went %d -> %d across the merge", name, v, w)
+				}
+			}
+			if durable && after["wal_records"] < 200 {
+				t.Errorf("wal_records = %d after 200 durable SETs", after["wal_records"])
+			}
+			st.ResetStats()
+			if sm := statsMap(t, st); sm["starts"] != 0 || sm["commits.def"] != 0 {
+				t.Errorf("after ResetStats: starts=%d commits.def=%d", sm["starts"], sm["commits.def"])
+			}
+		})
+	}
+}
+
 // TestReshardUnderLiveLoad is the online-cutover contract: SPLITs and
 // MERGEs run while writers hammer the store, no request may fail, and
 // every acknowledged write must read back at its acknowledged value.

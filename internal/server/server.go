@@ -106,7 +106,8 @@ func New(cfg Config) *Server {
 // see Stats for the all-shards aggregate).
 func (s *Server) TM() *core.TM { return s.store.TM() }
 
-// Stats aggregates the engine counters across every store shard.
+// Stats sums the engine counters of every shard the store has served
+// with (see Store.Stats).
 func (s *Server) Stats() stm.StatsSnapshot { return s.store.Stats() }
 
 // Store returns the server's keyspace.

@@ -165,6 +165,7 @@ type Store struct {
 	grace         graceGate
 	reshardSplits atomic.Uint64
 	reshardMerges atomic.Uint64
+	retired       atomic.Pointer[retirement] // what retired shards leave to STATS (see retire)
 
 	// mkTM builds the engine of every shard the store adds after
 	// construction: a SPLIT's, an adopted topology's, a reshard roll-
@@ -234,6 +235,7 @@ func NewShardedStore(tms []*core.TM) *Store {
 	}
 	s := &Store{sessions: session.NewRegistry()}
 	s.mkTM = func() *core.TM { return core.New(core.Config{}) }
+	s.retired.Store(new(retirement))
 	shards := make([]*shard, len(tms))
 	slices := make([]hashSlice, len(tms))
 	for i, tm := range tms {
@@ -326,39 +328,24 @@ func (s *Store) TM() *core.TM { return s.tab().shards[0].tm }
 // NumShards returns the store's current shard count.
 func (s *Store) NumShards() int { return len(s.tab().shards) }
 
-// Stats aggregates the engine counters across every shard's TM.
-func (s *Store) Stats() stm.StatsSnapshot {
-	var agg stm.StatsSnapshot
-	for _, sh := range s.tab().shards {
-		sn := sh.tm.Stats()
-		agg.Starts += sn.Starts
-		agg.Commits += sn.Commits
-		agg.Aborts += sn.Aborts
-		agg.ReadAborts += sn.ReadAborts
-		agg.LockAborts += sn.LockAborts
-		agg.ValidateAbort += sn.ValidateAbort
-		agg.Kills += sn.Kills
-		agg.Extensions += sn.Extensions
-		agg.ElasticCuts += sn.ElasticCuts
-		agg.SnapshotReads += sn.SnapshotReads
-		agg.Irrevocables += sn.Irrevocables
-		agg.VarsAllocated += sn.VarsAllocated
-		agg.Reads += sn.Reads
-		agg.Writes += sn.Writes
-		for i := range agg.PerSemantics {
-			agg.PerSemantics[i].Starts += sn.PerSemantics[i].Starts
-			agg.PerSemantics[i].Commits += sn.PerSemantics[i].Commits
-			agg.PerSemantics[i].Aborts += sn.PerSemantics[i].Aborts
-		}
+// Stats sums the engine counters of every shard in the table and of
+// every shard retired from it.
+func (s *Store) Stats() stm.StatsSnapshot { return stm.StatsOf(s.engines()...) }
+
+// ResetStats zeroes the counters of every engine Stats sums.
+func (s *Store) ResetStats() {
+	for _, e := range s.engines() {
+		e.ResetStats()
 	}
-	return agg
 }
 
-// ResetStats zeroes every shard's engine counters.
-func (s *Store) ResetStats() {
+// engines lists the engines of the retired shards, then the table's.
+func (s *Store) engines() []*stm.Engine {
+	engs := slices.Clone(s.retired.Load().engines)
 	for _, sh := range s.tab().shards {
-		sh.tm.ResetStats()
+		engs = append(engs, sh.tm.Engine())
 	}
+	return engs
 }
 
 // route returns the shard owning key under the current table, counting
@@ -748,8 +735,9 @@ func (s *Store) stats(resp *wire.Response) {
 		for i, sh := range tab.shards {
 			figs[i] = walFigures(sh.wal)
 		}
+		gone := &s.retired.Load().wal
 		for j, ws := range walStats {
-			v := figs[0][j]
+			v := figs[0][j] + gone[j]
 			for _, f := range figs[1:] {
 				switch ws.fold {
 				case '+':
@@ -789,22 +777,33 @@ func (s *Store) stats(resp *wire.Response) {
 // walStats names the WAL and checkpoint-chain STATS rows in order: how
 // the store's row folds the shards' figures ('+' sums them, 'M' takes
 // the longest chain, which bounds restart work, '0' reports shard 0's),
-// and whether each shard also reports its own as shard<id>.<name>.
+// whether each shard also reports its own as shard<id>.<name>, and
+// whether the row counts events, so a retired shard's final figure
+// stays in it (the others describe the live shards only).
 var walStats = [...]struct {
-	name  string
-	fold  byte
-	shard bool
+	name           string
+	fold           byte
+	shard, counter bool
 }{
-	{"wal_bytes", '+', true},
-	{"wal_records", '+', true},
-	{"wal_writes", '+', true},
-	{"wal_fsyncs", '+', true},
-	{"wal_checkpoints", '+', false},
-	{"wal_segment", '0', false},
-	{"ckpt_chain_len", 'M', true},
-	{"ckpt_delta_bytes", '+', true},
-	{"ckpt_base_bytes", '+', true},
-	{"ckpt_last_kind", '0', true},
+	{"wal_bytes", '+', true, true},
+	{"wal_records", '+', true, true},
+	{"wal_writes", '+', true, true},
+	{"wal_fsyncs", '+', true, true},
+	{"wal_checkpoints", '+', false, true},
+	{"wal_segment", '0', false, false},
+	{"ckpt_chain_len", 'M', true, false},
+	{"ckpt_delta_bytes", '+', true, false},
+	{"ckpt_base_bytes", '+', true, false},
+	{"ckpt_last_kind", '0', true, false},
+}
+
+// retirement is what the shards retired from the table leave to STATS:
+// their engines, whose counters StatsOf keeps summing, and their logs'
+// final figures in walStats order, counter rows only. It is replaced
+// whole, never edited.
+type retirement struct {
+	engines []*stm.Engine
+	wal     [len(walStats)]uint64
 }
 
 // walFigures reads one shard log's figures, in walStats order.
