@@ -339,7 +339,8 @@ func (s *Store) ResetStats() {
 	}
 }
 
-// engines lists the engines of the retired shards, then the table's.
+// engines lists every engine whose counters STATS reports: the retired
+// shards' and the table's.
 func (s *Store) engines() []*stm.Engine {
 	engs := slices.Clone(s.retired.Load().engines)
 	for _, sh := range s.tab().shards {
