@@ -162,8 +162,8 @@ func (s *Store) EnableDurability(d Durability) (sum *RecoverSummary, err error) 
 	s.incarnation = uint64(time.Now().UnixNano())
 	// Publish the recovered table (its epoch exceeds the manifest's if a
 	// journal rolled forward), then scrub reshard leftovers: a shard can
-	// hold keys it no longer owns — a split source the lazy cleanup
-	// never finished, or merge-copy pollution a rollback left in the
+	// hold keys it no longer owns — a split source whose scrub a crash
+	// cut short, or merge-copy pollution a rollback left in the
 	// survivor's log. The scrub deletes them through the WAL like any
 	// mutation, so the next recovery starts cleaner.
 	s.table.Store(tab)
@@ -232,42 +232,51 @@ func (d Durability) walOptions(n int, logf func(string, ...any)) wal.Options {
 	return wal.Options{Mode: d.Fsync, BatchWindow: window, Logf: logf, OnDurableRecord: d.onDurableRecord}
 }
 
-// openShards adopts the manifest's table onto the store — stable ids,
-// hash slices, next id; a fresh or never-resharded directory matches an
-// equally sized constructor's defaults exactly — and recovers every
-// shard's log into its shard, all shards in parallel. The store is
-// empty before recovery, so a shard the manifest lacks is dropped and
-// one it adds is built with the store's engine constructor. Results are
-// keyed by stable shard id. The table comes back on error too: the
-// caller's cleanup walks it.
+// openShards adopts the manifest's table onto the store (see build)
+// and recovers every shard's log into its shard, all shards in
+// parallel. The store is empty before recovery, so a shard the manifest
+// lacks is simply dropped. Results are keyed by stable shard id. The
+// table comes back on error too: the caller's cleanup walks it.
 func (s *Store) openShards(man *storeManifest) (*routingTable, map[int]*wal.RecoverResult, error) {
-	built := s.tab().shards
-	shards := make([]*shard, len(man.Shards))
-	slices := make([]hashSlice, len(shards))
-	res := make([]*wal.RecoverResult, len(shards))
-	errs := make([]error, len(shards))
+	tab, _ := s.build(man, func(id int) (*shard, error) { return s.newShard(id, s.mkTM()), nil }) // add never fails
+	res := make([]*wal.RecoverResult, len(tab.shards))
+	errs := make([]error, len(tab.shards))
 	var wg sync.WaitGroup
-	for i, e := range man.Shards {
-		if i < len(built) {
-			shards[i] = built[i]
-			shards[i].idx = e.ID
-		} else {
-			shards[i] = s.newShard(e.ID, s.mkTM())
-		}
-		slices[i] = hashSlice{mod: e.Mod, res: e.Res}
+	for i, sh := range tab.shards {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res[i], errs[i] = s.openShardLog(shards[i], e.Dir)
+			res[i], errs[i] = s.openShardLog(sh, man.Shards[i].Dir)
 		}()
 	}
 	wg.Wait()
-	s.nextID = man.NextID
-	results := make(map[int]*wal.RecoverResult, len(shards))
-	for i, sh := range shards {
+	results := make(map[int]*wal.RecoverResult, len(tab.shards))
+	for i, sh := range tab.shards {
 		results[sh.idx] = res[i]
 	}
-	return newRoutingTable(man.Epoch, shards, slices), results, errors.Join(errs...)
+	return tab, results, errors.Join(errs...)
+}
+
+// build makes the table a checked shape describes out of the store's
+// current one: a shard it holds under the same stable id keeps its
+// engine and contents, and any other is made by add. Id 0 owns residue
+// 0 in every table SPLIT and MERGE reach, so the engine a one-shard
+// store was built with keeps serving it.
+func (s *Store) build(man *storeManifest, add func(id int) (*shard, error)) (*routingTable, error) {
+	tab := s.tab()
+	shards := make([]*shard, len(man.Shards))
+	slices := make([]hashSlice, len(shards))
+	var err error
+	for i, e := range man.Shards {
+		slices[i] = hashSlice{mod: e.Mod, res: e.Res}
+		if pos := tab.posByID(e.ID); pos >= 0 {
+			shards[i] = tab.shards[pos]
+		} else if shards[i], err = add(e.ID); err != nil {
+			return nil, err
+		}
+	}
+	s.nextID = man.NextID
+	return newRoutingTable(man.Epoch, shards, slices), nil
 }
 
 // openShardLog recovers the log directory name (relative to the WAL

@@ -206,7 +206,7 @@ func (s *Store) scanShard(ctx context.Context, tab *routingTable, i int, from, t
 			// Expired entries are filtered and must not consume the limit:
 			// range unbounded, stop once enough pairs landed. Post-reshard,
 			// so are keys the shard no longer owns: a split leaves the moved
-			// half on the source until lazy cleanup catches up, and the new
+			// half on the source until its scrub has run, and the new
 			// owner scans those same keys — filtering by the routing slice
 			// keeps the merge duplicate-free.
 			rangeLimit = 0

@@ -4,8 +4,11 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
+	"math/big"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 
 	"polytm/internal/wal"
@@ -62,23 +65,36 @@ func legacyManifest(n int) *storeManifest {
 	return m
 }
 
-// legacyShaped reports whether m is exactly what v1 implies — if so,
-// writeStoreManifest keeps the v1 format for compatibility.
-func (m *storeManifest) legacyShaped() bool {
-	if m.Epoch != 0 || m.NextID != len(m.Shards) {
-		return false
-	}
-	n := len(m.Shards)
-	for i, sh := range m.Shards {
-		dir := "."
-		if n > 1 {
-			dir = fmt.Sprintf("shard-%04d", i)
+// check refuses a shape that does not route every key to exactly one
+// shard: each slice valid, ids unique and below next, residues
+// ascending (table order), no two slices sharing a hash, and the
+// slices' shares of the hash space summing to all of it.
+func (m *storeManifest) check() error {
+	share := new(big.Rat)
+	for i, e := range m.Shards {
+		switch {
+		case e.Mod == 0 || e.Mod > math.MaxInt64 || e.Res >= e.Mod:
+			return fmt.Errorf("shard %d has invalid slice (%d, %d)", e.ID, e.Mod, e.Res)
+		case e.ID < 0 || e.ID >= m.NextID:
+			return fmt.Errorf("shard id %d outside [0, next id %d)", e.ID, m.NextID)
+		case i > 0 && e.Res <= m.Shards[i-1].Res:
+			return fmt.Errorf("shards not in residue order")
 		}
-		if sh.ID != i || sh.Mod != uint64(n) || sh.Res != uint64(i) || sh.Dir != dir {
-			return false
+		for _, f := range m.Shards[:i] {
+			g, b := e.Mod, f.Mod // (mod, res) pairs share a hash iff their residues agree mod gcd
+			for b != 0 {
+				g, b = b, g%b
+			}
+			if f.ID == e.ID || (e.Res-f.Res)%g == 0 {
+				return fmt.Errorf("shards %d and %d overlap", f.ID, e.ID)
+			}
 		}
+		share.Add(share, big.NewRat(1, int64(e.Mod)))
 	}
-	return true
+	if share.Cmp(big.NewRat(1, 1)) != 0 {
+		return fmt.Errorf("slices cover %v of the hash space", share)
+	}
+	return nil
 }
 
 // openManifest reads dir's MANIFEST (nil when the file is absent — a
@@ -133,25 +149,17 @@ func openManifest(dir string) (*storeManifest, error) {
 	if len(m.Shards) != n {
 		return nil, fmt.Errorf("server: %s in %s is truncated: header says %d shards, found %d", manifestName, dir, n, len(m.Shards))
 	}
-	for i, e := range m.Shards {
-		if e.Mod == 0 || e.Res >= e.Mod {
-			return nil, fmt.Errorf("server: %s in %s: shard %d has invalid slice (%d, %d)", manifestName, dir, e.ID, e.Mod, e.Res)
-		}
-		if e.ID >= m.NextID {
-			return nil, fmt.Errorf("server: %s in %s: shard id %d >= next id %d", manifestName, dir, e.ID, m.NextID)
-		}
-		if i > 0 && e.Res <= m.Shards[i-1].Res {
-			return nil, fmt.Errorf("server: %s in %s: shard lines not in residue order", manifestName, dir)
-		}
+	if err := m.check(); err != nil {
+		return nil, fmt.Errorf("server: %s in %s: %w", manifestName, dir, err)
 	}
 	return m, nil
 }
 
 // writeStoreManifest durably replaces dir's MANIFEST with m, keeping
-// the v1 format while m is legacy-shaped.
+// the v1 format while m is exactly what v1 implies.
 func writeStoreManifest(dir string, m *storeManifest) error {
 	var b strings.Builder
-	if m.legacyShaped() {
+	if reflect.DeepEqual(m, legacyManifest(len(m.Shards))) {
 		fmt.Fprintf(&b, "polyserve-wal shards=%d\n", len(m.Shards))
 	} else {
 		fmt.Fprintf(&b, "polyserve-wal v2 epoch=%d next=%d shards=%d\n", m.Epoch, m.NextID, len(m.Shards))

@@ -388,7 +388,7 @@ func (sh *shard) live(tx *core.Tx, key []byte) (string, bool, error) {
 // Routing races with a reshard cutover (see errMovedKey): a write to a
 // key the shard no longer owns aborts before touching anything; a read
 // that misses on such a shard is not an answer either — the value may
-// live on the new owner, and the lazy scrub may already have removed
+// live on the new owner, and the split's scrub may already have removed
 // the moved half here.
 func (s *Store) keyOp(tx *core.Tx, sh *shard, cp *walCapture, op wire.Op, key, old, val []byte, out *wire.Response) error {
 	// A retried body may have half-filled the slot on its first attempt.

@@ -91,7 +91,7 @@ func (s *Store) Split(ctx context.Context, wantEpoch uint64, srcID int) (uint64,
 		return 0, err
 	}
 	// Only the new shard's half moves; it is a strict subset of src's
-	// slice, so keys a lazy cleanup left from an EARLIER reshard can
+	// slice, so keys an unfinished scrub left from an EARLIER reshard can
 	// never match (they fail src's current slice, hence dst's too).
 	m := s.newMove(ctx, src, src, dst, hashSlice{mod: dstMod, res: dstRes})
 	abort := func(err error) (uint64, error) {
@@ -129,19 +129,15 @@ func (s *Store) Split(ctx context.Context, wantEpoch uint64, srcID int) (uint64,
 	}
 	s.nextID = dstID + 1
 	m.published(&s.reshardSplits, newEpoch, fmt.Sprintf("split shard %d -> new shard %d", srcID, dstID))
-	// Lazily scrub the moved half off src — reads already route past it.
-	// The scrub holds reshardMu for its (bounded, batched) duration: a
-	// MERGE folding the moved half back, or another SPLIT of src, must
-	// not interleave with deletes planned against the pre-scrub table.
-	go func() {
-		s.reshardMu.Lock()
-		defer s.reshardMu.Unlock()
-		if n, err := s.cleanShard(context.Background(), src); err != nil {
-			s.logf("polyserve: split cleanup of shard %d: %v", srcID, err)
-		} else if n > 0 {
-			s.logf("polyserve: split cleanup removed %d moved keys from shard %d", n, srcID)
-		}
-	}()
+	// Scrub the moved half off src before returning — reads already route
+	// past it. reshardMu is held throughout, so a MERGE folding the moved
+	// half back, or another SPLIT of src, cannot interleave with deletes
+	// planned against the pre-scrub table.
+	if n, err := s.cleanShard(context.Background(), src); err != nil {
+		s.logf("polyserve: split cleanup of shard %d: %v", srcID, err)
+	} else if n > 0 {
+		s.logf("polyserve: split cleanup removed %d moved keys from shard %d", n, srcID)
+	}
 	return newEpoch, nil
 }
 
@@ -178,8 +174,8 @@ func (s *Store) Merge(ctx context.Context, wantEpoch uint64, aID, bID int) (uint
 	a, b := tab.shards[aPos], tab.shards[bPos]
 	newEpoch := tab.epoch + 1
 
-	// Only keys b currently OWNS move — a key a lazy cleanup left from
-	// an earlier split may hash into the survivor's half of the merged
+	// Only keys b currently OWNS move — a key an unfinished scrub left
+	// from an earlier split may hash into the survivor's half of the merged
 	// slice, and copying its stale value would clobber a's live one.
 	m := s.newMove(ctx, a, b, a, bsl)
 	abort := func(err error) (uint64, error) {
@@ -545,7 +541,7 @@ func (s *Store) drop(ctx context.Context, sh *shard, stale func(string) bool) (i
 }
 
 // cleanShard deletes every key sh holds but no longer owns under the
-// current table — the moved half a split retains until this lazy pass,
+// current table — the moved half a split scrubs before it returns,
 // or merge-copy pollution a recovery rolled back. Ownership is resolved
 // again under the token: a concurrent MERGE may have folded the moved
 // half back onto sh since the walk (or a SPLIT reshaped it again), and
@@ -562,25 +558,12 @@ func (s *Store) cleanShard(ctx context.Context, sh *shard) (int, error) {
 	})
 }
 
-// shapedAs reports whether t routes exactly as topo: the same stable
-// ids owning the same hash slices, in table order.
-func (t *routingTable) shapedAs(topo []wire.ReplShardSlice) bool {
-	if len(topo) != len(t.shards) {
-		return false
-	}
-	for i, e := range topo {
-		if t.shards[i].idx != int(e.ID) || t.slices[i] != (hashSlice{mod: e.Mod, res: e.Res}) {
-			return false
-		}
-	}
-	return true
-}
-
 // AdoptRouting reshapes a FOLLOWER's table to the primary's published
 // topology whenever its shape — stable ids and hash slices — or epoch
-// differs from the store's, and reports whether it did. Shards are
-// matched by stable id: survivors keep their engine and state, new ids
-// get fresh shards, absent ids are dropped — their keys arrive through
+// differs from the store's, and reports whether it did. A topology that
+// does not route every key to exactly one shard is refused. Shards are
+// matched by stable id (build): survivors keep their engine and state,
+// new ids get fresh shards, absent ids retire — their keys arrive through
 // the full catch-up every reshaped shard gets. Durable followers mirror
 // the layout on disk: a new shard gets a log, a dropped shard's
 // directory is removed, and the MANIFEST rewritten.
@@ -588,39 +571,28 @@ func (s *Store) AdoptRouting(epoch uint64, topo []wire.ReplShardSlice) (bool, er
 	s.reshardMu.Lock()
 	defer s.reshardMu.Unlock()
 	tab := s.tab()
-	if epoch == tab.epoch && tab.shapedAs(topo) {
+	man := &storeManifest{Epoch: epoch, NextID: s.nextID, Shards: make([]manifestShard, len(topo))}
+	for i, e := range topo {
+		man.Shards[i] = manifestShard{ID: int(e.ID), Mod: e.Mod, Res: e.Res}
+		man.NextID = max(man.NextID, int(e.ID)+1)
+	}
+	if _, have := s.Routing(); epoch == tab.epoch && slices.Equal(have, topo) {
 		return false, nil
 	}
 	if epoch < tab.epoch {
 		return false, fmt.Errorf("server: routing epoch %d is older than adopted epoch %d", epoch, tab.epoch)
 	}
-	if len(topo) == 0 {
-		return false, fmt.Errorf("server: empty routing topology for epoch %d", epoch)
+	if err := man.check(); err != nil {
+		return false, fmt.Errorf("server: routing topology for epoch %d: %w", epoch, err)
 	}
-	shards := make([]*shard, len(topo))
-	slices := make([]hashSlice, len(topo))
-	maxID := s.nextID
-	var err error
-	for i, e := range topo {
-		if i > 0 && e.Res <= topo[i-1].Res {
-			return false, fmt.Errorf("server: routing topology for epoch %d not in residue order", epoch)
-		}
-		slices[i] = hashSlice{mod: e.Mod, res: e.Res}
-		if pos := tab.posByID(int(e.ID)); pos >= 0 {
-			shards[i] = tab.shards[pos]
-		} else if shards[i], err = s.freshShard(int(e.ID)); err != nil {
-			return false, err
-		}
-		if int(e.ID)+1 > maxID {
-			maxID = int(e.ID) + 1
-		}
+	next, err := s.build(man, s.freshShard)
+	if err != nil {
+		return false, err
 	}
-	next := newRoutingTable(epoch, shards, slices)
-	s.nextID = maxID
 	s.table.Store(next)
 	s.retire(context.TODO(), tab, next)
 	if s.durable() {
-		return true, writeStoreManifest(s.walDir, s.manifestFor(next, maxID))
+		return true, writeStoreManifest(s.walDir, s.manifestFor(next, s.nextID))
 	}
 	return true, nil
 }

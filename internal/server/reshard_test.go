@@ -691,6 +691,76 @@ func TestAdoptRouting(t *testing.T) {
 	if st.NumShards() != 2 || st.tab().posByID(2) >= 0 {
 		t.Fatalf("dropped shard still present")
 	}
+	// A topology that leaves part of the hash space unowned, or gives it
+	// two owners, is refused, and the table keeps serving as it was.
+	for name, topo := range map[string][]wire.ReplShardSlice{
+		"zero-modulus": {{ID: 0, Mod: 0, Res: 0}},
+		"half-space":   {{ID: 0, Mod: 2, Res: 0}},
+		"duplicate-id": {{ID: 0, Mod: 2, Res: 0}, {ID: 0, Mod: 2, Res: 1}},
+	} {
+		epoch, before := st.Routing()
+		if _, err := st.AdoptRouting(epoch+1, topo); err == nil {
+			t.Fatalf("%s topology accepted", name)
+		}
+		if e, after := st.Routing(); e != epoch || !slices.Equal(after, before) {
+			t.Fatalf("refused %s topology changed the table: epoch %d %v -> %d %v", name, epoch, before, e, after)
+		}
+		for i := 0; i < 64; i++ {
+			execOK(t, st, &wire.Request{Op: wire.OpSet, Sem: wire.SemDefault, Key: tkey(i), Val: []byte(name)})
+		}
+		if got := scanAll(t, st); len(got) != 64 || got[string(tkey(63))] != name {
+			t.Fatalf("after a refused %s topology the store holds %d keys", name, len(got))
+		}
+	}
+}
+
+// TestSplitScrubsBeforeReturn: a SPLIT scrubs the moved half off its
+// source before it returns, so the source holds none of the moved keys
+// by then, and a CloseDurability right after it leaves nothing still
+// writing — nothing is logged after the close.
+func TestSplitScrubsBeforeReturn(t *testing.T) {
+	const n = 20000
+	var mu sync.Mutex
+	var closed bool
+	var late []string
+	st := newSharded(2)
+	st.diag = func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		if closed {
+			late = append(late, fmt.Sprintf(format, args...))
+		}
+	}
+	if _, err := st.EnableDurability(Durability{Dir: t.TempDir(), Fsync: wal.ModeOff, CheckpointEvery: -1}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i += 200 {
+		batch := make([]wire.Request, 200)
+		for j := range batch {
+			batch[j] = wire.Request{Op: wire.OpSet, Key: []byte(fmt.Sprintf("scrub-%06d", i+j)), Val: []byte("v")}
+		}
+		execOK(t, st, &wire.Request{Op: wire.OpTxn, Sem: wire.SemDefault, Batch: batch})
+	}
+	src := st.tab().shards[0]
+	if _, err := st.Split(context.Background(), 0, 0); err != nil {
+		t.Fatalf("Split: %v", err)
+	}
+	if err := st.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	closed = true
+	mu.Unlock()
+	tab := st.tab()
+	moved, err := src.keysWhere(context.Background(), tab.slices[tab.posByID(2)].owns)
+	if err != nil || len(moved) != 0 {
+		t.Fatalf("source still holds %d moved keys after Split returned (%v)", len(moved), err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(late) > 0 {
+		t.Fatalf("logged after the close: %q", late)
+	}
 }
 
 // TestManifestCorruption (satellite): every torn or malformed MANIFEST
@@ -747,6 +817,23 @@ func TestManifestCorruption(t *testing.T) {
 			t.Fatal("empty MANIFEST opened silently")
 		}
 	})
+	// Shapes whose lines each parse but whose slices do not route every
+	// key to exactly one shard: a gap, an overlap, a zero modulus.
+	for name, lines := range map[string]string{
+		"gap":          "shards=2\nshard 0 mod=2 res=0 dir=shard-0000\nshard 1 mod=4 res=1 dir=shard-0001\n",
+		"overlap":      "shards=3\nshard 0 mod=2 res=0 dir=shard-0000\nshard 1 mod=2 res=1 dir=shard-0001\nshard 2 mod=4 res=2 dir=shard-0002\n",
+		"zero-modulus": "shards=1\nshard 0 mod=0 res=0 dir=shard-0000\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := mkSplitDir(t)
+			write(t, dir, "polyserve-wal v2 epoch=1 next=3 "+lines)
+			st := newSharded(2)
+			if _, err := st.EnableDurability(Durability{Dir: dir, Fsync: wal.ModeOff, CheckpointEvery: -1}); err == nil {
+				st.CloseDurability()
+				t.Fatalf("%s MANIFEST opened silently", name)
+			}
+		})
+	}
 	t.Run("invalid-slice", func(t *testing.T) {
 		dir := mkSplitDir(t)
 		write(t, dir, "polyserve-wal v2 epoch=1 next=3 shards=2\nshard 0 mod=4 res=0 dir=shard-0000\nshard 1 mod=2 res=7 dir=shard-0001\n")

@@ -10,8 +10,6 @@ import (
 	"io"
 	"math"
 	"net"
-	"os"
-	"os/exec"
 	"strconv"
 	"strings"
 	"sync"
@@ -650,120 +648,6 @@ func TestWatchOverflowCutsSession(t *testing.T) {
 		st, err := cl.Stats()
 		return err == nil && st["watch_sessions"] == 0
 	})
-}
-
-// ttlCrashChildEnv marks the re-executed binary as the TTL crash
-// victim; its value is the WAL directory.
-const ttlCrashChildEnv = "POLYSERVE_TTL_CRASH_DIR"
-
-// ttlCrashChild runs a durable, fsync-always server with a fast reaper
-// and SETEXes short-lived keys, printing "ACK i" only once stats show
-// keys_expired >= i — the client writes sequentially, so at that moment
-// every key it has written is reaped and the reap deletes are on
-// stable storage.
-func ttlCrashChild(dir string) {
-	srv := New(Config{Shards: 1, TTLReapEvery: 5 * time.Millisecond})
-	if _, err := srv.Store().EnableDurability(Durability{Dir: dir, Fsync: wal.ModeAlways, CheckpointEvery: -1}); err != nil {
-		fmt.Printf("CHILD-ERR durability: %v\n", err)
-		os.Exit(1)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fmt.Printf("CHILD-ERR listen: %v\n", err)
-		os.Exit(1)
-	}
-	go srv.Serve(ln)
-	cl, err := client.Dial(ln.Addr().String())
-	if err != nil {
-		fmt.Printf("CHILD-ERR dial: %v\n", err)
-		os.Exit(1)
-	}
-	for i := 1; ; i++ {
-		key := []byte(fmt.Sprintf("boom-%06d", i))
-		if err := cl.SetEx(key, []byte("x"), time.Millisecond); err != nil {
-			fmt.Printf("CHILD-ERR setex %d: %v\n", i, err)
-			os.Exit(1)
-		}
-		for {
-			st, err := cl.Stats()
-			if err != nil {
-				fmt.Printf("CHILD-ERR stats: %v\n", err)
-				os.Exit(1)
-			}
-			if st["keys_expired"] >= uint64(i) {
-				break
-			}
-			time.Sleep(time.Millisecond)
-		}
-		fmt.Printf("ACK %d\n", i)
-	}
-}
-
-// TestTTLCrashRecoveryKill9: SIGKILL a server mid-expiry-storm, recover
-// its WAL, and verify no expired-and-reaped key is resurrected — the
-// reaper's deletes are ordinary durable WAL records, so the recovered
-// keyspace agrees with everything the child acknowledged.
-func TestTTLCrashRecoveryKill9(t *testing.T) {
-	if dir := os.Getenv(ttlCrashChildEnv); dir != "" {
-		ttlCrashChild(dir) // never returns
-	}
-
-	dir := t.TempDir()
-	cmd := exec.Command(os.Args[0], "-test.run=TestTTLCrashRecoveryKill9$", "-test.v")
-	cmd.Env = append(os.Environ(), ttlCrashChildEnv+"="+dir)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer cmd.Process.Kill()
-
-	const killAfter = 25
-	lastAck := 0
-	sc := bufio.NewScanner(stdout)
-	deadline := time.AfterFunc(60*time.Second, func() { cmd.Process.Kill() })
-	defer deadline.Stop()
-	for sc.Scan() {
-		line := sc.Text()
-		if strings.HasPrefix(line, "CHILD-ERR") {
-			t.Fatalf("ttl crash child failed: %s", line)
-		}
-		n, ok := strings.CutPrefix(line, "ACK ")
-		if !ok {
-			continue
-		}
-		v, err := strconv.Atoi(n)
-		if err != nil {
-			continue
-		}
-		lastAck = v
-		if v == killAfter {
-			cmd.Process.Kill()
-		}
-	}
-	cmd.Wait()
-	if lastAck < killAfter {
-		t.Fatalf("child died after only %d acks (wanted >= %d)", lastAck, killAfter)
-	}
-
-	st := NewStore(core.NewDefault())
-	res, err := st.EnableDurability(Durability{Dir: dir, Fsync: wal.ModeAlways, CheckpointEvery: -1})
-	if err != nil {
-		t.Fatalf("recovery: %v", err)
-	}
-	defer st.CloseDurability()
-	t.Logf("recovery after ACK %d: %s", lastAck, res)
-
-	got := scanAll(t, st)
-	for i := 1; i <= lastAck; i++ {
-		k := fmt.Sprintf("boom-%06d", i)
-		if v, ok := got[k]; ok {
-			t.Fatalf("reaped key %s resurrected by recovery (value %q)", k, v)
-		}
-	}
 }
 
 // TestFollowerPostExpiryEquivalence: expiry decided on the primary
