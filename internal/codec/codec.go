@@ -107,14 +107,15 @@ func (c *Cursor) Count() int {
 }
 
 // Bytes reads a uvarint-length-prefixed byte string. The result aliases
-// the payload.
+// the payload and is capped at its own end, so an append through it
+// copies rather than overwrite the field that follows.
 func (c *Cursor) Bytes() []byte {
 	n := c.Count()
 	if c.err != nil {
 		return nil
 	}
 	c.pos += n
-	return c.buf[c.pos-n : c.pos]
+	return c.buf[c.pos-n : c.pos : c.pos]
 }
 
 // AppendBytes appends b to dst as a uvarint-length-prefixed byte

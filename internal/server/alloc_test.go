@@ -30,10 +30,16 @@ import (
 // that is also the value and the value's bytes (core.SetBytes) — so SET
 // is 2 and TXN4, with two writes, is 3. TXN5 is past the inline four and
 // keeps the older shape: its Batch and its sub-opcode scratch are
-// objects of their own. SCAN16 keeps its frame and its Pairs slice
-// beside the reply: they are the reply. Each row also logs the bytes a
-// round trip allocates (README states what the inline Batch costs an
-// MGET2 in unused slots).
+// objects of their own. SCAN16 is one object too, its pairs and frame
+// inline (the client picks the tier once it has read the frame's
+// length); on four shards it adds what the concurrent walk costs: one
+// fan of shared state, one arena for every share's results, a goroutine
+// closure per shard. Each row also logs the bytes a round trip allocates
+// (README states what the inline Batch costs an MGET2 in unused slots),
+// and a row with a byte budget is held to it: a write's ack sits in the
+// 176-byte tier, not the 320-byte one (a SET round trip is 256 B). A
+// durable row's 500 round trips may also hold one of the log's 64 KB
+// chunks, 131 B a round trip, so its budget only tells the tiers apart.
 // The durable rows (fsync off, so the disk adds no noise) and the
 // cross-shard TXN are the write paths of the kv-durable-write and
 // txn-zipf-2pc workloads: the log's queue copies records into shared
@@ -102,29 +108,31 @@ func TestRoundTripAllocs(t *testing.T) {
 				wire.Request{Op: wire.OpGet, Key: key(0)})}
 			incr := &wire.Request{Op: wire.OpIncr, Sem: wire.SemDefault, Key: []byte("counter"), Delta: 1}
 			type row struct {
-				name   string
-				req    *wire.Request
-				budget float64
-				on     int // shard count the case runs on (0 = both)
+				name     string
+				req      *wire.Request
+				budget   float64
+				on       int     // shard count the case runs on (0 = both)
+				maxBytes float64 // bytes per round trip (0 = logged only)
 			}
 			cases := []row{
-				{"GET", get, 1, 0},
-				{"SCAN16", scan, 3, 1},
-				{"SET-overwrite", set, 2, 0},
-				{"MGET2", mget, 1, 0},
-				{"MGET2-cross-shard", mgetX, 1, 4},
-				{"TXN4", txn, 3, 0},
+				{"GET", get, 1, 0, 0},
+				{"SCAN16", scan, 1, 1, 0},
+				{"SCAN16", scan, 7, 4, 0},
+				{"SET-overwrite", set, 2, 0, 264},
+				{"MGET2", mget, 1, 0, 0},
+				{"MGET2-cross-shard", mgetX, 1, 4, 0},
+				{"TXN4", txn, 3, 0, 0},
 				// A cross-shard TXN costs what a one-shard TXN costs: the
 				// participants nest on the caller's stack, and so does
 				// everything the commit path groups them with.
-				{"TXN4-cross-shard", txnX, 3, 4},
-				{"TXN5", txn5, 5, 0},
+				{"TXN4-cross-shard", txnX, 3, 4, 0},
+				{"TXN5", txn5, 5, 0, 0},
 			}
 			if tc.durable {
 				cases = []row{
-					{"durable-SET-overwrite", set, 2, 1},
-					{"durable-INCR", incr, 2, 1},
-					{"durable-TXN4-cross-shard", txnX, 3, 4},
+					{"durable-SET-overwrite", set, 2, 1, 399},
+					{"durable-INCR", incr, 2, 1, 399},
+					{"durable-TXN4-cross-shard", txnX, 3, 4, 0},
 				}
 			}
 			for _, c := range cases {
@@ -150,6 +158,8 @@ func TestRoundTripAllocs(t *testing.T) {
 				bytes := float64(after.TotalAlloc-before.TotalAlloc) / 500
 				if avg > c.budget {
 					t.Errorf("%s: %.2f allocs per round trip, budget %.0f", c.name, avg, c.budget)
+				} else if c.maxBytes > 0 && bytes > c.maxBytes {
+					t.Errorf("%s: %.0f B per round trip, budget %.0f", c.name, bytes, c.maxBytes)
 				} else {
 					t.Logf("%s: %.2f allocs, %.0f B per round trip (budget %.0f allocs)", c.name, avg, bytes, c.budget)
 				}

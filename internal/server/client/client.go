@@ -13,6 +13,7 @@ import (
 	"net"
 	"sync"
 	"time"
+	"unsafe"
 
 	"polytm/internal/repl"
 	"polytm/internal/wire"
@@ -176,23 +177,76 @@ func (cl *Client) Close() error {
 // steady state.
 var encBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// reply is the storage a single-request batch's result is carved from:
-// the slice Do returns, the Response it points at, the sub-opcode
-// scratch a TXN reply is decoded against and the frame the Response
-// aliases — one allocation where the four used to be separate.
-type reply struct {
+// replyTier is the storage a single request's reply is carved from, in
+// one object: the slice DoCtx returns, the Response it points at, the
+// sub-responses (B, an array of wire.Response) or SCAN pairs (P, an array
+// of wire.KV) its decoder is lent, the sub-opcode scratch a TXN reply is
+// decoded against and the frame (F, a byte array) the Response aliases.
+// A frame longer than F is allocated on its own; a TXN of more than four
+// sub-requests grows its scratch.
+type replyTier[F, B, P any] struct {
 	ptr    [1]*wire.Response
 	resp   [1]wire.Response
+	batch  B
+	pairs  P
 	subOps [4]wire.Op
-	frame  [replyInline]byte
+	frame  F
 }
 
-// replyInline sizes reply.frame so the struct fills a malloc class with
-// no padding: 8 + 144 + 4 + 164 = 320. A GET of a 64-byte value used to
-// be a 160-byte reply plus its 67-byte frame in an 80-byte object; it is
-// one 320-byte object now, as is every write's ack. A longer frame is
-// allocated on its own.
-const replyInline = 164
+// The tiers, each sized so its struct fills a malloc class with no
+// padding (TestReplyFillsItsClass measures them). An object with
+// pointers over 512 bytes carries the allocator's 8-byte header, which
+// the larger two leave room for.
+type (
+	// ackReply holds a write's ack, or any frame of at most 20 bytes:
+	// 8 + 144 + 4 + 20 = 176.
+	ackReply = replyTier[[20]byte, [0]wire.Response, [0]wire.KV]
+	// reply holds a frame of at most 164 bytes (a GET of a 64-byte
+	// value): 8 + 144 + 4 + 164 = 320.
+	reply = replyTier[[164]byte, [0]wire.Response, [0]wire.KV]
+	// batchReply holds a TXN or MGET of at most four sub-requests (the
+	// ledger's shapes): 312 + 4·144 = 888, 896 with the header.
+	batchReply = replyTier[[156]byte, [4]wire.Response, [0]wire.KV]
+	// scanReply holds a SCAN of Limit at most 16 and its frame — 16
+	// pairs of a 16-byte key and a 64-byte value are 1314 bytes: 156 +
+	// 16·48 + 1372 = 2296, 2304 with the header.
+	scanReply = replyTier[[1372]byte, [0]wire.Response, [16]wire.KV]
+)
+
+// carve returns rp's result slice, its Response (Batch and Pairs
+// holding rp's inline capacity), an empty sub-opcode scratch and its
+// frame room.
+func (rp *replyTier[F, B, P]) carve() ([]*wire.Response, []wire.Response, []wire.Op, []byte) {
+	rp.resp[0].Batch = inline[wire.Response](&rp.batch)[:0]
+	rp.resp[0].Pairs = inline[wire.KV](&rp.pairs)[:0]
+	return rp.ptr[:], rp.resp[:], rp.subOps[:0], inline[byte](&rp.frame)
+}
+
+// inline views the array *a of T as a slice (nil for an empty array,
+// which may sit too near its object's end to point a T at). This is the
+// package's one use of unsafe: the tiers' arrays differ in length, so
+// no type constraint can slice them.
+func inline[T, A any](a *A) []T {
+	if unsafe.Sizeof(*a) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*T)(unsafe.Pointer(a)), unsafe.Sizeof(*a)/unsafe.Sizeof(*new(T)))
+}
+
+// newReply carves the reply to r, whose frame is n bytes long, from the
+// smallest tier that holds it, picked by what r asks for: a small batch
+// or SCAN by its sub-request count or Limit, anything else by n.
+func newReply(r *wire.Request, n int) ([]*wire.Response, []wire.Response, []wire.Op, []byte) {
+	switch subs := subCount(r); {
+	case subs > 0 && subs <= len(batchReply{}.batch):
+		return new(batchReply).carve()
+	case r.Op == wire.OpScan && r.Limit > 0 && r.Limit <= uint64(len(scanReply{}.pairs)):
+		return new(scanReply).carve()
+	case n <= len(ackReply{}.frame):
+		return new(ackReply).carve()
+	}
+	return new(reply).carve()
+}
 
 // pipeChunk caps the chunks a pipelined batch's frames are bumped off
 // (wire.ReadFrameBump sizes each from the frame that opens it and the
@@ -201,22 +255,6 @@ const replyInline = 164
 // 64-byte value into two. A chunk is never reused — the Responses alias
 // it.
 const pipeChunk = 4 << 10
-
-// batchReply is the reply of a single TXN or MGET of at most four
-// sub-requests (the ledger's shapes): a reply whose decoded Batch lives
-// beside the Response that holds it. An object with pointers over 512
-// bytes carries the allocator's 8-byte header, so the inline frame is
-// eight bytes shorter than reply's and 312 + 4·144 + 8 = 896 fills a
-// malloc class again (the ledger's MGET2 and TXN4 frames are under 140
-// bytes). A longer batch keeps the plain reply and the decoder allocates
-// its Batch.
-type batchReply struct {
-	ptr    [1]*wire.Response
-	resp   [1]wire.Response
-	subOps [4]wire.Op
-	frame  [replyInline - 8]byte
-	batch  [4]wire.Response
-}
 
 // subCount is how many sub-responses r's reply carries.
 func subCount(r *wire.Request) int {
@@ -229,24 +267,18 @@ func subCount(r *wire.Request) int {
 	return 0
 }
 
-// newReply returns the result slice, the Response values its entries
-// will point at (each Batch holding the capacity its sub-responses are
-// decoded into), an empty sub-opcode scratch and the storage the first
-// frame is read into, for the replies to reqs. A batch of one (every
-// convenience method) is one allocation; a pipelined batch is two, one
-// arena for every request's sub-responses — three-index slices, so no
-// reply can grow into its neighbour — and its chunks, whatever its
-// length. The scratch is shared by the batch's TXNs and grows only past
-// its inline capacity.
-func newReply(reqs []*wire.Request) ([]*wire.Response, []wire.Response, []wire.Op, []byte) {
+// newReplies returns the result slice and the Response values its
+// entries will point at (each Batch holding the capacity its
+// sub-responses are decoded into) for the replies to a pipelined batch:
+// two allocations whatever its length, one of them an arena for every
+// request's sub-responses — three-index slices, so no reply can grow
+// into its neighbour. The sub-opcode scratch its TXNs share and the
+// chunks its frames are bumped off start empty and grow as needed. A
+// single request gets nothing here: newReply carves its reply once its
+// frame's length is known.
+func newReplies(reqs []*wire.Request) ([]*wire.Response, []wire.Response, []wire.Op, []byte) {
 	if len(reqs) == 1 {
-		if n := subCount(reqs[0]); n > 0 && n <= len(batchReply{}.batch) {
-			rp := new(batchReply)
-			rp.resp[0].Batch = rp.batch[:0]
-			return rp.ptr[:], rp.resp[:], rp.subOps[:0], rp.frame[:]
-		}
-		rp := new(reply)
-		return rp.ptr[:], rp.resp[:], rp.subOps[:0], rp.frame[:]
+		return nil, nil, nil, nil
 	}
 	resps := make([]wire.Response, len(reqs))
 	subs := 0
@@ -297,25 +329,23 @@ func (cl *Client) DoCtx(ctx context.Context, reqs ...*wire.Request) ([]*wire.Res
 	// next caller would flush it and read misaligned responses).
 	bufp := encBufs.Get().(*[]byte)
 	buf := (*bufp)[:0]
+	put := func() { *bufp = buf; encBufs.Put(bufp) }
 	for _, r := range reqs {
 		var err error
 		if buf, err = wire.AppendRequestFrame(buf, r); err != nil {
-			*bufp = buf
-			encBufs.Put(bufp)
+			put()
 			return nil, err
 		}
 	}
 	cn, err := cl.acquire(ctx)
 	if err != nil {
-		*bufp = buf
-		encBufs.Put(bufp)
+		put()
 		return nil, err
 	}
 	deadline, hasDeadline := ctx.Deadline()
 	if hasDeadline {
 		if err := cn.c.SetDeadline(deadline); err != nil {
-			*bufp = buf
-			encBufs.Put(bufp)
+			put()
 			cl.discard(cn)
 			return nil, err
 		}
@@ -331,29 +361,32 @@ func (cl *Client) DoCtx(ctx context.Context, reqs ...*wire.Request) ([]*wire.Res
 			cn.c.SetDeadline(time.Now())
 		})
 	}
-	finish := func() bool { // true = connection still trustworthy
-		if stopCancel == nil {
-			return true
-		}
-		return stopCancel()
-	}
+	finish := func() bool { return stopCancel == nil || stopCancel() } // true = connection still trustworthy
 	_, werr := cn.bw.Write(buf)
 	if werr == nil {
 		werr = cn.bw.Flush()
 	}
-	*bufp = buf
-	encBufs.Put(bufp)
+	put()
 	if werr != nil {
 		finish()
 		cl.discard(cn)
 		return nil, werr
 	}
-	// Response frames are bumped off storage the batch owns (never
-	// pooled): the decoded Response aliases its frame and escapes to the
-	// caller, so the storage must outlive this call.
-	out, resps, subOps, free := newReply(reqs)
+	// A reply's storage is never pooled: the decoded Response aliases its
+	// frame and escapes to the caller, so it must outlive this call. A
+	// single request's is one tier, picked once its frame's length is
+	// read; a pipelined batch's frames are bumped off shared chunks.
+	out, resps, subOps, free := newReplies(reqs)
 	for i, r := range reqs {
-		raw, err := wire.ReadFrameBump(cn.br, &free, len(reqs)-i, pipeChunk)
+		var raw []byte
+		if len(reqs) == 1 {
+			raw, err = wire.ReadFrameInto(cn.br, func(n int) []byte {
+				out, resps, subOps, free = newReply(r, n)
+				return free
+			})
+		} else {
+			raw, err = wire.ReadFrameBump(cn.br, &free, len(reqs)-i, pipeChunk)
+		}
 		if err == nil {
 			subOps = subOps[:0]
 			if r.Op == wire.OpTxn {
@@ -365,9 +398,12 @@ func (cl *Client) DoCtx(ctx context.Context, reqs ...*wire.Request) ([]*wire.Res
 		}
 		// The decoder holds a TXN reply to its request's sub-op count; an
 		// MGET reply is held to its key count here, or a short one would
-		// panic whoever indexes Batch by key.
+		// panic whoever indexes Batch by key, and a SCAN reply to its
+		// Limit, which sized the pairs it was lent.
 		if err == nil && r.Op == wire.OpMGet && resps[i].Status != wire.StatusErr && len(resps[i].Batch) != len(r.Keys) {
 			err = fmt.Errorf("MGET has %d sub-responses, expected %d", len(resps[i].Batch), len(r.Keys))
+		} else if err == nil && r.Op == wire.OpScan && r.Limit > 0 && uint64(len(resps[i].Pairs)) > r.Limit {
+			err = fmt.Errorf("SCAN has %d pairs, limit %d", len(resps[i].Pairs), r.Limit)
 		}
 		if err != nil {
 			finish()
@@ -654,11 +690,6 @@ func (p *Pipeline) Set(key, val []byte) *Pipeline {
 // Scan queues a SCAN.
 func (p *Pipeline) Scan(from, to []byte, limit uint64) *Pipeline {
 	return p.Add(&wire.Request{Op: wire.OpScan, Sem: wire.SemDefault, From: from, To: to, Limit: limit})
-}
-
-// Del queues a DEL.
-func (p *Pipeline) Del(key []byte) *Pipeline {
-	return p.Add(&wire.Request{Op: wire.OpDel, Sem: wire.SemDefault, Key: key})
 }
 
 // Len reports the queued request count.

@@ -131,17 +131,35 @@ type kvPair struct {
 	k, v string
 }
 
+// scanShare is one shard's walk of a several-shard SCAN: the pairs it
+// found, not yet merged, and how it ended.
+type scanShare struct {
+	pairs []kvPair
+	err   error
+}
+
+// scanFan is what a several-shard SCAN's concurrent walks share, in one
+// object: the group they finish in and their shares, inline for up to
+// eight shards (as routingTable.group's buffers are), on the heap past
+// that.
+type scanFan struct {
+	wg     sync.WaitGroup
+	shares []scanShare
+	buf    [8]scanShare
+}
+
 // scan answers a range read: one transaction per shard, each walking
 // the range with scanShard. This is the one place the shard count picks
 // a path. A single shard walks inline and emits straight into
 // resp.Pairs, allocating nothing past the reply's own storage (the
-// SCAN16 row of TestRoundTripAllocs); a goroutine and a result slice per
-// shard are what a concurrent walk costs. Several shards walk
-// concurrently, each into its own slice — each up to the full limit,
+// SCAN16 row of TestRoundTripAllocs). Several shards walk concurrently,
+// each into its own share of one arena — each up to the full limit,
 // since in the worst case one shard owns every key of the range — and a
-// k-way merge of those ordered slices fills resp.Pairs, stopping at
-// limit. Shard count is small (a handful, bounded by cores), so the
-// linear min-pick per emitted pair beats a heap on real sizes.
+// k-way merge of those ordered shares fills resp.Pairs, stopping at
+// limit: the fan, the arena and a goroutine per shard are what the
+// concurrent walk costs. Shard count is small (a handful, bounded by
+// cores), so the linear min-pick per emitted pair beats a heap on real
+// sizes.
 func (s *Store) scan(ctx context.Context, from, to []byte, limit uint64, sem core.Semantics, resp *wire.Response) error {
 	tab := s.tab()
 	n := len(tab.shards)
@@ -150,41 +168,41 @@ func (s *Store) scan(ctx context.Context, from, to []byte, limit uint64, sem cor
 			func() { resp.Pairs = resp.Pairs[:0] },
 			func(k, v string) { appendPair(resp, k, v) })
 	}
-	results := make([][]kvPair, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := range n {
-		wg.Add(1)
+	fan := new(scanFan)
+	fan.shares = append(fan.buf[:0], make([]scanShare, n)...)
+	// A share reserves room for at most 1024 pairs up front, as wire's
+	// decoders cap a declared count; one that finds more grows by append.
+	per := int(min(limit, 1024))
+	arena := make([]kvPair, n*per)
+	for i := range fan.shares {
+		sh := &fan.shares[i]
+		sh.pairs = arena[i*per : i*per : (i+1)*per]
+		fan.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			errs[i] = s.scanShard(ctx, tab, i, from, to, limit, sem,
-				func() { results[i] = results[i][:0] },
-				func(k, v string) { results[i] = append(results[i], kvPair{k, v}) })
+			defer fan.wg.Done()
+			sh.err = s.scanShard(ctx, tab, i, from, to, limit, sem,
+				func() { sh.pairs = sh.pairs[:0] },
+				func(k, v string) { sh.pairs = append(sh.pairs, kvPair{k, v}) })
 		}()
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	fan.wg.Wait()
+	for _, sh := range fan.shares {
+		if sh.err != nil {
+			return sh.err
 		}
 	}
-	heads := make([]int, n)
 	for limit == 0 || uint64(len(resp.Pairs)) < limit {
-		best := -1
-		for i := 0; i < n; i++ {
-			if heads[i] >= len(results[i]) {
-				continue
-			}
-			if best < 0 || results[i][heads[i]].k < results[best][heads[best]].k {
-				best = i
+		var best *scanShare
+		for i := range fan.shares {
+			if sh := &fan.shares[i]; len(sh.pairs) > 0 && (best == nil || sh.pairs[0].k < best.pairs[0].k) {
+				best = sh
 			}
 		}
-		if best < 0 {
+		if best == nil {
 			break
 		}
-		p := &results[best][heads[best]]
-		appendPair(resp, p.k, p.v)
-		heads[best]++
+		appendPair(resp, best.pairs[0].k, best.pairs[0].v)
+		best.pairs = best.pairs[1:]
 	}
 	return nil
 }

@@ -262,43 +262,57 @@ func FuzzDecodeResponse(f *testing.F) {
 
 // FuzzDecodeResponseInto decodes every payload into a fresh Response and
 // into dirty ones whose every field a previous reply filled — the Batch
-// populated to a capacity of 0, 2, 4 and 8, so the decoder is lent too
-// little, exactly enough and too much — and demands the same verdict and,
-// when accepted, the same value: nothing of the earlier Msg, N, Int, Val,
-// Pairs, Batch or Counters may survive into a reply that does not set it,
-// a reply that carries no batch decodes to Batch == nil whatever it was
-// lent, and a sub-response's Val aliases the new payload, never the stale
-// slot it was decoded over.
+// populated to a capacity of 0, 2, 4 and 8 and the Pairs to 0, 1, 16 and
+// 32, so the decoder is lent too little, exactly enough and too much —
+// and demands the same verdict and, when accepted, the same value:
+// nothing of the earlier Msg, N, Int, Val, Pairs, Batch or Counters may
+// survive into a reply that does not set it, a reply that carries no
+// batch or no pairs decodes to a nil Batch or Pairs whatever it was lent,
+// a sub-response's Val and a pair's Key and Val alias the new payload,
+// never the stale slot they were decoded over, and lent slots past the
+// decoded count are cleared.
 func FuzzDecodeResponseInto(f *testing.F) {
 	addResponseSeeds(f)
 	f.Fuzz(func(t *testing.T, opByte byte, data []byte) {
 		op, subOps := fuzzedOp(opByte)
 		var fresh Response
 		freshErr := DecodeResponseInto(&fresh, data, op, subOps)
-		for _, lend := range []int{0, 2, 4, 8} {
+		for k, lend := range []int{0, 2, 4, 8} {
+			lendPairs := []int{0, 1, 16, 32}[k]
 			lent := make([]Response, lend)
 			for i := range lent {
 				lent[i] = Response{Status: StatusErr, Msg: "stale", Val: []byte("stale"), N: 7, Batch: []Response{{N: 7}}}
 			}
+			lentPairs := make([]KV, lendPairs)
+			for i := range lentPairs {
+				lentPairs[i] = KV{Key: []byte("stale"), Val: []byte("stale")}
+			}
 			dirty := Response{
 				Status: StatusErr, Val: []byte("stale"), N: 99, Int: -99, Msg: "stale", SubOp: OpCAS,
-				Pairs:    []KV{{Key: []byte("stale"), Val: []byte("stale")}},
+				Pairs:    lentPairs,
 				Batch:    lent,
 				Counters: []Counter{{Name: "stale", Value: 1}},
 			}
 			err := DecodeResponseInto(&dirty, data, op, subOps)
 			if (err == nil) != (freshErr == nil) {
-				t.Fatalf("%v, lent %d: into a dirty Response err=%v, into a fresh one err=%v", op, lend, err, freshErr)
+				t.Fatalf("%v, lent %d/%d: into a dirty Response err=%v, into a fresh one err=%v", op, lend, lendPairs, err, freshErr)
 			}
 			if err != nil {
 				continue
 			}
 			if !reflect.DeepEqual(dirty, fresh) {
-				t.Fatalf("%v, lent %d: dirty decode differs from fresh:\n dirty %+v\n fresh %+v", op, lend, dirty, fresh)
+				t.Fatalf("%v, lent %d/%d: dirty decode differs from fresh:\n dirty %+v\n fresh %+v", op, lend, lendPairs, dirty, fresh)
 			}
 			for i := range dirty.Batch {
 				if v := dirty.Batch[i].Val; len(v) > 0 && !aliases(v, data) {
 					t.Fatalf("%v, lent %d: sub-response %d's Val %q is not part of the payload", op, lend, i, v)
+				}
+			}
+			for i, kv := range dirty.Pairs {
+				for _, b := range [][]byte{kv.Key, kv.Val} {
+					if len(b) > 0 && !aliases(b, data) {
+						t.Fatalf("%v, lent %d pairs: pair %d's %q is not part of the payload", op, lendPairs, i, b)
+					}
 				}
 			}
 			if n := len(dirty.Batch); dirty.Batch != nil && lend > 0 && n <= lend {
@@ -308,6 +322,16 @@ func FuzzDecodeResponseInto(f *testing.F) {
 				for i := n; i < lend; i++ {
 					if !reflect.DeepEqual(lent[i], Response{}) {
 						t.Fatalf("%v: lent slot %d past the %d decoded was not cleared: %+v", op, i, n, lent[i])
+					}
+				}
+			}
+			if n := len(dirty.Pairs); dirty.Pairs != nil && lendPairs > 0 && n <= lendPairs {
+				if &dirty.Pairs[:1][0] != &lentPairs[0] {
+					t.Fatalf("%v: %d pairs fit the %d lent but were decoded elsewhere", op, n, lendPairs)
+				}
+				for i := n; i < lendPairs; i++ {
+					if !reflect.DeepEqual(lentPairs[i], KV{}) {
+						t.Fatalf("%v: lent pair %d past the %d decoded was not cleared: %+v", op, i, n, lentPairs[i])
 					}
 				}
 			}

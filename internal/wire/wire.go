@@ -461,13 +461,13 @@ func prealloc(n int) int {
 	return n
 }
 
-// batchRoom returns an empty slice with room for a reply's n declared
-// sub-responses: lent, cleared to its capacity, when they fit there —
-// a count from the wire never indexes storage it was not checked
-// against — and fresh storage, capped by prealloc, otherwise.
-func batchRoom(lent []Response, n int) []Response {
+// room returns an empty slice with room for a reply's n declared
+// sub-responses or pairs: lent, cleared to its capacity, when they fit
+// there — a count from the wire never indexes storage it was not
+// checked against — and fresh storage, capped by prealloc, otherwise.
+func room[T any](lent []T, n int) []T {
 	if lent == nil || n > cap(lent) {
-		return make([]Response, 0, prealloc(n))
+		return make([]T, 0, prealloc(n))
 	}
 	clear(lent[:cap(lent)])
 	return lent
@@ -486,10 +486,20 @@ func batchRoom(lent []Response, n int) []Response {
 // allocation; a clean end between frames is io.EOF, and a stream cut
 // inside a frame io.ErrUnexpectedEOF.
 func ReadFrameBuf(br *bufio.Reader, buf []byte) ([]byte, error) {
+	return ReadFrameInto(br, func(int) []byte { return buf })
+}
+
+// ReadFrameInto reads one frame (at most MaxFrame) into storage chosen
+// from its length: once the length prefix n is read and checked,
+// room(n) returns where the payload goes — read there when its capacity
+// holds n bytes, into a fresh slice otherwise. The payload returned
+// aliases that storage and keeps its capacity.
+func ReadFrameInto(br *bufio.Reader, room func(n int) []byte) ([]byte, error) {
 	n, err := readFrameLen(br)
 	if err != nil {
 		return nil, err
 	}
+	buf := room(n)
 	if cap(buf) < n {
 		buf = make([]byte, n)
 	}
@@ -505,19 +515,17 @@ func ReadFrameBuf(br *bufio.Reader, buf []byte) ([]byte, error) {
 // maxChunk is allocated on its own and leaves *free alone. Storage is
 // never reused: whatever aliases a payload keeps its chunk alive.
 func ReadFrameBump(br *bufio.Reader, free *[]byte, more, maxChunk int) ([]byte, error) {
-	n, err := readFrameLen(br)
-	if err != nil {
-		return nil, err
-	}
-	if n > len(*free) {
-		if n > maxChunk/4 || more <= 1 {
-			return readFrameBody(br, make([]byte, n))
+	return ReadFrameInto(br, func(n int) []byte {
+		if n > len(*free) {
+			if n > maxChunk/4 || more <= 1 {
+				return nil
+			}
+			*free = make([]byte, min(n*more, maxChunk))
 		}
-		*free = make([]byte, min(n*more, maxChunk))
-	}
-	payload := (*free)[:n:n]
-	*free = (*free)[n:]
-	return readFrameBody(br, payload)
+		payload := (*free)[:n:n]
+		*free = (*free)[n:]
+		return payload
+	})
 }
 
 // readFrameLen consumes a frame's length prefix, refusing one above
@@ -701,20 +709,10 @@ func decodeRequestBody(c *codec.Cursor, r *Request) {
 				c.Fail(ErrBadSubOp)
 				return
 			}
-			// Reuse a retained sub-entry when the batch slice has the
-			// capacity (sub-ops never nest, so only the flat fields
-			// need scrubbing).
-			var sub *Request
-			if m := len(r.Batch); m < cap(r.Batch) {
-				r.Batch = r.Batch[:m+1]
-				sub = &r.Batch[m]
-				sub.Op, sub.Sem = op, SemDefault
-				sub.Key, sub.Val, sub.Old = nil, nil, nil
-			} else {
-				r.Batch = append(r.Batch, Request{Op: op, Sem: SemDefault})
-				sub = &r.Batch[m]
-			}
-			decodeRequestBody(c, sub)
+			// A retained sub-entry is reused when the batch slice has
+			// the capacity: append overwrites it whole.
+			r.Batch = append(r.Batch, Request{Op: op, Sem: SemDefault})
+			decodeRequestBody(c, &r.Batch[len(r.Batch)-1])
 		}
 	case OpWatch:
 		r.Prefix = watchMode(c)
@@ -749,13 +747,7 @@ func decodeRequestBody(c *codec.Cursor, r *Request) {
 // holds partially decoded state and must not be executed. The decoded
 // fields alias payload, so r is only valid while the payload buffer is.
 func DecodeRequestInto(r *Request, payload []byte) error {
-	r.Key, r.Val, r.Old = nil, nil, nil
-	r.From, r.To = nil, nil
-	r.Limit = 0
-	r.Keys = r.Keys[:0]
-	r.Batch = r.Batch[:0]
-	r.Delta, r.TTLMillis, r.Prefix = 0, 0, false
-	r.Epoch, r.Shard, r.Shard2 = 0, 0, 0
+	*r = Request{Keys: r.Keys[:0], Batch: r.Batch[:0]}
 	c := codec.New(payload, ErrTruncated)
 	r.Op = Op(c.U8())
 	r.Sem = c.U8()
@@ -833,9 +825,10 @@ func AppendResponseFrame(dst []byte, op Op, r *Response) ([]byte, error) {
 }
 
 // decodeResponseBody decodes the body of a response to op into r, whose
-// Status is already set. lent is storage the caller offers for r.Batch;
-// only the MGET and TXN arms take it.
-func decodeResponseBody(c *codec.Cursor, op Op, r *Response, subOps []Op, lent []Response) {
+// Status is already set. lent and lentPairs are storage the caller
+// offers for r.Batch and r.Pairs; only the MGET and TXN arms take the
+// first, only the SCAN arm the second.
+func decodeResponseBody(c *codec.Cursor, op Op, r *Response, subOps []Op, lent []Response, lentPairs []KV) {
 	if r.Status == StatusErr {
 		r.Msg = string(c.Bytes())
 		return
@@ -853,7 +846,7 @@ func decodeResponseBody(c *codec.Cursor, op Op, r *Response, subOps []Op, lent [
 		// empty body
 	case OpScan:
 		n := c.Count()
-		r.Pairs = make([]KV, 0, prealloc(n))
+		r.Pairs = room(lentPairs, n)
 		for ; n > 0 && c.Err() == nil; n-- {
 			var kv KV
 			kv.Key = c.Bytes()
@@ -866,7 +859,7 @@ func decodeResponseBody(c *codec.Cursor, op Op, r *Response, subOps []Op, lent [
 			c.Fail(fmt.Errorf("wire: TXN response has %d sub-responses, expected %d", n, len(subOps)))
 			return
 		}
-		r.Batch = batchRoom(lent, n)
+		r.Batch = room(lent, n)
 		for i := 0; i < n && c.Err() == nil; i++ {
 			sub := OpGet
 			if op == OpTxn {
@@ -875,7 +868,7 @@ func decodeResponseBody(c *codec.Cursor, op Op, r *Response, subOps []Op, lent [
 			// Decode in place: a local sub-response would escape through
 			// the recursive call and cost an allocation per key.
 			r.Batch = append(r.Batch, Response{Status: Status(c.U8())})
-			decodeResponseBody(c, sub, &r.Batch[i], nil, nil)
+			decodeResponseBody(c, sub, &r.Batch[i], nil, nil, nil)
 		}
 	case OpStats:
 		n := c.Count()
@@ -910,19 +903,20 @@ func DecodeResponse(payload []byte, op Op, subOps []Op) (*Response, error) {
 // (the client knows them from the request it sent); it is only read,
 // not retained. A caller that already has somewhere to put the Response
 // (the client carves a batch's responses out of one allocation) pays
-// for none. The capacity r.Batch arrives with is storage the caller
-// lends: an MGET or TXN reply whose sub-responses fit decodes them there
-// (the capacity is cleared first), any other reply leaves it untouched
-// and decodes to Batch == nil. Everything else r held is discarded, and
-// every other decoded slice either aliases payload or is freshly
+// for none. The capacity r.Batch and r.Pairs arrive with is storage the
+// caller lends: an MGET or TXN reply whose sub-responses fit decodes
+// them into Batch's, a SCAN reply whose pairs fit into Pairs' (the
+// capacity is cleared first); any other reply leaves it untouched and
+// decodes to a nil Batch or Pairs. Everything else r held is discarded,
+// and every other decoded slice either aliases payload or is freshly
 // allocated, so a Response handed out earlier is written through only if
-// the caller passes its Batch back in. On error r holds partially
-// decoded state.
+// the caller passes its Batch or Pairs back in. On error r holds
+// partially decoded state.
 func DecodeResponseInto(r *Response, payload []byte, op Op, subOps []Op) error {
-	lent := r.Batch[:0]
+	lent, lentPairs := r.Batch[:0], r.Pairs[:0]
 	*r = Response{}
 	c := codec.New(payload, ErrTruncated)
 	r.Status = Status(c.U8())
-	decodeResponseBody(c, op, r, subOps, lent)
+	decodeResponseBody(c, op, r, subOps, lent, lentPairs)
 	return c.End()
 }
