@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"errors"
+	"maps"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -113,6 +115,71 @@ func TestCrossShardAbortLeavesNoTrace(t *testing.T) {
 	st = open()
 	defer st.CloseDurability()
 	want("whole")
+}
+
+// TestCrossShardReadOnlyTxnLogsNothing pins the no-record half of a
+// read-only batch: a TXN of four GETs over both shards of a durable
+// store answers every value and logs nothing. No record reaches either
+// log's durable hook, and no wal_records row of STATS moves. A SET on
+// each shard afterwards, acknowledged durable, puts everything queued
+// before it through the hook, and the hook then counts those two alone.
+func TestCrossShardReadOnlyTxnLogsNothing(t *testing.T) {
+	var logged atomic.Uint64
+	st := newSharded(2)
+	if _, err := st.EnableDurability(Durability{
+		Dir: t.TempDir(), Fsync: wal.ModeOff, CheckpointEvery: -1,
+		onDurableRecord: func(byte) { logged.Add(1) },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	defer st.CloseDurability()
+	// Two keys per shard; fence holds one of each shard's.
+	var keys, fence [][]byte
+	for i, per := 0, [2]int{}; len(keys) < 4; i++ {
+		if sh := st.shardIdx(tkey(i)); per[sh] < 2 {
+			if per[sh]++; per[sh] == 1 {
+				fence = append(fence, tkey(i))
+			}
+			keys = append(keys, tkey(i))
+			execOK(t, st, &wire.Request{Op: wire.OpSet, Sem: wire.SemDefault, Key: tkey(i), Val: []byte("v" + string(tkey(i)))})
+		}
+	}
+	walRows := func() map[string]uint64 {
+		rows := map[string]uint64{}
+		for name, v := range statsMap(t, st) {
+			if strings.HasSuffix(name, "wal_records") {
+				rows[name] = v
+			}
+		}
+		return rows
+	}
+	before, hooked := walRows(), logged.Load()
+	if len(before) < 3 || hooked != 4 {
+		t.Fatalf("set-up: wal_records rows %v, %d records through the hook; want the total and both shards', and 4", before, hooked)
+	}
+
+	req := &wire.Request{Op: wire.OpTxn, Sem: wire.SemDefault}
+	for _, k := range keys {
+		req.Batch = append(req.Batch, wire.Request{Op: wire.OpGet, Key: k})
+	}
+	resp := execOK(t, st, req)
+	if len(resp.Batch) != len(keys) {
+		t.Fatalf("TXN answered %d results, want %d", len(resp.Batch), len(keys))
+	}
+	for i, k := range keys {
+		if r := resp.Batch[i]; r.Status != wire.StatusOK || string(r.Val) != "v"+string(k) {
+			t.Fatalf("GET %s = %v %q, want v%s", k, r.Status, r.Val, k)
+		}
+	}
+	if after := walRows(); !maps.Equal(after, before) {
+		t.Fatalf("the read-only TXN moved wal_records: %v, was %v", after, before)
+	}
+	for _, k := range fence {
+		execOK(t, st, &wire.Request{Op: wire.OpSet, Sem: wire.SemDefault, Key: k, Val: []byte("fence")})
+	}
+	if n := logged.Load() - hooked; n != 2 {
+		t.Fatalf("%d records through the hook after the TXN and two SETs, want the SETs' 2", n)
+	}
 }
 
 // TestCrossShardPreparesOverlap: under ModeAlways a two-shard commit

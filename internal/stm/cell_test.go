@@ -24,7 +24,7 @@ func newIntCell(n int) *Version {
 
 // chainCount reports how many times rec appears in v's version chain.
 func chainCount(v *Var, rec *Version) (n int) {
-	for cur := v.head.Load(); cur != nil; cur = cur.prev {
+	for cur := v.head.Load(); cur != nil; cur = cur.prev.Load() {
 		if cur == rec {
 			n++
 		}
@@ -110,8 +110,8 @@ func TestCellCommitInstallsHandedRecord(t *testing.T) {
 			if h := x.head.Load(); h != committed {
 				t.Fatalf("head is %p, want the committed attempt's last record %p", h, committed)
 			}
-			if committed.ver == 0 || committed.prev != first {
-				t.Errorf("committed record stamped ver=%d prev=%p, want a commit timestamp and prev=%p", committed.ver, committed.prev, first)
+			if committed.ver == 0 || committed.prev.Load() != first {
+				t.Errorf("committed record stamped ver=%d prev=%p, want a commit timestamp and prev=%p", committed.ver, committed.prev.Load(), first)
 			}
 
 			// A plain record and a direct store go on top: the chain mixes.
@@ -121,7 +121,7 @@ func TestCellCommitInstallsHandedRecord(t *testing.T) {
 			plain := x.head.Load()
 			direct := newIntCell(5)
 			x.StoreVersionDirect(direct)
-			if x.head.Load() != direct || direct.prev != plain || plain.prev != committed {
+			if x.head.Load() != direct || direct.prev.Load() != plain || plain.prev.Load() != committed {
 				t.Errorf("chain is not direct -> plain -> committed")
 			}
 
@@ -131,8 +131,8 @@ func TestCellCommitInstallsHandedRecord(t *testing.T) {
 				}
 			}
 			for _, rec := range append([]*Version{aborted, failed}, attempts[:len(attempts)-1]...) {
-				if n := chainCount(x, rec); n != 0 || rec.ver != 0 || rec.prev != nil {
-					t.Errorf("dropped record %p: in chain %d times, ver=%d prev=%p; want untouched", rec, n, rec.ver, rec.prev)
+				if n := chainCount(x, rec); n != 0 || rec.ver != 0 || rec.prev.Load() != nil {
+					t.Errorf("dropped record %p: in chain %d times, ver=%d prev=%p; want untouched", rec, n, rec.ver, rec.prev.Load())
 				}
 			}
 			// The pinned snapshot still resolves the first version.

@@ -46,18 +46,3 @@ func (c *Clock) Now() uint64 { return c.t.Load() }
 // Tick atomically advances the clock and returns the new, unique commit
 // timestamp.
 func (c *Clock) Tick() uint64 { return c.t.Add(1) }
-
-// Advance moves the clock forward to at least v. It is used by the
-// irrevocable path, which writes in place and must publish versions that
-// dominate every concurrent read timestamp.
-func (c *Clock) Advance(v uint64) {
-	for {
-		cur := c.t.Load()
-		if cur >= v {
-			return
-		}
-		if c.t.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}

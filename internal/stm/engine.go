@@ -54,6 +54,10 @@ type Engine struct {
 
 	snaps snapshotRegistry
 
+	// owed holds, per stripe, the variables whose history is kept for
+	// snapshot readers until none can need it (see owedQueue).
+	owed []owedQueue
+
 	// irrevocable serializes SemanticsIrrevocable transactions, and the
 	// one holding it raises gate to shut out writing commits (see
 	// irrevocable.go). Every writing commit loads the gate, and every
@@ -83,6 +87,7 @@ func NewEngine(cfg Config) *Engine {
 	cfg.Shards = resolveShardCount(cfg.Shards)
 	e := &Engine{cfg: cfg}
 	e.snaps.init(cfg.Shards)
+	e.owed = make([]owedQueue, cfg.Shards)
 	e.live.init(cfg.Shards)
 	e.stats.init(cfg.Shards)
 	return e
@@ -166,11 +171,4 @@ func (e *Engine) Begin(sem Semantics) *Txn {
 // option.
 func (e *Engine) Run(sem Semantics, fn func(*Txn) error) error {
 	return e.RunOpts(context.Background(), sem, RunOptions{}, fn)
-}
-
-// Quiesce returns once no snapshot transactions are live. It is a test
-// and shutdown helper, not part of the hot path.
-func (e *Engine) Quiesce() {
-	for e.snaps.activeCount() > 0 {
-	}
 }

@@ -138,20 +138,6 @@ func TestRunHonoursRetry(t *testing.T) {
 	}
 }
 
-func TestQuiesceAfterSnapshots(t *testing.T) {
-	e := NewDefaultEngine()
-	s1 := e.Begin(SemanticsSnapshot)
-	s2 := e.Begin(SemanticsSnapshot)
-	done := make(chan struct{})
-	go func() {
-		e.Quiesce()
-		close(done)
-	}()
-	s1.Commit()
-	s2.Abort()
-	<-done // must return once both snapshots ended
-}
-
 func TestEffectiveSemanticsStack(t *testing.T) {
 	e := NewDefaultEngine()
 	tx := e.Begin(SemanticsDef)

@@ -27,10 +27,6 @@ func packOwner(o uint64) uint64 { return o | lockBit }
 // isLocked reports whether the lock word is in the locked state.
 func isLocked(w uint64) bool { return w&lockBit != 0 }
 
-// wordVersion extracts the version from an unlocked lock word. It must
-// only be called when isLocked(w) is false.
-func wordVersion(w uint64) uint64 { return w &^ lockBit }
-
 // wordOwner extracts the owning transaction id from a locked lock word.
 // It must only be called when isLocked(w) is true.
 func wordOwner(w uint64) uint64 { return w &^ lockBit }

@@ -5,6 +5,10 @@ import (
 	"testing/quick"
 )
 
+// wordVersion extracts the version from an unlocked lock word. It must
+// only be called when isLocked(w) is false.
+func wordVersion(w uint64) uint64 { return w &^ lockBit }
+
 func TestLockWordVersionRoundTrip(t *testing.T) {
 	f := func(v uint64) bool {
 		v &^= lockBit // versions are 63-bit
@@ -65,21 +69,6 @@ func TestClockMonotonic(t *testing.T) {
 	}
 }
 
-func TestClockAdvance(t *testing.T) {
-	var c Clock
-	c.Advance(100)
-	if c.Now() != 100 {
-		t.Fatalf("Now = %d, want 100", c.Now())
-	}
-	c.Advance(50) // never moves backwards
-	if c.Now() != 100 {
-		t.Fatalf("Advance moved clock backwards to %d", c.Now())
-	}
-	if v := c.Tick(); v != 101 {
-		t.Fatalf("Tick after Advance = %d, want 101", v)
-	}
-}
-
 func TestClockTickConcurrentUnique(t *testing.T) {
 	var c Clock
 	const workers, per = 8, 2000
@@ -107,12 +96,16 @@ func TestClockTickConcurrentUnique(t *testing.T) {
 	}
 }
 
+// chain links recs newest first and returns the head.
+func chain(recs ...*Version) *Version {
+	for i := 0; i+1 < len(recs); i++ {
+		recs[i].prev.Store(recs[i+1])
+	}
+	return recs[0]
+}
+
 func TestVersionResolveAt(t *testing.T) {
-	v3 := &Version{val: "c", ver: 30}
-	v2 := &Version{val: "b", ver: 20, prev: nil}
-	v3.prev = v2
-	v1 := &Version{val: "a", ver: 10}
-	v2.prev = v1
+	v3 := chain(&Version{val: "c", ver: 30}, &Version{val: "b", ver: 20}, &Version{val: "a", ver: 10})
 
 	cases := []struct {
 		at   uint64
@@ -131,26 +124,27 @@ func TestVersionResolveAt(t *testing.T) {
 	}
 }
 
+// TestVersionTrim: a writer committing at 40 over the chain 30 -> 20 ->
+// 10 keeps what the oldest live reader, at needed, resolves to and
+// everything newer.
 func TestVersionTrim(t *testing.T) {
 	v3 := &Version{val: "c", ver: 30}
 	v2 := &Version{val: "b", ver: 20}
 	v1 := &Version{val: "a", ver: 10}
-	v3.prev, v2.prev = v2, v1
 
-	got := v3.trimmed(25) // keep newest <= 25, i.e. v2; drop v1
-	if got != v3 || v3.prev != v2 || v2.prev != nil {
-		t.Fatal("trimmed(25) should keep v3->v2 and cut v1")
+	got := retainHistory(chain(v3, v2, v1), 40, 25) // keep newest <= 25, i.e. v2; drop v1
+	if got != v3 || v3.prev.Load() != v2 || v2.prev.Load() != nil {
+		t.Fatal("needed 25 should keep v3->v2 and cut v1")
 	}
-
-	v3.prev, v2.prev = v2, v1
-	got = v3.trimmed(35) // newest <= 35 is v3 itself: drop all history
-	if got != v3 || v3.prev != nil {
-		t.Fatal("trimmed(35) should keep only v3")
+	got = retainHistory(chain(v3, v2, v1), 40, 35) // newest <= 35 is v3 itself
+	if got != v3 || v3.prev.Load() != nil {
+		t.Fatal("needed 35 should keep only v3")
 	}
-
-	v3.prev, v2.prev = v2, v1
-	got = v3.trimmed(5) // nothing <= 5: keep the whole chain
-	if got != v3 || v3.prev != v2 || v2.prev != v1 {
-		t.Fatal("trimmed(5) should keep the full chain")
+	got = retainHistory(chain(v3, v2, v1), 40, 5) // nothing <= 5: keep the whole chain
+	if got != v3 || v3.prev.Load() != v2 || v2.prev.Load() != v1 {
+		t.Fatal("needed 5 should keep the full chain")
+	}
+	if got := retainHistory(chain(v3, v2, v1), 40, 40); got != nil {
+		t.Fatal("no reader older than the commit: nothing should be kept")
 	}
 }

@@ -10,7 +10,8 @@ package stm
 // composition question. The engine-wide composition rule that makes this
 // safe next to single-version writers: every writer preserves the
 // overwritten version on the chain for as long as a registered snapshot
-// reader may need it (see snapshotRegistry and Version.trimmed).
+// reader may need it (see snapshotRegistry and retainHistory), and the
+// last reader that needed it releases it (see owedQueue).
 
 // readSnapshot performs one snapshot-mode read.
 //

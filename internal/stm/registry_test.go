@@ -20,6 +20,25 @@ func inParallel(n int, f func(i int)) {
 	wg.Wait()
 }
 
+// activeCount returns the number of live snapshot transactions.
+func (r *snapshotRegistry) activeCount() int {
+	n := 0
+	for i := range r.shards {
+		sh := &r.shards[i]
+		for j := range sh.slots {
+			if sh.slots[j].Load() != snapFree {
+				n++
+			}
+		}
+		if sh.spillMin.Load() != snapFree {
+			sh.mu.Lock()
+			n += len(sh.spill)
+			sh.mu.Unlock()
+		}
+	}
+	return n
+}
+
 // TestLiveRegistryOverflow holds three times as many lock owners as a
 // shard has slots, all in the engine's one shard, so most of them spill
 // into the overflow map. Registered concurrently, every owner's id

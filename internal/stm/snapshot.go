@@ -126,22 +126,3 @@ func (r *snapshotRegistry) minActive() uint64 {
 	}
 	return m
 }
-
-// activeCount returns the number of live snapshot transactions.
-func (r *snapshotRegistry) activeCount() int {
-	n := 0
-	for i := range r.shards {
-		sh := &r.shards[i]
-		for j := range sh.slots {
-			if sh.slots[j].Load() != snapFree {
-				n++
-			}
-		}
-		if sh.spillMin.Load() != snapFree {
-			sh.mu.Lock()
-			n += len(sh.spill)
-			sh.mu.Unlock()
-		}
-	}
-	return n
-}

@@ -188,7 +188,7 @@ func TestSnapshotRegistryTrimming(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if h := x.currentVersion(); h.prev != nil {
+	if h := x.head.Load(); h.prev.Load() != nil {
 		t.Fatal("history should be trimmed when no snapshots are live")
 	}
 
@@ -213,6 +213,12 @@ func TestSnapshotRegistryTrimming(t *testing.T) {
 	}
 	if e.snaps.activeCount() != 0 {
 		t.Fatal("snapshot not unregistered after commit")
+	}
+
+	// The reader that needed the history was the last to leave: its
+	// finish released it, with no further write to x.
+	if h := x.head.Load(); h.prev.Load() != nil {
+		t.Fatal("history kept for a reader outlived it")
 	}
 }
 

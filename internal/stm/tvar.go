@@ -47,12 +47,15 @@ func (e *Engine) InitVar(v *Var, first *Version) {
 
 // install stamps rec with commit timestamp wv, links behind it what of
 // the overwritten chain snapshot readers may still need (needed is the
-// registry's minActive), and makes it v's head. It is the only place a
-// committed head is built; every caller but InitVar holds v's lock word
-// and releases it afterwards.
-func (v *Var) install(rec *Version, wv, needed uint64) {
-	rec.ver, rec.prev = wv, retainHistory(v.head.Load(), wv, needed)
+// registry's minActive), and makes it v's head. It reports whether it
+// kept any history, which the caller then owes a release (owedQueue).
+// It is the only place a committed head is built; every caller but
+// InitVar holds v's lock word and releases it afterwards.
+func (v *Var) install(rec *Version, wv, needed uint64) bool {
+	rec.ver = wv
+	rec.prev.Store(retainHistory(v.head.Load(), wv, needed))
 	v.head.Store(rec)
+	return rec.prev.Load() != nil
 }
 
 // ID returns the variable's identity: its address, which is how TL2
@@ -65,9 +68,6 @@ func (v *Var) install(rec *Version, wv, needed uint64) {
 // AbortError.VarID reports it. This is the package's only use of unsafe,
 // and the integer is never converted back to a pointer.
 func (v *Var) ID() uint64 { return uint64(uintptr(unsafe.Pointer(v))) }
-
-// Engine returns the engine that owns this variable.
-func (v *Var) Engine() *Engine { return v.eng }
 
 // LoadDirect reads the current committed value without any transactional
 // protection. It is linearizable on its own (the head version record is
@@ -96,12 +96,11 @@ func (v *Var) StoreVersionDirect(rec *Version) {
 		panic("stm: Var.StoreDirect raced with a live transaction (lock word held)")
 	}
 	wv := v.eng.clock.Tick()
-	v.install(rec, wv, v.eng.snaps.minActive())
+	if v.install(rec, wv, v.eng.snaps.minActive()) {
+		v.eng.owed[0].owe(v, wv)
+	}
 	v.lw.Store(packVersion(wv))
 }
-
-// currentVersion returns the head version record.
-func (v *Var) currentVersion() *Version { return v.head.Load() }
 
 // tryLock attempts to acquire the variable's lock for transaction owner,
 // returning the previous unlocked word and true on success. It fails

@@ -383,14 +383,18 @@ func (tx *Txn) unregisterLive() {
 
 // finish tears down per-attempt registrations and folds the attempt's
 // tally into the engine's stats — the one place every commit and abort
-// passes through. An irrevocable attempt lowers the gate before it
-// gives up the token.
+// passes through. A snapshot reader releases, once it has unregistered,
+// whatever history only it still needed. An irrevocable attempt lowers
+// the gate before it gives up the token.
 func (tx *Txn) finish(st uint32) {
 	tx.status.Store(st)
 	tx.unregisterLive()
 	if tx.snapRegistered {
 		tx.eng.snaps.unregister(tx.id, tx.snapSlot)
 		tx.snapRegistered = false
+		for i := range tx.eng.owed {
+			tx.eng.drain(&tx.eng.owed[i])
+		}
 	}
 	if tx.irrevocableHeld {
 		tx.eng.gate.Store(false)
@@ -425,9 +429,6 @@ func (tx *Txn) Semantics() Semantics { return tx.sem }
 
 // ReadTimestamp returns the current read timestamp rv.
 func (tx *Txn) ReadTimestamp() uint64 { return tx.rv }
-
-// Engine returns the owning engine.
-func (tx *Txn) Engine() *Engine { return tx.eng }
 
 // kill requests asynchronous abort of attempt expected — the id the
 // caller observed in the busy lock word and resolved through the live
@@ -486,7 +487,16 @@ func (tx *Txn) checkLive() error {
 // Read performs a transactional read of v under the transaction's
 // semantics. On conflict it aborts the transaction and returns a
 // retryable error (see IsRetryable).
-func (tx *Txn) Read(v *Var) (any, error) {
+func (tx *Txn) Read(v *Var) (any, error) { return tx.read(v, false) }
+
+// ReadPinned performs a transactional read whose entry is anchored: an
+// elastic transaction never slides it out of the validated set, so the
+// value is guaranteed current at every later cut and at commit, exactly
+// like a def read. Under non-weak semantics it is identical to Read.
+func (tx *Txn) ReadPinned(v *Var) (any, error) { return tx.read(v, true) }
+
+// read is Read and ReadPinned: pinned only matters to an elastic read.
+func (tx *Txn) read(v *Var, pinned bool) (any, error) {
 	if err := tx.checkLive(); err != nil {
 		return nil, err
 	}
@@ -509,37 +519,7 @@ func (tx *Txn) Read(v *Var) (any, error) {
 	case sem == SemanticsIrrevocable:
 		return tx.readIrrevocable(v), nil
 	case sem == SemanticsWeak && !tx.written:
-		return tx.readElastic(v, false)
-	default:
-		return tx.readDef(v)
-	}
-}
-
-// ReadPinned performs a transactional read whose entry is anchored: an
-// elastic transaction never slides it out of the validated set, so the
-// value is guaranteed current at every later cut and at commit, exactly
-// like a def read. Under non-weak semantics it is identical to Read.
-func (tx *Txn) ReadPinned(v *Var) (any, error) {
-	if err := tx.checkLive(); err != nil {
-		return nil, err
-	}
-	if v.eng != tx.eng {
-		tx.abortCleanup()
-		return nil, tx.opError(ErrCrossEngine, "cross-engine read")
-	}
-	tx.stat(statReads)
-	if len(tx.wset) > 0 {
-		if i := tx.findWrite(v); i >= 0 {
-			return tx.wset[i].rec.val, nil
-		}
-	}
-	switch sem := tx.effective(); {
-	case sem == SemanticsSnapshot:
-		return tx.readSnapshot(v)
-	case sem == SemanticsIrrevocable:
-		return tx.readIrrevocable(v), nil
-	case sem == SemanticsWeak && !tx.written:
-		return tx.readElastic(v, true)
+		return tx.readElastic(v, pinned)
 	default:
 		return tx.readDef(v)
 	}
@@ -836,13 +816,20 @@ func (tx *Txn) lockForCommit(e *writeEntry) error {
 
 // publish installs all buffered writes at commit timestamp wv and
 // releases the locks. The overwritten head is preserved on the version
-// chain, trimmed to what live snapshot readers may still need.
+// chain, trimmed to what live snapshot readers may still need, and a
+// variable that kept any is owed to the shell's stripe, which the
+// commit then drains.
 func (tx *Txn) publish(wv uint64) {
 	needed := tx.eng.snaps.minActive()
+	q := &tx.eng.owed[tx.stripe&tx.eng.stats.mask]
 	for i := range tx.wset {
 		e := &tx.wset[i]
-		e.v.install(e.rec, wv, needed)
+		kept := e.v.install(e.rec, wv, needed)
 		e.v.unlockTo(packVersion(wv))
 		e.locked = false
+		if kept {
+			q.owe(e.v, wv)
+		}
 	}
+	tx.eng.drain(q)
 }

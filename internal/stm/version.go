@@ -1,5 +1,10 @@
 package stm
 
+import (
+	"sync"
+	"sync/atomic"
+)
+
 // Version is one immutable committed state of a transactional variable.
 // Versions form a singly linked chain from newest (the variable's head)
 // to oldest. The chain exists so that snapshot-semantics readers can
@@ -27,10 +32,15 @@ package stm
 // further: core.SetBytes keeps the bytes in the cell too). The engine
 // never looks past the Version header; a chain freely mixes cells and
 // plain records.
+//
+// The link to the previous record is atomic because it is cut without
+// the variable's lock word: a backup kept for a snapshot reader is
+// released once no reader can need it (see owedQueue), not at the
+// variable's next write.
 type Version struct {
 	val  any
 	ver  uint64
-	prev *Version
+	prev atomic.Pointer[Version]
 }
 
 // Hold sets the value of a record that has not been handed to the engine
@@ -43,14 +53,11 @@ func (v *Version) Hold(val any) *Version {
 // Value returns the committed value held by this version.
 func (v *Version) Value() any { return v.val }
 
-// Timestamp returns the commit timestamp of this version.
-func (v *Version) Timestamp() uint64 { return v.ver }
-
 // resolveAt returns the newest version in the chain whose timestamp is
 // <= at, or nil if the chain has been trimmed past that point (which the
 // snapshot registry guarantees cannot happen for registered snapshots).
 func (v *Version) resolveAt(at uint64) *Version {
-	for cur := v; cur != nil; cur = cur.prev {
+	for cur := v; cur != nil; cur = cur.prev.Load() {
 		if cur.ver <= at {
 			return cur
 		}
@@ -58,28 +65,92 @@ func (v *Version) resolveAt(at uint64) *Version {
 	return nil
 }
 
-// retainHistory decides what of the overwritten chain a writer committing
-// at timestamp wv must keep: nothing, if no live snapshot reader can need
-// a version older than wv; otherwise the chain trimmed to the oldest
-// timestamp still needed.
+// retainHistory decides what of the overwritten chain old a writer
+// committing at timestamp wv must keep, where needed is the oldest
+// timestamp any live snapshot reader may still request: nothing, if
+// needed >= wv; otherwise the chain down to the newest version with ver
+// <= needed (the one such a reader resolves to), everything older
+// unlinked so the garbage collector can reclaim it.
 func retainHistory(old *Version, wv, needed uint64) *Version {
 	if needed >= wv {
 		return nil
 	}
-	return old.trimmed(needed)
-}
-
-// trimmed returns the chain headed by v with every version strictly older
-// than needed removed, where needed is the oldest timestamp any active
-// snapshot reader may still request. The newest version with ver <=
-// needed is kept (it is the one such a reader resolves to); everything
-// older is unlinked so the garbage collector can reclaim it.
-func (v *Version) trimmed(needed uint64) *Version {
-	for cur := v; cur != nil; cur = cur.prev {
+	for cur := old; cur != nil; cur = cur.prev.Load() {
 		if cur.ver <= needed {
-			cur.prev = nil
-			return v
+			cur.prev.Store(nil)
+			break
 		}
 	}
-	return v
+	return old
+}
+
+// owedQueue lists the variables whose install kept history for a
+// snapshot reader, each with the commit timestamp of that install: the
+// backups the engine owes a release. Each writing commit appends to its
+// shell's stripe (Txn.publish) and then drains that stripe, and each
+// snapshot reader drains every stripe after it unregisters, so a backup
+// is freed when its last reader leaves rather than at the variable's
+// next write.
+type owedQueue struct {
+	mu   sync.Mutex
+	low  atomic.Uint64 // at most the oldest commit in vars; snapFree when empty
+	vars []owed
+	_    [cacheLine - 40]byte
+}
+
+type owed struct {
+	v  *Var
+	wv uint64
+}
+
+// owe appends v, whose install at wv kept history.
+func (q *owedQueue) owe(v *Var, wv uint64) {
+	q.mu.Lock()
+	q.vars = append(q.vars, owed{v, wv})
+	q.low.Store(min(q.low.Load(), wv))
+	q.mu.Unlock()
+}
+
+// drain cuts the history behind every owed head that no live snapshot
+// reader can need, and keeps the rest. An entry whose install is no
+// longer the head is dropped: the newer install owes its own release,
+// if it kept any history. A cut needs the head's version at or below
+// the registry's minimum, so m, folded first, lets a drain leave a
+// queue whose oldest commit is above it without taking its lock, and
+// skip such entries in it. The cut itself is decided by a fold taken
+// AFTER the head was loaded, and that order is load-bearing: it is the
+// register-then-sample argument (see registerSampling). A reader that
+// fold missed stored its bound after the head was loaded, so after the
+// head was installed, and its rv, sampled later still, is at least the
+// head's version: it resolves to the head or newer and never follows
+// the link being cut. The first fold may precede a reader that
+// registers, and a commit that keeps history for it and is owed here,
+// before the lock is taken.
+func (e *Engine) drain(q *owedQueue) {
+	low := q.low.Load()
+	if low == snapFree {
+		return
+	}
+	m := e.snaps.minActive()
+	if low > m {
+		return
+	}
+	q.mu.Lock()
+	kept, low := q.vars[:0], uint64(snapFree)
+	for _, o := range q.vars {
+		switch h := o.v.head.Load(); {
+		case h.ver != o.wv: // superseded: dropped
+		case o.wv > m || h.ver > e.snaps.minActive():
+			kept, low = append(kept, o), min(low, o.wv)
+		default:
+			h.prev.Store(nil)
+		}
+	}
+	clear(q.vars[len(kept):])
+	if cap(kept) > 4*len(kept)+1024 {
+		kept = append([]owed(nil), kept...) // a long reader's backlog is gone
+	}
+	q.vars = kept
+	q.low.Store(low)
+	q.mu.Unlock()
 }

@@ -568,6 +568,62 @@ func TestSkipMapFootprint(t *testing.T) {
 	runtime.KeepAlive(m)
 }
 
+// TestHistoryFootprint: what writers back up for a snapshot reader is
+// freed when that reader leaves. One churn — overwrite every key of a
+// 100k-key map, then delete one key in ten — runs once beside a parked
+// snapshot reader and once with no reader, and the heap the first run
+// leaves once its reader has gone must be within 2% of the second's.
+// (When a backup lived until its key's next write, the parked reader's
+// value and link records outlived it: 23.7 MiB against 16.8.)
+func TestHistoryFootprint(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation changes object sizes; the footprint is asserted in the non-race CI step")
+	}
+	const n = 100_000
+	churn := func(parked bool) uint64 {
+		m := preloadAscending(n)
+		release, done := make(chan struct{}), make(chan struct{})
+		if parked {
+			started := make(chan struct{})
+			go func() {
+				defer close(done)
+				if err := m.tm.AtomicAs(core.Snapshot, func(tx *core.Tx) error {
+					if _, _, err := m.GetTx(tx, fmt.Sprintf("key-%012d", 0)); err != nil {
+						return err
+					}
+					close(started)
+					<-release
+					return nil
+				}); err != nil {
+					t.Error(err)
+				}
+			}()
+			<-started
+		}
+		for i := 0; i < n; i++ {
+			m.Put(fmt.Sprintf("key-%012d", i), "w", core.Def)
+		}
+		for i := 0; i < n; i += 10 {
+			m.Delete(fmt.Sprintf("key-%012d", i), core.Def)
+		}
+		if parked {
+			close(release)
+			<-done
+		}
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		runtime.KeepAlive(m)
+		return ms.HeapAlloc
+	}
+	without := churn(false)
+	with := churn(true)
+	t.Logf("heap after the churn: %.2f MiB with a parked reader, %.2f MiB without", float64(with)/(1<<20), float64(without)/(1<<20))
+	if float64(with) > 1.02*float64(without) {
+		t.Errorf("the parked reader's history outlived it: %d B against %d B, over 2%%", with, without)
+	}
+}
+
 // TestSkipMapInsertAllocs: a fresh insert allocates the node (its value
 // variable and its tower inside), the key clone, the value's cell, and a
 // first record plus a write record per level — 5.67 expected at p = 1/4.
