@@ -36,12 +36,18 @@ func exerciseTVar[T any](t *testing.T, a, b, c T) {
 	}
 	tm := NewDefault()
 	tv := NewTVar(tm, a)
+	store := func(val T) {
+		t.Helper()
+		if err := AtomicSet(tm, tv, val); err != nil {
+			t.Fatal(err)
+		}
+	}
 	same("LoadDirect after NewTVar", tv.LoadDirect(), a)
-	tv.StoreDirect(b)
-	same("LoadDirect after StoreDirect", tv.LoadDirect(), b)
+	store(b)
+	same("LoadDirect after a committed Set", tv.LoadDirect(), b)
 
 	for _, sem := range []Semantics{Def, Weak, Irrevocable} {
-		tv.StoreDirect(a)
+		store(a)
 		if err := tm.AtomicAs(sem, func(tx *Tx) error {
 			got, err := Get(tx, tv)
 			if err != nil {

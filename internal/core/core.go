@@ -552,10 +552,6 @@ func InitBytes(tm *TM, tv *TVar[string], init []byte) { tm.eng.InitVar(&tv.v, by
 // quiescent inspection).
 func (tv *TVar[T]) LoadDirect() T { return value[T](tv.v.LoadDirect()) }
 
-// StoreDirect overwrites the value outside any transaction; safe only
-// when no transaction is live.
-func (tv *TVar[T]) StoreDirect(val T) { tv.v.StoreVersionDirect(record(val)) }
-
 // Get reads tv inside tx under the semantics in effect.
 func Get[T any](tx *Tx, tv *TVar[T]) (T, error) {
 	raw, err := tx.inner.Read(&tv.v)

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"polytm/internal/core"
 	"polytm/internal/raceflag"
 	"polytm/internal/server"
 	"polytm/internal/server/client"
@@ -291,4 +292,44 @@ func TestPipelinedResponsesSurviveReuse(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestStoreFootprint is what a key costs at the store: live heap bytes
+// and objects per key once 100k 16-byte keys with 64-byte values have
+// been SET through Store.ExecuteInto on one volatile shard. On top of
+// the skip map's own cost (structures' TestSkipMapFootprint) it counts
+// what a SET adds per key: the key clone the store keeps and the value's
+// bytes cell (PutBytesTx). Tower heights are random, so a run moves by
+// about a byte.
+func TestStoreFootprint(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation changes object sizes; the footprint is asserted in the non-race CI step")
+	}
+	const n = 100_000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	st := server.NewStore(core.NewDefault())
+	req := wire.Request{Op: wire.OpSet, Sem: wire.SemDefault, Val: make([]byte, 64)}
+	var resp wire.Response
+	for i := 0; i < n; i++ {
+		req.Key = fmt.Appendf(req.Key[:0], "key-%012d", i)
+		st.ExecuteInto(&req, &resp)
+		if resp.Status != wire.StatusOK {
+			t.Fatalf("SET %s: %v %s", req.Key, resp.Status, resp.Msg)
+		}
+	}
+	req, resp = wire.Request{}, wire.Response{}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	bytesPerKey := float64(after.HeapAlloc-before.HeapAlloc) / n
+	objsPerKey := float64(after.HeapObjects-before.HeapObjects) / n
+	t.Logf("%d SETs of 16-byte keys and 64-byte values: %.1f B/key in %.2f objects/key", n, bytesPerKey, objsPerKey)
+	if bytesPerKey > 244 {
+		t.Errorf("%.1f B/key, want <= 244", bytesPerKey)
+	}
+	if objsPerKey > 4.4 {
+		t.Errorf("%.2f objects/key, want <= 4.4", objsPerKey)
+	}
+	runtime.KeepAlive(st)
 }

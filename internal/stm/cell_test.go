@@ -34,7 +34,8 @@ func chainCount(v *Var, rec *Version) (n int) {
 
 // TestCellCommitInstallsHandedRecord: a committed write's record becomes
 // the head — that very object, exactly once — under every writing
-// semantics and through StoreVersionDirect; an aborted attempt's record,
+// semantics, with plain and cell records mixed on one chain; an aborted
+// attempt's record,
 // and a record replaced by a later write of the same transaction, are
 // never stamped and never reach the chain. A snapshot reader held open
 // throughout keeps the whole history linked, so "exactly once" is
@@ -114,18 +115,20 @@ func TestCellCommitInstallsHandedRecord(t *testing.T) {
 				t.Errorf("committed record stamped ver=%d prev=%p, want a commit timestamp and prev=%p", committed.ver, committed.prev.Load(), first)
 			}
 
-			// A plain record and a direct store go on top: the chain mixes.
+			// A plain record and another cell go on top: the chain mixes.
 			if err := e.Run(sem, func(tx *Txn) error { return tx.Write(x, new(int)) }); err != nil {
 				t.Fatal(err)
 			}
 			plain := x.head.Load()
-			direct := newIntCell(5)
-			x.StoreVersionDirect(direct)
-			if x.head.Load() != direct || direct.prev.Load() != plain || plain.prev.Load() != committed {
-				t.Errorf("chain is not direct -> plain -> committed")
+			cell := newIntCell(5)
+			if err := e.Run(sem, func(tx *Txn) error { return tx.WriteVersion(x, cell) }); err != nil {
+				t.Fatal(err)
+			}
+			if x.head.Load() != cell || cell.prev.Load() != plain || plain.prev.Load() != committed {
+				t.Errorf("chain is not cell -> plain -> committed")
 			}
 
-			for _, rec := range []*Version{first, committed, plain, direct} {
+			for _, rec := range []*Version{first, committed, plain, cell} {
 				if n := chainCount(x, rec); n != 1 {
 					t.Errorf("installed record %p appears %d times in the chain, want 1", rec, n)
 				}

@@ -2,8 +2,8 @@
 // engine underlying the polymorphic transaction API of package core.
 //
 // The engine is word-based in the TL2/LSA tradition: shared state lives in
-// explicit transactional variables (TVar), each guarded by a versioned
-// lock word, and commit order is defined by a global version clock.
+// explicit transactional variables (TVar), each a lock word and a head
+// version record, and commit order is defined by a global version clock.
 // On top of this single substrate the engine implements several
 // transaction *semantics* — the paper's polymorphism parameter p in
 // start(p):

@@ -29,6 +29,9 @@ type Config struct {
 // defaultCM is the contention manager of a run that names none.
 var defaultCM = NewPolite(8)
 
+// engineWords numbers the engines of the process; see Engine.word.
+var engineWords atomic.Uint64
+
 // Engine is one transactional memory: a global version clock, an
 // identity space for transactions, a snapshot registry, and the
 // irrevocability token and commit gate. Engines are independent;
@@ -58,6 +61,14 @@ type Engine struct {
 	// snapshot readers until none can need it (see owedQueue).
 	owed []owedQueue
 
+	// word is the unlocked lock word of every variable of this engine: a
+	// process-wide serial from 1 that is never reused, with bit 63 clear
+	// (see lockword.go). The zero word is no engine's, so a Var that was
+	// never initialised reads as foreign to all of them. Every InitVar
+	// loads it, so it sits past the clock's cache line, beside fields
+	// nothing writes after NewEngine.
+	word uint64
+
 	// irrevocable serializes SemanticsIrrevocable transactions, and the
 	// one holding it raises gate to shut out writing commits (see
 	// irrevocable.go). Every writing commit loads the gate, and every
@@ -85,7 +96,7 @@ type Engine struct {
 // NewEngine creates an engine with the given configuration.
 func NewEngine(cfg Config) *Engine {
 	cfg.Shards = resolveShardCount(cfg.Shards)
-	e := &Engine{cfg: cfg}
+	e := &Engine{cfg: cfg, word: engineWords.Add(1)}
 	e.snaps.init(cfg.Shards)
 	e.owed = make([]owedQueue, cfg.Shards)
 	e.live.init(cfg.Shards)
@@ -124,7 +135,7 @@ func (e *Engine) lookupTxn(id uint64) *Txn {
 // assigned on the first begin, from the transaction's first attempt-id
 // block.
 func (e *Engine) newTxn(sem Semantics, cm CMFactory) *Txn {
-	tx := &Txn{eng: e, ctx: context.Background(), stripe: e.shells.Add(1)}
+	tx := &Txn{eng: e, word: e.word, ctx: context.Background(), stripe: e.shells.Add(1)}
 	tx.sem = sem
 	tx.cmFac = cm
 	return tx

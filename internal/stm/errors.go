@@ -36,7 +36,11 @@ var (
 	ErrTxnDone = errors.New("stm: use of finished transaction")
 
 	// ErrCrossEngine is the sentinel wrapped when a transaction touches a
-	// variable owned by a different engine.
+	// variable owned by a different engine, or one never initialised. A
+	// read returns it, after waiting out any commit window the variable
+	// is locked for. A write returns it too, except an optimistic write
+	// that meets another transaction's lock: that write is buffered, and
+	// Commit returns it once the lock shows whose the variable is.
 	ErrCrossEngine = errors.New("stm: variable belongs to a different engine")
 
 	// ErrTooManyAttempts is the sentinel wrapped by Engine.RunOpts when a

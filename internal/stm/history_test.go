@@ -36,7 +36,7 @@ func TestHistoryReleaseUnderChurn(t *testing.T) {
 			total += x.(int)
 		}
 		if total != nvars*initial {
-			t.Errorf("snapshot at rv %d read sum %d, want %d", tx.ReadTimestamp(), total, nvars*initial)
+			t.Errorf("snapshot at rv %d read sum %d, want %d", tx.rv, total, nvars*initial)
 		}
 		return nil
 	}

@@ -18,9 +18,9 @@ import "runtime"
 //     against each other), raises the gate, waits until the live
 //     registry is empty — every writing optimistic commit already past
 //     the gate has finished — and samples rv.
-//   - Its reads are one head load each, and its writes are only
-//     buffered. Nothing else can publish while the gate is up, so every
-//     read returns the state at rv.
+//   - Its reads are one lock-word compare and one head load each, and
+//     its writes are only buffered. Nothing else can publish while the
+//     gate is up, so every read returns the state at rv.
 //   - commitIrrevocable locks the write set (nobody else can hold those
 //     locks), ticks, installs, and releases at the new version: the
 //     optimistic publish without validation. Readers wait on those
@@ -57,9 +57,19 @@ func (tx *Txn) beginIrrevocable() {
 	tx.stat(statIrrevocables)
 }
 
-// readIrrevocable performs one irrevocable-mode read. It touches no
-// lock word: the gate keeps every other writer from publishing.
-func (tx *Txn) readIrrevocable(v *Var) any { return v.head.Load().val }
+// readIrrevocable performs one irrevocable-mode read: one lock-word
+// compare and one head load. The gate keeps every other writer of the
+// engine from publishing, so a word that is not the engine's can only be
+// another engine's, which waitUnlocked reports once any lock on it is
+// let go.
+func (tx *Txn) readIrrevocable(v *Var) (any, error) {
+	if v.lw.Load() != tx.word {
+		if err := tx.waitUnlocked(v); err != nil {
+			return nil, err
+		}
+	}
+	return v.head.Load().val, nil
+}
 
 // passGate registers a writing optimistic commit as a lock owner — the
 // committer's half of the Dekker pair — once no irrevocable transaction
@@ -84,12 +94,13 @@ func (tx *Txn) passGate() error {
 }
 
 // commitIrrevocable publishes the buffered writes at a fresh commit
-// timestamp. It cannot fail: the gate and the token leave no other
-// holder for any lock it takes.
+// timestamp. It cannot fail: each write checked its variable is the
+// engine's, and the gate and the token leave no other holder for any
+// lock it takes.
 func (tx *Txn) commitIrrevocable() {
 	for i := range tx.wset {
-		if _, ok := tx.wset[i].v.tryLock(tx.id); !ok {
-			panic("stm: irrevocable commit met a held lock (Var.StoreDirect beside a live transaction?)")
+		if !tx.wset[i].v.lw.CompareAndSwap(tx.word, packOwner(tx.id)) {
+			panic("stm: irrevocable commit met a held lock")
 		}
 	}
 	tx.publish(tx.eng.clock.Tick())

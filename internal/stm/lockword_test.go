@@ -1,22 +1,42 @@
 package stm
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 )
 
-// wordVersion extracts the version from an unlocked lock word. It must
-// only be called when isLocked(w) is false.
-func wordVersion(w uint64) uint64 { return w &^ lockBit }
-
-func TestLockWordVersionRoundTrip(t *testing.T) {
-	f := func(v uint64) bool {
-		v &^= lockBit // versions are 63-bit
-		w := packVersion(v)
-		return !isLocked(w) && wordVersion(w) == v
+// tryLock takes v's lock for transaction owner from whatever unlocked
+// word it holds, returning that word for unlockTo; it fails if v is
+// locked. Tests use it to hold a lock as a committer in its publish
+// window would.
+func (v *Var) tryLock(owner uint64) (prev uint64, ok bool) {
+	w := v.lw.Load()
+	if isLocked(w) || !v.lw.CompareAndSwap(w, packOwner(owner)) {
+		return 0, false
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	return w, true
+}
+
+// unlockTo releases a lock taken by tryLock, restoring the word w.
+func (v *Var) unlockTo(w uint64) { v.lw.Store(w) }
+
+// lockedBy reports whether v is locked and, if so, by which id.
+func (v *Var) lockedBy() (owner uint64, locked bool) {
+	w := v.lw.Load()
+	return wordOwner(w), isLocked(w)
+}
+
+// TestLockWordEngineWordsUnlocked: each engine's word is non-zero,
+// reads as unlocked, differs from every other engine's, and is what its
+// variables hold while unlocked.
+func TestLockWordEngineWordsUnlocked(t *testing.T) {
+	a, b := NewDefaultEngine(), NewDefaultEngine()
+	if a.word == 0 || b.word == 0 || a.word == b.word || isLocked(a.word) || isLocked(b.word) {
+		t.Fatalf("engine words %#x and %#x: want two distinct unlocked non-zero words", a.word, b.word)
+	}
+	if w := a.NewVar(1).lw.Load(); w != a.word {
+		t.Fatalf("fresh variable's word %#x, want its engine's %#x", w, a.word)
 	}
 }
 
@@ -33,21 +53,25 @@ func TestLockWordOwnerRoundTrip(t *testing.T) {
 
 func TestLockWordStatesDisjoint(t *testing.T) {
 	f := func(a, b uint64) bool {
-		a &^= lockBit
+		a &^= lockBit // an engine's word
 		b &^= lockBit
-		return packVersion(a) != packOwner(b)
+		return a != packOwner(b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestLockWordZeroIsUnlockedVersionZero(t *testing.T) {
+// TestLockWordZeroIsNoEngine: the zero word reads as unlocked and is no
+// engine's, so a variable that was never initialised is refused as
+// another engine's instead of dereferencing its nil head.
+func TestLockWordZeroIsNoEngine(t *testing.T) {
 	if isLocked(0) {
 		t.Fatal("zero word must be unlocked")
 	}
-	if wordVersion(0) != 0 {
-		t.Fatal("zero word must carry version 0")
+	tx := NewDefaultEngine().Begin(SemanticsDef)
+	if _, err := tx.Read(new(Var)); !errors.Is(err, ErrCrossEngine) {
+		t.Fatalf("read of a zero Var: %v, want ErrCrossEngine", err)
 	}
 }
 

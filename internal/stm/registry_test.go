@@ -104,8 +104,8 @@ func TestSnapshotRegistryOverflow(t *testing.T) {
 		e.clock.Tick()
 	}
 	for i, tx := range txs {
-		if m := e.snaps.minActive(); m != tx.ReadTimestamp() {
-			t.Fatalf("after releasing %d oldest readers: minActive = %d, want the oldest live rv %d", i, m, tx.ReadTimestamp())
+		if m := e.snaps.minActive(); m != tx.rv {
+			t.Fatalf("after releasing %d oldest readers: minActive = %d, want the oldest live rv %d", i, m, tx.rv)
 		}
 		if n := e.snaps.activeCount(); n != readers-i {
 			t.Fatalf("activeCount = %d, want %d", n, readers-i)
@@ -138,7 +138,7 @@ func TestSnapshotRegistryOverflow(t *testing.T) {
 		inParallel(readers, func(i int) { txs[i] = e.Begin(SemanticsSnapshot) })
 		rvs := make([]uint64, readers)
 		for i, tx := range txs {
-			rvs[i] = tx.ReadTimestamp()
+			rvs[i] = tx.rv
 		}
 		if m, oldest := e.snaps.minActive(), slices.Min(rvs); m > oldest {
 			t.Fatalf("round %d: minActive = %d exceeds the oldest live rv %d", round, m, oldest)

@@ -227,12 +227,12 @@ func TestSnapshotRegistryMin(t *testing.T) {
 	t1 := e.Begin(SemanticsSnapshot)
 	e.clock.Tick()
 	t2 := e.Begin(SemanticsSnapshot)
-	if m := e.snaps.minActive(); m != t1.ReadTimestamp() {
-		t.Fatalf("minActive = %d, want %d", m, t1.ReadTimestamp())
+	if m := e.snaps.minActive(); m != t1.rv {
+		t.Fatalf("minActive = %d, want %d", m, t1.rv)
 	}
 	t1.Abort()
-	if m := e.snaps.minActive(); m != t2.ReadTimestamp() {
-		t.Fatalf("after t1 ends, minActive = %d, want %d", m, t2.ReadTimestamp())
+	if m := e.snaps.minActive(); m != t2.rv {
+		t.Fatalf("after t1 ends, minActive = %d, want %d", m, t2.rv)
 	}
 	t2.Commit()
 }

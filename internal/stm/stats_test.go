@@ -271,26 +271,9 @@ func TestResetStatsZeroesEveryStripe(t *testing.T) {
 	}
 }
 
-// TestStoreDirectDetectsRacingLocker pins the CAS-guarded publish: a
-// StoreDirect against a variable whose lock word is held must panic
-// loudly instead of corrupting the version chain.
-func TestStoreDirectDetectsRacingLocker(t *testing.T) {
-	e := NewDefaultEngine()
-	v := e.NewVar(1)
-	if _, ok := v.tryLock(42); !ok {
-		t.Fatal("setup: could not lock variable")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("StoreDirect against a locked variable did not panic")
-		}
-	}()
-	v.StoreDirect(2)
-}
-
 // TestTxnIDBlocksUniqueAndNonzero drives many transactions concurrently
 // and checks that block-allocated attempt ids never collide and never
-// produce the reserved id 0 (the StoreDirect sentinel owner).
+// produce id 0, which means "none" in a kill and a birth.
 func TestTxnIDBlocksUniqueAndNonzero(t *testing.T) {
 	e := NewDefaultEngine()
 	const workers = 8
@@ -319,7 +302,7 @@ func TestTxnIDBlocksUniqueAndNonzero(t *testing.T) {
 	for ids := range idsCh {
 		for _, id := range ids {
 			if id == 0 {
-				t.Fatal("attempt id 0 issued (reserved for StoreDirect)")
+				t.Fatal("attempt id 0 issued (0 means no attempt)")
 			}
 			if seen[id] {
 				t.Fatalf("attempt id %d issued twice", id)

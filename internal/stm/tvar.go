@@ -6,15 +6,15 @@ import (
 )
 
 // Var is an untyped transactional variable: one shared register of the
-// paper's model. All access must go through a transaction (Txn.Read,
-// Txn.Write) or the non-transactional escape hatches below, which are
-// only safe when no transaction is live (e.g. test setup and teardown).
+// paper's model, two words long. All access must go through a
+// transaction (Txn.Read, Txn.Write); LoadDirect is the one read outside
+// one. A Var does not point at its engine: its unlocked lock word is the
+// engine's word, which is how a transaction tells a variable of another
+// engine (Txn.foreign).
 //
 // Typed access is provided by the generic wrappers in package core.
 type Var struct {
-	eng *Engine
-
-	// lw is the versioned lock word; see lockword.go.
+	// lw is the lock word; see lockword.go.
 	lw atomic.Uint64
 
 	// head points at the current committed version. It is never nil and
@@ -40,7 +40,7 @@ func (e *Engine) NewVar(v any) *Var {
 // meet. A Var must not be copied once initialised: its address is its
 // identity (see ID).
 func (e *Engine) InitVar(v *Var, first *Version) {
-	v.eng = e
+	v.lw.Store(e.word)
 	v.install(first, 0, 0)
 	e.stats.add(v.ID(), statVarsAllocated)
 }
@@ -74,60 +74,3 @@ func (v *Var) ID() uint64 { return uint64(uintptr(unsafe.Pointer(v))) }
 // immutable) but provides no consistency with other reads; it exists for
 // tests, statistics and post-quiescence inspection.
 func (v *Var) LoadDirect() any { return v.head.Load().val }
-
-// StoreDirect overwrites the variable outside any transaction. It must
-// only be used while no transaction is live (e.g. test setup and
-// teardown); it advances the global clock so later transactions observe
-// the change, but it performs no conflict detection.
-//
-// The publish is CAS-guarded: StoreDirect takes the variable's lock
-// word like any committer, under the reserved owner id 0 (transaction
-// ids start at 1), so a misuse that races a transaction in its commit
-// window, or another StoreDirect, fails loudly with a panic instead of
-// silently splicing a stale head into the version chain. A race against
-// readers, or against an irrevocable transaction's body, remains
-// undetectable; the precondition stands.
-func (v *Var) StoreDirect(val any) { v.StoreVersionDirect(&Version{val: val}) }
-
-// StoreVersionDirect is StoreDirect for a record the caller allocated.
-func (v *Var) StoreVersionDirect(rec *Version) {
-	w := v.lw.Load()
-	if isLocked(w) || !v.lw.CompareAndSwap(w, packOwner(directStoreOwner)) {
-		panic("stm: Var.StoreDirect raced with a live transaction (lock word held)")
-	}
-	wv := v.eng.clock.Tick()
-	if v.install(rec, wv, v.eng.snaps.minActive()) {
-		v.eng.owed[0].owe(v, wv)
-	}
-	v.lw.Store(packVersion(wv))
-}
-
-// tryLock attempts to acquire the variable's lock for transaction owner,
-// returning the previous unlocked word and true on success. It fails
-// immediately if the variable is locked by anyone (including, defensively,
-// the owner itself — callers are expected to dedupe).
-func (v *Var) tryLock(owner uint64) (prev uint64, ok bool) {
-	w := v.lw.Load()
-	if isLocked(w) {
-		return 0, false
-	}
-	if v.lw.CompareAndSwap(w, packOwner(owner)) {
-		return w, true
-	}
-	return 0, false
-}
-
-// unlockTo releases the lock, installing the unlocked word w (either the
-// pre-lock word on abort, or packVersion(commitTS) on commit). Only the
-// lock owner may call it.
-func (v *Var) unlockTo(w uint64) { v.lw.Store(w) }
-
-// lockedBy reports whether the variable is currently locked and, if so,
-// by which transaction id.
-func (v *Var) lockedBy() (owner uint64, locked bool) {
-	w := v.lw.Load()
-	if !isLocked(w) {
-		return 0, false
-	}
-	return wordOwner(w), true
-}

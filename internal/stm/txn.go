@@ -35,7 +35,6 @@ type readEntry struct {
 type writeEntry struct {
 	v      *Var
 	rec    *Version
-	prevLW uint64 // pre-lock word, meaningful once locked
 	locked bool
 }
 
@@ -54,7 +53,10 @@ type writeEntry struct {
 // anywhere in the process may already own it. Begin hands out unpooled
 // Txns for callers that need to drive the lifecycle manually.
 type Txn struct {
-	eng   *Engine
+	eng *Engine
+	// word is eng.word, copied so that a read's one compare touches no
+	// engine cache line (the clock shares one).
+	word  uint64
 	sem   Semantics
 	cmFac CMFactory
 	cm    ContentionManager
@@ -180,8 +182,9 @@ const txnIDBlock = 64
 
 // nextAttemptID hands out the next per-attempt id from the
 // transaction's private block, refilling from the engine once per
-// txnIDBlock ids. Ids start at 1; id 0 is reserved for the
-// Var.StoreDirect lock-word sentinel. Block allocation keeps ids unique
+// txnIDBlock ids. Ids start at 1, because 0 means "none" in killedID and
+// birth. Ids are unique per engine only: another engine's lock word may
+// carry the same id (see foreign). Block allocation keeps ids unique
 // and keeps birth order (first id of the first block) aligned with
 // transaction creation order, which the timestamp contention manager's
 // age priority relies on.
@@ -427,9 +430,6 @@ func (tx *Txn) Karma() uint64 { return tx.karmaSeen.Load() }
 // Semantics returns the transaction's semantic parameter p.
 func (tx *Txn) Semantics() Semantics { return tx.sem }
 
-// ReadTimestamp returns the current read timestamp rv.
-func (tx *Txn) ReadTimestamp() uint64 { return tx.rv }
-
 // kill requests asynchronous abort of attempt expected — the id the
 // caller observed in the busy lock word and resolved through the live
 // registry. Delivery is attempt-exact: the kill deposits the expected
@@ -500,10 +500,6 @@ func (tx *Txn) read(v *Var, pinned bool) (any, error) {
 	if err := tx.checkLive(); err != nil {
 		return nil, err
 	}
-	if v.eng != tx.eng {
-		tx.abortCleanup()
-		return nil, tx.opError(ErrCrossEngine, "cross-engine read")
-	}
 	tx.stat(statReads)
 
 	// Read-your-writes.
@@ -517,7 +513,7 @@ func (tx *Txn) read(v *Var, pinned bool) (any, error) {
 	case sem == SemanticsSnapshot:
 		return tx.readSnapshot(v)
 	case sem == SemanticsIrrevocable:
-		return tx.readIrrevocable(v), nil
+		return tx.readIrrevocable(v)
 	case sem == SemanticsWeak && !tx.written:
 		return tx.readElastic(v, pinned)
 	default:
@@ -525,7 +521,8 @@ func (tx *Txn) read(v *Var, pinned bool) (any, error) {
 	}
 }
 
-// waitUnlocked spins until v is not locked by another transaction. A
+// waitUnlocked spins until v is unlocked, and fails the attempt with
+// ErrCrossEngine if v turns out to be another engine's (foreign). A
 // locked variable may be mid-publish by a committer whose timestamp was
 // taken BEFORE this transaction's read timestamp; trusting its (old)
 // head would tear that commit across variables — the classic TL2 locked
@@ -535,15 +532,38 @@ func (tx *Txn) read(v *Var, pinned bool) (any, error) {
 // context cancelled, while waiting.
 func (tx *Txn) waitUnlocked(v *Var) error {
 	for {
-		owner, locked := v.lockedBy()
-		if !locked || owner == tx.id {
+		w := v.lw.Load()
+		if w == tx.word {
 			return nil
+		}
+		if tx.foreign(w) {
+			return tx.crossEngine()
 		}
 		if err := tx.interrupted(); err != nil {
 			return err
 		}
 		runtime.Gosched()
 	}
+}
+
+// foreign reports whether lock word w, met by this attempt while it
+// holds no lock, proves its variable belongs to another engine: an
+// unlocked word that is not this engine's, or a lock in this attempt's
+// own name. Attempt ids are unique per engine only, and no attempt
+// reads or buffers a write while it holds a lock, so the second can only
+// be another engine's attempt that drew the same id. Any other lock
+// proves nothing until its holder lets go.
+func (tx *Txn) foreign(w uint64) bool {
+	if isLocked(w) {
+		return wordOwner(w) == tx.id
+	}
+	return w != tx.word
+}
+
+// crossEngine aborts the attempt for touching another engine's variable.
+func (tx *Txn) crossEngine() error {
+	tx.abortCleanup()
+	return tx.opError(ErrCrossEngine, "cross-engine access")
 }
 
 // interrupted is the check every wait loop makes before it yields: if
@@ -570,7 +590,8 @@ func (tx *Txn) interrupted() error {
 //
 // The preamble is the classic TL2 unlocked fast path: one lock-word
 // load and one head load decide the common case without entering the
-// wait/extend loop. It is sound because observing the lock word
+// wait/extend loop; the compare with the engine's word means "unlocked"
+// and "ours" at once. It is sound because observing the lock word
 // unlocked means any commit with a timestamp <= rv has fully published
 // (head.Store precedes the releasing lock-word store), while a commit
 // racing between the two loads must have acquired the lock — and then
@@ -578,7 +599,7 @@ func (tx *Txn) interrupted() error {
 // sampled, so its version is > rv and the h.ver guard routes it to the
 // slow path.
 func (tx *Txn) readDef(v *Var) (any, error) {
-	if w := v.lw.Load(); !isLocked(w) {
+	if v.lw.Load() == tx.word {
 		if h := v.head.Load(); h.ver <= tx.rv {
 			tx.rset = append(tx.rset, readEntry{v: v, ver: h})
 			return h.val, nil
@@ -633,7 +654,7 @@ func (tx *Txn) extend() bool {
 // (TestOpacityNoTornCommit, whenever q's address sorts before p's, so
 // that commits publish q first).
 func (e *readEntry) current(self uint64) bool {
-	if owner, locked := e.v.lockedBy(); locked && owner != self {
+	if w := e.v.lw.Load(); isLocked(w) && wordOwner(w) != self {
 		return false
 	}
 	return e.v.head.Load() == e.ver
@@ -662,9 +683,18 @@ func (tx *Txn) WriteVersion(v *Var, rec *Version) error {
 	if err := tx.checkLive(); err != nil {
 		return err
 	}
-	if v.eng != tx.eng {
-		tx.abortCleanup()
-		return tx.opError(ErrCrossEngine, "cross-engine write")
+	// A variable of another engine is refused here when its word shows
+	// it; one that another transaction holds is refused by lockForCommit,
+	// so that an optimistic write never waits. An irrevocable write waits
+	// the lock out: the gate leaves only a foreign committer to hold it.
+	if w := v.lw.Load(); w != tx.word {
+		if tx.sem == SemanticsIrrevocable {
+			if err := tx.waitUnlocked(v); err != nil {
+				return err
+			}
+		} else if tx.foreign(w) {
+			return tx.crossEngine()
+		}
 	}
 	tx.stat(statWrites)
 
@@ -699,10 +729,11 @@ func (tx *Txn) Abort() {
 
 // abortCleanup releases resources and marks the transaction aborted.
 func (tx *Txn) abortCleanup() {
-	// Release commit-time locks (restore pre-lock words).
+	// Release commit-time locks: every one was taken from the engine's
+	// word, which is what an unlocked variable holds.
 	for i := range tx.wset {
 		if tx.wset[i].locked {
-			tx.wset[i].v.unlockTo(tx.wset[i].prevLW)
+			tx.wset[i].v.lw.Store(tx.word)
 			tx.wset[i].locked = false
 		}
 	}
@@ -776,27 +807,29 @@ func (tx *Txn) Commit() error {
 }
 
 // lockForCommit acquires one commit lock, driving the contention manager
-// on conflict.
+// on conflict. It takes the lock only from the engine's own word, so the
+// CAS itself proves the variable ours; a word that proves it another
+// engine's (foreign) fails the attempt, before or after a wait on a held
+// lock. While another engine's attempt holds it, its id may name one of
+// ours to the contention manager: the misuse costs that attempt a retry
+// at worst.
 func (tx *Txn) lockForCommit(e *writeEntry) error {
 	for attempt := 0; ; attempt++ {
 		if err := tx.interrupted(); err != nil {
 			return err
 		}
-		prev, ok := e.v.tryLock(tx.id)
-		if ok {
-			e.prevLW = prev
-			e.locked = true
-			return nil
+		w := e.v.lw.Load()
+		if w == tx.word {
+			if e.v.lw.CompareAndSwap(w, packOwner(tx.id)) {
+				e.locked = true
+				return nil
+			}
+			continue // taken between load and CAS; look again
 		}
-		owner, locked := e.v.lockedBy()
-		if !locked {
-			continue // released between load and CAS; retry immediately
+		if tx.foreign(w) {
+			return tx.crossEngine()
 		}
-		if owner == tx.id {
-			// Defensive: already ours (cannot happen — the write set
-			// dedupes by variable).
-			return nil
-		}
+		owner := wordOwner(w)
 		enemy := tx.eng.lookupTxn(owner)
 		switch tx.cm.OnLockBusy(tx, enemy, attempt) {
 		case ResolutionAbortSelf:
@@ -825,7 +858,7 @@ func (tx *Txn) publish(wv uint64) {
 	for i := range tx.wset {
 		e := &tx.wset[i]
 		kept := e.v.install(e.rec, wv, needed)
-		e.v.unlockTo(packVersion(wv))
+		e.v.lw.Store(tx.word)
 		e.locked = false
 		if kept {
 			q.owe(e.v, wv)

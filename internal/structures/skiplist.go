@@ -35,7 +35,7 @@ func randLevel() int {
 // same object right after it (see newNode): a node and its links are one
 // allocation. val sits
 // between key and lvl so that a zero-size V (the integer set's struct{})
-// adds no padding: the set's node is 16 bytes, the map's 48.
+// adds no padding: the set's node is 16 bytes, the map's 40.
 type skipNode[K cmp.Ordered, V any] struct {
 	key K
 	val V

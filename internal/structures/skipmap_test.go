@@ -518,11 +518,11 @@ func preloadAscending(n int) *TSkipMap {
 // the variable every link and value is made of. Its -v output is the
 // "What a key costs" table of the README.
 func TestSkipMapFootprint(t *testing.T) {
-	// The map's node holds its value variable (key 16 + TVar 24 + height
+	// The map's node holds its value variable (key 16 + TVar 16 + height
 	// 8), the set's zero-size value adds nothing, and the tower follows
 	// either in the same object.
-	if sz := unsafe.Sizeof(mapNode{}); sz != 48 {
-		t.Errorf("sizeof(mapNode) = %d, want 48", sz)
+	if sz := unsafe.Sizeof(mapNode{}); sz != 40 {
+		t.Errorf("sizeof(mapNode) = %d, want 40", sz)
 	}
 	if sz := unsafe.Sizeof(setNode{}); sz != 16 {
 		t.Errorf("sizeof(setNode) = %d, want 16", sz)
@@ -530,11 +530,12 @@ func TestSkipMapFootprint(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation changes object sizes; the footprint is asserted in the non-race CI step")
 	}
-	if sz := unsafe.Sizeof(stm.Var{}); sz != 24 {
-		t.Errorf("sizeof(stm.Var) = %d, want 24", sz)
+	// A variable is its lock word and its head: no engine pointer.
+	if sz := unsafe.Sizeof(stm.Var{}); sz != 16 {
+		t.Errorf("sizeof(stm.Var) = %d, want 16", sz)
 	}
-	if sz := unsafe.Sizeof(core.TVar[string]{}); sz != 24 {
-		t.Errorf("sizeof(core.TVar[string]) = %d, want 24", sz)
+	if sz := unsafe.Sizeof(core.TVar[string]{}); sz != 16 {
+		t.Errorf("sizeof(core.TVar[string]) = %d, want 16", sz)
 	}
 	const n = 100_000
 	var before, after runtime.MemStats
@@ -551,7 +552,7 @@ func TestSkipMapFootprint(t *testing.T) {
 		links += nd.lvl
 	}
 	// The fixed objects are their Go sizes (all exact size classes); the
-	// node row is what is left, since a one-link node (72 bytes) rounds up
+	// node row is what is left, since a two-link node (72 bytes) rounds up
 	// to 80 and a three-link one takes the four-link array.
 	rec := float64(unsafe.Sizeof(stm.Version{}))
 	cell, key := rec+float64(unsafe.Sizeof("")), 16.0
@@ -559,8 +560,8 @@ func TestSkipMapFootprint(t *testing.T) {
 	t.Logf("%d ascending 16-byte keys, %.3f links/key: %.1f B/key in %.2f objects/key", n, float64(links)/n, bytesPerKey, objsPerKey)
 	t.Logf("node and tower %.1f mean | value cell %.0f | key bytes %.0f | link records %.1f mean",
 		bytesPerKey-cell-key-linkRecs, cell, key, linkRecs)
-	if bytesPerKey > 198 {
-		t.Errorf("%.1f B/key, want <= 198", bytesPerKey)
+	if bytesPerKey > 180 {
+		t.Errorf("%.1f B/key, want <= 180", bytesPerKey)
 	}
 	if objsPerKey > 4.5 {
 		t.Errorf("%.2f objects/key, want <= 4.5", objsPerKey)
