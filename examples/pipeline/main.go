@@ -1,8 +1,8 @@
 // Pipeline: transactional queues composed into a multi-stage pipeline.
 // Every hand-off is one atomic transaction (dequeue + enqueue in a
-// single step, via structures.Transfer-style composition), so no item
-// is ever in zero or two stages at once — an invariant a snapshot
-// monitor verifies live while the pipeline runs.
+// single step, composed from DequeueTx and EnqueueTx), so no item is
+// ever in zero or two stages at once — an invariant a snapshot monitor
+// verifies live while the pipeline runs.
 package main
 
 import (

@@ -119,7 +119,7 @@ func TestCoarseHashResize(t *testing.T) {
 	for k := uint64(0); k < 500; k++ {
 		h.Insert(k)
 	}
-	before := h.Buckets()
+	before := len(h.buckets)
 	if got := h.Resize(true); got != before*2 {
 		t.Fatalf("resize -> %d, want %d", got, before*2)
 	}
@@ -184,14 +184,14 @@ func TestStripedHashResizeUnderChurn(t *testing.T) {
 
 func TestStripedHashNeverFewerBucketsThanStripes(t *testing.T) {
 	h := NewStripedHash(4, 8)
-	if h.Buckets() < 8 {
-		t.Fatalf("buckets = %d, want >= stripes", h.Buckets())
+	if n := len(h.buckets); n < 8 {
+		t.Fatalf("buckets = %d, want >= stripes", n)
 	}
 	for i := 0; i < 10; i++ {
 		h.Resize(false)
 	}
-	if h.Buckets() < 8 {
-		t.Fatalf("shrink went below stripe count: %d", h.Buckets())
+	if n := len(h.buckets); n < 8 {
+		t.Fatalf("shrink went below stripe count: %d", n)
 	}
 }
 

@@ -85,13 +85,6 @@ func (h *CoarseHash) Len() int {
 	return h.n
 }
 
-// Buckets returns the bucket count.
-func (h *CoarseHash) Buckets() int {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return len(h.buckets)
-}
-
 // Resize doubles or halves the table under the global write lock,
 // blocking every concurrent operation for the duration.
 func (h *CoarseHash) Resize(grow bool) int {
@@ -214,13 +207,6 @@ func (h *StripedHash) Len() int {
 	h.countMu.Lock()
 	defer h.countMu.Unlock()
 	return int(h.n)
-}
-
-// Buckets returns the bucket count.
-func (h *StripedHash) Buckets() int {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return len(h.buckets)
 }
 
 // Resize doubles or halves the bucket array. It locks every stripe —

@@ -58,7 +58,7 @@ func TestAnchoredRootProtectsElasticWriter(t *testing.T) {
 			// Invalidate the anchor mid-transaction from outside.
 			other := NewDefault()
 			_ = other // separate memory would be rejected; use same tm
-			if err := AtomicSet(tm, root, 1); err != nil {
+			if err := tm.Atomic(func(tx *Tx) error { return Set(tx, root, 1) }); err != nil {
 				return err
 			}
 		}
@@ -96,7 +96,7 @@ func TestMaxAttemptsSurfacesThroughCore(t *testing.T) {
 			return err
 		}
 		// Forcing a conflict every attempt by committing externally.
-		if err := AtomicSet(tm, x, 1); err != nil {
+		if err := tm.Atomic(func(tx *Tx) error { return Set(tx, x, 1) }); err != nil {
 			return err
 		}
 		return Set(tx, x, 2)

@@ -38,7 +38,7 @@ func exerciseTVar[T any](t *testing.T, a, b, c T) {
 	tv := NewTVar(tm, a)
 	store := func(val T) {
 		t.Helper()
-		if err := AtomicSet(tm, tv, val); err != nil {
+		if err := tm.Atomic(func(tx *Tx) error { return Set(tx, tv, val) }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,8 +82,11 @@ func exerciseTVar[T any](t *testing.T, a, b, c T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		got, err := AtomicGet(tm, tv, WithSemantics(Snapshot))
-		if err != nil {
+		var got T
+		if err := tm.Atomic(func(tx *Tx) (err error) {
+			got, err = Get(tx, tv)
+			return err
+		}, WithSemantics(Snapshot)); err != nil {
 			t.Fatal(err)
 		}
 		same("snapshot Get after Modify", got, b)
@@ -105,7 +108,7 @@ func exerciseTVar[T any](t *testing.T, a, b, c T) {
 	var arr [2]TVar[T]
 	arr[1].Init(tm, c)
 	same("LoadDirect of an Init'ed element", arr[1].LoadDirect(), c)
-	if err := AtomicSet(tm, &arr[1], a); err != nil {
+	if err := tm.Atomic(func(tx *Tx) error { return Set(tx, &arr[1], a) }); err != nil {
 		t.Fatal(err)
 	}
 	same("LoadDirect of an Init'ed element after Set", arr[1].LoadDirect(), a)
@@ -135,7 +138,7 @@ func TestCellEveryValueShape(t *testing.T) {
 		if tv.LoadDirect() != nil {
 			t.Fatal("nil func did not read back nil")
 		}
-		if err := AtomicSet(tm, tv, func() int { return 9 }); err != nil {
+		if err := tm.Atomic(func(tx *Tx) error { return Set(tx, tv, func() int { return 9 }) }); err != nil {
 			t.Fatal(err)
 		}
 		if f := tv.LoadDirect(); f == nil || f() != 9 {
@@ -154,10 +157,14 @@ func TestCellPointerIdentity(t *testing.T) {
 		t.Fatal("pointer identity lost through NewTVar")
 	}
 	m := &cellNode{1}
-	if err := AtomicSet(tm, tv, m); err != nil {
+	if err := tm.Atomic(func(tx *Tx) error { return Set(tx, tv, m) }); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := AtomicGet(tm, tv); got != m {
+	var got *cellNode
+	if err := tm.Atomic(func(tx *Tx) (err error) {
+		got, err = Get(tx, tv)
+		return err
+	}); err != nil || got != m {
 		t.Fatal("pointer identity lost through Set")
 	}
 }
@@ -257,7 +264,7 @@ func TestCellSnapshotUnderWriter(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			for now := tm.eng.Clock().Now(); tm.eng.Clock().Now() < now+2; {
+			for c := tm.Stats().Commits; tm.Stats().Commits < c+2; {
 				runtime.Gosched()
 			}
 			s2, _ := Get(tx, name)

@@ -273,17 +273,6 @@ func (tm *TM) handleOf(itx *stm.Txn) *Tx {
 	return h
 }
 
-// Inner exposes the engine-level transaction (schedule executors and
-// tests need it).
-func (tx *Tx) Inner() *stm.Txn { return tx.inner }
-
-// WrapTx binds a manually-begun engine transaction (Engine.Begin) to a
-// core-level handle so it can drive the typed TVar and structure APIs —
-// the advanced-embedding escape hatch. The caller owns the lifecycle:
-// it must Commit or Abort the inner transaction itself, and none of the
-// run-loop conveniences (retry, escalation, options, observers) apply.
-func WrapTx(tm *TM, inner *stm.Txn) *Tx { return &Tx{tm: tm, inner: inner} }
-
 // Semantics returns the semantics currently in effect for this scope.
 func (tx *Tx) Semantics() Semantics { return tx.inner.EffectiveSemantics() }
 
@@ -602,23 +591,4 @@ func Modify[T any](tx *Tx, tv *TVar[T], f func(T) T) error {
 		return err
 	}
 	return Set(tx, tv, f(cur))
-}
-
-// AtomicGet is a convenience one-shot transactional read.
-func AtomicGet[T any](tm *TM, tv *TVar[T], opts ...Option) (T, error) {
-	var out T
-	err := tm.Atomic(func(tx *Tx) error {
-		v, err := Get(tx, tv)
-		if err != nil {
-			return err
-		}
-		out = v
-		return nil
-	}, opts...)
-	return out, err
-}
-
-// AtomicSet is a convenience one-shot transactional write.
-func AtomicSet[T any](tm *TM, tv *TVar[T], val T, opts ...Option) error {
-	return tm.Atomic(func(tx *Tx) error { return Set(tx, tv, val) }, opts...)
 }

@@ -77,21 +77,6 @@ func TestModify(t *testing.T) {
 	}
 }
 
-func TestAtomicGetAtomicSet(t *testing.T) {
-	tm := NewDefault()
-	x := NewTVar(tm, 1)
-	if err := AtomicSet(tm, x, 2); err != nil {
-		t.Fatal(err)
-	}
-	v, err := AtomicGet(tm, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 2 {
-		t.Fatalf("got %d, want 2", v)
-	}
-}
-
 func TestUserErrorPropagates(t *testing.T) {
 	tm := NewDefault()
 	x := NewTVar(tm, 0)
@@ -364,7 +349,7 @@ func TestMixedSemanticsConcurrent(t *testing.T) {
 func TestStatsExposed(t *testing.T) {
 	tm := NewDefault()
 	x := NewTVar(tm, 0)
-	_ = AtomicSet(tm, x, 1)
+	_ = tm.Atomic(func(tx *Tx) error { return Set(tx, x, 1) })
 	if tm.Stats().Commits == 0 {
 		t.Fatal("stats not wired through")
 	}

@@ -65,7 +65,7 @@ func TestTxHandleNested(t *testing.T) {
 		a, b := NewTVar(tm, 0), NewTVar(tm, 0)
 		err := tm.Atomic(func(outer *Tx) error {
 			checkHandle(t, outer, "outer")
-			outerInner := outer.Inner()
+			outerInner := outer.inner
 
 			if err := outer.Atomic(func(nested *Tx) error {
 				if nested != outer {
@@ -82,7 +82,7 @@ func TestTxHandleNested(t *testing.T) {
 			// An independent transaction, live while outer still is.
 			if err := tm.Atomic(func(other *Tx) error {
 				checkHandle(t, other, "inner tm.Atomic")
-				if other == outer || other.Inner() == outerInner {
+				if other == outer || other.inner == outerInner {
 					t.Errorf("%v: a transaction started inside a body shares the outer handle", policy)
 				}
 				_, err := Get(other, b)
@@ -91,7 +91,7 @@ func TestTxHandleNested(t *testing.T) {
 				return err
 			}
 
-			if outer.Inner() != outerInner {
+			if outer.inner != outerInner {
 				t.Errorf("%v: the inner transaction re-pointed the outer handle", policy)
 			}
 			checkHandle(t, outer, "outer after inner")
@@ -117,7 +117,7 @@ func TestTxHandleEscalation(t *testing.T) {
 	var sems []Semantics
 	err := tm.Atomic(func(tx *Tx) error {
 		checkHandle(t, tx, "attempt")
-		sems = append(sems, tx.Inner().Semantics())
+		sems = append(sems, tx.inner.Semantics())
 		if err := Set(tx, v, len(sems)); err != nil {
 			return err
 		}

@@ -39,7 +39,7 @@ func TestRetryBlocksUntilChange(t *testing.T) {
 		t.Fatalf("consumer returned %d before any produce", v)
 	case <-time.After(20 * time.Millisecond):
 	}
-	if err := AtomicSet(tm, slot, 42); err != nil {
+	if err := tm.Atomic(func(tx *Tx) error { return Set(tx, slot, 42) }); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -124,7 +124,7 @@ func TestEscalateAfterGuaranteesProgress(t *testing.T) {
 		if _, err := Get(tx, x); err != nil {
 			return err
 		}
-		if err := AtomicSet(tm, x, -attempts); err != nil {
+		if err := tm.Atomic(func(tx *Tx) error { return Set(tx, x, -attempts) }); err != nil {
 			return err
 		}
 		return Set(tx, x, attempts)
@@ -152,7 +152,7 @@ func TestEscalateAfterUnsetPreservesMaxAttempts(t *testing.T) {
 		if _, err := Get(tx, x); err != nil {
 			return err
 		}
-		if err := AtomicSet(tm, x, 1); err != nil {
+		if err := tm.Atomic(func(tx *Tx) error { return Set(tx, x, 1) }); err != nil {
 			return err
 		}
 		return Set(tx, x, 2)
@@ -170,8 +170,8 @@ func TestRetryRespectsMaxAttempts(t *testing.T) {
 	sabotage := make(chan struct{}, 4)
 	go func() {
 		for range sabotage {
-			_ = AtomicSet(tm, x, 1)
-			_ = AtomicSet(tm, x, 0)
+			_ = tm.Atomic(func(tx *Tx) error { return Set(tx, x, 1) })
+			_ = tm.Atomic(func(tx *Tx) error { return Set(tx, x, 0) })
 		}
 	}()
 	err := tm.Atomic(func(tx *Tx) error {

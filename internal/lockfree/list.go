@@ -1,12 +1,13 @@
 // Package lockfree implements the hand-tuned lock-free comparators the
-// paper's introduction cites: Michael's lock-free linked list and hash
-// table ("High performance dynamic lock-free hash tables and list-based
-// sets", SPAA 2002) and Shalev & Shavit's split-ordered lists
-// ("Split-ordered lists: Lock-free extensible hash tables", JACM 2006).
-// These structures are exactly the kind of highly tuned, non-generic
-// implementations the paper contrasts with transactional ones: fast,
-// but hard to extend (Michael's hash table famously does not support
-// resize — the split-ordered list exists to fix that).
+// paper's introduction cites: Michael's lock-free linked list ("High
+// performance dynamic lock-free hash tables and list-based sets", SPAA
+// 2002) and Shalev & Shavit's split-ordered lists ("Split-ordered
+// lists: Lock-free extensible hash tables", JACM 2006), the hash table
+// the experiments run. These structures are exactly the kind of highly
+// tuned, non-generic implementations the paper contrasts with
+// transactional ones: fast, but hard to extend (Michael's hash table, a
+// fixed array of these lists, famously does not support resize — the
+// split-ordered list exists to fix that).
 //
 // Go cannot steal pointer tag bits safely, so the Harris/Michael mark
 // bit is encoded by indirection: each node's successor field is an
@@ -156,17 +157,3 @@ func (l *List) Contains(key uint64) bool { return containsFrom(l.head, key) }
 
 // Len returns the current element count (approximate under concurrency).
 func (l *List) Len() int { return int(l.size.Load()) }
-
-// Snapshot returns the unmarked keys in order. It is only meaningful in
-// quiescence (tests and verification).
-func (l *List) Snapshot() []uint64 {
-	var out []uint64
-	for curr := l.head.next.Load().next; curr != nil; {
-		cl := curr.next.Load()
-		if !cl.marked {
-			out = append(out, curr.key)
-		}
-		curr = cl.next
-	}
-	return out
-}

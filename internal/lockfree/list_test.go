@@ -8,6 +8,20 @@ import (
 	"testing/quick"
 )
 
+// keys returns the unmarked keys in order. It is only meaningful in
+// quiescence.
+func (l *List) keys() []uint64 {
+	var out []uint64
+	for curr := l.head.next.Load().next; curr != nil; {
+		cl := curr.next.Load()
+		if !cl.marked {
+			out = append(out, curr.key)
+		}
+		curr = cl.next
+	}
+	return out
+}
+
 func TestListBasics(t *testing.T) {
 	l := NewList()
 	if l.Contains(5) {
@@ -39,7 +53,7 @@ func TestListOrderMaintained(t *testing.T) {
 	for _, k := range keys {
 		l.Insert(k)
 	}
-	got := l.Snapshot()
+	got := l.keys()
 	want := make([]uint64, len(keys))
 	copy(want, keys)
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
@@ -97,7 +111,7 @@ func TestListMatchesMapModel(t *testing.T) {
 				}
 			}
 		}
-		return len(l.Snapshot()) == len(model)
+		return len(l.keys()) == len(model)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -190,61 +204,6 @@ func TestListConcurrentContended(t *testing.T) {
 		if l.Contains(k) != (diff == 1) {
 			t.Fatalf("key %d: contains = %v, want %v", k, !(diff == 1), diff == 1)
 		}
-	}
-}
-
-func TestHashSetBasics(t *testing.T) {
-	h := NewHashSet(8)
-	if h.Buckets() != 8 {
-		t.Fatalf("buckets = %d, want 8", h.Buckets())
-	}
-	for k := uint64(0); k < 100; k++ {
-		if !h.Insert(k) {
-			t.Fatalf("insert %d", k)
-		}
-	}
-	if h.Len() != 100 {
-		t.Fatalf("len = %d, want 100", h.Len())
-	}
-	if h.LoadFactor() != 12.5 {
-		t.Fatalf("load factor = %v, want 12.5", h.LoadFactor())
-	}
-	for k := uint64(0); k < 100; k++ {
-		if !h.Contains(k) {
-			t.Fatalf("contains %d", k)
-		}
-	}
-	for k := uint64(0); k < 100; k += 2 {
-		if !h.Remove(k) {
-			t.Fatalf("remove %d", k)
-		}
-	}
-	for k := uint64(0); k < 100; k++ {
-		if h.Contains(k) != (k%2 == 1) {
-			t.Fatalf("contains(%d) after removals", k)
-		}
-	}
-}
-
-func TestHashSetConcurrent(t *testing.T) {
-	h := NewHashSet(16)
-	const workers, per = 8, 500
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(base uint64) {
-			defer wg.Done()
-			for i := uint64(0); i < per; i++ {
-				h.Insert(base + i)
-			}
-			for i := uint64(0); i < per; i += 2 {
-				h.Remove(base + i)
-			}
-		}(uint64(w) * 10000)
-	}
-	wg.Wait()
-	if got, want := h.Len(), workers*per/2; got != want {
-		t.Fatalf("len = %d, want %d", got, want)
 	}
 }
 

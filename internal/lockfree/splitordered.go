@@ -44,6 +44,14 @@ func NewSplitOrdered() *SplitOrdered {
 	return s
 }
 
+// mix64 is the splitmix64 finalizer, used as the hash function.
+func mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
 // soRegularKey maps a hash to its split-order key: bit-reversed with the
 // LSB set, so regular nodes sort after their bucket's dummy.
 func soRegularKey(h uint64) uint64 { return bits.Reverse64(h) | 1 }
@@ -132,6 +140,3 @@ func (s *SplitOrdered) Contains(key uint64) bool {
 
 // Len returns the element count (approximate under concurrency).
 func (s *SplitOrdered) Len() int { return int(s.count.Load()) }
-
-// Buckets returns the current bucket count.
-func (s *SplitOrdered) Buckets() int { return int(s.size.Load()) }

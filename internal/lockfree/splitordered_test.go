@@ -74,7 +74,7 @@ func TestSplitOrderedBasics(t *testing.T) {
 
 func TestSplitOrderedGrows(t *testing.T) {
 	s := NewSplitOrdered()
-	before := s.Buckets()
+	before := s.size.Load()
 	for k := uint64(0); k < 10000; k++ {
 		if !s.Insert(k) {
 			t.Fatalf("insert %d", k)
@@ -83,8 +83,8 @@ func TestSplitOrderedGrows(t *testing.T) {
 	if s.Len() != 10000 {
 		t.Fatalf("len = %d, want 10000", s.Len())
 	}
-	if s.Buckets() <= before {
-		t.Fatalf("table did not grow: %d buckets", s.Buckets())
+	if after := s.size.Load(); after <= before {
+		t.Fatalf("table did not grow: %d buckets", after)
 	}
 	// Every key must remain reachable across all the doublings.
 	for k := uint64(0); k < 10000; k++ {

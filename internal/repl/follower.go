@@ -129,9 +129,6 @@ func newFollower(cfg FollowerConfig) *Follower {
 // State reports the link's position in its connection state machine.
 func (f *Follower) State() ConnState { return ConnState(f.state.Load()) }
 
-// Primary returns the configured primary address.
-func (f *Follower) Primary() string { return f.cfg.Primary }
-
 // Counters reports the follower's STATS rows.
 func (f *Follower) Counters() []wire.Counter {
 	return []wire.Counter{

@@ -180,20 +180,6 @@ func (s Schedule) Procs() []Proc {
 	return out
 }
 
-// Registers returns the set of registers accessed, in first-appearance
-// order.
-func (s Schedule) Registers() []Register {
-	var out []Register
-	seen := map[Register]bool{}
-	for _, e := range s.Events {
-		if e.Reg != "" && !seen[e.Reg] {
-			seen[e.Reg] = true
-			out = append(out, e.Reg)
-		}
-	}
-	return out
-}
-
 // ByProc returns p's subsequence of events (the projection defining p's
 // operation).
 func (s Schedule) ByProc(p Proc) []Event {
@@ -211,17 +197,6 @@ func (s Schedule) ByProc(p Proc) []Event {
 func (s Schedule) IsTransactional() bool {
 	for _, e := range s.Events {
 		if e.Kind == KLock || e.Kind == KUnlock {
-			return false
-		}
-	}
-	return true
-}
-
-// IsLockBased reports whether the schedule contains only lock-based
-// events (lock/unlock/read/write).
-func (s Schedule) IsLockBased() bool {
-	for _, e := range s.Events {
-		if e.Kind == KStart || e.Kind == KCommit {
 			return false
 		}
 	}

@@ -298,7 +298,8 @@ func TestCheckpointIdleSkip(t *testing.T) {
 // a full base, and until it lands the delta catch-up path must refuse.
 func TestFlushForcesFullCheckpoint(t *testing.T) {
 	ctx := context.Background()
-	st, _ := newDurableCfg(t, Durability{Dir: t.TempDir(), Fsync: wal.ModeOff, CheckpointEvery: -1})
+	dir := t.TempDir()
+	st, _ := newDurableCfg(t, Durability{Dir: dir, Fsync: wal.ModeOff, CheckpointEvery: -1})
 	defer st.CloseDurability()
 
 	fillKeys(t, st, 20, func(i int) string { return "v0" })
@@ -322,7 +323,7 @@ func TestFlushForcesFullCheckpoint(t *testing.T) {
 	}
 	st.CloseDurability()
 
-	st2, _ := newDurableCfg(t, Durability{Dir: st.tab().shards[0].wal.Dir(), Fsync: wal.ModeOff, CheckpointEvery: -1})
+	st2, _ := newDurableCfg(t, Durability{Dir: dir, Fsync: wal.ModeOff, CheckpointEvery: -1})
 	defer st2.CloseDurability()
 	if got := scanAll(t, st2); len(got) != 1 || got["post-flush"] != "1" {
 		t.Fatalf("recovered after flush = %v, want only post-flush", got)

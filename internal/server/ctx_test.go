@@ -3,8 +3,10 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -87,10 +89,23 @@ func TestForcedShutdownCancelsInflight(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	hostage := srv.TM().Engine().Begin(stm.SemanticsIrrevocable)
-	defer hostage.Abort()
-	if _, ok, err := srv.Store().tab().shards[0].m.GetTx(core.WrapTx(srv.TM(), hostage), "k"); err != nil || !ok {
-		t.Fatalf("hostage read: ok=%v err=%v", ok, err)
+	held, release, hostage := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	releaseHostage := sync.OnceFunc(func() { close(release) })
+	defer releaseHostage()
+	go func() {
+		hostage <- srv.TM().AtomicAs(core.Irrevocable, func(tx *core.Tx) error {
+			if _, ok, err := srv.Store().tab().shards[0].m.GetTx(tx, "k"); err != nil || !ok {
+				return fmt.Errorf("hostage read: ok=%v err=%v", ok, err)
+			}
+			close(held)
+			<-release
+			return nil
+		})
+	}()
+	select {
+	case <-held:
+	case err := <-hostage:
+		t.Fatal(err)
 	}
 
 	// Fire a SET at the key over a real connection; it parks.
@@ -124,7 +139,10 @@ func TestForcedShutdownCancelsInflight(t *testing.T) {
 		t.Fatal("forced shutdown hung on an in-flight transaction parked at the gate")
 	}
 	// The key keeps its seeded value: the cancelled SET never landed.
-	hostage.Abort()
+	releaseHostage()
+	if err := <-hostage; err != nil {
+		t.Fatalf("hostage: %v", err)
+	}
 	if v, ok := srv.Store().tab().shards[0].m.Get("k", core.Snapshot); !ok || v != "seed" {
 		t.Fatalf("store after forced drain: %q/%v, want seed", v, ok)
 	}

@@ -13,13 +13,13 @@ import (
 	"polytm/internal/wire"
 )
 
-// poisonLog makes every further write to l's open segment fail, the way
-// wal's TestBackgroundFsyncErrorPoisons swaps the file for one that
+// poisonLog makes every further write to sh's open segment fail, the
+// way wal's TestBackgroundFsyncErrorPoisons swaps the file for one that
 // refuses: the segment's descriptor is replaced, in place, by a read-only
 // one. The first record the flusher then writes poisons the log.
-func poisonLog(t *testing.T, l *wal.Log) {
+func poisonLog(t *testing.T, st *Store, sh *shard) {
 	t.Helper()
-	seg := filepath.Join(l.Dir(), fmt.Sprintf("wal-%08d.log", l.Segment()))
+	seg := filepath.Join(st.walDir, sh.walName, fmt.Sprintf("wal-%08d.log", sh.wal.Segment()))
 	fds, err := os.ReadDir("/proc/self/fd")
 	if err != nil {
 		t.Skipf("no /proc/self/fd to find the segment's descriptor in: %v", err)
@@ -52,7 +52,7 @@ func TestPipelinedAckGateFailure(t *testing.T) {
 	st := srv.Store()
 	cl := dialGate(t, addr)
 	doOK(t, cl, gateSet(0))
-	poisonLog(t, st.tab().shards[1].wal)
+	poisonLog(t, st, st.tab().shards[1])
 
 	var reqs []*wire.Request
 	for i := 1; i <= 16; i++ {
@@ -163,7 +163,7 @@ func TestErrorReplyIsScrubbed(t *testing.T) {
 	})
 
 	t.Run("restage", func(t *testing.T) {
-		poisonLog(t, st.tab().shards[1].wal)
+		poisonLog(t, st, st.tab().shards[1])
 		incr := &wire.Request{Op: wire.OpIncr, Sem: wire.SemDefault, Key: []byte("ctr-" + string(on1[0])), Delta: 1}
 		for st.shardIdx(incr.Key) != 1 {
 			incr.Key = append(incr.Key, '+')

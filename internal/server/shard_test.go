@@ -35,6 +35,10 @@ func pinnedShards(t *testing.T, dir string) int {
 	return len(m.Shards)
 }
 
+// shardIdx returns the table position owning key under the current
+// table (request paths snapshot a table first).
+func (s *Store) shardIdx(key []byte) int { return s.tab().pos(hashKey(key)) }
+
 // newSharded builds an n-shard in-memory store.
 func newSharded(n int) *Store {
 	tms := make([]*core.TM, n)

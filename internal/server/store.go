@@ -273,10 +273,6 @@ func (s *Store) tab() *routingTable { return s.table.Load() }
 // completed SPLIT/MERGE).
 func (s *Store) RoutingEpoch() uint64 { return s.tab().epoch }
 
-// shardIdx returns the table position owning key under the current
-// table (tests and diagnostics; request paths snapshot a table first).
-func (s *Store) shardIdx(key []byte) int { return s.tab().pos(hashKey(key)) }
-
 // Sessions returns the store's watch registry (the server's session
 // connections register through it).
 func (s *Store) Sessions() *session.Registry { return s.sessions }

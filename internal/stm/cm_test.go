@@ -34,7 +34,7 @@ func TestSuicideAbortsOnBusyLock(t *testing.T) {
 	// Hold x's lock word as a committer in its publish window would.
 	holder := e.Begin(SemanticsDef)
 	defer holder.Abort()
-	prev, ok := x.tryLock(holder.ID())
+	prev, ok := x.tryLock(holder.id)
 	if !ok {
 		t.Fatal("could not take x's lock word")
 	}
@@ -142,7 +142,7 @@ func TestKilledTransactionObservesKill(t *testing.T) {
 	if _, err := tx.Read(x); err != nil {
 		t.Fatal(err)
 	}
-	tx.kill(tx.ID())
+	tx.kill(tx.id)
 	_, err := tx.Read(x)
 	if !errors.Is(err, ErrKilled) {
 		t.Fatalf("read after kill: %v, want ErrKilled", err)

@@ -134,7 +134,7 @@ func TestCancelLockWait(t *testing.T) {
 	x := e.NewVar(0)
 	holder := e.Begin(SemanticsDef)
 	defer holder.Abort()
-	prev, ok := x.tryLock(holder.ID())
+	prev, ok := x.tryLock(holder.id)
 	if !ok {
 		t.Fatal("could not take x's lock word")
 	}
@@ -179,7 +179,7 @@ func TestCancelAtIrrevocableGate(t *testing.T) {
 	if err := w.Write(x, 2); err != nil {
 		t.Fatal(err)
 	}
-	id := w.ID()
+	id := w.id
 	committed := make(chan error, 1)
 	go func() { committed <- w.Commit() }()
 	time.Sleep(10 * time.Millisecond) // let the commit reach the gate

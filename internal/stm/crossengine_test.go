@@ -54,12 +54,12 @@ func TestCrossEngineEveryPath(t *testing.T) {
 					// B's first Begin, and each later Begin draws a new
 					// block.
 					holder := b.Begin(SemanticsDef)
-					for (holder.ID() == 1) != (state == "held-same-id") {
+					for (holder.id == 1) != (state == "held-same-id") {
 						holder.Abort()
 						holder = b.Begin(SemanticsDef)
 					}
 					defer holder.Abort()
-					holderID = holder.ID()
+					holderID = holder.id
 					prev, ok := x.tryLock(holderID)
 					if !ok {
 						t.Fatal("could not take x's lock word")
@@ -76,8 +76,8 @@ func TestCrossEngineEveryPath(t *testing.T) {
 					// held lock aborts on conflict and retries until the
 					// holder lets go, as any caller's would.
 					done <- a.Run(p.sem, func(tx *Txn) error {
-						if state == "held-same-id" && tx.Attempt() == 1 && tx.ID() != holderID {
-							t.Errorf("attempt id %d, holder %d: the ids were meant to match", tx.ID(), holderID)
+						if state == "held-same-id" && tx.Attempt() == 1 && tx.id != holderID {
+							t.Errorf("attempt id %d, holder %d: the ids were meant to match", tx.id, holderID)
 						}
 						for _, s := range p.steps {
 							if err := s(tx, x, released); err != nil {

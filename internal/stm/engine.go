@@ -122,10 +122,6 @@ func (e *Engine) Stats() StatsSnapshot { return StatsOf(e) }
 // ResetStats zeroes the engine counters (between benchmark phases).
 func (e *Engine) ResetStats() { e.stats.reset() }
 
-// Clock exposes the engine's global version clock (read-mostly; tests
-// and the schedule executors use it).
-func (e *Engine) Clock() *Clock { return &e.clock }
-
 // lookupTxn resolves a live transaction by id, or nil.
 func (e *Engine) lookupTxn(id uint64) *Txn {
 	return e.live.lookup(id)

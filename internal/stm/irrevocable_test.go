@@ -49,14 +49,14 @@ func TestIrrevocableCannotBeKilled(t *testing.T) {
 		t.Fatal(err)
 	}
 	// What commitIrrevocable does first: lock the write set.
-	prev, ok := x.tryLock(irr.ID())
+	prev, ok := x.tryLock(irr.id)
 	if !ok {
 		t.Fatal("irrevocable could not lock its write set")
 	}
-	if owner, locked := x.lockedBy(); !locked || owner != irr.ID() {
-		t.Fatalf("lock word owner %d (locked %v), want %d", owner, locked, irr.ID())
+	if owner, locked := x.lockedBy(); !locked || owner != irr.id {
+		t.Fatalf("lock word owner %d (locked %v), want %d", owner, locked, irr.id)
 	}
-	if e.lookupTxn(irr.ID()) != nil {
+	if e.lookupTxn(irr.id) != nil {
 		t.Fatal("the live registry resolves an irrevocable attempt")
 	}
 	x.unlockTo(prev)
@@ -69,7 +69,7 @@ func TestIrrevocableCannotBeKilled(t *testing.T) {
 	// an irrevocable, as a pooled reuse does, before the kill lands.
 	shell := e.Begin(SemanticsDef)
 	shell.registerLive()
-	old := shell.ID()
+	old := shell.id
 	stale := e.lookupTxn(old)
 	if stale != shell {
 		t.Fatal("the live registry does not resolve a registered def attempt")

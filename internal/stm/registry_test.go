@@ -59,7 +59,7 @@ func TestLiveRegistryOverflow(t *testing.T) {
 		}
 		ids := make([]uint64, owners)
 		for i, tx := range txs {
-			ids[i] = tx.ID()
+			ids[i] = tx.id
 		}
 		inParallel(owners, func(int) {
 			for i, id := range ids {

@@ -287,7 +287,7 @@ func TestTxnIDBlocksUniqueAndNonzero(t *testing.T) {
 			ids := make([]uint64, 0, perWorker)
 			for n := 0; n < perWorker; n++ {
 				tx := e.Begin(SemanticsDef)
-				ids = append(ids, tx.ID())
+				ids = append(ids, tx.id)
 				if tx.Birth() == 0 {
 					t.Error("birth id 0")
 				}

@@ -413,9 +413,6 @@ func (tx *Txn) finish(st uint32) {
 	tx.tally = [numStatCounters]uint64{}
 }
 
-// ID returns the current attempt's identity.
-func (tx *Txn) ID() uint64 { return tx.id }
-
 // Birth returns the id of the transaction's first attempt (its age).
 func (tx *Txn) Birth() uint64 { return tx.birth.Load() }
 
@@ -445,10 +442,6 @@ func (tx *Txn) kill(expected uint64) { tx.killedID.Store(expected) }
 
 // isKilled reports whether a kill was delivered to the current attempt.
 func (tx *Txn) isKilled() bool { return tx.killedID.Load() == tx.id }
-
-// Context returns the run's cancellation scope (context.Background for
-// non-cancellable runs; never nil).
-func (tx *Txn) Context() context.Context { return tx.ctx }
 
 // Sleep pauses for d, waking early when the transaction's context is
 // cancelled first; it reports whether the full duration elapsed.

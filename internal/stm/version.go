@@ -50,9 +50,6 @@ func (v *Version) Hold(val any) *Version {
 	return v
 }
 
-// Value returns the committed value held by this version.
-func (v *Version) Value() any { return v.val }
-
 // resolveAt returns the newest version in the chain whose timestamp is
 // <= at, or nil if the chain has been trimmed past that point (which the
 // snapshot registry guarantees cannot happen for registered snapshots).

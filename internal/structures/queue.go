@@ -107,20 +107,11 @@ func (q *TQueue[T]) DequeueTx(tx *core.Tx) (v T, ok bool, err error) {
 	return first.val, true, nil
 }
 
-// DequeueBlocking removes and returns the front element, blocking
-// (via the Retry combinator: sleeping until the queue changes, not
-// spinning) while the queue is empty.
-func (q *TQueue[T]) DequeueBlocking() T {
-	v, err := q.DequeueBlockingCtx(context.Background())
-	must(err)
-	return v
-}
-
-// DequeueBlockingCtx is DequeueBlocking bounded by ctx — the
-// context-first consumer: it sleeps in the Retry combinator's wait
-// while the queue is empty and wakes either when an element arrives or
-// when ctx is cancelled, returning an error matching stm.ErrCancelled
-// (and the context's own error) in the latter case.
+// DequeueBlockingCtx removes and returns the front element, blocking
+// while the queue is empty: it sleeps in the Retry combinator's wait
+// (not spinning) and wakes either when an element arrives or when ctx
+// is cancelled, returning an error matching stm.ErrCancelled (and the
+// context's own error) in the latter case.
 func (q *TQueue[T]) DequeueBlockingCtx(ctx context.Context) (T, error) {
 	var v T
 	err := q.tm.AtomicCtx(ctx, func(tx *core.Tx) error {
@@ -137,10 +128,6 @@ func (q *TQueue[T]) DequeueBlockingCtx(ctx context.Context) (T, error) {
 	return v, err
 }
 
-// Len returns the element count: LenTx as one snapshot walk (see
-// snapshotLen).
-func (q *TQueue[T]) Len() int { return snapshotLen(q.tm, q.LenTx) }
-
 // LenTx counts the elements inside an enclosing transaction by walking
 // them from the front, so it sees the transaction's own pending
 // enqueues and dequeues — and, under def, conflicts with any other
@@ -154,21 +141,4 @@ func (q *TQueue[T]) LenTx(tx *core.Tx) (k int, err error) {
 		k++
 	}
 	return k, err
-}
-
-// Transfer atomically moves the front element of src to the back of
-// dst, returning false if src was empty — transactional composition in
-// one call.
-func Transfer[T any](tm *core.TM, src, dst *TQueue[T]) bool {
-	var moved bool
-	must(tm.Atomic(func(tx *core.Tx) error {
-		v, ok, err := src.DequeueTx(tx)
-		if err != nil || !ok {
-			moved = false
-			return err
-		}
-		moved = true
-		return dst.EnqueueTx(tx, v)
-	}))
-	return moved
 }

@@ -1,6 +1,7 @@
 package structures
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sync"
@@ -253,7 +254,7 @@ func TestUpdatesAtDistinctKeysCommute(t *testing.T) {
 			for i := 1; i <= 4; i++ {
 				q.Enqueue(i)
 			}
-			return func(tx *core.Tx) error { return q.EnqueueTx(tx, 5) }, func() { q.Dequeue() }, q.Len, 4
+			return func(tx *core.Tx) error { return q.EnqueueTx(tx, 5) }, func() { q.Dequeue() }, func() int { return snapshotLen(tm, q.LenTx) }, 4
 		}},
 	}
 	for _, c := range cases {
@@ -354,11 +355,7 @@ func TestTHashResizePreservesContents(t *testing.T) {
 	for k := uint64(0); k < 200; k++ {
 		h.Insert(k)
 	}
-	buckets := func() int {
-		bs, err := core.AtomicGet(tm, h.buckets)
-		must(err)
-		return len(bs)
-	}
+	buckets := func() int { return len(h.buckets.LoadDirect()) }
 	before := buckets()
 	if got := h.Resize(true); got != before*2 || buckets() != before*2 {
 		t.Fatalf("resize -> %d buckets (%d held), want %d", got, buckets(), before*2)
@@ -451,8 +448,8 @@ func TestTQueueFIFO(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		q.Enqueue(i)
 	}
-	if q.Len() != 5 {
-		t.Fatalf("len = %d", q.Len())
+	if n := snapshotLen(tm, q.LenTx); n != 5 {
+		t.Fatalf("len = %d", n)
 	}
 	// LenTx walks inside the caller's transaction: it counts the
 	// transaction's own pending enqueue, and nothing else sees it.
@@ -468,8 +465,8 @@ func TestTQueueFIFO(t *testing.T) {
 	}); !errors.Is(err, errVeto) {
 		t.Fatalf("vetoed transaction = %v", err)
 	}
-	if q.Len() != 5 {
-		t.Fatalf("len after a vetoed enqueue = %d, want 5", q.Len())
+	if n := snapshotLen(tm, q.LenTx); n != 5 {
+		t.Fatalf("len after a vetoed enqueue = %d, want 5", n)
 	}
 	for i := 1; i <= 5; i++ {
 		v, ok := q.Dequeue()
@@ -511,13 +508,14 @@ func TestTQueueConcurrent(t *testing.T) {
 		}
 		last[id] = seq
 	}
-	if q.Len() != 0 {
-		t.Fatalf("len = %d after drain", q.Len())
+	if n := snapshotLen(tm, q.LenTx); n != 0 {
+		t.Fatalf("len = %d after drain", n)
 	}
 }
 
 // TestDequeueBlocking: consumers block on an empty queue and drain
-// everything producers push, exactly once each.
+// everything producers push, exactly once each; cancelling their
+// context then releases the ones left parked.
 func TestDequeueBlocking(t *testing.T) {
 	tm := core.NewDefault()
 	q := NewTQueue[uint64](tm)
@@ -533,12 +531,21 @@ func TestDequeueBlocking(t *testing.T) {
 		}(uint64(p) * 10000)
 	}
 	var seen sync.Map
-	var got sync.WaitGroup
+	var got, parked sync.WaitGroup
 	got.Add(producers * per)
+	ctx, cancel := context.WithCancel(context.Background())
 	for c := 0; c < consumers; c++ {
+		parked.Add(1)
 		go func() {
+			defer parked.Done()
 			for {
-				v := q.DequeueBlocking()
+				v, err := q.DequeueBlockingCtx(ctx)
+				if err != nil {
+					if !errors.Is(err, context.Canceled) {
+						t.Errorf("consumer: %v", err)
+					}
+					return
+				}
 				if _, dup := seen.LoadOrStore(v, true); dup {
 					t.Errorf("value %d consumed twice", v)
 				}
@@ -548,32 +555,13 @@ func TestDequeueBlocking(t *testing.T) {
 	}
 	prod.Wait()
 	got.Wait()
-	if q.Len() != 0 {
-		t.Fatalf("len = %d after drain", q.Len())
+	if n := snapshotLen(tm, q.LenTx); n != 0 {
+		t.Fatalf("len = %d after drain", n)
 	}
-	// The consumer goroutines stay blocked in DequeueBlocking; they are
-	// reclaimed when the test binary exits (the queue never changes
-	// again, so they sleep).
-}
-
-func TestTransferComposes(t *testing.T) {
-	tm := core.NewDefault()
-	a := NewTQueue[int](tm)
-	b := NewTQueue[int](tm)
-	a.Enqueue(1)
-	a.Enqueue(2)
-	if !Transfer(tm, a, b) {
-		t.Fatal("transfer failed")
-	}
-	if Transfer(tm, b, b) != true {
-		t.Fatal("self transfer of nonempty queue should succeed")
-	}
-	if a.Len() != 1 || b.Len() != 1 {
-		t.Fatalf("lens = %d,%d want 1,1", a.Len(), b.Len())
-	}
-	if Transfer(tm, NewTQueue[int](tm), b) {
-		t.Fatal("transfer from empty queue should report false")
-	}
+	// The consumers are parked on the empty queue; cancelling wakes
+	// them, and each returns.
+	cancel()
+	parked.Wait()
 }
 
 // TestMixedStructuresOneTransaction: a cross-structure transaction (move

@@ -49,7 +49,7 @@ const (
 	OpFlush OpKind = 3
 	// Kind 4 was REBUILD (re-level the index, no content change). It is
 	// retired: never written again, and the number is never reused. An
-	// old log may still hold it, so DecodeOps skips it: it replays as
+	// old log may still hold it, so DecodeRecord skips it: it replays as
 	// nothing instead of ending the durable prefix there.
 	opRetired OpKind = 4
 )
@@ -387,19 +387,6 @@ func corrupt(err error) error {
 		return err
 	}
 	return &errCorrupt{err.Error()}
-}
-
-// DecodeOps parses a record payload into its operation sequence,
-// appending to ops (pass nil or a reused slice). A retired kind-4 op is
-// skipped, so a group of nothing else decodes to no operations. The
-// returned strings are copies; they do not alias payload.
-func DecodeOps(ops []Op, payload []byte) ([]Op, error) {
-	c := codec.New(payload, errTruncated)
-	ops = decodeOps(c, ops)
-	if err := corrupt(c.End()); err != nil {
-		return nil, err
-	}
-	return ops, nil
 }
 
 // decodeOps reads operations to the end of c's payload, which must

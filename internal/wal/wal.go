@@ -220,12 +220,6 @@ func openLog(dir string, opts Options, seg uint64, chain Chain) (*Log, error) {
 	return l, nil
 }
 
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.dir }
-
-// Mode returns the fsync policy.
-func (l *Log) Mode() Mode { return l.mode }
-
 // Segment returns the current segment number.
 func (l *Log) Segment() uint64 {
 	l.mu.Lock()

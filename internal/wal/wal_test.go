@@ -50,15 +50,17 @@ func openT(t *testing.T, dir string, opts Options) (*Log, *RecoverResult, *memSt
 	return l, res, st
 }
 
+// TestOpsRoundTrip: an operation group decodes through DecodeRecord,
+// the decoder replay uses, as one RecordOps record.
 func TestOpsRoundTrip(t *testing.T) {
 	var p []byte
 	p = AppendSet(p, []byte("k1"), []byte("v1"))
 	p = AppendDel(p, []byte("k2"))
 	p = AppendFlush(p)
 	p = AppendSet(p, []byte(""), []byte("")) // empty key/val legal
-	ops, err := DecodeOps(nil, p)
+	rec, err := DecodeRecord(nil, p)
 	if err != nil {
-		t.Fatalf("DecodeOps: %v", err)
+		t.Fatalf("DecodeRecord: %v", err)
 	}
 	want := []Op{
 		{Kind: OpSet, Key: "k1", Val: "v1"},
@@ -66,16 +68,16 @@ func TestOpsRoundTrip(t *testing.T) {
 		{Kind: OpFlush},
 		{Kind: OpSet},
 	}
-	if !reflect.DeepEqual(ops, want) {
-		t.Fatalf("ops = %+v, want %+v", ops, want)
+	if rec.Kind != RecordOps || !reflect.DeepEqual(rec.Ops, want) {
+		t.Fatalf("record %v with ops %+v, want %v with %+v", rec.Kind, rec.Ops, RecordOps, want)
 	}
-	if _, err := DecodeOps(nil, nil); err == nil {
+	if _, err := DecodeRecord(nil, nil); err == nil {
 		t.Fatal("empty payload accepted")
 	}
-	if _, err := DecodeOps(nil, []byte{99}); err == nil || !IsCorrupt(err) {
+	if _, err := DecodeRecord(nil, []byte{99}); err == nil || !IsCorrupt(err) {
 		t.Fatalf("unknown kind: err = %v, want corrupt", err)
 	}
-	if _, err := DecodeOps(nil, []byte{byte(OpSet), 200}); err == nil || !IsCorrupt(err) {
+	if _, err := DecodeRecord(nil, []byte{byte(OpSet), 200}); err == nil || !IsCorrupt(err) {
 		t.Fatalf("truncated field: err = %v, want corrupt", err)
 	}
 }

@@ -23,7 +23,6 @@ func TestEveryImplementationSatisfiesIntSet(t *testing.T) {
 		baseline.NewStripedHash(16, 8),
 		baseline.NewCoarseSkipList(),
 		lockfree.NewList(),
-		lockfree.NewHashSet(8),
 		lockfree.NewSplitOrdered(),
 	}
 	for i, s := range sets {
