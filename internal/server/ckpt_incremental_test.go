@@ -137,6 +137,17 @@ func TestIncrementalCheckpointChurnBound(t *testing.T) {
 	if kind := full.WAL().LastCheckpointKind(); kind != wal.CkptFull {
 		t.Fatalf("MaxChain -1 store wrote a %v checkpoint", kind)
 	}
+	// The delta is written in key order, like a base.
+	prev, n := "", 0
+	if err := wal.ReadDelta(inc.tab().shards[0].wal.DeltaPath(chain.Deltas[0].Seg), func(k, v string, del bool) error {
+		if n++; n > 1 && k <= prev {
+			return fmt.Errorf("delta key %q after %q", k, prev)
+		}
+		prev = k
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 
 	// Byte-identical recovery: reopen both directories and compare the
 	// full contents. The incremental side must really travel the

@@ -154,25 +154,22 @@ func TestFreshDurableStoreTracksNothing(t *testing.T) {
 	}
 }
 
-// cutHook is a checkpoint context whose Err runs fire once: the second
-// time it is asked after the log has rotated. The first ask after the
-// rotation is the base walk's snapshot attempt, so fire runs between the
-// cut and the base install (inside the walk, or just before it).
+// cutHook is a checkpoint context whose Err runs fire once: the first
+// time it is asked after the log has rotated. That ask is the base
+// walk's first chunk starting, so fire runs between the cut and the base
+// install.
 type cutHook struct {
 	context.Context
 	log  *wal.Log
 	seg  uint64
-	asks int
 	fire func()
 }
 
 func (c *cutHook) Err() error {
 	if c.fire != nil && c.log.Segment() > c.seg {
-		if c.asks++; c.asks == 2 {
-			fire := c.fire
-			c.fire = nil
-			fire()
-		}
+		fire := c.fire
+		c.fire = nil
+		fire()
 	}
 	return c.Context.Err()
 }

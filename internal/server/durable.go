@@ -448,12 +448,14 @@ func (s *Store) checkpointLoop(every time.Duration) {
 //     commits: the coordinator keeps its token until every COMMIT
 //     mark is durable, so rotation can never split a DECISION from a
 //     prepare that still needs it.)
-//  2. Snapshot the shard's map through one snapshot-semantics Range
-//     (TSkipMap.SnapshotAllCtx). Started after step 1, its consistent
-//     view therefore covers everything in segments < the new one.
-//     Mutations that race with the walk may land in both the snapshot
-//     and the new segment; replay is idempotent (records are
-//     absolute), so the overlap is harmless.
+//  2. Walk the shard's map in key order, one snapshot transaction per
+//     chunk of keys (shard.walk), writing each chunk after its
+//     transaction has ended. Started after step 1, every chunk sees
+//     every record of the sealed segments. A chunk that misses a later
+//     change or sees it early is fuzzy, not wrong: that change also
+//     lives in segments at or after the new one, which replay after
+//     the base, and replay is idempotent (records are absolute), so the
+//     last writer wins.
 //  3. Install the checkpoint atomically (tmp + rename) and delete the
 //     sealed segments.
 func (s *Store) Checkpoint(ctx context.Context) error {
@@ -538,20 +540,14 @@ func (s *Store) checkpointShard(ctx context.Context, sh *shard) error {
 	}
 
 	if !full {
+		// Key order, sorted here on the checkpointer: every durable write
+		// marks under dirtySet.mu, so nothing sorts under it.
 		err = sh.wal.WriteDeltaCheckpoint(seg, cover, func(emit func(k, v string, del bool) error) error {
-			return s.emitKeys(ctx, sh, slices.AppendSeq(make([]string, 0, len(taken)), maps.Keys(taken)), emit)
+			return sh.emitKeys(ctx, slices.Sorted(maps.Keys(taken)), func(op wal.Op) error { return emit(op.Key, op.Val, op.Kind == wal.OpDel) })
 		})
 	} else {
 		err = sh.wal.WriteCheckpoint(seg, cover, func(emit func(k, v string) error) error {
-			return sh.m.SnapshotAllCtx(ctx, func(k, v string) error {
-				// Per-pair cancellation point: a snapshot transaction's body
-				// is not interrupted by its context mid-walk, so a multi-GB
-				// checkpoint racing a shutdown checks here instead.
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				return emit(k, v)
-			})
+			return sh.walk(ctx, func(op wal.Op) error { return emit(op.Key, op.Val) })
 		})
 	}
 	if err != nil {
@@ -563,30 +559,73 @@ func (s *Store) checkpointShard(ctx context.Context, sh *shard) error {
 	return nil
 }
 
-// emitKeys streams the current committed value — or a tombstone — of
-// every listed key, in snapshot-read batches (one transaction per
-// batch: a single snapshot held across a large dirty set would pin the
-// multi-version window for its whole walk). A delta checkpoint emits the
-// taken dirty set through it; replication delta catch-up (CatchUp) and
-// a reshard's copy share it. Batches may observe different states; for
-// a delta that is sound because any post-cut change to an emitted key
-// also lives in segments >= the delta's own, and tail replay applies
-// AFTER the chain — last writer wins.
-func (s *Store) emitKeys(ctx context.Context, sh *shard, keys []string, emit func(k, v string, del bool) error) error {
-	const batch = 256
-	for start := 0; start < len(keys); start += batch {
-		chunk := keys[start:min(start+batch, len(keys))]
-		err := sh.tm.AtomicAsCtx(ctx, core.Snapshot, func(tx *core.Tx) error {
-			for _, k := range chunk {
+// walkChunk is the most keys one background read takes per snapshot
+// transaction: a snapshot held across a whole shard, or across a slow
+// disk or socket, would pin every version written behind it.
+const walkChunk = 256
+
+// chunk reads one chunk into buf inside one snapshot transaction and
+// emits it after that transaction has ended, so a slow emit pins no
+// history. An emitted value may alias a version record (core.SetBytes)
+// until the walk moves on: at most walkChunk records.
+func (sh *shard) chunk(ctx context.Context, buf []wal.Op, emit func(wal.Op) error, read func(tx *core.Tx, buf []wal.Op) ([]wal.Op, error)) ([]wal.Op, error) {
+	err := sh.tm.AtomicAsCtx(ctx, core.Snapshot, func(tx *core.Tx) error {
+		var err error
+		buf, err = read(tx, buf[:0])
+		return err
+	})
+	for i := 0; err == nil && i < len(buf); i++ {
+		err = emit(buf[i])
+	}
+	return buf, err
+}
+
+// walk emits every pair of sh as a SET, in key order, one chunk at a
+// time: each chunk resumes just after the last key the one before it
+// read. A chunk sees the map as of its own start, so a key present for
+// the whole walk is emitted exactly once; one inserted or deleted
+// during the walk may or may not be. Each caller says why that is
+// enough for it.
+func (sh *shard) walk(ctx context.Context, emit func(wal.Op) error) error {
+	var buf []wal.Op
+	for from := ""; ; from = buf[len(buf)-1].Key + "\x00" {
+		var err error
+		buf, err = sh.chunk(ctx, buf, emit, func(tx *core.Tx, buf []wal.Op) ([]wal.Op, error) {
+			err := sh.m.RangeTx(tx, from, "", walkChunk, func(k, v string) bool {
+				buf = append(buf, wal.Op{Kind: wal.OpSet, Key: k, Val: v})
+				return true
+			})
+			return buf, err
+		})
+		if err != nil || len(buf) < walkChunk {
+			return err
+		}
+	}
+}
+
+// emitKeys emits the current committed value of every listed key as a
+// SET, or a DEL for a key that is gone, walkChunk keys per snapshot.
+// Chunks may observe different states; for a delta checkpoint that is
+// sound because any post-cut change to an emitted key also lives in
+// segments >= the delta's own, and tail replay applies AFTER the chain
+// — last writer wins. Replication delta catch-up and a reshard's copy
+// share it.
+func (sh *shard) emitKeys(ctx context.Context, keys []string, emit func(wal.Op) error) error {
+	var buf []wal.Op
+	for start := 0; start < len(keys); start += walkChunk {
+		var err error
+		buf, err = sh.chunk(ctx, buf, emit, func(tx *core.Tx, buf []wal.Op) ([]wal.Op, error) {
+			for _, k := range keys[start:min(start+walkChunk, len(keys))] {
 				v, ok, err := sh.m.GetTx(tx, k)
 				if err != nil {
-					return err
+					return buf, err
 				}
-				if err := emit(k, v, !ok); err != nil {
-					return err
+				buf = append(buf, wal.Op{Kind: wal.OpSet, Key: k, Val: v})
+				if !ok {
+					buf[len(buf)-1].Kind = wal.OpDel
 				}
 			}
-			return nil
+			return buf, nil
 		})
 		if err != nil {
 			return err

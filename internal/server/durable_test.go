@@ -232,10 +232,26 @@ func TestDurableConcurrent(t *testing.T) {
 
 // TestDurableCheckpointUnderLoad checkpoints while writers run: the
 // recovered state must equal the live state afterwards (checkpoint +
-// tail overlap replays idempotently).
+// tail overlap replays idempotently). Each writer churns its own keys,
+// preloaded first, so the first cut's base walk fits one chunk or spans
+// four.
 func TestDurableCheckpointUnderLoad(t *testing.T) {
+	for _, per := range []int{16, walkChunk} {
+		t.Run(fmt.Sprintf("%d-keys-per-writer", per), func(t *testing.T) { durableCheckpointUnderLoad(t, per) })
+	}
+}
+
+func durableCheckpointUnderLoad(t *testing.T, per int) {
 	dir := t.TempDir()
 	st, _ := newDurable(t, dir, wal.ModeBatch)
+	key := func(w, i int) []byte { return []byte(fmt.Sprintf("w%d-%d", w, i)) }
+	for w := 0; w < 4; w++ {
+		reqs := make([]wire.Request, per)
+		for i := range reqs {
+			reqs[i] = wire.Request{Op: wire.OpSet, Key: key(w, i), Val: []byte("0")}
+		}
+		execOK(t, st, &wire.Request{Op: wire.OpTxn, Sem: wire.SemDefault, Batch: reqs})
+	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -250,7 +266,7 @@ func TestDurableCheckpointUnderLoad(t *testing.T) {
 				default:
 				}
 				st.Execute(&wire.Request{Op: wire.OpSet, Sem: wire.SemDefault,
-					Key: []byte(fmt.Sprintf("w%d-%d", w, i%16)), Val: []byte(fmt.Sprintf("%d", i))})
+					Key: key(w, i%per), Val: []byte(fmt.Sprintf("%d", i))})
 				i++
 			}
 		}(w)
@@ -264,6 +280,9 @@ func TestDurableCheckpointUnderLoad(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	want := scanAll(t, st)
+	if len(want) != 4*per {
+		t.Fatalf("live store holds %d keys, want %d", len(want), 4*per)
+	}
 	if err := st.CloseDurability(); err != nil {
 		t.Fatal(err)
 	}

@@ -108,11 +108,18 @@ func (s *Store) Routing() (uint64, []wire.ReplShardSlice) {
 // position within the CURRENT incarnation is applied
 // (repl.PrimaryStore). It tries the churn-bounded delta first (see
 // delta) and reports delta=true when that proved complete. Otherwise it
-// emits a FLUSH and then one consistent snapshot of the shard as SETs:
-// the FLUSH goes first, so it clears whatever the follower held —
-// including the SETs of a delta that gave up part-way. The snapshot is a
-// single snapshot-semantics walk, so it never aborts and never blocks
-// writers.
+// emits a FLUSH and then every pair of the shard as SETs: the FLUSH goes
+// first, so it clears whatever the follower held — including the SETs
+// of a delta that gave up part-way.
+//
+// The walk is chunked (shard.walk), so what it ships is no single
+// state; the live tail makes it one. The feed's taps attach before the
+// walk, so every change a chunk missed or saw early is also in the
+// tail, which replays after it, absolute and idempotent. Between its
+// FLUSH and the end of that overlap the follower already serves a state
+// that is not a prefix — catch-up applies as separate 256 KB records,
+// and executeOnce gates only mutations — so a chunked walk weakens no
+// promise.
 func (s *Store) CatchUp(ctx context.Context, i int, applied uint64, emit func(wal.Op) error) (bool, error) {
 	tab := s.tab()
 	if i < 0 || i >= len(tab.shards) {
@@ -125,12 +132,7 @@ func (s *Store) CatchUp(ctx context.Context, i int, applied uint64, emit func(wa
 	if err := emit(wal.Op{Kind: wal.OpFlush}); err != nil {
 		return false, err
 	}
-	return false, sh.m.SnapshotAllCtx(ctx, func(k, v string) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return emit(wal.Op{Kind: wal.OpSet, Key: k, Val: v})
-	})
+	return false, sh.walk(ctx, emit)
 }
 
 // Incarnation returns the durable store's process incarnation — the
@@ -139,13 +141,6 @@ func (s *Store) CatchUp(ctx context.Context, i int, applied uint64, emit func(wa
 // applied position only means something to a primary whose incarnation
 // minted it; the hub gates delta catch-up on a match.
 func (s *Store) Incarnation() uint64 { return s.incarnation }
-
-// errDeltaEmit tags an error raised by delta's emit callback (the feed
-// connection) apart from chain-file read errors, which merely demote
-// the catch-up to a full one.
-type errDeltaEmit struct{ err error }
-
-func (e *errDeltaEmit) Error() string { return e.err.Error() }
 
 // delta emits the churn-bounded catch-up set of sh since applied: every
 // checkpoint-chain delta with a cover point past applied, then the live
@@ -181,12 +176,6 @@ func (s *Store) delta(ctx context.Context, sh *shard, applied uint64, emit func(
 	if chain.BaseSeg == 0 || flushPending || applied < chain.BaseCover {
 		return false, nil
 	}
-	emitKV := func(k, v string, del bool) error {
-		if del {
-			return emit(wal.Op{Kind: wal.OpDel, Key: k})
-		}
-		return emit(wal.Op{Kind: wal.OpSet, Key: k, Val: v})
-	}
 	for _, d := range chain.Deltas {
 		if d.Cover <= applied {
 			// Already applied on the follower — including recovered
@@ -194,26 +183,24 @@ func (s *Store) delta(ctx context.Context, sh *shard, applied uint64, emit func(
 			// and was covered by the follower's original catch-up.
 			continue
 		}
+		// An emit error (the feed connection) fails the catch-up; a
+		// chain-file error — the chain moved under us (a compaction
+		// removed the file) or the file failed validation — demotes it
+		// to the full path.
+		var emitErr error
 		err := wal.ReadDelta(sh.wal.DeltaPath(d.Seg), func(k, v string, del bool) error {
-			if err := ctx.Err(); err != nil {
-				return &errDeltaEmit{err}
+			op := wal.Op{Kind: wal.OpSet, Key: k, Val: v}
+			if del {
+				op.Kind = wal.OpDel
 			}
-			if err := emitKV(k, v, del); err != nil {
-				return &errDeltaEmit{err}
-			}
-			return nil
+			emitErr = emit(op)
+			return emitErr
 		})
-		if err != nil {
-			var ee *errDeltaEmit
-			if errors.As(err, &ee) {
-				return false, ee.err
-			}
-			// The chain moved under us (a compaction removed the file) or
-			// the file failed validation: the full path is the answer.
-			return false, nil
+		if emitErr != nil || err != nil {
+			return false, emitErr
 		}
 	}
-	if err := s.emitKeys(ctx, sh, dirtyKeys, emitKV); err != nil {
+	if err := sh.emitKeys(ctx, dirtyKeys, emit); err != nil {
 		return false, err
 	}
 	return true, nil

@@ -77,8 +77,19 @@ func scanPairs(t *testing.T, cl *client.Client) map[string]string {
 // cold follower attaches to a primary mid-write-storm (so the snapshot
 // races live WAL traffic), and once the lag drains, GET, MGET, and
 // SCAN served by the follower return exactly what the primary returns.
+// The preload either fits each shard's full catch-up in one walk chunk
+// or spans at least four.
 func TestReplicationCatchUpUnderChurn(t *testing.T) {
-	_, paddr := startReplServer(t, Config{StoreShards: 2},
+	for _, tc := range []struct{ n, chunks int }{{300, 1}, {2600, 4}} {
+		t.Run(fmt.Sprintf("%d-keys", tc.n), func(t *testing.T) { replicationCatchUpUnderChurn(t, tc.n, tc.chunks) })
+	}
+}
+
+// replicationCatchUpUnderChurn preloads n keys, at least chunks walk
+// chunks per shard, churns over 4n/3 of them while a cold follower
+// catches up, and checks the follower converges.
+func replicationCatchUpUnderChurn(t *testing.T, n, chunks int) {
+	psrv, paddr := startReplServer(t, Config{StoreShards: 2},
 		&Durability{Dir: t.TempDir(), Fsync: wal.ModeOff, CheckpointEvery: -1},
 		&ReplConfig{SyncAck: true})
 	pcl, err := client.Dial(paddr)
@@ -88,11 +99,17 @@ func TestReplicationCatchUpUnderChurn(t *testing.T) {
 	defer pcl.Close()
 
 	key := func(i int) []byte { return []byte(fmt.Sprintf("churn-%04d", i)) }
-	for i := 0; i < 300; i++ {
+	for i := 0; i < n; i++ {
 		if err := pcl.Set(key(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatalf("preload set %d: %v", i, err)
 		}
 	}
+	for _, sh := range psrv.Store().tab().shards {
+		if got := sh.m.Len(); got <= (chunks-1)*walkChunk {
+			t.Fatalf("shard %d holds %d keys, want more than %d walk chunks", sh.idx, got, chunks-1)
+		}
+	}
+	span := 4 * n / 3
 
 	// Writer churn racing the follower's catch-up: overwrites, inserts,
 	// deletes, and a few cross-shard TXNs.
@@ -116,19 +133,19 @@ func TestReplicationCatchUpUnderChurn(t *testing.T) {
 			}
 			switch i % 5 {
 			case 0, 1, 2:
-				if err := ccl.Set(key(i%400), []byte(fmt.Sprintf("w%d", i))); err != nil {
+				if err := ccl.Set(key(i%span), []byte(fmt.Sprintf("w%d", i))); err != nil {
 					churnErr = fmt.Errorf("churn set: %w", err)
 					return
 				}
 			case 3:
-				if _, err := ccl.Del(key((i * 7) % 400)); err != nil {
+				if _, err := ccl.Del(key((i * 7) % span)); err != nil {
 					churnErr = fmt.Errorf("churn del: %w", err)
 					return
 				}
 			case 4:
 				if _, err := ccl.Txn(
 					wire.Request{Op: wire.OpSet, Key: key(i % 400), Val: []byte("txn")},
-					wire.Request{Op: wire.OpSet, Key: key((i + 200) % 400), Val: []byte("txn")},
+					wire.Request{Op: wire.OpSet, Key: key((i + span/2) % span), Val: []byte("txn")},
 				); err != nil {
 					churnErr = fmt.Errorf("churn txn: %w", err)
 					return
@@ -773,11 +790,11 @@ func keysHeldOnce(t *testing.T, st *Store) map[string]string {
 	t.Helper()
 	got := map[string]string{}
 	for _, sh := range st.tab().shards {
-		err := sh.m.SnapshotAllCtx(context.Background(), func(k, v string) error {
-			if _, dup := got[k]; dup {
-				return fmt.Errorf("key %q held by two shards", k)
+		err := sh.walk(context.Background(), func(op wal.Op) error {
+			if _, dup := got[op.Key]; dup {
+				return fmt.Errorf("key %q held by two shards", op.Key)
 			}
-			got[k] = v
+			got[op.Key] = op.Val
 			return nil
 		})
 		if err != nil {

@@ -22,8 +22,8 @@ import (
 //     set (rdirty). A barrier then fences the host — the shard whose log
 //     takes the journal: the split source, the merge survivor — and the
 //     moving shard, and journals RESHARD BEGIN inside it.
-//  2. BULK: one snapshot walk collects the moving keys and ships them
-//     in snapshot-read batches.
+//  2. BULK: a chunked walk (shard.walk) ships the moving keys, one
+//     snapshot read per chunk.
 //  3. DELTA: rounds of take — rdirty.take() under the moving shard's
 //     token after a notifier Sync, so it observes no mid-flight mutation
 //     and no undelivered TTL effect — re-ship what changed since, until
@@ -368,59 +368,50 @@ func (m *move) take() (keys []string, flushed bool) {
 // copy so far, and a batch read before it may have landed after it: the
 // deadlines are dropped, to loses every key of the slice, and the slice
 // is walked again.
+//
+// That walk is chunked, so it copies no single state of from. It need
+// not: rdirty has tracked every mutation on from since begin, before
+// the first walk, so a key that changed while the walk passed it —
+// missed, or copied early — is shipped again at its current value by a
+// delta round or the cutover's barrier round.
 func (m *move) ship(keys []string, flushed bool) error {
-	if flushed {
-		clear(m.ttl)
-		if _, err := m.s.drop(m.ctx, m.to, m.slice.owns); err != nil {
-			return err
-		}
-		var err error
-		if keys, err = m.from.keysWhere(m.ctx, m.slice.owns); err != nil {
-			return err
-		}
-	}
-	return m.copyKeys(keys)
-}
-
-// copyKeys streams the current committed value — or a tombstone — of
-// every listed key out of from in snapshot-read batches (emitKeys, the
-// machinery checkpoint deltas and replication catch-up share) and
-// applies them to to, tracking deadlines as it goes. Copies are quiet
-// mutations — the values are not new, they moved — under to's token: a
-// merge's survivor has other writers and 2PC records in its log; a
-// split's new shard has neither, and its token costs nothing.
-func (m *move) copyKeys(keys []string) error {
-	// The batch keeps value strings past the snapshot transaction that
-	// read them, and each may alias from's version record (core.SetBytes).
-	// That pin is bounded — at most copyBatch records, dropped as soon as
-	// applyOps, which copies every value into to's own cells, returns —
-	// so the values are not cloned a second time here.
+	// Copies are quiet mutations — the values are not new, they moved —
+	// under to's token: a merge's survivor has other writers and 2PC
+	// records in its log; a split's new shard has neither, and its token
+	// costs nothing. An op's value may alias from's version record
+	// (core.SetBytes); the pin is bounded — at most copyBatch records,
+	// dropped as soon as applyOps, which copies every value into to's own
+	// cells, returns — so values are not cloned a second time here.
 	var ops []wal.Op
 	sink := func() error {
-		if len(ops) == 0 {
-			return nil
-		}
 		err := m.s.applyOps(m.ctx, m.to, ops, mutOpts{force: true, quiet: true, label: "reshard-copy"})
-		ops = nil
+		ops = ops[:0]
 		return err
 	}
-	err := m.s.emitKeys(m.ctx, m.from, keys, func(k, v string, del bool) error {
-		if del {
-			ops = append(ops, wal.Op{Kind: wal.OpDel, Key: k})
+	copyOp := func(op wal.Op) error {
+		if !m.slice.owns(op.Key) {
+			return nil
+		}
+		if d, ok := m.from.ttl.deadline(op.Key); ok && op.Kind == wal.OpSet {
+			m.ttl[op.Key] = d
 		} else {
-			ops = append(ops, wal.Op{Kind: wal.OpSet, Key: k, Val: v})
+			delete(m.ttl, op.Key)
 		}
-		if d, ok := m.from.ttl.deadline(k); ok && !del {
-			m.ttl[k] = d
-		} else {
-			delete(m.ttl, k)
+		if ops = append(ops, op); len(ops) < copyBatch {
+			return nil
 		}
-		if len(ops) >= copyBatch {
-			return sink()
+		return sink()
+	}
+	var err error
+	if flushed {
+		clear(m.ttl)
+		if _, err = m.s.drop(m.ctx, m.to, m.slice.owns); err == nil {
+			err = m.from.walk(m.ctx, copyOp)
 		}
-		return nil
-	})
-	if err != nil {
+	} else {
+		err = m.from.emitKeys(m.ctx, keys, copyOp)
+	}
+	if err != nil || len(ops) == 0 {
 		return err
 	}
 	return sink()
@@ -497,27 +488,22 @@ func (s *Store) manifestFor(t *routingTable, nextID int) *storeManifest {
 	return m
 }
 
-// keysWhere walks a snapshot of sh and returns the keys keep accepts.
-func (sh *shard) keysWhere(ctx context.Context, keep func(string) bool) ([]string, error) {
+// drop deletes, in bounded batches, every key of sh that stale accepts —
+// proposed by a chunked walk, and asked again under sh's token batch by
+// batch, where a table-reading predicate sees sh's slice hold still
+// (every cutover publishes under the tokens of the shards it reshapes).
+// The walk cannot miss a stale key: only a move's copies put keys of a
+// slice sh does not own on it. The deletes are mutations like any
+// other, through the WAL, but quiet: the values live on, on the owning
+// shard, or nowhere after a FLUSH. Returns how many were removed.
+func (s *Store) drop(ctx context.Context, sh *shard, stale func(string) bool) (int, error) {
 	var keys []string
-	err := sh.m.SnapshotAllCtx(ctx, func(k, v string) error {
-		if keep(k) {
-			keys = append(keys, k)
+	err := sh.walk(ctx, func(op wal.Op) error {
+		if stale(op.Key) {
+			keys = append(keys, op.Key)
 		}
 		return nil
 	})
-	return keys, err
-}
-
-// drop deletes, in bounded batches, every key of sh that stale accepts —
-// found by a lock-free walk, and asked again under sh's token batch by
-// batch, where a table-reading predicate sees sh's slice hold still
-// (every cutover publishes under the tokens of the shards it reshapes).
-// The deletes are mutations like any other, through the WAL, but quiet:
-// the values live on, on the owning shard, or nowhere after a FLUSH.
-// Returns how many were removed.
-func (s *Store) drop(ctx context.Context, sh *shard, stale func(string) bool) (int, error) {
-	keys, err := sh.keysWhere(ctx, stale)
 	removed := 0
 	for err == nil && len(keys) > 0 {
 		chunk := keys[:min(copyBatch, len(keys))]

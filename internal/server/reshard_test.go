@@ -752,9 +752,15 @@ func TestSplitScrubsBeforeReturn(t *testing.T) {
 	closed = true
 	mu.Unlock()
 	tab := st.tab()
-	moved, err := src.keysWhere(context.Background(), tab.slices[tab.posByID(2)].owns)
-	if err != nil || len(moved) != 0 {
-		t.Fatalf("source still holds %d moved keys after Split returned (%v)", len(moved), err)
+	moved := 0
+	err := src.walk(context.Background(), func(op wal.Op) error {
+		if tab.slices[tab.posByID(2)].owns(op.Key) {
+			moved++
+		}
+		return nil
+	})
+	if err != nil || moved != 0 {
+		t.Fatalf("source still holds %d moved keys after Split returned (%v)", moved, err)
 	}
 	mu.Lock()
 	defer mu.Unlock()

@@ -131,33 +131,6 @@ func (m *TSkipMap) RangeTx(tx *core.Tx, from, to string, limit int, fn func(key,
 	return nil
 }
 
-// SnapshotAllCtx streams every pair of the map, in key order, out of
-// ONE snapshot-semantics transaction: the callback observes a single
-// consistent committed state (the multi-versioned read path resolves
-// every link and value at the transaction's start timestamp), no
-// matter how heavily writers commit during the walk — and the walk
-// never aborts and never blocks those writers. fn returning an error
-// stops the walk and surfaces that error unchanged; this is the
-// iteration the durability checkpointer writes files from, so write
-// failures must propagate.
-func (m *TSkipMap) SnapshotAllCtx(ctx context.Context, fn func(key, val string) error) error {
-	var fnErr error
-	err := m.tm.AtomicAsCtx(ctx, core.Snapshot, func(tx *core.Tx) error {
-		fnErr = nil
-		return m.RangeTx(tx, "", "", 0, func(k, v string) bool {
-			if err := fn(k, v); err != nil {
-				fnErr = err
-				return false
-			}
-			return true
-		})
-	})
-	if err != nil {
-		return err
-	}
-	return fnErr
-}
-
 // ClearTx unlinks every element inside tx, returning how many were
 // removed. The unlink writes only the sentinel's tower, all sixteen
 // levels: the hint may be stale (see remove). The count walks

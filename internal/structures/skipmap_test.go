@@ -1,7 +1,6 @@
 package structures
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -280,8 +279,8 @@ func TestSkipMapConcurrentMixedSemantics(t *testing.T) {
 
 // TestSkipMapSnapshotAllConsistent hammers the map with writers that
 // preserve an invariant (key pairs i/i' always hold equal values) and
-// asserts SnapshotAllCtx only ever observes invariant-holding states —
-// the consistency the durability checkpointer depends on.
+// asserts one snapshot-semantics RangeTx only ever observes
+// invariant-holding states, in key order.
 func TestSkipMapSnapshotAllConsistent(t *testing.T) {
 	tm := core.NewDefault()
 	m := NewTSkipMap(tm)
@@ -321,15 +320,18 @@ func TestSkipMapSnapshotAllConsistent(t *testing.T) {
 		}(w + 1)
 	}
 	for scan := 0; scan < 50; scan++ {
-		seen := map[string]string{}
+		var seen map[string]string
 		prev := ""
-		if err := m.SnapshotAllCtx(context.Background(), func(k, v string) error {
-			if k <= prev && prev != "" {
-				t.Fatalf("keys out of order: %q after %q", k, prev)
-			}
-			prev = k
-			seen[k] = v
-			return nil
+		if err := tm.AtomicAs(core.Snapshot, func(tx *core.Tx) error {
+			seen, prev = map[string]string{}, ""
+			return m.RangeTx(tx, "", "", 0, func(k, v string) bool {
+				if k <= prev && prev != "" {
+					t.Fatalf("keys out of order: %q after %q", k, prev)
+				}
+				prev = k
+				seen[k] = v
+				return true
+			})
 		}); err != nil {
 			t.Fatalf("snapshot: %v", err)
 		}
@@ -344,22 +346,6 @@ func TestSkipMapSnapshotAllConsistent(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-
-	// The error path: a failing callback stops the walk and surfaces.
-	sentinel := fmt.Errorf("stop here")
-	n := 0
-	if err := m.SnapshotAllCtx(context.Background(), func(k, v string) error {
-		n++
-		if n == 3 {
-			return sentinel
-		}
-		return nil
-	}); err != sentinel {
-		t.Fatalf("callback error = %v, want sentinel", err)
-	}
-	if n != 3 {
-		t.Fatalf("walk continued past failing callback: %d", n)
-	}
 }
 
 // TestSkipMapPutOverwriteAllocs: an overwrite costs the value's version
