@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -63,7 +64,8 @@ type followerShard struct {
 // primary up, and each link's lifetime (linkOnce) subscribes, applies
 // the WAL records it is shipped — catch-up, then the live tail — and
 // acks its positions — an ACK is also its answer to PING. One Follower
-// owns one goroutine; Close or Promote end it.
+// owns one goroutine; Close or Promote end it by cancelling the context
+// every link descends from.
 type Follower struct {
 	cfg     FollowerConfig
 	nshards int
@@ -85,14 +87,9 @@ type Follower struct {
 	// own — the gate for churn-bounded delta catch-up.
 	primaryInc uint64
 
-	stop chan struct{}
-	done chan struct{}
-
-	// linkMu orders halt against a fresh link's installation, so every
-	// link either sees the halt or is cut by it.
-	linkMu sync.Mutex
-	link   *Link
-	halted bool
+	ctx    context.Context // every link's parent
+	cancel context.CancelCauseFunc
+	done   chan struct{}
 }
 
 // StartFollower starts the replication link. The store should already
@@ -116,9 +113,9 @@ func newFollower(cfg FollowerConfig) *Follower {
 		cfg:     cfg,
 		nshards: cfg.Store.NumShards(),
 		tm:      Budgets(),
-		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
+	f.ctx, f.cancel = context.WithCancelCause(context.Background())
 	f.shards = make([]followerShard, f.nshards)
 	for i := range f.shards {
 		f.shards[i].id = i
@@ -149,21 +146,10 @@ func (f *Follower) logf(format string, args ...any) {
 // run keeps the link up until halt.
 func (f *Follower) run() {
 	defer close(f.done)
-	Redial(f.stop, f.cfg.Backoff, f.linkOnce, func(err error, retryIn time.Duration) {
+	Redial(f.ctx, f.cfg.Backoff, f.linkOnce, func(err error, retryIn time.Duration) {
 		f.reconnects.Add(1)
 		f.logf("repl: link to %s down (%v); retrying in %v", f.cfg.Primary, err, retryIn)
 	})
-}
-
-// adopt makes l the link halt will cut, unless halt already ran.
-func (f *Follower) adopt(l *Link) bool {
-	f.linkMu.Lock()
-	defer f.linkMu.Unlock()
-	if f.halted {
-		return false
-	}
-	f.link = l
-	return true
 }
 
 // linkOnce runs one connection lifecycle: dial, subscribe, catch up,
@@ -172,14 +158,11 @@ func (f *Follower) adopt(l *Link) bool {
 func (f *Follower) linkOnce() (streamed bool, err error) {
 	defer f.state.Store(int32(StateDisconnected))
 	f.state.Store(int32(StateConnecting))
-	l, resp, err := dial(f.cfg.Primary, f.tm, &wire.Request{Op: wire.OpSubscribeWAL, Sem: wire.SemDefault})
+	l, resp, err := dial(f.ctx, f.cfg.Primary, f.tm, &wire.Request{Op: wire.OpSubscribeWAL, Sem: wire.SemDefault})
 	if err != nil {
 		return false, err
 	}
 	defer l.Close()
-	if !f.adopt(l) {
-		return false, ErrLinkClosed
-	}
 	if resp.N == 0 {
 		return false, fmt.Errorf("repl: primary reports zero shards")
 	}
@@ -343,17 +326,10 @@ func (f *Follower) sendAck(l *Link, buf *[]byte) error {
 	return l.Write(*buf)
 }
 
-// halt stops the link goroutine and waits for it.
+// halt cuts the live link, or the dial in flight, and waits for the
+// link goroutine to exit.
 func (f *Follower) halt() {
-	f.linkMu.Lock()
-	if !f.halted {
-		f.halted = true
-		close(f.stop)
-		if f.link != nil {
-			f.link.Cut(ErrLinkClosed)
-		}
-	}
-	f.linkMu.Unlock()
+	f.cancel(ErrLinkClosed)
 	<-f.done
 }
 

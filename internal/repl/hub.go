@@ -72,9 +72,13 @@ type Hub struct {
 	// shard id of the current table (monotonic; a dying feed does not
 	// lower it). A feed's ACKs address table positions; its pinned
 	// topology maps them to ids.
-	acked  map[int]uint64
-	ackCh  chan struct{} // closed + replaced whenever acked advances or the feed set changes
-	closed bool
+	acked map[int]uint64
+	ackCh chan struct{} // closed + replaced whenever acked advances or the feed set changes
+	// ctx is what every feed's link descends from. CutAll cancels it and
+	// installs a fresh one; Close cancels it for good, so a hub whose ctx
+	// has ended is closed.
+	ctx    context.Context
+	cancel context.CancelCauseFunc
 
 	shippedRecs   atomic.Uint64
 	shippedBytes  atomic.Uint64
@@ -91,6 +95,7 @@ func NewHub(store PrimaryStore, cfg HubConfig) *Hub {
 		feeds:   make(map[*feed]struct{}),
 		ackCh:   make(chan struct{}),
 	}
+	h.ctx, h.cancel = context.WithCancelCause(context.Background())
 	h.resetAcked()
 	return h
 }
@@ -148,14 +153,21 @@ type feed struct {
 // request the server has just read. The OK answer, carrying the shard
 // count of the table the feed pins, goes out through the link, under
 // its reply budget like every later write. ServeFeed blocks until the
-// feed ends — follower gone, hub closed, or the follower fell too far
-// behind — and always returns a non-nil reason.
+// feed ends — follower gone, hub closed or cut, or the follower fell
+// too far behind — and always returns a non-nil reason.
+//
+// The link's parent is taken before the table is read: a reshard
+// publishes its table before it calls CutAll, so a feed either pins the
+// new table or is cut.
 func (h *Hub) ServeFeed(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
+	h.mu.Lock()
+	ctx := h.ctx
+	h.mu.Unlock()
 	epoch, topo := h.store.Routing()
 	n := len(topo)
 	f := &feed{
 		h:            h,
-		link:         NewLink(conn, br, bw),
+		link:         NewLink(ctx, conn, br, bw),
 		epoch:        epoch,
 		topo:         topo,
 		wake:         make(chan struct{}, 1),
@@ -169,13 +181,9 @@ func (h *Hub) ServeFeed(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error
 		err = f.link.Write(ok)
 	}
 	if err != nil {
-		return err
+		return f.link.Cut(err)
 	}
 	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		return errHubClosed
-	}
 	f.id = h.nextID
 	h.nextID++
 	h.feeds[f] = struct{}{}
@@ -215,20 +223,6 @@ func (h *Hub) liveFeeds() []*feed {
 	return feeds
 }
 
-// cutFeeds changes the hub's state through edit, under h.mu, and then
-// cuts every feed that was live at that moment for the given reason;
-// sync-ack waiters wake to see the new state.
-func (h *Hub) cutFeeds(reason error, edit func()) {
-	h.mu.Lock()
-	edit()
-	feeds := h.liveFeeds()
-	h.wakeWaiters()
-	h.mu.Unlock()
-	for _, f := range feeds {
-		f.link.Cut(reason)
-	}
-}
-
 // WaitAcked blocks until some follower's ack covers seq in the log of
 // the shard with stable id id, no follower is connected (sync
 // replication degrades to async rather than stalling the primary's
@@ -242,7 +236,7 @@ func (h *Hub) WaitAcked(ctx context.Context, id int, seq uint64) error {
 	for {
 		h.mu.Lock()
 		acked, ok := h.acked[id]
-		if !ok || acked >= seq || len(h.feeds) == 0 || h.closed {
+		if !ok || acked >= seq || len(h.feeds) == 0 || h.ctx.Err() != nil {
 			h.mu.Unlock()
 			return nil
 		}
@@ -337,13 +331,23 @@ func (h *Hub) LagBytes() uint64 {
 // the rest wake and observe no followers (sync replication degrades to
 // async until followers re-subscribe).
 func (h *Hub) CutAll(reason string) {
-	h.cutFeeds(fmt.Errorf("repl: feed cut: %s", reason), h.resetAcked)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.ctx.Err() == nil {
+		h.cancel(fmt.Errorf("repl: feed cut: %s", reason))
+		h.ctx, h.cancel = context.WithCancelCause(context.Background())
+	}
+	h.resetAcked()
+	h.wakeWaiters()
 }
 
-// Close tears down every feed. In-flight ServeFeed calls return; new
-// subscriptions are refused.
+// Close tears down every feed. In-flight ServeFeed calls return; a
+// subscription that arrives later is born cut.
 func (h *Hub) Close() {
-	h.cutFeeds(errHubClosed, func() { h.closed = true })
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.cancel(errHubClosed)
+	h.wakeWaiters()
 }
 
 // offsets sums a feed's acked records and its lag (shipped − acked
@@ -474,9 +478,9 @@ func (f *feed) send(frame *wire.ReplFrame) error {
 // full catch-up otherwise — shipped in the live tail's vocabulary, then
 // marks it with SNAP-DONE carrying the cover seq, the mode, and the
 // primary's incarnation. Live records buffered meanwhile are shipped by
-// drain.
+// drain. The walks run under the link's context, so a cut feed stops
+// its catch-up at the next chunk.
 func (f *feed) catchUp(covers []uint64, hello *wire.ReplFrame) error {
-	ctx := context.Background()
 	inc := f.h.store.Incarnation()
 	n := len(f.topo)
 	// applied == 0 is "no position": CatchUp answers it with a full
@@ -494,7 +498,7 @@ func (f *feed) catchUp(covers []uint64, hello *wire.ReplFrame) error {
 	}
 	for shard := 0; shard < n; shard++ {
 		b := catchUpBatch{f: f, frame: wire.ReplFrame{Kind: wire.ReplWALBatch, Shard: uint64(shard)}}
-		delta, err := f.h.store.CatchUp(ctx, shard, applied[shard], b.add)
+		delta, err := f.h.store.CatchUp(f.link.ctx, shard, applied[shard], b.add)
 		if err == nil {
 			err = b.flush()
 		}

@@ -2,6 +2,7 @@ package repl
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"net"
 	"sync"
@@ -20,10 +21,14 @@ var ErrLinkClosed = errors.New("repl: link closed")
 // and owns what the two have in common: every socket deadline, the
 // heartbeat, the cut, and the order in which the two halves stop.
 //
-// Cut is a latch. Once it has run, a Read or Write that has not started
-// fails at once with the first cause, and one already blocked in the
+// A link's life is a context derived from its owner's: Cut cancels it,
+// and so does the owner stopping, with the owner's cause. The first
+// cause wins. Once the context has ended, a Read or Write that has not
+// started fails at once with the cause, and one already blocked in the
 // socket is woken by a deadline in the past; nothing moves on a cut
 // link, so a loop around Read or Write needs no stop flag of its own.
+// Every link must end — Serve, Close or Cut — so that it leaves its
+// owner's context.
 type Link struct {
 	conn net.Conn
 	br   *bufio.Reader
@@ -34,48 +39,61 @@ type Link struct {
 	// reader owes (a watcher's Add against its PONG).
 	wmu sync.Mutex
 
-	// mu orders Cut against the arming of a deadline, so a deadline
-	// armed for a new Read or Write can never overwrite the cut's.
-	mu    sync.Mutex
-	cause error
-	stop  chan struct{}
+	ctx context.Context
+	cut context.CancelCauseFunc
+	// mu orders the yank that follows the end of ctx against the arming
+	// of a deadline, so a deadline armed for a new Read or Write can
+	// never overwrite the cut's.
+	mu sync.Mutex
 }
 
-// NewLink wraps a connection whose request/response exchange is over;
-// the link runs on Budgets(). The caller still closes conn.
-func NewLink(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) *Link {
-	return &Link{conn: conn, br: br, bw: bw, tm: Budgets(), stop: make(chan struct{})}
+// NewLink wraps a connection whose request/response exchange is over,
+// under the owner's context ctx: a link made under an owner that has
+// already stopped is born cut. The link runs on Budgets(). The caller
+// still closes conn.
+func NewLink(ctx context.Context, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) *Link {
+	l := &Link{conn: conn, br: br, bw: bw, tm: Budgets()}
+	l.ctx, l.cut = context.WithCancelCause(ctx)
+	context.AfterFunc(l.ctx, func() {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		l.conn.SetDeadline(time.Now().Add(-time.Second))
+	})
+	return l
 }
 
-// arm sets the deadline for one Read (the read budget: the peer may
-// stay silent for Idle, then owes an answer to the heartbeat) or one
-// Write (Reply), unless the link is cut.
-func (l *Link) arm(write bool) error {
+// arm sets one deadline, d from now, through set — the read half's,
+// the write half's or both — unless the link is cut.
+func (l *Link) arm(set func(time.Time) error, d time.Duration) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.cause != nil {
-		return l.cause
+	if err := l.Cause(); err != nil {
+		return err
 	}
-	if write {
-		return l.conn.SetWriteDeadline(time.Now().Add(l.tm.Reply))
-	}
-	return l.conn.SetReadDeadline(time.Now().Add(l.tm.readBudget()))
+	return set(time.Now().Add(d))
 }
 
 // Read reads the next frame's payload into buf (see wire.ReadFrameBuf)
-// under the read budget. A read that a cut interrupted reports the
+// under the read budget: the peer may stay silent for Idle, then owes
+// an answer to the heartbeat. A read that a cut interrupted reports the
 // cut's cause, not the deadline that woke it.
 func (l *Link) Read(buf []byte) ([]byte, error) {
-	if err := l.arm(false); err != nil {
+	if err := l.arm(l.conn.SetReadDeadline, l.tm.readBudget()); err != nil {
 		return nil, err
 	}
 	payload, err := wire.ReadFrameBuf(l.br, buf)
+	return payload, l.causeOr(err)
+}
+
+// causeOr returns the cut's cause in place of a failure err, which the
+// cut's deadline may have caused.
+func (l *Link) causeOr(err error) error {
 	if err != nil {
 		if cause := l.Cause(); cause != nil {
-			err = cause
+			return cause
 		}
 	}
-	return payload, err
+	return err
 }
 
 // Write sends already-encoded frames and flushes them, under the Reply
@@ -83,7 +101,7 @@ func (l *Link) Read(buf []byte) ([]byte, error) {
 func (l *Link) Write(frames []byte) error {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
-	if err := l.arm(true); err != nil {
+	if err := l.arm(l.conn.SetWriteDeadline, l.tm.Reply); err != nil {
 		return err
 	}
 	if _, err := l.bw.Write(frames); err != nil {
@@ -93,24 +111,14 @@ func (l *Link) Write(frames []byte) error {
 }
 
 // Cut ends the link for the given non-nil reason and returns the first
-// reason any Cut was given, which is what Cause reports from then on.
+// reason the link ended for, which is what Cause reports from then on.
 func (l *Link) Cut(err error) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.cause == nil {
-		l.cause = err
-		close(l.stop)
-		l.conn.SetDeadline(time.Now().Add(-time.Second))
-	}
-	return l.cause
+	l.cut(err)
+	return l.Cause()
 }
 
 // Cause returns why the link was cut, nil while it is live.
-func (l *Link) Cause() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.cause
-}
+func (l *Link) Cause() error { return context.Cause(l.ctx) }
 
 // Close cuts the link and closes its connection; for the side that
 // dialed it.
@@ -166,7 +174,7 @@ func (l *Link) Serve(wake <-chan struct{}, ping []byte, drain, recv func() error
 			werr = drain()
 		case <-tick.C:
 			werr = l.Write(ping)
-		case <-l.stop:
+		case <-l.ctx.Done():
 			werr = l.Cause()
 		case <-readerDone:
 			drain()
@@ -181,22 +189,28 @@ func (l *Link) Serve(wake <-chan struct{}, ping []byte, drain, recv func() error
 // Dial is the client side of a takeover: connect to addr, send req (the
 // SUBSCRIBE-WAL or WATCH request), read its response, and fail unless
 // the server said OK — dial and exchange each inside the Connect
-// budget. The returned link is the caller's to Close.
-func Dial(addr string, req *wire.Request) (*Link, *wire.Response, error) {
-	return dial(addr, Budgets(), req)
+// budget. The link descends from ctx, the owner's context: the owner
+// stopping ends a dial in flight with its cause. The returned link is
+// the caller's to Close.
+func Dial(ctx context.Context, addr string, req *wire.Request) (*Link, *wire.Response, error) {
+	return dial(ctx, addr, Budgets(), req)
 }
 
 // dial is Dial on the budgets tm, which the link keeps.
-func dial(addr string, tm Timeouts, req *wire.Request) (*Link, *wire.Response, error) {
-	conn, err := net.DialTimeout("tcp", addr, tm.Connect)
+func dial(ctx context.Context, addr string, tm Timeouts, req *wire.Request) (*Link, *wire.Response, error) {
+	d := net.Dialer{Timeout: tm.Connect}
+	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
+		if cause := context.Cause(ctx); cause != nil {
+			err = cause
+		}
 		return nil, nil, err
 	}
-	l := NewLink(conn, bufio.NewReader(conn), bufio.NewWriter(conn))
+	l := NewLink(ctx, conn, bufio.NewReader(conn), bufio.NewWriter(conn))
 	l.tm = tm
 	resp, err := l.handshake(req)
-	if err != nil {
-		conn.Close()
+	if err = l.causeOr(err); err != nil {
+		l.Close()
 		return nil, nil, err
 	}
 	return l, resp, nil
@@ -207,7 +221,9 @@ func (l *Link) handshake(req *wire.Request) (*wire.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.conn.SetDeadline(time.Now().Add(l.tm.Connect))
+	if err := l.arm(l.conn.SetDeadline, l.tm.Connect); err != nil {
+		return nil, err
+	}
 	if _, err := l.bw.Write(out); err != nil {
 		return nil, err
 	}
@@ -225,21 +241,21 @@ func (l *Link) handshake(req *wire.Request) (*wire.Response, error) {
 	return resp, resp.Err()
 }
 
-// Redial keeps a client's link up until stop closes: it runs once — one
+// Redial keeps a client's link up until ctx ends: it runs once — one
 // whole link lifetime, dial to death — then waits out the backoff delay
 // and runs it again. The delay grows with each consecutive failure and
 // starts over after a lifetime that reached streaming (zero Backoff
 // fields take the defaults). onDown, when non-nil, hears of each death
-// and the delay that follows it.
-func Redial(stop <-chan struct{}, bo Backoff, once func() (streamed bool, err error), onDown func(err error, retryIn time.Duration)) {
+// and the delay that follows it; a lifetime that ends because ctx did
+// is not reported. once dials under ctx, so the end of ctx also cuts
+// the lifetime in flight.
+func Redial(ctx context.Context, bo Backoff, once func() (streamed bool, err error), onDown func(err error, retryIn time.Duration)) {
 	bo = bo.WithDefaults()
 	attempt := 0
 	for {
 		streamed, err := once()
-		select {
-		case <-stop:
+		if ctx.Err() != nil {
 			return
-		default:
 		}
 		if streamed {
 			attempt = 0
@@ -250,7 +266,7 @@ func Redial(stop <-chan struct{}, bo Backoff, once func() (streamed bool, err er
 			onDown(err, delay)
 		}
 		select {
-		case <-stop:
+		case <-ctx.Done():
 			return
 		case <-time.After(delay):
 		}

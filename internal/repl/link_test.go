@@ -2,6 +2,7 @@ package repl
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"net"
@@ -49,9 +50,16 @@ var (
 // the peer".
 func pipeLink(t *testing.T, tm Timeouts) (*Link, net.Conn) {
 	t.Helper()
+	return pipeLinkUnder(t, context.Background(), tm)
+}
+
+// pipeLinkUnder is pipeLink with the owner's context ctx.
+func pipeLinkUnder(t *testing.T, ctx context.Context, tm Timeouts) (*Link, net.Conn) {
+	t.Helper()
 	a, b := net.Pipe()
 	t.Cleanup(func() { a.Close(); b.Close() })
-	l := NewLink(a, bufio.NewReader(a), bufio.NewWriter(a))
+	l := NewLink(ctx, a, bufio.NewReader(a), bufio.NewWriter(a))
+	t.Cleanup(func() { l.Cut(ErrLinkClosed) })
 	l.tm = tm
 	return l, b
 }
@@ -308,47 +316,100 @@ func TestLinkServeJoinsReader(t *testing.T) {
 }
 
 // TestLinkCutIsALatch: the first cause sticks, and nothing starts on a
-// cut link — while a read already blocked is woken with the cause.
+// cut link — while a read already blocked is woken with the cause. The
+// cut comes from the link itself, from its owner's context being
+// cancelled, or from an owner that had stopped before the link was
+// made.
 func TestLinkCutIsALatch(t *testing.T) {
-	l, _ := pipeLink(t, linkTimeouts)
-	blocked := make(chan error, 1)
-	go func() {
-		_, err := l.Read(nil)
-		blocked <- err
-	}()
-	second := errors.New("test: second cut")
-	if got := l.Cut(errTestCut); got != errTestCut {
-		t.Fatalf("first Cut = %v", got)
+	rows := []struct {
+		name string
+		// make builds the link; cut cuts it with errTestCut, then tries a
+		// second cause, and returns what the link reports afterwards.
+		make func(t *testing.T) (*Link, func() (first, second error))
+		// blocks says a Read can be started before the cut.
+		blocks bool
+	}{
+		{
+			name: "Cut",
+			make: func(t *testing.T) (*Link, func() (error, error)) {
+				l, _ := pipeLink(t, linkTimeouts)
+				return l, func() (error, error) {
+					return l.Cut(errTestCut), l.Cut(errors.New("test: second cut"))
+				}
+			},
+			blocks: true,
+		},
+		{
+			name: "owner cancelled",
+			make: func(t *testing.T) (*Link, func() (error, error)) {
+				ctx, cancel := context.WithCancelCause(context.Background())
+				l, _ := pipeLinkUnder(t, ctx, linkTimeouts)
+				return l, func() (error, error) {
+					cancel(errTestCut)
+					return l.Cause(), l.Cut(errors.New("test: second cut"))
+				}
+			},
+			blocks: true,
+		},
+		{
+			name: "owner stopped before the link was made",
+			make: func(t *testing.T) (*Link, func() (error, error)) {
+				ctx, cancel := context.WithCancelCause(context.Background())
+				cancel(errTestCut)
+				l, _ := pipeLinkUnder(t, ctx, linkTimeouts)
+				return l, func() (error, error) {
+					return l.Cause(), l.Cut(errors.New("test: second cut"))
+				}
+			},
+		},
 	}
-	if got := l.Cut(second); got != errTestCut {
-		t.Fatalf("second Cut = %v, want the first cause", got)
-	}
-	if got := l.Cause(); got != errTestCut {
-		t.Fatalf("Cause = %v", got)
-	}
-	// Nobody ever writes to or reads from the far end: each of these
-	// would block for its whole budget if it touched the socket.
-	start := time.Now()
-	if err := <-blocked; err != errTestCut {
-		t.Fatalf("blocked Read = %v, want the cut's cause", err)
-	}
-	if _, err := l.Read(nil); err != errTestCut {
-		t.Fatalf("Read after Cut = %v", err)
-	}
-	if err := l.Write(frame(fData)); err != errTestCut {
-		t.Fatalf("Write after Cut = %v", err)
-	}
-	if err := l.Recv(func([]byte) error { return nil }); err != errTestCut {
-		t.Fatalf("Recv after Cut = %v", err)
-	}
-	if d := time.Since(start); d >= linkTimeouts.Reply {
-		t.Fatalf("operations on a cut link took %v", d)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			l, cut := row.make(t)
+			blocked := make(chan error, 1)
+			if row.blocks {
+				go func() {
+					_, err := l.Read(nil)
+					blocked <- err
+				}()
+			}
+			first, second := cut()
+			if first != errTestCut {
+				t.Fatalf("cause after the cut = %v", first)
+			}
+			if second != errTestCut {
+				t.Fatalf("second Cut = %v, want the first cause", second)
+			}
+			if got := l.Cause(); got != errTestCut {
+				t.Fatalf("Cause = %v", got)
+			}
+			// Nobody ever writes to or reads from the far end: each of these
+			// would block for its whole budget if it touched the socket.
+			start := time.Now()
+			if row.blocks {
+				if err := <-blocked; err != errTestCut {
+					t.Fatalf("blocked Read = %v, want the cut's cause", err)
+				}
+			}
+			if _, err := l.Read(nil); err != errTestCut {
+				t.Fatalf("Read after Cut = %v", err)
+			}
+			if err := l.Write(frame(fData)); err != errTestCut {
+				t.Fatalf("Write after Cut = %v", err)
+			}
+			if err := l.Recv(func([]byte) error { return nil }); err != errTestCut {
+				t.Fatalf("Recv after Cut = %v", err)
+			}
+			if d := time.Since(start); d >= linkTimeouts.Reply {
+				t.Fatalf("operations on a cut link took %v", d)
+			}
+		})
 	}
 }
 
 // TestRedial: the delay doubles across consecutive failures, starts
-// over only after a lifetime that streamed, and stop ends the loop both
-// while it waits and while a lifetime is in flight.
+// over only after a lifetime that streamed, and the end of its context
+// ends the loop both while it waits and while a lifetime is in flight.
 func TestRedial(t *testing.T) {
 	bo := Backoff{Min: time.Millisecond, Max: 8 * time.Millisecond}
 	ms := time.Millisecond
@@ -356,13 +417,13 @@ func TestRedial(t *testing.T) {
 	t.Run("delay resets only after streaming", func(t *testing.T) {
 		outcomes := []bool{false, false, false, true, false, false, true, true, false}
 		want := []time.Duration{1 * ms, 2 * ms, 4 * ms, 1 * ms, 2 * ms, 4 * ms, 1 * ms, 1 * ms}
-		stop := make(chan struct{})
+		ctx, stop := context.WithCancel(context.Background())
 		var got []time.Duration
 		calls := 0
-		Redial(stop, bo, func() (bool, error) {
+		Redial(ctx, bo, func() (bool, error) {
 			streamed := outcomes[calls]
 			if calls++; calls == len(outcomes) {
-				close(stop)
+				stop()
 			}
 			return streamed, errTestCut
 		}, func(err error, retryIn time.Duration) {
@@ -377,15 +438,16 @@ func TestRedial(t *testing.T) {
 	})
 
 	t.Run("stop during a delay", func(t *testing.T) {
-		stop, down := make(chan struct{}), make(chan struct{})
+		ctx, stop := context.WithCancel(context.Background())
+		down := make(chan struct{})
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			Redial(stop, Backoff{Min: time.Hour, Max: time.Hour}, func() (bool, error) { return false, errTestCut },
+			Redial(ctx, Backoff{Min: time.Hour, Max: time.Hour}, func() (bool, error) { return false, errTestCut },
 				func(error, time.Duration) { close(down) })
 		}()
 		<-down
-		close(stop)
+		stop()
 		select {
 		case <-done:
 		case <-time.After(5 * time.Second):
@@ -394,21 +456,22 @@ func TestRedial(t *testing.T) {
 	})
 
 	t.Run("stop during a dial", func(t *testing.T) {
-		// The lifetime is cut by whoever closes stop (halt cuts the link,
-		// Close cuts the link): it fails, and that failure must not be
+		// The lifetime's link descends from the context, so cancelling it
+		// cuts the lifetime: it fails, and that failure must not be
 		// reported or waited out.
-		stop, dialing := make(chan struct{}), make(chan struct{})
+		ctx, stop := context.WithCancel(context.Background())
+		dialing := make(chan struct{})
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			Redial(stop, Backoff{Min: time.Hour, Max: time.Hour}, func() (bool, error) {
+			Redial(ctx, Backoff{Min: time.Hour, Max: time.Hour}, func() (bool, error) {
 				close(dialing)
-				<-stop
+				<-ctx.Done()
 				return false, ErrLinkClosed
 			}, func(err error, _ time.Duration) { t.Errorf("onDown(%v) after stop", err) })
 		}()
 		<-dialing
-		close(stop)
+		stop()
 		select {
 		case <-done:
 		case <-time.After(5 * time.Second):
@@ -456,7 +519,7 @@ func TestDialHandshake(t *testing.T) {
 				row.respond(c)
 			}()
 			tm := Timeouts{Connect: 50 * time.Millisecond, Reply: 10 * time.Second, Idle: 10 * time.Second}
-			l, resp, err := dial(ln.Addr().String(), tm, &wire.Request{Op: wire.OpWatch, Sem: wire.SemDefault, Key: []byte("k")})
+			l, resp, err := dial(context.Background(), ln.Addr().String(), tm, &wire.Request{Op: wire.OpWatch, Sem: wire.SemDefault, Key: []byte("k")})
 			switch row.wantErr {
 			case "":
 				if err != nil {

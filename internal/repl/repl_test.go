@@ -5,8 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -69,6 +71,8 @@ type fakePrimary struct {
 	mus     []sync.Mutex
 	maps    []map[string]string
 	dirty   []map[string]bool
+	// stall, when set before the hub serves, replaces CatchUp's walk.
+	stall func(ctx context.Context) error
 }
 
 func newFakePrimary(t *testing.T, shards int) *fakePrimary {
@@ -128,6 +132,9 @@ func (fp *fakePrimary) reshape(epoch uint64, ids ...uint64) {
 // complete for any applied position > 0. Otherwise it emits a FLUSH and
 // every pair.
 func (fp *fakePrimary) CatchUp(ctx context.Context, shard int, applied uint64, emit func(wal.Op) error) (bool, error) {
+	if fp.stall != nil {
+		return false, fp.stall(ctx)
+	}
 	fp.mus[shard].Lock()
 	defer fp.mus[shard].Unlock()
 	delta := fp.inc != 0 && applied != 0
@@ -700,5 +707,128 @@ func TestWaitAckedReleasesDroppedID(t *testing.T) {
 	}
 	if got := ff.snapshot(1)["after-reshape"]; got != "v" {
 		t.Fatalf("after WaitAcked, follower has %q at position 1", got)
+	}
+}
+
+// TestCatchUpStopsWhenFeedIsCut: a catch-up runs under its feed's
+// link, so CutAll and Close each end a feed whose catch-up is blocked
+// in the store — with no socket write to fail — and the store sees the
+// cut's cause.
+func TestCatchUpStopsWhenFeedIsCut(t *testing.T) {
+	rows := []struct {
+		name string
+		cut  func(h *Hub)
+		want func(cause error) bool
+	}{
+		{"CutAll", func(h *Hub) { h.CutAll("test reshard") }, func(cause error) bool {
+			return cause != nil && strings.Contains(cause.Error(), "feed cut: test reshard")
+		}},
+		{"Close", (*Hub).Close, func(cause error) bool { return errors.Is(cause, errHubClosed) }},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			fp := newFakePrimary(t, 1)
+			entered, seen := make(chan struct{}), make(chan error, 1)
+			fp.stall = func(ctx context.Context) error {
+				close(entered)
+				<-ctx.Done()
+				seen <- context.Cause(ctx)
+				return context.Cause(ctx)
+			}
+			h := NewHub(fp, HubConfig{Logf: t.Logf})
+			defer h.Close()
+
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			served := make(chan error, 1)
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					served <- err
+					return
+				}
+				defer conn.Close()
+				br := bufio.NewReader(conn)
+				if _, err := wire.ReadFrameBuf(br, nil); err != nil {
+					served <- err
+					return
+				}
+				served <- h.ServeFeed(conn, br, bufio.NewWriter(conn))
+			}()
+
+			l, _, err := Dial(context.Background(), ln.Addr().String(), &wire.Request{Op: wire.OpSubscribeWAL, Sem: wire.SemDefault})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			hello, err := wire.AppendReplFrame(nil, &wire.ReplFrame{Kind: wire.ReplHello})
+			if err == nil {
+				err = l.Write(hello)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			go l.Recv(func([]byte) error { return nil }) // takes TOPOLOGY off the socket
+
+			<-entered
+			row.cut(h)
+			select {
+			case err := <-served:
+				if !row.want(err) {
+					t.Fatalf("ServeFeed = %v, want the cut's cause", err)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("ServeFeed still running 1s after the cut: its catch-up was not cancelled")
+			}
+			if cause := <-seen; !row.want(cause) {
+				t.Fatalf("CatchUp saw cause %v, want the cut's", cause)
+			}
+		})
+	}
+}
+
+// TestFollowerCloseDuringDial: Close on a follower whose handshake is in
+// flight — the primary accepted the connection but never answers
+// SUBSCRIBE — returns at once rather than after the Connect budget, and
+// the connection it was dialing is closed, not left behind.
+func TestFollowerCloseDuringDial(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		accepted <- conn
+	}()
+
+	fl, err := StartFollower(FollowerConfig{Primary: ln.Addr().String(), Store: newFakeFollower(1), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := <-accepted
+	defer conn.Close()
+	// The SUBSCRIBE request arrives: the follower is now waiting for its
+	// answer.
+	if _, err := wire.ReadFrameBuf(bufio.NewReader(conn), nil); err != nil {
+		t.Fatal(err)
+	}
+
+	budget := fl.tm.Connect
+	start := time.Now()
+	fl.Close()
+	if d := time.Since(start); d > budget/5 {
+		t.Fatalf("Close took %v with a handshake in flight (Connect budget %v)", d, budget)
+	}
+	conn.SetReadDeadline(time.Now().Add(budget / 5))
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("primary side read %v after Close, want EOF: the dialed connection was left open", err)
 	}
 }

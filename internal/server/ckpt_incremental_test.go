@@ -139,11 +139,11 @@ func TestIncrementalCheckpointChurnBound(t *testing.T) {
 	}
 	// The delta is written in key order, like a base.
 	prev, n := "", 0
-	if err := wal.ReadDelta(inc.tab().shards[0].wal.DeltaPath(chain.Deltas[0].Seg), func(k, v string, del bool) error {
-		if n++; n > 1 && k <= prev {
-			return fmt.Errorf("delta key %q after %q", k, prev)
+	if err := inc.tab().shards[0].wal.ReadDelta(chain.Deltas[0].Seg, func(op wal.Op) error {
+		if n++; n > 1 && op.Key <= prev {
+			return fmt.Errorf("delta key %q after %q", op.Key, prev)
 		}
-		prev = k
+		prev = op.Key
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -513,7 +513,7 @@ func TestDeltaShardGating(t *testing.T) {
 	var emitted []wal.Op
 	delta, err = st.CatchUp(ctx, 0, base, func(op wal.Op) error {
 		if len(emitted) == 0 {
-			if err := os.Remove(st.WAL().DeltaPath(chain.Deltas[1].Seg)); err != nil {
+			if err := os.Remove(filepath.Join(st.walDir, st.tab().shards[0].walName, fmt.Sprintf("delta-%08d.ckpt", chain.Deltas[1].Seg))); err != nil {
 				t.Fatal(err)
 			}
 		}

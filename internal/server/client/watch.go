@@ -1,6 +1,7 @@
 package client
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -57,6 +58,10 @@ type watchSpec struct {
 // drop silently). Across a reconnect the watcher re-subscribes its
 // current watch set, but events committed while the link was down are
 // gone and watch ids are reissued — session-scoped, not durable.
+//
+// Every link descends from the watcher's context: ending the watcher
+// cancels it, which cuts the live link, or the one being dialed, and
+// stops the redial loop.
 type Watcher struct {
 	addr        string
 	backoff     repl.Backoff // zero: repl.Redial's schedule; only tests shorten it
@@ -64,7 +69,8 @@ type Watcher struct {
 	noReconnect bool
 
 	events chan WatchEvent
-	stop   chan struct{}
+	ctx    context.Context
+	cancel context.CancelCauseFunc
 
 	// firstID is set once by Watch before run starts.
 	firstID uint64
@@ -75,25 +81,22 @@ type Watcher struct {
 	pending []watchSpec          // SessWatch sent, WATCH-OK not yet seen
 	lost    uint64
 	err     error
-	ended   bool // stop is closed: Close ran or the session met a terminal end
 }
 
 // Watch dials a dedicated session connection and registers the first
 // watch (key, or every key under it when prefix is true). The returned
 // watcher's first watch id is FirstID.
 func Watch(addr string, key []byte, prefix bool, opts ...WatchOption) (*Watcher, error) {
-	w := &Watcher{
-		addr:    addr,
-		chanCap: 256,
-		stop:    make(chan struct{}),
-	}
+	w := &Watcher{addr: addr, chanCap: 256}
 	for _, o := range opts {
 		o(w)
 	}
 	w.events = make(chan WatchEvent, w.chanCap)
+	w.ctx, w.cancel = context.WithCancelCause(context.Background())
 
 	l, id, err := w.connect([]watchSpec{{key: string(key), prefix: prefix}})
 	if err != nil {
+		w.cancel(err)
 		return nil, err
 	}
 	w.firstID = id
@@ -157,17 +160,15 @@ func (w *Watcher) Close() error {
 }
 
 // end latches the watcher's terminal state — only the first call's err
-// is what Err reports — stops the redial loop and cuts the live link.
-// It returns err, for a frame handler to end its session with.
+// is what Err reports — and cancels its context, which stops the redial
+// loop and cuts the live link. It returns err, for a frame handler to
+// end its session with.
 func (w *Watcher) end(err error) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if !w.ended {
-		w.ended, w.err = true, err
-		close(w.stop)
-		if w.link != nil {
-			w.link.Cut(ErrClosed)
-		}
+	if w.ctx.Err() == nil {
+		w.err = err
+		w.cancel(ErrClosed)
 	}
 	return err
 }
@@ -189,14 +190,14 @@ func (w *Watcher) send(f *wire.SessFrame) error {
 // connect opens one session: the WATCH handshake for specs[0] (whose OK
 // carries the first watch id), then a SessWatch frame per remaining
 // spec (their WATCH-OKs arrive in order on the session stream). The
-// link becomes the watcher's live one — unless the watcher ended while
-// it was being dialed, in which case it is closed here, not leaked.
+// link becomes the watcher's live one; one dialed while the watcher
+// ended is born cut, and the session that runs it closes it.
 func (w *Watcher) connect(specs []watchSpec) (*repl.Link, uint64, error) {
 	if len(specs) == 0 {
 		return nil, 0, errors.New("client: watcher has no watches to subscribe")
 	}
 	req := wire.Request{Op: wire.OpWatch, Sem: wire.SemDefault, Key: []byte(specs[0].key), Prefix: specs[0].prefix}
-	l, resp, err := repl.Dial(w.addr, &req)
+	l, resp, err := repl.Dial(w.ctx, w.addr, &req)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -210,15 +211,12 @@ func (w *Watcher) connect(specs []watchSpec) (*repl.Link, uint64, error) {
 	if err == nil {
 		err = l.Write(more)
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err == nil && w.ended {
-		err = ErrClosed
-	}
 	if err != nil {
 		l.Close()
 		return nil, 0, err
 	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	w.link = l
 	w.specs = map[uint64]watchSpec{resp.N: specs[0]}
 	w.pending = append(w.pending[:0], specs[1:]...)
@@ -229,7 +227,7 @@ func (w *Watcher) connect(specs []watchSpec) (*repl.Link, uint64, error) {
 // Watch opened.
 func (w *Watcher) run(first *repl.Link) {
 	defer close(w.events)
-	repl.Redial(w.stop, w.backoff, func() (bool, error) {
+	repl.Redial(w.ctx, w.backoff, func() (bool, error) {
 		l := first
 		first = nil
 		return w.session(l)
@@ -258,7 +256,7 @@ func (w *Watcher) session(l *repl.Link) (streamed bool, err error) {
 		case wire.SessEvent:
 			select {
 			case w.events <- WatchEvent{WatchID: f.WatchID, Seq: f.Seq, Op: f.Op, Key: string(f.Key)}:
-			case <-w.stop:
+			case <-w.ctx.Done():
 				return ErrClosed
 			}
 		case wire.SessEventLost:

@@ -215,8 +215,8 @@ func TestDirtyMarksResumeAtTheCut(t *testing.T) {
 		t.Fatalf("second cut: chain %+v, want one delta", chain)
 	}
 	got := map[string]string{}
-	if err := wal.ReadDelta(sh.wal.DeltaPath(chain.Deltas[0].Seg), func(k, v string, del bool) error {
-		got[k] = v
+	if err := sh.wal.ReadDelta(chain.Deltas[0].Seg, func(op wal.Op) error {
+		got[op.Key] = op.Val
 		return nil
 	}); err != nil {
 		t.Fatal(err)

@@ -177,9 +177,15 @@ func (s *Store) EnableDurability(d Durability) (sum *RecoverSummary, err error) 
 		every = time.Minute
 	}
 	if every > 0 {
-		s.ckptStop = make(chan struct{})
-		s.ckptDone = make(chan struct{})
-		go s.checkpointLoop(every)
+		// The checkpoint in flight runs under the loop's context, so
+		// CloseDurability is never held hostage by a long walk over a big
+		// keyspace — the partial .tmp file is abandoned and the log keeps
+		// its segments.
+		s.ckpt.start(every, func(ctx context.Context) {
+			if err := s.Checkpoint(ctx); err != nil {
+				s.logf("polyserve: checkpoint: %v", err)
+			}
+		})
 	}
 	return sum, nil
 }
@@ -394,11 +400,7 @@ func (s *Store) CloseDurability() error {
 	if !s.durable() {
 		return nil
 	}
-	if s.ckptStop != nil {
-		close(s.ckptStop)
-		<-s.ckptDone
-		s.ckptStop, s.ckptDone = nil, nil
-	}
+	s.ckpt.stop()
 	var first error
 	for _, sh := range s.tab().shards {
 		if err := sh.wal.Close(); err != nil && first == nil {
@@ -406,33 +408,6 @@ func (s *Store) CloseDurability() error {
 		}
 	}
 	return first
-}
-
-// checkpointLoop writes a checkpoint every `every` until stopped. The
-// in-flight checkpoint runs under a context cancelled by the stop
-// signal, so CloseDurability is never held hostage by a long snapshot
-// walk over a big keyspace — the partial .tmp file is abandoned and
-// the log keeps its segments.
-func (s *Store) checkpointLoop(every time.Duration) {
-	defer close(s.ckptDone)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		<-s.ckptStop
-		cancel()
-	}()
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.ckptStop:
-			return
-		case <-t.C:
-			if err := s.Checkpoint(ctx); err != nil {
-				s.logf("polyserve: checkpoint: %v", err)
-			}
-		}
-	}
 }
 
 // Checkpoint snapshots every shard's keyspace into a compact file and
@@ -542,12 +517,12 @@ func (s *Store) checkpointShard(ctx context.Context, sh *shard) error {
 	if !full {
 		// Key order, sorted here on the checkpointer: every durable write
 		// marks under dirtySet.mu, so nothing sorts under it.
-		err = sh.wal.WriteDeltaCheckpoint(seg, cover, func(emit func(k, v string, del bool) error) error {
-			return sh.emitKeys(ctx, slices.Sorted(maps.Keys(taken)), func(op wal.Op) error { return emit(op.Key, op.Val, op.Kind == wal.OpDel) })
+		err = sh.wal.WriteDeltaCheckpoint(seg, cover, func(emit func(wal.Op) error) error {
+			return sh.emitKeys(ctx, slices.Sorted(maps.Keys(taken)), emit)
 		})
 	} else {
-		err = sh.wal.WriteCheckpoint(seg, cover, func(emit func(k, v string) error) error {
-			return sh.walk(ctx, func(op wal.Op) error { return emit(op.Key, op.Val) })
+		err = sh.wal.WriteCheckpoint(seg, cover, func(emit func(wal.Op) error) error {
+			return sh.walk(ctx, emit)
 		})
 	}
 	if err != nil {

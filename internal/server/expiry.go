@@ -23,43 +23,23 @@ const reapBatch = 128
 // it exists so expired entries are physically deleted, their deletes
 // durably logged and replicated, and their watchers told.
 func (s *Store) StartTTLReaper(every time.Duration) {
-	if every < 0 || s.reapStop != nil {
+	if every < 0 || s.reaper.cancel != nil {
 		return
 	}
 	if every == 0 {
 		every = DefaultReapEvery
 	}
-	s.reapStop = make(chan struct{})
-	s.reapDone = make(chan struct{})
-	go s.reapLoop(every)
+	// A pass runs to its end: it deletes at most reapBatch keys a shard.
+	s.reaper.start(every, func(context.Context) {
+		if _, err := s.ReapExpired(context.Background()); err != nil {
+			s.logf("polyserve: ttl reap: %v", err)
+		}
+	})
 }
 
 // StopTTLReaper stops the background expiry loop, waiting for an
 // in-flight pass to finish.
-func (s *Store) StopTTLReaper() {
-	if s.reapStop == nil {
-		return
-	}
-	close(s.reapStop)
-	<-s.reapDone
-	s.reapStop, s.reapDone = nil, nil
-}
-
-func (s *Store) reapLoop(every time.Duration) {
-	defer close(s.reapDone)
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.reapStop:
-			return
-		case <-t.C:
-			if _, err := s.ReapExpired(context.Background()); err != nil {
-				s.logf("polyserve: ttl reap: %v", err)
-			}
-		}
-	}
-}
+func (s *Store) StopTTLReaper() { s.reaper.stop() }
 
 // ReapExpired runs one expiry pass over every shard, deleting up to
 // reapBatch expired keys per shard, and reports how many it deleted.

@@ -366,7 +366,7 @@ func TestMergeRetiresShardUnderOpenGate(t *testing.T) {
 // another shard, so a sync-ack wait on shard 1 blocks while its feed
 // lives.
 func ackShard0(t *testing.T, addr string) {
-	l, _, err := repl.Dial(addr, &wire.Request{Op: wire.OpSubscribeWAL, Sem: wire.SemDefault})
+	l, _, err := repl.Dial(context.Background(), addr, &wire.Request{Op: wire.OpSubscribeWAL, Sem: wire.SemDefault})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,11 +188,7 @@ func (s *Store) delta(ctx context.Context, sh *shard, applied uint64, emit func(
 		// removed the file) or the file failed validation — demotes it
 		// to the full path.
 		var emitErr error
-		err := wal.ReadDelta(sh.wal.DeltaPath(d.Seg), func(k, v string, del bool) error {
-			op := wal.Op{Kind: wal.OpSet, Key: k, Val: v}
-			if del {
-				op.Kind = wal.OpDel
-			}
+		err := sh.wal.ReadDelta(d.Seg, func(op wal.Op) error {
 			emitErr = emit(op)
 			return emitErr
 		})

@@ -488,28 +488,22 @@ func (s *Store) manifestFor(t *routingTable, nextID int) *storeManifest {
 	return m
 }
 
-// drop deletes, in bounded batches, every key of sh that stale accepts —
-// proposed by a chunked walk, and asked again under sh's token batch by
-// batch, where a table-reading predicate sees sh's slice hold still
-// (every cutover publishes under the tokens of the shards it reshapes).
-// The walk cannot miss a stale key: only a move's copies put keys of a
-// slice sh does not own on it. The deletes are mutations like any
-// other, through the WAL, but quiet: the values live on, on the owning
-// shard, or nowhere after a FLUSH. Returns how many were removed.
+// drop deletes every key of sh that stale accepts — proposed by a
+// chunked walk, and deleted as the walk goes, copyBatch keys per
+// transaction, each asked again under sh's token, where a table-reading
+// predicate sees sh's slice hold still (every cutover publishes under
+// the tokens of the shards it reshapes). The walk cannot miss a stale
+// key: only a move's copies put keys of a slice sh does not own on it,
+// and a delete behind the walk's cursor does not move it. The deletes
+// are mutations like any other, through the WAL, but quiet: the values
+// live on, on the owning shard, or nowhere after a FLUSH. Returns how
+// many were removed.
 func (s *Store) drop(ctx context.Context, sh *shard, stale func(string) bool) (int, error) {
-	var keys []string
-	err := sh.walk(ctx, func(op wal.Op) error {
-		if stale(op.Key) {
-			keys = append(keys, op.Key)
-		}
-		return nil
-	})
 	removed := 0
-	for err == nil && len(keys) > 0 {
-		chunk := keys[:min(copyBatch, len(keys))]
-		keys = keys[len(chunk):]
-		err = s.mutate(ctx, sh, core.Irrevocable, mutOpts{force: true, quiet: true, label: "reshard-clean"}, func(tx *core.Tx, cp *walCapture) error {
-			for _, k := range chunk {
+	var keys []string
+	del := func() error {
+		err := s.mutate(ctx, sh, core.Irrevocable, mutOpts{force: true, quiet: true, label: "reshard-clean"}, func(tx *core.Tx, cp *walCapture) error {
+			for _, k := range keys {
 				if !stale(k) {
 					continue
 				}
@@ -522,6 +516,20 @@ func (s *Store) drop(ctx context.Context, sh *shard, stale func(string) bool) (i
 			}
 			return nil
 		})
+		keys = keys[:0]
+		return err
+	}
+	err := sh.walk(ctx, func(op wal.Op) error {
+		if !stale(op.Key) {
+			return nil
+		}
+		if keys = append(keys, op.Key); len(keys) < copyBatch {
+			return nil
+		}
+		return del()
+	})
+	if err == nil && len(keys) > 0 {
+		err = del()
 	}
 	return removed, err
 }

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"polytm/internal/core"
-	"polytm/internal/repl"
 	"polytm/internal/stm"
 	"polytm/internal/wire"
 )
@@ -63,10 +62,14 @@ type Server struct {
 	// handler exits, so a disconnect stops that connection's work.
 	serveCtx    context.Context
 	cancelServe context.CancelFunc
+	// links parents every watch session's link; Shutdown cancels it
+	// first, which cuts them all.
+	links    context.Context
+	cutLinks context.CancelCauseFunc
 
 	mu       sync.Mutex
 	ln       net.Listener
-	conns    map[net.Conn]*repl.Link // nil until a watch session takes the connection over
+	conns    map[net.Conn]struct{}
 	shutdown bool
 
 	// replCfg is the replication setup EnableReplication was given; the
@@ -96,8 +99,9 @@ func New(cfg Config) *Server {
 		slots:       make(chan struct{}, cfg.MaxConns),
 		serveCtx:    ctx,
 		cancelServe: cancel,
-		conns:       make(map[net.Conn]*repl.Link),
+		conns:       make(map[net.Conn]struct{}),
 	}
+	srv.links, srv.cutLinks = context.WithCancelCause(context.Background())
 	srv.store.StartTTLReaper(cfg.TTLReapEvery)
 	return srv
 }
@@ -176,7 +180,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			c.Close()
 			return ErrServerClosed
 		}
-		s.conns[c] = nil
+		s.conns[c] = struct{}{}
 		s.mu.Unlock()
 
 		s.wg.Add(1)
@@ -348,6 +352,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// to tell.
 	s.closeReplication()
 	s.store.StopTTLReaper()
+	// A watch session re-arms its read deadline frame by frame, so it is
+	// cut through its link, whose context ends here.
+	s.cutLinks(ErrServerClosed)
 	s.mu.Lock()
 	s.shutdown = true
 	if s.ln != nil {
@@ -355,14 +362,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	// A read deadline in the past makes every handler's next blocking
 	// read return a timeout; handlers finish the request they are on,
-	// flush, and exit. A watch session re-arms its read deadline frame
-	// by frame, so it is cut through its link instead.
-	for c, l := range s.conns {
-		if l != nil {
-			l.Cut(ErrServerClosed)
-		} else {
-			c.SetReadDeadline(time.Now().Add(-time.Second))
-		}
+	// flush, and exit.
+	for c := range s.conns {
+		c.SetReadDeadline(time.Now().Add(-time.Second))
 	}
 	s.mu.Unlock()
 

@@ -21,21 +21,16 @@ var errSessionOver = errors.New("server: watch session over, terminal frame sent
 // (watchLink.drain) and decodes what the client sends
 // (watchLink.onFrame). The reader half never writes: what it owes the
 // client (WATCH-OK, PONG, a terminal ERR) it queues on the session, so
-// the writer sends everything in one order.
+// the writer sends everything in one order. The link descends from the
+// server's links context, so Shutdown ends the session by cancelling
+// it — and a session that starts after Shutdown is born cut.
 func (s *Server) serveWatch(c net.Conn, br *bufio.Reader, bw *bufio.Writer, req *wire.Request) {
 	w := watchLink{
-		l:    repl.NewLink(c, br, bw),
+		l:    repl.NewLink(s.links, c, br, bw),
 		sess: s.store.Sessions().NewSession(s.cfg.WatchBuffer),
 	}
 	defer w.sess.Close()
-	// From here on Shutdown ends the connection by cutting the link.
-	s.mu.Lock()
-	down := s.shutdown
-	s.conns[c] = w.l
-	s.mu.Unlock()
-	if down {
-		return
-	}
+	defer w.l.Cut(repl.ErrLinkClosed) // leaves s.links on every path
 
 	// Register the first watch BEFORE the OK is written: the id must be
 	// known for the response, and any commit from here on is buffered

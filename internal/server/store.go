@@ -198,13 +198,12 @@ type Store struct {
 	keysExpired atomic.Uint64 // keys the reaper durably deleted
 	incrOps     atomic.Uint64 // INCR/DECR operations served
 
-	// TTL reaper lifecycle (StartTTLReaper / StopTTLReaper).
-	reapStop chan struct{}
-	reapDone chan struct{}
+	// The background loops: the TTL reaper (StartTTLReaper /
+	// StopTTLReaper) and the checkpointer (EnableDurability /
+	// CloseDurability).
+	reaper, ckpt loop
 
-	diag     func(format string, args ...any) // diagnostics sink (see logf)
-	ckptStop chan struct{}
-	ckptDone chan struct{}
+	diag func(format string, args ...any) // diagnostics sink (see logf)
 
 	// Incremental-checkpoint policy (EnableDurability resolves the
 	// defaults) and the process incarnation scoping this lifetime's WAL
@@ -261,6 +260,43 @@ func (s *Store) newShard(id int, tm *core.TM) *shard {
 func (s *Store) logf(format string, args ...any) {
 	if s.diag != nil {
 		s.diag(format, args...)
+	}
+}
+
+// loop is one background goroutine the store owns, stopped through its
+// context.
+type loop struct {
+	cancel context.CancelFunc // nil while the loop is not running
+	done   chan struct{}
+}
+
+// start runs pass every `every` until stop. pass gets the loop's
+// context: one that should end with the loop passes it on.
+func (l *loop) start(every time.Duration, pass func(ctx context.Context)) {
+	ctx, cancel := context.WithCancel(context.Background())
+	l.cancel, l.done = cancel, make(chan struct{})
+	go func() {
+		defer close(l.done)
+		t := time.NewTicker(every)
+		defer t.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-t.C:
+				pass(ctx)
+			}
+		}
+	}()
+}
+
+// stop cancels the loop's context and waits for the pass in flight, if
+// any, to return.
+func (l *loop) stop() {
+	if l.cancel != nil {
+		l.cancel()
+		<-l.done
+		*l = loop{}
 	}
 }
 

@@ -115,19 +115,17 @@ func (l *Log) LastCheckpointKind() CkptKind {
 	return l.lastKind
 }
 
-// WriteCheckpoint atomically installs checkpoint-<seg>: snapshot is
-// called once with an emit function and must stream every key/value
-// pair of a state that includes all mutations of segments < seg (the
-// server guarantees this by calling Rotate first and snapshotting
-// after). cover is the seq boundary the snapshot includes (Rotate's
-// second return); it seeds the new chain base so delta catch-up can
-// compare follower positions against it. On success, segments,
-// checkpoints, and deltas older than seg are removed — the log's
-// truncation, and the start of a fresh chain.
-func (l *Log) WriteCheckpoint(seg, cover uint64, snapshot func(emit func(key, val string) error) error) error {
-	size, err := writeSnapshot(filepath.Join(l.dir, ckptName(seg)), nil, func(emit func(key, val string, del bool) error) error {
-		return snapshot(func(key, val string) error { return emit(key, val, false) })
-	})
+// WriteCheckpoint atomically installs checkpoint-<seg>: walk is called
+// once with an emit function and must stream, as SETs, every pair of a
+// state that includes all mutations of segments < seg (the server
+// guarantees this by calling Rotate first and walking after); any other
+// op fails the install. cover is the seq boundary the walk includes
+// (Rotate's second return); it seeds the new chain base so delta
+// catch-up can compare follower positions against it. On success,
+// segments, checkpoints, and deltas older than seg are removed — the
+// log's truncation, and the start of a fresh chain.
+func (l *Log) WriteCheckpoint(seg, cover uint64, walk func(emit func(Op) error) error) error {
+	size, err := writeSnapshot(filepath.Join(l.dir, ckptName(seg)), nil, walk)
 	if err != nil {
 		return fmt.Errorf("wal: checkpoint %d: %w", seg, err)
 	}
@@ -141,20 +139,20 @@ func (l *Log) WriteCheckpoint(seg, cover uint64, snapshot func(emit func(key, va
 }
 
 // WriteDeltaCheckpoint atomically installs delta-<seg>, chained to the
-// current chain head: snapshot is called once with an emit function and
-// must stream every key that changed since the chain head was cut —
-// current value for live keys, del=true for keys that no longer exist.
-// cover is the WAL seq Rotate sealed. On success, segments older than
-// seg and checkpoint files older than the chain's base are removed; the
-// base and the chain stay, recovery needs them.
-func (l *Log) WriteDeltaCheckpoint(seg, cover uint64, snapshot func(emit func(key, val string, del bool) error) error) error {
+// current chain head: walk is called once with an emit function and
+// must stream every key that changed since the chain head was cut — a
+// SET of the current value for live keys, a DEL for keys that no longer
+// exist. cover is the WAL seq Rotate sealed. On success, segments older
+// than seg and checkpoint files older than the chain's base are
+// removed; the base and the chain stay, recovery needs them.
+func (l *Log) WriteDeltaCheckpoint(seg, cover uint64, walk func(emit func(Op) error) error) error {
 	l.mu.Lock()
 	hdr := &snapHeader{Self: seg, Base: l.chain.BaseSeg, Parent: l.chain.Head(), Cover: cover}
 	l.mu.Unlock()
 	if hdr.Base == 0 {
 		return fmt.Errorf("wal: delta checkpoint needs a base checkpoint")
 	}
-	size, err := writeSnapshot(l.DeltaPath(seg), hdr, snapshot)
+	size, err := writeSnapshot(filepath.Join(l.dir, deltaName(seg)), hdr, walk)
 	if err != nil {
 		return fmt.Errorf("wal: delta %d: %w", seg, err)
 	}
@@ -189,19 +187,11 @@ func (l *Log) cleanup(keepSeg, keepCkpt uint64) {
 	}
 }
 
-// ReadDelta validates one delta checkpoint file end to end and streams
-// its entries — del marks tombstones. The replication hub uses it to
-// ship chain deltas to a follower whose applied position covers the
-// chain's base.
-func ReadDelta(path string, emit func(key, val string, del bool) error) error {
-	_, _, err := readSnapshot(path, true, func(k, v []byte, del bool) error {
-		return emit(string(k), string(v), del)
-	})
+// ReadDelta validates the chain delta with segment seg end to end and
+// streams its entries to emit: SETs, and a DEL for each tombstone.
+// Replication delta catch-up ships chain deltas through it to a
+// follower whose applied position covers the chain's base.
+func (l *Log) ReadDelta(seg uint64, emit func(Op) error) error {
+	_, _, err := readSnapshot(filepath.Join(l.dir, deltaName(seg)), true, emit)
 	return err
-}
-
-// DeltaPath returns the path of the chain delta with segment seg —
-// the repl hub's bridge from Chain() to ReadDelta.
-func (l *Log) DeltaPath(seg uint64) string {
-	return filepath.Join(l.dir, deltaName(seg))
 }

@@ -30,9 +30,9 @@ func rotateT(t *testing.T, l *Log) (seg, cover uint64) {
 // fullT writes a full checkpoint of state at the given cut.
 func fullT(t *testing.T, l *Log, seg, cover uint64, state map[string]string) {
 	t.Helper()
-	if err := l.WriteCheckpoint(seg, cover, func(emit func(k, v string) error) error {
+	if err := l.WriteCheckpoint(seg, cover, func(emit func(Op) error) error {
 		for k, v := range state {
-			if err := emit(k, v); err != nil {
+			if err := emit(Op{Kind: OpSet, Key: k, Val: v}); err != nil {
 				return err
 			}
 		}
@@ -48,12 +48,23 @@ type deltaEntry struct {
 	del  bool
 }
 
+// op is the entry as the operation a snapshot file's walk streams.
+func (e deltaEntry) op() Op {
+	if e.del {
+		return Op{Kind: OpDel, Key: e.k}
+	}
+	return Op{Kind: OpSet, Key: e.k, Val: e.v}
+}
+
+// entryOf is op's inverse.
+func entryOf(op Op) deltaEntry { return deltaEntry{op.Key, op.Val, op.Kind == OpDel} }
+
 // deltaT writes a delta checkpoint with the given entries.
 func deltaT(t *testing.T, l *Log, seg, cover uint64, entries []deltaEntry) {
 	t.Helper()
-	if err := l.WriteDeltaCheckpoint(seg, cover, func(emit func(k, v string, del bool) error) error {
+	if err := l.WriteDeltaCheckpoint(seg, cover, func(emit func(Op) error) error {
 		for _, e := range entries {
-			if err := emit(e.k, e.v, e.del); err != nil {
+			if err := emit(e.op()); err != nil {
 				return err
 			}
 		}
@@ -157,11 +168,35 @@ func TestDeltaRequiresBase(t *testing.T) {
 	defer l.Close()
 	appendT(t, l, "a", "1")
 	seg, cover := rotateT(t, l)
-	err := l.WriteDeltaCheckpoint(seg, cover, func(emit func(k, v string, del bool) error) error {
-		return emit("a", "1", false)
+	err := l.WriteDeltaCheckpoint(seg, cover, func(emit func(Op) error) error {
+		return emit(Op{Kind: OpSet, Key: "a", Val: "1"})
 	})
 	if err == nil {
 		t.Fatal("delta checkpoint accepted without a base")
+	}
+}
+
+// TestFullCheckpointRefusesDel: a full checkpoint holds no tombstones,
+// so a DEL (or a FLUSH) handed to one fails the install instead of being
+// written, and the log keeps no base.
+func TestFullCheckpointRefusesDel(t *testing.T) {
+	for _, bad := range []Op{{Kind: OpDel, Key: "a"}, {Kind: OpFlush}} {
+		l, _, _ := openT(t, t.TempDir(), Options{})
+		appendT(t, l, "a", "1")
+		seg, cover := rotateT(t, l)
+		err := l.WriteCheckpoint(seg, cover, func(emit func(Op) error) error {
+			if err := emit(Op{Kind: OpSet, Key: "b", Val: "2"}); err != nil {
+				return err
+			}
+			return emit(bad)
+		})
+		if err == nil {
+			t.Fatalf("full checkpoint accepted a %v", bad.Kind)
+		}
+		if chain := l.Chain(); chain.BaseSeg != 0 {
+			t.Fatalf("after a refused %v the chain is %+v, want no base", bad.Kind, chain)
+		}
+		l.Close()
 	}
 }
 
@@ -406,14 +441,14 @@ func TestDeltaReadDelta(t *testing.T) {
 		{k: "b", v: "2"},
 		{k: "a", del: true},
 	})
-	path := l.DeltaPath(seg)
+	path := filepath.Join(dir, deltaName(seg))
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	var got []deltaEntry
-	if err := ReadDelta(path, func(k, v string, del bool) error {
-		got = append(got, deltaEntry{k: k, v: v, del: del})
+	if err := l.ReadDelta(seg, func(op Op) error {
+		got = append(got, entryOf(op))
 		return nil
 	}); err != nil {
 		t.Fatalf("ReadDelta: %v", err)
@@ -432,7 +467,7 @@ func TestDeltaReadDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	emitted := 0
-	if err := ReadDelta(path, func(k, v string, del bool) error {
+	if err := l.ReadDelta(seg, func(Op) error {
 		emitted++
 		return nil
 	}); err == nil || emitted != 0 {

@@ -32,12 +32,12 @@ func FuzzReadSnapshotFile(f *testing.F) {
 	f.Add(hdr)
 	f.Add([]byte("garbage"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		collect := func(into *[]deltaEntry) func(k, v []byte, del bool) error {
-			return func(k, v []byte, del bool) error {
-				if len(k)+len(v) > len(data) {
-					t.Fatalf("entry of %d bytes from a %d-byte file", len(k)+len(v), len(data))
+		collect := func(into *[]deltaEntry) func(Op) error {
+			return func(op Op) error {
+				if len(op.Key)+len(op.Val) > len(data) {
+					t.Fatalf("entry of %d bytes from a %d-byte file", len(op.Key)+len(op.Val), len(data))
 				}
-				*into = append(*into, deltaEntry{string(k), string(v), del})
+				*into = append(*into, entryOf(op))
 				return nil
 			}
 		}
@@ -58,9 +58,9 @@ func FuzzReadSnapshotFile(f *testing.F) {
 				wh = &hdr
 			}
 			var out bytes.Buffer
-			if err := encodeSnapshot(&out, wh, func(emit func(k, v string, del bool) error) error {
+			if err := encodeSnapshot(&out, wh, func(emit func(Op) error) error {
 				for _, e := range got {
-					if err := emit(e.k, e.v, e.del); err != nil {
+					if err := emit(e.op()); err != nil {
 						return err
 					}
 				}

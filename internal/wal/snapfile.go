@@ -3,6 +3,7 @@ package wal
 import (
 	"bufio"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
@@ -110,6 +111,7 @@ func InstallFile(path string, write func(w io.Writer) error) (size int64, err er
 type snapWriter struct {
 	w       *bufio.Writer
 	crc     uint32
+	delta   bool // tombstones allowed
 	scratch [binary.MaxVarintLen64]byte
 }
 
@@ -143,27 +145,31 @@ func (s *snapWriter) marker(m byte) {
 	s.Write(s.scratch[:1])
 }
 
-// entry writes one live key or, when del, one tombstone.
-func (s *snapWriter) entry(key, val string, del bool) error {
-	if del {
+// entry writes one live key, or in a delta one DEL as a tombstone; any
+// other op fails the file.
+func (s *snapWriter) entry(op Op) error {
+	switch {
+	case op.Kind == OpSet:
+		s.marker(snapSet)
+		s.field(op.Key)
+		return s.field(op.Val)
+	case op.Kind == OpDel && s.delta:
 		s.marker(snapDel)
-		return s.field(key)
+		return s.field(op.Key)
 	}
-	s.marker(snapSet)
-	s.field(key)
-	return s.field(val)
+	return fmt.Errorf("wal: a %v has no entry in a snapshot file (delta %v)", op.Kind, s.delta)
 }
 
 // writeSnapshot installs one snapshot file at path: a full checkpoint
-// when hdr is nil, a delta carrying hdr otherwise. entries is called
-// once and streams the file's entries through emit.
-func writeSnapshot(path string, hdr *snapHeader, entries func(emit func(key, val string, del bool) error) error) (int64, error) {
-	return InstallFile(path, func(f io.Writer) error { return encodeSnapshot(f, hdr, entries) })
+// when hdr is nil, a delta carrying hdr otherwise. walk is called once
+// and streams the file's entries through emit.
+func writeSnapshot(path string, hdr *snapHeader, walk func(emit func(Op) error) error) (int64, error) {
+	return InstallFile(path, func(f io.Writer) error { return encodeSnapshot(f, hdr, walk) })
 }
 
 // encodeSnapshot streams one snapshot file's bytes to f.
-func encodeSnapshot(f io.Writer, hdr *snapHeader, entries func(emit func(key, val string, del bool) error) error) error {
-	s := &snapWriter{w: bufio.NewWriterSize(f, 1<<16)}
+func encodeSnapshot(f io.Writer, hdr *snapHeader, walk func(emit func(Op) error) error) error {
+	s := &snapWriter{w: bufio.NewWriterSize(f, 1<<16), delta: hdr != nil}
 	if hdr == nil {
 		s.Write(ckptMagic[:])
 	} else {
@@ -173,7 +179,7 @@ func encodeSnapshot(f io.Writer, hdr *snapHeader, entries func(emit func(key, va
 		}
 		s.sum() // the header checksum: magic through cover
 	}
-	if err := entries(s.entry); err != nil {
+	if err := walk(s.entry); err != nil {
 		return err
 	}
 	s.marker(snapEnd)
@@ -291,9 +297,10 @@ func (r *snapReader) readField(buf []byte) ([]byte, error) {
 }
 
 // walk streams the entry section, calling emit (when non-nil) per
-// entry, and checks the grammar: live entries — and tombstones, where
-// the variant allows them — a terminator, nothing after.
-func (r *snapReader) walk(tombstones bool, emit func(k, v []byte, del bool) error) error {
+// entry — a SET, or a DEL for a tombstone — and checks the grammar:
+// live entries, tombstones where the variant allows them, a
+// terminator, nothing after.
+func (r *snapReader) walk(tombstones bool, emit func(Op) error) error {
 	for {
 		marker, err := r.readByte()
 		if err != nil {
@@ -309,15 +316,15 @@ func (r *snapReader) walk(tombstones bool, emit func(k, v []byte, del bool) erro
 			if r.kbuf, err = r.readField(r.kbuf[:0]); err != nil {
 				return err
 			}
-			var val []byte
+			kind, val := OpDel, []byte(nil)
 			if marker == snapSet {
 				if r.vbuf, err = r.readField(r.vbuf[:0]); err != nil {
 					return err
 				}
-				val = r.vbuf
+				kind, val = OpSet, r.vbuf
 			}
 			if emit != nil {
-				if err := emit(r.kbuf, val, marker == snapDel); err != nil {
+				if err := emit(Op{Kind: kind, Key: string(r.kbuf), Val: string(val)}); err != nil {
 					return err
 				}
 			}
@@ -342,7 +349,7 @@ func (c *crcReader) Read(p []byte) (int, error) {
 // readSnapshot opens the snapshot file at path and streams it through
 // decodeSnapshot, returning the chain header (zero for a full
 // checkpoint) and the file's size.
-func readSnapshot(path string, delta bool, emit func(k, v []byte, del bool) error) (hdr snapHeader, size int64, err error) {
+func readSnapshot(path string, delta bool, emit func(Op) error) (hdr snapHeader, size int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return hdr, 0, err
@@ -363,7 +370,7 @@ func readSnapshot(path string, delta bool, emit func(k, v []byte, del bool) erro
 // validate end to end, so a corrupt file never half-applies. Both
 // passes stream through one bufio.Reader: memory is O(largest entry),
 // not O(file).
-func decodeSnapshot(f io.ReadSeeker, size int64, delta bool, emit func(k, v []byte, del bool) error) (hdr snapHeader, err error) {
+func decodeSnapshot(f io.ReadSeeker, size int64, delta bool, emit func(Op) error) (hdr snapHeader, err error) {
 	if size < int64(len(ckptMagic))+1+4 {
 		return hdr, &errCorrupt{"snapshot: bad magic or size"}
 	}
@@ -427,11 +434,7 @@ func loadSnapshot(path string, delta bool, apply func(ops []Op) error) (keys int
 		ops = ops[:0]
 		return nil
 	}
-	_, size, err = readSnapshot(path, delta, func(k, v []byte, del bool) error {
-		op := Op{Kind: OpSet, Key: string(k), Val: string(v)}
-		if del {
-			op = Op{Kind: OpDel, Key: string(k)}
-		}
+	_, size, err = readSnapshot(path, delta, func(op Op) error {
 		if ops = append(ops, op); len(ops) == applyBatch {
 			return flush()
 		}

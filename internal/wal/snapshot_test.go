@@ -54,9 +54,9 @@ func buildGoldenDir(t *testing.T, dir string) {
 	l, _, _ := openT(t, dir, Options{})
 	appendT(t, l, "a", "1")
 	seg, cover := rotateT(t, l)
-	if err := l.WriteCheckpoint(seg, cover, func(emit func(k, v string) error) error {
+	if err := l.WriteCheckpoint(seg, cover, func(emit func(Op) error) error {
 		for _, e := range goldenBase {
-			if err := emit(e.k, e.v); err != nil {
+			if err := emit(e.op()); err != nil {
 				return err
 			}
 		}
@@ -111,8 +111,8 @@ func TestSnapshotFileGolden(t *testing.T) {
 		t.Fatalf("recovered keys %v, want %v", keysOf(st.m), keysOf(goldenWant))
 	}
 	var got []deltaEntry
-	if err := ReadDelta(filepath.Join(old, deltaName(3)), func(k, v string, del bool) error {
-		got = append(got, deltaEntry{k, v, del})
+	if err := l.ReadDelta(3, func(op Op) error {
+		got = append(got, entryOf(op))
 		return nil
 	}); err != nil || !reflect.DeepEqual(got, goldenDelta3) {
 		t.Fatalf("ReadDelta(golden delta-3) = %v, %v", got, err)
@@ -182,7 +182,7 @@ func TestSnapshotCorruptFiles(t *testing.T) {
 				t.Fatal(err)
 			}
 			emitted := 0
-			_, _, err := readSnapshot(path, tc.delta, func(k, v []byte, del bool) error {
+			_, _, err := readSnapshot(path, tc.delta, func(Op) error {
 				emitted++
 				return nil
 			})
@@ -254,9 +254,9 @@ func TestSnapshotEncodeAllocs(t *testing.T) {
 	}
 	encode := func(n int, hdr *snapHeader) float64 {
 		return testing.AllocsPerRun(5, func() {
-			err := encodeSnapshot(io.Discard, hdr, func(emit func(k, v string, del bool) error) error {
+			err := encodeSnapshot(io.Discard, hdr, func(emit func(Op) error) error {
 				for _, k := range keys[:n] {
-					if err := emit(k, k, false); err != nil {
+					if err := emit(Op{Kind: OpSet, Key: k, Val: k}); err != nil {
 						return err
 					}
 				}

@@ -350,9 +350,9 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 	if seg != 2 {
 		t.Fatalf("rotate → segment %d, want 2", seg)
 	}
-	if err := l.WriteCheckpoint(seg, cover, func(emit func(k, v string) error) error {
+	if err := l.WriteCheckpoint(seg, cover, func(emit func(Op) error) error {
 		for k, v := range state {
-			if err := emit(k, v); err != nil {
+			if err := emit(Op{Kind: OpSet, Key: k, Val: v}); err != nil {
 				return err
 			}
 		}
@@ -393,8 +393,8 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.WriteCheckpoint(seg, cover, func(emit func(k, v string) error) error {
-		return emit("a", "1")
+	if err := l.WriteCheckpoint(seg, cover, func(emit func(Op) error) error {
+		return emit(Op{Kind: OpSet, Key: "a", Val: "1"})
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -487,9 +487,9 @@ func TestRefusesPartialHistory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := l.WriteCheckpoint(seg, cover, func(emit func(k, v string) error) error {
+		if err := l.WriteCheckpoint(seg, cover, func(emit func(Op) error) error {
 			for i := 0; i < 4; i++ {
-				if err := emit(fmt.Sprintf("k%d", i), "v"); err != nil {
+				if err := emit(Op{Kind: OpSet, Key: fmt.Sprintf("k%d", i), Val: "v"}); err != nil {
 					return err
 				}
 			}
@@ -582,9 +582,9 @@ func TestCheckpointBatchedApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.WriteCheckpoint(seg, cover, func(emit func(k, v string) error) error {
+	if err := l.WriteCheckpoint(seg, cover, func(emit func(Op) error) error {
 		for i := 0; i < n; i++ {
-			if err := emit(fmt.Sprintf("k%04d", i), "v"); err != nil {
+			if err := emit(Op{Kind: OpSet, Key: fmt.Sprintf("k%04d", i), Val: "v"}); err != nil {
 				return err
 			}
 		}
