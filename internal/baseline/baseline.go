@@ -19,7 +19,6 @@ type cnode struct {
 type CoarseList struct {
 	mu   sync.Mutex
 	head *cnode
-	n    int
 }
 
 // NewCoarseList creates an empty coarse-grained list.
@@ -43,7 +42,6 @@ func (l *CoarseList) Insert(key uint64) bool {
 	} else {
 		pred.next = n
 	}
-	l.n++
 	return true
 }
 
@@ -64,7 +62,6 @@ func (l *CoarseList) Remove(key uint64) bool {
 	} else {
 		pred.next = curr.next
 	}
-	l.n--
 	return true
 }
 
@@ -77,11 +74,4 @@ func (l *CoarseList) Contains(key uint64) bool {
 		curr = curr.next
 	}
 	return curr != nil && curr.key == key
-}
-
-// Len returns the element count.
-func (l *CoarseList) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.n
 }

@@ -19,7 +19,6 @@ func mix64(x uint64) uint64 {
 type CoarseHash struct {
 	mu      sync.RWMutex
 	buckets [][]uint64
-	n       int
 }
 
 // NewCoarseHash creates a coarse-grained hash set with nbuckets initial
@@ -45,7 +44,6 @@ func (h *CoarseHash) Insert(key uint64) bool {
 		}
 	}
 	h.buckets[b] = append(h.buckets[b], key)
-	h.n++
 	return true
 }
 
@@ -59,7 +57,6 @@ func (h *CoarseHash) Remove(key uint64) bool {
 			last := len(h.buckets[b]) - 1
 			h.buckets[b][i] = h.buckets[b][last]
 			h.buckets[b] = h.buckets[b][:last]
-			h.n--
 			return true
 		}
 	}
@@ -76,13 +73,6 @@ func (h *CoarseHash) Contains(key uint64) bool {
 		}
 	}
 	return false
-}
-
-// Len returns the element count.
-func (h *CoarseHash) Len() int {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.n
 }
 
 // Resize doubles or halves the table under the global write lock,
@@ -113,8 +103,6 @@ type StripedHash struct {
 	stripes *locks.Striped
 	mu      sync.RWMutex // guards the buckets slice header swap
 	buckets [][]uint64
-	n       int64
-	countMu sync.Mutex
 }
 
 // NewStripedHash creates a striped hash set with nbuckets initial
@@ -158,11 +146,6 @@ func (h *StripedHash) Insert(key uint64) bool {
 		h.buckets[b] = append(h.buckets[b], key)
 		ok = true
 	})
-	if ok {
-		h.countMu.Lock()
-		h.n++
-		h.countMu.Unlock()
-	}
 	return ok
 }
 
@@ -180,11 +163,6 @@ func (h *StripedHash) Remove(key uint64) bool {
 			}
 		}
 	})
-	if ok {
-		h.countMu.Lock()
-		h.n--
-		h.countMu.Unlock()
-	}
 	return ok
 }
 
@@ -200,13 +178,6 @@ func (h *StripedHash) Contains(key uint64) bool {
 		}
 	})
 	return found
-}
-
-// Len returns the element count.
-func (h *StripedHash) Len() int {
-	h.countMu.Lock()
-	defer h.countMu.Unlock()
-	return int(h.n)
 }
 
 // Resize doubles or halves the bucket array. It locks every stripe —

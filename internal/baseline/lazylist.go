@@ -15,7 +15,6 @@ import (
 type LazyList struct {
 	head *lnode // sentinel with minimal key semantics (never compared)
 	tail *lnode // sentinel treated as +inf (never compared)
-	n    atomic.Int64
 }
 
 type lnode struct {
@@ -65,7 +64,6 @@ func (l *LazyList) Insert(key uint64) bool {
 			n := &lnode{key: key}
 			n.next.Store(curr)
 			pred.next.Store(n)
-			l.n.Add(1)
 			curr.mu.Unlock()
 			pred.mu.Unlock()
 			return true
@@ -90,7 +88,6 @@ func (l *LazyList) Remove(key uint64) bool {
 			}
 			curr.marked.Store(true)
 			pred.next.Store(curr.next.Load())
-			l.n.Add(-1)
 			curr.mu.Unlock()
 			pred.mu.Unlock()
 			return true
@@ -110,6 +107,3 @@ func (l *LazyList) Contains(key uint64) bool {
 	}
 	return curr != l.tail && curr.key == key && !curr.marked.Load()
 }
-
-// Len returns the element count (approximate under concurrency).
-func (l *LazyList) Len() int { return int(l.n.Load()) }

@@ -9,7 +9,6 @@ const skipMaxLevel = 16
 type CoarseSkipList struct {
 	mu   sync.Mutex
 	head *skipNode
-	n    int
 	seed uint64
 }
 
@@ -69,7 +68,6 @@ func (s *CoarseSkipList) Insert(key uint64) bool {
 		n.next[i] = preds[i].next[i]
 		preds[i].next[i] = n
 	}
-	s.n++
 	return true
 }
 
@@ -87,7 +85,6 @@ func (s *CoarseSkipList) Remove(key uint64) bool {
 			preds[i].next[i] = curr.next[i]
 		}
 	}
-	s.n--
 	return true
 }
 
@@ -97,11 +94,4 @@ func (s *CoarseSkipList) Contains(key uint64) bool {
 	defer s.mu.Unlock()
 	curr := s.find(key, nil)
 	return curr != nil && curr.key == key
-}
-
-// Len returns the element count.
-func (s *CoarseSkipList) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
 }

@@ -64,12 +64,12 @@ func TestBytesCellFootprint(t *testing.T) {
 		if avg := testing.AllocsPerRun(50, func() { _ = tm.AtomicAs(Def, write) }); avg != wantAllocs {
 			t.Errorf("len %d: %.2f allocs per committed SetBytes, want %.0f", n, avg, wantAllocs)
 		}
-		// What the two objects cost: the 48-byte cell plus the bytes' own
+		// What the two objects cost: the 32-byte cell plus the bytes' own
 		// class. A clone under 16 bytes comes out of a shared 16-byte tiny
 		// block that lives as long as any of its tenants: counted whole.
-		two := 48 + mallocClass(n)
+		two := 32 + mallocClass(n)
 		if n > 0 && n < 16 {
-			two = 48 + 16
+			two = 32 + 16
 		}
 		// Smallest of three rounds, rounded down to the 16 bytes every
 		// class in range is a multiple of: a collection in the middle of
@@ -89,8 +89,8 @@ func TestBytesCellFootprint(t *testing.T) {
 		if got > two {
 			t.Errorf("len %d: %d bytes per committed SetBytes, the two-object form costs %d", n, got, two)
 		}
-		if merged && got != mallocClass(48+n) {
-			t.Errorf("len %d: %d bytes per committed SetBytes, want the %d-byte class", n, got, mallocClass(48+n))
+		if merged && got != mallocClass(32+n) {
+			t.Errorf("len %d: %d bytes per committed SetBytes, want the %d-byte class", n, got, mallocClass(32+n))
 		}
 	}
 }

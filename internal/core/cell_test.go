@@ -1,21 +1,23 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"polytm/internal/raceflag"
 	"polytm/internal/stm"
 )
 
 // A TVar[T] keeps its value in a typed version cell — the engine's
-// version record and the T in one object — or, for a pointer-shaped T,
-// in a plain record (see record). These tests pin that the choice is
-// invisible: every T reads back what was written, through every access
-// path, whichever shape its records take.
+// record header and the T in one object (see record) — and reads it
+// back by casting the record the engine returns (see value). These
+// tests pin that every T, pointer-shaped or not, reads back what was
+// written, through every access path, and what each record costs.
 
 type cellNode struct{ id int }
 
@@ -222,8 +224,8 @@ func TestCellNestedScopeAbortDropsItsRecord(t *testing.T) {
 	}
 }
 
-// TestCellSnapshotUnderWriter: a string variable (cells)
-// and a pointer variable (plain records) are overwritten together by a
+// TestCellSnapshotUnderWriter: a string variable and a pointer variable
+// (records of 32 and 24 bytes) are overwritten together by a
 // concurrent writer; a snapshot reader begun before an overwrite
 // resolves both to the pair it started with, before and after the
 // writer has moved on.
@@ -285,7 +287,7 @@ func TestCellSnapshotUnderWriter(t *testing.T) {
 }
 
 // TestNewTVarAllocs: a variable is one object plus its first version
-// record — which for a non-pointer T also stores the value.
+// record, the cell that also stores the value.
 func TestNewTVarAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation inflates allocation counts; budgets are asserted in the non-race CI step")
@@ -312,22 +314,78 @@ func TestNewTVarAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(500, func() { _ = tm.AtomicAs(Def, link) }); avg > 1 {
 		t.Errorf("Set[*T]: %.2f allocs per committed write, want <= 1", avg)
 	}
-	// ... and a pointer's record is no bigger than the engine's own: a
-	// skip-map link version stays 32 bytes, a string's cell is 48.
-	bytesPer := func(f func(*Tx) error) uint64 {
-		const runs = 1000
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			_ = tm.AtomicAs(Def, f)
+	// ... and each is its header and its value: a skip-map link's record
+	// is 24 bytes, a string's 32.
+	if b := bytesPerRun(func() { _ = tm.AtomicAs(Def, link) }); b > 24 {
+		t.Errorf("Set[*T]: %d bytes per committed write, want <= 24", b)
+	}
+	if b := bytesPerRun(func() { _ = tm.AtomicAs(Def, set) }); b > 32 {
+		t.Errorf("Set[string]: %d bytes per committed write, want <= 32", b)
+	}
+}
+
+// bytesPerRun is what one call of f allocates, averaged over 1000.
+func bytesPerRun(f func()) uint64 {
+	const runs = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// TestRecordShapes pins what a version record is: its 16-byte header
+// and the value right after it, in the object the writer allocated. A
+// TVar's record is a cell of its T — 24 bytes for a pointer (every
+// skip-map link) or an int, 32 for a string — a value written from
+// borrowed bytes keeps them in the same object, and an untyped
+// variable's record is a 32-byte box.
+func TestRecordShapes(t *testing.T) {
+	if sz := unsafe.Sizeof(stm.Version{}); sz != 16 {
+		t.Errorf("sizeof(stm.Version) = %d, want 16", sz)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"cell[*cellNode]", unsafe.Sizeof(cell[*cellNode]{}), 24},
+		{"cell[int]", unsafe.Sizeof(cell[int]{}), 24},
+		{"cell[string]", unsafe.Sizeof(cell[string]{}), 32},
+	} {
+		if c.got != c.want {
+			t.Errorf("sizeof(%s) = %d, want %d", c.name, c.got, c.want)
 		}
-		runtime.ReadMemStats(&after)
-		return (after.TotalAlloc - before.TotalAlloc) / runs
 	}
-	if b := bytesPer(link); b > 32 {
-		t.Errorf("Set[*T]: %d bytes per committed write, want <= 32", b)
+	// A bytes cell begins with a cell[string]: what value reads is the
+	// bytes written, stored right after the header.
+	for _, n := range []int{64, 128} {
+		val := bytes.Repeat([]byte{'x'}, n)
+		rec := bytesRecord(val)
+		s := value[string](rec)
+		off := uintptr(unsafe.Pointer(unsafe.StringData(s))) - uintptr(unsafe.Pointer(rec))
+		if len(s) != n || off != 32 || s != string(val) {
+			t.Errorf("%d-byte bytes cell reads %d bytes at offset %d, want the value right after its 32-byte header", n, len(s), off)
+		}
 	}
-	if b := bytesPer(set); b > 48 {
-		t.Errorf("Set[string]: %d bytes per committed write, want <= 48", b)
+	if raceflag.Enabled {
+		t.Skip("race instrumentation changes allocation sizes; they are asserted in the non-race CI step")
+	}
+	tm := NewDefault()
+	tv := NewTVar(tm, "")
+	for _, c := range []struct{ n, class uint64 }{{64, 96}, {128, 160}} {
+		val := make([]byte, c.n)
+		write := func(tx *Tx) error { return SetBytes(tx, tv, val) }
+		if b := bytesPerRun(func() { _ = tm.AtomicAs(Def, write) }); b != c.class {
+			t.Errorf("SetBytes of %d bytes: %d bytes per committed write, want the %d-byte class", c.n, b, c.class)
+		}
+	}
+	e := stm.NewDefaultEngine()
+	p := new(int) // boxing a pointer allocates nothing
+	x := e.NewVar(p)
+	write := func(tx *stm.Txn) error { return tx.Write(x, p) }
+	if b := bytesPerRun(func() { _ = e.Run(stm.SemanticsDef, write) }); b != 32 {
+		t.Errorf("untyped Write: %d bytes per committed write, want one 32-byte box", b)
 	}
 }

@@ -23,7 +23,6 @@ package core
 import (
 	"context"
 	"errors"
-	"reflect"
 	"unsafe"
 
 	"polytm/internal/stm"
@@ -419,31 +418,29 @@ type TVar[T any] struct {
 	v stm.Var
 }
 
-// cell is the committed version record of a non-pointer T: the engine's
-// record and the value it holds in one allocation (see stm.Version).
+// cell is the committed version record of a TVar[T]: the engine's record
+// header and the value in one allocation (see stm.Version) — 24 bytes
+// for a pointer or an int, 32 for a string. Every record of a TVar[T] is
+// a cell[T], or begins with one (bytesCell), which is what lets value
+// read a record as one.
 type cell[T any] struct {
 	stm.Version
 	v T
 }
 
-// record allocates the version record of one write of val. Which shape
-// it takes depends on T alone, so every record of a TVar[T] has the same
-// one: a pointer-shaped T (boxing it is free) rides in a plain
-// stm.Version, anything else in a cell whose record holds &cell.v.
-func record[T any](val T) *stm.Version {
-	switch reflect.TypeFor[T]().Kind() {
-	case reflect.Pointer, reflect.Map, reflect.Chan, reflect.Func, reflect.UnsafePointer:
-		return new(stm.Version).Hold(val)
-	}
-	c := &cell[T]{v: val}
-	return c.Hold(&c.v)
-}
+// record allocates the version record of one write of val.
+func record[T any](val T) *stm.Version { return &(&cell[T]{v: val}).Version }
+
+// value recovers the T a TVar[T]'s record holds. A record is the header
+// of the cell[T] it begins, so the cast is a view of the object it was
+// allocated as; Go objects never move.
+func value[T any](rec *stm.Version) T { return (*cell[T])(unsafe.Pointer(rec)).v }
 
 // bytesCell is cell[string] with the string's bytes in the same object:
-// the record Holds &s, and s points into b. One committed write of a
-// borrowed []byte is then one allocation — the record is the value and
-// the value's storage — where cell[string] needs the bytes cloned into
-// an object of their own first.
+// s points into b. One committed write of a borrowed []byte is then one
+// allocation — the record is the value and the value's storage — where
+// cell[string] needs the bytes cloned into an object of their own first.
+// Its first two fields are cell[string]'s, so value[string] reads it.
 type bytesCell[A any] struct {
 	stm.Version
 	s string
@@ -451,35 +448,35 @@ type bytesCell[A any] struct {
 }
 
 // newBytesCell copies val, which must fit A, into a fresh bytesCell[A]
-// and returns its record. This is the package's one use of unsafe: s is
-// an interior pointer into its own object, which the collector treats
-// like any other pointer — it keeps the whole cell alive for as long as
-// the string (or a substring a reader kept) is reachable, and Go objects
-// never move. b is written only here, before the record is handed to the
+// and returns its record. s is an interior pointer into its own object,
+// which the collector treats like any other pointer — it keeps the whole
+// cell alive for as long as the string (or a substring a reader kept) is
+// reachable. b is written only here, before the record is handed to the
 // engine, so the string is as immutable as any other.
 func newBytesCell[A any](val []byte) *stm.Version {
 	c := new(bytesCell[A])
 	p := (*byte)(unsafe.Pointer(&c.b))
 	c.s = unsafe.String(p, copy(unsafe.Slice(p, unsafe.Sizeof(c.b)), val))
-	return c.Hold(&c.s)
+	return &c.Version
 }
 
 // maxInlineBytes is the longest value bytesRecord stores inline: the
-// cell's header is 48 bytes (Version 32 + string 16), so 208 inline
+// cell's header is 32 bytes (Version 16 + string 16), so 224 inline
 // bytes make a 256-byte object.
-const maxInlineBytes = 208
+const maxInlineBytes = 224
 
 // bytesRecord allocates the version record of one write of a copy of
-// val. The array lengths are the malloc classes N for which 48+N is a
+// val. The array lengths are the malloc classes N for which 32+N is a
 // class too, so the one merged object is never larger than the two it
-// replaces: class(48+N) = 48+N <= 48+class(len) whenever class(len) = N
-// (64 B: 112 = 48+64; 128 B: 176 = 48+128). That holds for every length
-// up to 208 but two ranges. 1..8 bytes would be an 8-byte class on
+// replaces: class(32+N) = 32+N <= 32+class(len) whenever class(len) = N
+// (64 B: 96 = 32+64; 128 B: 160 = 32+128). That holds for every length
+// up to 224 but two ranges. 1..8 bytes would be an 8-byte class on
 // paper, but an allocation under 16 bytes is carved from a 16-byte tiny
 // block that stays live as long as any tenant does, so it is counted as
-// 16 and merged. 17..24 bytes have a real 24-byte class (72 < 80), so
-// they fall back to clone + plain cell, as does anything over 208 bytes,
-// where classes are 32 apart and half the lengths would lose 16 bytes.
+// 16 and merged. 17..24 bytes have a real 24-byte class (class(56) is
+// 64), so they fall back to clone + cell[string], as does anything over
+// 224 bytes: 225..240 would lose 16 bytes, and the table stops at the
+// 256-byte object, although the rule holds again from 241 to 480.
 func bytesRecord(val []byte) *stm.Version {
 	switch n := len(val); {
 	case n == 0 || n > maxInlineBytes || (n > 16 && n <= 24):
@@ -508,17 +505,11 @@ func bytesRecord(val []byte) *stm.Version {
 		return newBytesCell[[176]byte](val)
 	case n <= 192:
 		return newBytesCell[[192]byte](val)
+	case n <= 208:
+		return newBytesCell[[208]byte](val)
 	default:
 		return newBytesCell[[maxInlineBytes]byte](val)
 	}
-}
-
-// value recovers the T a record made by record[T] holds.
-func value[T any](raw any) T {
-	if p, ok := raw.(*T); ok {
-		return *p
-	}
-	return raw.(T)
 }
 
 // NewTVar allocates a typed transactional variable in tm holding init.
@@ -539,16 +530,16 @@ func InitBytes(tm *TM, tv *TVar[string], init []byte) { tm.eng.InitVar(&tv.v, by
 
 // LoadDirect reads the committed value outside any transaction (tests,
 // quiescent inspection).
-func (tv *TVar[T]) LoadDirect() T { return value[T](tv.v.LoadDirect()) }
+func (tv *TVar[T]) LoadDirect() T { return value[T](tv.v.LoadVersion()) }
 
 // Get reads tv inside tx under the semantics in effect.
 func Get[T any](tx *Tx, tv *TVar[T]) (T, error) {
-	raw, err := tx.inner.Read(&tv.v)
+	rec, err := tx.inner.ReadVersion(&tv.v, false)
 	if err != nil {
 		var zero T
 		return zero, err
 	}
-	return value[T](raw), nil
+	return value[T](rec), nil
 }
 
 // GetAnchored reads tv inside tx with an anchored (pinned) entry: under
@@ -558,12 +549,12 @@ func Get[T any](tx *Tx, tv *TVar[T]) (T, error) {
 // elastic operation must observe consistently with its write, while the
 // traversal below stays elastic.
 func GetAnchored[T any](tx *Tx, tv *TVar[T]) (T, error) {
-	raw, err := tx.inner.ReadPinned(&tv.v)
+	rec, err := tx.inner.ReadVersion(&tv.v, true)
 	if err != nil {
 		var zero T
 		return zero, err
 	}
-	return value[T](raw), nil
+	return value[T](rec), nil
 }
 
 // Set writes val to tv inside tx.

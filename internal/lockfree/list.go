@@ -35,7 +35,6 @@ type node struct {
 // (an integer set). The zero value is not ready; use NewList.
 type List struct {
 	head *node
-	size atomic.Int64
 }
 
 // NewList creates an empty lock-free sorted list.
@@ -136,24 +135,12 @@ func containsFrom(start *node, key uint64) bool {
 
 // Insert adds key, returning false if it was already present.
 func (l *List) Insert(key uint64) bool {
-	if _, inserted := insertFrom(l.head, key); inserted {
-		l.size.Add(1)
-		return true
-	}
-	return false
+	_, inserted := insertFrom(l.head, key)
+	return inserted
 }
 
 // Remove deletes key, returning false if it was absent.
-func (l *List) Remove(key uint64) bool {
-	if removeFrom(l.head, key) {
-		l.size.Add(-1)
-		return true
-	}
-	return false
-}
+func (l *List) Remove(key uint64) bool { return removeFrom(l.head, key) }
 
 // Contains reports whether key is present.
 func (l *List) Contains(key uint64) bool { return containsFrom(l.head, key) }
-
-// Len returns the current element count (approximate under concurrency).
-func (l *List) Len() int { return int(l.size.Load()) }

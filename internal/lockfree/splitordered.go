@@ -28,7 +28,7 @@ type SplitOrdered struct {
 	head     *node // list head; doubles as the dummy of bucket 0
 	segments [soSegCount]atomic.Pointer[soSegment]
 	size     atomic.Uint64 // current bucket count (power of two)
-	count    atomic.Int64  // element count
+	count    atomic.Int64  // element count, which drives doubling
 }
 
 // NewSplitOrdered creates an empty split-ordered hash set with two
@@ -137,6 +137,3 @@ func (s *SplitOrdered) Contains(key uint64) bool {
 	start := s.bucketNode(h & (s.size.Load() - 1))
 	return containsFrom(start, soRegularKey(h))
 }
-
-// Len returns the element count (approximate under concurrency).
-func (s *SplitOrdered) Len() int { return int(s.count.Load()) }

@@ -67,8 +67,8 @@ func TestSplitOrderedBasics(t *testing.T) {
 	if !s.Remove(7) || s.Remove(7) {
 		t.Fatal("remove semantics broken")
 	}
-	if s.Len() != 0 {
-		t.Fatalf("len = %d, want 0", s.Len())
+	if n := walkLen(s.head, true); n != 0 {
+		t.Fatalf("len = %d, want 0", n)
 	}
 }
 
@@ -80,8 +80,8 @@ func TestSplitOrderedGrows(t *testing.T) {
 			t.Fatalf("insert %d", k)
 		}
 	}
-	if s.Len() != 10000 {
-		t.Fatalf("len = %d, want 10000", s.Len())
+	if n := walkLen(s.head, true); n != 10000 {
+		t.Fatalf("len = %d, want 10000", n)
 	}
 	if after := s.size.Load(); after <= before {
 		t.Fatalf("table did not grow: %d buckets", after)
@@ -127,7 +127,7 @@ func TestSplitOrderedModel(t *testing.T) {
 				}
 			}
 		}
-		return s.Len() == len(model)
+		return walkLen(s.head, true) == len(model)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func TestSplitOrderedConcurrent(t *testing.T) {
 		}(uint64(w) * 100000)
 	}
 	wg.Wait()
-	if got, want := s.Len(), workers*per/2; got != want {
+	if got, want := walkLen(s.head, true), workers*per/2; got != want {
 		t.Fatalf("len = %d, want %d", got, want)
 	}
 }

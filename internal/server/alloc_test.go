@@ -119,7 +119,7 @@ func TestRoundTripAllocs(t *testing.T) {
 				{"GET", get, 1, 0, 0},
 				{"SCAN16", scan, 1, 1, 0},
 				{"SCAN16", scan, 7, 4, 0},
-				{"SET-overwrite", set, 2, 0, 264},
+				{"SET-overwrite", set, 2, 0, 248},
 				{"MGET2", mget, 1, 0, 0},
 				{"MGET2-cross-shard", mgetX, 1, 4, 0},
 				{"TXN4", txn, 3, 0, 0},
@@ -325,8 +325,8 @@ func TestStoreFootprint(t *testing.T) {
 	bytesPerKey := float64(after.HeapAlloc-before.HeapAlloc) / n
 	objsPerKey := float64(after.HeapObjects-before.HeapObjects) / n
 	t.Logf("%d SETs of 16-byte keys and 64-byte values: %.1f B/key in %.2f objects/key", n, bytesPerKey, objsPerKey)
-	if bytesPerKey > 244 {
-		t.Errorf("%.1f B/key, want <= 244", bytesPerKey)
+	if bytesPerKey > 217 {
+		t.Errorf("%.1f B/key, want <= 217", bytesPerKey)
 	}
 	if objsPerKey > 4.4 {
 		t.Errorf("%.2f objects/key, want <= 4.4", objsPerKey)

@@ -64,21 +64,24 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 	for _, o := range opts {
 		o(cl)
 	}
-	first, err := cl.dial()
+	first, err := cl.acquire(context.Background())
 	if err != nil {
 		return nil, err
 	}
-	cl.mu.Lock()
-	cl.live = 1
-	cl.idle = append(cl.idle, first)
-	cl.mu.Unlock()
+	cl.release(first)
 	return cl, nil
 }
 
-// dial connects within the push links' connect budget.
-func (cl *Client) dial() (*conn, error) {
-	c, err := net.DialTimeout("tcp", cl.addr, repl.Budgets().Connect)
+// dial connects within the push links' connect budget, or gives up
+// when ctx ends first. The poller can meet ctx's deadline before ctx
+// itself reports it, and then the dial fails with a bare i/o timeout:
+// a failure at or past that deadline matches context.DeadlineExceeded.
+func (cl *Client) dial(ctx context.Context) (*conn, error) {
+	c, err := (&net.Dialer{Timeout: repl.Budgets().Connect}).DialContext(ctx, "tcp", cl.addr)
 	if err != nil {
+		if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
+			err = fmt.Errorf("%w: %w", context.DeadlineExceeded, err)
+		}
 		return nil, err
 	}
 	if tc, ok := c.(*net.TCPConn); ok {
@@ -105,7 +108,7 @@ func (cl *Client) acquire(ctx context.Context) (*conn, error) {
 		if cl.live < cl.size {
 			cl.live++
 			cl.mu.Unlock()
-			cn, err := cl.dial()
+			cn, err := cl.dial(ctx)
 			if err != nil {
 				cl.mu.Lock()
 				cl.live--

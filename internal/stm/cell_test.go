@@ -5,21 +5,30 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // The version record is allocated by the writer and installed by commit
 // as is (see Version). These tests pin that rule at the engine level,
-// with a stand-in for core's typed cell: a larger object whose first
-// field is the record and whose value the record holds by address.
+// with a stand-in for core's typed cell: a larger object that begins
+// with the record header and stores the value after it, read back by
+// casting the record a read returns.
 
 type intCell struct {
 	Version
 	n int
 }
 
-func newIntCell(n int) *Version {
-	c := &intCell{n: n}
-	return c.Hold(&c.n)
+func newIntCell(n int) *Version { return &(&intCell{n: n}).Version }
+
+// cellValue reads the int behind a record newIntCell made.
+func cellValue(rec *Version) int { return (*intCell)(unsafe.Pointer(rec)).n }
+
+// newCellVar returns a variable of e whose records are intCells.
+func newCellVar(e *Engine, n int) *Var {
+	v := new(Var)
+	e.InitVar(v, newIntCell(n))
+	return v
 }
 
 // chainCount reports how many times rec appears in v's version chain.
@@ -34,17 +43,16 @@ func chainCount(v *Var, rec *Version) (n int) {
 
 // TestCellCommitInstallsHandedRecord: a committed write's record becomes
 // the head — that very object, exactly once — under every writing
-// semantics, with plain and cell records mixed on one chain; an aborted
-// attempt's record,
-// and a record replaced by a later write of the same transaction, are
-// never stamped and never reach the chain. A snapshot reader held open
-// throughout keeps the whole history linked, so "exactly once" is
-// checked against everything ever installed.
+// semantics, and every read hands back the record itself; an aborted
+// attempt's record, and a record replaced by a later write of the same
+// transaction, are never stamped and never reach the chain. A snapshot
+// reader held open throughout keeps the whole history linked, so
+// "exactly once" is checked against everything ever installed.
 func TestCellCommitInstallsHandedRecord(t *testing.T) {
 	for _, sem := range []Semantics{SemanticsDef, SemanticsWeak, SemanticsIrrevocable} {
 		t.Run(sem.String(), func(t *testing.T) {
 			e := NewDefaultEngine()
-			x, other := e.NewVar(new(int)), e.NewVar(0)
+			x, other := newCellVar(e, 0), e.NewVar(0)
 			first := x.head.Load()
 			pin := e.Begin(SemanticsSnapshot)
 			defer pin.Abort()
@@ -89,12 +97,12 @@ func TestCellCommitInstallsHandedRecord(t *testing.T) {
 				if err := tx.WriteVersion(x, rec); err != nil {
 					return err
 				}
-				got, err := tx.Read(x) // read-your-writes: the last record's value
+				got, err := tx.ReadVersion(x, false) // read-your-writes: the last record
 				if err != nil {
 					return err
 				}
-				if got != rec.val || *got.(*int) != 4 {
-					t.Errorf("read-your-writes returned %v, want the last record's value", got)
+				if got != rec || cellValue(got) != 4 {
+					t.Errorf("read-your-writes returned %p (%d), want the last record %p", got, cellValue(got), rec)
 				}
 				return nil
 			}); err != nil {
@@ -115,20 +123,29 @@ func TestCellCommitInstallsHandedRecord(t *testing.T) {
 				t.Errorf("committed record stamped ver=%d prev=%p, want a commit timestamp and prev=%p", committed.ver, committed.prev.Load(), first)
 			}
 
-			// A plain record and another cell go on top: the chain mixes.
-			if err := e.Run(sem, func(tx *Txn) error { return tx.Write(x, new(int)) }); err != nil {
-				t.Fatal(err)
+			// Two more records go on top, each read back as itself.
+			var top []*Version
+			for n := 5; n <= 6; n++ {
+				rec := newIntCell(n)
+				if err := e.Run(sem, func(tx *Txn) error { return tx.WriteVersion(x, rec) }); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Run(SemanticsDef, func(tx *Txn) error {
+					got, err := tx.ReadVersion(x, false)
+					if err == nil && (got != rec || cellValue(got) != n) {
+						t.Errorf("read %p (%d) after committing %p (%d)", got, cellValue(got), rec, n)
+					}
+					return err
+				}); err != nil {
+					t.Fatal(err)
+				}
+				top = append(top, rec)
 			}
-			plain := x.head.Load()
-			cell := newIntCell(5)
-			if err := e.Run(sem, func(tx *Txn) error { return tx.WriteVersion(x, cell) }); err != nil {
-				t.Fatal(err)
-			}
-			if x.head.Load() != cell || cell.prev.Load() != plain || plain.prev.Load() != committed {
-				t.Errorf("chain is not cell -> plain -> committed")
+			if x.head.Load() != top[1] || top[1].prev.Load() != top[0] || top[0].prev.Load() != committed {
+				t.Errorf("chain is not 6 -> 5 -> committed")
 			}
 
-			for _, rec := range []*Version{first, committed, plain, cell} {
+			for _, rec := range []*Version{first, committed, top[0], top[1]} {
 				if n := chainCount(x, rec); n != 1 {
 					t.Errorf("installed record %p appears %d times in the chain, want 1", rec, n)
 				}
@@ -139,23 +156,24 @@ func TestCellCommitInstallsHandedRecord(t *testing.T) {
 				}
 			}
 			// The pinned snapshot still resolves the first version.
-			if got, err := pin.Read(x); err != nil || got != first.val {
-				t.Errorf("pinned snapshot read %v, %v; want the first version's value", got, err)
+			if got, err := pin.ReadVersion(x, false); err != nil || got != first || cellValue(got) != 0 {
+				t.Errorf("pinned snapshot read %p, %v; want the first record %p", got, err, first)
 			}
 		})
 	}
 }
 
-// TestCellSnapshotResolvesMixedChain: a writer alternates cell and plain
-// records on two variables it keeps equal; snapshot readers — each begun
-// at an arbitrary point between overwrites — resolve both through the
-// mixed chains and must see one commit's pair, and the same pair again
-// once two more overwrites have landed on top. Run under -race: the record is
-// stamped by the committer after the writer built it and read by
-// snapshot readers that found it through head or prev.
+// TestCellSnapshotResolvesMixedChain: a writer overwrites two variables
+// it keeps equal, one of intCells and one of boxes, so every commit's
+// pair mixes the two record shapes; snapshot readers — each begun at an
+// arbitrary point between overwrites — resolve both chains and must see
+// one commit's pair, and the same pair again once two more overwrites
+// have landed on top. Run under -race: the record is stamped by the
+// committer after the writer built it and read by snapshot readers that
+// found it through head or prev.
 func TestCellSnapshotResolvesMixedChain(t *testing.T) {
 	e := NewDefaultEngine()
-	p, q := e.NewVar(new(int)), e.NewVar(new(int))
+	p, q := newCellVar(e, 0), e.NewVar(0)
 	stop := make(chan struct{})
 	var writer, readers sync.WaitGroup
 	writer.Add(1)
@@ -172,17 +190,10 @@ func TestCellSnapshotResolvesMixedChain(t *testing.T) {
 				sem = SemanticsIrrevocable
 			}
 			if err := e.Run(sem, func(tx *Txn) error {
-				n := i
-				if i%2 == 0 {
-					if err := tx.WriteVersion(p, newIntCell(i)); err != nil {
-						return err
-					}
-					return tx.Write(q, &n)
-				}
-				if err := tx.Write(p, &n); err != nil {
+				if err := tx.WriteVersion(p, newIntCell(i)); err != nil {
 					return err
 				}
-				return tx.WriteVersion(q, newIntCell(i))
+				return tx.Write(q, i)
 			}); err != nil {
 				t.Error(err)
 				return
@@ -196,12 +207,15 @@ func TestCellSnapshotResolvesMixedChain(t *testing.T) {
 			for n := 0; n < 500; n++ {
 				if err := e.Run(SemanticsSnapshot, func(tx *Txn) error {
 					read := func(v *Var) int {
-						raw, err := tx.Read(v)
+						rec, err := tx.ReadVersion(v, false)
 						if err != nil {
 							t.Error(err)
 							return -1
 						}
-						return *raw.(*int)
+						if v == p {
+							return cellValue(rec)
+						}
+						return unboxed(rec).(int)
 					}
 					p1, q1 := read(p), read(q)
 					for seen := e.clock.Now(); e.clock.Now() < seen+2; { // two more overwrites of both

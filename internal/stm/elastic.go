@@ -10,7 +10,7 @@ package stm
 // γ2 for a sorted-list contains. Operationally (following ε-STM):
 //
 //   - The read set retains only the last elasticWindow reads (two,
-//     ε-STM's read buffer) plus any pinned anchors (ReadPinned).
+//     ε-STM's read buffer) plus any pinned anchors (a pinned ReadVersion).
 //   - On a consistent read (head version <= rv) the window slides.
 //   - On an inconsistent read (head version > rv: someone committed to
 //     this variable after we started) the transaction attempts a *cut*:
@@ -98,7 +98,7 @@ func (tx *Txn) cutUnpinned() {
 
 // readElastic performs one elastic-mode read. A pinned read is anchored:
 // it stays in the validated set for the rest of the transaction.
-func (tx *Txn) readElastic(v *Var, pinned bool) (any, error) {
+func (tx *Txn) readElastic(v *Var, pinned bool) (*Version, error) {
 	for {
 		if err := tx.waitUnlocked(v); err != nil {
 			return nil, err
@@ -109,7 +109,7 @@ func (tx *Txn) readElastic(v *Var, pinned bool) (any, error) {
 			if tx.unpinnedSince(tx.elasticFloor) > elasticWindow {
 				tx.dropOldestUnpinned()
 			}
-			return h.val, nil
+			return h, nil
 		}
 		// Cut: the variable changed since rv. Re-timestamp, keep only
 		// the still-binding critical step (anchors + the last read).

@@ -122,19 +122,11 @@ func (e *Engine) Stats() StatsSnapshot { return StatsOf(e) }
 // ResetStats zeroes the engine counters (between benchmark phases).
 func (e *Engine) ResetStats() { e.stats.reset() }
 
-// lookupTxn resolves a live transaction by id, or nil.
-func (e *Engine) lookupTxn(id uint64) *Txn {
-	return e.live.lookup(id)
-}
-
 // newTxn builds a fresh, unpooled transaction shell; its birth id is
 // assigned on the first begin, from the transaction's first attempt-id
 // block.
 func (e *Engine) newTxn(sem Semantics, cm CMFactory) *Txn {
-	tx := &Txn{eng: e, word: e.word, ctx: context.Background(), stripe: e.shells.Add(1)}
-	tx.sem = sem
-	tx.cmFac = cm
-	return tx
+	return &Txn{eng: e, word: e.word, sem: sem, cmFac: cm, ctx: context.Background(), stripe: e.shells.Add(1)}
 }
 
 // acquireTxn arms a pooled transaction shell (building one on pool

@@ -138,7 +138,7 @@ func TestDefWriteBesideSnapshotAllocs(t *testing.T) {
 				return err
 			}
 			if err := e.Run(SemanticsDef, func(tx *Txn) error {
-				return tx.WriteVersion(x, new(Version).Hold(val))
+				return tx.WriteVersion(x, boxed(val))
 			}); err != nil {
 				return err
 			}

@@ -62,13 +62,13 @@ func (tx *Txn) beginIrrevocable() {
 // engine from publishing, so a word that is not the engine's can only be
 // another engine's, which waitUnlocked reports once any lock on it is
 // let go.
-func (tx *Txn) readIrrevocable(v *Var) (any, error) {
+func (tx *Txn) readIrrevocable(v *Var) (*Version, error) {
 	if v.lw.Load() != tx.word {
 		if err := tx.waitUnlocked(v); err != nil {
 			return nil, err
 		}
 	}
-	return v.head.Load().val, nil
+	return v.head.Load(), nil
 }
 
 // passGate registers a writing optimistic commit as a lock owner — the

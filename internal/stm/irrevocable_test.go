@@ -56,7 +56,7 @@ func TestIrrevocableCannotBeKilled(t *testing.T) {
 	if owner, locked := x.lockedBy(); !locked || owner != irr.id {
 		t.Fatalf("lock word owner %d (locked %v), want %d", owner, locked, irr.id)
 	}
-	if e.lookupTxn(irr.id) != nil {
+	if e.live.lookup(irr.id) != nil {
 		t.Fatal("the live registry resolves an irrevocable attempt")
 	}
 	x.unlockTo(prev)
@@ -70,7 +70,7 @@ func TestIrrevocableCannotBeKilled(t *testing.T) {
 	shell := e.Begin(SemanticsDef)
 	shell.registerLive()
 	old := shell.id
-	stale := e.lookupTxn(old)
+	stale := e.live.lookup(old)
 	if stale != shell {
 		t.Fatal("the live registry does not resolve a registered def attempt")
 	}

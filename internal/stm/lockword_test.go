@@ -120,6 +120,13 @@ func TestClockTickConcurrentUnique(t *testing.T) {
 	}
 }
 
+// stamped returns an untyped record of val as if installed at ver.
+func stamped(val any, ver uint64) *Version {
+	rec := boxed(val)
+	rec.ver = ver
+	return rec
+}
+
 // chain links recs newest first and returns the head.
 func chain(recs ...*Version) *Version {
 	for i := 0; i+1 < len(recs); i++ {
@@ -129,7 +136,7 @@ func chain(recs ...*Version) *Version {
 }
 
 func TestVersionResolveAt(t *testing.T) {
-	v3 := chain(&Version{val: "c", ver: 30}, &Version{val: "b", ver: 20}, &Version{val: "a", ver: 10})
+	v3 := chain(stamped("c", 30), stamped("b", 20), stamped("a", 10))
 
 	cases := []struct {
 		at   uint64
@@ -139,7 +146,7 @@ func TestVersionResolveAt(t *testing.T) {
 	}
 	for _, c := range cases {
 		got := v3.resolveAt(c.at)
-		if got == nil || got.val != c.want {
+		if got == nil || unboxed(got) != c.want {
 			t.Fatalf("resolveAt(%d) = %v, want %v", c.at, got, c.want)
 		}
 	}
@@ -152,9 +159,9 @@ func TestVersionResolveAt(t *testing.T) {
 // 10 keeps what the oldest live reader, at needed, resolves to and
 // everything newer.
 func TestVersionTrim(t *testing.T) {
-	v3 := &Version{val: "c", ver: 30}
-	v2 := &Version{val: "b", ver: 20}
-	v1 := &Version{val: "a", ver: 10}
+	v3 := stamped("c", 30)
+	v2 := stamped("b", 20)
+	v1 := stamped("a", 10)
 
 	got := retainHistory(chain(v3, v2, v1), 40, 25) // keep newest <= 25, i.e. v2; drop v1
 	if got != v3 || v3.prev.Load() != v2 || v2.prev.Load() != nil {

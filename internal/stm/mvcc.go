@@ -24,7 +24,7 @@ package stm
 // committer, an irrevocable one included, holds its locks only across
 // its short commit window, so a snapshot reader never waits for a
 // transaction's body.
-func (tx *Txn) readSnapshot(v *Var) (any, error) {
+func (tx *Txn) readSnapshot(v *Var) (*Version, error) {
 	if err := tx.waitUnlocked(v); err != nil {
 		return nil, err
 	}
@@ -40,5 +40,5 @@ func (tx *Txn) readSnapshot(v *Var) (any, error) {
 	if res != h {
 		tx.stat(statSnapshotReads)
 	}
-	return res.val, nil
+	return res, nil
 }

@@ -23,8 +23,8 @@ import (
 func TestOpacityNoTornCommit(t *testing.T) {
 	e := NewDefaultEngine()
 	var pair [2]Var
-	e.InitVar(&pair[0], &Version{val: 0})
-	e.InitVar(&pair[1], &Version{val: 0})
+	e.InitVar(&pair[0], boxed(0))
+	e.InitVar(&pair[1], boxed(0))
 	t.Run("p-first", func(t *testing.T) { opacityNoTornCommit(t, e, &pair[0], &pair[1]) })
 	t.Run("q-first", func(t *testing.T) { opacityNoTornCommit(t, e, &pair[1], &pair[0]) })
 }

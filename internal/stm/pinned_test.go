@@ -13,7 +13,7 @@ func TestPinnedReadSurvivesSliding(t *testing.T) {
 	d := e.NewVar(4)
 
 	p := e.Begin(SemanticsWeak)
-	if _, err := p.ReadPinned(root); err != nil {
+	if _, err := p.ReadVersion(root, true); err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range []*Var{a, b, c} {
@@ -48,7 +48,7 @@ func TestPinnedReadValidatedAtWriteCommit(t *testing.T) {
 	out := e.NewVar(0)
 
 	p := e.Begin(SemanticsWeak)
-	if _, err := p.ReadPinned(root); err != nil {
+	if _, err := p.ReadVersion(root, true); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.Read(a); err != nil {
@@ -90,7 +90,7 @@ func TestUnpinnedSlidingStillWorksWithAnchor(t *testing.T) {
 	extra := e.NewVar(100)
 
 	p := e.Begin(SemanticsWeak)
-	if _, err := p.ReadPinned(root); err != nil {
+	if _, err := p.ReadVersion(root, true); err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range vars {
@@ -122,11 +122,11 @@ func TestPinnedUnderDefIsOrdinaryRead(t *testing.T) {
 	e := NewDefaultEngine()
 	x := e.NewVar(5)
 	err := e.Run(SemanticsDef, func(tx *Txn) error {
-		v, err := tx.ReadPinned(x)
+		rec, err := tx.ReadVersion(x, true)
 		if err != nil {
 			return err
 		}
-		if v.(int) != 5 {
+		if v := unboxed(rec); v.(int) != 5 {
 			t.Fatalf("got %v", v)
 		}
 		return nil

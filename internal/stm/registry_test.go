@@ -63,7 +63,7 @@ func TestLiveRegistryOverflow(t *testing.T) {
 		}
 		inParallel(owners, func(int) {
 			for i, id := range ids {
-				if got := e.lookupTxn(id); got != txs[i] {
+				if got := e.live.lookup(id); got != txs[i] {
 					t.Errorf("lookup(%d) = %p, want its live owner %p", id, got, txs[i])
 				}
 			}
@@ -71,7 +71,7 @@ func TestLiveRegistryOverflow(t *testing.T) {
 		inParallel(owners, func(i int) { txs[i].Abort() })
 		inParallel(owners, func(int) {
 			for _, id := range ids {
-				if got := e.lookupTxn(id); got != nil {
+				if got := e.live.lookup(id); got != nil {
 					t.Errorf("lookup(%d) = %p after its owner finished, want nil", id, got)
 				}
 			}

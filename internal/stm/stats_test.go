@@ -324,7 +324,7 @@ func TestVarIdentity(t *testing.T) {
 	for len(vars) < total/2 {
 		tower := make([]Var, arrayLen)
 		for i := range tower {
-			e.InitVar(&tower[i], &Version{val: i})
+			e.InitVar(&tower[i], boxed(i))
 			vars = append(vars, &tower[i])
 		}
 	}
@@ -360,8 +360,8 @@ func TestCommitLockOrder(t *testing.T) {
 	const perG = 10_000
 	e := NewDefaultEngine()
 	var pair [2]Var
-	e.InitVar(&pair[0], &Version{val: 0})
-	e.InitVar(&pair[1], &Version{val: 0})
+	e.InitVar(&pair[0], boxed(0))
+	e.InitVar(&pair[1], boxed(0))
 	for name, vars := range map[string][2]*Var{
 		"one-array": {&pair[0], &pair[1]},
 		"apart":     {e.NewVar(0), e.NewVar(0)},

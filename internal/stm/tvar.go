@@ -7,7 +7,7 @@ import (
 
 // Var is an untyped transactional variable: one shared register of the
 // paper's model, two words long. All access must go through a
-// transaction (Txn.Read, Txn.Write); LoadDirect is the one read outside
+// transaction (Txn.Read, Txn.Write); LoadVersion is the one read outside
 // one. A Var does not point at its engine: its unlocked lock word is the
 // engine's word, which is how a transaction tells a variable of another
 // engine (Txn.foreign).
@@ -23,11 +23,24 @@ type Var struct {
 	head atomic.Pointer[Version]
 }
 
+// box is the record of an untyped variable (NewVar, Txn.Write): the
+// header, then the value as an interface.
+type box struct {
+	Version
+	v any
+}
+
+// boxed returns the record of one untyped write of val.
+func boxed(val any) *Version { return &(&box{v: val}).Version }
+
+// unboxed returns the value an untyped variable's record holds.
+func unboxed(rec *Version) any { return (*box)(unsafe.Pointer(rec)).v }
+
 // NewVar allocates a transactional variable owned by engine e holding
 // initial value v; see InitVar.
 func (e *Engine) NewVar(v any) *Var {
 	tv := new(Var)
-	e.InitVar(tv, &Version{val: v})
+	e.InitVar(tv, boxed(v))
 	return tv
 }
 
@@ -39,6 +52,12 @@ func (e *Engine) NewVar(v any) *Var {
 // stripe the variable's address maps to, so concurrent allocators rarely
 // meet. A Var must not be copied once initialised: its address is its
 // identity (see ID).
+//
+// first fixes the shape of every record the variable will hold: each
+// record later handed to WriteVersion for v must have the same shape, so
+// that whoever reads the value behind a record (ReadVersion,
+// LoadVersion) can cast it. NewVar and Txn.Write keep an untyped Var's
+// records boxes; core.TVar[T] keeps its own cells.
 func (e *Engine) InitVar(v *Var, first *Version) {
 	v.lw.Store(e.word)
 	v.install(first, 0, 0)
@@ -65,12 +84,12 @@ func (v *Var) install(rec *Version, wv, needed uint64) bool {
 // from every other reachable variable's and stable. Commit-time locking
 // acquires locks in increasing ID order, which makes transactional
 // deadlock impossible; the write-set probe table hashes it and
-// AbortError.VarID reports it. This is the package's only use of unsafe,
-// and the integer is never converted back to a pointer.
+// AbortError.VarID reports it. The integer is never converted back to a
+// pointer.
 func (v *Var) ID() uint64 { return uint64(uintptr(unsafe.Pointer(v))) }
 
-// LoadDirect reads the current committed value without any transactional
-// protection. It is linearizable on its own (the head version record is
-// immutable) but provides no consistency with other reads; it exists for
-// tests, statistics and post-quiescence inspection.
-func (v *Var) LoadDirect() any { return v.head.Load().val }
+// LoadVersion returns the current committed record without any
+// transactional protection. It is linearizable on its own (the head
+// record is immutable) but provides no consistency with other reads; it
+// exists for tests, statistics and post-quiescence inspection.
+func (v *Var) LoadVersion() *Version { return v.head.Load() }

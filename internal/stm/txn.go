@@ -477,19 +477,24 @@ func (tx *Txn) checkLive() error {
 	return nil
 }
 
-// Read performs a transactional read of v under the transaction's
-// semantics. On conflict it aborts the transaction and returns a
-// retryable error (see IsRetryable).
-func (tx *Txn) Read(v *Var) (any, error) { return tx.read(v, false) }
+// Read performs a transactional read of v, an untyped variable (see
+// NewVar), under the transaction's semantics. On conflict it aborts the
+// transaction and returns a retryable error (see IsRetryable).
+func (tx *Txn) Read(v *Var) (any, error) {
+	rec, err := tx.ReadVersion(v, false)
+	if err != nil {
+		return nil, err
+	}
+	return unboxed(rec), nil
+}
 
-// ReadPinned performs a transactional read whose entry is anchored: an
-// elastic transaction never slides it out of the validated set, so the
-// value is guaranteed current at every later cut and at commit, exactly
-// like a def read. Under non-weak semantics it is identical to Read.
-func (tx *Txn) ReadPinned(v *Var) (any, error) { return tx.read(v, true) }
-
-// read is Read and ReadPinned: pinned only matters to an elastic read.
-func (tx *Txn) read(v *Var, pinned bool) (any, error) {
+// ReadVersion is the record read every read goes through: it returns
+// the record holding the value the transaction observes, whose shape is
+// v's (see InitVar). A pinned read's entry is anchored: an elastic
+// transaction never slides it out of the validated set, so the value is
+// guaranteed current at every later cut and at commit, exactly like a
+// def read. Under non-weak semantics pinned changes nothing.
+func (tx *Txn) ReadVersion(v *Var, pinned bool) (*Version, error) {
 	if err := tx.checkLive(); err != nil {
 		return nil, err
 	}
@@ -498,7 +503,7 @@ func (tx *Txn) read(v *Var, pinned bool) (any, error) {
 	// Read-your-writes.
 	if len(tx.wset) > 0 {
 		if i := tx.findWrite(v); i >= 0 {
-			return tx.wset[i].rec.val, nil
+			return tx.wset[i].rec, nil
 		}
 	}
 
@@ -591,18 +596,18 @@ func (tx *Txn) interrupted() error {
 // ticked the clock — after our lock-word load, hence after rv was
 // sampled, so its version is > rv and the h.ver guard routes it to the
 // slow path.
-func (tx *Txn) readDef(v *Var) (any, error) {
+func (tx *Txn) readDef(v *Var) (*Version, error) {
 	if v.lw.Load() == tx.word {
 		if h := v.head.Load(); h.ver <= tx.rv {
 			tx.rset = append(tx.rset, readEntry{v: v, ver: h})
-			return h.val, nil
+			return h, nil
 		}
 	}
 	return tx.readDefSlow(v)
 }
 
 // readDefSlow is readDef's wait/extend loop.
-func (tx *Txn) readDefSlow(v *Var) (any, error) {
+func (tx *Txn) readDefSlow(v *Var) (*Version, error) {
 	for {
 		if err := tx.waitUnlocked(v); err != nil {
 			return nil, err
@@ -610,7 +615,7 @@ func (tx *Txn) readDefSlow(v *Var) (any, error) {
 		h := v.head.Load()
 		if h.ver <= tx.rv {
 			tx.rset = append(tx.rset, readEntry{v: v, ver: h})
-			return h.val, nil
+			return h, nil
 		}
 		if !tx.extend() {
 			tx.stat(statReadAborts)
@@ -663,15 +668,17 @@ func (tx *Txn) validateReads() bool {
 	return true
 }
 
-// Write buffers a transactional write of val to v.
+// Write buffers a transactional write of val to v, an untyped variable
+// (see NewVar).
 func (tx *Txn) Write(v *Var, val any) error {
-	return tx.WriteVersion(v, &Version{val: val})
+	return tx.WriteVersion(v, boxed(val))
 }
 
 // WriteVersion buffers a transactional write to v of the value held by
-// rec, a fresh record the caller allocated (see Version): if the attempt
-// commits, rec itself becomes v's head. A later write to v in the same
-// transaction replaces it, and an aborted attempt drops it.
+// rec, a fresh record the caller allocated in v's shape (see Version and
+// InitVar): if the attempt commits, rec itself becomes v's head. A later
+// write to v in the same transaction replaces it, and an aborted attempt
+// drops it.
 func (tx *Txn) WriteVersion(v *Var, rec *Version) error {
 	if err := tx.checkLive(); err != nil {
 		return err
@@ -823,7 +830,7 @@ func (tx *Txn) lockForCommit(e *writeEntry) error {
 			return tx.crossEngine()
 		}
 		owner := wordOwner(w)
-		enemy := tx.eng.lookupTxn(owner)
+		enemy := tx.eng.live.lookup(owner)
 		switch tx.cm.OnLockBusy(tx, enemy, attempt) {
 		case ResolutionAbortSelf:
 			tx.stat(statLockAborts)

@@ -7,6 +7,10 @@ import (
 	"testing"
 )
 
+// LoadDirect reads an untyped variable's committed value outside any
+// transaction (see LoadVersion).
+func (v *Var) LoadDirect() any { return unboxed(v.LoadVersion()) }
+
 func TestReadInitialValue(t *testing.T) {
 	e := NewDefaultEngine()
 	x := e.NewVar(42)

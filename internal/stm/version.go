@@ -24,30 +24,23 @@ import (
 // twice, and its value and timestamp never change once it is installed.
 // An attempt that aborts simply drops its records.
 //
-// Because the writer allocates, the record may be the first field of a
-// larger typed cell that also stores the value: package core embeds
-// Version in cell[T]{Version; v T} and Holds &cell.v, so a committed
-// write of a non-pointer T is one heap object instead of a Version plus
-// the box behind val (a string written from borrowed bytes goes one
-// further: core.SetBytes keeps the bytes in the cell too). The engine
-// never looks past the Version header; a chain freely mixes cells and
-// plain records.
+// A Version is a record's header only, 16 bytes: the value lives right
+// after it, in the object the writer allocated, and the engine never
+// looks past the header. Reads hand back the record (Txn.ReadVersion),
+// and whoever made it reads the value behind it. One rule makes that
+// sound: every record of a Var has the shape its reader expects (see
+// InitVar). An untyped Var's records are boxes (box, 32 bytes); package
+// core's TVar[T] makes cell[T]{Version; v T}, 24 bytes for a pointer or
+// an int, and a value written from borrowed bytes keeps them in the
+// cell too (core.SetBytes).
 //
 // The link to the previous record is atomic because it is cut without
 // the variable's lock word: a backup kept for a snapshot reader is
 // released once no reader can need it (see owedQueue), not at the
 // variable's next write.
 type Version struct {
-	val  any
 	ver  uint64
 	prev atomic.Pointer[Version]
-}
-
-// Hold sets the value of a record that has not been handed to the engine
-// yet, and returns the record.
-func (v *Version) Hold(val any) *Version {
-	v.val = val
-	return v
 }
 
 // resolveAt returns the newest version in the chain whose timestamp is

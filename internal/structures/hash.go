@@ -62,15 +62,6 @@ func (h *THash) apply(tx *core.Tx, op setOp, key uint64) (bool, error) {
 	return chainApply(tx, h.tm, bs[mix64(key)&uint64(len(bs)-1)], op, key)
 }
 
-// length counts every chain inside tx.
-func (h *THash) length(tx *core.Tx) (n int, err error) {
-	bs, err := core.Get(tx, h.buckets)
-	for i := 0; err == nil && i < len(bs); i++ {
-		err = chainWalk(tx, bs[i], func(uint64) { n++ })
-	}
-	return n, err
-}
-
 // Resize doubles (grow) or halves (shrink) the bucket array in one
 // monomorphic transaction: it reads every chain, rebuilds them into a
 // fresh array of new TVars, and swaps the array variable. Because it is

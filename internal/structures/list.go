@@ -142,11 +142,6 @@ func (l *TList) apply(tx *core.Tx, op setOp, key uint64) (bool, error) {
 	return chainApply(tx, l.tm, l.head, op, key)
 }
 
-func (l *TList) length(tx *core.Tx) (n int, err error) {
-	err = chainWalk(tx, l.head, func(uint64) { n++ })
-	return n, err
-}
-
 // Sum returns the sum of all keys in one atomic snapshot read — a whole
 // structure scan, the kind of operation Snapshot semantics exists for.
 func (l *TList) Sum() uint64 {

@@ -17,16 +17,14 @@ const (
 
 // setBody is what an integer set writes itself: one body that runs op on
 // key inside tx and reports what the operation returns — found for
-// Contains, added for Insert, removed for Remove — and one walk that
-// counts its keys inside tx.
+// Contains, added for Insert, removed for Remove.
 type setBody interface {
 	apply(tx *core.Tx, op setOp, key uint64) (bool, error)
-	length(tx *core.Tx) (int, error)
 }
 
 // intSet is the front end the integer sets share: the plain, Ctx and Tx
-// forms of Contains, Insert and Remove, and Len, written once over a
-// structure's setBody. Searches run under searchSem and updates under
+// forms of Contains, Insert and Remove, written once over a structure's
+// setBody. Searches run under searchSem and updates under
 // updateSem — the same semantics for TList and THash, Def updates for
 // TSkipList.
 type intSet struct {
@@ -114,6 +112,3 @@ func (s *intSet) RemoveCtx(ctx context.Context, key uint64) (bool, error) {
 func (s *intSet) RemoveTx(tx *core.Tx, key uint64) (bool, error) {
 	return s.run(context.TODO(), tx, s.updateSem, opRemove, key)
 }
-
-// Len returns the element count: one snapshot walk (see snapshotLen).
-func (s *intSet) Len() int { return snapshotLen(s.tm, s.body.length) }

@@ -215,8 +215,8 @@ func (c *skipCore[K, V]) count(tx *core.Tx, n *skipNode[K, V]) (k int, err error
 	return k, err
 }
 
-// length counts the keys inside tx (see setBody): the bottom level from
-// the sentinel, which is not one.
+// length counts the keys inside tx: the bottom level from the sentinel,
+// which is not one.
 func (c *skipCore[K, V]) length(tx *core.Tx) (int, error) {
 	k, err := c.count(tx, c.head)
 	return k - 1, err

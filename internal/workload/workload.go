@@ -15,7 +15,6 @@ type IntSet interface {
 	Insert(uint64) bool
 	Remove(uint64) bool
 	Contains(uint64) bool
-	Len() int
 }
 
 // OpKind is one generated operation type.
