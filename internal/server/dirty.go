@@ -35,9 +35,14 @@ type dirtySet struct {
 }
 
 // mark records one mutated key. The set keeps key itself, so the caller
-// passes a string that never changes — applyOp hands over the map's own
-// copy of the key, which makes a key's first mark in a checkpoint cycle
-// (most durable writes) as free as a repeat.
+// passes a string that never changes and pins nothing: applyOp hands
+// over the map's own copy of a written key, which makes a key's first
+// mark in a checkpoint cycle (most durable writes) as free as a repeat,
+// and a copy of a deleted one. Assigning a string key the map already
+// holds stores the new string in its place, so a delete's copy replaces
+// the written key, which views the node the delete unlinked. That is
+// the Go runtime's behaviour, not a promise of the language spec; the
+// one-cycle row of TestDeletedKeysPinNoNodes fails if it changes.
 func (d *dirtySet) mark(key string) {
 	d.mu.Lock()
 	if !d.full {

@@ -2,7 +2,9 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"maps"
+	"runtime"
 	"testing"
 
 	"polytm/internal/raceflag"
@@ -275,5 +277,70 @@ func TestFlushTracksNothingUntilTheCut(t *testing.T) {
 	defer st2.CloseDurability()
 	if got := scanAll(t, st2); !maps.Equal(got, map[string]string{"d": "d", "e": "e", "f": "f"}) {
 		t.Fatalf("reopened after the FLUSH = %v, want d, e and f", got)
+	}
+}
+
+// TestDeletedKeysPinNoNodes: a deleted key the dirty set keeps for the
+// next delta is a copy, not the map's own key, which views the bytes of
+// the node the delete unlinked. Holding that would hold the node, its
+// value cell, its link records and, along its links, every node deleted
+// after it. 100k keys with 64-byte values are deleted on a durable
+// shard, once after a checkpoint (the delete's mark is the key's first
+// of the cycle) and once in the cycle that wrote them (the set already
+// holds the write's key, and must take the copy in its place); the heap
+// left per deleted key must be what the set's own entry costs (≈ 50 B;
+// ≈ 234 B when the delete hands over the map's key).
+func TestDeletedKeysPinNoNodes(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation changes object sizes; the footprint is asserted in the non-race CI step")
+	}
+	const n = 100_000
+	for _, row := range []struct {
+		name       string
+		checkpoint bool // between the writes and the deletes
+	}{{"deleted after a checkpoint", true}, {"written and deleted in one cycle", false}} {
+		t.Run(row.name, func(t *testing.T) {
+			st, _ := newDurableCfg(t, Durability{Dir: t.TempDir(), Fsync: wal.ModeOff, CheckpointEvery: -1})
+			defer st.CloseDurability()
+			ctx := context.Background()
+			// The first checkpoint gives the chain its base, so marks
+			// record keys from here on.
+			if err := st.Checkpoint(ctx); err != nil {
+				t.Fatal(err)
+			}
+			req := wire.Request{Sem: wire.SemDefault, Val: make([]byte, 64)}
+			var resp wire.Response
+			do := func(op wire.Op, want wire.Status) {
+				t.Helper()
+				req.Op = op
+				for i := 0; i < n; i++ {
+					req.Key = fmt.Appendf(req.Key[:0], "key-%012d", i)
+					if st.ExecuteInto(&req, &resp); resp.Status != want {
+						t.Fatalf("%v %s: %v %s", op, req.Key, resp.Status, resp.Msg)
+					}
+				}
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			do(wire.OpSet, wire.StatusOK)
+			if row.checkpoint {
+				if err := st.Checkpoint(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			do(wire.OpDel, wire.StatusOK)
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			if marked, _ := st.tab().shards[0].dirty.peek(); marked != n {
+				t.Fatalf("dirty set holds %d keys, want the %d deleted", marked, n)
+			}
+			perKey := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
+			t.Logf("%d deleted keys: %.1f B/key left", n, perKey)
+			if perKey > 64 {
+				t.Errorf("%.1f B per deleted key left on the heap, want <= 64: a kept key pins its node", perKey)
+			}
+			runtime.KeepAlive(st)
+		})
 	}
 }

@@ -134,14 +134,10 @@ type walCapture struct {
 // mutation has anything to order, i.e. must hold the shard's token.
 func (c *walCapture) reset(o mutOpts) bool {
 	sh := c.sh
-	c.buf = c.buf[:0]
-	c.seq = 0
-	c.reserved = false
-	c.logged = false
+	c.begin()
+	c.ackPos = ackPos{sh: sh}
+	c.reserved, c.slotRes = false, false
 	c.track = !o.quiet && (o.force || sh.sess.ActiveWatches() > 0 || sh.ttl.Len() > 0)
-	c.changes = c.changes[:0]
-	c.slotRes = false
-	c.slotUsed = false
 	return o.force || c.track || sh.wal != nil || sh.resharding.Load()
 }
 
@@ -252,16 +248,22 @@ func (c *walCapture) OnWait(ev stm.TxnEvent) {
 	}
 }
 
-// touched records that key — the map's own copy (see PutBytesTx), so
-// remembering it costs no clone — changed: into the checkpointer's dirty
-// set (durable stores), a running reshard's, and — when this execution
-// tracks session changes — as ch.
+// touched records that key changed: into the checkpointer's dirty set
+// (durable stores), a running reshard's, and — when this execution
+// tracks session changes — as ch. A SET's key is the map's own (see
+// PutBytesTx), so remembering it costs no clone. A DEL's aliases the
+// node it unlinked, and holding it would hold that node, its value and,
+// along its links, every node deleted after it: when anything keeps it,
+// it is copied once.
 func (c *walCapture) touched(key string, ch session.Change) {
-	sh := c.sh
+	sh, resharding := c.sh, c.sh.resharding.Load()
+	if ch.Op != wire.EventSet && (sh.wal != nil || resharding || c.track) {
+		key = string(viewBytes(key))
+	}
 	if sh.wal != nil {
 		sh.dirty.mark(key)
 	}
-	if sh.resharding.Load() {
+	if resharding {
 		sh.rdirty.mark(key)
 	}
 	if c.track {
@@ -291,9 +293,10 @@ type effect struct {
 // the only place a side effect is recorded, so every writer — client
 // request, TXN sub-op, cross-shard participant, reaper, replay — leaves
 // the same trail. key and val are both borrowed (see lookupKey): the map
-// clones a key it inserts and the value's version record stores its own
-// copy of val. It returns how many entries the operation touched: a DEL
-// of a missing key touches none and records nothing.
+// copies a key it inserts into the new node and the value's version
+// record stores its own copy of val. It returns how many entries the
+// operation touched: a DEL of a missing key touches none and records
+// nothing.
 func (sh *shard) applyOp(tx *core.Tx, cp *walCapture, kind wal.OpKind, key, val []byte, eff effect) (int, error) {
 	logs := sh.wal != nil
 	switch kind {

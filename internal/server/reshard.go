@@ -317,9 +317,15 @@ func (m *move) begin(epoch uint64, rs *wal.Reshard) error {
 	})
 }
 
-// end closes the capture gate and lets both logs checkpoint again.
+// end closes the capture gate, drops what from's delta still holds, and
+// lets both logs checkpoint again. A written key in the delta views its
+// node in from's map and would keep it alive once deleted; after one
+// grace period nothing marks the delta until the next move, which
+// starts from a full copy.
 func (m *move) end() {
 	m.from.resharding.Store(false)
+	m.s.grace.synchronize()
+	m.from.rdirty.take()
 	m.host.ckptHold.Store(false)
 	m.from.ckptHold.Store(false)
 }
@@ -424,7 +430,10 @@ func (m *move) ship(keys []string, flushed bool) error {
 func (m *move) publish(next *routingTable, nextID int) error {
 	s := m.s
 	for k, d := range m.ttl {
-		m.to.ttl.set(k, d)
+		// k is a key from's walk handed out, which views from's node: a
+		// split drops that node and a merge retires from, and to's table
+		// would keep either alive until the key expires.
+		m.to.ttl.set(string(viewBytes(k)), d)
 	}
 	if s.durable() {
 		if err := m.host.wal.Append(wal.AppendReshardCommit(nil, next.epoch)); err != nil {

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"polytm/internal/core"
 	"polytm/internal/wal"
@@ -579,6 +580,80 @@ func TestSplitPreservesTTL(t *testing.T) {
 	}
 	if total != n {
 		t.Fatalf("reaped %d of %d keys after a split — deadlines lost in the move", total, n)
+	}
+}
+
+// TestReshardTTLKeysPinNoSourceNodes: the deadlines a split or a merge
+// moves are armed on the destination under copies of their keys. The
+// keys the source's walk hands out view the source's nodes, which the
+// split then drops and the merge retires with their shard; a deadline
+// kept under one of them would keep that node, its value and, along
+// its links, every node after it alive until the key expires.
+func TestReshardTTLKeysPinNoSourceNodes(t *testing.T) {
+	ctx := context.Background()
+	st := newSharded(2)
+	for i := 0; i < 256; i++ {
+		execOK(t, st, &wire.Request{Op: wire.OpSetEx, Sem: wire.SemDefault, Key: tkey(i), Val: []byte("x"), TTLMillis: 3600_000})
+	}
+	byID := func(id int) *shard {
+		tab := st.tab()
+		return tab.shards[tab.posByID(id)]
+	}
+	// reshard snapshots the bytes of every key on shard from — its nodes
+	// stay reachable until the reshard has armed to's deadlines, so no
+	// copy can land at one of those addresses — then checks to's table.
+	reshard := func(name string, from, to int, do func() error) {
+		t.Helper()
+		nodes := map[*byte]bool{}
+		if err := byID(from).walk(ctx, func(op wal.Op) error {
+			nodes[unsafe.StringData(op.Key)] = true
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := do(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		tt := &byID(to).ttl
+		tt.mu.RLock()
+		defer tt.mu.RUnlock()
+		moved := 0
+		for k := range tt.m {
+			if nodes[unsafe.StringData(k)] {
+				moved++
+			}
+		}
+		if moved > 0 || len(tt.m) == 0 {
+			t.Fatalf("%s: %d of shard %d's %d deadlines are keyed by shard %d's nodes", name, moved, to, len(tt.m), from)
+		}
+	}
+	// id 0 keeps (4,0); the new shard, id 2, takes (4,2). Then the merge
+	// folds id 2 back into id 0.
+	reshard("split", 0, 2, func() error { _, err := st.Split(ctx, 0, 0); return err })
+	reshard("merge", 2, 0, func() error { _, err := st.Merge(ctx, 1, 0, 2); return err })
+}
+
+// TestMoveEndDropsItsDelta: keys written while a move runs stay in the
+// moving shard's delta only until the move ends, cut over or aborted.
+// A written key there views its node, and a delta the next move would
+// only read after a full copy would keep that node alive once deleted.
+func TestMoveEndDropsItsDelta(t *testing.T) {
+	ctx := context.Background()
+	st := newSharded(2)
+	from := st.tab().shards[0]
+	m := st.newMove(ctx, from, from, st.tab().shards[1], hashSlice{mod: 4, res: 2})
+	if err := m.begin(1, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		execOK(t, st, &wire.Request{Op: wire.OpSet, Sem: wire.SemDefault, Key: tkey(i), Val: []byte("x")})
+	}
+	if n, _ := from.rdirty.peek(); n == 0 {
+		t.Fatal("no write reached the moving shard's delta")
+	}
+	m.end()
+	if n, flushed := from.rdirty.peek(); n != 0 || flushed {
+		t.Fatalf("after the move ended its delta holds %d keys (full: %v), want none", n, flushed)
 	}
 }
 

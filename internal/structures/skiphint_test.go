@@ -36,14 +36,14 @@ func checkLevels[K cmp.Ordered, V any](t *testing.T, c *skipCore[K, V], gone map
 		var prev *skipNode[K, V]
 		for n := c.head.next(l).LoadDirect(); n != nil; n = n.next(l).LoadDirect() {
 			switch {
-			case l >= n.lvl:
-				t.Fatalf("level %d reaches %v, a node of height %d", l, n.key, n.lvl)
-			case prev != nil && prev.key >= n.key:
-				t.Fatalf("level %d: %v follows %v", l, n.key, prev.key)
+			case l >= n.height():
+				t.Fatalf("level %d reaches %v, a node of height %d", l, n.key(), n.height())
+			case prev != nil && prev.key() >= n.key():
+				t.Fatalf("level %d: %v follows %v", l, n.key(), prev.key())
 			case l > 0 && !below[n]:
-				t.Fatalf("level %d reaches %v, which level %d does not", l, n.key, l-1)
-			case gone[n.key]:
-				t.Fatalf("level %d reaches deleted key %v", l, n.key)
+				t.Fatalf("level %d reaches %v, which level %d does not", l, n.key(), l-1)
+			case gone[n.key()]:
+				t.Fatalf("level %d reaches deleted key %v", l, n.key())
 			}
 			here[n], prev = true, n
 		}

@@ -3,6 +3,7 @@ package structures
 import (
 	"cmp"
 	"math/rand/v2"
+	"strings"
 	"sync/atomic"
 	"unsafe"
 
@@ -30,55 +31,113 @@ func randLevel() int {
 	return lvl
 }
 
-// skipNode is one node of a skip core: its key, its value and its
-// height. Its tower — lvl link variables, level 0 first — rides in the
-// same object right after it (see newNode): a node and its links are one
-// allocation. val sits
-// between key and lvl so that a zero-size V (the integer set's struct{})
-// adds no padding: the set's node is 16 bytes, the map's 40.
+// skipNode is one node of a skip core: its value and one word, kh,
+// packing its height, where its key sits in the node's object and, for
+// a key stored as bytes, the key's length. Its tower — link variables,
+// level 0 first — and then its key ride in the same object right after
+// it (see newNode): a node, its links and its key are one allocation.
+// val comes first so that a zero-size V (the integer set's struct{})
+// adds no padding: the set's node is 8 bytes, the map's 24.
 type skipNode[K cmp.Ordered, V any] struct {
-	key K
 	val V
-	lvl int
+	kh  uint64
 }
 
-// tower is the Go type a node is allocated as: the node, then an array A
-// of at least lvl links. Being a real type, its every link is a pointer
-// the collector scans, and a link's address is its variable's identity.
-type tower[K cmp.Ordered, V any, A any] struct {
+// kh holds, low bits first, the height (8 bits), the key's byte offset
+// in the node's object (16 bits), then an inline key's length plus one.
+// Zero there means a K sits at the offset: the set's integer, or a
+// string key too long to inline, holding its own out-of-line copy.
+// Otherwise the key is a string whose bytes sit at the offset.
+const offShift, lenShift = 8, 24
+
+// tower is the Go type a node is allocated as: the node, an array A of
+// at least its height in links, then its key's storage T. Being a real
+// type, its every link is a pointer the collector scans (and so is an
+// out-of-line key's), and a link's address is its variable's identity.
+type tower[K cmp.Ordered, V, A, T any] struct {
 	skipNode[K, V]
 	links A
+	tail  T
 }
 
-// next returns n's link at level l < n.lvl. It views the array newNode
-// allocated n with, which starts where the node ends, in the same idiom
-// as core's bytesCell: an interior pointer into n's own object.
+// height returns how many links n has.
+func (n *skipNode[K, V]) height() int { return int(uint8(n.kh)) }
+
+// key returns n's key. An inline key is a string viewing n's own bytes,
+// so it aliases n: it keeps the whole node alive as long as it is held.
+func (n *skipNode[K, V]) key() K {
+	p := unsafe.Add(unsafe.Pointer(n), uint16(n.kh>>offShift))
+	if l := n.kh >> lenShift; l != 0 {
+		s := unsafe.String((*byte)(p), l-1)
+		return *(*K)(unsafe.Pointer(&s))
+	}
+	return *(*K)(p)
+}
+
+// next returns n's link at level l < n.height(). It views the array
+// newNode allocated n with, which starts where the node ends, in the
+// same idiom as core's bytesCell: an interior pointer into n's own
+// object.
 func (n *skipNode[K, V]) next(l int) *core.TVar[*skipNode[K, V]] {
-	off := unsafe.Offsetof(tower[K, V, [1]core.TVar[*skipNode[K, V]]]{}.links) + uintptr(l)*unsafe.Sizeof(core.TVar[*skipNode[K, V]]{})
+	off := unsafe.Offsetof(tower[K, V, [1]core.TVar[*skipNode[K, V]], struct{}]{}.links) + uintptr(l)*unsafe.Sizeof(core.TVar[*skipNode[K, V]]{})
 	return (*core.TVar[*skipNode[K, V]])(unsafe.Add(unsafe.Pointer(n), off))
 }
 
-// newNode allocates an unlinked node of height lvl holding key, level l
-// pointing at succs[l]. The tower array is the smallest of four that
-// fits: exact for heights 1 and 2 (15 nodes in 16), four links for 3
-// and 4, all sixteen past that (one node in 256).
+// newNode allocates an unlinked node of height lvl holding a copy of
+// key, level l pointing at succs[l]. The tower array is the smallest of
+// four that fits: exact for heights 1 and 2 (15 nodes in 16), four links
+// for 3 and 4, all sixteen past that (one node in 256).
 func newNode[K cmp.Ordered, V any](tm *core.TM, key K, lvl int, succs []*skipNode[K, V]) *skipNode[K, V] {
 	var n *skipNode[K, V]
 	switch {
 	case lvl == 1:
-		n = &new(tower[K, V, [1]core.TVar[*skipNode[K, V]]]).skipNode
+		n = keyed[K, V, [1]core.TVar[*skipNode[K, V]]](key, lvl)
 	case lvl == 2:
-		n = &new(tower[K, V, [2]core.TVar[*skipNode[K, V]]]).skipNode
+		n = keyed[K, V, [2]core.TVar[*skipNode[K, V]]](key, lvl)
 	case lvl <= 4:
-		n = &new(tower[K, V, [4]core.TVar[*skipNode[K, V]]]).skipNode
+		n = keyed[K, V, [4]core.TVar[*skipNode[K, V]]](key, lvl)
 	default:
-		n = &new(tower[K, V, [skipMaxLevel]core.TVar[*skipNode[K, V]]]).skipNode
+		n = keyed[K, V, [skipMaxLevel]core.TVar[*skipNode[K, V]]](key, lvl)
 	}
-	n.key, n.lvl = key, lvl
 	for l := range lvl {
 		n.next(l).Init(tm, succs[l])
 	}
 	return n
+}
+
+// inlineKey is the most key bytes a node stores in its own object.
+const inlineKey = 24
+
+// keyed allocates a node of height lvl with links A holding a copy of
+// key. A string key of up to inlineKey bytes is stored inline: a node
+// and its links come to 8 bytes past a multiple of 16 (24 + 16 per
+// link), so the array ends the object on a malloc class, never larger
+// than the node with a string header plus the key's own object were. A
+// longer string key keeps a private clone behind a string header; any
+// other key is stored as itself.
+func keyed[K cmp.Ordered, V, A any](key K, lvl int) *skipNode[K, V] {
+	switch s, ok := any(key).(string); {
+	case !ok:
+		return alloc[K, V, A, K](key, "", lvl)
+	case len(s) > inlineKey:
+		return alloc[K, V, A, K](any(strings.Clone(s)).(K), "", lvl)
+	default:
+		return alloc[K, V, A, [inlineKey]byte](key, s, lvl)
+	}
+}
+
+// alloc allocates a tower[K, V, A, T] of height lvl and returns its
+// node. When T is K the tail holds key; otherwise it is an array that
+// holds s's bytes.
+func alloc[K cmp.Ordered, V, A, T any](key K, s string, lvl int) *skipNode[K, V] {
+	t := new(tower[K, V, A, T])
+	t.kh = uint64(unsafe.Offsetof(t.tail))<<offShift | uint64(lvl)
+	if k, ok := any(&t.tail).(*K); ok {
+		*k = key
+	} else {
+		t.kh |= uint64(copy(unsafe.Slice((*byte)(unsafe.Pointer(&t.tail)), len(s)), s)+1) << lenShift
+	}
+	return &t.skipNode
 }
 
 // The two instantiations: TSkipMap's node holds its value variable by
@@ -129,7 +188,7 @@ func (c *skipCore[K, V]) search(tx *core.Tx, key K, levels int, preds, succs []*
 		if err != nil {
 			return nil, err
 		}
-		for curr != nil && curr.key < key {
+		for curr != nil && curr.key() < key {
 			next, err := core.Get(tx, curr.next(lvl))
 			if err != nil {
 				return nil, err
@@ -157,7 +216,7 @@ func (c *skipCore[K, V]) put(tx *core.Tx, key K, lvl int) (n *skipNode[K, V], ex
 	// Stack-resident search results: search only reads and fills the
 	// slices, so they never escape (no per-op allocation).
 	var preds, succs [skipMaxLevel]*skipNode[K, V]
-	if n, err = c.search(tx, key, c.levels(lvl), preds[:], succs[:]); err != nil || (n != nil && n.key == key) {
+	if n, err = c.search(tx, key, c.levels(lvl), preds[:], succs[:]); err != nil || (n != nil && n.key() == key) {
 		return n, err == nil, err
 	}
 	n = newNode(c.tm, key, lvl, succs[:])
@@ -184,14 +243,14 @@ func (c *skipCore[K, V]) remove(tx *core.Tx, key K) (*skipNode[K, V], error) {
 	var preds, succs [skipMaxLevel]*skipNode[K, V]
 	h := c.levels(1)
 	n, err := c.search(tx, key, h, preds[:], succs[:])
-	for err == nil && n != nil && n.key == key && n.lvl > h {
-		h = n.lvl
+	for err == nil && n != nil && n.key() == key && n.height() > h {
+		h = n.height()
 		n, err = c.search(tx, key, h, preds[:], succs[:])
 	}
-	if err != nil || n == nil || n.key != key {
+	if err != nil || n == nil || n.key() != key {
 		return nil, err
 	}
-	for l := range n.lvl {
+	for l := range n.height() {
 		if succs[l] != n {
 			continue
 		}
@@ -248,7 +307,7 @@ func (s *TSkipList) apply(tx *core.Tx, op setOp, key uint64) (bool, error) {
 	switch op {
 	case opContains:
 		n, err := s.search(tx, key, s.levels(1), nil, nil)
-		return err == nil && n != nil && n.key == key, err
+		return err == nil && n != nil && n.key() == key, err
 	case opInsert:
 		_, existed, err := s.put(tx, key, randLevel())
 		return !existed, err

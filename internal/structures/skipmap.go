@@ -2,7 +2,6 @@ package structures
 
 import (
 	"context"
-	"strings"
 
 	"polytm/internal/core"
 )
@@ -40,7 +39,7 @@ func NewTSkipMap(tm *core.TM) *TSkipMap {
 // core.SetBytes): copy it rather than hold it long past the transaction.
 func (m *TSkipMap) GetTx(tx *core.Tx, key string) (string, bool, error) {
 	n, err := m.search(tx, key, m.levels(1), nil, nil)
-	if err != nil || n == nil || n.key != key {
+	if err != nil || n == nil || n.key() != key {
 		return "", false, err
 	}
 	v, err := core.Get(tx, &n.val)
@@ -54,7 +53,7 @@ func (m *TSkipMap) GetTx(tx *core.Tx, key string) (string, bool, error) {
 // already existed.
 //
 // key is BORROWED: PutTx only compares it, and the insert branch stores
-// a private copy (strings.Clone), so the caller may pass a string that
+// a private copy in the new node, so the caller may pass a string that
 // views bytes it goes on to reuse — the server passes a zero-copy view
 // of the request buffer and so pays for a key only when one is really
 // inserted, not on every overwrite. The bytes must stay unchanged until
@@ -65,7 +64,6 @@ func (m *TSkipMap) PutTx(tx *core.Tx, key, val string) (bool, error) {
 	if err == nil && existed {
 		err = core.Set(tx, &n.val, val)
 	} else if err == nil {
-		n.key = strings.Clone(key)
 		n.val.Init(m.tm, val)
 	}
 	return existed, err
@@ -76,53 +74,59 @@ func (m *TSkipMap) PutTx(tx *core.Tx, key, val string) (bool, error) {
 // rewritten as soon as the call returns, and a string a later GetTx or
 // RangeTx returns for this key may alias that record — see SetBytes
 // before holding one for long. It also returns the map's own copy of
-// the key — the existing node's on an overwrite, the fresh clone on an
-// insert — for callers that must remember which key they wrote.
+// the key — the existing node's on an overwrite, the fresh node's on an
+// insert — for callers that must remember which key they wrote. Like
+// every key the map hands out, stored aliases its node (a key of up to
+// 56 bytes is the node's own bytes): it keeps the whole node alive, so a
+// caller that holds it long past the node's deletion copies it.
 func (m *TSkipMap) PutBytesTx(tx *core.Tx, key string, val []byte) (stored string, existed bool, err error) {
 	n, existed, err := m.put(tx, key, randLevel())
 	switch {
 	case err != nil:
 		return "", false, err
 	case existed:
-		return n.key, true, core.SetBytes(tx, &n.val, val)
+		return n.key(), true, core.SetBytes(tx, &n.val, val)
 	}
-	n.key = strings.Clone(key)
 	core.InitBytes(m.tm, &n.val, val)
-	return n.key, false, nil
+	return n.key(), false, nil
 }
 
 // DeleteTx removes key inside tx, reporting whether it was present and,
-// if so, the map's own copy of the key (see PutBytesTx).
+// if so, the map's own copy of the key. That string aliases the removed
+// node (see PutBytesTx): holding it holds the node, its value and, along
+// its links, whatever was deleted after it, so a caller that keeps it
+// copies it.
 func (m *TSkipMap) DeleteTx(tx *core.Tx, key string) (stored string, removed bool, err error) {
 	n, err := m.remove(tx, key)
 	if n == nil {
 		return "", false, err
 	}
-	return n.key, true, nil
+	return n.key(), true, nil
 }
 
 // RangeTx walks keys in [from, to) in order inside tx, calling fn for
 // each pair until fn returns false, limit pairs have been visited
 // (limit <= 0 means unbounded), or the range is exhausted. An empty `to`
-// means "to the end".
+// means "to the end". The key fn is passed aliases its node and the
+// value may alias its version record (see PutBytesTx): fn copies either
+// to hold it long.
 func (m *TSkipMap) RangeTx(tx *core.Tx, from, to string, limit int, fn func(key, val string) bool) error {
 	curr, err := m.search(tx, from, m.levels(1), nil, nil)
 	if err != nil {
 		return err
 	}
-	n := 0
-	for curr != nil && (to == "" || curr.key < to) {
-		if limit > 0 && n >= limit {
+	for n := 0; curr != nil; n++ {
+		k := curr.key()
+		if (to != "" && k >= to) || (limit > 0 && n >= limit) {
 			return nil
 		}
 		v, err := core.Get(tx, &curr.val)
 		if err != nil {
 			return err
 		}
-		if !fn(curr.key, v) {
+		if !fn(k, v) {
 			return nil
 		}
-		n++
 		curr, err = core.Get(tx, curr.next(0))
 		if err != nil {
 			return err
@@ -223,7 +227,8 @@ func (m *TSkipMap) Range(from, to string, limit int, sem core.Semantics) []KV {
 }
 
 // RangeCtx is Range bounded by ctx; cancellation surfaces as an error
-// matching stm.ErrCancelled with no pairs returned.
+// matching stm.ErrCancelled with no pairs returned. Each KV.Key aliases
+// its node, as RangeTx's keys do.
 func (m *TSkipMap) RangeCtx(ctx context.Context, from, to string, limit int, sem core.Semantics) ([]KV, error) {
 	// Sized once, outside the body: a bounded range then costs one
 	// allocation however often the body retries, instead of one per

@@ -504,14 +504,15 @@ func preloadAscending(n int) *TSkipMap {
 // the variable every link and value is made of. Its -v output is the
 // "What a key costs" table of the README.
 func TestSkipMapFootprint(t *testing.T) {
-	// The map's node holds its value variable (key 16 + TVar 16 + height
-	// 8), the set's zero-size value adds nothing, and the tower follows
-	// either in the same object.
-	if sz := unsafe.Sizeof(mapNode{}); sz != 40 {
-		t.Errorf("sizeof(mapNode) = %d, want 40", sz)
+	// The map's node holds its value variable (TVar 16 + the word
+	// packing height, key offset and key length 8), the set's zero-size
+	// value adds nothing, and the tower and then the key follow either in
+	// the same object.
+	if sz := unsafe.Sizeof(mapNode{}); sz != 24 {
+		t.Errorf("sizeof(mapNode) = %d, want 24", sz)
 	}
-	if sz := unsafe.Sizeof(setNode{}); sz != 16 {
-		t.Errorf("sizeof(setNode) = %d, want 16", sz)
+	if sz := unsafe.Sizeof(setNode{}); sz != 8 {
+		t.Errorf("sizeof(setNode) = %d, want 8", sz)
 	}
 	if raceflag.Enabled {
 		t.Skip("race instrumentation changes object sizes; the footprint is asserted in the non-race CI step")
@@ -535,24 +536,24 @@ func TestSkipMapFootprint(t *testing.T) {
 
 	links := 0
 	for nd := m.head.next(0).LoadDirect(); nd != nil; nd = nd.next(0).LoadDirect() {
-		links += nd.lvl
+		links += nd.height()
 	}
 	// The fixed objects are their Go sizes (all exact size classes); the
-	// node row is what is left, since a two-link node (72 bytes) rounds up
-	// to 80 and a three-link one takes the four-link array. A record is
-	// the engine's header and the value after it: a link's holds a
-	// pointer, the value's a string header.
+	// node row is what is left, since a three-link node takes the
+	// four-link array and a sixteen-link one with its key (304 bytes)
+	// rounds up to 320. A record is the engine's header and the value after it: a
+	// link's holds a pointer, the value's a string header.
 	hdr := unsafe.Sizeof(stm.Version{})
-	cell, key := float64(hdr+unsafe.Sizeof("")), 16.0
+	cell := float64(hdr + unsafe.Sizeof(""))
 	linkRecs := float64(hdr+unsafe.Sizeof((*mapNode)(nil))) * float64(links) / n
 	t.Logf("%d ascending 16-byte keys, %.3f links/key: %.1f B/key in %.2f objects/key", n, float64(links)/n, bytesPerKey, objsPerKey)
-	t.Logf("node and tower %.1f mean | value cell %.0f | key bytes %.0f | link records %.1f mean",
-		bytesPerKey-cell-key-linkRecs, cell, key, linkRecs)
-	if bytesPerKey > 155 {
-		t.Errorf("%.1f B/key, want <= 155", bytesPerKey)
+	t.Logf("node, tower and key bytes %.1f mean | value cell %.0f | link records %.1f mean",
+		bytesPerKey-cell-linkRecs, cell, linkRecs)
+	if bytesPerKey > 138 {
+		t.Errorf("%.1f B/key, want <= 138", bytesPerKey)
 	}
-	if objsPerKey > 4.5 {
-		t.Errorf("%.2f objects/key, want <= 4.5", objsPerKey)
+	if objsPerKey > 3.5 {
+		t.Errorf("%.2f objects/key, want <= 3.5", objsPerKey)
 	}
 	runtime.KeepAlive(m)
 }
@@ -614,8 +615,9 @@ func TestHistoryFootprint(t *testing.T) {
 }
 
 // TestSkipMapInsertAllocs: a fresh insert allocates the node (its value
-// variable and its tower inside), the key clone, the value's cell, and a
-// first record plus a write record per level — 5.67 expected at p = 1/4.
+// variable, its tower and its key's bytes inside), the value's cell, and
+// a first record plus a write record per level — 4.67 expected at
+// p = 1/4.
 func TestSkipMapInsertAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation inflates allocation counts; budgets are asserted in the non-race CI step")
@@ -633,8 +635,8 @@ func TestSkipMapInsertAllocs(t *testing.T) {
 		m.Put(k, "v", core.Def)
 	}
 	runtime.ReadMemStats(&after)
-	if mean := float64(after.Mallocs-before.Mallocs) / n; mean > 6 {
-		t.Errorf("fresh Put: %.2f allocs/op, want <= 6", mean)
+	if mean := float64(after.Mallocs-before.Mallocs) / n; mean > 5 {
+		t.Errorf("fresh Put: %.2f allocs/op, want <= 5", mean)
 	} else {
 		t.Logf("fresh Put: %.2f allocs/op", mean)
 	}
