@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 type set interface {
@@ -192,16 +193,84 @@ func TestStripedHashResizeUnderChurn(t *testing.T) {
 	}
 }
 
+// TestStripedBasics checks the stripe array NewStripedHash builds: the
+// count is rounded up to a power of two, and a hash picks its stripe by
+// mask, so hashes h and h+stripes share one and adjacent hashes do not.
+func TestStripedBasics(t *testing.T) {
+	for _, row := range []struct{ nstripes, stripes int }{
+		{10, 16},
+		{8, 8},
+		{1, 1},
+		{0, 1},
+	} {
+		h := NewStripedHash(4, row.nstripes)
+		s := len(h.stripes)
+		if s != row.stripes {
+			t.Fatalf("NewStripedHash(4, %d): %d stripes, want %d", row.nstripes, s, row.stripes)
+		}
+		for hash := uint64(0); hash < 64; hash++ {
+			if h.stripe(hash) != h.stripe(hash+uint64(s)) {
+				t.Fatalf("%d stripes: hashes %d and %d pick different stripes", s, hash, hash+uint64(s))
+			}
+			if s > 1 && h.stripe(hash) == h.stripe(hash+1) {
+				t.Fatalf("%d stripes: adjacent hashes %d and %d share a stripe", s, hash, hash+1)
+			}
+		}
+	}
+}
+
+// TestStripedLockAll checks that Resize is a global section: while any
+// one stripe is held, for writing or for reading, a resize waits, and it
+// finishes once that stripe is released.
+func TestStripedLockAll(t *testing.T) {
+	h := NewStripedHash(4, 4)
+	for i := range h.stripes {
+		for _, w := range []bool{true, false} {
+			mu := &h.stripes[i]
+			unlock := mu.RUnlock
+			if w {
+				mu.Lock()
+				unlock = mu.Unlock
+			} else {
+				mu.RLock()
+			}
+			done := make(chan struct{})
+			go func() {
+				h.Resize(true)
+				close(done)
+			}()
+			select {
+			case <-done:
+				t.Fatalf("Resize finished while stripe %d was held (write %v)", i, w)
+			case <-time.After(10 * time.Millisecond):
+			}
+			unlock()
+			<-done
+		}
+	}
+}
+
+// TestStripedHashNeverFewerBucketsThanStripes checks that the bucket
+// count starts at no fewer than the stripes and the buckets asked for,
+// and that no shrink leaves fewer buckets than stripes.
 func TestStripedHashNeverFewerBucketsThanStripes(t *testing.T) {
-	h := NewStripedHash(4, 8)
-	if n := len(h.buckets); n < 8 {
-		t.Fatalf("buckets = %d, want >= stripes", n)
-	}
-	for i := 0; i < 10; i++ {
-		h.Resize(false)
-	}
-	if n := len(h.buckets); n < 8 {
-		t.Fatalf("shrink went below stripe count: %d", n)
+	for _, row := range []struct{ nbuckets, nstripes int }{
+		{4, 8},
+		{4, 10},
+		{64, 1},
+		{1, 0},
+	} {
+		h := NewStripedHash(row.nbuckets, row.nstripes)
+		s := len(h.stripes)
+		if n := len(h.buckets); n < max(s, row.nbuckets) {
+			t.Fatalf("%d stripes: %d buckets, want >= %d", s, n, max(s, row.nbuckets))
+		}
+		for i := 0; i < 10; i++ {
+			h.Resize(false)
+		}
+		if n := len(h.buckets); n != s {
+			t.Fatalf("%d stripes: ten shrinks left %d buckets, want %d", s, n, s)
+		}
 	}
 }
 

@@ -1,10 +1,6 @@
 package baseline
 
-import (
-	"sync"
-
-	"polytm/internal/locks"
-)
+import "sync"
 
 // mix64 is the splitmix64 finalizer shared by the hash baselines.
 func mix64(x uint64) uint64 {
@@ -95,32 +91,41 @@ func (h *CoarseHash) Resize(grow bool) int {
 	return newLen
 }
 
-// StripedHash is a hash set with lock striping (a fixed stripe array
-// guards a growable bucket array). Operations lock one stripe; resize
-// write-locks all stripes in order — concurrency-friendly operations,
-// stop-the-world resize.
+// StripedHash is a hash set with lock striping (Herlihy & Shavit, ch.
+// 13): a fixed array of stripes guards a growable bucket array.
+// Operations lock one stripe; resize write-locks every stripe in index
+// order — concurrency-friendly operations, stop-the-world resize.
 type StripedHash struct {
-	stripes *locks.Striped
-	mu      sync.RWMutex // guards the buckets slice header swap
+	stripes []sync.RWMutex // a power of two, so a hash picks its stripe by mask
+	mu      sync.RWMutex   // guards the buckets slice header swap
 	buckets [][]uint64
 }
 
 // NewStripedHash creates a striped hash set with nbuckets initial
-// buckets and nstripes stripes. The bucket count never drops below the
-// stripe count (both powers of two), so two keys in one bucket always
-// share a stripe — the invariant that makes one-stripe locking safe.
+// buckets and nstripes stripes, rounded up to a power of two. The
+// bucket count never drops below the stripe count, so two keys in one
+// bucket always share a stripe — the invariant that makes one-stripe
+// locking safe.
 func NewStripedHash(nbuckets, nstripes int) *StripedHash {
-	s := locks.NewStriped(nstripes)
-	n := s.Len()
+	s := 1
+	for s < nstripes {
+		s <<= 1
+	}
+	n := s
 	for n < nbuckets {
 		n <<= 1
 	}
-	return &StripedHash{stripes: s, buckets: make([][]uint64, n)}
+	return &StripedHash{stripes: make([]sync.RWMutex, s), buckets: make([][]uint64, n)}
+}
+
+// stripe returns the lock responsible for hash.
+func (h *StripedHash) stripe(hash uint64) *sync.RWMutex {
+	return &h.stripes[hash&uint64(len(h.stripes)-1)]
 }
 
 func (h *StripedHash) withStripe(key uint64, w bool, f func(b uint64)) {
 	hash := mix64(key)
-	mu := h.stripes.For(hash)
+	mu := h.stripe(hash)
 	if w {
 		mu.Lock()
 		defer mu.Unlock()
@@ -183,13 +188,15 @@ func (h *StripedHash) Contains(key uint64) bool {
 // Resize doubles or halves the bucket array. It locks every stripe —
 // a stop-the-world pause for all operations.
 func (h *StripedHash) Resize(grow bool) int {
-	h.stripes.LockAll()
-	defer h.stripes.UnlockAll()
+	for i := range h.stripes {
+		h.stripes[i].Lock()
+		defer h.stripes[i].Unlock()
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	newLen := len(h.buckets) * 2
 	if !grow {
-		newLen = max(h.stripes.Len(), len(h.buckets)/2)
+		newLen = max(len(h.stripes), len(h.buckets)/2)
 	}
 	fresh := make([][]uint64, newLen)
 	for _, b := range h.buckets {

@@ -265,6 +265,7 @@ func TestCutCatchUpAfterRestartKeepsEveryKey(t *testing.T) {
 	const keys = 1200
 	dur := Durability{Dir: t.TempDir(), Fsync: wal.ModeOff, CheckpointEvery: -1}
 	first := New(Config{StoreShards: 2})
+	defer first.Store().StopTTLReaper()
 	if _, err := first.Store().EnableDurability(dur); err != nil {
 		t.Fatal(err)
 	}

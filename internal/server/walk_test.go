@@ -156,6 +156,10 @@ func TestWalkFootprint(t *testing.T) {
 	heap := func() int64 {
 		var ms runtime.MemStats
 		runtime.GC()
+		// The second cycle frees what a sync.Pool kept for one more: a
+		// store an earlier test wrote last since the previous collection
+		// (a big heap can hold the next one off for many tests).
+		runtime.GC()
 		runtime.ReadMemStats(&ms)
 		return int64(ms.HeapAlloc)
 	}
@@ -199,6 +203,11 @@ func TestWalkFootprint(t *testing.T) {
 		}
 	})
 	t.Logf("heap growth over %d overwrites behind a parked reader: %.2f MiB with none, %.2f MiB beside the walk, %.2f MiB beside one snapshot", n/2, none, walk, held)
+	if none < -1 {
+		// Overwrites in place cannot shrink the heap: what was freed is
+		// not this test's, and the other two figures are not comparable.
+		t.Fatalf("the heap shrank %.2f MiB while no reader was parked: an object this test does not own was freed mid-measurement; live goroutines:\n%s", -none, allStacks())
+	}
 	if walk-none > 0.25 {
 		t.Errorf("the parked walk added %.2f MiB, want <= 0.25", walk-none)
 	}
