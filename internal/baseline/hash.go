@@ -97,8 +97,7 @@ func (h *CoarseHash) Resize(grow bool) int {
 // order — concurrency-friendly operations, stop-the-world resize.
 type StripedHash struct {
 	stripes []sync.RWMutex // a power of two, so a hash picks its stripe by mask
-	mu      sync.RWMutex   // guards the buckets slice header swap
-	buckets [][]uint64
+	buckets [][]uint64     // swapped by Resize, which holds every stripe
 }
 
 // NewStripedHash creates a striped hash set with nbuckets initial
@@ -123,6 +122,9 @@ func (h *StripedHash) stripe(hash uint64) *sync.RWMutex {
 	return &h.stripes[hash&uint64(len(h.stripes)-1)]
 }
 
+// withStripe runs f on key's bucket under key's stripe, write-locked if
+// w. Any stripe held excludes Resize, which takes them all, so the
+// bucket array f indexes cannot be swapped under it.
 func (h *StripedHash) withStripe(key uint64, w bool, f func(b uint64)) {
 	hash := mix64(key)
 	mu := h.stripe(hash)
@@ -133,10 +135,7 @@ func (h *StripedHash) withStripe(key uint64, w bool, f func(b uint64)) {
 		mu.RLock()
 		defer mu.RUnlock()
 	}
-	h.mu.RLock()
-	b := hash & uint64(len(h.buckets)-1)
-	f(b)
-	h.mu.RUnlock()
+	f(hash & uint64(len(h.buckets)-1))
 }
 
 // Insert adds key, returning false if present.
@@ -192,8 +191,6 @@ func (h *StripedHash) Resize(grow bool) int {
 		h.stripes[i].Lock()
 		defer h.stripes[i].Unlock()
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	newLen := len(h.buckets) * 2
 	if !grow {
 		newLen = max(len(h.stripes), len(h.buckets)/2)

@@ -20,13 +20,34 @@ func mallocClass(n int) int {
 	panic("mallocClass: out of table")
 }
 
+// stringHeaderCost is what a committed write of n borrowed bytes costs
+// when the record keeps a string header beside the engine's (a 32-byte
+// cell[string] head): the bytes inline for the lengths n such that n and
+// 32+n are classes, a clone and its cell otherwise. A clone under 16
+// bytes comes out of a shared 16-byte tiny block that lives as long as
+// any of its tenants: counted whole. The tag may never cost more.
+func stringHeaderCost(n int) int {
+	switch {
+	case n == 0:
+		return 32
+	case n <= 16:
+		return 48
+	case n <= 24 || n > 224:
+		return 32 + mallocClass(n)
+	default:
+		return mallocClass(32 + n)
+	}
+}
+
 // TestBytesCellFootprint walks every value length from 0 to 600 through
-// SetBytes and InitBytes and pins the four things the merged cell
+// SetBytes and InitBytes and pins the four things the bytes cell
 // promises: the value reads back; the buffer it was copied from can be
 // scribbled on afterwards; a committed write is one allocation for every
-// length bytesRecord merges (two where it falls back); and the merged
-// object is never larger than the cell plus separately cloned bytes —
-// measured, against the size-class arithmetic next to bytesRecord.
+// length up to maxInlineBytes (two past it, where the bytes are cloned);
+// and that one object is exactly the class of the 16-byte header plus
+// the value for every length from 1 to 240, never more than a record
+// with its own string header costs — measured, against the size-class
+// arithmetic next to bytesRecord.
 func TestBytesCellFootprint(t *testing.T) {
 	tm := NewDefault()
 	tv := NewTVar(tm, "")
@@ -56,23 +77,15 @@ func TestBytesCellFootprint(t *testing.T) {
 			continue // instrumentation inflates allocation counts
 		}
 
-		merged := n <= maxInlineBytes && !(n > 16 && n <= 24)
 		wantAllocs := 2.0
-		if merged {
+		if n <= maxInlineBytes {
 			wantAllocs = 1
 		}
 		if avg := testing.AllocsPerRun(50, func() { _ = tm.AtomicAs(Def, write) }); avg != wantAllocs {
 			t.Errorf("len %d: %.2f allocs per committed SetBytes, want %.0f", n, avg, wantAllocs)
 		}
-		// What the two objects cost: the 32-byte cell plus the bytes' own
-		// class. A clone under 16 bytes comes out of a shared 16-byte tiny
-		// block that lives as long as any of its tenants: counted whole.
-		two := 32 + mallocClass(n)
-		if n > 0 && n < 16 {
-			two = 32 + 16
-		}
-		// Smallest of three rounds, rounded down to the 16 bytes every
-		// class in range is a multiple of: a collection in the middle of
+		// Smallest of three rounds, rounded down to the 8 bytes every
+		// class is a multiple of: a collection in the middle of
 		// a round empties the engine's pools and bills their refill to
 		// it, and the runtime's own odd allocation lands in the total too.
 		const runs = 128
@@ -84,13 +97,13 @@ func TestBytesCellFootprint(t *testing.T) {
 				_ = tm.AtomicAs(Def, write)
 			}
 			runtime.ReadMemStats(&after)
-			got = min(got, int(after.TotalAlloc-before.TotalAlloc)/runs&^15)
+			got = min(got, int(after.TotalAlloc-before.TotalAlloc)/runs&^7)
 		}
-		if got > two {
-			t.Errorf("len %d: %d bytes per committed SetBytes, the two-object form costs %d", n, got, two)
+		if bound := stringHeaderCost(n); got > bound {
+			t.Errorf("len %d: %d bytes per committed SetBytes, a record with a string header costs %d", n, got, bound)
 		}
-		if merged && got != mallocClass(32+n) {
-			t.Errorf("len %d: %d bytes per committed SetBytes, want the %d-byte class", n, got, mallocClass(32+n))
+		if n > 0 && n <= maxInlineBytes && got != mallocClass(16+n) {
+			t.Errorf("len %d: %d bytes per committed SetBytes, want the %d-byte class", n, got, mallocClass(16+n))
 		}
 	}
 }
@@ -170,4 +183,65 @@ func TestCellBytesUnderBufferReuse(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestCellTaggedAndPlainRecordsMix writes one TVar[string] through Set
+// (a cell[string], untagged) and SetBytes (a bytes cell, tagged with its
+// length, or a cell[string] at length 0 and past maxInlineBytes) in
+// turn, at every length from 0 to 300, and parks a snapshot reader after
+// each write. Every reader must read the value written just before it
+// began, first at the head and again once all later writes have landed,
+// when it resolves below the head across records of both shapes. Run
+// with -race on two Ps.
+func TestCellTaggedAndPlainRecordsMix(t *testing.T) {
+	const longest = 300
+	tm := NewDefault()
+	tv := NewTVar(tm, "")
+	buf := make([]byte, longest)
+	release := make(chan struct{})
+	var readers sync.WaitGroup
+	for n := 0; n <= longest; n++ {
+		val := buf[:n]
+		for i := range val {
+			val[i] = byte('a' + (i+n)%26)
+		}
+		want := string(val)
+		if err := tm.AtomicAs(Def, func(tx *Tx) error {
+			if n%2 == 0 {
+				return Set(tx, tv, want)
+			}
+			return SetBytes(tx, tv, val)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		parked := make(chan struct{})
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			if err := tm.AtomicAs(Snapshot, func(tx *Tx) error {
+				first, err := Get(tx, tv)
+				if err != nil {
+					return err
+				}
+				close(parked)
+				<-release
+				again, err := Get(tx, tv)
+				if err != nil {
+					return err
+				}
+				if first != want || again != want {
+					t.Errorf("reader after the length-%d write read %d bytes, then %d; want %q both times", n, len(first), len(again), want)
+				}
+				return nil
+			}); err != nil {
+				t.Error(err)
+			}
+		}()
+		<-parked
+	}
+	close(release)
+	readers.Wait()
+	if got := tv.LoadDirect(); len(got) != longest {
+		t.Errorf("head holds %d bytes, want the last write's %d", len(got), longest)
+	}
 }

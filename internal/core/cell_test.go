@@ -340,8 +340,8 @@ func bytesPerRun(f func()) uint64 {
 // and the value right after it, in the object the writer allocated. A
 // TVar's record is a cell of its T — 24 bytes for a pointer (every
 // skip-map link) or an int, 32 for a string — a value written from
-// borrowed bytes keeps them in the same object, and an untyped
-// variable's record is a 32-byte box.
+// borrowed bytes keeps them right after the header, its length in the
+// header's tag, and an untyped variable's record is a 32-byte box.
 func TestRecordShapes(t *testing.T) {
 	if sz := unsafe.Sizeof(stm.Version{}); sz != 16 {
 		t.Errorf("sizeof(stm.Version) = %d, want 16", sz)
@@ -353,20 +353,23 @@ func TestRecordShapes(t *testing.T) {
 		{"cell[*cellNode]", unsafe.Sizeof(cell[*cellNode]{}), 24},
 		{"cell[int]", unsafe.Sizeof(cell[int]{}), 24},
 		{"cell[string]", unsafe.Sizeof(cell[string]{}), 32},
+		{"a bytes cell's header", unsafe.Offsetof(bytesCell[[64]byte]{}.b), 16},
+		{"bytesCell[[64]byte]", unsafe.Sizeof(bytesCell[[64]byte]{}), 80},
+		{"bytesCell[[128]byte]", unsafe.Sizeof(bytesCell[[128]byte]{}), 144},
 	} {
 		if c.got != c.want {
 			t.Errorf("sizeof(%s) = %d, want %d", c.name, c.got, c.want)
 		}
 	}
-	// A bytes cell begins with a cell[string]: what value reads is the
-	// bytes written, stored right after the header.
+	// A bytes cell is its header and its bytes: what value reads is the
+	// bytes written, stored right after the 16-byte header.
 	for _, n := range []int{64, 128} {
 		val := bytes.Repeat([]byte{'x'}, n)
 		rec := bytesRecord(val)
 		s := value[string](rec)
 		off := uintptr(unsafe.Pointer(unsafe.StringData(s))) - uintptr(unsafe.Pointer(rec))
-		if len(s) != n || off != 32 || s != string(val) {
-			t.Errorf("%d-byte bytes cell reads %d bytes at offset %d, want the value right after its 32-byte header", n, len(s), off)
+		if len(s) != n || off != 16 || s != string(val) || int(rec.Tag()) != n+1 {
+			t.Errorf("%d-byte bytes cell reads %d bytes at offset %d, tagged %d; want the value right after its 16-byte header, tagged %d", n, len(s), off, rec.Tag(), n+1)
 		}
 	}
 	if raceflag.Enabled {
@@ -374,7 +377,7 @@ func TestRecordShapes(t *testing.T) {
 	}
 	tm := NewDefault()
 	tv := NewTVar(tm, "")
-	for _, c := range []struct{ n, class uint64 }{{64, 96}, {128, 160}} {
+	for _, c := range []struct{ n, class uint64 }{{64, 80}, {128, 144}} {
 		val := make([]byte, c.n)
 		write := func(tx *Tx) error { return SetBytes(tx, tv, val) }
 		if b := bytesPerRun(func() { _ = tm.AtomicAs(Def, write) }); b != c.class {

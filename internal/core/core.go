@@ -421,8 +421,8 @@ type TVar[T any] struct {
 // cell is the committed version record of a TVar[T]: the engine's record
 // header and the value in one allocation (see stm.Version) — 24 bytes
 // for a pointer or an int, 32 for a string. Every record of a TVar[T] is
-// a cell[T], or begins with one (bytesCell), which is what lets value
-// read a record as one.
+// a cell[T] but a TVar[string]'s bytes cells, which value tells by
+// their tag.
 type cell[T any] struct {
 	stm.Version
 	v T
@@ -433,83 +433,74 @@ func record[T any](val T) *stm.Version { return &(&cell[T]{v: val}).Version }
 
 // value recovers the T a TVar[T]'s record holds. A record is the header
 // of the cell[T] it begins, so the cast is a view of the object it was
-// allocated as; Go objects never move.
-func value[T any](rec *stm.Version) T { return (*cell[T])(unsafe.Pointer(rec)).v }
+// allocated as; Go objects never move. A tagged record is a bytes cell,
+// only ever a TVar[string]'s: its tag is the string's length plus one.
+func value[T any](rec *stm.Version) T {
+	if n := int(rec.Tag()); n != 0 {
+		s := unsafe.String(cellBytes(rec), n-1)
+		return *(*T)(unsafe.Pointer(&s))
+	}
+	return (*cell[T])(unsafe.Pointer(rec)).v
+}
 
-// bytesCell is cell[string] with the string's bytes in the same object:
-// s points into b. One committed write of a borrowed []byte is then one
-// allocation — the record is the value and the value's storage — where
-// cell[string] needs the bytes cloned into an object of their own first.
-// Its first two fields are cell[string]'s, so value[string] reads it.
+// bytesCell is a string's record with the string's bytes in the same
+// object, right after the header; the header's tag holds the length.
+// One committed write of a borrowed []byte is then one allocation — the
+// record is the value and the value's storage — where cell[string]
+// needs the bytes cloned into an object of their own first.
 type bytesCell[A any] struct {
 	stm.Version
-	s string
 	b A // [N]byte
 }
 
-// newBytesCell copies val, which must fit A, into a fresh bytesCell[A]
-// and returns its record. s is an interior pointer into its own object,
-// which the collector treats like any other pointer — it keeps the whole
-// cell alive for as long as the string (or a substring a reader kept) is
-// reachable. b is written only here, before the record is handed to the
-// engine, so the string is as immutable as any other.
-func newBytesCell[A any](val []byte) *stm.Version {
-	c := new(bytesCell[A])
-	p := (*byte)(unsafe.Pointer(&c.b))
-	c.s = unsafe.String(p, copy(unsafe.Slice(p, unsafe.Sizeof(c.b)), val))
-	return &c.Version
+// newBytesCell allocates an empty bytesCell[A] and returns its record.
+func newBytesCell[A any]() *stm.Version { return &new(bytesCell[A]).Version }
+
+// cellBytes returns where a bytes cell's bytes begin, right after rec.
+func cellBytes(rec *stm.Version) *byte {
+	return (*byte)(unsafe.Add(unsafe.Pointer(rec), unsafe.Sizeof(*rec)))
 }
 
-// maxInlineBytes is the longest value bytesRecord stores inline: the
-// cell's header is 32 bytes (Version 16 + string 16), so 224 inline
-// bytes make a 256-byte object.
-const maxInlineBytes = 224
+// maxInlineBytes is the longest value bytesRecord stores inline: a
+// 240-byte array after the 16-byte header makes a 256-byte object.
+const maxInlineBytes = 240
+
+// bytesCells holds bytesRecord's cells past 8 bytes, indexed by (n-1)/16
+// for an n-byte value: [16]byte, [32]byte, …, [240]byte.
+var bytesCells = [...]func() *stm.Version{
+	newBytesCell[[16]byte], newBytesCell[[32]byte], newBytesCell[[48]byte], newBytesCell[[64]byte],
+	newBytesCell[[80]byte], newBytesCell[[96]byte], newBytesCell[[112]byte], newBytesCell[[128]byte],
+	newBytesCell[[144]byte], newBytesCell[[160]byte], newBytesCell[[176]byte], newBytesCell[[192]byte],
+	newBytesCell[[208]byte], newBytesCell[[224]byte], newBytesCell[[maxInlineBytes]byte],
+}
 
 // bytesRecord allocates the version record of one write of a copy of
-// val. The array lengths are the malloc classes N for which 32+N is a
-// class too, so the one merged object is never larger than the two it
-// replaces: class(32+N) = 32+N <= 32+class(len) whenever class(len) = N
-// (64 B: 96 = 32+64; 128 B: 160 = 32+128). That holds for every length
-// up to 224 but two ranges. 1..8 bytes would be an 8-byte class on
-// paper, but an allocation under 16 bytes is carved from a 16-byte tiny
-// block that stays live as long as any tenant does, so it is counted as
-// 16 and merged. 17..24 bytes have a real 24-byte class (class(56) is
-// 64), so they fall back to clone + cell[string], as does anything over
-// 224 bytes: 225..240 would lose 16 bytes, and the table stops at the
-// 256-byte object, although the rule holds again from 241 to 480.
+// val. The array lengths are the N for which N and 16+N are both malloc
+// classes — 8, 16, 32, 48, … 240 — so a value of 1 to 240 bytes costs
+// exactly the class of 16 bytes plus its length, one object no larger
+// than the cell[string] and separately cloned bytes it replaces (64 B:
+// 80 against 32+64; 128 B: 144 against 32+128). The empty value and
+// anything over 240 bytes fall back to clone + cell[string]: past 240
+// the next N, 256, would make a 272-byte object, which is no class.
+//
+// The bytes are copied in here, before the record is handed to the
+// engine, and never again, so a string read from the cell is as
+// immutable as any other. It points into the cell, which the collector
+// treats like any other pointer: it keeps the whole cell alive for as
+// long as the string (or a substring a reader kept) is reachable.
 func bytesRecord(val []byte) *stm.Version {
-	switch n := len(val); {
-	case n == 0 || n > maxInlineBytes || (n > 16 && n <= 24):
+	n := len(val)
+	if n == 0 || n > maxInlineBytes {
 		return record(string(val))
-	case n <= 16:
-		return newBytesCell[[16]byte](val)
-	case n <= 32:
-		return newBytesCell[[32]byte](val)
-	case n <= 48:
-		return newBytesCell[[48]byte](val)
-	case n <= 64:
-		return newBytesCell[[64]byte](val)
-	case n <= 80:
-		return newBytesCell[[80]byte](val)
-	case n <= 96:
-		return newBytesCell[[96]byte](val)
-	case n <= 112:
-		return newBytesCell[[112]byte](val)
-	case n <= 128:
-		return newBytesCell[[128]byte](val)
-	case n <= 144:
-		return newBytesCell[[144]byte](val)
-	case n <= 160:
-		return newBytesCell[[160]byte](val)
-	case n <= 176:
-		return newBytesCell[[176]byte](val)
-	case n <= 192:
-		return newBytesCell[[192]byte](val)
-	case n <= 208:
-		return newBytesCell[[208]byte](val)
-	default:
-		return newBytesCell[[maxInlineBytes]byte](val)
 	}
+	alloc := newBytesCell[[8]byte]
+	if n > 8 {
+		alloc = bytesCells[(n-1)/16]
+	}
+	rec := alloc()
+	copy(unsafe.Slice(cellBytes(rec), n), val)
+	rec.SetTag(uint8(n + 1))
+	return rec
 }
 
 // NewTVar allocates a typed transactional variable in tm holding init.

@@ -320,7 +320,10 @@ func TestDeletedKeysPinNoNodes(t *testing.T) {
 					}
 				}
 			}
+			// Two collections before each reading, as TestWalkFootprint
+			// takes: the second frees what a sync.Pool kept for one more.
 			var before, after runtime.MemStats
+			runtime.GC()
 			runtime.GC()
 			runtime.ReadMemStats(&before)
 			do(wire.OpSet, wire.StatusOK)
@@ -330,6 +333,7 @@ func TestDeletedKeysPinNoNodes(t *testing.T) {
 				}
 			}
 			do(wire.OpDel, wire.StatusOK)
+			runtime.GC()
 			runtime.GC()
 			runtime.ReadMemStats(&after)
 			if marked, _ := st.tab().shards[0].dirty.peek(); marked != n {

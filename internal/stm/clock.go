@@ -33,7 +33,10 @@ import "sync/atomic"
 // every transaction samples it at start to obtain its read timestamp.
 //
 // The zero Clock is ready to use; time starts at 0 and the first commit
-// timestamp is 1.
+// timestamp is 1. A timestamp must stay at or below 2^56 - 1, the
+// largest a record's ver word holds beside its tag (see Version): at
+// 10^8 commits a second that is 22 years of one engine's life, so the
+// commit path carries no guard for it.
 type Clock struct {
 	t atomic.Uint64
 }

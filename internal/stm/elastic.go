@@ -1,5 +1,7 @@
 package stm
 
+import "slices"
+
 // Elastic read path (SemanticsWeak before the first write).
 //
 // An elastic transaction [Felber, Gramoli, Guerraoui, DISC 2009] relaxes
@@ -46,12 +48,14 @@ func (tx *Txn) unpinnedSince(floor int) int {
 }
 
 // dropOldestUnpinned removes the first unpinned entry at or above the
-// elastic floor, compacting in place.
+// elastic floor, compacting in place. Like cutUnpinned it zeroes the
+// slot it vacates: recycle and begin clear a set only up to its length,
+// so a stale slot past it would keep its variable and that variable's
+// version chain reachable for as long as the shell is pooled.
 func (tx *Txn) dropOldestUnpinned() {
 	for i := tx.elasticFloor; i < len(tx.rset); i++ {
 		if !tx.rset[i].pinned {
-			copy(tx.rset[i:], tx.rset[i+1:])
-			tx.rset = tx.rset[:len(tx.rset)-1]
+			tx.rset = slices.Delete(tx.rset, i, i+1) // zeroes the vacated slot
 			return
 		}
 	}
@@ -93,6 +97,7 @@ func (tx *Txn) cutUnpinned() {
 			out = append(out, tx.rset[i])
 		}
 	}
+	clear(tx.rset[len(out):]) // a pooled shell keeps no dropped read alive
 	tx.rset = out
 }
 
@@ -104,7 +109,7 @@ func (tx *Txn) readElastic(v *Var, pinned bool) (*Version, error) {
 			return nil, err
 		}
 		h := v.head.Load()
-		if h.ver <= tx.rv {
+		if h.ver&stampMask <= tx.rv {
 			tx.rset = append(tx.rset, readEntry{v: v, ver: h, pinned: pinned})
 			if tx.unpinnedSince(tx.elasticFloor) > elasticWindow {
 				tx.dropOldestUnpinned()

@@ -259,6 +259,55 @@ func TestElasticCutChain(t *testing.T) {
 	}
 }
 
+// TestElasticRecycleKeepsNoReads: an elastic run slides its window
+// over ten variables past a pinned anchor and cuts once; the pooled
+// shell it leaves must hold no variable in any read-set slot up to the
+// set's capacity. A slot the window vacated is past the length recycle
+// clears, so one left as it was would keep its variable, and the
+// version chain behind it, alive for as long as the shell is pooled.
+func TestElasticRecycleKeepsNoReads(t *testing.T) {
+	e := NewDefaultEngine()
+	anchor, z := e.NewVar("anchor"), e.NewVar("z")
+	vars := make([]*Var, 10)
+	for i := range vars {
+		vars[i] = e.NewVar(i)
+	}
+	var shell *Txn
+	err := e.Run(SemanticsWeak, func(tx *Txn) error {
+		shell = tx
+		if _, err := tx.ReadVersion(anchor, true); err != nil {
+			return err
+		}
+		for _, v := range vars {
+			if _, err := tx.Read(v); err != nil {
+				return err
+			}
+		}
+		if tx.Attempt() == 1 { // z newer than rv: the read below cuts
+			w := e.Begin(SemanticsDef)
+			if err := w.Write(z, "z1"); err != nil {
+				return err
+			}
+			if err := w.Commit(); err != nil {
+				return err
+			}
+		}
+		_, err := tx.Read(z)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Stats().ElasticCuts == 0 {
+		t.Fatal("the run made no elastic cut")
+	}
+	for i, r := range shell.rset[:cap(shell.rset)] {
+		if r.v != nil || r.ver != nil {
+			t.Fatalf("read-set slot %d of %d still holds a variable or version", i, cap(shell.rset))
+		}
+	}
+}
+
 // TestElasticConcurrentSearchers: many elastic readers walking a chain
 // of variables while writers churn values they have already passed. All
 // searches must complete without aborts in Run (retries allowed but the

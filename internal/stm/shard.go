@@ -41,15 +41,11 @@ const maxShards = 256
 // power of two >= GOMAXPROCS when requested <= 0. Powers of two let
 // every shard selection be a mask instead of a modulo.
 func resolveShardCount(requested int) int {
-	n := requested
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n > maxShards {
-		n = maxShards
+	if requested <= 0 {
+		requested = runtime.GOMAXPROCS(0)
 	}
 	s := 1
-	for s < n {
+	for s < min(requested, maxShards) {
 		s <<= 1
 	}
 	return s

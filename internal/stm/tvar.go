@@ -54,10 +54,11 @@ func (e *Engine) NewVar(v any) *Var {
 // identity (see ID).
 //
 // first fixes the shape of every record the variable will hold: each
-// record later handed to WriteVersion for v must have the same shape, so
-// that whoever reads the value behind a record (ReadVersion,
-// LoadVersion) can cast it. NewVar and Txn.Write keep an untyped Var's
-// records boxes; core.TVar[T] keeps its own cells.
+// record later handed to WriteVersion for v must have the same shape, or
+// one its reader tells apart by the record's tag (Version.Tag), so that
+// whoever reads the value behind a record (ReadVersion, LoadVersion) can
+// cast it. NewVar and Txn.Write keep an untyped Var's records boxes;
+// core.TVar[T] keeps its own cells.
 func (e *Engine) InitVar(v *Var, first *Version) {
 	v.lw.Store(e.word)
 	v.install(first, 0, 0)
@@ -71,7 +72,7 @@ func (e *Engine) InitVar(v *Var, first *Version) {
 // It is the only place a committed head is built; every caller but
 // InitVar holds v's lock word and releases it afterwards.
 func (v *Var) install(rec *Version, wv, needed uint64) bool {
-	rec.ver = wv
+	rec.ver = rec.ver&^stampMask | wv
 	rec.prev.Store(retainHistory(v.head.Load(), wv, needed))
 	v.head.Store(rec)
 	return rec.prev.Load() != nil

@@ -598,7 +598,7 @@ func (tx *Txn) interrupted() error {
 // slow path.
 func (tx *Txn) readDef(v *Var) (*Version, error) {
 	if v.lw.Load() == tx.word {
-		if h := v.head.Load(); h.ver <= tx.rv {
+		if h := v.head.Load(); h.ver&stampMask <= tx.rv {
 			tx.rset = append(tx.rset, readEntry{v: v, ver: h})
 			return h, nil
 		}
@@ -613,7 +613,7 @@ func (tx *Txn) readDefSlow(v *Var) (*Version, error) {
 			return nil, err
 		}
 		h := v.head.Load()
-		if h.ver <= tx.rv {
+		if h.ver&stampMask <= tx.rv {
 			tx.rset = append(tx.rset, readEntry{v: v, ver: h})
 			return h, nil
 		}

@@ -31,24 +31,42 @@ import (
 // sound: every record of a Var has the shape its reader expects (see
 // InitVar). An untyped Var's records are boxes (box, 32 bytes); package
 // core's TVar[T] makes cell[T]{Version; v T}, 24 bytes for a pointer or
-// an int, and a value written from borrowed bytes keeps them in the
-// cell too (core.SetBytes).
+// an int, and a value written from borrowed bytes keeps them right
+// after the header, its length in the tag (core.SetBytes).
 //
 // The link to the previous record is atomic because it is cut without
 // the variable's lock word: a backup kept for a snapshot reader is
 // released once no reader can need it (see owedQueue), not at the
 // variable's next write.
+//
+// The header's ver word holds the commit timestamp in its low 56 bits
+// (stampMask; see Clock for the bound) and a tag in its top byte. The
+// tag belongs to whoever allocated the record: SetTag sets it on the
+// fresh record, before WriteVersion or InitVar hands it over, commit
+// keeps it, and Tag reads it back. The engine gives the tag no meaning
+// and never compares it; package core stores a bytes cell's length
+// there (core.bytesRecord), so the cell needs no string header.
 type Version struct {
 	ver  uint64
 	prev atomic.Pointer[Version]
 }
+
+// stampMask keeps the commit timestamp of a ver word, dropping its tag.
+const stampMask = 1<<56 - 1
+
+// SetTag sets the record's tag. It must be called on a fresh record,
+// before the record is handed to the engine.
+func (v *Version) SetTag(tag uint8) { v.ver = v.ver&stampMask | uint64(tag)<<56 }
+
+// Tag returns the tag the record's allocator set, or 0.
+func (v *Version) Tag() uint8 { return uint8(v.ver >> 56) }
 
 // resolveAt returns the newest version in the chain whose timestamp is
 // <= at, or nil if the chain has been trimmed past that point (which the
 // snapshot registry guarantees cannot happen for registered snapshots).
 func (v *Version) resolveAt(at uint64) *Version {
 	for cur := v; cur != nil; cur = cur.prev.Load() {
-		if cur.ver <= at {
+		if cur.ver&stampMask <= at {
 			return cur
 		}
 	}
@@ -66,7 +84,7 @@ func retainHistory(old *Version, wv, needed uint64) *Version {
 		return nil
 	}
 	for cur := old; cur != nil; cur = cur.prev.Load() {
-		if cur.ver <= needed {
+		if cur.ver&stampMask <= needed {
 			cur.prev.Store(nil)
 			break
 		}
@@ -129,8 +147,8 @@ func (e *Engine) drain(q *owedQueue) {
 	kept, low := q.vars[:0], uint64(snapFree)
 	for _, o := range q.vars {
 		switch h := o.v.head.Load(); {
-		case h.ver != o.wv: // superseded: dropped
-		case o.wv > m || h.ver > e.snaps.minActive():
+		case h.ver&stampMask != o.wv: // superseded: dropped
+		case o.wv > m || h.ver&stampMask > e.snaps.minActive():
 			kept, low = append(kept, o), min(low, o.wv)
 		default:
 			h.prev.Store(nil)
